@@ -645,17 +645,12 @@ def run_serve(argv: list[str]) -> int:
         help="seconds before a statement gets a typed timeout reply",
     )
     parser.add_argument(
-        "--protocol", choices=("v1", "v2"), default="v2",
-        help="highest wire protocol version to offer (v1 = JSON rows "
-        "only, v2 adds binary columnar results); clients negotiate down",
-    )
-    parser.add_argument(
         "--chunk-bytes", type=int, default=None, metavar="BYTES",
-        help="target size of streamed v2 result chunks (default 1 MiB)",
+        help="target size of streamed binary result chunks (default 1 MiB)",
     )
     parser.add_argument(
         "--no-compression", action="store_true",
-        help="never offer zlib frame compression to v2 clients",
+        help="never accept a client's offer of zlib frame compression",
     )
     parser.add_argument(
         "--pipeline-batch", type=int, default=None, metavar="N",
@@ -721,17 +716,12 @@ def run_serve(argv: list[str]) -> int:
             pool_size=args.pool_size,
             max_pending=args.max_pending,
             statement_timeout=args.statement_timeout,
-            protocol=args.protocol,
             compression=not args.no_compression,
             **extras,
         )
         await server.start()
         host, port = server.address
-        print(
-            f"repro server listening on {host}:{port} "
-            f"(protocol up to {args.protocol})",
-            flush=True,
-        )
+        print(f"repro server listening on {host}:{port}", flush=True)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
 

@@ -14,12 +14,13 @@
 
 :class:`AsyncClient` speaks the same API with ``await``.
 
-Both negotiate the wire protocol in HELLO: binary columnar v2 by
-default (results arrive as raw numpy column buffers, chunk-streamed
-when large, optionally zlib-compressed; ``result.arrays`` then holds
-the decoded numpy columns), falling back to all-JSON v1 against an
-older server — or pinned with ``Client(protocol="v1")`` for
-differential testing.  ``execute_many`` pipelines a batch of
+Both are thin transports over one sans-IO core (:class:`_ClientCore`),
+so the two flavours cannot drift apart.
+
+Bulk results arrive as binary columnar frames (raw numpy column
+buffers, chunk-streamed when large, zlib-compressed when HELLO
+negotiated it; ``result.arrays`` then holds the decoded numpy
+columns), small ones as JSON.  ``execute_many`` pipelines a batch of
 statements: a window of requests goes out before any reply is read,
 amortising network round-trips and letting the server fold the run
 into one engine trip.
@@ -68,9 +69,6 @@ from repro.server.protocol import (
     FrameDecoder,
     ResultAssembler,
     encode_frame,
-    read_frame,
-    versions_up_to,
-    write_frame,
 )
 from repro.sql.session import QueryResult
 
@@ -121,33 +119,32 @@ def _statement_mutates(sql: str) -> bool:
     return "".join(word).lower() == "into"
 
 
-def _ambiguous_mutation(sql: str) -> AmbiguousResultError:
-    return AmbiguousResultError(
-        f"connection lost while executing a mutation; it may or may not "
-        f"have been applied server-side, so it was NOT retried "
-        f"(statement: {sql[:80]!r})"
-    )
-
-
 def _result_from_reply(reply: dict) -> QueryResult:
     """Rehydrate a ``result`` reply into the embedded result type."""
-    result = QueryResult(
-        columns=list(reply["columns"]),
-        rows=[tuple(row) for row in reply["rows"]],
-        affected=int(reply.get("affected", 0)),
-    )
-    # v2 replies decoded numeric columns zero-copy; keep the arrays
+    try:
+        result = QueryResult(
+            columns=list(reply["columns"]),
+            rows=[tuple(row) for row in reply["rows"]],
+            affected=int(reply.get("affected", 0)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed result reply: {exc!r}") from None
+    # Binary replies decoded numeric columns zero-copy; keep the arrays
     # reachable for columnar consumers (plain attribute: QueryResult is
-    # an open dataclass, and v1 results simply don't have it).
+    # an open dataclass, and small JSON results simply don't have it).
     arrays = reply.get("arrays")
     if arrays is not None:
         result.arrays = arrays
     return result
 
 
+def _remote_error(reply: dict) -> RemoteError:
+    return RemoteError(reply.get("code", "internal"), reply.get("message", ""))
+
+
 def _check_reply(reply: dict, expected: str) -> dict:
     if reply.get("type") == "error":
-        raise RemoteError(reply.get("code", "internal"), reply.get("message", ""))
+        raise _remote_error(reply)
     if reply.get("type") != expected:
         raise ProtocolError(
             f"expected a {expected!r} reply, got {reply.get('type')!r}"
@@ -170,17 +167,39 @@ class Prepared:
         self.closed = False
 
     def execute(self, params=None, mode: str | None = None) -> QueryResult:
-        return self._client._execute_prepared(self, params, mode)
+        return self._client._run(
+            self._client._execute_prepared(self, params, mode)
+        )
 
     def close(self) -> None:
-        if not self.closed:
-            self._client._deallocate(self)
-            self.closed = True
-            self._client._forget(self)
+        return self._client._run(self._client._deallocate(self))
+
+
+class AsyncPrepared(Prepared):
+    """Prepared-statement helper of :class:`AsyncClient` (awaitable)."""
+
+    async def execute(self, params=None, mode: str | None = None) -> QueryResult:
+        return await super().execute(params, mode)
+
+    async def close(self) -> None:
+        await super().close()
 
 
 class _ClientCore:
-    """Connection-independent bookkeeping shared by both flavours."""
+    """Every client operation, written once, without I/O.
+
+    Each ``_operation`` method is a generator.  It *yields* transport
+    steps — ``("open", None)``, ``("send", bytes)``, ``("recv", None)``,
+    ``("sleep", seconds)``, ``("close", None)`` — and whoever drives it
+    (:meth:`Client._run` over a socket, :meth:`AsyncClient._run` over
+    asyncio streams, a test over a script) performs the step and resumes
+    the generator with the outcome (``recv`` → the bytes read, empty on
+    EOF), or throws in the ``OSError`` the step hit.  The generator's
+    return value is the operation's result.  Framing, reply reassembly,
+    the handshake, reconnect and retry discipline all live here.
+    """
+
+    _prepared_class = Prepared
 
     def __init__(
         self,
@@ -192,7 +211,6 @@ class _ClientCore:
         reconnect: bool = True,
         max_retries: int = 3,
         retry_delay: float = 0.05,
-        protocol: str | int | None = None,
         compression: bool = True,
     ) -> None:
         self.host = host
@@ -202,153 +220,117 @@ class _ClientCore:
         self.reconnect = reconnect
         self.max_retries = max_retries
         self.retry_delay = retry_delay
-        self.offer_versions = versions_up_to(protocol)
         self.offer_compression = compression
-        #: Negotiated per connection (HELLO reply); v1 until connected.
+        #: Learned per connection from the HELLO reply.
         self.protocol_version = PROTOCOL_VERSION
         self.compression: str | None = None
         self.server_info: dict = {}
         self.in_transaction = False
         self._prepared: list[Prepared] = []
+        self._connected = False
+        self._decoder = FrameDecoder()
+        self._inbox: deque = deque()  # decoded but not yet consumed
 
-    def _hello_message(self) -> dict:
-        # The scalar "protocol" field is what a v1-only server checks
-        # (strict equality, historically): keep it at v1 so the version
-        # *list* is the only thing a modern server needs to look at.
-        return {
+    def _connect(self):
+        """(Re-)establish the connection, handshake, re-prepare."""
+        yield from self._disconnect()
+        last: Exception | None = None
+        for attempt in range(self.max_retries + 1):
+            try:
+                yield ("open", None)
+                break
+            except OSError as exc:
+                last = exc
+                if attempt < self.max_retries:
+                    yield ("sleep", self.retry_delay * (attempt + 1))
+        else:
+            raise ServerUnavailableError(
+                f"cannot connect to {self.host}:{self.port}: {last}"
+            )
+        self._connected = True
+        self._decoder = FrameDecoder()
+        self._inbox.clear()  # stale frames died with the old connection
+        hello = {
             "type": "hello",
             "protocol": PROTOCOL_VERSION,
-            "versions": list(self.offer_versions),
+            "versions": [PROTOCOL_VERSION],
             "compression": (
                 list(SUPPORTED_COMPRESSIONS) if self.offer_compression else []
             ),
             "client": self.client_name,
         }
-
-    def _absorb_hello(self, reply: dict) -> None:
-        self.server_info = reply
-        self.protocol_version = int(reply.get("protocol", PROTOCOL_VERSION))
+        (reply,) = yield from self._exchange([hello])
+        self.server_info = _check_reply(reply, "hello")
+        self.protocol_version = reply.get("protocol", PROTOCOL_VERSION)
         self.compression = reply.get("compression")
-
-    def _live_prepared(self) -> list[Prepared]:
-        self._prepared = [p for p in self._prepared if not p.closed]
-        return self._prepared
-
-    def _forget(self, prepared: Prepared) -> None:
-        """Drop a closed statement so long-lived clients stay bounded."""
-        try:
-            self._prepared.remove(prepared)
-        except ValueError:
-            pass
-
-
-class Client(_ClientCore):
-    """Blocking client over a TCP socket (see module docstring)."""
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 7744, **kwargs):
-        super().__init__(host, port, **kwargs)
-        self._sock: socket.socket | None = None
-        self._decoder = FrameDecoder()
-        self._inbox: deque = deque()  # decoded but not yet consumed
-        self.connect()
-
-    # -------------------------------------------------------------- #
-    # Transport
-    # -------------------------------------------------------------- #
-
-    def connect(self) -> None:
-        """(Re-)establish the connection, handshake, re-prepare."""
-        self._close_socket()
-        last: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                self._sock = socket.create_connection(
-                    (self.host, self.port), timeout=None
-                )
-                break
-            except OSError as exc:
-                last = exc
-                self._sock = None
-                if attempt < self.max_retries:
-                    time.sleep(self.retry_delay * (attempt + 1))
-        if self._sock is None:
-            raise ServerUnavailableError(
-                f"cannot connect to {self.host}:{self.port}: {last}"
+        for prepared in self._prepared:
+            (fresh,) = yield from self._exchange(
+                [{"type": "prepare", "sql": prepared.sql}]
             )
-        self._decoder = FrameDecoder()
-        self._inbox.clear()  # stale frames died with the old connection
-        reply = self._roundtrip(self._hello_message())
-        self._absorb_hello(_check_reply(reply, "hello"))
-        for prepared in self._live_prepared():
-            fresh = _check_reply(
-                self._roundtrip({"type": "prepare", "sql": prepared.sql}),
-                "prepared",
-            )
-            prepared.handle = fresh["handle"]
+            prepared.handle = _check_reply(fresh, "prepared")["handle"]
 
-    def _close_socket(self) -> None:
-        if self._sock is not None:
+    def _disconnect(self):
+        if self._connected:
+            self._connected = False
+            yield ("close", None)
+
+    def _close(self):
+        """Polite goodbye, then drop the connection (idempotent)."""
+        if self._connected:
             try:
-                self._sock.close()
-            except OSError:
+                yield from self._exchange([{"type": "close"}])
+            except (ServerUnavailableError, ProtocolError):
                 pass
-            self._sock = None
+            yield from self._disconnect()
 
-    def _read_message(self) -> dict:
-        """The next decoded message (inbox first, then the socket)."""
-        while not self._inbox:
-            data = self._sock.recv(_RECV_BYTES)
-            if not data:
-                raise ServerUnavailableError("server closed the connection")
-            self._inbox.extend(self._decoder.feed(data))
-        return self._inbox.popleft()
+    # -------------------------------------------------------------- #
+    # Exchange
+    # -------------------------------------------------------------- #
 
-    def _read_reply(self) -> dict:
-        """The next *logical* reply: v2 chunk streams are reassembled."""
-        assembler = ResultAssembler()
-        while True:
-            reply = assembler.feed(self._read_message())
-            if reply is not None:
-                return reply
-
-    def _roundtrip(self, message: dict) -> dict:
-        """One request/reply exchange on the current socket (no retry)."""
-        if self._sock is None:
+    def _exchange(self, messages: list[dict]):
+        """Send a window of requests, then read one *logical* reply for
+        each (chunk streams are reassembled), in order, on the current
+        connection — no retry."""
+        if not self._connected:
             raise ServerUnavailableError("client is not connected")
+        replies = []
+        inbox, assembler = self._inbox, ResultAssembler()
         try:
-            self._sock.sendall(encode_frame(message))
-            # A graceful shutdown can coalesce the reply and the server's
-            # goodbye into one recv; the trailing goodbye waits in the
-            # inbox and surfaces on the next exchange, which reconnects.
-            return self._filter_goodbye(message, self._read_reply())
+            yield ("send", b"".join(map(encode_frame, messages)))
+            for message in messages:
+                reply = None
+                while reply is None:
+                    while not inbox:
+                        data = yield ("recv", None)
+                        if not data:
+                            raise ServerUnavailableError(
+                                "server closed the connection"
+                            )
+                        inbox.extend(self._decoder.feed(data))
+                    reply = assembler.feed(inbox.popleft())
+                # A goodbye we didn't ask for is the server shutting down
+                # under us; surface it as unavailability so the reconnect
+                # path engages.  (One coalesced into the same recv as a
+                # reply waits in the inbox and surfaces here next time.)
+                if reply.get("type") == "goodbye" and message.get("type") != "close":
+                    raise ServerUnavailableError("server shut down (goodbye received)")
+                replies.append(reply)
         except OSError as exc:
             raise ServerUnavailableError(f"connection lost: {exc}") from exc
+        return replies
 
-    @staticmethod
-    def _filter_goodbye(request: dict, reply: dict) -> dict:
-        # A goodbye we didn't ask for is the server shutting down under
-        # us (it sits buffered on the socket until the next exchange);
-        # surface it as unavailability so the reconnect path engages.
-        if reply.get("type") == "goodbye" and request.get("type") != "close":
-            raise ServerUnavailableError("server shut down (goodbye received)")
-        return reply
-
-    def _request(self, message: dict, prepared: "Prepared | None" = None) -> dict:
-        """Exchange with reconnect-and-retry-once on transport failure.
-
-        Only idempotent requests are retried.  A query classified as a
-        mutation raises :class:`AmbiguousResultError` instead: the server
-        may have applied it before the connection died, and re-sending
-        it would double-apply.  The client still reconnects (best
-        effort), so the session stays usable for the caller's own
-        verification queries.
+    def _request(self, message: dict, prepared: "Prepared | None" = None):
+        """Exchange with reconnect-and-retry-once on transport failure
+        (idempotent requests only: see "Retry discipline" in the module
+        docstring; after an ambiguous mutation the client still
+        reconnects, best effort, so the caller can verify).
 
         ``prepared`` names the statement a handle-bearing message refers
         to: reconnecting re-prepares it under a *new* handle, so the
         retried message must carry the refreshed one, not the original.
         """
         try:
-            return self._roundtrip(message)
+            return (yield from self._exchange([message]))[0]
         except ServerUnavailableError:
             if not self.reconnect:
                 raise
@@ -359,22 +341,167 @@ class Client(_ClientCore):
                 raise TransactionError(
                     "connection lost mid-transaction; transaction aborted"
                 ) from None
-            if message.get("type") == "query" and _statement_mutates(
-                message.get("sql", "")
-            ):
+            sql = message.get("sql", "")
+            if message.get("type") == "query" and _statement_mutates(sql):
                 try:
-                    self.connect()
+                    yield from self._connect()
                 except ServerUnavailableError:
                     pass
-                raise _ambiguous_mutation(message.get("sql", "")) from None
-            self.connect()
+                raise AmbiguousResultError(
+                    f"connection lost while executing a mutation; it may or "
+                    f"may not have been applied server-side, so it was NOT "
+                    f"retried (statement: {sql[:80]!r})"
+                ) from None
+            yield from self._connect()
             if prepared is not None:
                 message = {**message, "handle": prepared.handle}
-            return self._roundtrip(message)
+            return (yield from self._exchange([message]))[0]
+
+    def _call(self, message: dict, expected: str, prepared=None):
+        """A :meth:`_request` whose reply must be of type ``expected``."""
+        reply = yield from self._request(message, prepared)
+        return _check_reply(reply, expected)
 
     # -------------------------------------------------------------- #
-    # API
+    # Operations (one per public method of the two drivers)
     # -------------------------------------------------------------- #
+
+    def _query(self, sql: str, mode: str | None) -> dict:
+        return {"type": "query", "sql": sql, "mode": mode or self.mode}
+
+    def _execute(self, sql: str, mode: str | None):
+        reply = yield from self._request(self._query(sql, mode))
+        if reply.get("type") == "queued":
+            return reply
+        return _result_from_reply(_check_reply(reply, "result"))
+
+    def _execute_many(self, statements, mode, window: int, raise_on_error: bool):
+        statements = list(statements)
+        window = max(1, window)
+        out: list = []
+        first_error: RemoteError | None = None
+        for start in range(0, len(statements), window):
+            replies = yield from self._exchange(
+                [self._query(sql, mode) for sql in statements[start:start + window]]
+            )
+            for reply in replies:
+                kind = reply.get("type")
+                if kind == "result":
+                    reply = _result_from_reply(reply)
+                elif kind == "error":
+                    first_error = first_error or _remote_error(reply)
+                elif kind != "queued":
+                    raise ProtocolError(f"unexpected pipelined reply {kind!r}")
+                out.append(reply)
+            if first_error is not None and raise_on_error:
+                raise first_error
+        return out
+
+    def _prepare(self, sql: str):
+        reply = yield from self._call({"type": "prepare", "sql": sql}, "prepared")
+        prepared = self._prepared_class(
+            self, sql, reply["handle"], reply["parameter_count"]
+        )
+        self._prepared.append(prepared)
+        return prepared
+
+    def _execute_prepared(self, prepared: Prepared, params, mode):
+        reply = yield from self._call(
+            {
+                "type": "execute",
+                "handle": prepared.handle,
+                "params": None if params is None else list(params),
+                "mode": mode or self.mode,
+            },
+            "result",
+            prepared,
+        )
+        return _result_from_reply(reply)
+
+    def _deallocate(self, prepared: Prepared):
+        if prepared.closed:
+            return
+        yield from self._call(
+            {"type": "deallocate", "handle": prepared.handle}, "closed", prepared
+        )
+        prepared.closed = True
+        # Drop it so long-lived clients stay bounded.
+        self._prepared.remove(prepared)
+
+    def _begin(self):
+        yield from self._call({"type": "begin"}, "begun")
+        self.in_transaction = True
+
+    def _commit(self):
+        # An ``overloaded`` error keeps the transaction open on *both*
+        # sides — the server preserved the buffer precisely so COMMIT
+        # can be retried after backoff.  Every other failure ends it.
+        try:
+            reply = yield from self._call({"type": "commit"}, "committed")
+        except RemoteError as exc:
+            if exc.code != "overloaded":
+                self.in_transaction = False
+            raise
+        except Exception:
+            self.in_transaction = False
+            raise
+        self.in_transaction = False
+        return reply
+
+    def _abort(self):
+        try:
+            return (yield from self._call({"type": "abort"}, "aborted"))
+        finally:
+            self.in_transaction = False
+
+    def _fetch(self, kind: str, field: str, **extra):
+        """An introspection request: ``field`` of the ``kind`` reply."""
+        reply = yield from self._call({"type": kind, **extra}, kind)
+        return reply[field]
+
+
+class Client(_ClientCore):
+    """Blocking client over a TCP socket (see module docstring)."""
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 7744, **kwargs):
+        super().__init__(host, port, **kwargs)
+        self._sock: socket.socket | None = None
+        self.connect()
+
+    def _io(self, op: str, arg):
+        """Perform one transport step of the core on the socket."""
+        if op == "send":
+            self._sock.sendall(arg)
+        elif op == "recv":
+            return self._sock.recv(_RECV_BYTES)
+        elif op == "open":
+            self._sock = socket.create_connection((self.host, self.port))
+        elif op == "sleep":
+            time.sleep(arg)
+        else:  # "close"
+            try:
+                self._sock.close()
+            except OSError:
+                pass
+            self._sock = None
+
+    def _run(self, operation):
+        """Drive a core generator to completion; returns its result."""
+        try:
+            step = next(operation)
+            while True:
+                try:
+                    outcome = self._io(*step)
+                except OSError as exc:
+                    step = operation.throw(exc)
+                else:
+                    step = operation.send(outcome)
+        except StopIteration as done:
+            return done.value
+
+    def connect(self) -> None:
+        """(Re-)establish the connection, handshake, re-prepare."""
+        self._run(self._connect())
 
     def execute(self, sql: str, mode: str | None = None):
         """Run one statement; a SELECT returns a QueryResult.
@@ -382,12 +509,7 @@ class Client(_ClientCore):
         Inside a transaction a mutating statement is queued server-side
         (returns the ``queued`` reply dict instead of a result).
         """
-        reply = self._request(
-            {"type": "query", "sql": sql, "mode": mode or self.mode}
-        )
-        if reply.get("type") == "queued":
-            return reply
-        return _result_from_reply(_check_reply(reply, "result"))
+        return self._run(self._execute(sql, mode))
 
     def execute_many(
         self,
@@ -409,135 +531,40 @@ class Client(_ClientCore):
         re-apply a prefix of mutations — so callers get
         :class:`ServerUnavailableError` and decide themselves.
         """
-        if self._sock is None:
-            raise ServerUnavailableError("client is not connected")
-        statements = list(statements)
-        window = max(1, window)
-        out: list = []
-        first_error: RemoteError | None = None
-        try:
-            for start in range(0, len(statements), window):
-                batch = statements[start:start + window]
-                frames = b"".join(
-                    encode_frame(
-                        {"type": "query", "sql": sql, "mode": mode or self.mode}
-                    )
-                    for sql in batch
-                )
-                self._sock.sendall(frames)
-                for sql in batch:
-                    reply = self._filter_goodbye({"type": "query"}, self._read_reply())
-                    if reply.get("type") == "error":
-                        if first_error is None:
-                            first_error = RemoteError(
-                                reply.get("code", "internal"),
-                                reply.get("message", ""),
-                            )
-                        out.append(reply)
-                    elif reply.get("type") in ("result", "queued"):
-                        out.append(
-                            reply
-                            if reply["type"] == "queued"
-                            else _result_from_reply(reply)
-                        )
-                    else:
-                        raise ProtocolError(
-                            f"unexpected pipelined reply {reply.get('type')!r}"
-                        )
-                if first_error is not None and raise_on_error:
-                    raise first_error
-        except OSError as exc:
-            raise ServerUnavailableError(f"connection lost: {exc}") from exc
-        return out
+        return self._run(
+            self._execute_many(statements, mode, window, raise_on_error)
+        )
 
     def prepare(self, sql: str) -> Prepared:
-        reply = _check_reply(
-            self._request({"type": "prepare", "sql": sql}), "prepared"
-        )
-        prepared = Prepared(
-            self, sql, reply["handle"], reply["parameter_count"]
-        )
-        self._prepared.append(prepared)
-        return prepared
-
-    def _execute_prepared(self, prepared: Prepared, params, mode):
-        reply = self._request(
-            {
-                "type": "execute",
-                "handle": prepared.handle,
-                "params": None if params is None else list(params),
-                "mode": mode or self.mode,
-            },
-            prepared=prepared,
-        )
-        return _result_from_reply(_check_reply(reply, "result"))
-
-    def _deallocate(self, prepared: Prepared) -> None:
-        _check_reply(
-            self._request(
-                {"type": "deallocate", "handle": prepared.handle},
-                prepared=prepared,
-            ),
-            "closed",
-        )
+        return self._run(self._prepare(sql))
 
     def begin(self) -> None:
-        _check_reply(self._request({"type": "begin"}), "begun")
-        self.in_transaction = True
+        self._run(self._begin())
 
     def commit(self) -> dict:
-        """Atomically apply the transaction; returns the committed reply.
-
-        An ``overloaded`` error keeps the transaction open on *both*
-        sides — the server preserved the buffer precisely so COMMIT can
-        be retried after backoff.  Every other failure ends it.
-        """
-        try:
-            reply = _check_reply(self._request({"type": "commit"}), "committed")
-        except RemoteError as exc:
-            if exc.code != "overloaded":
-                self.in_transaction = False
-            raise
-        except Exception:
-            self.in_transaction = False
-            raise
-        self.in_transaction = False
-        return reply
+        """Atomically apply the transaction; returns the committed reply."""
+        return self._run(self._commit())
 
     def abort(self) -> dict:
-        try:
-            reply = _check_reply(self._request({"type": "abort"}), "aborted")
-        finally:
-            self.in_transaction = False
-        return reply
+        return self._run(self._abort())
 
     def stats(self) -> dict:
-        return _check_reply(self._request({"type": "stats"}), "stats")["payload"]
+        return self._run(self._fetch("stats", "payload"))
 
     def metrics(self) -> str:
         """Prometheus-style text exposition of the server's metrics."""
-        reply = _check_reply(self._request({"type": "metrics"}), "metrics")
-        return reply["exposition"]
+        return self._run(self._fetch("metrics", "exposition"))
 
     def timeseries(self, last: int | None = None) -> dict:
         """The server's metrics-ring snapshot (``repro top``'s feed).
 
         ``last`` trims to the most recent that many samples.
         """
-        message: dict = {"type": "timeseries"}
-        if last is not None:
-            message["last"] = last
-        reply = _check_reply(self._request(message), "timeseries")
-        return reply["payload"]
+        return self._run(self._fetch("timeseries", "payload", last=last))
 
     def close(self) -> None:
         """Polite goodbye then socket close (idempotent)."""
-        if self._sock is not None:
-            try:
-                self._roundtrip({"type": "close"})
-            except (ServerUnavailableError, ProtocolError):
-                pass
-            self._close_socket()
+        self._run(self._close())
 
     def __enter__(self) -> "Client":
         return self
@@ -550,117 +577,66 @@ class Client(_ClientCore):
 class AsyncClient(_ClientCore):
     """Asyncio client: the same surface as :class:`Client`, awaited.
 
-    Construct via :meth:`connect`::
+    Construct via :meth:`connect` (or ``async with AsyncClient(...)``,
+    which connects on entry)::
 
         client = await AsyncClient.connect(host, port)
         result = await client.execute("SELECT ...")
         await client.close()
     """
 
+    _prepared_class = AsyncPrepared
+
     def __init__(self, host: str = "127.0.0.1", port: int = 7744, **kwargs):
         super().__init__(host, port, **kwargs)
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
+
+    async def _io(self, op: str, arg):
+        """Perform one transport step of the core on the streams."""
+        if op == "send":
+            self._writer.write(arg)
+            await self._writer.drain()
+        elif op == "recv":
+            return await self._reader.read(_RECV_BYTES)
+        elif op == "open":
+            self._reader, self._writer = await asyncio.open_connection(
+                self.host, self.port
+            )
+        elif op == "sleep":
+            await asyncio.sleep(arg)
+        else:  # "close"
+            try:
+                self._writer.close()
+                await self._writer.wait_closed()
+            except OSError:
+                pass
+            self._reader = self._writer = None
+
+    async def _run(self, operation):
+        """Drive a core generator to completion; returns its result."""
+        try:
+            step = next(operation)
+            while True:
+                try:
+                    outcome = await self._io(*step)
+                except OSError as exc:
+                    step = operation.throw(exc)
+                else:
+                    step = operation.send(outcome)
+        except StopIteration as done:
+            return done.value
 
     @classmethod
     async def connect(
         cls, host: str = "127.0.0.1", port: int = 7744, **kwargs
     ) -> "AsyncClient":
         client = cls(host, port, **kwargs)
-        await client._connect()
+        await client._run(client._connect())
         return client
 
-    async def _connect(self) -> None:
-        await self._close_stream()
-        last: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                self._reader, self._writer = await asyncio.open_connection(
-                    self.host, self.port
-                )
-                break
-            except OSError as exc:
-                last = exc
-                self._reader = self._writer = None
-                if attempt < self.max_retries:
-                    await asyncio.sleep(self.retry_delay * (attempt + 1))
-        if self._writer is None:
-            raise ServerUnavailableError(
-                f"cannot connect to {self.host}:{self.port}: {last}"
-            )
-        self._absorb_hello(
-            _check_reply(await self._roundtrip(self._hello_message()), "hello")
-        )
-        for prepared in self._live_prepared():
-            fresh = _check_reply(
-                await self._roundtrip({"type": "prepare", "sql": prepared.sql}),
-                "prepared",
-            )
-            prepared.handle = fresh["handle"]
-
-    async def _close_stream(self) -> None:
-        if self._writer is not None:
-            try:
-                self._writer.close()
-                await self._writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
-            self._reader = self._writer = None
-
-    async def _read_reply(self) -> dict:
-        """The next logical reply: v2 chunk streams are reassembled."""
-        assembler = ResultAssembler()
-        while True:
-            message = await read_frame(self._reader)
-            if message is None:
-                raise ServerUnavailableError("server closed the connection")
-            reply = assembler.feed(message)
-            if reply is not None:
-                return reply
-
-    async def _roundtrip(self, message: dict) -> dict:
-        if self._writer is None:
-            raise ServerUnavailableError("client is not connected")
-        try:
-            await write_frame(self._writer, message)
-            reply = await self._read_reply()
-        except OSError as exc:
-            raise ServerUnavailableError(f"connection lost: {exc}") from exc
-        return Client._filter_goodbye(message, reply)
-
-    async def _request(self, message: dict, prepared=None) -> dict:
-        """See :meth:`Client._request`: mutations are never auto-retried."""
-        try:
-            return await self._roundtrip(message)
-        except ServerUnavailableError:
-            if not self.reconnect:
-                raise
-            if self.in_transaction:
-                self.in_transaction = False
-                raise TransactionError(
-                    "connection lost mid-transaction; transaction aborted"
-                ) from None
-            if message.get("type") == "query" and _statement_mutates(
-                message.get("sql", "")
-            ):
-                try:
-                    await self._connect()
-                except ServerUnavailableError:
-                    pass
-                raise _ambiguous_mutation(message.get("sql", "")) from None
-            await self._connect()
-            if prepared is not None:
-                # Reconnecting re-prepared it under a fresh handle.
-                message = {**message, "handle": prepared.handle}
-            return await self._roundtrip(message)
-
     async def execute(self, sql: str, mode: str | None = None):
-        reply = await self._request(
-            {"type": "query", "sql": sql, "mode": mode or self.mode}
-        )
-        if reply.get("type") == "queued":
-            return reply
-        return _result_from_reply(_check_reply(reply, "result"))
+        return await self._run(self._execute(sql, mode))
 
     async def execute_many(
         self,
@@ -670,153 +646,42 @@ class AsyncClient(_ClientCore):
         raise_on_error: bool = True,
     ) -> list:
         """Pipelined execution (see :meth:`Client.execute_many`)."""
-        if self._writer is None:
-            raise ServerUnavailableError("client is not connected")
-        statements = list(statements)
-        window = max(1, window)
-        out: list = []
-        first_error: RemoteError | None = None
-        try:
-            for start in range(0, len(statements), window):
-                batch = statements[start:start + window]
-                for sql in batch:
-                    self._writer.write(
-                        encode_frame(
-                            {
-                                "type": "query",
-                                "sql": sql,
-                                "mode": mode or self.mode,
-                            }
-                        )
-                    )
-                await self._writer.drain()
-                for sql in batch:
-                    reply = Client._filter_goodbye(
-                        {"type": "query"}, await self._read_reply()
-                    )
-                    if reply.get("type") == "error":
-                        if first_error is None:
-                            first_error = RemoteError(
-                                reply.get("code", "internal"),
-                                reply.get("message", ""),
-                            )
-                        out.append(reply)
-                    elif reply.get("type") in ("result", "queued"):
-                        out.append(
-                            reply
-                            if reply["type"] == "queued"
-                            else _result_from_reply(reply)
-                        )
-                    else:
-                        raise ProtocolError(
-                            f"unexpected pipelined reply {reply.get('type')!r}"
-                        )
-                if first_error is not None and raise_on_error:
-                    raise first_error
-        except OSError as exc:
-            raise ServerUnavailableError(f"connection lost: {exc}") from exc
-        return out
+        return await self._run(
+            self._execute_many(statements, mode, window, raise_on_error)
+        )
 
-    async def prepare(self, sql: str) -> "AsyncPrepared":
-        reply = _check_reply(
-            await self._request({"type": "prepare", "sql": sql}), "prepared"
-        )
-        prepared = AsyncPrepared(
-            self, sql, reply["handle"], reply["parameter_count"]
-        )
-        self._prepared.append(prepared)
-        return prepared
-
-    async def _execute_prepared_async(self, prepared, params, mode):
-        reply = await self._request(
-            {
-                "type": "execute",
-                "handle": prepared.handle,
-                "params": None if params is None else list(params),
-                "mode": mode or self.mode,
-            },
-            prepared=prepared,
-        )
-        return _result_from_reply(_check_reply(reply, "result"))
+    async def prepare(self, sql: str) -> AsyncPrepared:
+        return await self._run(self._prepare(sql))
 
     async def begin(self) -> None:
-        _check_reply(await self._request({"type": "begin"}), "begun")
-        self.in_transaction = True
+        await self._run(self._begin())
 
     async def commit(self) -> dict:
         """See :meth:`Client.commit`: ``overloaded`` keeps the transaction."""
-        try:
-            reply = _check_reply(
-                await self._request({"type": "commit"}), "committed"
-            )
-        except RemoteError as exc:
-            if exc.code != "overloaded":
-                self.in_transaction = False
-            raise
-        except Exception:
-            self.in_transaction = False
-            raise
-        self.in_transaction = False
-        return reply
+        return await self._run(self._commit())
 
     async def abort(self) -> dict:
-        try:
-            reply = _check_reply(
-                await self._request({"type": "abort"}), "aborted"
-            )
-        finally:
-            self.in_transaction = False
-        return reply
+        return await self._run(self._abort())
 
     async def stats(self) -> dict:
-        reply = _check_reply(await self._request({"type": "stats"}), "stats")
-        return reply["payload"]
+        return await self._run(self._fetch("stats", "payload"))
 
     async def metrics(self) -> str:
         """Prometheus-style text exposition of the server's metrics."""
-        reply = _check_reply(
-            await self._request({"type": "metrics"}), "metrics"
-        )
-        return reply["exposition"]
+        return await self._run(self._fetch("metrics", "exposition"))
 
     async def timeseries(self, last: int | None = None) -> dict:
         """See :meth:`Client.timeseries`."""
-        message: dict = {"type": "timeseries"}
-        if last is not None:
-            message["last"] = last
-        reply = _check_reply(await self._request(message), "timeseries")
-        return reply["payload"]
+        return await self._run(self._fetch("timeseries", "payload", last=last))
 
     async def close(self) -> None:
-        if self._writer is not None:
-            try:
-                await self._roundtrip({"type": "close"})
-            except (ServerUnavailableError, ProtocolError):
-                pass
-            await self._close_stream()
+        await self._run(self._close())
 
     async def __aenter__(self) -> "AsyncClient":
+        if not self._connected:
+            await self._run(self._connect())
         return self
 
     async def __aexit__(self, exc_type, exc, tb) -> bool:
         await self.close()
         return False
-
-
-class AsyncPrepared(Prepared):
-    """Prepared-statement helper of :class:`AsyncClient` (awaitable)."""
-
-    async def execute(self, params=None, mode: str | None = None) -> QueryResult:
-        return await self._client._execute_prepared_async(self, params, mode)
-
-    async def close(self) -> None:
-        if not self.closed:
-            _check_reply(
-                await self._client._request(
-                    {"type": "deallocate", "handle": self.handle},
-                    prepared=self,
-                ),
-                "closed",
-            )
-            self.closed = True
-            self._client._forget(self)

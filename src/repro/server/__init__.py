@@ -2,8 +2,9 @@
 
 The serving pipeline, bottom up:
 
-* :mod:`repro.server.protocol` — length-prefixed JSON frames, typed
-  error replies, wire-safe value conversion;
+* :mod:`repro.server.protocol` — length-prefixed frames (JSON
+  messages, binary columnar bulk results), typed error replies,
+  wire-safe value conversion;
 * :mod:`repro.server.gateway` — the bounded thread pool bridging the
   asyncio loop onto the RW-locked engine;
 * :mod:`repro.server.session` — per-connection prepared-statement
@@ -18,19 +19,15 @@ The matching client library is :mod:`repro.client`.
 from repro.server.gateway import ExecutionGateway
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
-    PROTOCOL_V2,
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     FrameDecoder,
     ResultAssembler,
     encode_frame,
     encode_result_frames,
     error_for_exception,
     error_reply,
-    negotiate_version,
     read_frame,
     result_reply,
-    versions_up_to,
     wire_row,
     wire_rows,
     wire_value,
@@ -44,20 +41,16 @@ __all__ = [
     "ExecutionGateway",
     "FrameDecoder",
     "MAX_FRAME_BYTES",
-    "PROTOCOL_V2",
     "PROTOCOL_VERSION",
     "ReproServer",
     "ResultAssembler",
-    "SUPPORTED_VERSIONS",
     "ServerThread",
     "encode_frame",
     "encode_result_frames",
     "error_for_exception",
     "error_reply",
-    "negotiate_version",
     "read_frame",
     "result_reply",
-    "versions_up_to",
     "wire_row",
     "wire_rows",
     "wire_value",

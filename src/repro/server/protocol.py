@@ -4,11 +4,12 @@ Framing
     Every message — request or reply — is one *frame*: a 4-byte
     big-endian unsigned length followed by that many bytes of payload.
     A payload starting with ``{`` is UTF-8 JSON encoding one object
-    (all of protocol v1, and every v2 message except results); a
-    payload starting with the :data:`_BINARY_MARKER` byte is a binary
-    columnar result frame (v2 only, below).  Frames larger than
-    :data:`MAX_FRAME_BYTES` are rejected on both sides, bounding the
-    memory one peer can force onto the other.
+    (every request, and every reply except bulk results); a payload
+    starting with the :data:`_BINARY_MARKER` byte is a binary columnar
+    result frame (below).  Frames larger than :data:`MAX_FRAME_BYTES`
+    are rejected on both sides, and a compressed body may not inflate
+    past the same bound, so neither peer can force more than that onto
+    the other.
 
 Messages
     Objects carry a ``"type"`` discriminator.  Requests:
@@ -25,16 +26,17 @@ Messages
     snapshot (see :mod:`repro.obs.timeseries`) in its ``"payload"``.
 
 Version negotiation
-    HELLO advertises a version *list* (``"versions": [1, 2]``, plus the
-    legacy scalar ``"protocol"`` field a v1-only peer sends) and the
-    server selects the highest version both sides speak
-    (:func:`negotiate_version`).  v1 is the original all-JSON protocol
-    and stays fully supported — it is the differential oracle v2 is
-    tested against.
+    There is one protocol, :data:`PROTOCOL_VERSION`.  HELLO still
+    advertises a version *list* (``"versions": [2]``; a peer that sends
+    only the legacy scalar ``"protocol"`` field is read as a
+    one-element list, :func:`hello_versions`), and an offer without
+    this build's version gets a typed ``protocol`` error naming both
+    offers instead of a hang.
 
-Protocol v2: binary columnar results
-    Under v2 a query result ships as numpy column buffers instead of
-    per-row JSON.  Each binary frame is ``marker, kind, flags, pad`` +
+Binary columnar results
+    A query result past :data:`SMALL_RESULT_ROWS` ships as numpy column
+    buffers instead of per-row JSON.  Each binary frame is
+    ``marker, kind, flags, pad`` +
     a 4-byte header length + a small JSON header (column names, per
     column encoding/dtype/byte-size, row count, varchar dictionaries)
     + the concatenated raw column bodies (``ndarray.tobytes()``,
@@ -46,6 +48,9 @@ Protocol v2: binary columnar results
     (:func:`encode_result_frames` / :class:`ResultAssembler`).  Bodies
     past :data:`COMPRESS_MIN_BYTES` are zlib-compressed per frame when
     HELLO negotiated it (wide varchar columns shrink drastically).
+    Every header and descriptor field of an incoming frame is
+    type- and range-checked: a malformed frame is a
+    :class:`ProtocolError`, never a ``KeyError`` or a wild allocation.
 
 Wire safety
     Query results carry numpy scalars (``np.int64`` / ``np.float64`` /
@@ -77,32 +82,27 @@ from repro.errors import (
     TransactionError,
 )
 
-#: The original all-JSON protocol; kept as the differential oracle.
-PROTOCOL_VERSION = 1
+#: The one protocol this build speaks: JSON messages, binary columnar
+#: bulk results, chunked streaming, negotiated compression.
+PROTOCOL_VERSION = 2
 
-#: Binary columnar results, chunked streaming, negotiated compression.
-PROTOCOL_V2 = 2
-
-#: Every version this build speaks, ascending.  HELLO advertises a
-#: version list and :func:`negotiate_version` picks the highest common.
-SUPPORTED_VERSIONS = (PROTOCOL_VERSION, PROTOCOL_V2)
-
-#: Compression codecs this build can apply to v2 result-frame bodies.
+#: Compression codecs this build can apply to binary result-frame bodies.
 SUPPORTED_COMPRESSIONS = ("zlib",)
 
-#: Upper bound on one frame (requests and replies alike).
+#: Upper bound on one frame (requests and replies alike) and on the
+#: inflated body of a compressed one.
 MAX_FRAME_BYTES = 32 * 1024 * 1024
 
-#: Target payload size for one v2 result chunk (bounds peak memory per
+#: Target payload size for one result chunk (bounds peak memory per
 #: frame on both peers; well under MAX_FRAME_BYTES).
 DEFAULT_CHUNK_BYTES = 1 << 20
 
-#: v2 frame bodies below this stay raw even when compression was
+#: Binary frame bodies below this stay raw even when compression was
 #: negotiated — zlib on tiny payloads costs more than it saves.
 COMPRESS_MIN_BYTES = 4096
 
-#: Results at or below this many rows go over the wire as plain JSON
-#: even on a v2 connection: numpy columnarisation only amortises on
+#: Results at or below this many rows go over the wire as plain
+#: JSON: numpy columnarisation only amortises on
 #: bulk results, and for a one-row count(*) the binary codec costs
 #: more on both peers than it saves.  The client's payload dispatch is
 #: byte-driven, so mixing shapes per reply is free.
@@ -190,30 +190,11 @@ def wire_rows(rows) -> list[list]:
 # ---------------------------------------------------------------------- #
 
 
-def versions_up_to(protocol: str | int | None) -> tuple[int, ...]:
-    """The version offer for a ``protocol=`` cap (``"v1"``/``"v2"``/int).
-
-    ``None`` offers everything this build speaks; a cap trims the offer
-    from the top (``"v1"`` → offer only v1), which is how either peer
-    forces the negotiation down for differential testing.
-    """
-    if protocol is None:
-        return SUPPORTED_VERSIONS
-    if isinstance(protocol, str):
-        protocol = {"v1": 1, "v2": 2}.get(protocol.lower(), protocol)
-    if protocol not in SUPPORTED_VERSIONS:
-        raise ProtocolError(
-            f"unknown protocol cap {protocol!r}; use 'v1' or 'v2'"
-        )
-    return tuple(v for v in SUPPORTED_VERSIONS if v <= protocol)
-
-
 def hello_versions(message: dict) -> list[int]:
     """The protocol versions a HELLO message advertises.
 
-    New peers send ``"versions": [1, 2, ...]``; a v1-only peer sends
-    only the legacy scalar ``"protocol"`` field, which is honoured as a
-    one-element list so old clients keep talking to new servers.
+    Peers send ``"versions": [...]``; one that sends only the legacy
+    scalar ``"protocol"`` field is read as offering that one version.
     """
     versions = message.get("versions")
     if versions is None:
@@ -221,12 +202,6 @@ def hello_versions(message: dict) -> list[int]:
     if not isinstance(versions, (list, tuple)):
         raise ProtocolError("'versions' must be an array when present")
     return [v for v in versions if isinstance(v, int)]
-
-
-def negotiate_version(message: dict, supported=SUPPORTED_VERSIONS) -> int | None:
-    """Highest version in both the HELLO and ``supported`` (None if none)."""
-    common = set(hello_versions(message)) & set(supported)
-    return max(common) if common else None
 
 
 def negotiate_compression(
@@ -273,7 +248,7 @@ def error_for_exception(exc: BaseException) -> dict:
 
 
 # ---------------------------------------------------------------------- #
-# Binary columnar results (protocol v2)
+# Binary columnar results
 # ---------------------------------------------------------------------- #
 
 
@@ -318,39 +293,72 @@ def _encode_column(values) -> tuple[dict, bytes]:
     return {"enc": "json", "size": len(payload)}, payload
 
 
-def _decode_column(descriptor: dict, body, offset: int):
+def _loads(data, what: str):
+    """``json.loads`` with every failure typed (deep nesting included)."""
+    try:
+        return json.loads(bytes(data).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"undecodable {what}: {exc}") from None
+
+
+def _field(mapping, key: str, kind: type):
+    """A required header/descriptor field of JSON type ``kind``."""
+    value = mapping.get(key) if isinstance(mapping, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ProtocolError(
+            f"binary frame field {key!r} is missing or not {kind.__name__}"
+        )
+    return value
+
+
+def _decode_column(descriptor, body, offset: int):
     """Inverse of :func:`_encode_column`: ``(numpy array | None, values)``."""
-    size = descriptor["size"]
+    size = _field(descriptor, "size", int)
+    if size < 0 or offset + size > len(body):
+        raise ProtocolError("binary frame column overruns the frame body")
     chunk = body[offset:offset + size]
-    enc = descriptor["enc"]
-    if enc == "ndarray":
-        arr = np.frombuffer(chunk, dtype=descriptor["dtype"])
-        return arr, arr.tolist()
-    if enc == "dict":
-        codes = np.frombuffer(chunk, dtype=np.int32)
-        lookup = descriptor["values"]
-        return None, [lookup[c] if c >= 0 else None for c in codes.tolist()]
+    enc = descriptor.get("enc")
+    try:
+        if enc == "ndarray":
+            dtype = np.dtype(_field(descriptor, "dtype", str))
+            if dtype.kind not in "biuf":
+                raise ProtocolError(f"column dtype {dtype.str!r} is not numeric")
+            arr = np.frombuffer(chunk, dtype=dtype)
+            return arr, arr.tolist()
+        if enc == "dict":
+            codes = np.frombuffer(chunk, dtype=np.int32)
+            lookup = _field(descriptor, "values", list)
+            if codes.size and (codes.min() < -1 or codes.max() >= len(lookup)):
+                raise ProtocolError("dictionary code outside its value list")
+            return None, [lookup[c] if c >= 0 else None for c in codes.tolist()]
+    except (TypeError, ValueError) as exc:  # bad dtype string, ragged size
+        raise ProtocolError(f"undecodable {enc} column: {exc}") from None
     if enc == "json":
-        return None, json.loads(bytes(chunk).decode("utf-8"))
+        values = _loads(chunk, "json column")
+        if not isinstance(values, list):
+            raise ProtocolError("json column body must be an array")
+        return None, values
     raise ProtocolError(f"unknown column encoding {enc!r}")
 
 
 def _pack_binary(kind: int, header: dict, body: bytes, compression) -> bytes:
-    """One complete binary frame (length prefix included)."""
+    """One complete binary frame (length prefix included); the cap
+    applies to the *uncompressed* frame, because the decoder refuses to
+    inflate a body past it."""
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    head = _BIN_HEAD.size + len(header_bytes)
+    if head + len(body) > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"binary frame of {head + len(body)} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte limit; lower the chunk size"
+        )
     flags = 0
     if compression == "zlib" and len(body) >= COMPRESS_MIN_BYTES:
         squeezed = zlib.compress(body, 1)
         if len(squeezed) < len(body):  # incompressible bodies stay raw
             body, flags = squeezed, _FLAG_COMPRESSED
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    length = _BIN_HEAD.size + len(header_bytes) + len(body)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"binary frame of {length} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit; lower the chunk size"
-        )
     return (
-        _LENGTH.pack(length)
+        _LENGTH.pack(head + len(body))
         + _BIN_HEAD.pack(_BINARY_MARKER, kind, flags, len(header_bytes))
         + header_bytes
         + body
@@ -388,7 +396,7 @@ def encode_result_frames(
     chunk_rows: int | None = None,
     compression: str | None = None,
 ):
-    """Yield the binary frame(s) carrying one query result under v2.
+    """Yield the binary frame(s) carrying one bulk query result.
 
     A result whose rows fit one chunk becomes a single ``FULL`` frame;
     anything larger streams as ``CHUNK`` frames closed by an ``END``
@@ -429,60 +437,78 @@ def encode_result_frames(
     )
 
 
+def _inflate(body) -> bytes:
+    """Bounded zlib inflate: at most :data:`MAX_FRAME_BYTES` come out."""
+    inflater = zlib.decompressobj()
+    try:
+        data = inflater.decompress(body, MAX_FRAME_BYTES)
+    except zlib.error as exc:
+        raise ProtocolError(f"corrupt compressed frame body: {exc}") from None
+    if not inflater.eof:
+        raise ProtocolError(
+            f"compressed frame body is truncated or inflates past the "
+            f"{MAX_FRAME_BYTES}-byte limit"
+        )
+    return data
+
+
 def _decode_binary(payload: bytes) -> dict:
     """A binary frame payload as a message dict (see module docstring)."""
     if len(payload) < _BIN_HEAD.size:
         raise ProtocolError("binary frame payload is truncated")
     _, kind, flags, header_len = _BIN_HEAD.unpack_from(payload)
     header_end = _BIN_HEAD.size + header_len
-    try:
-        header = json.loads(payload[_BIN_HEAD.size:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable binary frame header: {exc}") from None
-    body = memoryview(payload)[header_end:]  # np.frombuffer sees it zero-copy
-    if flags & _FLAG_COMPRESSED:
-        try:
-            body = memoryview(zlib.decompress(body))
-        except zlib.error as exc:
-            raise ProtocolError(f"corrupt compressed frame body: {exc}") from None
+    header = _loads(payload[_BIN_HEAD.size:header_end], "binary frame header")
+    columns = _field(header, "columns", list)
+    if not all(isinstance(name, str) for name in columns):
+        raise ProtocolError("binary frame column names must be strings")
     if kind == _KIND_END:
         return {
             "type": "result_end",
-            "columns": header["columns"],
-            "affected": header["affected"],
-            "rows": header["rows"],
-            "chunks": header["chunks"],
+            "columns": columns,
+            "affected": _field(header, "affected", int),
+            "rows": _field(header, "rows", int),
+            "chunks": _field(header, "chunks", int),
         }
     if kind not in (_KIND_FULL, _KIND_CHUNK):
         raise ProtocolError(f"unknown binary frame kind {kind}")
+    descriptors = _field(header, "cols", list)
+    if len(descriptors) != len(columns):
+        raise ProtocolError(
+            f"binary frame names {len(columns)} columns but describes "
+            f"{len(descriptors)}"
+        )
+    n_rows = _field(header, "rows", int)
+    body = memoryview(payload)[header_end:]  # np.frombuffer sees it zero-copy
+    if flags & _FLAG_COMPRESSED:
+        body = memoryview(_inflate(body))
     arrays = {}
     value_lists = []
     offset = 0
-    for name, descriptor in zip(header["columns"], header["cols"]):
+    for name, descriptor in zip(columns, descriptors):
         arr, values = _decode_column(descriptor, body, offset)
         offset += descriptor["size"]
         if arr is not None:
             arrays[name] = arr
         value_lists.append(values)
-    n_rows = header["rows"]
     if any(len(values) != n_rows for values in value_lists):
         raise ProtocolError("binary frame column lengths disagree")
     rows = list(zip(*value_lists)) if value_lists else []
     message = {
         "type": "result" if kind == _KIND_FULL else "result_chunk",
-        "columns": header["columns"],
+        "columns": columns,
         "rows": rows,
         "arrays": arrays,
     }
     if kind == _KIND_FULL:
-        message["affected"] = header["affected"]
+        message["affected"] = _field(header, "affected", int)
     else:
         message["seq"] = header.get("seq")
     return message
 
 
 class ResultAssembler:
-    """Client-side reassembly of a chunked v2 result stream.
+    """Client-side reassembly of a chunked result stream.
 
     Feed it decoded messages; non-result messages pass straight
     through, a ``FULL`` result passes through, and a chunk stream is
@@ -543,11 +569,8 @@ class ResultAssembler:
                 "arrays": arrays,
             }
         if self._chunks:
-            if kind == "error":
-                self._chunks = []  # the error supersedes the partial result
-                return message
-            if kind == "goodbye":
-                self._chunks = []  # shutdown mid-stream: surface the goodbye
+            if kind in ("error", "goodbye"):
+                self._chunks = []  # either supersedes the partial result
                 return message
             raise ProtocolError(
                 f"{kind!r} message interleaved into a result chunk stream"
@@ -575,23 +598,36 @@ def decode_payload(payload: bytes) -> dict:
     """Parse one frame's payload (JSON or binary) into a message dict.
 
     Binary result frames (first byte :data:`_BINARY_MARKER`) decode via
-    the columnar codec; everything else must be a JSON object.
+    the columnar codec; everything else must be a JSON object — and may
+    not claim a chunk-stream type, whose fields only the binary decoder
+    validates.
     """
     if payload and payload[0] == _BINARY_MARKER:
         return _decode_binary(payload)
-    try:
-        message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable frame payload: {exc}") from None
+    message = _loads(payload, "frame payload")
     if not isinstance(message, dict):
         raise ProtocolError(
             f"frame payload must be a JSON object, got {type(message).__name__}"
         )
+    if message.get("type") in ("result_chunk", "result_end"):
+        raise ProtocolError(
+            f"{message['type']!r} messages must arrive as binary frames"
+        )
     return message
 
 
+def _frame_length(prefix) -> int:
+    (length,) = _LENGTH.unpack_from(prefix)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"incoming frame of {length} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte limit"
+        )
+    return length
+
+
 class FrameDecoder:
-    """Incremental frame decoder for stream transports (sync client).
+    """Incremental frame decoder for stream transports (the client core).
 
     Feed it byte chunks as they arrive; it yields complete messages and
     buffers partial frames across calls::
@@ -610,13 +646,7 @@ class FrameDecoder:
         while True:
             if len(self._buffer) < _LENGTH.size:
                 return messages
-            (length,) = _LENGTH.unpack_from(self._buffer)
-            if length > MAX_FRAME_BYTES:
-                raise ProtocolError(
-                    f"incoming frame of {length} bytes exceeds the "
-                    f"{MAX_FRAME_BYTES}-byte limit"
-                )
-            end = _LENGTH.size + length
+            end = _LENGTH.size + _frame_length(self._buffer)
             if len(self._buffer) < end:
                 return messages
             payload = bytes(self._buffer[_LENGTH.size:end])
@@ -625,23 +655,20 @@ class FrameDecoder:
 
 
 async def read_frame(reader) -> dict | None:
-    """Read one frame from an asyncio stream (None on clean EOF)."""
+    """Read one request frame from an asyncio stream (None on clean EOF).
+
+    Server side only.  Requests are always JSON, so a binary frame is
+    refused undecoded: a client cannot make the server inflate anything.
+    """
     import asyncio
 
     try:
         header = await reader.readexactly(_LENGTH.size)
+        payload = await reader.readexactly(_frame_length(header))
     except (asyncio.IncompleteReadError, ConnectionError):
         return None
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"incoming frame of {length} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
-    try:
-        payload = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
+    if payload and payload[0] == _BINARY_MARKER:
+        raise ProtocolError("requests must be JSON frames, got a binary frame")
     return decode_payload(payload)
 
 

@@ -9,8 +9,9 @@ connections.  The concurrency shape:
   :class:`~repro.server.gateway.ExecutionGateway` thread pool, where
   the engine's own RW locks make cracking writes and snapshot reads
   interleave safely;
-* per connection, a *reader* coroutine feeds decoded frames into a
-  bounded queue and a *worker* coroutine replies in order.  When the
+* per connection, a *reader* coroutine feeds decoded request frames
+  (JSON only — a binary frame from a client is refused undecoded) into
+  a bounded queue and a *worker* coroutine replies in order.  When the
   queue is full the reader simply stops reading the socket — kernel
   buffers fill and the client blocks: backpressure without a single
   dropped or reordered request;
@@ -37,9 +38,9 @@ from repro.server.protocol import (
     DEFAULT_CHUNK_BYTES,
     encode_frame,
     encode_result_frames,
+    error_for_exception,
     error_reply,
     read_frame,
-    versions_up_to,
     write_frame,
 )
 from repro.server.session import ClientSession
@@ -76,15 +77,11 @@ class ReproServer:
             database during :meth:`stop` (reopen restarts warm with an
             empty WAL tail).
         drain_timeout: seconds to wait for workers to drain on stop.
-        protocol: highest wire protocol version offered in HELLO —
-            ``"v2"`` (default, binary columnar results) or ``"v1"``
-            (all-JSON; forces every client down to the oracle
-            protocol).  Ints 1/2 are accepted too.
-        chunk_bytes: target payload size per v2 result-chunk frame;
+        chunk_bytes: target payload size per binary result-chunk frame;
             results past it stream as bounded chunks instead of one
             giant frame.
-        compression: honour a client's offer to zlib-compress large v2
-            result-frame bodies.
+        compression: honour a client's offer to zlib-compress large
+            binary result-frame bodies.
         pipeline_batch: maximum pipelined statements folded into one
             engine trip per connection (1 disables batching).
         timeseries_interval: seconds between metrics ring samples (the
@@ -104,7 +101,6 @@ class ReproServer:
         statement_timeout: float | None = None,
         checkpoint_on_shutdown: bool = True,
         drain_timeout: float = 10.0,
-        protocol: str | int = "v2",
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         compression: bool = True,
         pipeline_batch: int = 128,
@@ -117,7 +113,6 @@ class ReproServer:
         self.queue_depth = queue_depth
         self.checkpoint_on_shutdown = checkpoint_on_shutdown
         self.drain_timeout = drain_timeout
-        self.offer_versions = versions_up_to(protocol)
         self.chunk_bytes = chunk_bytes
         self.compression = compression
         self.pipeline_batch = max(1, pipeline_batch)
@@ -299,7 +294,6 @@ class ReproServer:
             self.gateway,
             session_id,
             server_stats=self.stats,
-            offer_versions=self.offer_versions,
             compression=self.compression,
             timeseries=self.timeseries.snapshot,
         )
@@ -340,7 +334,7 @@ class ReproServer:
     async def _write_reply(self, conn: _Connection, reply: dict) -> None:
         """Write one reply without draining (the caller batches drains).
 
-        A v2 result reply carries the raw :class:`QueryResult` under
+        A bulk result reply carries the raw :class:`QueryResult` under
         ``"_result"``: it is encoded here into binary columnar frames —
         chunked past ``chunk_bytes``, with a drain after every chunk so
         a huge SELECT streams under TCP backpressure instead of
@@ -359,8 +353,6 @@ class ReproServer:
             await conn.writer.drain()
 
     async def _work_loop(self, conn: _Connection) -> None:
-        from repro.server.protocol import error_for_exception
-
         writer = conn.writer
         session = conn.session
         pending: deque = deque()  # items prefetched past a batch boundary
@@ -419,10 +411,10 @@ class ReproServer:
                     try:
                         await self._write_reply(conn, reply)
                     except ProtocolError as exc:
-                        # The reply overflowed the frame cap (huge v1
-                        # result set): the error frame is small, so the
-                        # client gets a typed reply per statement and
-                        # the connection lives.
+                        # The reply overflowed the frame cap (a few rows of
+                        # huge varchars in a JSON reply): the error frame
+                        # is small, so the client gets a typed reply per
+                        # statement and the connection lives.
                         writer.write(encode_frame(error_for_exception(exc)))
                 await writer.drain()
                 if session.closing:

@@ -34,14 +34,11 @@ from repro.errors import (
 )
 from repro.server.protocol import (
     PROTOCOL_VERSION,
-    PROTOCOL_V2,
     SMALL_RESULT_ROWS,
-    SUPPORTED_VERSIONS,
     error_for_exception,
     error_reply,
     hello_versions,
     negotiate_compression,
-    negotiate_version,
     result_reply,
 )
 from repro.sql.ast_nodes import SelectStmt
@@ -71,7 +68,6 @@ class ClientSession:
         session_id: int,
         server_stats=None,
         default_mode: str | None = None,
-        offer_versions=SUPPORTED_VERSIONS,
         compression: bool = True,
         timeseries=None,
     ) -> None:
@@ -81,15 +77,13 @@ class ClientSession:
         self.server_stats = server_stats
         self.timeseries = timeseries
         self.default_mode = default_mode
-        self.offer_versions = tuple(offer_versions)
         self.compression_enabled = compression
         self.client_name = "?"
         self.greeted = False
         self.closing = False
         self.statements = 0
-        #: Negotiated in HELLO; v1 until (and unless) the client asks
-        #: for more, so pre-handshake errors are always plain JSON.
-        self.protocol_version = PROTOCOL_VERSION
+        #: Negotiated in HELLO (None until then, and when either side
+        #: declines).
         self.compression: str | None = None
         self._prepared: dict[str, object] = {}
         self._next_handle = 1
@@ -144,59 +138,67 @@ class ClientSession:
         engine itself answers in microseconds.  This path validates
         every message up front, executes the whole run sequentially on
         a single worker thread, and maps each outcome back to its own
-        typed reply — one handoff amortised over the run.  Per-statement
-        engine failures stay per-statement; a gateway-level refusal
-        (overload, timeout) is reported on every statement of the run,
-        because the run is admitted and timed as one unit.
+        typed reply — one handoff amortised over the run.  A lone
+        statement takes the same two steps as a run of one.
         """
         thunks: list = []
+        slots: list[int] = []
         replies: list = [None] * len(messages)
         for index, message in enumerate(messages):
-            self.statements += 1
             try:
-                if message.get("type") == "query":
-                    sql = self._sql_of(message)
-                    mode = self._mode_of(message)
-                    thunks.append(
-                        (index, self.database.execute, (sql,), {"mode": mode})
-                    )
-                else:
-                    _, prepared = self._prepared_of(message)
-                    params = message.get("params")
-                    if params is not None:
-                        if not isinstance(params, list):
-                            raise ProtocolError(
-                                "'params' must be an array when present"
-                            )
-                        params = tuple(params)
-                    mode = self._mode_of(message)
-                    thunks.append(
-                        (index, prepared.execute, (params,), {"mode": mode})
-                    )
+                thunks.append(self._statement_thunk(message))
+                slots.append(index)
             except Exception as exc:
                 replies[index] = error_for_exception(exc)
         if thunks:
-            def run_batch():
-                outcomes = []
-                for _, fn, args, kwargs in thunks:
-                    try:
-                        outcomes.append(fn(*args, **kwargs))
-                    except Exception as exc:
-                        outcomes.append(exc)
-                return outcomes
-
-            try:
-                outcomes = await self.gateway.run(run_batch)
-            except ReproError as exc:
-                for index, _, _, _ in thunks:
-                    replies[index] = error_for_exception(exc)
-            else:
-                for (index, _, _, _), outcome in zip(thunks, outcomes):
-                    if isinstance(outcome, BaseException):
-                        replies[index] = error_for_exception(outcome)
-                    else:
-                        replies[index] = self._result_reply(outcome)
+            for index, reply in zip(slots, await self._run_thunks(thunks)):
+                replies[index] = reply
         return replies
+
+    def _statement_thunk(self, message: dict) -> tuple:
+        """Validate one ``query``/``execute`` message into the engine
+        call ``(fn, argument, mode)`` that answers it."""
+        if message.get("type") == "query":
+            fn, argument = self.database.execute, self._sql_of(message)
+        else:
+            _, prepared = self._prepared_of(message)
+            params = message.get("params")
+            if params is not None:
+                if not isinstance(params, list):
+                    raise ProtocolError("'params' must be an array when present")
+                params = tuple(params)
+            fn, argument = prepared.execute, params
+        mode = self._mode_of(message)
+        self.statements += 1
+        return fn, argument, mode
+
+    async def _run_thunks(self, thunks: list) -> list[dict]:
+        """One gateway trip for a run of thunks; one reply per thunk.
+
+        Per-statement engine failures stay per-statement; a
+        gateway-level refusal (overload, timeout) is reported on every
+        statement of the run, because the run is admitted and timed as
+        one unit.
+        """
+        def run_batch():
+            outcomes = []
+            for fn, argument, mode in thunks:
+                try:
+                    outcomes.append(fn(argument, mode=mode))
+                except Exception as exc:
+                    outcomes.append(exc)
+            return outcomes
+
+        try:
+            outcomes = await self.gateway.run(run_batch)
+        except ReproError as exc:
+            return [error_for_exception(exc)] * len(thunks)
+        return [
+            error_for_exception(outcome)
+            if isinstance(outcome, BaseException)
+            else self._result_reply(outcome)
+            for outcome in outcomes
+        ]
 
     @staticmethod
     def _sql_of(message: dict) -> str:
@@ -213,22 +215,19 @@ class ClientSession:
             raise ProtocolError("'mode' must be a string when present")
         return mode
 
-    def _result_reply(self, result) -> dict:
-        """The reply for a completed statement, per negotiated protocol.
+    @staticmethod
+    def _result_reply(result) -> dict:
+        """The reply for a completed statement.
 
-        v1 eagerly converts rows to wire-safe JSON lists.  v2 carries
-        the raw :class:`QueryResult` under the private ``"_result"``
-        key instead: the server's writer encodes it into binary
-        columnar frames (chunked when large), so rows are never
+        A bulk result carries the raw :class:`QueryResult` under the
+        private ``"_result"`` key: the server's writer encodes it into
+        binary columnar frames (chunked when large), so rows are never
         JSON-exploded just to be re-parsed on the other side.  Tiny
         results (``SMALL_RESULT_ROWS`` and under — the count(*) replies
-        a pipelined workload is made of) stay JSON even on v2: the
-        columnar codec only pays for itself in bulk.
+        a pipelined workload is made of) go out as JSON: the columnar
+        codec only pays for itself in bulk.
         """
-        if (
-            self.protocol_version >= PROTOCOL_V2
-            and len(result.rows) > SMALL_RESULT_ROWS
-        ):
+        if len(result.rows) > SMALL_RESULT_ROWS:
             return {"type": "result", "_result": result}
         return result_reply(result)
 
@@ -237,30 +236,22 @@ class ClientSession:
     # ------------------------------------------------------------------ #
 
     async def _on_hello(self, message: dict) -> dict:
-        # The client advertises a version *list* (legacy v1-only clients
-        # send just the scalar "protocol" field); the highest version
-        # both sides speak wins, so a v1 client keeps working against a
-        # v2 server and vice versa.
-        version = negotiate_version(message, self.offer_versions)
-        if version is None:
+        offered = hello_versions(message)
+        if PROTOCOL_VERSION not in offered:
             return error_reply(
                 "protocol",
                 f"no common protocol version: server speaks "
-                f"{list(self.offer_versions)}, client offered "
-                f"{hello_versions(message)}",
+                f"{[PROTOCOL_VERSION]}, client offered {offered}",
             )
-        self.protocol_version = version
         self.compression = (
-            negotiate_compression(message)
-            if version >= PROTOCOL_V2 and self.compression_enabled
-            else None
+            negotiate_compression(message) if self.compression_enabled else None
         )
         self.greeted = True
         self.client_name = str(message.get("client", "?"))
         return {
             "type": "hello",
-            "protocol": version,
-            "versions": list(self.offer_versions),
+            "protocol": PROTOCOL_VERSION,
+            "versions": [PROTOCOL_VERSION],
             "compression": self.compression,
             "server": "repro",
             "session": self.session_id,
@@ -278,12 +269,11 @@ class ClientSession:
     # ------------------------------------------------------------------ #
 
     async def _on_query(self, message: dict) -> dict:
-        sql = self._sql_of(message)
-        mode = self._mode_of(message)
-        self.statements += 1
+        thunk = self._statement_thunk(message)
         if self._txn is not None:
             # Classification must parse, and parsing belongs on a worker
             # thread like any other engine work.
+            _, sql, _ = thunk
             stmt = await self.gateway.run(parse, sql)
             if self.database._mutation_target(stmt) is not None:
                 self._txn.append(sql)
@@ -293,8 +283,7 @@ class ClientSession:
                     f"statement kind {type(stmt).__name__} is not allowed "
                     "inside a transaction"
                 )
-        result = await self.gateway.run(self.database.execute, sql, mode=mode)
-        return self._result_reply(result)
+        return (await self._run_thunks([thunk]))[0]
 
     async def _on_prepare(self, message: dict) -> dict:
         sql = self._sql_of(message)
@@ -316,16 +305,7 @@ class ClientSession:
         return handle, prepared
 
     async def _on_execute(self, message: dict) -> dict:
-        _, prepared = self._prepared_of(message)
-        params = message.get("params")
-        if params is not None:
-            if not isinstance(params, list):
-                raise ProtocolError("'params' must be an array when present")
-            params = tuple(params)
-        mode = self._mode_of(message)
-        self.statements += 1
-        result = await self.gateway.run(prepared.execute, params, mode=mode)
-        return self._result_reply(result)
+        return (await self._run_thunks([self._statement_thunk(message)]))[0]
 
     async def _on_deallocate(self, message: dict) -> dict:
         handle, _ = self._prepared_of(message)
@@ -380,16 +360,13 @@ class ClientSession:
     # ------------------------------------------------------------------ #
 
     async def _on_stats(self, message: dict) -> dict:
-        """The full introspection payload, identical on v1 and v2.
+        """The full introspection payload.
 
         Engine state comes from :meth:`Database.stats` (one nested dict:
         tables, crackers + per-column detail, plan cache, persistence,
         and the metrics registry snapshot with per-statement-kind
         latency histograms); the session, gateway and server layers
-        each merge their own counters on top.  The payload is plain
-        JSON regardless of the negotiated protocol — only *result*
-        encoding differs between v1 and v2 — which is what the schema
-        parity regression test in ``tests/test_protocol_v2.py`` pins.
+        each merge their own counters on top.
         """
         database = self.database
         # Engine introspection is engine work: off the event loop (the
@@ -398,7 +375,7 @@ class ClientSession:
             "session": {
                 "id": self.session_id,
                 "client": self.client_name,
-                "protocol": self.protocol_version,
+                "protocol": PROTOCOL_VERSION,
                 "compression": self.compression,
                 "statements": self.statements,
                 "prepared": len(self._prepared),

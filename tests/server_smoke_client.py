@@ -40,8 +40,7 @@ def stream(client: Client, seed: int) -> None:
         f"SELECT count(*) FROM r WHERE a BETWEEN {low} AND {low + 100}"
         for low in (int(v) for v in rng.integers(0, DOMAIN, size=QUERIES))
     ]
-    # Half sequentially, half pipelined — both paths must agree with the
-    # negotiated protocol.
+    # Half sequentially, half pipelined.
     for statement in statements[: QUERIES // 2]:
         matched += client.execute(statement).scalar()
     for result in client.execute_many(statements[QUERIES // 2 :]):
@@ -64,21 +63,13 @@ def main() -> int:
     parser.add_argument("--load", action="store_true")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--protocol", choices=("v1", "v2"), default=None,
-        help="pin the negotiated wire protocol (default: highest common)",
-    )
-    parser.add_argument(
         "--metrics-out", default=None, metavar="PATH",
         help="fetch the METRICS exposition into PATH instead of "
         "streaming queries (CI uploads it as an artifact)",
     )
     args = parser.parse_args()
     with Client(
-        args.host,
-        args.port,
-        max_retries=20,
-        retry_delay=0.25,
-        protocol=args.protocol,
+        args.host, args.port, max_retries=20, retry_delay=0.25
     ) as client:
         if args.metrics_out:
             text = client.metrics()
@@ -95,9 +86,6 @@ def main() -> int:
             load(client)
         else:
             stream(client, args.seed)
-        negotiated = client.protocol_version
-        wanted = {None: (1, 2), "v1": (1,), "v2": (2,)}[args.protocol]
-        assert negotiated in wanted, (negotiated, args.protocol)
     return 0
 
 

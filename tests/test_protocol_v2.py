@@ -1,19 +1,19 @@
-"""Protocol v2: binary columnar codec, negotiation, streaming, pipelining.
+"""The wire protocol: binary columnar codec, HELLO, streaming, pipelining.
 
-Four layers of proof that v2 is a pure transport optimisation:
+Four layers of proof that the binary codec is a pure transport
+optimisation:
 
 * codec unit tests — every column encoding (ndarray / dict / json)
   roundtrips value-exactly, compressed or not, chunked or whole;
-* negotiation — a version-*list* HELLO picks the highest common
-  version, legacy scalar-only clients keep working, and no common
-  version is a typed error, not a hang;
-* differential — the same oracle workload through a v1 client, a v2
-  client and embedded execution produces identical results (the wire
-  format changed; the answers must not);
+* negotiation — a HELLO offering this build's version (as a list or
+  the legacy scalar) is accepted, and an offer without it is a typed
+  error, not a hang;
+* differential — the same oracle workload over the wire and embedded
+  produces identical results (the wire format must not change the
+  answers);
 * streaming — a result past the single-frame cap crosses the wire in
-  chunks under v2 (and is a typed error under v1), and a stream torn
-  mid-chunk surfaces as a client-side error, never as silent
-  truncation.
+  chunks, and a stream torn mid-chunk surfaces as a client-side error,
+  never as silent truncation.
 """
 
 import socket
@@ -28,24 +28,20 @@ from repro.errors import ProtocolError, RemoteError, ServerUnavailableError
 from repro.server import ServerThread
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
-    PROTOCOL_V2,
     PROTOCOL_VERSION,
     SMALL_RESULT_ROWS,
-    SUPPORTED_VERSIONS,
     FrameDecoder,
     ResultAssembler,
     encode_frame,
     encode_result_frames,
     hello_versions,
     negotiate_compression,
-    negotiate_version,
-    versions_up_to,
 )
 from repro.sql import Database, QueryResult
 from repro.storage.table import Column, Relation, Schema
 
 from oracle import load_standard, random_range_queries, standard_query_suite
-from test_server import served, wire_json
+from test_server import read_one as _read_one, served, wire_json
 
 SEED = 20260808
 
@@ -70,26 +66,10 @@ def assemble(frames) -> dict:
 
 
 class TestVersionNegotiation:
-    def test_versions_up_to(self):
-        assert versions_up_to(None) == SUPPORTED_VERSIONS
-        assert versions_up_to("v1") == (PROTOCOL_VERSION,)
-        assert versions_up_to(1) == (PROTOCOL_VERSION,)
-        assert versions_up_to("v2") == SUPPORTED_VERSIONS
-        assert versions_up_to(PROTOCOL_V2) == SUPPORTED_VERSIONS
-        with pytest.raises(ProtocolError):
-            versions_up_to("v9")
-
     def test_hello_versions_list_and_legacy_scalar(self):
         assert hello_versions({"versions": [1, 2], "protocol": 1}) == [1, 2]
         # A legacy client sends only the scalar field: that IS its list.
         assert hello_versions({"protocol": 1}) == [1]
-
-    def test_highest_common_version_wins(self):
-        assert negotiate_version({"versions": [1, 2]}, (1, 2)) == 2
-        assert negotiate_version({"versions": [1]}, (1, 2)) == 1
-        assert negotiate_version({"versions": [1, 2]}, (1,)) == 1
-        assert negotiate_version({"protocol": 1}, (1, 2)) == 1
-        assert negotiate_version({"versions": [99]}, (1, 2)) is None
 
     def test_negotiate_compression(self):
         assert negotiate_compression({"compression": ["zlib"]}, ("zlib",)) == "zlib"
@@ -237,72 +217,42 @@ class TestResultAssembler:
 class TestServedNegotiation:
     """HELLO across real sockets: lists, legacy scalars, mismatches."""
 
-    def test_default_client_negotiates_v2_with_compression(self):
+    def test_default_client_negotiates_compression(self):
         with served() as (_, host, port, _thread):
             with Client(host, port) as client:
-                assert client.protocol_version == PROTOCOL_V2
+                assert client.protocol_version == PROTOCOL_VERSION
                 assert client.compression == "zlib"
                 session = client.stats()["session"]
-                assert session["protocol"] == PROTOCOL_V2
+                assert session["protocol"] == PROTOCOL_VERSION
                 assert session["compression"] == "zlib"
 
-    def test_regression_v1_only_client_talks_to_v2_server(self):
-        """The negotiation bug this PR fixes: HELLO used to demand strict
-        version equality, so any version skew killed the connection.  A
-        legacy client that only speaks v1 (scalar ``protocol`` field, no
-        ``versions`` list) must keep working against a v2 server."""
+    @pytest.mark.parametrize(
+        "hello",
+        [
+            {"type": "hello", "protocol": 1, "client": "legacy"},
+            {"type": "hello", "protocol": 1, "versions": [1]},
+        ],
+    )
+    def test_v1_only_hello_gets_the_typed_no_common_version_error(self, hello):
+        """v1 is gone: a peer whose offer lacks this build's version —
+        legacy scalar or list — is told so, with both offers named."""
         with served() as (_, host, port, _thread):
             sock = socket.create_connection((host, port))
             try:
                 decoder = FrameDecoder()
-                sock.sendall(
-                    encode_frame(
-                        {"type": "hello", "protocol": 1, "client": "legacy"}
-                    )
-                )
+                sock.sendall(encode_frame(hello))
+                reply = _read_one(sock, decoder)
+                assert (reply["type"], reply["code"]) == ("error", "protocol")
+                assert "[2]" in reply["message"] and "[1]" in reply["message"]
+                # The connection survives; offering the version works,
+                # as a list or as the legacy scalar.
+                sock.sendall(encode_frame({"type": "hello", "protocol": 2}))
                 reply = _read_one(sock, decoder)
                 assert reply["type"] == "hello"
                 assert reply["protocol"] == PROTOCOL_VERSION
-                sock.sendall(
-                    encode_frame(
-                        {"type": "query", "sql": "CREATE TABLE v (x integer)"}
-                    )
-                )
-                assert _read_one(sock, decoder)["type"] == "result"
-                sock.sendall(
-                    encode_frame(
-                        {"type": "query", "sql": "INSERT INTO v VALUES (1), (2)"}
-                    )
-                )
-                assert _read_one(sock, decoder)["affected"] == 2
-                sock.sendall(
-                    encode_frame({"type": "query", "sql": "SELECT v.x FROM v"})
-                )
-                reply = _read_one(sock, decoder)
-                # v1 replies are plain JSON: rows are lists, not tuples,
-                # and no binary frame ever reaches this client.
-                assert reply["rows"] == [[1], [2]]
+                assert reply["versions"] == [PROTOCOL_VERSION]
             finally:
                 sock.close()
-
-    def test_pinned_v1_client_against_v2_server(self):
-        with served() as (_, host, port, _thread):
-            with Client(host, port, protocol="v1") as client:
-                assert client.protocol_version == PROTOCOL_VERSION
-                client.execute("CREATE TABLE v (x integer)")
-                client.execute("INSERT INTO v VALUES (3), (4)")
-                assert sorted(client.execute("SELECT v.x FROM v").rows) == [
-                    (3,),
-                    (4,),
-                ]
-                assert client.stats()["session"]["protocol"] == PROTOCOL_VERSION
-
-    def test_v1_pinned_server_downgrades_v2_client(self):
-        with served(protocol="v1") as (_, host, port, _thread):
-            with Client(host, port) as client:
-                assert client.protocol_version == PROTOCOL_VERSION
-                client.execute("CREATE TABLE v (x integer)")
-                assert client.execute("SELECT v.x FROM v").rows == []
 
     def test_no_common_version_is_a_typed_error(self):
         with served() as (_, host, port, _thread):
@@ -325,34 +275,29 @@ class TestServedNegotiation:
     def test_compression_opt_out(self):
         with served(compression=False) as (_, host, port, _thread):
             with Client(host, port) as client:
-                assert client.protocol_version == PROTOCOL_V2
                 assert client.compression is None
 
 
-class TestDifferentialV1V2:
-    """v1, v2 and embedded execution must be value-identical."""
+class TestDifferentialEmbedded:
+    """Served and embedded execution must be value-identical."""
 
-    def test_oracle_workload_v1_v2_embedded(self):
+    def test_oracle_workload_served_vs_embedded(self):
         embedded = Database(cracking=True, mode="vector")
         with served() as (_, host, port, _thread):
-            with Client(host, port, protocol="v1") as v1, Client(
-                host, port, protocol="v2"
-            ) as v2:
-                assert (v1.protocol_version, v2.protocol_version) == (1, 2)
+            with Client(host, port) as client:
                 rng = np.random.default_rng(SEED)
                 load_standard(embedded, seed=SEED)
-                load_standard(v2, seed=SEED)
+                load_standard(client, seed=SEED)
                 workload = standard_query_suite(rng) + random_range_queries(
                     rng, 30
                 )
                 for statement in workload:
                     expected = embedded.execute(statement)
-                    for client in (v1, v2):
-                        actual = client.execute(statement)
-                        assert actual.columns == list(expected.columns), statement
-                        assert wire_json(actual.rows) == wire_json(
-                            expected.rows
-                        ), (client.protocol_version, statement)
+                    actual = client.execute(statement)
+                    assert actual.columns == list(expected.columns), statement
+                    assert wire_json(actual.rows) == wire_json(
+                        expected.rows
+                    ), statement
 
     def test_bulk_results_cross_the_small_result_floor(self):
         """Results straddling SMALL_RESULT_ROWS switch codecs; both
@@ -378,7 +323,7 @@ class TestDifferentialV1V2:
     def test_pipelined_matches_sequential(self):
         with served() as (_, host, port, _thread):
             with Client(host, port) as pipelined, Client(
-                host, port, protocol="v1"
+                host, port
             ) as sequential:
                 load_standard(pipelined, seed=SEED)
                 rng = np.random.default_rng(SEED + 1)
@@ -429,11 +374,10 @@ def big_database():
 
 
 class TestStreamingPastFrameCap:
-    def test_v2_streams_result_past_32mib(self, big_database):
+    def test_streams_result_past_32mib(self, big_database):
         n = 2_200_000
         with served(big_database) as (_, host, port, _thread):
             with Client(host, port) as client:
-                assert client.protocol_version == PROTOCOL_V2
                 result = client.execute("SELECT big.k, big.a FROM big")
                 assert result.row_count == n
                 k = result.arrays["big.k"]
@@ -444,16 +388,6 @@ class TestStreamingPastFrameCap:
                 assert client.execute(
                     "SELECT count(*) FROM big"
                 ).scalar() == n
-
-    def test_v1_gets_typed_error_not_disconnect(self, big_database):
-        with served(big_database) as (_, host, port, _thread):
-            with Client(host, port, protocol="v1") as client:
-                with pytest.raises(RemoteError) as info:
-                    client.execute("SELECT big.k, big.a FROM big")
-                assert info.value.code == "protocol"
-                assert client.execute(
-                    "SELECT count(*) FROM big"
-                ).scalar() == 2_200_000
 
 
 class TestTornStreamDisconnect:
@@ -512,91 +446,3 @@ class TestTornStreamDisconnect:
                 Client(host, port, reconnect=False).execute(
                     "SELECT big.x FROM big"
                 )
-
-
-def _read_one(sock, decoder) -> dict:
-    """The next decoded message off a raw socket."""
-    while True:
-        data = sock.recv(65536)
-        assert data, "connection closed before a reply arrived"
-        messages = decoder.feed(data)
-        if messages:
-            return messages[0]
-
-
-def _payload_shape(value, path=""):
-    """Recursive key-structure signature of a STATS payload.
-
-    Dict key sets are compared at every level; leaves collapse, so
-    volatile values (timings, counts, session ids) never affect the
-    signature while a key that appears on one protocol version but not
-    the other always does.
-    """
-    if isinstance(value, dict):
-        return {
-            key: _payload_shape(sub, f"{path}.{key}")
-            for key, sub in sorted(value.items())
-        }
-    if isinstance(value, list):
-        return "list"
-    # Leaves collapse entirely: v1/v2 may legitimately differ in leaf
-    # values and even leaf types (e.g. negotiated compression is None
-    # on v1 and a codec name on v2); the schema is the key structure.
-    return "leaf"
-
-
-class TestStatsParityV1V2:
-    """STATS is plain JSON on both versions: the payload schema must
-    never fork between v1 and v2 (only *result* encoding differs)."""
-
-    def test_same_payload_shape_after_same_workload(self):
-        with served() as (_, host, port, _thread):
-            with Client(host, port, protocol="v1") as v1, Client(
-                host, port, protocol="v2"
-            ) as v2:
-                assert (v1.protocol_version, v2.protocol_version) == (1, 2)
-                setup = [
-                    "CREATE TABLE r (k integer, a integer)",
-                    "INSERT INTO r VALUES (1, 10), (2, 20), (3, 30)",
-                ]
-                probes = [
-                    "SELECT count(*) FROM r WHERE a BETWEEN 0 AND 25",
-                    "SELECT r.k FROM r WHERE a > 5",
-                ]
-                for statement in setup:
-                    v1.execute(statement)
-                # Both sessions run the same probe workload, so even the
-                # per-kind histogram label keys must coincide.
-                for statement in probes:
-                    v1.execute(statement)
-                    v2.execute(statement)
-                s1, s2 = v1.stats(), v2.stats()
-                assert _payload_shape(s1) == _payload_shape(s2)
-                # The shared engine state is value-identical, not just
-                # shape-identical (both sessions see one database).
-                for key in ("tables", "crackers", "persistence"):
-                    assert s1[key] == s2[key], key
-                # And the sessions know which protocol they negotiated.
-                assert s1["session"]["protocol"] == 1
-                assert s2["session"]["protocol"] == 2
-
-    def test_metrics_exposition_identical_across_versions(self):
-        with served() as (_, host, port, _thread):
-            with Client(host, port, protocol="v1") as v1, Client(
-                host, port, protocol="v2"
-            ) as v2:
-                v1.execute("CREATE TABLE r (k integer)")
-                names = {
-                    line.split("{")[0].split(" ")[0]
-                    for line in v1.metrics().splitlines()
-                    if line and not line.startswith("#")
-                }
-                names2 = {
-                    line.split("{")[0].split(" ")[0]
-                    for line in v2.metrics().splitlines()
-                    if line and not line.startswith("#")
-                }
-                # Same metric families on both protocol versions (the
-                # session-labelled sample differs only in label value).
-                assert names == names2
-                assert "repro_statement_seconds_bucket" in names

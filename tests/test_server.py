@@ -49,6 +49,17 @@ def served(database=None, **server_kwargs):
             thread.stop()
 
 
+def read_one(sock, decoder=None) -> dict:
+    """The next decoded message off a raw socket."""
+    decoder = decoder or FrameDecoder()
+    while True:
+        data = sock.recv(65536)
+        assert data, "connection closed before a reply arrived"
+        messages = decoder.feed(data)
+        if messages:
+            return messages[0]
+
+
 def wire_json(rows) -> str:
     """The canonical byte form results are compared in."""
     return json.dumps(wire_rows(rows), separators=(",", ":"))
@@ -245,7 +256,7 @@ class TestProtocolRobustness:
             try:
                 decoder = FrameDecoder()
                 sock.sendall(encode_frame({"type": "query", "sql": "SELECT 1"}))
-                reply = self._read_one(sock, decoder)
+                reply = read_one(sock, decoder)
                 assert reply["type"] == "error"
                 assert reply["code"] == "protocol"
                 # The connection survives; a proper hello still works.
@@ -254,7 +265,7 @@ class TestProtocolRobustness:
                         {"type": "hello", "protocol": PROTOCOL_VERSION}
                     )
                 )
-                assert self._read_one(sock, decoder)["type"] == "hello"
+                assert read_one(sock, decoder)["type"] == "hello"
             finally:
                 sock.close()
 
@@ -263,7 +274,7 @@ class TestProtocolRobustness:
             sock = socket.create_connection((host, port))
             try:
                 sock.sendall(encode_frame({"type": "hello", "protocol": 99}))
-                reply = self._read_one(sock, FrameDecoder())
+                reply = read_one(sock, FrameDecoder())
                 assert reply["type"] == "error"
                 assert reply["code"] == "protocol"
             finally:
@@ -274,7 +285,7 @@ class TestProtocolRobustness:
             sock = socket.create_connection((host, port))
             try:
                 sock.sendall(len(b"nope").to_bytes(4, "big") + b"nope")
-                reply = self._read_one(sock, FrameDecoder())
+                reply = read_one(sock, FrameDecoder())
                 assert reply["type"] == "error"
                 assert reply["code"] == "protocol"
                 assert sock.recv(65536) == b""  # server hung up
@@ -291,7 +302,7 @@ class TestProtocolRobustness:
                     {"type": "execute", "handle": "s999"},
                     {"no_type": True},
                 ):
-                    reply = client._request(message)
+                    reply = client._run(client._request(message))
                     assert reply["type"] == "error"
                     assert reply["code"] == "protocol", message
 
@@ -314,15 +325,6 @@ class TestProtocolRobustness:
                 assert info.value.code == "protocol"
                 # The connection survived; small results still flow.
                 assert client.execute("SELECT count(*) FROM r").scalar() == 60
-
-    @staticmethod
-    def _read_one(sock, decoder) -> dict:
-        while True:
-            data = sock.recv(65536)
-            assert data, "connection closed before a reply arrived"
-            messages = decoder.feed(data)
-            if messages:
-                return messages[0]
 
 
 class TestTransactions:
@@ -504,44 +506,9 @@ class TestReconnect:
             client.execute("SELECT 1 FROM nosuch")
 
 
-def _lose_next_reply(client: Client) -> None:
-    """Patch: the server processes the next request, but its reply is
-    'lost in flight' — read off the socket, then discarded while the
-    connection dies.  This is exactly the ambiguous window: the server
-    HAS applied the statement, the client cannot know.  One-shot."""
-    real = client._read_reply
-
-    def read_and_drop():
-        client._read_reply = real
-        real()  # the server's reply: applied server-side, never seen
-        client._close_socket()
-        raise ServerUnavailableError("simulated: connection died mid-reply")
-
-    client._read_reply = read_and_drop
-
-
 class TestRetryDiscipline:
-    """Mutations are never blindly retried; idempotent requests still are."""
-
-    def test_applied_mutation_raises_ambiguous_and_is_not_reapplied(self):
-        # The server applies the INSERT but the reply dies in flight.
-        # The old retry-once behaviour would reconnect, re-send, and
-        # double-apply (count == 3); the fix raises AmbiguousResultError
-        # and leaves the row applied exactly once.
-        with served() as (_, host, port, _thread):
-            client = Client(host, port)
-            try:
-                client.execute("CREATE TABLE r (k integer)")
-                client.execute("INSERT INTO r VALUES (1)")
-                _lose_next_reply(client)
-                with pytest.raises(AmbiguousResultError):
-                    client.execute("INSERT INTO r VALUES (2)")
-                # Best-effort reconnect already happened: the same client
-                # can run its own verification query and sees the single
-                # server-side apply.
-                assert client.execute("SELECT count(*) FROM r").scalar() == 2
-            finally:
-                client.close()
+    """Mutations are never blindly retried (the lost-reply cases, for
+    both drivers, live in ``tests/test_client_drivers.py``)."""
 
     def test_unapplied_mutation_raises_ambiguous_after_server_bounce(self):
         # Socket-killing flavour: the server dies under the request, so
@@ -565,43 +532,6 @@ class TestRetryDiscipline:
         finally:
             client.close()
             thread2.stop()
-
-    def test_select_is_still_transparently_retried(self):
-        with served() as (_, host, port, _thread):
-            client = Client(host, port)
-            try:
-                client.execute("CREATE TABLE r (k integer)")
-                client.execute("INSERT INTO r VALUES (1), (2)")
-                _lose_next_reply(client)
-                # Idempotent: reconnect + retry-once, no exception.
-                assert client.execute("SELECT count(*) FROM r").scalar() == 2
-            finally:
-                client.close()
-
-    def test_async_client_mutation_raises_ambiguous(self):
-        database = Database(cracking=True, concurrent=True)
-        thread = ServerThread(database)
-        host, port = thread.start()
-
-        async def scenario():
-            client = await AsyncClient.connect(
-                host, port, retry_delay=0.1, max_retries=10
-            )
-            await client.execute("CREATE TABLE r (k integer)")
-            await client.execute("INSERT INTO r VALUES (1)")
-            thread.stop()
-            thread2 = ServerThread(database, port=port)
-            thread2.start()
-            try:
-                with pytest.raises(AmbiguousResultError):
-                    await client.execute("UPDATE r SET k = 9 WHERE k = 1")
-                result = await client.execute("SELECT count(*) FROM r")
-                assert result.scalar() == 1
-            finally:
-                await client.close()
-                thread2.stop()
-
-        asyncio.run(scenario())
 
     def test_statement_classification(self):
         mutating = [
@@ -716,7 +646,9 @@ class TestObservabilitySurface:
 
     @staticmethod
     async def _async_metrics(host, port) -> str:
-        async with AsyncClient(host, port) as client:
+        # reconnect=False: entering the context must itself connect (it
+        # used to rely on the reconnect path rescuing the first call).
+        async with AsyncClient(host, port, reconnect=False) as client:
             return await client.metrics()
 
     def test_repro_stats_cli(self, capsys):

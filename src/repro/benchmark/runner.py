@@ -25,6 +25,7 @@ class StepMetrics:
     page_writes: int
     tuples_moved: int = 0
     pieces: int = 0
+    tuples_read: int = 0
 
 
 @dataclass
@@ -55,6 +56,13 @@ class SequenceResult:
     @property
     def per_step_s(self) -> list[float]:
         return [step.elapsed_s for step in self.steps]
+
+    @property
+    def total_tuples_touched(self) -> int:
+        """Tuples read by predicate evaluation plus tuples moved by crack
+        kernels, per the engines' cost accounting — the deterministic
+        counterpart of :attr:`total_s` (identical on every run)."""
+        return sum(step.tuples_read + step.tuples_moved for step in self.steps)
 
     @property
     def total_page_io(self) -> int:
@@ -106,6 +114,7 @@ def _step_metrics(step: int, outcome: QueryOutcome) -> StepMetrics:
         page_writes=outcome.io.page_writes,
         tuples_moved=outcome.extra.get("tuples_moved", 0),
         pieces=outcome.extra.get("pieces", 0),
+        tuples_read=outcome.io.tuples_read,
     )
 
 

@@ -19,8 +19,9 @@ so the two flavours cannot drift apart.
 
 Bulk results arrive as binary columnar frames (raw numpy column
 buffers, chunk-streamed when large, zlib-compressed when HELLO
-negotiated it; ``result.arrays`` then holds the decoded numpy
-columns), small ones as JSON.  ``execute_many`` pipelines a batch of
+negotiated it) and stay columnar: ``result.arrays`` holds the decoded
+columns and ``result.rows`` builds tuples only when first read.  Small
+results arrive as JSON.  ``execute_many`` pipelines a batch of
 statements: a window of requests goes out before any reply is read,
 amortising network round-trips and letting the server fold the run
 into one engine trip.
@@ -120,22 +121,20 @@ def _statement_mutates(sql: str) -> bool:
 
 
 def _result_from_reply(reply: dict) -> QueryResult:
-    """Rehydrate a ``result`` reply into the embedded result type."""
+    """Rehydrate a ``result`` reply into the embedded result type: a
+    binary reply stays columnar (tuples are built only if ``rows`` is
+    read), a small JSON reply is row-native."""
     try:
-        result = QueryResult(
-            columns=list(reply["columns"]),
-            rows=[tuple(row) for row in reply["rows"]],
-            affected=int(reply.get("affected", 0)),
-        )
+        columns = list(reply["columns"])
+        affected = int(reply.get("affected", 0))
+        if "cols" in reply:
+            return QueryResult(
+                columns, affected=affected, arrays=dict(zip(columns, reply["cols"]))
+            )
+        rows = [tuple(row) for row in reply["rows"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed result reply: {exc!r}") from None
-    # Binary replies decoded numeric columns zero-copy; keep the arrays
-    # reachable for columnar consumers (plain attribute: QueryResult is
-    # an open dataclass, and small JSON results simply don't have it).
-    arrays = reply.get("arrays")
-    if arrays is not None:
-        result.arrays = arrays
-    return result
+    return QueryResult(columns, rows, affected=affected)
 
 
 def _remote_error(reply: dict) -> RemoteError:

@@ -42,6 +42,7 @@ def run(
     )
     x = list(range(1, steps + 1))
     totals = {}
+    touched = {}
     for sigma in targets:
         mqs = MQS(alpha=2, n=n_rows, k=steps, sigma=sigma, rho="linear")
         queries = homerun_sequence(mqs, attr="a", seed=seed)
@@ -56,7 +57,9 @@ def run(
             label = f"{mode} {round(sigma * 100)}%"
             result.series.append(Series(label=label, x=x, y=sequence.cumulative_s))
             totals[label] = sequence.total_s
+            touched[label] = sequence.total_tuples_touched
     result.notes["totals_s"] = {k: round(v, 4) for k, v in totals.items()}
+    result.notes["tuples_touched"] = touched
     return result
 
 

@@ -48,6 +48,7 @@ def run(
     )
     x = list(range(1, steps + 1))
     totals = {}
+    touched = {}
     for label, engine_factory in (
         ("nocrack", ColumnStoreEngine),
         ("sort", SortedEngine),
@@ -59,7 +60,9 @@ def run(
                                 profile="strolling")
         result.series.append(Series(label=label, x=x, y=sequence.cumulative_s))
         totals[label] = sequence.total_s
+        touched[label] = sequence.total_tuples_touched
     result.notes["totals_s"] = {k: round(v, 4) for k, v in totals.items()}
+    result.notes["tuples_touched"] = touched
     return result
 
 

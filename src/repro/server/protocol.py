@@ -53,11 +53,9 @@ Binary columnar results
     :class:`ProtocolError`, never a ``KeyError`` or a wild allocation.
 
 Wire safety
-    Query results carry numpy scalars (``np.int64`` / ``np.float64`` /
-    ``np.str_``) that ``json.dumps`` rejects.  :func:`wire_value` /
-    :func:`wire_rows` convert them to plain Python values; the protocol
-    encoder and the ``repro sql`` printer both go through it, so the
-    two surfaces render identical values.
+    The JSON reply encoder and the ``repro sql`` printer both pass
+    result cells through :func:`wire_value`, so the two surfaces render
+    identical values.
 """
 
 from __future__ import annotations
@@ -163,10 +161,11 @@ _EXCEPTION_CODES: tuple[tuple[type, str], ...] = (
 def wire_value(value):
     """A JSON-serialisable Python value for one result cell.
 
-    Engine rows mix Python values with numpy scalars (vectorized
-    pipelines hand back ``np.int64`` etc.), and ``json.dumps`` raises
-    ``TypeError`` on the latter.  Floats stay floats, ints ints,
-    strings strings — the conversion is value-preserving, which is what
+    Still needed for tuple mode: the Volcano operators yield numpy
+    scalars (``np.int64`` etc.) as read from BAT storage, which
+    ``json.dumps`` rejects; a columnar (vector-mode) result's ``rows``
+    are plain Python values and pass through.  The conversion is
+    value-preserving — floats stay floats, ints ints — which is what
     lets the differential tests demand byte-equal JSON between
     embedded and served execution.
     """
@@ -252,45 +251,54 @@ def error_for_exception(exc: BaseException) -> dict:
 # ---------------------------------------------------------------------- #
 
 
-def _encode_column(values) -> tuple[dict, bytes]:
-    """One result column as ``(descriptor, raw bytes)``.
-
-    Three encodings, chosen by content:
+def _plan_column(array: np.ndarray) -> tuple:
+    """One result column readied for framing, as ``(enc, data, lookup,
+    row_bytes)``.  Three encodings, chosen by content:
 
     * ``ndarray`` — numeric/bool columns ship as raw ``tobytes()`` with
       their dtype string; the receiver maps them back zero-copy.
-    * ``dict`` — varchar columns (str and NULL) ship their unique
+    * ``dict`` — varchar columns (str and NULL) ship their distinct
       values once in the header plus int32 codes in the body (NULL is
-      code -1): the classic dictionary encoding, and what makes wide
-      repetitive varchar columns cheap on the wire.
-    * ``json`` — anything else (mixed-type columns, e.g. numerics with
-      NULLs) falls back to a wire-safe JSON array body.
+      code -1), which makes wide repetitive varchar columns cheap.
+    * ``json`` — anything else (mixed types, e.g. numerics with NULLs)
+      falls back to one wire-safe JSON text per cell.
+
+    ``row_bytes`` is a row's real cost on the wire: an int when uniform,
+    else one byte count per row (a dictionary atom is charged to every
+    row using it, so the sum bounds any chunk from above).
     """
-    try:
-        arr = np.asarray(values)
-    except (ValueError, OverflowError):  # ragged/oversized: JSON fallback
-        arr = np.empty(0, dtype=object)
-    if arr.dtype.kind in "biuf":
-        return {"enc": "ndarray", "dtype": arr.dtype.str, "size": arr.nbytes}, (
-            arr.tobytes()
-        )
-    if all(value is None or isinstance(value, str) for value in values):
-        uniques: dict[str, int] = {}
-        codes = np.empty(len(values), dtype=np.int32)
-        for i, value in enumerate(values):
-            if value is None:
-                codes[i] = -1
-            else:
-                value = str(value)  # np.str_ -> str for the JSON header
-                codes[i] = uniques.setdefault(value, len(uniques))
-        descriptor = {
-            "enc": "dict",
-            "values": list(uniques),
-            "size": codes.nbytes,
-        }
-        return descriptor, codes.tobytes()
-    payload = json.dumps([wire_value(v) for v in values]).encode("utf-8")
-    return {"enc": "json", "size": len(payload)}, payload
+    if array.dtype.kind in "biuf":
+        return "ndarray", array, None, array.itemsize
+    values = array.tolist()
+    atoms: dict = {None: -1}
+    coded = (atoms.setdefault(value, len(atoms) - 1) for value in values)
+    codes = np.fromiter(coded, dtype=np.int32, count=len(values))
+    del atoms[None]
+    if all(isinstance(atom, str) for atom in atoms):
+        lookup = [str(atom) for atom in atoms]  # np.str_ -> str for the header
+        sizes = [len(json.dumps(atom)) + 1 for atom in lookup] + [0]
+        return "dict", codes, lookup, 4 + np.array(sizes, dtype=np.int64)[codes]
+    texts = [json.dumps(wire_value(value)) for value in values]
+    sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    return "json", texts, None, sizes + 1
+
+
+def _column_part(plan: tuple, start: int, stop: int) -> tuple[dict, bytes]:
+    """Rows ``[start, stop)`` of a planned column as ``(descriptor, body)``."""
+    enc, data, lookup, _ = plan
+    part = data[start:stop]
+    if enc == "ndarray":
+        descriptor = {"enc": enc, "dtype": part.dtype.str, "size": part.nbytes}
+        return descriptor, part.tobytes()
+    if enc == "dict":
+        if len(part) < len(data):  # a chunk names only the atoms it uses
+            used, part = np.unique(part, return_inverse=True)
+            nulls = int(used.size > 0 and used[0] < 0)
+            lookup = [lookup[code] for code in used[nulls:].tolist()]
+            part = (part - nulls).astype(np.int32)
+        return {"enc": enc, "values": lookup, "size": part.nbytes}, part.tobytes()
+    payload = ("[" + ",".join(part) + "]").encode("utf-8")
+    return {"enc": enc, "size": len(payload)}, payload
 
 
 def _loads(data, what: str):
@@ -311,8 +319,9 @@ def _field(mapping, key: str, kind: type):
     return value
 
 
-def _decode_column(descriptor, body, offset: int):
-    """Inverse of :func:`_encode_column`: ``(numpy array | None, values)``."""
+def _decode_column(descriptor, body, offset: int) -> np.ndarray:
+    """Inverse of :func:`_column_part`: the column as an array — a
+    zero-copy view of ``body`` for numeric columns, object dtype else."""
     size = _field(descriptor, "size", int)
     if size < 0 or offset + size > len(body):
         raise ProtocolError("binary frame column overruns the frame body")
@@ -323,21 +332,21 @@ def _decode_column(descriptor, body, offset: int):
             dtype = np.dtype(_field(descriptor, "dtype", str))
             if dtype.kind not in "biuf":
                 raise ProtocolError(f"column dtype {dtype.str!r} is not numeric")
-            arr = np.frombuffer(chunk, dtype=dtype)
-            return arr, arr.tolist()
+            return np.frombuffer(chunk, dtype=dtype)
         if enc == "dict":
             codes = np.frombuffer(chunk, dtype=np.int32)
             lookup = _field(descriptor, "values", list)
             if codes.size and (codes.min() < -1 or codes.max() >= len(lookup)):
                 raise ProtocolError("dictionary code outside its value list")
-            return None, [lookup[c] if c >= 0 else None for c in codes.tolist()]
+            atoms = np.fromiter([*lookup, None], object, len(lookup) + 1)
+            return atoms[codes]  # NULL's code -1 picks the trailing None
     except (TypeError, ValueError) as exc:  # bad dtype string, ragged size
         raise ProtocolError(f"undecodable {enc} column: {exc}") from None
     if enc == "json":
         values = _loads(chunk, "json column")
         if not isinstance(values, list):
             raise ProtocolError("json column body must be an array")
-        return None, values
+        return np.fromiter(values, dtype=object, count=len(values))
     raise ProtocolError(f"unknown column encoding {enc!r}")
 
 
@@ -365,28 +374,34 @@ def _pack_binary(kind: int, header: dict, body: bytes, compression) -> bytes:
     )
 
 
-def _result_frame(kind: int, columns, rows, extra: dict, compression) -> bytes:
-    """Encode ``rows`` (FULL or CHUNK) into one binary frame."""
-    descriptors = []
-    parts = []
-    for index, name in enumerate(columns):
-        descriptor, payload = _encode_column([row[index] for row in rows])
-        descriptors.append(descriptor)
-        parts.append(payload)
-    header = {"columns": list(columns), "cols": descriptors, "rows": len(rows)}
-    header.update(extra)
-    return _pack_binary(kind, header, b"".join(parts), compression)
+def _result_frame(
+    kind: int, columns, plans, start: int, stop: int, extra: dict, compression
+) -> bytes:
+    """Encode rows ``[start, stop)`` (FULL or CHUNK) into one binary frame."""
+    parts = [_column_part(plan, start, stop) for plan in plans]
+    descriptors = [descriptor for descriptor, _ in parts]
+    header = {"columns": columns, "cols": descriptors, "rows": stop - start, **extra}
+    body = b"".join(payload for _, payload in parts)
+    return _pack_binary(kind, header, body, compression)
 
 
-def _estimate_chunk_rows(columns, rows, chunk_bytes: int) -> int:
-    """Rows per chunk so one frame's body lands near ``chunk_bytes``."""
-    if not rows or not columns:
-        return max(1, len(rows))
-    sample = rows[0]
-    per_row = 0
-    for value in sample:
-        per_row += len(value) + 8 if isinstance(value, str) else 8
-    return max(1, chunk_bytes // max(per_row, 1))
+def _chunk_stops(plans, n_rows: int, chunk_bytes: int, chunk_rows) -> list[int]:
+    """The row offset ending each chunk.  Without an explicit
+    ``chunk_rows`` a chunk takes as many rows as fit ``chunk_bytes`` by
+    the columns' real per-row byte counts (always at least one), so
+    values that grow along the result cannot push a chunk past the cap."""
+    if chunk_rows is None:
+        row_bytes = sum(plan[3] for plan in plans)
+        if np.ndim(row_bytes):
+            spent = np.cumsum(row_bytes)
+            stops, stop = [], 0
+            while stop < n_rows:
+                budget = chunk_bytes + (int(spent[stop - 1]) if stop else 0)
+                stop = max(stop + 1, int(np.searchsorted(spent, budget, side="right")))
+                stops.append(stop)
+            return stops
+        chunk_rows = max(1, chunk_bytes // max(int(row_bytes), 1))
+    return [*range(chunk_rows, n_rows, chunk_rows), n_rows]
 
 
 def encode_result_frames(
@@ -398,43 +413,30 @@ def encode_result_frames(
 ):
     """Yield the binary frame(s) carrying one bulk query result.
 
-    A result whose rows fit one chunk becomes a single ``FULL`` frame;
-    anything larger streams as ``CHUNK`` frames closed by an ``END``
-    trailer with the totals — no frame ever materialises the whole
-    result, which is how SELECTs far past :data:`MAX_FRAME_BYTES`
-    cross the wire.
+    Encoded from ``result.arrays``: a columnar result is sliced, never
+    turned into row tuples.  A result that fits one chunk becomes a
+    single ``FULL`` frame; anything larger streams as ``CHUNK`` frames
+    closed by an ``END`` trailer with the totals — no frame ever holds
+    the whole result, which is how SELECTs far past
+    :data:`MAX_FRAME_BYTES` cross the wire.
     """
     columns = list(result.columns)
-    rows = result.rows
+    plans = [_plan_column(result.arrays[name]) for name in columns]
+    n_rows = result.row_count
     affected = int(result.affected)
-    if chunk_rows is None:
-        chunk_rows = _estimate_chunk_rows(columns, rows, chunk_bytes)
-    if len(rows) <= chunk_rows:
-        yield _result_frame(
-            _KIND_FULL, columns, rows, {"affected": affected}, compression
-        )
+    stops = _chunk_stops(plans, n_rows, chunk_bytes, chunk_rows)
+    if len(stops) <= 1:
+        extra = {"affected": affected}
+        yield _result_frame(_KIND_FULL, columns, plans, 0, n_rows, extra, compression)
         return
-    chunks = 0
-    for start in range(0, len(rows), chunk_rows):
-        chunks += 1
+    start = 0
+    for seq, stop in enumerate(stops, 1):
         yield _result_frame(
-            _KIND_CHUNK,
-            columns,
-            rows[start:start + chunk_rows],
-            {"seq": chunks},
-            compression,
+            _KIND_CHUNK, columns, plans, start, stop, {"seq": seq}, compression
         )
-    yield _pack_binary(
-        _KIND_END,
-        {
-            "columns": columns,
-            "affected": affected,
-            "rows": len(rows),
-            "chunks": chunks,
-        },
-        b"",
-        None,
-    )
+        start = stop
+    totals = {"affected": affected, "rows": n_rows, "chunks": len(stops)}
+    yield _pack_binary(_KIND_END, {"columns": columns, **totals}, b"", None)
 
 
 def _inflate(body) -> bytes:
@@ -463,13 +465,9 @@ def _decode_binary(payload: bytes) -> dict:
     if not all(isinstance(name, str) for name in columns):
         raise ProtocolError("binary frame column names must be strings")
     if kind == _KIND_END:
-        return {
-            "type": "result_end",
-            "columns": columns,
-            "affected": _field(header, "affected", int),
-            "rows": _field(header, "rows", int),
-            "chunks": _field(header, "chunks", int),
-        }
+        keys = ("affected", "rows", "chunks")
+        totals = {key: _field(header, key, int) for key in keys}
+        return {"type": "result_end", "columns": columns, **totals}
     if kind not in (_KIND_FULL, _KIND_CHUNK):
         raise ProtocolError(f"unknown binary frame kind {kind}")
     descriptors = _field(header, "cols", list)
@@ -482,29 +480,35 @@ def _decode_binary(payload: bytes) -> dict:
     body = memoryview(payload)[header_end:]  # np.frombuffer sees it zero-copy
     if flags & _FLAG_COMPRESSED:
         body = memoryview(_inflate(body))
-    arrays = {}
-    value_lists = []
+    cols = []
     offset = 0
-    for name, descriptor in zip(columns, descriptors):
-        arr, values = _decode_column(descriptor, body, offset)
+    for descriptor in descriptors:
+        cols.append(_decode_column(descriptor, body, offset))
         offset += descriptor["size"]
-        if arr is not None:
-            arrays[name] = arr
-        value_lists.append(values)
-    if any(len(values) != n_rows for values in value_lists):
+    if any(len(col) != n_rows for col in cols):
         raise ProtocolError("binary frame column lengths disagree")
-    rows = list(zip(*value_lists)) if value_lists else []
-    message = {
-        "type": "result" if kind == _KIND_FULL else "result_chunk",
-        "columns": columns,
-        "rows": rows,
-        "arrays": arrays,
-    }
-    if kind == _KIND_FULL:
-        message["affected"] = _field(header, "affected", int)
-    else:
-        message["seq"] = header.get("seq")
-    return message
+    if kind == _KIND_CHUNK:
+        return _ColumnarMessage("result_chunk", columns, cols, seq=header.get("seq"))
+    affected = _field(header, "affected", int)
+    return _ColumnarMessage("result", columns, cols, affected=affected)
+
+
+class _ColumnarMessage(dict):
+    """A decoded bulk ``result`` / ``result_chunk`` message: ``"cols"``
+    holds one array per column, ``"arrays"`` names the numeric ones
+    (zero-copy views of the frame), and ``"rows"`` — the same data as
+    ``list[tuple]`` of plain Python values — is built the first time it
+    is subscripted, because a columnar consumer never reads it."""
+
+    def __init__(self, kind: str, columns, cols, **extra) -> None:
+        arrays = {n: col for n, col in zip(columns, cols) if col.dtype != object}
+        super().__init__(type=kind, columns=columns, cols=cols, arrays=arrays, **extra)
+
+    def __missing__(self, key):
+        if key != "rows":
+            raise KeyError(key)
+        rows = self["rows"] = list(zip(*[col.tolist() for col in self["cols"]]))
+        return rows
 
 
 class ResultAssembler:
@@ -513,11 +517,11 @@ class ResultAssembler:
     Feed it decoded messages; non-result messages pass straight
     through, a ``FULL`` result passes through, and a chunk stream is
     buffered until its ``END`` trailer arrives, at which point one
-    logical ``result`` message (rows concatenated, numeric column
-    arrays re-joined) is returned.  A trailer whose totals disagree
-    with what actually arrived — a torn stream — raises
-    :class:`ProtocolError`; a typed ``error`` arriving mid-stream
-    discards the partial result and passes the error through.
+    logical ``result`` message (each column's chunks concatenated) is
+    returned.  A trailer whose totals disagree with what actually
+    arrived — a torn stream — raises :class:`ProtocolError`; a typed
+    ``error`` arriving mid-stream discards the partial result and
+    passes the error through.
     """
 
     def __init__(self) -> None:
@@ -546,28 +550,24 @@ class ResultAssembler:
                     f"torn result stream: trailer announces "
                     f"{message['chunks']} chunks, received {len(chunks)}"
                 )
-            rows: list = []
-            for chunk in chunks:
-                rows.extend(chunk["rows"])
-            if len(rows) != message["rows"]:
+            columns = message["columns"]
+            if any(chunk["columns"] != columns for chunk in chunks):
+                raise ProtocolError(
+                    "torn result stream: chunk columns disagree with the trailer"
+                )
+            received = sum(len(chunk["cols"][0]) for chunk in chunks if columns)
+            if received != message["rows"]:
                 raise ProtocolError(
                     f"torn result stream: trailer announces {message['rows']} "
-                    f"rows, received {len(rows)}"
+                    f"rows, received {received}"
                 )
-            arrays = {}
-            if chunks:
-                for name in chunks[0]["arrays"]:
-                    if all(name in chunk["arrays"] for chunk in chunks):
-                        arrays[name] = np.concatenate(
-                            [chunk["arrays"][name] for chunk in chunks]
-                        )
-            return {
-                "type": "result",
-                "columns": message["columns"],
-                "rows": rows,
-                "affected": message["affected"],
-                "arrays": arrays,
-            }
+            cols = [
+                np.concatenate([chunk["cols"][i] for chunk in chunks])
+                if chunks else np.empty(0, dtype=object)
+                for i in range(len(columns))
+            ]
+            affected = message["affected"]
+            return _ColumnarMessage("result", columns, cols, affected=affected)
         if self._chunks:
             if kind in ("error", "goodbye"):
                 self._chunks = []  # either supersedes the partial result
@@ -599,8 +599,8 @@ def decode_payload(payload: bytes) -> dict:
 
     Binary result frames (first byte :data:`_BINARY_MARKER`) decode via
     the columnar codec; everything else must be a JSON object — and may
-    not claim a chunk-stream type, whose fields only the binary decoder
-    validates.
+    not claim a chunk-stream type or carry column arrays (``"cols"``),
+    whose fields only the binary decoder validates.
     """
     if payload and payload[0] == _BINARY_MARKER:
         return _decode_binary(payload)
@@ -609,9 +609,9 @@ def decode_payload(payload: bytes) -> dict:
         raise ProtocolError(
             f"frame payload must be a JSON object, got {type(message).__name__}"
         )
-    if message.get("type") in ("result_chunk", "result_end"):
+    if message.get("type") in ("result_chunk", "result_end") or "cols" in message:
         raise ProtocolError(
-            f"{message['type']!r} messages must arrive as binary frames"
+            "chunked and columnar results must arrive as binary frames"
         )
     return message
 

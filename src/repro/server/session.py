@@ -220,14 +220,14 @@ class ClientSession:
         """The reply for a completed statement.
 
         A bulk result carries the raw :class:`QueryResult` under the
-        private ``"_result"`` key: the server's writer encodes it into
-        binary columnar frames (chunked when large), so rows are never
-        JSON-exploded just to be re-parsed on the other side.  Tiny
+        private ``"_result"`` key: the server's writer encodes its
+        column arrays into binary frames (chunked when large), so a
+        vector-mode answer reaches the socket without becoming tuples.  Tiny
         results (``SMALL_RESULT_ROWS`` and under — the count(*) replies
         a pipelined workload is made of) go out as JSON: the columnar
         codec only pays for itself in bulk.
         """
-        if len(result.rows) > SMALL_RESULT_ROWS:
+        if result.row_count > SMALL_RESULT_ROWS:
             return {"type": "result", "_result": result}
         return result_reply(result)
 

@@ -569,6 +569,7 @@ def build_plan(
     if fast_count is not None:
         return fast_count
     vector = mode == "vector"
+    needed = _needed_columns(query) if vector else None
     base_ops: dict[str, Operator | VecOperator] = {}
     remaining_selections: list[RangePredicate] = []
     selections_by_binding: dict[str, list[RangePredicate]] = {}
@@ -579,6 +580,7 @@ def build_plan(
         relation = catalog.table(ref.name)
         binding = ref.binding
         predicates = selections_by_binding.get(binding, [])
+        columns = None if needed is None else needed.get(binding, ())
         crackable = _pick_crackable(predicates, relation, cracker)
         if crackable is not None and cracker is not None:
             result = cracker.range_select(
@@ -593,19 +595,21 @@ def build_plan(
                 # One zero-copy batch per shard span; downstream operators
                 # concatenate only where they must (pipeline breakers).
                 base_ops[binding] = VecShardedCrackedScan(
-                    relation, crackable.attr, result, alias=binding
+                    relation, crackable.attr, result, alias=binding,
+                    needed=columns,
                 )
             elif vector:
                 # The cracked span is the pipeline's first batch, zero-copy.
                 base_ops[binding] = VecCrackedScan(
-                    relation, crackable.attr, result, alias=binding
+                    relation, crackable.attr, result, alias=binding,
+                    needed=columns,
                 )
             else:
                 base_ops[binding] = PositionalScan(relation, result.oids, binding)
             remaining_selections.extend(p for p in predicates if p is not crackable)
         else:
             base_ops[binding] = (
-                VecScan(relation, alias=binding)
+                VecScan(relation, alias=binding, needed=columns)
                 if vector
                 else Scan(relation, alias=binding)
             )
@@ -655,6 +659,34 @@ def build_plan(
             tree, query.into, tracker=tracker
         )
     return tree
+
+
+def _needed_columns(query: AnalyzedQuery) -> dict[str, set[str]] | None:
+    """Per binding, the attributes some operator above the scans reads.
+
+    Late materialisation: a vector scan gathers (and, for varchar,
+    decodes) only these — a sibling column nobody projects, filters,
+    joins, groups, aggregates or orders on is never reconstructed.
+    ``None`` means every column is delivered (``SELECT *``).  Every
+    selection's attribute is listed, the cracked one included: its span
+    is already in hand, and listing it keeps a scan from going empty.
+    """
+    if query.projections is None and not query.aggregates:
+        return None
+    names = list(query.projections or ())
+    names += [column for _, column in query.aggregates if column is not None]
+    names += query.group_by
+    names += [name for name, _ in query.order_by]
+    pairs = [tuple(name.split(".", 1)) for name in names]
+    pairs += [(p.binding, p.attr) for p in query.selections]
+    pairs += [(r.binding, r.attr) for r in query.residuals]
+    for join in query.joins:
+        pairs.append((join.left_binding, join.left_attr))
+        pairs.append((join.right_binding, join.right_attr))
+    needed: dict[str, set[str]] = {}
+    for binding, attr in pairs:
+        needed.setdefault(binding, set()).add(attr)
+    return needed
 
 
 def _vec_range_mask(predicate: RangePredicate):

@@ -21,7 +21,6 @@ import threading
 import time
 from collections import OrderedDict, deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from repro.storage.pages import IOTracker
 from repro.storage.table import Column, Relation, Schema
 from repro.storage.transaction import Transaction
 from repro.volcano.operators import Materialize
-from repro.volcano.vectorized import VecMaterialize
+from repro.volcano.vectorized import VecMaterialize, VecOperator, concat_batches
 
 
 def split_statements(script: str) -> list[str]:
@@ -108,24 +107,89 @@ def _explain_number(value) -> str:
     return str(value)
 
 
-@dataclass
-class QueryResult:
-    """Rows and column names of a completed statement."""
+def _column_array(values) -> np.ndarray:
+    """One column of row values as an array: a numeric dtype when every
+    value has one, else object (varchar, NULLs, mixed types)."""
+    try:
+        array = np.asarray(values)
+    except (ValueError, OverflowError):  # ragged or oversized cells
+        array = None
+    if array is not None and array.ndim == 1 and array.dtype.kind in "biuf":
+        return array
+    return np.fromiter(values, dtype=object, count=len(values))
 
-    columns: list[str]
-    rows: list[tuple]
-    affected: int = 0
-    advice: list = field(default_factory=list)
+
+class QueryResult:
+    """Column names and data of a completed statement — one result, two faces.
+
+    A result is built from whichever form its producer has, and derives
+    the other on first access, cached:
+
+    * ``rows`` — ``list[tuple]``.  Primary for row-native results (COUNT
+      pushdown, DML, EXPLAIN, the tuple executor); for a columnar result
+      it is built with ``tolist()`` per column on first read, so those
+      rows hold plain ``int``/``float``/``str``/``None``, never numpy
+      scalars.  (Tuple-mode rows are passed through as the operators
+      yield them and may still carry numpy scalars.)
+    * ``arrays`` — ``{column name: ndarray}``, object dtype for varchar,
+      NULL-bearing and mixed-type columns.  Primary for the vector
+      executor and for bulk replies decoded by the client, which are
+      never turned into tuples unless ``rows`` is read.
+
+    The result owns its data: no array is a view of cracker or BAT
+    storage, so a held result never changes under a later crack, merge
+    or update and keeps no storage generation alive.
+    """
+
+    def __init__(
+        self,
+        columns: list[str],
+        rows: list[tuple] | None = None,
+        affected: int = 0,
+        advice: list | None = None,
+        arrays: dict[str, np.ndarray] | None = None,
+    ) -> None:
+        self.columns = columns
+        self.affected = affected
+        self.advice = [] if advice is None else advice
+        self._arrays = arrays
+        self._rows = [] if rows is None and arrays is None else rows
+
+    def __repr__(self) -> str:
+        return (
+            f"QueryResult(columns={self.columns!r}, rows={self.row_count}, "
+            f"affected={self.affected})"
+        )
+
+    @property
+    def rows(self) -> list[tuple]:
+        if self._rows is None:
+            self._rows = list(
+                zip(*[self._arrays[name].tolist() for name in self.columns])
+            )
+        return self._rows
+
+    @property
+    def arrays(self) -> dict[str, np.ndarray]:
+        if self._arrays is None:
+            cells = list(zip(*self._rows)) or [()] * len(self.columns)
+            self._arrays = {
+                name: _column_array(values)
+                for name, values in zip(self.columns, cells)
+            }
+        return self._arrays
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        if self._rows is not None:
+            return len(self._rows)
+        return len(self._arrays[self.columns[0]]) if self.columns else 0
 
     def scalar(self):
         """The single value of a 1×1 result (e.g. SELECT count(*) ...)."""
-        if len(self.rows) != 1 or len(self.rows[0]) != 1:
+        if self.row_count != 1 or len(self.rows[0]) != 1:
             raise SQLAnalysisError(
-                f"scalar() needs a 1x1 result, got {len(self.rows)} rows"
+                f"scalar() needs a 1x1 result, got {self.row_count} rows"
             )
         return self.rows[0][0]
 
@@ -950,11 +1014,21 @@ class Database:
                 columns=plan.columns, rows=[], affected=len(relation),
                 advice=query.advice,
             )
+        columns = list(plan.columns)
         with obs_trace.span("gather"):
-            rows = list(plan)
-        return QueryResult(
-            columns=list(plan.columns), rows=rows, advice=query.advice
-        )
+            if not isinstance(plan, VecOperator):
+                return QueryResult(columns, list(plan), advice=query.advice)
+            batch = concat_batches(plan)
+            # The result owns its data: a column still viewing cracker or
+            # BAT storage (the cracked span, a full-scan slice) is copied
+            # once here, so a held result cannot be shuffled by the next
+            # in-place crack and pins no storage generation.
+            arrays = None if batch is None else {
+                name: array if array.flags.owndata else array.copy()
+                for name, array in zip(columns, batch.arrays)
+            }
+        # No batch at all is the empty result, which is row-native.
+        return QueryResult(columns, arrays=arrays, advice=query.advice)
 
     # ------------------------------------------------------------------ #
     # Cracker introspection

@@ -201,15 +201,18 @@ class BAT:
         """Batch accessor: decoded tail values as one numpy array.
 
         Numeric tails return the active region *zero-copy* (or a single
-        bulk gather when ``positions`` is given); str tails decode through
-        the heap into an object array.  This is the access path of the
-        vectorized executor — no per-row decoding anywhere.
+        bulk gather when ``positions`` is given); str tails decode each
+        *distinct* heap offset once and spread the atoms with one take,
+        into an object array.  This is the access path of the vectorized
+        executor — no per-row decoding anywhere.
         """
         active = self._active_tail()
         if self.tail_type == "str":
             assert self.heap is not None
             raw = active if positions is None else active[positions]
-            return np.array(self.heap.get_many(raw), dtype=object)
+            offsets, inverse = np.unique(raw, return_inverse=True)
+            atoms = np.array(self.heap.get_many(offsets), dtype=object)
+            return atoms[inverse]
         return active if positions is None else active[positions]
 
     # ------------------------------------------------------------------ #

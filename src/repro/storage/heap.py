@@ -44,7 +44,9 @@ class AtomHeap:
         if existing is not None:
             return existing
         offset = len(self._buffer)
-        self._buffer.extend(encoded)
+        # The empty atom still takes a byte: with nothing appended, the
+        # next atom would be handed this same offset and shadow it.
+        self._buffer.extend(encoded or b"\0")
         self._offsets_by_atom[encoded] = offset
         self._lengths_by_offset[offset] = len(encoded)
         return offset

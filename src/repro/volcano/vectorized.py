@@ -163,24 +163,47 @@ def count_batch_rows(operator: VecOperator) -> int:
     return sum(len(batch) for batch in operator.batches())
 
 
+def _scan_names(
+    relation: Relation, needed: Sequence[str] | None, carrier: str | None = None
+) -> list[str]:
+    """The columns a scan delivers, in schema order (``needed`` None = all).
+
+    A scan nothing above it reads (a bare ``count(*)``) still has to
+    carry the row count: it keeps ``carrier``, else the first column
+    that needs no varchar decode.
+    """
+    names = relation.schema.names()
+    if needed is None:
+        return names
+    keep = set(needed)
+    kept = [name for name in names if name in keep]
+    if kept:
+        return kept
+    if carrier is None:
+        carrier = min(names, key=lambda n: relation.column(n).tail_type == "str")
+    return [carrier]
+
+
 class VecScan(VecOperator):
-    """Sequential scan delivering the relation's columns in batches."""
+    """Sequential scan delivering the ``needed`` columns in batches."""
 
     def __init__(
         self,
         relation: Relation,
         alias: str | None = None,
         batch_rows: int = DEFAULT_BATCH_ROWS,
+        needed: Sequence[str] | None = None,
     ) -> None:
         if batch_rows < 1:
             raise ExecutionError(f"batch_rows must be >= 1, got {batch_rows}")
         self.relation = relation
         self.batch_rows = batch_rows
+        self._names = _scan_names(relation, needed)
         prefix = alias if alias is not None else relation.name
-        self.columns = [f"{prefix}.{name}" for name in relation.schema.names()]
+        self.columns = [f"{prefix}.{name}" for name in self._names]
 
     def batches(self) -> Iterator[ColumnBatch]:
-        arrays = self.relation.column_arrays()
+        arrays = self.relation.column_arrays(self._names)
         # Row count from the gathered snapshot, not the live relation: a
         # concurrent insert may have grown the BATs since the gather.
         total = len(arrays[0]) if arrays else 0
@@ -200,9 +223,10 @@ class VecCrackedScan(VecOperator):
 
     ``result.values`` (the contiguous span of the cracker column) is
     passed through as the predicate column's array without copying; the
-    sibling columns are fetched with one bulk gather at ``result.oids``
-    (dense void heads make oids storage positions).  There is no per-row
-    work anywhere.
+    sibling columns in ``needed`` (None = all) are fetched with one bulk
+    gather each at ``result.oids`` (dense void heads make oids storage
+    positions), and the rest are never reconstructed.  There is no
+    per-row work anywhere.
     """
 
     def __init__(
@@ -214,15 +238,11 @@ class VecCrackedScan(VecOperator):
         needed: Sequence[str] | None = None,
     ) -> None:
         prefix = alias if alias is not None else relation.name
-        names = relation.schema.names()
-        if needed is not None:
-            keep = set(needed)
-            names = [name for name in names if name in keep]
         self.relation = relation
         self.attr = attr
         self.result = result
-        self._names = names
-        self.columns = [f"{prefix}.{name}" for name in names]
+        self._names = _scan_names(relation, needed, carrier=attr)
+        self.columns = [f"{prefix}.{name}" for name in self._names]
 
     def _selection_batch(self, result) -> ColumnBatch:
         """One batch from a selection answer: the predicate column's span

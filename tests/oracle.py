@@ -7,8 +7,10 @@ This module is the single place that knows how to:
 
 * build the standard engine configurations (:func:`make_databases`),
 * load identical randomized data into each (:func:`load_standard`),
-* generate randomized workloads (:func:`standard_query_suite`,
-  :func:`random_range_queries`, read-write :func:`random_mixed_dml`),
+* generate workloads (:func:`standard_query_suite`,
+  :func:`pushdown_query_suite`, :func:`random_range_queries`, read-write
+  :func:`random_mixed_dml`, storage-reorganising
+  :func:`held_result_stream`),
 * compare result sets exactly (:func:`assert_rows_equal`) or as sorted
   sets (:func:`assert_sorted_rows_equal`, for configurations that answer
   in different physical orders), and
@@ -123,7 +125,68 @@ def standard_query_suite(rng) -> list[str]:
         "ORDER BY g DESC",
         "SELECT * FROM r WHERE a >= 100 LIMIT 5",
     ]
-    return queries
+    return queries + pushdown_query_suite()
+
+
+def pushdown_query_suite() -> list[str]:
+    """Queries a too-small ``needed=`` column set at the scans would break.
+
+    Vector scans gather only the columns some operator above them reads;
+    each query here reads a column *only* outside its projection list —
+    as predicate, residual, sort key, join key, group key or aggregate
+    argument — or reads none at all, or all of them.  No bare LIMIT, so
+    sorted result sets are engine-independent.
+    """
+    return [
+        # the predicate (cracked) column is not projected
+        "SELECT r.k, r.tag FROM r WHERE a BETWEEN 200 AND 700",
+        "SELECT r.w FROM r WHERE a >= 850",
+        # ORDER BY a column that is not projected
+        "SELECT r.k FROM r WHERE a < 400 ORDER BY w DESC",
+        "SELECT r.tag FROM r ORDER BY a, k",
+        # a residual (<>) on a column that is not projected
+        "SELECT r.k, r.a FROM r WHERE a > 100 AND tag <> 't2'",
+        "SELECT r.k FROM r WHERE tag <> 't0' AND w <> 0.5",
+        # joins whose keys are not projected
+        "SELECT r.a, s.g FROM r, s WHERE r.k = s.k AND r.a BETWEEN 300 AND 600",
+        "SELECT t.label FROM r, s, t WHERE r.k = s.k AND s.g = t.g AND r.a < 250",
+        # group keys and aggregate arguments; scans nothing else reads
+        "SELECT count(*) FROM r",
+        "SELECT count(*) FROM r WHERE tag <> 't1'",
+        "SELECT sum(r.w), max(r.tag) FROM r WHERE a >= 500",
+        "SELECT r.tag, avg(r.w) FROM r WHERE a BETWEEN 100 AND 900 GROUP BY r.tag",
+        "SELECT s.g, min(r.w) FROM r, s WHERE r.k = s.k GROUP BY s.g ORDER BY g",
+        # SELECT *: every column, alone and through a join
+        "SELECT * FROM r WHERE a BETWEEN 400 AND 450",
+        "SELECT * FROM r, s WHERE r.k = s.k AND r.a > 900",
+    ]
+
+
+def held_result_stream() -> list[str]:
+    """Statements that reorganise the storage a held bulk answer came from.
+
+    The first two statements are the answers to hold — a cracked span
+    and a full scan, both views of engine storage before delivery; the
+    rest crack strictly inside the span, rewrite base columns in place
+    and move rows into the span (UPDATE) and out of it (DELETE), with a
+    select after each to force the pending merge.  A result that aliased
+    cracker or BAT storage would change underneath its holder somewhere
+    along it.
+    """
+    return [
+        "SELECT r.k, r.a, r.tag FROM r WHERE a BETWEEN 200 AND 700",
+        "SELECT r.k, r.a FROM r",
+        "SELECT r.k, r.a FROM r WHERE a BETWEEN 300 AND 400",
+        "SELECT r.k FROM r WHERE a BETWEEN 450 AND 650",
+        "SELECT count(*) FROM r WHERE a BETWEEN 250 AND 500",
+        "UPDATE r SET a = 333 WHERE a BETWEEN 900 AND 950",
+        "SELECT r.k, r.a FROM r WHERE a BETWEEN 320 AND 340",
+        "UPDATE r SET tag = 'moved', w = 1.5 WHERE a BETWEEN 600 AND 640",
+        "SELECT * FROM r WHERE a BETWEEN 590 AND 650",
+        "DELETE FROM r WHERE a BETWEEN 500 AND 520",
+        "SELECT r.k, r.a, r.tag FROM r WHERE a BETWEEN 200 AND 700",
+        "SELECT r.k, r.a FROM r",
+    ]
 
 
 def random_range_queries(

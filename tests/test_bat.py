@@ -248,3 +248,54 @@ class TestViews:
         void = BAT.from_values("t", [1, 2, 3])
         explicit = BAT.from_pairs("t2", [0, 1, 2], [1, 2, 3])
         assert explicit.nbytes == void.nbytes + 3 * 8
+
+
+class TestDecodedArray:
+    """The vectorized executor's batch accessor (late varchar decode)."""
+
+    @pytest.fixture
+    def tags(self):
+        # Repetitive, with the empty string among the atoms.
+        return ["x", "", "abc", "", "x", "abc", "abc", "", "x", "x"] * 20
+
+    def _count_heap_gets(self, bat, monkeypatch) -> list[int]:
+        calls: list[int] = []
+        real_get = bat.heap.get
+
+        def counting_get(offset):
+            calls.append(offset)
+            return real_get(offset)
+
+        monkeypatch.setattr(bat.heap, "get", counting_get)
+        return calls
+
+    def test_str_decodes_each_distinct_atom_once(self, tags, monkeypatch):
+        bat = BAT.from_values("t", tags, tail_type="str")
+        calls = self._count_heap_gets(bat, monkeypatch)
+        decoded = bat.decoded_array()
+        assert decoded.dtype == object and decoded.tolist() == tags
+        assert len(calls) == len(set(calls)) == 3  # 'x', '', 'abc'
+
+    def test_str_positions_decode_only_the_atoms_they_hit(self, tags, monkeypatch):
+        bat = BAT.from_values("t", tags, tail_type="str")
+        calls = self._count_heap_gets(bat, monkeypatch)
+        positions = np.array([1, 3, 7, 0, 4, 1], dtype=np.int64)
+        decoded = bat.decoded_array(positions)
+        assert decoded.tolist() == ["", "", "", "x", "x", ""]
+        assert len(calls) == 2
+        assert bat.decoded_array(positions[:0]).tolist() == []
+
+    def test_str_matches_the_per_row_reference(self):
+        rng = np.random.default_rng(17)
+        atoms = ["", "a", "bb", "héllo ☃", "t0", "t1"]
+        values = [atoms[i] for i in rng.integers(0, len(atoms), 500)]
+        bat = BAT.from_values("t", values, tail_type="str")
+        positions = rng.integers(0, 500, 200)
+        assert bat.decoded_array(positions).tolist() == [
+            bat.heap.get(int(offset)) for offset in bat.tail_array()[positions]
+        ]
+
+    def test_numeric_is_zero_copy_or_one_gather(self):
+        bat = BAT.from_values("t", [5, 3, 9, 1])
+        assert np.shares_memory(bat.decoded_array(), bat.tail_array())
+        assert bat.decoded_array(np.array([3, 0])).tolist() == [1, 5]

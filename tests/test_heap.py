@@ -23,6 +23,14 @@ class TestPutGet:
         offset = heap.put("")
         assert heap.get(offset) == ""
 
+    def test_empty_string_keeps_its_own_offset(self):
+        # Regression: a zero-length atom appended no bytes, so the next
+        # atom was handed the same offset and every '' decoded as it.
+        heap = AtomHeap()
+        offsets = [heap.put(atom) for atom in ("x", "", "abc", "")]
+        assert len(set(offsets)) == 3 and offsets[1] == offsets[3]
+        assert heap.get_many(offsets) == ["x", "", "abc", ""]
+
     def test_unicode_atoms(self):
         heap = AtomHeap()
         offset = heap.put("héllo wörld ☃")

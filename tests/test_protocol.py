@@ -46,19 +46,33 @@ class TestWireValues:
             assert wire_value(value) is value or wire_value(value) == value
 
     def test_regression_engine_rows_are_json_rejectable_raw(self):
-        """The bug this satellite fixes: engine rows carry numpy scalars
-        json.dumps rejects; the wire conversion makes them serialisable."""
-        db = Database(cracking=True, mode="vector")
-        db.execute("CREATE TABLE r (k integer, a integer, w float)")
-        db.execute("INSERT INTO r VALUES (1, 10, 0.5), (2, 20, 1.5)")
-        result = db.execute("SELECT * FROM r WHERE a BETWEEN 5 AND 25")
+        """Which engine rows ``json.dumps`` rejects raw, pinned per mode.
+
+        Vector-mode results are columnar and build ``rows`` with
+        ``tolist()``: plain ``int``/``float``/``str``, serialisable as
+        they are.  Tuple-mode rows are whatever the operators yield —
+        numpy scalars straight out of BAT storage — which is the bug the
+        wire conversion exists for, and why ``wire_value`` stays.
+        """
+        rows = {}
+        for mode in ("vector", "tuple"):
+            db = Database(cracking=True, mode=mode)
+            db.execute("CREATE TABLE r (k integer, a integer, w float, t varchar)")
+            db.execute("INSERT INTO r VALUES (1, 10, 0.5, 'x'), (2, 20, 1.5, 'y')")
+            rows[mode] = db.execute("SELECT * FROM r WHERE a BETWEEN 5 AND 25").rows
+        assert {type(value) for row in rows["vector"] for value in row} == {
+            int, float, str,
+        }
+        assert sorted(json.loads(json.dumps(rows["vector"]))) == [
+            [1, 10, 0.5, "x"], [2, 20, 1.5, "y"],
+        ]
         assert any(
-            isinstance(value, np.generic) for row in result.rows for value in row
-        ), "engine rows no longer carry numpy scalars; update this test"
+            isinstance(value, np.generic) for row in rows["tuple"] for value in row
+        ), "tuple-mode rows no longer carry numpy scalars; wire_value can go"
         with pytest.raises(TypeError):
-            json.dumps(result.rows)
-        encoded = json.dumps(wire_rows(result.rows))
-        assert sorted(json.loads(encoded)) == [[1, 10, 0.5], [2, 20, 1.5]]
+            json.dumps(rows["tuple"])
+        encoded = json.dumps(wire_rows(rows["tuple"]))
+        assert sorted(json.loads(encoded)) == sorted(json.loads(json.dumps(rows["vector"])))
 
     def test_aggregate_rows_roundtrip(self):
         db = Database(cracking=True, mode="tuple")

@@ -320,6 +320,29 @@ class TestDifferentialEmbedded:
                         # columns arrive as numpy arrays for free.
                         assert actual.arrays["r.k"].dtype.kind == "i"
 
+    def test_served_result_is_columnar_and_equals_embedded_arrays(self):
+        """Served ≡ embedded on the arrays face too: a bulk reply is
+        never turned into tuples unless ``rows`` is read, every column
+        (varchar included) is in ``arrays``, and both faces match the
+        embedded result's."""
+        embedded = Database(cracking=True, mode="vector")
+        with served() as (_, host, port, _thread):
+            with Client(host, port) as client:
+                load_standard(embedded, seed=SEED)
+                load_standard(client, seed=SEED)
+                statement = "SELECT r.k, r.w, r.tag FROM r WHERE a BETWEEN 100 AND 800"
+                expected = embedded.execute(statement)
+                actual = client.execute(statement)
+                assert actual._rows is None and actual.row_count == expected.row_count
+                assert list(actual.arrays) == list(expected.arrays) == actual.columns
+                for name, array in expected.arrays.items():
+                    assert actual.arrays[name].dtype == array.dtype, name
+                    assert actual.arrays[name].tolist() == array.tolist(), name
+                assert actual.rows == expected.rows
+                # A small reply is row-native, and still has arrays.
+                small = client.execute("SELECT count(*) FROM r WHERE a < 500")
+                assert small.arrays["count(*)"].tolist() == [small.scalar()]
+
     def test_pipelined_matches_sequential(self):
         with served() as (_, host, port, _thread):
             with Client(host, port) as pipelined, Client(
@@ -388,6 +411,32 @@ class TestStreamingPastFrameCap:
                 assert client.execute(
                     "SELECT count(*) FROM big"
                 ).scalar() == n
+
+
+    def test_chunks_are_sized_from_real_bytes_not_from_row_zero(self, monkeypatch):
+        """Regression: rows per chunk were guessed from the first row
+        alone, so a varchar column starting with ``''`` put hundreds of
+        long strings in one CHUNK, past the frame cap, and a valid
+        SELECT died with "lower the chunk size"."""
+        import repro.server.protocol as protocol
+
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 16 * 1024)
+        chunk_bytes = 4096
+        rows = [(0, "")] + [(i, f"{i:06d}" + "x" * 120) for i in range(1, 2000)]
+        result = QueryResult(columns=["k", "tag"], rows=rows)
+        frames = list(encode_result_frames(result, chunk_bytes=chunk_bytes))
+        assert len(frames) > 20
+        # A chunk overshoots its target by at most one row plus the header.
+        assert max(map(len, frames)) < chunk_bytes + 512
+        assert assemble(frames)["rows"] == rows
+        # The same shape end to end: '' first, served in small chunks.
+        database = Database(cracking=True, mode="vector", concurrent=True)
+        database.execute("CREATE TABLE v (k integer, tag varchar)")
+        values = ", ".join(f"({k}, '{tag}')" for k, tag in rows)
+        database.execute(f"INSERT INTO v VALUES {values}")
+        with served(database, chunk_bytes=chunk_bytes) as (_, host, port, _thread):
+            with Client(host, port) as client:
+                assert client.execute("SELECT v.k, v.tag FROM v").rows == rows
 
 
 class TestTornStreamDisconnect:

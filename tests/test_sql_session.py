@@ -226,3 +226,53 @@ class TestErrors:
 
         with pytest.raises(PlanError):
             db.execute("SELECT count(*) FROM r, s")
+
+
+class TestQueryResultFaces:
+    """One result class, two lazily derived faces (rows / arrays)."""
+
+    @pytest.fixture
+    def vec(self):
+        db = Database(cracking=True, mode="vector")
+        db.execute("CREATE TABLE r (k integer, a integer, w float, tag varchar)")
+        db.execute(
+            "INSERT INTO r VALUES (1, 10, 0.5, 'x'), (2, 20, 1.5, ''), (3, 30, 2.5, 'x')"
+        )
+        return db
+
+    def test_vector_result_is_columnar_until_rows_are_read(self, vec):
+        result = vec.execute("SELECT k, w, tag FROM r WHERE a BETWEEN 15 AND 35")
+        assert result._rows is None  # nothing built tuples yet
+        assert result.row_count == 2
+        assert list(result.arrays) == result.columns == ["r.k", "r.w", "r.tag"]
+        assert result.arrays["r.k"].dtype.kind == "i"
+        assert result.arrays["r.tag"].dtype == object
+        rows = result.rows
+        assert sorted(rows) == [(2, 1.5, ""), (3, 2.5, "x")]
+        assert {type(v) for row in rows for v in row} == {int, float, str}
+        assert result.rows is rows  # cached
+
+    def test_row_native_results_have_arrays_too(self, vec):
+        count = vec.execute("SELECT count(*) FROM r WHERE a BETWEEN 15 AND 35")
+        assert count.scalar() == 2 and count._arrays is None  # 1x1 pays no array
+        assert count.arrays["count(*)"].tolist() == [2]
+        dml = vec.execute("UPDATE r SET a = 11 WHERE k = 1")
+        assert dml.affected == 1 and dml.rows == [] and dml.arrays == {}
+        tuple_mode = vec.execute("SELECT k, tag FROM r WHERE a >= 20", mode="tuple")
+        assert tuple_mode._arrays is None
+        assert sorted(tuple_mode.arrays["r.tag"].tolist()) == ["", "x"]
+        assert tuple_mode.arrays["r.k"].dtype.kind == "i"
+        empty = vec.execute("SELECT k, tag FROM r WHERE a > 1000")
+        assert empty.rows == [] and empty.row_count == 0
+        assert [len(array) for array in empty.arrays.values()] == [0, 0]
+
+    def test_rows_style_construction_still_works(self):
+        from repro.sql import QueryResult
+
+        result = QueryResult(["k", "n"], [(1, None), (2, 5)], affected=3)
+        assert result.rows == [(1, None), (2, 5)] and result.affected == 3
+        assert result.arrays["k"].tolist() == [1, 2]
+        assert result.arrays["n"].dtype == object  # NULLs keep it off int64
+        assert QueryResult(columns=[], rows=[]).row_count == 0
+        with pytest.raises(SQLAnalysisError):
+            result.scalar()

@@ -1,11 +1,14 @@
 """Unit and oracle tests for the vectorized batch executor."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core.cracked_column import CrackedColumn
 from repro.errors import ExecutionError
 from repro.sql import Database, analyze, build_plan, parse
+from repro.storage.bat import BAT
 from repro.storage.table import Column, Relation, Schema
 from repro.volcano.vectorized import (
     ColumnBatch,
@@ -362,6 +365,66 @@ class TestVecCrackedScanZeroCopy:
         assert scan.columns == ["R.a"]
         batch = next(scan.batches())
         assert len(batch.arrays) == 1
+
+
+class TestProjectionPushdown:
+    """Late materialisation: a scan reconstructs only what the plan reads."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        """BAT name -> number of ``decoded_array`` calls, live."""
+        calls: Counter = Counter()
+        real = BAT.decoded_array
+
+        def counting(bat, positions=None):
+            calls[bat.name] += 1
+            return real(bat, positions)
+
+        monkeypatch.setattr(BAT, "decoded_array", counting)
+        return calls
+
+    def test_cracked_scan_never_decodes_an_unneeded_column(self, r_rel, decoded):
+        column = CrackedColumn(r_rel.column("a"))
+        result = column.range_select(10, 30)
+        scan = VecCrackedScan(r_rel, "a", result, alias="R", needed=["k", "a"])
+        batch = next(scan.batches())
+        assert scan.columns == ["R.k", "R.a"] and len(batch) == result.count
+        # k is gathered once; a is the cracked span itself; w is never touched.
+        assert dict(decoded) == {"R.k": 1}
+
+    def test_scan_nothing_reads_carries_one_cheap_column(self, decoded):
+        relation = _relation(
+            "T", [("tag", "str"), ("k", "int")],
+            {"tag": ["x", "y", "x"], "k": [1, 2, 3]},
+        )
+        scan = VecScan(relation, needed=[])
+        assert scan.columns == ["T.k"]  # the row count rides on a numeric column
+        assert count_batch_rows(scan) == 3
+        assert dict(decoded) == {"T.k": 1}
+
+    @pytest.mark.parametrize("cracking", [True, False])
+    def test_planner_passes_only_referenced_columns(self, rng, decoded, cracking):
+        db = Database(cracking=cracking, mode="vector")
+        db.execute("CREATE TABLE r (k integer, a integer, b integer, tag varchar)")
+        values = ", ".join(
+            f"({i}, {int(v)}, {i % 7}, 't{i % 3}')"
+            for i, v in enumerate(rng.integers(0, 1000, 300))
+        )
+        db.execute(f"INSERT INTO r VALUES {values}")
+        decoded.clear()
+        result = db.execute("SELECT k, a FROM r WHERE a BETWEEN 100 AND 500")
+        assert result.columns == ["r.k", "r.a"] and result.row_count > 0
+        assert "r.b" not in decoded and "r.tag" not in decoded
+        decoded.clear()
+        db.execute("SELECT k FROM r WHERE a < 600 AND tag <> 't1' ORDER BY b")
+        assert "r.tag" in decoded and "r.b" in decoded  # residual + sort key
+        decoded.clear()
+        assert db.execute("SELECT count(*) FROM r WHERE tag <> 't0'").scalar() == 200
+        assert set(decoded) == {"r.tag"}
+        decoded.clear()
+        star = db.execute("SELECT * FROM r WHERE a >= 0")
+        assert star.columns == ["r.k", "r.a", "r.b", "r.tag"]
+        assert star.row_count == 300
 
 
 class TestConcatBatches:

@@ -208,6 +208,13 @@ HOSTILE_FRAMES = {
     "dict-code-past-values": lambda: _dict_codes(0, 7),
     "dict-code-below-null": lambda: _dict_codes(0, -2),
     "zlib-bomb": lambda: _bomb_frame(256),
+    # Column arrays are exposed without building tuples, so their shape
+    # checks may not be skipped: lengths must agree before any is handed
+    # out, and a JSON frame may not smuggle in unvalidated "cols".
+    "column-shorter-than-rows": lambda: _hostile(rows=3),
+    "json-claims-cols": lambda: encode_frame(
+        {"type": "result", "columns": ["x"], "cols": [[1, 2]], "rows": []}
+    ),
 }
 
 
@@ -220,6 +227,17 @@ class TestHostileFrames:
     def test_decode_payload_raises_protocol_error(self, name):
         with pytest.raises(ProtocolError):
             decode_payload(HOSTILE_FRAMES[name]()[4:])
+
+    def test_chunks_must_agree_with_the_trailer_on_columns(self):
+        # Chunk columns are joined by position: a chunk naming other
+        # columns than the trailer is a torn stream, not a wider result.
+        frames = list(encode_result_frames(
+            QueryResult(columns=["x"], rows=[(i,) for i in range(40)]), chunk_rows=15
+        ))
+        kind, flags, header, body = _unpack(frames[-1])
+        frames[-1] = _pack(kind, flags, {**header, "columns": ["y"]}, body)
+        with pytest.raises(ProtocolError, match="torn result stream"):
+            _decode_all(b"".join(frames))
 
     def test_inflate_is_bounded_by_the_frame_cap(self):
         payload = HOSTILE_FRAMES["zlib-bomb"]()[4:]

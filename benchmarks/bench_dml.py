@@ -19,8 +19,7 @@ over PR:
 
 Configurations: ``rowstore`` (cracking off — every read is a scan, DML
 is base-table only), ``cracked`` (vector mode, one cracker per
-attribute), ``sharded`` (shard-parallel crackers, DML fanned out to
-every shard).
+attribute).
 
 ``python -m repro bench dml`` (or running this file) performs the full
 1M-row sweep and writes ``benchmarks/BENCH_dml.json``;
@@ -52,7 +51,6 @@ RESULT_PATH = Path(__file__).resolve().parent / "BENCH_dml.json"
 CONFIGS = {
     "rowstore": dict(cracking=False, mode="vector"),
     "cracked": dict(cracking=True, mode="vector"),
-    "sharded": dict(cracking=True, mode="vector", shards=4),
 }
 
 

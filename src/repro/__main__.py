@@ -201,7 +201,6 @@ def _open_persistent(args) -> "object":
     return Database(
         cracking=not getattr(args, "no_cracking", False),
         mode=args.mode,
-        shards=args.shards,
         persist_dir=args.persist_dir,
     )
 
@@ -214,11 +213,6 @@ def _persistence_parser(
     parser.add_argument(
         "--mode", choices=("tuple", "vector"), default="tuple",
         help="executor mode for the recovered database",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="shard count for columns cracked *after* recovery (restored "
-        "columns keep their snapshotted shape)",
     )
     if allow_no_cracking:
         # Read-only convenience for `restore`; deliberately absent from
@@ -596,10 +590,6 @@ def run_serve(argv: list[str]) -> int:
         help="disable adaptive cracking (plain scans)",
     )
     parser.add_argument(
-        "--shards", type=int, default=1,
-        help="shard-parallel cracking subsystem (columns cracked per shard)",
-    )
-    parser.add_argument(
         "--no-plan-cache", action="store_true",
         help="disable the two-level statement cache",
     )
@@ -671,7 +661,6 @@ def run_serve(argv: list[str]) -> int:
         database = Database(
             cracking=not args.no_cracking,
             mode=args.mode,
-            shards=args.shards,
             concurrent=True,
             plan_cache=not args.no_plan_cache,
             crack_threshold=args.crack_threshold,

@@ -88,8 +88,8 @@ class SelectionResult:
     def snapshot(self) -> "SelectionResult":
         """A stable view, immune to later in-place cracks.
 
-        The concurrent SQL layer takes one before releasing a column or
-        shard lock: zero-copy answers are views into cracker storage,
+        The concurrent SQL layer takes one before releasing the column
+        lock: zero-copy answers are views into cracker storage,
         which the next crack would shuffle underneath the holder.
 
         The copy is paid *on demand*, not here:
@@ -183,10 +183,9 @@ class CrackedColumn:
     ) -> "CrackedColumn":
         """Build a cracker directly over value/oid arrays (no BAT).
 
-        The shard substrate: a :class:`ShardedCrackedColumn` hands each
-        shard a private copy of its slice of the base column, so the
-        shards crack independently.  ``oids`` defaults to the dense
-        positions ``0..len(values)``; both arrays are copied.
+        The tombstone-aware first touch uses this to crack only a
+        relation's live rows.  ``oids`` defaults to the dense positions
+        ``0..len(values)``; both arrays are copied.
         """
         values = np.asarray(values)
         if values.dtype.kind not in ("i", "u", "f"):
@@ -326,7 +325,7 @@ class CrackedColumn:
     def _shield_snapshots(self) -> None:
         """Retire current storage if any registered snapshot is alive.
 
-        Called (under the caller's column/shard lock) immediately before
+        Called (under the caller's column lock) immediately before
         an in-place crack kernel runs.  Copying the storage arrays and
         installing the copies makes the retired generation immutable:
         every outstanding view — including views numpy re-based onto the

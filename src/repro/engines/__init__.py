@@ -5,8 +5,7 @@
 * :class:`CrackingEngine` — MonetDB plus the cracker module ("crack");
 * :class:`SortedEngine` — sort-upfront baseline ("sort");
 * :class:`SQLCrackingEngine` — §5.1's SQL-level cracking on a row store;
-* :class:`VectorizedCrackedEngine` — cracking plus the batch executor;
-* :class:`ShardedCrackedEngine` — shard-parallel concurrent cracking.
+* :class:`VectorizedCrackedEngine` — cracking plus the batch executor.
 """
 
 from repro.engines.base import (
@@ -21,7 +20,6 @@ from repro.engines.base import (
 from repro.engines.columnstore import ColumnStoreEngine, vector_equi_join
 from repro.engines.cracked import CrackingEngine, WedgeState
 from repro.engines.rowstore import RowStoreEngine
-from repro.engines.sharded import ShardedCrackedEngine
 from repro.engines.sorted_engine import SortedEngine
 from repro.engines.sql_cracking import Fragment, SQLCrackingEngine
 from repro.engines.vectorized import VectorizedCrackedEngine
@@ -39,7 +37,6 @@ __all__ = [
     "QueryOutcome",
     "RowStoreEngine",
     "SQLCrackingEngine",
-    "ShardedCrackedEngine",
     "SortedEngine",
     "VectorizedCrackedEngine",
     "WedgeState",

@@ -29,14 +29,6 @@ class VectorizedCrackedEngine(CrackingEngine):
 
     name = "vectorized"
 
-    def _selection_scan(self, relation: Relation, attr: str, result):
-        """The batch source feeding a cracked answer into the pipeline.
-
-        Hook for subclasses: the sharded engine swaps in the per-shard
-        batch scan here without touching the delivery logic.
-        """
-        return VecCrackedScan(relation, attr, result, alias=relation.name)
-
     def _deliver_selection(
         self,
         relation: Relation,
@@ -48,8 +40,8 @@ class VectorizedCrackedEngine(CrackingEngine):
         if delivery == DELIVERY_COUNT:
             # The span bounds already carry the count; nothing to gather.
             return result.count, {}
+        scan = VecCrackedScan(relation, attr, result, alias=relation.name)
         if delivery == DELIVERY_PRINT:
-            scan = self._selection_scan(relation, attr, result)
             bytes_printed = 0
             rows = 0
             for batch in scan.batches():
@@ -59,7 +51,6 @@ class VectorizedCrackedEngine(CrackingEngine):
             return rows, {"bytes_printed": bytes_printed}
         name = target_name or self.fresh_temp_name(f"{relation.name}_tmp")
         self.drop_if_exists(name)
-        scan = self._selection_scan(relation, attr, result)
         # Preserve the source schema: inferring types from data would
         # default every column of an empty answer to int.
         col_types = [column.col_type for column in relation.schema]

@@ -16,7 +16,6 @@ from repro.benchmark.tapestry import DBtapestry
 from repro.engines import (
     ColumnStoreEngine,
     RowStoreEngine,
-    ShardedCrackedEngine,
     VectorizedCrackedEngine,
 )
 from repro.engines.base import DELIVERIES
@@ -37,7 +36,6 @@ def run(
         "rowstore": RowStoreEngine(),
         "columnstore": ColumnStoreEngine(),
         "vectorized": VectorizedCrackedEngine(),
-        "sharded": ShardedCrackedEngine(shards=4),
     }
     for engine in engines.values():
         engine.load(tapestry.build_relation("R"))

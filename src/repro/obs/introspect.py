@@ -29,9 +29,8 @@ unless ``Database(profile=True)`` attached an object, so every hook site
 on the query path costs exactly one attribute read and one branch when
 disabled — the same discipline :mod:`repro.obs.trace` follows.  When
 enabled, all mutation of the introspection state happens under the same
-per-column (or per-shard) locks that already guard the cracker, plus a
-small internal lock so sharded columns can append from concurrent shard
-cracks.
+per-column lock that already guards the cracker, plus a small internal
+lock so readers on other threads never see a half-recorded event.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "LINEAGE_CAPACITY",
     "WORKLOAD_BUCKETS",
     "CONVERGENCE_CAPACITY",
-    "attach",
     "current_statement_id",
     "reset_statement_id",
     "set_statement_id",
@@ -94,35 +92,12 @@ def current_statement_id() -> int:
 def value_domain(column) -> tuple[float, float]:
     """The (min, max) value span of a cracked column, for histogram bounds.
 
-    Duck-typed over both column shapes: a sharded column exposes
-    ``shards``; a single column exposes ``values`` directly.  An empty
-    column gets the degenerate ``(0.0, 1.0)`` domain.
+    An empty column gets the degenerate ``(0.0, 1.0)`` domain.
     """
-    shards = getattr(column, "shards", None)
-    arrays = (
-        [shard.values for shard in shards]
-        if shards is not None
-        else [column.values]
-    )
-    arrays = [values for values in arrays if len(values)]
-    if not arrays:
+    values = column.values
+    if not len(values):
         return 0.0, 1.0
-    return (
-        float(min(values.min() for values in arrays)),
-        float(max(values.max() for values in arrays)),
-    )
-
-
-def attach(column, introspection: "ColumnIntrospection") -> None:
-    """Attach one introspection object to a column.
-
-    A sharded column shares the *same* object across all its shards, so
-    shard-level cracks land in one merged lineage log (the log's internal
-    lock makes concurrent shard appends safe).
-    """
-    column.introspect = introspection
-    for shard in getattr(column, "shards", ()):
-        shard.introspect = introspection
+    return float(values.min()), float(values.max())
 
 
 def _clean(value):
@@ -136,9 +111,9 @@ def _clean(value):
 class ColumnIntrospection:
     """Bounded lineage log plus workload/convergence profile of one column.
 
-    One instance per cracked column (shared by a sharded column's
-    shards).  All recorders take the internal lock; all readers return
-    plain dict/list snapshots safe to serialise onto the wire.
+    One instance per cracked column.  All recorders take the internal
+    lock; all readers return plain dict/list snapshots safe to serialise
+    onto the wire.
 
     Args:
         name: ``table.attr`` label of the column.
@@ -190,7 +165,7 @@ class ColumnIntrospection:
         self._scan_cost_total = 0.0
 
     # ------------------------------------------------------------------ #
-    # Recorders (called under the column/shard lock; cheap, allocation-light)
+    # Recorders (called under the column lock; cheap, allocation-light)
     # ------------------------------------------------------------------ #
 
     def record_crack(self, bounds, piece_sizes, moved: int, op: str = OP_XI) -> None:

@@ -22,9 +22,7 @@ count maps directly onto a ``_bucket{le=...}`` exposition line.
 Quantile readouts (:meth:`Histogram.quantile`, surfaced as p50/p95/p99
 in :meth:`Histogram.snapshot`) return the upper boundary of the bucket
 holding the requested rank — an upper bound with at most one bucket
-(2×) of error, which is what log buckets buy.  Histograms of identical
-shape merge (:meth:`Histogram.merge_from`), which is how per-shard
-latency observations aggregate into one column-level readout.
+(2×) of error, which is what log buckets buy.
 """
 
 from __future__ import annotations
@@ -108,9 +106,7 @@ class Histogram:
 
     ``observe`` records a duration in seconds; ``quantile(q)`` answers
     "below what latency did fraction ``q`` of observations fall" as the
-    upper bound of the bucket holding that rank.  Two histograms with
-    the same (always-identical) bucket table merge by adding counts,
-    which keeps per-shard → per-column aggregation exact.
+    upper bound of the bucket holding that rank.
     """
 
     __slots__ = ("name", "labels", "_counts", "_sum", "_count", "_min",
@@ -171,22 +167,6 @@ class Histogram:
                         return BUCKET_BOUNDS[index]
                     return self._max
             return self._max  # pragma: no cover - rank <= total always hits
-
-    def merge_from(self, other: "Histogram") -> None:
-        """Fold ``other``'s observations into this histogram."""
-        with other._lock:
-            counts = list(other._counts)
-            o_sum, o_count = other._sum, other._count
-            o_min, o_max = other._min, other._max
-        with self._lock:
-            for index, bucket in enumerate(counts):
-                self._counts[index] += bucket
-            self._sum += o_sum
-            self._count += o_count
-            if o_min < self._min:
-                self._min = o_min
-            if o_max > self._max:
-                self._max = o_max
 
     def bucket_counts(self) -> list[int]:
         """Per-bucket counts (last entry is the overflow bucket)."""

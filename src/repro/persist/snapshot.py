@@ -11,8 +11,7 @@ One snapshot directory is a self-contained, immutable image of a
 * ``cracker-<j>.npz`` — the full cracker state of one column: the
   physically reorganised value/oid storage, the cracker-index
   structure-of-arrays (boundary values, kind ranks, positions, exact
-  values), and the pending-update buffers.  Sharded columns pack every
-  shard into the same archive under ``s<k>_`` key prefixes.
+  values), and the pending-update buffers.
 
 The cracker payloads are what make a restart *warm*: restoring them
 skips the cracking burn-in entirely — the first post-restore query
@@ -29,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.cracked_column import CrackedColumn
-from repro.core.sharded_column import ShardedCrackedColumn
 from repro.errors import PersistError
 from repro.storage.bat import BAT
 from repro.storage.table import Column, Relation, Schema
@@ -73,54 +71,64 @@ def _fsync_directory(directory: Path) -> None:
 # ---------------------------------------------------------------------- #
 
 
-def _pack_index(state: dict, prefix: str, arrays: dict) -> dict:
-    arrays[f"{prefix}idx_values"] = state["values"]
-    arrays[f"{prefix}idx_ranks"] = state["ranks"]
-    arrays[f"{prefix}idx_positions"] = state["positions"]
-    arrays[f"{prefix}idx_exact_values"] = state["exact_values"]
-    arrays[f"{prefix}idx_exact_is_int"] = state["exact_is_int"]
+def _pack_index(state: dict, arrays: dict) -> dict:
+    arrays["idx_values"] = state["values"]
+    arrays["idx_ranks"] = state["ranks"]
+    arrays["idx_positions"] = state["positions"]
+    arrays["idx_exact_values"] = state["exact_values"]
+    arrays["idx_exact_is_int"] = state["exact_is_int"]
     return {"column_size": int(state["column_size"])}
 
 
-def _unpack_index(meta: dict, prefix: str, arrays) -> dict:
+def _unpack_index(meta: dict, arrays) -> dict:
     return {
         "column_size": int(meta["column_size"]),
-        "values": arrays[f"{prefix}idx_values"],
-        "ranks": arrays[f"{prefix}idx_ranks"],
-        "positions": arrays[f"{prefix}idx_positions"],
-        "exact_values": arrays[f"{prefix}idx_exact_values"],
-        "exact_is_int": arrays[f"{prefix}idx_exact_is_int"],
+        "values": arrays["idx_values"],
+        "ranks": arrays["idx_ranks"],
+        "positions": arrays["idx_positions"],
+        "exact_values": arrays["idx_exact_values"],
+        "exact_is_int": arrays["idx_exact_is_int"],
     }
 
 
-def _pack_single(state: dict, prefix: str, arrays: dict) -> dict:
-    arrays[f"{prefix}values"] = state["values"]
-    arrays[f"{prefix}oids"] = state["oids"]
-    arrays[f"{prefix}pending_values"] = state["pending_values"]
-    arrays[f"{prefix}pending_oids"] = state["pending_oids"]
-    arrays[f"{prefix}pending_delete_oids"] = state["pending_delete_oids"]
-    arrays[f"{prefix}pending_update_oids"] = state["pending_update_oids"]
-    arrays[f"{prefix}pending_update_values"] = state["pending_update_values"]
-    return {
+def pack_cracker(column: CrackedColumn) -> tuple[dict, dict]:
+    """(npz arrays, manifest meta) for one cracked column."""
+    state = column.export_state()
+    arrays = {
+        "values": state["values"],
+        "oids": state["oids"],
+        "pending_values": state["pending_values"],
+        "pending_oids": state["pending_oids"],
+        "pending_delete_oids": state["pending_delete_oids"],
+        "pending_update_oids": state["pending_update_oids"],
+        "pending_update_values": state["pending_update_values"],
+    }
+    meta = {
+        "kind": "single",
         "kernel": state["kernel"],
         "crack_in_three_enabled": bool(state["crack_in_three_enabled"]),
         "crack_threshold": int(state["crack_threshold"]),
         "next_oid": int(state["next_oid"]),
-        "index": _pack_index(state["index"], prefix, arrays),
+        "index": _pack_index(state["index"], arrays),
     }
+    return arrays, meta
 
 
-def _unpack_single(meta: dict, prefix: str, arrays) -> dict:
+def unpack_cracker(meta: dict, arrays) -> CrackedColumn:
+    """Rebuild a cracked column from :func:`pack_cracker` output."""
+    kind = meta.get("kind")
+    if kind != "single":
+        raise PersistError(f"unknown cracker kind {kind!r} in snapshot manifest")
     state = {
-        "values": arrays[f"{prefix}values"],
-        "oids": arrays[f"{prefix}oids"],
-        "pending_values": arrays[f"{prefix}pending_values"],
-        "pending_oids": arrays[f"{prefix}pending_oids"],
+        "values": arrays["values"],
+        "oids": arrays["oids"],
+        "pending_values": arrays["pending_values"],
+        "pending_oids": arrays["pending_oids"],
         "kernel": meta["kernel"],
         "crack_in_three_enabled": bool(meta["crack_in_three_enabled"]),
         "crack_threshold": int(meta["crack_threshold"]),
         "next_oid": int(meta["next_oid"]),
-        "index": _unpack_index(meta["index"], prefix, arrays),
+        "index": _unpack_index(meta["index"], arrays),
     }
     # Pre-DML archives have no delete/update buffers; from_state defaults
     # the missing keys to empty.
@@ -129,58 +137,9 @@ def _unpack_single(meta: dict, prefix: str, arrays) -> dict:
         "pending_update_oids",
         "pending_update_values",
     ):
-        archive_key = f"{prefix}{key}"
-        if archive_key in getattr(arrays, "files", arrays):
-            state[key] = arrays[archive_key]
-    return state
-
-
-def pack_cracker(column) -> tuple[dict, dict]:
-    """(npz arrays, manifest meta) for one cracked column (either kind)."""
-    arrays: dict = {}
-    if isinstance(column, ShardedCrackedColumn):
-        state = column.export_state()
-        meta = {
-            "kind": "sharded",
-            "shard_count": int(state["shard_count"]),
-            "parallel": bool(state["parallel"]),
-            "max_workers": int(state["max_workers"]),
-            "next_oid": int(state["next_oid"]),
-            "initial_rows": int(state["initial_rows"]),
-            "appended": int(state["appended"]),
-            "deleted": int(state["deleted"]),
-            "shards": [
-                _pack_single(shard_state, f"s{i}_", arrays)
-                for i, shard_state in enumerate(state["shards"])
-            ],
-        }
-        return arrays, meta
-    state = column.export_state()
-    meta = {"kind": "single", **_pack_single(state, "", arrays)}
-    return arrays, meta
-
-
-def unpack_cracker(meta: dict, arrays):
-    """Rebuild a cracked column from :func:`pack_cracker` output."""
-    kind = meta.get("kind")
-    if kind == "sharded":
-        state = {
-            "shard_count": int(meta["shard_count"]),
-            "parallel": bool(meta["parallel"]),
-            "max_workers": int(meta["max_workers"]),
-            "next_oid": int(meta["next_oid"]),
-            "initial_rows": int(meta["initial_rows"]),
-            "appended": int(meta["appended"]),
-            "deleted": int(meta.get("deleted", 0)),
-            "shards": [
-                _unpack_single(shard_meta, f"s{i}_", arrays)
-                for i, shard_meta in enumerate(meta["shards"])
-            ],
-        }
-        return ShardedCrackedColumn.from_state(state)
-    if kind == "single":
-        return CrackedColumn.from_state(_unpack_single(meta, "", arrays))
-    raise PersistError(f"unknown cracker kind {kind!r} in snapshot manifest")
+        if key in getattr(arrays, "files", arrays):
+            state[key] = arrays[key]
+    return CrackedColumn.from_state(state)
 
 
 # ---------------------------------------------------------------------- #
@@ -250,13 +209,8 @@ def write_snapshot(
     if provider is not None:
         for j, (key, column) in enumerate(sorted(provider.columns().items())):
             table, attr = key
-            # Sharded columns lock internally inside export_state; single
-            # columns are guarded by the provider's per-column write lock.
-            if isinstance(column, ShardedCrackedColumn):
+            with provider.lock_for(table, attr).write_locked():
                 arrays, meta = pack_cracker(column)
-            else:
-                with provider.lock_for(table, attr).write_locked():
-                    arrays, meta = pack_cracker(column)
             payload = f"cracker-{j}.npz"
             _save_archive(directory / payload, arrays)
             crackers.append(
@@ -315,9 +269,22 @@ def load_snapshot(database, directory: Path | str) -> dict:
     fresh database.  Cracker payloads are restored only when the
     database has cracking enabled; the data is complete either way, a
     cracking-disabled restore merely forfeits the warm indexes.
+
+    A cracker entry of kind ``"sharded"`` (written by the removed
+    shard-parallel path) takes the same forfeit: it is dropped from the
+    returned manifest's ``crackers`` and counted in its
+    ``crackers_dropped``, and the column re-cracks from the live rows on
+    first touch.  Any other unknown kind raises.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
+    restorable = [
+        entry
+        for entry in manifest["crackers"]
+        if entry["meta"].get("kind") != "sharded"
+    ]
+    manifest["crackers_dropped"] = len(manifest["crackers"]) - len(restorable)
+    manifest["crackers"] = restorable
 
     for entry in manifest["tables"]:
         name = entry["name"]

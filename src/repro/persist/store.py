@@ -174,6 +174,7 @@ class PersistentStore:
             self.recovery = {
                 "generation": generation,
                 "snapshot_loaded": manifest is not None,
+                "crackers_dropped": manifest["crackers_dropped"] if manifest else 0,
                 "wal_statements_replayed": len(statements),
                 "torn_tail_discarded": torn,
                 "durable_statements": self.statements_logged,

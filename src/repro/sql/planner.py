@@ -27,7 +27,6 @@ from repro.core.cracked_column import CrackedColumn
 from repro.core.rwlock import ReadWriteLock
 from repro.obs import introspect as obs_introspect
 from repro.obs import trace as obs_trace
-from repro.core.sharded_column import ShardedCrackedColumn, ShardedSelectionResult
 from repro.errors import PlanError
 from repro.sql.analyzer import AnalyzedQuery, JoinPredicate, RangePredicate
 from repro.storage.catalog import Catalog
@@ -60,7 +59,6 @@ from repro.volcano.vectorized import (
     VecProject,
     VecScan,
     VecSelect,
-    VecShardedCrackedScan,
     VecSort,
 )
 
@@ -147,9 +145,6 @@ class CrackerProvider:
     column while queries reorganise it.
 
     Args:
-        shards: >1 builds :class:`ShardedCrackedColumn` crackers (the
-            shard-parallel subsystem); 1 keeps the classic single column.
-        parallel: forwarded to sharded columns (thread-pool fan-out).
         snapshot_results: snapshot selection answers before releasing
             the column lock.  Required when multiple threads share the
             database: a later crack shuffles the storage a zero-copy
@@ -168,24 +163,18 @@ class CrackerProvider:
 
     def __init__(
         self,
-        shards: int = 1,
-        parallel: bool = True,
         snapshot_results: bool = False,
         crack_threshold: int = 0,
         profile: bool = False,
     ) -> None:
-        if shards < 1:
-            raise PlanError(f"shard count must be >= 1, got {shards}")
         if crack_threshold < 0:
             raise PlanError(
                 f"crack_threshold must be >= 0, got {crack_threshold}"
             )
-        self.shards = shards
-        self.parallel = parallel
         self.snapshot_results = snapshot_results
         self.crack_threshold = crack_threshold
         self.profile = profile
-        self._columns: dict[tuple[str, str], CrackedColumn | ShardedCrackedColumn] = {}
+        self._columns: dict[tuple[str, str], CrackedColumn] = {}
         self._locks: dict[tuple[str, str], ReadWriteLock] = {}
         self._introspections: dict[
             tuple[str, str], obs_introspect.ColumnIntrospection
@@ -198,12 +187,10 @@ class CrackerProvider:
         introspection = obs_introspect.ColumnIntrospection(
             f"{table}.{attr}", *obs_introspect.value_domain(column)
         )
-        obs_introspect.attach(column, introspection)
+        column.introspect = introspection
         self._introspections[key] = introspection
 
-    def column_for(
-        self, relation: Relation, attr: str
-    ) -> CrackedColumn | ShardedCrackedColumn:
+    def column_for(self, relation: Relation, attr: str) -> CrackedColumn:
         key = (relation.name, attr)
         with self._registry_lock:
             column = self._columns.get(key)
@@ -226,26 +213,9 @@ class CrackerProvider:
                         # cracker never administers dead tuples (and an
                         # abort-triggered rebuild starts clean).
                         live = relation.live_positions(len(bat))
-                        values = bat.tail_array()[live]
-                        if self.shards > 1:
-                            column = ShardedCrackedColumn.from_arrays(
-                                values,
-                                oids=live,
-                                shards=self.shards,
-                                parallel=self.parallel,
-                                crack_threshold=self.crack_threshold,
-                            )
-                        else:
-                            column = CrackedColumn.from_arrays(
-                                values,
-                                oids=live,
-                                crack_threshold=self.crack_threshold,
-                            )
-                    elif self.shards > 1:
-                        column = ShardedCrackedColumn(
-                            bat,
-                            shards=self.shards,
-                            parallel=self.parallel,
+                        column = CrackedColumn.from_arrays(
+                            bat.tail_array()[live],
+                            oids=live,
                             crack_threshold=self.crack_threshold,
                         )
                     else:
@@ -277,18 +247,12 @@ class CrackerProvider:
         low_inclusive: bool = True,
         high_inclusive: bool = False,
     ):
-        """Crack ``relation.attr`` for a range, locked per column or shard.
+        """Crack ``relation.attr`` for a range, under the column's lock.
 
-        Single-column crackers take the column's write side (cracking
-        mutates storage and merges the pending update area) and, with
-        ``snapshot_results``, copy the answer before the lock is
-        released so no later crack can shuffle it away under the caller.
-
-        Sharded crackers are internally locked per shard, so no
-        column-wide lock is taken at all: concurrent queries on the same
-        column serialise only on the shards they are both cracking at
-        that instant, and snapshots happen inside each shard's critical
-        section.
+        Takes the column's write side (cracking mutates storage and
+        merges the pending update area) and, with ``snapshot_results``,
+        copies the answer before the lock is released so no later crack
+        can shuffle it away under the caller.
 
         Under an active trace the whole call is wrapped in a ``crack``
         span whose meta records the column, the piece count after the
@@ -320,37 +284,6 @@ class CrackerProvider:
     ):
         """The locking core of :meth:`range_select`."""
         introspect = column.introspect
-        if isinstance(column, ShardedCrackedColumn):
-            if introspect is None:
-                return column.range_select(
-                    low,
-                    high,
-                    low_inclusive=low_inclusive,
-                    high_inclusive=high_inclusive,
-                    snapshot=self.snapshot_results,
-                )
-            # Aggregate stats recompute over shards; deltas are advisory
-            # under concurrency (each shard's own recorders stay exact).
-            before = column.crack_stats
-            touched_before = before.tuples_touched
-            moved_before = before.tuples_moved
-            result = column.range_select(
-                low,
-                high,
-                low_inclusive=low_inclusive,
-                high_inclusive=high_inclusive,
-                snapshot=self.snapshot_results,
-            )
-            after = column.crack_stats
-            introspect.record_query(
-                low,
-                high,
-                result.count,
-                after.tuples_touched - touched_before,
-                after.tuples_moved - moved_before,
-                len(column),
-            )
-            return result
         lock = self.lock_for(table, attr)
         # Direct acquire/release: the contextmanager-based write_locked()
         # costs a generator frame per query, measurable on the sustained
@@ -390,9 +323,7 @@ class CrackerProvider:
             lock.release_write()
         return result
 
-    def attach_column(
-        self, table: str, attr: str, column: CrackedColumn | ShardedCrackedColumn
-    ) -> None:
+    def attach_column(self, table: str, attr: str, column: CrackedColumn) -> None:
         """Register a pre-built cracked column (the warm-restart path).
 
         The persistence layer restores cracker state from a snapshot and
@@ -425,7 +356,7 @@ class CrackerProvider:
         with self.lock_for(table, attr).read_locked():
             return column.piece_count
 
-    def columns(self) -> dict[tuple[str, str], CrackedColumn | ShardedCrackedColumn]:
+    def columns(self) -> dict[tuple[str, str], CrackedColumn]:
         """Snapshot of the registry (for monitoring and test validation)."""
         with self._registry_lock:
             return dict(self._columns)
@@ -434,8 +365,7 @@ class CrackerProvider:
         """Per-column crack/pending/piece-size accounting, read-locked.
 
         Keys are ``table.attr``; values come from each column's
-        :meth:`~repro.core.cracked_column.CrackedColumn.observability`
-        (sharded columns add per-shard counts and the imbalance gauge).
+        :meth:`~repro.core.cracked_column.CrackedColumn.observability`.
         Taken under each column's read lock, so a concurrent query may
         proceed on other columns while one is being read.
         """
@@ -459,12 +389,8 @@ class CrackerProvider:
         The §7 "updates" extension: instead of dropping the cracker index
         on insert, the new values join the pending area of every cracked
         column of the table and are merged piece-wise on the next query.
-        A single-column cracker's append happens under its write lock, so
-        an interleaved query merges either all of these tuples or none;
-        sharded columns append shard-by-shard under per-shard locks, so a
-        query fanning out mid-append may see the tuples in some shards
-        only (every tuple still lands exactly once, and the statement's
-        rows are fully visible once it returns).
+        Each cracker's append happens under its write lock, so an
+        interleaved query merges either all of these tuples or none.
 
         Returns:
             the number of cracked columns updated.
@@ -515,11 +441,7 @@ class CrackerProvider:
             if table_name != table or attr not in assignments:
                 continue
             values = np.full(
-                len(positions),
-                assignments[attr],
-                dtype=column.values.dtype
-                if isinstance(column, CrackedColumn)
-                else column.shards[0].values.dtype,
+                len(positions), assignments[attr], dtype=column.values.dtype
             )
             with self.lock_for(table_name, attr).write_locked():
                 column.update(positions, values)
@@ -591,14 +513,7 @@ def build_plan(
                 low_inclusive=crackable.low_inclusive,
                 high_inclusive=crackable.high_inclusive,
             )
-            if vector and isinstance(result, ShardedSelectionResult):
-                # One zero-copy batch per shard span; downstream operators
-                # concatenate only where they must (pipeline breakers).
-                base_ops[binding] = VecShardedCrackedScan(
-                    relation, crackable.attr, result, alias=binding,
-                    needed=columns,
-                )
-            elif vector:
+            if vector:
                 # The cracked span is the pipeline's first batch, zero-copy.
                 base_ops[binding] = VecCrackedScan(
                     relation, crackable.attr, result, alias=binding,

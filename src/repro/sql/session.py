@@ -203,11 +203,6 @@ class Database:
     crack, and both return identical result sets; ``execute(sql, mode=...)``
     overrides the default per statement.
 
-    ``shards`` > 1 turns on the shard-parallel cracking subsystem: every
-    cracked column is horizontally partitioned into that many
-    independently-cracked, independently-locked shards whose crack work
-    fans out over a thread pool.
-
     Concurrency: DDL, inserts and all cracker traffic are always locked
     (catalog lock, per-relation write locks, per-column reader–writer
     locks), so concurrent statements never corrupt state.  To share one
@@ -268,7 +263,6 @@ class Database:
         cracking: bool = False,
         join_budget: int = 10_000,
         mode: str = "tuple",
-        shards: int = 1,
         concurrent: bool = False,
         plan_cache: bool = True,
         crack_threshold: int = 0,
@@ -285,18 +279,14 @@ class Database:
             raise SQLAnalysisError(
                 f"unknown execution mode {mode!r}; have {PLAN_MODES}"
             )
-        if shards < 1:
-            raise SQLAnalysisError(f"shard count must be >= 1, got {shards}")
         self.catalog = Catalog()
         self.tracker = IOTracker()
         self.cracking = cracking
         self.join_budget = join_budget
         self.mode = mode
-        self.shards = shards
         self.concurrent = concurrent
         self._cracker = (
             CrackerProvider(
-                shards=shards,
                 snapshot_results=concurrent,
                 crack_threshold=crack_threshold,
                 profile=profile,
@@ -1171,7 +1161,7 @@ class Database:
 
         Keys: ``tables`` (name → live rows), ``crackers`` (``table.attr``
         → piece count), ``cracker_detail`` (per-column crack/pending/
-        piece-size accounting, per-shard imbalance when sharded),
+        piece-size accounting),
         ``plan_cache``, ``persistence``, ``metrics`` (the registry
         snapshot with per-statement-kind latency histograms), and the
         profiler surfaces ``workload``/``lineage``/``convergence``
@@ -1214,7 +1204,7 @@ class Database:
         Covers the state that is cheaper to read than to maintain as
         live metrics: plan-cache counters, WAL/durability gauges and
         per-column cracker gauges (pieces, cracks, pending buffer
-        depths, shard imbalance).
+        depths).
         """
         samples: list[tuple] = []
         for key, value in self._plan_cache.stats().items():
@@ -1236,11 +1226,6 @@ class Database:
                         "pending_deletes", "pending_updates",
                     )
                 )
-                if "shard_imbalance" in info:
-                    samples.append(
-                        ("repro_cracker_shard_imbalance", labels,
-                         info["shard_imbalance"])
-                    )
         return samples
 
     def check_invariants(self) -> None:
@@ -1295,7 +1280,7 @@ class Database:
 
         Compacts the WAL into a fresh snapshot covering the catalog,
         every relation's BATs and the complete cracker state (piece
-        boundaries, pending updates, per-shard state), so the next open
+        boundaries, pending updates), so the next open
         restarts warm with an empty log tail.
         """
         if self._persist is None:

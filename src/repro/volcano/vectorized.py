@@ -244,9 +244,8 @@ class VecCrackedScan(VecOperator):
         self._names = _scan_names(relation, needed, carrier=attr)
         self.columns = [f"{prefix}.{name}" for name in self._names]
 
-    def _selection_batch(self, result) -> ColumnBatch:
-        """One batch from a selection answer: the predicate column's span
-        passes through zero-copy, siblings arrive via one bulk gather."""
+    def batches(self) -> Iterator[ColumnBatch]:
+        result = self.result
         positions = np.asarray(result.oids, dtype=np.int64)
         arrays = []
         for name in self._names:
@@ -254,28 +253,7 @@ class VecCrackedScan(VecOperator):
                 arrays.append(result.values)
             else:
                 arrays.append(self.relation.column(name).decoded_array(positions))
-        return ColumnBatch(self.columns, arrays)
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        yield self._selection_batch(self.result)
-
-
-class VecShardedCrackedScan(VecCrackedScan):
-    """A sharded cracked answer as one zero-copy batch per shard.
-
-    The shard-parallel peer of :class:`VecCrackedScan` (``result`` is a
-    :class:`~repro.core.sharded_column.ShardedSelectionResult`): each
-    shard's contiguous cracker-column span becomes its own batch.
-    Downstream operators see an ordinary batch stream, so the whole
-    vector pipeline — selects, joins, aggregates — runs over shard
-    answers unchanged, concatenating only at pipeline breakers.
-    """
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        for shard_result in self.result.shard_results:
-            if shard_result.count == 0:
-                continue
-            yield self._selection_batch(shard_result)
+        yield ColumnBatch(self.columns, arrays)
 
 
 class VecSelect(VecOperator):

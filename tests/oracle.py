@@ -1,9 +1,9 @@
 """Shared differential oracle harness for cross-engine testing.
 
 Every execution configuration of the SQL stack — row-store-style scanning
-(no cracking), tuple-mode cracking, vector-mode cracking, shard-parallel
-cracking — must return the same result sets for the same statements.
-This module is the single place that knows how to:
+(no cracking), tuple-mode cracking, vector-mode cracking — must return
+the same result sets for the same statements.  This module is the single
+place that knows how to:
 
 * build the standard engine configurations (:func:`make_databases`),
 * load identical randomized data into each (:func:`load_standard`),
@@ -39,7 +39,6 @@ ENGINE_CONFIGS: dict[str, dict] = {
     "rowstore": dict(cracking=False, mode="tuple"),
     "cracked": dict(cracking=True, mode="tuple"),
     "vectorized": dict(cracking=True, mode="vector"),
-    "sharded": dict(cracking=True, mode="vector", shards=4),
     "uncached": dict(cracking=True, mode="vector", plan_cache=False),
     "bounded": dict(cracking=True, mode="tuple", crack_threshold=96),
 }

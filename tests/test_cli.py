@@ -101,7 +101,7 @@ class TestBenchSubcommand:
         assert main(["bench", "--list"]) == 0
         output = capsys.readouterr().out
         assert "hotpath" in output
-        assert "parallel_shards" in output
+        assert "vectorized_pipeline" in output
 
     def test_no_name_lists(self, capsys):
         assert main(["bench"]) == 0

@@ -2,7 +2,7 @@
 
 The shared :mod:`oracle` harness runs randomized workloads across the
 standard configurations — row-store scanning (no cracking), tuple-mode
-cracking, vector-mode cracking and shard-parallel cracking — and asserts
+cracking and vector-mode cracking — and asserts
 identical *sorted* result sets at every statement (cracked storage
 answers in crack order, so only set equality is engine-independent).
 
@@ -36,12 +36,8 @@ def test_all_engines_agree_on_random_workload(seed):
     rng = np.random.default_rng(seed + 500)
     workload = random_range_queries(rng, 40, insert_every=7)
     assert_engines_agree(databases, workload)
-    for name, db in databases.items():
+    for db in databases.values():
         db.check_invariants()
-        if name == "sharded":
-            columns = db.cracked_columns()
-            assert columns, "sharded config never cracked"
-            assert all(col.shard_count == 4 for col in columns.values())
 
 
 @pytest.mark.parametrize("seed", [11, 47, 83])
@@ -49,7 +45,7 @@ def test_all_engines_agree_on_mixed_dml_workload(seed):
     """UPDATE/DELETE interleaved with reads: every engine vs the scan oracle.
 
     Exercises the pending-delete/pending-update buffers of every cracking
-    configuration (tombstone-aware merges, shard fan-out, bounded pieces)
+    configuration (tombstone-aware merges, bounded pieces)
     against the row store, then proves the adaptive indexes survived the
     write traffic intact.
     """
@@ -83,14 +79,12 @@ def test_all_engines_agree_on_pushdown_suite(seed):
 def _cracker_storage(db: Database):
     """Every array a cracker of ``db`` administers in place."""
     for column in db.cracked_columns().values():
-        for part in getattr(column, "shards", [column]):
-            yield part.values
-            yield part.oids
+        yield column.values
+        yield column.oids
 
 
-@pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("concurrent", [False, True])
-def test_held_result_owns_its_data(concurrent, shards):
+def test_held_result_owns_its_data(concurrent):
     """A held bulk result never changes and never aliases engine storage.
 
     Vector-mode results are handed over as column arrays, and the
@@ -101,7 +95,7 @@ def test_held_result_owns_its_data(concurrent, shards):
     under ``concurrent=True`` a held result would pin the copy-on-write
     storage generation it was answered from.
     """
-    db = Database(cracking=True, mode="vector", concurrent=concurrent, shards=shards)
+    db = Database(cracking=True, mode="vector", concurrent=concurrent)
     load_standard(db, seed=61)
     relation = db.catalog.table("r")
     held = []  # (result, frozen copy of each array, frozen rows)
@@ -128,46 +122,12 @@ def test_held_result_owns_its_data(concurrent, shards):
     db.check_invariants()
 
 
-@pytest.mark.parametrize("shards", [2, 3, 8])
-def test_shard_count_sweep_agrees(shards):
-    """Any shard count must answer exactly like the unsharded cracker."""
-    databases = make_databases(
-        {
-            "cracked": dict(cracking=True, mode="vector"),
-            "sharded": dict(cracking=True, mode="vector", shards=shards),
-        }
-    )
-    for db in databases.values():
-        load_standard(db, seed=7)
-    rng = np.random.default_rng(77)
-    assert_engines_agree(databases, random_range_queries(rng, 25, insert_every=6))
-    for db in databases.values():
-        db.check_invariants()
-
-
-def test_sharded_tuple_mode_agrees():
-    """Sharded cracking under the tuple executor (PositionalScan path)."""
-    databases = make_databases(
-        {
-            "rowstore": dict(cracking=False, mode="tuple"),
-            "sharded_tuple": dict(cracking=True, mode="tuple", shards=4),
-        }
-    )
-    for db in databases.values():
-        load_standard(db, seed=13)
-    rng = np.random.default_rng(131)
-    assert_engines_agree(databases, random_range_queries(rng, 20, insert_every=5))
-    databases["sharded_tuple"].check_invariants()
-
-
 def test_concurrent_snapshot_mode_agrees():
     """concurrent=True (snapshotted answers) changes nothing semantically."""
     databases = make_databases(
         {
-            "plain": dict(cracking=True, mode="vector", shards=4),
-            "concurrent": dict(
-                cracking=True, mode="vector", shards=4, concurrent=True
-            ),
+            "plain": dict(cracking=True, mode="vector"),
+            "concurrent": dict(cracking=True, mode="vector", concurrent=True),
         }
     )
     for db in databases.values():

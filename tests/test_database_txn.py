@@ -171,23 +171,6 @@ class TestAbort:
             "SELECT count(*) FROM r WHERE a BETWEEN 40 AND 60", mode="tuple"
         ).scalar()
 
-    def test_sharded_abort_with_dml_keeps_invariants(self):
-        db = Database(cracking=True, shards=4, mode="vector")
-        db.execute("CREATE TABLE r (k integer, a integer)")
-        rows = ", ".join(f"({i}, {(i * 53) % 211})" for i in range(400))
-        db.execute(f"INSERT INTO r VALUES {rows}")
-        db.execute("SELECT count(*) FROM r WHERE a BETWEEN 50 AND 150")
-        with pytest.raises(ReproError):
-            db.execute_transaction([
-                "DELETE FROM r WHERE a < 20",
-                "UPDATE r SET a = 100 WHERE a > 200",
-                "SELECT count(*) FROM r WHERE a BETWEEN 0 AND 211",  # merge
-                "INSERT INTO missing VALUES (1)",
-            ])
-        db.check_invariants()
-        assert db.execute("SELECT count(*) FROM r").scalar() == 400
-        assert db.execute("SELECT count(*) FROM r WHERE a < 20").scalar() > 0
-
     def test_select_into_replacement_is_restored(self):
         db = _loaded()
         db.execute("SELECT * INTO target FROM r WHERE a BETWEEN 0 AND 50")
@@ -198,22 +181,6 @@ class TestAbort:
                 "INSERT INTO missing VALUES (1)",
             ])
         assert db.execute("SELECT count(*) FROM target").scalar() == before
-
-    def test_sharded_abort_keeps_invariants(self):
-        db = Database(cracking=True, shards=4, mode="vector")
-        db.execute("CREATE TABLE r (k integer, a integer)")
-        rows = ", ".join(f"({i}, {(i * 53) % 211} )" for i in range(400))
-        db.execute(f"INSERT INTO r VALUES {rows}")
-        db.execute("SELECT count(*) FROM r WHERE a BETWEEN 50 AND 150")
-        with pytest.raises(ReproError):
-            db.execute_transaction([
-                "INSERT INTO r VALUES (1000, 5)",
-                "SELECT count(*) FROM r WHERE a BETWEEN 0 AND 211",
-                "INSERT INTO missing VALUES (1)",
-            ])
-        db.check_invariants()
-        assert db.execute("SELECT count(*) FROM r").scalar() == 400
-
 
 class TestDurability:
     def test_aborted_batch_never_reaches_the_wal(self, tmp_path):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.cracked_column import CrackedColumn, SelectionResult
-from repro.core.sharded_column import ShardedCrackedColumn
 from repro.errors import CrackError
 from repro.storage.bat import BAT
 
@@ -74,23 +73,6 @@ class TestThresholdBoundedCracking:
         assert not result.contiguous
         assert sorted(result.values.tolist()) == list(range(10, 20))
         assert column.piece_count == 1  # never cracked
-
-    def test_sharded_threshold_forwarded(self):
-        rng = np.random.default_rng(2)
-        values = rng.permutation(4000)
-        sharded = ShardedCrackedColumn(
-            _bat(values), shards=4, parallel=False, crack_threshold=100
-        )
-        flat = CrackedColumn.from_arrays(values)
-        for _ in range(60):
-            low = int(rng.integers(0, 4000))
-            high = low + int(rng.integers(1, 900))
-            left = sharded.range_select(low, high)
-            right = flat.range_select(low, high)
-            assert sorted(left.oids.tolist()) == sorted(right.oids.tolist())
-        for shard in sharded.shards:
-            assert shard.crack_threshold == 100
-        sharded.check_invariants()
 
     def test_degenerate_empty_edge_piece_not_conflated(self):
         """Regression: a crack landing on an existing boundary position

@@ -2,8 +2,7 @@
 
 The histogram is the piece with real arithmetic in it — Prometheus
 ``le`` semantics on a fixed log₂ boundary table, rank-based quantile
-readouts, exact merges — so it gets the bulk of the coverage, including
-the per-shard merge-equivalence property the sharded cracker relies on.
+readouts — so it gets the bulk of the coverage.
 """
 
 from __future__ import annotations
@@ -120,39 +119,6 @@ class TestHistogramQuantiles:
 
 
 class TestHistogramMerge:
-    def test_merge_adds_counts_exactly(self):
-        a, b = Histogram("h"), Histogram("h")
-        for value in (1e-6, 5e-5, 0.5):
-            a.observe(value)
-        for value in (2e-6, 0.25, 300.0):
-            b.observe(value)
-        a.merge_from(b)
-        assert a.count == 6
-        assert a.sum == pytest.approx(1e-6 + 5e-5 + 0.5 + 2e-6 + 0.25 + 300.0)
-        assert a.snapshot()["min"] == pytest.approx(1e-6)
-        assert a.snapshot()["max"] == pytest.approx(300.0)
-
-    def test_per_shard_merge_equals_single_histogram(self):
-        """Merging N per-shard histograms == one histogram fed everything.
-
-        This is the property the sharded cracker's aggregation depends
-        on: log buckets with identical boundary tables merge exactly.
-        """
-        values = [1e-6 * (1.7**i) for i in range(40)]  # spans to overflow
-        single = Histogram("h")
-        shards = [Histogram("h") for _ in range(4)]
-        for index, value in enumerate(values):
-            single.observe(value)
-            shards[index % 4].observe(value)
-        merged = Histogram("h")
-        for shard in shards:
-            merged.merge_from(shard)
-        assert merged.bucket_counts() == single.bucket_counts()
-        assert merged.count == single.count
-        assert merged.sum == pytest.approx(single.sum)
-        for q in (0.5, 0.95, 0.99):
-            assert merged.quantile(q) == single.quantile(q)
-
     def test_concurrent_observes_lose_nothing(self):
         hist = Histogram("h")
 

@@ -249,18 +249,6 @@ class TestStatsSurface:
         snap = hists["kind=select"]
         assert 0 < snap["p50"] <= snap["p95"] <= snap["p99"]
 
-    def test_sharded_imbalance_surfaces(self):
-        db = Database(cracking=True, mode="vector", shards=4)
-        _load_small(db)
-        db.execute("SELECT count(*) FROM r WHERE a BETWEEN 10 AND 60")
-        detail = db.stats()["cracker_detail"]["r.a"]
-        assert detail["shards"] == 4
-        assert len(detail["shard_tuples"]) == 4
-        assert detail["shard_imbalance"] == (
-            max(detail["shard_tuples"]) - min(detail["shard_tuples"])
-        )
-        assert sum(detail["shard_tuples"]) == 300
-
     def test_cracker_collector_samples(self):
         db = Database(cracking=True)
         _load_small(db)

@@ -4,17 +4,18 @@ The acceptance property: for any workload of DDL/INSERT/SELECT, both
 ``snapshot → restore`` and ``crash → WAL replay`` yield a database whose
 query results and ``check_invariants()`` match the never-restarted
 original — verified against the cross-engine oracle helpers, including
-the sharded and bounded-cracking configurations.
+the vector-mode and bounded-cracking configurations.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 
 from oracle import assert_sorted_rows_equal, load_standard, random_range_queries
 from repro.core.cracked_column import CrackedColumn
-from repro.core.sharded_column import ShardedCrackedColumn
 from repro.errors import PersistError
 from repro.persist import scan_wal
 from repro.persist.wal import StatementWAL, frame_record
@@ -29,10 +30,10 @@ except ImportError:  # pragma: no cover - exercised on minimal installs
     HAVE_HYPOTHESIS = False
 
 #: Persistence-capable cracking configurations, mirroring the oracle's
-#: ENGINE_CONFIGS sweep (cracked / sharded / bounded).
+#: ENGINE_CONFIGS sweep (cracked / vectorized / bounded).
 PERSIST_CONFIGS: dict[str, dict] = {
     "cracked": dict(cracking=True, mode="tuple"),
-    "sharded": dict(cracking=True, mode="vector", shards=4),
+    "vectorized": dict(cracking=True, mode="vector"),
     "bounded": dict(cracking=True, mode="tuple", crack_threshold=96),
 }
 
@@ -55,6 +56,17 @@ def assert_databases_agree(expected: Database, actual: Database) -> None:
         right = actual.execute(query)
         assert left.columns == right.columns, query
         assert_sorted_rows_equal(left.rows, right.rows, query)
+
+
+def rewrite_cracker_meta(store_dir, rewrite) -> int:
+    """Apply ``rewrite(meta) -> meta`` to every cracker entry of the first
+    snapshot generation's manifest; returns how many entries it holds."""
+    path = store_dir / "snapshot-000001" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    for entry in manifest["crackers"]:
+        entry["meta"] = rewrite(entry["meta"])
+    path.write_text(json.dumps(manifest))
+    return len(manifest["crackers"])
 
 
 def run_workload(databases, statements) -> None:
@@ -139,7 +151,7 @@ class TestWAL:
 
 
 # ---------------------------------------------------------------------- #
-# State codecs (BAT / cracked column / sharded column)
+# State codecs (BAT / cracked column)
 # ---------------------------------------------------------------------- #
 
 
@@ -176,19 +188,6 @@ class TestStateCodecs:
         left = column.range_select(30, 150)
         right = clone.range_select(30, 150)
         assert sorted(left.values.tolist()) == sorted(right.values.tolist())
-        assert sorted(left.oids.tolist()) == sorted(right.oids.tolist())
-        clone.check_invariants()
-
-    def test_sharded_column_roundtrip(self):
-        source = BAT.from_values("t", np.random.default_rng(3).permutation(400))
-        column = ShardedCrackedColumn(source, shards=4, parallel=False)
-        column.range_select(50, 220)
-        column.append([900, 901])
-        clone = ShardedCrackedColumn.from_state(column.export_state())
-        assert clone.shard_count == 4
-        assert clone.piece_count == column.piece_count
-        left = column.range_select(0, 300)
-        right = clone.range_select(0, 300)
         assert sorted(left.oids.tolist()) == sorted(right.oids.tolist())
         clone.check_invariants()
 
@@ -384,6 +383,56 @@ class TestDurabilityMechanics:
         warm.checkpoint()  # and a warm session may still compact
         warm.close()
 
+    def test_store_checkpointed_with_shards_still_opens(self, tmp_path):
+        """A generation written by the removed shard-parallel path opens:
+        its cracker entries are dropped (the BATs are the truth), the WAL
+        tail replays, and the column re-cracks from the live rows."""
+        oracle = Database(cracking=False)
+        db = Database(cracking=True, mode="vector", persist_dir=tmp_path)
+        for target in (oracle, db):
+            load_standard(target, seed=31, n_rows=200)
+        rng = np.random.default_rng(31)
+        run_workload((oracle, db), random_range_queries(rng, 8))
+        assert db.piece_count("r", "a") > 1
+        db.checkpoint()
+        tail = [
+            "INSERT INTO r VALUES (900, 450, 1.5, 't1'), (901, 20, 2.5, 't2')",
+            "UPDATE r SET a = 777 WHERE a BETWEEN 100 AND 180",
+            "DELETE FROM r WHERE a BETWEEN 400 AND 430",
+        ]
+        run_workload((oracle, db), tail)
+        db.close()
+        rewritten = rewrite_cracker_meta(
+            tmp_path, lambda meta: {"kind": "sharded", "shard_count": 4, "shards": []}
+        )
+        assert rewritten > 0
+
+        reopened = Database(cracking=True, mode="vector", persist_dir=tmp_path)
+        stats = reopened.persistence_stats()
+        assert stats["recovery_crackers_dropped"] == rewritten
+        assert stats["recovery_wal_statements_replayed"] == len(tail)
+        assert_databases_agree(oracle, reopened)
+        assert reopened.piece_count("r", "a") > 1  # re-cracked on first touch
+        reopened.check_invariants()
+        reopened.checkpoint()
+        fresh = json.loads(
+            (tmp_path / "snapshot-000002" / "manifest.json").read_text()
+        )
+        assert fresh["crackers"]
+        assert all(e["meta"]["kind"] == "single" for e in fresh["crackers"])
+        reopened.close()
+
+    def test_unknown_cracker_kind_still_refuses_to_open(self, tmp_path):
+        db = Database(cracking=True, persist_dir=tmp_path)
+        db.execute("CREATE TABLE t (v integer)")
+        db.execute("INSERT INTO t VALUES (1), (5), (9)")
+        db.execute("SELECT count(*) FROM t WHERE v > 4")  # crack
+        db.checkpoint()
+        db.close()
+        assert rewrite_cracker_meta(tmp_path, lambda meta: {**meta, "kind": "striped"})
+        with pytest.raises(PersistError):
+            Database(cracking=True, persist_dir=tmp_path)
+
     def test_concurrent_mutations_replay_in_execution_order(self, tmp_path):
         # The WAL barrier serialises execute+append, so a CREATE/INSERT
         # race between threads can never replay inverted.
@@ -466,55 +515,6 @@ class TestDurabilityMechanics:
         rows = restored.execute("SELECT * FROM t").rows
         assert sorted(rows) == [("a;b", 1), ("a;b", 3), ("x y", 2)]
         restored.close()
-
-
-# ---------------------------------------------------------------------- #
-# Engine-level shard re-attach (warm restart for the engines layer)
-# ---------------------------------------------------------------------- #
-
-
-class TestEngineShardReattach:
-    def _loaded_engine(self):
-        from repro.engines.sharded import ShardedCrackedEngine
-        from repro.storage.table import Column, Relation, Schema
-
-        engine = ShardedCrackedEngine(shards=4, parallel=False)
-        rng = np.random.default_rng(11)
-        relation = Relation.from_columns(
-            "R",
-            Schema([Column("k", "int"), Column("a", "int")]),
-            {"k": np.arange(600, dtype=np.int64), "a": rng.permutation(600)},
-        )
-        engine.load(relation)
-        return engine, relation
-
-    def test_reattach_preserves_pieces_and_answers(self):
-        from repro.engines.sharded import ShardedCrackedEngine
-
-        engine, relation = self._loaded_engine()
-        engine.range_query("R", "a", 100, 400)
-        engine.range_query("R", "a", 50, 150)
-        states = engine.export_cracker_states()
-        assert ("R", "a") in states
-
-        fresh = ShardedCrackedEngine(shards=4, parallel=False)
-        fresh.load(relation)
-        for (table, attr), state in states.items():
-            fresh.attach_column(table, attr, ShardedCrackedColumn.from_state(state))
-        assert fresh.piece_count("R", "a") == engine.piece_count("R", "a")
-        assert (
-            fresh.range_query("R", "a", 120, 380).rows
-            == engine.range_query("R", "a", 120, 380).rows
-        )
-
-    def test_reattach_refuses_live_cracker(self):
-        from repro.errors import CrackError
-
-        engine, _ = self._loaded_engine()
-        engine.range_query("R", "a", 100, 400)
-        state = engine.export_cracker_states()[("R", "a")]
-        with pytest.raises(CrackError):
-            engine.attach_column("R", "a", ShardedCrackedColumn.from_state(state))
 
 
 # ---------------------------------------------------------------------- #

@@ -334,8 +334,10 @@ def _render_stats(stats: dict) -> list[str]:
         f"refused {server.get('refused', '?')}, "
         f"queue depth {server.get('queue_depth', '?')})"
     )
+    threads = f"{gateway.get('pool_size', '?')} worker thread(s)"
     lines.append(
-        f"gateway: {gateway.get('executed', '?')} executed, "
+        f"gateway: {'inline' if gateway.get('inline') else threads}, "
+        f"{gateway.get('executed', '?')} executed, "
         f"{gateway.get('pending', '?')} pending "
         f"(peak {gateway.get('peak_pending', '?')}), "
         f"{gateway.get('rejected', '?')} rejected, "
@@ -619,20 +621,21 @@ def run_serve(argv: list[str]) -> int:
         help="admission bound on simultaneous connections",
     )
     parser.add_argument(
-        "--queue-depth", type=int, default=16,
-        help="per-connection request queue bound (backpressure)",
-    )
-    parser.add_argument(
-        "--pool-size", type=int, default=4,
-        help="engine worker threads (statements in flight)",
+        "--pool-size", type=int, default=1,
+        help="engine worker threads.  1 (the default) runs statements "
+        "inline on the event-loop thread: lowest latency, but a long "
+        "statement delays every other connection; N>1 runs up to N "
+        "statements at once on a thread pool",
     )
     parser.add_argument(
         "--max-pending", type=int, default=64,
-        help="global bound on admitted-but-unfinished statements",
+        help="global bound on admitted-but-unfinished statements (only "
+        "bites on the thread pool; inline statements never queue)",
     )
     parser.add_argument(
         "--statement-timeout", type=float, default=None,
-        help="seconds before a statement gets a typed timeout reply",
+        help="seconds before a statement gets a typed timeout reply "
+        "(implies the thread pool, also at --pool-size 1)",
     )
     parser.add_argument(
         "--chunk-bytes", type=int, default=None, metavar="BYTES",
@@ -701,7 +704,6 @@ def run_serve(argv: list[str]) -> int:
             args.host,
             args.port,
             max_connections=args.max_connections,
-            queue_depth=args.queue_depth,
             pool_size=args.pool_size,
             max_pending=args.max_pending,
             statement_timeout=args.statement_timeout,

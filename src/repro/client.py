@@ -475,6 +475,10 @@ class Client(_ClientCore):
             return self._sock.recv(_RECV_BYTES)
         elif op == "open":
             self._sock = socket.create_connection((self.host, self.port))
+            # asyncio sets this on both of its ends; a blocking socket
+            # must ask.  It matters for multi-segment execute_many
+            # windows over a real link, not for loopback ping-pong.
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         elif op == "sleep":
             time.sleep(arg)
         else:  # "close"

@@ -5,8 +5,8 @@ The serving pipeline, bottom up:
 * :mod:`repro.server.protocol` — length-prefixed frames (JSON
   messages, binary columnar bulk results), typed error replies,
   wire-safe value conversion;
-* :mod:`repro.server.gateway` — the bounded thread pool bridging the
-  asyncio loop onto the RW-locked engine;
+* :mod:`repro.server.gateway` — where coroutines call the RW-locked
+  engine: inline on the loop thread, or on a bounded thread pool;
 * :mod:`repro.server.session` — per-connection prepared-statement
   handles and deferred BEGIN/COMMIT/ABORT transactions;
 * :mod:`repro.server.server` — the asyncio TCP server with admission
@@ -26,7 +26,6 @@ from repro.server.protocol import (
     encode_result_frames,
     error_for_exception,
     error_reply,
-    read_frame,
     result_reply,
     wire_row,
     wire_rows,
@@ -49,7 +48,6 @@ __all__ = [
     "encode_result_frames",
     "error_for_exception",
     "error_reply",
-    "read_frame",
     "result_reply",
     "wire_row",
     "wire_rows",

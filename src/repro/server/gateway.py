@@ -1,19 +1,30 @@
-"""The execution gateway: async I/O bridged onto the threaded engine.
+"""The execution gateway: where the server's coroutines call the engine.
 
 The engine is synchronous and lock-based (per-column reader–writer
 locks, relation write locks, the durability barrier); the server's I/O
-is a single asyncio loop.  The gateway owns the bounded thread pool in
-between: statements run on worker threads — so a cracking write in one
-session interleaves safely with snapshot reads in another, exactly as
-in the embedded concurrent case — while the event loop stays free to
-service other connections.
+is a single asyncio loop.  Every engine call a session makes goes
+through :meth:`ExecutionGateway.run`, which has two ways to make it:
 
-Admission control lives here too: at most ``pool_size`` statements run
-concurrently, at most ``max_pending`` may wait, and every statement is
-subject to ``statement_timeout``.  Past the pending bound the gateway
-raises :class:`~repro.errors.OverloadedError` instead of queueing
-unboundedly — the caller turns that into a typed ``overloaded`` reply,
-which is the protocol's backpressure signal.
+* **inline** — call the function right there, on the event-loop thread,
+  and return.  A converged cracked query answers in ~150 µs; handing it
+  to a worker thread and waking the loop again costs about as much as
+  the query, and on one core the threads only take turns anyway.  This
+  is what :class:`~repro.server.server.ReproServer` picks for a single
+  worker without a statement timeout — the default.  The price: while a
+  statement runs, nothing else on the loop does.
+* **threaded** — ``run_in_executor`` onto a bounded pool, so a cracking
+  write in one session interleaves with snapshot reads in another as
+  in the embedded concurrent case, and the loop stays free.  It is the
+  path for what needs a second thread: a timeout (the caller must be
+  able to give up on a call that is still running) and ``pool_size``
+  > 1.  The pool is created on first use.
+
+Book-keeping is the same either way.  Admission control bites only in
+threaded mode: at most ``pool_size`` statements run, at most
+``max_pending`` may be admitted and unfinished, past that the gateway
+raises :class:`~repro.errors.OverloadedError` — a typed ``overloaded``
+reply — instead of queueing unboundedly.  An inline call is finished
+before the next can be admitted, so ``pending`` never passes 1.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from repro.errors import OverloadedError, StatementTimeoutError
 
 
 class ExecutionGateway:
-    """Bounded bridge from the event loop onto engine worker threads.
+    """Bounded bridge from the event loop into the engine.
 
     Args:
         pool_size: worker threads, i.e. maximum statements in flight.
@@ -37,6 +48,8 @@ class ExecutionGateway:
             the engine call in the background — a thread cannot be
             killed mid-crack without corrupting the column — but its
             result is discarded and the session gets a typed timeout.
+        inline: run calls that carry no timeout on the calling thread
+            instead of a worker (see the module docstring).
     """
 
     def __init__(
@@ -44,15 +57,15 @@ class ExecutionGateway:
         pool_size: int = 4,
         max_pending: int = 64,
         statement_timeout: float | None = None,
+        inline: bool = False,
     ) -> None:
         if pool_size < 1:
             raise OverloadedError(f"pool_size must be >= 1, got {pool_size}")
         self.pool_size = pool_size
         self.max_pending = max_pending
         self.statement_timeout = statement_timeout
-        self._pool = ThreadPoolExecutor(
-            max_workers=pool_size, thread_name_prefix="repro-gateway"
-        )
+        self.inline = inline
+        self._pool: ThreadPoolExecutor | None = None
         self._pending = 0
         self.executed = 0
         self.timeouts = 0
@@ -60,7 +73,7 @@ class ExecutionGateway:
         self.peak_pending = 0
 
     async def run(self, fn, *args, timeout: float | None = None, **kwargs):
-        """Run ``fn(*args, **kwargs)`` on a worker thread and await it.
+        """Run ``fn(*args, **kwargs)`` and return its result.
 
         Raises :class:`OverloadedError` when the pending bound is hit
         and :class:`StatementTimeoutError` past the timeout (the
@@ -73,8 +86,20 @@ class ExecutionGateway:
                 f"(bound {self.max_pending}); retry later"
             )
         limit = self.statement_timeout if timeout is None else timeout
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(
+        if self.inline and limit is None:
+            self._pending += 1
+            self.peak_pending = max(self.peak_pending, self._pending)
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                self._pending -= 1
+            self.executed += 1
+            return result
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.pool_size, thread_name_prefix="repro-gateway"
+            )
+        future = asyncio.get_running_loop().run_in_executor(
             self._pool, functools.partial(fn, *args, **kwargs)
         )
         self._pending += 1
@@ -115,6 +140,7 @@ class ExecutionGateway:
         """Counter snapshot for the STATS reply and monitoring."""
         return {
             "pool_size": self.pool_size,
+            "inline": self.inline,
             "max_pending": self.max_pending,
             "statement_timeout": self.statement_timeout,
             "pending": self._pending,
@@ -125,5 +151,7 @@ class ExecutionGateway:
         }
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the worker pool (after in-flight calls finish)."""
-        self._pool.shutdown(wait=wait)
+        """Stop the worker pool, if one was ever started (after
+        in-flight calls finish)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=wait)

@@ -627,7 +627,7 @@ def _frame_length(prefix) -> int:
 
 
 class FrameDecoder:
-    """Incremental frame decoder for stream transports (the client core).
+    """Incremental frame decoder for stream transports (both peers).
 
     Feed it byte chunks as they arrive; it yields complete messages and
     buffers partial frames across calls::
@@ -635,41 +635,34 @@ class FrameDecoder:
         decoder = FrameDecoder()
         for message in decoder.feed(sock.recv(65536)):
             ...
+
+    ``requests=True`` is the server's end: requests are always JSON, so
+    a binary frame is refused undecoded — a client cannot make the
+    server inflate anything.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, requests: bool = False) -> None:
         self._buffer = bytearray()
+        self._requests = requests
 
     def feed(self, data: bytes) -> list[dict]:
-        self._buffer.extend(data)
-        messages: list[dict] = []
-        while True:
-            if len(self._buffer) < _LENGTH.size:
-                return messages
-            end = _LENGTH.size + _frame_length(self._buffer)
-            if len(self._buffer) < end:
-                return messages
-            payload = bytes(self._buffer[_LENGTH.size:end])
-            del self._buffer[:end]
-            messages.append(decode_payload(payload))
+        return list(self.messages(data))
 
-
-async def read_frame(reader) -> dict | None:
-    """Read one request frame from an asyncio stream (None on clean EOF).
-
-    Server side only.  Requests are always JSON, so a binary frame is
-    refused undecoded: a client cannot make the server inflate anything.
-    """
-    import asyncio
-
-    try:
-        header = await reader.readexactly(_LENGTH.size)
-        payload = await reader.readexactly(_frame_length(header))
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    if payload and payload[0] == _BINARY_MARKER:
-        raise ProtocolError("requests must be JSON frames, got a binary frame")
-    return decode_payload(payload)
+    def messages(self, data: bytes):
+        """Buffer ``data`` and yield every complete message, lazily: a
+        malformed frame raises only after the good ones before it have
+        been handed over."""
+        buffer = self._buffer
+        buffer += data
+        while len(buffer) >= _LENGTH.size:
+            end = _LENGTH.size + _frame_length(buffer)
+            if len(buffer) < end:
+                return
+            payload = bytes(buffer[_LENGTH.size:end])
+            del buffer[:end]
+            if self._requests and payload and payload[0] == _BINARY_MARKER:
+                raise ProtocolError("requests must be JSON frames, got a binary frame")
+            yield decode_payload(payload)
 
 
 async def write_frame(writer, message: dict) -> None:

@@ -2,27 +2,35 @@
 
 One :class:`ReproServer` owns one shared
 :class:`~repro.sql.session.Database` and serves it to many concurrent
-connections.  The concurrency shape:
+connections.  The shape is run to completion:
 
-* the event loop does all socket I/O and never runs engine code;
-* every engine call crosses the bounded
-  :class:`~repro.server.gateway.ExecutionGateway` thread pool, where
-  the engine's own RW locks make cracking writes and snapshot reads
-  interleave safely;
-* per connection, a *reader* coroutine feeds decoded request frames
-  (JSON only — a binary frame from a client is refused undecoded) into
-  a bounded queue and a *worker* coroutine replies in order.  When the
-  queue is full the reader simply stops reading the socket — kernel
-  buffers fill and the client blocks: backpressure without a single
-  dropped or reordered request;
+* each connection is **one** task.  It reads whatever bytes have
+  arrived, decodes them into request frames (JSON only — a binary frame
+  from a client is refused undecoded), answers that run in order —
+  consecutive plain statements folded into one engine trip — drains
+  the socket, and only then reads again.  While it works it does not
+  read: the stream buffer fills, the transport pauses, kernel buffers
+  fill and the client blocks — backpressure without a queue, and
+  without a dropped or reordered request;
+* engine calls go through the
+  :class:`~repro.server.gateway.ExecutionGateway`.  With one worker and
+  no statement timeout — the default — it runs them right on the
+  event-loop thread: a converged query costs less than the thread hop
+  it would otherwise pay.  The price is that a long statement (a cold
+  crack of a big column, a checkpoint) delays every other connection,
+  accept, HELLO and ``timeseries`` for its duration.  ``pool_size`` > 1
+  or a ``statement_timeout`` moves engine calls onto the gateway's
+  thread pool, where the engine's own RW locks interleave cracking
+  writes and snapshot reads and the loop stays responsive;
 * admission control refuses connections past ``max_connections`` with
   a typed ``overloaded`` error frame before closing.
 
 Graceful shutdown (:meth:`ReproServer.stop`, wired to SIGTERM by the
-``repro serve`` CLI) stops accepting, lets every worker drain what its
-queue already holds, sends ``goodbye``, waits for in-flight engine
-calls, then flushes the WAL and checkpoints the persistent store — so
-a restart recovers the full served state with an empty log tail.
+``repro serve`` CLI) stops accepting, lets every connection answer the
+requests it has already received, sends ``goodbye``, waits for
+in-flight engine calls, then flushes the WAL and checkpoints the
+persistent store — so a restart recovers the full served state with an
+empty log tail.
 """
 
 from __future__ import annotations
@@ -36,28 +44,28 @@ from repro.obs.timeseries import TimeSeries
 from repro.server.gateway import ExecutionGateway
 from repro.server.protocol import (
     DEFAULT_CHUNK_BYTES,
+    FrameDecoder,
     encode_frame,
     encode_result_frames,
     error_for_exception,
     error_reply,
-    read_frame,
     write_frame,
 )
 from repro.server.session import ClientSession
 
-_EOF = object()       # client went away: stop silently
-_SHUTDOWN = object()  # server drains: say goodbye first
+_READ_BYTES = 1 << 16  # one socket read; bounds a decoded run
 
 
 class _Connection:
     """Book-keeping for one live connection."""
 
-    def __init__(self, session, reader, writer, queue_depth: int) -> None:
+    def __init__(self, session, reader, writer) -> None:
         self.session = session
         self.reader = reader
         self.writer = writer
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_depth)
-        self.reader_task: asyncio.Task | None = None
+        self.task = asyncio.current_task()
+        self.backlog: deque = deque()  # decoded requests, not yet taken up
+        self.reading = False  # parked in read(): safe to cancel out of
 
 
 class ReproServer:
@@ -69,9 +77,11 @@ class ReproServer:
         host/port: bind address; port 0 picks a free port (see
             :attr:`address` after :meth:`start`).
         max_connections: admission bound on simultaneous connections.
-        queue_depth: per-connection request queue bound (backpressure).
-        pool_size: gateway worker threads (engine-side parallelism).
-        max_pending: gateway admission bound across all connections.
+        pool_size: gateway worker threads.  1 without a
+            ``statement_timeout`` runs engine calls inline on the
+            event-loop thread; anything else uses the thread pool.
+        max_pending: gateway admission bound across all connections
+            (only threaded calls can pile up against it).
         statement_timeout: seconds per statement (None = unbounded).
         checkpoint_on_shutdown: checkpoint + close a persistent
             database during :meth:`stop` (reopen restarts warm with an
@@ -95,8 +105,7 @@ class ReproServer:
         port: int = 0,
         *,
         max_connections: int = 64,
-        queue_depth: int = 16,
-        pool_size: int = 4,
+        pool_size: int = 1,
         max_pending: int = 64,
         statement_timeout: float | None = None,
         checkpoint_on_shutdown: bool = True,
@@ -110,7 +119,6 @@ class ReproServer:
         self.host = host
         self.port = port
         self.max_connections = max_connections
-        self.queue_depth = queue_depth
         self.checkpoint_on_shutdown = checkpoint_on_shutdown
         self.drain_timeout = drain_timeout
         self.chunk_bytes = chunk_bytes
@@ -120,12 +128,12 @@ class ReproServer:
             pool_size=pool_size,
             max_pending=max_pending,
             statement_timeout=statement_timeout,
+            inline=pool_size == 1 and statement_timeout is None,
         )
         self.timeseries = TimeSeries(interval=timeseries_interval)
         self._sampler_task: asyncio.Task | None = None
         self._server: asyncio.AbstractServer | None = None
         self._connections: dict[int, _Connection] = {}
-        self._workers: set[asyncio.Task] = set()
         self._next_session = 1
         self._draining = False
         self.accepted = 0
@@ -209,9 +217,10 @@ class ReproServer:
     async def stop(self) -> dict:
         """Graceful shutdown; returns a report of what was drained.
 
-        Order: stop accepting → drain every connection's queued
-        requests (bounded by ``drain_timeout``) → wait out in-flight
-        engine calls → checkpoint + close the persistent store.
+        Order: stop accepting → let every connection answer what it
+        has already received and say goodbye (bounded by
+        ``drain_timeout``) → wait out in-flight engine calls →
+        checkpoint + close the persistent store.
         """
         self._draining = True
         drained = len(self._connections)
@@ -220,23 +229,17 @@ class ReproServer:
             self._sampler_task = None
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        for conn in list(self._connections.values()):
-            if conn.reader_task is not None:
-                conn.reader_task.cancel()
-            try:
-                # A worker that already exited leaves a full queue behind;
-                # don't let its unread sentinel wedge the shutdown.
-                await asyncio.wait_for(conn.queue.put(_SHUTDOWN), timeout=1.0)
-            except asyncio.TimeoutError:
-                pass
-        workers = list(self._workers)
-        if workers:
-            done, pending = await asyncio.wait(
-                workers, timeout=self.drain_timeout
-            )
+        tasks = []
+        for conn in self._connections.values():
+            tasks.append(conn.task)
+            if conn.reading:
+                conn.task.cancel()  # idle: wake it up to say goodbye
+        if tasks:
+            _, pending = await asyncio.wait(tasks, timeout=self.drain_timeout)
             for task in pending:
                 task.cancel()
+        if self._server is not None:
+            await self._server.wait_closed()
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.gateway.shutdown)
         checkpoint = None
@@ -255,9 +258,11 @@ class ReproServer:
     def stats(self) -> dict:
         """Server-level counters (merged into STATS replies).
 
-        ``queue_depth`` is the instantaneous sum of replies parked in
-        per-connection writer queues — the live backpressure signal the
-        METRICS exposition surfaces as a gauge.
+        ``queue_depth`` is the instantaneous count, over all
+        connections, of requests received and decoded but not yet taken
+        up (they wait behind the one being answered) — the live
+        backpressure signal the METRICS exposition surfaces as a gauge.
+        It is bounded per connection by what one socket read can hold.
         """
         return {
             "connections": len(self._connections),
@@ -266,7 +271,7 @@ class ReproServer:
             "refused": self.refused,
             "draining": self._draining,
             "queue_depth": sum(
-                conn.queue.qsize() for conn in self._connections.values()
+                len(conn.backlog) for conn in list(self._connections.values())
             ),
         }
 
@@ -297,16 +302,11 @@ class ReproServer:
             compression=self.compression,
             timeseries=self.timeseries.snapshot,
         )
-        conn = _Connection(session, reader, writer, self.queue_depth)
-        self._connections[session_id] = conn
-        conn.reader_task = asyncio.ensure_future(self._read_loop(conn))
-        worker = asyncio.ensure_future(self._work_loop(conn))
-        self._workers.add(worker)
-        worker.add_done_callback(self._workers.discard)
+        conn = self._connections[session_id] = _Connection(session, reader, writer)
         try:
-            await worker
+            await self._serve(conn)
         finally:
-            self._connections.pop(session_id, None)
+            del self._connections[session_id]
 
     async def _refuse(self, writer, code: str, message: str) -> None:
         try:
@@ -315,21 +315,6 @@ class ReproServer:
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
-
-    async def _read_loop(self, conn: _Connection) -> None:
-        """Feed frames into the bounded queue; a full queue stops the
-        socket read — that *is* the backpressure mechanism."""
-        while True:
-            try:
-                message = await read_frame(conn.reader)
-            except Exception as exc:
-                # Framing is unrecoverable mid-stream: report and hang up.
-                await conn.queue.put(("fatal", exc))
-                return
-            if message is None:
-                await conn.queue.put(_EOF)
-                return
-            await conn.queue.put(("message", message))
 
     async def _write_reply(self, conn: _Connection, reply: dict) -> None:
         """Write one reply without draining (the caller batches drains).
@@ -352,83 +337,81 @@ class ReproServer:
             conn.writer.write(frame)
             await conn.writer.drain()
 
-    async def _work_loop(self, conn: _Connection) -> None:
+    async def _serve(self, conn: _Connection) -> None:
+        """One connection, start to finish: read, answer the run, repeat."""
         writer = conn.writer
-        session = conn.session
-        pending: deque = deque()  # items prefetched past a batch boundary
+        decoder = FrameDecoder(requests=True)
         try:
-            while True:
-                if pending:
-                    item = pending.popleft()
-                elif self._draining and conn.queue.empty():
-                    # The drain sentinel can fail to land when the queue
-                    # was full at stop() time; once the backlog is served
-                    # the drained flag is authoritative.
-                    item = _SHUTDOWN
-                else:
-                    item = await conn.queue.get()
-                if item is _EOF:
-                    break
-                if item is _SHUTDOWN:
-                    # Everything queued before the drain signal has
-                    # already been served (FIFO queue); say goodbye.
-                    await write_frame(
-                        writer,
-                        {"type": "goodbye", "reason": "server shutdown"},
-                    )
-                    break
-                kind, payload = item
-                if kind == "fatal":
-                    await write_frame(writer, error_for_exception(payload))
-                    break
-                # Pipelining: fold the run of plain statements already
-                # sitting in the queue into one engine trip.  Anything
-                # non-batchable (txn control, stats, hello, sentinels)
-                # ends the run and is carried to the next iteration, so
-                # reply order always matches request order.
-                batch = None
-                if self.pipeline_batch > 1 and session.batchable(payload):
-                    batch = [payload]
-                    while len(batch) < self.pipeline_batch:
-                        try:
-                            follower = conn.queue.get_nowait()
-                        except asyncio.QueueEmpty:
-                            break
-                        if (
-                            isinstance(follower, tuple)
-                            and follower[0] == "message"
-                            and session.batchable(follower[1])
-                        ):
-                            batch.append(follower[1])
-                        else:
-                            pending.append(follower)
-                            break
-                if batch is not None and len(batch) > 1:
-                    replies = await session.handle_many(batch)
-                else:
-                    replies = [await session.handle(payload)]
-                for reply in replies:
+            while not conn.session.closing:
+                data = b""
+                if not self._draining:
+                    conn.reading = True
                     try:
-                        await self._write_reply(conn, reply)
-                    except ProtocolError as exc:
-                        # The reply overflowed the frame cap (a few rows of
-                        # huge varchars in a JSON reply): the error frame
-                        # is small, so the client gets a typed reply per
-                        # statement and the connection lives.
-                        writer.write(encode_frame(error_for_exception(exc)))
-                await writer.drain()
-                if session.closing:
+                        data = await conn.reader.read(_READ_BYTES)
+                    except asyncio.CancelledError:
+                        if not self._draining:  # else: stop() woke us up
+                            raise
+                    finally:
+                        conn.reading = False
+                if not data:  # the client went away, or the server drains
+                    if self._draining:
+                        await write_frame(
+                            writer, {"type": "goodbye", "reason": "server shutdown"}
+                        )
+                    break
+                fatal = None
+                try:
+                    conn.backlog.extend(decoder.messages(data))
+                except ProtocolError as exc:
+                    # Framing is unrecoverable mid-stream: answer what
+                    # decoded before it, report, hang up.
+                    fatal = exc
+                await self._answer(conn)
+                if fatal is not None:
+                    await write_frame(writer, error_for_exception(fatal))
                     break
         except (ConnectionError, OSError):
             pass  # client vanished mid-reply
         finally:
-            if conn.reader_task is not None:
-                conn.reader_task.cancel()
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+    async def _answer(self, conn: _Connection) -> None:
+        """Reply, in order, to every request in the connection's backlog.
+
+        Pipelining: the run of plain statements at the head of the
+        backlog is folded into one engine trip.  Anything non-batchable
+        (txn control, stats, hello) ends the run and is handled by
+        itself, so reply order always matches request order.
+        """
+        backlog, session, writer = conn.backlog, conn.session, conn.writer
+        while backlog and not session.closing:
+            message = backlog.popleft()
+            batch = [message]
+            if session.batchable(message):
+                while (
+                    backlog
+                    and len(batch) < self.pipeline_batch
+                    and session.batchable(backlog[0])
+                ):
+                    batch.append(backlog.popleft())
+            if len(batch) > 1:
+                replies = await session.handle_many(batch)
+            else:
+                replies = [await session.handle(message)]
+            for reply in replies:
+                try:
+                    await self._write_reply(conn, reply)
+                except ProtocolError as exc:
+                    # The reply overflowed the frame cap (a few rows of
+                    # huge varchars in a JSON reply): the error frame
+                    # is small, so the client gets a typed reply per
+                    # statement and the connection lives.
+                    writer.write(encode_frame(error_for_exception(exc)))
+            await writer.drain()
 
 
 class ServerThread:

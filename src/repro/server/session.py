@@ -50,7 +50,7 @@ class ClientSession:
 
     Args:
         database: the shared engine (constructed with
-            ``concurrent=True`` when the gateway pool has >1 worker).
+            ``concurrent=True`` when the gateway runs >1 worker thread).
         gateway: the execution gateway engine calls go through.
         session_id: server-assigned id, echoed in HELLO and STATS.
         server_stats: zero-argument callable returning the server's
@@ -132,14 +132,15 @@ class ClientSession:
     async def handle_many(self, messages: list) -> list[dict]:
         """Process a run of batchable messages with ONE gateway trip.
 
-        Pipelined clients enqueue many small statements back to back;
-        dispatching each one individually pays the event-loop →
-        worker-thread handoff per statement, which dominates once the
-        engine itself answers in microseconds.  This path validates
-        every message up front, executes the whole run sequentially on
-        a single worker thread, and maps each outcome back to its own
-        typed reply — one handoff amortised over the run.  A lone
-        statement takes the same two steps as a run of one.
+        Pipelined clients send many small statements back to back;
+        dispatching each one individually pays the per-trip cost (on
+        the thread pool, an event-loop → worker-thread handoff) per
+        statement, which dominates once the engine itself answers in
+        microseconds.  This path validates every message up front,
+        executes the whole run sequentially in one gateway call, and
+        maps each outcome back to its own typed reply — one trip
+        amortised over the run.  A lone statement takes the same two
+        steps as a run of one.
         """
         thunks: list = []
         slots: list[int] = []
@@ -271,8 +272,8 @@ class ClientSession:
     async def _on_query(self, message: dict) -> dict:
         thunk = self._statement_thunk(message)
         if self._txn is not None:
-            # Classification must parse, and parsing belongs on a worker
-            # thread like any other engine work.
+            # Classification must parse, and parsing goes through the
+            # gateway like any other engine work.
             _, sql, _ = thunk
             stmt = await self.gateway.run(parse, sql)
             if self.database._mutation_target(stmt) is not None:
@@ -369,7 +370,7 @@ class ClientSession:
         each merge their own counters on top.
         """
         database = self.database
-        # Engine introspection is engine work: off the event loop (the
+        # Engine introspection is engine work: through the gateway (the
         # catalog lock and per-column cracker locks are taken inside).
         payload = {
             "session": {

@@ -43,9 +43,7 @@ def _as_tail_array(values: Sequence, tail_type: str, heap: AtomHeap | None) -> n
     if tail_type == "str":
         if heap is None:
             raise BATTypeError("str tails require an atom heap")
-        return np.fromiter(
-            (heap.put(value) for value in values), dtype=np.int64, count=len(values)
-        )
+        return heap.put_many(values)
     dtype = TAIL_DTYPES[tail_type]
     array = np.asarray(values, dtype=dtype)
     if array.ndim != 1:
@@ -210,9 +208,7 @@ class BAT:
         if self.tail_type == "str":
             assert self.heap is not None
             raw = active if positions is None else active[positions]
-            offsets, inverse = np.unique(raw, return_inverse=True)
-            atoms = np.array(self.heap.get_many(offsets), dtype=object)
-            return atoms[inverse]
+            return self.heap.get_array(raw)
         return active if positions is None else active[positions]
 
     # ------------------------------------------------------------------ #
@@ -426,7 +422,7 @@ class BAT:
         """Rebuild a BAT from :meth:`export_state` output."""
         tail_type = str(state["tail_type"])
         tail = state["tail"]
-        values = [str(v) for v in tail] if tail_type == "str" else tail
+        values = np.asarray(tail, dtype=str).tolist() if tail_type == "str" else tail
         bat = cls.from_values(
             str(state["name"]),
             values,

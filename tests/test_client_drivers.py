@@ -2,8 +2,9 @@
 
 :class:`Client` and :class:`AsyncClient` are two transports over one
 sans-IO core, so every scenario here runs unchanged through both —
-against one shared :class:`ServerThread` — and is checked against
-embedded execution of the same statements.  A scenario is an ``async``
+against one shared :class:`ServerThread` per execution mode (engine
+calls inline on the loop thread, and on the thread pool) — and is
+checked against embedded execution of the same statements.  A scenario is an ``async``
 function; :func:`do` awaits what the asyncio driver returns and passes
 through what the blocking one does.
 """
@@ -27,6 +28,13 @@ _table_ids = itertools.count()
 @pytest.fixture(scope="module")
 def server():
     with served() as (_, host, port, _thread):
+        yield host, port
+
+
+@pytest.fixture(scope="module")
+def threaded_server():
+    """The same server with engine calls on the gateway's thread pool."""
+    with served(pool_size=4) as (_, host, port, _thread):
         yield host, port
 
 
@@ -208,8 +216,20 @@ SCENARIOS = [
 ]
 
 
-@pytest.mark.parametrize("driver", ["sync", "async"])
-@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda fn: fn.__name__)
+both_drivers = pytest.mark.parametrize("driver", ["sync", "async"])
+every_scenario = pytest.mark.parametrize(
+    "scenario", SCENARIOS, ids=lambda fn: fn.__name__
+)
+
+
+@both_drivers
+@every_scenario
+def test_scenario_threaded(threaded_server, scenario, driver):
+    test_scenario(threaded_server, scenario, driver)
+
+
+@both_drivers
+@every_scenario
 def test_scenario(server, scenario, driver):
     embedded = Database(cracking=True, mode="vector")
 

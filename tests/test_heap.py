@@ -1,9 +1,10 @@
 """Unit tests for the variable-sized atom heap."""
 
+import numpy as np
 import pytest
 
 from repro.errors import HeapError
-from repro.storage.heap import AtomHeap
+from repro.storage.heap import _DISTINCT_CROSSOVER, AtomHeap
 
 
 class TestPutGet:
@@ -104,3 +105,42 @@ class TestLookupHelpers:
         assert len(heap) == 0
         with pytest.raises(HeapError):
             heap.get(offset)
+
+
+class TestBulkPaths:
+    """``put_many`` / ``get_many`` / ``get_array`` work per distinct
+    atom; the per-row ``put`` / ``get`` loop is the reference."""
+
+    ATOMS = ["", "a", "héllo", "a", "tag07", "", "tag07", "z" * 40]
+
+    @pytest.mark.parametrize("repeat", [1, 2 * _DISTINCT_CROSSOVER])
+    def test_put_many_equals_the_put_loop(self, repeat):
+        atoms = self.ATOMS * repeat
+        bulk, loop = AtomHeap(), AtomHeap()
+        offsets = bulk.put_many(atoms)
+        assert offsets.dtype == np.int64
+        assert offsets.tolist() == [loop.put(atom) for atom in atoms]
+        assert len(bulk) == len(loop) == len(set(self.ATOMS))
+
+    @pytest.mark.parametrize("repeat", [1, 2 * _DISTINCT_CROSSOVER])
+    def test_get_many_and_get_array_equal_the_get_loop(self, repeat):
+        heap = AtomHeap()
+        offsets = heap.put_many(self.ATOMS * repeat)
+        expected = [heap.get(int(offset)) for offset in offsets]
+        assert heap.get_many(offsets) == expected == self.ATOMS * repeat
+        array = heap.get_array(offsets)
+        assert array.dtype == object and array.tolist() == expected
+
+    def test_empty_inputs(self):
+        heap = AtomHeap()
+        assert heap.put_many([]).tolist() == []
+        assert heap.get_many(np.empty(0, dtype=np.int64)) == []
+        assert heap.get_array(np.empty(0, dtype=np.int64)).shape == (0,)
+
+    def test_bad_inputs_raise_on_the_bulk_paths_too(self):
+        heap = AtomHeap()
+        with pytest.raises(HeapError):
+            heap.put_many(["ok", 42])
+        offsets = heap.put_many(["abcdef"] * (2 * _DISTINCT_CROSSOVER))
+        with pytest.raises(HeapError):
+            heap.get_many(offsets + 3)  # inside the atom, not its start

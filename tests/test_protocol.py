@@ -100,6 +100,26 @@ class TestFraming:
         decoder = FrameDecoder()
         assert decoder.feed(payload) == [first, second]
 
+    def test_messages_before_a_malformed_frame_are_handed_over_first(self):
+        good = [{"type": "begin"}, {"type": "commit"}]
+        payload = b"".join(map(encode_frame, good)) + b"\x00\x00\x00\x04nope"
+        decoder = FrameDecoder()
+        seen = []
+        with pytest.raises(ProtocolError):
+            for message in decoder.messages(payload):
+                seen.append(message)
+        assert seen == good
+        assert decoder.feed(encode_frame(good[0])) == [good[0]]  # frame consumed
+
+    def test_requests_mode_refuses_binary_frames_undecoded(self):
+        binary = b"\x00" + b"\xff" * 11  # marker + garbage: never parsed
+        frame = len(binary).to_bytes(4, "big") + binary
+        with pytest.raises(ProtocolError, match="must be JSON"):
+            FrameDecoder(requests=True).feed(frame)
+        with pytest.raises(ProtocolError) as info:
+            FrameDecoder().feed(frame)
+        assert "must be JSON" not in str(info.value)
+
     def test_oversized_frame_rejected_on_decode(self):
         decoder = FrameDecoder()
         header = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")

@@ -41,7 +41,7 @@ from repro.sql import Database, QueryResult
 from repro.storage.table import Column, Relation, Schema
 
 from oracle import load_standard, random_range_queries, standard_query_suite
-from test_server import read_one as _read_one, served, wire_json
+from test_server import read_one as _read_one, served, threaded, wire_json  # noqa: F401
 
 SEED = 20260808
 
@@ -377,6 +377,11 @@ class TestDifferentialEmbedded:
                     client.execute_many([good, "SELECT * FROM missing"])
                 # The connection survived both failures.
                 assert client.execute(good).scalar() == 3
+
+
+@pytest.mark.usefixtures("threaded")
+class TestDifferentialEmbeddedThreaded(TestDifferentialEmbedded):
+    """The same differential and pipelining checks on the thread pool."""
 
 
 @pytest.fixture(scope="module")

@@ -5,13 +5,21 @@ oracle workload — including prepared statements and an aborted
 transaction — executed embedded and over the wire must produce
 *byte-equal* JSON result payloads.  Around it: multi-client concurrency,
 admission control (connection limit, overload, statement timeout),
-protocol robustness, reconnect, and graceful checkpointing shutdown.
+protocol robustness, backpressure, reconnect, and graceful
+checkpointing shutdown.
+
+The server has two execution modes (engine calls inline on the
+event-loop thread — the default — or on the gateway's thread pool).
+Tests run against the default; the ``...Threaded`` subclasses re-run
+the differential, concurrency and transaction classes with
+``pool_size=4`` through the :func:`threaded` fixture.
 """
 
 import asyncio
 import json
 import socket
 import threading
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -30,9 +38,19 @@ from repro.errors import (
 from repro.server import ClientSession, FrameDecoder, ServerThread, encode_frame
 from repro.server.gateway import ExecutionGateway
 from repro.server.protocol import PROTOCOL_VERSION, wire_rows
+from repro.server.server import _READ_BYTES
 from repro.sql import Database
 
 SEED = 20260726
+
+#: Server arguments every :func:`served` call starts from.
+SERVED_DEFAULTS: dict = {}
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    """Every ``served()`` of the test runs the thread-pool gateway."""
+    monkeypatch.setitem(SERVED_DEFAULTS, "pool_size", 4)
 
 
 @contextmanager
@@ -40,7 +58,7 @@ def served(database=None, **server_kwargs):
     """A database served on a background thread, stopped afterwards."""
     if database is None:
         database = Database(cracking=True, mode="vector", concurrent=True)
-    thread = ServerThread(database, **server_kwargs)
+    thread = ServerThread(database, **{**SERVED_DEFAULTS, **server_kwargs})
     host, port = thread.start()
     try:
         yield database, host, port, thread
@@ -158,7 +176,7 @@ class TestConcurrentClients:
         queries = random_range_queries(rng, 24)  # SELECT-only workload
         expected = {q: embedded.execute(q) for q in queries}
 
-        with served(pool_size=4) as (database, host, port, _thread):
+        with served() as (database, host, port, _thread):
             load_standard(database, seed=SEED)
             failures: list = []
 
@@ -672,3 +690,211 @@ class TestObservabilitySurface:
         # Nothing listens here: the CLI reports and exits nonzero.
         assert run_stats(["127.0.0.1:1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------- #
+# Both execution modes
+# ---------------------------------------------------------------------- #
+
+
+@pytest.mark.usefixtures("threaded")
+class TestDifferentialOracleThreaded(TestDifferentialOracle):
+    """The same byte-equality, engine calls on the thread pool."""
+
+
+@pytest.mark.usefixtures("threaded")
+class TestConcurrentClientsThreaded(TestConcurrentClients):
+    """Four clients, four workers: the engine's RW locks arbitrate."""
+
+
+@pytest.mark.usefixtures("threaded")
+class TestTransactionsThreaded(TestTransactions):
+    """Deferred transactions, engine calls on the thread pool."""
+
+
+def slow_database(seconds: float) -> Database:
+    """A database whose every ``execute`` first sleeps ``seconds``."""
+    database = Database(cracking=True, concurrent=True)
+    real_execute = database.execute
+
+    def slow_execute(sql, mode=None):
+        time.sleep(seconds)
+        return real_execute(sql, mode=mode)
+
+    database.execute = slow_execute
+    return database
+
+
+def hello(sock, decoder) -> None:
+    sock.sendall(encode_frame({"type": "hello", "protocol": PROTOCOL_VERSION}))
+    assert read_one(sock, decoder)["type"] == "hello"
+
+
+def read_to_eof(sock, decoder) -> list[dict]:
+    """Every message the server sends until it hangs up."""
+    messages: list[dict] = []
+    while data := sock.recv(1 << 16):
+        messages.extend(decoder.feed(data))
+    return messages
+
+
+class TestExecutionModes:
+    def test_mode_is_derived_and_reported(self, capsys):
+        from repro.__main__ import main as cli_main
+
+        for kwargs, inline, shown in (
+            ({}, True, "gateway: inline,"),
+            ({"pool_size": 4}, False, "gateway: 4 worker thread(s),"),
+            ({"statement_timeout": 5.0}, False, "gateway: 1 worker thread(s),"),
+        ):
+            with served(**kwargs) as (_, host, port, _thread):
+                with Client(host, port) as client:
+                    assert client.stats()["gateway"]["inline"] is inline, kwargs
+                assert cli_main(["stats", f"{host}:{port}"]) == 0
+                assert shown in capsys.readouterr().out
+
+    def test_inline_keeps_the_books_and_never_rejects(self):
+        # max_pending=1 would refuse a second admitted statement; inline
+        # calls finish before the next is admitted, so none ever is.
+        with served(max_pending=1) as (_, host, port, thread):
+            with Client(host, port) as client:
+                client.execute("CREATE TABLE r (k integer)")
+                client.execute("INSERT INTO r VALUES (1), (2), (3)")
+                counts = client.execute_many(["SELECT count(*) FROM r"] * 40)
+                assert [result.scalar() for result in counts] == [3] * 40
+                gateway = client.stats()["gateway"]
+            assert gateway["inline"] is True
+            assert gateway["executed"] >= 3  # 2 statements + >=1 folded run
+            assert gateway["peak_pending"] == 1
+            assert gateway["pending"] == 0
+            assert gateway["rejected"] == 0
+            assert thread.server.gateway._pool is None  # no thread was made
+
+    def test_statement_timeout_with_one_worker_takes_the_thread_pool(self):
+        # A timeout needs a second thread: the caller must be able to
+        # give up on a call that is still running.
+        database = slow_database(0.3)
+        with served(database, pool_size=1, statement_timeout=0.05) as (
+            _, host, port, thread,
+        ):
+            with Client(host, port) as client:
+                with pytest.raises(RemoteError) as info:
+                    client.execute("CREATE TABLE r (k integer)")
+                assert info.value.code == "timeout"
+            gateway = thread.server.gateway.stats()
+            assert gateway["inline"] is False
+            assert gateway["timeouts"] == 1
+
+    @pytest.mark.parametrize("pool_size", [1, 4])
+    def test_stop_answers_what_was_received_then_says_goodbye(self, pool_size):
+        database = slow_database(0.02)
+        database.execute("CREATE TABLE r (k integer)")
+        database.execute("INSERT INTO r VALUES (1), (2), (3)")
+        # pipeline_batch=1: five engine trips, so the stop request lands
+        # while most of the run is still waiting in the backlog.
+        thread = ServerThread(database, pool_size=pool_size, pipeline_batch=1)
+        host, port = thread.start()
+        sock = socket.create_connection((host, port))
+        try:
+            decoder = FrameDecoder()
+            hello(sock, decoder)
+            sock.sendall(b"".join(
+                encode_frame({"type": "query", "sql": f"SELECT count(*) FROM r WHERE k < {i}"})
+                for i in range(5)
+            ))
+            time.sleep(0.03)  # received; at most the first two answered
+            thread.stop()
+            replies = read_to_eof(sock, decoder)
+        finally:
+            sock.close()
+        assert [reply["type"] for reply in replies] == ["result"] * 5 + ["goodbye"]
+        assert [reply["rows"] for reply in replies[:5]] == [[[0]], [[0]], [[1]], [[2]], [[3]]]
+
+
+class TestBackpressure:
+    """A client that writes without reading stalls the server instead of
+    growing it; nothing is dropped or reordered."""
+
+    ROWS = 1000
+    REQUESTS = 3000
+
+    @staticmethod
+    def _rss_mb() -> float:
+        with open("/proc/self/statm") as handle:
+            return int(handle.read().split()[1]) * 4096 / 2**20
+
+    def test_stalled_reader_bounds_queue_and_memory(self):
+        database = Database(cracking=True, mode="vector", concurrent=True)
+        database.execute("CREATE TABLE r (k integer, a integer)")
+        values = ", ".join(f"({i}, {i})" for i in range(self.ROWS + 8))
+        database.execute(f"INSERT INTO r VALUES {values}")
+        # Reply i carries ROWS + i % 7 rows: ~16 KiB each, ~48 MiB in
+        # all, and its length says which request it answers.
+        expected = [self.ROWS + i % 7 for i in range(self.REQUESTS)]
+        frames = [
+            encode_frame({"type": "query", "sql": f"SELECT r.k, r.a FROM r WHERE a < {n}"})
+            for n in expected
+        ]
+        with served(database) as (_, host, port, thread):
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
+            sock.connect((host, port))
+            try:
+                decoder = FrameDecoder()
+                hello(sock, decoder)
+                writer = threading.Thread(
+                    target=sock.sendall, args=(b"".join(frames),), daemon=True
+                )
+                (conn,) = thread.server._connections.values()
+                before = self._rss_mb()
+                writer.start()
+                # Stalled = the count of statements taken up stops moving.
+                taken, still = -1, 0
+                deadline = time.monotonic() + 30
+                while still < 5 and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                    still = still + 1 if conn.session.statements == taken else 0
+                    taken = conn.session.statements
+                assert 0 < taken < self.REQUESTS // 2, "server never stalled"
+                # One socket read's worth of decoded requests, at most.
+                bound = _READ_BYTES // len(frames[0]) + 1
+                assert thread.server.stats()["queue_depth"] <= bound
+                assert conn.writer.transport.get_write_buffer_size() < 1 << 20
+                assert self._rss_mb() - before < 16  # not the 48 MiB of replies
+                # Now read: every reply arrives, in request order.
+                received: list[int] = []
+                while len(received) < self.REQUESTS:
+                    data = sock.recv(1 << 20)
+                    assert data, "server hung up mid-stream"
+                    received.extend(
+                        len(message["cols"][0]) for message in decoder.feed(data)
+                    )
+                writer.join(timeout=10)
+                assert received == expected
+            finally:
+                sock.close()
+
+    def test_good_frames_before_a_malformed_one_are_answered_first(self):
+        with served() as (database, host, port, _thread):
+            database.execute("CREATE TABLE r (k integer)")
+            database.execute("INSERT INTO r VALUES (1), (2), (3)")
+            sock = socket.create_connection((host, port))
+            try:
+                # One segment: hello, three good requests, one bad frame.
+                segment = b"".join(
+                    [encode_frame({"type": "hello", "protocol": PROTOCOL_VERSION})]
+                    + [
+                        encode_frame({"type": "query", "sql": f"SELECT count(*) FROM r WHERE k < {i}"})
+                        for i in (2, 3, 4)
+                    ]
+                    + [len(b"nope").to_bytes(4, "big") + b"nope"]
+                )
+                sock.sendall(segment)
+                replies = read_to_eof(sock, FrameDecoder())  # ... then hang-up
+            finally:
+                sock.close()
+        assert [reply["type"] for reply in replies] == [
+            "hello", "result", "result", "result", "error",
+        ]
+        assert [reply["rows"] for reply in replies[1:4]] == [[[1]], [[2]], [[3]]]
+        assert replies[4]["code"] == "protocol"

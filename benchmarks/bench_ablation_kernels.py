@@ -70,12 +70,12 @@ def test_ablation_swap_kernel_on_presorted_input(benchmark):
     "threshold", [0, 1024], ids=["unbounded", "threshold-1024"]
 )
 def test_ablation_crack_threshold(benchmark, threshold):
-    """Column-level ablation: piece-size-bounded vs unbounded cracking.
+    """Column-level ablation: the sort-below-T cut-off vs unbounded cracking.
 
     A burst of random ranges against one cracker column; the bounded
-    variant stops splitting at L1-sized pieces and answers the tails
-    with vectorised edge scans, trading bounded index growth for the
-    per-query scan of at most two threshold-sized pieces.
+    variant stops splitting at pieces of at most 1024 tuples, sorts such
+    a piece once and binary-searches it from then on, trading one sort
+    per piece for an index that stops growing.
     """
     from repro.core.cracked_column import CrackedColumn
 

@@ -11,8 +11,8 @@ regressions are visible PR over PR:
   against the seed-emulation path must stay ≤ ~1.2x.
 * **convergence** — cumulative latency at power-of-two checkpoints while
   the column self-organises, for the seed path, the cached path and the
-  cached + crack-threshold path (whose cracker index stops fragmenting at
-  the threshold).
+  cached + crack-threshold path (whose pieces are sorted, not split,
+  once they reach the threshold).
 * **sustained** — a fixed set of already-cracked range count queries
   cycled repeatedly: the converged steady state.  Configurations:
   ``seed`` (plan cache off — every statement re-lexed, re-parsed,

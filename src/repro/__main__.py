@@ -571,6 +571,7 @@ def run_serve(argv: list[str]) -> int:
     import asyncio
     import signal
 
+    from repro.core import DEFAULT_CRACK_THRESHOLD
     from repro.errors import ReproError
     from repro.server import ReproServer
     from repro.sql import Database
@@ -596,8 +597,11 @@ def run_serve(argv: list[str]) -> int:
         help="disable the two-level statement cache",
     )
     parser.add_argument(
-        "--crack-threshold", type=int, default=0,
-        help="stop cracking pieces below this many tuples (0 = unbounded)",
+        "--crack-threshold", type=int, default=DEFAULT_CRACK_THRESHOLD,
+        help="sort-below-T cut-off: a piece of at most this many tuples is "
+        "sorted once and binary-searched instead of cracked "
+        "(default %(default)s; 0 = crack unconditionally, the paper's "
+        "prototype)",
     )
     parser.add_argument(
         "--persist-dir", default=None,

@@ -44,19 +44,26 @@ class CrackStats:
     """Work accounting for a sequence of crack operations.
 
     Attributes:
-        tuples_touched: tuples examined by crack kernels (piece sizes).
-        tuples_moved: tuples whose storage position changed.
-        cracks: number of kernel invocations that split a piece.
+        tuples_touched: tuples examined by crack kernels and cut-off
+            sorts (piece sizes).
+        tuples_moved: tuples whose storage position a kernel changed.
+        cracks: kernel invocations that split a piece, i.e. placed a
+            split strictly inside it — whether or not anything had to
+            move; every kernel counts by this one rule.
+        sorts: pieces sorted in place at the crack cut-off (charged to
+            ``tuples_touched``, not ``tuples_moved``).
     """
 
     tuples_touched: int = 0
     tuples_moved: int = 0
     cracks: int = 0
+    sorts: int = 0
 
     def reset(self) -> None:
         self.tuples_touched = 0
         self.tuples_moved = 0
         self.cracks = 0
+        self.sorts = 0
 
 
 def _check_region(values: np.ndarray, oids: np.ndarray, start: int, stop: int) -> None:
@@ -110,6 +117,8 @@ def crack_in_two(
         stats.tuples_touched += stop - start
     if split in (start, stop):
         return split
+    if stats is not None:
+        stats.cracks += 1
     # Elements in the left zone that belong right, and vice versa — the
     # two lists always have equal length, so a pairwise swap suffices.
     wrong_left = np.flatnonzero(~mask[:n_left])
@@ -121,7 +130,6 @@ def crack_in_two(
     _swap_positions(oid_region, wrong_left, wrong_right)
     if stats is not None:
         stats.tuples_moved += 2 * len(wrong_left)
-        stats.cracks += 1
     return split
 
 
@@ -183,7 +191,7 @@ def crack_in_three(
         moved += 2 * len(wrong_in_zone2)
     if stats is not None:
         stats.tuples_moved += moved
-        if moved or (start < split_low < stop) or (start < split_high < stop):
+        if start < split_low < stop or start < split_high < stop:
             stats.cracks += 1
     return split_low, split_high
 
@@ -277,7 +285,7 @@ def crack_in_three_rebuild(
     split_high = split_low + int(middle_mask.sum())
     if stats is not None:
         stats.tuples_touched += stop - start
-    if split_low == start and split_high == stop:
+    if not (start < split_low < stop or start < split_high < stop):
         return split_low, split_high
     values[start:split_low] = region[left_mask]
     values[split_low:split_high] = region[middle_mask]

@@ -13,12 +13,14 @@ first query).  Every range query then:
    piece, otherwise up to two crack-in-twos),
 3. answers with a zero-copy contiguous span of the cracker column.
 
-With a ``crack_threshold`` > 0, step 2 stops once the touched piece is
-smaller than the threshold (the "stop at L1-sized pieces" refinement of
-the cracking literature; §3.4.2 discusses disk-block cut-off points):
-the bound's piece is answered by a vectorised filter scan instead of a
-split, so the cracker index stops fragmenting once pieces reach the
-cut-off while the answer stays exact.
+With a ``crack_threshold`` T > 0, step 2 stops at pieces of at most T
+tuples (§3.4.2 names cut-off points below which splitting stops paying;
+the hybrid crack-sort of "Merging What's Cracked, Cracking What's
+Merged", PVLDB'11, is the follow-up's answer): the first bound that
+lands in such a piece sorts it in place, once, and that bound and every
+later one in the piece is a binary search.  No kernel runs, the cracker
+index gains no boundary, and the answer is still a contiguous span — a
+converged column is read-only.
 
 Updates append to a pending area that is merged piece-wise on the next
 query (the "updates" future-work item of §7, implemented as an extension).
@@ -42,7 +44,7 @@ from repro.core.crack import (
     crack_in_two_rebuild,
     crack_in_two_swaps,
 )
-from repro.core.cracker_index import CrackerIndex, Piece
+from repro.core.cracker_index import CrackerIndex
 from repro.errors import CrackError
 from repro.obs import trace as obs_trace
 from repro.storage.bat import BAT
@@ -53,17 +55,24 @@ KERNEL_REBUILD = "rebuild"
 KERNEL_SWAPS = "swaps"
 _KERNELS = (KERNEL_VECTORISED, KERNEL_REBUILD, KERNEL_SWAPS)
 
+#: The cut-off the SQL layer ships (``Database``, ``CrackerProvider``,
+#: ``repro serve``).  ``CrackedColumn`` itself and ``engines/`` default
+#: to 0, the paper's unbounded prototype that ``experiments/fig*``
+#: reproduce.  Chosen from the ledger sweep in README "Crack threshold
+#: tuning".
+DEFAULT_CRACK_THRESHOLD = 512
+
 
 @dataclass
 class SelectionResult:
     """Answer of a cracked range query.
 
-    When the column was cracked for the query, the answer is the
-    contiguous span ``[start, stop)`` of the cracker column and ``oids`` /
-    ``values`` are zero-copy slices.  When a strategy declined to crack,
-    or threshold-bounded cracking answered an edge piece by scanning, the
-    answer may be a gathered (non-contiguous) subset; ``contiguous``
-    tells which case applies.
+    A cracking query — whatever the ``crack_threshold`` — answers with
+    the contiguous span ``[start, stop)`` of the cracker column, and
+    ``oids`` / ``values`` are zero-copy slices.  Only ``crack=False`` (a
+    strategy declined to reorganise) and ranges empty by construction
+    produce a gathered, non-contiguous answer; ``contiguous`` tells
+    which case applies.
 
     ``owner`` is the producing :class:`CrackedColumn` for contiguous
     answers; it enables the copy-on-demand :meth:`snapshot` protocol.
@@ -86,7 +95,7 @@ class SelectionResult:
         return len(self.oids)
 
     def snapshot(self) -> "SelectionResult":
-        """A stable view, immune to later in-place cracks.
+        """A stable view, immune to later in-place cracks and sorts.
 
         The concurrent SQL layer takes one before releasing the column
         lock: zero-copy answers are views into cracker storage,
@@ -98,9 +107,9 @@ class SelectionResult:
           so it is returned as-is — no copy ever;
         * a contiguous span produced by a known column registers itself
           with that column, which retires (copies) its storage arrays
-          just before the next in-place crack *if* any registered
-          snapshot is still alive.  Converged workloads — the sustained
-          phase, where cracks no longer happen — therefore never copy.
+          just before the next in-place crack or cut-off sort *if* any
+          registered snapshot is still alive.  Converged workloads — the
+          sustained phase, where neither happens — therefore never copy.
 
         Callers may hold the snapshot or its ``oids``/``values`` arrays;
         views *derived* from those arrays (further slicing) are only
@@ -146,10 +155,13 @@ class CrackedColumn:
         kernel: 'vectorised' (default) or 'swaps' — see :mod:`repro.core.crack`.
         crack_in_three_enabled: when False, double-sided ranges use two
             successive crack-in-twos (the paper discusses both; ablation).
-        crack_threshold: stop splitting pieces smaller than this many
-            tuples; a bound falling in such a piece is answered by a
-            vectorised filter scan of that piece instead of a crack.
-            0 (default) cracks unconditionally (the paper's prototype).
+        crack_threshold: sort below T — a bound that misses the index
+            and falls in a piece of at most this many tuples sorts the
+            piece in place (once) and is resolved by binary search
+            instead of a crack.  0 (default) cracks unconditionally (the
+            paper's prototype).  A plain attribute: the SQL layer sets
+            it on a restored column, and it is safe to change between
+            queries.
     """
 
     def __init__(
@@ -245,6 +257,14 @@ class CrackedColumn:
         # plain ref list, not a WeakSet: neither dataclass results nor
         # ndarrays are hashable.  See snapshot().
         self._live_snapshot_refs: list[weakref.ref] = []
+        # ``(start, stop)`` of pieces known to be sorted, so a bound in
+        # one skips the O(piece) sortedness test.  A remembered span
+        # stays sorted until positions shift: a sorted span that was once
+        # a whole piece holds no tuple on the wrong side of any pivot, so
+        # no kernel — even one cracking a piece later fused around it —
+        # reorders it.  Merges rebuild storage and clear the set.  Never
+        # persisted: a miss costs one comparison pass, not a wrong answer.
+        self._sorted_spans: set[tuple[int, int]] = set()
         # Optional per-column introspection (lineage/workload profiler).
         # None unless Database(profile=True) attached one — every hook
         # below costs a single attribute check when disabled.
@@ -291,6 +311,8 @@ class CrackedColumn:
             "pieces": self.piece_count,
             "tuples": len(self.values),
             "cracks": self.crack_stats.cracks,
+            "sorts": self.crack_stats.sorts,
+            "sorted_pieces": len(self._sorted_spans),
             "tuples_touched": self.crack_stats.tuples_touched,
             "tuples_moved": self.crack_stats.tuples_moved,
             "queries": self.query_stats.queries,
@@ -325,12 +347,12 @@ class CrackedColumn:
     def _shield_snapshots(self) -> None:
         """Retire current storage if any registered snapshot is alive.
 
-        Called (under the caller's column lock) immediately before
-        an in-place crack kernel runs.  Copying the storage arrays and
-        installing the copies makes the retired generation immutable:
-        every outstanding view — including views numpy re-based onto the
-        old root array — stays valid forever, and the kernel shuffles
-        only the fresh generation.  When no snapshot survives (the
+        Called (under the caller's column lock) immediately before an
+        in-place crack kernel or cut-off sort runs.  Copying the storage
+        arrays and installing the copies makes the retired generation
+        immutable: every outstanding view — including views numpy
+        re-based onto the old root array — stays valid forever, and the
+        kernel shuffles only the fresh generation.  When no snapshot survives (the
         common case: results are consumed within their statement), this
         is an empty-list check and no copy happens.
         """
@@ -378,8 +400,6 @@ class CrackedColumn:
         high_kind = KIND_LE if high_inclusive else KIND_LT
         if not crack:
             return self._scan_select(low, high, low_kind, high_kind)
-        if self.crack_threshold > 0:
-            return self._bounded_select(low, high, low_kind, high_kind)
         start = 0
         stop = len(self.values)
         if low is not None and high is not None:
@@ -412,114 +432,6 @@ class CrackedColumn:
             start=start,
             stop=stop,
             owner=self,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Threshold-bounded cracking
-    # ------------------------------------------------------------------ #
-
-    def _resolve_bound(self, value, kind: str) -> tuple[int | None, Piece | None]:
-        """Resolve one bound to ``(position, None)`` or ``(None, piece)``.
-
-        The position form means the boundary exists (found or just
-        cracked); the piece form means the bound's piece is below the
-        crack threshold and must be answered by scanning it.
-        """
-        existing = self.index.lookup(value, kind)
-        if existing is not None:
-            return existing, None
-        piece = self.index.piece_for(value, kind)
-        if piece.size < self.crack_threshold:
-            return None, piece
-        self.query_stats.pieces_inspected += 1
-        moved_before = self.crack_stats.tuples_moved
-        split = self._kernel_two(piece.start, piece.stop, value, kind)
-        self.index.add(value, kind, split)
-        if self.introspect is not None:
-            self.introspect.record_crack(
-                bounds=(value,),
-                piece_sizes=(split - piece.start, piece.stop - split),
-                moved=self.crack_stats.tuples_moved - moved_before,
-            )
-        return split, None
-
-    def _edge_positions(self, piece: Piece, low, high, low_kind, high_kind) -> np.ndarray:
-        """Qualifying storage positions inside one scanned edge piece.
-
-        Applies the *full* predicate, so an edge piece shared by both
-        bounds (or one whose value range pokes past the other bound) is
-        still filtered exactly.
-        """
-        window = self.values[piece.start : piece.stop]
-        mask = np.ones(len(window), dtype=bool)
-        if low is not None:
-            mask &= window >= low if low_kind == KIND_LT else window > low
-        if high is not None:
-            mask &= window < high if high_kind == KIND_LT else window <= high
-        self.query_stats.tuples_scanned += len(window)
-        return piece.start + np.flatnonzero(mask)
-
-    def _bounded_select(self, low, high, low_kind: str, high_kind: str) -> SelectionResult:
-        """Range select that never splits a piece below the threshold."""
-        n = len(self.values)
-        if low is None and high is None:
-            return self._span_result(0, n)
-        if low is not None and high is not None:
-            low_existing = self.index.lookup(low, low_kind)
-            high_existing = self.index.lookup(high, high_kind)
-            if low_existing is None and high_existing is None:
-                low_piece = self.index.piece_for(low, low_kind)
-                high_piece = self.index.piece_for(high, high_kind)
-                same_piece = (
-                    low_piece.start == high_piece.start
-                    and low_piece.stop == high_piece.stop
-                )
-                if same_piece and low_piece.size >= self.crack_threshold:
-                    start, stop = self._crack_both(low, high, low_kind, high_kind)
-                    return self._span_result(start, stop)
-        # Resolve sequentially: a crack for the low bound may split the
-        # piece the high bound falls in, so the high lookup runs fresh.
-        low_pos: int | None = None
-        low_piece = None
-        if low is not None:
-            low_pos, low_piece = self._resolve_bound(low, low_kind)
-        high_pos: int | None = None
-        high_piece = None
-        if high is not None:
-            high_pos, high_piece = self._resolve_bound(high, high_kind)
-        if low_piece is not None and high_piece is not None and (
-            low_piece.start == high_piece.start
-            and low_piece.stop == high_piece.stop
-        ):
-            # Both bounds in one sub-threshold piece: scan it once.  Both
-            # coordinates must match — a degenerate empty piece legally
-            # shares its start with the adjacent piece, and conflating
-            # them would scan only the empty one.
-            edge = self._edge_positions(low_piece, low, high, low_kind, high_kind)
-            return SelectionResult(oids=self.oids[edge], values=self.values[edge])
-        core_start = 0 if low is None else (
-            low_pos if low_piece is None else low_piece.stop
-        )
-        core_stop = n if high is None else (
-            high_pos if high_piece is None else high_piece.start
-        )
-        core_stop = max(core_start, core_stop)
-        if low_piece is None and high_piece is None:
-            return self._span_result(core_start, core_stop)
-        oid_parts = []
-        value_parts = []
-        if low_piece is not None:
-            edge = self._edge_positions(low_piece, low, high, low_kind, high_kind)
-            oid_parts.append(self.oids[edge])
-            value_parts.append(self.values[edge])
-        oid_parts.append(self.oids[core_start:core_stop])
-        value_parts.append(self.values[core_start:core_stop])
-        if high_piece is not None:
-            edge = self._edge_positions(high_piece, low, high, low_kind, high_kind)
-            oid_parts.append(self.oids[edge])
-            value_parts.append(self.values[edge])
-        return SelectionResult(
-            oids=np.concatenate(oid_parts), values=np.concatenate(value_parts)
         )
 
     # ------------------------------------------------------------------ #
@@ -670,6 +582,7 @@ class CrackedColumn:
         Every phase writes *new* storage arrays, so outstanding zero-copy
         snapshots keep their (retired) generation untouched.
         """
+        self._sorted_spans.clear()
         self._merge_removals()
         if not self._pending_values:
             return
@@ -812,85 +725,107 @@ class CrackedColumn:
         )
 
     def _ensure_boundary(self, value, kind: str) -> int:
-        """Crack (if needed) so boundary ``(value, kind)`` exists; return it."""
-        existing = self.index.lookup(value, kind)
-        if existing is not None:
-            return existing
-        piece = self.index.piece_for(value, kind)
+        """Position separating left/right of ``(value, kind)``; cracks or
+        sorts the bound's piece when the index does not hold it yet."""
+        return self._settle(value, kind, *self.index.probe(value, kind))
+
+    def _settle(self, value, kind: str, position, start: int, stop: int) -> int:
+        """Turn one :meth:`CrackerIndex.probe` answer into a position."""
+        if position is not None:
+            return position
+        threshold = self.crack_threshold
+        if threshold and stop - start <= threshold:
+            if (start, stop) not in self._sorted_spans:
+                self._sort_piece(start, stop)
+            side = "left" if kind == KIND_LT else "right"
+            return start + int(self.values[start:stop].searchsorted(value, side))
         self.query_stats.pieces_inspected += 1
         moved_before = self.crack_stats.tuples_moved
-        split = self._kernel_two(piece.start, piece.stop, value, kind)
+        split = self._kernel_two(start, stop, value, kind)
         self.index.add(value, kind, split)
         if self.introspect is not None:
             self.introspect.record_crack(
                 bounds=(value,),
-                piece_sizes=(split - piece.start, piece.stop - split),
+                piece_sizes=(split - start, stop - split),
                 moved=self.crack_stats.tuples_moved - moved_before,
             )
         return split
 
+    def _sort_piece(self, start: int, stop: int) -> None:
+        """Sort piece ``[start, stop)`` in place unless it already is,
+        and remember the span.
+
+        Any order inside a piece satisfies the piece invariant, so the
+        sort needs no index change; values and oids travel together.
+        """
+        self._sorted_spans.add((start, stop))
+        window = self.values[start:stop]
+        if (window[:-1] <= window[1:]).all():
+            return
+        self._shield_snapshots()
+        window = self.values[start:stop]
+        order = window.argsort(kind="stable")
+        window[:] = window[order]
+        oid_window = self.oids[start:stop]
+        oid_window[:] = oid_window[order]
+        stats = self.crack_stats
+        stats.sorts += 1
+        stats.tuples_touched += stop - start
+        if self.introspect is not None:
+            self.introspect.record_merge("sort", stop - start)
+
     def _crack_both(self, low, high, low_kind: str, high_kind: str) -> tuple[int, int]:
         """Establish both range boundaries, preferring crack-in-three."""
-        low_existing = self.index.lookup(low, low_kind)
-        high_existing = self.index.lookup(high, high_kind)
-        if low_existing is not None and high_existing is not None:
-            return low_existing, max(low_existing, high_existing)
-        if low_existing is None and high_existing is None:
-            low_piece = self.index.piece_for(low, low_kind)
-            high_piece = self.index.piece_for(high, high_kind)
-            same_piece = (
-                low_piece.start == high_piece.start
-                and low_piece.stop == high_piece.stop
-            )
-            if same_piece and self.crack_in_three_enabled:
-                self.query_stats.pieces_inspected += 1
-                moved_before = self.crack_stats.tuples_moved
+        probe = self.index.probe
+        low_pos, low_start, low_stop = probe(low, low_kind)
+        high_pos, high_start, high_stop = probe(high, high_kind)
+        if low_pos is not None and high_pos is not None:
+            return low_pos, max(low_pos, high_pos)
+        if (
+            low_pos is None
+            and high_pos is None
+            and low_start == high_start
+            and low_stop == high_stop
+            and low_stop - low_start > self.crack_threshold
+        ):
+            self.query_stats.pieces_inspected += 1
+            moved_before = self.crack_stats.tuples_moved
+            if self.crack_in_three_enabled:
                 split_low, split_high = self._kernel_three(
-                    low_piece.start, low_piece.stop, low, high, low_kind, high_kind
+                    low_start, low_stop, low, high, low_kind, high_kind
                 )
-                self.index.add(low, low_kind, split_low)
-                self.index.add(high, high_kind, split_high)
-                if self.introspect is not None:
-                    self.introspect.record_crack(
-                        bounds=(low, high),
-                        piece_sizes=(
-                            split_low - low_piece.start,
-                            split_high - split_low,
-                            low_piece.stop - split_high,
-                        ),
-                        moved=self.crack_stats.tuples_moved - moved_before,
-                    )
-                return split_low, split_high
-            if same_piece:
-                self.query_stats.pieces_inspected += 1
+            else:
                 self._shield_snapshots()
-                moved_before = self.crack_stats.tuples_moved
                 split_low, split_high = crack_in_three_via_two(
                     self.values,
                     self.oids,
-                    low_piece.start,
-                    low_piece.stop,
+                    low_start,
+                    low_stop,
                     low,
                     high,
                     low_kind=low_kind,
                     high_kind=high_kind,
                     stats=self.crack_stats,
                 )
-                self.index.add(low, low_kind, split_low)
-                self.index.add(high, high_kind, split_high)
-                if self.introspect is not None:
-                    self.introspect.record_crack(
-                        bounds=(low, high),
-                        piece_sizes=(
-                            split_low - low_piece.start,
-                            split_high - split_low,
-                            low_piece.stop - split_high,
-                        ),
-                        moved=self.crack_stats.tuples_moved - moved_before,
-                    )
-                return split_low, split_high
-        start = self._ensure_boundary(low, low_kind)
-        stop = self._ensure_boundary(high, high_kind)
+            self.index.add(low, low_kind, split_low)
+            self.index.add(high, high_kind, split_high)
+            if self.introspect is not None:
+                self.introspect.record_crack(
+                    bounds=(low, high),
+                    piece_sizes=(
+                        split_low - low_start,
+                        split_high - split_low,
+                        low_stop - split_high,
+                    ),
+                    moved=self.crack_stats.tuples_moved - moved_before,
+                )
+            return split_low, split_high
+        boundaries = len(self.index)
+        start = self._settle(low, low_kind, low_pos, low_start, low_stop)
+        if len(self.index) != boundaries:
+            # The low-bound crack may have split the high bound's piece.
+            high_pos, high_start, high_stop = probe(high, high_kind)
+        stop = self._settle(high, high_kind, high_pos, high_start, high_stop)
         return start, max(start, stop)
 
     def _scan_select(self, low, high, low_kind: str, high_kind: str) -> SelectionResult:
@@ -1031,6 +966,12 @@ class CrackedColumn:
                     raise CrackError(
                         f"pending {label} references oids absent from storage"
                     )
+        for start, stop in self._sorted_spans:
+            window = self.values[start:stop]
+            if stop > len(self.values) or (window[:-1] > window[1:]).any():
+                raise CrackError(
+                    f"span [{start}, {stop}) is remembered as sorted but is not"
+                )
         for piece in self.index.pieces():
             window = self.values[piece.start : piece.stop]
             if len(window) == 0:

@@ -22,9 +22,10 @@ the interval-tree navigation of the paper becomes one ``np.searchsorted``
 per probe and bulk operations (position shifts, merge bookkeeping,
 invariant checks, pending-update piece assignment) are single vectorised
 passes instead of Python loops over boundary objects.  :class:`Boundary`
-and :class:`Piece` remain the (cheap, on-demand) object views handed to
-callers; the sustained-phase query path never materialises them except
-for the one or two pieces a probe actually touches.
+and :class:`Piece` remain the on-demand object views handed to callers
+that inspect the index; the query path navigates with
+:meth:`CrackerIndex.probe`, which returns plain positions and builds
+neither.
 """
 
 from __future__ import annotations
@@ -199,17 +200,30 @@ class CrackerIndex:
             index += 1
         return index
 
-    def lookup(self, value, kind: str) -> int | None:
-        """Position of an existing boundary ``(value, kind)``, or None."""
+    def probe(self, value, kind: str) -> tuple[int | None, int, int]:
+        """One navigation step: ``(position | None, start, stop)``.
+
+        ``position`` is where boundary ``(value, kind)`` sits, or None
+        when the index does not hold it; ``[start, stop)`` is the piece
+        the boundary would split (when it exists: the piece left of it,
+        as :meth:`piece_for` defines).  One ``searchsorted`` and no
+        :class:`Piece`/:class:`Boundary` objects — this is the call the
+        query path makes for every bound.
+        """
         rank = self._rank_of(kind)
         index = self._locate(value, rank)
-        if (
-            index < self._count
-            and self._ranks[index] == rank
-            and self._exact[index] == value
-        ):
-            return int(self._positions[index])
-        return None
+        positions = self._positions
+        start = int(positions[index - 1]) if index else 0
+        if index == self._count:
+            return None, start, self.column_size
+        stop = int(positions[index])
+        if self._ranks[index] == rank and self._exact[index] == value:
+            return stop, start, stop
+        return None, start, stop
+
+    def lookup(self, value, kind: str) -> int | None:
+        """Position of an existing boundary ``(value, kind)``, or None."""
+        return self.probe(value, kind)[0]
 
     def piece_for(self, value, kind: str) -> Piece:
         """The piece a new boundary ``(value, kind)`` would split.

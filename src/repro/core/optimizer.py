@@ -142,13 +142,13 @@ class CrackingOptimizer:
     ) -> list[int]:
         """Sizes of the pieces a crack for this query would split."""
         sizes = []
-        index = self.column.index
-        if low is not None:
-            kind = KIND_LT if low_inclusive else KIND_LE
-            if index.lookup(low, kind) is None:
-                sizes.append(index.piece_for(low, kind).size)
-        if high is not None:
-            kind = KIND_LE if high_inclusive else KIND_LT
-            if index.lookup(high, kind) is None:
-                sizes.append(index.piece_for(high, kind).size)
+        bounds = (
+            (low, KIND_LT if low_inclusive else KIND_LE),
+            (high, KIND_LE if high_inclusive else KIND_LT),
+        )
+        for value, kind in bounds:
+            if value is not None:
+                position, start, stop = self.column.index.probe(value, kind)
+                if position is None:
+                    sizes.append(stop - start)
         return sizes

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.cracked_column import CrackedColumn
+from repro.core.cracked_column import DEFAULT_CRACK_THRESHOLD, CrackedColumn
 from repro.core.rwlock import ReadWriteLock
 from repro.obs import introspect as obs_introspect
 from repro.obs import trace as obs_trace
@@ -152,8 +152,10 @@ class CrackerProvider:
             column retires its storage generation before the next crack
             only while a snapshot is still referenced), so sustained
             converged workloads stay zero-copy even with this on.
-        crack_threshold: piece-size crack cut-off forwarded to every
-            cracked column (0 = always crack; see
+        crack_threshold: sort-below-T cut-off of every cracked column,
+            including ones restored from a checkpoint: pieces of at most
+            T tuples are sorted once and binary-searched, never cracked
+            (0 = always crack; see
             :class:`~repro.core.cracked_column.CrackedColumn`).
         profile: attach a
             :class:`~repro.obs.introspect.ColumnIntrospection` to every
@@ -164,7 +166,7 @@ class CrackerProvider:
     def __init__(
         self,
         snapshot_results: bool = False,
-        crack_threshold: int = 0,
+        crack_threshold: int = DEFAULT_CRACK_THRESHOLD,
         profile: bool = False,
     ) -> None:
         if crack_threshold < 0:
@@ -256,8 +258,8 @@ class CrackerProvider:
 
         Under an active trace the whole call is wrapped in a ``crack``
         span whose meta records the column, the piece count after the
-        query and the cracks this query performed; with tracing off the
-        cost is one ContextVar read.
+        query and the cracks and cut-off sorts this query performed;
+        with tracing off the cost is one ContextVar read.
         """
         column = self.column_for(relation, attr)
         if not obs_trace.tracing():
@@ -267,14 +269,16 @@ class CrackerProvider:
             )
         with obs_trace.span("crack") as crack_span:
             crack_span.meta["column"] = f"{relation.name}.{attr}"
-            cracks_before = column.crack_stats.cracks
+            stats = column.crack_stats
+            cracks_before, sorts_before = stats.cracks, stats.sorts
             result = self._locked_select(
                 column, relation.name, attr, low, high,
                 low_inclusive, high_inclusive,
             )
             # Read without the column lock: trace meta is advisory, an
             # exact-at-an-instant count is not worth re-serialising on.
-            crack_span.meta["cracks"] = column.crack_stats.cracks - cracks_before
+            crack_span.meta["cracks"] = stats.cracks - cracks_before
+            crack_span.meta["sorts"] = stats.sorts - sorts_before
             crack_span.meta["pieces"] = column.piece_count
         return result
 
@@ -331,6 +335,7 @@ class CrackerProvider:
         piece boundaries instead of re-paying the cracking burn-in.
         Refuses to replace a live column: that would silently discard
         pieces (and pending updates) the running store has accumulated.
+        The cut-off given at open wins over the checkpointed one.
         """
         key = (table, attr)
         with self._registry_lock:
@@ -339,6 +344,7 @@ class CrackerProvider:
                     f"cracker for {table}.{attr} already attached; "
                     "warm restore must target a fresh database"
                 )
+            column.crack_threshold = self.crack_threshold
             self._columns[key] = column
             self._locks.setdefault(key, ReadWriteLock())
             if self.profile:

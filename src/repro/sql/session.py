@@ -24,6 +24,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
+from repro.core.cracked_column import DEFAULT_CRACK_THRESHOLD
 from repro.errors import PersistError, SQLAnalysisError
 from repro.obs import introspect as obs_introspect
 from repro.obs import trace as obs_trace
@@ -220,9 +221,13 @@ class Database:
     every mutation (DDL, INSERT, UPDATE, DELETE).  ``prepare`` /
     ``execute_prepared`` expose the parameterised form directly.
 
-    ``crack_threshold`` > 0 stops cracking pieces below that many tuples;
-    a bound falling in such a piece is answered by a vectorised scan of
-    the piece, bounding cracker-index growth (§3.4.2's cut-off points).
+    ``crack_threshold`` T is the cut-off below which cracking stops
+    (§3.4.2's cut-off points): a piece of at most T tuples is sorted in
+    place the first time a bound lands in it and binary-searched from
+    then on, so a converged column performs no cracks and its index stops
+    growing.  0 cracks unconditionally (the paper's prototype).  The
+    value given at open also applies to columns restored from a
+    checkpoint.
 
     ``persist_dir`` makes the database durable and warm-restartable: a
     :class:`~repro.persist.store.PersistentStore` under that directory
@@ -265,7 +270,7 @@ class Database:
         mode: str = "tuple",
         concurrent: bool = False,
         plan_cache: bool = True,
-        crack_threshold: int = 0,
+        crack_threshold: int = DEFAULT_CRACK_THRESHOLD,
         persist_dir=None,
         wal_fsync_every: int = 64,
         checkpoint_statements: int | None = None,

@@ -119,9 +119,42 @@ class TestCrackStats:
         assert rebuild_stats.tuples_moved == 200
 
     def test_stats_reset(self):
-        stats = CrackStats(tuples_touched=5, tuples_moved=2, cracks=1)
+        stats = CrackStats(tuples_touched=5, tuples_moved=2, cracks=1, sorts=3)
         stats.reset()
-        assert (stats.tuples_touched, stats.tuples_moved, stats.cracks) == (0, 0, 0)
+        assert stats == CrackStats()
+
+    @pytest.mark.parametrize("kernel", KERNELS_TWO)
+    @pytest.mark.parametrize(
+        "values, pivot, kind, split",
+        [
+            (list(range(10)), 5, KIND_LT, 5),  # pre-partitioned: nothing moves
+            (list(range(9, -1, -1)), 5, KIND_LT, 5),  # reversed
+            ([4] * 10, 4, KIND_LT, 0),  # all equal: everything stays right...
+            ([4] * 10, 4, KIND_LE, 10),  # ...or left, no split either way
+        ],
+    )
+    def test_a_crack_counts_iff_the_piece_was_split(
+        self, kernel, values, pivot, kind, split
+    ):
+        array, oids = fresh(values)
+        stats = CrackStats()
+        assert kernel(array, oids, 0, 10, pivot, kind=kind, stats=stats) == split
+        assert stats.cracks == int(0 < split < 10)
+
+    @pytest.mark.parametrize("kernel", KERNELS_THREE)
+    def test_three_way_kernels_count_by_the_same_rule(self, kernel):
+        for values, low, high, split in [
+            (list(range(10)), 3, 6, True),
+            (list(range(9, -1, -1)), 3, 6, True),
+            ([4] * 10, 4, 4, False),  # one zone holds the whole piece
+            ([4] * 10, 5, 9, False),
+            ([4] * 10, 0, 3, False),
+        ]:
+            array, oids = fresh(values)
+            stats = CrackStats()
+            kernel(array, oids, 0, 10, low, high, stats=stats)
+            assert bool(stats.cracks) == split, (values, low, high)
+            assert sorted(array.tolist()) == sorted(values)
 
 
 class TestCrackInThree:

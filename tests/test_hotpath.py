@@ -1,4 +1,4 @@
-"""Hot-path features: threshold-bounded cracking and copy-on-demand snapshots."""
+"""Hot-path features: the sort-below-T crack cut-off and copy-on-demand snapshots."""
 
 from __future__ import annotations
 
@@ -66,13 +66,17 @@ class TestThresholdBoundedCracking:
         assert column.piece_count < unbounded.piece_count // 2
         column.check_invariants()
 
-    def test_threshold_answers_are_gathered(self):
-        values = np.arange(100)
+    def test_answers_under_the_cutoff_are_contiguous(self):
+        values = np.random.default_rng(2).permutation(100)
         column = CrackedColumn.from_arrays(values, crack_threshold=10**6)
         result = column.range_select(10, 20)
-        assert not result.contiguous
-        assert sorted(result.values.tolist()) == list(range(10, 20))
-        assert column.piece_count == 1  # never cracked
+        assert result.contiguous
+        assert np.shares_memory(result.values, column.values)
+        assert result.values.tolist() == list(range(10, 20))
+        assert values[result.oids].tolist() == list(range(10, 20))
+        assert column.piece_count == 1  # sorted once, never cracked
+        assert (column.crack_stats.sorts, column.crack_stats.cracks) == (1, 0)
+        column.check_invariants()
 
     def test_degenerate_empty_edge_piece_not_conflated(self):
         """Regression: a crack landing on an existing boundary position

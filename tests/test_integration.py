@@ -125,7 +125,7 @@ class TestPaperSection5:
 class TestFullStack:
     def test_sql_database_runs_tapestry_benchmark(self):
         tapestry = DBtapestry(300, arity=2, seed=4)
-        database = Database(cracking=True)
+        database = Database(cracking=True, crack_threshold=0)
         database.execute_script(tapestry.to_sql_script("tap", batch=64))
         mqs = MQS(alpha=2, n=300, k=6, sigma=0.1)
         for query in homerun_sequence(mqs, attr="a", seed=4):

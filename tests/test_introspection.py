@@ -147,7 +147,7 @@ class TestWorkloadHistogramProperty:
 
 class TestLineage:
     def test_cracks_record_operator_bounds_and_statement(self):
-        db = Database(cracking=True, profile=True)
+        db = Database(cracking=True, profile=True, crack_threshold=0)
         _load_small(db)
         db.execute("SELECT k FROM r WHERE a BETWEEN 10 AND 60")
         lineage = db.stats()["lineage"]["r.a"]

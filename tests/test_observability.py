@@ -77,7 +77,7 @@ class TestExplainAnalyze:
             assert required in names
 
     def test_prefix_is_case_insensitive_and_executes_for_real(self):
-        db = Database(cracking=True)
+        db = Database(cracking=True, crack_threshold=0)
         _load_small(db)
         before = db.piece_count("r", "a")
         db.execute("  explain ANALYZE SELECT k FROM r WHERE a > 50")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oracle import assert_sorted_rows_equal, load_standard, random_range_queries
-from repro.core.cracked_column import CrackedColumn
+from repro.core.cracked_column import DEFAULT_CRACK_THRESHOLD, CrackedColumn
 from repro.errors import PersistError
 from repro.persist import scan_wal
 from repro.persist.wal import StatementWAL, frame_record
@@ -30,11 +30,13 @@ except ImportError:  # pragma: no cover - exercised on minimal installs
     HAVE_HYPOTHESIS = False
 
 #: Persistence-capable cracking configurations, mirroring the oracle's
-#: ENGINE_CONFIGS sweep (cracked / vectorized / bounded).
+#: ENGINE_CONFIGS sweep (cracked / vectorized / bounded / default), with
+#: the crack cut-off pinned the same way.
 PERSIST_CONFIGS: dict[str, dict] = {
-    "cracked": dict(cracking=True, mode="tuple"),
-    "vectorized": dict(cracking=True, mode="vector"),
+    "cracked": dict(cracking=True, mode="tuple", crack_threshold=0),
+    "vectorized": dict(cracking=True, mode="vector", crack_threshold=0),
     "bounded": dict(cracking=True, mode="tuple", crack_threshold=96),
+    "default": dict(cracking=True, mode="vector"),
 }
 
 #: Order-free verification suite run on both sides of every restart.
@@ -364,7 +366,7 @@ class TestDurabilityMechanics:
             Database(cracking=True).checkpoint()
 
     def test_cracking_disabled_checkpoint_refuses_to_drop_warm_state(self, tmp_path):
-        db = Database(cracking=True, persist_dir=tmp_path)
+        db = Database(cracking=True, persist_dir=tmp_path, crack_threshold=0)
         db.execute("CREATE TABLE t (v integer)")
         db.execute("INSERT INTO t VALUES (1), (5), (9), (13)")
         db.execute("SELECT count(*) FROM t WHERE v BETWEEN 4 AND 10")  # crack
@@ -378,7 +380,7 @@ class TestDurabilityMechanics:
             data_only.checkpoint()
         data_only.close()
         # The warm state survived for cracking-enabled sessions.
-        warm = Database(cracking=True, persist_dir=tmp_path)
+        warm = Database(cracking=True, persist_dir=tmp_path, crack_threshold=0)
         assert warm.piece_count("t", "v") > 1
         warm.checkpoint()  # and a warm session may still compact
         warm.close()
@@ -388,7 +390,9 @@ class TestDurabilityMechanics:
         its cracker entries are dropped (the BATs are the truth), the WAL
         tail replays, and the column re-cracks from the live rows."""
         oracle = Database(cracking=False)
-        db = Database(cracking=True, mode="vector", persist_dir=tmp_path)
+        db = Database(
+            cracking=True, mode="vector", persist_dir=tmp_path, crack_threshold=0
+        )
         for target in (oracle, db):
             load_standard(target, seed=31, n_rows=200)
         rng = np.random.default_rng(31)
@@ -407,7 +411,9 @@ class TestDurabilityMechanics:
         )
         assert rewritten > 0
 
-        reopened = Database(cracking=True, mode="vector", persist_dir=tmp_path)
+        reopened = Database(
+            cracking=True, mode="vector", persist_dir=tmp_path, crack_threshold=0
+        )
         stats = reopened.persistence_stats()
         assert stats["recovery_crackers_dropped"] == rewritten
         assert stats["recovery_wal_statements_replayed"] == len(tail)
@@ -420,6 +426,39 @@ class TestDurabilityMechanics:
         )
         assert fresh["crackers"]
         assert all(e["meta"]["kind"] == "single" for e in fresh["crackers"])
+        reopened.close()
+
+    @pytest.mark.parametrize("before, after", [(0, 96), (96, 0), (0, None)])
+    def test_crack_threshold_given_at_open_wins_on_warm_restart(
+        self, before, after, tmp_path
+    ):
+        """The checkpoint records the cut-off it ran with; the reopening
+        session's value (None = the shipped default) replaces it."""
+        oracle = Database(cracking=False)
+        db = Database(
+            cracking=True, mode="vector", persist_dir=tmp_path,
+            crack_threshold=before,
+        )
+        for target in (oracle, db):
+            load_standard(target, seed=5, n_rows=400)
+        rng = np.random.default_rng(5)
+        run_workload((oracle, db), random_range_queries(rng, 12))
+        assert_databases_agree(oracle, db)
+        db.checkpoint()
+        db.close()
+
+        chosen = {} if after is None else {"crack_threshold": after}
+        expected = DEFAULT_CRACK_THRESHOLD if after is None else after
+        reopened = Database(
+            cracking=True, mode="vector", persist_dir=tmp_path, **chosen
+        )
+        columns = reopened.cracked_columns()
+        assert columns  # warm: the crackers came back
+        assert {c.crack_threshold for c in columns.values()} == {expected}
+        assert_databases_agree(oracle, reopened)
+        run_workload((oracle, reopened), random_range_queries(rng, 12))
+        assert_databases_agree(oracle, reopened)
+        reopened.check_invariants()
         reopened.close()
 
     def test_unknown_cracker_kind_still_refuses_to_open(self, tmp_path):

@@ -578,7 +578,7 @@ class TestGracefulShutdown:
     def test_shutdown_checkpoints_persistent_store(self, tmp_path):
         store = tmp_path / "store"
         database = Database(
-            cracking=True, concurrent=True, persist_dir=store
+            cracking=True, concurrent=True, persist_dir=store, crack_threshold=0
         )
         thread = ServerThread(database)
         host, port = thread.start()
@@ -590,7 +590,9 @@ class TestGracefulShutdown:
         assert report["checkpoint"] is not None
         assert report["checkpoint"]["statements_compacted"] == 2
 
-        with Database(cracking=True, persist_dir=store) as recovered:
+        with Database(
+            cracking=True, persist_dir=store, crack_threshold=0
+        ) as recovered:
             stats = recovered.persistence_stats()
             assert stats["recovery_snapshot_loaded"] is True
             assert stats["recovery_wal_statements_replayed"] == 0  # empty tail
@@ -626,7 +628,10 @@ class TestObservabilitySurface:
             )
 
     def test_stats_carries_histograms_and_cracker_detail(self):
-        with served() as (_, host, port, _thread):
+        unbounded = Database(
+            cracking=True, mode="vector", concurrent=True, crack_threshold=0
+        )
+        with served(unbounded) as (_, host, port, _thread):
             with Client(host, port) as client:
                 self._warm(client)
                 stats = client.stats()

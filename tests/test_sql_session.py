@@ -7,9 +7,8 @@ from repro.errors import CatalogError, SQLAnalysisError, SQLSyntaxError
 from repro.sql import Database
 
 
-@pytest.fixture
-def db(rng):
-    database = Database(cracking=True)
+def _loaded(rng, **kwargs):
+    database = Database(cracking=True, **kwargs)
     database.execute("CREATE TABLE r (k integer, a integer)")
     database.execute("CREATE TABLE s (k integer, b integer)")
     r_rows = ", ".join(
@@ -21,6 +20,17 @@ def db(rng):
     )
     database.execute(f"INSERT INTO s VALUES {s_rows}")
     return database
+
+
+@pytest.fixture
+def db(rng):
+    return _loaded(rng)
+
+
+@pytest.fixture
+def unbounded_db(rng):
+    """For tests asserting piece layouts of tables smaller than the cut-off."""
+    return _loaded(rng, crack_threshold=0)
 
 
 class TestDDLAndDML:
@@ -168,7 +178,8 @@ class TestSelects:
 
 
 class TestCrackingIntegration:
-    def test_queries_crack_columns(self, db):
+    def test_queries_crack_columns(self, unbounded_db):
+        db = unbounded_db
         assert db.piece_count("r", "a") == 1
         db.execute("SELECT count(*) FROM r WHERE a BETWEEN 100 AND 200")
         assert db.piece_count("r", "a") == 3
@@ -185,7 +196,8 @@ class TestCrackingIntegration:
             sql = f"SELECT count(*) FROM t WHERE a BETWEEN {low} AND {high}"
             assert plain.execute(sql).scalar() == cracked.execute(sql).scalar()
 
-    def test_insert_merges_into_crackers(self, db):
+    def test_insert_merges_into_crackers(self, unbounded_db):
+        db = unbounded_db
         db.execute("SELECT count(*) FROM r WHERE a BETWEEN 1 AND 50")
         assert db.piece_count("r", "a") > 1
         db.execute("INSERT INTO r VALUES (1000, 25)")

@@ -7,7 +7,7 @@ its predicate bounds, incrementally building a query-driven index.
 Public API highlights:
 
 * :class:`repro.core.CrackedColumn` — the adaptive cracked column;
-* :mod:`repro.core` — Ξ/Ψ/^/Ω cracker operators, lineage, optimizer;
+* :mod:`repro.core` — crack kernels, index, Ξ/Ψ/^/Ω operators, lineage;
 * :mod:`repro.storage` — MonetDB-style BAT storage substrate;
 * :mod:`repro.engines` — comparable query engines (row store, column
   store, cracking, sorted, SQL-level cracking);
@@ -25,7 +25,7 @@ Public API highlights:
 
 __version__ = "1.0.0"
 
-from repro.core import CrackedColumn, CrackerIndex, CrackingOptimizer
+from repro.core import CrackedColumn, CrackerIndex
 from repro.storage import BAT, BATView, Catalog, Column, Relation, Schema
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "Column",
     "CrackedColumn",
     "CrackerIndex",
-    "CrackingOptimizer",
     "Relation",
     "Schema",
     "__version__",

@@ -1,4 +1,4 @@
-"""Command-line entry point: run the paper's experiments, SQL, or benches.
+"""Command-line entry point: run the paper's experiments, SQL, or the server.
 
 Usage::
 
@@ -6,7 +6,6 @@ Usage::
     python -m repro fig2                 # run one experiment (full size)
     python -m repro all --quick          # all experiments, reduced sizes
     python -m repro sql --mode vector -e "SELECT ..."   # embedded SQL
-    python -m repro bench hotpath        # run benchmarks/bench_hotpath.py
     python -m repro snapshot ./state     # checkpoint a durable store
     python -m repro restore ./state      # recover + verify a durable store
     python -m repro serve --port 7744 --persist-dir ./state   # SQL server
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from repro.experiments import (
     fig1,
@@ -115,82 +113,6 @@ def run_sql(argv: list[str]) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         _print_result(result)
-    return 0
-
-
-def bench_directory() -> Path:
-    """The repository's ``benchmarks/`` directory (source checkouts only)."""
-    return Path(__file__).resolve().parents[2] / "benchmarks"
-
-
-def run_bench(argv: list[str]) -> int:
-    """The ``bench`` subcommand: run any ``benchmarks/bench_*.py`` by name.
-
-    Each bench module's ``main()`` runs its full-size sweep and writes
-    its JSON result next to the script, so benches stop being ad-hoc
-    ``python benchmarks/bench_....py`` invocations.  ``--rows`` overrides
-    the row count for benches whose ``main`` takes ``n_rows`` (used by CI
-    to smoke-run at tiny sizes).
-    """
-    import importlib.util
-    import inspect
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Run a benchmarks/bench_*.py sweep by name; the bench "
-        "writes its JSON result next to its script.",
-    )
-    parser.add_argument(
-        "name", nargs="?",
-        help="bench name, with or without the bench_ prefix (e.g. hotpath)",
-    )
-    parser.add_argument(
-        "--list", action="store_true", help="list available benches"
-    )
-    parser.add_argument(
-        "--rows", type=int, default=None,
-        help="row-count override for benches with an n_rows parameter",
-    )
-    args = parser.parse_args(argv)
-    directory = bench_directory()
-    if not directory.is_dir():
-        print(
-            f"error: bench directory {directory} not found (benches run "
-            "from a source checkout)",
-            file=sys.stderr,
-        )
-        return 2
-    available = sorted(path.stem for path in directory.glob("bench_*.py"))
-    if args.list or not args.name:
-        print("Available benches (repro bench <name>):")
-        for stem in available:
-            print(f"  {stem.removeprefix('bench_')}")
-        return 0
-    stem = args.name if args.name.startswith("bench_") else f"bench_{args.name}"
-    path = directory / f"{stem}.py"
-    if not path.is_file():
-        # Opaque failure helps nobody: name the benches that do exist.
-        print(f"unknown bench {args.name!r}; available:", file=sys.stderr)
-        for known in available:
-            print(f"  {known.removeprefix('bench_')}", file=sys.stderr)
-        return 2
-    spec = importlib.util.spec_from_file_location(stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    bench_main = getattr(module, "main", None)
-    if bench_main is None:
-        print(f"error: {path.name} has no main() entry point", file=sys.stderr)
-        return 2
-    kwargs = {}
-    if args.rows is not None:
-        if "n_rows" not in inspect.signature(bench_main).parameters:
-            print(
-                f"error: {path.name} main() takes no n_rows parameter",
-                file=sys.stderr,
-            )
-            return 2
-        kwargs["n_rows"] = args.rows
-    bench_main(**kwargs)
     return 0
 
 
@@ -754,7 +676,6 @@ def main(argv: list[str] | None = None) -> int:
         print("\nRun: python -m repro <experiment> [--quick] [--rows N]")
         print("     python -m repro all [--quick]")
         print("     python -m repro sql [--mode tuple|vector] -e 'SQL...'")
-        print("     python -m repro bench <name> [--rows N] | bench --list")
         print("     python -m repro snapshot <persist_dir>")
         print("     python -m repro restore <persist_dir> [-e 'SQL...']")
         print("     python -m repro serve [--port N] [--persist-dir DIR]")
@@ -764,8 +685,6 @@ def main(argv: list[str] | None = None) -> int:
     target, *rest = argv
     if target == "sql":
         return run_sql(rest)
-    if target == "bench":
-        return run_bench(rest)
     if target == "serve":
         return run_serve(rest)
     if target == "top":

@@ -1,4 +1,4 @@
-"""Provenance metadata stamped into every BENCH_*.json report.
+"""Provenance metadata stamped into every perf-ledger report.
 
 A benchmark number without its environment is unreproducible: a
 regression hunt needs to know whether two reports came from the same

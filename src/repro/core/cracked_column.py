@@ -65,30 +65,21 @@ DEFAULT_CRACK_THRESHOLD = 512
 
 @dataclass
 class SelectionResult:
-    """Answer of a cracked range query.
+    """Answer of a cracked range query: a span of the cracker column.
 
-    A cracking query — whatever the ``crack_threshold`` — answers with
-    the contiguous span ``[start, stop)`` of the cracker column, and
-    ``oids`` / ``values`` are zero-copy slices.  Only ``crack=False`` (a
-    strategy declined to reorganise) and ranges empty by construction
-    produce a gathered, non-contiguous answer; ``contiguous`` tells
-    which case applies.
+    ``oids`` / ``values`` are the zero-copy slices ``[start, stop)`` of
+    the column's storage, whatever the ``crack_threshold``; a range
+    empty by construction is the empty span ``[0, 0)``.
 
-    ``owner`` is the producing :class:`CrackedColumn` for contiguous
-    answers; it enables the copy-on-demand :meth:`snapshot` protocol.
+    ``owner`` is the producing :class:`CrackedColumn`; it carries the
+    copy-on-demand :meth:`snapshot` protocol.
     """
 
     oids: np.ndarray
     values: np.ndarray
-    start: int | None = None
-    stop: int | None = None
-    owner: "CrackedColumn | None" = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def contiguous(self) -> bool:
-        return self.start is not None
+    start: int
+    stop: int
+    owner: "CrackedColumn" = field(repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -101,15 +92,12 @@ class SelectionResult:
         lock: zero-copy answers are views into cracker storage,
         which the next crack would shuffle underneath the holder.
 
-        The copy is paid *on demand*, not here:
-
-        * a gathered (non-contiguous) answer is already a private array,
-          so it is returned as-is — no copy ever;
-        * a contiguous span produced by a known column registers itself
-          with that column, which retires (copies) its storage arrays
-          just before the next in-place crack or cut-off sort *if* any
-          registered snapshot is still alive.  Converged workloads — the
-          sustained phase, where neither happens — therefore never copy.
+        The copy is paid *on demand*, not here: the span registers
+        itself with its column, which retires (copies) its storage
+        arrays just before the next in-place crack or cut-off sort *if*
+        any registered snapshot is still alive.  Converged workloads —
+        the sustained phase, where neither happens — therefore never
+        copy.  An empty span views nothing and registers nothing.
 
         Callers may hold the snapshot or its ``oids``/``values`` arrays;
         views *derived* from those arrays (further slicing) are only
@@ -117,17 +105,9 @@ class SelectionResult:
         Must be called while holding the column's lock (the SQL layer's
         discipline), so registration cannot race an in-flight crack.
         """
-        if not self.contiguous:
-            return self
-        if self.owner is not None:
+        if self.stop > self.start:
             self.owner._register_snapshot(self)
-            return self
-        return SelectionResult(
-            oids=self.oids.copy(),
-            values=self.values.copy(),
-            start=self.start,
-            stop=self.stop,
-        )
+        return self
 
 
 @dataclass
@@ -136,13 +116,11 @@ class QueryStats:
 
     queries: int = 0
     pieces_inspected: int = 0
-    tuples_scanned: int = 0
     merged_updates: int = 0
 
     def reset(self) -> None:
         self.queries = 0
         self.pieces_inspected = 0
-        self.tuples_scanned = 0
         self.merged_updates = 0
 
 
@@ -258,12 +236,13 @@ class CrackedColumn:
         # ndarrays are hashable.  See snapshot().
         self._live_snapshot_refs: list[weakref.ref] = []
         # ``(start, stop)`` of pieces known to be sorted, so a bound in
-        # one skips the O(piece) sortedness test.  A remembered span
-        # stays sorted until positions shift: a sorted span that was once
-        # a whole piece holds no tuple on the wrong side of any pivot, so
-        # no kernel — even one cracking a piece later fused around it —
-        # reorders it.  Merges rebuild storage and clear the set.  Never
-        # persisted: a miss costs one comparison pass, not a wrong answer.
+        # one skips the O(piece) sortedness test.  Between merges the
+        # index only gains boundaries, so a remembered span is always a
+        # union of whole pieces, and it stays sorted: it holds no tuple
+        # on the wrong side of any pivot, so a kernel cracking it (after
+        # ``crack_threshold`` was lowered) reorders nothing.  Merges
+        # rebuild storage and clear the set.  Never persisted: a miss
+        # costs one comparison pass, not a wrong answer.
         self._sorted_spans: set[tuple[int, int]] = set()
         # Optional per-column introspection (lineage/workload profiler).
         # None unless Database(profile=True) attached one — every hook
@@ -317,7 +296,6 @@ class CrackedColumn:
             "tuples_moved": self.crack_stats.tuples_moved,
             "queries": self.query_stats.queries,
             "pieces_inspected": self.query_stats.pieces_inspected,
-            "tuples_scanned": self.query_stats.tuples_scanned,
             "merged_updates": self.query_stats.merged_updates,
             "pending_inserts": self.pending_count,
             "pending_deletes": self.pending_delete_count,
@@ -374,13 +352,13 @@ class CrackedColumn:
         high=None,
         low_inclusive: bool = True,
         high_inclusive: bool = False,
-        crack: bool = True,
     ) -> SelectionResult:
         """Answer ``low θ attr θ high`` adaptively.
 
-        ``None`` bounds make the predicate one-sided.  With ``crack=False``
-        the query is answered by scanning the overlapping pieces without
-        reorganising (used by bounded cracking strategies).
+        ``None`` bounds make the predicate one-sided.  Each bound the
+        index does not hold yet cracks its piece — or, at or below
+        ``crack_threshold``, sorts it once — and the answer is the span
+        between the two positions.
         """
         self._merge_pending()
         self.query_stats.queries += 1
@@ -393,13 +371,10 @@ class CrackedColumn:
         if (low is not None and high is not None and high < low) or degenerate_point:
             # Empty by construction; cracking would also invert the
             # boundary ordering (the high boundary would sort before the
-            # low one), so answer without reorganising.
-            empty = np.empty(0, dtype=self.oids.dtype)
-            return SelectionResult(oids=empty, values=empty.astype(self.values.dtype))
+            # low one), so answer the empty span without reorganising.
+            return self._span_result(0, 0)
         low_kind = KIND_LT if low_inclusive else KIND_LE
         high_kind = KIND_LE if high_inclusive else KIND_LT
-        if not crack:
-            return self._scan_select(low, high, low_kind, high_kind)
         start = 0
         stop = len(self.values)
         if low is not None and high is not None:
@@ -416,16 +391,14 @@ class CrackedColumn:
         high=None,
         low_inclusive: bool = True,
         high_inclusive: bool = False,
-        crack: bool = True,
     ) -> int:
-        """Count qualifying tuples (cracks as a side effect by default)."""
+        """Count qualifying tuples (cracks as a side effect)."""
         return self.range_select(
-            low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive,
-            crack=crack,
+            low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive
         ).count
 
     def _span_result(self, start: int, stop: int) -> SelectionResult:
-        """A zero-copy contiguous answer (registers nothing by itself)."""
+        """The zero-copy answer ``[start, stop)`` (registers nothing by itself)."""
         return SelectionResult(
             oids=self.oids[start:stop],
             values=self.values[start:stop],
@@ -828,21 +801,6 @@ class CrackedColumn:
         stop = self._settle(high, high_kind, high_pos, high_start, high_stop)
         return start, max(start, stop)
 
-    def _scan_select(self, low, high, low_kind: str, high_kind: str) -> SelectionResult:
-        """Answer by scanning overlapping pieces, without reorganising."""
-        mask = np.ones(len(self.values), dtype=bool)
-        if low is not None:
-            mask &= (
-                self.values >= low if low_kind == KIND_LT else self.values > low
-            )
-        if high is not None:
-            mask &= (
-                self.values < high if high_kind == KIND_LT else self.values <= high
-            )
-        self.query_stats.tuples_scanned += len(self.values)
-        positions = np.flatnonzero(mask)
-        return SelectionResult(oids=self.oids[positions], values=self.values[positions])
-
     # ------------------------------------------------------------------ #
     # Persistence
     # ------------------------------------------------------------------ #
@@ -966,9 +924,14 @@ class CrackedColumn:
                     raise CrackError(
                         f"pending {label} references oids absent from storage"
                     )
+        edges = {0, len(self.values), *self.index.positions().tolist()}
         for start, stop in self._sorted_spans:
+            if start not in edges or stop not in edges:
+                raise CrackError(
+                    f"sorted span [{start}, {stop}) is not a union of whole pieces"
+                )
             window = self.values[start:stop]
-            if stop > len(self.values) or (window[:-1] > window[1:]).any():
+            if (window[:-1] > window[1:]).any():
                 raise CrackError(
                     f"span [{start}, {stop}) is remembered as sorted but is not"
                 )

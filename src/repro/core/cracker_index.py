@@ -116,7 +116,7 @@ class CrackerIndex:
         self._ranks = np.empty(_MIN_CAPACITY, dtype=np.int8)
         self._positions = np.empty(_MIN_CAPACITY, dtype=np.int64)
         self._exact: list = []
-        # The [:count] view of _values, refreshed on add/remove: probes
+        # The [:count] view of _values, refreshed on add: probes
         # call its searchsorted method directly instead of re-slicing —
         # the probe is the innermost operation of every converged query.
         self._active_values = self._values[:0]
@@ -205,8 +205,9 @@ class CrackerIndex:
 
         ``position`` is where boundary ``(value, kind)`` sits, or None
         when the index does not hold it; ``[start, stop)`` is the piece
-        the boundary would split (when it exists: the piece left of it,
-        as :meth:`piece_for` defines).  One ``searchsorted`` and no
+        the boundary would split — when it exists, the piece left of it,
+        so ``stop == position`` (empty if the boundary coincides with
+        its left neighbour).  One ``searchsorted`` and no
         :class:`Piece`/:class:`Boundary` objects — this is the call the
         query path makes for every bound.
         """
@@ -224,31 +225,6 @@ class CrackerIndex:
     def lookup(self, value, kind: str) -> int | None:
         """Position of an existing boundary ``(value, kind)``, or None."""
         return self.probe(value, kind)[0]
-
-    def piece_for(self, value, kind: str) -> Piece:
-        """The piece a new boundary ``(value, kind)`` would split.
-
-        If the boundary already exists, the piece *left* of it is
-        returned: its ``upper`` is the existing boundary, so ``stop``
-        equals the existing boundary's position, and the piece is
-        degenerate (empty) whenever the existing boundary coincides with
-        its left neighbour.  Callers that must skip the crack when the
-        boundary is already administered should test :meth:`lookup`
-        first; :meth:`piece_for` alone cannot distinguish "would split
-        this piece" from "already bounded here".
-        """
-        rank = self._rank_of(kind)
-        return self.piece_at(self._locate(value, rank))
-
-    def position_bounding(self, value, kind: str) -> int:
-        """The column position separating left/right of ``(value, kind)``.
-
-        Only meaningful when the boundary exists; raises otherwise.
-        """
-        position = self.lookup(value, kind)
-        if position is None:
-            raise CrackerIndexError(f"boundary ({value!r}, {kind!r}) not present")
-        return position
 
     def piece_assignment(self, values: np.ndarray) -> np.ndarray:
         """Piece index each of ``values`` belongs to (boundary semantics).
@@ -336,30 +312,6 @@ class CrackerIndex:
         self._active_values = self._values[: self._count]
         return Boundary(value=value, kind=kind, position=position)
 
-    def remove(self, value, kind: str) -> None:
-        """Remove a boundary, fusing its two adjacent pieces."""
-        rank = self._rank_of(kind)
-        index = self._locate(value, rank)
-        n = self._count
-        if index >= n or self._ranks[index] != rank or self._exact[index] != value:
-            raise CrackerIndexError(f"boundary ({value!r}, {kind!r}) not present")
-        for array in (self._values, self._ranks, self._positions):
-            array[index : n - 1] = array[index + 1 : n]
-        del self._exact[index]
-        self._count = n - 1
-        self._active_values = self._values[: self._count]
-
-    def shift_from(self, position: int, delta: int) -> None:
-        """Shift every boundary at or after ``position`` by ``delta``.
-
-        Used by the update path when tuples are merged into pieces.
-        """
-        if delta == 0:
-            return
-        self.column_size += delta
-        active = self._positions[: self._count]
-        active[active >= position] += delta
-
     def merge_shift(self, per_piece_counts: np.ndarray, new_column_size: int) -> None:
         """Shift boundaries for a piece-wise merge of pending tuples.
 
@@ -393,12 +345,6 @@ class CrackerIndex:
             )
         self._positions[: self._count] -= np.cumsum(removed[:-1])
         self.column_size = new_column_size
-
-    def clear(self) -> None:
-        """Drop every boundary (the column becomes one uncracked piece)."""
-        self._count = 0
-        self._exact.clear()
-        self._active_values = self._values[:0]
 
     # ------------------------------------------------------------------ #
     # Persistence

@@ -16,7 +16,6 @@ import numpy as np
 from dataclasses import dataclass
 
 from repro.core.cracked_column import CrackedColumn
-from repro.core.optimizer import CrackingOptimizer, EagerStrategy
 from repro.engines.columnstore import ColumnStoreEngine, vector_equi_join
 from repro.storage.table import Relation
 
@@ -60,21 +59,18 @@ class WedgeState:
 
 
 class CrackingEngine(ColumnStoreEngine):
-    """Column store with adaptive cracking on queried attributes."""
+    """Column store with adaptive cracking on queried attributes.
+
+    Every range query cracks unconditionally (``CrackedColumn``'s default
+    ``crack_threshold`` of 0) — the paper's prototype, which Figures
+    10/11 measure.
+    """
 
     name = "cracking"
 
-    def __init__(
-        self,
-        strategy_factory=None,
-        kernel: str = "vectorised",
-        crack_threshold: int = 0,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._strategy_factory = strategy_factory or EagerStrategy
-        self._kernel = kernel
-        self._crack_threshold = crack_threshold
-        self._crackers: dict[tuple[str, str], CrackingOptimizer] = {}
+        self._crackers: dict[tuple[str, str], CrackedColumn] = {}
         self._wedges: dict[tuple[str, str, str, str], WedgeState] = {}
         self._omegas: dict[tuple[str, str], OmegaState] = {}
 
@@ -82,23 +78,19 @@ class CrackingEngine(ColumnStoreEngine):
     # Cracker management
     # ------------------------------------------------------------------ #
 
-    def cracker_for(self, table: str, attr: str) -> CrackingOptimizer:
+    def cracker_for(self, table: str, attr: str) -> CrackedColumn:
         """The (lazily created) cracker of ``table.attr``."""
         key = (table, attr)
-        optimizer = self._crackers.get(key)
-        if optimizer is None:
+        column = self._crackers.get(key)
+        if column is None:
             relation = self.table(table)
             bat = relation.column(attr)
             # First touch: the cracker column is a copy of the BAT — one
             # sequential read plus one sequential write, charged here.
             self.tracker.read_bytes(bat.name, bat.nbytes)
             self.tracker.write_bytes(f"{bat.name}#cracker", bat.nbytes)
-            column = CrackedColumn(
-                bat, kernel=self._kernel, crack_threshold=self._crack_threshold
-            )
-            optimizer = CrackingOptimizer(column, self._strategy_factory())
-            self._crackers[key] = optimizer
-        return optimizer
+            column = self._crackers[key] = CrackedColumn(bat)
+        return column
 
     def has_cracker(self, table: str, attr: str) -> bool:
         """True if ``table.attr`` has been cracked at least once."""
@@ -106,8 +98,8 @@ class CrackingEngine(ColumnStoreEngine):
 
     def piece_count(self, table: str, attr: str) -> int:
         """Pieces currently administered for ``table.attr``."""
-        optimizer = self._crackers.get((table, attr))
-        return optimizer.column.piece_count if optimizer else 1
+        column = self._crackers.get((table, attr))
+        return column.piece_count if column is not None else 1
 
     # ------------------------------------------------------------------ #
     # Range queries
@@ -125,11 +117,10 @@ class CrackingEngine(ColumnStoreEngine):
         target_name: str | None,
     ) -> tuple[int, dict]:
         relation = self.table(table)
-        optimizer = self.cracker_for(table, attr)
-        column = optimizer.column
+        column = self.cracker_for(table, attr)
         moved_before = column.crack_stats.tuples_moved
         touched_before = column.crack_stats.tuples_touched
-        result = optimizer.range_select(
+        result = column.range_select(
             low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive
         )
         moved = column.crack_stats.tuples_moved - moved_before
@@ -145,7 +136,6 @@ class CrackingEngine(ColumnStoreEngine):
             "pieces": column.piece_count,
             "tuples_moved": moved,
             "tuples_touched": touched,
-            "contiguous": result.contiguous,
         }
         rows, deliver_extra = self._deliver_selection(
             relation, attr, result, delivery, target_name

@@ -143,7 +143,8 @@ class ColumnIntrospection:
         self._bucket_width = (domain_high - domain_low) / self.buckets
         # Hot-path caches: record_query runs once per range predicate on
         # the sustained query loop, so it avoids divisions and repeated
-        # attribute chains (see check_obs_overhead's 1.5x bound).
+        # attribute chains (the ledger's ``point_count`` ``emb_p50_us``
+        # row gates what it may cost).
         self._inv_bucket_width = 1.0 / self._bucket_width
         self._domain_mid = (domain_low + domain_high) / 2.0
         self._lock = threading.Lock()

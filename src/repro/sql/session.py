@@ -1226,9 +1226,9 @@ class Database:
                     (f"repro_cracker_{key}", labels, info[key])
                     for key in (
                         "pieces", "tuples", "cracks", "tuples_touched",
-                        "tuples_moved", "queries", "tuples_scanned",
-                        "merged_updates", "pending_inserts",
-                        "pending_deletes", "pending_updates",
+                        "tuples_moved", "queries", "merged_updates",
+                        "pending_inserts", "pending_deletes",
+                        "pending_updates",
                     )
                 )
         return samples

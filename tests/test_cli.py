@@ -96,71 +96,6 @@ class TestSQLSubcommand:
         assert "sql" in capsys.readouterr().out
 
 
-class TestBenchSubcommand:
-    def test_list_names_benches(self, capsys):
-        assert main(["bench", "--list"]) == 0
-        output = capsys.readouterr().out
-        assert "hotpath" in output
-        assert "vectorized_pipeline" in output
-
-    def test_no_name_lists(self, capsys):
-        assert main(["bench"]) == 0
-        assert "hotpath" in capsys.readouterr().out
-
-    def test_unknown_bench(self, capsys):
-        assert main(["bench", "no_such_bench"]) == 2
-        assert "unknown bench" in capsys.readouterr().err
-
-    def test_unknown_bench_lists_available(self, capsys):
-        # The satellite contract: a bad name shows what *does* exist
-        # instead of failing opaquely.
-        assert main(["bench", "no_such_bench"]) == 2
-        err = capsys.readouterr().err
-        assert "available" in err
-        assert "hotpath" in err
-        assert "restart" in err
-
-    def test_runs_hotpath_tiny(self, capsys, tmp_path, monkeypatch):
-        # Tiny run through the real bench module; JSON lands next to the
-        # script, so point the result path at a temp file instead.
-        import json
-
-        from repro.__main__ import bench_directory
-
-        result = tmp_path / "BENCH_hotpath.json"
-        import importlib.util
-
-        spec = importlib.util.spec_from_file_location(
-            "bench_hotpath_tiny", bench_directory() / "bench_hotpath.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        monkeypatch.setattr(module, "REPEATS", 1)
-        monkeypatch.setattr(module, "SUSTAINED_TOTAL", 64)
-        report = module.main(n_rows=4000, result_path=result)
-        assert result.is_file()
-        recorded = json.loads(result.read_text())
-        assert recorded["rows"] == 4000
-        assert set(report["sustained"]["qps"]) == {
-            "seed", "cached", "bounded", "prepared",
-        }
-
-    def test_rows_flag_rejected_without_parameter(self, capsys, tmp_path):
-        # bench modules without an n_rows parameter reject --rows cleanly
-        from repro import __main__ as cli
-
-        fake_dir = tmp_path / "benchmarks"
-        fake_dir.mkdir()
-        (fake_dir / "bench_fixed.py").write_text("def main():\n    return {}\n")
-        original = cli.bench_directory
-        cli.bench_directory = lambda: fake_dir
-        try:
-            assert main(["bench", "fixed", "--rows", "10"]) == 2
-            assert main(["bench", "fixed"]) == 0
-        finally:
-            cli.bench_directory = original
-
-
 class TestPersistenceSubcommands:
     def _seed_store(self, persist_dir):
         from repro.sql import Database

@@ -2,7 +2,8 @@
 
 A bound that misses the cracker index and lands in a piece of at most
 ``crack_threshold`` tuples sorts that piece in place once and is resolved
-by binary search — no kernel, no new boundary, still a contiguous answer.
+by binary search — no kernel, no new boundary, still a span of the
+cracker column.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core.cracked_column import DEFAULT_CRACK_THRESHOLD, CrackedColumn
-from repro.core.cracker_index import CrackerIndex
 from repro.errors import CrackError
 from repro.sql import Database
 
@@ -61,10 +61,15 @@ def check(column, oracle, low, high, low_inclusive, high_inclusive):
     result = column.range_select(
         low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive
     )
-    empty_by_construction = low is not None and high is not None and (
-        high < low or (low == high and not (low_inclusive and high_inclusive))
-    )
-    assert result.contiguous or empty_by_construction
+    # Every answer — inverted and degenerate ranges included — is a span.
+    assert 0 <= result.start <= result.stop <= len(column)
+    assert result.count == result.stop - result.start
+    if result.count:
+        assert np.shares_memory(result.oids, column.oids)
+    else:
+        refs_before = list(column._live_snapshot_refs)
+        assert result.snapshot() is result
+        assert column._live_snapshot_refs == refs_before
     order = np.argsort(result.oids)
     expected_oids, expected_values = oracle.select(
         low, high, low_inclusive, high_inclusive
@@ -157,6 +162,14 @@ def test_check_invariants_rejects_a_remembered_span_that_is_not_sorted():
         column.check_invariants()
 
 
+def test_check_invariants_rejects_a_remembered_span_that_is_not_whole_pieces():
+    column = CrackedColumn.from_arrays(np.arange(50), crack_threshold=10**6)
+    column.range_select(10, 20)
+    column._sorted_spans.add((5, 50))  # sorted, but 5 is no piece edge
+    with pytest.raises(CrackError, match="union of whole pieces"):
+        column.check_invariants()
+
+
 def test_converged_column_is_read_only():
     rng = np.random.default_rng(7)
     column = CrackedColumn.from_arrays(
@@ -166,8 +179,7 @@ def test_converged_column_is_read_only():
     def burst(count):
         for _ in range(count):
             low = int(rng.integers(0, 50_000))
-            result = column.range_select(low, low + int(rng.integers(1, 5000)))
-            assert result.contiguous
+            column.range_select(low, low + int(rng.integers(1, 5000)))
 
     burst(1000)
     stats = column.crack_stats
@@ -176,21 +188,6 @@ def test_converged_column_is_read_only():
     assert (stats.cracks, stats.tuples_moved, column.piece_count) == before
     assert max(column.index.piece_sizes()) <= DEFAULT_CRACK_THRESHOLD
     column.check_invariants()
-
-
-def test_probe_agrees_with_lookup_and_piece_for():
-    index = CrackerIndex(100)
-    index.add(10, "lt", 20)
-    index.add(10, "le", 25)
-    index.add(40, "lt", 70)
-    for value in (5, 10, 25, 40, 99):
-        for kind in ("lt", "le"):
-            position, start, stop = index.probe(value, kind)
-            piece = index.piece_for(value, kind)
-            assert position == index.lookup(value, kind)
-            assert (start, stop) == (piece.start, piece.stop)
-    assert index.probe(10, "le") == (25, 20, 25)
-    assert index.probe(99, "lt") == (None, 70, 100)
 
 
 def test_sorts_are_visible_in_stats_lineage_and_trace():
@@ -212,23 +209,23 @@ def test_sorts_are_visible_in_stats_lineage_and_trace():
 
 
 @pytest.mark.parametrize("kernel", ["vectorised", "rebuild"])
-def test_cracking_a_piece_fused_around_sorted_spans_leaves_them_sorted(kernel):
-    """The remembered-span set outlives index changes it is not told of
-    (``fuse_to`` drops boundaries directly): a span that was sorted as a
-    whole piece stays sorted under any later crack of an enclosing piece."""
-    from repro.core.optimizer import BoundedPiecesStrategy, CrackingOptimizer
-
+def test_cracking_remembered_sorted_spans_leaves_them_sorted(kernel):
+    """Lowering ``crack_threshold`` mid-stream lets kernels run over spans
+    that are remembered as sorted: a span sorted as a whole piece holds no
+    tuple on the wrong side of any pivot, so it stays sorted."""
     rng = np.random.default_rng(4)
     values = rng.integers(0, 2000, 4000)
     column = CrackedColumn.from_arrays(values, kernel=kernel, crack_threshold=150)
-    optimizer = CrackingOptimizer(column, BoundedPiecesStrategy(max_pieces=30))
     for step in range(200):
         low = int(rng.integers(0, 2000))
         high = low + int(rng.integers(0, 400))
-        result = optimizer.range_select(low, high)
+        result = column.range_select(low, high)
         expected = np.flatnonzero((values >= low) & (values < high))
         assert np.array_equal(np.sort(result.oids), expected)
         column.check_invariants()
         if step == 100:
+            assert column.crack_stats.sorts and column._sorted_spans
+            cracks_at_cutoff = column.crack_stats.cracks
             column.crack_threshold = 0  # remembered spans now get cracked
-    assert column.crack_stats.sorts and optimizer.strategy.fusions_performed
+    assert column.crack_stats.cracks > cracks_at_cutoff
+    assert column._sorted_spans  # still remembered, still verified sorted

@@ -34,8 +34,8 @@ class TestRangeSelect:
         data = rng.permutation(1000)
         column = make_column(data)
         result = column.range_select(100, 200, high_inclusive=True)
-        assert result.count == 101
-        assert result.contiguous
+        assert result.count == 101 == result.stop - result.start
+        assert np.shares_memory(result.values, column.values)
         assert sorted(result.values.tolist()) == list(range(100, 201))
 
     def test_one_sided_low(self, rng):
@@ -59,7 +59,9 @@ class TestRangeSelect:
 
     def test_inverted_range_is_empty(self):
         column = make_column([1, 2, 3])
-        assert column.range_select(5, 2).count == 0
+        result = column.range_select(5, 2)
+        assert (result.count, result.start, result.stop) == (0, 0, 0)
+        assert column.piece_count == 1
 
     def test_exclusive_bounds(self):
         column = make_column([1, 2, 3, 4, 5])
@@ -84,14 +86,6 @@ class TestRangeSelect:
         data = rng.permutation(300)
         column = make_column(data)
         assert column.count_range(50, 150) == column.range_select(50, 150).count
-
-    def test_scan_mode_does_not_reorganise(self, rng):
-        data = rng.permutation(300)
-        column = make_column(data)
-        result = column.range_select(50, 150, crack=False)
-        assert not result.contiguous
-        assert column.piece_count == 1
-        assert result.count == brute_count(data, 50, 150)
 
     def test_float_column(self, rng):
         data = rng.normal(0, 1, 1000)

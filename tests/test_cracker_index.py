@@ -71,38 +71,6 @@ class TestBoundaries:
 
 
 class TestNavigation:
-    def test_piece_for_value_between_boundaries(self):
-        index = CrackerIndex(100)
-        index.add(30, KIND_LT, 25)
-        index.add(70, KIND_LT, 80)
-        piece = index.piece_for(50, KIND_LT)
-        assert (piece.start, piece.stop) == (25, 80)
-        assert piece.lower.value == 30
-        assert piece.upper.value == 70
-
-    def test_piece_for_value_below_all(self):
-        index = CrackerIndex(100)
-        index.add(30, KIND_LT, 25)
-        piece = index.piece_for(10, KIND_LT)
-        assert (piece.start, piece.stop) == (0, 25)
-        assert piece.lower is None
-
-    def test_piece_for_value_above_all(self):
-        index = CrackerIndex(100)
-        index.add(30, KIND_LT, 25)
-        piece = index.piece_for(90, KIND_LT)
-        assert (piece.start, piece.stop) == (25, 100)
-        assert piece.upper is None
-
-    def test_position_bounding_existing(self):
-        index = CrackerIndex(100)
-        index.add(30, KIND_LT, 25)
-        assert index.position_bounding(30, KIND_LT) == 25
-
-    def test_position_bounding_missing_raises(self):
-        with pytest.raises(CrackerIndexError):
-            CrackerIndex(100).position_bounding(30, KIND_LT)
-
     def test_pieces_cover_column_exactly(self):
         index = CrackerIndex(100)
         for value, position in [(10, 5), (20, 30), (80, 77)]:
@@ -122,39 +90,6 @@ class TestNavigation:
 
 
 class TestMutation:
-    def test_remove_fuses_pieces(self):
-        index = CrackerIndex(100)
-        index.add(30, KIND_LT, 25)
-        index.add(70, KIND_LT, 80)
-        index.remove(30, KIND_LT)
-        assert index.piece_count == 2
-        assert index.piece_sizes() == [80, 20]
-
-    def test_remove_missing_raises(self):
-        with pytest.raises(CrackerIndexError):
-            CrackerIndex(100).remove(5, KIND_LT)
-
-    def test_clear(self):
-        index = CrackerIndex(100)
-        index.add(30, KIND_LT, 25)
-        index.clear()
-        assert index.piece_count == 1
-
-    def test_shift_from_moves_later_boundaries(self):
-        index = CrackerIndex(100)
-        index.add(30, KIND_LT, 25)
-        index.add(70, KIND_LT, 80)
-        index.shift_from(50, 10)
-        assert index.lookup(30, KIND_LT) == 25
-        assert index.lookup(70, KIND_LT) == 90
-        assert index.column_size == 110
-
-    def test_shift_zero_is_noop(self):
-        index = CrackerIndex(100)
-        index.add(30, KIND_LT, 25)
-        index.shift_from(0, 0)
-        assert index.column_size == 100
-
     def test_check_invariants_passes_on_valid(self):
         index = CrackerIndex(100)
         index.add(30, KIND_LT, 25)

@@ -3,9 +3,9 @@
 The cracker index was rewritten from a Python list of Boundary objects
 navigated with ``bisect`` (the seed implementation) to parallel numpy
 arrays navigated with ``np.searchsorted``.  This suite replays random
-``add`` / ``lookup`` / ``piece_for`` / ``remove`` / ``shift_from``
-sequences against both implementations and asserts identical observable
-behaviour, including which operations raise.
+``add`` / ``lookup`` / ``probe`` sequences against both implementations
+and asserts identical observable behaviour, including which operations
+raise.
 
 Follows the repo's dual harness pattern: `hypothesis` drives the
 sequences when installed, a seeded-random fallback otherwise.
@@ -53,16 +53,18 @@ class BisectIndex:
         return None
 
     def piece_bounds(self, value, kind):
-        """(start, stop, lower_key, upper_key) of piece_for's answer."""
+        """``[start, stop)`` of the piece boundary (value, kind) would
+        split — the piece left of it when it already exists."""
         index = bisect.bisect_left(self._keys, (value, _RANK[kind]))
         lower = self._entries[index - 1] if index > 0 else None
         upper = self._entries[index] if index < len(self._entries) else None
         return (
             0 if lower is None else lower[2],
             self.column_size if upper is None else upper[2],
-            None if lower is None else (lower[0], lower[1], lower[2]),
-            None if upper is None else (upper[0], upper[1], upper[2]),
         )
+
+    def probe(self, value, kind):
+        return (self.lookup(value, kind), *self.piece_bounds(value, kind))
 
     def add(self, value, kind, position):
         if not 0 <= position <= self.column_size:
@@ -80,22 +82,6 @@ class BisectIndex:
         self._keys.insert(index, key)
         self._entries.insert(index, (value, kind, position))
 
-    def remove(self, value, kind):
-        key = (value, _RANK[kind])
-        index = bisect.bisect_left(self._keys, key)
-        if index >= len(self._keys) or self._keys[index] != key:
-            raise CrackerIndexError("not present")
-        del self._keys[index]
-        del self._entries[index]
-
-    def shift_from(self, position, delta):
-        if delta == 0:
-            return
-        self.column_size += delta
-        self._entries = [
-            (v, k, p + delta if p >= position else p) for v, k, p in self._entries
-        ]
-
     def snapshot(self):
         return list(self._entries)
 
@@ -108,28 +94,8 @@ def apply_op(index, op) -> tuple:
             _, value, kind, position = op
             index.add(value, kind, position)
             return ("ok", None)
-        if name == "lookup":
-            _, value, kind = op
-            return ("ok", index.lookup(value, kind))
-        if name == "piece_for":
-            _, value, kind = op
-            if isinstance(index, CrackerIndex):
-                piece = index.piece_for(value, kind)
-                lower = piece.lower and (
-                    piece.lower.value, piece.lower.kind, piece.lower.position
-                )
-                upper = piece.upper and (
-                    piece.upper.value, piece.upper.kind, piece.upper.position
-                )
-                return ("ok", (piece.start, piece.stop, lower, upper))
-            return ("ok", index.piece_bounds(value, kind))
-        if name == "remove":
-            _, value, kind = op
-            index.remove(value, kind)
-            return ("ok", None)
-        _, position, delta = op
-        index.shift_from(position, delta)
-        return ("ok", None)
+        _, value, kind = op  # "lookup" or "probe"
+        return ("ok", getattr(index, name)(value, kind))
     except CrackerIndexError:
         return ("error", None)
 
@@ -171,10 +137,8 @@ def random_ops(rng: np.random.Generator, column_size: int, n_ops: int) -> list:
             ops.append(("add", value, kind, int(rng.integers(0, column_size + 1))))
         elif choice < 7:
             ops.append(("lookup", value, kind))
-        elif choice < 9:
-            ops.append(("piece_for", value, kind))
         else:
-            ops.append(("remove", value, kind))
+            ops.append(("probe", value, kind))
     return ops
 
 
@@ -188,9 +152,7 @@ if HAVE_HYPOTHESIS:
             st.integers(0, 100),
         ),
         st.tuples(st.just("lookup"), st.integers(0, 50), st.sampled_from(KINDS)),
-        st.tuples(st.just("piece_for"), st.integers(0, 50), st.sampled_from(KINDS)),
-        st.tuples(st.just("remove"), st.integers(0, 50), st.sampled_from(KINDS)),
-        st.tuples(st.just("shift_from"), st.integers(0, 100), st.integers(0, 10)),
+        st.tuples(st.just("probe"), st.integers(0, 50), st.sampled_from(KINDS)),
     )
 
     @settings(max_examples=120, deadline=None)
@@ -220,8 +182,22 @@ def test_equivalence_monotone_adds(seed):
         kind = KINDS[int(rng.integers(0, 2))]
         ops.append(("add", value, kind, position))
         ops.append(("lookup", value, kind))
-        ops.append(("piece_for", int(rng.integers(0, 500)), kind))
+        ops.append(("probe", int(rng.integers(0, 500)), kind))
     check_sequence(column_size, ops)
+
+
+def test_probe_agrees_with_lookup_and_piece_bounds():
+    index, oracle = CrackerIndex(100), BisectIndex(100)
+    for boundary in ((10, KIND_LT, 20), (10, KIND_LE, 25), (40, KIND_LT, 70)):
+        index.add(*boundary)
+        oracle.add(*boundary)
+    for value in (5, 10, 25, 40, 99):
+        for kind in KINDS:
+            position, start, stop = index.probe(value, kind)
+            assert position == index.lookup(value, kind) == oracle.lookup(value, kind)
+            assert (start, stop) == oracle.piece_bounds(value, kind)
+    assert index.probe(10, KIND_LE) == (25, 20, 25)
+    assert index.probe(99, KIND_LT) == (None, 70, 100)
 
 
 def test_float_and_int_values_mix():
@@ -230,8 +206,7 @@ def test_float_and_int_values_mix():
     index.add(10.5, KIND_LT, 25)
     assert index.lookup(10.0, KIND_LT) == 20  # 10 == 10.0, like tuple keys
     assert index.lookup(10.5, KIND_LT) == 25
-    piece = index.piece_for(10.2, KIND_LT)
-    assert (piece.start, piece.stop) == (20, 25)
+    assert index.probe(10.2, KIND_LT) == (None, 20, 25)
     assert index.piece_sizes() == [20, 5, 75]
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.cracked_column import CrackedColumn, SelectionResult
+from repro.core.cracked_column import CrackedColumn
 from repro.errors import CrackError
 from repro.storage.bat import BAT
 
@@ -70,7 +70,7 @@ class TestThresholdBoundedCracking:
         values = np.random.default_rng(2).permutation(100)
         column = CrackedColumn.from_arrays(values, crack_threshold=10**6)
         result = column.range_select(10, 20)
-        assert result.contiguous
+        assert (result.start, result.stop) == (10, 20)
         assert np.shares_memory(result.values, column.values)
         assert result.values.tolist() == list(range(10, 20))
         assert values[result.oids].tolist() == list(range(10, 20))
@@ -121,7 +121,7 @@ class TestCopyOnDemandSnapshots:
         column = CrackedColumn.from_arrays(np.random.default_rng(0).permutation(10_000))
         result = column.range_select(2000, 4000)
         snap = result.snapshot()
-        assert snap.contiguous
+        assert snap is result
         assert np.shares_memory(snap.values, column.values)
         assert np.shares_memory(snap.oids, column.oids)
 
@@ -156,19 +156,6 @@ class TestCopyOnDemandSnapshots:
         frozen = values.copy()
         column.range_select(2500, 3500)
         assert np.array_equal(values, frozen)
-
-    def test_noncontiguous_snapshot_returns_self(self):
-        column = CrackedColumn.from_arrays(np.arange(100))
-        result = column.range_select(10, 20, crack=False)
-        assert not result.contiguous
-        assert result.snapshot() is result
-
-    def test_unowned_contiguous_snapshot_copies(self):
-        values = np.arange(10)
-        result = SelectionResult(oids=values, values=values, start=0, stop=10)
-        snap = result.snapshot()
-        assert snap is not result
-        assert not np.shares_memory(snap.values, values)
 
     def test_merge_does_not_disturb_snapshot(self):
         column = CrackedColumn.from_arrays(np.random.default_rng(0).permutation(1000))

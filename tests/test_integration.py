@@ -7,14 +7,12 @@ from repro.benchmark import DBtapestry, MQS, homerun_sequence, run_sequence
 from repro.core import (
     CrackedColumn,
     LineageGraph,
-    fuse_to,
     psi_crack,
     wedge_crack,
     xi_crack_range,
 )
 from repro.engines import ColumnStoreEngine, CrackingEngine, SQLCrackingEngine
 from repro.sql import Database
-from repro.storage.bat import BAT
 from repro.storage.transaction import TransactionManager
 
 
@@ -58,22 +56,6 @@ class TestPaperSection3:
         # Two cracks on R's lineage: Ξ produced 3, ^ produced 2 more.
         r_pieces = [n for n in graph.nodes() if n.node_id.startswith("R[")]
         assert len(r_pieces) == 5
-
-    def test_index_fusion_keeps_answers_correct(self, rng):
-        data = rng.permutation(5000)
-        column = CrackedColumn(BAT.from_values("t", data))
-        expectations = []
-        for _ in range(30):
-            low = int(rng.integers(0, 4800))
-            high = low + int(rng.integers(1, 150))
-            expectations.append(
-                (low, high, int(np.sum((data >= low) & (data <= high))))
-            )
-            column.range_select(low, high, high_inclusive=True)
-        fuse_to(column, 8)
-        assert column.piece_count <= 8
-        for low, high, expected in expectations:
-            assert column.count_range(low, high, high_inclusive=True) == expected
 
 
 class TestPaperSection5:

@@ -569,7 +569,8 @@ def run_serve(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--no-compression", action="store_true",
-        help="never accept a client's offer of zlib frame compression",
+        help="never accept a client's offer of zlib frame compression "
+        "(clients offer it only when built with compression=True)",
     )
     parser.add_argument(
         "--pipeline-batch", type=int, default=None, metavar="N",

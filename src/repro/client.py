@@ -18,13 +18,15 @@ Both are thin transports over one sans-IO core (:class:`_ClientCore`),
 so the two flavours cannot drift apart.
 
 Bulk results arrive as binary columnar frames (raw numpy column
-buffers, chunk-streamed when large, zlib-compressed when HELLO
-negotiated it) and stay columnar: ``result.arrays`` holds the decoded
-columns and ``result.rows`` builds tuples only when first read.  Small
-results arrive as JSON.  ``execute_many`` pipelines a batch of
-statements: a window of requests goes out before any reply is read,
-amortising network round-trips and letting the server fold the run
-into one engine trip.
+buffers, chunk-streamed when large) and stay columnar:
+``result.arrays`` holds the decoded columns and ``result.rows`` builds
+tuples only when first read.  Small results arrive as JSON.  Frames
+cross the wire raw unless the client asks: ``compression=True`` offers
+zlib in HELLO, which pays only on a link slower than ~50 MB/s (zlib-1
+runs at ~105 MB/s; on loopback it doubled a bulk reply's round trip).
+``execute_many`` pipelines a batch of statements: a window of requests
+goes out before any reply is read, amortising network round-trips and
+letting the server fold the run into one engine trip.
 
 Both reconnect: a dropped connection is re-established (with retries
 and backoff), the HELLO handshake is replayed and every live prepared
@@ -210,7 +212,7 @@ class _ClientCore:
         reconnect: bool = True,
         max_retries: int = 3,
         retry_delay: float = 0.05,
-        compression: bool = True,
+        compression: bool = False,
     ) -> None:
         self.host = host
         self.port = port

@@ -38,7 +38,8 @@ Binary columnar results
     buffers instead of per-row JSON.  Each binary frame is
     ``marker, kind, flags, pad`` +
     a 4-byte header length + a small JSON header (column names, per
-    column encoding/dtype/byte-size, row count, varchar dictionaries)
+    column encoding/dtype/byte-size, row count, varchar dictionaries;
+    space-padded to a multiple of 8 bytes so the body starts aligned)
     + the concatenated raw column bodies (``ndarray.tobytes()``,
     decoded zero-copy with ``np.frombuffer`` on the far side).  A
     result that fits one frame is a single ``FULL`` frame; larger
@@ -46,8 +47,10 @@ Binary columnar results
     trailer carrying the totals, so arbitrarily large SELECTs cross
     the wire without a giant allocation on either peer
     (:func:`encode_result_frames` / :class:`ResultAssembler`).  Bodies
-    past :data:`COMPRESS_MIN_BYTES` are zlib-compressed per frame when
-    HELLO negotiated it (wide varchar columns shrink drastically).
+    cross the wire raw unless HELLO negotiated a codec — our clients
+    offer one only with ``compression=True``, zlib-1 (~105 MB/s) loses
+    to any link past ~50 MB/s — and then those past
+    :data:`COMPRESS_MIN_BYTES` are zlib-compressed per frame.
     Every header and descriptor field of an incoming frame is
     type- and range-checked: a malformed frame is a
     :class:`ProtocolError`, never a ``KeyError`` or a wild allocation.
@@ -284,7 +287,10 @@ def _plan_column(array: np.ndarray) -> tuple:
 
 
 def _column_part(plan: tuple, start: int, stop: int) -> tuple[dict, bytes]:
-    """Rows ``[start, stop)`` of a planned column as ``(descriptor, body)``."""
+    """Rows ``[start, stop)`` of a planned column as ``(descriptor, body)``.
+    Bodies are concatenated unpadded behind the 8-aligned header, so an
+    odd-length int32 ``dict`` column ahead of an int64 column still
+    misaligns the latter."""
     enc, data, lookup, _ = plan
     part = data[start:stop]
     if enc == "ndarray":
@@ -355,6 +361,8 @@ def _pack_binary(kind: int, header: dict, body: bytes, compression) -> bytes:
     applies to the *uncompressed* frame, because the decoder refuses to
     inflate a body past it."""
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    # JSON whitespace up to a multiple of 8: a raw body starts aligned.
+    header_bytes += b" " * (-len(header_bytes) % 8)
     head = _BIN_HEAD.size + len(header_bytes)
     if head + len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
@@ -658,7 +666,9 @@ class FrameDecoder:
             end = _LENGTH.size + _frame_length(buffer)
             if len(buffer) < end:
                 return
-            payload = bytes(buffer[_LENGTH.size:end])
+            # One copy; a bytearray with a live view would refuse the del.
+            with memoryview(buffer) as view, view[_LENGTH.size:end] as body:
+                payload = bytes(body)
             del buffer[:end]
             if self._requests and payload and payload[0] == _BINARY_MARKER:
                 raise ProtocolError("requests must be JSON frames, got a binary frame")

@@ -91,7 +91,8 @@ class ReproServer:
             results past it stream as bounded chunks instead of one
             giant frame.
         compression: honour a client's offer to zlib-compress large
-            binary result-frame bodies.
+            binary result-frame bodies (clients offer only when asked
+            to: ``Client(compression=True)``).
         pipeline_batch: maximum pipelined statements folded into one
             engine trip per connection (1 disables batching).
         timeseries_interval: seconds between metrics ring samples (the

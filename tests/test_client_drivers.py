@@ -17,7 +17,8 @@ import pytest
 
 from repro.client import AsyncClient, Client
 from repro.errors import AmbiguousResultError, RemoteError
-from repro.server.protocol import SMALL_RESULT_ROWS
+from repro.server import protocol
+from repro.server.protocol import COMPRESS_MIN_BYTES, SMALL_RESULT_ROWS
 from repro.sql import Database
 
 from test_server import served, wire_json
@@ -42,10 +43,10 @@ async def do(value):
     return await value if inspect.isawaitable(value) else value
 
 
-async def open_client(driver: str, host: str, port: int):
+async def open_client(driver: str, host: str, port: int, **kwargs):
     if driver == "sync":
-        return Client(host, port)
-    return await AsyncClient.connect(host, port)
+        return Client(host, port, **kwargs)
+    return await AsyncClient.connect(host, port, **kwargs)
 
 
 def lose_next_reply(client) -> None:
@@ -229,12 +230,35 @@ def test_scenario_threaded(threaded_server, scenario, driver):
 
 
 @both_drivers
+def test_opted_in_compression(server, driver, monkeypatch):
+    """Neither driver offers zlib by default any more, so the inflate
+    path gets one opted-in run each over a real socket: a body past
+    ``COMPRESS_MIN_BYTES`` arrives deflated and equals embedded."""
+    inflated = []
+    real = protocol._inflate
+
+    def recording(body):
+        inflated.append(real(body))
+        return inflated[-1]
+
+    monkeypatch.setattr(protocol, "_inflate", recording)
+
+    async def compressed_bulk(client, embedded, t):
+        assert client.compression == "zlib"
+        await load(client, embedded, t, rows=600)
+        await assert_same(client, embedded, f"SELECT {t}.k, {t}.a, {t}.tag FROM {t}")
+        assert [len(body) > COMPRESS_MIN_BYTES for body in inflated] == [True]
+
+    test_scenario(server, compressed_bulk, driver, compression=True)
+
+
+@both_drivers
 @every_scenario
-def test_scenario(server, scenario, driver):
+def test_scenario(server, scenario, driver, **client_kwargs):
     embedded = Database(cracking=True, mode="vector")
 
     async def main():
-        client = await open_client(driver, *server)
+        client = await open_client(driver, *server, **client_kwargs)
         try:
             await scenario(client, embedded, f"t{next(_table_ids)}")
         finally:

@@ -16,7 +16,9 @@ optimisation:
   never as silent truncation.
 """
 
+import functools
 import socket
+import struct
 import threading
 from contextlib import contextmanager
 
@@ -63,6 +65,28 @@ def assemble(frames) -> dict:
         if final is not None:
             return final
     raise AssertionError("frame stream ended without a complete result")
+
+
+class TappedClient(Client):
+    """A client that keeps the bytes it receives, so a test can read
+    frame flags off the real socket stream."""
+
+    received = b""
+
+    def _io(self, op, arg):
+        outcome = super()._io(op, arg)
+        if op == "recv":
+            self.received += outcome
+        return outcome
+
+
+@pytest.fixture
+def opted_in(monkeypatch):
+    """Every ``Client(...)`` of the test offers zlib: the default client
+    no longer does, and inflate must still cross a real socket."""
+    monkeypatch.setattr(
+        f"{__name__}.Client", functools.partial(Client, compression=True)
+    )
 
 
 class TestVersionNegotiation:
@@ -155,6 +179,32 @@ class TestBinaryCodec:
         assert all(frame[6] == 0 for frame in frames)
         assert assemble(frames)["rows"] == rows
 
+    @pytest.mark.parametrize("chunk_rows", [None, 16], ids=["full", "chunk"])
+    def test_numeric_columns_decode_aligned(self, chunk_rows):
+        """Regression: a raw body began ``8 + len(header)`` bytes into
+        the payload, so ``np.frombuffer`` handed out unaligned arrays
+        for seven header lengths in eight (zlib hid it: an inflated
+        body is a fresh buffer).  The header is now space-padded."""
+        k = np.arange(100, dtype=np.int64)
+        residues = set()
+        for width in range(1, 9):
+            arrays = {"k" * width: k, "w": k * 0.5}
+            result = QueryResult(list(arrays), arrays=arrays)
+            frames = list(encode_result_frames(result, chunk_rows=chunk_rows))
+            assert len(frames) == (1 if chunk_rows is None else 8)
+            for frame in frames:
+                (header_len,) = struct.unpack_from("!I", frame, 8)
+                assert header_len % 8 == 0
+                header = frame[12:12 + header_len]
+                residues.add(len(header.rstrip(b" ")) % 8)
+                for col in decode_frames([frame])[0].get("cols", ()):
+                    assert col.flags.aligned
+            message = assemble(frames)
+            for name, array in arrays.items():
+                assert message["arrays"][name].dtype == array.dtype
+                assert np.array_equal(message["arrays"][name], array)
+        assert residues == set(range(8))  # every unpadded length mod 8
+
     def test_oversized_single_frame_rejected(self, monkeypatch):
         import repro.server.protocol as protocol
 
@@ -217,14 +267,32 @@ class TestResultAssembler:
 class TestServedNegotiation:
     """HELLO across real sockets: lists, legacy scalars, mismatches."""
 
-    def test_default_client_negotiates_compression(self):
+    def _bulk_reply_flags(self, client) -> int:
+        """The flags byte of the frame answering a 600-row ``k, a``
+        SELECT — 9 600 body bytes, past ``COMPRESS_MIN_BYTES``."""
+        load_standard(client, seed=SEED)
+        client.received = b""
+        assert client.execute("SELECT r.k, r.a FROM r").row_count == 600
+        # length(4) marker(1) kind(1) flags(1): one binary FULL frame.
+        assert client.received[4:6] == bytes([0, 1])
+        return client.received[6]
+
+    def test_default_client_gets_raw_frames(self):
         with served() as (_, host, port, _thread):
-            with Client(host, port) as client:
+            with TappedClient(host, port) as client:
                 assert client.protocol_version == PROTOCOL_VERSION
-                assert client.compression == "zlib"
+                assert client.compression is None
                 session = client.stats()["session"]
                 assert session["protocol"] == PROTOCOL_VERSION
-                assert session["compression"] == "zlib"
+                assert session["compression"] is None
+                assert self._bulk_reply_flags(client) == 0
+
+    def test_opted_in_client_negotiates_zlib(self):
+        with served() as (_, host, port, _thread):
+            with TappedClient(host, port, compression=True) as client:
+                assert client.compression == "zlib"
+                assert client.stats()["session"]["compression"] == "zlib"
+                assert self._bulk_reply_flags(client) == 1
 
     @pytest.mark.parametrize(
         "hello",
@@ -274,8 +342,9 @@ class TestServedNegotiation:
 
     def test_compression_opt_out(self):
         with served(compression=False) as (_, host, port, _thread):
-            with Client(host, port) as client:
+            with TappedClient(host, port, compression=True) as client:
                 assert client.compression is None
+                assert self._bulk_reply_flags(client) == 0
 
 
 class TestDifferentialEmbedded:
@@ -384,6 +453,11 @@ class TestDifferentialEmbeddedThreaded(TestDifferentialEmbedded):
     """The same differential and pipelining checks on the thread pool."""
 
 
+@pytest.mark.usefixtures("opted_in")
+class TestDifferentialEmbeddedCompressed(TestDifferentialEmbedded):
+    """The same differential and pipelining checks through zlib."""
+
+
 @pytest.fixture(scope="module")
 def big_database():
     """2.2M rows of int64: a full scan is ~35 MiB of column payload,
@@ -442,6 +516,11 @@ class TestStreamingPastFrameCap:
         with served(database, chunk_bytes=chunk_bytes) as (_, host, port, _thread):
             with Client(host, port) as client:
                 assert client.execute("SELECT v.k, v.tag FROM v").rows == rows
+
+
+@pytest.mark.usefixtures("opted_in")
+class TestStreamingPastFrameCapCompressed(TestStreamingPastFrameCap):
+    """The same streams with their bodies deflated and inflated."""
 
 
 class TestTornStreamDisconnect:

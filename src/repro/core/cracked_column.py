@@ -229,6 +229,13 @@ class CrackedColumn:
         self._pending_update_oids: list[np.ndarray] = []
         self._pending_update_values: list[np.ndarray] = []
         self._next_oid = int(self.oids.max()) + 1 if len(self.oids) else 0
+        # ``_stored[oid]`` is True iff ``oid`` is physically in ``oids`` (a
+        # pending delete still counts until the merge): the write path's
+        # membership test, O(k) in the oids asked about instead of O(n)
+        # in the column.  Derived state, never persisted; mutated only
+        # beside ``oids``, under the same lock.
+        self._stored = np.zeros(self._next_oid, dtype=bool)
+        self._stored[self.oids] = True
         # Weak references to live zero-copy snapshots (and their
         # handed-out view arrays); storage is retired — copied — before
         # the next in-place crack while any is still referenced.  A
@@ -422,6 +429,8 @@ class CrackedColumn:
                 raise CrackError(
                     f"append got {len(values)} values but {len(oids)} oids"
                 )
+            if oids.size and oids.min() < 0:
+                raise CrackError("append got a negative oid")
         if len(values):
             self._pending_values.append(values)
             self._pending_oids.append(oids)
@@ -469,7 +478,7 @@ class CrackedColumn:
                     kept_oids.append(chunk_oids[keep])
             self._pending_update_values = kept_values
             self._pending_update_oids = kept_oids
-        in_storage = oids[np.isin(oids, self.oids)]
+        in_storage = oids[self._is_stored(oids)]
         if in_storage.size:
             self._pending_delete_oids.append(in_storage)
             applied += int(in_storage.size)
@@ -503,18 +512,37 @@ class CrackedColumn:
                     continue
                 # Map each hit back to its (last) slot in the request.
                 order = np.argsort(oids, kind="stable")
-                located = np.searchsorted(oids[order], chunk_oids[chunk_pos])
+                located = np.searchsorted(
+                    oids[order], chunk_oids[chunk_pos], side="right"
+                ) - 1
                 chunk_values[chunk_pos] = values[order][located]
                 applied += int(chunk_pos.size)
                 remaining &= ~np.isin(oids, chunk_oids[chunk_pos])
         oids = oids[remaining]
         values = values[remaining]
-        in_storage = np.isin(oids, self.oids)
+        in_storage = self._is_stored(oids)
         if in_storage.any():
             self._pending_update_oids.append(oids[in_storage])
             self._pending_update_values.append(values[in_storage])
             applied += int(in_storage.sum())
         return applied
+
+    def _is_stored(self, oids: np.ndarray) -> np.ndarray:
+        """``np.isin(oids, self.oids)`` as one bitmap gather; negative or
+        never-seen oids are absent."""
+        stored = self._stored
+        hit = (oids >= 0) & (oids < len(stored))
+        hit[hit] = stored[oids[hit]]
+        return hit
+
+    def _mark_stored(self, oids: np.ndarray) -> None:
+        """Set the bits of oids about to enter storage, growing by doubling."""
+        top = int(oids.max()) + 1
+        if top > len(self._stored):
+            grown = np.zeros(max(top, 2 * len(self._stored)), dtype=bool)
+            grown[: len(self._stored)] = self._stored
+            self._stored = grown
+        self._stored[oids] = True
 
     def _merge_pending(self) -> None:
         """Fold the pending buffers into the pieces, if any exist.
@@ -542,8 +570,9 @@ class CrackedColumn:
         Three phases, all vectorised over the index's boundary arrays:
 
         1. *Removal*: rows with a pending delete or update leave storage.
-           One ``np.isin`` builds the keep mask; each boundary shifts left
-           by the prefix sum of per-piece removal counts
+           Their bits leave the stored-oid bitmap and one gather of it
+           over storage is the keep mask; each boundary shifts left by
+           the prefix sum of per-piece removal counts
            (:meth:`CrackerIndex.remove_shift`).
         2. *Re-insert*: updated rows re-enter the pending-insert stream
            under their original oid carrying the new value (last write
@@ -566,6 +595,7 @@ class CrackedColumn:
         self.query_stats.merged_updates += len(pending_values)
         if self.introspect is not None:
             self.introspect.record_merge("merge", int(len(pending_values)))
+        self._mark_stored(pending_oids)
         boundary_count = len(self.index)
         if boundary_count == 0:
             self.values = np.concatenate([self.values, pending_values])
@@ -610,11 +640,11 @@ class CrackedColumn:
             self._merge_removals_now()
 
     def _merge_removals_now(self) -> None:
-        delete_oids = (
-            np.concatenate(self._pending_delete_oids)
-            if self._pending_delete_oids
-            else np.empty(0, dtype=np.int64)
-        )
+        # Buffered oids are stored ones (delete/update queue nothing
+        # else): clear their bits, and the bitmap gathered over storage
+        # is the keep mask.
+        for chunk in self._pending_delete_oids + self._pending_update_oids:
+            self._stored[chunk] = False
         self._pending_delete_oids.clear()
         if self._pending_update_oids:
             update_oids = np.concatenate(self._pending_update_oids)
@@ -625,46 +655,31 @@ class CrackedColumn:
             reversed_oids = update_oids[::-1]
             _, first_in_reversed = np.unique(reversed_oids, return_index=True)
             keep = len(update_oids) - 1 - first_in_reversed
-            update_oids = update_oids[keep]
-            update_values = update_values[keep]
-        else:
-            update_oids = np.empty(0, dtype=np.int64)
-            update_values = np.empty(0, dtype=self.values.dtype)
-        removal = np.union1d(delete_oids, update_oids)
-        if removal.size == 0:
-            return
-        self.query_stats.merged_updates += int(removal.size)
-        if self.introspect is not None:
-            self.introspect.record_merge("tombstone", int(removal.size))
-        update_present = np.isin(update_oids, self.oids)
-        keep_mask = ~np.isin(self.oids, removal)
+            # Updated rows leave storage below and re-enter as pending
+            # inserts under the same oid, carrying the new value.
+            self._pending_values.append(update_values[keep])
+            self._pending_oids.append(update_oids[keep])
+        keep_mask = self._stored[self.oids]
         removed_positions = np.flatnonzero(~keep_mask)
-        if removed_positions.size:
-            boundary_count = len(self.index)
-            if boundary_count:
-                # Boundary b moves left by the number of removed rows
-                # before it: searchsorted of the (sorted) removed
-                # positions against the boundary positions, differenced
-                # into per-piece counts.
-                cuts = np.searchsorted(removed_positions, self.index.positions())
-                per_piece = np.diff(
-                    np.concatenate([[0], cuts, [removed_positions.size]])
-                )
-                self.values = self.values[keep_mask]
-                self.oids = self.oids[keep_mask]
-                self.index.remove_shift(per_piece, len(self.values))
-            else:
-                self.values = self.values[keep_mask]
-                self.oids = self.oids[keep_mask]
-                self.index.column_size = len(self.values)
-            # Fancy indexing built fresh storage: the pre-removal
-            # generation is retired, no further shielding needed.
-            self._live_snapshot_refs = []
-        if update_present.any():
-            # Re-insert only rows that actually left storage (an update
-            # for an unknown oid is a no-op, mirroring delete).
-            self._pending_values.append(update_values[update_present])
-            self._pending_oids.append(update_oids[update_present])
+        self.query_stats.merged_updates += int(removed_positions.size)
+        if self.introspect is not None:
+            self.introspect.record_merge("tombstone", int(removed_positions.size))
+        self.values = self.values[keep_mask]
+        self.oids = self.oids[keep_mask]
+        if len(self.index):
+            # Boundary b moves left by the number of removed rows before
+            # it: searchsorted of the (sorted) removed positions against
+            # the boundary positions, differenced into per-piece counts.
+            cuts = np.searchsorted(removed_positions, self.index.positions())
+            per_piece = np.diff(
+                np.concatenate([[0], cuts, [removed_positions.size]])
+            )
+            self.index.remove_shift(per_piece, len(self.values))
+        else:
+            self.index.column_size = len(self.values)
+        # Fancy indexing built fresh storage: the pre-removal generation
+        # is retired, no further shielding needed.
+        self._live_snapshot_refs = []
 
     def _kernel_two(self, start: int, stop: int, pivot, kind: str) -> int:
         self._shield_snapshots()
@@ -915,12 +930,18 @@ class CrackedColumn:
                 f"index thinks column has {self.index.column_size} tuples, "
                 f"storage has {len(self.values)}"
             )
+        stored = self._stored
+        if np.count_nonzero(stored) != len(self.oids) or not stored[self.oids].all():
+            raise CrackError("stored-oid bitmap disagrees with storage")
+        for chunk in self._pending_oids:
+            if self._is_stored(chunk).any():
+                raise CrackError("pending insert reuses an oid already in storage")
         for label, chunks in (
             ("delete", self._pending_delete_oids),
             ("update", self._pending_update_oids),
         ):
             for chunk in chunks:
-                if chunk.size and not np.isin(chunk, self.oids).all():
+                if not self._is_stored(chunk).all():
                     raise CrackError(
                         f"pending {label} references oids absent from storage"
                     )

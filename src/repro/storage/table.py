@@ -199,10 +199,16 @@ class Relation:
                 raise StorageError(
                     f"delete position out of range 0..{len(self) - 1}"
                 )
-            fresh = np.setdiff1d(positions, self._deleted)
-            if fresh.size:
-                self._deleted = np.union1d(self._deleted, fresh)
-            return int(fresh.size)
+            # ``_deleted`` stays sorted and unique: two binary searches
+            # find the positions not yet in it, one insert places them.
+            positions = np.sort(positions)
+            deleted = self._deleted
+            at = deleted.searchsorted(positions)
+            fresh = at == deleted.searchsorted(positions, "right")
+            fresh[1:] &= positions[1:] != positions[:-1]
+            if fresh.any():
+                self._deleted = np.insert(deleted, at[fresh], positions[fresh])
+            return int(np.count_nonzero(fresh))
 
     def update_positions(self, positions: np.ndarray, assignments: dict) -> int:
         """Overwrite columns in place at ``positions`` (UPDATE path).

@@ -428,6 +428,48 @@ class TestDurabilityMechanics:
         assert all(e["meta"]["kind"] == "single" for e in fresh["crackers"])
         reopened.close()
 
+    def test_checkpoint_with_buffered_dml_reopens_and_merges(self, tmp_path):
+        """A snapshot can hold a cracker's unmerged DELETE/UPDATE buffers.
+        The format carries no stored-oid bitmap: the reopened column
+        rebuilds it from its oids and merges the buffers on first query,
+        answering as a never-restarted store would."""
+        oracle = Database(cracking=False)
+        db = Database(
+            cracking=True, mode="vector", persist_dir=tmp_path, crack_threshold=0
+        )
+        for target in (oracle, db):
+            load_standard(target, seed=13, n_rows=300)
+        rng = np.random.default_rng(13)
+        run_workload((oracle, db), random_range_queries(rng, 8))
+        run_workload(
+            (oracle, db),
+            [
+                "UPDATE r SET a = 640 WHERE a BETWEEN 100 AND 160",
+                "DELETE FROM r WHERE a BETWEEN 400 AND 460",
+                "INSERT INTO r VALUES (900, 450, 1.5, 't1')",
+            ],
+        )
+        column = db.cracked_columns()[("r", "a")]
+        buffered = (column.pending_delete_count, column.pending_update_count)
+        assert min(buffered) > 0
+        db.checkpoint()
+        db.close()
+
+        reopened = Database(
+            cracking=True, mode="vector", persist_dir=tmp_path, crack_threshold=0
+        )
+        restored = reopened.cracked_columns()[("r", "a")]
+        assert (
+            restored.pending_delete_count, restored.pending_update_count
+        ) == buffered
+        assert np.array_equal(
+            restored._stored, np.isin(np.arange(len(restored._stored)), restored.oids)
+        )
+        assert_databases_agree(oracle, reopened)
+        assert not restored.has_pending
+        reopened.check_invariants()
+        reopened.close()
+
     @pytest.mark.parametrize("before, after", [(0, 96), (96, 0), (0, None)])
     def test_crack_threshold_given_at_open_wins_on_warm_restart(
         self, before, after, tmp_path

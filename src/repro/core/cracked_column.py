@@ -22,8 +22,14 @@ later one in the piece is a binary search.  No kernel runs, the cracker
 index gains no boundary, and the answer is still a contiguous span — a
 converged column is read-only.
 
-Updates append to a pending area that is merged piece-wise on the next
-query (the "updates" future-work item of §7, implemented as an extension).
+Updates (the future-work item of §7) follow "Updating a Cracked
+Database" (Idreos, Kersten & Manegold, SIGMOD'07).  Inserts and deletes
+wait in two value-sorted buffers; an UPDATE is a delete of the row's
+stored copy plus an insert under the same oid.  A query merges only the
+pending tuples inside its own range, the paper's partial merge, in one
+pass over storage; a sorted piece stays sorted through it.  A count
+reads no tuple and merges nothing: it adds the pending inserts in its
+range to the span and subtracts the pending deletes.
 """
 
 from __future__ import annotations
@@ -62,6 +68,74 @@ _KERNELS = (KERNEL_VECTORISED, KERNEL_REBUILD, KERNEL_SWAPS)
 #: tuning".
 DEFAULT_CRACK_THRESHOLD = 512
 
+#: A count merges nothing (:meth:`CrackedColumn.count_range`) until the
+#: pending buffers hold more than this share of the column; then it
+#: merges them all, so they stay bounded and drain in one pass.  Chosen
+#: from the ``mixed_dml`` sweep in README "Partial merges".
+PENDING_SHARE = 1 / 16
+
+#: Flags of ``CrackedColumn._state``, one byte per oid: physically in
+#: storage; that stored copy has a pending delete; a pending insert.
+_STORED, _DOOMED, _QUEUED = 1, 2, 4
+
+
+def _empty_by_construction(low, high, low_inclusive: bool, high_inclusive: bool) -> bool:
+    """An inverted range, or a point range that excludes its point.
+
+    Answered without reorganising: cracking would also invert the
+    boundary ordering (the high boundary would sort before the low one).
+    """
+    if low is None or high is None:
+        return False
+    return high < low or (high == low and not (low_inclusive and high_inclusive))
+
+
+def _count_in(values: np.ndarray, low, high, low_side: str, high_side: str) -> int:
+    """How many of the ascending ``values`` a range query qualifies."""
+    start = 0 if low is None else int(values.searchsorted(low, low_side))
+    stop = len(values) if high is None else int(values.searchsorted(high, high_side))
+    return max(0, stop - start)
+
+
+def _contains(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """``np.isin(probes, keys)`` for ascending ``keys``, by binary search."""
+    if keys.size == 0:
+        return np.zeros(len(probes), dtype=bool)
+    at = keys.searchsorted(probes)
+    np.minimum(at, len(keys) - 1, out=at)
+    return keys[at] == probes
+
+
+def _last_per_oid(oids: np.ndarray, *columns: np.ndarray) -> tuple:
+    """Distinct ``oids`` ascending, each with its last-given ``columns``."""
+    order = np.argsort(oids, kind="stable")
+    oids = oids[order]
+    last = np.ones(len(oids), dtype=bool)
+    last[:-1] = oids[:-1] != oids[1:]
+    return (oids[last], *(column[order][last] for column in columns))
+
+
+def _sorted_insert(keys, payload, new_keys, new_payload) -> tuple:
+    """Merge ``(new_keys, new_payload)`` into the key-sorted pair.
+
+    Sorts only the new keys and finds their slots by binary search: one
+    copy of the buffer but no sort of it.  (``np.insert`` does the same
+    placement at twice the fixed cost per call.)
+    """
+    order = np.argsort(new_keys, kind="stable")
+    new_keys = new_keys[order]
+    at = keys.searchsorted(new_keys, "right")
+    at += np.arange(len(at))
+    old = np.ones(len(keys) + len(at), dtype=bool)
+    old[at] = False
+    merged = []
+    for column, new in ((keys, new_keys), (payload, new_payload[order])):
+        out = np.empty(len(old), dtype=column.dtype)
+        out[at] = new
+        out[old] = column
+        merged.append(out)
+    return tuple(merged)
+
 
 @dataclass
 class SelectionResult:
@@ -86,7 +160,7 @@ class SelectionResult:
         return len(self.oids)
 
     def snapshot(self) -> "SelectionResult":
-        """A stable view, immune to later in-place cracks and sorts.
+        """A stable view, immune to later in-place cracks, sorts and merges.
 
         The concurrent SQL layer takes one before releasing the column
         lock: zero-copy answers are views into cracker storage,
@@ -94,10 +168,11 @@ class SelectionResult:
 
         The copy is paid *on demand*, not here: the span registers
         itself with its column, which retires (copies) its storage
-        arrays just before the next in-place crack or cut-off sort *if*
-        any registered snapshot is still alive.  Converged workloads —
-        the sustained phase, where neither happens — therefore never
-        copy.  An empty span views nothing and registers nothing.
+        arrays just before the next in-place crack, cut-off sort or
+        merge *if* any registered snapshot is still alive.  Converged
+        workloads — the sustained phase, where none of these happens —
+        therefore never copy.  An empty span views nothing and registers
+        nothing.
 
         Callers may hold the snapshot or its ``oids``/``values`` arrays;
         views *derived* from those arrays (further slicing) are only
@@ -220,22 +295,22 @@ class CrackedColumn:
         self.index = CrackerIndex(len(self.values))
         self.crack_stats = CrackStats()
         self.query_stats = QueryStats()
-        self._pending_values: list[np.ndarray] = []
-        self._pending_oids: list[np.ndarray] = []
-        # DML buffers (the "updating a cracked database" follow-up):
-        # deletes and updates queue here and are merged out of the cracked
-        # pieces by the next query, exactly like pending inserts merge in.
-        self._pending_delete_oids: list[np.ndarray] = []
-        self._pending_update_oids: list[np.ndarray] = []
-        self._pending_update_values: list[np.ndarray] = []
+        # Pending changes, one value-sorted (values, oids) pair per kind.
+        # Inserts carry the row's new value; deletes carry the value of
+        # the row's copy *in storage*, which names the piece it is in.
+        self._ins_values = np.empty(0, dtype=values.dtype)
+        self._ins_oids = np.empty(0, dtype=np.int64)
+        self._del_values = np.empty(0, dtype=values.dtype)
+        self._del_oids = np.empty(0, dtype=np.int64)
         self._next_oid = int(self.oids.max()) + 1 if len(self.oids) else 0
-        # ``_stored[oid]`` is True iff ``oid`` is physically in ``oids`` (a
-        # pending delete still counts until the merge): the write path's
-        # membership test, O(k) in the oids asked about instead of O(n)
-        # in the column.  Derived state, never persisted; mutated only
-        # beside ``oids``, under the same lock.
-        self._stored = np.zeros(self._next_oid, dtype=bool)
-        self._stored[self.oids] = True
+        # ``_state[oid]`` flags where each oid is (_STORED, _DOOMED,
+        # _QUEUED): the write path's membership tests, O(k) in the oids
+        # asked about instead of O(n) in the column or O(p) in the
+        # buffers.  A stored row with a pending delete stays _STORED
+        # until the merge.  Derived state, never persisted; mutated only
+        # beside storage and the buffers, under the same lock.
+        self._state = np.zeros(self._next_oid, dtype=np.uint8)
+        self._state[self.oids] = _STORED
         # Weak references to live zero-copy snapshots (and their
         # handed-out view arrays); storage is retired — copied — before
         # the next in-place crack while any is still referenced.  A
@@ -243,13 +318,15 @@ class CrackedColumn:
         # ndarrays are hashable.  See snapshot().
         self._live_snapshot_refs: list[weakref.ref] = []
         # ``(start, stop)`` of pieces known to be sorted, so a bound in
-        # one skips the O(piece) sortedness test.  Between merges the
-        # index only gains boundaries, so a remembered span is always a
-        # union of whole pieces, and it stays sorted: it holds no tuple
-        # on the wrong side of any pivot, so a kernel cracking it (after
-        # ``crack_threshold`` was lowered) reorders nothing.  Merges
-        # rebuild storage and clear the set.  Never persisted: a miss
-        # costs one comparison pass, not a wrong answer.
+        # one skips the O(piece) sortedness test.  Cracks only add
+        # boundaries, so a remembered span is always a union of whole
+        # pieces, and it stays sorted: it holds no tuple on the wrong
+        # side of any pivot, so a kernel cracking it (after
+        # ``crack_threshold`` was lowered) reorders nothing.  A merge
+        # puts each new tuple of a span at its ``searchsorted`` position
+        # and shifts the span with its pieces' edges; it never clears
+        # the set.  Never persisted: a miss costs one comparison pass,
+        # not a wrong answer.
         self._sorted_spans: set[tuple[int, int]] = set()
         # Optional per-column introspection (lineage/workload profiler).
         # None unless Database(profile=True) attached one — every hook
@@ -264,24 +341,23 @@ class CrackedColumn:
         return self.index.piece_count
 
     @property
+    def pending_update_count(self) -> int:
+        """Updates waiting: buffered inserts whose oid is still stored."""
+        return int(np.count_nonzero(self._is_stored(self._ins_oids)))
+
+    @property
     def pending_count(self) -> int:
-        return sum(len(chunk) for chunk in self._pending_values)
+        """Buffered inserts of new rows (updates not included)."""
+        return len(self._ins_oids) - self.pending_update_count
 
     @property
     def pending_delete_count(self) -> int:
-        return sum(len(chunk) for chunk in self._pending_delete_oids)
-
-    @property
-    def pending_update_count(self) -> int:
-        return sum(len(chunk) for chunk in self._pending_update_oids)
+        """Buffered deletes (updates not included)."""
+        return len(self._del_oids) - self.pending_update_count
 
     @property
     def has_pending(self) -> bool:
-        return bool(
-            self._pending_values
-            or self._pending_delete_oids
-            or self._pending_update_oids
-        )
+        return bool(self._ins_oids.size or self._del_oids.size)
 
     def observability(self) -> dict:
         """One flat dict of this column's crack/query/pending accounting.
@@ -293,6 +369,7 @@ class CrackedColumn:
         holds whatever lock guards this column.
         """
         sizes = self.index.piece_sizes()
+        updates = self.pending_update_count
         return {
             "pieces": self.piece_count,
             "tuples": len(self.values),
@@ -304,9 +381,9 @@ class CrackedColumn:
             "queries": self.query_stats.queries,
             "pieces_inspected": self.query_stats.pieces_inspected,
             "merged_updates": self.query_stats.merged_updates,
-            "pending_inserts": self.pending_count,
-            "pending_deletes": self.pending_delete_count,
-            "pending_updates": self.pending_update_count,
+            "pending_inserts": len(self._ins_oids) - updates,
+            "pending_deletes": len(self._del_oids) - updates,
+            "pending_updates": updates,
             "piece_tuples": {
                 "min": min(sizes) if sizes else 0,
                 "max": max(sizes) if sizes else 0,
@@ -337,9 +414,9 @@ class CrackedColumn:
         arrays and installing the copies makes the retired generation
         immutable: every outstanding view — including views numpy
         re-based onto the old root array — stays valid forever, and the
-        kernel shuffles only the fresh generation.  When no snapshot survives (the
-        common case: results are consumed within their statement), this
-        is an empty-list check and no copy happens.
+        kernel shuffles only the fresh generation.  When no snapshot
+        survives (the common case: results are consumed within their
+        statement), this is an empty-list check and no copy happens.
         """
         refs = self._live_snapshot_refs
         if not refs:
@@ -362,35 +439,18 @@ class CrackedColumn:
     ) -> SelectionResult:
         """Answer ``low θ attr θ high`` adaptively.
 
-        ``None`` bounds make the predicate one-sided.  Each bound the
+        ``None`` bounds make the predicate one-sided.  Pending changes
+        whose value the range can see are merged first.  Each bound the
         index does not hold yet cracks its piece — or, at or below
         ``crack_threshold``, sorts it once — and the answer is the span
         between the two positions.
         """
-        self._merge_pending()
         self.query_stats.queries += 1
-        degenerate_point = (
-            low is not None
-            and high is not None
-            and low == high
-            and not (low_inclusive and high_inclusive)
-        )
-        if (low is not None and high is not None and high < low) or degenerate_point:
-            # Empty by construction; cracking would also invert the
-            # boundary ordering (the high boundary would sort before the
-            # low one), so answer the empty span without reorganising.
+        if _empty_by_construction(low, high, low_inclusive, high_inclusive):
             return self._span_result(0, 0)
-        low_kind = KIND_LT if low_inclusive else KIND_LE
-        high_kind = KIND_LE if high_inclusive else KIND_LT
-        start = 0
-        stop = len(self.values)
-        if low is not None and high is not None:
-            start, stop = self._crack_both(low, high, low_kind, high_kind)
-        elif low is not None:
-            start = self._ensure_boundary(low, low_kind)
-        elif high is not None:
-            stop = self._ensure_boundary(high, high_kind)
-        return self._span_result(start, stop)
+        if self._ins_oids.size or self._del_oids.size:
+            self._merge_pending(low, high)
+        return self._span_result(*self._span(low, high, low_inclusive, high_inclusive))
 
     def count_range(
         self,
@@ -399,10 +459,45 @@ class CrackedColumn:
         low_inclusive: bool = True,
         high_inclusive: bool = False,
     ) -> int:
-        """Count qualifying tuples (cracks as a side effect)."""
-        return self.range_select(
-            low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive
-        ).count
+        """Count qualifying tuples; cracks as a side effect, merges nothing.
+
+        A count reads no tuple, so pending changes stay pending: the
+        answer is the span of stored tuples, plus the pending inserts in
+        range, minus the pending deletes in range — each keyed by the
+        value of a tuple that is in storage, so in the span exactly when
+        it is in range.  Two binary searches per buffer.  Only when the
+        buffers hold more than :data:`PENDING_SHARE` of the column does
+        a count merge them, all at once, to keep them bounded.
+        """
+        self.query_stats.queries += 1
+        if _empty_by_construction(low, high, low_inclusive, high_inclusive):
+            return 0
+        pending = len(self._ins_oids) + len(self._del_oids)
+        if pending > PENDING_SHARE * len(self.values):
+            self._merge_pending()
+            pending = 0
+        start, stop = self._span(low, high, low_inclusive, high_inclusive)
+        if not pending:
+            return stop - start
+        sides = ("left" if low_inclusive else "right", "right" if high_inclusive else "left")
+        return (
+            stop - start
+            + _count_in(self._ins_values, low, high, *sides)
+            - _count_in(self._del_values, low, high, *sides)
+        )
+
+    def _span(self, low, high, low_inclusive: bool, high_inclusive: bool) -> tuple[int, int]:
+        """The storage span of ``low θ attr θ high``, cracking or sorting
+        the pieces of bounds the index does not hold yet."""
+        low_kind = KIND_LT if low_inclusive else KIND_LE
+        high_kind = KIND_LE if high_inclusive else KIND_LT
+        if low is not None and high is not None:
+            return self._crack_both(low, high, low_kind, high_kind)
+        if low is not None:
+            return self._ensure_boundary(low, low_kind), len(self.values)
+        if high is not None:
+            return 0, self._ensure_boundary(high, high_kind)
+        return 0, len(self.values)
 
     def _span_result(self, start: int, stop: int) -> SelectionResult:
         """The zero-copy answer ``[start, stop)`` (registers nothing by itself)."""
@@ -419,7 +514,8 @@ class CrackedColumn:
     # ------------------------------------------------------------------ #
 
     def append(self, values, oids=None) -> np.ndarray:
-        """Queue new tuples; they participate from the next query on."""
+        """Queue new tuples; each joins storage with the first query that
+        ranges over its value."""
         values = np.asarray(values, dtype=self.values.dtype)
         if oids is None:
             oids = np.arange(self._next_oid, self._next_oid + len(values), dtype=np.int64)
@@ -432,65 +528,38 @@ class CrackedColumn:
             if oids.size and oids.min() < 0:
                 raise CrackError("append got a negative oid")
         if len(values):
-            self._pending_values.append(values)
-            self._pending_oids.append(oids)
+            self._ins_values, self._ins_oids = _sorted_insert(
+                self._ins_values, self._ins_oids, values, oids
+            )
+            self._flag(oids, _QUEUED)
             self._next_oid = max(self._next_oid, int(oids.max()) + 1)
         return oids
 
-    def delete(self, oids) -> int:
-        """Queue deletions by oid; rows vanish from the next query on.
+    def delete(self, oids, old_values) -> int:
+        """Delete live rows by oid; returns how many were live.
 
-        Oids still sitting in the pending-insert (or pending-update)
-        buffers are resolved eagerly — they never reach the cracked
-        pieces; oids already merged into storage are buffered and merged
-        out piece-wise by the next query.  Returns the count applied.
+        ``old_values`` are the rows' current values, aligned with
+        ``oids``: the key that finds a row's piece, since the column has
+        no oid → position map (the SQL layer reads them from the base
+        column; entries for oids that are not live are ignored).  A row
+        still in the insert buffer leaves it at once; a stored row gets
+        a pending delete, merged out by the first query that ranges over
+        its value.  Oids of rows that are not live are ignored.
         """
-        oids = np.unique(np.asarray(oids, dtype=np.int64))
+        oids = np.asarray(oids, dtype=np.int64)
+        old_values = self._aligned(oids, old_values)
         if oids.size == 0:
             return 0
-        applied = 0
-        # Eager: a pending insert of a now-deleted row simply disappears.
-        if self._pending_values:
-            kept_values, kept_oids = [], []
-            for values, chunk_oids in zip(self._pending_values, self._pending_oids):
-                keep = ~np.isin(chunk_oids, oids)
-                applied += int(len(chunk_oids) - keep.sum())
-                if keep.all():
-                    kept_values.append(values)
-                    kept_oids.append(chunk_oids)
-                elif keep.any():
-                    kept_values.append(values[keep])
-                    kept_oids.append(chunk_oids[keep])
-            self._pending_values = kept_values
-            self._pending_oids = kept_oids
-        # Eager: a pending update of a deleted row is moot.
-        if self._pending_update_oids:
-            kept_values, kept_oids = [], []
-            for values, chunk_oids in zip(
-                self._pending_update_values, self._pending_update_oids
-            ):
-                keep = ~np.isin(chunk_oids, oids)
-                if keep.all():
-                    kept_values.append(values)
-                    kept_oids.append(chunk_oids)
-                elif keep.any():
-                    kept_values.append(values[keep])
-                    kept_oids.append(chunk_oids[keep])
-            self._pending_update_values = kept_values
-            self._pending_update_oids = kept_oids
-        in_storage = oids[self._is_stored(oids)]
-        if in_storage.size:
-            self._pending_delete_oids.append(in_storage)
-            applied += int(in_storage.size)
-        return applied
+        oids, old_values = _last_per_oid(oids, old_values)
+        return int(np.count_nonzero(self._unlink(oids, old_values)))
 
-    def update(self, oids, values) -> int:
-        """Queue value rewrites by oid (last write wins per oid).
+    def update(self, oids, values, old_values) -> int:
+        """Rewrite live rows by oid (last write wins per oid); returns how
+        many were live.
 
-        Rows still in the pending-insert buffer are rewritten in place;
-        rows already in storage are buffered and physically moved to
-        their new piece at the next merge (remove + re-insert under the
-        same oid).  Returns the count applied.
+        An update is a delete of the row plus an insert under the same
+        oid carrying the new value — the translation SIGMOD'07 uses.
+        ``old_values`` are as for :meth:`delete`.
         """
         oids = np.asarray(oids, dtype=np.int64)
         values = np.asarray(values, dtype=self.values.dtype)
@@ -498,188 +567,198 @@ class CrackedColumn:
             raise CrackError(
                 f"update got {len(oids)} oids but {len(values)} values"
             )
+        old_values = self._aligned(oids, old_values)
         if oids.size == 0:
             return 0
-        applied = 0
-        remaining = np.ones(len(oids), dtype=bool)
-        # Eager: rewrite rows that are still waiting in the insert buffer.
-        if self._pending_values:
-            for chunk_values, chunk_oids in zip(
-                self._pending_values, self._pending_oids
-            ):
-                chunk_pos = np.flatnonzero(np.isin(chunk_oids, oids))
-                if chunk_pos.size == 0:
-                    continue
-                # Map each hit back to its (last) slot in the request.
-                order = np.argsort(oids, kind="stable")
-                located = np.searchsorted(
-                    oids[order], chunk_oids[chunk_pos], side="right"
-                ) - 1
-                chunk_values[chunk_pos] = values[order][located]
-                applied += int(chunk_pos.size)
-                remaining &= ~np.isin(oids, chunk_oids[chunk_pos])
-        oids = oids[remaining]
-        values = values[remaining]
-        in_storage = self._is_stored(oids)
-        if in_storage.any():
-            self._pending_update_oids.append(oids[in_storage])
-            self._pending_update_values.append(values[in_storage])
-            applied += int(in_storage.sum())
-        return applied
+        oids, values, old_values = _last_per_oid(oids, values, old_values)
+        live = self._unlink(oids, old_values)
+        if live.any():
+            self._ins_values, self._ins_oids = _sorted_insert(
+                self._ins_values, self._ins_oids, values[live], oids[live]
+            )
+            self._flag(oids[live], _QUEUED)
+        return int(np.count_nonzero(live))
+
+    def _aligned(self, oids: np.ndarray, old_values) -> np.ndarray:
+        """``old_values`` as a column-dtype array aligned with ``oids``."""
+        old_values = np.asarray(old_values, dtype=self.values.dtype)
+        if len(old_values) != len(oids):
+            raise CrackError(f"got {len(oids)} oids but {len(old_values)} old values")
+        return old_values
+
+    def _unlink(self, oids: np.ndarray, old_values: np.ndarray) -> np.ndarray:
+        """Take the live rows among ``oids`` (ascending, distinct) out of
+        the column's view; returns the live mask.
+
+        A row in the insert buffer leaves it.  A stored row without a
+        pending delete gets one, keyed by its stored value — which is
+        its current value, because every change of a stored row goes
+        through a delete of its stored copy.  Membership is read from
+        ``_state``; only rows leaving the insert buffer search it, and
+        nothing scans storage.
+        """
+        flags = self._flags(oids)
+        queued = (flags & _QUEUED) != 0
+        stored = (flags & (_STORED | _DOOMED)) == _STORED
+        if queued.any():
+            leaving = _contains(oids[queued], self._ins_oids)
+            self._ins_values = self._ins_values[~leaving]
+            self._ins_oids = self._ins_oids[~leaving]
+            self._state[oids[queued]] &= ~np.uint8(_QUEUED)
+        if stored.any():
+            gone = oids[stored]
+            self._del_values, self._del_oids = _sorted_insert(
+                self._del_values, self._del_oids, old_values[stored], gone
+            )
+            self._state[gone] |= _DOOMED
+        return queued | stored
+
+    def _stored_values(self, oids: np.ndarray) -> np.ndarray:
+        """The stored value of each of ``oids``: one O(n) pass, for
+        restoring the delete buffer from a checkpoint and for
+        :meth:`check_invariants`."""
+        if not self._is_stored(oids).all():
+            raise CrackError("pending delete references oids absent from storage")
+        wanted = np.zeros(len(self._state), dtype=bool)
+        wanted[oids] = True
+        at = np.flatnonzero(wanted[self.oids])
+        order = np.argsort(self.oids[at])
+        at = at[order]
+        return self.values[at[self.oids[at].searchsorted(oids)]]
+
+    def _flags(self, oids: np.ndarray) -> np.ndarray:
+        """The ``_state`` flags of ``oids``; negative or never-seen oids
+        have none."""
+        state = self._state
+        known = (oids >= 0) & (oids < len(state))
+        flags = np.zeros(len(oids), dtype=np.uint8)
+        flags[known] = state[oids[known]]
+        return flags
 
     def _is_stored(self, oids: np.ndarray) -> np.ndarray:
-        """``np.isin(oids, self.oids)`` as one bitmap gather; negative or
-        never-seen oids are absent."""
-        stored = self._stored
-        hit = (oids >= 0) & (oids < len(stored))
-        hit[hit] = stored[oids[hit]]
-        return hit
+        """``np.isin(oids, self.oids)``, from the flags."""
+        return (self._flags(oids) & _STORED) != 0
 
-    def _mark_stored(self, oids: np.ndarray) -> None:
-        """Set the bits of oids about to enter storage, growing by doubling."""
+    def _flag(self, oids: np.ndarray, flag: int) -> None:
+        """Set ``flag`` on ``oids``, growing ``_state`` by doubling."""
         top = int(oids.max()) + 1
-        if top > len(self._stored):
-            grown = np.zeros(max(top, 2 * len(self._stored)), dtype=bool)
-            grown[: len(self._stored)] = self._stored
-            self._stored = grown
-        self._stored[oids] = True
+        if top > len(self._state):
+            grown = np.zeros(max(top, 2 * len(self._state)), dtype=np.uint8)
+            grown[: len(self._state)] = self._state
+            self._state = grown
+        self._state[oids] |= flag
 
-    def _merge_pending(self) -> None:
-        """Fold the pending buffers into the pieces, if any exist.
+    def _merge_pending(self, low=None, high=None) -> None:
+        """Merge the pending changes a query over ``[low, high]`` can see.
 
-        The guard is the per-query fast path (one bool over three
-        lists); the work happens in :meth:`_merge_pending_now`, wrapped
-        in a ``pending_merge`` span when a trace is active.
+        The partial merge of SIGMOD'07: the buffers are value-sorted, so
+        the tuples a bounded range can see are one slice of each, two
+        binary searches per buffer.  Only those merge; the rest wait for a query
+        that needs them.  A one-sided or unbounded query merges
+        everything.  A merged insert whose oid is still stored is an
+        update, and the delete of its stored copy merges with it, so
+        storage never holds an oid twice.  The work is wrapped in a
+        ``pending_merge`` span when a trace is active.
         """
-        if not self.has_pending:
-            return
+        ins_values, del_values = self._ins_values, self._del_values
+        take_ins = np.ones(len(ins_values), dtype=bool)
+        take_del = np.ones(len(del_values), dtype=bool)
+        if low is not None and high is not None:
+            take_ins[: ins_values.searchsorted(low, "left")] = False
+            take_ins[ins_values.searchsorted(high, "right") :] = False
+            take_del[: del_values.searchsorted(low, "left")] = False
+            take_del[del_values.searchsorted(high, "right") :] = False
+            if not (take_ins.any() or take_del.any()):
+                return
+        ins_oids = self._ins_oids[take_ins]
+        updated = ins_oids[self._is_stored(ins_oids)]
+        if updated.size:
+            take_del |= _contains(np.sort(updated), self._del_oids)
+        merged = (
+            del_values[take_del], self._del_oids[take_del],
+            ins_values[take_ins], ins_oids,
+        )
+        self._del_values, self._del_oids = del_values[~take_del], self._del_oids[~take_del]
+        self._ins_values, self._ins_oids = ins_values[~take_ins], self._ins_oids[~take_ins]
         if not obs_trace.tracing():
-            self._merge_pending_now()
+            self._merge_pending_now(*merged)
             return
         with obs_trace.span(
             "pending_merge",
-            inserts=self.pending_count,
-            deletes=self.pending_delete_count,
-            updates=self.pending_update_count,
+            inserts=len(ins_oids) - len(updated),
+            deletes=len(merged[1]) - len(updated),
+            updates=len(updated),
         ):
-            self._merge_pending_now()
+            self._merge_pending_now(*merged)
 
-    def _merge_pending_now(self) -> None:
-        """Fold pending tuples into their pieces, preserving all invariants.
+    def _merge_pending_now(self, del_values, del_oids, ins_values, ins_oids) -> None:
+        """Fold one slice of pending changes into the pieces.
 
-        Three phases, all vectorised over the index's boundary arrays:
-
-        1. *Removal*: rows with a pending delete or update leave storage.
-           Their bits leave the stored-oid bitmap and one gather of it
-           over storage is the keep mask; each boundary shifts left by
-           the prefix sum of per-piece removal counts
-           (:meth:`CrackerIndex.remove_shift`).
-        2. *Re-insert*: updated rows re-enter the pending-insert stream
-           under their original oid carrying the new value (last write
-           wins), so they land in whatever piece now bounds them.
-        3. *Insert*: the existing merge — piece assignment is two
-           ``searchsorted`` passes, the scatter one ``np.insert``, the
-           boundary shift one prefix-sum add.
-
-        Every phase writes *new* storage arrays, so outstanding zero-copy
-        snapshots keep their (retired) generation untouched.
+        One pass over storage.  The deleted rows leave through a keep
+        mask gathered from ``_state``; the new tuples go in with one
+        ``np.insert``, each at its piece's start — or, in a piece inside
+        a remembered sorted span, at its ``searchsorted`` position, so
+        the span stays sorted.  Boundaries and spans shift by the prefix
+        sum of the net per-piece counts (``merge_shift``); nothing is
+        sorted again.  Both steps build new arrays, so outstanding
+        snapshots keep the old generation.
         """
-        self._sorted_spans.clear()
-        self._merge_removals()
-        if not self._pending_values:
-            return
-        pending_values = np.concatenate(self._pending_values)
-        pending_oids = np.concatenate(self._pending_oids)
-        self._pending_values.clear()
-        self._pending_oids.clear()
-        self.query_stats.merged_updates += len(pending_values)
+        self.query_stats.merged_updates += len(del_oids) + len(ins_oids)
         if self.introspect is not None:
-            self.introspect.record_merge("merge", int(len(pending_values)))
-        self._mark_stored(pending_oids)
-        boundary_count = len(self.index)
-        if boundary_count == 0:
-            self.values = np.concatenate([self.values, pending_values])
-            self.oids = np.concatenate([self.oids, pending_oids])
-            self.index.column_size = len(self.values)
-            # The merge installed fresh arrays: the old generation is
-            # retired, so outstanding snapshots need no further shielding.
-            self._live_snapshot_refs = []
-            return
-        piece_of = self.index.piece_assignment(pending_values)
-        if piece_of.size and piece_of.max() > boundary_count:
-            raise CrackError("internal error: pending value assigned past last piece")
-        order = np.argsort(piece_of, kind="stable")
-        pending_values = pending_values[order]
-        pending_oids = pending_oids[order]
-        piece_of = piece_of[order]
-        counts = np.bincount(piece_of, minlength=boundary_count + 1)
-        positions = self.index.positions()
-        # Insert each pending tuple at its piece's start: np.insert keeps
-        # equal-index insertions in argument order, and any slot inside
-        # the piece satisfies the piece's value bounds.
-        starts = np.empty(boundary_count + 1, dtype=np.int64)
-        starts[0] = 0
-        starts[1:] = positions
-        insert_at = starts[piece_of]
-        self.values = np.insert(self.values, insert_at, pending_values)
-        self.oids = np.insert(self.oids, insert_at, pending_oids)
-        self.index.merge_shift(counts, len(self.values))
-        # np.insert built fresh storage: the pre-merge generation is
-        # retired, so outstanding snapshots need no further shielding.
+            if del_oids.size:
+                self.introspect.record_merge("tombstone", len(del_oids))
+            if ins_oids.size:
+                self.introspect.record_merge("merge", len(ins_oids))
+        index = self.index
+        edges = self._edges()
+        count = len(edges) - 1
+        lost = np.bincount(index.piece_assignment(del_values), minlength=count)
+        ins_pieces = index.piece_assignment(ins_values)
+        net = np.bincount(ins_pieces, minlength=count) - lost
+        first, last = self._sorted_pieces(edges)
+        values, oids = self.values, self.oids
+        if del_oids.size:
+            with obs_trace.span("tombstone_merge"):
+                self._state[del_oids] &= _QUEUED
+                keep = (self._state[oids] & _STORED).astype(bool)
+                if len(oids) - np.count_nonzero(keep) != len(del_oids):
+                    raise CrackError("internal error: a pending delete is not in storage")
+                values, oids = values[keep], oids[keep]
+        if ins_oids.size:
+            # The pieces' edges once the deletes are out; ins_pieces is
+            # ascending, as the value-sorted slice it came from.
+            starts = edges - np.concatenate(([0], np.cumsum(lost)))
+            at = starts[ins_pieces]
+            in_span = np.cumsum(
+                np.bincount(first, minlength=count + 1)
+                - np.bincount(last + 1, minlength=count + 1)
+            )[:count] > 0
+            for piece in set(ins_pieces[in_span[ins_pieces]].tolist()):
+                lo, hi = ins_pieces.searchsorted([piece, piece + 1])
+                at[lo:hi] += values[starts[piece] : starts[piece + 1]].searchsorted(
+                    ins_values[lo:hi], "right"
+                )
+            values = np.insert(values, at, ins_values)
+            oids = np.insert(oids, at, ins_oids)
+            self._state[ins_oids] = _STORED
+        self.values, self.oids = values, oids
         self._live_snapshot_refs = []
+        moved = edges + np.concatenate(([0], np.cumsum(net)))
+        self._sorted_spans = set(zip(moved[first].tolist(), moved[last + 1].tolist()))
+        index.merge_shift(net, len(values))
 
-    def _merge_removals(self) -> None:
-        """Phase 1+2 of the merge: take deleted/updated rows out of storage
-        and re-queue updated rows as pending inserts with their new value.
+    def _sorted_pieces(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and last piece of each non-empty remembered sorted span."""
+        spans = np.array(sorted(self._sorted_spans), dtype=np.int64).reshape(-1, 2)
+        spans = spans[spans[:, 0] < spans[:, 1]]
+        return (
+            edges.searchsorted(spans[:, 0], "right") - 1,
+            edges.searchsorted(spans[:, 1], "left") - 1,
+        )
 
-        Wrapped in a ``tombstone_merge`` span when traced (this is the
-        write-path cost a DELETE/UPDATE defers onto the next query)."""
-        if not (self._pending_delete_oids or self._pending_update_oids):
-            return
-        with obs_trace.span("tombstone_merge"):
-            self._merge_removals_now()
-
-    def _merge_removals_now(self) -> None:
-        # Buffered oids are stored ones (delete/update queue nothing
-        # else): clear their bits, and the bitmap gathered over storage
-        # is the keep mask.
-        for chunk in self._pending_delete_oids + self._pending_update_oids:
-            self._stored[chunk] = False
-        self._pending_delete_oids.clear()
-        if self._pending_update_oids:
-            update_oids = np.concatenate(self._pending_update_oids)
-            update_values = np.concatenate(self._pending_update_values)
-            self._pending_update_oids.clear()
-            self._pending_update_values.clear()
-            # Last write wins: keep each oid's final buffered value.
-            reversed_oids = update_oids[::-1]
-            _, first_in_reversed = np.unique(reversed_oids, return_index=True)
-            keep = len(update_oids) - 1 - first_in_reversed
-            # Updated rows leave storage below and re-enter as pending
-            # inserts under the same oid, carrying the new value.
-            self._pending_values.append(update_values[keep])
-            self._pending_oids.append(update_oids[keep])
-        keep_mask = self._stored[self.oids]
-        removed_positions = np.flatnonzero(~keep_mask)
-        self.query_stats.merged_updates += int(removed_positions.size)
-        if self.introspect is not None:
-            self.introspect.record_merge("tombstone", int(removed_positions.size))
-        self.values = self.values[keep_mask]
-        self.oids = self.oids[keep_mask]
-        if len(self.index):
-            # Boundary b moves left by the number of removed rows before
-            # it: searchsorted of the (sorted) removed positions against
-            # the boundary positions, differenced into per-piece counts.
-            cuts = np.searchsorted(removed_positions, self.index.positions())
-            per_piece = np.diff(
-                np.concatenate([[0], cuts, [removed_positions.size]])
-            )
-            self.index.remove_shift(per_piece, len(self.values))
-        else:
-            self.index.column_size = len(self.values)
-        # Fancy indexing built fresh storage: the pre-removal generation
-        # is retired, no further shielding needed.
-        self._live_snapshot_refs = []
+    def _edges(self) -> np.ndarray:
+        """Piece edges: 0, every boundary position, the column size."""
+        return np.concatenate(([0], self.index.positions(), [len(self.values)]))
 
     def _kernel_two(self, start: int, stop: int, pivot, kind: str) -> int:
         self._shield_snapshots()
@@ -824,44 +903,23 @@ class CrackedColumn:
         """A serialisable snapshot: storage, index and pending buffers.
 
         Array members are private copies, so the export stays valid while
-        the live column keeps cracking.  Callers are responsible for the
-        column's lock (the persistence layer holds the same write side
-        the query path takes).
+        the live column keeps cracking.  An update travels as it always
+        has: ``pending_update_oids``/``values``, not as its delete and
+        insert halves.  Callers are responsible for the column's lock
+        (the persistence layer holds the same write side the query path
+        takes).
         """
-        dtype = self.values.dtype
-        pending_values = (
-            np.concatenate(self._pending_values)
-            if self._pending_values
-            else np.empty(0, dtype=dtype)
-        )
-        pending_oids = (
-            np.concatenate(self._pending_oids)
-            if self._pending_oids
-            else np.empty(0, dtype=np.int64)
-        )
-        pending_delete = (
-            np.concatenate(self._pending_delete_oids)
-            if self._pending_delete_oids
-            else np.empty(0, dtype=np.int64)
-        )
-        pending_update_oids = (
-            np.concatenate(self._pending_update_oids)
-            if self._pending_update_oids
-            else np.empty(0, dtype=np.int64)
-        )
-        pending_update_values = (
-            np.concatenate(self._pending_update_values)
-            if self._pending_update_values
-            else np.empty(0, dtype=dtype)
-        )
+        updated = self._is_stored(self._ins_oids)
+        update_oids = self._ins_oids[updated]
+        replaced = _contains(np.sort(update_oids), self._del_oids)
         return {
             "values": self.values.copy(),
             "oids": self.oids.copy(),
-            "pending_values": pending_values,
-            "pending_oids": pending_oids,
-            "pending_delete_oids": pending_delete,
-            "pending_update_oids": pending_update_oids,
-            "pending_update_values": pending_update_values,
+            "pending_values": self._ins_values[~updated],
+            "pending_oids": self._ins_oids[~updated],
+            "pending_delete_oids": self._del_oids[~replaced],
+            "pending_update_oids": update_oids,
+            "pending_update_values": self._ins_values[updated],
             "kernel": self.kernel,
             "crack_in_three_enabled": bool(self.crack_in_three_enabled),
             "crack_threshold": int(self.crack_threshold),
@@ -876,7 +934,9 @@ class CrackedColumn:
         The warm-restart path: the cracker index (piece boundaries) and
         the physically reorganised storage come back exactly as
         exported, so the first post-restore query pays an index lookup,
-        not a re-crack.  Invariants are validated before the column is
+        not a re-crack.  The pending buffers are sorted by value as they
+        load; deletes and updates find their stored values in one pass
+        over storage.  Invariants are validated before the column is
         handed out.
         """
         column = cls.__new__(cls)
@@ -889,31 +949,33 @@ class CrackedColumn:
             int(state["crack_threshold"]),
         )
         column.index = CrackerIndex.from_state(state["index"])
-        pending_values = np.asarray(state["pending_values"])
-        if len(pending_values):
-            column._pending_values = [pending_values.astype(column.values.dtype)]
-            column._pending_oids = [
-                np.asarray(state["pending_oids"], dtype=np.int64).copy()
-            ]
-        # DML buffers: absent in pre-DML snapshots (.get defaults keep
-        # FORMAT_VERSION stable).
-        pending_delete = np.asarray(
-            state.get("pending_delete_oids", np.empty(0, dtype=np.int64)),
-            dtype=np.int64,
+        dtype = column.values.dtype
+
+        def array(key: str, kind=np.int64) -> np.ndarray:
+            # DML buffers are absent in pre-DML snapshots (.get defaults
+            # keep FORMAT_VERSION stable).
+            return np.asarray(state.get(key, np.empty(0)), dtype=kind)
+
+        update_oids, update_values = _last_per_oid(
+            array("pending_update_oids"), array("pending_update_values", dtype)
         )
-        if len(pending_delete):
-            column._pending_delete_oids = [pending_delete.copy()]
-        pending_update_oids = np.asarray(
-            state.get("pending_update_oids", np.empty(0, dtype=np.int64)),
-            dtype=np.int64,
-        )
-        if len(pending_update_oids):
-            column._pending_update_oids = [pending_update_oids.copy()]
-            column._pending_update_values = [
-                np.asarray(state["pending_update_values"]).astype(
-                    column.values.dtype
-                )
-            ]
+        inserts = np.concatenate((array("pending_oids"), update_oids))
+        if inserts.size:
+            column._ins_values, column._ins_oids = _sorted_insert(
+                column._ins_values, column._ins_oids,
+                np.concatenate((array("pending_values", dtype), update_values)),
+                inserts,
+            )
+            column._flag(inserts, _QUEUED)
+        gone = _last_per_oid(
+            np.concatenate((array("pending_delete_oids"), update_oids))
+        )[0]
+        if gone.size:
+            column._del_values, column._del_oids = _sorted_insert(
+                column._del_values, column._del_oids,
+                column._stored_values(gone), gone,
+            )
+            column._flag(gone, _DOOMED)
         column._next_oid = int(state["next_oid"])
         column.check_invariants()
         return column
@@ -930,21 +992,10 @@ class CrackedColumn:
                 f"index thinks column has {self.index.column_size} tuples, "
                 f"storage has {len(self.values)}"
             )
-        stored = self._stored
+        stored = (self._state & _STORED) != 0
         if np.count_nonzero(stored) != len(self.oids) or not stored[self.oids].all():
             raise CrackError("stored-oid bitmap disagrees with storage")
-        for chunk in self._pending_oids:
-            if self._is_stored(chunk).any():
-                raise CrackError("pending insert reuses an oid already in storage")
-        for label, chunks in (
-            ("delete", self._pending_delete_oids),
-            ("update", self._pending_update_oids),
-        ):
-            for chunk in chunks:
-                if not self._is_stored(chunk).all():
-                    raise CrackError(
-                        f"pending {label} references oids absent from storage"
-                    )
+        self._check_pending()
         edges = {0, len(self.values), *self.index.positions().tolist()}
         for start, stop in self._sorted_spans:
             if start not in edges or stop not in edges:
@@ -970,3 +1021,27 @@ class CrackedColumn:
                     raise CrackError(f"piece {piece.describes()} violates upper bound")
                 if piece.upper.kind == KIND_LE and window.max() > piece.upper.value:
                     raise CrackError(f"piece {piece.describes()} violates upper bound")
+
+    def _check_pending(self) -> None:
+        """The buffers are value-sorted and consistent with storage."""
+        for label, values, oids in (
+            ("insert", self._ins_values, self._ins_oids),
+            ("delete", self._del_values, self._del_oids),
+        ):
+            if len(values) != len(oids) or (values[:-1] > values[1:]).any():
+                raise CrackError(f"pending {label} buffer is not sorted by value")
+            ordered = np.sort(oids)
+            if (ordered[:-1] == ordered[1:]).any():
+                raise CrackError(f"pending {label} buffer holds an oid twice")
+        if not self._is_stored(self._del_oids).all():
+            raise CrackError("pending delete references oids absent from storage")
+        stored = self._ins_oids[self._is_stored(self._ins_oids)]
+        if not _contains(np.sort(self._del_oids), stored).all():
+            raise CrackError("pending insert reuses an oid already in storage")
+        if not np.array_equal(self._stored_values(self._del_oids), self._del_values):
+            raise CrackError("pending delete is keyed by a value its row does not hold")
+        for flag, oids, label in (
+            (_QUEUED, self._ins_oids, "insert"), (_DOOMED, self._del_oids, "delete"),
+        ):
+            if not np.array_equal(np.flatnonzero(self._state & flag), np.sort(oids)):
+                raise CrackError(f"oid flags disagree with the pending {label} buffer")

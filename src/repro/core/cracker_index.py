@@ -315,11 +315,9 @@ class CrackerIndex:
     def merge_shift(self, per_piece_counts: np.ndarray, new_column_size: int) -> None:
         """Shift boundaries for a piece-wise merge of pending tuples.
 
-        ``per_piece_counts[i]`` is the number of tuples inserted into
-        piece ``i``; boundary ``b`` (which has pieces ``0..b`` on its
-        left) moves right by the prefix sum ``counts[0..b]``.  One
-        vectorised add replaces the rebuild-every-boundary loop of the
-        merge path.
+        ``per_piece_counts[i]`` is piece ``i``'s net change in tuples
+        (inserted minus removed); boundary ``b`` (which has pieces
+        ``0..b`` on its left) moves by the prefix sum ``counts[0..b]``.
         """
         counts = np.asarray(per_piece_counts, dtype=np.int64)
         if len(counts) != self._count + 1:
@@ -328,22 +326,6 @@ class CrackerIndex:
                 f"{self._count + 1} pieces"
             )
         self._positions[: self._count] += np.cumsum(counts[:-1])
-        self.column_size = new_column_size
-
-    def remove_shift(self, per_piece_removed: np.ndarray, new_column_size: int) -> None:
-        """Shift boundaries for a piece-wise removal of tuples.
-
-        The mirror of :meth:`merge_shift`: ``per_piece_removed[i]`` is the
-        number of tuples removed from piece ``i``; boundary ``b`` moves
-        left by the prefix sum ``removed[0..b]``.
-        """
-        removed = np.asarray(per_piece_removed, dtype=np.int64)
-        if len(removed) != self._count + 1:
-            raise CrackerIndexError(
-                f"remove_shift got {len(removed)} piece counts for "
-                f"{self._count + 1} pieces"
-            )
-        self._positions[: self._count] -= np.cumsum(removed[:-1])
         self.column_size = new_column_size
 
     # ------------------------------------------------------------------ #

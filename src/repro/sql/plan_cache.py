@@ -30,10 +30,16 @@ DML invalidation is conservative — correctness never depends on it, but
 it keeps every cached artifact observably in sync with the data.
 Templates are pure syntax and never go stale.
 
-Both levels are bounded LRU maps guarded by one lock; bound templates and
-analyzed queries are treated as immutable after publication, so hits are
-safe under the PR-2 concurrency model (one ``Database`` shared by many
-threads).
+The template level is a bounded LRU map.  The exact level is a
+*segmented* LRU, so a stream of one-shot statements cannot flush the
+statements that do repeat: a new entry is admitted to a probation
+segment and promoted to the protected segment on its first hit.
+One-shots age out of probation without ever touching protected entries;
+a protected entry squeezed out by a promotion drops back to probation
+(most-recent end) and gets a second chance.  Both levels are guarded by
+one lock; bound templates and analyzed queries are treated as immutable
+after publication, so hits are safe when one ``Database`` is shared by
+many threads.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from repro.sql.ast_nodes import Between, Comparison, Const, SelectStmt
 from repro.sql.lexer import Token
 
 #: Cache capacities (entries); oldest-used entries are evicted first.
+#: The exact level holds up to this many entries in *each* segment.
 EXACT_CAPACITY = 512
 TEMPLATE_CAPACITY = 256
 
@@ -198,7 +205,10 @@ class PlanCache:
         self.enabled = enabled
         self._lock = threading.Lock()
         self._epochs: dict[str, int] = {}
-        self._exact: OrderedDict[str, CachedQuery] = OrderedDict()
+        # Segmented LRU of the exact level: entries enter ``_probation``
+        # and move to ``_protected`` on their first hit.
+        self._probation: OrderedDict[str, CachedQuery] = OrderedDict()
+        self._protected: OrderedDict[str, CachedQuery] = OrderedDict()
         self._templates: OrderedDict[str, SelectTemplate] = OrderedDict()
         self.hits = 0
         self.template_hits = 0
@@ -250,7 +260,8 @@ class PlanCache:
             for name in tables:
                 self._epochs[name] = self._epochs.get(name, 0) + 1
                 self.invalidations += 1
-            self._exact.clear()
+            self._probation.clear()
+            self._protected.clear()
 
     # ------------------------------------------------------------------ #
     # Exact level
@@ -266,19 +277,41 @@ class PlanCache:
         if not self.enabled:
             return None
         with self._lock:
-            entry = self._exact.get(sql)
+            protected = self._protected
+            segment = protected
+            entry = protected.get(sql)
             if entry is None:
-                return None
+                segment = self._probation
+                entry = segment.get(sql)
+                if entry is None:
+                    return None
             stale = any(
                 self._epochs.get(name, 0) != epoch
                 for name, epoch in entry.table_epochs
             )
             if stale:
-                del self._exact[sql]
+                del segment[sql]
                 return None
-            self._exact.move_to_end(sql)
+            if segment is protected:
+                protected.move_to_end(sql)
+            else:
+                # First hit: promote; the protected LRU entry it displaces
+                # drops back to probation for a second chance.
+                del segment[sql]
+                protected[sql] = entry
+                if len(protected) > EXACT_CAPACITY:
+                    demoted, demoted_entry = protected.popitem(last=False)
+                    self._admit(demoted, demoted_entry)
             self.hits += 1
             return entry.query
+
+    def _admit(self, sql: str, entry: CachedQuery) -> None:
+        """Put ``entry`` at the recent end of probation (lock held)."""
+        probation = self._probation
+        probation[sql] = entry
+        probation.move_to_end(sql)
+        while len(probation) > EXACT_CAPACITY:
+            probation.popitem(last=False)
 
     def count_miss(self) -> None:
         """Record one compile-from-scratch (or template-only) SELECT."""
@@ -296,11 +329,13 @@ class PlanCache:
         """
         if not self.enabled:
             return
+        entry = CachedQuery(query=query, table_epochs=table_epochs)
         with self._lock:
-            self._exact[sql] = CachedQuery(query=query, table_epochs=table_epochs)
-            self._exact.move_to_end(sql)
-            while len(self._exact) > EXACT_CAPACITY:
-                self._exact.popitem(last=False)
+            if sql in self._protected:
+                self._protected[sql] = entry
+                self._protected.move_to_end(sql)
+            else:
+                self._admit(sql, entry)
 
     # ------------------------------------------------------------------ #
     # Template level
@@ -337,11 +372,12 @@ class PlanCache:
                 "template_hits": self.template_hits,
                 "misses": self.misses,
                 "invalidations": self.invalidations,
-                "exact_entries": len(self._exact),
+                "exact_entries": len(self._probation) + len(self._protected),
                 "template_entries": len(self._templates),
             }
 
     def clear(self) -> None:
         with self._lock:
-            self._exact.clear()
+            self._probation.clear()
+            self._protected.clear()
             self._templates.clear()

@@ -110,15 +110,16 @@ def _cracked_count_plan(
     relation = catalog.table(query.tables[0].name)
     if relation.column(predicate.attr).tail_type == "str":
         return None
-    result = cracker.range_select(
+    count = cracker.range_select(
         relation,
         predicate.attr,
         predicate.low,
         predicate.high,
         low_inclusive=predicate.low_inclusive,
         high_inclusive=predicate.high_inclusive,
+        count=True,
     )
-    return CrackedCountScan(result.count)
+    return CrackedCountScan(count)
 
 
 class PositionalScan(Operator):
@@ -248,13 +249,17 @@ class CrackerProvider:
         high,
         low_inclusive: bool = True,
         high_inclusive: bool = False,
+        count: bool = False,
     ):
         """Crack ``relation.attr`` for a range, under the column's lock.
 
         Takes the column's write side (cracking mutates storage and
         merges the pending update area) and, with ``snapshot_results``,
         copies the answer before the lock is released so no later crack
-        can shuffle it away under the caller.
+        can shuffle it away under the caller.  With ``count`` the answer
+        is the number of qualifying rows
+        (:meth:`~repro.core.cracked_column.CrackedColumn.count_range`,
+        which merges nothing).
 
         Under an active trace the whole call is wrapped in a ``crack``
         span whose meta records the column, the piece count after the
@@ -265,7 +270,7 @@ class CrackerProvider:
         if not obs_trace.tracing():
             return self._locked_select(
                 column, relation.name, attr, low, high,
-                low_inclusive, high_inclusive,
+                low_inclusive, high_inclusive, count,
             )
         with obs_trace.span("crack") as crack_span:
             crack_span.meta["column"] = f"{relation.name}.{attr}"
@@ -273,7 +278,7 @@ class CrackerProvider:
             cracks_before, sorts_before = stats.cracks, stats.sorts
             result = self._locked_select(
                 column, relation.name, attr, low, high,
-                low_inclusive, high_inclusive,
+                low_inclusive, high_inclusive, count,
             )
             # Read without the column lock: trace meta is advisory, an
             # exact-at-an-instant count is not worth re-serialising on.
@@ -284,10 +289,11 @@ class CrackerProvider:
 
     def _locked_select(
         self, column, table: str, attr: str, low, high,
-        low_inclusive: bool, high_inclusive: bool,
+        low_inclusive: bool, high_inclusive: bool, count: bool,
     ):
         """The locking core of :meth:`range_select`."""
         introspect = column.introspect
+        select = column.count_range if count else column.range_select
         lock = self.lock_for(table, attr)
         # Direct acquire/release: the contextmanager-based write_locked()
         # costs a generator frame per query, measurable on the sustained
@@ -295,7 +301,7 @@ class CrackerProvider:
         lock.acquire_write()
         try:
             if introspect is None:
-                result = column.range_select(
+                result = select(
                     low,
                     high,
                     low_inclusive=low_inclusive,
@@ -307,7 +313,7 @@ class CrackerProvider:
                 stats = column.crack_stats
                 touched_before = stats.tuples_touched
                 moved_before = stats.tuples_moved
-                result = column.range_select(
+                result = select(
                     low,
                     high,
                     low_inclusive=low_inclusive,
@@ -316,12 +322,12 @@ class CrackerProvider:
                 introspect.record_query(
                     low,
                     high,
-                    result.count,
+                    result if count else result.count,
                     stats.tuples_touched - touched_before,
                     stats.tuples_moved - moved_before,
                     len(column),
                 )
-            if self.snapshot_results:
+            if self.snapshot_results and not count:
                 result = result.snapshot()
         finally:
             lock.release_write()
@@ -413,32 +419,40 @@ class CrackerProvider:
             updated += 1
         return updated
 
-    def propagate_delete(self, table: str, positions: np.ndarray) -> int:
+    def propagate_delete(
+        self, table: str, relation: Relation, positions: np.ndarray
+    ) -> int:
         """Feed deleted storage positions to the table's crackers.
 
         Every cracker of the table buffers the oids (cracker oids *are*
-        storage positions) and merges the removals out piece-wise on its
-        next query; an oid still sitting in a pending-insert buffer is
-        purged eagerly.  Returns the number of crackers notified.
+        storage positions), keyed by each row's value in the base column
+        (tombstoning leaves it there), and merges a removal out of its
+        piece when a query first ranges over that value; an oid still
+        sitting in a pending-insert buffer is purged eagerly.  Returns
+        the number of crackers notified.
         """
         updated = 0
         positions = np.asarray(positions, dtype=np.int64)
         for (table_name, attr), column in self.columns().items():
             if table_name != table:
                 continue
+            old_values = relation.column(attr).tail_array()[positions]
             with self.lock_for(table_name, attr).write_locked():
-                column.delete(positions)
+                column.delete(positions, old_values)
             updated += 1
         return updated
 
     def propagate_update(
-        self, table: str, positions: np.ndarray, assignments: dict
+        self, table: str, positions: np.ndarray, assignments: dict,
+        old_values: dict,
     ) -> int:
         """Feed in-place value rewrites to the crackers of assigned columns.
 
         Only crackers over attributes named in ``assignments`` are
         touched — an update leaves every other column's values (and all
         oids) unchanged, so those cracker indexes stay exactly valid.
+        ``old_values`` maps each assigned attribute to the rows' values
+        before the rewrite: a cracker finds a row by that value.
         Returns the number of crackers updated.
         """
         updated = 0
@@ -450,7 +464,7 @@ class CrackerProvider:
                 len(positions), assignments[attr], dtype=column.values.dtype
             )
             with self.lock_for(table_name, attr).write_locked():
-                column.update(positions, values)
+                column.update(positions, values, old_values[attr])
             updated += 1
         return updated
 

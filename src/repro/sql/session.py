@@ -932,6 +932,12 @@ class Database:
         with relation.write_lock:
             positions = self._dml_match_positions(relation, plan)
             if positions.size:
+                # Crackers find a changed row by its value, so read the
+                # old ones before the rewrite.
+                old_values = {
+                    column: relation.column(column).tail_array()[positions]
+                    for column, _ in plan.assignments
+                }
                 relation.update_positions(
                     positions,
                     {
@@ -941,7 +947,8 @@ class Database:
                 )
                 if self._cracker is not None:
                     self._cracker.propagate_update(
-                        plan.table, positions, dict(plan.assignments)
+                        plan.table, positions, dict(plan.assignments),
+                        old_values,
                     )
         self._plan_cache.invalidate_table(plan.table)
         return QueryResult(columns=[], rows=[], affected=int(positions.size))
@@ -953,7 +960,7 @@ class Database:
             positions = self._dml_match_positions(relation, plan)
             affected = relation.delete_positions(positions)
             if affected and self._cracker is not None:
-                self._cracker.propagate_delete(plan.table, positions)
+                self._cracker.propagate_delete(plan.table, relation, positions)
         self._plan_cache.invalidate_table(plan.table)
         return QueryResult(columns=[], rows=[], affected=affected)
 

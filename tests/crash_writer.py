@@ -17,8 +17,10 @@ def crash_workload(seed: int, n_statements: int = 20_000) -> list[str]:
     """The deterministic statement stream (identical for a given seed).
 
     One CREATE, then INSERTs of 1-3 rows with every seventh slot a
-    cracking SELECT, every thirteenth a range UPDATE and every
-    seventeenth a narrow DELETE.  Only the mutations are WAL-logged, so
+    cracking SELECT (alternately a count, which merges no pending
+    change, and a row-reading range, which merges the ones it sees),
+    every thirteenth a range UPDATE and every seventeenth a narrow
+    DELETE.  Only the mutations are WAL-logged, so
     the durable prefix of a crashed run is exactly the first K mutations
     in order — and replaying it must reproduce the updates and
     tombstones, not just the appends.
@@ -31,8 +33,9 @@ def crash_workload(seed: int, n_statements: int = 20_000) -> list[str]:
     for i in range(n_statements):
         if i % 7 == 3:
             low = int(rng.integers(0, 1000))
+            select = "count(*)" if i % 14 == 3 else "r.k, r.a"
             statements.append(
-                f"SELECT count(*) FROM r WHERE a BETWEEN {low} AND {low + 80}"
+                f"SELECT {select} FROM r WHERE a BETWEEN {low} AND {low + 80}"
             )
             continue
         if i % 13 == 5:
@@ -65,8 +68,16 @@ def is_mutation(statement: str) -> bool:
 
 
 def main() -> int:
+    """``crash_writer.py DIR SEED [HOLD]``: run the stream into DIR.
+
+    With HOLD, the writer stops after statement HOLD, creates
+    ``DIR/held`` and waits there to be killed.
+    """
     persist_dir = sys.argv[1]
     seed = int(sys.argv[2])
+    hold = int(sys.argv[3]) if len(sys.argv) > 3 else None
+    from pathlib import Path
+
     from repro.sql import Database
 
     db = Database(
@@ -77,6 +88,10 @@ def main() -> int:
     )
     for i, statement in enumerate(crash_workload(seed)):
         db.execute(statement)
+        if i == hold:
+            (Path(persist_dir) / "held").touch()
+            while True:
+                time.sleep(1)
         # Pace the stream after warm-up so the parent reliably lands its
         # SIGKILL mid-WAL instead of racing a workload that already
         # finished.

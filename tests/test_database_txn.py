@@ -101,7 +101,7 @@ class TestAbort:
         with pytest.raises(CatalogError):
             db.execute_transaction([
                 "INSERT INTO r VALUES (900, 7), (901, 55), (902, 99)",
-                "SELECT count(*) FROM r WHERE a BETWEEN 0 AND 100",  # merge
+                "SELECT k FROM r WHERE a BETWEEN 0 AND 100",  # merge
                 "INSERT INTO missing VALUES (1)",
             ])
         db.check_invariants()
@@ -150,16 +150,15 @@ class TestAbort:
 
     def test_abort_after_query_merged_pending_dml(self):
         # The hard case for the drop-and-rebuild: DELETE and UPDATE are
-        # buffered on the cracker, a SELECT inside the batch merges them
-        # into the pieces (remove_shift + re-queued inserts), and THEN
-        # the batch fails.  Base BATs, tombstones and the cracker must
+        # buffered on the cracker, a row-reading SELECT inside the batch
+        # merges them into the pieces, and THEN the batch fails.  Base BATs, tombstones and the cracker must
         # all come back to the pre-transaction state.
         db = _loaded()
         with pytest.raises(CatalogError):
             db.execute_transaction([
                 "DELETE FROM r WHERE a BETWEEN 40 AND 60",
                 "UPDATE r SET a = 7 WHERE a > 90",
-                "SELECT count(*) FROM r WHERE a BETWEEN 0 AND 100",  # merge
+                "SELECT k FROM r WHERE a BETWEEN 0 AND 100",  # merge
                 "INSERT INTO missing VALUES (1)",
             ])
         db.check_invariants()

@@ -462,11 +462,59 @@ class TestDurabilityMechanics:
         assert (
             restored.pending_delete_count, restored.pending_update_count
         ) == buffered
+        everything = np.arange(len(restored._state))
         assert np.array_equal(
-            restored._stored, np.isin(np.arange(len(restored._stored)), restored.oids)
+            restored._is_stored(everything), np.isin(everything, restored.oids)
         )
         assert_databases_agree(oracle, reopened)
         assert not restored.has_pending
+        reopened.check_invariants()
+        reopened.close()
+
+    @pytest.mark.parametrize("config_name", ["bounded", "default"])
+    def test_checkpoint_with_partially_merged_buffers_reopens_equal(
+        self, config_name, tmp_path
+    ):
+        """A partial merge leaves pending changes where no range has looked:
+        a row-reading range merges its own slice, a count merges
+        nothing.  A checkpoint of such buffers reopens equal to the
+        oracle, with the same changes still pending."""
+        config = PERSIST_CONFIGS[config_name]
+        oracle = Database(cracking=False)
+        db = Database(**config, persist_dir=tmp_path)
+        for target in (oracle, db):
+            load_standard(target, seed=29, n_rows=600)
+        rng = np.random.default_rng(29)
+        run_workload((oracle, db), random_range_queries(rng, 12))
+        run_workload(
+            (oracle, db),
+            [
+                "UPDATE r SET a = 333 WHERE a BETWEEN 50 AND 60",
+                "UPDATE r SET a = 777 WHERE a BETWEEN 300 AND 306",
+                "DELETE FROM r WHERE a BETWEEN 600 AND 610",
+                "INSERT INTO r VALUES (9001, 310, 1.5, 't1'), (9002, 905, 2.5, 't2')",
+                "SELECT count(*) FROM r WHERE a BETWEEN 0 AND 999",
+                "SELECT r.k FROM r WHERE a BETWEEN 280 AND 400",
+            ],
+        )
+        column = db.cracked_columns()[("r", "a")]
+        pending = (
+            column.pending_count,
+            column.pending_delete_count,
+            column.pending_update_count,
+        )
+        assert column.query_stats.merged_updates and sum(pending)
+        db.checkpoint()
+        db.close()
+
+        reopened = Database(**config, persist_dir=tmp_path)
+        restored = reopened.cracked_columns()[("r", "a")]
+        assert (
+            restored.pending_count,
+            restored.pending_delete_count,
+            restored.pending_update_count,
+        ) == pending
+        assert_databases_agree(oracle, reopened)
         reopened.check_invariants()
         reopened.close()
 

@@ -40,12 +40,12 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _spawn_writer(state_dir: Path, seed: int) -> subprocess.Popen:
+def _spawn_writer(state_dir: Path, seed: int, *hold: int) -> subprocess.Popen:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
-        [sys.executable, str(WRITER), str(state_dir), str(seed)],
+        [sys.executable, str(WRITER), str(state_dir), str(seed), *map(str, hold)],
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
@@ -123,6 +123,38 @@ class TestCrashRecovery:
 
         recovered = Database(cracking=True, persist_dir=state)
         assert recovered.persistence_stats()["recovery_torn_tail_discarded"]
+        recovered.check_invariants()
+        _verify_against_oracle(recovered, seed)
+        recovered.close()
+
+    def test_kill9_between_a_partial_merge_and_the_next_checkpoint(self, tmp_path):
+        """The writer checkpoints every 200 mutations with pending
+        changes a range has merged only in part; it is killed right
+        after the next row-reading range merged another part, before
+        the following checkpoint.  Recovery (that snapshot plus the WAL
+        tail) must still match the oracle."""
+        seed = 5
+        statements = crash_workload(seed)
+        mutations = 0
+        for hold, statement in enumerate(statements):
+            mutations += is_mutation(statement)
+            if mutations > 250 and statement.startswith("SELECT r.k"):
+                break
+        state = tmp_path / "state"
+        writer = _spawn_writer(state, seed, hold)
+        try:
+            deadline = time.monotonic() + 120
+            while not (state / "held").exists():
+                assert writer.poll() is None, "writer exited before the hold point"
+                assert time.monotonic() < deadline, "writer never reached the hold point"
+                time.sleep(0.01)
+            os.kill(writer.pid, signal.SIGKILL)
+        finally:
+            writer.wait(timeout=30)
+        assert writer.returncode != 0
+
+        recovered = Database(cracking=True, persist_dir=state)
+        assert recovered.persistence_stats()["durable_statements"] == mutations
         recovered.check_invariants()
         _verify_against_oracle(recovered, seed)
         recovered.close()

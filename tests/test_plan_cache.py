@@ -9,7 +9,12 @@ import pytest
 
 from repro.errors import SQLAnalysisError
 from repro.sql import Database, normalize, tokenize
-from repro.sql.plan_cache import bind_statement, make_template
+from repro.sql.plan_cache import (
+    EXACT_CAPACITY,
+    PlanCache,
+    bind_statement,
+    make_template,
+)
 from repro.sql.parser import parse
 
 from tests.oracle import assert_sorted_rows_equal
@@ -171,6 +176,31 @@ class TestCacheBehaviour:
             t.join(timeout=30)
         assert not errors
         assert db.plan_cache_stats()["hits"] >= 250
+
+    def test_one_shot_statements_do_not_flush_the_hot_pool(self):
+        # point_count's shape: a 256-statement hot pool drawn at random,
+        # interleaved 1:1 with statements that never repeat.  A plain
+        # 512-entry LRU lets the one-shots evict ~30% of hot repeats.
+        cache = PlanCache()
+        rng = np.random.default_rng(7)
+        hot = [f"SELECT count(*) FROM r WHERE a = {i}" for i in range(256)]
+        seen: set[str] = set()
+        hits = repeats = 0
+        for step in range(2000):
+            sql = hot[int(rng.integers(len(hot)))]
+            hit = cache.lookup_exact(sql) is not None
+            if not hit:
+                cache.store_exact(sql, object(), ())
+            if sql in seen:
+                repeats += 1
+                hits += hit
+            seen.add(sql)
+            one_shot = f"SELECT count(*) FROM r WHERE a = {1000 + step}"
+            assert cache.lookup_exact(one_shot) is None
+            cache.store_exact(one_shot, object(), ())
+        assert len(seen) == len(hot)
+        assert hits / repeats >= 0.95
+        assert cache.stats()["exact_entries"] <= 2 * EXACT_CAPACITY
 
 
 class TestPreparedStatements:

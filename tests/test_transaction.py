@@ -131,8 +131,8 @@ class TestAbortPreImage:
         txn.protect(bat)
         db.execute("INSERT INTO r VALUES (900, 7), (901, 55), (902, 99)")
         # This query merges the pending inserts into the cracker pieces.
-        merged = db.execute("SELECT count(*) FROM r WHERE a BETWEEN 0 AND 100")
-        assert merged.scalar() == 104
+        merged = db.execute("SELECT k FROM r WHERE a BETWEEN 0 AND 100")
+        assert len(merged.rows) == 104
         assert len(bat) == before_len + 3
         txn.rollback()
 

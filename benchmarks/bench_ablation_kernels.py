@@ -1,26 +1,17 @@
 """Ablation: crack kernel implementations.
 
-Compares the default vectorised-swap kernel against the whole-piece
-rebuild kernel and (on a reduced size) the pure-Python two-pointer loop —
-quantifying why the reproduction needs numpy kernels for fidelity.
+Compares the vectorised-swap kernel against (on a reduced size) the
+pure-Python two-pointer loop — quantifying why the reproduction needs
+numpy kernels for fidelity.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.crack import (
-    crack_in_two,
-    crack_in_two_rebuild,
-    crack_in_two_swaps,
-)
+from repro.core.crack import crack_in_two, crack_in_two_swaps
 
 N = 200_000
 N_PY = 4_000  # pure-Python loop is ~1000x slower; keep its input small
-
-VECTOR_KERNELS = {
-    "vectorised_swap": crack_in_two,
-    "rebuild": crack_in_two_rebuild,
-}
 
 
 def _fresh(n, seed=0):
@@ -28,16 +19,13 @@ def _fresh(n, seed=0):
     return rng.permutation(n).astype(np.int64), np.arange(n, dtype=np.int64)
 
 
-@pytest.mark.parametrize("kernel_name", sorted(VECTOR_KERNELS))
-def test_ablation_kernel_vectorised(benchmark, kernel_name):
-    kernel = VECTOR_KERNELS[kernel_name]
-
+def test_ablation_kernel_vectorised(benchmark):
     def setup():
         values, oids = _fresh(N)
         return (values, oids), {}
 
     def crack(values, oids):
-        return kernel(values, oids, 0, N, N // 2)
+        return crack_in_two(values, oids, 0, N, N // 2)
 
     split = benchmark.pedantic(crack, setup=setup, rounds=5, iterations=1)
     assert split == N // 2

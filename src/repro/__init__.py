@@ -26,11 +26,10 @@ Public API highlights:
 __version__ = "1.0.0"
 
 from repro.core import CrackedColumn, CrackerIndex
-from repro.storage import BAT, BATView, Catalog, Column, Relation, Schema
+from repro.storage import BAT, Catalog, Column, Relation, Schema
 
 __all__ = [
     "BAT",
-    "BATView",
     "Catalog",
     "Column",
     "CrackedColumn",

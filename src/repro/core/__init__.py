@@ -5,17 +5,12 @@ from repro.core.crack import (
     KIND_LT,
     CrackStats,
     crack_in_three,
-    crack_in_three_rebuild,
     crack_in_three_via_two,
     crack_in_two,
-    crack_in_two_rebuild,
     crack_in_two_swaps,
 )
 from repro.core.cracked_column import (
     DEFAULT_CRACK_THRESHOLD,
-    KERNEL_REBUILD,
-    KERNEL_SWAPS,
-    KERNEL_VECTORISED,
     CrackedColumn,
     QueryStats,
     SelectionResult,
@@ -51,9 +46,6 @@ __all__ = [
     "CrackedColumn",
     "CrackerIndex",
     "DEFAULT_CRACK_THRESHOLD",
-    "KERNEL_REBUILD",
-    "KERNEL_SWAPS",
-    "KERNEL_VECTORISED",
     "KIND_LE",
     "KIND_LT",
     "LineageGraph",
@@ -67,10 +59,8 @@ __all__ = [
     "ReadWriteLock",
     "SelectionResult",
     "crack_in_three",
-    "crack_in_three_rebuild",
     "crack_in_three_via_two",
     "crack_in_two",
-    "crack_in_two_rebuild",
     "crack_in_two_swaps",
     "omega_crack",
     "psi_crack",

@@ -6,17 +6,15 @@ so that tuples on either side of a pivot become contiguous.  Values travel
 together with their oids, so a crack on one column keeps the row identity
 needed to fetch sibling columns.
 
-Three implementations are provided:
+Two implementations are provided:
 
-* the default **vectorised swap** kernels: one mask pass over the piece,
-  then pairwise swaps of only the *misplaced* elements — the numpy
-  analogue of the C two-pointer exchange loop (the ``repro_why`` band for
-  this paper: per-element swapping in pure Python is orders of magnitude
-  too slow, so fidelity requires numpy tricks).  Cost: O(piece) reads,
-  O(misplaced) writes;
-* **rebuild** kernels that regenerate the whole piece out-of-place and
-  write it back — simpler, but they write the entire piece (kept for the
-  kernel ablation benchmark);
+* the **vectorised swap** kernels the cracker runs: one mask pass over
+  the piece, then pairwise swaps of only the *misplaced* elements — the
+  numpy analogue of the C two-pointer exchange loop (per-element
+  swapping in pure Python is orders of magnitude too slow, so fidelity
+  requires numpy tricks).  Cost: O(piece) reads, O(misplaced) writes.
+  :func:`crack_in_three_via_two` composes two crack-in-twos, the
+  comparator of the crack-in-three ablation;
 * a pure-Python **swap-loop** kernel mirroring the textbook two-pointer
   partition, used as an independent oracle in the test suite.
 
@@ -218,85 +216,6 @@ def crack_in_three_via_two(
     split_high = crack_in_two(
         values, oids, split_low, stop, high, kind=high_kind, stats=stats
     )
-    return split_low, split_high
-
-
-# ---------------------------------------------------------------------- #
-# Rebuild kernels (whole-piece rewrite) — ablation comparators
-# ---------------------------------------------------------------------- #
-
-
-def crack_in_two_rebuild(
-    values: np.ndarray,
-    oids: np.ndarray,
-    start: int,
-    stop: int,
-    pivot,
-    kind: str = KIND_LT,
-    stats: CrackStats | None = None,
-) -> int:
-    """Out-of-place stable partition writing the whole piece back.
-
-    Stable on both sides (unlike the swap kernels) but writes every
-    element of the piece; used by the kernel ablation benchmark.
-    """
-    _check_region(values, oids, start, stop)
-    mask = _left_mask(values[start:stop], pivot, kind)
-    split = start + int(mask.sum())
-    if stats is not None:
-        stats.tuples_touched += stop - start
-    if split in (start, stop):
-        return split
-    # Snapshot before writing: the slice is a view into the same storage.
-    region = values[start:stop].copy()
-    not_mask = ~mask
-    values[start:split] = region[mask]
-    values[split:stop] = region[not_mask]
-    oid_region = oids[start:stop].copy()
-    oids[start:split] = oid_region[mask]
-    oids[split:stop] = oid_region[not_mask]
-    if stats is not None:
-        stats.tuples_moved += stop - start
-        stats.cracks += 1
-    return split
-
-
-def crack_in_three_rebuild(
-    values: np.ndarray,
-    oids: np.ndarray,
-    start: int,
-    stop: int,
-    low,
-    high,
-    low_kind: str = KIND_LT,
-    high_kind: str = KIND_LE,
-    stats: CrackStats | None = None,
-) -> tuple[int, int]:
-    """Out-of-place stable three-way partition (whole-piece rewrite)."""
-    _check_region(values, oids, start, stop)
-    if high < low:
-        raise CrackError(f"invalid range: low={low!r} > high={high!r}")
-    region = values[start:stop].copy()
-    left_mask = _left_mask(region, low, low_kind)
-    below_high = _left_mask(region, high, high_kind)
-    middle_mask = ~left_mask & below_high
-    right_mask = ~left_mask & ~below_high
-    split_low = start + int(left_mask.sum())
-    split_high = split_low + int(middle_mask.sum())
-    if stats is not None:
-        stats.tuples_touched += stop - start
-    if not (start < split_low < stop or start < split_high < stop):
-        return split_low, split_high
-    values[start:split_low] = region[left_mask]
-    values[split_low:split_high] = region[middle_mask]
-    values[split_high:stop] = region[right_mask]
-    oid_region = oids[start:stop].copy()
-    oids[start:split_low] = oid_region[left_mask]
-    oids[split_low:split_high] = oid_region[middle_mask]
-    oids[split_high:stop] = oid_region[right_mask]
-    if stats is not None:
-        stats.tuples_moved += stop - start
-        stats.cracks += 1
     return split_low, split_high
 
 

@@ -44,22 +44,12 @@ from repro.core.crack import (
     KIND_LT,
     CrackStats,
     crack_in_three,
-    crack_in_three_rebuild,
-    crack_in_three_via_two,
     crack_in_two,
-    crack_in_two_rebuild,
-    crack_in_two_swaps,
 )
 from repro.core.cracker_index import CrackerIndex
 from repro.errors import CrackError
 from repro.obs import trace as obs_trace
 from repro.storage.bat import BAT
-
-#: Kernel selection for the ablation benchmark.
-KERNEL_VECTORISED = "vectorised"
-KERNEL_REBUILD = "rebuild"
-KERNEL_SWAPS = "swaps"
-_KERNELS = (KERNEL_VECTORISED, KERNEL_REBUILD, KERNEL_SWAPS)
 
 #: The cut-off the SQL layer ships (``Database``, ``CrackerProvider``,
 #: ``repro serve``).  ``CrackedColumn`` itself and ``engines/`` default
@@ -193,11 +183,6 @@ class QueryStats:
     pieces_inspected: int = 0
     merged_updates: int = 0
 
-    def reset(self) -> None:
-        self.queries = 0
-        self.pieces_inspected = 0
-        self.merged_updates = 0
-
 
 class CrackedColumn:
     """The cracker for a single numeric column.
@@ -205,9 +190,6 @@ class CrackedColumn:
     Args:
         source: base BAT (int or float tail) to crack.  The BAT itself is
             never mutated; the cracker works on a private copy.
-        kernel: 'vectorised' (default) or 'swaps' — see :mod:`repro.core.crack`.
-        crack_in_three_enabled: when False, double-sided ranges use two
-            successive crack-in-twos (the paper discusses both; ablation).
         crack_threshold: sort below T — a bound that misses the index
             and falls in a piece of at most this many tuples sorts the
             piece in place (once) and is resolved by binary search
@@ -217,24 +199,13 @@ class CrackedColumn:
             queries.
     """
 
-    def __init__(
-        self,
-        source: BAT,
-        kernel: str = KERNEL_VECTORISED,
-        crack_in_three_enabled: bool = True,
-        crack_threshold: int = 0,
-    ) -> None:
+    def __init__(self, source: BAT, crack_threshold: int = 0) -> None:
         if source.tail_type not in ("int", "float", "oid"):
             raise CrackError(
                 f"cracking requires a numeric column, got {source.tail_type!r}"
             )
-        self.source = source
         self._setup(
-            source.tail_array().copy(),
-            source.head_array().copy(),
-            kernel,
-            crack_in_three_enabled,
-            crack_threshold,
+            source.tail_array().copy(), source.head_array().copy(), crack_threshold
         )
 
     @classmethod
@@ -242,8 +213,6 @@ class CrackedColumn:
         cls,
         values: np.ndarray,
         oids: np.ndarray | None = None,
-        kernel: str = KERNEL_VECTORISED,
-        crack_in_three_enabled: bool = True,
         crack_threshold: int = 0,
     ) -> "CrackedColumn":
         """Build a cracker directly over value/oid arrays (no BAT).
@@ -266,29 +235,14 @@ class CrackedColumn:
                     f"from_arrays got {len(values)} values but {len(oids)} oids"
                 )
         column = cls.__new__(cls)
-        column.source = None
-        column._setup(
-            values.copy(), oids.copy(), kernel, crack_in_three_enabled,
-            crack_threshold,
-        )
+        column._setup(values.copy(), oids.copy(), crack_threshold)
         return column
 
-    def _setup(
-        self,
-        values: np.ndarray,
-        oids: np.ndarray,
-        kernel: str,
-        crack_in_three_enabled: bool,
-        crack_threshold: int,
-    ) -> None:
-        if kernel not in _KERNELS:
-            raise CrackError(f"unknown kernel {kernel!r}; expected one of {_KERNELS}")
+    def _setup(self, values: np.ndarray, oids: np.ndarray, crack_threshold: int) -> None:
         if crack_threshold < 0:
             raise CrackError(
                 f"crack_threshold must be >= 0, got {crack_threshold}"
             )
-        self.kernel = kernel
-        self.crack_in_three_enabled = crack_in_three_enabled
         self.crack_threshold = crack_threshold
         self.values = values
         self.oids = oids
@@ -760,37 +714,6 @@ class CrackedColumn:
         """Piece edges: 0, every boundary position, the column size."""
         return np.concatenate(([0], self.index.positions(), [len(self.values)]))
 
-    def _kernel_two(self, start: int, stop: int, pivot, kind: str) -> int:
-        self._shield_snapshots()
-        if self.kernel == KERNEL_SWAPS:
-            return crack_in_two_swaps(
-                self.values, self.oids, start, stop, pivot, kind, stats=self.crack_stats
-            )
-        if self.kernel == KERNEL_REBUILD:
-            return crack_in_two_rebuild(
-                self.values, self.oids, start, stop, pivot, kind, stats=self.crack_stats
-            )
-        return crack_in_two(
-            self.values, self.oids, start, stop, pivot, kind, stats=self.crack_stats
-        )
-
-    def _kernel_three(self, start: int, stop: int, low, high, low_kind, high_kind):
-        self._shield_snapshots()
-        kernel = (
-            crack_in_three_rebuild if self.kernel == KERNEL_REBUILD else crack_in_three
-        )
-        return kernel(
-            self.values,
-            self.oids,
-            start,
-            stop,
-            low,
-            high,
-            low_kind=low_kind,
-            high_kind=high_kind,
-            stats=self.crack_stats,
-        )
-
     def _ensure_boundary(self, value, kind: str) -> int:
         """Position separating left/right of ``(value, kind)``; cracks or
         sorts the bound's piece when the index does not hold it yet."""
@@ -808,7 +731,10 @@ class CrackedColumn:
             return start + int(self.values[start:stop].searchsorted(value, side))
         self.query_stats.pieces_inspected += 1
         moved_before = self.crack_stats.tuples_moved
-        split = self._kernel_two(start, stop, value, kind)
+        self._shield_snapshots()
+        split = crack_in_two(
+            self.values, self.oids, start, stop, value, kind, stats=self.crack_stats
+        )
         self.index.add(value, kind, split)
         if self.introspect is not None:
             self.introspect.record_crack(
@@ -857,23 +783,18 @@ class CrackedColumn:
         ):
             self.query_stats.pieces_inspected += 1
             moved_before = self.crack_stats.tuples_moved
-            if self.crack_in_three_enabled:
-                split_low, split_high = self._kernel_three(
-                    low_start, low_stop, low, high, low_kind, high_kind
-                )
-            else:
-                self._shield_snapshots()
-                split_low, split_high = crack_in_three_via_two(
-                    self.values,
-                    self.oids,
-                    low_start,
-                    low_stop,
-                    low,
-                    high,
-                    low_kind=low_kind,
-                    high_kind=high_kind,
-                    stats=self.crack_stats,
-                )
+            self._shield_snapshots()
+            split_low, split_high = crack_in_three(
+                self.values,
+                self.oids,
+                low_start,
+                low_stop,
+                low,
+                high,
+                low_kind=low_kind,
+                high_kind=high_kind,
+                stats=self.crack_stats,
+            )
             self.index.add(low, low_kind, split_low)
             self.index.add(high, high_kind, split_high)
             if self.introspect is not None:
@@ -920,9 +841,6 @@ class CrackedColumn:
             "pending_delete_oids": self._del_oids[~replaced],
             "pending_update_oids": update_oids,
             "pending_update_values": self._ins_values[updated],
-            "kernel": self.kernel,
-            "crack_in_three_enabled": bool(self.crack_in_three_enabled),
-            "crack_threshold": int(self.crack_threshold),
             "next_oid": int(self._next_oid),
             "index": self.index.export_state(),
         }
@@ -938,15 +856,17 @@ class CrackedColumn:
         load; deletes and updates find their stored values in one pass
         over storage.  Invariants are validated before the column is
         handed out.
+
+        The column comes back with ``crack_threshold`` 0; whoever opens
+        it sets the cut-off (``CrackerProvider.attach_column``).  Older
+        exports also name a kernel, a crack-in-three toggle and a
+        ``crack_threshold``; they are ignored.
         """
         column = cls.__new__(cls)
-        column.source = None
         column._setup(
             np.asarray(state["values"]).copy(),
             np.asarray(state["oids"], dtype=np.int64).copy(),
-            str(state["kernel"]),
-            bool(state["crack_in_three_enabled"]),
-            int(state["crack_threshold"]),
+            crack_threshold=0,
         )
         column.index = CrackerIndex.from_state(state["index"])
         dtype = column.values.dtype

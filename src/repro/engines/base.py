@@ -194,10 +194,6 @@ class Engine:
         except CatalogError:
             pass
 
-    def reset_io(self) -> None:
-        """Zero cost counters (pool residency is also cleared)."""
-        self.tracker.reset()
-
 
 class ChainTimeout(ExecutionError):
     """Raised internally when a join chain exceeds its timeout."""

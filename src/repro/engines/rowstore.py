@@ -177,15 +177,6 @@ class RowStoreEngine(Engine):
         rows, _ = self._materialise(relation, selected, target_name)
         return rows
 
-    def scan_count(self, table: str, attr: str, predicate) -> int:
-        """Count qualifying tuples with a full scan (no reorganisation)."""
-        relation = self.table(table)
-        self.tracker.read_bytes(table, relation.nbytes)
-        self.tracker.counters.tuples_read += len(relation)
-        scan = Scan(relation, alias=table)
-        index = scan.column_index(f"{table}.{attr}")
-        return sum(1 for row in scan if predicate(row[index]))
-
     def union_count(self, tables: list[str]) -> int:
         """Count the union of several fragments (result construction)."""
         total = 0

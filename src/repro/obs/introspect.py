@@ -47,8 +47,6 @@ __all__ = [
     "LINEAGE_CAPACITY",
     "WORKLOAD_BUCKETS",
     "CONVERGENCE_CAPACITY",
-    "current_statement_id",
-    "reset_statement_id",
     "set_statement_id",
     "value_domain",
 ]
@@ -77,16 +75,6 @@ _STATEMENT_ID: ContextVar[int] = ContextVar("repro_statement_id", default=0)
 def set_statement_id(statement_id: int):
     """Bind the trigger-statement id for this context; returns the token."""
     return _STATEMENT_ID.set(statement_id)
-
-
-def reset_statement_id(token) -> None:
-    """Restore the previous statement id (pair with :func:`set_statement_id`)."""
-    _STATEMENT_ID.reset(token)
-
-
-def current_statement_id() -> int:
-    """The id of the statement executing in this context (0 if none)."""
-    return _STATEMENT_ID.get()
 
 
 def value_domain(column) -> tuple[float, float]:

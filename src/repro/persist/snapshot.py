@@ -105,9 +105,6 @@ def pack_cracker(column: CrackedColumn) -> tuple[dict, dict]:
     }
     meta = {
         "kind": "single",
-        "kernel": state["kernel"],
-        "crack_in_three_enabled": bool(state["crack_in_three_enabled"]),
-        "crack_threshold": int(state["crack_threshold"]),
         "next_oid": int(state["next_oid"]),
         "index": _pack_index(state["index"], arrays),
     }
@@ -115,7 +112,11 @@ def pack_cracker(column: CrackedColumn) -> tuple[dict, dict]:
 
 
 def unpack_cracker(meta: dict, arrays) -> CrackedColumn:
-    """Rebuild a cracked column from :func:`pack_cracker` output."""
+    """Rebuild a cracked column from :func:`pack_cracker` output.
+
+    Older manifests also name a kernel, a crack-in-three toggle and a
+    ``crack_threshold``; nothing reads them (the cut-off is the opener's).
+    """
     kind = meta.get("kind")
     if kind != "single":
         raise PersistError(f"unknown cracker kind {kind!r} in snapshot manifest")
@@ -124,9 +125,6 @@ def unpack_cracker(meta: dict, arrays) -> CrackedColumn:
         "oids": arrays["oids"],
         "pending_values": arrays["pending_values"],
         "pending_oids": arrays["pending_oids"],
-        "kernel": meta["kernel"],
-        "crack_in_three_enabled": bool(meta["crack_in_three_enabled"]),
-        "crack_threshold": int(meta["crack_threshold"]),
         "next_oid": int(meta["next_oid"]),
         "index": _unpack_index(meta["index"], arrays),
     }

@@ -19,7 +19,7 @@ endpoints.  Reads and writes are counted per granule:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,17 +37,6 @@ class SimStepRecord:
     answer: int           # granules in the query answer
     crack_cost: float     # cost-model units for the cracking strategy
     scan_cost: float      # cost-model units for the scan baseline
-
-    @property
-    def write_overhead_fraction(self) -> float:
-        """Figure 2's y-axis: cracking writes as a fraction of N.
-
-        Set by the simulation (moved / N); kept as a property-shaped
-        attribute via :meth:`VectorCrackingSimulation.run`.
-        """
-        return self._write_fraction
-
-    _write_fraction: float = field(default=0.0, repr=False)
 
 
 class VectorCrackingSimulation:
@@ -120,7 +109,7 @@ class VectorCrackingSimulation:
         else:
             touched = touched_a + touched_b
             moved = moved_a + moved_b
-        record = SimStepRecord(
+        return SimStepRecord(
             step=step,
             touched=touched,
             moved=moved,
@@ -128,8 +117,6 @@ class VectorCrackingSimulation:
             crack_cost=self.cost_model.crack_query_cost(touched, moved, answer),
             scan_cost=self.cost_model.scan_query_cost(self.n, answer, count_only=True),
         )
-        record._write_fraction = moved / self.n
-        return record
 
     def run(self, steps: int, selectivity: float) -> list[SimStepRecord]:
         """Run a fixed-selectivity sequence of ``steps`` random queries."""

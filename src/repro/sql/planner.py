@@ -341,7 +341,7 @@ class CrackerProvider:
         piece boundaries instead of re-paying the cracking burn-in.
         Refuses to replace a live column: that would silently discard
         pieces (and pending updates) the running store has accumulated.
-        The cut-off given at open wins over the checkpointed one.
+        The column takes the cut-off given at open.
         """
         key = (table, attr)
         with self._registry_lock:
@@ -355,10 +355,6 @@ class CrackerProvider:
             self._locks.setdefault(key, ReadWriteLock())
             if self.profile:
                 self._attach_introspection(key, column)
-
-    def has_column(self, table: str, attr: str) -> bool:
-        with self._registry_lock:
-            return (table, attr) in self._columns
 
     def piece_count(self, table: str, attr: str) -> int:
         with self._registry_lock:

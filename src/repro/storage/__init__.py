@@ -5,8 +5,8 @@ module is built on (§3.4.2, Figure 7), plus the page/WAL cost accounting
 used to model traditional-engine overheads (Figure 1, §5.1).
 """
 
-from repro.storage.accelerators import HashAccelerator, SortedAccelerator
-from repro.storage.bat import BAT, BATView
+from repro.storage.accelerators import SortedAccelerator
+from repro.storage.bat import BAT
 from repro.storage.catalog import Catalog, CatalogStats, FragmentEntry
 from repro.storage.heap import AtomHeap
 from repro.storage.pages import (
@@ -22,14 +22,12 @@ from repro.storage.transaction import Transaction, TransactionManager
 __all__ = [
     "AtomHeap",
     "BAT",
-    "BATView",
     "BufferPool",
     "Catalog",
     "CatalogStats",
     "Column",
     "DEFAULT_PAGE_SIZE",
     "FragmentEntry",
-    "HashAccelerator",
     "IOCounters",
     "IOTracker",
     "Relation",

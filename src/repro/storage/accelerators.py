@@ -1,10 +1,9 @@
-"""Search accelerators over BATs: hash tables and sorted indexes.
+"""A static search accelerator over BATs: the sorted index.
 
 MonetDB attaches automatically maintained accelerators (hash table, binary
 search tree) to the BUN heap of a BAT (Figure 7).  The cracker index is the
-adaptive alternative; these static accelerators exist so the baselines
-("sort upfront" in Figure 11, hash joins in Figure 9) are honest
-implementations rather than strawmen.
+adaptive alternative; the sorted accelerator exists so the "sort upfront"
+baseline of Figure 11 is an honest implementation rather than a strawman.
 """
 
 from __future__ import annotations
@@ -13,60 +12,6 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.storage.bat import BAT
-
-
-class HashAccelerator:
-    """A value → positions hash index over a BAT tail.
-
-    Built in one vectorised pass with ``np.argsort`` bucketing; lookup is
-    O(1) expected.  The accelerator is a snapshot: it raises if the parent
-    BAT has grown since construction (mirroring MonetDB, which drops
-    accelerators on update).
-    """
-
-    def __init__(self, bat: BAT) -> None:
-        self.bat = bat
-        self._built_count = len(bat)
-        tail = bat.tail_array()
-        order = np.argsort(tail, kind="stable")
-        sorted_tail = tail[order]
-        boundaries = np.flatnonzero(np.diff(sorted_tail)) + 1
-        starts = np.concatenate([[0], boundaries])
-        stops = np.concatenate([boundaries, [len(sorted_tail)]])
-        # Buckets are keyed on the native tail value (int for int/str-offset
-        # tails, float for float tails): truncating float keys through
-        # int() would collide distinct values like 2.0 and 2.5.
-        self._buckets: dict = {
-            sorted_tail[start].item(): order[start:stop]
-            for start, stop in zip(starts, stops)
-        }
-
-    def _check_fresh(self) -> None:
-        if len(self.bat) != self._built_count:
-            raise StorageError(
-                f"hash accelerator on {self.bat.name!r} is stale "
-                f"(built at {self._built_count} records, BAT has {len(self.bat)})"
-            )
-
-    def lookup(self, value) -> np.ndarray:
-        """Positions whose tail equals ``value`` (raw domain for str BATs)."""
-        self._check_fresh()
-        if self.bat.tail_type == "str":
-            assert self.bat.heap is not None
-            offset = self.bat.heap.offset_of(value)
-            if offset is None:
-                return np.empty(0, dtype=np.int64)
-            key = int(offset)
-        else:
-            key = value.item() if isinstance(value, np.generic) else value
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            return np.empty(0, dtype=np.int64)
-        return bucket
-
-    def distinct_count(self) -> int:
-        """Number of distinct tail values."""
-        return len(self._buckets)
 
 
 class SortedAccelerator:

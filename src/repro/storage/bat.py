@@ -2,15 +2,14 @@
 
 A BAT is a contiguous array of fixed-length (head, tail) records; the head
 is a surrogate *oid* and the tail carries the attribute value (Figure 7 of
-the paper).  Two MonetDB properties matter for cracking and are reproduced
-faithfully here:
+the paper).  Two MonetDB properties matter for cracking:
 
 * **void heads** — when oids are dense (0, 1, 2, ...) the head is not
   materialised; the BAT stores only the tail vector plus a seq base.
-* **BAT views** — a view is a zero-copy window ``[first, last)`` over
-  another BAT's storage area.  "The MonetDB BATviews provide a cheap
-  representation of the newly created table" (paper §3.4.2): cracking
-  answers range queries by returning a view over the cracked column.
+* **zero-copy answers** — "The MonetDB BATviews provide a cheap
+  representation of the newly created table" (paper §3.4.2): a cracked
+  range query answers with a contiguous span of the cracker column
+  (:class:`~repro.core.cracked_column.SelectionResult`), not a copy.
 
 Tails are numpy arrays of int64/float64, or int64 offsets into an
 :class:`~repro.storage.heap.AtomHeap` for strings, so vectorised kernels
@@ -61,9 +60,8 @@ class BAT:
         heap: shared atom heap for ``'str'`` tails; created on demand.
 
     The active region of the BUN heap is ``[0, count)``; appends grow the
-    tail array geometrically.  Deletions follow MonetDB's pre-commit
-    protocol: the deleted record is swapped to the front and the active
-    window shrinks, so committed storage stays contiguous.
+    tail array geometrically.  A BAT has no delete: a relation's deletes
+    are tombstones (:meth:`~repro.storage.table.Relation.deleted_positions`).
     """
 
     def __init__(
@@ -83,8 +81,6 @@ class BAT:
         self._head: np.ndarray | None = None  # None = void (dense) head
         self._seq_base = 0
         self._count = 0
-        self._deleted = 0
-        self._hash_index: dict | None = None
         self._sorted = False
 
     # ------------------------------------------------------------------ #
@@ -219,7 +215,6 @@ class BAT:
         """Append one record; returns the oid assigned to it.
 
         Appending with an explicit non-dense ``oid`` materialises the head.
-        Appends invalidate accelerators.
         """
         self._ensure_capacity(self._count + 1)
         if self.tail_type == "str":
@@ -237,7 +232,7 @@ class BAT:
                 self._head = grown
             self._head[self._count] = assigned
         self._count += 1
-        self._invalidate_accelerators()
+        self._sorted = False
         return assigned
 
     def append_many(self, values: Sequence) -> np.ndarray:
@@ -250,31 +245,8 @@ class BAT:
         if self._head is not None:
             self._head = np.concatenate([self._head[: self._count], oids])
         self._count += len(tail)
-        self._invalidate_accelerators()
+        self._sorted = False
         return oids
-
-    def delete_at(self, position: int) -> None:
-        """Delete the record at ``position`` (0-based within active region).
-
-        MonetDB moves deleted elements to the front until commit; we swap
-        with the first active record and shrink from the front by rotating
-        — the visible effect is the record disappears and order of the
-        remaining records is preserved except for the swapped pair.
-        """
-        if not 0 <= position < self._count:
-            raise StorageError(f"delete position {position} out of range 0..{self._count - 1}")
-        if self._head is None:
-            self._materialise_head()
-        assert self._head is not None
-        self._tail[position] = self._tail[self._deleted]
-        self._head[position] = self._head[self._deleted]
-        self._deleted += 1
-        # Compact: drop the front slot by shifting the window.
-        self._tail[: self._count - 1] = self._tail[1 : self._count]
-        self._head[: self._count - 1] = self._head[1 : self._count]
-        self._deleted -= 1
-        self._count -= 1
-        self._invalidate_accelerators()
 
     def set_many(self, positions: np.ndarray, values: Sequence) -> None:
         """Overwrite the tail at ``positions`` with ``values`` (UPDATE path).
@@ -294,16 +266,7 @@ class BAT:
                 f"set_many position out of range 0..{self._count - 1}"
             )
         self._tail[positions] = tail
-        self._invalidate_accelerators()
-
-    def replace_tail(self, new_tail: np.ndarray) -> None:
-        """Overwrite the active tail region (used by sort and cracking)."""
-        if len(new_tail) != self._count:
-            raise StorageError(
-                f"replacement tail has {len(new_tail)} values, BAT holds {self._count}"
-            )
-        self._tail[: self._count] = new_tail
-        self._invalidate_accelerators()
+        self._sorted = False
 
     # ------------------------------------------------------------------ #
     # Query primitives
@@ -324,45 +287,16 @@ class BAT:
         values = self._comparable_tail()
         mask = np.ones(self._count, dtype=bool)
         if low is not None:
-            low_key = self._comparable_constant(low)
-            mask &= (values >= low_key) if low_inclusive else (values > low_key)
+            mask &= (values >= low) if low_inclusive else (values > low)
         if high is not None:
-            high_key = self._comparable_constant(high)
-            mask &= (values <= high_key) if high_inclusive else (values < high_key)
+            mask &= (values <= high) if high_inclusive else (values < high)
         return np.flatnonzero(mask)
-
-    def select_equals(self, value) -> np.ndarray:
-        """Return the positions whose tail equals ``value`` (hash-assisted)."""
-        if self.tail_type == "str":
-            assert self.heap is not None
-            offset = self.heap.offset_of(value)
-            if offset is None:
-                return np.empty(0, dtype=np.int64)
-            return np.flatnonzero(self._tail[: self._count] == offset)
-        return np.flatnonzero(self._tail[: self._count] == value)
 
     def oids_at(self, positions: np.ndarray) -> np.ndarray:
         """Map storage positions to oids."""
         if self._head is None:
             return np.asarray(positions, dtype=np.int64) + self._seq_base
         return self._head[: self._count][positions]
-
-    def positions_of_oids(self, oids: np.ndarray) -> np.ndarray:
-        """Map oids to storage positions (inverse of :meth:`oids_at`)."""
-        oids = np.asarray(oids, dtype=np.int64)
-        if self._head is None:
-            positions = oids - self._seq_base
-            if positions.size and (positions.min() < 0 or positions.max() >= self._count):
-                raise StorageError("oid out of range for void-headed BAT")
-            return positions
-        order = np.argsort(self._head[: self._count], kind="stable")
-        sorted_heads = self._head[: self._count][order]
-        located = np.searchsorted(sorted_heads, oids)
-        if located.size and (
-            located.max() >= self._count or not np.array_equal(sorted_heads[located], oids)
-        ):
-            raise StorageError("oid not present in BAT head")
-        return order[located]
 
     def sort_by_tail(self) -> np.ndarray:
         """Sort the BAT by tail value in place; returns the permutation.
@@ -376,19 +310,8 @@ class BAT:
         assert self._head is not None
         self._tail[: self._count] = self._tail[: self._count][order]
         self._head[: self._count] = self._head[: self._count][order]
-        self._invalidate_accelerators()
         self._sorted = self.tail_type != "str"
         return order
-
-    def min_max(self) -> tuple:
-        """(min, max) of the decoded tail; raises on an empty BAT."""
-        if self._count == 0:
-            raise StorageError(f"BAT {self.name!r} is empty; min/max undefined")
-        if self.tail_type == "str":
-            decoded = self.tail_values()
-            return min(decoded), max(decoded)
-        active = self._tail[: self._count]
-        return active.min(), active.max()
 
     # ------------------------------------------------------------------ #
     # Persistence
@@ -436,44 +359,6 @@ class BAT:
         return bat
 
     # ------------------------------------------------------------------ #
-    # Views
-    # ------------------------------------------------------------------ #
-
-    def view(self, first: int, last: int, name: str | None = None) -> "BATView":
-        """A zero-copy view over positions ``[first, last)``."""
-        return BATView(self, first, last, name=name)
-
-    def full_view(self, name: str | None = None) -> "BATView":
-        """A view covering the whole active region."""
-        return BATView(self, 0, self._count, name=name)
-
-    # ------------------------------------------------------------------ #
-    # Accelerators (delegated to storage.accelerators, cached here)
-    # ------------------------------------------------------------------ #
-
-    def hash_lookup(self, value) -> np.ndarray:
-        """Positions with tail == value, via a lazily built hash table."""
-        if self._hash_index is None:
-            self._build_hash_index()
-        assert self._hash_index is not None
-        key = self._comparable_constant(value) if self.tail_type == "str" else value
-        positions = self._hash_index.get(key)
-        if positions is None:
-            return np.empty(0, dtype=np.int64)
-        return np.asarray(positions, dtype=np.int64)
-
-    def _build_hash_index(self) -> None:
-        index: dict = {}
-        values = self._tail[: self._count]
-        for position, value in enumerate(values.tolist()):
-            index.setdefault(value, []).append(position)
-        self._hash_index = index
-
-    def _invalidate_accelerators(self) -> None:
-        self._hash_index = None
-        self._sorted = False
-
-    # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
 
@@ -486,9 +371,6 @@ class BAT:
             decoded = np.asarray(self.tail_values(), dtype=object)
             return decoded
         return self._tail[: self._count]
-
-    def _comparable_constant(self, value):
-        return value
 
     def _next_oid(self) -> int:
         if self._head is None:
@@ -519,70 +401,3 @@ class BAT:
             values = self._tail[: self._count]
         for position in range(self._count):
             yield int(heads[position]), values[position]
-
-
-class BATView:
-    """A zero-copy window ``[first, last)`` over a parent BAT.
-
-    Views are the currency of cracking: after a crack, the qualifying
-    tuples occupy a contiguous region of the cracker column, and the answer
-    is *this object* — no tuples are copied until the user materialises.
-    """
-
-    def __init__(self, parent: BAT, first: int, last: int, name: str | None = None) -> None:
-        if not 0 <= first <= last <= len(parent):
-            raise StorageError(
-                f"view [{first}, {last}) out of bounds for BAT of {len(parent)} records"
-            )
-        self.parent = parent
-        self.first = first
-        self.last = last
-        self.name = name if name is not None else f"{parent.name}[{first}:{last}]"
-
-    def __len__(self) -> int:
-        return self.last - self.first
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"BATView({self.name!r}, [{self.first}:{self.last}))"
-
-    @property
-    def tail_type(self) -> str:
-        return self.parent.tail_type
-
-    def head_array(self) -> np.ndarray:
-        """Oids of the viewed records."""
-        return self.parent.head_array()[self.first : self.last]
-
-    def tail_array(self) -> np.ndarray:
-        """Raw tail slice — aliases the parent's storage."""
-        return self.parent.tail_array()[self.first : self.last]
-
-    def tail_values(self):
-        """Decoded tail values of the viewed records."""
-        if self.parent.tail_type == "str":
-            assert self.parent.heap is not None
-            return self.parent.heap.get_many(self.tail_array())
-        return self.tail_array().copy()
-
-    def materialise(self, name: str | None = None) -> BAT:
-        """Copy the viewed records into an independent BAT."""
-        target_name = name if name is not None else f"{self.name}#mat"
-        bat = BAT.from_pairs(
-            target_name,
-            self.head_array(),
-            self.tail_array()
-            if self.parent.tail_type != "str"
-            else self.tail_values(),
-            tail_type=self.parent.tail_type,
-        )
-        return bat
-
-    def min_max(self) -> tuple:
-        """(min, max) over the viewed records."""
-        if len(self) == 0:
-            raise StorageError(f"view {self.name!r} is empty; min/max undefined")
-        if self.parent.tail_type == "str":
-            decoded = self.tail_values()
-            return min(decoded), max(decoded)
-        window = self.tail_array()
-        return window.min(), window.max()

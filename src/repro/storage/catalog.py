@@ -11,10 +11,10 @@ exactly that overhead; the in-memory cracker index avoids it by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import CatalogError
-from repro.storage.table import Relation, Schema
+from repro.storage.table import Relation
 
 
 @dataclass
@@ -39,32 +39,24 @@ class CatalogStats:
     """Counters for catalog maintenance work.
 
     ``ddl_mutations`` counts schema/partition changes — the lock-and-
-    recompile events the paper warns about.  ``plan_invalidations`` counts
-    cached plans dropped because their table's partitioning changed.
+    recompile events the paper warns about.
     """
 
     ddl_mutations: int = 0
-    plan_invalidations: int = 0
-    lookups: int = 0
-
-    def reset(self) -> None:
-        self.ddl_mutations = 0
-        self.plan_invalidations = 0
-        self.lookups = 0
 
 
 class Catalog:
     """Names tables, tracks fragments, and accounts DDL cost.
 
     A minimal but honest model of a traditional system catalog: every
-    table creation, drop or partition registration is a DDL mutation that
-    invalidates cached plans referencing the table.
+    table creation, drop or partition registration is a DDL mutation.
+    (The SQL layer's plan cache drops a table's plans through its own
+    per-table epochs.)
     """
 
     def __init__(self) -> None:
         self._tables: dict[str, Relation] = {}
         self._fragments: dict[str, list[FragmentEntry]] = {}
-        self._cached_plans: dict[str, set[str]] = {}
         self.stats = CatalogStats()
 
     # ------------------------------------------------------------------ #
@@ -79,12 +71,6 @@ class Catalog:
         self._fragments[relation.name] = []
         self.stats.ddl_mutations += 1
 
-    def create_empty_table(self, name: str, schema: Schema) -> Relation:
-        """Create and register an empty relation."""
-        relation = Relation(name, schema)
-        self.create_table(relation)
-        return relation
-
     def drop_table(self, name: str) -> None:
         """Remove a table and its fragment entries."""
         if name not in self._tables:
@@ -92,11 +78,9 @@ class Catalog:
         del self._tables[name]
         self._fragments.pop(name, None)
         self.stats.ddl_mutations += 1
-        self._invalidate_plans(name)
 
     def table(self, name: str) -> Relation:
         """Look up a table by name."""
-        self.stats.lookups += 1
         try:
             return self._tables[name]
         except KeyError:
@@ -120,7 +104,7 @@ class Catalog:
         """Register ``fragment`` as a partition of logical table ``parent``.
 
         This is the expensive path of SQL-level cracking: a DDL mutation
-        plus plan invalidation, on every piece created.
+        on every piece created.
         """
         if parent not in self._fragments:
             raise CatalogError(f"unknown parent table {parent!r}")
@@ -136,7 +120,6 @@ class Catalog:
         self._fragments[fragment.name] = []
         self._fragments[parent].append(entry)
         self.stats.ddl_mutations += 1
-        self._invalidate_plans(parent)
         return entry
 
     def unregister_fragment(self, parent: str, fragment_name: str) -> None:
@@ -150,36 +133,10 @@ class Catalog:
         self._fragments[parent] = remaining
         self._tables.pop(fragment_name, None)
         self.stats.ddl_mutations += 1
-        self._invalidate_plans(parent)
 
     def fragments_of(self, parent: str) -> list[FragmentEntry]:
         """Fragment entries registered under ``parent``."""
-        self.stats.lookups += 1
         try:
             return list(self._fragments[parent])
         except KeyError:
             raise CatalogError(f"unknown table {parent!r}") from None
-
-    # ------------------------------------------------------------------ #
-    # Cached plans
-    # ------------------------------------------------------------------ #
-
-    def cache_plan(self, plan_id: str, tables: set[str]) -> None:
-        """Record that cached plan ``plan_id`` references ``tables``."""
-        for name in tables:
-            self._cached_plans.setdefault(name, set()).add(plan_id)
-
-    def cached_plan_count(self) -> int:
-        """Number of distinct live cached plans."""
-        live: set[str] = set()
-        for plans in self._cached_plans.values():
-            live |= plans
-        return len(live)
-
-    def _invalidate_plans(self, table_name: str) -> None:
-        plans = self._cached_plans.pop(table_name, set())
-        if not plans:
-            return
-        self.stats.plan_invalidations += len(plans)
-        for other in self._cached_plans.values():
-            other -= plans

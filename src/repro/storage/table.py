@@ -329,28 +329,6 @@ class Relation:
     # Fragmentation primitives (substrate for the crackers)
     # ------------------------------------------------------------------ #
 
-    def vertical_fragment(
-        self, names: Sequence[str], fragment_name: str | None = None
-    ) -> "Relation":
-        """Ψ substrate: a new relation holding only ``names`` (+ implicit oid).
-
-        The fragment shares the dense oid domain with the source, so a 1:1
-        surrogate join reconstructs the original table.
-        """
-        target = fragment_name if fragment_name is not None else f"{self.name}#v"
-        schema = self.schema.project(names)
-        fragment = Relation(target, schema)
-        for column in schema:
-            source = self.bats[column.name]
-            fragment.bats[column.name] = BAT.from_values(
-                f"{target}.{column.name}",
-                source.tail_values()
-                if column.col_type == "str"
-                else source.tail_array(),
-                tail_type=column.col_type,
-            )
-        return fragment
-
     def horizontal_fragment(
         self, positions: np.ndarray, fragment_name: str | None = None
     ) -> "Relation":

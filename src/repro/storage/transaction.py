@@ -84,7 +84,7 @@ class Transaction:
                 bat._head = None
             else:
                 bat._head = image.head.copy()
-            bat._invalidate_accelerators()
+            bat._sorted = False
         self._pre_images.clear()
         self.state = "aborted"
 

@@ -7,20 +7,10 @@ one plan-construction path.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.errors import PlanError
 from repro.storage.table import Relation
 from repro.volcano.joinopt import JoinGraph, JoinPlan, default_plan, optimize_join_order
-from repro.volcano.operators import (
-    Aggregate,
-    HashJoin,
-    NestedLoopJoin,
-    Operator,
-    Project,
-    Scan,
-    Select,
-)
+from repro.volcano.operators import HashJoin, NestedLoopJoin, Operator, Scan
 
 
 def build_join_tree(
@@ -86,28 +76,3 @@ def plan_join_chain(
         plan = default_plan(graph)
         used_fallback = True
     return build_join_tree(plan, relations, aliases), used_fallback
-
-
-def apply_predicates(
-    tree: Operator, predicates: list[Callable[[tuple], bool]]
-) -> Operator:
-    """Stack Select nodes over ``tree``."""
-    for predicate in predicates:
-        tree = Select(tree, predicate)
-    return tree
-
-
-def apply_projection(tree: Operator, names: list[str] | None) -> Operator:
-    """Project onto ``names`` (None means SELECT *)."""
-    if names is None:
-        return tree
-    return Project(tree, names)
-
-
-def apply_grouping(
-    tree: Operator,
-    group_names: list[str],
-    aggs: list[tuple[str, str | None]],
-) -> Operator:
-    """Wrap the tree in a γ (grouped aggregation) node."""
-    return Aggregate(tree, group_names, aggs)

@@ -1,66 +1,11 @@
-"""Unit tests for hash and sorted accelerators."""
+"""Unit tests for the sorted accelerator."""
 
 import numpy as np
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.accelerators import HashAccelerator, SortedAccelerator
+from repro.storage.accelerators import SortedAccelerator
 from repro.storage.bat import BAT
-
-
-class TestHashAccelerator:
-    def test_lookup_finds_all_positions(self):
-        bat = BAT.from_values("t", [4, 2, 4, 4, 1])
-        accel = HashAccelerator(bat)
-        assert sorted(accel.lookup(4).tolist()) == [0, 2, 3]
-
-    def test_lookup_missing_value(self):
-        accel = HashAccelerator(BAT.from_values("t", [1, 2]))
-        assert len(accel.lookup(99)) == 0
-
-    def test_distinct_count(self):
-        accel = HashAccelerator(BAT.from_values("t", [1, 1, 2, 3, 3, 3]))
-        assert accel.distinct_count() == 3
-
-    def test_stale_after_append_raises(self):
-        bat = BAT.from_values("t", [1])
-        accel = HashAccelerator(bat)
-        bat.append(2)
-        with pytest.raises(StorageError):
-            accel.lookup(1)
-
-    def test_str_bat_lookup(self):
-        bat = BAT.from_values("t", ["a", "b", "a"], tail_type="str")
-        accel = HashAccelerator(bat)
-        assert sorted(accel.lookup("a").tolist()) == [0, 2]
-        assert len(accel.lookup("nope")) == 0
-
-    def test_float_bat_distinct_tails_do_not_collide(self):
-        # Regression: buckets used to be keyed with int(...), so 2.0 and
-        # 2.5 shared a bucket and lookup(2.5) returned 2.0's positions.
-        bat = BAT.from_values("t", [2.0, 2.5, 2.5, 3.25], tail_type="float")
-        accel = HashAccelerator(bat)
-        assert sorted(accel.lookup(2.5).tolist()) == [1, 2]
-        assert sorted(accel.lookup(2.0).tolist()) == [0]
-        assert sorted(accel.lookup(3.25).tolist()) == [3]
-        assert len(accel.lookup(2.1)) == 0
-        assert accel.distinct_count() == 3
-
-    def test_float_bat_agrees_with_bat_select_equals(self, rng):
-        values = np.round(rng.uniform(0, 10, 300), 1)
-        bat = BAT.from_values("t", values, tail_type="float")
-        accel = HashAccelerator(bat)
-        for needle in (values[0], values[17], 99.9):
-            expected = np.flatnonzero(values == needle)
-            assert sorted(accel.lookup(needle).tolist()) == expected.tolist()
-
-    def test_agrees_with_linear_scan(self, rng):
-        values = rng.integers(0, 50, 500)
-        bat = BAT.from_values("t", values)
-        accel = HashAccelerator(bat)
-        for needle in (0, 17, 49, 50):
-            expected = np.flatnonzero(values == needle)
-            assert sorted(accel.lookup(needle).tolist()) == expected.tolist()
 
 
 class TestSortedAccelerator:

@@ -1,10 +1,10 @@
-"""Unit tests for BATs and BAT views."""
+"""Unit tests for BATs."""
 
 import numpy as np
 import pytest
 
-from repro.errors import BATAlignmentError, BATTypeError, StorageError
-from repro.storage.bat import BAT, BATView
+from repro.errors import BATAlignmentError, BATTypeError
+from repro.storage.bat import BAT
 from repro.storage.heap import AtomHeap
 
 
@@ -83,33 +83,6 @@ class TestAppendDelete:
         bat.append("hello")
         assert bat.tail_values() == ["hello"]
 
-    def test_delete_at_removes_record(self):
-        bat = BAT.from_values("t", [10, 20, 30])
-        bat.delete_at(1)
-        assert len(bat) == 2
-        assert sorted(bat.tail_array().tolist()) == [10, 30]
-
-    def test_delete_preserves_oid_pairing(self):
-        bat = BAT.from_values("t", [10, 20, 30])
-        bat.delete_at(0)
-        pairs = set(zip(bat.head_array().tolist(), bat.tail_array().tolist()))
-        assert pairs == {(1, 20), (2, 30)}
-
-    def test_delete_out_of_range_raises(self):
-        bat = BAT.from_values("t", [1])
-        with pytest.raises(StorageError):
-            bat.delete_at(5)
-
-    def test_replace_tail(self):
-        bat = BAT.from_values("t", [1, 2, 3])
-        bat.replace_tail(np.array([9, 8, 7]))
-        assert np.array_equal(bat.tail_array(), [9, 8, 7])
-
-    def test_replace_tail_wrong_length_raises(self):
-        bat = BAT.from_values("t", [1, 2, 3])
-        with pytest.raises(StorageError):
-            bat.replace_tail(np.array([1]))
-
 
 class TestSelection:
     def test_select_range_inclusive_exclusive(self):
@@ -132,44 +105,11 @@ class TestSelection:
         positions = bat.select_range(3, None)
         assert sorted(bat.tail_array()[positions].tolist()) == [3, 5]
 
-    def test_select_equals(self):
-        bat = BAT.from_values("t", [5, 1, 5])
-        assert np.array_equal(bat.select_equals(5), [0, 2])
-
-    def test_select_equals_str(self):
-        bat = BAT.from_values("t", ["a", "b", "a"], tail_type="str")
-        assert np.array_equal(bat.select_equals("a"), [0, 2])
-        assert len(bat.select_equals("zz")) == 0
-
-    def test_hash_lookup(self):
-        bat = BAT.from_values("t", [4, 4, 2])
-        assert sorted(bat.hash_lookup(4).tolist()) == [0, 1]
-        assert len(bat.hash_lookup(99)) == 0
-
-    def test_hash_lookup_invalidated_by_append(self):
-        bat = BAT.from_values("t", [1])
-        bat.hash_lookup(1)
-        bat.append(1)
-        assert sorted(bat.hash_lookup(1).tolist()) == [0, 1]
-
 
 class TestOidMapping:
     def test_oids_at_void(self):
         bat = BAT.from_values("t", [9, 8, 7], seq_base=10)
         assert np.array_equal(bat.oids_at(np.array([0, 2])), [10, 12])
-
-    def test_positions_of_oids_void(self):
-        bat = BAT.from_values("t", [9, 8, 7], seq_base=10)
-        assert np.array_equal(bat.positions_of_oids(np.array([12, 10])), [2, 0])
-
-    def test_positions_of_oids_materialised(self):
-        bat = BAT.from_pairs("t", [5, 9, 1], [10, 20, 30])
-        assert np.array_equal(bat.positions_of_oids(np.array([9, 5])), [1, 0])
-
-    def test_positions_of_unknown_oid_raises(self):
-        bat = BAT.from_values("t", [1, 2])
-        with pytest.raises(StorageError):
-            bat.positions_of_oids(np.array([99]))
 
 
 class TestSortMinMax:
@@ -184,66 +124,12 @@ class TestSortMinMax:
         bat.sort_by_tail()
         assert np.array_equal(bat.head_array(), [1, 2, 0])
 
-    def test_min_max(self):
-        bat = BAT.from_values("t", [3, 1, 2])
-        assert bat.min_max() == (1, 3)
-
-    def test_min_max_empty_raises(self):
-        with pytest.raises(StorageError):
-            BAT("t").min_max()
-
-    def test_min_max_str(self):
-        bat = BAT.from_values("t", ["m", "a", "z"], tail_type="str")
-        assert bat.min_max() == ("a", "z")
-
     def test_iteration_yields_pairs(self):
         bat = BAT.from_values("t", [7, 8])
         assert list(bat) == [(0, 7), (1, 8)]
 
 
-class TestViews:
-    def test_view_is_zero_copy(self):
-        bat = BAT.from_values("t", [1, 2, 3, 4])
-        view = bat.view(1, 3)
-        assert len(view) == 2
-        bat.tail_array()[1] = 99
-        assert view.tail_array()[0] == 99
-
-    def test_view_bounds_checked(self):
-        bat = BAT.from_values("t", [1, 2])
-        with pytest.raises(StorageError):
-            bat.view(0, 5)
-        with pytest.raises(StorageError):
-            bat.view(2, 1)
-
-    def test_full_view(self):
-        bat = BAT.from_values("t", [1, 2, 3])
-        assert len(bat.full_view()) == 3
-
-    def test_view_head_alignment(self):
-        bat = BAT.from_values("t", [9, 8, 7], seq_base=5)
-        view = bat.view(1, 3)
-        assert np.array_equal(view.head_array(), [6, 7])
-
-    def test_view_materialise_is_independent(self):
-        bat = BAT.from_values("t", [1, 2, 3])
-        copy = bat.view(0, 2).materialise()
-        bat.tail_array()[0] = 42
-        assert copy.tail_array()[0] == 1
-
-    def test_view_min_max(self):
-        bat = BAT.from_values("t", [5, 1, 9, 3])
-        assert bat.view(1, 3).min_max() == (1, 9)
-
-    def test_empty_view_min_max_raises(self):
-        bat = BAT.from_values("t", [1])
-        with pytest.raises(StorageError):
-            bat.view(0, 0).min_max()
-
-    def test_str_view_values(self):
-        bat = BAT.from_values("t", ["a", "b", "c"], tail_type="str")
-        assert bat.view(1, 3).tail_values() == ["b", "c"]
-
+class TestFootprint:
     def test_nbytes_accounts_head(self):
         void = BAT.from_values("t", [1, 2, 3])
         explicit = BAT.from_pairs("t2", [0, 1, 2], [1, 2, 3])

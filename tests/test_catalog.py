@@ -39,12 +39,6 @@ class TestTables:
         with pytest.raises(CatalogError):
             Catalog().drop_table("ghost")
 
-    def test_create_empty_table(self):
-        catalog = Catalog()
-        relation = catalog.create_empty_table("t", Schema([Column("a", "int")]))
-        assert len(relation) == 0
-        assert catalog.has_table("t")
-
     def test_table_names_sorted(self):
         catalog = Catalog()
         catalog.create_table(make_relation("zeta"))
@@ -98,29 +92,3 @@ class TestFragments:
         before = catalog.stats.ddl_mutations
         catalog.register_fragment("parent", make_relation("f1"), "p")
         assert catalog.stats.ddl_mutations == before + 1
-
-
-class TestPlanCache:
-    def test_fragment_registration_invalidates_plans(self):
-        catalog = Catalog()
-        catalog.create_table(make_relation("parent"))
-        catalog.cache_plan("plan-1", {"parent"})
-        catalog.register_fragment("parent", make_relation("f1"), "p")
-        assert catalog.stats.plan_invalidations == 1
-        assert catalog.cached_plan_count() == 0
-
-    def test_unrelated_table_keeps_plans(self):
-        catalog = Catalog()
-        catalog.create_table(make_relation("a"))
-        catalog.create_table(make_relation("b"))
-        catalog.cache_plan("plan-1", {"a"})
-        catalog.drop_table("b")
-        assert catalog.cached_plan_count() == 1
-
-    def test_multi_table_plan_invalidated_everywhere(self):
-        catalog = Catalog()
-        catalog.create_table(make_relation("a"))
-        catalog.create_table(make_relation("b"))
-        catalog.cache_plan("plan-1", {"a", "b"})
-        catalog.drop_table("a")
-        assert catalog.cached_plan_count() == 0

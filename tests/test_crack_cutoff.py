@@ -119,7 +119,8 @@ def test_random_sequences_match_numpy_oracle(seed, make, threshold):
             oracle.update(targets, rewrites)
         if step % 40 == 20:
             column = CrackedColumn.from_state(column.export_state())
-            assert column.crack_threshold == threshold
+            assert column.crack_threshold == 0  # the state carries no cut-off
+            column.crack_threshold = threshold  # the opener sets it
     if threshold >= len(values):
         assert column.piece_count == 1 and column.crack_stats.cracks == 0
 
@@ -213,14 +214,13 @@ def test_sorts_are_visible_in_stats_lineage_and_trace():
     assert any("sort" in str(row) for row in explained)
 
 
-@pytest.mark.parametrize("kernel", ["vectorised", "rebuild"])
-def test_cracking_remembered_sorted_spans_leaves_them_sorted(kernel):
+def test_cracking_remembered_sorted_spans_leaves_them_sorted():
     """Lowering ``crack_threshold`` mid-stream lets kernels run over spans
     that are remembered as sorted: a span sorted as a whole piece holds no
     tuple on the wrong side of any pivot, so it stays sorted."""
     rng = np.random.default_rng(4)
     values = rng.integers(0, 2000, 4000)
-    column = CrackedColumn.from_arrays(values, kernel=kernel, crack_threshold=150)
+    column = CrackedColumn.from_arrays(values, crack_threshold=150)
     for step in range(200):
         low = int(rng.integers(0, 2000))
         high = low + int(rng.integers(0, 400))

@@ -99,13 +99,10 @@ class TestThresholdBoundedCracking:
         with pytest.raises(CrackError):
             CrackedColumn.from_arrays(np.arange(5), crack_threshold=-1)
 
-    @pytest.mark.parametrize("kernel", ["vectorised", "rebuild", "swaps"])
-    def test_threshold_with_every_kernel(self, kernel):
+    def test_threshold_matches_unbounded_cracking(self):
         rng = np.random.default_rng(3)
         values = rng.integers(0, 1000, 3000)
-        bounded = CrackedColumn.from_arrays(
-            values, kernel=kernel, crack_threshold=64
-        )
+        bounded = CrackedColumn.from_arrays(values, crack_threshold=64)
         reference = CrackedColumn.from_arrays(values)
         for _ in range(40):
             low = int(rng.integers(0, 1000))

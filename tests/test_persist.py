@@ -522,8 +522,8 @@ class TestDurabilityMechanics:
     def test_crack_threshold_given_at_open_wins_on_warm_restart(
         self, before, after, tmp_path
     ):
-        """The checkpoint records the cut-off it ran with; the reopening
-        session's value (None = the shipped default) replaces it."""
+        """The checkpoint does not record the cut-off it ran with; the
+        reopening session's value (None = the shipped default) applies."""
         oracle = Database(cracking=False)
         db = Database(
             cracking=True, mode="vector", persist_dir=tmp_path,
@@ -547,6 +547,46 @@ class TestDurabilityMechanics:
         assert {c.crack_threshold for c in columns.values()} == {expected}
         assert_databases_agree(oracle, reopened)
         run_workload((oracle, reopened), random_range_queries(rng, 12))
+        assert_databases_agree(oracle, reopened)
+        reopened.check_invariants()
+        reopened.close()
+
+    def test_store_with_legacy_cracker_keys_reopens_unchanged(self, tmp_path):
+        """Older checkpoints carry ``kernel``, ``crack_in_three_enabled``
+        and ``crack_threshold`` in each cracker's manifest meta.  A fresh
+        checkpoint writes none of them; a store that has them opens with
+        the same pieces and answers, and the cut-off given at open."""
+        oracle = Database(cracking=False)
+        db = Database(
+            cracking=True, mode="vector", persist_dir=tmp_path, crack_threshold=0
+        )
+        for target in (oracle, db):
+            load_standard(target, seed=17, n_rows=300)
+        rng = np.random.default_rng(17)
+        run_workload((oracle, db), random_range_queries(rng, 10))
+        pieces = {key: c.piece_count for key, c in db.cracked_columns().items()}
+        assert max(pieces.values()) > 1
+        db.checkpoint()
+        db.close()
+        manifest = json.loads(
+            (tmp_path / "snapshot-000001" / "manifest.json").read_text()
+        )
+        assert manifest["crackers"]
+        for entry in manifest["crackers"]:
+            assert set(entry["meta"]) == {"kind", "next_oid", "index"}
+        legacy = {
+            "kernel": "vectorised",
+            "crack_in_three_enabled": True,
+            "crack_threshold": 96,
+        }
+        rewrite_cracker_meta(tmp_path, lambda meta: {**meta, **legacy})
+
+        reopened = Database(
+            cracking=True, mode="vector", persist_dir=tmp_path, crack_threshold=0
+        )
+        columns = reopened.cracked_columns()
+        assert {key: c.piece_count for key, c in columns.items()} == pieces
+        assert {c.crack_threshold for c in columns.values()} == {0}
         assert_databases_agree(oracle, reopened)
         reopened.check_invariants()
         reopened.close()

@@ -9,8 +9,8 @@ Properties:
   from statement bodies (including quoted literals with semicolons and
   SQL-style doubled quotes), drops empty fragments, survives trailing
   semicolons;
-* crack kernels — every variant (vectorised / rebuild / swap-loop for
-  crack-in-two; one-pass / rebuild / via-two for crack-in-three) is a
+* crack kernels — every variant (vectorised / swap-loop for
+  crack-in-two; one-pass / via-two for crack-in-three) is a
   permutation of the (value, oid) pairs that establishes the partition
   invariant, with the split positions equal to the predicate counts.
 """
@@ -24,10 +24,8 @@ from repro.core.crack import (
     KIND_LE,
     KIND_LT,
     crack_in_three,
-    crack_in_three_rebuild,
     crack_in_three_via_two,
     crack_in_two,
-    crack_in_two_rebuild,
     crack_in_two_swaps,
 )
 from repro.sql import split_statements
@@ -39,8 +37,8 @@ try:
 except ImportError:  # pragma: no cover - exercised on minimal installs
     HAVE_HYPOTHESIS = False
 
-TWO_KERNELS = [crack_in_two, crack_in_two_rebuild, crack_in_two_swaps]
-THREE_KERNELS = [crack_in_three, crack_in_three_rebuild, crack_in_three_via_two]
+TWO_KERNELS = [crack_in_two, crack_in_two_swaps]
+THREE_KERNELS = [crack_in_three, crack_in_three_via_two]
 KINDS = [KIND_LT, KIND_LE]
 
 FALLBACK_CASES = 60

@@ -2,8 +2,8 @@
 
 These drive longer random operation sequences than the per-module property
 tests, checking global invariants: engine equivalence under mixed
-queries+updates, lineage losslessness under random cracker DAGs, and BAT
-view/materialise consistency.
+queries+updates, lineage losslessness under random cracker DAGs, and
+consistent crack accounting.
 """
 
 import numpy as np
@@ -119,29 +119,6 @@ def test_property_random_cracker_dag_lossless(choices):
         new_nodes = graph.record(result.op, result.params, [target], result.pieces)
         frontier.extend(new_nodes)
     assert graph.verify_lossless(root)
-
-
-# ---------------------------------------------------------------------- #
-# Views never diverge from their parents; materialisation detaches them.
-# ---------------------------------------------------------------------- #
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    values=st.lists(st.integers(-1000, 1000), min_size=1, max_size=80),
-    cuts=st.tuples(st.integers(0, 80), st.integers(0, 80)),
-)
-def test_property_views_alias_then_detach(values, cuts):
-    bat = BAT.from_values("t", values)
-    first = min(cuts[0], len(values))
-    last = min(max(cuts[1], first), len(values))
-    view = bat.view(first, last)
-    assert view.tail_array().tolist() == values[first:last]
-    snapshot = view.materialise()
-    if len(view):
-        bat.tail_array()[first] += 1
-        assert view.tail_array()[0] == values[first] + 1      # view aliases
-        assert snapshot.tail_array()[0] == values[first]      # copy detached
 
 
 # ---------------------------------------------------------------------- #

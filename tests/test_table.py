@@ -111,16 +111,6 @@ class TestUpdates:
 
 
 class TestFragmentation:
-    def test_vertical_fragment_shares_oid_domain(self, mixed_relation):
-        fragment = mixed_relation.vertical_fragment(["score"])
-        assert fragment.schema.names() == ["score"]
-        assert len(fragment) == len(mixed_relation)
-
-    def test_vertical_fragment_is_a_copy(self, mixed_relation):
-        fragment = mixed_relation.vertical_fragment(["id"])
-        mixed_relation.column("id").tail_array()[0] = 999
-        assert fragment.column("id").tail_array()[0] == 1
-
     def test_horizontal_fragment(self, mixed_relation):
         fragment = mixed_relation.horizontal_fragment(np.array([4, 0]))
         assert fragment.row_at(0) == (5, 5.5, "eve")

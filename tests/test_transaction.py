@@ -29,8 +29,7 @@ class TestTransaction:
         bat = BAT.from_values("t", list(range(100)))
         txn = Transaction(1)
         txn.protect(bat)
-        shuffled = bat.tail_array()[::-1].copy()
-        bat.replace_tail(shuffled)
+        bat.tail_array()[:] = bat.tail_array()[::-1].copy()
         txn.rollback()
         assert np.array_equal(bat.tail_array(), np.arange(100))
 
@@ -101,7 +100,7 @@ class TestAbortPreImage:
         txn = Transaction(1)
         txn.protect(bat)
         bat.append_many([200, 100, 300])
-        bat.replace_tail(bat.tail_array()[::-1].copy())
+        bat.tail_array()[:] = bat.tail_array()[::-1].copy()
         bat.sort_by_tail()
         assert not bat.is_void_head  # sort materialised the head
         txn.rollback()

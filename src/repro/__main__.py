@@ -274,6 +274,7 @@ def _render_stats(stats: dict) -> list[str]:
         if info:
             extras = (
                 f" ({info.get('cracks', 0)} cracks, "
+                f"{info.get('pivot_cracks', 0)} at pivots, "
                 f"{info.get('pending_inserts', 0)}+"
                 f"{info.get('pending_deletes', 0)}+"
                 f"{info.get('pending_updates', 0)} pending i/d/u)"

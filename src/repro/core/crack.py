@@ -50,18 +50,18 @@ class CrackStats:
             move; every kernel counts by this one rule.
         sorts: pieces sorted in place at the crack cut-off (charged to
             ``tuples_touched``, not ``tuples_moved``).
+        pivot_cracks: the subset of ``cracks`` made at a data-driven
+            pivot rather than at a query bound.
     """
 
     tuples_touched: int = 0
     tuples_moved: int = 0
     cracks: int = 0
     sorts: int = 0
+    pivot_cracks: int = 0
 
     def reset(self) -> None:
-        self.tuples_touched = 0
-        self.tuples_moved = 0
-        self.cracks = 0
-        self.sorts = 0
+        self.__init__()
 
 
 def _check_region(values: np.ndarray, oids: np.ndarray, start: int, stop: int) -> None:

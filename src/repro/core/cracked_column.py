@@ -22,6 +22,12 @@ later one in the piece is a binary search.  No kernel runs, the cracker
 index gains no boundary, and the answer is still a contiguous span — a
 converged column is read-only.
 
+Above ``PIVOT_FACTOR * T`` tuples, a bound's piece is first halved at
+median-of-three pivots, the DDR rule of Halim et al., "Stochastic
+Database Cracking" (PVLDB'12): otherwise a sliding window's high bound
+re-partitions one huge uncracked remainder on every query.  Pivots are
+ordinary boundaries; with T = 0 every boundary is a query bound.
+
 Updates (the future-work item of §7) follow "Updating a Cracked
 Database" (Idreos, Kersten & Manegold, SIGMOD'07).  Inserts and deletes
 wait in two value-sorted buffers; an UPDATE is a delete of the row's
@@ -57,6 +63,11 @@ from repro.storage.bat import BAT
 #: reproduce.  Chosen from the ledger sweep in README "Crack threshold
 #: tuning".
 DEFAULT_CRACK_THRESHOLD = 512
+
+#: Pieces above this many times T are halved at pivots before a bound
+#: cracks them (:meth:`CrackedColumn._halve`); README "Crack threshold
+#: tuning" has the sweep.
+PIVOT_FACTOR = 8
 
 #: A count merges nothing (:meth:`CrackedColumn.count_range`) until the
 #: pending buffers hold more than this share of the column; then it
@@ -193,8 +204,8 @@ class CrackedColumn:
         crack_threshold: sort below T — a bound that misses the index
             and falls in a piece of at most this many tuples sorts the
             piece in place (once) and is resolved by binary search
-            instead of a crack.  0 (default) cracks unconditionally (the
-            paper's prototype).  A plain attribute: the SQL layer sets
+            instead of a crack.  0 (default) cracks at query bounds only
+            (the paper's prototype).  A plain attribute: the SQL layer sets
             it on a restored column, and it is safe to change between
             queries.
     """
@@ -328,6 +339,7 @@ class CrackedColumn:
             "pieces": self.piece_count,
             "tuples": len(self.values),
             "cracks": self.crack_stats.cracks,
+            "pivot_cracks": self.crack_stats.pivot_cracks,
             "sorts": self.crack_stats.sorts,
             "sorted_pieces": len(self._sorted_spans),
             "tuples_touched": self.crack_stats.tuples_touched,
@@ -721,15 +733,21 @@ class CrackedColumn:
 
     def _settle(self, value, kind: str, position, start: int, stop: int) -> int:
         """Turn one :meth:`CrackerIndex.probe` answer into a position."""
+        threshold = self.crack_threshold
+        if position is None and threshold and stop - start > PIVOT_FACTOR * threshold:
+            position, start, stop = self._halve(value, kind, start, stop)
         if position is not None:
             return position
-        threshold = self.crack_threshold
         if threshold and stop - start <= threshold:
             if (start, stop) not in self._sorted_spans:
                 self._sort_piece(start, stop)
             side = "left" if kind == KIND_LT else "right"
             return start + int(self.values[start:stop].searchsorted(value, side))
         self.query_stats.pieces_inspected += 1
+        return self._crack(value, kind, start, stop)
+
+    def _crack(self, value, kind: str, start: int, stop: int) -> int:
+        """Crack ``[start, stop)`` at boundary ``(value, kind)``; returns the split."""
         moved_before = self.crack_stats.tuples_moved
         self._shield_snapshots()
         split = crack_in_two(
@@ -743,6 +761,24 @@ class CrackedColumn:
                 moved=self.crack_stats.tuples_moved - moved_before,
             )
         return split
+
+    def _halve(self, value, kind: str, start: int, stop: int) -> tuple:
+        """Crack the bound's piece at the median of its values at 1/4, 1/2
+        and 3/4 until it holds at most ``PIVOT_FACTOR * T`` tuples; returns
+        the bound's :meth:`CrackerIndex.probe`.  Never quadratic: stops at a
+        pivot with no float64 key, an empty split, or one leaving the bound
+        over 7/8 of the piece."""
+        while stop - start > PIVOT_FACTOR * self.crack_threshold:
+            size = stop - start
+            probes = self.values[start + np.array([size // 4, size // 2, 3 * size // 4])]
+            pivot = sorted(probes.tolist())[1]
+            if float(pivot) != pivot or self._crack(pivot, KIND_LT, start, stop) == start:
+                break
+            self.crack_stats.pivot_cracks += 1
+            position, start, stop = self.index.probe(value, kind)
+            if position is not None or 8 * (stop - start) > 7 * size:
+                return position, start, stop
+        return None, start, stop
 
     def _sort_piece(self, start: int, stop: int) -> None:
         """Sort piece ``[start, stop)`` in place unless it already is,
@@ -768,18 +804,20 @@ class CrackedColumn:
             self.introspect.record_merge("sort", stop - start)
 
     def _crack_both(self, low, high, low_kind: str, high_kind: str) -> tuple[int, int]:
-        """Establish both range boundaries, preferring crack-in-three."""
+        """Establish both range boundaries, preferring crack-in-three up to
+        ``PIVOT_FACTOR * T`` tuples (:meth:`_settle` halves larger pieces)."""
         probe = self.index.probe
         low_pos, low_start, low_stop = probe(low, low_kind)
         high_pos, high_start, high_stop = probe(high, high_kind)
         if low_pos is not None and high_pos is not None:
             return low_pos, max(low_pos, high_pos)
+        limit = PIVOT_FACTOR * self.crack_threshold or len(self.values)
         if (
             low_pos is None
             and high_pos is None
             and low_start == high_start
             and low_stop == high_stop
-            and low_stop - low_start > self.crack_threshold
+            and self.crack_threshold < low_stop - low_start <= limit
         ):
             self.query_stats.pieces_inspected += 1
             moved_before = self.crack_stats.tuples_moved

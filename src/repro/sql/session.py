@@ -1232,8 +1232,8 @@ class Database:
                 samples.extend(
                     (f"repro_cracker_{key}", labels, info[key])
                     for key in (
-                        "pieces", "tuples", "cracks", "tuples_touched",
-                        "tuples_moved", "queries", "merged_updates",
+                        "pieces", "tuples", "cracks", "pivot_cracks",
+                        "tuples_touched", "tuples_moved", "queries", "merged_updates",
                         "pending_inserts", "pending_deletes",
                         "pending_updates",
                     )

@@ -1,9 +1,12 @@
-"""The sort-below-T crack cut-off: a converged column is read-only.
+"""The sort-below-T crack cut-off and the pivot rule above it.
 
 A bound that misses the cracker index and lands in a piece of at most
 ``crack_threshold`` tuples sorts that piece in place once and is resolved
 by binary search — no kernel, no new boundary, still a span of the
-cracker column.
+cracker column.  One that lands in a piece of more than
+``PIVOT_FACTOR * crack_threshold`` tuples first halves that piece at
+median-of-three pivots, so a sliding window stops re-partitioning the
+uncracked remainder on every query.
 """
 
 from __future__ import annotations
@@ -11,9 +14,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.cracked_column import DEFAULT_CRACK_THRESHOLD, CrackedColumn
+from repro.__main__ import _render_stats
+from repro.core import cracked_column
+from repro.core.crack import KIND_LE, KIND_LT
+from repro.core.cracked_column import (
+    DEFAULT_CRACK_THRESHOLD,
+    PIVOT_FACTOR,
+    CrackedColumn,
+)
 from repro.errors import CrackError
 from repro.sql import Database
+from repro.storage.table import Column, Relation, Schema
 
 THRESHOLDS = [0, 1, 7, 64, 10**6]
 
@@ -61,6 +72,16 @@ class Oracle:
             self.values[self.oids == oid] = value
 
 
+def window(values, queries=60):
+    """A sliding window over the column's domain: one step per query,
+    five steps wide."""
+    first, last = values.min(), values.max()
+    step = (last - first) / queries
+    for i in range(queries):
+        low, high = first + i * step, first + (i + 5) * step
+        yield (int(low), int(high)) if values.dtype.kind == "i" else (low, high)
+
+
 def check(column, oracle, low, high, low_inclusive, high_inclusive):
     result = column.range_select(
         low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive
@@ -91,6 +112,10 @@ def test_random_sequences_match_numpy_oracle(seed, make, threshold):
     values, bound = make(rng)
     column = CrackedColumn.from_arrays(values, crack_threshold=threshold)
     oracle = Oracle(values)
+    for step, (low, high) in enumerate(window(values, 40)):
+        check(column, oracle, low, high, step % 2 == 0, step % 3 == 0)
+    pivots_expected = 0 < PIVOT_FACTOR * threshold < len(values)
+    assert bool(column.crack_stats.pivot_cracks) == pivots_expected
     for step in range(120):
         low = bound()
         high = low + abs(bound()) / 4 if step % 3 else bound()  # some inverted
@@ -234,3 +259,174 @@ def test_cracking_remembered_sorted_spans_leaves_them_sorted():
             column.crack_threshold = 0  # remembered spans now get cracked
     assert column.crack_stats.cracks > cracks_at_cutoff
     assert column._sorted_spans  # still remembered, still verified sorted
+
+
+# ---------------------------------------------------------------------- #
+# Pivots above PIVOT_FACTOR * T
+# ---------------------------------------------------------------------- #
+
+ROWS = 200_000
+PERMUTATION = np.random.default_rng(11).permutation(ROWS)
+
+
+def sliding_window(rows=ROWS, queries=1024):
+    """The ledger's ``cold_burst`` window: closed ranges that slide one
+    step of ``rows // queries`` (195 here) per query, five steps wide."""
+    step = rows // queries
+    return [(i * step, (i + 5) * step) for i in range(queries)]
+
+
+def replay(bounds, values=PERMUTATION, threshold=DEFAULT_CRACK_THRESHOLD):
+    """A fresh column that has answered the closed ranges ``bounds``."""
+    column = CrackedColumn.from_arrays(values, crack_threshold=threshold)
+    for low, high in bounds:
+        column.count_range(low, high, True, True)
+    column.check_invariants()
+    return column
+
+
+def without_pivots(monkeypatch):
+    """Switch the rule off for the rest of a test: no piece is that large."""
+    monkeypatch.setattr(cracked_column, "PIVOT_FACTOR", 10**18)
+
+
+def test_sliding_window_stops_repartitioning_the_remainder(monkeypatch):
+    stats = replay(sliding_window()).crack_stats
+    assert stats.tuples_touched <= 5_000_000
+    assert 0 < stats.pivot_cracks < stats.cracks
+    # Query bounds alone: every high bound lands in the uncracked
+    # remainder and partitions nearly all of it again (~500 columns).
+    without_pivots(monkeypatch)
+    assert replay(sliding_window()).crack_stats.tuples_touched > 100_000_000
+
+
+def test_uniform_ranges_pay_little_for_pivots(monkeypatch):
+    """The first bounds halve the whole column, which costs uniform
+    ranges work up front; later pieces are balanced and cheaper.  A
+    single stream's total swings with where its first bounds land, so
+    the guard sums eight."""
+    rng = np.random.default_rng(11)
+    streams = []
+    for _ in range(8):
+        lows = rng.integers(0, ROWS, 1024)
+        highs = lows + rng.integers(1, ROWS // 4, 1024)
+        streams.append(list(zip(lows.tolist(), highs.tolist())))
+
+    def touched():
+        return sum(replay(stream).crack_stats.tuples_touched for stream in streams)
+
+    with_pivots = touched()
+    without_pivots(monkeypatch)
+    assert with_pivots <= 1.1 * touched()
+
+
+def test_without_a_threshold_every_boundary_is_a_query_bound():
+    rng = np.random.default_rng(3)
+    lows = rng.integers(0, 20_000, 200)
+    bounds = sliding_window(20_000, 200) + list(
+        zip(lows.tolist(), (lows + rng.integers(1, 5000, 200)).tolist())
+    )
+    column = replay(bounds, rng.permutation(20_000), threshold=0)
+    asked = {(low, KIND_LT) for low, _ in bounds} | {(high, KIND_LE) for _, high in bounds}
+    assert column.crack_stats.pivot_cracks == 0
+    assert {(b.value, b.kind) for b in column.index.boundaries()} <= asked
+
+
+N = 50_000
+DEGENERATE = {
+    "all_equal": np.full(N, 7),
+    "two_valued": np.random.default_rng(5).integers(0, 2, N),
+    "sorted": np.arange(N),
+    "reverse_sorted": np.arange(N)[::-1].copy(),
+    "organ_pipe": np.concatenate([np.arange(N // 2), np.arange(N // 2)[::-1]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_columns_terminate_in_bounded_work(name):
+    values = DEGENERATE[name]
+    column = CrackedColumn.from_arrays(values, crack_threshold=64)
+    first, last = int(values.min()) - 2, int(values.max()) + 2
+    rng = np.random.default_rng(9)
+    lows = rng.integers(first, last + 1, 100)
+    bounds = list(window(np.array([first, last]), 100)) + list(
+        zip(lows.tolist(), (lows + rng.integers(0, last - first + 1, 100)).tolist())
+    )
+    for low, high in bounds:
+        before = column.crack_stats.tuples_touched
+        result = column.range_select(low, high, True, True)
+        assert column.crack_stats.tuples_touched - before <= 10 * N
+        assert result.count == np.count_nonzero((values >= low) & (values <= high))
+    column.check_invariants()
+
+
+def test_pivot_without_an_exact_float64_key_is_skipped():
+    """Odd values above 2**53 have no float64 navigation key, so they
+    cannot be boundaries: the rule stops and the bound cracks as usual."""
+    values = 2**60 + 1 + 256 * np.arange(10_000, dtype=np.int64)
+    column = CrackedColumn.from_arrays(
+        np.random.default_rng(0).permutation(values), crack_threshold=16
+    )
+    low = 2**60 + 256 * 5000  # a multiple of 2**8: exactly representable
+    assert column.range_select(low).count == 5000
+    assert column.crack_stats.pivot_cracks == 0
+    column.check_invariants()
+
+
+def test_snapshot_held_across_pivot_cracks_stays_byte_identical():
+    values = np.random.default_rng(2).permutation(10_000)
+    column = CrackedColumn.from_arrays(values, crack_threshold=100)
+    snap = column.range_select().snapshot()  # the whole column, uncracked
+    frozen_values, frozen_oids = snap.values.copy(), snap.oids.copy()
+    quarter = len(values) // 4
+    pivot = int(np.median(values[[quarter, len(values) // 2, -quarter]]))
+    # The first pivot is this very bound: no crack at the bound follows.
+    assert column.range_select(pivot).count == len(values) - pivot
+    stats = column.crack_stats
+    assert (stats.pivot_cracks, stats.cracks, stats.sorts) == (1, 1, 0)
+    assert np.array_equal(snap.values, frozen_values)
+    assert np.array_equal(snap.oids, frozen_oids)
+    assert not np.shares_memory(snap.values, column.values)  # storage retired
+    column.check_invariants()
+
+
+def test_restart_keeps_pivot_boundaries_and_does_not_crack_again():
+    bounds = sliding_window(50_000, 256)
+    column = replay(bounds, np.random.default_rng(8).permutation(50_000))
+    assert column.crack_stats.pivot_cracks
+    reopened = CrackedColumn.from_state(column.export_state())
+    reopened.crack_threshold = DEFAULT_CRACK_THRESHOLD
+    assert reopened.index.boundaries() == column.index.boundaries()
+    for low, high in bounds:
+        assert reopened.count_range(low, high, True, True) == column.count_range(
+            low, high, True, True
+        )
+    stats = reopened.crack_stats
+    assert (stats.cracks, stats.sorts, stats.tuples_touched) == (0, 0, 0)
+
+
+def _profiled_database(rows=20_000):
+    db = Database(cracking=True, profile=True)
+    schema = Schema([Column("k", "int"), Column("a", "int")])
+    values = np.random.default_rng(6).permutation(rows)
+    db.catalog.create_table(
+        Relation.from_columns("r", schema, {"k": np.arange(rows), "a": values})
+    )
+    return db
+
+
+def test_pivot_cracks_reach_lineage_stats_and_repro_stats():
+    db = _profiled_database()
+    for low, high in sliding_window(20_000, 32):
+        db.execute(f"SELECT count(*) FROM r WHERE a BETWEEN {low} AND {high}")
+    stats = db.stats()
+    detail = stats["cracker_detail"]["r.a"]
+    assert 0 < detail["pivot_cracks"] < detail["cracks"]
+    lineage = stats["lineage"]["r.a"]
+    assert lineage["total_events"] == len(lineage["events"])  # nothing evicted
+    moved = sum(event.get("moved", 0) for event in lineage["events"])
+    assert moved == detail["tuples_moved"]
+    text = "\n".join(_render_stats({**stats, "server": {}, "gateway": {}}))
+    assert f"{detail['cracks']} cracks, {detail['pivot_cracks']} at pivots" in text
+    sample = f'repro_cracker_pivot_cracks{{column="r.a"}} {detail["pivot_cracks"]}'
+    assert sample in db.metrics.render()

@@ -10,10 +10,10 @@ import pytest
 from benchmarks.conftest import BENCH_ROWS
 from repro.benchmark.profiles import MQS, homerun_sequence
 from repro.benchmark.runner import run_sequence
-from repro.engines import ColumnStoreEngine, CrackingEngine
+from repro.engines import DatabaseEngine
 
 STEPS = 32
-MODES = {"nocrack": ColumnStoreEngine, "crack": CrackingEngine}
+MODES = {"nocrack": False, "crack": True}
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -23,7 +23,7 @@ def test_fig10_homerun_sequence(benchmark, tapestry, mode, target_pct):
     queries = homerun_sequence(mqs, attr="a", seed=0)
 
     def setup():
-        engine = MODES[mode]()
+        engine = DatabaseEngine(cracking=MODES[mode])
         engine.load(tapestry.build_relation("R"))
         return (engine,), {}
 
@@ -36,7 +36,7 @@ def test_fig10_homerun_sequence(benchmark, tapestry, mode, target_pct):
 
 def test_fig10_converged_query(benchmark, tapestry):
     """Per-step cost once the cracker has converged ("indexed-table" speed)."""
-    engine = CrackingEngine()
+    engine = DatabaseEngine(cracking=True)
     engine.load(tapestry.build_relation("R"))
     mqs = MQS(alpha=2, n=BENCH_ROWS, k=STEPS, sigma=0.05, rho="linear")
     queries = homerun_sequence(mqs, attr="a", seed=0)

@@ -5,13 +5,13 @@ import pytest
 from benchmarks.conftest import BENCH_ROWS
 from repro.benchmark.profiles import MQS, strolling_sequence
 from repro.benchmark.runner import run_sequence
-from repro.engines import ColumnStoreEngine, CrackingEngine, SortedEngine
+from repro.engines import DatabaseEngine, SortedEngine
 
 STEPS = 32
 STRATEGIES = {
-    "nocrack": ColumnStoreEngine,
+    "nocrack": lambda: DatabaseEngine(cracking=False),
     "sort": SortedEngine,
-    "crack": CrackingEngine,
+    "crack": lambda: DatabaseEngine(cracking=True),
 }
 
 

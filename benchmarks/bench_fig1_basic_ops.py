@@ -8,17 +8,20 @@ range query against the tapestry table.
 import pytest
 
 from benchmarks.conftest import BENCH_ROWS
-from repro.engines import ColumnStoreEngine, RowStoreEngine
+from repro.engines import DatabaseEngine, RowStoreEngine
 
 SELECTIVITY = 0.10
 LOW = 1
 HIGH = max(1, round(SELECTIVITY * BENCH_ROWS))
 
-ENGINES = {"rowstore": RowStoreEngine, "columnstore": ColumnStoreEngine}
+ENGINES = {
+    "rowstore": RowStoreEngine,
+    "columnstore": lambda: DatabaseEngine(cracking=False),
+}
 
 
-def _loaded(engine_cls, tapestry):
-    engine = engine_cls()
+def _loaded(engine_factory, tapestry):
+    engine = engine_factory()
     engine.load(tapestry.build_relation("R"))
     return engine
 

@@ -7,7 +7,7 @@ collapse), and the column store's pairwise merge joins at long chains.
 
 import pytest
 
-from repro.engines import ColumnStoreEngine, RowStoreEngine
+from repro.engines import DatabaseEngine, RowStoreEngine
 
 
 def _loaded(engine_cls, join_tapestry, **kwargs):
@@ -40,7 +40,7 @@ def test_fig9_rowstore_fallback(benchmark, join_tapestry, length):
 
 @pytest.mark.parametrize("length", [16, 64, 128])
 def test_fig9_columnstore_long_chain(benchmark, join_tapestry, length):
-    engine = _loaded(ColumnStoreEngine, join_tapestry)
+    engine = _loaded(DatabaseEngine, join_tapestry, cracking=False)
 
     def chain():
         return engine.join_chain("R", length)

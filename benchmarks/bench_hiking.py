@@ -9,10 +9,10 @@ import pytest
 from benchmarks.conftest import BENCH_ROWS
 from repro.benchmark.profiles import MQS, hiking_sequence
 from repro.benchmark.runner import run_sequence
-from repro.engines import ColumnStoreEngine, CrackingEngine
+from repro.engines import DatabaseEngine
 
 STEPS = 32
-MODES = {"nocrack": ColumnStoreEngine, "crack": CrackingEngine}
+MODES = {"nocrack": False, "crack": True}
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
@@ -21,7 +21,7 @@ def test_hiking_sequence(benchmark, tapestry, mode):
     queries = hiking_sequence(mqs, attr="a", seed=0)
 
     def setup():
-        engine = MODES[mode]()
+        engine = DatabaseEngine(cracking=MODES[mode])
         engine.load(tapestry.build_relation("R"))
         return (engine,), {}
 

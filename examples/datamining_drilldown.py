@@ -13,7 +13,7 @@ Run:  python examples/datamining_drilldown.py
 import numpy as np
 
 from repro.benchmark import MQS, homerun_sequence, run_sequence
-from repro.engines import ColumnStoreEngine, CrackingEngine
+from repro.engines import DatabaseEngine
 from repro.storage.table import Column, Relation, Schema
 
 N_ROWS = 500_000
@@ -53,9 +53,8 @@ def main() -> None:
           f"{TARGET_SELECTIVITY:.0%} revenue band of {N_ROWS} orders\n")
 
     results = {}
-    for label, engine_factory in (("full scans", ColumnStoreEngine),
-                                  ("cracking", CrackingEngine)):
-        engine = engine_factory()
+    for label, cracking in (("full scans", False), ("cracking", True)):
+        engine = DatabaseEngine(cracking=cracking)
         engine.load(build_fact_table())
         results[label] = run_sequence(
             engine, "sales", queries, delivery="count", profile="homerun"

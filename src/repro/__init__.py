@@ -9,8 +9,9 @@ Public API highlights:
 * :class:`repro.core.CrackedColumn` — the adaptive cracked column;
 * :mod:`repro.core` — crack kernels, index, Ξ/Ψ/^/Ω operators, lineage;
 * :mod:`repro.storage` — MonetDB-style BAT storage substrate;
-* :mod:`repro.engines` — comparable query engines (row store, column
-  store, cracking, sorted, SQL-level cracking);
+* :mod:`repro.engines` — comparable query engines (row store, the
+  shipped ``Database`` with cracking off or on, sorted, SQL-level
+  cracking);
 * :mod:`repro.benchmark` — the multi-query benchmark kit (DBtapestry,
   homerun/hiking/strolling profiles, MQS);
 * :mod:`repro.simulation` — the §2.2 read/write cost simulation;

@@ -58,10 +58,10 @@ from repro.obs import trace as obs_trace
 from repro.storage.bat import BAT
 
 #: The cut-off the SQL layer ships (``Database``, ``CrackerProvider``,
-#: ``repro serve``).  ``CrackedColumn`` itself and ``engines/`` default
-#: to 0, the paper's unbounded prototype that ``experiments/fig*``
-#: reproduce.  Chosen from the ledger sweep in README "Crack threshold
-#: tuning".
+#: ``repro serve``).  ``CrackedColumn`` itself defaults to 0, the paper's
+#: unbounded prototype, and ``DatabaseEngine`` opens its ``Database``
+#: with 0, so ``experiments/fig*`` reproduce that prototype.  Chosen
+#: from the ledger sweep in README "Crack threshold tuning".
 DEFAULT_CRACK_THRESHOLD = 512
 
 #: Pieces above this many times T are halved at pivots before a bound

@@ -13,6 +13,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import CatalogError, ExecutionError
 from repro.storage.catalog import Catalog
 from repro.storage.pages import IOCounters, IOTracker
@@ -23,6 +25,26 @@ DELIVERY_MATERIALISE = "materialise"
 DELIVERY_PRINT = "print"
 DELIVERY_COUNT = "count"
 DELIVERIES = (DELIVERY_MATERIALISE, DELIVERY_PRINT, DELIVERY_COUNT)
+
+
+def rendered_bytes(arrays: list[np.ndarray]) -> int:
+    """Bytes of the '|'-joined, newline-terminated rendering of row columns.
+
+    The shared print-delivery kernel over decoded column arrays (object
+    dtype for varchar): every columnar engine that reports
+    ``bytes_printed`` counts with the same formatting, or the
+    cross-engine comparisons of Figure 1 skew.
+    """
+    if not arrays or len(arrays[0]) == 0:
+        return 0
+    rendered = [
+        array.astype("U") if array.dtype == object else array.astype("U21")
+        for array in arrays
+    ]
+    lines = rendered[0]
+    for column in rendered[1:]:
+        lines = np.char.add(np.char.add(lines, "|"), column)
+    return int(np.char.str_len(lines).sum()) + len(lines)
 
 
 @dataclass

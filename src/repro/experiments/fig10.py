@@ -2,7 +2,8 @@
 
 Linear-contraction homerun sequences of k ≤ 128 steps zooming into
 targets of σ ∈ {5, 45, 75}% on a 1M-row tapestry table, run with and
-without cracking support (paper §5.2).
+without cracking support (paper §5.2): the shipped ``Database`` in
+vector mode with the cracker off and on (``DatabaseEngine``).
 
 Expected shape: the nocrack curves grow linearly (every query is a full
 scan); the crack curves flatten after the first few steps ("after a few
@@ -16,7 +17,7 @@ from __future__ import annotations
 from repro.benchmark.profiles import MQS, homerun_sequence
 from repro.benchmark.runner import run_sequence
 from repro.benchmark.tapestry import DBtapestry
-from repro.engines import ColumnStoreEngine, CrackingEngine
+from repro.engines import DatabaseEngine
 from repro.experiments.common import ExperimentResult, Series, standard_parser
 
 DEFAULT_ROWS = 1_000_000
@@ -46,11 +47,8 @@ def run(
     for sigma in targets:
         mqs = MQS(alpha=2, n=n_rows, k=steps, sigma=sigma, rho="linear")
         queries = homerun_sequence(mqs, attr="a", seed=seed)
-        for mode, engine_factory in (
-            ("nocrack", ColumnStoreEngine),
-            ("crack", CrackingEngine),
-        ):
-            engine = engine_factory()
+        for mode, cracking in (("nocrack", False), ("crack", True)):
+            engine = DatabaseEngine(cracking=cracking)
             engine.load(tapestry.build_relation("R"))
             sequence = run_sequence(engine, "R", queries, delivery="count",
                                     profile="homerun")

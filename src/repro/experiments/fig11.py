@@ -3,10 +3,10 @@
 Random-walk selections whose selectivities converge (via the linear ρ) to
 a 5% target, for sequences up to 128 steps, comparing:
 
-* **nocrack** — full scans every query (ColumnStoreEngine);
+* **nocrack** — full scans every query (``DatabaseEngine(cracking=False)``);
 * **sort** — sort the column upfront on the first query, then binary
   search (SortedEngine);
-* **crack** — adaptive cracking (CrackingEngine).
+* **crack** — adaptive cracking (``DatabaseEngine(cracking=True)``).
 
 Expected shape (paper §5.2): crack beats nocrack from early on; the sort
 investment only pays off "when the query sequence exceeds ~100 steps";
@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.benchmark.profiles import MQS, strolling_sequence
 from repro.benchmark.runner import run_sequence
 from repro.benchmark.tapestry import DBtapestry
-from repro.engines import ColumnStoreEngine, CrackingEngine, SortedEngine
+from repro.engines import DatabaseEngine, SortedEngine
 from repro.experiments.common import ExperimentResult, Series, standard_parser
 
 DEFAULT_ROWS = 1_000_000
@@ -49,12 +49,11 @@ def run(
     x = list(range(1, steps + 1))
     totals = {}
     touched = {}
-    for label, engine_factory in (
-        ("nocrack", ColumnStoreEngine),
-        ("sort", SortedEngine),
-        ("crack", CrackingEngine),
+    for label, engine in (
+        ("nocrack", DatabaseEngine(cracking=False)),
+        ("sort", SortedEngine()),
+        ("crack", DatabaseEngine(cracking=True)),
     ):
-        engine = engine_factory()
         engine.load(tapestry.build_relation("R"))
         sequence = run_sequence(engine, "R", queries, delivery="count",
                                 profile="strolling")

@@ -8,15 +8,18 @@ a default solution" — an expensive nested-loop join — while MonetDB
 handles long chains efficiently.
 
 Reproduction: the row store's optimizer has a bounded DP budget and falls
-back to nested loops past it; the column store does pairwise vectorised
-merge joins.  Expected shape: the row-store curve turns super-linear at
-the fallback point; the column-store curve stays near-linear to k = 128.
+back to nested loops past it; the column store (``DatabaseEngine``) does
+pairwise vectorised merge joins — a loop of the batch executor's join
+kernel, not a planned SQL statement, whose join-order search would itself
+grow super-linearly with the chain.  Expected shape: the row-store curve
+turns super-linear at the fallback point; the column-store curve stays
+near-linear to k = 128.
 """
 
 from __future__ import annotations
 
 from repro.benchmark.tapestry import DBtapestry
-from repro.engines import ColumnStoreEngine, RowStoreEngine
+from repro.engines import DatabaseEngine, RowStoreEngine
 from repro.engines.base import ChainTimeout
 from repro.experiments.common import ExperimentResult, Series, standard_parser
 
@@ -36,7 +39,7 @@ def run(
     """Produce the Figure 9 series (seconds per chain length)."""
     tapestry = DBtapestry(n_rows, arity=2, seed=seed)
     row_engine = RowStoreEngine(join_budget=budget)
-    col_engine = ColumnStoreEngine()
+    col_engine = DatabaseEngine(cracking=False)
     row_engine.load(tapestry.build_relation("R"))
     col_engine.load(tapestry.build_relation("R"))
     result = ExperimentResult(

@@ -3,7 +3,8 @@
 The paper defines three user profiles but only plots homerun (Figure 10)
 and strolling (Figure 11).  This harness completes the set: a fixed-size
 window of σN tuples drifts toward its final location with the answer-set
-overlap growing to 100%.
+overlap growing to 100%.  Run, like Figure 10, on the shipped
+``Database`` with the cracker off and on (``DatabaseEngine``).
 
 Expected shape: cracking is even stronger here than in the homerun —
 consecutive windows overlap, so most of each query's range is already
@@ -15,7 +16,7 @@ from __future__ import annotations
 from repro.benchmark.profiles import MQS, hiking_sequence
 from repro.benchmark.runner import run_sequence
 from repro.benchmark.tapestry import DBtapestry
-from repro.engines import ColumnStoreEngine, CrackingEngine
+from repro.engines import DatabaseEngine
 from repro.experiments.common import ExperimentResult, Series, standard_parser
 
 DEFAULT_ROWS = 1_000_000
@@ -45,9 +46,8 @@ def run(
     )
     x = list(range(1, steps + 1))
     totals = {}
-    for label, engine_factory in (("nocrack", ColumnStoreEngine),
-                                  ("crack", CrackingEngine)):
-        engine = engine_factory()
+    for label, cracking in (("nocrack", False), ("crack", True)):
+        engine = DatabaseEngine(cracking=cracking)
         engine.load(tapestry.build_relation("R"))
         sequence = run_sequence(engine, "R", queries, delivery="count",
                                 profile="hiking")

@@ -75,27 +75,32 @@ def headline_claims(results: dict[str, ExperimentResult]) -> list[str]:
         "Fig 3: cracking breaks even within a handful of selective queries",
         all(v is not None and v <= 12 for v in selective),
     ))
+    fig8_result = results["fig8"]
+    target = fig8_result.series_by_label("Target selectivity").y[-1]
     lines.append(_claim(
         "Fig 8: all contraction curves end at the target selectivity",
-        all(abs(s.y[-1] - s.y[-1]) < 1e-9 for s in results["fig8"].series),
+        all(abs(s.y[-1] - target) < 1e-9 for s in fig8_result.series),
     ))
     lines.append(_claim(
         "Fig 9: row-store optimizer falls back on long chains",
         bool(results["fig9"].notes.get("rowstore_fallback_lengths")),
     ))
-    fig10_result = results["fig10"]
-    crack_wins = all(
-        fig10_result.series_by_label(f"crack {pct}%").y[-1]
-        < fig10_result.series_by_label(f"nocrack {pct}%").y[-1]
-        for pct in (5, 45, 75)
-        if any(s.label == f"crack {pct}%" for s in fig10_result.series)
-    )
-    lines.append(_claim("Fig 10: cracking beats scans cumulatively", crack_wins))
-    fig11_result = results["fig11"]
+    # Figures 10/11 are judged on the deterministic cost series (tuples
+    # read + moved), as tests/test_experiments.py does: cumulative
+    # wall-clock totals of two engine passes sit inside CPU noise.
+    touched = results["fig10"].notes["tuples_touched"]
+    lines.append(_claim(
+        "Fig 10: cracking beats scans cumulatively",
+        all(
+            touched[label] < touched[f"no{label}"]
+            for label in touched
+            if label.startswith("crack")
+        ),
+    ))
+    touched = results["fig11"].notes["tuples_touched"]
     lines.append(_claim(
         "Fig 11: cracking beats repeated scans on strolls",
-        fig11_result.series_by_label("crack").y[-1]
-        < fig11_result.series_by_label("nocrack").y[-1],
+        touched["crack"] < touched["nocrack"],
     ))
     lines.append(_claim(
         "§5.1: SQL-level cracking costs an order of magnitude over the query",

@@ -587,9 +587,30 @@ def build_plan(
         tree = (VecLimit if vector else Limit)(tree, query.limit)
     if query.into is not None:
         tree = (VecMaterialize if vector else Materialize)(
-            tree, query.into, tracker=tracker
+            tree, query.into, tracker=tracker,
+            col_types=_output_types(query, catalog, tree.columns),
         )
     return tree
+
+
+def _output_types(
+    query: AnalyzedQuery, catalog: Catalog, columns: list[str]
+) -> list[str]:
+    """The column types of a ``SELECT … INTO`` target, from the sources.
+
+    Inferring them from the answer would type every column of an empty
+    one ``int``.  An aggregate takes its argument's type, except that
+    ``count`` is ``int`` and ``avg`` is ``float``.
+    """
+    types = {
+        f"{ref.binding}.{column.name}": column.col_type
+        for ref in query.tables
+        for column in catalog.table(ref.name).schema
+    }
+    for fn, name in query.aggregates:
+        key = f"{fn}({'*' if name is None else name})"
+        types[key] = {"count": "int", "avg": "float"}.get(fn) or types[name]
+    return [types[name] for name in columns]
 
 
 def _needed_columns(query: AnalyzedQuery) -> dict[str, set[str]] | None:

@@ -525,7 +525,8 @@ class VecMaterialize(VecOperator):
     """Pipeline breaker writing the batch stream into a new Relation.
 
     The columnar twin of the tuple-mode Materialize: columns are built
-    with bulk appends instead of per-tuple inserts.
+    with bulk appends instead of per-tuple inserts, logged as one WAL
+    record.
     """
 
     def __init__(
@@ -566,7 +567,7 @@ class VecMaterialize(VecOperator):
         if self.tracker is not None:
             tuple_bytes = relation.tuple_bytes
             rows = len(relation)
-            self.tracker.log_tuples(rows, tuple_bytes)
+            self.tracker.log_bulk(rows, tuple_bytes)
             self.tracker.write_bytes(self.name, rows * tuple_bytes)
         self.result = relation
         return relation

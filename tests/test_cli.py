@@ -219,9 +219,9 @@ class TestHikingExperiment:
         from repro.benchmark.profiles import MQS, hiking_sequence
         from repro.benchmark.runner import run_sequence
         from repro.benchmark.tapestry import DBtapestry
-        from repro.engines import CrackingEngine
+        from repro.engines import DatabaseEngine
 
-        engine = CrackingEngine()
+        engine = DatabaseEngine(cracking=True)
         engine.load(DBtapestry(20_000, seed=0).build_relation("R"))
         mqs = MQS(alpha=2, n=20_000, k=8, sigma=0.1)
         queries = hiking_sequence(mqs, attr="a", seed=0)

@@ -1,4 +1,4 @@
-"""Tests for the five query engines, including cross-engine equivalence."""
+"""Tests for the query engines, including cross-engine equivalence."""
 
 import numpy as np
 import pytest
@@ -7,31 +7,30 @@ from hypothesis import strategies as st
 
 from repro.benchmark.tapestry import DBtapestry
 from repro.engines import (
-    ColumnStoreEngine,
-    CrackingEngine,
+    DatabaseEngine,
     RowStoreEngine,
     SortedEngine,
     SQLCrackingEngine,
-    vector_equi_join,
 )
 from repro.engines.base import DELIVERY_COUNT, DELIVERY_MATERIALISE, DELIVERY_PRINT
 from repro.errors import ExecutionError
 from repro.storage.table import Column, Relation, Schema
+from repro.volcano.vectorized import vector_equi_join
 
-ALL_ENGINES = (
-    RowStoreEngine,
-    ColumnStoreEngine,
-    CrackingEngine,
-    SortedEngine,
-    SQLCrackingEngine,
-)
+ALL_ENGINES = {
+    "rowstore": RowStoreEngine,
+    "columnstore": lambda: DatabaseEngine(cracking=False),
+    "cracking": lambda: DatabaseEngine(cracking=True),
+    "sorted": SortedEngine,
+    "sql_cracking": SQLCrackingEngine,
+}
 
 
 def fresh_table(n=2000, seed=9):
     return DBtapestry(n, arity=2, seed=seed).build_relation("R")
 
 
-@pytest.fixture(params=ALL_ENGINES, ids=lambda cls: cls.name)
+@pytest.fixture(params=list(ALL_ENGINES.values()), ids=list(ALL_ENGINES))
 def engine(request):
     instance = request.param()
     instance.load(fresh_table())
@@ -81,7 +80,7 @@ class TestRangeQueries:
 
 class TestCrossEngineEquivalence:
     def test_many_queries_agree(self, rng):
-        engines = [cls() for cls in ALL_ENGINES]
+        engines = [factory() for factory in ALL_ENGINES.values()]
         for instance in engines:
             instance.load(fresh_table())
         reference = np.asarray(fresh_table().column_values("a"))
@@ -134,7 +133,7 @@ class TestRowStore:
 
 class TestColumnStore:
     def test_reads_only_predicate_column(self):
-        engine = ColumnStoreEngine()
+        engine = DatabaseEngine(cracking=False)
         engine.load(fresh_table())
         outcome = engine.range_query("R", "a", 1, 10, delivery=DELIVERY_COUNT)
         row_engine = RowStoreEngine()
@@ -143,7 +142,7 @@ class TestColumnStore:
         assert outcome.io.page_reads < row_outcome.io.page_reads
 
     def test_join_chain_matches_rowstore(self):
-        column = ColumnStoreEngine()
+        column = DatabaseEngine(cracking=False)
         row = RowStoreEngine()
         for instance in (column, row):
             instance.load(fresh_table(120))
@@ -163,14 +162,14 @@ class TestColumnStore:
 
 class TestCrackingEngine:
     def test_pieces_accumulate(self):
-        engine = CrackingEngine()
+        engine = DatabaseEngine(cracking=True)
         engine.load(fresh_table())
         engine.range_query("R", "a", 100, 200)
         engine.range_query("R", "a", 500, 600)
-        assert engine.piece_count("R", "a") >= 5
+        assert engine.db.piece_count("R", "a") >= 5
 
     def test_crack_writes_reported(self):
-        engine = CrackingEngine()
+        engine = DatabaseEngine(cracking=True)
         engine.load(fresh_table())
         outcome = engine.range_query("R", "a", 100, 200)
         assert outcome.extra["tuples_moved"] > 0
@@ -178,14 +177,14 @@ class TestCrackingEngine:
         assert repeat.extra["tuples_moved"] == 0
 
     def test_has_cracker_lazy(self):
-        engine = CrackingEngine()
+        engine = DatabaseEngine(cracking=True)
         engine.load(fresh_table())
-        assert not engine.has_cracker("R", "a")
+        assert ("R", "a") not in engine.db.cracked_columns()
         engine.range_query("R", "a", 1, 10)
-        assert engine.has_cracker("R", "a")
+        assert ("R", "a") in engine.db.cracked_columns()
 
     def test_materialise_reconstructs_full_tuples(self):
-        engine = CrackingEngine()
+        engine = DatabaseEngine(cracking=True)
         engine.load(fresh_table())
         engine.range_query("R", "a", 100, 110, delivery=DELIVERY_MATERIALISE,
                            target_name="out")
@@ -264,8 +263,8 @@ class TestSQLCrackingEngine:
     )
 )
 def test_property_cracking_engine_equals_columnstore(bounds):
-    cracking = CrackingEngine()
-    column = ColumnStoreEngine()
+    cracking = DatabaseEngine(cracking=True)
+    column = DatabaseEngine(cracking=False)
     for instance in (cracking, column):
         instance.load(fresh_table(1000, seed=4))
     for low, span in bounds:

@@ -11,7 +11,7 @@ from repro.core import (
     wedge_crack,
     xi_crack_range,
 )
-from repro.engines import ColumnStoreEngine, CrackingEngine, SQLCrackingEngine
+from repro.engines import DatabaseEngine, SQLCrackingEngine
 from repro.sql import Database
 from repro.storage.transaction import TransactionManager
 
@@ -64,7 +64,7 @@ class TestPaperSection5:
     def test_sql_level_vs_kernel_level_cracking_cost(self):
         tapestry = DBtapestry(5000, seed=1)
         sql_engine = SQLCrackingEngine()
-        kernel_engine = CrackingEngine()
+        kernel_engine = DatabaseEngine(cracking=True)
         for engine in (sql_engine, kernel_engine):
             engine.load(tapestry.build_relation("R"))
         sql_outcome = sql_engine.range_query("R", "a", 100, 350, delivery="materialise")
@@ -80,8 +80,8 @@ class TestPaperSection5:
         tapestry = DBtapestry(1_000_000, seed=2)
         mqs = MQS(alpha=2, n=1_000_000, k=64, sigma=0.05, rho="exponential")
         queries = homerun_sequence(mqs, attr="a", seed=2)
-        crack = CrackingEngine()
-        scan = ColumnStoreEngine()
+        crack = DatabaseEngine(cracking=True)
+        scan = DatabaseEngine(cracking=False)
         for engine in (crack, scan):
             engine.load(tapestry.build_relation("R"))
         crack_result = run_sequence(crack, "R", queries)

@@ -11,7 +11,7 @@ def _mini_results():
                          selectivities=(0.05,), repetitions=3),
         "fig3": fig3.run(n_granules=20_000, steps=20,
                          selectivities=(0.05, 0.1, 0.01), repetitions=3),
-        "fig8": fig8.run(k=5),
+        "fig8": fig8.run(),
         "fig9": _fake_fig9(),
         "fig10": _fake_fig10(),
         "fig11": _fake_fig11(),
@@ -41,17 +41,24 @@ def _fake_fig9():
 def _fake_fig10():
     from repro.experiments.common import ExperimentResult, Series
 
-    result = ExperimentResult(name="fig10", title="t", x_label="x", y_label="y")
+    result = ExperimentResult(name="fig10", title="t", x_label="x", y_label="y",
+                              notes={"tuples_touched": {}})
     for pct in (5, 45, 75):
         result.series.append(Series(label=f"nocrack {pct}%", x=[1], y=[2.0]))
         result.series.append(Series(label=f"crack {pct}%", x=[1], y=[1.0]))
+        result.notes["tuples_touched"].update(
+            {f"nocrack {pct}%": 200, f"crack {pct}%": 100}
+        )
     return result
 
 
 def _fake_fig11():
     from repro.experiments.common import ExperimentResult, Series
 
-    result = ExperimentResult(name="fig11", title="t", x_label="x", y_label="y")
+    result = ExperimentResult(
+        name="fig11", title="t", x_label="x", y_label="y",
+        notes={"tuples_touched": {"nocrack": 200, "sort": 120, "crack": 100}},
+    )
     result.series.append(Series(label="nocrack", x=[1], y=[2.0]))
     result.series.append(Series(label="sort", x=[1], y=[1.2]))
     result.series.append(Series(label="crack", x=[1], y=[1.0]))
@@ -75,9 +82,15 @@ class TestHeadlineClaims:
 
     def test_failed_claim_is_flagged(self):
         results = _mini_results()
-        results["fig11"].series_by_label("crack").y[-1] = 10.0
+        results["fig11"].notes["tuples_touched"]["crack"] = 1000
         lines = headline_claims(results)
         assert any("❌" in line and "Fig 11" in line for line in lines)
+
+    def test_fig8_curve_off_target_is_flagged(self):
+        results = _mini_results()
+        results["fig8"].series_by_label("Linear contraction").y[-1] += 0.01
+        lines = headline_claims(results)
+        assert any("❌" in line and "Fig 8" in line for line in lines)
 
 
 class TestBundle:

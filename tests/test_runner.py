@@ -5,13 +5,13 @@ import pytest
 from repro.benchmark.profiles import MQS, RangeQuery, homerun_sequence
 from repro.benchmark.runner import compare_engines, run_sequence
 from repro.benchmark.tapestry import DBtapestry
-from repro.engines import ColumnStoreEngine, CrackingEngine
+from repro.engines import DatabaseEngine
 from repro.errors import BenchmarkError
 
 
 @pytest.fixture
 def loaded_engine():
-    engine = ColumnStoreEngine()
+    engine = DatabaseEngine(cracking=False)
     engine.load(DBtapestry(2000, seed=3).build_relation("R"))
     return engine
 
@@ -48,7 +48,7 @@ class TestRunSequence:
         assert summary["steps"] == 8
 
     def test_cracking_metrics_captured(self, queries):
-        engine = CrackingEngine()
+        engine = DatabaseEngine(cracking=True)
         engine.load(DBtapestry(2000, seed=3).build_relation("R"))
         result = run_sequence(engine, "R", queries)
         assert result.steps[0].pieces >= 2
@@ -57,7 +57,7 @@ class TestRunSequence:
 
 class TestCompareEngines:
     def test_results_keyed_by_engine(self, queries):
-        engines = [ColumnStoreEngine(), CrackingEngine()]
+        engines = [DatabaseEngine(cracking=False), DatabaseEngine(cracking=True)]
         for engine in engines:
             engine.load(DBtapestry(2000, seed=3).build_relation("R"))
         results = compare_engines(engines, "R", queries)

@@ -168,6 +168,28 @@ class TestSelects:
         assert result.affected == 20
         assert db.execute("SELECT count(*) FROM piece").scalar() == 20
 
+    @pytest.mark.parametrize("mode", ["tuple", "vector"])
+    @pytest.mark.parametrize("cracking", [False, True], ids=["scan", "crack"])
+    def test_select_into_empty_answer_keeps_source_types(self, mode, cracking):
+        db = Database(cracking=cracking, mode=mode)
+        db.execute("CREATE TABLE r (a integer, tag varchar, w float)")
+        db.execute("INSERT INTO r VALUES (1, 'x', 0.5), (2, 'y', 1.5)")
+        db.execute("SELECT * INTO e FROM r WHERE a BETWEEN 500 AND 900")
+        assert [c.col_type for c in db.catalog.table("e").schema] == [
+            "int", "str", "float",
+        ]
+        db.execute("SELECT tag, max(w), count(*) INTO g FROM r WHERE a > 9 GROUP BY tag")
+        assert [c.col_type for c in db.catalog.table("g").schema] == [
+            "str", "float", "int",
+        ]
+
+    @pytest.mark.parametrize("mode, records", [("tuple", 20), ("vector", 1)])
+    def test_select_into_wal_records(self, db, mode, records):
+        # The vector executor appends the target in bulk: one WAL record.
+        before = db.tracker.wal.records
+        db.execute("SELECT * INTO piece FROM r WHERE a <= 20", mode=mode)
+        assert db.tracker.wal.records - before == records
+
     def test_contradictory_range_empty(self, db):
         assert db.execute("SELECT count(*) FROM r WHERE a > 10 AND a < 5").scalar() == 0
 

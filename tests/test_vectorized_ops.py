@@ -295,9 +295,9 @@ class TestVecMaterialize:
     def test_engine_materialise_preserves_schema_on_empty_answer(self):
         # Regression: an empty cracked selection must not collapse str/float
         # columns of the materialised target to int.
-        from repro.engines import VectorizedCrackedEngine
+        from repro.engines import DatabaseEngine
 
-        engine = VectorizedCrackedEngine()
+        engine = DatabaseEngine(cracking=True)
         engine.load(
             _relation(
                 "R",

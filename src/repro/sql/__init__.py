@@ -24,7 +24,7 @@ from repro.sql.ast_nodes import (
 )
 from repro.sql.lexer import Token, tokenize
 from repro.sql.parser import parse
-from repro.sql.plan_cache import PlanCache, SelectTemplate, bind_statement, normalize
+from repro.sql.plan_cache import PlanCache, SelectTemplate, bind_statement, template_key
 from repro.sql.planner import (
     PLAN_MODES,
     CrackerProvider,
@@ -68,8 +68,8 @@ __all__ = [
     "bind_statement",
     "build_plan",
     "extract_crackers",
-    "normalize",
     "parse",
     "split_statements",
+    "template_key",
     "tokenize",
 ]

@@ -5,16 +5,17 @@ optimization, i.e. the translation of an SQL statement into a relational
 algebra expression" of the form π γ σ (R1 ⋈ ... ⋈ Rm) (Eq. 1).
 
 :func:`analyze` resolves names against the catalog, folds comparison
-conjunctions into range predicates, classifies join predicates, and emits
-the *cracker advice* — the list of Ξ/Ψ/^/Ω operations the query suggests.
+conjunctions into range predicates, classifies join predicates, and keeps
+what the *cracker advice* needs — the list of Ξ/Ψ/^/Ω operations the
+query suggests, which :func:`extract_crackers` formats on first read.
 The advice is what the paper's architecture inserts "between the semantic
 analyzer and the query optimizer" (§3).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import SQLAnalysisError
 from repro.sql.ast_nodes import (
@@ -48,10 +49,6 @@ class RangePredicate:
     high: float | None = None
     low_inclusive: bool = True
     high_inclusive: bool = True
-
-    @property
-    def is_double_sided(self) -> bool:
-        return self.low is not None and self.high is not None
 
     @property
     def is_point(self) -> bool:
@@ -120,7 +117,13 @@ class AnalyzedQuery:
     into: str | None
     limit: int | None
     order_by: list[tuple[str, bool]] = field(default_factory=list)  # (qualified, desc)
-    advice: list[CrackerAdvice] = field(default_factory=list)
+    # Column counts of the projected bindings' tables, as analyzed (Ψ).
+    widths: dict[str, int] = field(default_factory=dict)
+
+    @cached_property
+    def advice(self) -> list[CrackerAdvice]:
+        """The cracker advice, formatted on first read (few ever read it)."""
+        return extract_crackers(self)
 
 
 def analyze(stmt: SelectStmt, catalog: Catalog) -> AnalyzedQuery:
@@ -185,7 +188,11 @@ def analyze(stmt: SelectStmt, catalog: Catalog) -> AnalyzedQuery:
             )
         order_by.append((qualified, item.descending))
 
-    query = AnalyzedQuery(
+    widths = {
+        binding: len(catalog.table(bindings[binding].name).schema)
+        for binding in {name.split(".", 1)[0] for name in projections}
+    }
+    return AnalyzedQuery(
         tables=stmt.tables,
         projections=projections if projections else None,
         aggregates=aggregates,
@@ -196,9 +203,8 @@ def analyze(stmt: SelectStmt, catalog: Catalog) -> AnalyzedQuery:
         into=stmt.into,
         limit=stmt.limit,
         order_by=order_by,
+        widths=widths,
     )
-    query.advice = extract_crackers(query, catalog, bindings)
-    return query
 
 
 @dataclass
@@ -390,9 +396,7 @@ def _resolve_items(stmt: SelectStmt, resolve):
     return projections, aggregates
 
 
-def extract_crackers(
-    query: AnalyzedQuery, catalog: Catalog, bindings: dict[str, TableRef]
-) -> list[CrackerAdvice]:
+def extract_crackers(query: AnalyzedQuery) -> list[CrackerAdvice]:
     """The cracker extraction stage (§3): one advice entry per operator.
 
     * every range selection suggests a Ξ crack;
@@ -413,8 +417,7 @@ def extract_crackers(
             binding, attr = name.split(".", 1)
             by_binding.setdefault(binding, []).append(attr)
         for binding, attrs in by_binding.items():
-            table = catalog.table(bindings[binding].name)
-            if len(attrs) < len(table.schema):
+            if len(attrs) < query.widths[binding]:
                 advice.append(
                     CrackerAdvice(op="Ψ", params=f"π[{', '.join(attrs)}]({binding})")
                 )

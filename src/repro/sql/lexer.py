@@ -3,11 +3,16 @@
 Covers: CREATE TABLE, INSERT INTO ... VALUES / SELECT, UPDATE ... SET,
 DELETE FROM, SELECT with projections, aggregates, WHERE conjunctions of
 range/join predicates, BETWEEN, GROUP BY, INTO and LIMIT.
+
+One compiled alternation scans the text.  The plan cache's literal
+splitter shares :data:`NUMBER` and :data:`STRING`, the script splitter
+:data:`STRING`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import SQLSyntaxError
 
@@ -19,11 +24,22 @@ KEYWORDS = {
     "explain", "index",
 }
 
-SYMBOLS = ("<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", "*", ".", ";")
+#: At most one '.': ``1.2.3`` lexes as ``1.2`` ``.`` ``3``, which no rule parses.
+NUMBER = r"\d+(?:\.\d*)?"
+STRING = r"'[^']*'"  # no escapes: 'it''s' is two literals
+
+_TOKEN = re.compile(
+    r"\s+|--[^\n]*"  # skipped: whitespace, line comments
+    r"|(?P<word>[^\W\d]\w*)"
+    rf"|(?P<number>-?{NUMBER})"
+    rf"|(?P<string>{STRING})"
+    r"|(?P<symbol><=|>=|<>|!=|[=<>(),*.;])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token: kind is 'keyword', 'ident', 'number', 'string' or 'symbol'."""
 
     kind: str
@@ -34,55 +50,31 @@ class Token:
 def tokenize(text: str) -> list[Token]:
     """Tokenise ``text``; raises :class:`SQLSyntaxError` on bad input."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    append = tokens.append
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind is None:
             continue
-        if ch == "-" and i + 1 < n and text[i + 1] == "-":
-            # Line comment.
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            kind = "keyword" if word.lower() in KEYWORDS else "ident"
-            value = word.lower() if kind == "keyword" else word
-            tokens.append(Token(kind, value, start))
-            continue
-        if ch.isdigit() or (
-            ch == "-" and i + 1 < n and text[i + 1].isdigit() and _prefix_negative(tokens)
-        ):
-            start = i
-            i += 1 if ch == "-" else 0
-            while i < n and (text[i].isdigit() or text[i] == "."):
-                i += 1
-            tokens.append(Token("number", text[start:i], start))
-            continue
-        if ch == "'":
-            start = i
-            i += 1
-            while i < n and text[i] != "'":
-                i += 1
-            if i >= n:
-                raise SQLSyntaxError(f"unterminated string literal at {start}")
-            tokens.append(Token("string", text[start + 1 : i], start))
-            i += 1
-            continue
-        matched = False
-        for symbol in SYMBOLS:
-            if text.startswith(symbol, i):
-                tokens.append(Token("symbol", symbol, i))
-                i += len(symbol)
-                matched = True
-                break
-        if not matched:
-            raise SQLSyntaxError(f"unexpected character {ch!r} at position {i}")
+        value = match[kind]
+        start = match.start()
+        if kind == "word":
+            lowered = value.lower()
+            if lowered in KEYWORDS:
+                append(Token("keyword", lowered, start))
+            else:
+                append(Token("ident", value, start))
+        elif kind == "symbol":
+            append(Token("symbol", value, start))
+        elif kind == "number":
+            if value[0] == "-" and not _prefix_negative(tokens):
+                raise SQLSyntaxError(f"unexpected character '-' at position {start}")
+            append(Token("number", value, start))
+        elif kind == "string":
+            append(Token("string", value[1:-1], start))
+        elif value == "'":
+            raise SQLSyntaxError(f"unterminated string literal at {start}")
+        else:
+            raise SQLSyntaxError(f"unexpected character {value!r} at position {start}")
     return tokens
 
 

@@ -82,9 +82,9 @@ class _Cursor:
 def parse(sql: str, tokens: list[Token] | None = None):
     """Parse one SQL statement (a trailing semicolon is allowed).
 
-    ``tokens`` lets callers that already lexed the text (the plan cache,
-    which tokenises once to normalise the statement) skip the second
-    lexer pass; they must be exactly ``tokenize(sql)``.
+    ``tokens`` lets callers that already lexed the text (the session,
+    which times the lexer apart from the parser) skip the second lexer
+    pass; they must be exactly ``tokenize(sql)``.
     """
     cursor = _Cursor(tokenize(sql) if tokens is None else tokens)
     token = cursor.peek()
@@ -145,7 +145,10 @@ def _parse_select(cursor: _Cursor) -> SelectStmt:
             order_by.append(_parse_order_item(cursor))
     limit = None
     if cursor.accept("keyword", "limit"):
-        limit = int(cursor.expect("number").value)
+        count = cursor.expect("number").value
+        if "." in count:
+            raise SQLSyntaxError(f"LIMIT needs an integer, got {count!r}")
+        limit = int(count)
     return SelectStmt(
         items=items, tables=tables, where=where, group_by=group_by,
         order_by=order_by, into=into, limit=limit,

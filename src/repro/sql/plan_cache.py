@@ -12,13 +12,17 @@ expensive, reusable stages:
   :class:`~repro.sql.analyzer.AnalyzedQuery`.  A repeated statement skips
   the lexer, the parser *and* the analyzer; only the physical plan (which
   embeds the per-execution cracked answer) is rebuilt.
-* **template level** — the statement is lexed once, its literals are
-  replaced by placeholders, and the normalised token string maps to the
-  parsed AST *template*.  A statement that differs only in constants
-  rebinds them into a fresh AST (:func:`bind_statement`) and re-runs the
-  (cheap, value-dependent) analyzer — folding range conjunctions can
-  depend on the literal values, so analysis is never reused across
-  different constants.
+* **template level** — one regex split of the SQL text
+  (:func:`template_key`) replaces its literals by placeholders, and that
+  key maps to the parsed AST *template*.  A statement that differs only
+  in constants skips the lexer and the parser: it rebinds its constants
+  into a fresh AST (:func:`bind_statement`) and re-runs the (cheap,
+  value-dependent) analyzer — folding range conjunctions can depend on
+  the literal values, so analysis is never reused across different
+  constants.  Keys are textual: a variant in keyword case or whitespace
+  is a template of its own.  A template is stored only when the
+  parser's literals equal the key's (:func:`make_template`), so a key
+  never stands for a statement it would rebind wrongly.
 
 Invalidation is per table: every entry records an epoch per referenced
 table, and the :class:`Database` bumps a table's epoch on *every*
@@ -44,14 +48,16 @@ many threads.
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from numbers import Integral
 
 from repro.errors import SQLAnalysisError
 from repro.sql.analyzer import AnalyzedQuery
 from repro.sql.ast_nodes import Between, Comparison, Const, SelectStmt
-from repro.sql.lexer import Token
+from repro.sql.lexer import NUMBER, STRING
 
 #: Cache capacities (entries); oldest-used entries are evicted first.
 #: The exact level holds up to this many entries in *each* segment.
@@ -59,29 +65,32 @@ EXACT_CAPACITY = 512
 TEMPLATE_CAPACITY = 256
 
 
-def literal_value(token: Token):
-    """The python value of a literal token (mirrors the parser's Const)."""
-    if token.kind == "number":
-        return float(token.value) if "." in token.value else int(token.value)
-    return token.value
+#: Groups: a string, a ``--`` comment (kept as text), a number.  A digit
+#: after a word character is part of the word; ``-`` before a digit is a
+#: sign (where ``_prefix_negative`` disagrees, the lexer rejects the text,
+#: so it never stores a template).  The lookahead lets the scan skip in C.
+_LITERALS = re.compile(rf"(?=[-'\d])(?:({STRING})|(--[^\n]*)|(-?(?<!\w){NUMBER}))")
 
 
-def normalize(tokens: list[Token]) -> tuple[str, tuple]:
-    """Normalised statement key and the literals it abstracts over.
+def template_key(sql: str) -> tuple[str, tuple]:
+    """``sql`` with each literal replaced by ``?``, and those literals.
 
-    Number and string tokens become ``?`` placeholders; everything else
-    keeps its (case-normalised for keywords) spelling.  Two statements
-    share a key exactly when they differ only in literal constants.
+    All other text, comments included, is kept verbatim, so a case or
+    whitespace variant is a different key.
     """
-    parts: list[str] = []
-    literals: list = []
-    for token in tokens:
-        if token.kind in ("number", "string"):
-            parts.append("?")
-            literals.append(literal_value(token))
+    parts = _LITERALS.split(sql)
+    literals = []
+    for index in range(1, len(parts), 4):
+        string, comment, number = parts[index : index + 3]
+        if comment is not None:
+            parts[index : index + 3] = ("", comment, "")
+            continue
+        parts[index : index + 3] = ("?", "", "")
+        if number is None:
+            literals.append(string[1:-1])
         else:
-            parts.append(token.value)
-    return " ".join(parts), tuple(literals)
+            literals.append(float(number) if "." in number else int(number))
+    return "".join(parts), tuple(literals)
 
 
 def statement_literals(stmt: SelectStmt) -> tuple:
@@ -89,7 +98,7 @@ def statement_literals(stmt: SelectStmt) -> tuple:
 
     WHERE conditions in clause order (BETWEEN yields low then high), then
     the LIMIT count.  Used to verify that :func:`bind_statement` would
-    reproduce the parsed statement from the lexer's literal sequence.
+    reproduce the parsed statement from :func:`template_key`'s literals.
     """
     literals: list = []
     for condition in stmt.where:
@@ -158,19 +167,27 @@ class SelectTemplate:
     stmt: SelectStmt
     slots: int
 
+    def fits(self, literals: tuple) -> bool:
+        """One literal per slot, and an integer for a LIMIT (the last)."""
+        return len(literals) == self.slots and (
+            self.stmt.limit is None or isinstance(literals[-1], Integral)
+        )
+
     def bind(self, literals) -> SelectStmt:
         literals = tuple(literals)
         if len(literals) != self.slots:
             raise SQLAnalysisError(
                 f"statement takes {self.slots} parameter(s), got {len(literals)}"
             )
+        if not self.fits(literals):
+            raise SQLAnalysisError(f"LIMIT takes an integer, got {literals[-1]!r}")
         return bind_statement(self.stmt, literals)
 
 
 def make_template(stmt: SelectStmt, literals: tuple) -> SelectTemplate | None:
     """Build a template, or None when the statement is not parameterisable.
 
-    A SELECT is cacheable when rebinding the lexer's literal sequence
+    A SELECT is cacheable when rebinding the key's literal sequence
     reproduces exactly the constants the parser extracted (the positional
     contract of :func:`bind_statement`) and it has no side effect
     (``INTO`` materialises a table, i.e. DDL).  The self-check keeps the
@@ -375,9 +392,3 @@ class PlanCache:
                 "exact_entries": len(self._probation) + len(self._protected),
                 "template_entries": len(self._templates),
             }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._probation.clear()
-            self._protected.clear()
-            self._templates.clear()

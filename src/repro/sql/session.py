@@ -39,9 +39,9 @@ from repro.sql.ast_nodes import (
     SelectStmt,
     UpdateStmt,
 )
-from repro.sql.lexer import tokenize
+from repro.sql.lexer import STRING, tokenize
 from repro.sql.parser import parse
-from repro.sql.plan_cache import PlanCache, SelectTemplate, make_template, normalize
+from repro.sql.plan_cache import PlanCache, SelectTemplate, make_template, template_key
 from repro.sql.planner import PLAN_MODES, CrackerProvider, build_plan
 from repro.storage.catalog import Catalog
 from repro.storage.pages import IOTracker
@@ -51,30 +51,18 @@ from repro.volcano.operators import Materialize
 from repro.volcano.vectorized import VecMaterialize, VecOperator, concat_batches
 
 
+#: One statement: string literals (an unterminated one runs to the end
+#: of the script) and any other character but ``;``.
+_STATEMENT = re.compile(rf"(?:{STRING}|'[^']*|[^;'])+")
+
+
 def split_statements(script: str) -> list[str]:
     """Split a script on ``;`` outside string literals.
 
     The naive ``str.split(";")`` would cut a varchar literal like
-    ``'a;b'`` in half; this walker tracks single-quote state instead.
-    Empty fragments are dropped.
+    ``'a;b'`` in half.  Empty fragments are dropped.
     """
-    statements: list[str] = []
-    buffer: list[str] = []
-    in_string = False
-    for char in script:
-        if char == "'":
-            in_string = not in_string
-        if char == ";" and not in_string:
-            text = "".join(buffer).strip()
-            if text:
-                statements.append(text)
-            buffer = []
-        else:
-            buffer.append(char)
-    text = "".join(buffer).strip()
-    if text:
-        statements.append(text)
-    return statements
+    return [text for text in map(str.strip, _STATEMENT.findall(script)) if text]
 
 
 #: ``EXPLAIN ANALYZE <stmt>`` prefix, intercepted before lexing — the
@@ -84,6 +72,8 @@ _EXPLAIN_ANALYZE = re.compile(r"^\s*explain\s+analyze\b\s*", re.IGNORECASE)
 #: First-keyword-letter → statement kind, for per-kind latency metrics.
 #: The grammar has exactly one statement verb per letter, so one char
 #: classifies without lexing (SELECT ... INTO still counts as select).
+#: Leading whitespace and ``--`` comments are skipped first.
+_LEADING_NOISE = re.compile(r"(?:\s+|--[^\n]*)*")
 _KIND_BY_CHAR = {
     "s": "select",
     "i": "insert",
@@ -95,10 +85,8 @@ _KIND_BY_CHAR = {
 
 def _statement_kind(sql: str) -> str:
     """Cheap per-statement-kind classifier for the metrics hot path."""
-    for char in sql:
-        if not char.isspace():
-            return _KIND_BY_CHAR.get(char.lower(), "other")
-    return "other"
+    start = _LEADING_NOISE.match(sql).end()
+    return _KIND_BY_CHAR.get(sql[start : start + 1].lower(), "other")
 
 
 def _explain_number(value) -> str:
@@ -147,12 +135,12 @@ class QueryResult:
         columns: list[str],
         rows: list[tuple] | None = None,
         affected: int = 0,
-        advice: list | None = None,
+        query: AnalyzedQuery | None = None,
         arrays: dict[str, np.ndarray] | None = None,
     ) -> None:
         self.columns = columns
         self.affected = affected
-        self.advice = [] if advice is None else advice
+        self._query = query
         self._arrays = arrays
         self._rows = [] if rows is None and arrays is None else rows
 
@@ -179,6 +167,11 @@ class QueryResult:
                 for name, values in zip(self.columns, cells)
             }
         return self._arrays
+
+    @property
+    def advice(self) -> list:
+        """The producing SELECT's cracker advice, formatted on first read."""
+        return [] if self._query is None else self._query.advice
 
     @property
     def row_count(self) -> int:
@@ -216,10 +209,12 @@ class Database:
 
     ``plan_cache`` (default on) caches compiled statements: an exact
     repeat of a SELECT skips lexing, parsing and analysis; a SELECT that
-    differs only in literal constants skips parsing (the constants are
-    rebound into the cached template).  Entries invalidate per table on
-    every mutation (DDL, INSERT, UPDATE, DELETE).  ``prepare`` /
-    ``execute_prepared`` expose the parameterised form directly.
+    differs only in literal constants skips lexing and parsing too (one
+    regex split of the text yields its template key and constants).  Keys
+    are the text as written: a case or whitespace variant is its own
+    entry.  Entries invalidate per table on every mutation (DDL, INSERT,
+    UPDATE, DELETE).  ``prepare`` / ``execute_prepared`` expose the
+    parameterised form directly.
 
     ``crack_threshold`` T is the cut-off below which cracking stops
     (§3.4.2's cut-off points): a piece of at most T tuples is sorted in
@@ -405,46 +400,43 @@ class Database:
     def _compile_and_run(self, sql: str, mode: str | None) -> QueryResult:
         """The compile pipeline of :meth:`execute` (cache → lex → parse).
 
+        Only a SELECT computes a template key (its ``lex`` span), and it
+        tokenises and parses only on a template miss.
+
         Span instrumentation: each stage is wrapped when a trace is
         active and costs one ContextVar read when not.  The exact-hit
         path stays bare apart from an annotate guard — it is the
         sustained hot path.
         """
         cache = self._plan_cache
+        key = None
         if cache.enabled:
             query = cache.lookup_exact(sql)
             if query is not None:
                 if obs_trace.tracing():
                     obs_trace.annotate(plan_cache="exact-hit")
                 return self._execute_analyzed(query, mode=mode)
-            with obs_trace.span("lex"):
-                tokens = tokenize(sql)
-            first = tokens[0] if tokens else None
-            if first is not None and first.kind == "keyword" and first.value == "select":
+            if _statement_kind(sql) == "select":
                 cache.count_miss()
-                key, literals = normalize(tokens)
+                with obs_trace.span("lex"):
+                    key, literals = template_key(sql)
                 template = cache.lookup_template(key)
-                if template is not None and template.slots == len(literals):
+                if template is not None and template.fits(literals):
                     if obs_trace.tracing():
                         obs_trace.annotate(plan_cache="template-hit")
                     stmt = template.bind(literals)
                     return self._execute_select(stmt, mode=mode, cache_as=sql)
                 if obs_trace.tracing():
                     obs_trace.annotate(plan_cache="miss")
-                with obs_trace.span("parse"):
-                    stmt = parse(sql, tokens=tokens)
-                fresh = make_template(stmt, literals)
-                if fresh is not None:
-                    cache.store_template(key, fresh)
-                    return self._execute_select(stmt, mode=mode, cache_as=sql)
-                # Non-templatable SELECTs include SELECT ... INTO, which
-                # mutates the catalog and must reach the durable dispatch.
-                return self._dispatch_statement(stmt, sql, mode)
-            with obs_trace.span("parse"):
-                stmt = parse(sql, tokens=tokens)
-        else:
-            with obs_trace.span("parse"):
-                stmt = parse(sql)
+        with obs_trace.span("lex"):
+            tokens = tokenize(sql)
+        with obs_trace.span("parse"):
+            stmt = parse(sql, tokens=tokens)
+        if key is not None and (fresh := make_template(stmt, literals)) is not None:
+            cache.store_template(key, fresh)
+            return self._execute_select(stmt, mode=mode, cache_as=sql)
+        # Non-templatable SELECTs include SELECT ... INTO, which mutates
+        # the catalog and must reach the durable dispatch.
         return self._dispatch_statement(stmt, sql, mode)
 
     def _execute_traced(self, sql: str, mode: str | None) -> QueryResult:
@@ -571,13 +563,12 @@ class Database:
             stmt.execute()          # BETWEEN 0 AND 10
             stmt.execute((5, 25))   # BETWEEN 5 AND 25
         """
-        tokens = tokenize(sql)
-        stmt = parse(sql, tokens=tokens)
+        stmt = parse(sql)
         if not isinstance(stmt, SelectStmt):
             raise SQLAnalysisError("only SELECT statements can be prepared")
         if stmt.into is not None:
             raise SQLAnalysisError("SELECT ... INTO cannot be prepared")
-        _, literals = normalize(tokens)
+        _, literals = template_key(sql)
         template = make_template(stmt, literals)
         if template is None:
             raise SQLAnalysisError("statement cannot be parameterised")
@@ -1014,12 +1005,12 @@ class Database:
             self._plan_cache.invalidate_table(relation.name)
             return QueryResult(
                 columns=plan.columns, rows=[], affected=len(relation),
-                advice=query.advice,
+                query=query,
             )
         columns = list(plan.columns)
         with obs_trace.span("gather"):
             if not isinstance(plan, VecOperator):
-                return QueryResult(columns, list(plan), advice=query.advice)
+                return QueryResult(columns, list(plan), query=query)
             batch = concat_batches(plan)
             # The result owns its data: a column still viewing cracker or
             # BAT storage (the cracked span, a full-scan slice) is copied
@@ -1030,7 +1021,7 @@ class Database:
                 for name, array in zip(columns, batch.arrays)
             }
         # No batch at all is the empty result, which is row-native.
-        return QueryResult(columns, arrays=arrays, advice=query.advice)
+        return QueryResult(columns, arrays=arrays, query=query)
 
     # ------------------------------------------------------------------ #
     # Cracker introspection

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SQLAnalysisError
-from repro.sql import Database, normalize, tokenize
+from repro.sql import Database, template_key
 from repro.sql.plan_cache import (
     EXACT_CAPACITY,
     PlanCache,
@@ -30,24 +30,23 @@ def small_db(**kwargs) -> Database:
 
 class TestNormalize:
     def test_literals_extracted_in_order(self):
-        key, literals = normalize(
-            tokenize("SELECT * FROM r WHERE a BETWEEN 3 AND 7.5 AND tag <> 'x' LIMIT 2")
+        key, literals = template_key(
+            "SELECT * FROM r WHERE a BETWEEN 3 AND 7.5 AND tag <> 'x' LIMIT 2"
         )
         assert literals == (3, 7.5, "x", 2)
         assert key.count("?") == 4
 
     def test_literal_variants_share_a_key(self):
-        key1, _ = normalize(tokenize("SELECT * FROM r WHERE a > 5"))
-        key2, _ = normalize(tokenize("SELECT * FROM r WHERE a > -17"))
-        key3, _ = normalize(tokenize("SELECT * FROM r WHERE a > 5 AND a < 9"))
+        key1, _ = template_key("SELECT * FROM r WHERE a > 5")
+        key2, _ = template_key("SELECT * FROM r WHERE a > -17")
+        key3, _ = template_key("SELECT * FROM r WHERE a > 5 AND a < 9")
         assert key1 == key2
         assert key1 != key3
 
     def test_binder_roundtrip(self):
         sql = "SELECT r.k FROM r WHERE a BETWEEN 10 AND 20 AND tag <> 't1' LIMIT 3"
-        tokens = tokenize(sql)
-        stmt = parse(sql, tokens=tokens)
-        _, literals = normalize(tokens)
+        stmt = parse(sql)
+        _, literals = template_key(sql)
         template = make_template(stmt, literals)
         assert template is not None
         rebound = bind_statement(template.stmt, (1, 2, "zz", 9))
@@ -60,9 +59,8 @@ class TestNormalize:
 
     def test_into_not_templated(self):
         sql = "SELECT * INTO r2 FROM r WHERE a > 5"
-        tokens = tokenize(sql)
-        stmt = parse(sql, tokens=tokens)
-        _, literals = normalize(tokens)
+        stmt = parse(sql)
+        _, literals = template_key(sql)
         assert make_template(stmt, literals) is None
 
 

@@ -307,14 +307,18 @@ def _render_stats(stats: dict) -> list[str]:
         lines.append(
             f"plan cache: {cache.get('hits', 0)} exact hits, "
             f"{cache.get('template_hits', 0)} template hits, "
-            f"{cache.get('misses', 0)} misses"
+            f"{cache.get('misses', 0)} misses, "
+            f"{cache.get('dml_template_hits', 0)} DML template hits"
         )
     persistence = stats.get("persistence", {})
     if persistence.get("persistent"):
         lines.append(
-            f"persistence: generation {persistence.get('generation')}, "
+            f"persistence: generation {persistence.get('generation')} "
+            f"(durable {persistence.get('durable_generation')}), "
             f"{persistence.get('durable_statements')} durable statements, "
-            f"WAL {persistence.get('wal_bytes')} bytes"
+            f"WAL {persistence.get('wal_bytes')} bytes, checkpoint "
+            f"{'writing' if persistence.get('checkpoint_in_flight') else 'idle'}"
+            f", {persistence.get('checkpoint_failures', 0)} failed"
         )
     return lines
 
@@ -414,6 +418,14 @@ def _render_top(address: str, snapshot: dict) -> str:
         f"queue depth {latest.get('queue_depth', 0):4.0f}   "
         f"pieces {latest.get('pieces', 0):6.0f}"
     )
+    if "generation" in latest:
+        writer = "writing" if latest.get("checkpoint_in_flight") else "idle"
+        lines.append(
+            f"generation {latest['generation']:4.0f}   "
+            f"durable {latest.get('durable_generation', 0):4.0f}   "
+            f"checkpoint {writer}   "
+            f"failed {latest.get('checkpoint_failures', 0):3.0f}"
+        )
     converging = {
         key.partition(":")[2]: value
         for key, value in latest.items()

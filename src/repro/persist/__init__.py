@@ -11,12 +11,13 @@ navigates the same piece boundaries the store had before it went down.
 
 from repro.persist.snapshot import (
     FORMAT_VERSION,
+    capture_snapshot,
     load_snapshot,
     pack_cracker,
     read_manifest,
     snapshot_bytes,
     unpack_cracker,
-    write_snapshot,
+    write_image,
 )
 from repro.persist.store import PersistentStore
 from repro.persist.wal import StatementWAL, frame_record, scan_wal
@@ -25,6 +26,7 @@ __all__ = [
     "FORMAT_VERSION",
     "PersistentStore",
     "StatementWAL",
+    "capture_snapshot",
     "frame_record",
     "load_snapshot",
     "pack_cracker",
@@ -32,5 +34,5 @@ __all__ = [
     "scan_wal",
     "snapshot_bytes",
     "unpack_cracker",
-    "write_snapshot",
+    "write_image",
 ]

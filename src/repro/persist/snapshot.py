@@ -7,11 +7,20 @@ One snapshot directory is a self-contained, immutable image of a
   count, the catalog (tables, schemas), and the scalar metadata of every
   cracked column;
 * ``bat-<i>.npy`` (+ optional ``bat-<i>.head.npy``) — one payload per
-  column BAT: raw numeric tails, decoded unicode atoms for varchar;
+  column BAT: its raw tail, which for varchar is the int64 heap offsets;
+* ``bat-<i>.atoms.npz`` — a varchar BAT's heap: its bytes and each
+  atom's length, in offset order.  Loading re-puts the atoms, which
+  hands each its saved offset, and checks every tail offset against
+  them.  Older snapshots have no atoms file and a tail of decoded
+  unicode atoms, one per row; they still load;
 * ``cracker-<j>.npz`` — the full cracker state of one column: the
   physically reorganised value/oid storage, the cracker-index
   structure-of-arrays (boundary values, kind ranks, positions, exact
   values), and the pending-update buffers.
+
+Writing is split in two so a checkpoint can leave the statement that
+triggers it: :func:`capture_snapshot` takes private copies of all of it
+(no I/O), and :func:`write_image` writes those copies, on any thread.
 
 The cracker payloads are what make a restart *warm*: restoring them
 skips the cracking burn-in entirely — the first post-restore query
@@ -28,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.cracked_column import CrackedColumn
-from repro.errors import PersistError
+from repro.errors import PersistError, StorageError
 from repro.storage.bat import BAT
 from repro.storage.table import Column, Relation, Schema
 
@@ -145,75 +154,115 @@ def unpack_cracker(meta: dict, arrays) -> CrackedColumn:
 # ---------------------------------------------------------------------- #
 
 
-def write_snapshot(
-    database, directory: Path | str, generation: int, statements_logged: int
-) -> dict:
-    """Write a complete snapshot of ``database`` into ``directory``.
+def capture_snapshot(database) -> dict:
+    """Private copies of everything a snapshot holds; no file I/O.
 
-    The export is taken under the database's own locks (catalog lock,
+    The copies are taken under the database's own locks (catalog lock,
     per-relation write locks, per-cracker write locks), so a concurrent
     reader never yields a half-updated image; the caller is responsible
     for excluding the execute→WAL-append window (see
-    :class:`~repro.persist.store.PersistentStore`).  Every payload file
-    is fsynced; the manifest is written last, so a directory with a
-    readable manifest is complete by construction.
+    :class:`~repro.persist.store.PersistentStore`).  The image stays
+    valid while the database keeps running, so :func:`write_image` may
+    run on another thread.
+    """
+    tables = []
+    with database._catalog_lock:
+        names = database.catalog.table_names()
+    for name in names:
+        relation = database.catalog.table(name)
+        with relation.write_lock:
+            tables.append(
+                {
+                    "name": name,
+                    "rows": len(relation),
+                    "columns": [[c.name, c.col_type] for c in relation.schema],
+                    "bats": [
+                        (column.name, relation.bats[column.name].export_state())
+                        for column in relation.schema
+                    ],
+                    "deleted": (
+                        relation.deleted_positions()
+                        if relation.deleted_count
+                        else None
+                    ),
+                }
+            )
+    crackers = []
+    provider = database._cracker
+    if provider is not None:
+        for (table, attr), column in sorted(provider.columns().items()):
+            with provider.lock_for(table, attr).write_locked():
+                arrays, meta = pack_cracker(column)
+            crackers.append((table, attr, arrays, meta))
+    return {"tables": tables, "crackers": crackers}
+
+
+def _write_manifest(directory: Path, manifest: dict) -> None:
+    """Write ``manifest.json`` (fsynced): the last file of a snapshot."""
+    with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=2)
+        handle.write("\n")
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+def write_image(
+    image: dict, directory: Path | str, generation: int, statements_logged: int
+) -> dict:
+    """Write a :func:`capture_snapshot` image into ``directory``.
+
+    Every payload file is fsynced; the manifest is written last, so a
+    directory with a readable manifest is complete by construction.  A
+    varchar BAT is saved as its raw heap offsets (``bat-<i>.npy``) plus
+    the heap's atoms in offset order (``bat-<i>.atoms.npz``).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
     tables = []
     bat_counter = 0
-    with database._catalog_lock:
-        names = database.catalog.table_names()
-    for name in names:
-        relation = database.catalog.table(name)
-        with relation.write_lock:
-            bats = []
-            for column in relation.schema:
-                bat = relation.bats[column.name]
-                state = bat.export_state()
-                payload = f"bat-{bat_counter}.npy"
-                _save_array(directory / payload, state["tail"])
-                head_file = None
-                if state["head"] is not None:
-                    head_file = f"bat-{bat_counter}.head.npy"
-                    _save_array(directory / head_file, state["head"])
-                bats.append(
-                    {
-                        "column": column.name,
-                        "file": payload,
-                        "head": head_file,
-                        "seq_base": state["seq_base"],
-                        "sorted": state["sorted"],
-                    }
+    for table in image["tables"]:
+        bats = []
+        for column_name, state in table["bats"]:
+            payload = f"bat-{bat_counter}.npy"
+            _save_array(directory / payload, state["tail"])
+            entry = {
+                "column": column_name,
+                "file": payload,
+                "head": None,
+                "seq_base": state["seq_base"],
+                "sorted": state["sorted"],
+            }
+            if state["head"] is not None:
+                entry["head"] = f"bat-{bat_counter}.head.npy"
+                _save_array(directory / entry["head"], state["head"])
+            if "atoms" in state:
+                entry["atoms"] = f"bat-{bat_counter}.atoms.npz"
+                data, lengths = state["atoms"]
+                _save_archive(
+                    directory / entry["atoms"], {"bytes": data, "lengths": lengths}
                 )
-                bat_counter += 1
-            deleted_file = None
-            if relation.deleted_count:
-                deleted_file = f"del-{len(tables)}.npy"
-                _save_array(directory / deleted_file, relation.deleted_positions())
-            tables.append(
-                {
-                    "name": name,
-                    "rows": len(relation),
-                    "columns": [[c.name, c.col_type] for c in relation.schema],
-                    "bats": bats,
-                    "deleted": deleted_file,
-                }
-            )
+            bats.append(entry)
+            bat_counter += 1
+        deleted_file = None
+        if table["deleted"] is not None:
+            deleted_file = f"del-{len(tables)}.npy"
+            _save_array(directory / deleted_file, table["deleted"])
+        tables.append(
+            {
+                "name": table["name"],
+                "rows": table["rows"],
+                "columns": table["columns"],
+                "bats": bats,
+                "deleted": deleted_file,
+            }
+        )
 
     crackers = []
-    provider = database._cracker
-    if provider is not None:
-        for j, (key, column) in enumerate(sorted(provider.columns().items())):
-            table, attr = key
-            with provider.lock_for(table, attr).write_locked():
-                arrays, meta = pack_cracker(column)
-            payload = f"cracker-{j}.npz"
-            _save_archive(directory / payload, arrays)
-            crackers.append(
-                {"table": table, "attr": attr, "file": payload, "meta": meta}
-            )
+    for j, (table, attr, arrays, meta) in enumerate(image["crackers"]):
+        payload = f"cracker-{j}.npz"
+        _save_archive(directory / payload, arrays)
+        crackers.append({"table": table, "attr": attr, "file": payload, "meta": meta})
 
     manifest = {
         "format": FORMAT_VERSION,
@@ -222,12 +271,7 @@ def write_snapshot(
         "tables": tables,
         "crackers": crackers,
     }
-    manifest_path = directory / MANIFEST_NAME
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+    _write_manifest(directory, manifest)
     # The payload *files* are durable; their directory entries must be
     # too, or a machine crash after the CURRENT flip could leave the
     # current generation pointing at names that never reached disk.
@@ -299,16 +343,23 @@ def load_snapshot(database, directory: Path | str) -> dict:
             if bat_entry["head"] is not None:
                 head = np.load(directory / bat_entry["head"], allow_pickle=False)
             column_name = bat_entry["column"]
-            bat = BAT.from_state(
-                {
-                    "name": f"{name}.{column_name}",
-                    "tail_type": schema.column(column_name).col_type,
-                    "tail": tail,
-                    "head": head,
-                    "seq_base": bat_entry["seq_base"],
-                    "sorted": bat_entry["sorted"],
-                }
-            )
+            state = {
+                "name": f"{name}.{column_name}",
+                "tail_type": schema.column(column_name).col_type,
+                "tail": tail,
+                "head": head,
+                "seq_base": bat_entry["seq_base"],
+                "sorted": bat_entry["sorted"],
+            }
+            # Older snapshots carry no atoms: their varchar tail is the
+            # decoded unicode array, which from_state still reads.
+            if bat_entry.get("atoms") is not None:
+                with np.load(directory / bat_entry["atoms"]) as atoms:
+                    state["atoms"] = (atoms["bytes"], atoms["lengths"])
+            try:
+                bat = BAT.from_state(state)
+            except StorageError as exc:
+                raise PersistError(f"snapshot {directory}: {exc}") from exc
             relation.bats[column_name] = bat
             lengths.add(len(bat))
         if len(lengths) > 1:

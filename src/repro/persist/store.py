@@ -1,27 +1,43 @@
-"""The durable store: snapshot generations + statement WAL + recovery.
+"""The durable store: snapshot generations + a chain of statement WALs.
 
 Directory layout (one store per database)::
 
     persist_dir/
-        CURRENT              # text file naming the durable generation N
-        snapshot-00000N/     # manifest.json + .npy/.npz payloads
-        wal-00000N.log       # statements logged since snapshot N
+        CURRENT              # text file naming the durable generation K
+        snapshot-00000K/     # manifest.json + .npy/.npz payloads
+        wal-00000K.log       # statements logged since snapshot K ...
+        wal-0000(K+1).log    # ... and since each capture after it
 
-Invariant: the durable image is always *snapshot N + the intact prefix
-of wal-N*.  A checkpoint writes snapshot N+1 and an empty wal-N+1 fully
-(fsynced) **before** atomically flipping ``CURRENT``; a crash at any
-point therefore recovers either the old generation (with its complete
-WAL) or the new one — never a mix.  Stale files from interrupted
-checkpoints are swept opportunistically.
+Invariant: the durable image is *snapshot K, then wal-K, wal-(K+1), …
+in order*, where K is what ``CURRENT`` names; only the last WAL of that
+chain may have a torn tail.  A checkpoint is split in two:
+
+* **capture** — on the triggering statement, under the execute+append
+  barrier: fsync and close wal-N, take private copies of every BAT and
+  cracker (:func:`~repro.persist.snapshot.capture_snapshot`), and switch
+  appends to a fresh, fsynced wal-(N+1).  Nothing is written but that
+  empty file, so the statement pays only for the copies.
+* **write** — on a writer thread: write snapshot N+1 from the copies,
+  fsync its files and directory, flip ``CURRENT`` atomically, sweep the
+  snapshots other than N+1 and the WALs before it.
+
+A crash anywhere before the flip recovers snapshot K and replays the
+whole chain, so nothing is lost; after it, snapshot N+1 and wal-(N+1).
+At most one write is in flight: the next capture joins the previous
+writer.  An explicit :meth:`PersistentStore.checkpoint` (and a server
+stop) runs capture and write inline; :meth:`PersistentStore.close`
+joins the writer.  A failed write leaves ``CURRENT`` where it was, is
+counted in ``checkpoint_failures`` and is raised by the next explicit
+checkpoint.
 
 Write visibility: a statement becomes durable when its WAL frame is
 complete on disk.  ``fsync_every`` batches the fsync, so a machine crash
 may lose the last < ``fsync_every`` statements; a killed process loses
 at most the frame being written (the OS page cache survives the
-process).  Mutating statements hold the store's barrier (read side)
-across execute + append, and a checkpoint takes the write side, so a
-snapshot can never capture an executed-but-unlogged statement — the
-window that would otherwise double-apply it on replay.
+process).  Mutating statements hold the store's barrier across
+execute + append, and a capture takes it too, so a snapshot can never
+capture an executed-but-unlogged statement — the window that would
+otherwise double-apply it on replay.
 """
 
 from __future__ import annotations
@@ -35,13 +51,21 @@ from repro.errors import PersistError
 from repro.obs import trace as obs_trace
 from repro.persist.snapshot import (
     _fsync_directory,
+    capture_snapshot,
     load_snapshot,
     snapshot_bytes,
-    write_snapshot,
+    write_image,
 )
 from repro.persist.wal import StatementWAL, scan_wal
 
 CURRENT_NAME = "CURRENT"
+
+
+def _annotate(ck_span, job: dict) -> None:
+    """Name the captured generation on a ``checkpoint`` span."""
+    if ck_span is not None:
+        ck_span.meta["generation"] = job["generation"]
+        ck_span.meta["statements_compacted"] = job["statements_compacted"]
 
 
 class PersistentStore:
@@ -77,7 +101,15 @@ class PersistentStore:
         self.fsync_every = fsync_every
         self.checkpoint_statements = checkpoint_statements
         self.checkpoint_wal_bytes = checkpoint_wal_bytes
+        #: The generation appends go to (wal-<generation>); a capture
+        #: advances it.
         self.generation = 0
+        #: The generation ``CURRENT`` names; a finished write advances it.
+        self.durable_generation = 0
+        #: Checkpoint writes that raised (on the writer thread or inline).
+        self.checkpoint_failures = 0
+        self._writer: threading.Thread | None = None
+        self._writer_error: BaseException | None = None
         #: Statements logged over the store's whole lifetime (all
         #: generations); snapshot manifests record it so crash tests can
         #: identify the durable statement prefix exactly.
@@ -85,6 +117,7 @@ class PersistentStore:
         self._since_checkpoint = 0
         self._unrestored_crackers = 0
         self._wal: StatementWAL | None = None
+        # Serialises checkpoints: captures, inline writes, writer joins.
         self._lock = threading.RLock()
         self._counter_lock = threading.Lock()
         self._checkpoint_due = False
@@ -133,30 +166,26 @@ class PersistentStore:
     # ------------------------------------------------------------------ #
 
     def recover_into(self, database) -> dict:
-        """Load the latest snapshot, replay the WAL tail, open for append.
+        """Load the latest snapshot, replay the WAL chain, open for append.
 
         Returns the recovery report (also kept as :attr:`recovery`).
-        The WAL is truncated to its last intact frame, so appends after
-        a torn crash never interleave with garbage; plan-cache epochs of
-        every recovered table are bumped so stale cached plans (e.g. in
-        a restore-into-live scenario) cannot outlive the restore.
+        The last WAL is truncated to its last intact frame, so appends
+        after a torn crash never interleave with garbage; plan-cache
+        epochs of every recovered table are bumped so stale cached plans
+        (e.g. in a restore-into-live scenario) cannot outlive the
+        restore.
         """
         with self._lock:
-            generation = self._read_current()
+            durable = self._read_current()
             manifest = None
             self._unrestored_crackers = 0
-            if generation > 0:
-                manifest = load_snapshot(database, self.snapshot_dir(generation))
+            if durable > 0:
+                manifest = load_snapshot(database, self.snapshot_dir(durable))
                 if database._cracker is None:
                     # Data restored, warm indexes skipped: remember they
                     # exist so a checkpoint cannot silently discard them.
                     self._unrestored_crackers = len(manifest["crackers"])
-            statements, valid_bytes, torn = scan_wal(self.wal_path(generation))
-            if torn:
-                with open(self.wal_path(generation), "rb+") as handle:
-                    handle.truncate(valid_bytes)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+            statements, generation, torn = self._scan_chain(durable)
             database._replaying = True
             try:
                 for sql in statements:
@@ -165,6 +194,7 @@ class PersistentStore:
                 database._replaying = False
             database._plan_cache.invalidate_all(database.catalog.table_names())
             self.generation = generation
+            self.durable_generation = durable
             base = int(manifest["statements_logged"]) if manifest else 0
             self.statements_logged = base + len(statements)
             self._since_checkpoint = len(statements)
@@ -172,7 +202,7 @@ class PersistentStore:
                 self.wal_path(generation), fsync_every=self.fsync_every
             )
             self.recovery = {
-                "generation": generation,
+                "generation": durable,
                 "snapshot_loaded": manifest is not None,
                 "crackers_dropped": manifest["crackers_dropped"] if manifest else 0,
                 "wal_statements_replayed": len(statements),
@@ -180,6 +210,34 @@ class PersistentStore:
                 "durable_statements": self.statements_logged,
             }
             return self.recovery
+
+    def _scan_chain(self, first: int) -> tuple[list[str], int, bool]:
+        """The statements of wal-``first``, wal-(``first``+1), … in order.
+
+        Returns (statements, generation of the last WAL, torn).  The last
+        WAL's torn tail is truncated; a torn WAL that another follows was
+        fsynced whole before its successor existed, so it is corrupt.
+        """
+        statements: list[str] = []
+        generation = first
+        while True:
+            path = self.wal_path(generation)
+            found, valid_bytes, torn = scan_wal(path)
+            statements.extend(found)
+            following = self.wal_path(generation + 1).exists()
+            if torn:
+                if following:
+                    raise PersistError(
+                        f"{path} is corrupt: its tail is torn, but "
+                        f"wal-{generation + 1:06d}.log follows it"
+                    )
+                with open(path, "rb+") as handle:
+                    handle.truncate(valid_bytes)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+            if not following:
+                return statements, generation, torn
+            generation += 1
 
     # ------------------------------------------------------------------ #
     # Logging
@@ -204,8 +262,7 @@ class PersistentStore:
 
         Must be called under :meth:`mutation_guard`.  The checkpoint
         itself is deferred to :meth:`maybe_checkpoint` (called after the
-        guard is released) so the snapshot export never runs inside a
-        statement's critical section.
+        guard is released), whose capture takes the barrier itself.
         """
         wal = self._wal
         if wal is None:
@@ -223,91 +280,146 @@ class PersistentStore:
         if due:
             self._checkpoint_due = True
 
-    def maybe_checkpoint(self, database) -> dict | None:
-        """Run the checkpoint the policy flagged, if any."""
+    def maybe_checkpoint(self, database) -> None:
+        """Capture the checkpoint the policy flagged, if any.
+
+        The capture runs here, on the statement that triggered it; a
+        writer thread then writes the generation (see the module
+        docstring).  Traced as a ``checkpoint`` span around the capture.
+        """
         if not self._checkpoint_due:
-            return None
+            return
         with self._lock:
             if not self._checkpoint_due:
-                return None
-            return self.checkpoint(database)
+                return
+            with obs_trace.span("checkpoint") as ck_span:
+                job = self._capture(database)
+            _annotate(ck_span, job)
+            self._writer = threading.Thread(
+                target=self._write_in_background,
+                args=(job,),
+                name="checkpoint-writer",
+            )
+            self._writer.start()
 
     # ------------------------------------------------------------------ #
     # Checkpoint
     # ------------------------------------------------------------------ #
 
     def checkpoint(self, database) -> dict:
-        """Compact WAL + live state into a fresh snapshot generation.
+        """Capture and write a snapshot generation now, inline.
 
-        Order of operations (each step durable before the next):
-        snapshot N+1 written and fsynced → empty wal-N+1 created →
-        ``CURRENT`` flipped atomically → append handle swapped → old
-        generation swept.  A crash before the flip recovers generation N
-        with its complete WAL; after the flip, generation N+1.
-
+        Joins a writer still in flight first; if that (or any earlier)
+        background write failed, raises its error instead of
+        checkpointing — the WAL chain still holds every statement.
         Traced as a ``checkpoint`` span (meta: the new generation and
         how many WAL statements it compacted) when a trace is active.
         """
-        with obs_trace.span("checkpoint") as ck_span:
-            report = self._checkpoint(database)
-        if ck_span is not None:
-            ck_span.meta["generation"] = report["generation"]
-            ck_span.meta["statements_compacted"] = report["statements_compacted"]
-        return report
-
-    def _checkpoint(self, database) -> dict:
         with self._lock:
-            if self.closed:
+            self._join_writer()
+            error, self._writer_error = self._writer_error, None
+            if error is not None:
                 raise PersistError(
-                    "store is closed (or recover_into was never run)"
-                )
-            if self._unrestored_crackers:
-                # This session recovered data only (cracking disabled),
-                # so a snapshot from it would drop the earned cracker
-                # state the current generation still holds — and the
-                # sweep would then delete the only copy.
-                raise PersistError(
-                    f"checkpoint would discard {self._unrestored_crackers} warm "
-                    "cracker index(es) the snapshot holds but this session did "
-                    "not restore; reopen with cracking enabled to checkpoint"
-                )
-            with self._barrier:
-                self._wal.sync()
-                compacted_now = self._since_checkpoint
-                new_generation = self.generation + 1
-                new_dir = self.snapshot_dir(new_generation)
-                if new_dir.exists():  # leftover of an interrupted checkpoint
-                    shutil.rmtree(new_dir)
-                manifest = write_snapshot(
-                    database, new_dir, new_generation, self.statements_logged
-                )
-                new_wal = self.wal_path(new_generation)
-                with open(new_wal, "wb") as handle:
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                self._write_current(new_generation)
-                old_generation = self.generation
-                self._wal.close()
-                self._wal = StatementWAL(new_wal, fsync_every=self.fsync_every)
-                self.generation = new_generation
-                self._since_checkpoint = 0
-                self._checkpoint_due = False
-            # Sweep outside the barrier: recovery never looks at
-            # non-CURRENT generations, so this is pure housekeeping.
-            self._sweep(keep=new_generation)
-            return {
-                "generation": new_generation,
-                "tables": len(manifest["tables"]),
-                "cracked_columns": len(manifest["crackers"]),
-                # WAL statements this checkpoint folded into the snapshot
+                    f"a background checkpoint failed: {error}"
+                ) from error
+            with obs_trace.span("checkpoint") as ck_span:
+                job = self._capture(database)
+                try:
+                    report = self._write(job)
+                except Exception:
+                    self.checkpoint_failures += 1
+                    raise
+            _annotate(ck_span, job)
+            return report
+
+    def _capture(self, database) -> dict:
+        """Switch appends to a fresh WAL and copy the state (lock held).
+
+        Under the barrier, so the copies hold exactly the statements
+        logged before the switch.  The old WAL is fsynced and closed
+        before the new one takes appends, which is what lets recovery
+        treat a torn non-last WAL as corruption.
+        """
+        self._join_writer()
+        if self.closed:
+            raise PersistError("store is closed (or recover_into was never run)")
+        if self._unrestored_crackers:
+            # This session recovered data only (cracking disabled), so a
+            # snapshot from it would drop the earned cracker state the
+            # current generation still holds — and the sweep would then
+            # delete the only copy.
+            raise PersistError(
+                f"checkpoint would discard {self._unrestored_crackers} warm "
+                "cracker index(es) the snapshot holds but this session did "
+                "not restore; reopen with cracking enabled to checkpoint"
+            )
+        with self._barrier:
+            image = capture_snapshot(database)
+            generation = self.generation + 1
+            new_wal = self.wal_path(generation)
+            with open(new_wal, "wb") as handle:
+                handle.flush()
+                os.fsync(handle.fileno())
+            _fsync_directory(self.directory)
+            self._wal.close()
+            self._wal = StatementWAL(new_wal, fsync_every=self.fsync_every)
+            job = {
+                "image": image,
+                "generation": generation,
+                "previous_generation": self.generation,
+                "statements_logged": self.statements_logged,
+                # WAL statements this checkpoint folds into the snapshot
                 # (not the store's cumulative lifetime count).
-                "statements_compacted": compacted_now,
-                "snapshot_bytes": snapshot_bytes(new_dir),
-                "previous_generation": old_generation,
+                "statements_compacted": self._since_checkpoint,
             }
+            self.generation = generation
+            self._since_checkpoint = 0
+            self._checkpoint_due = False
+        return job
+
+    def _write(self, job: dict) -> dict:
+        """Write a captured generation, flip ``CURRENT``, sweep.
+
+        Each step is durable before the next: payloads and manifest
+        (fsynced, manifest last), then the atomic ``CURRENT`` flip, then
+        the sweep — recovery never looks at a generation ``CURRENT``
+        does not name, so the sweep is pure housekeeping.
+        """
+        generation = job["generation"]
+        directory = self.snapshot_dir(generation)
+        if directory.exists():  # leftover of an interrupted checkpoint
+            shutil.rmtree(directory)
+        manifest = write_image(
+            job["image"], directory, generation, job["statements_logged"]
+        )
+        self._write_current(generation)
+        self.durable_generation = generation
+        self._sweep(keep=generation)
+        return {
+            "generation": generation,
+            "tables": len(manifest["tables"]),
+            "cracked_columns": len(manifest["crackers"]),
+            "statements_compacted": job["statements_compacted"],
+            "snapshot_bytes": snapshot_bytes(directory),
+            "previous_generation": job["previous_generation"],
+        }
+
+    def _write_in_background(self, job: dict) -> None:
+        """The writer thread: a failure is kept for the next checkpoint."""
+        try:
+            self._write(job)
+        except Exception as exc:
+            self.checkpoint_failures += 1
+            self._writer_error = exc
+
+    def _join_writer(self) -> None:
+        writer = self._writer
+        if writer is not None:
+            writer.join()
+            self._writer = None
 
     def _sweep(self, keep: int) -> None:
-        """Best-effort removal of non-current generations."""
+        """Best-effort removal of other snapshots and of older WALs."""
         for path in self.directory.iterdir():
             name = path.name
             try:
@@ -315,7 +427,7 @@ class PersistentStore:
                     if int(name.split("-")[1]) != keep:
                         shutil.rmtree(path)
                 elif name.startswith("wal-") and name.endswith(".log"):
-                    if int(name[4:-4]) != keep:
+                    if int(name[4:-4]) < keep:
                         path.unlink()
             except (OSError, ValueError):  # pragma: no cover - housekeeping
                 continue
@@ -327,8 +439,12 @@ class PersistentStore:
     def stats(self) -> dict:
         """Counter snapshot for monitoring and tests."""
         wal = self._wal
+        writer = self._writer
         return {
             "generation": self.generation,
+            "durable_generation": self.durable_generation,
+            "checkpoint_in_flight": writer is not None and writer.is_alive(),
+            "checkpoint_failures": self.checkpoint_failures,
             "durable_statements": self.statements_logged,
             "statements_since_checkpoint": self._since_checkpoint,
             "wal_bytes": wal.size_bytes if wal is not None else 0,
@@ -339,7 +455,10 @@ class PersistentStore:
         }
 
     def close(self) -> None:
-        """Flush and close the WAL handle (idempotent)."""
+        """Join the checkpoint writer, then flush and close the WAL
+        (idempotent).  A failed background write stays counted; the WAL
+        chain still holds its statements."""
         with self._lock:
+            self._join_writer()
             if self._wal is not None:
                 self._wal.close()

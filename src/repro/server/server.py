@@ -185,6 +185,10 @@ class ReproServer:
             ("cracks", "repro_cracker_cracks"),
             ("tuples_moved", "repro_cracker_tuples_moved"),
             ("pieces", "repro_cracker_pieces"),
+            ("generation", "repro_generation"),
+            ("durable_generation", "repro_durable_generation"),
+            ("checkpoint_in_flight", "repro_checkpoint_in_flight"),
+            ("checkpoint_failures", "repro_checkpoint_failures"),
         ):
             gauges = snap["gauges"].get(source)
             if gauges:

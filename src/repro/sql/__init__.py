@@ -24,7 +24,12 @@ from repro.sql.ast_nodes import (
 )
 from repro.sql.lexer import Token, tokenize
 from repro.sql.parser import parse
-from repro.sql.plan_cache import PlanCache, SelectTemplate, bind_statement, template_key
+from repro.sql.plan_cache import (
+    PlanCache,
+    StatementTemplate,
+    bind_statement,
+    template_key,
+)
 from repro.sql.planner import (
     PLAN_MODES,
     CrackerProvider,
@@ -57,11 +62,11 @@ __all__ = [
     "PositionalScan",
     "PreparedStatement",
     "QueryResult",
-    "SelectTemplate",
     "RangePredicate",
     "ResidualPredicate",
     "SelectStmt",
     "Star",
+    "StatementTemplate",
     "TableRef",
     "Token",
     "analyze",

@@ -19,10 +19,15 @@ expensive, reusable stages:
   into a fresh AST (:func:`bind_statement`) and re-runs the (cheap,
   value-dependent) analyzer — folding range conjunctions can depend on
   the literal values, so analysis is never reused across different
-  constants.  Keys are textual: a variant in keyword case or whitespace
-  is a template of its own.  A template is stored only when the
-  parser's literals equal the key's (:func:`make_template`), so a key
-  never stands for a statement it would rebind wrongly.
+  constants.  SELECT, INSERT … VALUES, UPDATE and DELETE all have
+  templates; a DML hit runs its rebound AST through the durable
+  dispatch, which logs the SQL text as before.  Keys are textual: a
+  variant in keyword case or whitespace is a template of its own.  A
+  template is stored only when the parser's literals equal the key's,
+  in source order (:func:`statement_literals`, checked by
+  :func:`make_template`), so a key never stands for a statement it
+  would rebind wrongly.  ``template_hits`` counts SELECT hits only, so
+  hit shares divide by SELECTs; ``dml_template_hits`` counts the rest.
 
 Invalidation is per table: every entry records an epoch per referenced
 table, and the :class:`Database` bumps a table's epoch on *every*
@@ -56,7 +61,16 @@ from numbers import Integral
 
 from repro.errors import SQLAnalysisError
 from repro.sql.analyzer import AnalyzedQuery
-from repro.sql.ast_nodes import Between, Comparison, Const, SelectStmt
+from repro.sql.ast_nodes import (
+    Assignment,
+    Between,
+    Comparison,
+    Const,
+    DeleteStmt,
+    InsertValuesStmt,
+    SelectStmt,
+    UpdateStmt,
+)
 from repro.sql.lexer import NUMBER, STRING
 
 #: Cache capacities (entries); oldest-used entries are evicted first.
@@ -65,65 +79,56 @@ EXACT_CAPACITY = 512
 TEMPLATE_CAPACITY = 256
 
 
-#: Groups: a string, a ``--`` comment (kept as text), a number.  A digit
-#: after a word character is part of the word; ``-`` before a digit is a
-#: sign (where ``_prefix_negative`` disagrees, the lexer rejects the text,
-#: so it never stores a template).  The lookahead lets the scan skip in C.
-_LITERALS = re.compile(rf"(?=[-'\d])(?:({STRING})|(--[^\n]*)|(-?(?<!\w){NUMBER}))")
+#: One group: a string, a ``--`` comment (kept as text) or a number.  A
+#: digit after a word character is part of the word; ``-`` before a
+#: digit is a sign (where ``_prefix_negative`` disagrees, the lexer
+#: rejects the text, so it never stores a template).  The lookahead lets
+#: the scan skip in C.
+_LITERALS = re.compile(rf"(?=[-'\d])({STRING}|--[^\n]*|-?(?<!\w){NUMBER})")
 
 
 def template_key(sql: str) -> tuple[str, tuple]:
     """``sql`` with each literal replaced by ``?``, and those literals.
 
     All other text, comments included, is kept verbatim, so a case or
-    whitespace variant is a different key.
+    whitespace variant is a different key.  The split alternates text
+    and matches, so without a comment the key is one join.
     """
     parts = _LITERALS.split(sql)
-    literals = []
-    for index in range(1, len(parts), 4):
-        string, comment, number = parts[index : index + 3]
-        if comment is not None:
-            parts[index : index + 3] = ("", comment, "")
-            continue
-        parts[index : index + 3] = ("?", "", "")
-        if number is None:
-            literals.append(string[1:-1])
-        else:
-            literals.append(float(number) if "." in number else int(number))
-    return "".join(parts), tuple(literals)
+    if "--" in sql:
+        pieces, texts = [parts[0]], []
+        for index in range(1, len(parts), 2):
+            text = parts[index]
+            if text.startswith("--"):
+                pieces[-1] += text + parts[index + 1]
+            else:
+                texts.append(text)
+                pieces.append(parts[index + 1])
+        key = "?".join(pieces)
+    else:
+        texts = parts[1::2]
+        key = "?".join(parts[::2])
+    return key, tuple([
+        text[1:-1] if text[0] == "'" else float(text) if "." in text else int(text)
+        for text in texts
+    ])
 
 
-def statement_literals(stmt: SelectStmt) -> tuple:
-    """The literals of a SELECT in source order (the binder's contract).
-
-    WHERE conditions in clause order (BETWEEN yields low then high), then
-    the LIMIT count.  Used to verify that :func:`bind_statement` would
-    reproduce the parsed statement from :func:`template_key`'s literals.
-    """
-    literals: list = []
-    for condition in stmt.where:
+def _where_literals(where: list, literals: list) -> None:
+    """Append a WHERE conjunction's literals (BETWEEN: low then high)."""
+    for condition in where:
         if isinstance(condition, Between):
             literals.extend((condition.low.value, condition.high.value))
         elif isinstance(condition, Comparison) and isinstance(condition.right, Const):
             literals.append(condition.right.value)
-    if stmt.limit is not None:
-        literals.append(stmt.limit)
-    return tuple(literals)
 
 
-def bind_statement(template: SelectStmt, literals: tuple) -> SelectStmt:
-    """A fresh SELECT AST with the template's constants replaced in order.
-
-    Only the literal-bearing nodes are rebuilt; name-only structure
-    (select items, tables, GROUP BY, ORDER BY) is shared with the
-    template, which is safe because AST nodes are never mutated after
-    parsing.
-    """
-    values = iter(literals)
-    where: list = []
-    for condition in template.where:
+def _bind_where(where: list, values) -> list:
+    """``where`` with its literals taken from the iterator ``values``."""
+    bound: list = []
+    for condition in where:
         if isinstance(condition, Between):
-            where.append(
+            bound.append(
                 Between(
                     col=condition.col,
                     low=Const(next(values)),
@@ -131,7 +136,7 @@ def bind_statement(template: SelectStmt, literals: tuple) -> SelectStmt:
                 )
             )
         elif isinstance(condition, Comparison) and isinstance(condition.right, Const):
-            where.append(
+            bound.append(
                 Comparison(
                     left=condition.left,
                     op=condition.op,
@@ -139,7 +144,65 @@ def bind_statement(template: SelectStmt, literals: tuple) -> SelectStmt:
                 )
             )
         else:
-            where.append(condition)
+            bound.append(condition)
+    return bound
+
+
+def statement_literals(stmt) -> tuple:
+    """The literals of a statement in source order (the binder's contract).
+
+    A SELECT: WHERE conditions in clause order (BETWEEN yields low then
+    high), then the LIMIT count.  INSERT … VALUES: every row's values,
+    row by row.  UPDATE: the SET values, then its WHERE.  DELETE: its
+    WHERE.  Any other statement has none.  Used to verify that
+    :func:`bind_statement` would reproduce the parsed statement from
+    :func:`template_key`'s literals.
+    """
+    literals: list = []
+    if isinstance(stmt, SelectStmt):
+        _where_literals(stmt.where, literals)
+        if stmt.limit is not None:
+            literals.append(stmt.limit)
+    elif isinstance(stmt, InsertValuesStmt):
+        for row in stmt.rows:
+            literals.extend(row)
+    elif isinstance(stmt, UpdateStmt):
+        literals.extend(assignment.value.value for assignment in stmt.assignments)
+        _where_literals(stmt.where, literals)
+    elif isinstance(stmt, DeleteStmt):
+        _where_literals(stmt.where, literals)
+    return tuple(literals)
+
+
+def bind_statement(template, literals: tuple):
+    """A fresh AST with the template's constants replaced in order.
+
+    Only the literal-bearing nodes are rebuilt; name-only structure
+    (select items, tables, GROUP BY, ORDER BY, column names) is shared
+    with the template, which is safe because AST nodes are never
+    mutated after parsing.
+    """
+    values = iter(literals)
+    if isinstance(template, InsertValuesStmt):
+        return InsertValuesStmt(
+            table=template.table,
+            rows=[tuple(next(values) for _ in row) for row in template.rows],
+        )
+    if isinstance(template, UpdateStmt):
+        assignments = [
+            Assignment(column=assignment.column, value=Const(next(values)))
+            for assignment in template.assignments
+        ]
+        return UpdateStmt(
+            table=template.table,
+            assignments=assignments,
+            where=_bind_where(template.where, values),
+        )
+    if isinstance(template, DeleteStmt):
+        return DeleteStmt(
+            table=template.table, where=_bind_where(template.where, values)
+        )
+    where = _bind_where(template.where, values)
     limit = template.limit
     if limit is not None:
         limit = int(next(values))
@@ -154,26 +217,32 @@ def bind_statement(template: SelectStmt, literals: tuple) -> SelectStmt:
     )
 
 
-@dataclass
-class SelectTemplate:
-    """A parameterised SELECT: parsed once, rebindable forever.
+#: Statements a template can stand for.
+_TEMPLATED = (SelectStmt, InsertValuesStmt, UpdateStmt, DeleteStmt)
 
-    ``slots`` is the literal count; :meth:`bind` substitutes a new
-    literal tuple.  Templates are immutable and schema-independent (name
-    resolution happens at bind-analyze time), so they are never
-    invalidated.
+
+@dataclass
+class StatementTemplate:
+    """A parameterised statement: parsed once, rebindable forever.
+
+    ``stmt`` is a SELECT, INSERT … VALUES, UPDATE or DELETE; ``slots``
+    is its literal count, and :meth:`bind` substitutes a new literal
+    tuple.  Templates are immutable and schema-independent (name
+    resolution happens when the bound statement runs), so they are
+    never invalidated.
     """
 
-    stmt: SelectStmt
+    stmt: object
     slots: int
 
     def fits(self, literals: tuple) -> bool:
         """One literal per slot, and an integer for a LIMIT (the last)."""
         return len(literals) == self.slots and (
-            self.stmt.limit is None or isinstance(literals[-1], Integral)
+            getattr(self.stmt, "limit", None) is None
+            or isinstance(literals[-1], Integral)
         )
 
-    def bind(self, literals) -> SelectStmt:
+    def bind(self, literals):
         literals = tuple(literals)
         if len(literals) != self.slots:
             raise SQLAnalysisError(
@@ -184,21 +253,24 @@ class SelectTemplate:
         return bind_statement(self.stmt, literals)
 
 
-def make_template(stmt: SelectStmt, literals: tuple) -> SelectTemplate | None:
+def make_template(stmt, literals: tuple) -> StatementTemplate | None:
     """Build a template, or None when the statement is not parameterisable.
 
-    A SELECT is cacheable when rebinding the key's literal sequence
-    reproduces exactly the constants the parser extracted (the positional
-    contract of :func:`bind_statement`) and it has no side effect
-    (``INTO`` materialises a table, i.e. DDL).  The self-check keeps the
-    cache robust against future grammar growth: a construct whose
-    literals travel elsewhere simply stays uncached.
+    A SELECT, INSERT … VALUES, UPDATE or DELETE is cacheable when
+    rebinding the key's literal sequence reproduces exactly the
+    constants the parser extracted (the positional contract of
+    :func:`bind_statement`).  A SELECT with ``INTO`` materialises a
+    table (DDL) and INSERT … SELECT nests a query, so neither is.  The
+    self-check keeps the cache robust against future grammar growth: a
+    construct whose literals travel elsewhere simply stays uncached.
     """
-    if not isinstance(stmt, SelectStmt) or stmt.into is not None:
+    if not isinstance(stmt, _TEMPLATED):
+        return None
+    if isinstance(stmt, SelectStmt) and stmt.into is not None:
         return None
     if statement_literals(stmt) != literals:
         return None
-    return SelectTemplate(stmt=stmt, slots=len(literals))
+    return StatementTemplate(stmt=stmt, slots=len(literals))
 
 
 @dataclass
@@ -226,9 +298,12 @@ class PlanCache:
         # and move to ``_protected`` on their first hit.
         self._probation: OrderedDict[str, CachedQuery] = OrderedDict()
         self._protected: OrderedDict[str, CachedQuery] = OrderedDict()
-        self._templates: OrderedDict[str, SelectTemplate] = OrderedDict()
+        self._templates: OrderedDict[str, StatementTemplate] = OrderedDict()
         self.hits = 0
+        #: Template hits of SELECTs; DML template hits count apart, so
+        #: hit shares divide by SELECTs alone.
         self.template_hits = 0
+        self.dml_template_hits = 0
         self.misses = 0
         self.invalidations = 0
 
@@ -358,17 +433,20 @@ class PlanCache:
     # Template level
     # ------------------------------------------------------------------ #
 
-    def lookup_template(self, key: str) -> SelectTemplate | None:
+    def lookup_template(self, key: str) -> StatementTemplate | None:
         if not self.enabled:
             return None
         with self._lock:
             template = self._templates.get(key)
             if template is not None:
                 self._templates.move_to_end(key)
-                self.template_hits += 1
+                if isinstance(template.stmt, SelectStmt):
+                    self.template_hits += 1
+                else:
+                    self.dml_template_hits += 1
             return template
 
-    def store_template(self, key: str, template: SelectTemplate) -> None:
+    def store_template(self, key: str, template: StatementTemplate) -> None:
         if not self.enabled:
             return
         with self._lock:
@@ -384,11 +462,16 @@ class PlanCache:
     def stats(self) -> dict:
         """Counter snapshot (for tests, monitors and the benchmark)."""
         with self._lock:
+            dml_entries = sum(
+                not isinstance(t.stmt, SelectStmt) for t in self._templates.values()
+            )
             return {
                 "hits": self.hits,
                 "template_hits": self.template_hits,
+                "dml_template_hits": self.dml_template_hits,
                 "misses": self.misses,
                 "invalidations": self.invalidations,
                 "exact_entries": len(self._probation) + len(self._protected),
-                "template_entries": len(self._templates),
+                "template_entries": len(self._templates) - dml_entries,
+                "dml_template_entries": dml_entries,
             }

@@ -41,7 +41,12 @@ from repro.sql.ast_nodes import (
 )
 from repro.sql.lexer import STRING, tokenize
 from repro.sql.parser import parse
-from repro.sql.plan_cache import PlanCache, SelectTemplate, make_template, template_key
+from repro.sql.plan_cache import (
+    PlanCache,
+    StatementTemplate,
+    make_template,
+    template_key,
+)
 from repro.sql.planner import PLAN_MODES, CrackerProvider, build_plan
 from repro.storage.catalog import Catalog
 from repro.storage.pages import IOTracker
@@ -208,12 +213,13 @@ class Database:
     referenced, so converged workloads stay zero-copy either way.
 
     ``plan_cache`` (default on) caches compiled statements: an exact
-    repeat of a SELECT skips lexing, parsing and analysis; a SELECT that
-    differs only in literal constants skips lexing and parsing too (one
-    regex split of the text yields its template key and constants).  Keys
-    are the text as written: a case or whitespace variant is its own
-    entry.  Entries invalidate per table on every mutation (DDL, INSERT,
-    UPDATE, DELETE).  ``prepare`` / ``execute_prepared`` expose the
+    repeat of a SELECT skips lexing, parsing and analysis; a SELECT,
+    INSERT … VALUES, UPDATE or DELETE that differs only in literal
+    constants skips lexing and parsing too (one regex split of the text
+    yields its template key and constants).  Keys are the text as
+    written: a case or whitespace variant is its own entry.  Entries
+    invalidate per table on every mutation (DDL, INSERT, UPDATE,
+    DELETE).  ``prepare`` / ``execute_prepared`` expose the
     parameterised form directly.
 
     ``crack_threshold`` T is the cut-off below which cracking stops
@@ -232,8 +238,11 @@ class Database:
     column's piece boundaries, so the cracking burn-in is not re-paid.
     ``wal_fsync_every`` batches WAL fsyncs (1 = every statement);
     ``checkpoint_statements`` / ``checkpoint_wal_bytes`` auto-compact
-    the WAL into a fresh snapshot when either trigger fires, and
-    :meth:`checkpoint` does so on demand.
+    the WAL into a fresh snapshot when either trigger fires: the
+    triggering statement only captures (copies the state and switches
+    to a new WAL) and a writer thread writes the snapshot.
+    :meth:`checkpoint` captures and writes inline, and :meth:`close`
+    joins the writer.
 
     Observability: ``metrics`` (default on) keeps per-statement-kind
     latency histograms and cracker/plan-cache/persistence gauges in
@@ -400,8 +409,11 @@ class Database:
     def _compile_and_run(self, sql: str, mode: str | None) -> QueryResult:
         """The compile pipeline of :meth:`execute` (cache → lex → parse).
 
-        Only a SELECT computes a template key (its ``lex`` span), and it
-        tokenises and parses only on a template miss.
+        Every statement computes a template key (its ``lex`` span) and
+        tokenises and parses only on a template miss.  Only a SELECT,
+        INSERT … VALUES, UPDATE or DELETE ever stores a template
+        (:func:`make_template`); a DML hit runs its rebound AST through
+        the durable dispatch (the WAL logs the text either way).
 
         Span instrumentation: each stage is wrapped when a trace is
         active and costs one ContextVar read when not.  The exact-hit
@@ -418,25 +430,31 @@ class Database:
                 return self._execute_analyzed(query, mode=mode)
             if _statement_kind(sql) == "select":
                 cache.count_miss()
-                with obs_trace.span("lex"):
-                    key, literals = template_key(sql)
-                template = cache.lookup_template(key)
-                if template is not None and template.fits(literals):
-                    if obs_trace.tracing():
-                        obs_trace.annotate(plan_cache="template-hit")
-                    stmt = template.bind(literals)
-                    return self._execute_select(stmt, mode=mode, cache_as=sql)
+            with obs_trace.span("lex"):
+                key, literals = template_key(sql)
+            template = cache.lookup_template(key)
+            if template is not None and template.fits(literals):
                 if obs_trace.tracing():
-                    obs_trace.annotate(plan_cache="miss")
+                    obs_trace.annotate(plan_cache="template-hit")
+                return self._run_templated(template.bind(literals), sql, mode)
+            if obs_trace.tracing():
+                obs_trace.annotate(plan_cache="miss")
         with obs_trace.span("lex"):
             tokens = tokenize(sql)
         with obs_trace.span("parse"):
             stmt = parse(sql, tokens=tokens)
         if key is not None and (fresh := make_template(stmt, literals)) is not None:
             cache.store_template(key, fresh)
+            return self._run_templated(stmt, sql, mode)
+        # Non-templatable statements include SELECT ... INTO, which
+        # mutates the catalog and must reach the durable dispatch.
+        return self._dispatch_statement(stmt, sql, mode)
+
+    def _run_templated(self, stmt, sql: str, mode: str | None) -> QueryResult:
+        """Run a statement a template stands for: a SELECT primes the
+        exact level, DML goes through the durable dispatch."""
+        if isinstance(stmt, SelectStmt):
             return self._execute_select(stmt, mode=mode, cache_as=sql)
-        # Non-templatable SELECTs include SELECT ... INTO, which mutates
-        # the catalog and must reach the durable dispatch.
         return self._dispatch_statement(stmt, sql, mode)
 
     def _execute_traced(self, sql: str, mode: str | None) -> QueryResult:
@@ -1214,9 +1232,10 @@ class Database:
             samples.append((f"repro_plan_cache_{key}", None, value))
         if self._persist is not None:
             store = self._persist.stats()
-            for key in ("generation", "durable_statements",
-                        "statements_since_checkpoint", "wal_bytes"):
-                samples.append((f"repro_{key}", None, store[key]))
+            for key in ("generation", "durable_generation", "durable_statements",
+                        "statements_since_checkpoint", "wal_bytes",
+                        "checkpoint_in_flight", "checkpoint_failures"):
+                samples.append((f"repro_{key}", None, int(store[key])))
         if self._cracker is not None:
             for name, info in self._cracker.observability().items():
                 labels = {"column": name}
@@ -1270,7 +1289,9 @@ class Database:
             self._persist.log_statement(sql)
 
     def _maybe_checkpoint(self) -> None:
-        """Run a policy-triggered checkpoint (outside the barrier)."""
+        """Capture a policy-triggered checkpoint (after the statement
+        released the barrier; the capture retakes it, a writer thread
+        writes)."""
         if (
             self._persist is not None
             and not self._replaying
@@ -1284,7 +1305,10 @@ class Database:
         Compacts the WAL into a fresh snapshot covering the catalog,
         every relation's BATs and the complete cracker state (piece
         boundaries, pending updates), so the next open
-        restarts warm with an empty log tail.
+        restarts warm with an empty log tail.  Waits for an
+        auto-checkpoint still being written first, and raises the error
+        of one that failed instead of checkpointing (once); returns when
+        ``CURRENT`` names the new generation.
         """
         if self._persist is None:
             raise PersistError(
@@ -1294,13 +1318,15 @@ class Database:
         return self._persist.checkpoint(self)
 
     def persistence_stats(self) -> dict:
-        """Durability counters (generation, WAL size, recovery report)."""
+        """Durability counters (generations, checkpoint writer, WAL size,
+        recovery report)."""
         if self._persist is None:
             return {"persistent": False}
         return {"persistent": True, **self._persist.stats()}
 
     def close(self) -> None:
-        """Release durable resources (flush + close the WAL handle).
+        """Release durable resources (join the checkpoint writer, flush +
+        close the WAL handle).
 
         Idempotent: server shutdown paths and ``with`` blocks may both
         close the same database; every call after the first is a no-op.
@@ -1350,7 +1376,7 @@ class PreparedStatement:
         self,
         database: Database,
         sql: str,
-        template: "SelectTemplate",
+        template: "StatementTemplate",
         defaults: tuple,
     ) -> None:
         self.database = database

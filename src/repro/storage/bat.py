@@ -318,40 +318,56 @@ class BAT:
     # ------------------------------------------------------------------ #
 
     def export_state(self) -> dict:
-        """A serialisable snapshot of the active region.
+        """A serialisable snapshot of the active region (private copies).
 
-        Numeric tails export raw storage; string tails export *decoded*
-        atoms (a numpy unicode array) — the atom heap is rebuilt on
-        restore by re-putting the values, which reproduces an equivalent
-        offset assignment without persisting heap internals.
+        Tails export raw storage; string tails are heap offsets, so a
+        string BAT also exports ``atoms``, its heap's bytes and atom
+        lengths in offset order (:meth:`AtomHeap.export_atoms`).
         """
-        if self.tail_type == "str":
-            decoded = self.tail_values()
-            tail = np.asarray(decoded, dtype="<U1" if not decoded else None)
-        else:
-            tail = self._active_tail().copy()
         head = self._head
-        return {
+        state = {
             "name": self.name,
             "tail_type": self.tail_type,
-            "tail": tail,
+            "tail": self._active_tail().copy(),
             "head": None if head is None else head[: self._count].copy(),
             "seq_base": int(self._seq_base),
             "sorted": bool(self._sorted),
         }
+        if self.tail_type == "str":
+            assert self.heap is not None
+            state["atoms"] = self.heap.export_atoms()
+        return state
 
     @classmethod
     def from_state(cls, state: dict) -> "BAT":
-        """Rebuild a BAT from :meth:`export_state` output."""
+        """Rebuild a BAT from :meth:`export_state` output.
+
+        A string tail's atoms are re-put in offset order, which gives
+        each its exported offset, and every tail offset must address one
+        of them.  A string state without ``atoms`` is the older form:
+        its tail holds the decoded atoms, which are put row by row.
+        """
         tail_type = str(state["tail_type"])
         tail = state["tail"]
-        values = np.asarray(tail, dtype=str).tolist() if tail_type == "str" else tail
-        bat = cls.from_values(
-            str(state["name"]),
-            values,
-            tail_type=tail_type,
-            seq_base=int(state.get("seq_base", 0)),
+        heap = None
+        if tail_type == "str":
+            if "atoms" in state:
+                heap, offsets = AtomHeap.from_atoms(*state["atoms"])
+                tail = np.asarray(tail, dtype=np.int64)
+                if not np.isin(tail, offsets).all():
+                    raise StorageError(
+                        f"BAT {state['name']!r}: a tail offset addresses no atom"
+                    )
+            else:
+                heap = AtomHeap()
+                tail = heap.put_many(np.asarray(tail, dtype=str).tolist())
+        bat = cls(
+            str(state["name"]), tail_type=tail_type,
+            capacity=max(len(tail), _MIN_CAPACITY), heap=heap,
         )
+        bat._tail[: len(tail)] = tail
+        bat._count = len(tail)
+        bat._seq_base = int(state.get("seq_base", 0))
         head = state.get("head")
         if head is not None:
             bat._head = np.asarray(head, dtype=np.int64).copy()

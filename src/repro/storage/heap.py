@@ -102,6 +102,46 @@ class AtomHeap:
         """Return the offset of ``atom`` if stored, else None."""
         return self._offsets_by_atom.get(atom.encode("utf-8"))
 
+    def export_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms in offset order, as a private copy: the heap's bytes
+        (uint8) and each atom's encoded length (int64).
+
+        :meth:`from_atoms` re-puts them, which hands every atom the
+        offset it has here, so tails can be saved as raw offsets.
+        """
+        lengths = self._lengths_by_offset
+        return (
+            np.frombuffer(bytes(self._buffer), dtype=np.uint8),
+            np.fromiter(lengths.values(), dtype=np.int64, count=len(lengths)),
+        )
+
+    @classmethod
+    def from_atoms(
+        cls, data: np.ndarray, lengths: np.ndarray
+    ) -> tuple["AtomHeap", np.ndarray]:
+        """Rebuild an :meth:`export_atoms` heap; returns it and its offsets.
+
+        Raises:
+            HeapError: if an atom is not UTF-8, re-puts at another offset
+                than it had, or the lengths do not cover the bytes.
+        """
+        heap = cls()
+        data = np.asarray(data, dtype=np.uint8).tobytes()
+        offsets = np.empty(len(lengths), dtype=np.int64)
+        offset = 0
+        for index, length in enumerate(np.asarray(lengths).tolist()):
+            try:
+                atom = data[offset : offset + length].decode("utf-8")
+            except UnicodeDecodeError:
+                raise HeapError(f"atom at offset {offset} is not UTF-8") from None
+            if heap.put(atom) != offset:
+                raise HeapError(f"atom at offset {offset} re-puts elsewhere")
+            offsets[index] = offset
+            offset += length or 1
+        if offset != len(data):
+            raise HeapError(f"atom lengths cover {offset} of {len(data)} heap bytes")
+        return heap, offsets
+
     def clear(self) -> None:
         """Drop all atoms.  Outstanding offsets become invalid."""
         self._buffer.clear()

@@ -15,7 +15,9 @@ place that knows how to:
   sets (:func:`assert_sorted_rows_equal`, for configurations that answer
   in different physical orders), and
 * run a workload across many databases asserting agreement at every
-  statement (:func:`assert_engines_agree`).
+  statement (:func:`assert_engines_agree`), and
+* answer a mixed_dml-shaped stream (:func:`mixed_dml_stream`) from an
+  engine-free numpy model (:class:`TableModel`).
 
 Test modules import from here instead of growing private helpers, so a
 new engine configuration buys differential coverage by adding one entry
@@ -315,6 +317,112 @@ def random_mixed_dml(rng, n_statements: int, domain: int = 1000) -> list[str]:
                 f"SELECT r.tag, count(*) FROM r WHERE a > {low} GROUP BY r.tag"
             )
     return statements
+
+
+# ---------------------------------------------------------------------- #
+# A numpy model of a mixed_dml-shaped stream
+# ---------------------------------------------------------------------- #
+
+#: Tags of :func:`mixed_dml_stream`: the empty atom and a multi-byte one
+#: ride along, so varchar payloads meet both.
+MIXED_TAGS = ("t0", "t1", "", "héllo ☃")
+
+
+class TableModel:
+    """``r(k, a, tag)`` as numpy arrays: the engine-free answer key.
+
+    :meth:`apply` takes one op of :func:`mixed_dml_stream` —
+    ``("create",)``, ``("insert", rows)``, ``("update", low, high, a)``
+    (``SET a WHERE k BETWEEN``), ``("delete", low, high)`` (``WHERE k
+    BETWEEN``) or ``("count", low, high)`` (``count(*) WHERE a BETWEEN``,
+    the only op it answers).
+    """
+
+    def __init__(self) -> None:
+        self.k = np.empty(0, dtype=np.int64)
+        self.a = np.empty(0, dtype=np.int64)
+        self.tag = np.empty(0, dtype=object)
+        self.live = np.empty(0, dtype=bool)
+
+    def apply(self, op):
+        kind = op[0]
+        if kind == "count":
+            _, low, high = op
+            return int((self.live & (self.a >= low) & (self.a <= high)).sum())
+        if kind == "insert":
+            k, a, tag = zip(*op[1])
+            self.k = np.concatenate([self.k, np.array(k, dtype=np.int64)])
+            self.a = np.concatenate([self.a, np.array(a, dtype=np.int64)])
+            self.tag = np.concatenate([self.tag, np.array(tag, dtype=object)])
+            self.live = np.concatenate([self.live, np.ones(len(k), dtype=bool)])
+        elif kind in ("update", "delete"):
+            hit = self.live & (self.k >= op[1]) & (self.k <= op[2])
+            if kind == "update":
+                self.a[hit] = op[3]
+            else:
+                self.live[hit] = False
+        return None
+
+    def rows(self) -> list[tuple]:
+        """The live rows, sorted."""
+        live = self.live
+        return sorted(
+            zip(self.k[live].tolist(), self.a[live].tolist(), self.tag[live].tolist())
+        )
+
+
+def mixed_dml_stream(
+    rng, n_statements: int, rows: int = 200, insert_rows: int = 10
+) -> list[tuple[str, tuple]]:
+    """``(sql, op)`` pairs shaped like the perf ledger's ``mixed_dml``.
+
+    A CREATE and a load of ``rows`` rows, then 70 % range counts on
+    ``a`` and 10 % each of a fixed-size INSERT, an UPDATE of ``a`` and a
+    DELETE over key ranges: three DML shapes with fresh literals.
+    Every op but ``count`` is a logged statement.
+    """
+
+    def insert(first: int, count: int) -> tuple[str, tuple]:
+        batch = [
+            (
+                first + i,
+                int(rng.integers(0, 1000)),
+                MIXED_TAGS[int(rng.integers(0, len(MIXED_TAGS)))],
+            )
+            for i in range(count)
+        ]
+        values = ", ".join(f"({k}, {a}, '{tag}')" for k, a, tag in batch)
+        return f"INSERT INTO r VALUES {values}", ("insert", batch)
+
+    stream = [
+        ("CREATE TABLE r (k integer, a integer, tag varchar)", ("create",)),
+        insert(0, rows),
+    ]
+    next_k = rows
+    for _ in range(n_statements):
+        draw = int(rng.integers(0, 10))
+        low = int(rng.integers(0, 1000))
+        key = int(rng.integers(0, next_k))
+        if draw < 7:
+            high = low + int(rng.integers(0, 200))
+            stream.append((
+                f"SELECT count(*) FROM r WHERE a BETWEEN {low} AND {high}",
+                ("count", low, high),
+            ))
+        elif draw == 7:
+            stream.append(insert(next_k, insert_rows))
+            next_k += insert_rows
+        elif draw == 8:
+            stream.append((
+                f"UPDATE r SET a = {low} WHERE k BETWEEN {key} AND {key + 24}",
+                ("update", key, key + 24, low),
+            ))
+        else:
+            stream.append((
+                f"DELETE FROM r WHERE k BETWEEN {key} AND {key + 4}",
+                ("delete", key, key + 4),
+            ))
+    return stream
 
 
 # ---------------------------------------------------------------------- #

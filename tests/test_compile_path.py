@@ -1,18 +1,21 @@
 """The compile path: template keys from the text, one-pass tokens, lazy advice.
 
-A SELECT that differs from a cached one only in its constants is found
-by :func:`template_key` (one regex split of the text) and never reaches
-the lexer or the parser.  The character-loop tokenizer the compiled
-alternation replaced stays here as the reference, and generated SELECT
-pairs check that a key hit rebinds to exactly what parsing would give.
+A SELECT, INSERT … VALUES, UPDATE or DELETE that differs from a cached
+one only in its constants is found by :func:`template_key` (one regex
+split of the text) and never reaches the lexer or the parser.  The
+character-loop tokenizer the compiled alternation replaced stays here as
+the reference, and generated statement pairs check that a key hit
+rebinds to exactly what parsing would give.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import TableModel, mixed_dml_stream
 from repro.errors import SQLAnalysisError, SQLSyntaxError
 from repro.server.protocol import error_for_exception
 from repro.sql import analyzer, lexer, parser, session
@@ -177,14 +180,8 @@ _LITERALS = st.one_of(
 _OPS = ["=", "<", "<=", ">", ">=", "<>", "!="]
 
 
-@st.composite
-def _skeleton(draw):
-    """A SELECT as a list of text pieces, ``None`` marking a literal slot.
-
-    A one-tuple piece is glued to its literal with no gap (``a>-5``).
-    """
-    items = draw(st.sampled_from(["count(*)", "*", "r.k, a", "k"]))
-    pieces: list = ["SELECT", items, "FROM", "r", "WHERE"]
+def _conditions(draw, pieces: list) -> None:
+    """Append one to three WHERE conditions to ``pieces``."""
     for index in range(draw(st.integers(1, 3))):
         if index:
             pieces.append("AND")
@@ -197,6 +194,37 @@ def _skeleton(draw):
             pieces += [("a" + draw(st.sampled_from(_OPS)),)]
         else:
             pieces += ["tag", "<>", None]
+
+
+@st.composite
+def _skeleton(draw):
+    """A SELECT, INSERT, UPDATE or DELETE as a list of text pieces,
+    ``None`` marking a literal slot.
+
+    A one-tuple piece is glued to its literal with no gap (``a>-5``).
+    """
+    kind = draw(st.sampled_from(["select", "insert", "update", "delete"]))
+    if kind == "insert":
+        pieces: list = ["INSERT", "INTO", "r", "VALUES"]
+        for row in range(draw(st.integers(1, 3))):
+            if row:
+                pieces.append(",")
+            pieces += ["("] + [None, ","] * draw(st.integers(0, 2)) + [None, ")"]
+        return pieces
+    if kind == "update":
+        pieces = ["UPDATE", "r", "SET", "a", "=", None]
+        if draw(st.booleans()):
+            pieces += [",", ("tag=",)]
+    elif kind == "delete":
+        pieces = ["DELETE", "FROM", "r"]
+    if kind != "select":
+        if draw(st.booleans()):
+            pieces.append("WHERE")
+            _conditions(draw, pieces)
+        return pieces
+    items = draw(st.sampled_from(["count(*)", "*", "r.k, a", "k"]))
+    pieces = ["SELECT", items, "FROM", "r", "WHERE"]
+    _conditions(draw, pieces)
     if draw(st.booleans()):
         pieces += ["LIMIT", None]
     return pieces
@@ -216,7 +244,7 @@ def _render(draw, pieces: list) -> str:
 
 
 @st.composite
-def _select_pair(draw):
+def _statement_pair(draw):
     pieces = draw(_skeleton())
     first = _render(draw, pieces)
     if draw(st.integers(0, 4)):
@@ -251,8 +279,8 @@ class TestTemplateKey:
         }
         assert len(keys) == 3
 
-    @settings(max_examples=200, deadline=None)
-    @given(_select_pair())
+    @settings(max_examples=400, deadline=None)
+    @given(_statement_pair())
     def test_a_key_hit_rebinds_to_the_parsed_statement(self, pair):
         first, second = pair
         key, literals = template_key(first)
@@ -301,7 +329,7 @@ def count_between(low: int, high: int) -> int:
 
 def _refuse(name):
     def refuse(*args, **kwargs):
-        raise AssertionError(f"{name} ran on a cached SELECT")
+        raise AssertionError(f"{name} ran on a cached statement")
 
     return refuse
 
@@ -379,6 +407,78 @@ def test_explain_output_is_unchanged():
         "tables: r\nselections: (none)\njoins: (none)\ngroup by: (none)\n"
         "cracker advice:\n  (none)"
     )
+
+
+def test_dml_template_hits_run_no_lexer_or_parser(monkeypatch):
+    db = small_db()
+    db.execute("INSERT INTO r VALUES (500, 5, 'x'), (501, 6, 'y')")
+    db.execute("UPDATE r SET a = 1 WHERE k BETWEEN 0 AND 3")
+    db.execute("DELETE FROM r WHERE k = 7")
+    _forbid_front_end(monkeypatch)
+    db.execute("INSERT INTO r VALUES (502, 7, 'z'), (503, -8, '')")
+    db.execute("UPDATE r SET a = -1 WHERE k BETWEEN 10 AND 13")
+    db.execute("DELETE FROM r WHERE k = 9")
+    stats = db.plan_cache_stats()
+    assert (stats["dml_template_hits"], stats["template_hits"], stats["misses"]) == (
+        3, 0, 0,
+    )
+    assert (stats["dml_template_entries"], stats["template_entries"]) == (4, 0)
+    monkeypatch.undo()
+    assert db.execute("SELECT r.k, r.a, r.tag FROM r WHERE k >= 500").rows == [
+        (500, 5, "x"), (501, 6, "y"), (502, 7, "z"), (503, -8, ""),
+    ]
+    assert db.execute("SELECT count(*) FROM r WHERE a = -1").scalar() == 4
+    assert db.execute("SELECT count(*) FROM r WHERE k = 9").scalar() == 0
+
+
+def test_insert_select_and_rejected_literals_stay_uncached(monkeypatch):
+    db = small_db()  # its 200-row load stored one DML template
+    db.execute("CREATE TABLE s (k integer, a integer, tag varchar)")
+    for low in (5, 50):
+        db.execute(f"INSERT INTO s SELECT * FROM r WHERE a > {low}")
+    assert db.execute("SELECT count(*) FROM s").scalar() == sum(
+        a > 5 for _, a, _ in ROWS
+    ) + sum(a > 50 for _, a, _ in ROWS)
+
+    # The positional contract: SET values come before WHERE literals.
+    sql = "UPDATE r SET a = 5 WHERE k BETWEEN 1 AND 3"
+    key, literals = template_key(sql)
+    assert literals == (5, 1, 3)
+    assert make_template(parse(sql), (1, 3, 5)) is None
+    assert make_template(parse(sql), literals).bind((6, 2, 4)) == parse(
+        "UPDATE r SET a = 6 WHERE k BETWEEN 2 AND 4"
+    )
+    # Through the session: a key whose literals the parse disagrees with
+    # stores nothing, and the statement still runs as parsed.
+    def reversed_key(text):
+        key, literals = template_key(text)
+        return key, literals[::-1]
+
+    monkeypatch.setattr(session, "template_key", reversed_key)
+    for low in (1, 11):
+        db.execute(f"UPDATE r SET a = 5 WHERE k BETWEEN {low} AND {low + 2}")
+    monkeypatch.undo()
+    stats = db.plan_cache_stats()
+    assert (stats["dml_template_hits"], stats["dml_template_entries"]) == (0, 1)
+    assert sorted(db.execute("SELECT r.k FROM r WHERE a = 5").rows) == [
+        (k,) for k, a, _ in ROWS if a == 5 or k in (1, 2, 3, 11, 12, 13)
+    ]
+
+
+@pytest.mark.parametrize("plan_cache", [True, False], ids=["cached", "uncached"])
+def test_a_mixed_dml_stream_equals_the_model(plan_cache):
+    db = Database(cracking=True, mode="vector", plan_cache=plan_cache)
+    model = TableModel()
+    for sql, op in mixed_dml_stream(np.random.default_rng(23), 400):
+        result = db.execute(sql)
+        if op[0] == "count":
+            assert result.scalar() == model.apply(op), sql
+        else:
+            model.apply(op)
+    assert sorted(db.execute("SELECT r.k, r.a, r.tag FROM r").rows) == model.rows()
+    stats = db.plan_cache_stats()
+    hits = (stats["template_hits"], stats["dml_template_hits"])
+    assert min(hits) > 0 if plan_cache else hits == (0, 0)
 
 
 # ---------------------------------------------------------------------- #

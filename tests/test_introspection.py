@@ -432,6 +432,27 @@ class TestMonitorRenderers:
         empty = _render_top("x:1", {"interval": 1.0, "samples": []})
         assert "no samples yet" in empty
 
+    def test_renderers_show_the_checkpoint_writer(self):
+        from repro.__main__ import _render_stats, _render_top
+
+        sample = {"t": 0.0, "statements": 0, "generation": 4,
+                  "durable_generation": 3, "checkpoint_in_flight": 1,
+                  "checkpoint_failures": 0}
+        frame = _render_top("x:1", {"interval": 1.0, "samples": [sample]})
+        assert "generation    4   durable    3   checkpoint writing" in frame
+        text = "\n".join(_render_stats({
+            "server": {}, "gateway": {}, "metrics": {},
+            "plan_cache": {"hits": 1, "template_hits": 2, "misses": 3,
+                           "dml_template_hits": 4},
+            "persistence": {"persistent": True, "generation": 4,
+                            "durable_generation": 4, "durable_statements": 9,
+                            "wal_bytes": 0, "checkpoint_in_flight": False,
+                            "checkpoint_failures": 1},
+        }))
+        assert "4 DML template hits" in text
+        assert "generation 4 (durable 4)" in text
+        assert "checkpoint idle, 1 failed" in text
+
     def test_render_stats_includes_convergence_line(self):
         from repro.__main__ import _render_stats
 

@@ -667,6 +667,10 @@ class TestDurabilityMechanics:
         stats = db.persistence_stats()
         assert stats["persistent"]
         assert stats["generation"] == 0
+        # What CURRENT names, and the checkpoint writer's state.
+        assert stats["durable_generation"] == 0
+        assert stats["checkpoint_in_flight"] is False
+        assert stats["checkpoint_failures"] == 0
         db.close()
 
     def test_corrupt_current_fails_loudly(self, tmp_path):

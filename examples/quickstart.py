@@ -48,7 +48,7 @@ def cracked_column_demo() -> None:
 
 def sql_demo() -> None:
     print("=== 2. The SQL front-end (cracking enabled) ===")
-    db = Database(cracking=True)
+    db = Database()
     db.execute("CREATE TABLE r (k integer, a integer)")
     rng = np.random.default_rng(0)
     values = rng.permutation(100_000) + 1
@@ -71,7 +71,7 @@ def concurrent_demo() -> None:
     # sharing one Database across threads safe: every cracked column sits
     # behind one reader-writer lock, and a crack by one session can never
     # shuffle storage under another session's in-flight result.
-    db = Database(cracking=True, mode="vector", concurrent=True)
+    db = Database(concurrent=True)
     db.execute("CREATE TABLE r (k integer, a integer)")
     rng = np.random.default_rng(7)
     values = rng.permutation(100_000) + 1

@@ -41,7 +41,7 @@ def load(db: Database, rng: np.random.Generator) -> None:
 
 def main() -> None:
     rng = np.random.default_rng(5)
-    db = Database(cracking=True)
+    db = Database()
     load(db, rng)
 
     sequence = [

@@ -5,7 +5,7 @@ Usage::
     python -m repro list                 # show available experiments
     python -m repro fig2                 # run one experiment (full size)
     python -m repro all --quick          # all experiments, reduced sizes
-    python -m repro sql --mode vector -e "SELECT ..."   # embedded SQL
+    python -m repro sql -e "SELECT ..."  # embedded SQL
     python -m repro snapshot ./state     # checkpoint a durable store
     python -m repro restore ./state      # recover + verify a durable store
     python -m repro serve --port 7744 --persist-dir ./state   # SQL server
@@ -48,18 +48,11 @@ EXPERIMENTS = {
 
 
 def _print_result(result) -> None:
-    """Print one statement result in the shell's pipe-separated form.
-
-    Values go through the wire-safe converter, so the shell renders
-    exactly what the network protocol would serialise — numpy scalars
-    never leak into either surface.
-    """
-    from repro.server.protocol import wire_row
-
+    """Print one statement result in the shell's pipe-separated form."""
     if result.columns:
         print("|".join(result.columns))
         for row in result.rows:
-            print("|".join(str(value) for value in wire_row(row)))
+            print("|".join(str(value) for value in row))
     else:
         print(f"ok ({result.affected} rows affected)")
 
@@ -67,19 +60,14 @@ def _print_result(result) -> None:
 def run_sql(argv: list[str]) -> int:
     """The ``sql`` subcommand: execute statements on an embedded Database.
 
-    Statements come from ``-e`` flags and/or a script file; the execution
-    mode (tuple-at-a-time Volcano vs vectorized batches) and cracking are
-    selectable so the two pipelines can be compared from the shell.
+    Statements come from ``-e`` flags and/or a script file; cracking can
+    be switched off to compare with plain scans from the shell.
     """
     from repro.errors import ReproError
     from repro.sql import Database, split_statements
 
     parser = argparse.ArgumentParser(
         prog="repro sql", description="Run SQL on an embedded cracking database."
-    )
-    parser.add_argument(
-        "--mode", choices=("tuple", "vector"), default="tuple",
-        help="executor: Volcano iterators (tuple) or batch pipeline (vector)",
     )
     parser.add_argument(
         "--no-cracking", action="store_true",
@@ -105,7 +93,7 @@ def run_sql(argv: list[str]) -> int:
             return 2
     if not statements:
         parser.error("no SQL given; use -e and/or a script file")
-    db = Database(cracking=not args.no_cracking, mode=args.mode)
+    db = Database(cracking=not args.no_cracking)
     for text in statements:
         try:
             result = db.execute(text)
@@ -122,7 +110,6 @@ def _open_persistent(args) -> "object":
 
     return Database(
         cracking=not getattr(args, "no_cracking", False),
-        mode=args.mode,
         persist_dir=args.persist_dir,
     )
 
@@ -132,10 +119,6 @@ def _persistence_parser(
 ) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument("persist_dir", help="durable store directory")
-    parser.add_argument(
-        "--mode", choices=("tuple", "vector"), default="tuple",
-        help="executor mode for the recovered database",
-    )
     if allow_no_cracking:
         # Read-only convenience for `restore`; deliberately absent from
         # `snapshot`, whose checkpoint would otherwise compact the store
@@ -520,10 +503,6 @@ def run_serve(argv: list[str]) -> int:
         "--port", type=int, default=7744, help="bind port (0 = pick a free one)"
     )
     parser.add_argument(
-        "--mode", choices=("tuple", "vector"), default="vector",
-        help="default executor for served statements",
-    )
-    parser.add_argument(
         "--no-cracking", action="store_true",
         help="disable adaptive cracking (plain scans)",
     )
@@ -603,7 +582,6 @@ def run_serve(argv: list[str]) -> int:
     try:
         database = Database(
             cracking=not args.no_cracking,
-            mode=args.mode,
             concurrent=True,
             plan_cache=not args.no_plan_cache,
             crack_threshold=args.crack_threshold,
@@ -689,7 +667,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name:<8} {first_line}")
         print("\nRun: python -m repro <experiment> [--quick] [--rows N]")
         print("     python -m repro all [--quick]")
-        print("     python -m repro sql [--mode tuple|vector] -e 'SQL...'")
+        print("     python -m repro sql [--no-cracking] -e 'SQL...'")
         print("     python -m repro snapshot <persist_dir>")
         print("     python -m repro restore <persist_dir> [-e 'SQL...']")
         print("     python -m repro serve [--port N] [--persist-dir DIR]")

@@ -167,10 +167,8 @@ class Prepared:
         self.parameter_count = parameter_count
         self.closed = False
 
-    def execute(self, params=None, mode: str | None = None) -> QueryResult:
-        return self._client._run(
-            self._client._execute_prepared(self, params, mode)
-        )
+    def execute(self, params=None) -> QueryResult:
+        return self._client._run(self._client._execute_prepared(self, params))
 
     def close(self) -> None:
         return self._client._run(self._client._deallocate(self))
@@ -179,8 +177,8 @@ class Prepared:
 class AsyncPrepared(Prepared):
     """Prepared-statement helper of :class:`AsyncClient` (awaitable)."""
 
-    async def execute(self, params=None, mode: str | None = None) -> QueryResult:
-        return await super().execute(params, mode)
+    async def execute(self, params=None) -> QueryResult:
+        return await super().execute(params)
 
     async def close(self) -> None:
         await super().close()
@@ -207,7 +205,6 @@ class _ClientCore:
         host: str,
         port: int,
         *,
-        mode: str | None = None,
         client_name: str = "repro-client",
         reconnect: bool = True,
         max_retries: int = 3,
@@ -216,7 +213,6 @@ class _ClientCore:
     ) -> None:
         self.host = host
         self.port = port
-        self.mode = mode
         self.client_name = client_name
         self.reconnect = reconnect
         self.max_retries = max_retries
@@ -367,23 +363,23 @@ class _ClientCore:
     # Operations (one per public method of the two drivers)
     # -------------------------------------------------------------- #
 
-    def _query(self, sql: str, mode: str | None) -> dict:
-        return {"type": "query", "sql": sql, "mode": mode or self.mode}
-
-    def _execute(self, sql: str, mode: str | None):
-        reply = yield from self._request(self._query(sql, mode))
+    def _execute(self, sql: str):
+        reply = yield from self._request({"type": "query", "sql": sql})
         if reply.get("type") == "queued":
             return reply
         return _result_from_reply(_check_reply(reply, "result"))
 
-    def _execute_many(self, statements, mode, window: int, raise_on_error: bool):
+    def _execute_many(self, statements, window: int, raise_on_error: bool):
         statements = list(statements)
         window = max(1, window)
         out: list = []
         first_error: RemoteError | None = None
         for start in range(0, len(statements), window):
             replies = yield from self._exchange(
-                [self._query(sql, mode) for sql in statements[start:start + window]]
+                [
+                    {"type": "query", "sql": sql}
+                    for sql in statements[start:start + window]
+                ]
             )
             for reply in replies:
                 kind = reply.get("type")
@@ -406,13 +402,12 @@ class _ClientCore:
         self._prepared.append(prepared)
         return prepared
 
-    def _execute_prepared(self, prepared: Prepared, params, mode):
+    def _execute_prepared(self, prepared: Prepared, params):
         reply = yield from self._call(
             {
                 "type": "execute",
                 "handle": prepared.handle,
                 "params": None if params is None else list(params),
-                "mode": mode or self.mode,
             },
             "result",
             prepared,
@@ -508,18 +503,17 @@ class Client(_ClientCore):
         """(Re-)establish the connection, handshake, re-prepare."""
         self._run(self._connect())
 
-    def execute(self, sql: str, mode: str | None = None):
+    def execute(self, sql: str):
         """Run one statement; a SELECT returns a QueryResult.
 
         Inside a transaction a mutating statement is queued server-side
         (returns the ``queued`` reply dict instead of a result).
         """
-        return self._run(self._execute(sql, mode))
+        return self._run(self._execute(sql))
 
     def execute_many(
         self,
         statements,
-        mode: str | None = None,
         window: int = DEFAULT_PIPELINE_WINDOW,
         raise_on_error: bool = True,
     ) -> list:
@@ -536,9 +530,7 @@ class Client(_ClientCore):
         re-apply a prefix of mutations — so callers get
         :class:`ServerUnavailableError` and decide themselves.
         """
-        return self._run(
-            self._execute_many(statements, mode, window, raise_on_error)
-        )
+        return self._run(self._execute_many(statements, window, raise_on_error))
 
     def prepare(self, sql: str) -> Prepared:
         return self._run(self._prepare(sql))
@@ -640,19 +632,18 @@ class AsyncClient(_ClientCore):
         await client._run(client._connect())
         return client
 
-    async def execute(self, sql: str, mode: str | None = None):
-        return await self._run(self._execute(sql, mode))
+    async def execute(self, sql: str):
+        return await self._run(self._execute(sql))
 
     async def execute_many(
         self,
         statements,
-        mode: str | None = None,
         window: int = DEFAULT_PIPELINE_WINDOW,
         raise_on_error: bool = True,
     ) -> list:
         """Pipelined execution (see :meth:`Client.execute_many`)."""
         return await self._run(
-            self._execute_many(statements, mode, window, raise_on_error)
+            self._execute_many(statements, window, raise_on_error)
         )
 
     async def prepare(self, sql: str) -> AsyncPrepared:

@@ -39,7 +39,7 @@ class DatabaseEngine(Engine):
     def __init__(self, cracking: bool) -> None:
         super().__init__()
         self.name = "cracking" if cracking else "columnstore"
-        self.db = Database(cracking=cracking, mode="vector", crack_threshold=0)
+        self.db = Database(cracking=cracking, crack_threshold=0)
         self.catalog = self.db.catalog
         self.tracker = self.db.tracker
 

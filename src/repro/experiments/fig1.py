@@ -9,7 +9,7 @@ Expected shape (paper, Figure 1): materialise ≫ print ≫ count; the
 column engine (MonetDB analogue) is fastest on all modes; materialisation
 grows linearly with the answer size.
 
-The column engine is the shipped ``Database`` in vector mode, without
+The column engine is the shipped ``Database``, without
 ("columnstore") and with ("vectorized") cracking; the row store is the
 tuple-at-a-time n-ary engine.
 """

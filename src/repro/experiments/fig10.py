@@ -2,8 +2,8 @@
 
 Linear-contraction homerun sequences of k ≤ 128 steps zooming into
 targets of σ ∈ {5, 45, 75}% on a 1M-row tapestry table, run with and
-without cracking support (paper §5.2): the shipped ``Database`` in
-vector mode with the cracker off and on (``DatabaseEngine``).
+without cracking support (paper §5.2): the shipped ``Database`` with
+the cracker off and on (``DatabaseEngine``).
 
 Expected shape: the nocrack curves grow linearly (every query is a full
 scan); the crack curves flatten after the first few steps ("after a few

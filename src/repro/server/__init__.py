@@ -3,8 +3,7 @@
 The serving pipeline, bottom up:
 
 * :mod:`repro.server.protocol` — length-prefixed frames (JSON
-  messages, binary columnar bulk results), typed error replies,
-  wire-safe value conversion;
+  messages, binary columnar bulk results) and typed error replies;
 * :mod:`repro.server.gateway` — where coroutines call the RW-locked
   engine: inline on the loop thread, or on a bounded thread pool;
 * :mod:`repro.server.session` — per-connection prepared-statement
@@ -27,9 +26,6 @@ from repro.server.protocol import (
     error_for_exception,
     error_reply,
     result_reply,
-    wire_row,
-    wire_rows,
-    wire_value,
     write_frame,
 )
 from repro.server.server import ReproServer, ServerThread
@@ -49,8 +45,5 @@ __all__ = [
     "error_for_exception",
     "error_reply",
     "result_reply",
-    "wire_row",
-    "wire_rows",
-    "wire_value",
     "write_frame",
 ]

@@ -56,9 +56,9 @@ Binary columnar results
     :class:`ProtocolError`, never a ``KeyError`` or a wild allocation.
 
 Wire safety
-    The JSON reply encoder and the ``repro sql`` printer both pass
-    result cells through :func:`wire_value`, so the two surfaces render
-    identical values.
+    Result cells are plain ``int``/``float``/``str``/``None`` (see
+    :class:`~repro.sql.session.QueryResult`), so the JSON reply encoder
+    and the ``repro sql`` printer use them as they are.
 """
 
 from __future__ import annotations
@@ -157,37 +157,6 @@ _EXCEPTION_CODES: tuple[tuple[type, str], ...] = (
 
 
 # ---------------------------------------------------------------------- #
-# Wire-safe values
-# ---------------------------------------------------------------------- #
-
-
-def wire_value(value):
-    """A JSON-serialisable Python value for one result cell.
-
-    Still needed for tuple mode: the Volcano operators yield numpy
-    scalars (``np.int64`` etc.) as read from BAT storage, which
-    ``json.dumps`` rejects; a columnar (vector-mode) result's ``rows``
-    are plain Python values and pass through.  The conversion is
-    value-preserving — floats stay floats, ints ints — which is what
-    lets the differential tests demand byte-equal JSON between
-    embedded and served execution.
-    """
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
-def wire_row(row) -> list:
-    """One result row as a JSON-ready list."""
-    return [wire_value(value) for value in row]
-
-
-def wire_rows(rows) -> list[list]:
-    """All result rows as JSON-ready lists."""
-    return [wire_row(row) for row in rows]
-
-
-# ---------------------------------------------------------------------- #
 # HELLO negotiation
 # ---------------------------------------------------------------------- #
 
@@ -229,7 +198,7 @@ def result_reply(result) -> dict:
     return {
         "type": "result",
         "columns": list(result.columns),
-        "rows": wire_rows(result.rows),
+        "rows": result.rows,
         "affected": int(result.affected),
     }
 
@@ -264,7 +233,7 @@ def _plan_column(array: np.ndarray) -> tuple:
       values once in the header plus int32 codes in the body (NULL is
       code -1), which makes wide repetitive varchar columns cheap.
     * ``json`` — anything else (mixed types, e.g. numerics with NULLs)
-      falls back to one wire-safe JSON text per cell.
+      falls back to one JSON text per cell.
 
     ``row_bytes`` is a row's real cost on the wire: an int when uniform,
     else one byte count per row (a dictionary atom is charged to every
@@ -281,7 +250,7 @@ def _plan_column(array: np.ndarray) -> tuple:
         lookup = [str(atom) for atom in atoms]  # np.str_ -> str for the header
         sizes = [len(json.dumps(atom)) + 1 for atom in lookup] + [0]
         return "dict", codes, lookup, 4 + np.array(sizes, dtype=np.int64)[codes]
-    texts = [json.dumps(wire_value(value)) for value in values]
+    texts = [json.dumps(value) for value in values]
     sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     return "json", texts, None, sizes + 1
 

@@ -67,7 +67,6 @@ class ClientSession:
         gateway,
         session_id: int,
         server_stats=None,
-        default_mode: str | None = None,
         compression: bool = True,
         timeseries=None,
     ) -> None:
@@ -76,7 +75,6 @@ class ClientSession:
         self.session_id = session_id
         self.server_stats = server_stats
         self.timeseries = timeseries
-        self.default_mode = default_mode
         self.compression_enabled = compression
         self.client_name = "?"
         self.greeted = False
@@ -158,7 +156,7 @@ class ClientSession:
 
     def _statement_thunk(self, message: dict) -> tuple:
         """Validate one ``query``/``execute`` message into the engine
-        call ``(fn, argument, mode)`` that answers it."""
+        call ``(fn, argument)`` that answers it."""
         if message.get("type") == "query":
             fn, argument = self.database.execute, self._sql_of(message)
         else:
@@ -169,9 +167,12 @@ class ClientSession:
                     raise ProtocolError("'params' must be an array when present")
                 params = tuple(params)
             fn, argument = prepared.execute, params
-        mode = self._mode_of(message)
+        if message.get("mode") not in (None, "vector"):
+            # Clients from before the tuple executor was removed send a
+            # mode; only the one that still exists (or none) is served.
+            raise ProtocolError("'mode' must be \"vector\" or null when present")
         self.statements += 1
-        return fn, argument, mode
+        return fn, argument
 
     async def _run_thunks(self, thunks: list) -> list[dict]:
         """One gateway trip for a run of thunks; one reply per thunk.
@@ -183,9 +184,9 @@ class ClientSession:
         """
         def run_batch():
             outcomes = []
-            for fn, argument, mode in thunks:
+            for fn, argument in thunks:
                 try:
-                    outcomes.append(fn(argument, mode=mode))
+                    outcomes.append(fn(argument))
                 except Exception as exc:
                     outcomes.append(exc)
             return outcomes
@@ -208,14 +209,6 @@ class ClientSession:
             raise ProtocolError("message needs a non-empty 'sql' string")
         return sql
 
-    def _mode_of(self, message: dict) -> str | None:
-        mode = message.get("mode")
-        if mode is None:
-            return self.default_mode
-        if not isinstance(mode, str):
-            raise ProtocolError("'mode' must be a string when present")
-        return mode
-
     @staticmethod
     def _result_reply(result) -> dict:
         """The reply for a completed statement.
@@ -223,7 +216,7 @@ class ClientSession:
         A bulk result carries the raw :class:`QueryResult` under the
         private ``"_result"`` key: the server's writer encodes its
         column arrays into binary frames (chunked when large), so a
-        vector-mode answer reaches the socket without becoming tuples.  Tiny
+        columnar answer reaches the socket without becoming tuples.  Tiny
         results (``SMALL_RESULT_ROWS`` and under — the count(*) replies
         a pipelined workload is made of) go out as JSON: the columnar
         codec only pays for itself in bulk.
@@ -257,7 +250,6 @@ class ClientSession:
             "server": "repro",
             "session": self.session_id,
             "cracking": self.database.cracking,
-            "mode": self.database.mode,
             "persistent": self.database.persistent,
         }
 
@@ -274,7 +266,7 @@ class ClientSession:
         if self._txn is not None:
             # Classification must parse, and parsing goes through the
             # gateway like any other engine work.
-            _, sql, _ = thunk
+            _, sql = thunk
             stmt = await self.gateway.run(parse, sql)
             if self.database._mutation_target(stmt) is not None:
                 self._txn.append(sql)
@@ -337,9 +329,7 @@ class ClientSession:
         # keep the buffer so the client can retry COMMIT after backoff.
         try:
             results = await self.gateway.run(
-                self.database.execute_transaction,
-                buffered,
-                mode=self.default_mode,
+                self.database.execute_transaction, buffered
             )
         except OverloadedError:
             self._txn = buffered

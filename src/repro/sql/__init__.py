@@ -30,12 +30,7 @@ from repro.sql.plan_cache import (
     bind_statement,
     template_key,
 )
-from repro.sql.planner import (
-    PLAN_MODES,
-    CrackerProvider,
-    PositionalScan,
-    build_plan,
-)
+from repro.sql.planner import CrackerProvider, build_plan
 from repro.sql.session import (
     Database,
     PreparedStatement,
@@ -57,9 +52,7 @@ __all__ = [
     "InsertSelectStmt",
     "InsertValuesStmt",
     "JoinPredicate",
-    "PLAN_MODES",
     "PlanCache",
-    "PositionalScan",
     "PreparedStatement",
     "QueryResult",
     "RangePredicate",

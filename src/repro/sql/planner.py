@@ -2,18 +2,13 @@
 
 The cracker stage sits exactly where §3 puts it — between the semantic
 analyzer and the (traditional) optimizer: when a cracking provider is
-configured, range selections are answered by the cracked column and the
-base scan is replaced by a positional scan of the qualifying tuples; the
-remaining plan (joins, grouping, projection) is built conventionally.
-
-Two execution modes share one planning pass (``mode`` argument):
-
-* ``"tuple"`` — the Volcano tuple-at-a-time tree of
-  :mod:`repro.volcano.operators`, the traditional-engine cost profile;
-* ``"vector"`` — the batch tree of :mod:`repro.volcano.vectorized`, where
-  a cracked range selection enters the pipeline as a zero-copy
-  ``SelectionResult`` span and every downstream operator is an array
-  kernel.
+configured, a range selection is answered by the cracked column, whose
+``SelectionResult`` span enters the batch tree of
+:mod:`repro.volcano.vectorized` zero-copy; the remaining plan (joins,
+grouping, projection) is built conventionally, every operator an array
+kernel.  The paper's tuple-at-a-time baseline is
+:class:`~repro.engines.rowstore.RowStoreEngine`, which drives
+:mod:`repro.volcano.operators` directly.
 """
 
 from __future__ import annotations
@@ -37,18 +32,7 @@ from repro.volcano.joinopt import (
     default_plan,
     optimize_join_order,
 )
-from repro.volcano.operators import (
-    Aggregate,
-    HashJoin,
-    Limit,
-    Materialize,
-    NestedLoopJoin,
-    Operator,
-    Project,
-    Scan,
-    Select,
-    Sort,
-)
+from repro.volcano.operators import Operator
 from repro.volcano.vectorized import (
     VecAggregate,
     VecCrackedScan,
@@ -61,10 +45,6 @@ from repro.volcano.vectorized import (
     VecSelect,
     VecSort,
 )
-
-#: Execution modes build_plan understands.
-PLAN_MODES = ("tuple", "vector")
-
 
 class CrackedCountScan(Operator):
     """Degenerate plan: COUNT(*) answered from the cracker's span bounds.
@@ -120,18 +100,6 @@ def _cracked_count_plan(
         count=True,
     )
     return CrackedCountScan(count)
-
-
-class PositionalScan(Operator):
-    """Scan a relation at explicit storage positions (cracked answers)."""
-
-    def __init__(self, relation: Relation, positions: np.ndarray, alias: str) -> None:
-        self.relation = relation
-        self.positions = np.asarray(positions, dtype=np.int64)
-        self.columns = [f"{alias}.{name}" for name in relation.schema.names()]
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self.relation.rows_at(self.positions))
 
 
 class CrackerProvider:
@@ -493,22 +461,14 @@ def build_plan(
     cracker: CrackerProvider | None = None,
     join_budget: int = 10_000,
     tracker=None,
-    mode: str = "tuple",
-) -> Operator | VecOperator:
-    """Assemble the physical plan for an analyzed query.
-
-    ``mode`` selects the executor: ``"tuple"`` builds the Volcano
-    iterator tree, ``"vector"`` the batch tree.  Both trees are built
-    from the same analyzed normal form and produce identical result sets.
-    """
-    if mode not in PLAN_MODES:
-        raise PlanError(f"unknown execution mode {mode!r}; have {PLAN_MODES}")
+) -> CrackedCountScan | VecOperator:
+    """Assemble the physical plan for an analyzed query: the COUNT(*)
+    pushdown when it applies, else the batch tree."""
     fast_count = _cracked_count_plan(query, catalog, cracker)
     if fast_count is not None:
         return fast_count
-    vector = mode == "vector"
-    needed = _needed_columns(query) if vector else None
-    base_ops: dict[str, Operator | VecOperator] = {}
+    needed = _needed_columns(query)
+    base_ops: dict[str, VecOperator] = {}
     remaining_selections: list[RangePredicate] = []
     selections_by_binding: dict[str, list[RangePredicate]] = {}
     for predicate in query.selections:
@@ -529,64 +489,46 @@ def build_plan(
                 low_inclusive=crackable.low_inclusive,
                 high_inclusive=crackable.high_inclusive,
             )
-            if vector:
-                # The cracked span is the pipeline's first batch, zero-copy.
-                base_ops[binding] = VecCrackedScan(
-                    relation, crackable.attr, result, alias=binding,
-                    needed=columns,
-                )
-            else:
-                base_ops[binding] = PositionalScan(relation, result.oids, binding)
+            # The cracked span is the pipeline's first batch, zero-copy.
+            base_ops[binding] = VecCrackedScan(
+                relation, crackable.attr, result, alias=binding, needed=columns,
+            )
             remaining_selections.extend(p for p in predicates if p is not crackable)
         else:
-            base_ops[binding] = (
-                VecScan(relation, alias=binding, needed=columns)
-                if vector
-                else Scan(relation, alias=binding)
-            )
+            base_ops[binding] = VecScan(relation, alias=binding, needed=columns)
             remaining_selections.extend(predicates)
 
-    tree = _join_tree(query, base_ops, catalog, join_budget, vector)
+    tree = _join_tree(query, base_ops, catalog, join_budget)
     for predicate in remaining_selections:
-        if vector:
-            tree = VecSelect(
-                tree,
-                f"{predicate.binding}.{predicate.attr}",
-                _vec_range_mask(predicate),
-            )
-        else:
-            tree = Select(tree, _range_closure(tree, predicate))
+        tree = VecSelect(
+            tree,
+            f"{predicate.binding}.{predicate.attr}",
+            _range_mask(predicate),
+        )
     for residual in query.residuals:
-        if vector:
-            value = residual.value
-            tree = VecSelect(
-                tree,
-                f"{residual.binding}.{residual.attr}",
-                lambda values, v=value: values != v,
-            )
-        else:
-            index = tree.column_index(f"{residual.binding}.{residual.attr}")
-            value = residual.value
-            tree = Select(tree, lambda row, i=index, v=value: row[i] != v)
+        value = residual.value
+        tree = VecSelect(
+            tree,
+            f"{residual.binding}.{residual.attr}",
+            lambda values, v=value: values != v,
+        )
     # ORDER BY: with aggregates the sort keys are group columns and must
     # apply to the γ output; otherwise sorting happens before projection
     # so non-projected columns remain orderable.  Reversed stacking of
     # stable sorts preserves multi-key significance order.
-    aggregate_op = VecAggregate if vector else Aggregate
-    sort_op = VecSort if vector else Sort
     if query.aggregates:
-        tree = aggregate_op(tree, query.group_by, query.aggregates)
+        tree = VecAggregate(tree, query.group_by, query.aggregates)
         for name, descending in reversed(query.order_by):
-            tree = sort_op(tree, name, descending=descending)
+            tree = VecSort(tree, name, descending=descending)
     else:
         for name, descending in reversed(query.order_by):
-            tree = sort_op(tree, name, descending=descending)
+            tree = VecSort(tree, name, descending=descending)
         if query.projections:
-            tree = (VecProject if vector else Project)(tree, query.projections)
+            tree = VecProject(tree, query.projections)
     if query.limit is not None:
-        tree = (VecLimit if vector else Limit)(tree, query.limit)
+        tree = VecLimit(tree, query.limit)
     if query.into is not None:
-        tree = (VecMaterialize if vector else Materialize)(
+        tree = VecMaterialize(
             tree, query.into, tracker=tracker,
             col_types=_output_types(query, catalog, tree.columns),
         )
@@ -641,7 +583,7 @@ def _needed_columns(query: AnalyzedQuery) -> dict[str, set[str]] | None:
     return needed
 
 
-def _vec_range_mask(predicate: RangePredicate):
+def _range_mask(predicate: RangePredicate):
     """A vectorized mask function evaluating one range predicate."""
     low, high = predicate.low, predicate.high
     low_inc, high_inc = predicate.low_inclusive, predicate.high_inclusive
@@ -678,37 +620,12 @@ def _pick_crackable(
     return None
 
 
-def _range_closure(tree: Operator, predicate: RangePredicate):
-    index = tree.column_index(f"{predicate.binding}.{predicate.attr}")
-    low, high = predicate.low, predicate.high
-    low_inc, high_inc = predicate.low_inclusive, predicate.high_inclusive
-
-    def check(row: tuple) -> bool:
-        value = row[index]
-        if low is not None:
-            if low_inc:
-                if value < low:
-                    return False
-            elif value <= low:
-                return False
-        if high is not None:
-            if high_inc:
-                if value > high:
-                    return False
-            elif value >= high:
-                return False
-        return True
-
-    return check
-
-
 def _join_tree(
     query: AnalyzedQuery,
-    base_ops: dict[str, Operator | VecOperator],
+    base_ops: dict[str, VecOperator],
     catalog: Catalog,
     join_budget: int,
-    vector: bool = False,
-) -> Operator | VecOperator:
+) -> VecOperator:
     bindings = [ref.binding for ref in query.tables]
     if len(bindings) == 1:
         return base_ops[bindings[0]]
@@ -738,7 +655,6 @@ def _join_tree(
         plan = default_plan(graph)
     first = plan.steps[0]
     tree = base_ops[bindings[first.relation]]
-    joined = {first.relation}
     for step in plan.steps[1:]:
         right = base_ops[bindings[step.relation]]
         edge = step.edge
@@ -748,14 +664,8 @@ def _join_tree(
             left_col, right_col = edge.left_col, edge.right_col
         else:
             left_col, right_col = edge.right_col, edge.left_col
-        if vector:
-            # The batch executor always joins with the sort-merge kernel —
-            # the nested-loop collapse of Figure 9 is a tuple-engine cost
-            # profile the vectorized discipline does not exhibit.
-            tree = VecHashJoin(tree, right, left_col, right_col)
-        elif step.method == "nested_loop":
-            tree = NestedLoopJoin(tree, right, left_col, right_col)
-        else:
-            tree = HashJoin(tree, right, left_col, right_col)
-        joined.add(step.relation)
+        # Always the sort-merge kernel, whatever ``step.method`` says: the
+        # nested-loop collapse of Figure 9 is a tuple-engine cost profile
+        # (RowStoreEngine's) the batch discipline does not exhibit.
+        tree = VecHashJoin(tree, right, left_col, right_col)
     return tree

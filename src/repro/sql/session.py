@@ -1,12 +1,13 @@
 """User-facing SQL sessions: the :class:`Database` object.
 
 Ties together lexer → parser → analyzer (with cracker extraction) →
-planner → Volcano execution over one catalog.  With ``cracking=True`` the
-database self-organises: every range query cracks the touched columns.
+planner → batch execution over one catalog.  With cracking on (the
+default) the database self-organises: every range query cracks the
+touched columns.
 
 Example::
 
-    db = Database(cracking=True)
+    db = Database()
     db.execute("CREATE TABLE r (k integer, a integer)")
     db.execute("INSERT INTO r VALUES (1, 10), (2, 20)")
     result = db.execute("SELECT * FROM r WHERE a BETWEEN 5 AND 15")
@@ -47,12 +48,11 @@ from repro.sql.plan_cache import (
     make_template,
     template_key,
 )
-from repro.sql.planner import PLAN_MODES, CrackerProvider, build_plan
+from repro.sql.planner import CrackerProvider, build_plan
 from repro.storage.catalog import Catalog
 from repro.storage.pages import IOTracker
 from repro.storage.table import Column, Relation, Schema
 from repro.storage.transaction import Transaction
-from repro.volcano.operators import Materialize
 from repro.volcano.vectorized import VecMaterialize, VecOperator, concat_batches
 
 
@@ -120,14 +120,12 @@ class QueryResult:
     the other on first access, cached:
 
     * ``rows`` — ``list[tuple]``.  Primary for row-native results (COUNT
-      pushdown, DML, EXPLAIN, the tuple executor); for a columnar result
-      it is built with ``tolist()`` per column on first read, so those
-      rows hold plain ``int``/``float``/``str``/``None``, never numpy
-      scalars.  (Tuple-mode rows are passed through as the operators
-      yield them and may still carry numpy scalars.)
+      pushdown, DML, EXPLAIN); for a columnar result it is built with
+      ``tolist()`` per column on first read.  Either way the rows hold
+      plain ``int``/``float``/``str``/``None``, never numpy scalars.
     * ``arrays`` — ``{column name: ndarray}``, object dtype for varchar,
-      NULL-bearing and mixed-type columns.  Primary for the vector
-      executor and for bulk replies decoded by the client, which are
+      NULL-bearing and mixed-type columns.  Primary for every other
+      SELECT and for bulk replies decoded by the client, which are
       never turned into tuples unless ``rows`` is read.
 
     The result owns its data: no array is a view of cracker or BAT
@@ -196,11 +194,16 @@ class QueryResult:
 class Database:
     """An embedded cracking database speaking the SQL subset.
 
-    ``mode`` selects the default executor: ``"tuple"`` runs the Volcano
-    iterator pipeline (the traditional-engine baseline), ``"vector"`` the
-    batch pipeline that keeps data in numpy arrays end-to-end.  Both modes
-    crack, and both return identical result sets; ``execute(sql, mode=...)``
-    overrides the default per statement.
+    Statements run on the batch executor, which keeps data in numpy
+    arrays end to end.  ``cracking`` (default on) answers range
+    selections from cracked columns; ``cracking=False`` scans.  Where
+    answers may differ from SQL's (stdlib ``sqlite3``'s) is one table,
+    ``DIALECT`` in the test suite's ``oracle.py``.
+
+    ``mode`` accepts only ``"vector"`` and is not stored: the tuple
+    executor it once chose was removed.  It stays for the perf ledger,
+    which still passes it; a ``[benchmark]`` change to the ledger drops
+    the keyword.
 
     Concurrency: DDL, inserts and all cracker traffic are always locked
     (catalog lock, per-relation write locks, per-column reader–writer
@@ -269,9 +272,9 @@ class Database:
 
     def __init__(
         self,
-        cracking: bool = False,
+        cracking: bool = True,
         join_budget: int = 10_000,
-        mode: str = "tuple",
+        mode: str = "vector",
         concurrent: bool = False,
         plan_cache: bool = True,
         crack_threshold: int = DEFAULT_CRACK_THRESHOLD,
@@ -284,15 +287,15 @@ class Database:
         slow_query_ms: float | None = None,
         profile: bool = False,
     ) -> None:
-        if mode not in PLAN_MODES:
+        if mode != "vector":
             raise SQLAnalysisError(
-                f"unknown execution mode {mode!r}; have {PLAN_MODES}"
+                f"execution mode {mode!r}: the tuple executor was removed; "
+                "'vector' is the only mode"
             )
         self.catalog = Catalog()
         self.tracker = IOTracker()
         self.cracking = cracking
         self.join_budget = join_budget
-        self.mode = mode
         self.concurrent = concurrent
         self._cracker = (
             CrackerProvider(
@@ -368,11 +371,10 @@ class Database:
     # Statement execution
     # ------------------------------------------------------------------ #
 
-    def execute(self, sql: str, mode: str | None = None) -> QueryResult:
+    def execute(self, sql: str) -> QueryResult:
         """Compile (or fetch from the plan cache) and run one statement.
 
-        ``mode`` overrides the default executor.  Cache discipline for a
-        SELECT: an exact textual repeat reuses its analyzed form outright;
+        Cache discipline for a SELECT: an exact textual repeat reuses its analyzed form outright;
         a literal-only variant rebinds constants into the cached parse
         tree and re-runs only the analyzer; everything else compiles from
         scratch and primes both levels.
@@ -388,7 +390,7 @@ class Database:
         if head == "e" or head == "E" or (head != "" and head.isspace()):
             match = _EXPLAIN_ANALYZE.match(sql)
             if match is not None:
-                return self.explain_analyze(sql[match.end():], mode=mode)
+                return self.explain_analyze(sql[match.end():])
         started = time.perf_counter() if self._metrics_on else 0.0
         # With the profiler on, tag this context so lineage events can
         # name the statement that triggered each reorganisation.  The
@@ -399,14 +401,14 @@ class Database:
         if self._profile:
             obs_introspect.set_statement_id(next(self._statement_counter))
         if self._trace_statements or self._slow_query_ms is not None:
-            result = self._execute_traced(sql, mode)
+            result = self._execute_traced(sql)
         else:
-            result = self._compile_and_run(sql, mode)
+            result = self._compile_and_run(sql)
         if self._metrics_on:
             self._record_statement(sql, time.perf_counter() - started)
         return result
 
-    def _compile_and_run(self, sql: str, mode: str | None) -> QueryResult:
+    def _compile_and_run(self, sql: str) -> QueryResult:
         """The compile pipeline of :meth:`execute` (cache → lex → parse).
 
         Every statement computes a template key (its ``lex`` span) and
@@ -427,7 +429,7 @@ class Database:
             if query is not None:
                 if obs_trace.tracing():
                     obs_trace.annotate(plan_cache="exact-hit")
-                return self._execute_analyzed(query, mode=mode)
+                return self._execute_analyzed(query)
             if _statement_kind(sql) == "select":
                 cache.count_miss()
             with obs_trace.span("lex"):
@@ -436,7 +438,7 @@ class Database:
             if template is not None and template.fits(literals):
                 if obs_trace.tracing():
                     obs_trace.annotate(plan_cache="template-hit")
-                return self._run_templated(template.bind(literals), sql, mode)
+                return self._run_templated(template.bind(literals), sql)
             if obs_trace.tracing():
                 obs_trace.annotate(plan_cache="miss")
         with obs_trace.span("lex"):
@@ -445,25 +447,25 @@ class Database:
             stmt = parse(sql, tokens=tokens)
         if key is not None and (fresh := make_template(stmt, literals)) is not None:
             cache.store_template(key, fresh)
-            return self._run_templated(stmt, sql, mode)
+            return self._run_templated(stmt, sql)
         # Non-templatable statements include SELECT ... INTO, which
         # mutates the catalog and must reach the durable dispatch.
-        return self._dispatch_statement(stmt, sql, mode)
+        return self._dispatch_statement(stmt, sql)
 
-    def _run_templated(self, stmt, sql: str, mode: str | None) -> QueryResult:
+    def _run_templated(self, stmt, sql: str) -> QueryResult:
         """Run a statement a template stands for: a SELECT primes the
         exact level, DML goes through the durable dispatch."""
         if isinstance(stmt, SelectStmt):
-            return self._execute_select(stmt, mode=mode, cache_as=sql)
-        return self._dispatch_statement(stmt, sql, mode)
+            return self._execute_select(stmt, cache_as=sql)
+        return self._dispatch_statement(stmt, sql)
 
-    def _execute_traced(self, sql: str, mode: str | None) -> QueryResult:
+    def _execute_traced(self, sql: str) -> QueryResult:
         """Run one statement under a span trace (trace=True / slow log)."""
         root = obs_trace.start_span("statement", kind=_statement_kind(sql))
         result = None
         try:
             with root:
-                result = self._compile_and_run(sql, mode)
+                result = self._compile_and_run(sql)
         finally:
             self._last_trace = root
         if self._slow_query_ms is not None:
@@ -508,9 +510,7 @@ class Database:
             description="Statements slower than the slow-query threshold",
         ).inc()
 
-    def _dispatch_statement(
-        self, stmt, sql: str, mode: str | None
-    ) -> QueryResult:
+    def _dispatch_statement(self, stmt, sql: str) -> QueryResult:
         """Run one parsed statement; mutations are logged to the WAL.
 
         Mutations hold the durability guard (exclusive) across execute +
@@ -553,7 +553,7 @@ class Database:
                 elif isinstance(stmt, InsertValuesStmt):
                     result = self._execute_insert_values(stmt)
                 elif isinstance(stmt, InsertSelectStmt):
-                    result = self._execute_insert_select(stmt, mode=mode)
+                    result = self._execute_insert_select(stmt)
                 elif isinstance(stmt, UpdateStmt):
                     result = self._execute_update(stmt)
                 elif isinstance(stmt, DeleteStmt):
@@ -561,7 +561,7 @@ class Database:
                 elif isinstance(stmt, ExplainIndexStmt):
                     result = self._explain_index(stmt)
                 else:
-                    result = self._execute_select(stmt, mode=mode)
+                    result = self._execute_select(stmt)
                 if mutates:
                     self._log_durable(sql)
         if mutates:
@@ -594,10 +594,10 @@ class Database:
         return PreparedStatement(self, sql, template, defaults=literals)
 
     def execute_prepared(
-        self, prepared: "PreparedStatement", params=None, mode: str | None = None
+        self, prepared: "PreparedStatement", params=None
     ) -> QueryResult:
         """Run a prepared statement (``params`` override its literals)."""
-        return prepared.execute(params, mode=mode)
+        return prepared.execute(params)
 
     def execute_script(self, script: str) -> int:
         """Run a semicolon-separated script; returns statements executed."""
@@ -620,9 +620,7 @@ class Database:
             return stmt.into
         return None
 
-    def execute_transaction(
-        self, statements, mode: str | None = None
-    ) -> list[QueryResult]:
+    def execute_transaction(self, statements) -> list[QueryResult]:
         """Apply a batch of statements atomically: all or nothing.
 
         Every statement is parsed up front (a syntax error aborts before
@@ -690,9 +688,7 @@ class Database:
                 self._in_transaction += 1
                 try:
                     for sql, stmt in parsed:
-                        results.append(
-                            self._dispatch_statement(stmt, sql, mode)
-                        )
+                        results.append(self._dispatch_statement(stmt, sql))
                 except BaseException:
                     self._rollback_batch(undo, targets, pre_relations, pre_deleted)
                     raise
@@ -785,7 +781,7 @@ class Database:
             lines.append("  (none)")
         return "\n".join(lines)
 
-    def explain_analyze(self, sql: str, mode: str | None = None) -> QueryResult:
+    def explain_analyze(self, sql: str) -> QueryResult:
         """Execute ``sql`` for real under a span trace; return the trace.
 
         The SQL surface is ``EXPLAIN ANALYZE <stmt>`` (handled by
@@ -817,9 +813,9 @@ class Database:
                     )
                 with obs_trace.span("analyze"):
                     query = analyze(stmt, self.catalog)
-                result = self._execute_analyzed(query, mode=mode)
+                result = self._execute_analyzed(query)
             else:
-                result = self._dispatch_statement(stmt, sql, mode)
+                result = self._dispatch_statement(stmt, sql)
         root.meta["rows"] = result.row_count
         root.meta["affected"] = result.affected
         self._last_trace = root
@@ -875,10 +871,8 @@ class Database:
         self._plan_cache.invalidate_table(stmt.table)
         return QueryResult(columns=[], rows=[], affected=inserted)
 
-    def _execute_insert_select(
-        self, stmt: InsertSelectStmt, mode: str | None = None
-    ) -> QueryResult:
-        select_result = self._execute_select(stmt.select, mode=mode)
+    def _execute_insert_select(self, stmt: InsertSelectStmt) -> QueryResult:
+        select_result = self._execute_select(stmt.select)
         with self._catalog_lock:
             if not self.catalog.has_table(stmt.table):
                 # Paper's benchmark form: INSERT INTO newR SELECT * FROM R
@@ -974,10 +968,7 @@ class Database:
         return QueryResult(columns=[], rows=[], affected=affected)
 
     def _execute_select(
-        self,
-        stmt: SelectStmt,
-        mode: str | None = None,
-        cache_as: str | None = None,
+        self, stmt: SelectStmt, cache_as: str | None = None
     ) -> QueryResult:
         # Epochs are captured before analysis: a DDL/INSERT racing the
         # compile then leaves the entry already-stale instead of stamping
@@ -991,11 +982,9 @@ class Database:
             query = analyze(stmt, self.catalog)
         if cache_as is not None:
             self._plan_cache.store_exact(cache_as, query, epochs)
-        return self._execute_analyzed(query, mode=mode)
+        return self._execute_analyzed(query)
 
-    def _execute_analyzed(
-        self, query: AnalyzedQuery, mode: str | None = None
-    ) -> QueryResult:
+    def _execute_analyzed(self, query: AnalyzedQuery) -> QueryResult:
         """Plan and run an analyzed SELECT (the per-execution stages).
 
         The physical plan is rebuilt every time even on cache hits: the
@@ -1009,9 +998,8 @@ class Database:
                 cracker=self._cracker,
                 join_budget=self.join_budget,
                 tracker=self.tracker,
-                mode=mode if mode is not None else self.mode,
             )
-        if isinstance(plan, (Materialize, VecMaterialize)):
+        if isinstance(plan, VecMaterialize):
             relation = plan.run()
             with self._catalog_lock:
                 if self.catalog.has_table(relation.name):
@@ -1390,7 +1378,7 @@ class PreparedStatement:
     def parameter_count(self) -> int:
         return self.template.slots
 
-    def execute(self, params=None, mode: str | None = None) -> QueryResult:
+    def execute(self, params=None) -> QueryResult:
         """Run with ``params`` (positional literals; None = as written)."""
         literals = self.defaults if params is None else tuple(params)
         cache = self.database._plan_cache
@@ -1408,7 +1396,7 @@ class PreparedStatement:
             # Execute outside the memo lock: holding it through planning
             # and cracking would serialise every thread sharing this
             # prepared statement.
-            return self.database._execute_analyzed(memoised, mode=mode)
+            return self.database._execute_analyzed(memoised)
         stmt = self.template.bind(literals)
         # Capture before analyzing: a racing DDL/INSERT must leave this
         # memo entry stale, not stamp a pre-DDL analysis as current.
@@ -1419,4 +1407,4 @@ class PreparedStatement:
             self._memo.move_to_end(literals)
             while len(self._memo) > self.MEMO_CAPACITY:
                 self._memo.popitem(last=False)
-        return self.database._execute_analyzed(query, mode=mode)
+        return self.database._execute_analyzed(query)

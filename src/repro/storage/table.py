@@ -274,19 +274,6 @@ class Relation:
                 values.append(bat.tail_array()[position])
         return tuple(values)
 
-    def rows_at(self, positions: np.ndarray) -> list[tuple]:
-        """Reconstruct tuples at the given storage positions (vectorised)."""
-        columns = []
-        for column in self.schema:
-            bat = self.bats[column.name]
-            raw = bat.tail_array()[positions]
-            if column.col_type == "str":
-                assert bat.heap is not None
-                columns.append(bat.heap.get_many(raw))
-            else:
-                columns.append(raw)
-        return list(zip(*columns)) if columns else []
-
     def iter_rows(self) -> Iterator[tuple]:
         """Tuple-at-a-time iteration over the *visible* rows."""
         if self.deleted_count == 0:

@@ -7,10 +7,10 @@ deliberately, because it is the cost profile of the traditional engines
 the paper measures (MySQL/PostgreSQL/SQLite class).
 
 Each operator exposes ``columns`` (qualified output column names) and is
-iterable, yielding plain tuples.  A :class:`CrackingFilter` demonstrates
-§3.4.1's piggybacking: it routes non-qualifying tuples into a reject sink
-while passing qualifying ones up the tree, so the pieces together replace
-the original table.
+iterable, yielding plain tuples.  These are the scans, filters and joins
+of :class:`~repro.engines.rowstore.RowStoreEngine` (and the row-store
+side of :class:`~repro.engines.sql_cracking.SQLCrackingEngine`); the SQL
+planner builds the batch tree of :mod:`repro.volcano.vectorized`.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import ExecutionError
-from repro.storage.table import Column, Relation, Schema
+from repro.storage.table import Relation
 
 
 def resolve_column(columns: list[str], name: str) -> int:
     """Index of ``name`` among qualified ``columns``.
 
     Accepts both qualified (``R.a``) and bare (``a``) names; bare names
-    must be unambiguous.  Shared by the tuple and vectorized executors so
+    must be unambiguous.  Shared by the tuple and vectorized operators so
     both resolve (and report) column references identically.
     """
     if name in columns:
@@ -97,45 +97,6 @@ class Select(Operator):
                 yield row
 
 
-class CrackingFilter(Operator):
-    """A Select that also collects rejected tuples (§3.4.1 piggybacking).
-
-    "The Ξ-cracker can be put in front of a filter node to write unwanted
-    tuples into a separated piece."  After iteration completes, the
-    rejects are available in :attr:`rejected`, and together with the
-    passed tuples they replace the original input.
-    """
-
-    def __init__(self, child: Operator, predicate: Callable[[tuple], bool]) -> None:
-        self.child = child
-        self.predicate = predicate
-        self.columns = list(child.columns)
-        self.rejected: list[tuple] = []
-
-    def __iter__(self) -> Iterator[tuple]:
-        self.rejected = []
-        predicate = self.predicate
-        for row in self.child:
-            if predicate(row):
-                yield row
-            else:
-                self.rejected.append(row)
-
-
-class Project(Operator):
-    """Projection onto a subset (or reordering) of the child's columns."""
-
-    def __init__(self, child: Operator, names: list[str]) -> None:
-        self.child = child
-        self._indices = [child.column_index(name) for name in names]
-        self.columns = [child.columns[i] for i in self._indices]
-
-    def __iter__(self) -> Iterator[tuple]:
-        indices = self._indices
-        for row in self.child:
-            yield tuple(row[i] for i in indices)
-
-
 class NestedLoopJoin(Operator):
     """Equi-join by nested loops — the optimizer's fallback plan.
 
@@ -187,168 +148,6 @@ class HashJoin(Operator):
                 yield left_row + right_row
 
 
-class Sort(Operator):
-    """Full in-memory sort on one column."""
-
-    def __init__(self, child: Operator, name: str, descending: bool = False) -> None:
-        self.child = child
-        self._index = child.column_index(name)
-        self.descending = descending
-        self.columns = list(child.columns)
-
-    def __iter__(self) -> Iterator[tuple]:
-        rows = sorted(self.child, key=lambda row: row[self._index], reverse=self.descending)
-        return iter(rows)
-
-
-class Limit(Operator):
-    """Pass at most ``n`` tuples."""
-
-    def __init__(self, child: Operator, n: int) -> None:
-        if n < 0:
-            raise ExecutionError(f"LIMIT must be >= 0, got {n}")
-        self.child = child
-        self.n = n
-        self.columns = list(child.columns)
-
-    def __iter__(self) -> Iterator[tuple]:
-        remaining = self.n
-        for row in self.child:
-            if remaining <= 0:
-                return
-            yield row
-            remaining -= 1
-
-
-#: Aggregate function registry: name -> (initial, step, final).
-AGGREGATES = {
-    "count": (lambda: 0, lambda acc, v: acc + 1, lambda acc: acc),
-    "sum": (lambda: 0, lambda acc, v: acc + v, lambda acc: acc),
-    "min": (lambda: None, lambda acc, v: v if acc is None or v < acc else acc, lambda acc: acc),
-    "max": (lambda: None, lambda acc, v: v if acc is None or v > acc else acc, lambda acc: acc),
-    "avg": (
-        lambda: (0, 0),
-        lambda acc, v: (acc[0] + v, acc[1] + 1),
-        lambda acc: acc[0] / acc[1] if acc[1] else None,
-    ),
-}
-
-
-class Aggregate(Operator):
-    """Grouped aggregation (γ): GROUP BY ``group_names``, computing aggs.
-
-    ``aggs`` is a list of (function_name, column_name_or_None) pairs;
-    ``("count", None)`` is COUNT(*).  Output columns are the group columns
-    followed by one column per aggregate, named ``fn(col)``.
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        group_names: list[str],
-        aggs: list[tuple[str, str | None]],
-    ) -> None:
-        self.child = child
-        self._group_indices = [child.column_index(n) for n in group_names]
-        self._agg_specs = []
-        for fn_name, col_name in aggs:
-            if fn_name not in AGGREGATES:
-                raise ExecutionError(
-                    f"unknown aggregate {fn_name!r}; have {sorted(AGGREGATES)}"
-                )
-            index = None if col_name is None else child.column_index(col_name)
-            self._agg_specs.append((fn_name, index))
-        self.columns = [child.columns[i] for i in self._group_indices] + [
-            f"{fn}({'*' if idx is None else child.columns[idx]})"
-            for fn, idx in self._agg_specs
-        ]
-
-    def __iter__(self) -> Iterator[tuple]:
-        groups: dict[tuple, list] = {}
-        for row in self.child:
-            key = tuple(row[i] for i in self._group_indices)
-            state = groups.get(key)
-            if state is None:
-                state = [AGGREGATES[fn][0]() for fn, _ in self._agg_specs]
-                groups[key] = state
-            for slot, (fn, index) in enumerate(self._agg_specs):
-                value = 1 if index is None else row[index]
-                state[slot] = AGGREGATES[fn][1](state[slot], value)
-        for key in sorted(groups) if self._group_indices else groups:
-            state = groups[key]
-            finals = tuple(
-                AGGREGATES[fn][2](state[slot])
-                for slot, (fn, _) in enumerate(self._agg_specs)
-            )
-            yield key + finals
-        if not groups and not self._group_indices:
-            # Aggregate over an empty input still produces one row.
-            yield tuple(
-                AGGREGATES[fn][2](AGGREGATES[fn][0]()) for fn, _ in self._agg_specs
-            )
-
-
-class Materialize(Operator):
-    """Pipeline breaker that writes its input into a new Relation.
-
-    The expensive delivery mode of Figure 1a: per-tuple insertion plus
-    WAL/page accounting when a tracker is supplied.
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        name: str,
-        tracker=None,
-        col_types: list[str] | None = None,
-    ) -> None:
-        self.child = child
-        self.name = name
-        self.tracker = tracker
-        self.columns = list(child.columns)
-        self._col_types = col_types
-        self.result: Relation | None = None
-
-    def run(self) -> Relation:
-        """Drain the child into a fresh relation and return it."""
-        rows = list(self.child)
-        types = self._col_types
-        if types is None:
-            types = _infer_types(rows, len(self.columns))
-        schema = Schema(
-            [
-                Column(name.split(".")[-1], col_type)
-                for name, col_type in zip(self.columns, types)
-            ]
-        )
-        relation = Relation.from_rows(self.name, schema, rows)
-        if self.tracker is not None:
-            tuple_bytes = relation.tuple_bytes
-            self.tracker.log_tuples(len(rows), tuple_bytes)
-            self.tracker.write_bytes(self.name, len(rows) * tuple_bytes)
-        self.result = relation
-        return relation
-
-    def __iter__(self) -> Iterator[tuple]:
-        relation = self.run()
-        return relation_rows(relation)
-
-
-def _infer_types(rows: list[tuple], n_columns: int) -> list[str]:
-    """Infer BAT tail types from the first row (int default when empty)."""
-    if not rows:
-        return ["int"] * n_columns
-    types = []
-    for value in rows[0]:
-        if isinstance(value, str):
-            types.append("str")
-        elif isinstance(value, float):
-            types.append("float")
-        else:
-            types.append("int")
-    return types
-
-
 class PrintSink:
     """Format rows into an in-memory text sink (Figure 1b's delivery mode)."""
 
@@ -363,8 +162,3 @@ class PrintSink:
             self.lines += 1
             self.bytes_written += len(text) + 1
         return self.lines
-
-
-def count_rows(operator: Iterable[tuple]) -> int:
-    """Drain an operator counting tuples (Figure 1c's delivery mode)."""
-    return sum(1 for _ in operator)

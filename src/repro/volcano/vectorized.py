@@ -1,4 +1,4 @@
-"""Vectorized batch executor: the columnar peer of the Volcano pipeline.
+"""Vectorized batch executor: the engine every SQL statement runs on.
 
 The tuple-at-a-time operators in :mod:`repro.volcano.operators` model the
 traditional engines the paper measures against; this module is the engine
@@ -10,8 +10,9 @@ work.  Crucially, a cracked range selection enters the pipeline zero-copy:
 column straight through as the first batch (§3.4.2 — "the MonetDB BATviews
 provide a cheap representation of the newly created table").
 
-Both executors produce identical result sets; the differential test suite
-asserts it query-by-query.
+The test suite checks its answers query by query against stdlib
+``sqlite3``; where they may differ is the ``DIALECT`` table of the
+suite's ``oracle.py``.
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ def vector_equi_join(
     are expanded with ``np.repeat``.  O((|L|+|R|) log |R|) — the BAT-join
     discipline that keeps Figure 9's MonetDB line flat.
 
-    Output order is left-major with right matches in storage order, the
-    same order the tuple-mode :class:`~repro.volcano.operators.HashJoin`
-    produces.
+    Output order is left-major with right matches in storage order.
     """
     order = np.argsort(right_keys, kind="stable")
     return join_probe(left_keys, right_keys[order], order)
@@ -110,7 +109,7 @@ class ColumnBatch:
         return ColumnBatch(self.columns, [a[self.sel] for a in self.arrays])
 
     def rows(self) -> Iterator[tuple]:
-        """Decode into row tuples (the mode boundary, for delivery only)."""
+        """Decode into row tuples (for iteration only)."""
         compacted = self.compact()
         if not compacted.arrays:
             return iter(())
@@ -300,9 +299,9 @@ class VecHashJoin(VecOperator):
     """Batch equi-join: drain the right input once, then join each left
     batch with the sort-merge kernel.
 
-    Output order matches the tuple-mode HashJoin exactly: left-major,
-    with each left row's right matches in right storage order (the kernel
-    uses a stable sort of the right keys).
+    Output order is left-major, with each left row's right matches in
+    right storage order (the kernel uses a stable sort of the right
+    keys).
     """
 
     def __init__(
@@ -337,8 +336,8 @@ class VecHashJoin(VecOperator):
 
 
 class VecSort(VecOperator):
-    """Full sort on one column (pipeline breaker), stable like the tuple
-    Sort so stacked multi-key sorts agree between modes."""
+    """Full sort on one column (pipeline breaker), stable so that stacked
+    single-key sorts give a multi-key order."""
 
     def __init__(self, child: VecOperator, name: str, descending: bool = False) -> None:
         self.child = child
@@ -393,11 +392,11 @@ class VecLimit(VecOperator):
                 return
 
 
-#: Aggregate functions supported by :class:`VecAggregate` (the same set as
-#: the tuple-mode registry).
+#: Aggregate functions supported by :class:`VecAggregate`.
 VEC_AGGREGATES = ("count", "sum", "min", "max", "avg")
 
-#: Final value of each aggregate over an empty input (tuple-mode parity).
+#: Final value of each aggregate over an empty input.  ``sum`` gives 0
+#: where SQL (and sqlite) give NULL: a listed ``DIALECT`` difference.
 _EMPTY_FINAL = {"count": 0, "sum": 0, "min": None, "max": None, "avg": None}
 
 
@@ -408,8 +407,7 @@ def _segment_reduce(
 
     Segments partition the array, so ``np.ufunc.reduceat(values, starts)``
     is exactly the per-segment reduction; reduceat accumulates
-    left-to-right, matching the tuple engine's sequential fold even for
-    floats.
+    left-to-right, a sequential fold even for floats.
     """
     if values.dtype == object:
         slices = [values[s:e] for s, e in zip(starts, stops)]
@@ -438,8 +436,9 @@ class VecAggregate(VecOperator):
 
     Rows are clustered by a stable multi-key sort of the group columns
     (the Ω discipline of §3.4.2), then every aggregate is one segmented
-    ``reduceat``.  Output rows come out in ascending group-key order,
-    identical to the tuple-mode Aggregate.
+    ``reduceat``.  Output rows come out in ascending group-key order;
+    over an empty input without GROUP BY the one row holds
+    :data:`_EMPTY_FINAL`.
     """
 
     def __init__(
@@ -524,9 +523,8 @@ def _dtype_col_type(array: np.ndarray) -> str:
 class VecMaterialize(VecOperator):
     """Pipeline breaker writing the batch stream into a new Relation.
 
-    The columnar twin of the tuple-mode Materialize: columns are built
-    with bulk appends instead of per-tuple inserts, logged as one WAL
-    record.
+    The expensive delivery mode of Figure 1a: columns are built with
+    bulk appends, logged as one WAL record.
     """
 
     def __init__(

@@ -1,21 +1,25 @@
 """Shared differential oracle harness for cross-engine testing.
 
-Every execution configuration of the SQL stack — row-store-style scanning
-(no cracking), tuple-mode cracking, vector-mode cracking — must return
-the same result sets for the same statements.  This module is the single
-place that knows how to:
+Every execution configuration of the SQL stack must answer like an
+independent reference: stdlib ``sqlite3`` (:class:`SqliteReference`),
+which shares no lexer, parser, analyzer, planner or aggregate with the
+engine.  Where the two may differ is one table, :data:`DIALECT`; any
+other difference is a bug.  This module is the single place that knows
+how to:
 
 * build the standard engine configurations (:func:`make_databases`),
-* load identical randomized data into each (:func:`load_standard`),
+* load identical randomized data into each (:func:`load_standard`, which
+  loads a :class:`SqliteReference` just the same),
 * generate workloads (:func:`standard_query_suite`,
   :func:`pushdown_query_suite`, :func:`random_range_queries`, read-write
   :func:`random_mixed_dml`, storage-reorganising
   :func:`held_result_stream`),
+* compare one answer with sqlite's (:func:`assert_matches_reference`,
+  :func:`assert_matches_sqlite`),
 * compare result sets exactly (:func:`assert_rows_equal`) or as sorted
-  sets (:func:`assert_sorted_rows_equal`, for configurations that answer
-  in different physical orders), and
-* run a workload across many databases asserting agreement at every
-  statement (:func:`assert_engines_agree`), and
+  sets (:func:`assert_sorted_rows_equal`), and run a workload across
+  several databases asserting agreement at every statement
+  (:func:`assert_engines_agree`), and
 * answer a mixed_dml-shaped stream (:func:`mixed_dml_stream`) from an
   engine-free numpy model (:class:`TableModel`).
 
@@ -27,28 +31,26 @@ to :data:`ENGINE_CONFIGS`.
 from __future__ import annotations
 
 import math
+import re
+import sqlite3
+from collections import Counter
 
 import numpy as np
 
 from repro.sql import Database
 
-#: The standard cross-engine sweep: constructor kwargs per configuration.
-#: The first entry is the oracle the others are compared against.
-#: "uncached" pins the plan cache (on by default everywhere else) against
-#: per-statement recompilation.  The crack cut-off is pinned explicitly:
-#: the standard tables are smaller than the shipped default, so
-#: ``crack_threshold=0`` keeps the unbounded cracker under differential
-#: test, "bounded" (96) mixes cracks with sorted pieces, and "default"
-#: runs whatever ``Database`` ships.
+#: The standard sweep: constructor kwargs per configuration, each
+#: compared with sqlite.  The crack cut-off is pinned explicitly: the
+#: standard tables are smaller than the shipped default, so "cracked"
+#: (``crack_threshold=0``) keeps the unbounded cracker under test — with
+#: the plan cache off, so every statement compiles from scratch —
+#: "bounded" (96) mixes cracks with sorted pieces, and "default" runs
+#: whatever ``Database()`` ships.  "scan" answers without a cracker.
 ENGINE_CONFIGS: dict[str, dict] = {
-    "rowstore": dict(cracking=False, mode="tuple"),
-    "cracked": dict(cracking=True, mode="tuple", crack_threshold=0),
-    "vectorized": dict(cracking=True, mode="vector", crack_threshold=0),
-    "uncached": dict(
-        cracking=True, mode="vector", plan_cache=False, crack_threshold=0
-    ),
-    "bounded": dict(cracking=True, mode="tuple", crack_threshold=96),
-    "default": dict(cracking=True, mode="vector"),
+    "scan": dict(cracking=False),
+    "cracked": dict(crack_threshold=0, plan_cache=False),
+    "bounded": dict(crack_threshold=96),
+    "default": dict(),
 }
 
 
@@ -489,3 +491,163 @@ def assert_engines_agree(
             assert result.columns == oracle_result.columns, context
             assert result.affected == oracle_result.affected, context
             compare(oracle_result.rows, result.rows, context)
+
+
+# ---------------------------------------------------------------------- #
+# The independent reference: stdlib sqlite3
+# ---------------------------------------------------------------------- #
+
+#: Every way the engine's answers may differ from sqlite's, one row each;
+#: any other difference is a bug.  Each row has a test in
+#: ``tests/test_sqlite_reference.py`` that fails if the difference
+#: disappears or changes.
+DIALECT: dict[str, str] = {
+    "unordered": (
+        "Row order that ORDER BY does not fix is engine-defined: rows tied "
+        "on every sort key (all rows, without ORDER BY) compare as a "
+        "multiset, and a bare LIMIT may keep any of them."
+    ),
+    "limit_ties": (
+        "Which rows tied on the sort key survive an ORDER BY ... LIMIT cut "
+        "is engine-defined: the sort-key values and the row count match, "
+        "and the kept rows are among the tied ones."
+    ),
+    "float_digits": (
+        "Float aggregates accumulate in another order (crack order, numpy "
+        "reductions): floats compare to 1e-9 relative."
+    ),
+    "empty_sum": "sum over no rows is 0 here; SQL and sqlite say NULL.",
+}
+
+_LIMIT = re.compile(r"\s+limit\s+(\d+)\s*;?\s*$", re.IGNORECASE)
+_ORDER_BY = re.compile(r"\border\s+by\s+(.+?)\s*;?\s*$", re.IGNORECASE | re.DOTALL)
+_DIRECTION = re.compile(r"\s+(?:asc|desc)$", re.IGNORECASE)
+_SELECT = re.compile(r"^\s*select\s+", re.IGNORECASE)
+_SELECT_INTO = re.compile(
+    r"^\s*select\s+(.+?)\s+into\s+(\w+)\s+(from\b.*)$", re.IGNORECASE | re.DOTALL
+)
+_DML = re.compile(r"^\s*(?:insert|update|delete)\b", re.IGNORECASE)
+
+
+class Answer:
+    """sqlite's answer to one statement, ready to check an engine result.
+
+    A SELECT's rows come as tie groups: the runs of the unlimited
+    answer tied on every ``ORDER BY`` key, in sort order (one group
+    without ORDER BY).  A DML statement carries sqlite's ``rowcount``.
+    """
+
+    def __init__(self, sql: str, groups=None, limit=None, names=(), rowcount=None):
+        self.sql = sql
+        self.groups = groups
+        self.limit = limit
+        self.names = list(names)
+        self.rowcount = rowcount
+
+    def check(self, result, context=()) -> None:
+        """Assert ``result`` answers like sqlite, up to :data:`DIALECT`."""
+        context = (self.sql, *context)
+        if self.rowcount is not None:
+            assert result.affected == self.rowcount, context
+        if self.groups is None:
+            return
+        assert len(result.columns) == len(self.names), (context, result.columns)
+        groups = self.groups
+        sums = {
+            i for i, name in enumerate(self.names) if name.lower().startswith("sum(")
+        }
+        if sums:  # DIALECT["empty_sum"]
+            groups = [
+                [
+                    tuple(0 if v is None and i in sums else v for i, v in enumerate(row))
+                    for row in group
+                ]
+                for group in groups
+            ]
+        rows = result.rows
+        total = sum(map(len, groups))
+        expected = total if self.limit is None else min(self.limit, total)
+        assert len(rows) == expected, (context, len(rows), expected)
+        start = 0
+        for group in groups:
+            take = min(len(group), expected - start)
+            if take == 0:
+                break
+            chunk = rows[start : start + take]
+            if len(group) == 1:  # a unique sort key fixes the row
+                assert_rows_equal(group, chunk, context)
+            elif take == len(group):  # DIALECT["unordered"], ["float_digits"]
+                assert_sorted_rows_equal(group, chunk, context)
+            else:  # DIALECT["limit_ties"]
+                # Tied rows hold stored values, never an aggregate, so
+                # they match exactly (ints and equal floats hash alike).
+                pool = Counter(group)
+                pool.subtract(chunk)
+                assert min(pool.values()) >= 0, (context, chunk, group)
+            start += take
+
+
+class SqliteReference:
+    """The statements of this module on an in-memory stdlib ``sqlite3``.
+
+    Shares no code with the engine: no lexer, parser, analyzer, planner
+    or aggregate.  It takes the engine's SQL text — the two dialects
+    overlap on everything the workloads here generate — and rewrites
+    only ``SELECT ... INTO t FROM`` into ``CREATE TABLE t AS SELECT ...
+    FROM``.  Autocommit: a batch's ``BEGIN``/``ROLLBACK`` is explicit.
+    """
+
+    def __init__(self) -> None:
+        self.connection = sqlite3.connect(":memory:", isolation_level=None)
+
+    def execute(self, sql: str, params=()) -> sqlite3.Cursor:
+        into = _SELECT_INTO.match(sql)
+        if into is not None:
+            items, target, rest = into.groups()
+            sql = f"CREATE TABLE {target} AS SELECT {items} {rest}"
+        return self.connection.execute(sql, params)
+
+    def answer(self, sql: str, params=()) -> Answer:
+        """Run one statement; its :class:`Answer`."""
+        if not _SELECT.match(sql) or _SELECT_INTO.match(sql):
+            cursor = self.execute(sql, params)
+            return Answer(sql, rowcount=cursor.rowcount if _DML.match(sql) else None)
+        limit = _LIMIT.search(sql)
+        unlimited = sql[: limit.start()] if limit else sql
+        order = _ORDER_BY.search(unlimited)
+        keys = [] if order is None else [
+            _DIRECTION.sub("", key.strip()) for key in order.group(1).split(",")
+        ]
+        # The sort keys are selected ahead of the projection, so a key
+        # that is not projected still splits the groups.
+        cursor = self.execute(
+            _SELECT.sub(lambda m: m.group(0) + "".join(f"{k}, " for k in keys),
+                        unlimited, count=1),
+            params,
+        )
+        groups: list[list[tuple]] = []
+        previous = None
+        for row in cursor.fetchall():
+            if not groups or row[: len(keys)] != previous:
+                groups.append([])
+                previous = row[: len(keys)]
+            groups[-1].append(row[len(keys):])
+        return Answer(
+            sql,
+            groups=groups or [[]],
+            limit=int(limit.group(1)) if limit else None,
+            names=[column[0] for column in cursor.description][len(keys):],
+        )
+
+
+def assert_matches_sqlite(
+    databases: dict[str, Database], reference: SqliteReference, statements,
+    context=(),
+) -> None:
+    """Run each statement on every database and once on ``reference``;
+    every database's answer must match sqlite's (:meth:`Answer.check`)."""
+    for sql in statements:
+        results = {name: db.execute(sql) for name, db in databases.items()}
+        answer = reference.answer(sql)
+        for name, result in results.items():
+            answer.check(result, (name, *context))

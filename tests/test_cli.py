@@ -34,7 +34,7 @@ class TestCLI:
 class TestSQLSubcommand:
     def test_execute_statements(self, capsys):
         code = main([
-            "sql", "--mode", "vector",
+            "sql",
             "-e", "CREATE TABLE r (k integer, a integer)",
             "-e", "INSERT INTO r VALUES (1, 10), (2, 20), (3, 30); "
                   "SELECT r.k FROM r WHERE a >= 15 ORDER BY k",
@@ -45,15 +45,15 @@ class TestSQLSubcommand:
         assert "r.k" in output
         assert "2" in output and "3" in output
 
-    def test_modes_agree(self, capsys):
+    def test_cracking_on_and_off_agree(self, capsys):
         statements = [
             "-e", "CREATE TABLE r (a integer)",
             "-e", "INSERT INTO r VALUES (5), (15), (25)",
             "-e", "SELECT count(*) FROM r WHERE a > 10",
         ]
         outputs = []
-        for mode in ("tuple", "vector"):
-            assert main(["sql", "--mode", mode, *statements]) == 0
+        for flags in ([], ["--no-cracking"]):
+            assert main(["sql", *flags, *statements]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert outputs[0].rstrip().endswith("2")

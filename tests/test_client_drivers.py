@@ -255,7 +255,7 @@ def test_opted_in_compression(server, driver, monkeypatch):
 @both_drivers
 @every_scenario
 def test_scenario(server, scenario, driver, **client_kwargs):
-    embedded = Database(cracking=True, mode="vector")
+    embedded = Database(cracking=True)
 
     async def main():
         client = await open_client(driver, *server, **client_kwargs)

@@ -467,7 +467,7 @@ def test_insert_select_and_rejected_literals_stay_uncached(monkeypatch):
 
 @pytest.mark.parametrize("plan_cache", [True, False], ids=["cached", "uncached"])
 def test_a_mixed_dml_stream_equals_the_model(plan_cache):
-    db = Database(cracking=True, mode="vector", plan_cache=plan_cache)
+    db = Database(cracking=True, plan_cache=plan_cache)
     model = TableModel()
     for sql, op in mixed_dml_stream(np.random.default_rng(23), 400):
         result = db.execute(sql)

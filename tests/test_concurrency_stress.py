@@ -79,17 +79,15 @@ class Worker(threading.Thread):
             return
         low = int(self.rng.integers(0, DOMAIN))
         high = low + int(self.rng.integers(0, DOMAIN // 4))
-        mode = "tuple" if roll > 0.9 else None  # mostly the default executor
         if roll < 0.6:
             result = self.db.execute(
-                f"SELECT count(*) FROM r WHERE a BETWEEN {low} AND {high}",
-                mode=mode,
+                f"SELECT count(*) FROM r WHERE a BETWEEN {low} AND {high}"
             )
             count = result.scalar()
             assert 0 <= count <= N_ROWS + N_THREADS * OPS_PER_THREAD * 4
         else:
             result = self.db.execute(
-                f"SELECT * FROM r WHERE a >= {low} AND a <= {high}", mode=mode
+                f"SELECT * FROM r WHERE a >= {low} AND a <= {high}"
             )
             for _, a in result.rows:
                 assert low <= a <= high, (low, high, a)
@@ -97,11 +95,8 @@ class Worker(threading.Thread):
 
 @pytest.mark.parametrize(
     "config",
-    [
-        dict(mode="vector", concurrent=True),
-        dict(mode="tuple", concurrent=True),
-    ],
-    ids=["vector-single", "tuple-single"],
+    [dict(concurrent=True)],
+    ids=["vector-single"],
 )
 def test_stress_mixed_selects_and_inserts(config):
     db, initial_values = _build(**config)
@@ -183,7 +178,7 @@ def test_check_invariants_concurrent_with_queries():
     that band is a multiple of three exactly when an INSERT is visible
     to a range query on the column entirely or not at all.
     """
-    db, _ = _build(mode="vector", concurrent=True)
+    db, _ = _build(concurrent=True)
     errors: list[BaseException] = []
 
     def churn(index: int) -> None:
@@ -232,7 +227,7 @@ def test_check_invariants_concurrent_with_queries():
 
 def test_concurrent_readers_on_converged_column():
     """Pure query traffic (no inserts) from many threads stays consistent."""
-    db, initial_values = _build(mode="vector", concurrent=True)
+    db, initial_values = _build(concurrent=True)
     # Converge the index a little first.
     for low in range(0, DOMAIN, 1000):
         db.execute(f"SELECT count(*) FROM r WHERE a BETWEEN {low} AND {low + 500}")

@@ -1,14 +1,14 @@
-"""Cross-engine differential tests: every configuration vs the row store.
+"""Cross-engine differential tests: every configuration vs stdlib sqlite3.
 
 The shared :mod:`oracle` harness runs randomized workloads across the
-standard configurations — row-store scanning (no cracking), tuple-mode
-cracking and vector-mode cracking — and asserts
-identical *sorted* result sets at every statement (cracked storage
-answers in crack order, so only set equality is engine-independent).
+standard configurations and checks every answer against
+:class:`oracle.SqliteReference`, up to the :data:`oracle.DIALECT` table
+(cracked storage answers in crack order, so order counts only where
+ORDER BY fixes it).
 
 Workloads interleave INSERTs, so the merge-on-query update path of each
-cracking configuration is exercised against the scan oracle too, and a
-final invariant check proves the adaptive indexes stayed consistent.
+cracking configuration is exercised too, and a final invariant check
+proves the adaptive indexes stayed consistent.
 """
 
 import numpy as np
@@ -16,7 +16,9 @@ import pytest
 
 from oracle import (
     ENGINE_CONFIGS,
+    SqliteReference,
     assert_engines_agree,
+    assert_matches_sqlite,
     held_result_stream,
     load_standard,
     make_databases,
@@ -27,34 +29,36 @@ from oracle import (
 from repro.sql import Database
 
 
+def _loaded(seed: int) -> tuple[dict[str, Database], SqliteReference]:
+    databases, reference = make_databases(), SqliteReference()
+    assert list(databases) == list(ENGINE_CONFIGS)
+    for target in (*databases.values(), reference):
+        load_standard(target, seed)
+    return databases, reference
+
+
 @pytest.mark.parametrize("seed", [5, 23, 91])
 def test_all_engines_agree_on_random_workload(seed):
-    databases = make_databases()
-    assert list(databases) == list(ENGINE_CONFIGS)
-    for db in databases.values():
-        load_standard(db, seed)
+    databases, reference = _loaded(seed)
     rng = np.random.default_rng(seed + 500)
     workload = random_range_queries(rng, 40, insert_every=7)
-    assert_engines_agree(databases, workload)
+    assert_matches_sqlite(databases, reference, workload)
     for db in databases.values():
         db.check_invariants()
 
 
 @pytest.mark.parametrize("seed", [11, 47, 83])
 def test_all_engines_agree_on_mixed_dml_workload(seed):
-    """UPDATE/DELETE interleaved with reads: every engine vs the scan oracle.
+    """UPDATE/DELETE interleaved with reads: every engine vs sqlite.
 
     Exercises the pending-delete/pending-update buffers of every cracking
-    configuration (tombstone-aware merges, bounded pieces)
-    against the row store, then proves the adaptive indexes survived the
-    write traffic intact.
+    configuration (tombstone-aware merges, bounded pieces), then proves
+    the adaptive indexes survived the write traffic intact.
     """
-    databases = make_databases()
-    for db in databases.values():
-        load_standard(db, seed)
+    databases, reference = _loaded(seed)
     rng = np.random.default_rng(seed + 900)
     workload = random_mixed_dml(rng, 60)
-    assert_engines_agree(databases, workload)
+    assert_matches_sqlite(databases, reference, workload)
     for db in databases.values():
         db.check_invariants()
 
@@ -62,16 +66,14 @@ def test_all_engines_agree_on_mixed_dml_workload(seed):
 @pytest.mark.parametrize("seed", [19, 64])
 def test_all_engines_agree_on_pushdown_suite(seed):
     """Projection pushdown: scans that gather only referenced columns
-    answer like the tuple engines that reconstruct whole rows — cold,
-    again once cracked, and after the held-result stream's UPDATE/DELETE
-    traffic (whose own statements join the differential, so columnar
-    and row-native results are compared statement by statement)."""
-    databases = make_databases()
-    for db in databases.values():
-        load_standard(db, seed)
+    answer like sqlite, which reads whole rows — cold, again once
+    cracked, and after the held-result stream's UPDATE/DELETE traffic
+    (whose own statements join the differential, so columnar and
+    row-native results are compared statement by statement)."""
+    databases, reference = _loaded(seed)
     suite = pushdown_query_suite()
-    assert_engines_agree(databases, suite + suite)
-    assert_engines_agree(databases, held_result_stream() + suite)
+    assert_matches_sqlite(databases, reference, suite + suite)
+    assert_matches_sqlite(databases, reference, held_result_stream() + suite)
     for db in databases.values():
         db.check_invariants()
 
@@ -87,7 +89,7 @@ def _cracker_storage(db: Database):
 def test_held_result_owns_its_data(concurrent):
     """A held bulk result never changes and never aliases engine storage.
 
-    Vector-mode results are handed over as column arrays, and the
+    Bulk results are handed over as column arrays, and the
     cracked span / full-scan slices they start from are *views* of
     cracker and BAT storage: each is copied once at delivery.  Without
     that copy the next in-place crack (or the merge an UPDATE/DELETE
@@ -95,7 +97,7 @@ def test_held_result_owns_its_data(concurrent):
     under ``concurrent=True`` a held result would pin the copy-on-write
     storage generation it was answered from.
     """
-    db = Database(cracking=True, mode="vector", concurrent=concurrent)
+    db = Database(concurrent=concurrent)
     load_standard(db, seed=61)
     relation = db.catalog.table("r")
     held = []  # (result, frozen copy of each array, frozen rows)
@@ -126,8 +128,8 @@ def test_concurrent_snapshot_mode_agrees():
     """concurrent=True (snapshotted answers) changes nothing semantically."""
     databases = make_databases(
         {
-            "plain": dict(cracking=True, mode="vector"),
-            "concurrent": dict(cracking=True, mode="vector", concurrent=True),
+            "plain": dict(),
+            "concurrent": dict(concurrent=True),
         }
     )
     for db in databases.values():

@@ -109,12 +109,12 @@ class TestAbort:
         assert db.execute(
             "SELECT count(*) FROM r WHERE a BETWEEN 0 AND 100"
         ).scalar() == 101
-        # Cracking still works after the rebuild.
+        # Cracking still works after the rebuild: a is a permutation of
+        # 0..100, so 41 values lie in [20, 60].
         assert db.execute(
             "SELECT count(*) FROM r WHERE a BETWEEN 20 AND 60"
-        ).scalar() == db.execute(
-            "SELECT count(*) FROM r WHERE a BETWEEN 20 AND 60", mode="tuple"
-        ).scalar()
+        ).scalar() == 41
+        assert len(db.execute("SELECT k FROM r WHERE a BETWEEN 20 AND 60").rows) == 41
 
     def test_abort_restores_updates_and_deletes(self):
         # The satellite: pre-image rollback must cover UPDATE (in-place
@@ -166,9 +166,8 @@ class TestAbort:
         assert db.execute("SELECT count(*) FROM r").scalar() == 101
         assert db.execute(
             "SELECT count(*) FROM r WHERE a BETWEEN 40 AND 60"
-        ).scalar() == db.execute(
-            "SELECT count(*) FROM r WHERE a BETWEEN 40 AND 60", mode="tuple"
-        ).scalar()
+        ).scalar() == 21
+        assert len(db.execute("SELECT k FROM r WHERE a BETWEEN 40 AND 60").rows) == 21
 
     def test_select_into_replacement_is_restored(self):
         db = _loaded()

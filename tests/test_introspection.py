@@ -35,7 +35,7 @@ except ImportError:  # pragma: no cover - exercised on minimal installs
     HAVE_HYPOTHESIS = False
 
 CRACKING_CONFIGS = {
-    name: cfg for name, cfg in ENGINE_CONFIGS.items() if cfg.get("cracking")
+    name: cfg for name, cfg in ENGINE_CONFIGS.items() if cfg.get("cracking", True)
 }
 
 
@@ -74,7 +74,7 @@ class TestProfilerIsInvisible:
             assert_rows_equal(expected.rows, actual.rows, context)
         # And the profiled side actually profiled (cracking configs
         # crack r.a; the rowstore legitimately records nothing).
-        if config.get("cracking"):
+        if config.get("cracking", True):
             workload = profiled.stats()["workload"]
             assert "r.a" in workload
             assert workload["r.a"]["queries"] > 0
@@ -88,7 +88,7 @@ class TestProfilerIsInvisible:
 
 
 def check_histogram_totals(predicates) -> None:
-    db = Database(cracking=True, mode="vector", profile=True)
+    db = Database(cracking=True, profile=True)
     _load_small(db, n=200)
     for low, width in predicates:
         db.execute(f"SELECT count(*) FROM r WHERE a BETWEEN {low} AND {low + width}")
@@ -200,7 +200,7 @@ class TestLineage:
 
 class TestConvergence:
     def test_repeated_query_converges_below_scan_cost(self):
-        db = Database(cracking=True, mode="vector", profile=True)
+        db = Database(cracking=True, profile=True)
         _load_small(db, n=500)
         for _ in range(12):
             db.execute("SELECT count(*) FROM r WHERE a BETWEEN 30 AND 40")

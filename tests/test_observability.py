@@ -26,7 +26,7 @@ from oracle import (
 #: The configurations that actually crack (EXPLAIN ANALYZE must show a
 #: crack span on these; rowstore legitimately has none).
 CRACKING_CONFIGS = {
-    name: cfg for name, cfg in ENGINE_CONFIGS.items() if cfg.get("cracking")
+    name: cfg for name, cfg in ENGINE_CONFIGS.items() if cfg.get("cracking", True)
 }
 
 

@@ -3,8 +3,8 @@
 The acceptance property: for any workload of DDL/INSERT/SELECT, both
 ``snapshot → restore`` and ``crash → WAL replay`` yield a database whose
 query results and ``check_invariants()`` match the never-restarted
-original — verified against the cross-engine oracle helpers, including
-the vector-mode and bounded-cracking configurations.
+original — verified against the cross-engine oracle helpers, on the
+unbounded, bounded and default cracking configurations.
 """
 
 from __future__ import annotations
@@ -14,7 +14,12 @@ import json
 import numpy as np
 import pytest
 
-from oracle import assert_sorted_rows_equal, load_standard, random_range_queries
+from oracle import (
+    ENGINE_CONFIGS,
+    assert_sorted_rows_equal,
+    load_standard,
+    random_range_queries,
+)
 from repro.core.cracked_column import DEFAULT_CRACK_THRESHOLD, CrackedColumn
 from repro.errors import PersistError
 from repro.persist import scan_wal
@@ -29,14 +34,12 @@ try:
 except ImportError:  # pragma: no cover - exercised on minimal installs
     HAVE_HYPOTHESIS = False
 
-#: Persistence-capable cracking configurations, mirroring the oracle's
-#: ENGINE_CONFIGS sweep (cracked / vectorized / bounded / default), with
-#: the crack cut-off pinned the same way.
+#: Persistence-capable configurations: the cracking ones of the oracle's
+#: ENGINE_CONFIGS sweep (cracked / bounded / default).
 PERSIST_CONFIGS: dict[str, dict] = {
-    "cracked": dict(cracking=True, mode="tuple", crack_threshold=0),
-    "vectorized": dict(cracking=True, mode="vector", crack_threshold=0),
-    "bounded": dict(cracking=True, mode="tuple", crack_threshold=96),
-    "default": dict(cracking=True, mode="vector"),
+    name: config
+    for name, config in ENGINE_CONFIGS.items()
+    if config.get("cracking", True)
 }
 
 #: Order-free verification suite run on both sides of every restart.
@@ -391,7 +394,7 @@ class TestDurabilityMechanics:
         tail replays, and the column re-cracks from the live rows."""
         oracle = Database(cracking=False)
         db = Database(
-            cracking=True, mode="vector", persist_dir=tmp_path, crack_threshold=0
+            cracking=True, persist_dir=tmp_path, crack_threshold=0
         )
         for target in (oracle, db):
             load_standard(target, seed=31, n_rows=200)
@@ -412,7 +415,7 @@ class TestDurabilityMechanics:
         assert rewritten > 0
 
         reopened = Database(
-            cracking=True, mode="vector", persist_dir=tmp_path, crack_threshold=0
+            cracking=True, persist_dir=tmp_path, crack_threshold=0
         )
         stats = reopened.persistence_stats()
         assert stats["recovery_crackers_dropped"] == rewritten
@@ -435,7 +438,7 @@ class TestDurabilityMechanics:
         answering as a never-restarted store would."""
         oracle = Database(cracking=False)
         db = Database(
-            cracking=True, mode="vector", persist_dir=tmp_path, crack_threshold=0
+            cracking=True, persist_dir=tmp_path, crack_threshold=0
         )
         for target in (oracle, db):
             load_standard(target, seed=13, n_rows=300)
@@ -456,7 +459,7 @@ class TestDurabilityMechanics:
         db.close()
 
         reopened = Database(
-            cracking=True, mode="vector", persist_dir=tmp_path, crack_threshold=0
+            cracking=True, persist_dir=tmp_path, crack_threshold=0
         )
         restored = reopened.cracked_columns()[("r", "a")]
         assert (
@@ -526,7 +529,7 @@ class TestDurabilityMechanics:
         reopening session's value (None = the shipped default) applies."""
         oracle = Database(cracking=False)
         db = Database(
-            cracking=True, mode="vector", persist_dir=tmp_path,
+            cracking=True, persist_dir=tmp_path,
             crack_threshold=before,
         )
         for target in (oracle, db):
@@ -540,7 +543,7 @@ class TestDurabilityMechanics:
         chosen = {} if after is None else {"crack_threshold": after}
         expected = DEFAULT_CRACK_THRESHOLD if after is None else after
         reopened = Database(
-            cracking=True, mode="vector", persist_dir=tmp_path, **chosen
+            cracking=True, persist_dir=tmp_path, **chosen
         )
         columns = reopened.cracked_columns()
         assert columns  # warm: the crackers came back
@@ -558,7 +561,7 @@ class TestDurabilityMechanics:
         the same pieces and answers, and the cut-off given at open."""
         oracle = Database(cracking=False)
         db = Database(
-            cracking=True, mode="vector", persist_dir=tmp_path, crack_threshold=0
+            cracking=True, persist_dir=tmp_path, crack_threshold=0
         )
         for target in (oracle, db):
             load_standard(target, seed=17, n_rows=300)
@@ -582,7 +585,7 @@ class TestDurabilityMechanics:
         rewrite_cracker_meta(tmp_path, lambda meta: {**meta, **legacy})
 
         reopened = Database(
-            cracking=True, mode="vector", persist_dir=tmp_path, crack_threshold=0
+            cracking=True, persist_dir=tmp_path, crack_threshold=0
         )
         columns = reopened.cracked_columns()
         assert {key: c.piece_count for key, c in columns.items()} == pieces

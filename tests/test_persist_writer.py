@@ -34,7 +34,7 @@ CHECKPOINT_EVERY = 12
 
 def open_store(directory, **kwargs) -> Database:
     return Database(
-        cracking=True, mode="vector", persist_dir=directory, **kwargs
+        cracking=True, persist_dir=directory, **kwargs
     )
 
 

@@ -22,64 +22,59 @@ from repro.server.protocol import (
     error_for_exception,
     error_reply,
     result_reply,
-    wire_row,
-    wire_rows,
-    wire_value,
 )
 from repro.sql import Database, QueryResult
 
+from oracle import (
+    ENGINE_CONFIGS,
+    held_result_stream,
+    load_standard,
+    random_mixed_dml,
+    standard_query_suite,
+)
+
 
 class TestWireValues:
-    """The wire-safe conversion satellite: numpy scalars never reach json."""
+    """Result cells are plain Python values, so replies and the ``repro
+    sql`` printer use them as they are."""
 
-    def test_numpy_scalars_convert(self):
-        assert wire_value(np.int64(7)) == 7
-        assert type(wire_value(np.int64(7))) is int
-        assert wire_value(np.float64(2.5)) == 2.5
-        assert type(wire_value(np.float64(2.5))) is float
-        assert wire_value(np.str_("x")) == "x"
-        assert type(wire_value(np.str_("x"))) is str
-        assert wire_value(np.bool_(True)) is True
-
-    def test_python_values_pass_through(self):
-        for value in (3, 2.5, "s", None, True):
-            assert wire_value(value) is value or wire_value(value) == value
-
-    def test_regression_engine_rows_are_json_rejectable_raw(self):
-        """Which engine rows ``json.dumps`` rejects raw, pinned per mode.
-
-        Vector-mode results are columnar and build ``rows`` with
-        ``tolist()``: plain ``int``/``float``/``str``, serialisable as
-        they are.  Tuple-mode rows are whatever the operators yield —
-        numpy scalars straight out of BAT storage — which is the bug the
-        wire conversion exists for, and why ``wire_value`` stays.
-        """
-        rows = {}
-        for mode in ("vector", "tuple"):
-            db = Database(cracking=True, mode=mode)
-            db.execute("CREATE TABLE r (k integer, a integer, w float, t varchar)")
-            db.execute("INSERT INTO r VALUES (1, 10, 0.5, 'x'), (2, 20, 1.5, 'y')")
-            rows[mode] = db.execute("SELECT * FROM r WHERE a BETWEEN 5 AND 25").rows
-        assert {type(value) for row in rows["vector"] for value in row} == {
-            int, float, str,
-        }
-        assert sorted(json.loads(json.dumps(rows["vector"]))) == [
-            [1, 10, 0.5, "x"], [2, 20, 1.5, "y"],
-        ]
-        assert any(
-            isinstance(value, np.generic) for row in rows["tuple"] for value in row
-        ), "tuple-mode rows no longer carry numpy scalars; wire_value can go"
-        with pytest.raises(TypeError):
-            json.dumps(rows["tuple"])
-        encoded = json.dumps(wire_rows(rows["tuple"]))
-        assert sorted(json.loads(encoded)) == sorted(json.loads(json.dumps(rows["vector"])))
+    @pytest.mark.parametrize("name", sorted(ENGINE_CONFIGS))
+    def test_engine_cells_are_never_numpy_scalars(self, name):
+        """Over the oracle suites, no cell of ``rows`` or of an object
+        ``arrays`` column is a numpy scalar (``json.dumps`` rejects
+        ``np.int64``): any producer that yields one fails here."""
+        db = Database(**ENGINE_CONFIGS[name])
+        load_standard(db, seed=8)
+        rng = np.random.default_rng(80)
+        statements = (
+            standard_query_suite(rng)
+            + random_mixed_dml(rng, 40)
+            + held_result_stream()
+            + [
+                "SELECT sum(r.a), min(r.tag), avg(r.w) FROM r WHERE a < 0",
+                "SELECT count(*) FROM r WHERE a BETWEEN 100 AND 600",
+                "SELECT * INTO piece FROM r WHERE a < 0",
+                "EXPLAIN INDEX r(a)",
+                "EXPLAIN ANALYZE SELECT r.k FROM r WHERE a > 500",
+            ]
+        )
+        for sql in statements:
+            result = db.execute(sql)
+            cells = [value for row in result.rows for value in row]
+            for array in result.arrays.values():
+                if array.dtype == object:
+                    cells += array.tolist()
+            numpy_cells = [v for v in cells if isinstance(v, np.generic)]
+            assert not numpy_cells, (sql, numpy_cells[:3])
+            json.dumps(result_reply(result))
 
     def test_aggregate_rows_roundtrip(self):
-        db = Database(cracking=True, mode="tuple")
+        db = Database()
         db.execute("CREATE TABLE r (k integer, a integer)")
         db.execute("INSERT INTO r VALUES (1, 10), (2, 20), (3, 30)")
         result = db.execute("SELECT count(*), sum(r.a), avg(r.a) FROM r")
-        assert json.loads(json.dumps(wire_rows(result.rows))) == [[3, 60, 20.0]]
+        reply = json.loads(json.dumps(result_reply(result)))
+        assert reply["rows"] == [[3, 60, 20.0]]
 
 
 class TestFraming:
@@ -141,16 +136,15 @@ class TestFraming:
 
 class TestReplies:
     def test_result_reply_is_wire_safe(self):
-        result = QueryResult(
-            columns=["k", "a"],
-            rows=[(np.int64(1), np.float64(2.5))],
-            affected=0,
-        )
+        db = Database()
+        db.execute("CREATE TABLE r (k integer, a float, t varchar)")
+        db.execute("INSERT INTO r VALUES (1, 2.5, 'x'), (2, 9.0, 'y')")
+        result = db.execute("SELECT * FROM r WHERE k BETWEEN 0 AND 1")
         reply = result_reply(result)
         assert json.loads(json.dumps(reply)) == {
             "type": "result",
-            "columns": ["k", "a"],
-            "rows": [[1, 2.5]],
+            "columns": ["r.k", "r.a", "r.t"],
+            "rows": [[1, 2.5, "x"]],
             "affected": 0,
         }
 

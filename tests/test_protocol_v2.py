@@ -351,7 +351,7 @@ class TestDifferentialEmbedded:
     """Served and embedded execution must be value-identical."""
 
     def test_oracle_workload_served_vs_embedded(self):
-        embedded = Database(cracking=True, mode="vector")
+        embedded = Database(cracking=True)
         with served() as (_, host, port, _thread):
             with Client(host, port) as client:
                 rng = np.random.default_rng(SEED)
@@ -371,7 +371,7 @@ class TestDifferentialEmbedded:
     def test_bulk_results_cross_the_small_result_floor(self):
         """Results straddling SMALL_RESULT_ROWS switch codecs; both
         sides of the boundary must agree with embedded execution."""
-        embedded = Database(cracking=True, mode="vector")
+        embedded = Database(cracking=True)
         with served() as (_, host, port, _thread):
             with Client(host, port) as client:
                 load_standard(embedded, seed=SEED)
@@ -394,7 +394,7 @@ class TestDifferentialEmbedded:
         never turned into tuples unless ``rows`` is read, every column
         (varchar included) is in ``arrays``, and both faces match the
         embedded result's."""
-        embedded = Database(cracking=True, mode="vector")
+        embedded = Database(cracking=True)
         with served() as (_, host, port, _thread):
             with Client(host, port) as client:
                 load_standard(embedded, seed=SEED)
@@ -464,7 +464,7 @@ def big_database():
     past the 32 MiB single-frame cap."""
     n = 2_200_000
     assert n * 16 > MAX_FRAME_BYTES
-    database = Database(cracking=True, mode="vector", concurrent=True)
+    database = Database(cracking=True, concurrent=True)
     rng = np.random.default_rng(SEED)
     relation = Relation.from_columns(
         "big",
@@ -509,7 +509,7 @@ class TestStreamingPastFrameCap:
         assert max(map(len, frames)) < chunk_bytes + 512
         assert assemble(frames)["rows"] == rows
         # The same shape end to end: '' first, served in small chunks.
-        database = Database(cracking=True, mode="vector", concurrent=True)
+        database = Database(cracking=True, concurrent=True)
         database.execute("CREATE TABLE v (k integer, tag varchar)")
         values = ", ".join(f"({k}, '{tag}')" for k, tag in rows)
         database.execute(f"INSERT INTO v VALUES {values}")

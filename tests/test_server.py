@@ -37,7 +37,7 @@ from repro.errors import (
 )
 from repro.server import ClientSession, FrameDecoder, ServerThread, encode_frame
 from repro.server.gateway import ExecutionGateway
-from repro.server.protocol import PROTOCOL_VERSION, wire_rows
+from repro.server.protocol import PROTOCOL_VERSION
 from repro.server.server import _READ_BYTES
 from repro.sql import Database
 
@@ -57,7 +57,7 @@ def threaded(monkeypatch):
 def served(database=None, **server_kwargs):
     """A database served on a background thread, stopped afterwards."""
     if database is None:
-        database = Database(cracking=True, mode="vector", concurrent=True)
+        database = Database(cracking=True, concurrent=True)
     thread = ServerThread(database, **{**SERVED_DEFAULTS, **server_kwargs})
     host, port = thread.start()
     try:
@@ -80,14 +80,14 @@ def read_one(sock, decoder=None) -> dict:
 
 def wire_json(rows) -> str:
     """The canonical byte form results are compared in."""
-    return json.dumps(wire_rows(rows), separators=(",", ":"))
+    return json.dumps(rows, separators=(",", ":"))
 
 
 class TestDifferentialOracle:
     """Protocol-level results byte-equal embedded execution."""
 
     def test_oracle_workload_prepared_and_aborted_txn(self):
-        embedded = Database(cracking=True, mode="vector")
+        embedded = Database(cracking=True)
         with served() as (_, host, port, _thread):
             with Client(host, port) as client:
                 rng = np.random.default_rng(SEED)
@@ -152,25 +152,46 @@ class TestDifferentialOracle:
                     client.execute("SELECT * FROM scratch")
                 assert info.value.code in ("catalog", "analysis")
 
-    def test_modes_and_scalar_types_roundtrip(self):
+    def test_scalar_types_roundtrip(self):
         with served() as (_, host, port, _thread):
             with Client(host, port) as client:
                 client.execute("CREATE TABLE m (k integer, w float, tag varchar)")
                 client.execute(
                     "INSERT INTO m VALUES (1, 0.5, 'a'), (2, 1.5, 'b')"
                 )
-                for mode in ("tuple", "vector"):
-                    result = client.execute("SELECT * FROM m", mode=mode)
-                    assert sorted(result.rows) == [(1, 0.5, "a"), (2, 1.5, "b")]
-                    for row in result.rows:
-                        assert all(
-                            not isinstance(v, np.generic) for v in row
-                        )
+                result = client.execute("SELECT * FROM m")
+                assert sorted(result.rows) == [(1, 0.5, "a"), (2, 1.5, "b")]
+                for row in result.rows:
+                    assert all(not isinstance(v, np.generic) for v in row)
+
+    def test_a_frame_naming_the_vector_mode_is_still_served(self):
+        """Older clients send ``"mode"``: null and ``"vector"`` are
+        served as if absent; the removed ``"tuple"``, or a non-string,
+        gets a typed protocol error and the connection stays usable."""
+        with served() as (_, host, port, _thread):
+            sock = socket.create_connection((host, port))
+            try:
+                decoder = FrameDecoder()
+                hello(sock, decoder)
+                sql = "SELECT count(*) FROM t"
+                sock.sendall(encode_frame({"type": "query", "sql": "CREATE TABLE t (k integer)"}))
+                assert read_one(sock, decoder)["type"] == "result"
+                for mode, kind in ((None, "result"), ("vector", "result"),
+                                   ("tuple", "error"), (7, "error")):
+                    sock.sendall(encode_frame({"type": "query", "sql": sql, "mode": mode}))
+                    reply = read_one(sock, decoder)
+                    assert reply["type"] == kind, (mode, reply)
+                    if kind == "error":
+                        assert reply["code"] == "protocol", reply
+                    else:
+                        assert reply["rows"] == [[0]]
+            finally:
+                sock.close()
 
 
 class TestConcurrentClients:
     def test_four_clients_agree_with_embedded(self):
-        embedded = Database(cracking=True, mode="vector")
+        embedded = Database(cracking=True)
         load_standard(embedded, seed=SEED)
         rng = np.random.default_rng(SEED + 1)
         queries = random_range_queries(rng, 24)  # SELECT-only workload
@@ -229,11 +250,11 @@ class TestAdmissionControl:
         database = Database(cracking=True, concurrent=True)
         real_execute = database.execute
 
-        def slow_execute(sql, mode=None):
+        def slow_execute(sql):
             import time
 
             time.sleep(0.4)
-            return real_execute(sql, mode=mode)
+            return real_execute(sql)
 
         database.execute = slow_execute
         with served(database, statement_timeout=0.05) as (_, host, port, _t):
@@ -471,11 +492,11 @@ class TestReconnect:
         real = database.execute_transaction
         state = {"rejected": False}
 
-        def flaky(statements, mode=None):
+        def flaky(statements):
             if not state["rejected"]:
                 state["rejected"] = True
                 raise OverloadedError("busy")
-            return real(statements, mode=mode)
+            return real(statements)
 
         database.execute_transaction = flaky
         with served(database) as (_, host, port, _thread):
@@ -629,7 +650,7 @@ class TestObservabilitySurface:
 
     def test_stats_carries_histograms_and_cracker_detail(self):
         unbounded = Database(
-            cracking=True, mode="vector", concurrent=True, crack_threshold=0
+            cracking=True, concurrent=True, crack_threshold=0
         )
         with served(unbounded) as (_, host, port, _thread):
             with Client(host, port) as client:
@@ -722,9 +743,9 @@ def slow_database(seconds: float) -> Database:
     database = Database(cracking=True, concurrent=True)
     real_execute = database.execute
 
-    def slow_execute(sql, mode=None):
+    def slow_execute(sql):
         time.sleep(seconds)
-        return real_execute(sql, mode=mode)
+        return real_execute(sql)
 
     database.execute = slow_execute
     return database
@@ -829,7 +850,7 @@ class TestBackpressure:
             return int(handle.read().split()[1]) * 4096 / 2**20
 
     def test_stalled_reader_bounds_queue_and_memory(self):
-        database = Database(cracking=True, mode="vector", concurrent=True)
+        database = Database(cracking=True, concurrent=True)
         database.execute("CREATE TABLE r (k integer, a integer)")
         values = ", ".join(f"({i}, {i})" for i in range(self.ROWS + 8))
         database.execute(f"INSERT INTO r VALUES {values}")

@@ -33,6 +33,22 @@ def unbounded_db(rng):
     return _loaded(rng, crack_threshold=0)
 
 
+class TestConstruction:
+    def test_cracking_is_on_by_default(self):
+        db = Database()
+        db.execute("CREATE TABLE r (a integer)")
+        db.execute("INSERT INTO r VALUES (3), (1), (2)")
+        assert db.cracking
+        assert db.execute("SELECT count(*) FROM r WHERE a > 1").scalar() == 2
+        assert list(db.cracked_columns()) == [("r", "a")]
+
+    def test_mode_keyword_accepts_only_vector(self):
+        Database(mode="vector")  # what the perf ledger still passes
+        for mode in ("tuple", "columnar"):
+            with pytest.raises(SQLAnalysisError, match="tuple executor was removed"):
+                Database(mode=mode)
+
+
 class TestDDLAndDML:
     def test_create_table_registers(self, db):
         db.execute("CREATE TABLE t (x integer)")
@@ -168,10 +184,9 @@ class TestSelects:
         assert result.affected == 20
         assert db.execute("SELECT count(*) FROM piece").scalar() == 20
 
-    @pytest.mark.parametrize("mode", ["tuple", "vector"])
     @pytest.mark.parametrize("cracking", [False, True], ids=["scan", "crack"])
-    def test_select_into_empty_answer_keeps_source_types(self, mode, cracking):
-        db = Database(cracking=cracking, mode=mode)
+    def test_select_into_empty_answer_keeps_source_types(self, cracking):
+        db = Database(cracking=cracking)
         db.execute("CREATE TABLE r (a integer, tag varchar, w float)")
         db.execute("INSERT INTO r VALUES (1, 'x', 0.5), (2, 'y', 1.5)")
         db.execute("SELECT * INTO e FROM r WHERE a BETWEEN 500 AND 900")
@@ -183,12 +198,11 @@ class TestSelects:
             "str", "float", "int",
         ]
 
-    @pytest.mark.parametrize("mode, records", [("tuple", 20), ("vector", 1)])
-    def test_select_into_wal_records(self, db, mode, records):
-        # The vector executor appends the target in bulk: one WAL record.
+    def test_select_into_wal_records(self, db):
+        # The target is appended in bulk: one WAL record for 20 rows.
         before = db.tracker.wal.records
-        db.execute("SELECT * INTO piece FROM r WHERE a <= 20", mode=mode)
-        assert db.tracker.wal.records - before == records
+        db.execute("SELECT * INTO piece FROM r WHERE a <= 20")
+        assert db.tracker.wal.records - before == 1
 
     def test_contradictory_range_empty(self, db):
         assert db.execute("SELECT count(*) FROM r WHERE a > 10 AND a < 5").scalar() == 0
@@ -267,7 +281,7 @@ class TestQueryResultFaces:
 
     @pytest.fixture
     def vec(self):
-        db = Database(cracking=True, mode="vector")
+        db = Database(cracking=True)
         db.execute("CREATE TABLE r (k integer, a integer, w float, tag varchar)")
         db.execute(
             "INSERT INTO r VALUES (1, 10, 0.5, 'x'), (2, 20, 1.5, ''), (3, 30, 2.5, 'x')"
@@ -292,10 +306,11 @@ class TestQueryResultFaces:
         assert count.arrays["count(*)"].tolist() == [2]
         dml = vec.execute("UPDATE r SET a = 11 WHERE k = 1")
         assert dml.affected == 1 and dml.rows == [] and dml.arrays == {}
-        tuple_mode = vec.execute("SELECT k, tag FROM r WHERE a >= 20", mode="tuple")
-        assert tuple_mode._arrays is None
-        assert sorted(tuple_mode.arrays["r.tag"].tolist()) == ["", "x"]
-        assert tuple_mode.arrays["r.k"].dtype.kind == "i"
+        trace = vec.execute("EXPLAIN ANALYZE SELECT k, tag FROM r WHERE a >= 20")
+        assert trace._arrays is None
+        assert trace.arrays["span"].dtype == object
+        assert trace.arrays["span"].tolist()[0] == "statement"
+        assert trace.arrays["ms"].dtype.kind == "f"
         empty = vec.execute("SELECT k, tag FROM r WHERE a > 1000")
         assert empty.rows == [] and empty.row_count == 0
         assert [len(array) for array in empty.arrays.values()] == [0, 0]

@@ -77,11 +77,6 @@ class TestRowAccess:
         with pytest.raises(StorageError):
             mixed_relation.row_at(99)
 
-    def test_rows_at_vectorised(self, mixed_relation):
-        rows = mixed_relation.rows_at(np.array([2, 0]))
-        assert rows[0] == (3, 9.5, "cyd")
-        assert rows[1] == (1, 9.5, "ada")
-
     def test_iter_rows_complete(self, mixed_relation):
         assert len(list(mixed_relation.iter_rows())) == 5
 

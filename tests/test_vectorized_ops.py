@@ -130,19 +130,26 @@ class TestVecHashJoin:
         assert sorted(got) == sorted(expected)
         assert join.columns == ["R.k", "R.a", "R.w", "S.k", "S.g"]
 
-    def test_matches_tuple_hashjoin_order(self, r_rel, s_rel):
-        from repro.volcano.operators import HashJoin, Scan
-
-        vec = VecHashJoin(
-            VecScan(r_rel, alias="R", batch_rows=77),
-            VecScan(s_rel, alias="S"),
-            "R.k",
+    def test_left_major_right_storage_order(self):
+        left = _relation(
+            "L", [("k", "int"), ("v", "int")],
+            {"k": [2, 1, 2, 3], "v": [100, 101, 102, 103]},
+        )
+        right = _relation(
+            "S", [("k", "int"), ("g", "int")],
+            {"k": [2, 3, 2, 9], "g": [10, 20, 30, 40]},
+        )
+        join = VecHashJoin(
+            VecScan(left, alias="L", batch_rows=1),
+            VecScan(right, alias="S"),
+            "L.k",
             "S.k",
         )
-        tup = HashJoin(
-            Scan(r_rel, alias="R"), Scan(s_rel, alias="S"), "R.k", "S.k"
-        )
-        assert [tuple(r) for r in vec] == [tuple(r) for r in tup]
+        assert [tuple(r) for r in join] == [
+            (2, 100, 2, 10), (2, 100, 2, 30),
+            (2, 102, 2, 10), (2, 102, 2, 30),
+            (3, 103, 3, 20),
+        ]
 
     def test_empty_sides(self, r_rel):
         empty = _relation("E", [("k", "int")], {"k": []})
@@ -203,27 +210,20 @@ class TestVecAggregate:
             assert grow[4] == pytest.approx(erow[4])
             assert grow[5] == pytest.approx(erow[5])
 
-    def test_multi_key_groups_sorted_like_tuple_engine(self, rng):
+    def test_multi_key_groups_in_ascending_key_order(self):
         rel = _relation(
             "T",
             [("x", "int"), ("y", "int"), ("v", "int")],
-            {
-                "x": rng.integers(0, 4, 200),
-                "y": rng.integers(0, 4, 200),
-                "v": rng.integers(0, 100, 200),
-            },
+            {"x": [1, 0, 1, 0, 1], "y": [0, 1, 0, 0, 1], "v": [5, 6, 7, 8, 9]},
         )
-        from repro.volcano.operators import Aggregate, Scan
-
         vec = VecAggregate(
-            VecScan(rel, alias="T", batch_rows=33),
+            VecScan(rel, alias="T", batch_rows=2),
             ["T.x", "T.y"],
             [("count", None), ("sum", "T.v")],
         )
-        tup = Aggregate(
-            Scan(rel, alias="T"), ["T.x", "T.y"], [("count", None), ("sum", "T.v")]
-        )
-        assert [tuple(r) for r in vec] == [tuple(r) for r in tup]
+        assert [tuple(r) for r in vec] == [
+            (0, 0, 1, 8), (0, 1, 1, 6), (1, 0, 2, 12), (1, 1, 1, 9),
+        ]
 
     def test_global_aggregate_and_empty_input(self):
         empty = _relation("E", [("v", "int")], {"v": []})
@@ -243,19 +243,20 @@ class TestVecAggregate:
 
 
 class TestVecSortLimitProject:
-    def test_sort_stable_and_descending(self, rng):
+    def test_sort_stable_and_descending(self):
         rel = _relation(
             "T",
             [("key", "int"), ("tag", "int")],
-            {"key": rng.integers(0, 5, 100), "tag": np.arange(100)},
+            {"key": [2, 1, 2, 0, 1], "tag": [0, 1, 2, 3, 4]},
         )
-        from repro.volcano.operators import Scan, Sort
-
-        for descending in (False, True):
-            vec = VecSort(VecScan(rel, alias="T", batch_rows=17), "T.key",
+        # Ties keep their input order in both directions.
+        for descending, expected in (
+            (False, [(0, 3), (1, 1), (1, 4), (2, 0), (2, 2)]),
+            (True, [(2, 0), (2, 2), (1, 1), (1, 4), (0, 3)]),
+        ):
+            vec = VecSort(VecScan(rel, alias="T", batch_rows=2), "T.key",
                           descending=descending)
-            tup = Sort(Scan(rel, alias="T"), "T.key", descending=descending)
-            assert [tuple(r) for r in vec] == [tuple(r) for r in tup]
+            assert [tuple(r) for r in vec] == expected
 
     def test_limit_stops_batch_stream(self, r_rel):
         limit = VecLimit(VecScan(r_rel, alias="R", batch_rows=10), 25)
@@ -333,13 +334,13 @@ class TestVecCrackedScanZeroCopy:
         batch = next(scan.batches())
         span = batch.arrays[scan.column_index("R.a")]
         assert np.shares_memory(span, column.values)
-        # row parity with the positional gather the tuple engine performs
+        # the span's rows are exactly the answer's oids
         assert sorted(batch.column(0).tolist()) == sorted(
             result.oids.tolist()
         )
 
     def test_vector_plan_feeds_cracked_span_zero_copy(self, rng):
-        db = Database(cracking=True, mode="vector")
+        db = Database(cracking=True)
         db.execute("CREATE TABLE r (k integer, a integer)")
         values = ", ".join(
             f"({i}, {int(v)})" for i, v in enumerate(rng.integers(0, 1000, 400))
@@ -347,7 +348,7 @@ class TestVecCrackedScanZeroCopy:
         db.execute(f"INSERT INTO r VALUES {values}")
         stmt = parse("SELECT * FROM r WHERE a BETWEEN 100 AND 500")
         query = analyze(stmt, db.catalog)
-        plan = build_plan(query, db.catalog, cracker=db._cracker, mode="vector")
+        plan = build_plan(query, db.catalog, cracker=db._cracker)
         scan = plan
         while not isinstance(scan, VecCrackedScan):
             scan = scan.child
@@ -403,7 +404,7 @@ class TestProjectionPushdown:
 
     @pytest.mark.parametrize("cracking", [True, False])
     def test_planner_passes_only_referenced_columns(self, rng, decoded, cracking):
-        db = Database(cracking=cracking, mode="vector")
+        db = Database(cracking=cracking)
         db.execute("CREATE TABLE r (k integer, a integer, b integer, tag varchar)")
         values = ", ".join(
             f"({i}, {int(v)}, {i % 7}, 't{i % 3}')"

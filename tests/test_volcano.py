@@ -1,22 +1,15 @@
-"""Tests for the Volcano iterator operators."""
+"""Tests for the Volcano iterator operators (the row-store engine's)."""
 
 import pytest
 
 from repro.errors import ExecutionError
 from repro.storage.table import Column, Relation, Schema
 from repro.volcano.operators import (
-    Aggregate,
-    CrackingFilter,
     HashJoin,
-    Limit,
-    Materialize,
     NestedLoopJoin,
     PrintSink,
-    Project,
     Scan,
     Select,
-    Sort,
-    count_rows,
 )
 
 
@@ -46,7 +39,7 @@ def customers():
 
 class TestScanSelectProject:
     def test_scan_yields_all_rows(self, orders):
-        assert count_rows(Scan(orders)) == 4
+        assert len(list(Scan(orders))) == 4
 
     def test_scan_qualified_columns(self, orders):
         assert Scan(orders).columns == ["orders.id", "orders.amount", "orders.who"]
@@ -71,23 +64,7 @@ class TestScanSelectProject:
         scan = Scan(orders)
         amount = scan.column_index("amount")
         selected = Select(scan, lambda row: row[amount] > 90)
-        assert count_rows(selected) == 3
-
-    def test_project_reorders(self, orders):
-        project = Project(Scan(orders), ["orders.who", "orders.id"])
-        assert next(iter(project)) == ("ada", 1)
-
-    def test_cracking_filter_collects_rejects(self, orders):
-        scan = Scan(orders)
-        amount = scan.column_index("amount")
-        cracking = CrackingFilter(scan, lambda row: row[amount] >= 100)
-        passed = list(cracking)
-        assert len(passed) == 3
-        assert len(cracking.rejected) == 1
-        assert cracking.rejected[0][1] == 75
-        # Together the pieces replace the input (§3.4.1).
-        assert len(passed) + len(cracking.rejected) == 4
-
+        assert len(list(selected)) == 3
 
 class TestJoins:
     def test_hash_join_matches(self, orders, customers):
@@ -116,78 +93,10 @@ class TestJoins:
         left = Relation.from_columns("L", schema, {"k": [1, 1]})
         right = Relation.from_columns("R2", schema, {"k": [1, 1, 1]})
         join = HashJoin(Scan(left), Scan(right), "L.k", "R2.k")
-        assert count_rows(join) == 6
-
-
-class TestSortLimit:
-    def test_sort_ascending(self, orders):
-        rows = list(Sort(Scan(orders), "orders.amount"))
-        assert [row[1] for row in rows] == [75, 100, 100, 250]
-
-    def test_sort_descending(self, orders):
-        rows = list(Sort(Scan(orders), "orders.amount", descending=True))
-        assert rows[0][1] == 250
-
-    def test_limit(self, orders):
-        assert count_rows(Limit(Scan(orders), 2)) == 2
-
-    def test_limit_zero(self, orders):
-        assert count_rows(Limit(Scan(orders), 0)) == 0
-
-    def test_limit_negative_raises(self, orders):
-        with pytest.raises(ExecutionError):
-            Limit(Scan(orders), -1)
-
-
-class TestAggregate:
-    def test_count_star_grouped(self, orders):
-        agg = Aggregate(Scan(orders), ["orders.who"], [("count", None)])
-        assert dict(iter(agg)) == {"ada": 2, "bob": 1, "cyd": 1}
-
-    def test_sum_and_avg(self, orders):
-        agg = Aggregate(
-            Scan(orders), ["orders.who"],
-            [("sum", "orders.amount"), ("avg", "orders.amount")],
-        )
-        rows = {row[0]: row[1:] for row in agg}
-        assert rows["ada"] == (200, 100.0)
-
-    def test_min_max(self, orders):
-        agg = Aggregate(Scan(orders), [], [("min", "orders.amount"), ("max", "orders.amount")])
-        assert list(agg) == [(75, 250)]
-
-    def test_global_count_on_empty_input(self, orders):
-        scan = Scan(orders)
-        empty = Select(scan, lambda row: False)
-        agg = Aggregate(empty, [], [("count", None)])
-        assert list(agg) == [(0,)]
-
-    def test_unknown_aggregate_raises(self, orders):
-        with pytest.raises(ExecutionError):
-            Aggregate(Scan(orders), [], [("median", "orders.amount")])
-
-    def test_groups_sorted_by_key(self, orders):
-        agg = Aggregate(Scan(orders), ["orders.amount"], [("count", None)])
-        keys = [row[0] for row in agg]
-        assert keys == sorted(keys)
+        assert len(list(join)) == 6
 
 
 class TestMaterializeAndSinks:
-    def test_materialize_creates_relation(self, orders):
-        materialize = Materialize(Scan(orders), "copy")
-        relation = materialize.run()
-        assert len(relation) == 4
-        assert relation.schema.names() == ["id", "amount", "who"]
-
-    def test_materialize_infers_types(self, orders):
-        relation = Materialize(Scan(orders), "copy").run()
-        assert relation.schema.column("who").col_type == "str"
-        assert relation.schema.column("amount").col_type == "int"
-
-    def test_materialize_iterable(self, orders):
-        materialize = Materialize(Scan(orders), "copy")
-        assert count_rows(materialize) == 4
-
     def test_print_sink_counts(self, orders):
         sink = PrintSink()
         assert sink.drain(Scan(orders)) == 4

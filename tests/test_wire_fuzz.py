@@ -336,13 +336,13 @@ class TestClientCoreScripted:
         core = connected_core(reconnect=False)
         assert core.server_info["session"] == 1
         chunked = [f for f in CORPUS[1:] if f[4] == 0][:4]  # 3 CHUNKs + END
-        result = drive(core._execute("SELECT ...", None), chunked)
+        result = drive(core._execute("SELECT ..."), chunked)
         assert len(result.rows) == 40 and result.columns == ["k", "w", "tag", "n"]
-        assert drive(core._execute("SELECT 1", None), [CORPUS[-1]]).scalar() == 3
+        assert drive(core._execute("SELECT 1"), [CORPUS[-1]]).scalar() == 3
 
     def test_transport_error_is_thrown_in_and_typed(self):
         core = connected_core(reconnect=False)
-        operation = core._execute("SELECT 1", None)
+        operation = core._execute("SELECT 1")
         assert next(operation)[0] == "send"
         with pytest.raises(ServerUnavailableError, match="connection lost"):
             operation.throw(ConnectionResetError("scripted"))
@@ -355,9 +355,9 @@ class TestClientCoreScripted:
         core = connected_core(reconnect)
         received = [data[i:i + piece] for i in range(0, len(data), piece)]
         operation = (
-            core._execute_many(["SELECT 1", "SELECT 2"], None, 2, False)
+            core._execute_many(["SELECT 1", "SELECT 2"], 2, False)
             if pipelined
-            else core._execute("SELECT 1", None)
+            else core._execute("SELECT 1")
         )
         try:
             drive(operation, received)

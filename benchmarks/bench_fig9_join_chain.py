@@ -2,7 +2,9 @@
 
 Three regimes: the row store inside its optimizer budget (hash joins),
 the row store past the budget (nested-loop fallback — the figure's
-collapse), and the column store's pairwise merge joins at long chains.
+collapse), and the column store at long chains: one planned
+``SELECT count(*)`` on the shipped SQL planner, whose join search walks
+neighbours only and whose batch joins stay sort-merge past its budget.
 """
 
 import pytest

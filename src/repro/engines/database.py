@@ -12,16 +12,12 @@ query reads the predicate column once ("nocrack" in Figures 10/11, any
 gain coming from the buffer pool); with cracking the first query copies
 the column into the cracker column, and each query then reads the pieces
 it inspected and writes the tuples it moved, read from the column's
-``crack_stats`` — the investment Figures 2/3 analyse.
-
-Join chains (Figure 9) stay a loop of pairwise sort-merge joins: the
-planner's join-order search is super-linear in the chain length, which is
-Figure 9's row-store failure, not the column store's.
+``crack_stats`` — the investment Figures 2/3 analyse.  A join chain
+(Figure 9) is one planned ``SELECT count(*)`` over ``length`` aliases of
+the table, charged as one read of the join column per alias.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.engines.base import (
     DELIVERY_COUNT,
@@ -30,7 +26,6 @@ from repro.engines.base import (
     rendered_bytes,
 )
 from repro.sql import Database
-from repro.volcano.vectorized import vector_equi_join
 
 
 class DatabaseEngine(Engine):
@@ -117,13 +112,11 @@ class DatabaseEngine(Engine):
         timeout_s: float | None,
     ) -> tuple[int, bool, dict]:
         relation = self.table(table)
-        from_keys = relation.column(from_attr).tail_array()
-        to_keys = relation.column(to_attr).tail_array()
-        self.tracker.read_bytes(f"{table}.{from_attr}", from_keys.nbytes * length)
+        column_bytes = relation.column(from_attr).nbytes
+        self.tracker.read_bytes(f"{table}.{from_attr}", column_bytes * length)
         self.tracker.counters.tuples_read += len(relation) * length
-        # Left-deep pairwise joins: frontier holds the positions of the
-        # rightmost relation instance reached so far.
-        frontier = np.arange(len(relation), dtype=np.int64)
-        for _ in range(length - 1):
-            _, frontier = vector_equi_join(from_keys[frontier], to_keys)
-        return len(frontier), False, {"plan": "pairwise_merge"}
+        tables = ", ".join(f"{table} r{i}" for i in range(length))
+        joins = [f"r{i}.{from_attr} = r{i + 1}.{to_attr}" for i in range(length - 1)]
+        where = f" WHERE {' AND '.join(joins)}" if joins else ""
+        rows = self.db.execute(f"SELECT count(*) FROM {tables}{where}").scalar()
+        return rows, False, {}

@@ -8,12 +8,11 @@ a default solution" — an expensive nested-loop join — while MonetDB
 handles long chains efficiently.
 
 Reproduction: the row store's optimizer has a bounded DP budget and falls
-back to nested loops past it; the column store (``DatabaseEngine``) does
-pairwise vectorised merge joins — a loop of the batch executor's join
-kernel, not a planned SQL statement, whose join-order search would itself
-grow super-linearly with the chain.  Expected shape: the row-store curve
-turns super-linear at the fallback point; the column-store curve stays
-near-linear to k = 128.
+back to nested loops past it; the column store (``DatabaseEngine``) runs
+each chain as one ``SELECT count(*)`` on the shipped SQL planner, whose
+join search walks neighbours only and whose joins stay sort-merge past the
+budget.  Expected shape: the row-store curve turns super-linear at the
+fallback point; the column-store curve stays near-linear to k = 128.
 """
 
 from __future__ import annotations

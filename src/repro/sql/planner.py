@@ -29,6 +29,7 @@ from repro.storage.table import Relation
 from repro.volcano.joinopt import (
     JoinEdge,
     JoinGraph,
+    OptimizerBudgetExceeded,
     default_plan,
     optimize_join_order,
 )
@@ -459,7 +460,6 @@ def build_plan(
     query: AnalyzedQuery,
     catalog: Catalog,
     cracker: CrackerProvider | None = None,
-    join_budget: int = 10_000,
     tracker=None,
 ) -> CrackedCountScan | VecOperator:
     """Assemble the physical plan for an analyzed query: the COUNT(*)
@@ -498,7 +498,7 @@ def build_plan(
             base_ops[binding] = VecScan(relation, alias=binding, needed=columns)
             remaining_selections.extend(predicates)
 
-    tree = _join_tree(query, base_ops, catalog, join_budget)
+    tree = _join_tree(query, base_ops, catalog)
     for predicate in remaining_selections:
         tree = VecSelect(
             tree,
@@ -624,46 +624,31 @@ def _join_tree(
     query: AnalyzedQuery,
     base_ops: dict[str, VecOperator],
     catalog: Catalog,
-    join_budget: int,
 ) -> VecOperator:
     bindings = [ref.binding for ref in query.tables]
     if len(bindings) == 1:
         return base_ops[bindings[0]]
-    if not query.joins:
-        raise PlanError(
-            "multi-table query without join predicates (cross products are "
-            "not supported)"
-        )
     index_of = {binding: i for i, binding in enumerate(bindings)}
-    cardinalities = [len(catalog.table(ref.name)) for ref in query.tables]
-    edges = []
-    for join in query.joins:
-        if join.left_binding not in index_of or join.right_binding not in index_of:
-            raise PlanError(f"join references unknown binding: {join.describe()}")
-        edges.append(
-            JoinEdge(
-                left_rel=index_of[join.left_binding],
-                right_rel=index_of[join.right_binding],
-                left_col=f"{join.left_binding}.{join.left_attr}",
-                right_col=f"{join.right_binding}.{join.right_attr}",
-            )
+    edges = [
+        JoinEdge(
+            left_rel=index_of[join.left_binding],
+            right_rel=index_of[join.right_binding],
+            left_col=f"{join.left_binding}.{join.left_attr}",
+            right_col=f"{join.right_binding}.{join.right_attr}",
         )
-    graph = JoinGraph(cardinalities=cardinalities, edges=edges)
+        for join in query.joins
+    ]
+    graph = JoinGraph([len(catalog.table(ref.name)) for ref in query.tables], edges)
+    # Built first: it is also the check that rejects a cross product.
+    fallback = default_plan(graph)
     try:
-        plan = optimize_join_order(graph, budget=join_budget)
-    except PlanError:
-        plan = default_plan(graph)
-    first = plan.steps[0]
-    tree = base_ops[bindings[first.relation]]
+        plan = optimize_join_order(graph)
+    except OptimizerBudgetExceeded:
+        plan = fallback
+    tree = base_ops[bindings[plan.steps[0].relation]]
     for step in plan.steps[1:]:
         right = base_ops[bindings[step.relation]]
-        edge = step.edge
-        if edge is None:
-            raise PlanError("fallback plan encountered a disconnected join")
-        if edge.right_rel == step.relation:
-            left_col, right_col = edge.left_col, edge.right_col
-        else:
-            left_col, right_col = edge.right_col, edge.left_col
+        left_col, right_col = step.edge.keys_toward(step.relation)
         # Always the sort-merge kernel, whatever ``step.method`` says: the
         # nested-loop collapse of Figure 9 is a tuple-engine cost profile
         # (RowStoreEngine's) the batch discipline does not exhibit.

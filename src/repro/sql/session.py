@@ -273,7 +273,6 @@ class Database:
     def __init__(
         self,
         cracking: bool = True,
-        join_budget: int = 10_000,
         mode: str = "vector",
         concurrent: bool = False,
         plan_cache: bool = True,
@@ -295,7 +294,6 @@ class Database:
         self.catalog = Catalog()
         self.tracker = IOTracker()
         self.cracking = cracking
-        self.join_budget = join_budget
         self.concurrent = concurrent
         self._cracker = (
             CrackerProvider(
@@ -996,7 +994,6 @@ class Database:
                 query,
                 self.catalog,
                 cracker=self._cracker,
-                join_budget=self.join_budget,
                 tracker=self.tracker,
             )
         if isinstance(plan, VecMaterialize):

@@ -37,6 +37,13 @@ class JoinEdge:
     left_col: str
     right_col: str
 
+    def keys_toward(self, relation: int) -> tuple[str, str]:
+        """(joined side, ``relation``'s side) of the join keys, when
+        ``relation`` joins a set by this edge."""
+        if self.right_rel == relation:
+            return self.left_col, self.right_col
+        return self.right_col, self.left_col
+
 
 @dataclass
 class JoinGraph:
@@ -48,16 +55,6 @@ class JoinGraph:
     @property
     def n_relations(self) -> int:
         return len(self.cardinalities)
-
-    def edges_between(self, joined: frozenset, candidate: int) -> list[JoinEdge]:
-        """Edges connecting the joined set to a candidate relation."""
-        found = []
-        for edge in self.edges:
-            if edge.left_rel in joined and edge.right_rel == candidate:
-                found.append(edge)
-            elif edge.right_rel in joined and edge.left_rel == candidate:
-                found.append(edge)
-        return found
 
 
 @dataclass
@@ -93,6 +90,11 @@ def optimize_join_order(
 ) -> JoinPlan:
     """Search left-deep join orders by dynamic programming.
 
+    Each joined set is extended only by its neighbours (Moerkotte &
+    Neumann, VLDB'06): every state carries its frontier, so no state
+    scans relations or edges that cannot join it.  Candidates are tried
+    in ascending order, each by its first edge in ``graph.edges`` order.
+
     Args:
         graph: relations and join edges.
         budget: maximum number of DP states considered before the
@@ -112,64 +114,82 @@ def optimize_join_order(
         raise PlanError("cannot optimize a join over zero relations")
     if join_selectivity is None:
         join_selectivity = 1.0 / max(max(graph.cardinalities), 1)
-    considered = 0
-    # DP over (joined set) -> (cost, est_card, steps)
-    best: dict[frozenset, tuple[float, float, list[JoinStep]]] = {}
+    cards = graph.cardinalities
+    incident = _incident_edges(graph)
+    # One DP layer: joined set (a bitmask) -> (cost, rows, steps, frontier).
+    layer = {}
     for start in range(n):
-        best[frozenset([start])] = (
-            0.0,
-            float(graph.cardinalities[start]),
-            [JoinStep(relation=start, edge=None, method="scan")],
-        )
-        considered += 1
+        scan = JoinStep(relation=start, edge=None, method="scan")
+        frontier = _grow({}, 1 << start, start, incident)
+        layer[1 << start] = (0.0, float(cards[start]), [scan], frontier)
+    considered = n
     for size in range(2, n + 1):
-        layer: dict[frozenset, tuple[float, float, list[JoinStep]]] = {}
-        for joined, (cost, card, steps) in best.items():
-            if len(joined) != size - 1:
-                continue
-            for candidate in range(n):
-                if candidate in joined:
-                    continue
-                edges = graph.edges_between(joined, candidate)
-                if not edges:
-                    continue
+        next_layer: dict[int, tuple] = {}
+        for joined, (cost, card, steps, frontier) in layer.items():
+            for candidate in sorted(frontier):
                 considered += 1
                 if considered > budget:
                     raise OptimizerBudgetExceeded(
                         f"join optimizer exceeded its budget of {budget} states "
                         f"at {size}-relation subsets"
                     )
-                edge = edges[0]
-                step_cost = _hash_cost(card, graph.cardinalities[candidate])
-                out_card = _output_estimate(
-                    card, graph.cardinalities[candidate], join_selectivity
-                )
-                key = joined | {candidate}
-                total = cost + step_cost
-                if key not in layer or layer[key][0] > total:
-                    layer[key] = (
-                        total,
-                        out_card,
-                        steps + [JoinStep(relation=candidate, edge=edge, method="hash")],
-                    )
-        best.update(layer)
-    full = frozenset(range(n))
-    if full not in best:
+                total = cost + _hash_cost(card, cards[candidate])
+                key = joined | 1 << candidate
+                if key not in next_layer or next_layer[key][0] > total:
+                    edge = graph.edges[frontier[candidate]]
+                    step = JoinStep(relation=candidate, edge=edge, method="hash")
+                    rows = _output_estimate(card, cards[candidate], join_selectivity)
+                    grown = _grow(frontier, key, candidate, incident)
+                    next_layer[key] = (total, rows, steps + [step], grown)
+        layer = next_layer
+    full = layer.get((1 << n) - 1)
+    if full is None:
         raise PlanError("join graph is disconnected; no complete plan exists")
-    cost, _, steps = best[full]
+    cost, _, steps, _ = full
     return JoinPlan(steps=steps, estimated_cost=cost, plans_considered=considered)
 
 
 def default_plan(graph: JoinGraph) -> JoinPlan:
-    """The optimizer's fallback: join in input order by nested loops."""
+    """The optimizer's fallback: nested loops in a connected input order.
+
+    Each step joins the lowest-index relation adjacent to the joined set,
+    by its first edge, so a connected input order is kept as it is.
+    Raises :class:`PlanError` when the join graph is disconnected.
+    """
+    incident = _incident_edges(graph)
     steps = [JoinStep(relation=0, edge=None, method="scan")]
-    joined = {0}
-    for candidate in range(1, graph.n_relations):
-        edges = graph.edges_between(frozenset(joined), candidate)
-        edge = edges[0] if edges else None
+    joined, frontier = 1, _grow({}, 1, 0, incident)
+    while frontier:
+        candidate = min(frontier)
+        joined |= 1 << candidate
+        edge = graph.edges[frontier[candidate]]
         steps.append(JoinStep(relation=candidate, edge=edge, method="nested_loop"))
-        joined.add(candidate)
+        frontier = _grow(frontier, joined, candidate, incident)
+    if len(steps) < graph.n_relations:
+        raise PlanError("cross products are not supported: the join graph is disconnected")
     return JoinPlan(steps=steps, estimated_cost=float("inf"), plans_considered=0)
+
+
+def _incident_edges(graph: JoinGraph) -> list[list[tuple[int, int]]]:
+    """Per relation, its (neighbour, edge index) pairs in edge order; a
+    self-loop never extends a joined set and is left out."""
+    incident = [[] for _ in range(graph.n_relations)]
+    for index, edge in enumerate(graph.edges):
+        if edge.left_rel != edge.right_rel:
+            incident[edge.left_rel].append((edge.right_rel, index))
+            incident[edge.right_rel].append((edge.left_rel, index))
+    return incident
+
+
+def _grow(frontier: dict, joined: int, relation: int, incident: list) -> dict:
+    """The frontier of ``joined`` (a bitmask) once ``relation`` is in it:
+    each adjacent relation mapped to its first edge into the set."""
+    grown = dict(frontier)
+    grown.pop(relation, None)
+    for other, index in incident[relation]:
+        if not joined >> other & 1 and index < grown.get(other, index + 1):
+            grown[other] = index
+    return grown
 
 
 def linear_chain_graph(cardinalities: list[int], key_cols: list[tuple[str, str]]) -> JoinGraph:

@@ -9,7 +9,13 @@ from __future__ import annotations
 
 from repro.errors import PlanError
 from repro.storage.table import Relation
-from repro.volcano.joinopt import JoinGraph, JoinPlan, default_plan, optimize_join_order
+from repro.volcano.joinopt import (
+    JoinPlan,
+    OptimizerBudgetExceeded,
+    default_plan,
+    linear_chain_graph,
+    optimize_join_order,
+)
 from repro.volcano.operators import HashJoin, NestedLoopJoin, Operator, Scan
 
 
@@ -30,14 +36,7 @@ def build_join_tree(
     tree: Operator = Scan(relations[first.relation], alias=aliases[first.relation])
     for step in plan.steps[1:]:
         right = Scan(relations[step.relation], alias=aliases[step.relation])
-        if step.edge is None:
-            raise PlanError(f"join step for relation {step.relation} lacks an edge")
-        # The edge's columns are qualified with aliases; figure out which
-        # side belongs to the running tree.
-        if step.edge.right_rel == step.relation:
-            left_col, right_col = step.edge.left_col, step.edge.right_col
-        else:
-            left_col, right_col = step.edge.right_col, step.edge.left_col
+        left_col, right_col = step.edge.keys_toward(step.relation)
         if step.method == "hash":
             tree = HashJoin(tree, right, left_col, right_col)
         elif step.method == "nested_loop":
@@ -60,19 +59,11 @@ def plan_join_chain(
         optimizer budget was exhausted and the nested-loop default plan
         was used instead (Figure 9's collapse).
     """
-    graph = JoinGraph(
-        cardinalities=[len(relation) for relation in relations],
-    )
-    from repro.volcano.joinopt import JoinEdge  # local import for clarity
-
-    graph.edges = [
-        JoinEdge(left_rel=i, right_rel=i + 1, left_col=left, right_col=right)
-        for i, (left, right) in enumerate(key_pairs)
-    ]
+    graph = linear_chain_graph([len(relation) for relation in relations], key_pairs)
     try:
         plan = optimize_join_order(graph, budget=budget)
         used_fallback = False
-    except Exception:
+    except OptimizerBudgetExceeded:
         plan = default_plan(graph)
         used_fallback = True
     return build_join_tree(plan, relations, aliases), used_fallback

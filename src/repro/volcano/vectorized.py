@@ -30,40 +30,27 @@ from repro.volcano.operators import resolve_column
 DEFAULT_BATCH_ROWS = 65_536
 
 
-def vector_equi_join(
-    left_keys: np.ndarray, right_keys: np.ndarray
+def join_probe(
+    left_keys: np.ndarray, sorted_right: np.ndarray, order: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """All (left_index, right_index) pairs with equal keys (inner join).
 
-    Sort-merge with duplicate handling: right keys are sorted once; for
-    each left key the matching run is located by binary search, and runs
-    are expanded with ``np.repeat``.  O((|L|+|R|) log |R|) — the BAT-join
+    The probe half of a sort-merge join: ``sorted_right`` is the right
+    keys sorted by the stable permutation ``order``, so a join operator
+    sorts its build side once and probes it with many left batches.  Each
+    left key's matching run is located by binary search and expanded
+    without a per-key loop.  O((|L|+|R|) log |R|) — the BAT-join
     discipline that keeps Figure 9's MonetDB line flat.
 
     Output order is left-major with right matches in storage order.
     """
-    order = np.argsort(right_keys, kind="stable")
-    return join_probe(left_keys, right_keys[order], order)
-
-
-def join_probe(
-    left_keys: np.ndarray, sorted_right: np.ndarray, order: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The probe half of :func:`vector_equi_join`, given a pre-sorted right
-    side — lets a join operator sort the build side once and probe it with
-    many left batches."""
     starts = np.searchsorted(sorted_right, left_keys, side="left")
-    stops = np.searchsorted(sorted_right, left_keys, side="right")
-    run_lengths = stops - starts
-    matched = run_lengths > 0
-    left_idx = np.repeat(np.flatnonzero(matched), run_lengths[matched])
-    if len(left_idx) == 0:
-        return left_idx.astype(np.int64), np.empty(0, dtype=np.int64)
-    offsets = np.concatenate(
-        [np.arange(s, e) for s, e in zip(starts[matched], stops[matched])]
-    )
-    right_idx = order[offsets]
-    return left_idx.astype(np.int64), right_idx.astype(np.int64)
+    runs = np.searchsorted(sorted_right, left_keys, side="right") - starts
+    left_idx = np.repeat(np.arange(len(left_keys), dtype=np.int64), runs)
+    # Output row j of a run sits at the run's start plus j's rank in it.
+    run_offsets = np.cumsum(runs) - runs
+    offsets = np.arange(len(left_idx)) + np.repeat(starts - run_offsets, runs)
+    return left_idx, order[offsets]
 
 
 class ColumnBatch:

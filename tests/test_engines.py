@@ -15,7 +15,7 @@ from repro.engines import (
 from repro.engines.base import DELIVERY_COUNT, DELIVERY_MATERIALISE, DELIVERY_PRINT
 from repro.errors import ExecutionError
 from repro.storage.table import Column, Relation, Schema
-from repro.volcano.vectorized import vector_equi_join
+from repro.volcano.vectorized import join_probe
 
 ALL_ENGINES = {
     "rowstore": RowStoreEngine,
@@ -148,16 +148,37 @@ class TestColumnStore:
             instance.load(fresh_table(120))
         assert column.join_chain("R", 5).rows == row.join_chain("R", 5).rows
 
-    def test_vector_equi_join_with_duplicates(self):
+    def test_join_probe_with_duplicates(self):
         left = np.array([1, 2, 2, 9])
         right = np.array([2, 2, 1])
-        left_idx, right_idx = vector_equi_join(left, right)
-        pairs = sorted(zip(left_idx.tolist(), right_idx.tolist()))
+        order = np.argsort(right, kind="stable")
+        left_idx, right_idx = join_probe(left, right[order], order)
+        # Left-major, each left row's matches in right storage order.
+        pairs = list(zip(left_idx.tolist(), right_idx.tolist()))
         assert pairs == [(0, 2), (1, 0), (1, 1), (2, 0), (2, 1)]
 
-    def test_vector_equi_join_empty(self):
-        left_idx, right_idx = vector_equi_join(np.array([1]), np.array([2]))
+    def test_join_probe_empty(self):
+        right = np.array([2])
+        order = np.argsort(right, kind="stable")
+        left_idx, right_idx = join_probe(np.array([1]), right[order], order)
         assert len(left_idx) == 0 and len(right_idx) == 0
+        assert left_idx.dtype == right_idx.dtype == np.int64
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        left=st.lists(st.integers(0, 6), max_size=30),
+        right=st.lists(st.integers(0, 6), max_size=30),
+    )
+    def test_join_probe_matches_a_nested_loop(self, left, right):
+        right_keys = np.array(right, dtype=np.int64)
+        order = np.argsort(right_keys, kind="stable")
+        left_idx, right_idx = join_probe(
+            np.array(left, dtype=np.int64), right_keys[order], order
+        )
+        expected = [
+            (i, j) for i, x in enumerate(left) for j, y in enumerate(right) if x == y
+        ]
+        assert list(zip(left_idx.tolist(), right_idx.tolist())) == expected
 
 
 class TestCrackingEngine:

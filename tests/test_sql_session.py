@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import CatalogError, SQLAnalysisError, SQLSyntaxError
+from repro.errors import CatalogError, PlanError, SQLAnalysisError, SQLSyntaxError
 from repro.sql import Database
 
 
@@ -41,6 +41,10 @@ class TestConstruction:
         assert db.cracking
         assert db.execute("SELECT count(*) FROM r WHERE a > 1").scalar() == 2
         assert list(db.cracked_columns()) == [("r", "a")]
+
+    def test_join_budget_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            Database(join_budget=10)
 
     def test_mode_keyword_accepts_only_vector(self):
         Database(mode="vector")  # what the perf ledger still passes
@@ -270,10 +274,15 @@ class TestErrors:
             db.execute("SELEC * FROM r")
 
     def test_cross_product_rejected(self, db):
-        from repro.errors import PlanError
-
-        with pytest.raises(PlanError):
+        with pytest.raises(PlanError, match="cross products are not supported"):
             db.execute("SELECT count(*) FROM r, s")
+
+    def test_partly_connected_join_is_a_cross_product(self, db):
+        with pytest.raises(PlanError) as partly:
+            db.execute("SELECT count(*) FROM r a, s b, r c WHERE a.k = b.k")
+        with pytest.raises(PlanError) as unjoined:
+            db.execute("SELECT count(*) FROM r, s")
+        assert str(partly.value) == str(unjoined.value)
 
 
 class TestQueryResultFaces:

@@ -18,6 +18,7 @@ from oracle import (
     SqliteReference,
     assert_matches_sqlite,
     load_standard,
+    make_databases,
     random_mixed_dml,
     standard_query_suite,
 )
@@ -249,3 +250,32 @@ def test_transactions_commit_and_abort_like_sqlite(name):
         assert not db.catalog.has_table("gone")
         assert_matches_sqlite({name: db}, reference, probes, (seed,))
         db.check_invariants()
+
+
+# ---------------------------------------------------------------------- #
+# Join orders past the optimizer's budget
+# ---------------------------------------------------------------------- #
+
+
+def test_a_star_past_the_budget_answers_in_any_from_order():
+    """A 16-way star has 2**15 connected hub sets, past the planner's
+    budget, so it joins in the fallback order.  With the hub listed last
+    that order must still be connected."""
+    databases = make_databases()
+    reference = SqliteReference()
+    rows = ", ".join(f"({i}, {i % 7})" for i in range(200))
+    for target in (*databases.values(), reference):
+        target.execute("CREATE TABLE r (k integer, a integer)")
+        target.execute(f"INSERT INTO r VALUES {rows}")
+    leaves = [f"r{i}" for i in range(1, 16)]
+    joins = " AND ".join(f"r0.k = {leaf}.k" for leaf in leaves)
+    hub_last = ", ".join(f"r {leaf}" for leaf in leaves) + ", r r0"
+    hub_first = "r r0, " + ", ".join(f"r {leaf}" for leaf in leaves)
+    statements = [
+        f"SELECT count(*) FROM {hub_last} WHERE {joins}",
+        f"SELECT count(*) FROM {hub_first} WHERE {joins}",
+        f"SELECT r0.a, count(*) FROM {hub_last} WHERE {joins} AND r3.a < 3 "
+        "GROUP BY r0.a",
+    ]
+    assert_matches_sqlite(databases, reference, statements)
+    assert databases["default"].execute(statements[0]).scalar() == 200

@@ -31,13 +31,6 @@ def test_core_full_scan_mask(benchmark, column_bat):
     assert benchmark(scan) == HIGH - LOW + 1
 
 
-def test_core_bat_select_range(benchmark, column_bat):
-    def select():
-        return len(column_bat.select_range(LOW, HIGH, high_inclusive=True))
-
-    assert benchmark(select) == HIGH - LOW + 1
-
-
 def test_core_first_crack(benchmark, column_bat):
     def setup():
         return (CrackedColumn(column_bat),), {}
@@ -63,7 +56,7 @@ def test_core_sorted_accelerator_lookup(benchmark, column_bat):
     accelerator = SortedAccelerator(column_bat)
 
     def lookup():
-        return accelerator.count_range(LOW, HIGH, high_inclusive=True)
+        return len(accelerator.range_positions(LOW, HIGH, high_inclusive=True))
 
     assert benchmark(lookup) == HIGH - LOW + 1
 

@@ -31,7 +31,7 @@ def test_fig10_homerun_sequence(benchmark, tapestry, mode, target_pct):
         return run_sequence(engine, "R", queries, delivery="count").steps[-1].rows
 
     rows = benchmark.pedantic(sequence, setup=setup, rounds=3, iterations=1)
-    assert rows == queries[-1].width
+    assert rows == queries[-1].high - queries[-1].low + 1
 
 
 def test_fig10_converged_query(benchmark, tapestry):
@@ -47,4 +47,4 @@ def test_fig10_converged_query(benchmark, tapestry):
         return engine.range_query("R", "a", final.low, final.high).rows
 
     rows = benchmark(converged)
-    assert rows == final.width
+    assert rows == final.high - final.low + 1

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.benchmark.distributions import DISTRIBUTIONS, selectivity_series
+from repro.experiments import fig8
 
 
-@pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
-def test_fig8_series_evaluation(benchmark, name):
-    series = benchmark(selectivity_series, name, 128, 0.2)
-    assert len(series) == 128
-    assert series[-1] == pytest.approx(0.2, abs=1e-6)
+def test_fig8_series_evaluation(benchmark):
+    result = benchmark(fig8.run, 128, 0.2)
+    assert len(result.series) == 4
+    for series in result.series:
+        assert len(series.y) == 128
+        assert series.y[-1] == pytest.approx(0.2, abs=1e-6)

@@ -29,4 +29,4 @@ def test_hiking_sequence(benchmark, tapestry, mode):
         return run_sequence(engine, "R", queries, delivery="count").steps[-1].rows
 
     rows = benchmark.pedantic(sequence, setup=setup, rounds=3, iterations=1)
-    assert rows == queries[-1].width
+    assert rows == queries[-1].high - queries[-1].low + 1

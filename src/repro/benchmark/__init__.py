@@ -2,12 +2,10 @@
 
 from repro.benchmark.distributions import (
     DISTRIBUTIONS,
-    delta_series,
     exponential,
     get_distribution,
     linear,
     logarithmic,
-    selectivity_series,
 )
 from repro.benchmark.profiles import (
     MQS,
@@ -16,7 +14,6 @@ from repro.benchmark.profiles import (
     PROFILE_STROLLING,
     PROFILES,
     RangeQuery,
-    generate_sequence,
     hiking_sequence,
     homerun_sequence,
     strolling_sequence,
@@ -24,11 +21,9 @@ from repro.benchmark.profiles import (
 from repro.benchmark.runner import (
     SequenceResult,
     StepMetrics,
-    compare_engines,
     run_sequence,
 )
 from repro.benchmark.tapestry import DBtapestry, column_names
-from repro.benchmark.workloads import WorkloadPreset, get_workload, paper_workloads
 
 __all__ = [
     "DBtapestry",
@@ -42,19 +37,12 @@ __all__ = [
     "SequenceResult",
     "StepMetrics",
     "column_names",
-    "compare_engines",
-    "delta_series",
     "exponential",
-    "generate_sequence",
     "get_distribution",
     "hiking_sequence",
     "homerun_sequence",
     "linear",
     "logarithmic",
     "run_sequence",
-    "selectivity_series",
     "strolling_sequence",
-    "WorkloadPreset",
-    "get_workload",
-    "paper_workloads",
 ]

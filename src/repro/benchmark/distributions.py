@@ -75,20 +75,3 @@ def get_distribution(name: str) -> Callable[[int, int, float], float]:
         raise BenchmarkError(
             f"unknown distribution {name!r}; have {sorted(DISTRIBUTIONS)}"
         ) from None
-
-
-def selectivity_series(name: str, k: int, sigma: float) -> list[float]:
-    """ρ(i) for i = 1..k — one selectivity per sequence step."""
-    rho = get_distribution(name)
-    return [rho(step, k, sigma) for step in range(1, k + 1)]
-
-
-def delta_series(name: str, k: int) -> list[float]:
-    """δ(i) = ρ(i; k, 0): the hiking profile's drift model (§4).
-
-    δ(i) is the fraction of the window that *shifts* between consecutive
-    queries; the answer-set overlap is 1 − δ(i), which "reaches 100% at
-    the end of the sequence" since every ρ satisfies ρ(k; k, 0) = 0.
-    """
-    rho = get_distribution(name)
-    return [rho(step, k, 0.0) for step in range(1, k + 1)]

@@ -12,8 +12,9 @@ idealised user behaviours:
   random with/without replacement).
 
 A sequence is characterised by the tuple ``MQS(α, N, k, σ, ρ, δ)``
-(Definition, §4); :func:`generate_sequence` turns one into concrete
-range queries over the tapestry value domain 1..N.
+(Definition, §4); :func:`homerun_sequence`, :func:`hiking_sequence` and
+:func:`strolling_sequence` turn one into concrete range queries over the
+tapestry value domain 1..N.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ class RangeQuery:
     attr: str
     low: int
     high: int
-
-    @property
-    def width(self) -> int:
-        return self.high - self.low + 1
 
 
 def _interval_for_selectivity(
@@ -186,16 +183,3 @@ def strolling_sequence(
             RangeQuery(step=step, attr=attr, low=low, high=low + width - 1)
         )
     return queries
-
-
-def generate_sequence(
-    profile: str, mqs: MQS, attr: str = "a", seed: int = 0, **kwargs
-) -> list[RangeQuery]:
-    """Dispatch to the named profile generator."""
-    if profile == PROFILE_HOMERUN:
-        return homerun_sequence(mqs, attr=attr, seed=seed)
-    if profile == PROFILE_HIKING:
-        return hiking_sequence(mqs, attr=attr, seed=seed)
-    if profile == PROFILE_STROLLING:
-        return strolling_sequence(mqs, attr=attr, seed=seed, **kwargs)
-    raise BenchmarkError(f"unknown profile {profile!r}; have {PROFILES}")

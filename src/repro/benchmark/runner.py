@@ -54,30 +54,11 @@ class SequenceResult:
         return series
 
     @property
-    def per_step_s(self) -> list[float]:
-        return [step.elapsed_s for step in self.steps]
-
-    @property
     def total_tuples_touched(self) -> int:
         """Tuples read by predicate evaluation plus tuples moved by crack
         kernels, per the engines' cost accounting — the deterministic
         counterpart of :attr:`total_s` (identical on every run)."""
         return sum(step.tuples_read + step.tuples_moved for step in self.steps)
-
-    @property
-    def total_page_io(self) -> int:
-        return sum(step.page_reads + step.page_writes for step in self.steps)
-
-    def summary(self) -> dict:
-        """Headline numbers for reports."""
-        return {
-            "engine": self.engine,
-            "profile": self.profile,
-            "steps": len(self.steps),
-            "total_s": self.total_s,
-            "final_step_s": self.steps[-1].elapsed_s if self.steps else 0.0,
-            "total_page_io": self.total_page_io,
-        }
 
 
 def run_sequence(
@@ -116,19 +97,3 @@ def _step_metrics(step: int, outcome: QueryOutcome) -> StepMetrics:
         pieces=outcome.extra.get("pieces", 0),
         tuples_read=outcome.io.tuples_read,
     )
-
-
-def compare_engines(
-    engines: list[Engine],
-    table: str,
-    queries: list[RangeQuery],
-    delivery: str = DELIVERY_COUNT,
-    profile: str = "unknown",
-) -> dict[str, SequenceResult]:
-    """Run the same sequence on several engines; results keyed by name."""
-    results = {}
-    for engine in engines:
-        results[engine.name] = run_sequence(
-            engine, table, queries, delivery=delivery, profile=profile
-        )
-    return results

@@ -9,8 +9,8 @@ random distribution of tuples."
 
 :class:`DBtapestry` follows that construction literally — seed
 permutation, block replication with offsets (which preserves the
-permutation property), then a full shuffle — and can emit both a
-:class:`~repro.storage.table.Relation` and the SQL script.
+permutation property), then a full shuffle — and emits a
+:class:`~repro.storage.table.Relation`.
 """
 
 from __future__ import annotations
@@ -90,30 +90,3 @@ class DBtapestry:
         schema = Schema([Column(column, "int") for column in self.names])
         data = {column: self.column(i) for i, column in enumerate(self.names)}
         return Relation.from_columns(name, schema, data)
-
-    def to_sql_script(self, name: str = "R", batch: int = 512) -> str:
-        """The paper's interface: an SQL script creating and filling the table."""
-        columns = ", ".join(f"{column} integer" for column in self.names)
-        lines = [f"CREATE TABLE {name} ({columns});"]
-        data = [self.column(i) for i in range(self.arity)]
-        for first in range(0, self.n_rows, batch):
-            rows = []
-            for row in range(first, min(first + batch, self.n_rows)):
-                values = ", ".join(str(int(data[c][row])) for c in range(self.arity))
-                rows.append(f"({values})")
-            lines.append(f"INSERT INTO {name} VALUES {', '.join(rows)};")
-        return "\n".join(lines) + "\n"
-
-    def verify(self) -> None:
-        """Check the permutation property of every column.
-
-        Raises:
-            BenchmarkError: if any column is not a permutation of 1..N.
-        """
-        expected = np.arange(1, self.n_rows + 1)
-        for index in range(self.arity):
-            values = np.sort(self.column(index))
-            if not np.array_equal(values, expected):
-                raise BenchmarkError(
-                    f"column {self.names[index]!r} is not a permutation of 1..{self.n_rows}"
-                )

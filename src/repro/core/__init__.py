@@ -21,7 +21,6 @@ from repro.core.crackers import (
     CrackResult,
     omega_crack,
     psi_crack,
-    semijoin_positions,
     wedge_crack,
     xi_crack_range,
     xi_crack_theta,
@@ -65,7 +64,6 @@ __all__ = [
     "omega_crack",
     "psi_crack",
     "psi_inverse",
-    "semijoin_positions",
     "union_pieces",
     "wedge_crack",
     "xi_crack_range",

@@ -60,9 +60,6 @@ class CrackStats:
     sorts: int = 0
     pivot_cracks: int = 0
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 def _check_region(values: np.ndarray, oids: np.ndarray, start: int, stop: int) -> None:
     if len(values) != len(oids):

@@ -310,20 +310,6 @@ class CrackedColumn:
         """Updates waiting: buffered inserts whose oid is still stored."""
         return int(np.count_nonzero(self._is_stored(self._ins_oids)))
 
-    @property
-    def pending_count(self) -> int:
-        """Buffered inserts of new rows (updates not included)."""
-        return len(self._ins_oids) - self.pending_update_count
-
-    @property
-    def pending_delete_count(self) -> int:
-        """Buffered deletes (updates not included)."""
-        return len(self._del_oids) - self.pending_update_count
-
-    @property
-    def has_pending(self) -> bool:
-        return bool(self._ins_oids.size or self._del_oids.size)
-
     def observability(self) -> dict:
         """One flat dict of this column's crack/query/pending accounting.
 

@@ -54,10 +54,6 @@ class Boundary:
     kind: str
     position: int
 
-    @property
-    def sort_key(self) -> tuple:
-        return (self.value, _KIND_RANK[self.kind])
-
 
 @dataclass(frozen=True)
 class Piece:
@@ -75,12 +71,8 @@ class Piece:
     lower: Boundary | None
     upper: Boundary | None
 
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
     def describes(self) -> str:
-        """Human-readable value-range description (for catalog displays)."""
+        """Human-readable value range (names the piece in invariant errors)."""
         left = "-inf" if self.lower is None else (
             f"{'>=' if self.lower.kind == KIND_LT else '>'}{self.lower.value}"
         )
@@ -99,7 +91,7 @@ class CrackerIndex:
     the boundary values as originally supplied (int vs float), so
     reconstructed :class:`Boundary` objects and piece descriptions show
     what the caller cracked on, not a float coercion, and equality
-    decisions (lookup hits, re-add detection) compare the exact values.
+    decisions (probe hits, re-add detection) compare the exact values.
 
     Boundary values must be exactly representable as float64 navigation
     keys; :meth:`add` rejects integers beyond 2**53 instead of silently
@@ -148,10 +140,6 @@ class CrackerIndex:
             kind=_RANK_KIND[self._ranks[index]],
             position=int(self._positions[index]),
         )
-
-    def boundaries(self) -> list[Boundary]:
-        """All boundaries in sorted order."""
-        return [self.boundary_at(i) for i in range(self._count)]
 
     def piece_at(self, index: int) -> Piece:
         """The ``index``-th piece (0-based, left to right)."""
@@ -221,10 +209,6 @@ class CrackerIndex:
         if self._ranks[index] == rank and self._exact[index] == value:
             return stop, start, stop
         return None, start, stop
-
-    def lookup(self, value, kind: str) -> int | None:
-        """Position of an existing boundary ``(value, kind)``, or None."""
-        return self.probe(value, kind)[0]
 
     def piece_assignment(self, values: np.ndarray) -> np.ndarray:
         """Piece index each of ``values`` belongs to (boundary semantics).

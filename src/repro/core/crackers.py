@@ -183,12 +183,3 @@ def omega_crack(relation: Relation, group_attr: str) -> CrackResult:
             )
         )
     return CrackResult(op=OP_OMEGA, params=f"group by {group_attr}", pieces=pieces)
-
-
-def semijoin_positions(
-    left: Relation, right: Relation, left_key: str, right_key: str
-) -> np.ndarray:
-    """Positions of R-tuples with a join partner in S (helper for planners)."""
-    left_values = _numeric_column(left, left_key)
-    right_values = _numeric_column(right, right_key)
-    return np.flatnonzero(np.isin(left_values, right_values))

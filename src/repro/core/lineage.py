@@ -49,10 +49,6 @@ class LineageNode:
         """True if no cracker has consumed this piece yet."""
         return not self.children_ops
 
-    @property
-    def is_root(self) -> bool:
-        return self.produced_by is None
-
 
 @dataclass
 class CrackOperation:
@@ -80,7 +76,6 @@ class LineageGraph:
 
     def __init__(self) -> None:
         self._nodes: dict[str, LineageNode] = {}
-        self._operations: list[CrackOperation] = []
         self._sequence: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -138,7 +133,6 @@ class LineageGraph:
         operation.outputs = outputs
         for source in sources:
             source.children_ops.append(operation)
-        self._operations.append(operation)
         return outputs
 
     @staticmethod
@@ -164,29 +158,8 @@ class LineageGraph:
     # Navigation
     # ------------------------------------------------------------------ #
 
-    def node(self, node_id: str) -> LineageNode:
-        """Look up a node by id."""
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise CrackError(f"unknown lineage node {node_id!r}") from None
-
     def nodes(self) -> list[LineageNode]:
         return list(self._nodes.values())
-
-    def operations(self) -> list[CrackOperation]:
-        return list(self._operations)
-
-    def leaves_under(self, node: LineageNode) -> list[LineageNode]:
-        """All current leaf pieces descending from (or equal to) ``node``."""
-        if node.is_leaf:
-            return [node]
-        leaves = []
-        for operation in node.children_ops:
-            for output in operation.outputs:
-                if self._descends_from(output, node):
-                    leaves.extend(self.leaves_under(output))
-        return leaves
 
     def _descends_from(self, piece: LineageNode, ancestor: LineageNode) -> bool:
         """True if ``piece``'s origin chain passes through ``ancestor``."""
@@ -202,30 +175,6 @@ class LineageGraph:
         while current.origin is not None:
             current = current.origin
         return current.node_id
-
-    def to_dot(self) -> str:
-        """Graphviz rendering of the lineage DAG (Figures 5/6 style).
-
-        Piece nodes are boxes labelled with id and cardinality; operation
-        nodes are ellipses labelled with the operator and its parameters.
-        """
-        lines = ["digraph lineage {", "  rankdir=TB;"]
-        for node in self._nodes.values():
-            lines.append(
-                f'  "{node.node_id}" [shape=box, '
-                f'label="{node.node_id}\\n{len(node.relation)} rows"];'
-            )
-        for i, operation in enumerate(self._operations):
-            op_id = f"op{i}"
-            lines.append(
-                f'  "{op_id}" [shape=ellipse, label="{operation.op} {operation.params}"];'
-            )
-            for source in operation.sources:
-                lines.append(f'  "{source.node_id}" -> "{op_id}";')
-            for output in operation.outputs:
-                lines.append(f'  "{op_id}" -> "{output.node_id}";')
-        lines.append("}")
-        return "\n".join(lines)
 
     # ------------------------------------------------------------------ #
     # Reconstruction (the loss-less property of §3.1)

@@ -71,7 +71,12 @@ class QueryOutcome:
 
 
 class Engine:
-    """Abstract engine: load relations, run range queries and join chains."""
+    """Abstract engine: load relations, run range queries and join chains.
+
+    A subclass implements ``_execute_range`` (and ``_execute_join_chain``
+    to run join chains), with the arguments and results the template
+    methods :meth:`range_query` and :meth:`join_chain` pass and expect.
+    """
 
     name = "abstract"
 
@@ -168,33 +173,6 @@ class Engine:
             fallback=fallback,
             extra=extra,
         )
-
-    # ------------------------------------------------------------------ #
-    # Engine-specific implementations
-    # ------------------------------------------------------------------ #
-
-    def _execute_range(
-        self,
-        table: str,
-        attr: str,
-        low,
-        high,
-        delivery: str,
-        low_inclusive: bool,
-        high_inclusive: bool,
-        target_name: str | None,
-    ) -> tuple[int, dict]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _execute_join_chain(
-        self,
-        table: str,
-        length: int,
-        from_attr: str,
-        to_attr: str,
-        timeout_s: float | None,
-    ) -> tuple[int, bool, dict]:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     # ------------------------------------------------------------------ #
     # Helpers

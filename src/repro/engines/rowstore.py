@@ -176,12 +176,3 @@ class RowStoreEngine(Engine):
         selected = Select(scan, lambda row: predicate(row[index]))
         rows, _ = self._materialise(relation, selected, target_name)
         return rows
-
-    def union_count(self, tables: list[str]) -> int:
-        """Count the union of several fragments (result construction)."""
-        total = 0
-        for name in tables:
-            relation = self.table(name)
-            self.tracker.read_bytes(name, relation.nbytes)
-            total += len(relation)
-        return total

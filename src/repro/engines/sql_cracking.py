@@ -80,10 +80,6 @@ class SQLCrackingEngine(Engine):
             self._fragments[key] = fragments
         return fragments
 
-    def piece_count(self, table: str, attr: str) -> int:
-        """Number of fragments currently registered for ``table.attr``."""
-        return len(self.fragments_of(table, attr))
-
     def _fresh_piece_name(self, table: str) -> str:
         self._piece_counter += 1
         return f"frag{self._piece_counter:03d}_{table}"
@@ -177,9 +173,8 @@ class SQLCrackingEngine(Engine):
         target_name: str | None,
     ) -> int:
         names = [fragment.name for fragment in qualifying]
-        if delivery == DELIVERY_COUNT:
-            return self._store.union_count(names)
-        if delivery == DELIVERY_PRINT:
+        if delivery in (DELIVERY_COUNT, DELIVERY_PRINT):
+            # A count reads the qualifying fragments like a print does.
             total = 0
             for name in names:
                 relation = self.catalog.table(name)
@@ -207,19 +202,3 @@ class SQLCrackingEngine(Engine):
             self.tracker.write_bytes(name, rows * result.tuple_bytes)
             self.catalog.create_table(result)
         return rows
-
-    # ------------------------------------------------------------------ #
-    # Join chains: delegated to the underlying row store
-    # ------------------------------------------------------------------ #
-
-    def _execute_join_chain(
-        self,
-        table: str,
-        length: int,
-        from_attr: str,
-        to_attr: str,
-        timeout_s: float | None,
-    ) -> tuple[int, bool, dict]:
-        return self._store._execute_join_chain(
-            table, length, from_attr, to_attr, timeout_s
-        )

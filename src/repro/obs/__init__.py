@@ -6,7 +6,7 @@ queries* (Kersten & Manegold, CIDR'05) — so the interesting state
 exists if the engine can narrate its own behaviour.  This package is
 that narration layer:
 
-* :mod:`repro.obs.metrics` — thread-safe counters, gauges and
+* :mod:`repro.obs.metrics` — thread-safe counters, collector-fed gauges and
   fixed-log-bucket latency histograms (p50/p95/p99 readouts) behind a
   per-:class:`~repro.sql.session.Database` :class:`MetricsRegistry`,
   with a Prometheus-style text exposition renderer;
@@ -40,25 +40,22 @@ from repro.obs.introspect import ColumnIntrospection
 from repro.obs.metrics import (
     BUCKET_BOUNDS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     render_exposition,
 )
 from repro.obs.timeseries import TimeSeries
-from repro.obs.trace import Span, annotate, current, span, start_span, tracing
+from repro.obs.trace import Span, annotate, span, start_span, tracing
 
 __all__ = [
     "BUCKET_BOUNDS",
     "ColumnIntrospection",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Span",
     "TimeSeries",
     "annotate",
-    "current",
     "render_exposition",
     "span",
     "start_span",

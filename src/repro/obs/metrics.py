@@ -1,4 +1,4 @@
-"""Thread-safe metrics: counters, gauges and log-bucket histograms.
+"""Thread-safe metrics: counters and log-bucket histograms.
 
 One :class:`MetricsRegistry` lives on every
 :class:`~repro.sql.session.Database` (``db.metrics``); the server layers
@@ -11,8 +11,9 @@ wire message.  Everything here is designed for the engine's hot path:
 * :meth:`Histogram.observe` is a ``bisect`` over a fixed boundary table
   plus one locked increment, a couple of microseconds;
 * a disabled registry (``MetricsRegistry(enabled=False)``) hands out
-  null metrics whose recording methods are no-ops, so fully switching
-  observability off costs one attribute check per statement.
+  fresh metrics it never registers, so nothing reads what they record,
+  and fully switching observability off costs one attribute check per
+  statement.
 
 Histograms use **fixed log₂ buckets**: boundary ``i`` is ``1 µs · 2^i``
 seconds, spanning 1 µs to ~67 s with one overflow bucket past the last
@@ -34,7 +35,6 @@ from bisect import bisect_left
 __all__ = [
     "BUCKET_BOUNDS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "render_exposition",
@@ -71,33 +71,6 @@ class Counter:
 
     @property
     def value(self) -> int:
-        return self._value
-
-
-class Gauge:
-    """A value that goes up and down (queue depth, open connections)."""
-
-    __slots__ = ("name", "labels", "_value", "_lock")
-
-    def __init__(self, name: str, labels: dict | None = None) -> None:
-        self.name = name
-        self.labels = dict(labels or {})
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        self._value = value
-
-    def inc(self, amount: float = 1) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self) -> float:
         return self._value
 
 
@@ -201,29 +174,6 @@ class Histogram:
         }
 
 
-class _NullCounter(Counter):
-    """Counter of a disabled registry: recording is a no-op."""
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    def observe(self, seconds: float) -> None:
-        pass
-
-
 class MetricsRegistry:
     """Get-or-create registry of named metrics plus dynamic collectors.
 
@@ -236,14 +186,15 @@ class MetricsRegistry:
     value)`` samples, invoked on every :meth:`snapshot` /
     :meth:`render` and exposed as gauges.
 
-    ``enabled=False`` hands out null metrics (no-op recording, zero
-    readouts) and skips collectors, making the whole layer free apart
-    from one attribute check at each instrumentation site.
+    ``enabled=False`` hands out metrics it does not register (their
+    recordings are never read) and skips collectors, making the whole
+    layer free apart from one attribute check at each instrumentation
+    site.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._metrics: dict[tuple, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[tuple, Counter | Histogram] = {}
         self._collectors: list = []
         self._descriptions: dict[str, str] = {}
         self._lock = threading.Lock()
@@ -251,13 +202,12 @@ class MetricsRegistry:
     def _get(
         self,
         factory,
-        null_factory,
         name: str,
         labels: dict | None,
         description: str | None,
     ):
         if not self.enabled:
-            return null_factory(name, labels)
+            return factory(name, labels)  # never registered, never read
         key = (name, _label_key(labels))
         with self._lock:
             if description is not None:
@@ -275,16 +225,7 @@ class MetricsRegistry:
         description: str | None = None,
     ) -> Counter:
         """The counter registered under ``name`` + ``labels``."""
-        return self._get(Counter, _NullCounter, name, labels, description)
-
-    def gauge(
-        self,
-        name: str,
-        labels: dict | None = None,
-        description: str | None = None,
-    ) -> Gauge:
-        """The gauge registered under ``name`` + ``labels``."""
-        return self._get(Gauge, _NullGauge, name, labels, description)
+        return self._get(Counter, name, labels, description)
 
     def histogram(
         self,
@@ -293,7 +234,7 @@ class MetricsRegistry:
         description: str | None = None,
     ) -> Histogram:
         """The histogram registered under ``name`` + ``labels``."""
-        return self._get(Histogram, _NullHistogram, name, labels, description)
+        return self._get(Histogram, name, labels, description)
 
     def describe(self, name: str, description: str) -> None:
         """Register a ``# HELP`` text for a metric family by name.
@@ -337,10 +278,8 @@ class MetricsRegistry:
                 out["histograms"].setdefault(metric.name, {})[key] = (
                     metric.snapshot()
                 )
-            elif isinstance(metric, Counter):
-                out["counters"].setdefault(metric.name, {})[key] = metric.value
             else:
-                out["gauges"].setdefault(metric.name, {})[key] = metric.value
+                out["counters"].setdefault(metric.name, {})[key] = metric.value
         for name, labels, value in self._collect():
             key = ",".join(f"{k}={v}" for k, v in sorted((labels or {}).items()))
             out["gauges"].setdefault(name, {})[key] = value
@@ -394,7 +333,6 @@ class MetricsRegistry:
                     f"{metric.name}_count{_format_labels(labels)} {metric.count}"
                 )
             else:
-                kind = "counter" if isinstance(metric, Counter) else "gauge"
                 if metric.name not in typed:
                     typed.add(metric.name)
                     if metric.name in descriptions:
@@ -402,7 +340,7 @@ class MetricsRegistry:
                             f"# HELP {metric.name} "
                             f"{_escape(descriptions[metric.name])}"
                         )
-                    lines.append(f"# TYPE {metric.name} {kind}")
+                    lines.append(f"# TYPE {metric.name} counter")
                 lines.append(
                     f"{metric.name}{_format_labels(metric.labels)} "
                     f"{_format_value(metric.value)}"

@@ -58,10 +58,6 @@ class TimeSeries:
             self._samples.append(stamped)
             self._taken += 1
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._samples)
-
     def snapshot(self, last: int | None = None) -> dict:
         """The ring as one JSON-safe dict (the ``timeseries`` wire payload).
 

@@ -29,7 +29,8 @@ Typical use::
         with span("crack", column="r.a") as crack:
             ...
             crack.meta["pieces"] = 12
-    root.tree()   # nested dict with ms timings
+    for depth, node in root.walk():   # the tree, depth-first
+        print("  " * depth, node.name, node.duration_ms)
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import time
 from contextvars import ContextVar
 
-__all__ = ["Span", "annotate", "current", "span", "start_span", "tracing"]
+__all__ = ["Span", "annotate", "span", "start_span", "tracing"]
 
 _ACTIVE: ContextVar["Span | None"] = ContextVar("repro_trace", default=None)
 
@@ -78,30 +79,11 @@ class Span:
         """Elapsed wall time in milliseconds (0.0 while still open)."""
         return self.duration_ns / 1e6
 
-    def tree(self) -> dict:
-        """The span subtree as nested JSON-friendly dicts."""
-        return {
-            "name": self.name,
-            "ms": self.duration_ms,
-            "meta": dict(self.meta),
-            "children": [child.tree() for child in self.children],
-        }
-
     def walk(self, depth: int = 0):
         """Yield ``(depth, span)`` pairs depth-first (self included)."""
         yield depth, self
         for child in self.children:
             yield from child.walk(depth + 1)
-
-    def find(self, name: str) -> "Span | None":
-        """First span named ``name`` in this subtree (depth-first)."""
-        for _, node in self.walk():
-            if node.name == name:
-                return node
-        return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Span({self.name!r}, ms={self.duration_ms:.3f})"
 
 
 class _NoopSpan:
@@ -122,11 +104,6 @@ _NOOP = _NoopSpan()
 def tracing() -> bool:
     """True when a trace is active in this context (cheap guard)."""
     return _ACTIVE.get() is not None
-
-
-def current() -> Span | None:
-    """The innermost open span, or None when tracing is off."""
-    return _ACTIVE.get()
 
 
 def start_span(name: str, **meta) -> Span:

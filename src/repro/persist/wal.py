@@ -144,15 +144,6 @@ class StatementWAL:
                         os.fsync(self._handle.fileno())
                     self._since_sync = 0
 
-    def sync(self) -> None:
-        """Force an fsync now (checkpoint prologue)."""
-        with self._lock:
-            if self._handle.closed:
-                return
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._since_sync = 0
-
     def close(self) -> None:
         """Flush, fsync and close (idempotent)."""
         with self._lock:

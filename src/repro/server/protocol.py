@@ -504,10 +504,6 @@ class ResultAssembler:
     def __init__(self) -> None:
         self._chunks: list[dict] = []
 
-    @property
-    def mid_stream(self) -> bool:
-        return bool(self._chunks)
-
     def feed(self, message: dict) -> dict | None:
         """One decoded message in; a complete logical message or None out."""
         kind = message.get("type")

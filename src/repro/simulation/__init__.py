@@ -6,7 +6,6 @@ from repro.simulation.vector_sim import (
     VectorCrackingSimulation,
     accumulated_cost_ratio,
     fractional_write_overhead,
-    sort_breakeven_queries,
 )
 
 __all__ = [
@@ -15,5 +14,4 @@ __all__ = [
     "VectorCrackingSimulation",
     "accumulated_cost_ratio",
     "fractional_write_overhead",
-    "sort_breakeven_queries",
 ]

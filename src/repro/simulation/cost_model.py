@@ -6,8 +6,7 @@ in granule reads and writes:
 
 * a full scan query costs N reads plus σN answer writes;
 * a cracking query reads the pieces it must crack, writes them back
-  reorganised, and writes the σN answer;
-* sorting upfront costs N·log(N) writes, recovered after log(N) queries.
+  reorganised, and writes the σN answer.
 
 :class:`CostModel` centralises the weights so the simulation and the
 experiment harnesses report the same units.
@@ -15,7 +14,6 @@ experiment harnesses report the same units.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -48,16 +46,4 @@ class CostModel:
         """
         reads = touched + answer
         writes = moved + (0 if count_only else answer)
-        return reads * self.read_weight + writes * self.write_weight
-
-    def sort_investment(self, n: int) -> float:
-        """Upfront sort: N·log2(N) granule writes (§2.2)."""
-        if n <= 1:
-            return 0.0
-        return n * math.log2(n) * self.write_weight
-
-    def indexed_query_cost(self, answer: int, count_only: bool = True) -> float:
-        """Post-sort query: binary search + read/write the answer run."""
-        reads = answer
-        writes = 0 if count_only else answer
         return reads * self.read_weight + writes * self.write_weight

@@ -57,15 +57,6 @@ class VectorCrackingSimulation:
         # Crack positions (exclusive of 0 and n), sorted.
         self.cracks: list[int] = []
 
-    @property
-    def piece_count(self) -> int:
-        return len(self.cracks) + 1
-
-    def piece_sizes(self) -> list[int]:
-        """Sizes of the current pieces."""
-        edges = [0] + self.cracks + [self.n]
-        return [right - left for left, right in zip(edges, edges[1:])]
-
     def _crack_at(self, position: int) -> tuple[int, int]:
         """Introduce a crack at ``position``; returns (touched, moved).
 
@@ -155,10 +146,3 @@ def accumulated_cost_ratio(
         scan = np.cumsum([record.scan_cost for record in records])
         totals += crack / scan
     return (totals / repetitions).tolist()
-
-
-def sort_breakeven_queries(n: int) -> int:
-    """After how many queries does an upfront sort pay off (§2.2): log2 N."""
-    import math
-
-    return max(1, int(math.ceil(math.log2(max(n, 2)))))

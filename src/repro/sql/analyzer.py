@@ -50,15 +50,6 @@ class RangePredicate:
     low_inclusive: bool = True
     high_inclusive: bool = True
 
-    @property
-    def is_point(self) -> bool:
-        return (
-            self.low is not None
-            and self.low == self.high
-            and self.low_inclusive
-            and self.high_inclusive
-        )
-
     def describe(self) -> str:
         left = "" if self.low is None else (
             f"{self.low} {'<=' if self.low_inclusive else '<'} "

@@ -311,10 +311,6 @@ class PlanCache:
     # Epochs
     # ------------------------------------------------------------------ #
 
-    def table_epoch(self, name: str) -> int:
-        with self._lock:
-            return self._epochs.get(name, 0)
-
     def epochs_for(self, tables) -> tuple:
         """Current ``(name, epoch)`` pairs for the given table names."""
         with self._lock:
@@ -414,7 +410,7 @@ class PlanCache:
         """Publish an analyzed statement under pre-analysis table epochs.
 
         ``table_epochs`` must be captured (:meth:`epochs_for`) *before*
-        the analysis ran: if DDL or an insert lands while the statement
+        the analysis ran: if DDL or DML lands while the statement
         is being compiled, the entry is then already stale on arrival and
         the next lookup recompiles — capturing after analysis would stamp
         a pre-DDL artifact as current forever.

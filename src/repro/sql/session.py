@@ -328,7 +328,7 @@ class Database:
         self.metrics = MetricsRegistry(enabled=metrics)
         self.metrics.register_collector(self._collect_engine_samples)
         # Exposition HELP text for the collector-produced gauges (they
-        # never pass through counter()/gauge(), so describe() is the
+        # never pass through counter()/histogram(), so describe() is the
         # only way to attach documentation to them).
         for metric_name, help_text in (
             ("repro_cracker_pieces", "Pieces in the column's cracker index"),
@@ -572,8 +572,8 @@ class Database:
         The statement's literal constants become the positional
         parameters, in source order; its literals as written are the
         defaults.  Re-execution skips lexing and parsing entirely and
-        memoises analysis per parameter tuple (invalidated by DDL or
-        INSERT on any referenced table)::
+        memoises analysis per parameter tuple (invalidated by DDL,
+        INSERT, UPDATE or DELETE on any referenced table)::
 
             stmt = db.prepare("SELECT count(*) FROM r WHERE a BETWEEN 0 AND 10")
             stmt.execute()          # BETWEEN 0 AND 10
@@ -1042,10 +1042,6 @@ class Database:
             return {}
         return self._cracker.columns()
 
-    def plan_cache_stats(self) -> dict:
-        """Hit/miss/invalidation counters of the statement cache."""
-        return self._plan_cache.stats()
-
     _EXPLAIN_INDEX_COLUMNS = ["section", "entry", "detail"]
 
     def _explain_index(self, stmt: ExplainIndexStmt) -> QueryResult:
@@ -1162,8 +1158,9 @@ class Database:
 
         This is the canonical introspection entry point (and the engine
         part of the server's STATS payload); the older scattered
-        accessors (:meth:`plan_cache_stats`, :meth:`persistence_stats`,
-        :meth:`piece_count`) remain as thin views of the same state.
+        accessors (:meth:`persistence_stats`, :meth:`piece_count`)
+        remain as thin views of the same state.  The statement cache's
+        hit/miss/invalidation counters are ``stats()["plan_cache"]``.
 
         Keys: ``tables`` (name → live rows), ``crackers`` (``table.attr``
         → piece count), ``cracker_detail`` (per-column crack/pending/
@@ -1348,8 +1345,9 @@ class PreparedStatement:
 
     Produced by :meth:`Database.prepare`.  Execution skips the lexer and
     parser always, and skips the analyzer when this exact parameter tuple
-    ran before and no referenced table changed since (DDL or INSERT bump
-    the table epochs the memo is validated against).  Safe to share
+    ran before and no referenced table changed since (DDL, INSERT,
+    UPDATE and DELETE bump the table epochs the memo is validated
+    against).  Safe to share
     across threads: the memo is lock-guarded and analyzed queries are
     immutable after publication.
     """

@@ -17,7 +17,7 @@ from repro.storage.pages import (
     WriteAheadLog,
 )
 from repro.storage.table import Column, Relation, Schema
-from repro.storage.transaction import Transaction, TransactionManager
+from repro.storage.transaction import Transaction
 
 __all__ = [
     "AtomHeap",
@@ -34,6 +34,5 @@ __all__ = [
     "Schema",
     "SortedAccelerator",
     "Transaction",
-    "TransactionManager",
     "WriteAheadLog",
 ]

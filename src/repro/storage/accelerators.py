@@ -59,22 +59,3 @@ class SortedAccelerator:
         if hi_idx <= lo_idx:
             return np.empty(0, dtype=np.int64)
         return self.permutation[lo_idx:hi_idx]
-
-    def count_range(
-        self,
-        low=None,
-        high=None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = False,
-    ) -> int:
-        """Count matches without touching the permutation vector."""
-        self._check_fresh()
-        lo_idx = 0
-        hi_idx = len(self.sorted_tail)
-        if low is not None:
-            side = "left" if low_inclusive else "right"
-            lo_idx = int(np.searchsorted(self.sorted_tail, low, side=side))
-        if high is not None:
-            side = "right" if high_inclusive else "left"
-            hi_idx = int(np.searchsorted(self.sorted_tail, high, side=side))
-        return max(0, hi_idx - lo_idx)

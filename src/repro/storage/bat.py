@@ -18,7 +18,7 @@ Tails are numpy arrays of int64/float64, or int64 offsets into an
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,52 +104,12 @@ class BAT:
         bat._seq_base = seq_base
         return bat
 
-    @classmethod
-    def from_pairs(
-        cls,
-        name: str,
-        head: Sequence[int],
-        values: Sequence,
-        tail_type: str = "int",
-        heap: AtomHeap | None = None,
-    ) -> "BAT":
-        """Build a BAT with an explicit (materialised) head."""
-        if len(head) != len(values):
-            raise BATAlignmentError(
-                f"head has {len(head)} oids but tail has {len(values)} values"
-            )
-        bat = cls(name, tail_type=tail_type, capacity=max(len(values), _MIN_CAPACITY), heap=heap)
-        tail = _as_tail_array(values, tail_type, bat.heap)
-        bat._tail[: len(tail)] = tail
-        bat._head = np.asarray(head, dtype=np.int64).copy()
-        bat._count = len(tail)
-        return bat
-
     # ------------------------------------------------------------------ #
     # Basic properties
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
         return self._count
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        head = "void" if self._head is None else "oid"
-        return f"BAT({self.name!r}, [{head},{self.tail_type}], count={self._count})"
-
-    @property
-    def is_void_head(self) -> bool:
-        """True when the head is dense and not materialised."""
-        return self._head is None
-
-    @property
-    def seq_base(self) -> int:
-        """First oid of a void head."""
-        return self._seq_base
-
-    @property
-    def is_sorted(self) -> bool:
-        """True if the tail is known to be sorted ascending."""
-        return self._sorted
 
     @property
     def nbytes(self) -> int:
@@ -272,32 +232,6 @@ class BAT:
     # Query primitives
     # ------------------------------------------------------------------ #
 
-    def select_range(
-        self,
-        low=None,
-        high=None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = False,
-    ) -> np.ndarray:
-        """Return the *positions* whose tail value is inside the range.
-
-        ``None`` bounds are open.  On string BATs the comparison applies to
-        the decoded atoms, so positions come back in storage order.
-        """
-        values = self._comparable_tail()
-        mask = np.ones(self._count, dtype=bool)
-        if low is not None:
-            mask &= (values >= low) if low_inclusive else (values > low)
-        if high is not None:
-            mask &= (values <= high) if high_inclusive else (values < high)
-        return np.flatnonzero(mask)
-
-    def oids_at(self, positions: np.ndarray) -> np.ndarray:
-        """Map storage positions to oids."""
-        if self._head is None:
-            return np.asarray(positions, dtype=np.int64) + self._seq_base
-        return self._head[: self._count][positions]
-
     def sort_by_tail(self) -> np.ndarray:
         """Sort the BAT by tail value in place; returns the permutation.
 
@@ -407,13 +341,3 @@ class BAT:
         grown = np.empty(new_capacity, dtype=self._tail.dtype)
         grown[: self._count] = self._tail[: self._count]
         self._tail = grown
-
-    def __iter__(self) -> Iterator[tuple]:
-        """Iterate (oid, decoded value) pairs, tuple-at-a-time."""
-        heads = self.head_array()
-        if self.tail_type == "str":
-            values = self.tail_values()
-        else:
-            values = self._tail[: self._count]
-        for position in range(self._count):
-            yield int(heads[position]), values[position]

@@ -133,10 +133,3 @@ class Catalog:
         self._fragments[parent] = remaining
         self._tables.pop(fragment_name, None)
         self.stats.ddl_mutations += 1
-
-    def fragments_of(self, parent: str) -> list[FragmentEntry]:
-        """Fragment entries registered under ``parent``."""
-        try:
-            return list(self._fragments[parent])
-        except KeyError:
-            raise CatalogError(f"unknown table {parent!r}") from None

@@ -33,15 +33,6 @@ class AtomHeap:
         self._offsets_by_atom: dict[bytes, int] = {}
         self._lengths_by_offset: dict[int, int] = {}
 
-    def __len__(self) -> int:
-        """Number of distinct atoms stored."""
-        return len(self._offsets_by_atom)
-
-    @property
-    def size_bytes(self) -> int:
-        """Total bytes occupied by atom payloads."""
-        return len(self._buffer)
-
     def put(self, atom: str) -> int:
         """Store ``atom`` (deduplicated) and return its heap offset."""
         if not isinstance(atom, str):
@@ -94,14 +85,6 @@ class AtomHeap:
         atoms = [self.get(offset) for offset in distinct.tolist()]
         return np.array(atoms, dtype=object)[inverse]
 
-    def contains_atom(self, atom: str) -> bool:
-        """True if ``atom`` is already stored."""
-        return atom.encode("utf-8") in self._offsets_by_atom
-
-    def offset_of(self, atom: str) -> int | None:
-        """Return the offset of ``atom`` if stored, else None."""
-        return self._offsets_by_atom.get(atom.encode("utf-8"))
-
     def export_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """The atoms in offset order, as a private copy: the heap's bytes
         (uint8) and each atom's encoded length (int64).
@@ -141,9 +124,3 @@ class AtomHeap:
         if offset != len(data):
             raise HeapError(f"atom lengths cover {offset} of {len(data)} heap bytes")
         return heap, offsets
-
-    def clear(self) -> None:
-        """Drop all atoms.  Outstanding offsets become invalid."""
-        self._buffer.clear()
-        self._offsets_by_atom.clear()
-        self._lengths_by_offset.clear()

@@ -65,31 +65,6 @@ class IOCounters:
             tuples_written=self.tuples_written - earlier.tuples_written,
         )
 
-    def reset(self) -> None:
-        """Zero every counter in place."""
-        self.page_reads = 0
-        self.page_hits = 0
-        self.page_writes = 0
-        self.wal_bytes = 0
-        self.tuples_read = 0
-        self.tuples_written = 0
-
-    @property
-    def total_page_io(self) -> int:
-        """Pages moved between pool and store (reads + writes)."""
-        return self.page_reads + self.page_writes
-
-    def as_dict(self) -> dict:
-        """Return the counters as a plain dictionary (for reports)."""
-        return {
-            "page_reads": self.page_reads,
-            "page_hits": self.page_hits,
-            "page_writes": self.page_writes,
-            "wal_bytes": self.wal_bytes,
-            "tuples_read": self.tuples_read,
-            "tuples_written": self.tuples_written,
-        }
-
 
 class BufferPool:
     """An LRU buffer pool over abstract page identifiers.
@@ -110,9 +85,6 @@ class BufferPool:
         self.capacity_pages = capacity_pages
         self._resident: OrderedDict[tuple, None] = OrderedDict()
         self.counters = IOCounters()
-
-    def __len__(self) -> int:
-        return len(self._resident)
 
     def fetch(self, segment: str, page_no: int) -> bool:
         """Fetch one page; returns True on a pool hit, False on a miss."""
@@ -142,17 +114,6 @@ class BufferPool:
         """Write ``n_pages`` consecutive pages."""
         for page_no in range(first_page, first_page + n_pages):
             self.write(segment, page_no)
-
-    def invalidate_segment(self, segment: str) -> int:
-        """Drop every resident page of ``segment``; returns pages dropped."""
-        stale = [key for key in self._resident if key[0] == segment]
-        for key in stale:
-            del self._resident[key]
-        return len(stale)
-
-    def clear(self) -> None:
-        """Empty the pool (counters are left untouched)."""
-        self._resident.clear()
 
     def _admit(self, key: tuple) -> None:
         if self.capacity_pages == 0:
@@ -188,11 +149,6 @@ class WriteAheadLog:
         self.records += 1
         self.bytes_appended += payload_bytes + self.RECORD_OVERHEAD
 
-    def reset(self) -> None:
-        """Truncate the log."""
-        self.records = 0
-        self.bytes_appended = 0
-
 
 @dataclass
 class IOTracker:
@@ -211,12 +167,6 @@ class IOTracker:
     pool: BufferPool = field(default_factory=BufferPool)
     wal: WriteAheadLog = field(default_factory=WriteAheadLog)
     bulk_threshold_pages: int = 128
-
-    def pages_for_bytes(self, n_bytes: int) -> int:
-        """Number of pages needed to hold ``n_bytes`` (at least 1 if any)."""
-        if n_bytes <= 0:
-            return 0
-        return -(-n_bytes // self.page_size)
 
     def read_bytes(self, segment: str, n_bytes: int, offset_bytes: int = 0) -> None:
         """Account a sequential read of ``n_bytes`` starting at an offset."""
@@ -242,11 +192,6 @@ class IOTracker:
             return
         self.pool.write_range(segment, first, n_pages)
 
-    def log_tuples(self, n_tuples: int, tuple_bytes: int) -> None:
-        """Append one WAL record per tuple of ``tuple_bytes`` payload."""
-        for _ in range(max(0, n_tuples)):
-            self.wal.append(tuple_bytes)
-
     def log_bulk(self, n_tuples: int, tuple_bytes: int) -> None:
         """Append a single WAL record covering ``n_tuples`` (bulk load)."""
         if n_tuples > 0:
@@ -258,9 +203,3 @@ class IOTracker:
         counters = self.pool.counters
         counters.wal_bytes = self.wal.bytes_appended
         return counters
-
-    def reset(self) -> None:
-        """Zero all counters and empty pool and WAL."""
-        self.pool.counters.reset()
-        self.pool.clear()
-        self.wal.reset()

@@ -52,9 +52,6 @@ class Schema:
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Schema) and self.columns == other.columns
-
     def column(self, name: str) -> Column:
         """Look up a column by name."""
         try:
@@ -67,10 +64,6 @@ class Schema:
     def names(self) -> list[str]:
         """Column names in schema order."""
         return [column.name for column in self.columns]
-
-    def project(self, names: Sequence[str]) -> "Schema":
-        """A new schema restricted to ``names`` (in the given order)."""
-        return Schema([self.column(name) for name in names])
 
 
 class Relation:
@@ -138,9 +131,6 @@ class Relation:
 
     def __len__(self) -> int:
         return len(next(iter(self.bats.values()))) if self.bats else 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Relation({self.name!r}, {self.schema.names()}, rows={len(self)})"
 
     @property
     def nbytes(self) -> int:

@@ -4,8 +4,9 @@ The MonetDB cracker "relies on the transaction manager to not overwrite
 the original until commit" (§3.4.2): the Ξ shuffle happens in the original
 storage area, and isolation is guaranteed by keeping a pre-image.  This
 module reproduces that contract with explicit snapshots: a transaction
-registers every BAT it will shuffle, the manager lazily copies the
-pre-image, and abort restores it byte-for-byte.
+registers every BAT it will mutate, which copies its pre-image, and
+abort restores it byte-for-byte.  :meth:`Database.execute_transaction
+<repro.sql.session.Database.execute_transaction>` is its one user.
 """
 
 from __future__ import annotations
@@ -28,15 +29,8 @@ class _PreImage:
 
 
 class Transaction:
-    """One transaction's write set of shuffled BATs.
-
-    Use via :class:`TransactionManager` or as a context manager::
-
-        with manager.begin() as txn:
-            txn.protect(bat)
-            ...shuffle bat in place...
-        # exception -> rollback, normal exit -> commit
-    """
+    """One transaction's write set of mutated BATs: :meth:`protect`
+    each before mutating it, then :meth:`commit` or :meth:`rollback`."""
 
     def __init__(self, txn_id: int) -> None:
         self.txn_id = txn_id
@@ -60,11 +54,6 @@ class Transaction:
             ),
         )
 
-    @property
-    def protected_count(self) -> int:
-        """Number of BATs with a saved pre-image."""
-        return len(self._pre_images)
-
     def commit(self) -> None:
         """Make all in-place mutations durable; pre-images are dropped."""
         if self.state != "active":
@@ -87,46 +76,3 @@ class Transaction:
             bat._sorted = False
         self._pre_images.clear()
         self.state = "aborted"
-
-    def __enter__(self) -> "Transaction":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self.state != "active":
-            return False
-        if exc_type is None:
-            self.commit()
-        else:
-            self.rollback()
-        return False
-
-
-class TransactionManager:
-    """Hands out transactions with monotonically increasing ids."""
-
-    def __init__(self) -> None:
-        self._next_id = 1
-        self.committed = 0
-        self.aborted = 0
-
-    def begin(self) -> Transaction:
-        """Start a new transaction."""
-        txn = _ManagedTransaction(self._next_id, self)
-        self._next_id += 1
-        return txn
-
-
-class _ManagedTransaction(Transaction):
-    """Transaction that reports its outcome back to the manager."""
-
-    def __init__(self, txn_id: int, manager: TransactionManager) -> None:
-        super().__init__(txn_id)
-        self._manager = manager
-
-    def commit(self) -> None:
-        super().commit()
-        self._manager.committed += 1
-
-    def rollback(self) -> None:
-        super().rollback()
-        self._manager.aborted += 1

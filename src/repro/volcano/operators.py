@@ -43,9 +43,6 @@ class Operator:
 
     columns: list[str]
 
-    def __iter__(self) -> Iterator[tuple]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def column_index(self, name: str) -> int:
         """Index of ``name`` in the output tuples (bare names allowed)."""
         return resolve_column(self.columns, name)

@@ -81,9 +81,6 @@ class ColumnBatch:
             return len(self.sel)
         return len(self.arrays[0]) if self.arrays else 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ColumnBatch({self.columns}, rows={len(self)})"
-
     def column(self, index: int) -> np.ndarray:
         """The logical values of one column (selection vector applied)."""
         array = self.arrays[index]
@@ -95,34 +92,21 @@ class ColumnBatch:
             return self
         return ColumnBatch(self.columns, [a[self.sel] for a in self.arrays])
 
-    def rows(self) -> Iterator[tuple]:
-        """Decode into row tuples (for iteration only)."""
-        compacted = self.compact()
-        if not compacted.arrays:
-            return iter(())
-        return zip(*compacted.arrays)
 
 
 class VecOperator:
     """Base class: a stream of :class:`ColumnBatch` with named columns.
 
-    Iterating a vectorized operator yields row tuples (decoding each batch
-    at the boundary), so result delivery is interchangeable with the tuple
-    pipeline.
+    A subclass implements ``batches()``, yielding the stream; the
+    session drains it in batches and never decodes row by row.
     """
 
     columns: list[str]
-
-    def batches(self) -> Iterator[ColumnBatch]:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def column_index(self, name: str) -> int:
         """Index of ``name`` in the output columns (bare names allowed)."""
         return resolve_column(self.columns, name)
 
-    def __iter__(self) -> Iterator[tuple]:
-        for batch in self.batches():
-            yield from batch.rows()
 
 
 def concat_batches(operator: VecOperator) -> ColumnBatch | None:
@@ -142,11 +126,6 @@ def concat_batches(operator: VecOperator) -> ColumnBatch | None:
         for i in range(len(parts[0].arrays))
     ]
     return ColumnBatch(parts[0].columns, arrays)
-
-
-def count_batch_rows(operator: VecOperator) -> int:
-    """Drain an operator counting rows without decoding tuples."""
-    return sum(len(batch) for batch in operator.batches())
 
 
 def _scan_names(
@@ -492,21 +471,6 @@ class VecAggregate(VecOperator):
         yield ColumnBatch(self.columns, out)
 
 
-def _dtype_col_type(array: np.ndarray) -> str:
-    """Infer a BAT tail type from a batch array."""
-    if array.dtype == object:
-        for value in array:
-            if isinstance(value, str):
-                return "str"
-            if isinstance(value, float):
-                return "float"
-            return "int"
-        return "int"
-    if np.issubdtype(array.dtype, np.floating):
-        return "float"
-    return "int"
-
-
 class VecMaterialize(VecOperator):
     """Pipeline breaker writing the batch stream into a new Relation.
 
@@ -518,8 +482,8 @@ class VecMaterialize(VecOperator):
         self,
         child: VecOperator,
         name: str,
+        col_types: list[str],
         tracker=None,
-        col_types: list[str] | None = None,
     ) -> None:
         self.child = child
         self.name = name
@@ -536,13 +500,10 @@ class VecMaterialize(VecOperator):
             if batch is not None
             else [np.empty(0, dtype=np.int64) for _ in self.columns]
         )
-        types = self._col_types
-        if types is None:
-            types = [_dtype_col_type(array) for array in arrays]
         schema = Schema(
             [
                 Column(name.split(".")[-1], col_type)
-                for name, col_type in zip(self.columns, types)
+                for name, col_type in zip(self.columns, self._col_types)
             ]
         )
         column_data = {
@@ -556,7 +517,3 @@ class VecMaterialize(VecOperator):
             self.tracker.write_bytes(self.name, rows * tuple_bytes)
         self.result = relation
         return relation
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        relation = self.run()
-        yield from VecScan(relation, alias=None).batches()

@@ -35,12 +35,6 @@ class TestSortedAccelerator:
         accel = SortedAccelerator(BAT.from_values("t", [1, 2, 3]))
         assert len(accel.range_positions(10, 20)) == 0
 
-    def test_count_range_matches_positions(self, rng):
-        values = rng.integers(0, 100, 300)
-        accel = SortedAccelerator(BAT.from_values("t", values))
-        for low, high in [(10, 20), (0, 100), (50, 50)]:
-            assert accel.count_range(low, high) == len(accel.range_positions(low, high))
-
     def test_stale_after_append_raises(self):
         bat = BAT.from_values("t", [1, 2])
         accel = SortedAccelerator(bat)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import BATAlignmentError, BATTypeError
+from repro.errors import BATTypeError
 from repro.storage.bat import BAT
 from repro.storage.heap import AtomHeap
 
@@ -12,21 +12,11 @@ class TestConstruction:
     def test_from_values_void_head(self):
         bat = BAT.from_values("t", [5, 3, 9])
         assert len(bat) == 3
-        assert bat.is_void_head
         assert np.array_equal(bat.head_array(), [0, 1, 2])
 
     def test_from_values_with_seq_base(self):
         bat = BAT.from_values("t", [1, 2], seq_base=100)
         assert np.array_equal(bat.head_array(), [100, 101])
-
-    def test_from_pairs_materialised_head(self):
-        bat = BAT.from_pairs("t", [7, 3], [10, 20])
-        assert not bat.is_void_head
-        assert np.array_equal(bat.head_array(), [7, 3])
-
-    def test_from_pairs_misaligned_raises(self):
-        with pytest.raises(BATAlignmentError):
-            BAT.from_pairs("t", [1, 2, 3], [10, 20])
 
     def test_unknown_tail_type_raises(self):
         with pytest.raises(BATTypeError):
@@ -39,14 +29,14 @@ class TestConstruction:
     def test_str_tail_uses_heap(self):
         bat = BAT.from_values("t", ["a", "b", "a"], tail_type="str")
         assert bat.tail_values() == ["a", "b", "a"]
-        assert len(bat.heap) == 2  # deduplicated
+        assert len(bat.heap.export_atoms()[1]) == 2  # deduplicated
 
     def test_shared_heap(self):
         heap = AtomHeap()
         bat1 = BAT.from_values("t1", ["x"], tail_type="str", heap=heap)
         bat2 = BAT.from_values("t2", ["x", "y"], tail_type="str", heap=heap)
         assert bat1.heap is bat2.heap
-        assert len(heap) == 2
+        assert len(heap.export_atoms()[1]) == 2
 
     def test_two_dimensional_values_raise(self):
         with pytest.raises(BATTypeError):
@@ -62,7 +52,6 @@ class TestAppendDelete:
     def test_append_explicit_sparse_oid_materialises_head(self):
         bat = BAT.from_values("t", [1])
         bat.append(2, oid=42)
-        assert not bat.is_void_head
         assert np.array_equal(bat.head_array(), [0, 42])
 
     def test_append_many(self):
@@ -84,55 +73,22 @@ class TestAppendDelete:
         assert bat.tail_values() == ["hello"]
 
 
-class TestSelection:
-    def test_select_range_inclusive_exclusive(self):
-        bat = BAT.from_values("t", [5, 1, 3, 7, 3])
-        positions = bat.select_range(3, 7)  # [3, 7)
-        assert sorted(bat.tail_array()[positions].tolist()) == [3, 3, 5]
-
-    def test_select_range_both_inclusive(self):
-        bat = BAT.from_values("t", [5, 1, 3, 7, 3])
-        positions = bat.select_range(3, 7, high_inclusive=True)
-        assert sorted(bat.tail_array()[positions].tolist()) == [3, 3, 5, 7]
-
-    def test_select_range_open_low(self):
-        bat = BAT.from_values("t", [5, 1, 3])
-        positions = bat.select_range(None, 4)
-        assert sorted(bat.tail_array()[positions].tolist()) == [1, 3]
-
-    def test_select_range_open_high(self):
-        bat = BAT.from_values("t", [5, 1, 3])
-        positions = bat.select_range(3, None)
-        assert sorted(bat.tail_array()[positions].tolist()) == [3, 5]
-
-
-class TestOidMapping:
-    def test_oids_at_void(self):
-        bat = BAT.from_values("t", [9, 8, 7], seq_base=10)
-        assert np.array_equal(bat.oids_at(np.array([0, 2])), [10, 12])
-
-
 class TestSortMinMax:
     def test_sort_by_tail(self):
         bat = BAT.from_values("t", [3, 1, 2])
         bat.sort_by_tail()
         assert np.array_equal(bat.tail_array(), [1, 2, 3])
-        assert bat.is_sorted
 
     def test_sort_carries_oids(self):
         bat = BAT.from_values("t", [3, 1, 2])
         bat.sort_by_tail()
         assert np.array_equal(bat.head_array(), [1, 2, 0])
 
-    def test_iteration_yields_pairs(self):
-        bat = BAT.from_values("t", [7, 8])
-        assert list(bat) == [(0, 7), (1, 8)]
-
-
 class TestFootprint:
     def test_nbytes_accounts_head(self):
         void = BAT.from_values("t", [1, 2, 3])
-        explicit = BAT.from_pairs("t2", [0, 1, 2], [1, 2, 3])
+        explicit = BAT.from_values("t2", [1, 2, 3])
+        explicit.sort_by_tail()  # materialises the head
         assert explicit.nbytes == void.nbytes + 3 * 8
 
 

@@ -227,4 +227,4 @@ class TestHikingExperiment:
         queries = hiking_sequence(mqs, attr="a", seed=0)
         result = run_sequence(engine, "R", queries)
         widths = {step.rows for step in result.steps}
-        assert widths == {queries[0].width}
+        assert widths == {queries[0].high - queries[0].low + 1}

@@ -361,7 +361,7 @@ def test_cache_hits_run_no_lexer_parser_or_advice(monkeypatch):
     ).scalar() == count_between(-20, 70)
     rows = db.execute("SELECT r.k FROM r WHERE a < 60 AND tag <> 't2' LIMIT 1000").rows
     assert sorted(rows) == [(k,) for k, a, tag in ROWS if a < 60 and tag != "t2"]
-    stats = db.plan_cache_stats()
+    stats = db.stats()["plan_cache"]
     assert (stats["hits"], stats["template_hits"]) == (1, 2)
 
 
@@ -418,7 +418,7 @@ def test_dml_template_hits_run_no_lexer_or_parser(monkeypatch):
     db.execute("INSERT INTO r VALUES (502, 7, 'z'), (503, -8, '')")
     db.execute("UPDATE r SET a = -1 WHERE k BETWEEN 10 AND 13")
     db.execute("DELETE FROM r WHERE k = 9")
-    stats = db.plan_cache_stats()
+    stats = db.stats()["plan_cache"]
     assert (stats["dml_template_hits"], stats["template_hits"], stats["misses"]) == (
         3, 0, 0,
     )
@@ -458,7 +458,7 @@ def test_insert_select_and_rejected_literals_stay_uncached(monkeypatch):
     for low in (1, 11):
         db.execute(f"UPDATE r SET a = 5 WHERE k BETWEEN {low} AND {low + 2}")
     monkeypatch.undo()
-    stats = db.plan_cache_stats()
+    stats = db.stats()["plan_cache"]
     assert (stats["dml_template_hits"], stats["dml_template_entries"]) == (0, 1)
     assert sorted(db.execute("SELECT r.k FROM r WHERE a = 5").rows) == [
         (k,) for k, a, _ in ROWS if a == 5 or k in (1, 2, 3, 11, 12, 13)
@@ -476,7 +476,7 @@ def test_a_mixed_dml_stream_equals_the_model(plan_cache):
         else:
             model.apply(op)
     assert sorted(db.execute("SELECT r.k, r.a, r.tag FROM r").rows) == model.rows()
-    stats = db.plan_cache_stats()
+    stats = db.stats()["plan_cache"]
     hits = (stats["template_hits"], stats["dml_template_hits"])
     assert min(hits) > 0 if plan_cache else hits == (0, 0)
 
@@ -512,7 +512,7 @@ def test_a_leading_comment_does_not_hide_the_statement_kind():
     sql = "-- note\nSELECT count(*) FROM r WHERE a BETWEEN 0 AND 9"
     assert db.execute(sql).scalar() == count_between(0, 9)
     db.execute(sql.replace("0", "3"))
-    assert db.plan_cache_stats()["template_hits"] == 1
+    assert db.stats()["plan_cache"]["template_hits"] == 1
     hists = db.stats()["metrics"]["histograms"]["repro_statement_seconds"]
     assert hists["kind=select"]["count"] == 2
     assert "kind=other" not in hists

@@ -107,11 +107,6 @@ class TestCrackStats:
         assert stats.tuples_touched == 4
         assert stats.cracks == 1
 
-    def test_stats_reset(self):
-        stats = CrackStats(tuples_touched=5, tuples_moved=2, cracks=1, sorts=3)
-        stats.reset()
-        assert stats == CrackStats()
-
     @pytest.mark.parametrize("kernel", KERNELS_TWO)
     @pytest.mark.parametrize(
         "values, pivot, kind, split",

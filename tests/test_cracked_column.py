@@ -127,9 +127,9 @@ class TestUpdates:
     def test_pending_count_until_merge(self):
         column = make_column([1, 2, 3])
         column.append([4])
-        assert column.pending_count == 1
+        assert column.observability()["pending_inserts"] == 1
         column.range_select(0, 10)
-        assert column.pending_count == 0
+        assert column.observability()["pending_inserts"] == 0
 
     def test_invariants_after_many_merges(self, rng):
         column = make_column(rng.permutation(500))

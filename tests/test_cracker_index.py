@@ -11,7 +11,7 @@ class TestBoundaries:
     def test_empty_index_has_one_piece(self):
         index = CrackerIndex(100)
         assert index.piece_count == 1
-        assert index.pieces()[0].size == 100
+        assert index.piece_sizes() == [100]
 
     def test_add_creates_two_pieces(self):
         index = CrackerIndex(100)
@@ -22,22 +22,22 @@ class TestBoundaries:
     def test_lookup_existing(self):
         index = CrackerIndex(100)
         index.add(50, KIND_LT, 42)
-        assert index.lookup(50, KIND_LT) == 42
+        assert index.probe(50, KIND_LT)[0] == 42
 
     def test_lookup_missing_kind(self):
         index = CrackerIndex(100)
         index.add(50, KIND_LT, 42)
-        assert index.lookup(50, KIND_LE) is None
+        assert index.probe(50, KIND_LE)[0] is None
 
     def test_lookup_unknown_kind_raises(self):
         with pytest.raises(CrackerIndexError):
-            CrackerIndex(10).lookup(1, "weird")
+            CrackerIndex(10).probe(1, "weird")
 
     def test_same_value_lt_before_le(self):
         index = CrackerIndex(100)
         index.add(50, KIND_LE, 60)
         index.add(50, KIND_LT, 55)
-        boundaries = index.boundaries()
+        boundaries = [index.boundary_at(i) for i in range(len(index))]
         assert [b.kind for b in boundaries] == [KIND_LT, KIND_LE]
         assert [b.position for b in boundaries] == [55, 60]
 

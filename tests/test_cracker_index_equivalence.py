@@ -95,7 +95,8 @@ def apply_op(index, op) -> tuple:
             index.add(value, kind, position)
             return ("ok", None)
         _, value, kind = op  # "lookup" or "probe"
-        return ("ok", getattr(index, name)(value, kind))
+        probed = index.probe(value, kind)
+        return ("ok", probed[0] if name == "lookup" else probed)
     except CrackerIndexError:
         return ("error", None)
 
@@ -112,7 +113,8 @@ def check_sequence(column_size: int, ops: list) -> None:
         assert len(numpy_index) == len(oracle)
         assert numpy_index.column_size == oracle.column_size
         boundaries = [
-            (b.value, b.kind, b.position) for b in numpy_index.boundaries()
+            (b.value, b.kind, b.position)
+            for b in map(numpy_index.boundary_at, range(len(numpy_index)))
         ]
         assert boundaries == oracle.snapshot(), op
         numpy_index.check_invariants()
@@ -194,7 +196,7 @@ def test_probe_agrees_with_lookup_and_piece_bounds():
     for value in (5, 10, 25, 40, 99):
         for kind in KINDS:
             position, start, stop = index.probe(value, kind)
-            assert position == index.lookup(value, kind) == oracle.lookup(value, kind)
+            assert position == index.probe(value, kind)[0] == oracle.lookup(value, kind)
             assert (start, stop) == oracle.piece_bounds(value, kind)
     assert index.probe(10, KIND_LE) == (25, 20, 25)
     assert index.probe(99, KIND_LT) == (None, 70, 100)
@@ -204,8 +206,8 @@ def test_float_and_int_values_mix():
     index = CrackerIndex(100)
     index.add(10, KIND_LT, 20)
     index.add(10.5, KIND_LT, 25)
-    assert index.lookup(10.0, KIND_LT) == 20  # 10 == 10.0, like tuple keys
-    assert index.lookup(10.5, KIND_LT) == 25
+    assert index.probe(10.0, KIND_LT)[0] == 20  # 10 == 10.0, like tuple keys
+    assert index.probe(10.5, KIND_LT)[0] == 25
     assert index.probe(10.2, KIND_LT) == (None, 20, 25)
     assert index.piece_sizes() == [20, 5, 75]
 
@@ -219,9 +221,9 @@ def test_values_beyond_float64_precision_rejected():
     with pytest.raises(CrackerIndexError, match="not exactly representable"):
         index.add(2**53 + 1, KIND_LT, 20)
     # a colliding probe is not a false lookup hit
-    assert index.lookup(2**53, KIND_LT) == 10
-    assert index.lookup(2**53 + 1, KIND_LT) is None
-    assert index.lookup(float(2**53), KIND_LT) == 10  # 2.0**53 == 2**53
+    assert index.probe(2**53, KIND_LT)[0] == 10
+    assert index.probe(2**53 + 1, KIND_LT)[0] is None
+    assert index.probe(float(2**53), KIND_LT)[0] == 10  # 2.0**53 == 2**53
 
 
 def test_merge_shift_matches_manual_rebuild():
@@ -231,7 +233,7 @@ def test_merge_shift_matches_manual_rebuild():
     index.add(70, KIND_LT, 90)
     counts = np.array([3, 0, 5, 2])
     index.merge_shift(counts, 110)
-    assert [b.position for b in index.boundaries()] == [23, 53, 98]
+    assert index.positions().tolist() == [23, 53, 98]
     assert index.column_size == 110
     with pytest.raises(CrackerIndexError):
         index.merge_shift(np.array([1, 2]), 120)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.crackers import (
     omega_crack,
     psi_crack,
-    semijoin_positions,
     wedge_crack,
     xi_crack_range,
     xi_crack_theta,
@@ -132,14 +131,6 @@ class TestWedge:
         result = wedge_crack(left, right, "k", "k")
         assert sorted(np.asarray(result.pieces[1].column_values("k")).tolist()) == [1]
         assert sorted(np.asarray(result.pieces[3].column_values("k")).tolist()) == [4]
-
-    def test_semijoin_positions(self):
-        schema = Schema([Column("k", "int")])
-        left = Relation.from_columns("L", schema, {"k": [1, 2, 3, 2]})
-        right = Relation.from_columns("R2", schema, {"k": [2]})
-        positions = semijoin_positions(left, right, "k", "k")
-        assert positions.tolist() == [1, 3]
-
 
 class TestOmega:
     def test_one_piece_per_group(self):

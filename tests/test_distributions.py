@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from repro.benchmark.distributions import (
     DISTRIBUTIONS,
-    delta_series,
     exponential,
     get_distribution,
     linear,
     logarithmic,
-    selectivity_series,
 )
 from repro.errors import BenchmarkError
 
@@ -63,12 +61,10 @@ class TestValidation:
 
 
 class TestSeries:
-    def test_selectivity_series_length(self):
-        assert len(selectivity_series("linear", 15, 0.1)) == 15
-
     def test_delta_series_ends_at_zero(self):
-        for name in DISTRIBUTIONS:
-            series = delta_series(name, 20)
+        # δ(i) = ρ(i; k, 0), the hiking drift: the overlap reaches 100%.
+        for rho in DISTRIBUTIONS.values():
+            series = [rho(step, 20, 0.0) for step in range(1, 21)]
             assert series[-1] == pytest.approx(0.0, abs=1e-6)
 
 

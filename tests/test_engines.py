@@ -243,9 +243,9 @@ class TestSQLCrackingEngine:
         engine = SQLCrackingEngine()
         engine.load(fresh_table())
         engine.range_query("R", "a", 100, 200)
-        assert engine.piece_count("R", "a") == 3
-        fragments = engine.catalog.fragments_of("R")
+        fragments = engine.fragments_of("R", "a")
         assert len(fragments) == 3
+        assert all(engine.catalog.has_table(piece.name) for piece in fragments)
 
     def test_second_query_cracks_fewer_pieces(self):
         engine = SQLCrackingEngine()

@@ -1,13 +1,11 @@
-"""Tests for the extension features: ORDER BY, workload presets,
-CSV export, lineage DOT rendering and docstring coverage."""
+"""Tests for the extension features: ORDER BY, CSV export and
+docstring coverage."""
 
 import inspect
 
 import pytest
 
-from repro.benchmark.workloads import WorkloadPreset, get_workload, paper_workloads
-from repro.core import LineageGraph, xi_crack_theta
-from repro.errors import BenchmarkError, SQLAnalysisError
+from repro.errors import SQLAnalysisError
 from repro.experiments import fig8
 from repro.sql import Database
 
@@ -57,32 +55,6 @@ class TestOrderBy:
         assert result.rows[0][0] == 5
 
 
-class TestWorkloadPresets:
-    def test_all_presets_generate(self):
-        for name, preset in paper_workloads(n_rows=2000, steps=8).items():
-            queries = preset.generate(seed=1)
-            assert len(queries) == 8, name
-            for query in queries:
-                assert 1 <= query.low <= query.high <= 2000
-
-    def test_get_workload_by_name(self):
-        preset = get_workload("fig11_strolling_5", n_rows=1000, steps=4)
-        assert preset.profile == "strolling"
-        assert preset.mqs.sigma == 0.05
-
-    def test_unknown_workload_rejected(self):
-        with pytest.raises(BenchmarkError):
-            get_workload("fig99")
-
-    def test_invalid_sizes_rejected(self):
-        with pytest.raises(BenchmarkError):
-            paper_workloads(n_rows=0)
-
-    def test_preset_descriptions_reference_paper(self):
-        for preset in paper_workloads(n_rows=100, steps=2).values():
-            assert preset.description
-
-
 class TestCSVExport:
     def test_csv_header_and_rows(self):
         result = fig8.run(k=4)
@@ -96,27 +68,6 @@ class TestCSVExport:
         last_line = result.to_csv().strip().splitlines()[-1]
         cells = last_line.split(",")
         assert float(cells[-1]) == 0.5  # target selectivity column
-
-
-class TestLineageDot:
-    def test_dot_contains_nodes_and_ops(self, small_relation):
-        graph = LineageGraph()
-        root = graph.add_base(small_relation)
-        result = xi_crack_theta(small_relation, "a", "<", 100)
-        graph.record(result.op, result.params, [root], result.pieces)
-        dot = graph.to_dot()
-        assert dot.startswith("digraph lineage {")
-        assert '"R"' in dot and '"R[1]"' in dot and '"R[2]"' in dot
-        assert "Ξ" in dot
-        assert dot.rstrip().endswith("}")
-
-    def test_dot_edge_count(self, small_relation):
-        graph = LineageGraph()
-        root = graph.add_base(small_relation)
-        result = xi_crack_theta(small_relation, "a", "<", 100)
-        graph.record(result.op, result.params, [root], result.pieces)
-        dot = graph.to_dot()
-        assert dot.count("->") == 3  # R -> op, op -> R[1], op -> R[2]
 
 
 class TestDocstringCoverage:

@@ -13,7 +13,7 @@ from repro.core import (
 )
 from repro.engines import DatabaseEngine, SQLCrackingEngine
 from repro.sql import Database
-from repro.storage.transaction import TransactionManager
+from repro.storage.transaction import Transaction
 
 
 class TestPaperSection2:
@@ -92,30 +92,32 @@ class TestPaperSection5:
     def test_transaction_protected_cracking_rollback(self):
         tapestry = DBtapestry(2000, seed=3)
         bat = tapestry.build_relation("R").column("a")
-        manager = TransactionManager()
         original = bat.tail_array().copy()
-        with pytest.raises(RuntimeError):
-            with manager.begin() as txn:
-                txn.protect(bat)
-                # Shuffle the BAT in place as the MonetDB cracker would.
-                bat.tail_array()[:] = np.sort(bat.tail_array())
-                raise RuntimeError("abort mid-crack")
+        txn = Transaction(1)
+        txn.protect(bat)
+        # Shuffle the BAT in place as the MonetDB cracker would.
+        bat.tail_array()[:] = np.sort(bat.tail_array())
+        txn.rollback()  # abort mid-crack
         assert np.array_equal(bat.tail_array(), original)
-        assert manager.aborted == 1
+        assert txn.state == "aborted"
 
 
 class TestFullStack:
     def test_sql_database_runs_tapestry_benchmark(self):
         tapestry = DBtapestry(300, arity=2, seed=4)
         database = Database(cracking=True, crack_threshold=0)
-        database.execute_script(tapestry.to_sql_script("tap", batch=64))
+        database.execute("CREATE TABLE tap (k integer, a integer)")
+        pairs = zip(tapestry.column(0).tolist(), tapestry.column(1).tolist())
+        database.execute(
+            "INSERT INTO tap VALUES " + ", ".join(f"({k}, {a})" for k, a in pairs)
+        )
         mqs = MQS(alpha=2, n=300, k=6, sigma=0.1)
         for query in homerun_sequence(mqs, attr="a", seed=4):
             sql = (
                 f"SELECT count(*) FROM tap WHERE a BETWEEN {query.low} "
                 f"AND {query.high}"
             )
-            assert database.execute(sql).scalar() == query.width
+            assert database.execute(sql).scalar() == query.high - query.low + 1
         assert database.piece_count("tap", "a") > 1
 
     def test_psi_then_xi_composition(self, rng):

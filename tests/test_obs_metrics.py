@@ -14,7 +14,6 @@ import pytest
 from repro.obs.metrics import (
     BUCKET_BOUNDS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     render_exposition,
@@ -142,14 +141,6 @@ class TestCountersAndGauges:
         c.inc(5)
         assert c.value == 6
 
-    def test_gauge(self):
-        g = Gauge("g")
-        g.set(10)
-        g.dec(3)
-        g.inc()
-        assert g.value == 8
-
-
 class TestRegistry:
     def test_get_or_create_returns_same_object(self):
         reg = MetricsRegistry()
@@ -160,18 +151,16 @@ class TestRegistry:
         # Different labels are different metrics; label order is
         # irrelevant to identity.
         assert reg.counter("c", {"x": 1}) is not reg.counter("c")
-        assert reg.gauge("g", {"a": 1, "b": 2}) is reg.gauge(
+        assert reg.counter("g", {"a": 1, "b": 2}) is reg.counter(
             "g", {"b": 2, "a": 1}
         )
 
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
         reg.counter("requests", {"kind": "select"}).inc(3)
-        reg.gauge("depth").set(7)
         reg.histogram("lat", {"kind": "select"}).observe(1e-4)
         snap = reg.snapshot()
         assert snap["counters"]["requests"] == {"kind=select": 3}
-        assert snap["gauges"]["depth"] == {"": 7}
         assert snap["histograms"]["lat"]["kind=select"]["count"] == 1
 
     def test_collectors_surface_as_gauges(self):
@@ -184,14 +173,13 @@ class TestRegistry:
     def test_disabled_registry_is_inert(self):
         reg = MetricsRegistry(enabled=False)
         reg.counter("c").inc()
-        reg.gauge("g").set(5)
         reg.histogram("h").observe(1.0)
         reg.register_collector(lambda: [("x", None, 1)])
         assert reg.snapshot() == {
             "counters": {}, "gauges": {}, "histograms": {}
         }
         assert reg.render() == ""
-        # Null metrics never read back anything.
+        # Unregistered metrics never read back anything.
         assert reg.counter("c").value == 0
         assert reg.histogram("h").count == 0
 

@@ -26,19 +26,6 @@ class TestIOCounters:
         assert delta.page_reads == 7
         assert delta.page_writes == 3
 
-    def test_reset_zeroes_everything(self):
-        counters = IOCounters(page_reads=1, page_writes=2, wal_bytes=3,
-                              tuples_read=4, tuples_written=5, page_hits=6)
-        counters.reset()
-        assert counters.as_dict() == {
-            "page_reads": 0, "page_hits": 0, "page_writes": 0,
-            "wal_bytes": 0, "tuples_read": 0, "tuples_written": 0,
-        }
-
-    def test_total_page_io(self):
-        assert IOCounters(page_reads=3, page_writes=4).total_page_io == 7
-
-
 class TestBufferPool:
     def test_first_fetch_is_miss(self):
         pool = BufferPool()
@@ -81,14 +68,6 @@ class TestBufferPool:
         with pytest.raises(PageError):
             BufferPool(capacity_pages=-1)
 
-    def test_invalidate_segment(self):
-        pool = BufferPool()
-        pool.fetch("a", 0)
-        pool.fetch("b", 0)
-        assert pool.invalidate_segment("a") == 1
-        assert pool.fetch("a", 0) is False
-        assert pool.fetch("b", 0) is True
-
     def test_write_admits_page(self):
         pool = BufferPool()
         pool.write("seg", 7)
@@ -113,22 +92,7 @@ class TestWAL:
         with pytest.raises(PageError):
             wal.append(-1)
 
-    def test_reset(self):
-        wal = WriteAheadLog()
-        wal.append(10)
-        wal.reset()
-        assert wal.records == 0
-        assert wal.bytes_appended == 0
-
-
 class TestIOTracker:
-    def test_pages_for_bytes(self):
-        tracker = IOTracker()
-        assert tracker.pages_for_bytes(0) == 0
-        assert tracker.pages_for_bytes(1) == 1
-        assert tracker.pages_for_bytes(DEFAULT_PAGE_SIZE) == 1
-        assert tracker.pages_for_bytes(DEFAULT_PAGE_SIZE + 1) == 2
-
     def test_read_bytes_accounts_pages(self):
         tracker = IOTracker()
         tracker.read_bytes("seg", DEFAULT_PAGE_SIZE * 3)
@@ -154,21 +118,8 @@ class TestIOTracker:
         assert tracker.counters.page_reads == 1
         assert tracker.counters.page_hits == 1
 
-    def test_log_tuples_per_record(self):
-        tracker = IOTracker()
-        tracker.log_tuples(5, 16)
-        assert tracker.wal.records == 5
-
     def test_log_bulk_single_record(self):
         tracker = IOTracker()
         tracker.log_bulk(5, 16)
         assert tracker.wal.records == 1
         assert tracker.counters.wal_bytes == 80 + WriteAheadLog.RECORD_OVERHEAD
-
-    def test_reset_clears_everything(self):
-        tracker = IOTracker()
-        tracker.read_bytes("seg", 100)
-        tracker.log_tuples(1, 8)
-        tracker.reset()
-        assert tracker.counters.page_reads == 0
-        assert tracker.counters.wal_bytes == 0

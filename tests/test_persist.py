@@ -55,6 +55,15 @@ VERIFY_QUERIES = [
 ]
 
 
+def _has_pending(column) -> bool:
+    """Anything buffered: inserts, deletes or updates not yet merged."""
+    stats = column.observability()
+    return bool(
+        stats["pending_inserts"] or stats["pending_deletes"] or stats["pending_updates"]
+    )
+
+
+
 def assert_databases_agree(expected: Database, actual: Database) -> None:
     for query in VERIFY_QUERIES:
         left = expected.execute(query)
@@ -166,7 +175,7 @@ class TestStateCodecs:
         clone = BAT.from_state(bat.export_state())
         assert np.array_equal(clone.tail_array(), bat.tail_array())
         assert np.array_equal(clone.head_array(), bat.head_array())
-        assert clone.seq_base == 3
+        assert clone.head_array().tolist() == [3, 4, 5, 6]  # the seq base
 
     def test_bat_roundtrip_str(self):
         bat = BAT.from_values("t", ["b", "a", "b", "c"], tail_type="str")
@@ -179,7 +188,7 @@ class TestStateCodecs:
         clone = BAT.from_state(bat.export_state())
         assert np.array_equal(clone.tail_array(), bat.tail_array())
         assert np.array_equal(clone.head_array(), bat.head_array())
-        assert clone.is_sorted
+        assert clone.export_state()["sorted"]
 
     def test_cracked_column_roundtrip_with_pending(self):
         column = CrackedColumn.from_arrays(np.arange(200)[::-1].copy())
@@ -189,7 +198,7 @@ class TestStateCodecs:
         state = column.export_state()
         clone = CrackedColumn.from_state(state)
         assert clone.piece_count == column.piece_count
-        assert clone.pending_count == 3
+        assert clone.observability()["pending_inserts"] == 3
         left = column.range_select(30, 150)
         right = clone.range_select(30, 150)
         assert sorted(left.values.tolist()) == sorted(right.values.tolist())
@@ -360,8 +369,8 @@ class TestDurabilityMechanics:
         db.close()
         restored = Database(cracking=True, persist_dir=tmp_path)
         # Recovery invalidated per-table epochs (beyond the replayed DDL).
-        assert restored.plan_cache_stats()["invalidations"] > 0
-        assert restored._plan_cache.table_epoch("t") > 0
+        assert restored.stats()["plan_cache"]["invalidations"] > 0
+        assert restored._plan_cache.epochs_for(["t"]) > (("t", 0),)
         restored.close()
 
     def test_checkpoint_requires_persistence(self):
@@ -453,7 +462,7 @@ class TestDurabilityMechanics:
             ],
         )
         column = db.cracked_columns()[("r", "a")]
-        buffered = (column.pending_delete_count, column.pending_update_count)
+        buffered = (column.observability()["pending_deletes"], column.pending_update_count)
         assert min(buffered) > 0
         db.checkpoint()
         db.close()
@@ -463,14 +472,14 @@ class TestDurabilityMechanics:
         )
         restored = reopened.cracked_columns()[("r", "a")]
         assert (
-            restored.pending_delete_count, restored.pending_update_count
+            restored.observability()["pending_deletes"], restored.pending_update_count
         ) == buffered
         everything = np.arange(len(restored._state))
         assert np.array_equal(
             restored._is_stored(everything), np.isin(everything, restored.oids)
         )
         assert_databases_agree(oracle, reopened)
-        assert not restored.has_pending
+        assert not _has_pending(restored)
         reopened.check_invariants()
         reopened.close()
 
@@ -502,8 +511,8 @@ class TestDurabilityMechanics:
         )
         column = db.cracked_columns()[("r", "a")]
         pending = (
-            column.pending_count,
-            column.pending_delete_count,
+            column.observability()["pending_inserts"],
+            column.observability()["pending_deletes"],
             column.pending_update_count,
         )
         assert column.query_stats.merged_updates and sum(pending)
@@ -513,8 +522,8 @@ class TestDurabilityMechanics:
         reopened = Database(**config, persist_dir=tmp_path)
         restored = reopened.cracked_columns()[("r", "a")]
         assert (
-            restored.pending_count,
-            restored.pending_delete_count,
+            restored.observability()["pending_inserts"],
+            restored.observability()["pending_deletes"],
             restored.pending_update_count,
         ) == pending
         assert_databases_agree(oracle, reopened)

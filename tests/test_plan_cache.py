@@ -70,13 +70,13 @@ class TestCacheBehaviour:
         q = "SELECT count(*) FROM r WHERE a BETWEEN 10 AND 40"
         first = db.execute(q).scalar()
         assert db.execute(q).scalar() == first
-        assert db.plan_cache_stats()["hits"] == 1
+        assert db.stats()["plan_cache"]["hits"] == 1
 
     def test_literal_variant_hits_template(self):
         db = small_db()
         db.execute("SELECT count(*) FROM r WHERE a BETWEEN 10 AND 40")
         db.execute("SELECT count(*) FROM r WHERE a BETWEEN 20 AND 70")
-        stats = db.plan_cache_stats()
+        stats = db.stats()["plan_cache"]
         assert stats["template_hits"] == 1
         assert stats["template_entries"] == 1
 
@@ -102,10 +102,10 @@ class TestCacheBehaviour:
         q = "SELECT count(*) FROM r WHERE a BETWEEN 0 AND 99"
         before = db.execute(q).scalar()
         db.execute(q)
-        hits_before = db.plan_cache_stats()["hits"]
+        hits_before = db.stats()["plan_cache"]["hits"]
         db.execute("INSERT INTO r VALUES (999, 50, 'tz')")
         assert db.execute(q).scalar() == before + 1
-        stats = db.plan_cache_stats()
+        stats = db.stats()["plan_cache"]
         # the post-insert execution may not reuse the stale entry
         assert stats["hits"] == hits_before
         assert stats["invalidations"] >= 3  # create + load + insert
@@ -173,7 +173,7 @@ class TestCacheBehaviour:
         for t in threads:
             t.join(timeout=30)
         assert not errors
-        assert db.plan_cache_stats()["hits"] >= 250
+        assert db.stats()["plan_cache"]["hits"] >= 250
 
     def test_one_shot_statements_do_not_flush_the_hot_pool(self):
         # point_count's shape: a 256-statement hot pool drawn at random,

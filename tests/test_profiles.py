@@ -4,7 +4,6 @@ import pytest
 
 from repro.benchmark.profiles import (
     MQS,
-    generate_sequence,
     hiking_sequence,
     homerun_sequence,
     strolling_sequence,
@@ -42,7 +41,7 @@ class TestHomerun:
         assert len(homerun_sequence(mqs, seed=1)) == 16
 
     def test_widths_monotonically_shrink(self, mqs):
-        widths = [q.width for q in homerun_sequence(mqs, seed=1)]
+        widths = [q.high - q.low + 1 for q in homerun_sequence(mqs, seed=1)]
         assert all(w1 >= w2 for w1, w2 in zip(widths, widths[1:]))
 
     def test_queries_are_nested(self, mqs):
@@ -53,7 +52,7 @@ class TestHomerun:
 
     def test_final_width_is_target(self, mqs):
         final = homerun_sequence(mqs, seed=3)[-1]
-        assert final.width == round(mqs.sigma * mqs.n)
+        assert final.high - final.low + 1 == round(mqs.sigma * mqs.n)
 
     def test_bounds_inside_domain(self, mqs):
         for query in homerun_sequence(mqs, seed=4):
@@ -69,7 +68,7 @@ class TestHomerun:
 class TestHiking:
     def test_fixed_width(self, mqs):
         queries = hiking_sequence(mqs, seed=1)
-        widths = {q.width for q in queries}
+        widths = {q.high - q.low + 1 for q in queries}
         assert len(widths) == 1
 
     def test_drift_decays_to_full_overlap(self, mqs):
@@ -87,7 +86,7 @@ class TestHiking:
 class TestStrolling:
     def test_converge_mode_widths_follow_rho(self, mqs):
         queries = strolling_sequence(mqs, seed=1, mode="converge")
-        widths = [q.width for q in queries]
+        widths = [q.high - q.low + 1 for q in queries]
         assert widths[0] > widths[-1]
         assert widths[-1] == round(mqs.sigma * mqs.n)
 
@@ -108,14 +107,3 @@ class TestStrolling:
     def test_bounds_inside_domain(self, mqs):
         for query in strolling_sequence(mqs, seed=9):
             assert 1 <= query.low <= query.high <= mqs.n
-
-
-class TestDispatch:
-    def test_generate_sequence_dispatch(self, mqs):
-        assert generate_sequence("homerun", mqs, seed=1) == homerun_sequence(mqs, seed=1)
-        assert generate_sequence("hiking", mqs, seed=1) == hiking_sequence(mqs, seed=1)
-        assert len(generate_sequence("strolling", mqs, seed=1)) == mqs.k
-
-    def test_unknown_profile_rejected(self, mqs):
-        with pytest.raises(BenchmarkError):
-            generate_sequence("sprinting", mqs)

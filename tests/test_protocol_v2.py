@@ -238,13 +238,11 @@ class TestResultAssembler:
         assembler = ResultAssembler()
         message = {"type": "stats", "server": {}}
         assert assembler.feed(message) is message
-        assert not assembler.mid_stream
 
     def test_sequence_gap_is_torn(self):
         messages = self._frames()
         assembler = ResultAssembler()
         assembler.feed(messages[0])
-        assert assembler.mid_stream
         with pytest.raises(ProtocolError, match="torn result stream"):
             assembler.feed(messages[2])  # seq 3 after seq 1
 
@@ -261,7 +259,7 @@ class TestResultAssembler:
         assembler.feed(messages[0])
         error = {"type": "error", "code": "internal", "message": "boom"}
         assert assembler.feed(error) is error
-        assert not assembler.mid_stream
+        assert assembler.feed(messages[0]) is None  # a fresh stream starts
 
 
 class TestServedNegotiation:

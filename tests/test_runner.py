@@ -3,7 +3,7 @@
 import pytest
 
 from repro.benchmark.profiles import MQS, RangeQuery, homerun_sequence
-from repro.benchmark.runner import compare_engines, run_sequence
+from repro.benchmark.runner import run_sequence
 from repro.benchmark.tapestry import DBtapestry
 from repro.engines import DatabaseEngine
 from repro.errors import BenchmarkError
@@ -35,17 +35,11 @@ class TestRunSequence:
 
     def test_rows_recorded(self, loaded_engine, queries):
         result = run_sequence(loaded_engine, "R", queries)
-        assert result.steps[-1].rows == queries[-1].width
+        assert result.steps[-1].rows == queries[-1].high - queries[-1].low + 1
 
     def test_empty_sequence_rejected(self, loaded_engine):
         with pytest.raises(BenchmarkError):
             run_sequence(loaded_engine, "R", [])
-
-    def test_summary_fields(self, loaded_engine, queries):
-        summary = run_sequence(loaded_engine, "R", queries, profile="homerun").summary()
-        assert summary["engine"] == "columnstore"
-        assert summary["profile"] == "homerun"
-        assert summary["steps"] == 8
 
     def test_cracking_metrics_captured(self, queries):
         engine = DatabaseEngine(cracking=True)
@@ -60,7 +54,9 @@ class TestCompareEngines:
         engines = [DatabaseEngine(cracking=False), DatabaseEngine(cracking=True)]
         for engine in engines:
             engine.load(DBtapestry(2000, seed=3).build_relation("R"))
-        results = compare_engines(engines, "R", queries)
+        results = {
+            engine.name: run_sequence(engine, "R", queries) for engine in engines
+        }
         assert set(results) == {"columnstore", "cracking"}
         rows = {r.steps[-1].rows for r in results.values()}
         assert len(rows) == 1  # all engines agree on the answer

@@ -70,8 +70,8 @@ class TestPredicateFolding:
     def test_equality_is_point_range(self, catalog):
         query = analyze_sql("SELECT * FROM r WHERE a = 7", catalog)
         predicate = query.selections[0]
-        assert predicate.is_point
         assert predicate.low == predicate.high == 7
+        assert predicate.low_inclusive and predicate.high_inclusive
 
     def test_tighter_bound_wins(self, catalog):
         query = analyze_sql("SELECT * FROM r WHERE a > 3 AND a > 8", catalog)

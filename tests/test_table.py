@@ -34,16 +34,6 @@ class TestSchema:
         with pytest.raises(CatalogError, match="unknown column"):
             schema.column("zz")
 
-    def test_project_preserves_order(self):
-        schema = Schema([Column("a", "int"), Column("b", "int"), Column("c", "int")])
-        assert schema.project(["c", "a"]).names() == ["c", "a"]
-
-    def test_equality(self):
-        left = Schema([Column("a", "int")])
-        right = Schema([Column("a", "int")])
-        assert left == right
-
-
 class TestConstruction:
     def test_from_columns(self, small_relation):
         assert len(small_relation) == 1000

@@ -24,6 +24,15 @@ from repro.errors import CrackError, StorageError
 from repro.storage.table import Column, Relation, Schema
 
 
+def _has_pending(column) -> bool:
+    """Anything buffered: inserts, deletes or updates not yet merged."""
+    stats = column.observability()
+    return bool(
+        stats["pending_inserts"] or stats["pending_deletes"] or stats["pending_updates"]
+    )
+
+
+
 def reference_stored(column: CrackedColumn) -> np.ndarray:
     """The old expression: membership by a full compare over storage."""
     return np.isin(np.arange(len(column._state)), column.oids)
@@ -151,7 +160,7 @@ def test_dml_interleavings_match_the_model(threshold, initial, ops):
             assert stored_rows(column, low, high) == model.rows(low, high)
         assert_bitmap_matches_storage(column)
     column.range_select()  # unbounded: merges everything
-    assert not column.has_pending
+    assert not _has_pending(column)
     assert stored_rows(column) == model.rows()
     assert_bitmap_matches_storage(column)
 
@@ -220,12 +229,11 @@ def test_restored_column_rebuilds_the_bitmap_and_merges_buffered_dml():
     state = column.export_state()
     assert "stored" not in " ".join(state)  # derived, never persisted
     clone = CrackedColumn.from_state(state)
-    assert clone.pending_delete_count and clone.pending_update_count
-    assert (
-        clone.pending_count, clone.pending_delete_count, clone.pending_update_count
-    ) == (
-        column.pending_count, column.pending_delete_count, column.pending_update_count
-    )
+    assert clone.observability()["pending_deletes"] and clone.pending_update_count
+    pending = ("pending_inserts", "pending_deletes", "pending_updates")
+    assert [clone.observability()[key] for key in pending] == [
+        column.observability()[key] for key in pending
+    ]
     assert np.array_equal(
         np.trim_zeros(clone._state, "b"), np.trim_zeros(column._state, "b")
     )
@@ -287,7 +295,7 @@ def test_sorted_pieces_survive_merges_and_are_never_sorted_again():
         column.range_select(low, low + 1000)
         column.check_invariants()
     column.range_select()  # merges the rest
-    assert not column.has_pending
+    assert not _has_pending(column)
     assert column.observability()["sorted_pieces"] == spans
     for low in range(0, 20_000, 100):
         column.range_select(low, low + 1)
@@ -357,7 +365,7 @@ def test_counts_match_the_model_and_merge_nothing(threshold, initial, ops, inclu
             ):
                 assert column.query_stats.merged_updates == merged
             else:
-                assert not column.has_pending  # past the bound: all merged
+                assert not _has_pending(column)  # past the bound: all merged
         column.check_invariants()
 
 
@@ -444,7 +452,7 @@ def full_buffers(n: int) -> tuple[CrackedColumn, np.ndarray]:
     column.append(inserts)
     column.delete(np.arange(queued), data[:queued])
     assert column.count_range(0, n) == n  # a count does not drain them
-    assert column.has_pending
+    assert _has_pending(column)
     return column, data
 
 

@@ -63,6 +63,7 @@ from repro.errors import (
     AmbiguousResultError,
     ProtocolError,
     RemoteError,
+    ReproError,
     ServerUnavailableError,
     TransactionError,
 )
@@ -73,7 +74,8 @@ from repro.server.protocol import (
     ResultAssembler,
     encode_frame,
 )
-from repro.sql.session import QueryResult
+from repro.sql.lexer import tokenize
+from repro.sql.result import QueryResult
 
 _RECV_BYTES = 1 << 16
 
@@ -86,40 +88,18 @@ DEFAULT_PIPELINE_WINDOW = 64
 def _statement_mutates(sql: str) -> bool:
     """Client-side classification: could this statement change state?
 
-    Deliberately conservative and parser-free: the first keyword decides,
-    except SELECT, which mutates only with an INTO clause (detected as a
-    bare ``into`` token outside string literals).  Unknown verbs count as
-    mutations — they will fail server-side anyway, and guessing
+    Deliberately conservative, and decided by the engine's own lexer
+    without parsing: anything but a SELECT may mutate, and so does a
+    SELECT with an INTO keyword.  Text that does not lex counts as a
+    mutation — it will fail server-side anyway, and guessing
     "idempotent" on an unrecognised statement is how double-applies ship.
     """
-    i, n = 0, len(sql)
-    while i < n:
-        if sql[i].isspace():
-            i += 1
-        elif sql.startswith("--", i):
-            while i < n and sql[i] != "\n":
-                i += 1
-        else:
-            break
-    start = i
-    while i < n and (sql[i].isalpha() or sql[i] == "_"):
-        i += 1
-    verb = sql[start:i].lower()
-    if verb != "select":
+    try:
+        tokens = tokenize(sql)
+    except ReproError:
         return True
-    in_string = False
-    word = []
-    for ch in sql[i:]:
-        if ch == "'":
-            in_string = not in_string
-            word = []
-        elif not in_string and (ch.isalnum() or ch == "_"):
-            word.append(ch)
-        else:
-            if not in_string and "".join(word).lower() == "into":
-                return True
-            word = []
-    return "".join(word).lower() == "into"
+    keywords = [token.value for token in tokens if token.kind == "keyword"]
+    return not tokens or tokens[0][:2] != ("keyword", "select") or "into" in keywords
 
 
 def _result_from_reply(reply: dict) -> QueryResult:

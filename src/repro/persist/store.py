@@ -248,8 +248,15 @@ class PersistentStore:
 
         Exclusive: persistent mutations serialise on it, which is what
         makes the WAL a faithful serialisation — the append order *is*
-        the execution order.  Reads (SELECTs) are unaffected.
+        the execution order.  Reads (SELECTs) are unaffected.  Refuses a
+        closed store before the statement runs: applying it and then
+        failing the WAL append would leave memory diverged from the
+        durable image.
         """
+        if self.closed:
+            raise PersistError(
+                "database is closed; reopen Database(persist_dir=...) to mutate"
+            )
         return self._barrier
 
     @property

@@ -5,7 +5,8 @@ pieces of connection-scoped state on the shared
 :class:`~repro.sql.session.Database`:
 
 * **Prepared-statement handles** — PREPARE compiles a SELECT once via
-  :meth:`Database.prepare` and hands back an opaque handle; EXECUTE
+  :meth:`Database.prepare` and hands back an opaque handle naming the
+  :class:`~repro.sql.session.PreparedStatement` it returned; EXECUTE
   binds positional parameters to it.  Handles die with the connection.
 
 * **Transaction state** — BEGIN opens a *deferred* transaction: every
@@ -41,8 +42,6 @@ from repro.server.protocol import (
     negotiate_compression,
     result_reply,
 )
-from repro.sql.ast_nodes import SelectStmt
-from repro.sql.parser import parse
 
 
 class ClientSession:
@@ -264,16 +263,16 @@ class ClientSession:
     async def _on_query(self, message: dict) -> dict:
         thunk = self._statement_thunk(message)
         if self._txn is not None:
-            # Classification must parse, and parsing goes through the
+            # Classification must compile, and compiling goes through the
             # gateway like any other engine work.
             _, sql = thunk
-            stmt = await self.gateway.run(parse, sql)
-            if self.database._mutation_target(stmt) is not None:
+            stmt = await self.gateway.run(self.database.compile, sql)
+            if stmt.mutates:
                 self._txn.append(sql)
                 return {"type": "queued", "queued": len(self._txn)}
-            if not isinstance(stmt, SelectStmt):
+            if stmt.kind != "select":
                 raise TransactionError(
-                    f"statement kind {type(stmt).__name__} is not allowed "
+                    f"statement kind {stmt.kind!r} is not allowed "
                     "inside a transaction"
                 )
         return (await self._run_thunks([thunk]))[0]

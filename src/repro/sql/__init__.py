@@ -15,27 +15,20 @@ from repro.sql.ast_nodes import (
     ColRef,
     Comparison,
     Const,
-    CreateTableStmt,
-    InsertSelectStmt,
-    InsertValuesStmt,
-    SelectStmt,
     Star,
     TableRef,
 )
 from repro.sql.lexer import Token, tokenize
 from repro.sql.parser import parse
-from repro.sql.plan_cache import (
-    PlanCache,
-    StatementTemplate,
-    bind_statement,
-    template_key,
-)
+from repro.sql.plan_cache import PlanCache, template_key
 from repro.sql.planner import CrackerProvider, build_plan
-from repro.sql.session import (
-    Database,
-    PreparedStatement,
-    QueryResult,
-    split_statements,
+from repro.sql.result import QueryResult
+from repro.sql.session import Database, PreparedStatement, split_statements
+from repro.sql.statements import (
+    CreateTableStmt,
+    InsertSelectStmt,
+    InsertValuesStmt,
+    SelectStmt,
 )
 
 __all__ = [
@@ -59,11 +52,9 @@ __all__ = [
     "ResidualPredicate",
     "SelectStmt",
     "Star",
-    "StatementTemplate",
     "TableRef",
     "Token",
     "analyze",
-    "bind_statement",
     "build_plan",
     "extract_crackers",
     "parse",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.errors import SQLAnalysisError
 from repro.sql.ast_nodes import (
@@ -24,13 +25,13 @@ from repro.sql.ast_nodes import (
     ColRef,
     Comparison,
     Const,
-    DeleteStmt,
-    SelectStmt,
     Star,
     TableRef,
-    UpdateStmt,
 )
 from repro.storage.catalog import Catalog
+
+if TYPE_CHECKING:
+    from repro.sql.statements import DeleteStmt, SelectStmt, UpdateStmt
 
 
 @dataclass
@@ -243,33 +244,32 @@ def analyze_dml(stmt: UpdateStmt | DeleteStmt, catalog: Catalog) -> AnalyzedDML:
         )
 
     assignments: list[tuple[str, object]] = []
-    if isinstance(stmt, UpdateStmt):
-        for assignment in stmt.assignments:
-            if assignment.column not in schema:
+    for assignment in getattr(stmt, "assignments", ()):
+        if assignment.column not in schema:
+            raise SQLAnalysisError(
+                f"table {stmt.table!r} has no column {assignment.column!r}"
+            )
+        col_type = schema.column(assignment.column).col_type
+        value = assignment.value.value
+        if col_type == "str":
+            if not isinstance(value, str):
                 raise SQLAnalysisError(
-                    f"table {stmt.table!r} has no column {assignment.column!r}"
+                    f"column {assignment.column!r} is text; got {value!r}"
                 )
-            col_type = schema.column(assignment.column).col_type
-            value = assignment.value.value
-            if col_type == "str":
-                if not isinstance(value, str):
+        else:
+            if isinstance(value, str):
+                raise SQLAnalysisError(
+                    f"column {assignment.column!r} is numeric; got {value!r}"
+                )
+            if col_type == "float":
+                value = float(value)
+            elif isinstance(value, float):
+                if not value.is_integer():
                     raise SQLAnalysisError(
-                        f"column {assignment.column!r} is text; got {value!r}"
+                        f"column {assignment.column!r} is integer; got {value!r}"
                     )
-            else:
-                if isinstance(value, str):
-                    raise SQLAnalysisError(
-                        f"column {assignment.column!r} is numeric; got {value!r}"
-                    )
-                if col_type == "float":
-                    value = float(value)
-                elif isinstance(value, float):
-                    if not value.is_integer():
-                        raise SQLAnalysisError(
-                            f"column {assignment.column!r} is integer; got {value!r}"
-                        )
-                    value = int(value)
-            assignments.append((assignment.column, value))
+                value = int(value)
+        assignments.append((assignment.column, value))
 
     return AnalyzedDML(
         table=stmt.table,

@@ -1,8 +1,10 @@
-"""Abstract syntax tree for the SQL subset."""
+"""Abstract syntax tree for the SQL subset: the parts of a statement.
+
+The statements themselves are :mod:`repro.sql.statements`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,15 @@ class Comparison:
     op: str
     right: ColRef | Const
 
+    def literals(self) -> tuple:
+        return (self.right.value,) if isinstance(self.right, Const) else ()
+
+    def bind(self, values) -> "Comparison":
+        """This condition with its literal, if any, taken from ``values``."""
+        if isinstance(self.right, Const):
+            return Comparison(self.left, self.op, Const(next(values)))
+        return self
+
 
 @dataclass(frozen=True)
 class Between:
@@ -54,6 +65,12 @@ class Between:
     col: ColRef
     low: Const
     high: Const
+
+    def literals(self) -> tuple:
+        return (self.low.value, self.high.value)
+
+    def bind(self, values) -> "Between":
+        return Between(self.col, Const(next(values)), Const(next(values)))
 
 
 @dataclass(frozen=True)
@@ -76,71 +93,9 @@ class OrderItem:
     descending: bool = False
 
 
-@dataclass
-class SelectStmt:
-    """A SELECT query in the paper's normal form π-γ-σ-⋈ (Eq. 1)."""
-
-    items: list  # list of Star | ColRef | AggCall
-    tables: list[TableRef]
-    where: list  # conjunction of Comparison | Between
-    group_by: list[ColRef] = field(default_factory=list)
-    order_by: list[OrderItem] = field(default_factory=list)
-    into: str | None = None
-    limit: int | None = None
-
-
-@dataclass
-class CreateTableStmt:
-    """CREATE TABLE name (col type, ...)."""
-
-    name: str
-    columns: list[tuple[str, str]]  # (name, repro col_type)
-
-
-@dataclass
-class InsertValuesStmt:
-    """INSERT INTO name VALUES (...), (...)."""
-
-    table: str
-    rows: list[tuple]
-
-
-@dataclass
-class InsertSelectStmt:
-    """INSERT INTO name SELECT ... (the paper's benchmark query form)."""
-
-    table: str
-    select: SelectStmt
-
-
 @dataclass(frozen=True)
 class Assignment:
     """One ``col = literal`` entry of an UPDATE's SET list."""
 
     column: str
     value: Const
-
-
-@dataclass
-class UpdateStmt:
-    """UPDATE name SET col = literal, ... [WHERE conjunction]."""
-
-    table: str
-    assignments: list[Assignment]
-    where: list  # conjunction of Comparison | Between (empty = all rows)
-
-
-@dataclass
-class DeleteStmt:
-    """DELETE FROM name [WHERE conjunction]."""
-
-    table: str
-    where: list  # conjunction of Comparison | Between (empty = all rows)
-
-
-@dataclass(frozen=True)
-class ExplainIndexStmt:
-    """EXPLAIN INDEX table(col): the cracker-index introspection surface."""
-
-    table: str
-    column: str

@@ -10,18 +10,21 @@ from repro.sql.ast_nodes import (
     ColRef,
     Comparison,
     Const,
+    OrderItem,
+    Star,
+    TableRef,
+)
+from repro.sql.lexer import Token, tokenize
+from repro.sql.statements import (
     CreateTableStmt,
     DeleteStmt,
     ExplainIndexStmt,
     InsertSelectStmt,
     InsertValuesStmt,
-    OrderItem,
+    SelectInto,
     SelectStmt,
-    Star,
-    TableRef,
     UpdateStmt,
 )
-from repro.sql.lexer import Token, tokenize
 
 _TYPE_MAP = {
     "integer": "int",
@@ -149,7 +152,7 @@ def _parse_select(cursor: _Cursor) -> SelectStmt:
         if "." in count:
             raise SQLSyntaxError(f"LIMIT needs an integer, got {count!r}")
         limit = int(count)
-    return SelectStmt(
+    return (SelectStmt if into is None else SelectInto)(
         items=items, tables=tables, where=where, group_by=group_by,
         order_by=order_by, into=into, limit=limit,
     )
@@ -284,7 +287,7 @@ def _parse_create(cursor: _Cursor) -> CreateTableStmt:
         if not cursor.accept("symbol", ","):
             break
     cursor.expect("symbol", ")")
-    return CreateTableStmt(name=name, columns=columns)
+    return CreateTableStmt(table=name, columns=columns)
 
 
 def _parse_insert(cursor: _Cursor):
@@ -344,8 +347,8 @@ def _parse_assignment(cursor: _Cursor) -> Assignment:
 def _parse_explain(cursor: _Cursor) -> ExplainIndexStmt:
     """EXPLAIN INDEX table(col).
 
-    (EXPLAIN ANALYZE never reaches the parser: the session strips that
-    prefix before lexing and traces the wrapped statement instead.)
+    (EXPLAIN ANALYZE never reaches the parser: the session recognises
+    that prefix before lexing and traces the wrapped statement instead.)
     """
     cursor.expect("keyword", "explain")
     cursor.expect("keyword", "index")

@@ -55,7 +55,7 @@ class CrackedCountScan(Operator):
     subtraction — no scan, no aggregate operator, no batch pipeline.
     The planner emits this whenever a single-table COUNT(*) query's only
     predicate was answered by the cracker; it is the sustained-phase fast
-    path of the hot-path benchmark.
+    path of the ledger's ``point_count`` workload.
     """
 
     columns = ["count(*)"]

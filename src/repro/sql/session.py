@@ -20,40 +20,28 @@ import itertools
 import re
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.cracked_column import DEFAULT_CRACK_THRESHOLD
-from repro.errors import PersistError, SQLAnalysisError
+from repro.errors import BATAlignmentError, PersistError, SQLAnalysisError
 from repro.obs import introspect as obs_introspect
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
-from repro.sql.analyzer import AnalyzedDML, AnalyzedQuery, analyze, analyze_dml
-from repro.sql.ast_nodes import (
-    CreateTableStmt,
-    DeleteStmt,
-    ExplainIndexStmt,
-    InsertSelectStmt,
-    InsertValuesStmt,
-    SelectStmt,
-    UpdateStmt,
-)
+from repro.sql.analyzer import analyze
 from repro.sql.lexer import STRING, tokenize
 from repro.sql.parser import parse
-from repro.sql.plan_cache import (
-    PlanCache,
-    StatementTemplate,
-    make_template,
-    template_key,
-)
-from repro.sql.planner import CrackerProvider, build_plan
+from repro.sql.plan_cache import PlanCache, make_template, template_key
+from repro.sql.planner import CrackerProvider
+from repro.sql.result import QueryResult
+from repro.sql.statements import Statement
 from repro.storage.catalog import Catalog
 from repro.storage.pages import IOTracker
-from repro.storage.table import Column, Relation, Schema
+from repro.storage.table import Relation
 from repro.storage.transaction import Transaction
-from repro.volcano.vectorized import VecMaterialize, VecOperator, concat_batches
 
 
 #: One statement: string literals (an unterminated one runs to the end
@@ -70,125 +58,9 @@ def split_statements(script: str) -> list[str]:
     return [text for text in map(str.strip, _STATEMENT.findall(script)) if text]
 
 
-#: ``EXPLAIN ANALYZE <stmt>`` prefix, intercepted before lexing — the
+#: ``EXPLAIN ANALYZE <stmt>`` prefix, recognised before lexing — the
 #: words are not SQL keywords, so the parser never sees them.
 _EXPLAIN_ANALYZE = re.compile(r"^\s*explain\s+analyze\b\s*", re.IGNORECASE)
-
-#: First-keyword-letter → statement kind, for per-kind latency metrics.
-#: The grammar has exactly one statement verb per letter, so one char
-#: classifies without lexing (SELECT ... INTO still counts as select).
-#: Leading whitespace and ``--`` comments are skipped first.
-_LEADING_NOISE = re.compile(r"(?:\s+|--[^\n]*)*")
-_KIND_BY_CHAR = {
-    "s": "select",
-    "i": "insert",
-    "u": "update",
-    "d": "delete",
-    "c": "create",
-}
-
-
-def _statement_kind(sql: str) -> str:
-    """Cheap per-statement-kind classifier for the metrics hot path."""
-    start = _LEADING_NOISE.match(sql).end()
-    return _KIND_BY_CHAR.get(sql[start : start + 1].lower(), "other")
-
-
-def _explain_number(value) -> str:
-    """Render one EXPLAIN INDEX detail value (floats abbreviated)."""
-    if isinstance(value, float):
-        return f"{value:.4g}"
-    return str(value)
-
-
-def _column_array(values) -> np.ndarray:
-    """One column of row values as an array: a numeric dtype when every
-    value has one, else object (varchar, NULLs, mixed types)."""
-    try:
-        array = np.asarray(values)
-    except (ValueError, OverflowError):  # ragged or oversized cells
-        array = None
-    if array is not None and array.ndim == 1 and array.dtype.kind in "biuf":
-        return array
-    return np.fromiter(values, dtype=object, count=len(values))
-
-
-class QueryResult:
-    """Column names and data of a completed statement — one result, two faces.
-
-    A result is built from whichever form its producer has, and derives
-    the other on first access, cached:
-
-    * ``rows`` — ``list[tuple]``.  Primary for row-native results (COUNT
-      pushdown, DML, EXPLAIN); for a columnar result it is built with
-      ``tolist()`` per column on first read.  Either way the rows hold
-      plain ``int``/``float``/``str``/``None``, never numpy scalars.
-    * ``arrays`` — ``{column name: ndarray}``, object dtype for varchar,
-      NULL-bearing and mixed-type columns.  Primary for every other
-      SELECT and for bulk replies decoded by the client, which are
-      never turned into tuples unless ``rows`` is read.
-
-    The result owns its data: no array is a view of cracker or BAT
-    storage, so a held result never changes under a later crack, merge
-    or update and keeps no storage generation alive.
-    """
-
-    def __init__(
-        self,
-        columns: list[str],
-        rows: list[tuple] | None = None,
-        affected: int = 0,
-        query: AnalyzedQuery | None = None,
-        arrays: dict[str, np.ndarray] | None = None,
-    ) -> None:
-        self.columns = columns
-        self.affected = affected
-        self._query = query
-        self._arrays = arrays
-        self._rows = [] if rows is None and arrays is None else rows
-
-    def __repr__(self) -> str:
-        return (
-            f"QueryResult(columns={self.columns!r}, rows={self.row_count}, "
-            f"affected={self.affected})"
-        )
-
-    @property
-    def rows(self) -> list[tuple]:
-        if self._rows is None:
-            self._rows = list(
-                zip(*[self._arrays[name].tolist() for name in self.columns])
-            )
-        return self._rows
-
-    @property
-    def arrays(self) -> dict[str, np.ndarray]:
-        if self._arrays is None:
-            cells = list(zip(*self._rows)) or [()] * len(self.columns)
-            self._arrays = {
-                name: _column_array(values)
-                for name, values in zip(self.columns, cells)
-            }
-        return self._arrays
-
-    @property
-    def advice(self) -> list:
-        """The producing SELECT's cracker advice, formatted on first read."""
-        return [] if self._query is None else self._query.advice
-
-    @property
-    def row_count(self) -> int:
-        if self._rows is not None:
-            return len(self._rows)
-        return len(self._arrays[self.columns[0]]) if self.columns else 0
-
-    def scalar(self):
-        """The single value of a 1×1 result (e.g. SELECT count(*) ...)."""
-        if self.row_count != 1 or len(self.rows[0]) != 1:
-            raise SQLAnalysisError(
-                f"scalar() needs a 1x1 result, got {self.row_count} rows"
-            )
-        return self.rows[0][0]
 
 
 class Database:
@@ -215,15 +87,17 @@ class Database:
     pays a copy only if a crack actually lands while a snapshot is still
     referenced, so converged workloads stay zero-copy either way.
 
-    ``plan_cache`` (default on) caches compiled statements: an exact
-    repeat of a SELECT skips lexing, parsing and analysis; a SELECT,
-    INSERT … VALUES, UPDATE or DELETE that differs only in literal
-    constants skips lexing and parsing too (one regex split of the text
-    yields its template key and constants).  Keys are the text as
-    written: a case or whitespace variant is its own entry.  Entries
-    invalidate per table on every mutation (DDL, INSERT, UPDATE,
-    DELETE).  ``prepare`` / ``execute_prepared`` expose the
-    parameterised form directly.
+    ``plan_cache`` (default on) caches compiled statements
+    (:meth:`compile`): an exact repeat of a SELECT skips lexing, parsing
+    and analysis; a SELECT, INSERT … VALUES, UPDATE or DELETE that
+    differs only in literal constants skips lexing and parsing (one
+    regex split of the text yields its template key and constants).
+    Keys are the text as written: a case or whitespace variant is its
+    own entry.  Entries invalidate per table on every mutation (DDL,
+    INSERT, UPDATE, DELETE).  :meth:`prepare` exposes the parameterised
+    form directly.  ``plan_cache=False`` caches nothing: every statement
+    is lexed, parsed and analysed, and a prepared statement analyses on
+    every execution (it still never lexes or parses).
 
     ``crack_threshold`` T is the cut-off below which cracking stops
     (§3.4.2's cut-off points): a piece of at most T tuples is sorted in
@@ -307,8 +181,7 @@ class Database:
         # Index introspection: only meaningful with a cracker to profile.
         self._profile = cracking and profile
         self._statement_counter = itertools.count(1)
-        # Always constructed: epoch bookkeeping must run even with the
-        # statement cache off, so prepared statements stay validatable.
+        # Always constructed: with caching off it still counts.
         self._plan_cache = PlanCache(enabled=plan_cache)
         # Guards catalog mutation (CREATE / DROP / materialise-replace).
         self._catalog_lock = threading.RLock()
@@ -372,23 +245,10 @@ class Database:
     def execute(self, sql: str) -> QueryResult:
         """Compile (or fetch from the plan cache) and run one statement.
 
-        Cache discipline for a SELECT: an exact textual repeat reuses its analyzed form outright;
-        a literal-only variant rebinds constants into the cached parse
-        tree and re-runs only the analyzer; everything else compiles from
-        scratch and primes both levels.
-
-        ``EXPLAIN ANALYZE <stmt>`` is intercepted here (the words are
-        not SQL keywords): the inner statement runs for real under a
-        span trace and the trace comes back as the result rows — see
-        :meth:`explain_analyze`.
+        ``EXPLAIN ANALYZE <stmt>`` runs the inner statement for real
+        under a span trace and returns the trace as the result rows —
+        see :class:`ExplainAnalyze`.
         """
-        # Cheap gate for the rare prefixed form: only statements that
-        # could possibly start with EXPLAIN pay the regex.
-        head = sql[:1]
-        if head == "e" or head == "E" or (head != "" and head.isspace()):
-            match = _EXPLAIN_ANALYZE.match(sql)
-            if match is not None:
-                return self.explain_analyze(sql[match.end():])
         started = time.perf_counter() if self._metrics_on else 0.0
         # With the profiler on, tag this context so lineage events can
         # name the statement that triggered each reorganisation.  The
@@ -399,82 +259,105 @@ class Database:
         if self._profile:
             obs_introspect.set_statement_id(next(self._statement_counter))
         if self._trace_statements or self._slow_query_ms is not None:
-            result = self._execute_traced(sql)
+            stmt, result = self._execute_traced(sql)
         else:
-            result = self._compile_and_run(sql)
+            stmt = self.compile(sql)
+            result = self._run(stmt, sql)
         if self._metrics_on:
-            self._record_statement(sql, time.perf_counter() - started)
+            self._record_statement(stmt.kind, time.perf_counter() - started)
         return result
 
-    def _compile_and_run(self, sql: str) -> QueryResult:
-        """The compile pipeline of :meth:`execute` (cache → lex → parse).
+    def compile(self, sql: str) -> Statement:
+        """The compiled statement for ``sql``: fetched, rebound or parsed.
 
-        Every statement computes a template key (its ``lex`` span) and
-        tokenises and parses only on a template miss.  Only a SELECT,
-        INSERT … VALUES, UPDATE or DELETE ever stores a template
-        (:func:`make_template`); a DML hit runs its rebound AST through
-        the durable dispatch (the WAL logs the text either way).
-
-        Span instrumentation: each stage is wrapped when a trace is
-        active and costs one ContextVar read when not.  The exact-hit
-        path stays bare apart from an annotate guard — it is the
-        sustained hot path.
+        The exact level answers a SELECT that has run before, with its
+        analysis; the template level rebinds a statement that differs
+        from one seen before only in its literals (the ``lex`` span
+        times the key); anything else is lexed and parsed, and a SELECT,
+        INSERT … VALUES, UPDATE or DELETE stores its template (see
+        :mod:`repro.sql.plan_cache`).  ``EXPLAIN ANALYZE`` is recognised
+        after the exact probe, so an exact hit never pays for it.  A
+        SELECT is analysed, and enters the exact level, when it runs.
         """
         cache = self._plan_cache
+        if cache.enabled:
+            stmt = cache.lookup_exact(sql)
+            if stmt is not None:
+                obs_trace.annotate(plan_cache="exact-hit")
+                return stmt
+        match = _EXPLAIN_ANALYZE.match(sql)
+        if match is not None:
+            return ExplainAnalyze(sql[match.end():])
         key = None
         if cache.enabled:
-            query = cache.lookup_exact(sql)
-            if query is not None:
-                if obs_trace.tracing():
-                    obs_trace.annotate(plan_cache="exact-hit")
-                return self._execute_analyzed(query)
-            if _statement_kind(sql) == "select":
-                cache.count_miss()
             with obs_trace.span("lex"):
                 key, literals = template_key(sql)
             template = cache.lookup_template(key)
             if template is not None and template.fits(literals):
-                if obs_trace.tracing():
-                    obs_trace.annotate(plan_cache="template-hit")
-                return self._run_templated(template.bind(literals), sql)
-            if obs_trace.tracing():
-                obs_trace.annotate(plan_cache="miss")
+                obs_trace.annotate(plan_cache="template-hit")
+                stmt = template.bind(literals)
+                stmt.key = sql
+                return stmt
+            obs_trace.annotate(plan_cache="miss")
         with obs_trace.span("lex"):
             tokens = tokenize(sql)
         with obs_trace.span("parse"):
             stmt = parse(sql, tokens=tokens)
-        if key is not None and (fresh := make_template(stmt, literals)) is not None:
-            cache.store_template(key, fresh)
-            return self._run_templated(stmt, sql)
-        # Non-templatable statements include SELECT ... INTO, which
-        # mutates the catalog and must reach the durable dispatch.
-        return self._dispatch_statement(stmt, sql)
+        if key is not None:
+            if stmt.kind == "select":
+                cache.count_miss()
+            if make_template(stmt, literals) is not None:
+                # A template is only ever bound, never run: running a
+                # SELECT stores its analysis on it.
+                cache.store_template(key, stmt)
+                stmt = stmt.bind(literals)
+                stmt.key = sql
+        return stmt
 
-    def _run_templated(self, stmt, sql: str) -> QueryResult:
-        """Run a statement a template stands for: a SELECT primes the
-        exact level, DML goes through the durable dispatch."""
-        if isinstance(stmt, SelectStmt):
-            return self._execute_select(stmt, cache_as=sql)
-        return self._dispatch_statement(stmt, sql)
+    def _run(self, stmt: Statement, sql: str) -> QueryResult:
+        """Execute a compiled statement; ``sql`` is what the WAL logs.
 
-    def _execute_traced(self, sql: str) -> QueryResult:
-        """Run one statement under a span trace (trace=True / slow log)."""
-        root = obs_trace.start_span("statement", kind=_statement_kind(sql))
-        result = None
+        A mutation runs under the transaction barrier and holds the
+        durability guard (exclusive) across execute + WAL append.  That
+        serialises persistent mutations against each other — WAL order
+        is execution order, so replay cannot invert a CREATE/INSERT race
+        — and against checkpoints, which therefore never snapshot an
+        executed-but-unlogged statement (replay would double-apply it).
+        A transaction batch logs and checkpoints once, at its end.
+        """
+        if not stmt.mutates:
+            return stmt.run(self)
+        persist = self._persist
+        durable = persist is not None and not self._replaying
+        with self._txn_barrier, persist.mutation_guard() if durable else nullcontext():
+            result = stmt.run(self)
+            if durable and not self._in_transaction:
+                persist.log_statement(sql)
+        if durable and not self._in_transaction:
+            # The capture retakes the barrier; a writer thread writes.
+            persist.maybe_checkpoint(self)
+        return result
+
+    def _execute_traced(self, sql: str) -> tuple:
+        """Compile and run one statement under a span trace (trace=True /
+        slow log); returns the statement and its result."""
+        root = obs_trace.start_span("statement", kind=None)
+        stmt = result = None
         try:
             with root:
-                result = self._compile_and_run(sql)
+                stmt = self.compile(sql)
+                root.meta["kind"] = stmt.kind
+                result = self._run(stmt, sql)
         finally:
             self._last_trace = root
         if self._slow_query_ms is not None:
             elapsed_ms = root.duration_ms
             if elapsed_ms >= self._slow_query_ms:
-                self._record_slow_query(sql, elapsed_ms, root, result)
-        return result
+                self._record_slow_query(sql, stmt.kind, elapsed_ms, root, result)
+        return stmt, result
 
-    def _record_statement(self, sql: str, elapsed: float) -> None:
+    def _record_statement(self, kind: str, elapsed: float) -> None:
         """Observe one completed statement in the per-kind histogram."""
-        kind = _statement_kind(sql)
         hist = self._stmt_hists.get(kind)
         if hist is None:
             hist = self.metrics.histogram(
@@ -485,13 +368,13 @@ class Database:
         hist.observe(elapsed)
 
     def _record_slow_query(
-        self, sql: str, elapsed_ms: float, root, result: QueryResult
+        self, sql: str, kind: str, elapsed_ms: float, root, result: QueryResult
     ) -> None:
         """Append one structured record to the bounded slow-query log."""
         record = {
             "sql": sql if len(sql) <= 500 else sql[:500] + "...",
             "ms": round(elapsed_ms, 3),
-            "kind": _statement_kind(sql),
+            "kind": kind,
             "rows": result.row_count,
             "affected": result.affected,
             "spans": [
@@ -508,88 +391,27 @@ class Database:
             description="Statements slower than the slow-query threshold",
         ).inc()
 
-    def _dispatch_statement(self, stmt, sql: str) -> QueryResult:
-        """Run one parsed statement; mutations are logged to the WAL.
-
-        Mutations hold the durability guard (exclusive) across execute +
-        WAL append.  That serialises persistent mutations against each
-        other — WAL order is execution order, so replay cannot invert a
-        CREATE/INSERT race — and against checkpoints, which therefore
-        never snapshot an executed-but-unlogged statement (replay would
-        double-apply it).  The guard is a no-op without persistence;
-        SELECTs never take it.
-        """
-        mutates = (
-            isinstance(
-                stmt,
-                (
-                    CreateTableStmt,
-                    InsertValuesStmt,
-                    InsertSelectStmt,
-                    UpdateStmt,
-                    DeleteStmt,
-                ),
-            )
-            or (isinstance(stmt, SelectStmt) and stmt.into is not None)
-        )
-        if (
-            mutates
-            and self._persist is not None
-            and not self._replaying
-            and self._persist.closed
-        ):
-            # Checked before executing: applying the mutation and then
-            # failing the WAL append would leave memory diverged from
-            # the durable image.
-            raise PersistError(
-                "database is closed; reopen Database(persist_dir=...) to mutate"
-            )
-        with self._txn_barrier if mutates else nullcontext():
-            with self._durability_guard(mutates):
-                if isinstance(stmt, CreateTableStmt):
-                    result = self._execute_create(stmt)
-                elif isinstance(stmt, InsertValuesStmt):
-                    result = self._execute_insert_values(stmt)
-                elif isinstance(stmt, InsertSelectStmt):
-                    result = self._execute_insert_select(stmt)
-                elif isinstance(stmt, UpdateStmt):
-                    result = self._execute_update(stmt)
-                elif isinstance(stmt, DeleteStmt):
-                    result = self._execute_delete(stmt)
-                elif isinstance(stmt, ExplainIndexStmt):
-                    result = self._explain_index(stmt)
-                else:
-                    result = self._execute_select(stmt)
-                if mutates:
-                    self._log_durable(sql)
-        if mutates:
-            self._maybe_checkpoint()
-        return result
-
     def prepare(self, sql: str) -> "PreparedStatement":
         """Compile a SELECT once for repeated parameterised execution.
 
         The statement's literal constants become the positional
         parameters, in source order; its literals as written are the
-        defaults.  Re-execution skips lexing and parsing entirely and
-        memoises analysis per parameter tuple (invalidated by DDL,
-        INSERT, UPDATE or DELETE on any referenced table)::
+        defaults.  An execution never lexes or parses; its analysis is
+        cached per parameter tuple (see :class:`PreparedStatement`)::
 
             stmt = db.prepare("SELECT count(*) FROM r WHERE a BETWEEN 0 AND 10")
             stmt.execute()          # BETWEEN 0 AND 10
             stmt.execute((5, 25))   # BETWEEN 5 AND 25
         """
-        stmt = parse(sql)
-        if not isinstance(stmt, SelectStmt):
+        stmt = self.compile(sql)
+        if stmt.kind != "select":
             raise SQLAnalysisError("only SELECT statements can be prepared")
-        if stmt.into is not None:
-            raise SQLAnalysisError("SELECT ... INTO cannot be prepared")
-        _, literals = template_key(sql)
-        template = make_template(stmt, literals)
-        if template is None:
+        key, literals = template_key(sql)
+        if make_template(stmt, literals) is None:  # SELECT ... INTO, too
             raise SQLAnalysisError("statement cannot be parameterised")
-        analyze(stmt, self.catalog)  # validate names now, not at first execute
-        return PreparedStatement(self, sql, template, defaults=literals)
+        if stmt.query is None:
+            stmt.analyze(self)  # validate names now, not at first execute
+        return PreparedStatement(self, sql, stmt, key, literals)
 
     def execute_prepared(
         self, prepared: "PreparedStatement", params=None
@@ -605,23 +427,10 @@ class Database:
             executed += 1
         return executed
 
-    @staticmethod
-    def _mutation_target(stmt) -> str | None:
-        """The table a statement mutates (None for a pure SELECT)."""
-        if isinstance(stmt, CreateTableStmt):
-            return stmt.name
-        if isinstance(
-            stmt, (InsertValuesStmt, InsertSelectStmt, UpdateStmt, DeleteStmt)
-        ):
-            return stmt.table
-        if isinstance(stmt, SelectStmt) and stmt.into is not None:
-            return stmt.into
-        return None
-
     def execute_transaction(self, statements) -> list[QueryResult]:
         """Apply a batch of statements atomically: all or nothing.
 
-        Every statement is parsed up front (a syntax error aborts before
+        Every statement is compiled up front (a syntax error aborts before
         any state is touched), then the batch executes under the
         transaction barrier — no foreign mutation can interleave — with
         WAL logging deferred.  If any statement fails, the mutated
@@ -651,24 +460,12 @@ class Database:
         would need a global read-write lock this engine deliberately
         does not have (the paper leaves updates as future work, §7).
         """
-        texts = list(statements)
-        parsed = [(sql, parse(sql)) for sql in texts]
-        targets: list[str] = []
-        for _, stmt in parsed:
-            target = self._mutation_target(stmt)
-            if target is not None and target not in targets:
-                targets.append(target)
-        if (
-            targets
-            and self._persist is not None
-            and not self._replaying
-            and self._persist.closed
-        ):
-            raise PersistError(
-                "database is closed; reopen Database(persist_dir=...) to mutate"
-            )
+        batch = [(sql, self.compile(sql)) for sql in statements]
+        targets = list(dict.fromkeys(stmt.target for _, stmt in batch if stmt.mutates))
+        persist = self._persist
+        durable = bool(targets) and persist is not None and not self._replaying
         with self._txn_barrier:
-            with self._durability_guard(bool(targets)):
+            with persist.mutation_guard() if durable else nullcontext():
                 undo = Transaction(0)
                 pre_relations: dict[str, Relation] = {}
                 pre_deleted: dict[str, "np.ndarray"] = {}
@@ -685,20 +482,20 @@ class Database:
                 results: list[QueryResult] = []
                 self._in_transaction += 1
                 try:
-                    for sql, stmt in parsed:
-                        results.append(self._dispatch_statement(stmt, sql))
+                    for sql, stmt in batch:
+                        results.append(self._run(stmt, sql))
                 except BaseException:
                     self._rollback_batch(undo, targets, pre_relations, pre_deleted)
                     raise
                 finally:
                     self._in_transaction -= 1
                 undo.commit()
-                if self._persist is not None and not self._replaying:
-                    for sql, stmt in parsed:
-                        if self._mutation_target(stmt) is not None:
-                            self._persist.log_statement(sql)
-        if targets:
-            self._maybe_checkpoint()
+                if durable:
+                    for sql, stmt in batch:
+                        if stmt.mutates:
+                            persist.log_statement(sql)
+        if durable:
+            persist.maybe_checkpoint(self)
         return results
 
     def _rollback_batch(
@@ -760,8 +557,8 @@ class Database:
 
     def explain(self, sql: str) -> str:
         """The analyzed normal form and cracker advice for a SELECT."""
-        stmt = parse(sql)
-        if not isinstance(stmt, SelectStmt):
+        stmt = self.compile(sql)
+        if stmt.kind != "select":
             raise SQLAnalysisError("EXPLAIN supports SELECT statements only")
         query = analyze(stmt, self.catalog)
         lines = [
@@ -778,57 +575,6 @@ class Database:
         if not query.advice:
             lines.append("  (none)")
         return "\n".join(lines)
-
-    def explain_analyze(self, sql: str) -> QueryResult:
-        """Execute ``sql`` for real under a span trace; return the trace.
-
-        The SQL surface is ``EXPLAIN ANALYZE <stmt>`` (handled by
-        :meth:`execute`); this is the programmatic form.  The statement
-        is compiled from scratch — the exact plan cache is probed but
-        deliberately not used, so the trace always shows the full
-        lex → parse → plan-cache → analyze → plan(crack) → gather
-        pipeline with real timings.  Side effects are the statement's
-        own: an EXPLAIN ANALYZE'd SELECT cracks, an INSERT inserts and
-        reaches the WAL.
-
-        Result shape: columns ``(span, ms, detail)``, one row per span
-        in depth-first order, names indented two spaces per tree level,
-        ``detail`` a ``k=v`` rendering of the span's meta (crack
-        counts, cache probes, row counts).
-        """
-        if not sql.strip():
-            raise SQLAnalysisError("EXPLAIN ANALYZE needs a statement")
-        root = obs_trace.start_span("statement", kind=_statement_kind(sql))
-        with root:
-            with obs_trace.span("lex"):
-                tokens = tokenize(sql)
-            with obs_trace.span("parse"):
-                stmt = parse(sql, tokens=tokens)
-            if isinstance(stmt, SelectStmt) and stmt.into is None:
-                with obs_trace.span("plan_cache") as probe:
-                    probe.meta["exact_hit"] = (
-                        self._plan_cache.lookup_exact(sql) is not None
-                    )
-                with obs_trace.span("analyze"):
-                    query = analyze(stmt, self.catalog)
-                result = self._execute_analyzed(query)
-            else:
-                result = self._dispatch_statement(stmt, sql)
-        root.meta["rows"] = result.row_count
-        root.meta["affected"] = result.affected
-        self._last_trace = root
-        return self._trace_result(root)
-
-    @staticmethod
-    def _trace_result(root) -> QueryResult:
-        """Render a finished span tree as EXPLAIN ANALYZE result rows."""
-        rows = []
-        for depth, node in root.walk():
-            detail = " ".join(
-                f"{key}={value}" for key, value in node.meta.items()
-            )
-            rows.append(("  " * depth + node.name, node.duration_ms, detail))
-        return QueryResult(columns=["span", "ms", "detail"], rows=rows)
 
     def last_trace(self):
         """The most recent statement's span tree (``Database(trace=True)``
@@ -847,186 +593,6 @@ class Database:
             return list(self._slow_log)
 
     # ------------------------------------------------------------------ #
-    # Individual statement kinds
-    # ------------------------------------------------------------------ #
-
-    def _execute_create(self, stmt: CreateTableStmt) -> QueryResult:
-        schema = Schema([Column(name, col_type) for name, col_type in stmt.columns])
-        with self._catalog_lock:
-            self.catalog.create_table(Relation(stmt.name, schema))
-        self._plan_cache.invalidate_table(stmt.name)
-        return QueryResult(columns=[], rows=[], affected=0)
-
-    def _execute_insert_values(self, stmt: InsertValuesStmt) -> QueryResult:
-        relation = self.catalog.table(stmt.table)
-        # Atomic oid claim + append + cracker propagation: a cracker
-        # created concurrently would otherwise snapshot the base rows
-        # *and* receive them again as pending updates.
-        with relation.write_lock:
-            first_oid = len(relation)
-            inserted = relation.insert_many(stmt.rows)
-            self._propagate_inserts(stmt.table, relation, first_oid, stmt.rows)
-        self._plan_cache.invalidate_table(stmt.table)
-        return QueryResult(columns=[], rows=[], affected=inserted)
-
-    def _execute_insert_select(self, stmt: InsertSelectStmt) -> QueryResult:
-        select_result = self._execute_select(stmt.select)
-        with self._catalog_lock:
-            if not self.catalog.has_table(stmt.table):
-                # Paper's benchmark form: INSERT INTO newR SELECT * FROM R
-                # ... creates the target on the fly with the source schema.
-                source = self.catalog.table(stmt.select.tables[0].name)
-                self.catalog.create_table(Relation(stmt.table, source.schema))
-            relation = self.catalog.table(stmt.table)
-        with relation.write_lock:
-            first_oid = len(relation)
-            inserted = relation.insert_many(select_result.rows)
-            self._propagate_inserts(
-                stmt.table, relation, first_oid, select_result.rows
-            )
-        self._plan_cache.invalidate_table(stmt.table)
-        return QueryResult(columns=[], rows=[], affected=inserted)
-
-    def _dml_match_positions(
-        self, relation: Relation, plan: AnalyzedDML
-    ) -> np.ndarray:
-        """Storage positions of live rows satisfying a DML WHERE clause.
-
-        Evaluated vectorised over the base column arrays — never through
-        the cracker (the matcher must see updated values immediately,
-        and a DML statement should not crack as a side effect).
-        """
-        total = len(relation)
-        keep = relation.live_mask(total)
-        for predicate in plan.selections:
-            values = self._dml_column_values(relation, predicate.attr, total)
-            if predicate.low is not None:
-                keep &= (
-                    values >= predicate.low
-                    if predicate.low_inclusive
-                    else values > predicate.low
-                )
-            if predicate.high is not None:
-                keep &= (
-                    values <= predicate.high
-                    if predicate.high_inclusive
-                    else values < predicate.high
-                )
-        for residual in plan.residuals:
-            values = self._dml_column_values(relation, residual.attr, total)
-            keep &= values != residual.value
-        return np.flatnonzero(keep)
-
-    @staticmethod
-    def _dml_column_values(relation: Relation, attr: str, total: int):
-        bat = relation.column(attr)
-        if bat.tail_type == "str":
-            return np.asarray(bat.tail_values()[:total], dtype=object)
-        return bat.tail_array()[:total]
-
-    def _execute_update(self, stmt: UpdateStmt) -> QueryResult:
-        plan = analyze_dml(stmt, self.catalog)
-        relation = self.catalog.table(plan.table)
-        # Atomic match + in-place rewrite + cracker propagation, mirroring
-        # the insert path: a cracker created concurrently snapshots either
-        # the old or the new values, never a half-applied mix.
-        with relation.write_lock:
-            positions = self._dml_match_positions(relation, plan)
-            if positions.size:
-                # Crackers find a changed row by its value, so read the
-                # old ones before the rewrite.
-                old_values = {
-                    column: relation.column(column).tail_array()[positions]
-                    for column, _ in plan.assignments
-                }
-                relation.update_positions(
-                    positions,
-                    {
-                        column: [value] * len(positions)
-                        for column, value in plan.assignments
-                    },
-                )
-                if self._cracker is not None:
-                    self._cracker.propagate_update(
-                        plan.table, positions, dict(plan.assignments),
-                        old_values,
-                    )
-        self._plan_cache.invalidate_table(plan.table)
-        return QueryResult(columns=[], rows=[], affected=int(positions.size))
-
-    def _execute_delete(self, stmt: DeleteStmt) -> QueryResult:
-        plan = analyze_dml(stmt, self.catalog)
-        relation = self.catalog.table(plan.table)
-        with relation.write_lock:
-            positions = self._dml_match_positions(relation, plan)
-            affected = relation.delete_positions(positions)
-            if affected and self._cracker is not None:
-                self._cracker.propagate_delete(plan.table, relation, positions)
-        self._plan_cache.invalidate_table(plan.table)
-        return QueryResult(columns=[], rows=[], affected=affected)
-
-    def _execute_select(
-        self, stmt: SelectStmt, cache_as: str | None = None
-    ) -> QueryResult:
-        # Epochs are captured before analysis: a DDL/INSERT racing the
-        # compile then leaves the entry already-stale instead of stamping
-        # a pre-DDL analysis as current.
-        epochs = (
-            self._plan_cache.epochs_for(ref.name for ref in stmt.tables)
-            if cache_as is not None
-            else None
-        )
-        with obs_trace.span("analyze"):
-            query = analyze(stmt, self.catalog)
-        if cache_as is not None:
-            self._plan_cache.store_exact(cache_as, query, epochs)
-        return self._execute_analyzed(query)
-
-    def _execute_analyzed(self, query: AnalyzedQuery) -> QueryResult:
-        """Plan and run an analyzed SELECT (the per-execution stages).
-
-        The physical plan is rebuilt every time even on cache hits: the
-        cracked range answer it embeds is per-execution state, and the
-        join planner reads live cardinalities from the catalog.
-        """
-        with obs_trace.span("plan"):
-            plan = build_plan(
-                query,
-                self.catalog,
-                cracker=self._cracker,
-                tracker=self.tracker,
-            )
-        if isinstance(plan, VecMaterialize):
-            relation = plan.run()
-            with self._catalog_lock:
-                if self.catalog.has_table(relation.name):
-                    self.catalog.drop_table(relation.name)
-                    if self._cracker is not None:
-                        # Crackers of the replaced table index dead storage.
-                        self._cracker.drop_table(relation.name)
-                self.catalog.create_table(relation)
-            self._plan_cache.invalidate_table(relation.name)
-            return QueryResult(
-                columns=plan.columns, rows=[], affected=len(relation),
-                query=query,
-            )
-        columns = list(plan.columns)
-        with obs_trace.span("gather"):
-            if not isinstance(plan, VecOperator):
-                return QueryResult(columns, list(plan), query=query)
-            batch = concat_batches(plan)
-            # The result owns its data: a column still viewing cracker or
-            # BAT storage (the cracked span, a full-scan slice) is copied
-            # once here, so a held result cannot be shuffled by the next
-            # in-place crack and pins no storage generation.
-            arrays = None if batch is None else {
-                name: array if array.flags.owndata else array.copy()
-                for name, array in zip(columns, batch.arrays)
-            }
-        # No batch at all is the empty result, which is row-native.
-        return QueryResult(columns, arrays=arrays, query=query)
-
-    # ------------------------------------------------------------------ #
     # Cracker introspection
     # ------------------------------------------------------------------ #
 
@@ -1042,134 +608,24 @@ class Database:
             return {}
         return self._cracker.columns()
 
-    _EXPLAIN_INDEX_COLUMNS = ["section", "entry", "detail"]
-
-    def _explain_index(self, stmt: ExplainIndexStmt) -> QueryResult:
-        """EXPLAIN INDEX table(col): the cracker index narrated as rows.
-
-        Always returns rows — engines without cracking, columns no query
-        has touched and databases without the profiler each get a status
-        row saying so instead of an error, so monitoring scripts can
-        probe any configuration with the same statement.  Unknown tables
-        and columns still raise, like any other statement.
-        """
-        with self._catalog_lock:
-            relation = self.catalog.table(stmt.table)
-            if stmt.column not in relation.schema.names():
-                raise SQLAnalysisError(
-                    f"table {stmt.table!r} has no column {stmt.column!r}"
-                )
-        rows: list[tuple] = []
-        if self._cracker is None:
-            rows.append(("index", "status", "cracking off: no cracker index"))
-            return QueryResult(columns=list(self._EXPLAIN_INDEX_COLUMNS), rows=rows)
-        column = self._cracker.columns().get((stmt.table, stmt.column))
-        if column is None:
-            rows.append((
-                "index", "status",
-                "not cracked yet: no range predicate has touched this column",
-            ))
-            return QueryResult(columns=list(self._EXPLAIN_INDEX_COLUMNS), rows=rows)
-        with self._cracker.lock_for(stmt.table, stmt.column).read_locked():
-            info = column.observability()
-        rows.append(("index", "status", "cracked"))
-        for key in sorted(info):
-            value = info[key]
-            if isinstance(value, dict):
-                detail = " ".join(
-                    f"{k}={_explain_number(v)}" for k, v in sorted(value.items())
-                )
-            elif isinstance(value, (list, tuple)):
-                detail = " ".join(_explain_number(v) for v in value)
-            else:
-                detail = _explain_number(value)
-            rows.append(("index", key, detail))
-        introspection = self._cracker.introspection_for(stmt.table, stmt.column)
-        if introspection is None:
-            rows.append((
-                "profiler", "status",
-                "off: enable with Database(profile=True)",
-            ))
-            return QueryResult(columns=list(self._EXPLAIN_INDEX_COLUMNS), rows=rows)
-        snap = introspection.snapshot()
-        lineage = snap["lineage"]
-        rows.append((
-            "lineage", "events",
-            f"{lineage['total_events']} total, "
-            f"last {len(lineage['events'])} retained "
-            f"(capacity {lineage['capacity']})",
-        ))
-        rows.append((
-            "lineage", "op_counts",
-            " ".join(
-                f"{op}={count}" for op, count in sorted(lineage["op_counts"].items())
-            ) or "none",
-        ))
-        for event in lineage["events"][-16:]:
-            if "bounds" in event:
-                detail = (
-                    f"bounds={event['bounds']} pieces={event['pieces']} "
-                    f"moved={event['moved']} stmt={event['statement']}"
-                )
-            else:
-                detail = f"tuples={event['tuples']} stmt={event['statement']}"
-            rows.append(("lineage", f"#{event['seq']} {event['op']}", detail))
-        workload = snap["workload"]
-        rows.append(("workload", "queries", str(workload["queries"])))
-        rows.append((
-            "workload", "domain",
-            f"[{_explain_number(workload['domain'][0])}, "
-            f"{_explain_number(workload['domain'][1])}] "
-            f"bucket_width={_explain_number(workload['bucket_width'])}",
-        ))
-        rows.append((
-            "workload", "histogram",
-            " ".join(str(count) for count in workload["histogram"]),
-        ))
-        rows.append((
-            "workload", "selectivity",
-            f"mean={_explain_number(workload['selectivity']['mean'])} "
-            f"last={_explain_number(workload['selectivity']['last'])}",
-        ))
-        hot = workload["hot_range"]
-        if hot is not None:
-            rows.append((
-                "workload", "hot_range",
-                f"[{_explain_number(hot['low'])}, "
-                f"{_explain_number(hot['high'])}) x{hot['count']}",
-            ))
-        convergence = snap["convergence"]
-        rows.append(("convergence", "queries", str(convergence["queries"])))
-        for key in ("last", "recent_mean", "savings"):
-            rows.append((
-                "convergence", key,
-                "n/a" if convergence[key] is None
-                else _explain_number(convergence[key]),
-            ))
-        rows.append((
-            "convergence", "cost_totals",
-            f"crack={_explain_number(convergence['crack_cost_total'])} "
-            f"scan={_explain_number(convergence['scan_cost_total'])}",
-        ))
-        return QueryResult(columns=list(self._EXPLAIN_INDEX_COLUMNS), rows=rows)
-
     def stats(self) -> dict:
         """One nested dict unifying every stats surface of the engine.
 
         This is the canonical introspection entry point (and the engine
         part of the server's STATS payload); the older scattered
         accessors (:meth:`persistence_stats`, :meth:`piece_count`)
-        remain as thin views of the same state.  The statement cache's
-        hit/miss/invalidation counters are ``stats()["plan_cache"]``.
+        remain as thin views of the same state.
 
         Keys: ``tables`` (name → live rows), ``crackers`` (``table.attr``
         → piece count), ``cracker_detail`` (per-column crack/pending/
-        piece-size accounting),
-        ``plan_cache``, ``persistence``, ``metrics`` (the registry
-        snapshot with per-statement-kind latency histograms), and the
-        profiler surfaces ``workload``/``lineage``/``convergence``
-        (``table.attr`` → introspection readout; empty dicts unless
-        ``profile=True``).
+        piece-size accounting), ``plan_cache`` (``hits`` and ``misses``
+        split every SELECT the cache saw, a prepared execution counting
+        as one; ``template_hits``/``dml_template_hits``,
+        ``invalidations`` and entry counts), ``persistence``,
+        ``metrics`` (the registry snapshot with per-statement-kind
+        latency histograms), and the profiler surfaces
+        ``workload``/``lineage``/``convergence`` (``table.attr`` →
+        introspection readout; empty dicts unless ``profile=True``).
         """
         with self._catalog_lock:
             tables = {
@@ -1233,12 +689,24 @@ class Database:
         return samples
 
     def check_invariants(self) -> None:
-        """Validate every cracked column's piece/coverage invariants.
+        """Validate every relation and every cracked column.
 
-        Raises :class:`~repro.errors.CrackError` (or a subclass) on the
-        first violation; used by the concurrency stress tests to prove
-        interleaved cracking left every index consistent.
+        Raises :class:`~repro.errors.BATAlignmentError` for a relation
+        whose column BATs differ in length (a torn insert), else
+        :class:`~repro.errors.CrackError` (or a subclass) on the first
+        cracker piece/coverage violation; used by the concurrency stress
+        tests to prove interleaved statements left every table and index
+        consistent.
         """
+        with self._catalog_lock:
+            relations = [self.catalog.table(name) for name in self.catalog.table_names()]
+        for relation in relations:
+            with relation.write_lock:
+                lengths = {name: len(bat) for name, bat in relation.bats.items()}
+            if len(set(lengths.values())) > 1:
+                raise BATAlignmentError(
+                    f"table {relation.name!r} has columns of unequal length: {lengths}"
+                )
         if self._cracker is not None:
             self._cracker.check_invariants()
 
@@ -1250,36 +718,6 @@ class Database:
     def persistent(self) -> bool:
         """True when this database is backed by a persist_dir store."""
         return self._persist is not None
-
-    def _durability_guard(self, mutates: bool):
-        """The store barrier for a mutating statement (no-op otherwise)."""
-        if mutates and self._persist is not None and not self._replaying:
-            return self._persist.mutation_guard()
-        return nullcontext()
-
-    def _log_durable(self, sql: str) -> None:
-        """Append one successfully executed mutation to the WAL.
-
-        Deferred while a transaction batch is applying: the batch logs
-        its statements itself, only after every one of them succeeded.
-        """
-        if (
-            self._persist is not None
-            and not self._replaying
-            and not self._in_transaction
-        ):
-            self._persist.log_statement(sql)
-
-    def _maybe_checkpoint(self) -> None:
-        """Capture a policy-triggered checkpoint (after the statement
-        released the barrier; the capture retakes it, a writer thread
-        writes)."""
-        if (
-            self._persist is not None
-            and not self._replaying
-            and not self._in_transaction
-        ):
-            self._persist.maybe_checkpoint(self)
 
     def checkpoint(self) -> dict:
         """Force a snapshot generation now; returns the checkpoint report.
@@ -1326,80 +764,98 @@ class Database:
         self.close()
         return False
 
-    def _propagate_inserts(
-        self, table: str, relation, first_oid: int, rows
-    ) -> None:
-        """Feed inserts to the table's crackers (merge-on-query updates).
 
-        The paper leaves updates as future work (§7); the cracked columns
-        implement them as pending areas merged on the next query, so the
-        SQL layer never has to drop a cracker index on INSERT.
-        """
-        if self._cracker is None:
-            return
-        self._cracker.propagate_insert(table, relation, first_oid, list(rows))
+@dataclass
+class ExplainAnalyze(Statement):
+    """``EXPLAIN ANALYZE <stmt>``: run ``stmt`` for real under a span
+    trace, and answer with the trace: columns ``(span, ms, detail)``,
+    one row per span depth-first, names indented two spaces per level,
+    ``detail`` the span's meta as ``k=v``.
+
+    The inner statement compiles from scratch — the exact level is
+    probed but not used — so the trace always shows the full lex →
+    parse → plan-cache → analyze → plan(crack) → gather pipeline.  Side
+    effects are the inner statement's own: a SELECT cracks, an INSERT
+    inserts and reaches the WAL.  Not allowed inside a transaction
+    batch, whose undo covers only the tables it can see.
+    """
+
+    sql: str
+
+    kind = "explain"
+
+    def run(self, db) -> QueryResult:
+        sql = self.sql
+        if not sql.strip():
+            raise SQLAnalysisError("EXPLAIN ANALYZE needs a statement")
+        if db._in_transaction:
+            raise SQLAnalysisError("EXPLAIN ANALYZE cannot run in a transaction")
+        root = obs_trace.start_span("statement", kind=None)
+        with root:
+            with obs_trace.span("lex"):
+                tokens = tokenize(sql)
+            with obs_trace.span("parse"):
+                stmt = parse(sql, tokens=tokens)
+            root.meta["kind"] = stmt.kind
+            if stmt.kind == "select" and not stmt.mutates:
+                with obs_trace.span("plan_cache") as probe:
+                    probe.meta["exact_hit"] = (
+                        db._plan_cache.lookup_exact(sql) is not None
+                    )
+            result = db._run(stmt, sql)
+        root.meta["rows"] = result.row_count
+        root.meta["affected"] = result.affected
+        db._last_trace = root
+        rows = [
+            ("  " * depth + node.name, node.duration_ms,
+             " ".join(f"{key}={value}" for key, value in node.meta.items()))
+            for depth, node in root.walk()
+        ]
+        return QueryResult(columns=["span", "ms", "detail"], rows=rows)
 
 
+@dataclass(eq=False)
 class PreparedStatement:
     """A SELECT compiled once, re-executable with new literal parameters.
 
-    Produced by :meth:`Database.prepare`.  Execution skips the lexer and
-    parser always, and skips the analyzer when this exact parameter tuple
-    ran before and no referenced table changed since (DDL, INSERT,
-    UPDATE and DELETE bump the table epochs the memo is validated
-    against).  Safe to share
-    across threads: the memo is lock-guarded and analyzed queries are
-    immutable after publication.
+    Produced by :meth:`Database.prepare`: the compiled statement, which
+    serves as the template its executions bind, and its literals as
+    written.  An execution never lexes or parses.  It looks its analysis
+    up in the plan cache's exact level under ``(template key,
+    parameters)``, where a mutation of a referenced table invalidates it
+    like any cached SELECT, and on a miss binds the parameters and
+    analyses (storing the result).  Each execution counts as one SELECT
+    in ``stats()["plan_cache"]``: a ``hits`` or a ``misses``.  With the
+    plan cache off every execution analyses.  Safe to share across
+    threads.
     """
 
-    #: Per-statement analysis memo bound (distinct parameter tuples).
-    MEMO_CAPACITY = 128
-
-    def __init__(
-        self,
-        database: Database,
-        sql: str,
-        template: "StatementTemplate",
-        defaults: tuple,
-    ) -> None:
-        self.database = database
-        self.sql = sql
-        self.template = template
-        self.defaults = defaults
-        self._memo: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._memo_lock = threading.Lock()
+    database: Database
+    sql: str
+    template: Statement
+    key: str
+    defaults: tuple
 
     @property
     def parameter_count(self) -> int:
-        return self.template.slots
+        return len(self.defaults)
 
     def execute(self, params=None) -> QueryResult:
         """Run with ``params`` (positional literals; None = as written)."""
         literals = self.defaults if params is None else tuple(params)
-        cache = self.database._plan_cache
-        memoised = None
-        with self._memo_lock:
-            entry = self._memo.get(literals)
-            if entry is not None:
-                query, epochs = entry
-                if cache.current(epochs):
-                    self._memo.move_to_end(literals)
-                    memoised = query
-                else:
-                    del self._memo[literals]
-        if memoised is not None:
-            # Execute outside the memo lock: holding it through planning
-            # and cracking would serialise every thread sharing this
-            # prepared statement.
-            return self.database._execute_analyzed(memoised)
-        stmt = self.template.bind(literals)
-        # Capture before analyzing: a racing DDL/INSERT must leave this
-        # memo entry stale, not stamp a pre-DDL analysis as current.
-        epochs = cache.epochs_for(ref.name for ref in stmt.tables)
-        query = analyze(stmt, self.database.catalog)
-        with self._memo_lock:
-            self._memo[literals] = (query, epochs)
-            self._memo.move_to_end(literals)
-            while len(self._memo) > self.MEMO_CAPACITY:
-                self._memo.popitem(last=False)
-        return self.database._execute_analyzed(query)
+        database = self.database
+        cache = database._plan_cache
+        stmt = cache.lookup_exact((self.key, literals))
+        if stmt is None:
+            if len(literals) != len(self.defaults):
+                raise SQLAnalysisError(
+                    f"statement takes {len(self.defaults)} parameter(s), "
+                    f"got {len(literals)}"
+                )
+            if not self.template.fits(literals):
+                raise SQLAnalysisError(f"LIMIT takes an integer, got {literals[-1]!r}")
+            stmt = self.template.bind(literals)
+            if cache.enabled:
+                cache.count_miss()
+                stmt.key = (self.key, literals)
+        return database._run(stmt, self.sql)

@@ -10,6 +10,9 @@ rebinds to exactly what parsing would give.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,7 @@ from repro.sql import analyzer, lexer, parser, session
 from repro.sql.lexer import KEYWORDS, tokenize
 from repro.sql.parser import parse
 from repro.sql.plan_cache import make_template, template_key
-from repro.sql.session import Database, _statement_kind
+from repro.sql.session import Database
 
 # ---------------------------------------------------------------------- #
 # The reference tokenizer
@@ -304,8 +307,9 @@ class TestTemplateKey:
         for bad in ("1.5", "'x'"):
             bad_key, bad_literals = template_key(sql.replace("5", bad))
             assert bad_key == key and not template.fits(bad_literals)
+        prepared = small_db().prepare(sql)
         with pytest.raises(SQLAnalysisError, match="LIMIT"):
-            template.bind((7, 1.5))  # a prepared statement's parameter
+            prepared.execute((7, 1.5))
 
 
 # ---------------------------------------------------------------------- #
@@ -505,14 +509,60 @@ def test_a_malformed_number_is_a_syntax_error(sql, warm):
 
 
 def test_a_leading_comment_does_not_hide_the_statement_kind():
-    assert _statement_kind("-- note\nSELECT 1") == "select"
-    assert _statement_kind("  -- one\n\t-- two\n  insert into r values (1)") == "insert"
-    assert _statement_kind("-- only a comment") == "other"
     db = small_db()
     sql = "-- note\nSELECT count(*) FROM r WHERE a BETWEEN 0 AND 9"
     assert db.execute(sql).scalar() == count_between(0, 9)
     db.execute(sql.replace("0", "3"))
     assert db.stats()["plan_cache"]["template_hits"] == 1
+    db.execute("  -- one\n\t-- two\n  insert into r values (900, 1, 'x')")
+    with pytest.raises(SQLSyntaxError):
+        db.execute("-- only a comment")
     hists = db.stats()["metrics"]["histograms"]["repro_statement_seconds"]
     assert hists["kind=select"]["count"] == 2
+    assert hists["kind=insert"]["count"] == 2  # small_db's load, then ours
     assert "kind=other" not in hists
+
+
+# ---------------------------------------------------------------------- #
+# The hot path's Python call budget
+# ---------------------------------------------------------------------- #
+
+SRC = str(Path(session.__file__).resolve().parents[1])
+
+
+def _repro_calls(fn) -> int:
+    """Python ``call`` events under ``src/repro`` while ``fn`` runs: a count
+    that numpy and stdlib versions cannot move."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(SRC):
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_cached_count_stays_within_its_call_budget():
+    # Measured on this converged column: 44 calls for an exact hit and 40
+    # for a prepared execution.  The budget is that + 10%.
+    db = Database(cracking=True)
+    db.execute("CREATE TABLE r (k integer, a integer)")
+    values = np.random.default_rng(5).permutation(20_000)
+    db.execute(
+        "INSERT INTO r VALUES " + ", ".join(f"({k}, {a})" for k, a in enumerate(values))
+    )
+    rng = np.random.default_rng(6)
+    for low in rng.integers(0, 20_000, 300).tolist():
+        db.execute(f"select count(*) from r where a between {low} and {low + 50}")
+    sql = "SELECT count(*) FROM r WHERE a BETWEEN 100 AND 200"
+    prepared = db.prepare(sql)
+    for _ in range(3):
+        assert db.execute(sql).scalar() == prepared.execute().scalar() == 101
+    assert _repro_calls(lambda: db.execute(sql)) <= 48
+    assert _repro_calls(prepared.execute) <= 44

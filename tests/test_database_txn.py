@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.errors import CatalogError, PersistError, ReproError, SQLSyntaxError
+from repro.errors import (
+    CatalogError,
+    PersistError,
+    ReproError,
+    SQLAnalysisError,
+    SQLSyntaxError,
+)
 from repro.sql import Database
 
 
@@ -179,6 +185,14 @@ class TestAbort:
                 "INSERT INTO missing VALUES (1)",
             ])
         assert db.execute("SELECT count(*) FROM target").scalar() == before
+        # A SELECT the plan cache knows is analysed against the schema
+        # the batch made before it, not the one it was cached under.
+        cached = "SELECT count(*) FROM target WHERE a BETWEEN 0 AND 50"
+        for _ in range(2):
+            assert db.execute(cached).scalar() == before
+        with pytest.raises(SQLAnalysisError, match="unknown column 'a'"):
+            db.execute_transaction(["SELECT k INTO target FROM r", cached])
+        assert db.execute(cached).scalar() == before
 
 class TestDurability:
     def test_aborted_batch_never_reaches_the_wal(self, tmp_path):

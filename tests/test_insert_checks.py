@@ -1,0 +1,107 @@
+"""A malformed INSERT changes nothing.
+
+Every value of every row is checked against the table's schema before
+the first BAT append, so a row of the wrong width or a value of the
+wrong type is an ``analysis`` error that leaves every column as it was,
+embedded, inside a transaction and served alike.  Two of the statements
+are template hits of a well-formed INSERT (``'x'`` and ``5`` key alike),
+so the check cannot live in the parser alone.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.client import Client
+from repro.errors import BATAlignmentError, RemoteError, SQLAnalysisError
+from repro.server import ServerThread
+from repro.server.protocol import error_for_exception
+from repro.sql import Database
+
+MALFORMED = [
+    "INSERT INTO r VALUES (1)",
+    "INSERT INTO r VALUES (1, 'x', 'y')",
+    "INSERT INTO r VALUES (1, 2, 3)",
+    "INSERT INTO r SELECT * FROM s",
+    "INSERT INTO r VALUES (3, 30, 'c'), (4)",
+    "INSERT INTO w VALUES (1, 2, 3, 4, 5)",
+]
+
+ROWS = [(1, 10, "a"), (2, 20, "b")]
+
+
+def loaded() -> Database:
+    db = Database(cracking=True)
+    db.execute("CREATE TABLE r (k integer, a integer, tag varchar)")
+    db.execute("CREATE TABLE s (k integer)")
+    db.execute("CREATE TABLE w (k integer, a integer, b integer, c integer)")
+    for k, a, tag in ROWS:  # the second stores nothing new: a template hit
+        db.execute(f"INSERT INTO r VALUES ({k}, {a}, '{tag}')")
+    db.execute("INSERT INTO s VALUES (7)")
+    db.execute("INSERT INTO w VALUES (1, 2, 3, 4)")
+    # Crackers on r, so a torn insert would reach them too.
+    assert db.execute("SELECT count(*) FROM r WHERE a BETWEEN 0 AND 99").scalar() == 2
+    return db
+
+
+def lengths(db: Database) -> dict:
+    return {
+        name: [len(bat) for bat in db.catalog.table(name).bats.values()]
+        for name in ("r", "s", "w")
+    }
+
+
+def assert_unchanged(db: Database, before: dict, answer) -> None:
+    assert lengths(db) == before
+    db.check_invariants()
+    assert answer("SELECT count(*) FROM r WHERE a BETWEEN 0 AND 99") == [(2,)]
+    assert sorted(answer("SELECT r.k, r.a, r.tag FROM r")) == ROWS
+    assert answer("SELECT count(*) FROM w") == [(1,)]
+
+
+@pytest.mark.parametrize("sql", MALFORMED)
+def test_embedded(sql):
+    db = loaded()
+    before = lengths(db)
+    with pytest.raises(SQLAnalysisError) as info:
+        db.execute(sql)
+    assert error_for_exception(info.value)["code"] == "analysis"
+    assert_unchanged(db, before, lambda text: db.execute(text).rows)
+
+
+@pytest.mark.parametrize("sql", MALFORMED)
+def test_in_a_transaction(sql):
+    db = loaded()
+    before = lengths(db)
+    with pytest.raises(SQLAnalysisError):
+        db.execute_transaction(["INSERT INTO r VALUES (5, 50, 'e')", sql])
+    assert_unchanged(db, before, lambda text: db.execute(text).rows)
+
+
+def test_served():
+    db = loaded()
+    before = lengths(db)
+    thread = ServerThread(db)
+    host, port = thread.start()
+    try:
+        with Client(host, port) as client:
+            for sql in MALFORMED:
+                with pytest.raises(RemoteError) as info:
+                    client.execute(sql)
+                assert info.value.code == "analysis", sql
+                assert_unchanged(db, before, lambda text: client.execute(text).rows)
+            client.begin()
+            client.execute(MALFORMED[1])
+            with pytest.raises(RemoteError) as info:
+                client.commit()
+            assert info.value.code == "analysis"
+            assert_unchanged(db, before, lambda text: client.execute(text).rows)
+    finally:
+        thread.stop()
+
+
+def test_check_invariants_catches_a_torn_relation():
+    db = loaded()
+    db.catalog.table("r").bats["k"].append_many([9])
+    with pytest.raises(BATAlignmentError, match="unequal length"):
+        db.check_invariants()

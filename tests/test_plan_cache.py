@@ -9,12 +9,7 @@ import pytest
 
 from repro.errors import SQLAnalysisError
 from repro.sql import Database, template_key
-from repro.sql.plan_cache import (
-    EXACT_CAPACITY,
-    PlanCache,
-    bind_statement,
-    make_template,
-)
+from repro.sql.plan_cache import EXACT_CAPACITY, PlanCache, make_template
 from repro.sql.parser import parse
 
 from tests.oracle import assert_sorted_rows_equal
@@ -49,13 +44,13 @@ class TestNormalize:
         _, literals = template_key(sql)
         template = make_template(stmt, literals)
         assert template is not None
-        rebound = bind_statement(template.stmt, (1, 2, "zz", 9))
+        rebound = template.bind((1, 2, "zz", 9))
         assert rebound.where[0].low.value == 1
         assert rebound.where[0].high.value == 2
         assert rebound.where[1].right.value == "zz"
         assert rebound.limit == 9
         # original template untouched
-        assert template.stmt.limit == 3
+        assert template.limit == 3
 
     def test_into_not_templated(self):
         sql = "SELECT * INTO r2 FROM r WHERE a > 5"
@@ -112,15 +107,23 @@ class TestCacheBehaviour:
 
     def test_delete_invalidates(self):
         # The satellite regression: a cached COUNT(*) must not serve the
-        # pre-DELETE cardinality.  The epoch bump routes through
-        # invalidate_table exactly like INSERT.
+        # pre-DELETE cardinality — by exact text, template or prepared
+        # statement.  The epoch bump routes through invalidate_table
+        # exactly like INSERT.
         db = small_db()
         q = "SELECT count(*) FROM r WHERE a BETWEEN 0 AND 99"
         before = db.execute(q).scalar()
         db.execute(q)  # cached now
+        prepared = db.prepare(q)
+        assert prepared.execute().scalar() == before
         affected = db.execute("DELETE FROM r WHERE a < 10").affected
         assert affected > 0
         assert db.execute(q).scalar() == before - affected
+        template_hits = db.stats()["plan_cache"]["template_hits"]
+        variant = "SELECT count(*) FROM r WHERE a BETWEEN -5 AND 99"
+        assert db.execute(variant).scalar() == before - affected
+        assert db.stats()["plan_cache"]["template_hits"] == template_hits + 1
+        assert prepared.execute().scalar() == before - affected
 
     def test_update_invalidates(self):
         db = small_db()
@@ -133,13 +136,52 @@ class TestCacheBehaviour:
 
     def test_create_table_invalidates_name(self):
         db = Database()
+        db.execute("CREATE TABLE t (v integer, w integer)")
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+        star = "SELECT * FROM t WHERE v > 0"
+        count = "SELECT count(*) FROM t"
+        for _ in range(2):  # cache both
+            assert sorted(db.execute(star).rows) == [(1, 10), (2, 20)]
+            assert db.execute(count).scalar() == 2
+        prepared = db.prepare("SELECT * FROM t WHERE v > -5")
+        assert sorted(prepared.execute().rows) == [(1, 10), (2, 20)]
+        # Replace t, narrowing its schema, via materialise into the same
+        # name: every route re-resolves ``*`` against the new table.
+        db.execute("SELECT v INTO t FROM t WHERE v > 1")
+        template_hits = db.stats()["plan_cache"]["template_hits"]
+        assert db.execute(star).rows == [(2,)]
+        assert db.execute(count).scalar() == 1
+        assert db.execute("SELECT * FROM t WHERE v > 1").rows == [(2,)]
+        assert db.stats()["plan_cache"]["template_hits"] == template_hits + 3
+        assert prepared.execute().rows == [(2,)]
+        assert prepared.execute((1,)).rows == [(2,)]
+
+    def test_reopening_a_store_leaves_no_analysis_behind(self, tmp_path):
+        db = Database(persist_dir=tmp_path)
         db.execute("CREATE TABLE t (v integer)")
-        db.execute("INSERT INTO t VALUES (1), (2)")
-        assert db.execute("SELECT count(*) FROM t").scalar() == 2
-        db.execute("SELECT count(*) FROM t")  # cache it
-        # replace t via materialise into the same name
-        db.execute("SELECT * INTO t FROM t WHERE v > 1")
-        assert db.execute("SELECT count(*) FROM t").scalar() == 1
+        db.execute("INSERT INTO t VALUES (1), (2), (3)")
+        q = "SELECT count(*) FROM t WHERE v > 0"
+        for _ in range(2):
+            assert db.execute(q).scalar() == 3
+        assert db.prepare(q).execute().scalar() == 3
+        db.execute("DELETE FROM t WHERE v = 1")
+        db.execute("SELECT * INTO t FROM t WHERE v < 3")
+        db.close()
+        db = Database(persist_dir=tmp_path)
+        # Replay ran the WAL through execute; recovery then dropped every
+        # analysed statement (invalidate_all) and bumped t's epoch.
+        stats = db.stats()["plan_cache"]
+        assert stats["exact_entries"] == 0 and stats["invalidations"] > 0
+        prepared = db.prepare(q)
+        for _ in range(2):  # analysed afresh, then an exact hit
+            assert db.execute(q).scalar() == 1
+        assert db.execute("SELECT count(*) FROM t WHERE v > -1").scalar() == 1
+        assert prepared.execute().scalar() == 1
+        db.execute("INSERT INTO t VALUES (7)")
+        assert db.execute(q).scalar() == 2
+        assert prepared.execute().scalar() == 2
+        assert db.stats()["plan_cache"]["template_hits"] >= 1
+        db.close()
 
     def test_cross_session_isolation(self):
         db1 = small_db()

@@ -3,20 +3,16 @@
 import pytest
 
 from repro.errors import SQLSyntaxError
-from repro.sql.ast_nodes import (
-    AggCall,
-    Between,
-    ColRef,
-    Comparison,
+from repro.sql.ast_nodes import AggCall, Between, ColRef, Comparison, Star
+from repro.sql.parser import parse
+from repro.sql.statements import (
     CreateTableStmt,
     DeleteStmt,
     InsertSelectStmt,
     InsertValuesStmt,
     SelectStmt,
-    Star,
     UpdateStmt,
 )
-from repro.sql.parser import parse
 
 
 class TestSelect:

@@ -31,7 +31,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.core.crack.crack_in_three_via_two": "reference kernel (test_crack_kernels.py)",
     "repro.core.cracker_index.Piece.describes": "invariant error text (test_cracker_index.py)",
     "repro.storage.catalog.Catalog.unregister_fragment": "re-crack a fragment (test_engines.py)",
-    "repro.sql.session.QueryResult.__repr__": "what a REPL shows for a result; none prints it",
 }
 
 # Put first on PYTHONPATH, so every process of the drive imports it: it
@@ -144,14 +143,15 @@ def _drive_engine(work: Path) -> None:
         prepared = db.prepare(PREPARED)
         for params in [None, (1, 90), (1, 90), (-3, 700)]:
             db.execute_prepared(prepared, params).scalar()
-        db.execute_transaction(["INSERT INTO s VALUES (1, 1)", "UPDATE s SET b = 2 WHERE k = 1"])
+        db.execute_transaction(["INSERT INTO s VALUES (1, 1)", "UPDATE s SET b = 2 WHERE k = 1",
+                                "SELECT k, b INTO u FROM s WHERE b > 90"])
         with suppress(ReproError):  # fails on its last statement: rolled back
             db.execute_transaction(["CREATE TABLE w (k int)", "INSERT INTO s VALUES (5, 5)",
                                     "INSERT INTO x VALUES (1)"])
         for bad in ["SELEC 1", "SELECT y FROM r", "SELECT - 1 FROM r", "SELECT k FROM r WHERE a 5"]:
             with suppress(ReproError):
                 db.execute(bad)
-        db.explain(PREPARED), db.explain_analyze(PREPARED).rows, db.last_trace()
+        db.explain(PREPARED), repr(db.execute("EXPLAIN ANALYZE " + PREPARED)), db.last_trace()
         db.slow_query_log(), db.cracked_columns(), db.stats(), db.check_invariants()
         if db.persistent:
             db.checkpoint(), db.persistence_stats()

@@ -53,7 +53,7 @@ def client_worker(host: str, port: int, seed: int, totals: list) -> None:
 
 def main() -> None:
     database = build_database()
-    server = ServerThread(database, pool_size=4)
+    server = ServerThread(database)
     host, port = server.start()
     print(f"serving {N_ROWS} rows on {host}:{port}")
 

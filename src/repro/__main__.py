@@ -239,9 +239,9 @@ def _render_stats(stats: dict) -> list[str]:
         f"refused {server.get('refused', '?')}, "
         f"queue depth {server.get('queue_depth', '?')})"
     )
-    threads = f"{gateway.get('pool_size', '?')} worker thread(s)"
+    worker = f"1 worker thread (timeout {gateway.get('statement_timeout')}s)"
     lines.append(
-        f"gateway: {'inline' if gateway.get('inline') else threads}, "
+        f"gateway: {'inline' if gateway.get('inline') else worker}, "
         f"{gateway.get('executed', '?')} executed, "
         f"{gateway.get('pending', '?')} pending "
         f"(peak {gateway.get('peak_pending', '?')}), "
@@ -476,6 +476,16 @@ def run_top(argv: list[str]) -> int:
         return 1
 
 
+def _pool_size(text: str) -> int:
+    """``--pool-size``: only 1 parses, since the worker pool was removed."""
+    if text != "1":
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: the worker pool was removed, 1 is the only value "
+            "(use --statement-timeout to run statements off the event loop)"
+        )
+    return 1
+
+
 def run_serve(argv: list[str]) -> int:
     """The ``serve`` subcommand: expose a database over TCP.
 
@@ -490,7 +500,7 @@ def run_serve(argv: list[str]) -> int:
     import signal
 
     from repro.core import DEFAULT_CRACK_THRESHOLD
-    from repro.errors import ReproError
+    from repro.errors import ReproError, SettingError
     from repro.server import ReproServer
     from repro.sql import Database
 
@@ -539,35 +549,21 @@ def run_serve(argv: list[str]) -> int:
         help="admission bound on simultaneous connections",
     )
     parser.add_argument(
-        "--pool-size", type=int, default=1,
-        help="engine worker threads.  1 (the default) runs statements "
-        "inline on the event-loop thread: lowest latency, but a long "
-        "statement delays every other connection; N>1 runs up to N "
-        "statements at once on a thread pool",
+        "--pool-size", type=_pool_size, default=1,
+        help="accepted for compatibility; 1 is the only value (the worker "
+        "pool was removed: engine calls run inline on the event-loop "
+        "thread, or on one worker thread under --statement-timeout)",
     )
     parser.add_argument(
         "--max-pending", type=int, default=64,
-        help="global bound on admitted-but-unfinished statements (only "
-        "bites on the thread pool; inline statements never queue)",
+        help="global bound on admitted-but-unfinished statements, 0 = "
+        "unbounded (only bites under --statement-timeout; inline "
+        "statements never queue)",
     )
     parser.add_argument(
         "--statement-timeout", type=float, default=None,
         help="seconds before a statement gets a typed timeout reply "
-        "(implies the thread pool, also at --pool-size 1)",
-    )
-    parser.add_argument(
-        "--chunk-bytes", type=int, default=None, metavar="BYTES",
-        help="target size of streamed binary result chunks (default 1 MiB)",
-    )
-    parser.add_argument(
-        "--no-compression", action="store_true",
-        help="never accept a client's offer of zlib frame compression "
-        "(clients offer it only when built with compression=True)",
-    )
-    parser.add_argument(
-        "--pipeline-batch", type=int, default=None, metavar="N",
-        help="max pipelined statements folded into one engine trip "
-        "(default 128; 1 disables server-side batching)",
+        "(runs engine calls on one worker thread instead of inline)",
     )
     parser.add_argument(
         "--init", default=None, metavar="SCRIPT",
@@ -594,6 +590,19 @@ def run_serve(argv: list[str]) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        server = ReproServer(
+            database,
+            args.host,
+            args.port,
+            max_connections=args.max_connections,
+            max_pending=args.max_pending,
+            statement_timeout=args.statement_timeout,
+        )
+    except SettingError as exc:
+        database.close()
+        print(f"error: {exc} (--{exc.setting.replace('_', '-')})", file=sys.stderr)
+        return 2
     if args.persist_dir is not None:
         stats = database.persistence_stats()
         print(
@@ -612,22 +621,6 @@ def run_serve(argv: list[str]) -> int:
         print(f"init script ran {executed} statement(s)")
 
     async def _serve() -> dict:
-        extras: dict = {}
-        if args.chunk_bytes is not None:
-            extras["chunk_bytes"] = args.chunk_bytes
-        if args.pipeline_batch is not None:
-            extras["pipeline_batch"] = args.pipeline_batch
-        server = ReproServer(
-            database,
-            args.host,
-            args.port,
-            max_connections=args.max_connections,
-            pool_size=args.pool_size,
-            max_pending=args.max_pending,
-            statement_timeout=args.statement_timeout,
-            compression=not args.no_compression,
-            **extras,
-        )
         await server.start()
         host, port = server.address
         print(f"repro server listening on {host}:{port}", flush=True)

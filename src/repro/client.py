@@ -185,7 +185,6 @@ class _ClientCore:
         host: str,
         port: int,
         *,
-        client_name: str = "repro-client",
         reconnect: bool = True,
         max_retries: int = 3,
         retry_delay: float = 0.05,
@@ -193,7 +192,6 @@ class _ClientCore:
     ) -> None:
         self.host = host
         self.port = port
-        self.client_name = client_name
         self.reconnect = reconnect
         self.max_retries = max_retries
         self.retry_delay = retry_delay
@@ -234,7 +232,7 @@ class _ClientCore:
             "compression": (
                 list(SUPPORTED_COMPRESSIONS) if self.offer_compression else []
             ),
-            "client": self.client_name,
+            "client": "repro-client",
         }
         (reply,) = yield from self._exchange([hello])
         self.server_info = _check_reply(reply, "hello")

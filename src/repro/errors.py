@@ -88,6 +88,14 @@ class OverloadedError(ServerError):
     """Raised when admission control rejects work (queue/pool full)."""
 
 
+class SettingError(ServerError):
+    """A server setting that would make the server refuse all work."""
+
+    def __init__(self, setting: str, requirement: str, value) -> None:
+        super().__init__(f"{setting} must be {requirement}, got {value!r}")
+        self.setting = setting
+
+
 class StatementTimeoutError(ServerError):
     """Raised when a statement exceeds the server's statement timeout."""
 

@@ -31,9 +31,9 @@ stats accessors, now including ``workload``/``lineage``/``convergence``),
 the server's STATS/METRICS/TIMESERIES wire messages and the
 ``repro stats`` / ``repro top`` CLIs.
 
-Everything is gated: with tracing off each instrumentation site costs
-one ContextVar read, and ``Database(metrics=False)`` switches even the
-per-statement histogram off.
+Tracing is gated: with it off each instrumentation site costs one
+ContextVar read.  The metrics registry is always on; recording one
+statement is a histogram ``observe`` on a cached handle.
 """
 
 from repro.obs.introspect import ColumnIntrospection

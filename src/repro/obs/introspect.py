@@ -107,9 +107,11 @@ class ColumnIntrospection:
         name: ``table.attr`` label of the column.
         domain_low / domain_high: value span for the workload histogram
             (predicate midpoints outside it clamp to the edge buckets).
-        capacity: lineage-log bound.
-        buckets: workload-histogram bucket count.
-        cost_model: §2 weights for the convergence scoring.
+
+    The lineage log keeps :data:`LINEAGE_CAPACITY` events, the histogram
+    has :data:`WORKLOAD_BUCKETS` buckets and the convergence curve is
+    scored with the default §2 :class:`CostModel`; all are read when the
+    column is profiled.
     """
 
     def __init__(
@@ -117,9 +119,6 @@ class ColumnIntrospection:
         name: str,
         domain_low: float = 0.0,
         domain_high: float = 1.0,
-        capacity: int = LINEAGE_CAPACITY,
-        buckets: int = WORKLOAD_BUCKETS,
-        cost_model: CostModel | None = None,
     ) -> None:
         self.name = name
         domain_low = float(domain_low)
@@ -127,7 +126,7 @@ class ColumnIntrospection:
         if domain_high <= domain_low:
             domain_high = domain_low + 1.0
         self.domain = (domain_low, domain_high)
-        self.buckets = int(buckets)
+        self.buckets = WORKLOAD_BUCKETS
         self._bucket_width = (domain_high - domain_low) / self.buckets
         # Hot-path caches: record_query runs once per range predicate on
         # the sustained query loop, so it avoids divisions and repeated
@@ -137,7 +136,7 @@ class ColumnIntrospection:
         self._domain_mid = (domain_low + domain_high) / 2.0
         self._lock = threading.Lock()
         # Lineage: bounded event log + all-time accounting.
-        self._events: deque = deque(maxlen=capacity)
+        self._events: deque = deque(maxlen=LINEAGE_CAPACITY)
         self._event_seq = 0
         self._op_counts: dict[str, int] = {}
         # Workload: predicate-range histogram + selectivity.
@@ -146,9 +145,9 @@ class ColumnIntrospection:
         self._selectivity_sum = 0.0
         self._last_selectivity = 0.0
         # Convergence: bounded per-query cost-ratio curve.
-        self._cost = cost_model if cost_model is not None else CostModel()
-        self._scan_cost = self._cost.scan_query_cost
-        self._crack_cost = self._cost.crack_query_cost
+        cost = CostModel()
+        self._scan_cost = cost.scan_query_cost
+        self._crack_cost = cost.crack_query_cost
         self._curve: deque = deque(maxlen=CONVERGENCE_CAPACITY)
         self._crack_cost_total = 0.0
         self._scan_cost_total = 0.0

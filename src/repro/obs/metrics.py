@@ -9,11 +9,7 @@ wire message.  Everything here is designed for the engine's hot path:
   labels) and then held by the instrumented code, so recording is a
   method call on a cached object — no registry lookup per event;
 * :meth:`Histogram.observe` is a ``bisect`` over a fixed boundary table
-  plus one locked increment, a couple of microseconds;
-* a disabled registry (``MetricsRegistry(enabled=False)``) hands out
-  fresh metrics it never registers, so nothing reads what they record,
-  and fully switching observability off costs one attribute check per
-  statement.
+  plus one locked increment, a couple of microseconds.
 
 Histograms use **fixed log₂ buckets**: boundary ``i`` is ``1 µs · 2^i``
 seconds, spanning 1 µs to ~67 s with one overflow bucket past the last
@@ -185,15 +181,9 @@ class MetricsRegistry:
     collector is a zero-argument callable returning ``(name, labels,
     value)`` samples, invoked on every :meth:`snapshot` /
     :meth:`render` and exposed as gauges.
-
-    ``enabled=False`` hands out metrics it does not register (their
-    recordings are never read) and skips collectors, making the whole
-    layer free apart from one attribute check at each instrumentation
-    site.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._metrics: dict[tuple, Counter | Histogram] = {}
         self._collectors: list = []
         self._descriptions: dict[str, str] = {}
@@ -206,8 +196,6 @@ class MetricsRegistry:
         labels: dict | None,
         description: str | None,
     ):
-        if not self.enabled:
-            return factory(name, labels)  # never registered, never read
         key = (name, _label_key(labels))
         with self._lock:
             if description is not None:
@@ -242,8 +230,6 @@ class MetricsRegistry:
         Collector-produced gauges have no register site that could carry
         a description, so their owners call this once at wiring time.
         """
-        if not self.enabled:
-            return
         with self._lock:
             self._descriptions.setdefault(name, description)
 
@@ -268,8 +254,6 @@ class MetricsRegistry:
         ``label_key`` is ``"k=v,..."`` (``""`` for unlabelled metrics).
         """
         out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
-        if not self.enabled:
-            return out
         with self._lock:
             metrics = list(self._metrics.values())
         for metric in metrics:
@@ -292,9 +276,6 @@ class MetricsRegistry:
         samples from outside the registry (the server merges its own
         connection/gateway counters this way).
         """
-        if not self.enabled:
-            lines = list(render_exposition(extra or []))
-            return "\n".join(lines) + ("\n" if lines else "")
         with self._lock:
             metrics = list(self._metrics.values())
             descriptions = dict(self._descriptions)

@@ -23,28 +23,23 @@ from collections import deque
 
 __all__ = ["TimeSeries", "rates"]
 
-#: Default ring capacity: 10 minutes of history at a 1 s interval.
-DEFAULT_CAPACITY = 600
+#: Samples a ring retains (oldest drop): 10 minutes of history at
+#: :data:`INTERVAL_S`.  Read when a ring is built.
+CAPACITY = 600
+
+#: The sampling period in seconds.  The server sleeps it between
+#: samples; a snapshot reports it so readers can label the x-axis (the
+#: ring never sleeps itself).
+INTERVAL_S = 1.0
 
 
 class TimeSeries:
-    """Thread-safe ring of timestamped flat scalar samples.
+    """Thread-safe ring of the last :data:`CAPACITY` timestamped flat
+    scalar samples."""
 
-    Args:
-        capacity: how many samples the ring retains (oldest drop).
-        interval: the *intended* sampling period in seconds, recorded so
-            readers can label the x-axis; the ring never sleeps itself.
-    """
-
-    def __init__(
-        self, capacity: int = DEFAULT_CAPACITY, interval: float = 1.0
-    ) -> None:
-        if capacity < 2:
-            raise ValueError(f"capacity must be >= 2, got {capacity}")
-        self.capacity = int(capacity)
-        self.interval = float(interval)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._samples: deque = deque(maxlen=self.capacity)
+        self._samples: deque = deque(maxlen=CAPACITY)
         self._taken = 0
 
     def record(self, sample: dict, at: float | None = None) -> None:
@@ -70,8 +65,8 @@ class TimeSeries:
         if last is not None and last >= 0:
             samples = samples[-last:]
         return {
-            "interval": self.interval,
-            "capacity": self.capacity,
+            "interval": INTERVAL_S,
+            "capacity": self._samples.maxlen,
             "taken": taken,
             "samples": samples,
         }

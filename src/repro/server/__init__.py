@@ -5,7 +5,8 @@ The serving pipeline, bottom up:
 * :mod:`repro.server.protocol` — length-prefixed frames (JSON
   messages, binary columnar bulk results) and typed error replies;
 * :mod:`repro.server.gateway` — where coroutines call the RW-locked
-  engine: inline on the loop thread, or on a bounded thread pool;
+  engine: inline on the loop thread, or on one worker thread when a
+  statement timeout is set;
 * :mod:`repro.server.session` — per-connection prepared-statement
   handles and deferred BEGIN/COMMIT/ABORT transactions;
 * :mod:`repro.server.server` — the asyncio TCP server with admission

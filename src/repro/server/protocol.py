@@ -42,15 +42,16 @@ Binary columnar results
     space-padded to a multiple of 8 bytes so the body starts aligned)
     + the concatenated raw column bodies (``ndarray.tobytes()``,
     decoded zero-copy with ``np.frombuffer`` on the far side).  A
-    result that fits one frame is a single ``FULL`` frame; larger
+    result within :data:`CHUNK_BYTES` is a single ``FULL`` frame; larger
     results *stream* as bounded ``CHUNK`` frames closed by an ``END``
     trailer carrying the totals, so arbitrarily large SELECTs cross
     the wire without a giant allocation on either peer
     (:func:`encode_result_frames` / :class:`ResultAssembler`).  Bodies
     cross the wire raw unless HELLO negotiated a codec — our clients
-    offer one only with ``compression=True``, zlib-1 (~105 MB/s) loses
-    to any link past ~50 MB/s — and then those past
-    :data:`COMPRESS_MIN_BYTES` are zlib-compressed per frame.
+    offer one only with ``compression=True``, since zlib-1 (~105 MB/s)
+    loses to any link past ~50 MB/s; the server accepts any offer of a
+    codec it supports — and then those past :data:`COMPRESS_MIN_BYTES`
+    are zlib-compressed per frame.
     Every header and descriptor field of an incoming frame is
     type- and range-checked: a malformed frame is a
     :class:`ProtocolError`, never a ``KeyError`` or a wild allocation.
@@ -95,8 +96,9 @@ SUPPORTED_COMPRESSIONS = ("zlib",)
 MAX_FRAME_BYTES = 32 * 1024 * 1024
 
 #: Target payload size for one result chunk (bounds peak memory per
-#: frame on both peers; well under MAX_FRAME_BYTES).
-DEFAULT_CHUNK_BYTES = 1 << 20
+#: frame on both peers; well under MAX_FRAME_BYTES).  Read at encode
+#: time, so a test can lower it to reach the chunked path cheaply.
+CHUNK_BYTES = 1 << 20
 
 #: Binary frame bodies below this stay raw even when compression was
 #: negotiated — zlib on tiny payloads costs more than it saves.
@@ -362,32 +364,25 @@ def _result_frame(
     return _pack_binary(kind, header, body, compression)
 
 
-def _chunk_stops(plans, n_rows: int, chunk_bytes: int, chunk_rows) -> list[int]:
-    """The row offset ending each chunk.  Without an explicit
-    ``chunk_rows`` a chunk takes as many rows as fit ``chunk_bytes`` by
-    the columns' real per-row byte counts (always at least one), so
-    values that grow along the result cannot push a chunk past the cap."""
-    if chunk_rows is None:
-        row_bytes = sum(plan[3] for plan in plans)
-        if np.ndim(row_bytes):
-            spent = np.cumsum(row_bytes)
-            stops, stop = [], 0
-            while stop < n_rows:
-                budget = chunk_bytes + (int(spent[stop - 1]) if stop else 0)
-                stop = max(stop + 1, int(np.searchsorted(spent, budget, side="right")))
-                stops.append(stop)
-            return stops
-        chunk_rows = max(1, chunk_bytes // max(int(row_bytes), 1))
+def _chunk_stops(plans, n_rows: int) -> list[int]:
+    """The row offset ending each chunk.  A chunk takes as many rows as
+    fit :data:`CHUNK_BYTES` by the columns' real per-row byte counts
+    (always at least one), so values that grow along the result cannot
+    push a chunk past the cap."""
+    row_bytes = sum(plan[3] for plan in plans)
+    if np.ndim(row_bytes):
+        spent = np.cumsum(row_bytes)
+        stops, stop = [], 0
+        while stop < n_rows:
+            budget = CHUNK_BYTES + (int(spent[stop - 1]) if stop else 0)
+            stop = max(stop + 1, int(np.searchsorted(spent, budget, side="right")))
+            stops.append(stop)
+        return stops
+    chunk_rows = max(1, CHUNK_BYTES // max(int(row_bytes), 1))
     return [*range(chunk_rows, n_rows, chunk_rows), n_rows]
 
 
-def encode_result_frames(
-    result,
-    *,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    chunk_rows: int | None = None,
-    compression: str | None = None,
-):
+def encode_result_frames(result, *, compression: str | None = None):
     """Yield the binary frame(s) carrying one bulk query result.
 
     Encoded from ``result.arrays``: a columnar result is sliced, never
@@ -401,7 +396,7 @@ def encode_result_frames(
     plans = [_plan_column(result.arrays[name]) for name in columns]
     n_rows = result.row_count
     affected = int(result.affected)
-    stops = _chunk_stops(plans, n_rows, chunk_bytes, chunk_rows)
+    stops = _chunk_stops(plans, n_rows)
     if len(stops) <= 1:
         extra = {"affected": affected}
         yield _result_frame(_KIND_FULL, columns, plans, 0, n_rows, extra, compression)

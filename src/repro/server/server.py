@@ -13,15 +13,14 @@ connections.  The shape is run to completion:
   fill and the client blocks — backpressure without a queue, and
   without a dropped or reordered request;
 * engine calls go through the
-  :class:`~repro.server.gateway.ExecutionGateway`.  With one worker and
-  no statement timeout — the default — it runs them right on the
-  event-loop thread: a converged query costs less than the thread hop
-  it would otherwise pay.  The price is that a long statement (a cold
-  crack of a big column, a checkpoint) delays every other connection,
-  accept, HELLO and ``timeseries`` for its duration.  ``pool_size`` > 1
-  or a ``statement_timeout`` moves engine calls onto the gateway's
-  thread pool, where the engine's own RW locks interleave cracking
-  writes and snapshot reads and the loop stays responsive;
+  :class:`~repro.server.gateway.ExecutionGateway`.  Without a statement
+  timeout — the default — it runs them right on the event-loop thread:
+  a converged query costs less than the thread hop it would otherwise
+  pay.  The price is that a long statement (a cold crack of a big
+  column, a checkpoint) delays every other connection, accept, HELLO
+  and ``timeseries`` for its duration.  A ``statement_timeout`` moves
+  engine calls onto one worker thread, so the loop stays responsive
+  and can give up on a statement that runs too long;
 * admission control refuses connections past ``max_connections`` with
   a typed ``overloaded`` error frame before closing.
 
@@ -31,6 +30,10 @@ requests it has already received, sends ``goodbye``, waits for
 in-flight engine calls, then flushes the WAL and checkpoints the
 persistent store — so a restart recovers the full served state with an
 empty log tail.
+
+Chunk size (:data:`~repro.server.protocol.CHUNK_BYTES`), pipelined
+fold (:data:`PIPELINE_BATCH`), sampling period and drain wait are module
+constants, not settings, and a client's zlib offer is always honoured.
 """
 
 from __future__ import annotations
@@ -39,11 +42,10 @@ import asyncio
 import threading
 from collections import deque
 
-from repro.errors import ProtocolError
-from repro.obs.timeseries import TimeSeries
+from repro.errors import ProtocolError, SettingError
+from repro.obs import timeseries
 from repro.server.gateway import ExecutionGateway
 from repro.server.protocol import (
-    DEFAULT_CHUNK_BYTES,
     FrameDecoder,
     encode_frame,
     encode_result_frames,
@@ -54,6 +56,12 @@ from repro.server.protocol import (
 from repro.server.session import ClientSession
 
 _READ_BYTES = 1 << 16  # one socket read; bounds a decoded run
+
+#: Most pipelined statements folded into one engine trip per connection.
+PIPELINE_BATCH = 128
+
+#: Seconds :meth:`ReproServer.stop` lets connections finish their runs.
+DRAIN_TIMEOUT_S = 10.0
 
 
 class _Connection:
@@ -72,31 +80,17 @@ class ReproServer:
     """Serve one database over the wire protocol.
 
     Args:
-        database: the shared engine.  Build it with ``concurrent=True``
-            whenever ``pool_size`` > 1 (the CLI does).
+        database: the shared engine.
         host/port: bind address; port 0 picks a free port (see
             :attr:`address` after :meth:`start`).
         max_connections: admission bound on simultaneous connections.
-        pool_size: gateway worker threads.  1 without a
-            ``statement_timeout`` runs engine calls inline on the
-            event-loop thread; anything else uses the thread pool.
         max_pending: gateway admission bound across all connections
-            (only threaded calls can pile up against it).
-        statement_timeout: seconds per statement (None = unbounded).
-        checkpoint_on_shutdown: checkpoint + close a persistent
-            database during :meth:`stop` (reopen restarts warm with an
-            empty WAL tail).
-        drain_timeout: seconds to wait for workers to drain on stop.
-        chunk_bytes: target payload size per binary result-chunk frame;
-            results past it stream as bounded chunks instead of one
-            giant frame.
-        compression: honour a client's offer to zlib-compress large
-            binary result-frame bodies (clients offer only when asked
-            to: ``Client(compression=True)``).
-        pipeline_batch: maximum pipelined statements folded into one
-            engine trip per connection (1 disables batching).
-        timeseries_interval: seconds between metrics ring samples (the
-            ``timeseries`` wire message / ``repro top`` feed).
+            (only calls on the worker can pile up against it).
+        statement_timeout: seconds per statement (None = unbounded, and
+            engine calls run inline on the event-loop thread).
+
+    A value that would make the server refuse all work raises
+    :class:`~repro.errors.SettingError`.
     """
 
     def __init__(
@@ -106,32 +100,21 @@ class ReproServer:
         port: int = 0,
         *,
         max_connections: int = 64,
-        pool_size: int = 1,
         max_pending: int = 64,
         statement_timeout: float | None = None,
-        checkpoint_on_shutdown: bool = True,
-        drain_timeout: float = 10.0,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        compression: bool = True,
-        pipeline_batch: int = 128,
-        timeseries_interval: float = 1.0,
     ) -> None:
+        if not 0 <= port <= 65535:
+            raise SettingError("port", "in 0..65535", port)
+        if max_connections < 1:
+            raise SettingError("max_connections", ">= 1", max_connections)
         self.database = database
         self.host = host
         self.port = port
         self.max_connections = max_connections
-        self.checkpoint_on_shutdown = checkpoint_on_shutdown
-        self.drain_timeout = drain_timeout
-        self.chunk_bytes = chunk_bytes
-        self.compression = compression
-        self.pipeline_batch = max(1, pipeline_batch)
         self.gateway = ExecutionGateway(
-            pool_size=pool_size,
-            max_pending=max_pending,
-            statement_timeout=statement_timeout,
-            inline=pool_size == 1 and statement_timeout is None,
+            max_pending=max_pending, statement_timeout=statement_timeout
         )
-        self.timeseries = TimeSeries(interval=timeseries_interval)
+        self.timeseries = timeseries.TimeSeries()
         self._sampler_task: asyncio.Task | None = None
         self._server: asyncio.AbstractServer | None = None
         self._connections: dict[int, _Connection] = {}
@@ -154,13 +137,14 @@ class ReproServer:
     async def _sample_loop(self) -> None:
         """Feed the metrics ring once per interval until shutdown.
 
-        Sampling reads engine state (metric locks, cracker read locks),
-        so it runs on an executor thread like any other engine work;
-        a failed sample is skipped rather than killing the monitor.
+        Sampling only reads engine state, under the engine's own metric
+        and cracker read locks, so it runs on an executor thread where
+        waiting on a lock blocks no connection; a failed sample is
+        skipped rather than killing the monitor.
         """
         loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(self.timeseries.interval)
+            await asyncio.sleep(timeseries.INTERVAL_S)
             try:
                 sample = await loop.run_in_executor(None, self._build_sample)
             except Exception:
@@ -168,12 +152,13 @@ class ReproServer:
             self.timeseries.record(sample)
 
     def _build_sample(self) -> dict:
-        """One flat numeric sample of engine + server state."""
+        """One flat numeric sample of engine + server state, built from
+        one :meth:`Database.stats` call."""
+        engine = self.database.stats()
         sample: dict = {}
-        snap = self.database.metrics.snapshot()
         statements = 0
         for key, hist in (
-            snap["histograms"].get("repro_statement_seconds", {}).items()
+            engine["metrics"]["histograms"].get("repro_statement_seconds", {}).items()
         ):
             statements += hist["count"]
             if key == "kind=select":
@@ -181,27 +166,21 @@ class ReproServer:
                 sample["select_p95_ms"] = hist["p95"] * 1000.0
                 sample["select_p99_ms"] = hist["p99"] * 1000.0
         sample["statements"] = statements
-        for name, source in (
-            ("cracks", "repro_cracker_cracks"),
-            ("tuples_moved", "repro_cracker_tuples_moved"),
-            ("pieces", "repro_cracker_pieces"),
-            ("generation", "repro_generation"),
-            ("durable_generation", "repro_durable_generation"),
-            ("checkpoint_in_flight", "repro_checkpoint_in_flight"),
-            ("checkpoint_failures", "repro_checkpoint_failures"),
-        ):
-            gauges = snap["gauges"].get(source)
-            if gauges:
-                sample[name] = sum(gauges.values())
+        columns = engine["cracker_detail"].values()
+        if columns:
+            for key in ("cracks", "tuples_moved", "pieces"):
+                sample[key] = sum(column[key] for column in columns)
+        persistence = engine["persistence"]
+        if persistence["persistent"]:
+            for key in ("generation", "durable_generation",
+                        "checkpoint_in_flight", "checkpoint_failures"):
+                sample[key] = int(persistence[key])
         server = self.stats()
         sample["connections"] = server["connections"]
         sample["queue_depth"] = server["queue_depth"]
-        cracker = getattr(self.database, "_cracker", None)
-        if cracker is not None and getattr(cracker, "profile", False):
-            for introspection in cracker.introspections().values():
-                last = introspection.convergence()["last"]
-                if last is not None:
-                    sample[f"convergence:{introspection.name}"] = last
+        for name, curve in engine["convergence"].items():
+            if curve["last"] is not None:
+                sample[f"convergence:{name}"] = curve["last"]
         return sample
 
     @property
@@ -224,7 +203,7 @@ class ReproServer:
 
         Order: stop accepting → let every connection answer what it
         has already received and say goodbye (bounded by
-        ``drain_timeout``) → wait out in-flight engine calls →
+        :data:`DRAIN_TIMEOUT_S`) → wait out in-flight engine calls →
         checkpoint + close the persistent store.
         """
         self._draining = True
@@ -240,7 +219,7 @@ class ReproServer:
             if conn.reading:
                 conn.task.cancel()  # idle: wake it up to say goodbye
         if tasks:
-            _, pending = await asyncio.wait(tasks, timeout=self.drain_timeout)
+            _, pending = await asyncio.wait(tasks, timeout=DRAIN_TIMEOUT_S)
             for task in pending:
                 task.cancel()
         if self._server is not None:
@@ -248,7 +227,7 @@ class ReproServer:
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.gateway.shutdown)
         checkpoint = None
-        if self.database.persistent and self.checkpoint_on_shutdown:
+        if self.database.persistent:
             checkpoint = await loop.run_in_executor(
                 None, self.database.checkpoint
             )
@@ -304,7 +283,6 @@ class ReproServer:
             self.gateway,
             session_id,
             server_stats=self.stats,
-            compression=self.compression,
             timeseries=self.timeseries.snapshot,
         )
         conn = self._connections[session_id] = _Connection(session, reader, writer)
@@ -326,18 +304,16 @@ class ReproServer:
 
         A bulk result reply carries the raw :class:`QueryResult` under
         ``"_result"``: it is encoded here into binary columnar frames —
-        chunked past ``chunk_bytes``, with a drain after every chunk so
-        a huge SELECT streams under TCP backpressure instead of
-        ballooning in the writer's buffer.
+        chunked past :data:`~repro.server.protocol.CHUNK_BYTES`, with a
+        drain after every chunk so a huge SELECT streams under TCP
+        backpressure instead of ballooning in the writer's buffer.
         """
         result = reply.pop("_result", None) if isinstance(reply, dict) else None
         if result is None:
             conn.writer.write(encode_frame(reply))
             return
         for frame in encode_result_frames(
-            result,
-            chunk_bytes=self.chunk_bytes,
-            compression=conn.session.compression,
+            result, compression=conn.session.compression
         ):
             conn.writer.write(frame)
             await conn.writer.drain()
@@ -399,7 +375,7 @@ class ReproServer:
             if session.batchable(message):
                 while (
                     backlog
-                    and len(batch) < self.pipeline_batch
+                    and len(batch) < PIPELINE_BATCH
                     and session.batchable(backlog[0])
                 ):
                     batch.append(backlog.popleft())

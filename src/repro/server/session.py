@@ -48,8 +48,7 @@ class ClientSession:
     """Protocol state machine for one connection.
 
     Args:
-        database: the shared engine (constructed with
-            ``concurrent=True`` when the gateway runs >1 worker thread).
+        database: the shared engine.
         gateway: the execution gateway engine calls go through.
         session_id: server-assigned id, echoed in HELLO and STATS.
         server_stats: zero-argument callable returning the server's
@@ -66,7 +65,6 @@ class ClientSession:
         gateway,
         session_id: int,
         server_stats=None,
-        compression: bool = True,
         timeseries=None,
     ) -> None:
         self.database = database
@@ -74,13 +72,12 @@ class ClientSession:
         self.session_id = session_id
         self.server_stats = server_stats
         self.timeseries = timeseries
-        self.compression_enabled = compression
         self.client_name = "?"
         self.greeted = False
         self.closing = False
         self.statements = 0
-        #: Negotiated in HELLO (None until then, and when either side
-        #: declines).
+        #: Negotiated in HELLO (None until then, and when the client
+        #: offers no codec).
         self.compression: str | None = None
         self._prepared: dict[str, object] = {}
         self._next_handle = 1
@@ -131,7 +128,7 @@ class ClientSession:
 
         Pipelined clients send many small statements back to back;
         dispatching each one individually pays the per-trip cost (on
-        the thread pool, an event-loop → worker-thread handoff) per
+        the worker, an event-loop → worker-thread handoff) per
         statement, which dominates once the engine itself answers in
         microseconds.  This path validates every message up front,
         executes the whole run sequentially in one gateway call, and
@@ -236,9 +233,7 @@ class ClientSession:
                 f"no common protocol version: server speaks "
                 f"{[PROTOCOL_VERSION]}, client offered {offered}",
             )
-        self.compression = (
-            negotiate_compression(message) if self.compression_enabled else None
-        )
+        self.compression = negotiate_compression(message)
         self.greeted = True
         self.client_name = str(message.get("client", "?"))
         return {

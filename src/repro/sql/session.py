@@ -121,10 +121,10 @@ class Database:
     :meth:`checkpoint` captures and writes inline, and :meth:`close`
     joins the writer.
 
-    Observability: ``metrics`` (default on) keeps per-statement-kind
-    latency histograms and cracker/plan-cache/persistence gauges in
-    :attr:`metrics` (a :class:`~repro.obs.metrics.MetricsRegistry`);
-    ``metrics=False`` turns even that off.  ``trace=True`` span-traces
+    Observability: :attr:`metrics` (a
+    :class:`~repro.obs.metrics.MetricsRegistry`) always keeps
+    per-statement-kind latency histograms and cracker/plan-cache/
+    persistence gauges.  ``trace=True`` span-traces
     every statement (:meth:`last_trace` returns the most recent tree);
     ``EXPLAIN ANALYZE <stmt>`` traces one statement regardless and
     returns the tree as result rows.  ``slow_query_ms`` logs every
@@ -155,7 +155,6 @@ class Database:
         wal_fsync_every: int = 64,
         checkpoint_statements: int | None = None,
         checkpoint_wal_bytes: int | None = None,
-        metrics: bool = True,
         trace: bool = False,
         slow_query_ms: float | None = None,
         profile: bool = False,
@@ -195,10 +194,9 @@ class Database:
         # logging and checkpoints are deferred until the batch commits.
         self._in_transaction = 0
         self._closed = False
-        # Observability: the registry always exists (disabled registries
-        # hand out no-op metrics), per-kind histograms are cached here so
-        # the hot path never does a registry lookup.
-        self.metrics = MetricsRegistry(enabled=metrics)
+        # Observability: per-kind histograms are cached here so the hot
+        # path never does a registry lookup.
+        self.metrics = MetricsRegistry()
         self.metrics.register_collector(self._collect_engine_samples)
         # Exposition HELP text for the collector-produced gauges (they
         # never pass through counter()/histogram(), so describe() is the
@@ -215,7 +213,6 @@ class Database:
             ("repro_wal_bytes", "Write-ahead log size in bytes"),
         ):
             self.metrics.describe(metric_name, help_text)
-        self._metrics_on = metrics
         self._trace_statements = trace
         self._slow_query_ms = slow_query_ms
         self._stmt_hists: dict[str, object] = {}
@@ -249,7 +246,7 @@ class Database:
         under a span trace and returns the trace as the result rows —
         see :class:`ExplainAnalyze`.
         """
-        started = time.perf_counter() if self._metrics_on else 0.0
+        started = time.perf_counter()
         # With the profiler on, tag this context so lineage events can
         # name the statement that triggered each reorganisation.  The
         # tag is set-only (no reset): every profiled execute overwrites
@@ -263,8 +260,7 @@ class Database:
         else:
             stmt = self.compile(sql)
             result = self._run(stmt, sql)
-        if self._metrics_on:
-            self._record_statement(stmt.kind, time.perf_counter() - started)
+        self._record_statement(stmt.kind, time.perf_counter() - started)
         return result
 
     def compile(self, sql: str) -> Statement:

@@ -26,8 +26,8 @@ from repro.storage.table import Column, Relation, Schema
 from repro.volcano.operators import resolve_column
 
 #: Rows per scan batch; large enough to amortise dispatch, small enough to
-#: stay cache-resident for the common 8-byte column.
-DEFAULT_BATCH_ROWS = 65_536
+#: stay cache-resident for the common 8-byte column.  Read per scan.
+BATCH_ROWS = 65_536
 
 
 def join_probe(
@@ -156,13 +156,9 @@ class VecScan(VecOperator):
         self,
         relation: Relation,
         alias: str | None = None,
-        batch_rows: int = DEFAULT_BATCH_ROWS,
         needed: Sequence[str] | None = None,
     ) -> None:
-        if batch_rows < 1:
-            raise ExecutionError(f"batch_rows must be >= 1, got {batch_rows}")
         self.relation = relation
-        self.batch_rows = batch_rows
         self._names = _scan_names(relation, needed)
         prefix = alias if alias is not None else relation.name
         self.columns = [f"{prefix}.{name}" for name in self._names]
@@ -178,8 +174,8 @@ class VecScan(VecOperator):
             live = self.relation.live_positions(total)
             arrays = [a[live] for a in arrays]
             total = len(live)
-        for start in range(0, total, self.batch_rows):
-            stop = min(start + self.batch_rows, total)
+        for start in range(0, total, BATCH_ROWS):
+            stop = min(start + BATCH_ROWS, total)
             yield ColumnBatch(self.columns, [a[start:stop] for a in arrays])
 
 

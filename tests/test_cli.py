@@ -156,6 +156,61 @@ class TestPersistenceSubcommands:
         assert "restore" in out
 
 
+class TestServeSettings:
+    """Settings under which ``repro serve`` would refuse all work are
+    refused up front: one line naming the flag, before it listens."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--port", "-1"),
+            ("--port", "65536"),
+            ("--max-connections", "0"),
+            ("--max-pending", "-1"),
+            ("--statement-timeout", "0"),
+            ("--statement-timeout", "-2.5"),
+        ],
+    )
+    def test_cli_names_the_flag_before_listening(self, capsys, flag, value):
+        assert main(["serve", flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert "listening on" not in out
+        assert err.count("\n") == 1 and flag in err
+
+    @pytest.mark.parametrize(
+        "setting, value",
+        [
+            ("port", -1),
+            ("max_connections", 0),
+            ("max_pending", -1),
+            ("statement_timeout", 0),
+            ("statement_timeout", -1.0),
+        ],
+    )
+    def test_the_server_refuses_them_when_built(self, setting, value):
+        from repro.server import ReproServer
+        from repro.sql import Database
+
+        with pytest.raises(errors.SettingError) as info:
+            ReproServer(Database(), **{setting: value})
+        assert info.value.setting == setting
+
+    @pytest.mark.parametrize(
+        "setting, value", [("max_pending", -1), ("statement_timeout", 0)]
+    )
+    def test_a_gateway_refuses_them_when_built(self, setting, value):
+        from repro.server import ExecutionGateway
+
+        with pytest.raises(errors.SettingError):
+            ExecutionGateway(**{setting: value})
+
+    def test_pool_size_accepts_only_one(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--pool-size", "4"])
+        assert info.value.code == 2
+        assert "worker pool was removed" in capsys.readouterr().err
+
+
 class TestErrorHierarchy:
     @pytest.mark.parametrize(
         "exc",

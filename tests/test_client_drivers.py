@@ -3,7 +3,7 @@
 :class:`Client` and :class:`AsyncClient` are two transports over one
 sans-IO core, so every scenario here runs unchanged through both —
 against one shared :class:`ServerThread` per execution mode (engine
-calls inline on the loop thread, and on the thread pool) — and is
+calls inline on the loop thread, and on the gateway's worker) — and is
 checked against embedded execution of the same statements.  A scenario is an ``async``
 function; :func:`do` awaits what the asyncio driver returns and passes
 through what the blocking one does.
@@ -34,8 +34,9 @@ def server():
 
 @pytest.fixture(scope="module")
 def threaded_server():
-    """The same server with engine calls on the gateway's thread pool."""
-    with served(pool_size=4) as (_, host, port, _thread):
+    """The same server with engine calls on the gateway's one worker
+    thread (a statement timeout puts them there)."""
+    with served(statement_timeout=60) as (_, host, port, _thread):
         yield host, port
 
 

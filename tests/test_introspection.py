@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CatalogError, SQLAnalysisError
+from repro.obs import introspect as obs_introspect, timeseries
 from repro.obs.introspect import ColumnIntrospection
 from repro.obs.metrics import MetricsRegistry, render_exposition
 from repro.obs.timeseries import TimeSeries, rates
@@ -174,8 +175,9 @@ class TestLineage:
         assert "merge" in ops
         assert "tombstone" in ops
 
-    def test_event_log_is_bounded_but_counts_everything(self):
-        intro = ColumnIntrospection("x", 0, 100, capacity=4)
+    def test_event_log_is_bounded_but_counts_everything(self, monkeypatch):
+        monkeypatch.setattr(obs_introspect, "LINEAGE_CAPACITY", 4)
+        intro = ColumnIntrospection("x", 0, 100)
         for i in range(10):
             intro.record_crack(bounds=(i,), piece_sizes=(i, 10 - i), moved=i)
         lineage = intro.lineage()
@@ -272,10 +274,10 @@ class TestExplainIndex:
 
 
 class TestTimeSeries:
-    def test_capacity_validation_and_ring_bound(self):
-        with pytest.raises(ValueError):
-            TimeSeries(capacity=1)
-        ring = TimeSeries(capacity=3, interval=0.5)
+    def test_ring_keeps_the_last_capacity_samples(self, monkeypatch):
+        monkeypatch.setattr(timeseries, "CAPACITY", 3)
+        monkeypatch.setattr(timeseries, "INTERVAL_S", 0.5)
+        ring = TimeSeries()
         for i in range(7):
             ring.record({"n": i}, at=float(i))
         snap = ring.snapshot()
@@ -285,13 +287,13 @@ class TestTimeSeries:
         assert [s["n"] for s in snap["samples"]] == [4, 5, 6]
 
     def test_record_drops_non_numeric_and_stamps_time(self):
-        ring = TimeSeries(capacity=4)
+        ring = TimeSeries()
         ring.record({"ok": 1, "skip": "text", "flag": True, "f": 2.5}, at=10.0)
         (sample,) = ring.snapshot()["samples"]
         assert sample == {"t": 10.0, "ok": 1, "f": 2.5}
 
     def test_snapshot_last_trims(self):
-        ring = TimeSeries(capacity=10)
+        ring = TimeSeries()
         for i in range(6):
             ring.record({"n": i}, at=float(i))
         assert len(ring.snapshot(last=2)["samples"]) == 2
@@ -326,7 +328,7 @@ class TestTimeseriesWire:
         from repro.server.session import ClientSession
 
         db = Database(cracking=True, concurrent=True)
-        gateway = ExecutionGateway(pool_size=1)
+        gateway = ExecutionGateway()
         session = ClientSession(db, gateway, 1, timeseries=timeseries)
         hello = await session.handle(
             {"type": "hello", "protocol": PROTOCOL_VERSION}
@@ -347,7 +349,7 @@ class TestTimeseriesWire:
         asyncio.run(scenario())
 
     def test_snapshot_passthrough_and_last_validation(self):
-        ring = TimeSeries(capacity=4, interval=2.0)
+        ring = TimeSeries()
         ring.record({"statements": 7}, at=1.0)
         ring.record({"statements": 9}, at=3.0)
 
@@ -373,7 +375,7 @@ class TestTimeseriesWire:
 
 class TestHelpExposition:
     def test_described_metrics_emit_help_lines(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter(
             "jobs_total", description="Jobs processed"
         ).inc()

@@ -170,19 +170,6 @@ class TestRegistry:
         assert snap["gauges"]["pieces"] == {"column=r.a": 9}
         assert 'pieces{column="r.a"} 9' in reg.render()
 
-    def test_disabled_registry_is_inert(self):
-        reg = MetricsRegistry(enabled=False)
-        reg.counter("c").inc()
-        reg.histogram("h").observe(1.0)
-        reg.register_collector(lambda: [("x", None, 1)])
-        assert reg.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}
-        }
-        assert reg.render() == ""
-        # Unregistered metrics never read back anything.
-        assert reg.counter("c").value == 0
-        assert reg.histogram("h").count == 0
-
     def test_render_exposition_format(self):
         reg = MetricsRegistry()
         reg.counter("total", {"kind": "select"}).inc(2)

@@ -263,16 +263,6 @@ class TestStatsSurface:
         assert 'repro_cracker_tuples{column="r.a"} 300' in text
         assert "repro_plan_cache_misses" in text
 
-    def test_metrics_disabled_database_still_works(self):
-        db = Database(cracking=True, metrics=False)
-        _load_small(db)
-        assert db.execute("SELECT count(*) FROM r WHERE a > 40").scalar() > 0
-        stats = db.stats()
-        assert stats["metrics"] == {
-            "counters": {}, "gauges": {}, "histograms": {}
-        }
-        assert db.metrics.render() == ""
-
 
 class TestWritePathSpans:
     def test_wal_append_and_fsync_spans(self, tmp_path):

@@ -21,13 +21,14 @@ import socket
 import struct
 import threading
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.client import Client
 from repro.errors import ProtocolError, RemoteError, ServerUnavailableError
-from repro.server import ServerThread
+from repro.server import ServerThread, protocol
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -55,6 +56,12 @@ def decode_frames(frames) -> list[dict]:
     for frame in frames:
         messages.extend(decoder.feed(frame))
     return messages
+
+
+def chunked(result, chunk_bytes: int) -> list[bytes]:
+    """``result``'s frames with :data:`CHUNK_BYTES` set to ``chunk_bytes``."""
+    with mock.patch.object(protocol, "CHUNK_BYTES", chunk_bytes):
+        return list(encode_result_frames(result))
 
 
 def assemble(frames) -> dict:
@@ -149,7 +156,7 @@ class TestBinaryCodec:
     def test_chunked_stream_reassembles(self):
         rows = [(i, float(i)) for i in range(1000)]
         result = QueryResult(columns=["k", "w"], rows=rows)
-        frames = list(encode_result_frames(result, chunk_rows=64))
+        frames = chunked(result, 64 * 16)
         # 1000 rows at 64/chunk: 16 CHUNK frames plus the END trailer.
         assert len(frames) == 17
         message = assemble(frames)
@@ -190,7 +197,10 @@ class TestBinaryCodec:
         for width in range(1, 9):
             arrays = {"k" * width: k, "w": k * 0.5}
             result = QueryResult(list(arrays), arrays=arrays)
-            frames = list(encode_result_frames(result, chunk_rows=chunk_rows))
+            if chunk_rows is None:
+                frames = list(encode_result_frames(result))
+            else:  # two 8-byte columns: 16 bytes a row
+                frames = chunked(result, chunk_rows * 16)
             assert len(frames) == (1 if chunk_rows is None else 8)
             for frame in frames:
                 (header_len,) = struct.unpack_from("!I", frame, 8)
@@ -206,33 +216,19 @@ class TestBinaryCodec:
         assert residues == set(range(8))  # every unpadded length mod 8
 
     def test_oversized_single_frame_rejected(self, monkeypatch):
-        import repro.server.protocol as protocol
-
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1024)
         rows = [(i,) for i in range(1000)]
         with pytest.raises(ProtocolError):
-            list(
-                encode_result_frames(
-                    QueryResult(columns=["x"], rows=rows), chunk_rows=1000
-                )
-            )
+            list(encode_result_frames(QueryResult(columns=["x"], rows=rows)))
         # Chunked, the same result fits fine under the shrunken cap.
-        frames = list(
-            encode_result_frames(
-                QueryResult(columns=["x"], rows=rows), chunk_rows=50
-            )
-        )
+        frames = chunked(QueryResult(columns=["x"], rows=rows), 50 * 8)
         assert assemble(frames)["rows"] == rows
 
 
 class TestResultAssembler:
-    def _frames(self, n_rows=100, chunk_rows=10):
-        rows = [(i,) for i in range(n_rows)]
-        return decode_frames(
-            encode_result_frames(
-                QueryResult(columns=["x"], rows=rows), chunk_rows=chunk_rows
-            )
-        )
+    def _frames(self):
+        rows = [(i,) for i in range(100)]
+        return decode_frames(chunked(QueryResult(columns=["x"], rows=rows), 10 * 8))
 
     def test_non_result_messages_pass_through(self):
         assembler = ResultAssembler()
@@ -338,12 +334,6 @@ class TestServedNegotiation:
             finally:
                 sock.close()
 
-    def test_compression_opt_out(self):
-        with served(compression=False) as (_, host, port, _thread):
-            with TappedClient(host, port, compression=True) as client:
-                assert client.compression is None
-                assert self._bulk_reply_flags(client) == 0
-
 
 class TestDifferentialEmbedded:
     """Served and embedded execution must be value-identical."""
@@ -448,7 +438,7 @@ class TestDifferentialEmbedded:
 
 @pytest.mark.usefixtures("threaded")
 class TestDifferentialEmbeddedThreaded(TestDifferentialEmbedded):
-    """The same differential and pipelining checks on the thread pool."""
+    """The same differential and pipelining checks on the worker thread."""
 
 
 @pytest.mark.usefixtures("opted_in")
@@ -495,13 +485,12 @@ class TestStreamingPastFrameCap:
         alone, so a varchar column starting with ``''`` put hundreds of
         long strings in one CHUNK, past the frame cap, and a valid
         SELECT died with "lower the chunk size"."""
-        import repro.server.protocol as protocol
-
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 16 * 1024)
         chunk_bytes = 4096
+        monkeypatch.setattr(protocol, "CHUNK_BYTES", chunk_bytes)
         rows = [(0, "")] + [(i, f"{i:06d}" + "x" * 120) for i in range(1, 2000)]
         result = QueryResult(columns=["k", "tag"], rows=rows)
-        frames = list(encode_result_frames(result, chunk_bytes=chunk_bytes))
+        frames = list(encode_result_frames(result))
         assert len(frames) > 20
         # A chunk overshoots its target by at most one row plus the header.
         assert max(map(len, frames)) < chunk_bytes + 512
@@ -511,7 +500,7 @@ class TestStreamingPastFrameCap:
         database.execute("CREATE TABLE v (k integer, tag varchar)")
         values = ", ".join(f"({k}, '{tag}')" for k, tag in rows)
         database.execute(f"INSERT INTO v VALUES {values}")
-        with served(database, chunk_bytes=chunk_bytes) as (_, host, port, _thread):
+        with served(database) as (_, host, port, _thread):
             with Client(host, port) as client:
                 assert client.execute("SELECT v.k, v.tag FROM v").rows == rows
 
@@ -556,11 +545,7 @@ class TestTornStreamDisconnect:
 
     def _chunk_frames(self) -> list[bytes]:
         rows = [(i,) for i in range(100)]
-        return list(
-            encode_result_frames(
-                QueryResult(columns=["x"], rows=rows), chunk_rows=10
-            )
-        )
+        return chunked(QueryResult(columns=["x"], rows=rows), 10 * 8)
 
     def test_disconnect_mid_chunk_raises_unavailable(self):
         frames = self._chunk_frames()

@@ -8,11 +8,11 @@ admission control (connection limit, overload, statement timeout),
 protocol robustness, backpressure, reconnect, and graceful
 checkpointing shutdown.
 
-The server has two execution modes (engine calls inline on the
-event-loop thread — the default — or on the gateway's thread pool).
-Tests run against the default; the ``...Threaded`` subclasses re-run
-the differential, concurrency and transaction classes with
-``pool_size=4`` through the :func:`threaded` fixture.
+The server runs engine calls inline on the event-loop thread unless a
+statement timeout is set, which moves them onto the gateway's one
+worker thread.  Tests run against the default; the ``...Threaded``
+subclasses re-run the differential, concurrency and transaction classes
+with ``statement_timeout=60`` through the :func:`threaded` fixture.
 """
 
 import asyncio
@@ -38,6 +38,7 @@ from repro.errors import (
 from repro.server import ClientSession, FrameDecoder, ServerThread, encode_frame
 from repro.server.gateway import ExecutionGateway
 from repro.server.protocol import PROTOCOL_VERSION
+from repro.server import server as server_module
 from repro.server.server import _READ_BYTES
 from repro.sql import Database
 
@@ -49,8 +50,9 @@ SERVED_DEFAULTS: dict = {}
 
 @pytest.fixture
 def threaded(monkeypatch):
-    """Every ``served()`` of the test runs the thread-pool gateway."""
-    monkeypatch.setitem(SERVED_DEFAULTS, "pool_size", 4)
+    """Every ``served()`` of the test runs engine calls on the gateway's
+    worker thread."""
+    monkeypatch.setitem(SERVED_DEFAULTS, "statement_timeout", 60)
 
 
 @contextmanager
@@ -267,9 +269,7 @@ class TestAdmissionControl:
         async def scenario():
             import time
 
-            gateway = ExecutionGateway(
-                pool_size=1, max_pending=1, statement_timeout=None
-            )
+            gateway = ExecutionGateway(max_pending=1, statement_timeout=0.5)
             release = threading.Event()
             first = asyncio.ensure_future(gateway.run(release.wait, 5))
             await asyncio.sleep(0.05)  # let it occupy the only slot
@@ -278,7 +278,7 @@ class TestAdmissionControl:
             release.set()
             await first
             with pytest.raises(StatementTimeoutError):
-                await gateway.run(time.sleep, 0.5, timeout=0.05)
+                await gateway.run(time.sleep, 1.5)
             stats = gateway.stats()
             assert stats["rejected"] == 1
             assert stats["timeouts"] == 1
@@ -389,7 +389,7 @@ class TestTransactions:
 
             db = Database(cracking=True, concurrent=True)
             db.execute("CREATE TABLE r (k integer)")
-            gateway = ExecutionGateway(pool_size=1)
+            gateway = ExecutionGateway()
             session = ClientSession(db, gateway, 1)
             await session.handle({"type": "hello", "protocol": PROTOCOL_VERSION})
             await session.handle({"type": "begin"})
@@ -725,17 +725,17 @@ class TestObservabilitySurface:
 
 @pytest.mark.usefixtures("threaded")
 class TestDifferentialOracleThreaded(TestDifferentialOracle):
-    """The same byte-equality, engine calls on the thread pool."""
+    """The same byte-equality, engine calls on the worker thread."""
 
 
 @pytest.mark.usefixtures("threaded")
 class TestConcurrentClientsThreaded(TestConcurrentClients):
-    """Four clients, four workers: the engine's RW locks arbitrate."""
+    """Four clients, one worker thread: statements take turns on it."""
 
 
 @pytest.mark.usefixtures("threaded")
 class TestTransactionsThreaded(TestTransactions):
-    """Deferred transactions, engine calls on the thread pool."""
+    """Deferred transactions, engine calls on the worker thread."""
 
 
 def slow_database(seconds: float) -> Database:
@@ -770,8 +770,8 @@ class TestExecutionModes:
 
         for kwargs, inline, shown in (
             ({}, True, "gateway: inline,"),
-            ({"pool_size": 4}, False, "gateway: 4 worker thread(s),"),
-            ({"statement_timeout": 5.0}, False, "gateway: 1 worker thread(s),"),
+            ({"statement_timeout": 5.0}, False,
+             "gateway: 1 worker thread (timeout 5.0s),"),
         ):
             with served(**kwargs) as (_, host, port, _thread):
                 with Client(host, port) as client:
@@ -794,13 +794,13 @@ class TestExecutionModes:
             assert gateway["peak_pending"] == 1
             assert gateway["pending"] == 0
             assert gateway["rejected"] == 0
-            assert thread.server.gateway._pool is None  # no thread was made
+            assert thread.server.gateway._worker is None  # no thread was made
 
     def test_statement_timeout_with_one_worker_takes_the_thread_pool(self):
         # A timeout needs a second thread: the caller must be able to
         # give up on a call that is still running.
         database = slow_database(0.3)
-        with served(database, pool_size=1, statement_timeout=0.05) as (
+        with served(database, statement_timeout=0.05) as (
             _, host, port, thread,
         ):
             with Client(host, port) as client:
@@ -811,14 +811,17 @@ class TestExecutionModes:
             assert gateway["inline"] is False
             assert gateway["timeouts"] == 1
 
-    @pytest.mark.parametrize("pool_size", [1, 4])
-    def test_stop_answers_what_was_received_then_says_goodbye(self, pool_size):
+    @pytest.mark.parametrize("timeout", [None, 60], ids=["inline", "timeout"])
+    def test_stop_answers_what_was_received_then_says_goodbye(
+        self, timeout, monkeypatch
+    ):
         database = slow_database(0.02)
         database.execute("CREATE TABLE r (k integer)")
         database.execute("INSERT INTO r VALUES (1), (2), (3)")
-        # pipeline_batch=1: five engine trips, so the stop request lands
-        # while most of the run is still waiting in the backlog.
-        thread = ServerThread(database, pool_size=pool_size, pipeline_batch=1)
+        # One statement per engine trip: five trips, so the stop request
+        # lands while most of the run is still waiting in the backlog.
+        monkeypatch.setattr(server_module, "PIPELINE_BATCH", 1)
+        thread = ServerThread(database, statement_timeout=timeout)
         host, port = thread.start()
         sock = socket.create_connection((host, port))
         try:

@@ -10,6 +10,7 @@ from repro.errors import ExecutionError
 from repro.sql import Database, analyze, build_plan, parse
 from repro.storage.bat import BAT
 from repro.storage.table import Column, Relation, Schema
+from repro.volcano import vectorized
 from repro.volcano.vectorized import (
     ColumnBatch,
     VecAggregate,
@@ -34,6 +35,12 @@ def _rows(operator) -> list[tuple]:
 def _relation(name, columns, data):
     schema = Schema([Column(n, t) for n, t in columns])
     return Relation.from_columns(name, schema, data)
+
+
+@pytest.fixture
+def batch_rows(monkeypatch):
+    """``batch_rows(n)`` sets the scan batch size for the test."""
+    return lambda rows: monkeypatch.setattr(vectorized, "BATCH_ROWS", rows)
 
 
 @pytest.fixture
@@ -72,26 +79,25 @@ class TestColumnBatch:
         assert compacted.arrays[0].tolist() == [20, 40]
 
 class TestVecScan:
-    def test_batching_covers_relation(self, r_rel):
-        scan = VecScan(r_rel, alias="R", batch_rows=64)
+    def test_batching_covers_relation(self, r_rel, batch_rows):
+        batch_rows(64)
+        scan = VecScan(r_rel, alias="R")
         batches = list(scan.batches())
         assert sum(len(b) for b in batches) == 500
         assert len(batches) == 8  # ceil(500/64)
         assert scan.columns == ["R.k", "R.a", "R.w"]
 
     def test_numeric_batches_are_zero_copy(self, r_rel):
-        scan = VecScan(r_rel, batch_rows=1000)
+        scan = VecScan(r_rel)  # one batch: 500 rows
         batch = next(scan.batches())
         assert np.shares_memory(batch.arrays[1], r_rel.column("a").tail_array())
 
-    def test_rejects_bad_batch_rows(self, r_rel):
-        with pytest.raises(ExecutionError):
-            VecScan(r_rel, batch_rows=0)
 
 
 class TestVecSelect:
-    def test_composes_selection_vectors_without_gather(self, r_rel):
-        scan = VecScan(r_rel, alias="R", batch_rows=128)
+    def test_composes_selection_vectors_without_gather(self, r_rel, batch_rows):
+        batch_rows(128)
+        scan = VecScan(r_rel, alias="R")
         first = VecSelect(scan, "R.a", lambda v: v >= 20)
         second = VecSelect(first, "R.a", lambda v: v < 60)
         a = r_rel.column("a").tail_array()
@@ -113,9 +119,10 @@ class TestVecHashJoin:
                     out.append(lrow + rrow)
         return out
 
-    def test_matches_naive_reference(self, r_rel, s_rel):
+    def test_matches_naive_reference(self, r_rel, s_rel, batch_rows):
+        batch_rows(100)
         join = VecHashJoin(
-            VecScan(r_rel, alias="R", batch_rows=100),
+            VecScan(r_rel, alias="R"),
             VecScan(s_rel, alias="S"),
             "R.k",
             "S.k",
@@ -127,7 +134,8 @@ class TestVecHashJoin:
         assert sorted(got) == sorted(expected)
         assert join.columns == ["R.k", "R.a", "R.w", "S.k", "S.g"]
 
-    def test_left_major_right_storage_order(self):
+    def test_left_major_right_storage_order(self, batch_rows):
+        batch_rows(1)
         left = _relation(
             "L", [("k", "int"), ("v", "int")],
             {"k": [2, 1, 2, 3], "v": [100, 101, 102, 103]},
@@ -137,7 +145,7 @@ class TestVecHashJoin:
             {"k": [2, 3, 2, 9], "g": [10, 20, 30, 40]},
         )
         join = VecHashJoin(
-            VecScan(left, alias="L", batch_rows=1),
+            VecScan(left, alias="L"),
             VecScan(right, alias="S"),
             "L.k",
             "S.k",
@@ -185,8 +193,9 @@ class TestVecAggregate:
             out.append(key + tuple(finals))
         return out
 
-    def test_matches_naive_reference(self, r_rel):
-        scan = VecScan(r_rel, alias="R", batch_rows=90)
+    def test_matches_naive_reference(self, r_rel, batch_rows):
+        batch_rows(90)
+        scan = VecScan(r_rel, alias="R")
         agg = VecAggregate(
             scan,
             ["R.a"],
@@ -207,14 +216,15 @@ class TestVecAggregate:
             assert grow[4] == pytest.approx(erow[4])
             assert grow[5] == pytest.approx(erow[5])
 
-    def test_multi_key_groups_in_ascending_key_order(self):
+    def test_multi_key_groups_in_ascending_key_order(self, batch_rows):
+        batch_rows(2)
         rel = _relation(
             "T",
             [("x", "int"), ("y", "int"), ("v", "int")],
             {"x": [1, 0, 1, 0, 1], "y": [0, 1, 0, 0, 1], "v": [5, 6, 7, 8, 9]},
         )
         vec = VecAggregate(
-            VecScan(rel, alias="T", batch_rows=2),
+            VecScan(rel, alias="T"),
             ["T.x", "T.y"],
             [("count", None), ("sum", "T.v")],
         )
@@ -240,7 +250,8 @@ class TestVecAggregate:
 
 
 class TestVecSortLimitProject:
-    def test_sort_stable_and_descending(self):
+    def test_sort_stable_and_descending(self, batch_rows):
+        batch_rows(2)
         rel = _relation(
             "T",
             [("key", "int"), ("tag", "int")],
@@ -251,12 +262,12 @@ class TestVecSortLimitProject:
             (False, [(0, 3), (1, 1), (1, 4), (2, 0), (2, 2)]),
             (True, [(2, 0), (2, 2), (1, 1), (1, 4), (0, 3)]),
         ):
-            vec = VecSort(VecScan(rel, alias="T", batch_rows=2), "T.key",
-                          descending=descending)
+            vec = VecSort(VecScan(rel, alias="T"), "T.key", descending=descending)
             assert _rows(vec) == expected
 
-    def test_limit_stops_batch_stream(self, r_rel):
-        limit = VecLimit(VecScan(r_rel, alias="R", batch_rows=10), 25)
+    def test_limit_stops_batch_stream(self, r_rel, batch_rows):
+        batch_rows(10)
+        limit = VecLimit(VecScan(r_rel, alias="R"), 25)
         assert len(_rows(limit)) == 25
         assert _rows(VecLimit(VecScan(r_rel), 0)) == []
         with pytest.raises(ExecutionError):
@@ -417,8 +428,9 @@ class TestProjectionPushdown:
 
 
 class TestConcatBatches:
-    def test_concat_and_empty(self, r_rel):
-        scan = VecScan(r_rel, batch_rows=64)
+    def test_concat_and_empty(self, r_rel, batch_rows):
+        batch_rows(64)
+        scan = VecScan(r_rel)
         batch = concat_batches(scan)
         assert len(batch) == 500
         empty = VecSelect(VecScan(r_rel), "a", lambda v: v > 10**9)

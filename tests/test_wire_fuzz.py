@@ -44,6 +44,7 @@ from repro.server.protocol import (
 )
 from repro.sql import QueryResult
 
+from test_protocol_v2 import chunked
 from test_server import read_one as _read_one, served
 
 def _unpack(frame: bytes):
@@ -69,7 +70,7 @@ def _corpus() -> list[bytes]:
     )
     wide = QueryResult(columns=["x"], rows=[(7,)] * 2000)
     frames = list(encode_result_frames(mixed))
-    frames += encode_result_frames(mixed, chunk_rows=15)
+    frames += chunked(mixed, 400)  # three chunks of 13-15 rows
     frames += encode_result_frames(wide, compression="zlib")
     frames.append(encode_frame(result_reply(QueryResult(columns=["c"], rows=[(3,)]))))
     return frames
@@ -231,9 +232,9 @@ class TestHostileFrames:
     def test_chunks_must_agree_with_the_trailer_on_columns(self):
         # Chunk columns are joined by position: a chunk naming other
         # columns than the trailer is a torn stream, not a wider result.
-        frames = list(encode_result_frames(
-            QueryResult(columns=["x"], rows=[(i,) for i in range(40)]), chunk_rows=15
-        ))
+        frames = chunked(
+            QueryResult(columns=["x"], rows=[(i,) for i in range(40)]), 15 * 8
+        )
         kind, flags, header, body = _unpack(frames[-1])
         frames[-1] = _pack(kind, flags, {**header, "columns": ["y"]}, body)
         with pytest.raises(ProtocolError, match="torn result stream"):
@@ -261,7 +262,7 @@ class TestHostileFrames:
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
         result = QueryResult(columns=["x"], rows=[(0,)] * 10_000)
         with pytest.raises(ProtocolError):
-            list(encode_result_frames(result, chunk_rows=10_000, compression="zlib"))
+            list(encode_result_frames(result, compression="zlib"))
 
     @pytest.mark.parametrize("name", sorted(HOSTILE_FRAMES))
     def test_live_server_refuses_binary_requests_typed(self, name):
@@ -335,8 +336,8 @@ class TestClientCoreScripted:
     def test_valid_frames_become_results_without_a_socket(self):
         core = connected_core(reconnect=False)
         assert core.server_info["session"] == 1
-        chunked = [f for f in CORPUS[1:] if f[4] == 0][:4]  # 3 CHUNKs + END
-        result = drive(core._execute("SELECT ..."), chunked)
+        stream = [f for f in CORPUS[1:] if f[4] == 0][:4]  # 3 CHUNKs + END
+        result = drive(core._execute("SELECT ..."), stream)
         assert len(result.rows) == 40 and result.columns == ["k", "w", "tag", "n"]
         assert drive(core._execute("SELECT 1"), [CORPUS[-1]]).scalar() == 3
 

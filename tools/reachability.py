@@ -133,7 +133,6 @@ def _drive_engine(work: Path) -> None:
     for config in [
         {}, {"cracking": False}, {"concurrent": True}, {"plan_cache": False},
         {"crack_threshold": 0, "profile": True, "trace": True, "slow_query_ms": 0.0},
-        {"metrics": False},
         {"persist_dir": work / "db", "wal_fsync_every": 1, "checkpoint_statements": 25},
     ]:
         db = Database(**config)
@@ -201,8 +200,7 @@ def _drive_served(work: Path) -> None:
     from repro.errors import ReproError
 
     store = work / "served"
-    flags = ("--profile", "--persist-dir", str(store), "--chunk-bytes", "16384")
-    with _serving(*flags) as (host, port):
+    with _serving("--profile", "--persist-dir", str(store)) as (host, port):
         with Client(host, port) as client:
             for sql in TABLES + STATEMENTS:
                 client.execute(sql)
@@ -216,16 +214,26 @@ def _drive_served(work: Path) -> None:
                 client.execute("SELECT y FROM r")
         with Client(host, port, compression=True) as client:
             client.execute("SELECT k, a, x, tag FROM r").rows
+            # 96 000 rows of two integers, past CHUNK_BYTES: a chunked stream.
+            client.execute("CREATE TABLE big (k integer, a integer)")
+            client.execute("INSERT INTO big SELECT k, a FROM r")
+            for _ in range(5):
+                client.execute("INSERT INTO big SELECT k, a FROM big")
+            client.execute("SELECT k, a FROM big").row_count
         asyncio.run(_drive_async(host, port))
         _repro("stats", f"{host}:{port}")
         _repro("stats", f"{host}:{port}", "--raw")
         _repro("top", f"{host}:{port}", "--once")
     _repro("snapshot", str(store))
     _repro("restore", str(store), "-e", "SELECT count(*) FROM r")
-    # The thread-pool gateway, an --init script, and a refused connection.
+    with suppress(subprocess.CalledProcessError):  # refused before it listens
+        _repro("serve", "--max-connections", "0")
+    # The gateway's worker thread, an --init script, and a refused connection.
     init = work / "init.sql"
     init.write_text(";\n".join(TABLES))
-    with _serving("--max-connections", "1", "--pool-size", "2", "--statement-timeout", "5",
+    # --pool-size 1 as the ledger's served child passes it; that child is
+    # killed before the tracer's first dump.
+    with _serving("--max-connections", "1", "--statement-timeout", "5", "--pool-size", "1",
                   "--no-cracking", "--init", str(init)) as (host, port):
         with Client(host, port) as client:
             client.execute("SELECT count(*) FROM r")

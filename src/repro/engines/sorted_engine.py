@@ -76,7 +76,9 @@ class SortedEngine(Engine):
         tuple_bytes = relation.tuple_bytes
         self.tracker.read_bytes(table, rows * tuple_bytes)
         if delivery == DELIVERY_PRINT:
-            arrays = relation.column_arrays(positions=positions)
+            arrays = [
+                values for values, _ in relation.column_arrays(positions=positions)
+            ]
             return rows, {"bytes_printed": rendered_bytes(arrays)}
         name = target_name or self.fresh_temp_name(f"{table}_tmp")
         self.drop_if_exists(name)

@@ -225,7 +225,7 @@ def error_for_exception(exc: BaseException) -> dict:
 # ---------------------------------------------------------------------- #
 
 
-def _plan_column(array: np.ndarray) -> tuple:
+def _plan_column(array: np.ndarray, coded=None) -> tuple:
     """One result column readied for framing, as ``(enc, data, lookup,
     row_bytes)``.  Three encodings, chosen by content:
 
@@ -233,7 +233,12 @@ def _plan_column(array: np.ndarray) -> tuple:
       their dtype string; the receiver maps them back zero-copy.
     * ``dict`` — varchar columns (str and NULL) ship their distinct
       values once in the header plus int32 codes in the body (NULL is
-      code -1), which makes wide repetitive varchar columns cheap.
+      code -1), which makes wide repetitive varchar columns cheap.  A
+      column that arrives with its heap codes (``coded``, from
+      :attr:`QueryResult.codes`) is renumbered to the atoms it uses by
+      one ``bincount``, with no loop over rows; any other column — a
+      join, sort or aggregate output, or one holding NULLs — is coded
+      row by row.
     * ``json`` — anything else (mixed types, e.g. numerics with NULLs)
       falls back to one JSON text per cell.
 
@@ -243,18 +248,26 @@ def _plan_column(array: np.ndarray) -> tuple:
     """
     if array.dtype.kind in "biuf":
         return "ndarray", array, None, array.itemsize
-    values = array.tolist()
-    atoms: dict = {None: -1}
-    coded = (atoms.setdefault(value, len(atoms) - 1) for value in values)
-    codes = np.fromiter(coded, dtype=np.int32, count=len(values))
-    del atoms[None]
-    if all(isinstance(atom, str) for atom in atoms):
+    if coded is not None:
+        codes, atoms = coded
+        counts = np.bincount(codes)
+        used = np.flatnonzero(counts)
+        renumber = np.empty(len(counts), dtype=np.int32)
+        renumber[used] = np.arange(used.size, dtype=np.int32)
+        codes, lookup = renumber[codes], atoms[used].tolist()
+    else:
+        values = array.tolist()
+        atoms: dict = {None: -1}
+        coding = (atoms.setdefault(value, len(atoms) - 1) for value in values)
+        codes = np.fromiter(coding, dtype=np.int32, count=len(values))
+        del atoms[None]
+        if not all(isinstance(atom, str) for atom in atoms):
+            texts = [json.dumps(value) for value in values]
+            sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+            return "json", texts, None, sizes + 1
         lookup = [str(atom) for atom in atoms]  # np.str_ -> str for the header
-        sizes = [len(json.dumps(atom)) + 1 for atom in lookup] + [0]
-        return "dict", codes, lookup, 4 + np.array(sizes, dtype=np.int64)[codes]
-    texts = [json.dumps(value) for value in values]
-    sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-    return "json", texts, None, sizes + 1
+    sizes = [len(json.dumps(atom)) + 1 for atom in lookup] + [0]
+    return "dict", codes, lookup, 4 + np.array(sizes, dtype=np.int64)[codes]
 
 
 def _column_part(plan: tuple, start: int, stop: int) -> tuple[dict, bytes]:
@@ -393,7 +406,10 @@ def encode_result_frames(result, *, compression: str | None = None):
     :data:`MAX_FRAME_BYTES` cross the wire.
     """
     columns = list(result.columns)
-    plans = [_plan_column(result.arrays[name]) for name in columns]
+    plans = [
+        _plan_column(result.arrays[name], result.codes.get(name))
+        for name in columns
+    ]
     n_rows = result.row_count
     affected = int(result.affected)
     stops = _chunk_stops(plans, n_rows)

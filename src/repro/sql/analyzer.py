@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral, Real
 from typing import TYPE_CHECKING
 
 from repro.errors import SQLAnalysisError
@@ -199,6 +200,32 @@ def analyze(stmt: SelectStmt, catalog: Catalog) -> AnalyzedQuery:
     )
 
 
+def stored_value(column: str, col_type: str, value):
+    """``value`` as column ``column`` of type ``col_type`` stores it.
+
+    The one rule INSERT (both forms) and UPDATE share: a text column
+    takes only text, a numeric column only numbers, and an integer
+    column stores an integral float (``3.0``) as its int and rejects
+    any other float.
+
+    Raises:
+        SQLAnalysisError: if the column cannot store ``value``.
+    """
+    if col_type == "str":
+        if not isinstance(value, str):
+            raise SQLAnalysisError(f"column {column!r} is text; got {value!r}")
+        return value
+    if not isinstance(value, Real):
+        raise SQLAnalysisError(f"column {column!r} is numeric; got {value!r}")
+    if col_type == "float":
+        return float(value)
+    if isinstance(value, Integral):
+        return int(value)
+    if not float(value).is_integer():
+        raise SQLAnalysisError(f"column {column!r} is integer; got {value!r}")
+    return int(value)
+
+
 @dataclass
 class AnalyzedDML:
     """The resolved form of one UPDATE or DELETE (single-table σ)."""
@@ -250,25 +277,7 @@ def analyze_dml(stmt: UpdateStmt | DeleteStmt, catalog: Catalog) -> AnalyzedDML:
                 f"table {stmt.table!r} has no column {assignment.column!r}"
             )
         col_type = schema.column(assignment.column).col_type
-        value = assignment.value.value
-        if col_type == "str":
-            if not isinstance(value, str):
-                raise SQLAnalysisError(
-                    f"column {assignment.column!r} is text; got {value!r}"
-                )
-        else:
-            if isinstance(value, str):
-                raise SQLAnalysisError(
-                    f"column {assignment.column!r} is numeric; got {value!r}"
-                )
-            if col_type == "float":
-                value = float(value)
-            elif isinstance(value, float):
-                if not value.is_integer():
-                    raise SQLAnalysisError(
-                        f"column {assignment.column!r} is integer; got {value!r}"
-                    )
-                value = int(value)
+        value = stored_value(assignment.column, col_type, assignment.value.value)
         assignments.append((assignment.column, value))
 
     return AnalyzedDML(

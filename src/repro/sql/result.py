@@ -35,9 +35,17 @@ class QueryResult:
       SELECT and for bulk replies decoded by the client, which are
       never turned into tuples unless ``rows`` is read.
 
+    ``codes`` maps a varchar column's name to the heap codes its values
+    were decoded from, ``(codes, atoms)`` with ``atoms[codes]`` equal to
+    ``arrays[name]``, for each column whose codes survived the plan
+    (see :class:`~repro.volcano.vectorized.ColumnBatch`); the wire
+    encoder ships those codes as they are.  Empty otherwise.
+
     The result owns its data: no array is a view of cracker or BAT
     storage, so a held result never changes under a later crack, merge
-    or update and keeps no storage generation alive.
+    or update and keeps no storage generation alive.  The codes are
+    fresh gathers, and an atoms array is never written once a heap has
+    handed it out.
     """
 
     def __init__(
@@ -47,8 +55,10 @@ class QueryResult:
         affected: int = 0,
         query: AnalyzedQuery | None = None,
         arrays: dict[str, np.ndarray] | None = None,
+        codes: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
     ) -> None:
         self.columns = columns
+        self.codes = {} if codes is None else codes
         self.affected = affected
         self._query = query
         self._arrays = arrays

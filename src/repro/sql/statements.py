@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import SQLAnalysisError
 from repro.obs import trace as obs_trace
-from repro.sql.analyzer import AnalyzedDML, analyze, analyze_dml
+from repro.sql.analyzer import AnalyzedDML, analyze, analyze_dml, stored_value
 from repro.sql.ast_nodes import Assignment, ColRef, Const, OrderItem, TableRef
 from repro.sql.planner import build_plan
 from repro.sql.result import QueryResult
@@ -156,12 +156,17 @@ class SelectStmt(Statement):
             # BAT storage (the cracked span, a full-scan slice) is copied
             # once here, so a held result cannot be shuffled by the next
             # in-place crack and pins no storage generation.
-            arrays = None if batch is None else {
+            if batch is None:  # the empty result, which is row-native
+                return QueryResult(columns, query=query)
+            arrays = {
                 name: array if array.flags.owndata else array.copy()
                 for name, array in zip(columns, batch.arrays)
             }
-        # No batch at all is the empty result, which is row-native.
-        return QueryResult(columns, arrays=arrays, query=query)
+            codes = {
+                columns[index]: (ids if ids.flags.owndata else ids.copy(), atoms)
+                for index, (ids, atoms) in batch.coded.items()
+            }
+        return QueryResult(columns, arrays=arrays, query=query, codes=codes)
 
 
 class SelectInto(SelectStmt):
@@ -214,14 +219,20 @@ class CreateTableStmt(_Mutation):
         return QueryResult(columns=[], rows=[], affected=0)
 
 
+#: Value types a column takes as they are; any other value goes
+#: through :func:`~repro.sql.analyzer.stored_value`.
+_PLAIN_TYPES = {"str": {str}, "int": {int}, "float": {int, float}}
+
+
 def _insert(db, relation: Relation, rows: list) -> QueryResult:
     """Append ``rows`` to ``relation`` and its crackers, all or nothing.
 
     Every value of every row is checked against the schema before the
-    first append: a row of the wrong width or a value of the wrong type
-    raises :class:`SQLAnalysisError` with every BAT unchanged.  A
-    template hit is checked too (``'x'`` and ``5`` key alike), so the
-    check lives here rather than in the parser.
+    first append, by UPDATE's rule (:func:`stored_value`): a row of the
+    wrong width or a value the column cannot store raises
+    :class:`SQLAnalysisError` with every BAT unchanged.  A template hit
+    is checked too (``'x'`` and ``5`` key alike), so the check lives
+    here rather than in the parser.
     """
     width = len(relation.schema)
     for row in rows:
@@ -230,21 +241,26 @@ def _insert(db, relation: Relation, rows: list) -> QueryResult:
                 f"table {relation.name!r} has {width} columns; "
                 f"a row has {len(row)} values"
             )
+    columns, coerced = [], False
     for index, column in enumerate(relation.schema):
         values = [row[index] for row in rows]
+        if not set(map(type, values)) <= _PLAIN_TYPES[column.col_type]:
+            values = [
+                stored_value(column.name, column.col_type, value)
+                for value in values
+            ]
+            coerced = True
+        columns.append(values)
         if column.col_type == "str":
-            if not set(map(type, values)) <= {str}:
-                bad = next(value for value in values if not isinstance(value, str))
-                raise SQLAnalysisError(
-                    f"column {column.name!r} is text; got {bad!r}"
-                )
             continue
-        try:
+        try:  # the numbers fit the tail dtype
             np.asarray(values, dtype=TAIL_DTYPES[column.col_type])
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:
             raise SQLAnalysisError(
                 f"column {column.name!r} is {column.col_type}: {exc}"
             ) from None
+    if coerced:  # 3.0 reaches the BATs and crackers as 3
+        rows = list(zip(*columns))
     # Atomic oid claim + append + cracker propagation: a cracker created
     # concurrently would otherwise snapshot the base rows *and* receive
     # them again as pending updates.
@@ -318,10 +334,7 @@ class InsertSelectStmt(_Mutation):
 
 
 def _column_values(relation: Relation, attr: str, total: int):
-    bat = relation.column(attr)
-    if bat.tail_type == "str":
-        return np.asarray(bat.tail_values()[:total], dtype=object)
-    return bat.tail_array()[:total]
+    return relation.column(attr).decoded_array()[0][:total]
 
 
 def _match_positions(relation: Relation, plan: AnalyzedDML) -> np.ndarray:

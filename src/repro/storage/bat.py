@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import BATAlignmentError, BATTypeError, StorageError
+from repro.errors import BATAlignmentError, BATTypeError, HeapError, StorageError
 from repro.storage.heap import AtomHeap
 
 #: Supported tail types and their numpy dtypes.
@@ -151,21 +151,28 @@ class BAT:
             return self.heap.get_many(self._active_tail())
         return self._active_tail().copy()
 
-    def decoded_array(self, positions: np.ndarray | None = None) -> np.ndarray:
-        """Batch accessor: decoded tail values as one numpy array.
+    def decoded_array(
+        self, positions: np.ndarray | None = None
+    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+        """Batch accessor: the decoded tail values as one numpy array,
+        and a str tail's heap codes; returns ``(values, coded)``.
 
         Numeric tails return the active region *zero-copy* (or a single
-        bulk gather when ``positions`` is given); str tails decode each
-        *distinct* heap offset once and spread the atoms with one take,
-        into an object array.  This is the access path of the vectorized
+        bulk gather when ``positions`` is given) and ``coded`` None.  Str
+        tails gather each offset's atom id through the heap's offset
+        table (:meth:`AtomHeap.codes`) and return ``(atoms[codes],
+        (codes, atoms))``: an object array of the atoms, with the codes
+        it was gathered from.  This is the access path of the vectorized
         executor — no per-row decoding anywhere.
         """
         active = self._active_tail()
-        if self.tail_type == "str":
-            assert self.heap is not None
-            raw = active if positions is None else active[positions]
-            return self.heap.get_array(raw)
-        return active if positions is None else active[positions]
+        raw = active if positions is None else active[positions]
+        if self.tail_type != "str":
+            return raw, None
+        assert self.heap is not None
+        codes = self.heap.codes(raw)
+        atoms = self.heap.atoms  # read after the codes: it holds every id
+        return atoms[codes], (codes, atoms)
 
     # ------------------------------------------------------------------ #
     # Updates
@@ -278,20 +285,23 @@ class BAT:
 
         A string tail's atoms are re-put in offset order, which gives
         each its exported offset, and every tail offset must address one
-        of them.  A string state without ``atoms`` is the older form:
-        its tail holds the decoded atoms, which are put row by row.
+        of them (:meth:`AtomHeap.codes` checks).  A string state without
+        ``atoms`` is the older form: its tail holds the decoded atoms,
+        which are put row by row.
         """
         tail_type = str(state["tail_type"])
         tail = state["tail"]
         heap = None
         if tail_type == "str":
             if "atoms" in state:
-                heap, offsets = AtomHeap.from_atoms(*state["atoms"])
+                heap = AtomHeap.from_atoms(*state["atoms"])
                 tail = np.asarray(tail, dtype=np.int64)
-                if not np.isin(tail, offsets).all():
+                try:
+                    heap.codes(tail)
+                except HeapError:
                     raise StorageError(
                         f"BAT {state['name']!r}: a tail offset addresses no atom"
-                    )
+                    ) from None
             else:
                 heap = AtomHeap()
                 tail = heap.put_many(np.asarray(tail, dtype=str).tolist())

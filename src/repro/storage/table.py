@@ -259,7 +259,7 @@ class Relation:
             bat = self.bats[column.name]
             if column.col_type == "str":
                 assert bat.heap is not None
-                values.append(bat.heap.get(int(bat.tail_array()[position])))
+                values.append(bat.heap.get_many([bat.tail_array()[position]])[0])
             else:
                 values.append(bat.tail_array()[position])
         return tuple(values)
@@ -281,8 +281,9 @@ class Relation:
         self,
         names: Sequence[str] | None = None,
         positions: np.ndarray | None = None,
-    ) -> list[np.ndarray]:
-        """Batch accessor: one decoded array per column, schema order.
+    ) -> list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]]:
+        """Batch accessor: one :meth:`BAT.decoded_array` ``(values,
+        coded)`` pair per column, schema order.
 
         Numeric columns alias BAT storage when ``positions`` is None (the
         zero-copy scan path of the vectorized executor); with positions the
@@ -292,15 +293,16 @@ class Relation:
         INSERT publishes the column BATs one after another, so a scan
         racing it could otherwise pair a column that already holds the
         new rows with one that does not.  Clamping yields only fully
-        published rows — the pre-insert snapshot for the in-flight ones.
+        published rows — the pre-insert snapshot for the in-flight ones
+        — and drops the clamped columns' codes.
         """
         chosen = self.schema.names() if names is None else list(names)
-        arrays = [self.column(name).decoded_array(positions) for name in chosen]
-        if positions is None and len(arrays) > 1:
-            shortest = min(len(array) for array in arrays)
-            if any(len(array) != shortest for array in arrays):
-                arrays = [array[:shortest] for array in arrays]
-        return arrays
+        columns = [self.column(name).decoded_array(positions) for name in chosen]
+        if positions is None and len(columns) > 1:
+            shortest = min(len(values) for values, _ in columns)
+            if any(len(values) != shortest for values, _ in columns):
+                columns = [(values[:shortest], None) for values, _ in columns]
+        return columns
 
     # ------------------------------------------------------------------ #
     # Fragmentation primitives (substrate for the crackers)

@@ -62,19 +62,26 @@ class ColumnBatch:
     that are logically present.  Filters compose selection vectors instead
     of gathering, so a chain of selections costs one gather at the first
     operator that needs contiguous data.
+
+    ``coded`` maps a column index to the heap codes of a varchar column,
+    ``(codes, atoms)`` with ``atoms[codes]`` equal to that column's
+    array.  Scans fill it and operators that only move rows carry it;
+    any other operator drops it, which is always correct.
     """
 
-    __slots__ = ("columns", "arrays", "sel")
+    __slots__ = ("columns", "arrays", "sel", "coded")
 
     def __init__(
         self,
         columns: list[str],
         arrays: list[np.ndarray],
         sel: np.ndarray | None = None,
+        coded: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
     ) -> None:
         self.columns = columns
         self.arrays = arrays
         self.sel = sel
+        self.coded = {} if coded is None else coded
 
     def __len__(self) -> int:
         if self.sel is not None:
@@ -86,12 +93,22 @@ class ColumnBatch:
         array = self.arrays[index]
         return array if self.sel is None else array[self.sel]
 
+    def take(self, rows) -> "ColumnBatch":
+        """The ``rows`` (a slice or positions) of every array, codes too."""
+        return ColumnBatch(
+            self.columns,
+            [array[rows] for array in self.arrays],
+            coded={
+                index: (codes[rows], atoms)
+                for index, (codes, atoms) in self.coded.items()
+            },
+        )
+
     def compact(self) -> "ColumnBatch":
         """Apply the selection vector, making every array contiguous."""
         if self.sel is None:
             return self
-        return ColumnBatch(self.columns, [a[self.sel] for a in self.arrays])
-
+        return self.take(self.sel)
 
 
 class VecOperator:
@@ -113,7 +130,8 @@ def concat_batches(operator: VecOperator) -> ColumnBatch | None:
     """Drain an operator into one compacted batch (None when empty).
 
     This is the batch-mode pipeline breaker used by sort, aggregation and
-    the build side of joins.
+    the build side of joins.  A column keeps its codes when every part
+    has them over the same atoms.
     """
     parts = [batch.compact() for batch in operator.batches()]
     parts = [batch for batch in parts if len(batch)]
@@ -125,7 +143,12 @@ def concat_batches(operator: VecOperator) -> ColumnBatch | None:
         np.concatenate([part.arrays[i] for part in parts])
         for i in range(len(parts[0].arrays))
     ]
-    return ColumnBatch(parts[0].columns, arrays)
+    coded = {}
+    for index, (_, atoms) in parts[0].coded.items():
+        pairs = [part.coded.get(index) for part in parts]
+        if all(pair is not None and pair[1] is atoms for pair in pairs):
+            coded[index] = (np.concatenate([codes for codes, _ in pairs]), atoms)
+    return ColumnBatch(parts[0].columns, arrays, coded=coded)
 
 
 def _scan_names(
@@ -164,19 +187,22 @@ class VecScan(VecOperator):
         self.columns = [f"{prefix}.{name}" for name in self._names]
 
     def batches(self) -> Iterator[ColumnBatch]:
-        arrays = self.relation.column_arrays(self._names)
+        columns = self.relation.column_arrays(self._names)
+        whole = ColumnBatch(
+            self.columns,
+            [values for values, _ in columns],
+            coded={i: pair for i, (_, pair) in enumerate(columns) if pair},
+        )
         # Row count from the gathered snapshot, not the live relation: a
         # concurrent insert may have grown the BATs since the gather.
-        total = len(arrays[0]) if arrays else 0
+        total = len(whole)
         if self.relation.deleted_count:
             # DELETE tombstones: gather only the visible rows once, so
             # downstream operators never see a dead tuple.
-            live = self.relation.live_positions(total)
-            arrays = [a[live] for a in arrays]
-            total = len(live)
+            whole = whole.take(self.relation.live_positions(total))
+            total = len(whole)
         for start in range(0, total, BATCH_ROWS):
-            stop = min(start + BATCH_ROWS, total)
-            yield ColumnBatch(self.columns, [a[start:stop] for a in arrays])
+            yield whole.take(slice(start, min(start + BATCH_ROWS, total)))
 
 
 class VecCrackedScan(VecOperator):
@@ -208,13 +234,16 @@ class VecCrackedScan(VecOperator):
     def batches(self) -> Iterator[ColumnBatch]:
         result = self.result
         positions = np.asarray(result.oids, dtype=np.int64)
-        arrays = []
-        for name in self._names:
+        arrays, coded = [], {}
+        for index, name in enumerate(self._names):
             if name == self.attr:
                 arrays.append(result.values)
-            else:
-                arrays.append(self.relation.column(name).decoded_array(positions))
-        yield ColumnBatch(self.columns, arrays)
+                continue
+            values, pair = self.relation.column(name).decoded_array(positions)
+            arrays.append(values)
+            if pair is not None:
+                coded[index] = pair
+        yield ColumnBatch(self.columns, arrays, coded=coded)
 
 
 class VecSelect(VecOperator):
@@ -239,7 +268,7 @@ class VecSelect(VecOperator):
             if len(hits) == 0:
                 continue
             sel = hits if batch.sel is None else batch.sel[hits]
-            yield ColumnBatch(batch.columns, batch.arrays, sel)
+            yield ColumnBatch(batch.columns, batch.arrays, sel, batch.coded)
 
 
 class VecProject(VecOperator):
@@ -252,8 +281,14 @@ class VecProject(VecOperator):
 
     def batches(self) -> Iterator[ColumnBatch]:
         for batch in self.child.batches():
+            coded = {
+                new: batch.coded[old]
+                for new, old in enumerate(self._indices)
+                if old in batch.coded
+            }
             yield ColumnBatch(
-                self.columns, [batch.arrays[i] for i in self._indices], batch.sel
+                self.columns, [batch.arrays[i] for i in self._indices],
+                batch.sel, coded,
             )
 
 
@@ -345,10 +380,7 @@ class VecLimit(VecOperator):
                 yield batch
                 remaining -= size
             else:
-                batch = batch.compact()
-                yield ColumnBatch(
-                    batch.columns, [a[:remaining] for a in batch.arrays]
-                )
+                yield batch.compact().take(slice(0, remaining))
                 remaining = 0
             if remaining == 0:
                 return

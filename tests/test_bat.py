@@ -1,8 +1,11 @@
 """Unit tests for BATs."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from test_heap import decode_by_hand
 from repro.errors import BATTypeError
 from repro.storage.bat import BAT
 from repro.storage.heap import AtomHeap
@@ -100,32 +103,49 @@ class TestDecodedArray:
         # Repetitive, with the empty string among the atoms.
         return ["x", "", "abc", "", "x", "abc", "abc", "", "x", "x"] * 20
 
-    def _count_heap_gets(self, bat, monkeypatch) -> list[int]:
-        calls: list[int] = []
-        real_get = bat.heap.get
+    def _python_calls(self, decode) -> int:
+        """Python-level calls one ``decode()`` makes."""
+        calls = []
 
-        def counting_get(offset):
-            calls.append(offset)
-            return real_get(offset)
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
 
-        monkeypatch.setattr(bat.heap, "get", counting_get)
-        return calls
+        sys.setprofile(profile)
+        try:
+            decode()
+        finally:
+            sys.setprofile(None)
+        return len(calls)
 
-    def test_str_decodes_each_distinct_atom_once(self, tags, monkeypatch):
+    def _reference(self, bat, positions=None) -> list[str]:
+        raw = bat.tail_array() if positions is None else bat.tail_array()[positions]
+        return decode_by_hand(bat.heap, raw)
+
+    def test_str_decodes_with_no_per_atom_call(self, tags):
         bat = BAT.from_values("t", tags, tail_type="str")
-        calls = self._count_heap_gets(bat, monkeypatch)
-        decoded = bat.decoded_array()
+        decoded, (codes, atoms) = bat.decoded_array()
         assert decoded.dtype == object and decoded.tolist() == tags
-        assert len(calls) == len(set(calls)) == 3  # 'x', '', 'abc'
+        assert atoms[codes].tolist() == tags == self._reference(bat)
+        # Ten times the rows over 40 atoms, not 3: the same calls.
+        wider = [f"{tag}{i % 40}" for i, tag in enumerate(tags * 10)]
+        wide = BAT.from_values("w", wider, tail_type="str")
+        assert self._python_calls(bat.decoded_array) == self._python_calls(
+            wide.decoded_array
+        )
 
-    def test_str_positions_decode_only_the_atoms_they_hit(self, tags, monkeypatch):
+    def test_str_positions_decode_with_no_per_atom_call(self, tags):
         bat = BAT.from_values("t", tags, tail_type="str")
-        calls = self._count_heap_gets(bat, monkeypatch)
         positions = np.array([1, 3, 7, 0, 4, 1], dtype=np.int64)
-        decoded = bat.decoded_array(positions)
+        decoded, (codes, atoms) = bat.decoded_array(positions)
         assert decoded.tolist() == ["", "", "", "x", "x", ""]
-        assert len(calls) == 2
-        assert bat.decoded_array(positions[:0]).tolist() == []
+        assert atoms[codes].tolist() == decoded.tolist()
+        assert decoded.tolist() == self._reference(bat, positions)
+        assert bat.decoded_array(positions[:0])[0].tolist() == []
+        many = np.arange(len(tags))[::-1]
+        assert self._python_calls(
+            lambda: bat.decoded_array(positions)
+        ) == self._python_calls(lambda: bat.decoded_array(many))
 
     def test_str_matches_the_per_row_reference(self):
         rng = np.random.default_rng(17)
@@ -133,11 +153,12 @@ class TestDecodedArray:
         values = [atoms[i] for i in rng.integers(0, len(atoms), 500)]
         bat = BAT.from_values("t", values, tail_type="str")
         positions = rng.integers(0, 500, 200)
-        assert bat.decoded_array(positions).tolist() == [
-            bat.heap.get(int(offset)) for offset in bat.tail_array()[positions]
-        ]
+        assert bat.decoded_array(positions)[0].tolist() == self._reference(
+            bat, positions
+        )
 
     def test_numeric_is_zero_copy_or_one_gather(self):
         bat = BAT.from_values("t", [5, 3, 9, 1])
-        assert np.shares_memory(bat.decoded_array(), bat.tail_array())
-        assert bat.decoded_array(np.array([3, 0])).tolist() == [1, 5]
+        values, coded = bat.decoded_array()
+        assert coded is None and np.shares_memory(values, bat.tail_array())
+        assert bat.decoded_array(np.array([3, 0]))[0].tolist() == [1, 5]

@@ -161,13 +161,13 @@ def test_torn_insert_snapshot_clamped():
         {"k": [0, 1, 2], "a": [10, 11, 12]},
     )
     relation.bats["k"].append_many([3, 4])  # insert half-way published
-    arrays = relation.column_arrays()
-    assert [len(array) for array in arrays] == [3, 3]
+    columns = relation.column_arrays()
+    assert [len(values) for values, _ in columns] == [3, 3]
     batches = list(VecScan(relation).batches())
     assert sum(len(batch) for batch in batches) == 3
     # Completing the insert makes the rows visible.
     relation.bats["a"].append_many([13, 14])
-    assert [len(array) for array in relation.column_arrays()] == [5, 5]
+    assert [len(values) for values, _ in relation.column_arrays()] == [5, 5]
 
 
 def test_check_invariants_concurrent_with_queries():

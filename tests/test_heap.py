@@ -4,25 +4,36 @@ import numpy as np
 import pytest
 
 from repro.errors import HeapError
-from repro.storage.heap import _DISTINCT_CROSSOVER, AtomHeap
+from repro.storage.heap import AtomHeap
+
+
+def decode_by_hand(heap: AtomHeap, offsets) -> list[str]:
+    """The reference decode: each atom cut out of the exported bytes by
+    its length.  Shares nothing with the heap's offset table."""
+    data, lengths = heap.export_atoms()
+    atoms, start = {}, 0
+    for length in lengths.tolist():
+        atoms[start] = data[start : start + length].tobytes().decode("utf-8")
+        start += length or 1
+    return [atoms[int(offset)] for offset in offsets]
 
 
 class TestPutGet:
     def test_roundtrip_single_atom(self):
         heap = AtomHeap()
         offset = heap.put("hello")
-        assert heap.get(offset) == "hello"
+        assert heap.get_many([offset]) == ["hello"] == decode_by_hand(heap, [offset])
 
     def test_roundtrip_many_atoms(self):
         heap = AtomHeap()
         atoms = [f"atom-{i}" for i in range(100)]
         offsets = [heap.put(atom) for atom in atoms]
-        assert [heap.get(offset) for offset in offsets] == atoms
+        assert heap.get_many(offsets) == atoms == decode_by_hand(heap, offsets)
 
     def test_empty_string_is_storable(self):
         heap = AtomHeap()
         offset = heap.put("")
-        assert heap.get(offset) == ""
+        assert heap.get_many([offset]) == [""] == decode_by_hand(heap, [offset])
 
     def test_empty_string_keeps_its_own_offset(self):
         # Regression: a zero-length atom appended no bytes, so the next
@@ -35,19 +46,19 @@ class TestPutGet:
     def test_unicode_atoms(self):
         heap = AtomHeap()
         offset = heap.put("héllo wörld ☃")
-        assert heap.get(offset) == "héllo wörld ☃"
+        assert heap.get_many([offset]) == ["héllo wörld ☃"]
 
     def test_get_at_non_atom_offset_raises(self):
         heap = AtomHeap()
         heap.put("abcdef")
         with pytest.raises(HeapError):
-            heap.get(3)
+            heap.get_many([3])
 
     def test_get_beyond_buffer_raises(self):
         heap = AtomHeap()
         heap.put("x")
         with pytest.raises(HeapError):
-            heap.get(999)
+            heap.get_many([999])
 
     def test_put_non_string_raises(self):
         heap = AtomHeap()
@@ -84,12 +95,13 @@ class TestLookupHelpers:
         assert heap.get_many(offsets) == ["x", "y", "z"]
 
 class TestBulkPaths:
-    """``put_many`` / ``get_many`` / ``get_array`` work per distinct
-    atom; the per-row ``put`` / ``get`` loop is the reference."""
+    """``put_many`` works per distinct atom and ``get_many`` /
+    ``get_array`` / ``codes`` per gather; the per-row ``put`` loop and
+    :func:`decode_by_hand` are the references."""
 
     ATOMS = ["", "a", "héllo", "a", "tag07", "", "tag07", "z" * 40]
 
-    @pytest.mark.parametrize("repeat", [1, 2 * _DISTINCT_CROSSOVER])
+    @pytest.mark.parametrize("repeat", [1, 96])
     def test_put_many_equals_the_put_loop(self, repeat):
         atoms = self.ATOMS * repeat
         bulk, loop = AtomHeap(), AtomHeap()
@@ -99,14 +111,16 @@ class TestBulkPaths:
         distinct = len(set(self.ATOMS))
         assert len(bulk.export_atoms()[1]) == len(loop.export_atoms()[1]) == distinct
 
-    @pytest.mark.parametrize("repeat", [1, 2 * _DISTINCT_CROSSOVER])
+    @pytest.mark.parametrize("repeat", [1, 96])
     def test_get_many_and_get_array_equal_the_get_loop(self, repeat):
         heap = AtomHeap()
         offsets = heap.put_many(self.ATOMS * repeat)
-        expected = [heap.get(int(offset)) for offset in offsets]
+        expected = decode_by_hand(heap, offsets)
         assert heap.get_many(offsets) == expected == self.ATOMS * repeat
         array = heap.get_array(offsets)
         assert array.dtype == object and array.tolist() == expected
+        codes = heap.codes(offsets)
+        assert codes.dtype == np.int32 and heap.atoms[codes].tolist() == expected
 
     def test_empty_inputs(self):
         heap = AtomHeap()
@@ -118,6 +132,18 @@ class TestBulkPaths:
         heap = AtomHeap()
         with pytest.raises(HeapError):
             heap.put_many(["ok", 42])
-        offsets = heap.put_many(["abcdef"] * (2 * _DISTINCT_CROSSOVER))
+        offsets = heap.put_many(["abcdef"] * 96)
         with pytest.raises(HeapError):
             heap.get_many(offsets + 3)  # inside the atom, not its start
+
+    @pytest.mark.parametrize(
+        "offset", [-1, -7, 3, 7, 10**6], ids=["-1", "-7", "inside", "end", "past"]
+    )
+    def test_codes_reject_an_offset_that_addresses_no_atom(self, offset):
+        heap = AtomHeap()
+        offsets = heap.put_many(["abcdef", "x"])  # atoms at 0 and 6; 7 bytes
+        assert heap.codes(offsets).tolist() == [0, 1]
+        with pytest.raises(HeapError):
+            heap.codes(np.append(offsets, offset))
+        with pytest.raises(HeapError):
+            heap.get_many([offset])

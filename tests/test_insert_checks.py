@@ -25,6 +25,10 @@ MALFORMED = [
     "INSERT INTO r SELECT * FROM s",
     "INSERT INTO r VALUES (3, 30, 'c'), (4)",
     "INSERT INTO w VALUES (1, 2, 3, 4, 5)",
+    # a template hit of loaded()'s INSERT: a fractional float in an
+    # integer column is refused, never truncated
+    "INSERT INTO r VALUES (3, 2.7, 'c')",
+    "INSERT INTO r VALUES (4, -2.5, 'd')",
 ]
 
 ROWS = [(1, 10, "a"), (2, 20, "b")]
@@ -98,6 +102,48 @@ def test_served():
             assert_unchanged(db, before, lambda text: client.execute(text).rows)
     finally:
         thread.stop()
+
+
+def _wal(directory) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(directory.glob("wal-*"))}
+
+
+def test_an_integer_column_stores_only_integral_floats(tmp_path):
+    """INSERT … VALUES, INSERT … SELECT and UPDATE share one rule: an
+    integral float is stored as its int, any other float is refused and
+    changes neither the table nor the WAL."""
+    store = tmp_path / "store"
+    db = Database(persist_dir=store)
+    db.execute("CREATE TABLE t (k integer, a integer)")
+    db.execute("CREATE TABLE f (k integer, a float)")
+    db.execute("INSERT INTO t VALUES (1, 2)")
+    db.execute("INSERT INTO t VALUES (2, 3.0)")  # a template hit
+    db.execute("INSERT INTO f VALUES (7, 2.5)")
+    assert db.stats()["plan_cache"]["dml_template_hits"] >= 1
+    stored = db.execute("SELECT t.k, t.a FROM t").rows
+    assert stored == [(1, 2), (2, 3)] and type(stored[1][1]) is int
+    wal = _wal(store)
+    refused = [
+        "INSERT INTO t VALUES (1, 2.7)",
+        "INSERT INTO t VALUES (4, -2.5)",
+        "INSERT INTO t SELECT * FROM f",
+        "UPDATE t SET a = 3.9 WHERE k = 1",
+    ]
+    for sql in refused:
+        with pytest.raises(SQLAnalysisError, match="column 'a' is integer; got"):
+            db.execute(sql)
+        assert db.execute("SELECT t.k, t.a FROM t").rows == stored, sql
+        assert _wal(store) == wal, sql
+    db.execute("UPDATE f SET a = 4.0 WHERE k = 7")
+    db.execute("INSERT INTO t SELECT * FROM f")
+    db.execute("UPDATE t SET a = 5.0 WHERE k = 1")
+    expected = [(1, 5), (2, 3), (7, 4)]
+    assert sorted(db.execute("SELECT t.k, t.a FROM t").rows) == expected
+    db.check_invariants()
+    db.close()
+    reopened = Database(persist_dir=store)
+    assert sorted(reopened.execute("SELECT t.k, t.a FROM t").rows) == expected
+    reopened.close()
 
 
 def test_check_invariants_catches_a_torn_relation():

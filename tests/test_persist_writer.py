@@ -249,7 +249,7 @@ def rewrite_varchar_to_legacy(store_dir) -> int:
             if atoms_file is None:
                 continue
             with np.load(directory / atoms_file) as atoms:
-                heap, _ = AtomHeap.from_atoms(atoms["bytes"], atoms["lengths"])
+                heap = AtomHeap.from_atoms(atoms["bytes"], atoms["lengths"])
             decoded = heap.get_many(np.load(directory / entry["file"]))
             np.save(
                 directory / entry["file"],

@@ -127,8 +127,8 @@ class TestVecHashJoin:
             "R.k",
             "S.k",
         )
-        left_rows = list(zip(*r_rel.column_arrays()))
-        right_rows = list(zip(*s_rel.column_arrays()))
+        left_rows = list(zip(*(values for values, _ in r_rel.column_arrays())))
+        right_rows = list(zip(*(values for values, _ in s_rel.column_arrays())))
         expected = self._naive_join(left_rows, right_rows, 0, 0)
         got = _rows(join)
         assert sorted(got) == sorted(expected)
@@ -202,7 +202,7 @@ class TestVecAggregate:
             [("count", None), ("sum", "R.k"), ("min", "R.w"),
              ("max", "R.w"), ("avg", "R.k")],
         )
-        rows = list(zip(*r_rel.column_arrays()))
+        rows = list(zip(*(values for values, _ in r_rel.column_arrays())))
         expected = self._naive_groupby(
             rows, [1], [("count", None), ("sum", 0), ("min", 2), ("max", 2), ("avg", 0)]
         )

@@ -26,7 +26,7 @@ QUERIES_PER_CLIENT = 60
 
 def build_database() -> Database:
     """r(k, a): k dense, a a random permutation — the paper's shape."""
-    db = Database(concurrent=True)
+    db = Database()
     rng = np.random.default_rng(42)
     relation = Relation.from_columns(
         "r",

@@ -67,11 +67,11 @@ def sql_demo() -> None:
 
 def concurrent_demo() -> None:
     print("=== 3. Concurrent sessions on one database ===")
-    # concurrent=True makes range answers snapshots, which is what makes
-    # sharing one Database across threads safe: every cracked column sits
-    # behind one reader-writer lock, and a crack by one session can never
-    # shuffle storage under another session's in-flight result.
-    db = Database(concurrent=True)
+    # Any Database is safe to share across threads: every cracked column
+    # sits behind one reader-writer lock, and a range answer is copied out
+    # of the column before that lock is released, so a crack by one
+    # session can never shuffle storage under another session's result.
+    db = Database()
     db.execute("CREATE TABLE r (k integer, a integer)")
     rng = np.random.default_rng(7)
     values = rng.permutation(100_000) + 1

@@ -578,7 +578,6 @@ def run_serve(argv: list[str]) -> int:
     try:
         database = Database(
             cracking=not args.no_cracking,
-            concurrent=True,
             plan_cache=not args.no_plan_cache,
             crack_threshold=args.crack_threshold,
             profile=args.profile,

@@ -11,7 +11,8 @@ first query).  Every range query then:
 1. navigates the cracker index to the pieces containing the bounds,
 2. cracks those pieces (crack-in-three when both bounds fall in one
    piece, otherwise up to two crack-in-twos),
-3. answers with a zero-copy contiguous span of the cracker column.
+3. answers with a copy of the contiguous span between the bounds: the
+   next query reorganises storage in place.
 
 With a ``crack_threshold`` T > 0, step 2 stops at pieces of at most T
 tuples (§3.4.2 names cut-off points below which splitting stops paying;
@@ -40,8 +41,7 @@ range to the span and subtracts the pending deletes.
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,48 +142,20 @@ def _sorted_insert(keys, payload, new_keys, new_payload) -> tuple:
 class SelectionResult:
     """Answer of a cracked range query: a span of the cracker column.
 
-    ``oids`` / ``values`` are the zero-copy slices ``[start, stop)`` of
-    the column's storage, whatever the ``crack_threshold``; a range
-    empty by construction is the empty span ``[0, 0)``.
-
-    ``owner`` is the producing :class:`CrackedColumn`; it carries the
-    copy-on-demand :meth:`snapshot` protocol.
+    ``oids`` / ``values`` are owned copies of storage ``[start, stop)``,
+    whatever the ``crack_threshold``, so later cracks, sorts and merges
+    never reach them; a range empty by construction is the empty span
+    ``[0, 0)``.
     """
 
     oids: np.ndarray
     values: np.ndarray
     start: int
     stop: int
-    owner: "CrackedColumn" = field(repr=False, compare=False)
 
     @property
     def count(self) -> int:
         return len(self.oids)
-
-    def snapshot(self) -> "SelectionResult":
-        """A stable view, immune to later in-place cracks, sorts and merges.
-
-        The concurrent SQL layer takes one before releasing the column
-        lock: zero-copy answers are views into cracker storage,
-        which the next crack would shuffle underneath the holder.
-
-        The copy is paid *on demand*, not here: the span registers
-        itself with its column, which retires (copies) its storage
-        arrays just before the next in-place crack, cut-off sort or
-        merge *if* any registered snapshot is still alive.  Converged
-        workloads — the sustained phase, where none of these happens —
-        therefore never copy.  An empty span views nothing and registers
-        nothing.
-
-        Callers may hold the snapshot or its ``oids``/``values`` arrays;
-        views *derived* from those arrays (further slicing) are only
-        guaranteed stable while the snapshot or its arrays stay alive.
-        Must be called while holding the column's lock (the SQL layer's
-        discipline), so registration cannot race an in-flight crack.
-        """
-        if self.stop > self.start:
-            self.owner._register_snapshot(self)
-        return self
 
 
 @dataclass
@@ -276,12 +248,6 @@ class CrackedColumn:
         # beside storage and the buffers, under the same lock.
         self._state = np.zeros(self._next_oid, dtype=np.uint8)
         self._state[self.oids] = _STORED
-        # Weak references to live zero-copy snapshots (and their
-        # handed-out view arrays); storage is retired — copied — before
-        # the next in-place crack while any is still referenced.  A
-        # plain ref list, not a WeakSet: neither dataclass results nor
-        # ndarrays are hashable.  See snapshot().
-        self._live_snapshot_refs: list[weakref.ref] = []
         # ``(start, stop)`` of pieces known to be sorted, so a bound in
         # one skips the O(piece) sortedness test.  Cracks only add
         # boundaries, so a remembered span is always a union of whole
@@ -344,41 +310,6 @@ class CrackedColumn:
         }
 
     # ------------------------------------------------------------------ #
-    # Snapshot copy-on-write
-    # ------------------------------------------------------------------ #
-
-    def _register_snapshot(self, result: SelectionResult) -> None:
-        """Track a zero-copy answer whose stability snapshot() promised."""
-        refs = self._live_snapshot_refs
-        refs.append(weakref.ref(result))
-        refs.append(weakref.ref(result.oids))
-        refs.append(weakref.ref(result.values))
-        if len(refs) > 64:
-            # Bound the shield's liveness scan: drop refs whose snapshot
-            # has already been garbage collected.
-            self._live_snapshot_refs = [r for r in refs if r() is not None]
-
-    def _shield_snapshots(self) -> None:
-        """Retire current storage if any registered snapshot is alive.
-
-        Called (under the caller's column lock) immediately before an
-        in-place crack kernel or cut-off sort runs.  Copying the storage
-        arrays and installing the copies makes the retired generation
-        immutable: every outstanding view — including views numpy
-        re-based onto the old root array — stays valid forever, and the
-        kernel shuffles only the fresh generation.  When no snapshot
-        survives (the common case: results are consumed within their
-        statement), this is an empty-list check and no copy happens.
-        """
-        refs = self._live_snapshot_refs
-        if not refs:
-            return
-        if any(ref() is not None for ref in refs):
-            self.values = self.values.copy()
-            self.oids = self.oids.copy()
-        self._live_snapshot_refs = []
-
-    # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
 
@@ -394,8 +325,8 @@ class CrackedColumn:
         ``None`` bounds make the predicate one-sided.  Pending changes
         whose value the range can see are merged first.  Each bound the
         index does not hold yet cracks its piece — or, at or below
-        ``crack_threshold``, sorts it once — and the answer is the span
-        between the two positions.
+        ``crack_threshold``, sorts it once — and the answer is a copy of
+        the span between the two positions.
         """
         self.query_stats.queries += 1
         if _empty_by_construction(low, high, low_inclusive, high_inclusive):
@@ -452,13 +383,12 @@ class CrackedColumn:
         return 0, len(self.values)
 
     def _span_result(self, start: int, stop: int) -> SelectionResult:
-        """The zero-copy answer ``[start, stop)`` (registers nothing by itself)."""
+        """The answer ``[start, stop)``, copied out of storage."""
         return SelectionResult(
-            oids=self.oids[start:stop],
-            values=self.values[start:stop],
+            oids=self.oids[start:stop].copy(),
+            values=self.values[start:stop].copy(),
             start=start,
             stop=stop,
-            owner=self,
         )
 
     # ------------------------------------------------------------------ #
@@ -652,8 +582,7 @@ class CrackedColumn:
         a remembered sorted span, at its ``searchsorted`` position, so
         the span stays sorted.  Boundaries and spans shift by the prefix
         sum of the net per-piece counts (``merge_shift``); nothing is
-        sorted again.  Both steps build new arrays, so outstanding
-        snapshots keep the old generation.
+        sorted again.
         """
         self.query_stats.merged_updates += len(del_oids) + len(ins_oids)
         if self.introspect is not None:
@@ -694,7 +623,6 @@ class CrackedColumn:
             oids = np.insert(oids, at, ins_oids)
             self._state[ins_oids] = _STORED
         self.values, self.oids = values, oids
-        self._live_snapshot_refs = []
         moved = edges + np.concatenate(([0], np.cumsum(net)))
         self._sorted_spans = set(zip(moved[first].tolist(), moved[last + 1].tolist()))
         index.merge_shift(net, len(values))
@@ -735,7 +663,6 @@ class CrackedColumn:
     def _crack(self, value, kind: str, start: int, stop: int) -> int:
         """Crack ``[start, stop)`` at boundary ``(value, kind)``; returns the split."""
         moved_before = self.crack_stats.tuples_moved
-        self._shield_snapshots()
         split = crack_in_two(
             self.values, self.oids, start, stop, value, kind, stats=self.crack_stats
         )
@@ -777,8 +704,6 @@ class CrackedColumn:
         window = self.values[start:stop]
         if (window[:-1] <= window[1:]).all():
             return
-        self._shield_snapshots()
-        window = self.values[start:stop]
         order = window.argsort(kind="stable")
         window[:] = window[order]
         oid_window = self.oids[start:stop]
@@ -807,7 +732,6 @@ class CrackedColumn:
         ):
             self.query_stats.pieces_inspected += 1
             moved_before = self.crack_stats.tuples_moved
-            self._shield_snapshots()
             split_low, split_high = crack_in_three(
                 self.values,
                 self.oids,

@@ -402,7 +402,7 @@ class ServerThread:
     bound and returns ``(host, port)``, :meth:`stop` triggers the same
     graceful shutdown as SIGTERM and returns its report::
 
-        with Database(cracking=True, concurrent=True) as db:
+        with Database(cracking=True) as db:
             thread = ServerThread(db)
             host, port = thread.start()
             ... connect Clients ...

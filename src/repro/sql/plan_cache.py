@@ -5,7 +5,7 @@ self-organising store must avoid "recompilation of cached queries".  In
 this reproduction the per-statement compilation pipeline is
 lex → parse → analyze → plan, and on a converged (sustained-phase)
 workload it dominates the query lifecycle — the cracked answer itself is
-an index lookup plus a zero-copy span.  This module caches the two
+an index lookup plus a copy of one span.  This module caches the two
 expensive, reusable stages:
 
 * **exact level** — a key maps straight to a compiled SELECT

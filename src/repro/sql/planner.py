@@ -3,8 +3,8 @@
 The cracker stage sits exactly where §3 puts it — between the semantic
 analyzer and the (traditional) optimizer: when a cracking provider is
 configured, a range selection is answered by the cracked column, whose
-``SelectionResult`` span enters the batch tree of
-:mod:`repro.volcano.vectorized` zero-copy; the remaining plan (joins,
+``SelectionResult`` — a copy of its span — is the first batch of the
+:mod:`repro.volcano.vectorized` tree; the remaining plan (joins,
 grouping, projection) is built conventionally, every operator an array
 kernel.  The paper's tuple-at-a-time baseline is
 :class:`~repro.engines.rowstore.RowStoreEngine`, which drives
@@ -115,13 +115,6 @@ class CrackerProvider:
     column while queries reorganise it.
 
     Args:
-        snapshot_results: snapshot selection answers before releasing
-            the column lock.  Required when multiple threads share the
-            database: a later crack shuffles the storage a zero-copy
-            answer is a view of.  Snapshots are copy-on-demand (the
-            column retires its storage generation before the next crack
-            only while a snapshot is still referenced), so sustained
-            converged workloads stay zero-copy even with this on.
         crack_threshold: sort-below-T cut-off of every cracked column,
             including ones restored from a checkpoint: pieces of at most
             T tuples are sorted once and binary-searched, never cracked
@@ -135,7 +128,6 @@ class CrackerProvider:
 
     def __init__(
         self,
-        snapshot_results: bool = False,
         crack_threshold: int = DEFAULT_CRACK_THRESHOLD,
         profile: bool = False,
     ) -> None:
@@ -143,7 +135,6 @@ class CrackerProvider:
             raise PlanError(
                 f"crack_threshold must be >= 0, got {crack_threshold}"
             )
-        self.snapshot_results = snapshot_results
         self.crack_threshold = crack_threshold
         self.profile = profile
         self._columns: dict[tuple[str, str], CrackedColumn] = {}
@@ -223,10 +214,9 @@ class CrackerProvider:
         """Crack ``relation.attr`` for a range, under the column's lock.
 
         Takes the column's write side (cracking mutates storage and
-        merges the pending update area) and, with ``snapshot_results``,
-        copies the answer before the lock is released so no later crack
-        can shuffle it away under the caller.  With ``count`` the answer
-        is the number of qualifying rows
+        merges the pending update area); the answer is copied under it,
+        so no later crack can shuffle it under the caller.  With
+        ``count`` the answer is the number of qualifying rows
         (:meth:`~repro.core.cracked_column.CrackedColumn.count_range`,
         which merges nothing).
 
@@ -296,8 +286,6 @@ class CrackerProvider:
                     stats.tuples_moved - moved_before,
                     len(column),
                 )
-            if self.snapshot_results and not count:
-                result = result.snapshot()
         finally:
             lock.release_write()
         return result
@@ -489,7 +477,7 @@ def build_plan(
                 low_inclusive=crackable.low_inclusive,
                 high_inclusive=crackable.high_inclusive,
             )
-            # The cracked span is the pipeline's first batch, zero-copy.
+            # The cracked answer is the pipeline's first batch.
             base_ops[binding] = VecCrackedScan(
                 relation, crackable.attr, result, alias=binding, needed=columns,
             )

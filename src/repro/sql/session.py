@@ -72,20 +72,16 @@ class Database:
     answers may differ from SQL's (stdlib ``sqlite3``'s) is one table,
     ``DIALECT`` in the test suite's ``oracle.py``.
 
-    ``mode`` accepts only ``"vector"`` and is not stored: the tuple
-    executor it once chose was removed.  It stays for the perf ledger,
-    which still passes it; a ``[benchmark]`` change to the ledger drops
-    the keyword.
+    ``mode`` accepts only ``"vector"`` and ``concurrent`` any value;
+    neither is stored (the tuple executor went, and every database is
+    now safe to share).  The perf ledger still passes both; a
+    ``[benchmark]`` change to the ledger drops the keywords.
 
-    Concurrency: DDL, inserts and all cracker traffic are always locked
-    (catalog lock, per-relation write locks, per-column reader–writer
-    locks), so concurrent statements never corrupt state.  To share one
-    database across threads, additionally pass ``concurrent=True``: range
-    answers are then snapshotted before the column lock is released, so a
-    crack by one thread cannot shuffle storage underneath another
-    thread's in-flight result.  Snapshots are copy-on-demand: the column
-    pays a copy only if a crack actually lands while a snapshot is still
-    referenced, so converged workloads stay zero-copy either way.
+    Concurrency: any database may be shared across threads.  DDL,
+    inserts and all cracker traffic are locked (catalog lock,
+    per-relation write locks, per-column reader–writer locks), and a
+    range answer is copied out of cracker storage under its column
+    lock, so a crack by one thread never reaches another's result.
 
     ``plan_cache`` (default on) caches compiled statements
     (:meth:`compile`): an exact repeat of a SELECT skips lexing, parsing
@@ -167,10 +163,8 @@ class Database:
         self.catalog = Catalog()
         self.tracker = IOTracker()
         self.cracking = cracking
-        self.concurrent = concurrent
         self._cracker = (
             CrackerProvider(
-                snapshot_results=concurrent,
                 crack_threshold=crack_threshold,
                 profile=profile,
             )

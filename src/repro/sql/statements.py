@@ -152,10 +152,10 @@ class SelectStmt(Statement):
             if not isinstance(plan, VecOperator):
                 return QueryResult(columns, list(plan), query=query)
             batch = concat_batches(plan)
-            # The result owns its data: a column still viewing cracker or
-            # BAT storage (the cracked span, a full-scan slice) is copied
-            # once here, so a held result cannot be shuffled by the next
-            # in-place crack and pins no storage generation.
+            # The result owns its data.  The cracked answer already does
+            # (it left the column lock as a copy); what can still view
+            # storage is a full-scan slice of a BAT, which UPDATE writes
+            # in place, so that is copied once here.
             if batch is None:  # the empty result, which is row-native
                 return QueryResult(columns, query=query)
             arrays = {

@@ -6,10 +6,10 @@ the paper).  Two MonetDB properties matter for cracking:
 
 * **void heads** — when oids are dense (0, 1, 2, ...) the head is not
   materialised; the BAT stores only the tail vector plus a seq base.
-* **zero-copy answers** — "The MonetDB BATviews provide a cheap
+* **contiguous answers** — "The MonetDB BATviews provide a cheap
   representation of the newly created table" (paper §3.4.2): a cracked
-  range query answers with a contiguous span of the cracker column
-  (:class:`~repro.core.cracked_column.SelectionResult`), not a copy.
+  range query's answer is one contiguous span of the cracker column
+  (:class:`~repro.core.cracked_column.SelectionResult`), copied once.
 
 Tails are numpy arrays of int64/float64, or int64 offsets into an
 :class:`~repro.storage.heap.AtomHeap` for strings, so vectorised kernels

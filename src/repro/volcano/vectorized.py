@@ -5,10 +5,10 @@ traditional engines the paper measures against; this module is the engine
 the paper *argues for*: operators exchange :class:`ColumnBatch` objects
 (one numpy array per column plus an optional selection vector) so joins,
 aggregates and sorts run as array kernels instead of per-row interpreter
-work.  Crucially, a cracked range selection enters the pipeline zero-copy:
-:class:`VecCrackedScan` passes the ``SelectionResult`` span of the cracker
-column straight through as the first batch (§3.4.2 — "the MonetDB BATviews
-provide a cheap representation of the newly created table").
+work.  A cracked range selection enters the pipeline as it left the
+cracker, a copy of one span of the cracker column (§3.4.2 — "the MonetDB
+BATviews provide a cheap representation of the newly created table"):
+:class:`VecCrackedScan` passes it through as the first batch.
 
 The test suite checks its answers query by query against stdlib
 ``sqlite3``; where they may differ is the ``DIALECT`` table of the
@@ -206,14 +206,14 @@ class VecScan(VecOperator):
 
 
 class VecCrackedScan(VecOperator):
-    """The cracked answer as the pipeline's first batch — zero-copy.
+    """The cracked answer as the pipeline's first batch.
 
-    ``result.values`` (the contiguous span of the cracker column) is
-    passed through as the predicate column's array without copying; the
-    sibling columns in ``needed`` (None = all) are fetched with one bulk
-    gather each at ``result.oids`` (dense void heads make oids storage
-    positions), and the rest are never reconstructed.  There is no
-    per-row work anywhere.
+    ``result.values`` (the column's copy of its contiguous span) is
+    passed through as the predicate column's array without another
+    copy; the sibling columns in ``needed`` (None = all) are fetched
+    with one bulk gather each at ``result.oids`` (dense void heads make
+    oids storage positions), and the rest are never reconstructed.
+    There is no per-row work anywhere.
     """
 
     def __init__(

@@ -17,9 +17,7 @@ how to:
 * compare one answer with sqlite's (:func:`assert_matches_reference`,
   :func:`assert_matches_sqlite`),
 * compare result sets exactly (:func:`assert_rows_equal`) or as sorted
-  sets (:func:`assert_sorted_rows_equal`), and run a workload across
-  several databases asserting agreement at every statement
-  (:func:`assert_engines_agree`), and
+  sets (:func:`assert_sorted_rows_equal`), and
 * answer a mixed_dml-shaped stream (:func:`mixed_dml_stream`) from an
   engine-free numpy model (:class:`TableModel`).
 
@@ -54,10 +52,9 @@ ENGINE_CONFIGS: dict[str, dict] = {
 }
 
 
-def make_databases(configs: dict[str, dict] | None = None) -> dict[str, Database]:
-    """Fresh databases for every configuration (default: all standard)."""
-    chosen = ENGINE_CONFIGS if configs is None else configs
-    return {name: Database(**kwargs) for name, kwargs in chosen.items()}
+def make_databases() -> dict[str, Database]:
+    """A fresh database for every standard configuration."""
+    return {name: Database(**kwargs) for name, kwargs in ENGINE_CONFIGS.items()}
 
 
 # ---------------------------------------------------------------------- #
@@ -465,32 +462,6 @@ def assert_sorted_rows_equal(expected_rows, actual_rows, context) -> None:
         sorted(actual_rows, key=_sort_key),
         context,
     )
-
-
-def assert_engines_agree(
-    databases: dict[str, Database],
-    statements,
-    ordered: bool = False,
-) -> None:
-    """Run each statement on every database; all must match the first.
-
-    The first database in the dict is the oracle.  ``ordered=True``
-    demands row-for-row order agreement (tuple-vs-vector style),
-    otherwise sorted result sets are compared (cracked storage answers
-    in crack order, not base order).
-    """
-    names = list(databases)
-    oracle_name = names[0]
-    compare = assert_rows_equal if ordered else assert_sorted_rows_equal
-    for statement in statements:
-        results = {name: databases[name].execute(statement) for name in names}
-        oracle_result = results[oracle_name]
-        for name in names[1:]:
-            result = results[name]
-            context = (statement, oracle_name, name)
-            assert result.columns == oracle_result.columns, context
-            assert result.affected == oracle_result.affected, context
-            compare(oracle_result.rows, result.rows, context)
 
 
 # ---------------------------------------------------------------------- #

@@ -40,7 +40,6 @@ class TestCheckpointExecuteRace:
     def test_checkpoint_never_captures_unlogged_statements(self, store, tmp_path):
         db = Database(
             cracking=True,
-            concurrent=True,
             persist_dir=store,
             wal_fsync_every=0,  # flush-only: keeps the stress CPU-bound
         )
@@ -136,7 +135,7 @@ class TestCheckpointExecuteRace:
             assert len(copy_keys) <= total
 
     def test_concurrent_checkpoints_serialize(self, store):
-        db = Database(cracking=True, concurrent=True, persist_dir=store)
+        db = Database(cracking=True, persist_dir=store)
         db.execute("CREATE TABLE r (k integer)")
         results: list = []
 

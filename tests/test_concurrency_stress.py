@@ -95,7 +95,7 @@ class Worker(threading.Thread):
 
 @pytest.mark.parametrize(
     "config",
-    [dict(concurrent=True)],
+    [dict()],
     ids=["vector-single"],
 )
 def test_stress_mixed_selects_and_inserts(config):
@@ -173,12 +173,12 @@ def test_torn_insert_snapshot_clamped():
 def test_check_invariants_concurrent_with_queries():
     """``check_invariants()`` never sees a torn column under SELECT + INSERT.
 
-    Four client threads share one ``Database(concurrent=True)``.  Every
+    Four client threads share one ``Database()``.  Every
     INSERT adds three rows above the loaded domain, so a range count over
     that band is a multiple of three exactly when an INSERT is visible
     to a range query on the column entirely or not at all.
     """
-    db, _ = _build(concurrent=True)
+    db, _ = _build()
     errors: list[BaseException] = []
 
     def churn(index: int) -> None:
@@ -227,7 +227,7 @@ def test_check_invariants_concurrent_with_queries():
 
 def test_concurrent_readers_on_converged_column():
     """Pure query traffic (no inserts) from many threads stays consistent."""
-    db, initial_values = _build(concurrent=True)
+    db, initial_values = _build()
     # Converge the index a little first.
     for low in range(0, DOMAIN, 1000):
         db.execute(f"SELECT count(*) FROM r WHERE a BETWEEN {low} AND {low + 500}")

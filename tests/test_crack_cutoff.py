@@ -86,15 +86,11 @@ def check(column, oracle, low, high, low_inclusive, high_inclusive):
     result = column.range_select(
         low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive
     )
-    # Every answer — inverted and degenerate ranges included — is a span.
+    # Every answer — inverted and degenerate ranges included — is a span,
+    # copied out of storage.
     assert 0 <= result.start <= result.stop <= len(column)
     assert result.count == result.stop - result.start
-    if result.count:
-        assert np.shares_memory(result.oids, column.oids)
-    else:
-        refs_before = list(column._live_snapshot_refs)
-        assert result.snapshot() is result
-        assert column._live_snapshot_refs == refs_before
+    assert not np.shares_memory(result.oids, column.oids)
     order = np.argsort(result.oids)
     expected_oids, expected_values = oracle.select(
         low, high, low_inclusive, high_inclusive
@@ -154,15 +150,17 @@ def test_snapshot_held_across_a_sort_stays_byte_identical():
     column = CrackedColumn.from_arrays(
         np.random.default_rng(0).permutation(1000), crack_threshold=700
     )
-    snap = column.range_select(200, 800).snapshot()  # 1000 > T: cracked
-    assert np.shares_memory(snap.values, column.values)
-    frozen_values, frozen_oids = snap.values.copy(), snap.oids.copy()
+    answer = column.range_select(200, 800)  # 1000 > T: cracked
+    frozen_values, frozen_oids = answer.values.copy(), answer.oids.copy()
+    storage = column.values
     inner = column.range_select(300, 350)  # lands in the 600-tuple piece: sorted
     assert column.crack_stats.sorts == 1
     assert inner.values.tolist() == list(range(300, 350))
-    assert np.array_equal(snap.values, frozen_values)
-    assert np.array_equal(snap.oids, frozen_oids)
-    assert not np.shares_memory(snap.values, column.values)  # storage retired
+    assert np.array_equal(answer.values, frozen_values)
+    assert np.array_equal(answer.oids, frozen_oids)
+    assert column.values is storage  # sorted in place
+    assert not np.shares_memory(answer.values, column.values)
+    assert not np.shares_memory(answer.oids, column.oids)
     column.check_invariants()
 
 
@@ -376,17 +374,18 @@ def test_pivot_without_an_exact_float64_key_is_skipped():
 def test_snapshot_held_across_pivot_cracks_stays_byte_identical():
     values = np.random.default_rng(2).permutation(10_000)
     column = CrackedColumn.from_arrays(values, crack_threshold=100)
-    snap = column.range_select().snapshot()  # the whole column, uncracked
-    frozen_values, frozen_oids = snap.values.copy(), snap.oids.copy()
+    answer = column.range_select()  # the whole column, uncracked
+    frozen_values, frozen_oids = answer.values.copy(), answer.oids.copy()
     quarter = len(values) // 4
     pivot = int(np.median(values[[quarter, len(values) // 2, -quarter]]))
     # The first pivot is this very bound: no crack at the bound follows.
     assert column.range_select(pivot).count == len(values) - pivot
     stats = column.crack_stats
     assert (stats.pivot_cracks, stats.cracks, stats.sorts) == (1, 1, 0)
-    assert np.array_equal(snap.values, frozen_values)
-    assert np.array_equal(snap.oids, frozen_oids)
-    assert not np.shares_memory(snap.values, column.values)  # storage retired
+    assert np.array_equal(answer.values, frozen_values)
+    assert np.array_equal(answer.oids, frozen_oids)
+    assert not np.shares_memory(answer.values, column.values)
+    assert not np.shares_memory(answer.oids, column.oids)
     column.check_invariants()
 
 

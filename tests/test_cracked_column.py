@@ -20,7 +20,8 @@ class TestRangeSelect:
         column = make_column(data)
         result = column.range_select(100, 200, high_inclusive=True)
         assert result.count == 101 == result.stop - result.start
-        assert np.shares_memory(result.values, column.values)
+        assert result.values.flags.owndata and result.oids.flags.owndata
+        assert not np.shares_memory(result.values, column.values)
         assert sorted(result.values.tolist()) == list(range(100, 201))
 
     def test_one_sided_low(self, rng):

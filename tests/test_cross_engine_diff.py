@@ -17,7 +17,6 @@ import pytest
 from oracle import (
     ENGINE_CONFIGS,
     SqliteReference,
-    assert_engines_agree,
     assert_matches_sqlite,
     held_result_stream,
     load_standard,
@@ -27,6 +26,8 @@ from oracle import (
     random_range_queries,
 )
 from repro.sql import Database
+from repro.storage.bat import BAT
+from repro.storage.table import Column, Relation, Schema
 
 
 def _loaded(seed: int) -> tuple[dict[str, Database], SqliteReference]:
@@ -85,19 +86,18 @@ def _cracker_storage(db: Database):
         yield column.oids
 
 
-@pytest.mark.parametrize("concurrent", [False, True])
-def test_held_result_owns_its_data(concurrent):
+@pytest.mark.parametrize("cracking", [False, True])
+def test_held_result_owns_its_data(cracking):
     """A held bulk result never changes and never aliases engine storage.
 
-    Bulk results are handed over as column arrays, and the
-    cracked span / full-scan slices they start from are *views* of
-    cracker and BAT storage: each is copied once at delivery.  Without
-    that copy the next in-place crack (or the merge an UPDATE/DELETE
-    queues) shuffles a held ``arrays`` face underneath its holder — and
-    under ``concurrent=True`` a held result would pin the copy-on-write
-    storage generation it was answered from.
+    Bulk results are handed over as column arrays.  A cracked answer is
+    copied out of cracker storage under its column lock; a full-scan
+    slice views BAT storage, which UPDATE writes in place, and is copied
+    once at delivery.  Without those copies the next in-place crack (or
+    the merge an UPDATE/DELETE queues) would shuffle a held ``arrays``
+    face underneath its holder.
     """
-    db = Database(concurrent=concurrent)
+    db = Database(cracking=cracking)
     load_standard(db, seed=61)
     relation = db.catalog.table("r")
     held = []  # (result, frozen copy of each array, frozen rows)
@@ -124,17 +124,44 @@ def test_held_result_owns_its_data(concurrent):
     db.check_invariants()
 
 
-def test_concurrent_snapshot_mode_agrees():
-    """concurrent=True (snapshotted answers) changes nothing semantically."""
-    databases = make_databases(
-        {
-            "plain": dict(),
-            "concurrent": dict(concurrent=True),
-        }
+@pytest.mark.parametrize(
+    "name", [name for name, kwargs in ENGINE_CONFIGS.items() if kwargs.get("cracking", True)]
+)
+def test_a_crack_between_answer_and_gather_tears_no_row(name, monkeypatch):
+    """Another statement's crack lands between a range answer and the
+    gather of its sibling column, and every row still pairs its own
+    ``k`` with its own ``a``.
+
+    Running the count right after the first sibling gather stands in,
+    deterministically, for another thread sharing the database: the
+    count cracks the column the SELECT was answered from.
+    """
+    rows = 20_000
+    a = np.random.default_rng(5).permutation(rows)
+    db = Database(**ENGINE_CONFIGS[name])
+    db.catalog.create_table(
+        Relation.from_columns(
+            "r",
+            Schema([Column("k", "int"), Column("a", "int")]),
+            {"k": np.arange(rows, dtype=np.int64), "a": a},
+        )
     )
-    for db in databases.values():
-        load_standard(db, seed=29)
-    rng = np.random.default_rng(292)
-    assert_engines_agree(
-        databases, random_range_queries(rng, 20, insert_every=4), ordered=True
-    )
+    real = BAT.decoded_array
+    interleaved = []
+
+    def gather_then_crack(bat, positions=None):
+        gathered = real(bat, positions)
+        if not interleaved:
+            interleaved.append(
+                db.execute("SELECT count(*) FROM r WHERE a BETWEEN 3000 AND 7000").scalar()
+            )
+        return gathered
+
+    monkeypatch.setattr(BAT, "decoded_array", gather_then_crack)
+    result = db.execute("SELECT k, a FROM r WHERE a BETWEEN 2000 AND 8000")
+    assert interleaved == [4001]
+    assert result.row_count == 6001
+    k, got = result.arrays["r.k"], result.arrays["r.a"]
+    torn = int(np.count_nonzero(a[k] != got))
+    assert torn == 0, f"{torn} of {len(k)} rows pair k with another row's a"
+    db.check_invariants()

@@ -1,4 +1,4 @@
-"""Hot-path features: the sort-below-T crack cut-off and copy-on-demand snapshots."""
+"""Hot-path features: the sort-below-T crack cut-off and answers that own their data."""
 
 from __future__ import annotations
 
@@ -71,7 +71,7 @@ class TestThresholdBoundedCracking:
         column = CrackedColumn.from_arrays(values, crack_threshold=10**6)
         result = column.range_select(10, 20)
         assert (result.start, result.stop) == (10, 20)
-        assert np.shares_memory(result.values, column.values)
+        assert result.values.flags.owndata and result.oids.flags.owndata
         assert result.values.tolist() == list(range(10, 20))
         assert values[result.oids].tolist() == list(range(10, 20))
         assert column.piece_count == 1  # sorted once, never cracked
@@ -114,61 +114,43 @@ class TestThresholdBoundedCracking:
 
 
 class TestCopyOnDemandSnapshots:
-    def test_snapshot_is_zero_copy_until_crack(self):
-        column = CrackedColumn.from_arrays(np.random.default_rng(0).permutation(10_000))
-        result = column.range_select(2000, 4000)
-        snap = result.snapshot()
-        assert snap is result
-        assert np.shares_memory(snap.values, column.values)
-        assert np.shares_memory(snap.oids, column.oids)
+    """A held answer is a copy made when it is answered: later cracks
+    and merges never reach it, and never copy the column for it."""
 
     def test_snapshot_survives_later_crack(self):
         column = CrackedColumn.from_arrays(np.random.default_rng(0).permutation(10_000))
-        snap = column.range_select(2000, 4000).snapshot()
-        frozen_values = snap.values.copy()
-        frozen_oids = snap.oids.copy()
-        column.range_select(2500, 3500)  # cracks inside the snapshotted span
-        assert np.array_equal(snap.values, frozen_values)
-        assert np.array_equal(snap.oids, frozen_oids)
-        assert not np.shares_memory(snap.values, column.values)
+        answer = column.range_select(2000, 4000)
+        frozen_values = answer.values.copy()
+        frozen_oids = answer.oids.copy()
+        column.range_select(2500, 3500)  # cracks inside the answer's span
+        assert np.array_equal(answer.values, frozen_values)
+        assert np.array_equal(answer.oids, frozen_oids)
+        assert not np.shares_memory(answer.values, column.values)
+        assert not np.shares_memory(answer.oids, column.oids)
         column.check_invariants()
 
     def test_no_copy_without_live_snapshot(self):
         column = CrackedColumn.from_arrays(np.random.default_rng(0).permutation(10_000))
-        column.range_select(2000, 4000)  # result dropped, never snapshotted
+        held = column.range_select(2000, 4000)
         storage = column.values
         column.range_select(2500, 3500)
-        assert column.values is storage  # no retirement happened
-
-    def test_dropped_snapshot_costs_nothing(self):
-        column = CrackedColumn.from_arrays(np.random.default_rng(0).permutation(10_000))
-        column.range_select(2000, 4000).snapshot()  # dropped immediately
-        storage = column.values
-        column.range_select(2500, 3500)
-        assert column.values is storage
+        assert column.values is storage  # cracked in place, never copied
+        assert held.count == 2000
 
     def test_holding_only_the_array_still_protects(self):
         column = CrackedColumn.from_arrays(np.random.default_rng(0).permutation(10_000))
-        values = column.range_select(2000, 4000).snapshot().values
+        values = column.range_select(2000, 4000).values
         frozen = values.copy()
         column.range_select(2500, 3500)
         assert np.array_equal(values, frozen)
+        assert not np.shares_memory(values, column.values)
 
     def test_merge_does_not_disturb_snapshot(self):
         column = CrackedColumn.from_arrays(np.random.default_rng(0).permutation(1000))
-        snap = column.range_select(100, 300).snapshot()
-        frozen = snap.values.copy()
+        answer = column.range_select(100, 300)
+        frozen = answer.values.copy()
         column.append(np.array([150, 250, 2000]))
         column.range_select(400, 500)  # triggers the pending merge
-        assert np.array_equal(snap.values, frozen)
+        assert np.array_equal(answer.values, frozen)
+        assert not np.shares_memory(answer.values, column.values)
         column.check_invariants()
-
-    def test_merge_retires_generation_without_extra_copy(self):
-        column = CrackedColumn.from_arrays(np.random.default_rng(0).permutation(1000))
-        snap = column.range_select(100, 300).snapshot()
-        column.append(np.array([150, 250]))
-        column.range_select(400, 500)  # merge installs fresh arrays
-        storage = column.values
-        column.range_select(420, 470)  # cracks; must not copy again
-        assert column.values is storage
-        assert snap is not None  # snapshot intentionally still alive

@@ -327,7 +327,7 @@ class TestTimeseriesWire:
         from repro.server.protocol import PROTOCOL_VERSION
         from repro.server.session import ClientSession
 
-        db = Database(cracking=True, concurrent=True)
+        db = Database(cracking=True)
         gateway = ExecutionGateway()
         session = ClientSession(db, gateway, 1, timeseries=timeseries)
         hello = await session.handle(

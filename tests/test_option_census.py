@@ -45,7 +45,7 @@ SURFACES = [
 PARAMETERS = {
     "Database.cracking": (FEATURE, "cracking vs plain scans, the paper's comparison"),
     "Database.mode": (SHIPPED, "the ledger passes mode='vector', the only value left"),
-    "Database.concurrent": (SHIPPED, "repro serve and the ledger open with concurrent=True"),
+    "Database.concurrent": (SHIPPED, "the ledger passes it; no effect; item 1(f)"),
     "Database.plan_cache": (FEATURE, "the statement cache on or off (--no-plan-cache)"),
     "Database.crack_threshold": (SHIPPED, "engines open with 0; --crack-threshold"),
     "Database.persist_dir": (DEPLOYMENT, "store directory (--persist-dir)"),
@@ -76,7 +76,6 @@ PARAMETERS = {
     "PersistentStore.fsync_every": (SHIPPED, "Database passes wal_fsync_every"),
     "PersistentStore.checkpoint_statements": (SHIPPED, "Database passes its policy"),
     "PersistentStore.checkpoint_wal_bytes": (SHIPPED, "Database passes its policy"),
-    "CrackerProvider.snapshot_results": (SHIPPED, "Database passes concurrent"),
     "CrackerProvider.crack_threshold": (SHIPPED, "Database passes its threshold"),
     "CrackerProvider.profile": (SHIPPED, "Database passes profile"),
     "PlanCache.enabled": (SHIPPED, "Database passes plan_cache"),

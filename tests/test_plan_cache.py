@@ -197,7 +197,7 @@ class TestCacheBehaviour:
         assert db2.execute(q).scalar() == 2
 
     def test_concurrent_hits_agree(self):
-        db = small_db(concurrent=True)
+        db = small_db()
         q = "SELECT count(*) FROM r WHERE a BETWEEN 10 AND 60"
         expected = db.execute(q).scalar()
         errors = []

@@ -452,7 +452,7 @@ def big_database():
     past the 32 MiB single-frame cap."""
     n = 2_200_000
     assert n * 16 > MAX_FRAME_BYTES
-    database = Database(cracking=True, concurrent=True)
+    database = Database(cracking=True)
     rng = np.random.default_rng(SEED)
     relation = Relation.from_columns(
         "big",
@@ -496,7 +496,7 @@ class TestStreamingPastFrameCap:
         assert max(map(len, frames)) < chunk_bytes + 512
         assert assemble(frames)["rows"] == rows
         # The same shape end to end: '' first, served in small chunks.
-        database = Database(cracking=True, concurrent=True)
+        database = Database(cracking=True)
         database.execute("CREATE TABLE v (k integer, tag varchar)")
         values = ", ".join(f"({k}, '{tag}')" for k, tag in rows)
         database.execute(f"INSERT INTO v VALUES {values}")

@@ -59,7 +59,7 @@ def threaded(monkeypatch):
 def served(database=None, **server_kwargs):
     """A database served on a background thread, stopped afterwards."""
     if database is None:
-        database = Database(cracking=True, concurrent=True)
+        database = Database(cracking=True)
     thread = ServerThread(database, **{**SERVED_DEFAULTS, **server_kwargs})
     host, port = thread.start()
     try:
@@ -249,7 +249,7 @@ class TestAdmissionControl:
             second.close()
 
     def test_statement_timeout_is_typed(self):
-        database = Database(cracking=True, concurrent=True)
+        database = Database(cracking=True)
         real_execute = database.execute
 
         def slow_execute(sql):
@@ -387,7 +387,7 @@ class TestTransactions:
         async def scenario():
             from repro.errors import OverloadedError
 
-            db = Database(cracking=True, concurrent=True)
+            db = Database(cracking=True)
             db.execute("CREATE TABLE r (k integer)")
             gateway = ExecutionGateway()
             session = ClientSession(db, gateway, 1)
@@ -435,7 +435,7 @@ class TestTransactions:
 
 class TestReconnect:
     def test_client_survives_server_restart(self):
-        database = Database(cracking=True, concurrent=True)
+        database = Database(cracking=True)
         thread = ServerThread(database)
         host, port = thread.start()
         client = Client(host, port, retry_delay=0.1, max_retries=10)
@@ -462,7 +462,7 @@ class TestReconnect:
         # Handles are session-scoped and shift on re-prepare: close the
         # first statement so the survivor's old handle ("s2") cannot
         # coincide with the handle the new session assigns it ("s1").
-        database = Database(cracking=True, concurrent=True)
+        database = Database(cracking=True)
         thread = ServerThread(database)
         host, port = thread.start()
         client = Client(host, port, retry_delay=0.1, max_retries=10)
@@ -488,7 +488,7 @@ class TestReconnect:
         # refuses nesting.
         from repro.errors import OverloadedError
 
-        database = Database(cracking=True, concurrent=True)
+        database = Database(cracking=True)
         real = database.execute_transaction
         state = {"rejected": False}
 
@@ -516,7 +516,7 @@ class TestReconnect:
                 assert not client.in_transaction
 
     def test_transaction_does_not_survive_reconnect(self):
-        database = Database(cracking=True, concurrent=True)
+        database = Database(cracking=True)
         thread = ServerThread(database)
         host, port = thread.start()
         client = Client(host, port, retry_delay=0.1, max_retries=10)
@@ -536,7 +536,7 @@ class TestReconnect:
             thread2.stop()
 
     def test_no_reconnect_raises_unavailable(self):
-        database = Database(cracking=True, concurrent=True)
+        database = Database(cracking=True)
         thread = ServerThread(database)
         host, port = thread.start()
         client = Client(host, port, reconnect=False)
@@ -553,7 +553,7 @@ class TestRetryDiscipline:
         # Socket-killing flavour: the server dies under the request, so
         # the mutation was never applied — the client still cannot know
         # that, so it must raise rather than guess.
-        database = Database(cracking=True, concurrent=True)
+        database = Database(cracking=True)
         thread = ServerThread(database)
         host, port = thread.start()
         client = Client(host, port, retry_delay=0.1, max_retries=10)
@@ -599,7 +599,7 @@ class TestGracefulShutdown:
     def test_shutdown_checkpoints_persistent_store(self, tmp_path):
         store = tmp_path / "store"
         database = Database(
-            cracking=True, concurrent=True, persist_dir=store, crack_threshold=0
+            cracking=True, persist_dir=store, crack_threshold=0
         )
         thread = ServerThread(database)
         host, port = thread.start()
@@ -650,7 +650,7 @@ class TestObservabilitySurface:
 
     def test_stats_carries_histograms_and_cracker_detail(self):
         unbounded = Database(
-            cracking=True, concurrent=True, crack_threshold=0
+            cracking=True, crack_threshold=0
         )
         with served(unbounded) as (_, host, port, _thread):
             with Client(host, port) as client:
@@ -740,7 +740,7 @@ class TestTransactionsThreaded(TestTransactions):
 
 def slow_database(seconds: float) -> Database:
     """A database whose every ``execute`` first sleeps ``seconds``."""
-    database = Database(cracking=True, concurrent=True)
+    database = Database(cracking=True)
     real_execute = database.execute
 
     def slow_execute(sql):
@@ -853,7 +853,7 @@ class TestBackpressure:
             return int(handle.read().split()[1]) * 4096 / 2**20
 
     def test_stalled_reader_bounds_queue_and_memory(self):
-        database = Database(cracking=True, concurrent=True)
+        database = Database(cracking=True)
         database.execute("CREATE TABLE r (k integer, a integer)")
         values = ", ".join(f"({i}, {i})" for i in range(self.ROWS + 8))
         database.execute(f"INSERT INTO r VALUES {values}")

@@ -327,36 +327,43 @@ class TestVecMaterialize:
         assert engine.table("full_t").column_values("tag") == ["x", "y", "z"]
 
 class TestVecCrackedScanZeroCopy:
-    def test_span_shares_memory_with_cracker_column(self, r_rel):
+    def test_span_owns_its_data(self, r_rel):
         column = CrackedColumn(r_rel.column("a"))
         result = column.range_select(20, 60, high_inclusive=True)
         scan = VecCrackedScan(r_rel, "a", result, alias="R")
         batch = next(scan.batches())
         span = batch.arrays[scan.column_index("R.a")]
-        assert np.shares_memory(span, column.values)
+        assert span is result.values  # the answer's copy, passed through
+        assert span.flags.owndata
+        assert not np.shares_memory(span, column.values)
         # the span's rows are exactly the answer's oids
         assert sorted(batch.column(0).tolist()) == sorted(
             result.oids.tolist()
         )
 
-    def test_vector_plan_feeds_cracked_span_zero_copy(self, rng):
+    def test_vector_plan_feeds_cracked_span_zero_copy(self, rng, monkeypatch):
+        """The delivered ``a`` array is the answer's own copy: the
+        column made it under its lock, and nothing copies it again."""
         db = Database(cracking=True)
         db.execute("CREATE TABLE r (k integer, a integer)")
         values = ", ".join(
             f"({i}, {int(v)})" for i, v in enumerate(rng.integers(0, 1000, 400))
         )
         db.execute(f"INSERT INTO r VALUES {values}")
-        stmt = parse("SELECT * FROM r WHERE a BETWEEN 100 AND 500")
-        query = analyze(stmt, db.catalog)
-        plan = build_plan(query, db.catalog, cracker=db._cracker)
-        scan = plan
-        while not isinstance(scan, VecCrackedScan):
-            scan = scan.child
+        answers = []
+        real = db._cracker.range_select
+
+        def keep(*args, **kwargs):
+            answers.append(real(*args, **kwargs))
+            return answers[-1]
+
+        monkeypatch.setattr(db._cracker, "range_select", keep)
+        result = db.execute("SELECT * FROM r WHERE a BETWEEN 100 AND 500")
+        (answer,) = answers
         column = db._cracker.column_for(db.catalog.table("r"), "a")
-        batch = next(scan.batches())
-        assert np.shares_memory(
-            batch.arrays[scan.column_index("r.a")], column.values
-        )
+        assert result.arrays["r.a"] is answer.values
+        assert not np.shares_memory(answer.values, column.values)
+        assert result.row_count == answer.count > 0
 
     def test_needed_subset_restricts_columns(self, r_rel):
         column = CrackedColumn(r_rel.column("a"))

@@ -131,7 +131,7 @@ def _drive_engine(work: Path) -> None:
     from repro.sql import Database
 
     for config in [
-        {}, {"cracking": False}, {"concurrent": True}, {"plan_cache": False},
+        {}, {"cracking": False}, {"plan_cache": False},
         {"crack_threshold": 0, "profile": True, "trace": True, "slow_query_ms": 0.0},
         {"persist_dir": work / "db", "wal_fsync_every": 1, "checkpoint_statements": 25},
     ]:

@@ -18,7 +18,8 @@ Public API highlights:
 * :mod:`repro.sql` — a small SQL front-end with a cracker extraction
   stage between analyzer and optimizer;
 * :mod:`repro.server` / :mod:`repro.client` — the network service
-  layer: asyncio TCP server, JSON wire protocol, sync + async clients;
+  layer: a one-thread ``selectors`` TCP server, the wire protocol
+  (JSON messages, binary columnar results) and one blocking client;
 * :mod:`repro.obs` — observability: metrics registry, span tracing,
   EXPLAIN ANALYZE plumbing, Prometheus text exposition;
 * :mod:`repro.experiments` — one module per paper figure.

@@ -481,7 +481,7 @@ def _pool_size(text: str) -> int:
     if text != "1":
         raise argparse.ArgumentTypeError(
             f"{text!r}: the worker pool was removed, 1 is the only value "
-            "(use --statement-timeout to run statements off the event loop)"
+            "(use --statement-timeout to run statements off the server's loop)"
         )
     return 1
 
@@ -490,13 +490,12 @@ def run_serve(argv: list[str]) -> int:
     """The ``serve`` subcommand: expose a database over TCP.
 
     Builds the engine (optionally durable via ``--persist-dir``, warm
-    restart included), binds the asyncio server and runs until SIGTERM
+    restart included), binds the server and runs its loop until SIGTERM
     or SIGINT, then shuts down gracefully: in-flight statements drain,
     the WAL is flushed and — for persistent stores — a checkpoint is
     written, so the next ``repro serve`` on the same directory restarts
     warm with an empty log tail.
     """
-    import asyncio
     import signal
 
     from repro.core import DEFAULT_CRACK_THRESHOLD
@@ -551,7 +550,7 @@ def run_serve(argv: list[str]) -> int:
     parser.add_argument(
         "--pool-size", type=_pool_size, default=1,
         help="accepted for compatibility; 1 is the only value (the worker "
-        "pool was removed: engine calls run inline on the event-loop "
+        "pool was removed: engine calls run inline on the server's loop "
         "thread, or on one worker thread under --statement-timeout)",
     )
     parser.add_argument(
@@ -619,22 +618,19 @@ def run_serve(argv: list[str]) -> int:
             return 1
         print(f"init script ran {executed} statement(s)")
 
-    async def _serve() -> dict:
-        await server.start()
-        host, port = server.address
-        print(f"repro server listening on {host}:{port}", flush=True)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
+    server.start()
+    host, port = server.address
+    print(f"repro server listening on {host}:{port}", flush=True)
 
-        def request_stop() -> None:
-            print("shutting down: draining connections...", flush=True)
-            stop.set()
+    def request_stop(signum, frame) -> None:
+        # The handler runs on this thread between bytecodes; stop() only
+        # writes to the loop's wake-up socket, so select() returns.
+        print("shutting down: draining connections...", flush=True)
+        server.stop()
 
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, request_stop)
-        return await server.serve_until(stop)
-
-    report = asyncio.run(_serve())
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, request_stop)
+    report = server.serve_forever()
     line = (
         f"drained {report['connections_drained']} connection(s), "
         f"served {report['accepted']}, refused {report['refused']}"

@@ -9,7 +9,7 @@ rates between samples — which is how a monotonically growing counter
 second readout without the engine maintaining any windowed state.
 
 The server samples its engine once per interval
-(:class:`~repro.server.server.ReproServer` owns the asyncio task) and
+(:class:`~repro.server.server.ReproServer` owns the sampler thread) and
 serves the ring over the ``timeseries`` wire message; ``repro top``
 renders it.  The ring itself is transport-agnostic and thread-safe, so
 tests and embedded monitors can drive it directly.

@@ -4,14 +4,15 @@ The serving pipeline, bottom up:
 
 * :mod:`repro.server.protocol` — length-prefixed frames (JSON
   messages, binary columnar bulk results) and typed error replies;
-* :mod:`repro.server.gateway` — where coroutines call the RW-locked
-  engine: inline on the loop thread, or on one worker thread when a
-  statement timeout is set;
+* :mod:`repro.server.gateway` — where the server's loop calls the
+  RW-locked engine: inline on the loop thread, or on one worker thread
+  when a statement timeout is set;
 * :mod:`repro.server.session` — per-connection prepared-statement
   handles and deferred BEGIN/COMMIT/ABORT transactions;
-* :mod:`repro.server.server` — the asyncio TCP server with admission
-  control, per-connection backpressure and graceful checkpointing
-  shutdown (plus :class:`ServerThread` for in-process embedding).
+* :mod:`repro.server.server` — the TCP server, one ``selectors`` loop
+  with admission control, per-connection backpressure and graceful
+  checkpointing shutdown (plus :class:`ServerThread` for in-process
+  embedding).
 
 The matching client library is :mod:`repro.client`.
 """
@@ -27,7 +28,6 @@ from repro.server.protocol import (
     error_for_exception,
     error_reply,
     result_reply,
-    write_frame,
 )
 from repro.server.server import ReproServer, ServerThread
 from repro.server.session import ClientSession
@@ -46,5 +46,4 @@ __all__ = [
     "error_for_exception",
     "error_reply",
     "result_reply",
-    "write_frame",
 ]

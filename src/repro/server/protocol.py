@@ -649,9 +649,3 @@ class FrameDecoder:
             if self._requests and payload and payload[0] == _BINARY_MARKER:
                 raise ProtocolError("requests must be JSON frames, got a binary frame")
             yield decode_payload(payload)
-
-
-async def write_frame(writer, message: dict) -> None:
-    """Write one frame to an asyncio stream and drain."""
-    writer.write(encode_frame(message))
-    await writer.drain()

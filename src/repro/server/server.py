@@ -1,48 +1,48 @@
-"""The asyncio TCP server: admission control and graceful shutdown.
+"""The TCP server: one ``selectors`` loop, admission control, graceful shutdown.
 
-One :class:`ReproServer` owns one shared
-:class:`~repro.sql.session.Database` and serves it to many concurrent
-connections.  The shape is run to completion:
+One :class:`ReproServer` serves one shared
+:class:`~repro.sql.session.Database` from one thread, which runs a
+``selectors`` loop over the listening socket, the connections and a
+wake-up socketpair.  A readable connection is read **once** (at most
+64 KiB); its requests (JSON only — a binary frame is refused undecoded)
+are answered in order, consecutive plain statements folded into one
+engine trip.  Replies leave by non-blocking ``send``, and a connection
+with unsent bytes, or with a chunked result whose next chunk is encoded
+only once the previous one has left, is not read again until they
+drain — TCP backpressure without a queue, nothing dropped or reordered.
+Engine calls go through the :class:`~repro.server.gateway.ExecutionGateway`:
+inline on the loop thread by default, or, under a ``statement_timeout``,
+on one worker thread while the loop parks the connection until the
+worker writes to the wake-up socket or the deadline (the select
+timeout) turns the call into a typed ``timeout`` reply.  Connections
+past ``max_connections`` get a typed ``overloaded`` error frame.
 
-* each connection is **one** task.  It reads whatever bytes have
-  arrived, decodes them into request frames (JSON only — a binary frame
-  from a client is refused undecoded), answers that run in order —
-  consecutive plain statements folded into one engine trip — drains
-  the socket, and only then reads again.  While it works it does not
-  read: the stream buffer fills, the transport pauses, kernel buffers
-  fill and the client blocks — backpressure without a queue, and
-  without a dropped or reordered request;
-* engine calls go through the
-  :class:`~repro.server.gateway.ExecutionGateway`.  Without a statement
-  timeout — the default — it runs them right on the event-loop thread:
-  a converged query costs less than the thread hop it would otherwise
-  pay.  The price is that a long statement (a cold crack of a big
-  column, a checkpoint) delays every other connection, accept, HELLO
-  and ``timeseries`` for its duration.  A ``statement_timeout`` moves
-  engine calls onto one worker thread, so the loop stays responsive
-  and can give up on a statement that runs too long;
-* admission control refuses connections past ``max_connections`` with
-  a typed ``overloaded`` error frame before closing.
-
-Graceful shutdown (:meth:`ReproServer.stop`, wired to SIGTERM by the
-``repro serve`` CLI) stops accepting, lets every connection answer the
-requests it has already received, sends ``goodbye``, waits for
-in-flight engine calls, then flushes the WAL and checkpoints the
-persistent store — so a restart recovers the full served state with an
-empty log tail.
-
-Chunk size (:data:`~repro.server.protocol.CHUNK_BYTES`), pipelined
-fold (:data:`PIPELINE_BATCH`), sampling period and drain wait are module
-constants, not settings, and a client's zlib offer is always honoured.
+Graceful shutdown (:meth:`ReproServer.stop`, which SIGTERM calls in
+``repro serve``) stops accepting, lets every connection answer what it
+has already received, sends ``goodbye``, waits for in-flight engine
+calls, then checkpoints the persistent store, so a restart recovers the
+served state with an empty WAL tail.  Chunk size, pipelined fold
+(:data:`PIPELINE_BATCH`), sampling period and drain wait are module
+constants, not settings.
 """
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
+import functools
+import selectors
+import socket
 import threading
+import time
+import traceback
 from collections import deque
 
-from repro.errors import ProtocolError, SettingError
+from repro.errors import (
+    OverloadedError,
+    ProtocolError,
+    SettingError,
+    StatementTimeoutError,
+)
 from repro.obs import timeseries
 from repro.server.gateway import ExecutionGateway
 from repro.server.protocol import (
@@ -51,7 +51,6 @@ from repro.server.protocol import (
     encode_result_frames,
     error_for_exception,
     error_reply,
-    write_frame,
 )
 from repro.server.session import ClientSession
 
@@ -60,20 +59,27 @@ _READ_BYTES = 1 << 16  # one socket read; bounds a decoded run
 #: Most pipelined statements folded into one engine trip per connection.
 PIPELINE_BATCH = 128
 
-#: Seconds :meth:`ReproServer.stop` lets connections finish their runs.
+#: Seconds a graceful shutdown lets connections finish their runs.
 DRAIN_TIMEOUT_S = 10.0
+
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
 
 class _Connection:
     """Book-keeping for one live connection."""
 
-    def __init__(self, session, reader, writer) -> None:
+    def __init__(self, sock, session) -> None:
+        self.sock = sock
         self.session = session
-        self.reader = reader
-        self.writer = writer
-        self.task = asyncio.current_task()
+        self.ready = None  # the selector callback: ready(mask)
+        self.decoder = FrameDecoder(requests=True)
         self.backlog: deque = deque()  # decoded requests, not yet taken up
-        self.reading = False  # parked in read(): safe to cancel out of
+        self.frames = None  # the rest of the current run's reply frames
+        self.out = b""  # encoded, not yet sent
+        self.call = None  # (future, start time, run length) on the worker
+        self.fatal: ProtocolError | None = None  # report, then hang up
+        self.hangup = False  # close once everything owed is sent
+        self.events = 0  # what the selector watches for
 
 
 class ReproServer:
@@ -87,10 +93,12 @@ class ReproServer:
         max_pending: gateway admission bound across all connections
             (only calls on the worker can pile up against it).
         statement_timeout: seconds per statement (None = unbounded, and
-            engine calls run inline on the event-loop thread).
+            engine calls run inline on the loop thread).
 
     A value that would make the server refuse all work raises
-    :class:`~repro.errors.SettingError`.
+    :class:`~repro.errors.SettingError`.  :meth:`start` binds, then
+    :meth:`serve_forever` runs the loop on the calling thread until
+    :meth:`stop`.
     """
 
     def __init__(
@@ -115,38 +123,42 @@ class ReproServer:
             max_pending=max_pending, statement_timeout=statement_timeout
         )
         self.timeseries = timeseries.TimeSeries()
-        self._sampler_task: asyncio.Task | None = None
-        self._server: asyncio.AbstractServer | None = None
+        self._selector = self._listener = self._wake_r = self._wake_w = None
+        self._sampler = threading.Thread(
+            target=self._sample_loop, name="repro-sampler", daemon=True
+        )
+        self._sampler_stop = threading.Event()
         self._connections: dict[int, _Connection] = {}
         self._next_session = 1
-        self._draining = False
+        self._stop_requested = False  # set by stop(), from any thread
+        self._draining = False  # the loop's own view of it
+        self._drain_deadline = 0.0
+        self._drained = 0
         self.accepted = 0
         self.refused = 0
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
+    def start(self) -> None:
+        """Bind, and start the once-a-second sampler."""
+        family = socket.getaddrinfo(self.host, self.port, type=socket.SOCK_STREAM)[0][0]
+        self._listener = socket.create_server((self.host, self.port), family=family)
+        self._selector = selectors.DefaultSelector()
+        self._wake_r, self._wake_w = socket.socketpair()
+        for sock, callback in (
+            (self._listener, lambda mask: self._accept()),
+            (self._wake_r, lambda mask: self._wake_r.recv(4096)),
+        ):
+            sock.setblocking(False)
+            self._selector.register(sock, _READ, callback)
+        self._wake_w.setblocking(False)
+        self._sampler.start()
 
-    async def start(self) -> None:
-        """Bind and start accepting connections."""
-        self._server = await asyncio.start_server(
-            self._accept, self.host, self.port
-        )
-        self._sampler_task = asyncio.ensure_future(self._sample_loop())
-
-    async def _sample_loop(self) -> None:
-        """Feed the metrics ring once per interval until shutdown.
-
-        Sampling only reads engine state, under the engine's own metric
-        and cracker read locks, so it runs on an executor thread where
-        waiting on a lock blocks no connection; a failed sample is
-        skipped rather than killing the monitor.
-        """
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(timeseries.INTERVAL_S)
+    def _sample_loop(self) -> None:
+        """Feed the metrics ring once per interval until shutdown, on
+        its own thread, where waiting on an engine lock blocks no
+        connection; a failed sample is skipped."""
+        while not self._sampler_stop.wait(timeseries.INTERVAL_S):
             try:
-                sample = await loop.run_in_executor(None, self._build_sample)
+                sample = self._build_sample()
             except Exception:
                 continue
             self.timeseries.record(sample)
@@ -186,67 +198,77 @@ class ReproServer:
     @property
     def address(self) -> tuple[str, int]:
         """The bound (host, port) — useful after binding port 0."""
-        if self._server is None or not self._server.sockets:
+        if self._listener is None:
             raise RuntimeError("server is not started")
-        name = self._server.sockets[0].getsockname()
-        return name[0], name[1]
+        return self._listener.getsockname()[:2]
 
-    async def serve_until(self, stop: asyncio.Event) -> dict:
-        """Run until ``stop`` is set, then shut down gracefully."""
-        if self._server is None:
-            await self.start()
-        await stop.wait()
-        return await self.stop()
+    def stop(self) -> None:
+        """Ask the loop for a graceful shutdown; returns at once.  Safe
+        from any thread and from a signal handler: it only sets a flag
+        and writes to the wake-up socket."""
+        self._stop_requested = True
+        self._wake()
 
-    async def stop(self) -> dict:
-        """Graceful shutdown; returns a report of what was drained.
+    def _wake(self) -> None:
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # full: the loop is awake already (or closed: it is gone)
 
-        Order: stop accepting → let every connection answer what it
-        has already received and say goodbye (bounded by
-        :data:`DRAIN_TIMEOUT_S`) → wait out in-flight engine calls →
-        checkpoint + close the persistent store.
-        """
-        self._draining = True
-        drained = len(self._connections)
-        if self._sampler_task is not None:
-            self._sampler_task.cancel()
-            self._sampler_task = None
-        if self._server is not None:
-            self._server.close()
-        tasks = []
-        for conn in self._connections.values():
-            tasks.append(conn.task)
-            if conn.reading:
-                conn.task.cancel()  # idle: wake it up to say goodbye
-        if tasks:
-            _, pending = await asyncio.wait(tasks, timeout=DRAIN_TIMEOUT_S)
-            for task in pending:
-                task.cancel()
-        if self._server is not None:
-            await self._server.wait_closed()
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.gateway.shutdown)
+    def serve_forever(self) -> dict:
+        """Run the loop until :meth:`stop`, then shut down (see the
+        module docstring; connections get :data:`DRAIN_TIMEOUT_S`) and
+        return a report of what was drained."""
+        while not self._draining or (
+            self._connections and time.monotonic() < self._drain_deadline
+        ):
+            for key, mask in self._selector.select(self._select_timeout()):
+                key.data(mask)
+            if not self.gateway.inline:
+                self._poll_calls()
+            if self._stop_requested and not self._draining:
+                self._begin_drain()
+        for conn in list(self._connections.values()):
+            self._close(conn)
+        self._sampler_stop.set()
+        self._sampler.join()
+        self.gateway.shutdown()
+        self._selector.close()
+        self._wake_r.close()
+        self._wake_w.close()
         checkpoint = None
         if self.database.persistent:
-            checkpoint = await loop.run_in_executor(
-                None, self.database.checkpoint
-            )
-        await loop.run_in_executor(None, self.database.close)
+            checkpoint = self.database.checkpoint()
+        self.database.close()
         return {
-            "connections_drained": drained,
+            "connections_drained": self._drained,
             "accepted": self.accepted,
             "refused": self.refused,
             "checkpoint": checkpoint,
         }
 
+    def _select_timeout(self) -> float | None:
+        """Until the nearest statement or drain deadline; None = none."""
+        limit = self.gateway.statement_timeout
+        deadlines = [c.call[1] + limit for c in self._connections.values() if c.call]
+        deadlines += [self._drain_deadline] if self._draining else []
+        return max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+
+    def _begin_drain(self) -> None:
+        self._draining = True
+        self._drain_deadline = time.monotonic() + DRAIN_TIMEOUT_S
+        self._drained = len(self._connections)
+        self._selector.unregister(self._listener)
+        self._listener.close()
+        for conn in list(self._connections.values()):
+            self._step(conn, 0)  # an idle connection says goodbye now
+
     def stats(self) -> dict:
         """Server-level counters (merged into STATS replies).
 
-        ``queue_depth`` is the instantaneous count, over all
-        connections, of requests received and decoded but not yet taken
-        up (they wait behind the one being answered) — the live
-        backpressure signal the METRICS exposition surfaces as a gauge.
-        It is bounded per connection by what one socket read can hold.
+        ``queue_depth`` counts requests decoded but not yet taken up, over
+        all connections: the live backpressure gauge, bounded per
+        connection by what one socket read can hold.
         """
         return {
             "connections": len(self._connections),
@@ -259,154 +281,199 @@ class ReproServer:
             ),
         }
 
-    # ------------------------------------------------------------------ #
-    # Connection handling
-    # ------------------------------------------------------------------ #
-
-    async def _accept(self, reader, writer) -> None:
-        if self._draining:
-            await self._refuse(writer, "shutting_down", "server is draining")
-            return
-        if len(self._connections) >= self.max_connections:
-            self.refused += 1
-            await self._refuse(
-                writer,
-                "overloaded",
-                f"connection limit of {self.max_connections} reached",
-            )
-            return
-        self.accepted += 1
-        session_id = self._next_session
-        self._next_session += 1
-        session = ClientSession(
-            self.database,
-            self.gateway,
-            session_id,
-            server_stats=self.stats,
-            timeseries=self.timeseries.snapshot,
-        )
-        conn = self._connections[session_id] = _Connection(session, reader, writer)
-        try:
-            await self._serve(conn)
-        finally:
-            del self._connections[session_id]
-
-    async def _refuse(self, writer, code: str, message: str) -> None:
-        try:
-            await write_frame(writer, error_reply(code, message))
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    async def _write_reply(self, conn: _Connection, reply: dict) -> None:
-        """Write one reply without draining (the caller batches drains).
-
-        A bulk result reply carries the raw :class:`QueryResult` under
-        ``"_result"``: it is encoded here into binary columnar frames —
-        chunked past :data:`~repro.server.protocol.CHUNK_BYTES`, with a
-        drain after every chunk so a huge SELECT streams under TCP
-        backpressure instead of ballooning in the writer's buffer.
-        """
-        result = reply.pop("_result", None) if isinstance(reply, dict) else None
-        if result is None:
-            conn.writer.write(encode_frame(reply))
-            return
-        for frame in encode_result_frames(
-            result, compression=conn.session.compression
-        ):
-            conn.writer.write(frame)
-            await conn.writer.drain()
-
-    async def _serve(self, conn: _Connection) -> None:
-        """One connection, start to finish: read, answer the run, repeat."""
-        writer = conn.writer
-        decoder = FrameDecoder(requests=True)
-        try:
-            while not conn.session.closing:
-                data = b""
-                if not self._draining:
-                    conn.reading = True
-                    try:
-                        data = await conn.reader.read(_READ_BYTES)
-                    except asyncio.CancelledError:
-                        if not self._draining:  # else: stop() woke us up
-                            raise
-                    finally:
-                        conn.reading = False
-                if not data:  # the client went away, or the server drains
-                    if self._draining:
-                        await write_frame(
-                            writer, {"type": "goodbye", "reason": "server shutdown"}
-                        )
-                    break
-                fatal = None
-                try:
-                    conn.backlog.extend(decoder.messages(data))
-                except ProtocolError as exc:
-                    # Framing is unrecoverable mid-stream: answer what
-                    # decoded before it, report, hang up.
-                    fatal = exc
-                await self._answer(conn)
-                if fatal is not None:
-                    await write_frame(writer, error_for_exception(fatal))
-                    break
-        except (ConnectionError, OSError):
-            pass  # client vanished mid-reply
-        finally:
+    def _accept(self) -> None:
+        while True:
             try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+                sock, _ = self._listener.accept()
+            except OSError:  # nothing left to accept (or out of fds)
+                return
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if len(self._connections) >= self.max_connections:
+                self.refused += 1
+                limit = f"connection limit of {self.max_connections} reached"
+                with contextlib.suppress(OSError):
+                    sock.send(encode_frame(error_reply("overloaded", limit)))
+                sock.close()
+                continue
+            self.accepted += 1
+            session_id = self._next_session
+            self._next_session += 1
+            session = ClientSession(
+                self.database,
+                self.gateway,
+                session_id,
+                server_stats=self.stats,
+                timeseries=self.timeseries.snapshot,
+            )
+            conn = _Connection(sock, session)
+            conn.ready = functools.partial(self._step, conn)
+            self._connections[session_id] = conn
+            self._watch(conn, _READ)
 
-    async def _answer(self, conn: _Connection) -> None:
-        """Reply, in order, to every request in the connection's backlog.
-
-        Pipelining: the run of plain statements at the head of the
-        backlog is folded into one engine trip.  Anything non-batchable
-        (txn control, stats, hello) ends the run and is handled by
-        itself, so reply order always matches request order.
-        """
-        backlog, session, writer = conn.backlog, conn.session, conn.writer
-        while backlog and not session.closing:
-            message = backlog.popleft()
-            batch = [message]
-            if session.batchable(message):
-                while (
-                    backlog
-                    and len(batch) < PIPELINE_BATCH
-                    and session.batchable(backlog[0])
-                ):
-                    batch.append(backlog.popleft())
-            if len(batch) > 1:
-                replies = await session.handle_many(batch)
+    def _step(self, conn: _Connection, mask: int) -> None:
+        """Serve one connection's event; a failure drops that connection
+        and the loop goes on."""
+        try:
+            if mask & conn.events & _READ:  # not a hang-up while writing
+                self._read(conn)
             else:
-                replies = [await session.handle(message)]
-            for reply in replies:
+                self._pump(conn)
+        except OSError:
+            self._close(conn)  # the client vanished mid-reply
+        except Exception:
+            traceback.print_exc()
+            self._close(conn)
+
+    def _read(self, conn: _Connection) -> None:
+        try:
+            data = conn.sock.recv(_READ_BYTES)
+        except BlockingIOError:
+            return  # a spurious wake-up
+        if not data:  # the client went away
+            self._close(conn)
+            return
+        try:
+            conn.backlog.extend(conn.decoder.messages(data))
+        except ProtocolError as exc:
+            # Framing is unrecoverable mid-stream: answer what decoded
+            # before it, report, hang up.
+            conn.fatal = exc
+        self._pump(conn)
+
+    def _pump(self, conn: _Connection) -> None:
+        """Move the connection on as far as it goes without blocking,
+        then watch for what it waits on."""
+        while True:
+            if conn.out:
                 try:
-                    await self._write_reply(conn, reply)
-                except ProtocolError as exc:
-                    # The reply overflowed the frame cap (a few rows of
-                    # huge varchars in a JSON reply): the error frame
-                    # is small, so the client gets a typed reply per
-                    # statement and the connection lives.
-                    writer.write(encode_frame(error_for_exception(exc)))
-            await writer.drain()
+                    sent = conn.sock.send(conn.out)
+                except BlockingIOError:
+                    sent = 0
+                if sent < len(conn.out):
+                    conn.out = memoryview(conn.out)[sent:]
+                    self._watch(conn, _WRITE)
+                    return
+                conn.out = b""
+            elif conn.frames is not None:
+                conn.out = next(conn.frames, b"")
+                if not conn.out:
+                    conn.frames = None
+            elif conn.call is not None:
+                self._watch(conn, 0)  # parked until the worker is done
+                return
+            elif conn.backlog and not conn.session.closing:
+                self._take_run(conn)
+            elif conn.fatal is not None:
+                conn.out = encode_frame(error_for_exception(conn.fatal))
+                conn.fatal, conn.hangup = None, True
+            elif conn.hangup or conn.session.closing:
+                self._close(conn)
+                return
+            elif self._draining:
+                conn.out = encode_frame({"type": "goodbye", "reason": "server shutdown"})
+                conn.hangup = True
+            else:
+                self._watch(conn, _READ)
+                return
+
+    @staticmethod
+    def _frames(replies: list, compression):
+        """The frames of a run's replies, encoded as they are asked for:
+        a bulk reply's raw :class:`QueryResult` (under ``"_result"``)
+        streams as chunks under TCP backpressure instead of ballooning in
+        memory, and the small replies between them leave together.
+        """
+        small = []
+        for reply in replies:
+            result = reply.pop("_result", None)
+            try:
+                if result is None:
+                    small.append(encode_frame(reply))
+                    continue
+                if small:
+                    yield b"".join(small)
+                    small = []
+                yield from encode_result_frames(result, compression=compression)
+            except ProtocolError as exc:
+                # The reply overflowed the frame cap: the error frame is
+                # small, so the client gets a typed reply per statement
+                # and the connection lives.
+                small.append(encode_frame(error_for_exception(exc)))
+        if small:
+            yield b"".join(small)
+
+    def _take_run(self, conn: _Connection) -> None:
+        """Answer the next run of the backlog, or start it on the worker:
+        the plain statements at its head fold into one engine trip; any
+        other request (txn control, stats, hello) is a run of its own.
+        """
+        backlog, session, gateway = conn.backlog, conn.session, self.gateway
+        batch = [backlog.popleft()]
+        if session.batchable(batch[0]):
+            while (
+                backlog
+                and len(batch) < PIPELINE_BATCH
+                and session.batchable(backlog[0])
+            ):
+                batch.append(backlog.popleft())
+        if not session.engine_bound(batch[0]):
+            self._reply(conn, [session.handle(batch[0])])
+            return
+        try:
+            if gateway.inline:
+                self._reply(conn, gateway.run(session.handle_many, batch))
+            else:
+                future = gateway.submit(session.handle_many, batch, wake=self._wake)
+                conn.call = (future, time.monotonic(), len(batch))
+        except OverloadedError as exc:
+            self._reply(conn, [error_for_exception(exc)] * len(batch))
+
+    def _reply(self, conn: _Connection, replies: list) -> None:
+        conn.frames = self._frames(replies, conn.session.compression)
+
+    def _poll_calls(self) -> None:
+        """Resume every parked connection whose call finished or whose
+        deadline passed (a timed-out call runs on; its reply is a typed
+        ``timeout``)."""
+        now = time.monotonic()
+        for conn in [conn for conn in self._connections.values() if conn.call]:
+            future, started, size = conn.call
+            try:
+                replies = self.gateway.collect(future, started, now)
+            except StatementTimeoutError as exc:
+                replies = [error_for_exception(exc)] * size
+            if replies is None:
+                continue
+            conn.call = None
+            self._reply(conn, replies)
+            self._step(conn, 0)
+
+    def _watch(self, conn: _Connection, events: int) -> None:
+        if events == conn.events:
+            return
+        if not conn.events:
+            self._selector.register(conn.sock, events, conn.ready)
+        elif not events:
+            self._selector.unregister(conn.sock)
+        else:
+            self._selector.modify(conn.sock, events, conn.ready)
+        conn.events = events
+
+    def _close(self, conn: _Connection) -> None:
+        if self._connections.pop(conn.session.session_id, None) is None:
+            return
+        if conn.events:
+            self._selector.unregister(conn.sock)
+        conn.sock.close()
 
 
 class ServerThread:
     """A server on a background thread — for tests, benches, examples.
 
-    Runs its own event loop; :meth:`start` blocks until the port is
-    bound and returns ``(host, port)``, :meth:`stop` triggers the same
-    graceful shutdown as SIGTERM and returns its report::
-
-        with Database(cracking=True) as db:
-            thread = ServerThread(db)
-            host, port = thread.start()
-            ... connect Clients ...
-            report = thread.stop()
+    :meth:`start` binds and returns ``(host, port)``; :meth:`stop`
+    triggers the same graceful shutdown as SIGTERM and returns its
+    report.
     """
 
     def __init__(self, database, **server_kwargs) -> None:
@@ -414,45 +481,25 @@ class ServerThread:
         self.server_kwargs = server_kwargs
         self.server: ReproServer | None = None
         self.report: dict | None = None
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
         self._thread: threading.Thread | None = None
-        self._startup_error: BaseException | None = None
 
-    def start(self, timeout: float = 10.0) -> tuple[str, int]:
+    def start(self) -> tuple[str, int]:
+        self.server = ReproServer(self.database, **self.server_kwargs)
+        self.server.start()
         self._thread = threading.Thread(
             target=self._run, name="repro-server", daemon=True
         )
         self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("server thread failed to start in time")
-        if self._startup_error is not None:
-            raise self._startup_error
-        assert self.server is not None
         return self.server.address
 
+    def _run(self) -> None:
+        self.report = self.server.serve_forever()
+
     def stop(self, timeout: float = 30.0) -> dict:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
+        if self.server is not None:
+            self.server.stop()
         if self._thread is not None:
             self._thread.join(timeout)
         if self.report is None:
             raise RuntimeError("server thread did not shut down cleanly")
         return self.report
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        self.server = ReproServer(self.database, **self.server_kwargs)
-        try:
-            await self.server.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        self.report = await self.server.serve_until(self._stop)

@@ -20,19 +20,17 @@ pieces of connection-scoped state on the shared
   that is the documented trade for an engine without MVC
   (the paper leaves updates as future work, §7).
 
-The session never touches sockets: the server hands it decoded request
-messages and writes back whatever reply dict :meth:`handle` returns,
-so the whole request vocabulary is unit-testable without I/O.
+The session never touches sockets or threads: the server hands it
+decoded requests and writes back the reply dicts :meth:`handle` and
+:meth:`handle_many` return, so the request vocabulary is unit-testable
+with plain calls.  A request whose type is in :data:`ENGINE_REQUESTS`
+calls the engine, so the server answers it through the
+:class:`~repro.server.gateway.ExecutionGateway`.
 """
 
 from __future__ import annotations
 
-from repro.errors import (
-    OverloadedError,
-    ProtocolError,
-    ReproError,
-    TransactionError,
-)
+from repro.errors import ProtocolError, TransactionError
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     SMALL_RESULT_ROWS,
@@ -43,13 +41,17 @@ from repro.server.protocol import (
     result_reply,
 )
 
+#: Request types whose answer calls into the engine.
+ENGINE_REQUESTS = frozenset({"query", "execute", "prepare", "commit", "stats", "metrics"})
+
 
 class ClientSession:
     """Protocol state machine for one connection.
 
     Args:
         database: the shared engine.
-        gateway: the execution gateway engine calls go through.
+        gateway: the execution gateway whose counters STATS and METRICS
+            report.
         session_id: server-assigned id, echoed in HELLO and STATS.
         server_stats: zero-argument callable returning the server's
             counter dict, merged into STATS replies (None embeds only
@@ -87,7 +89,7 @@ class ClientSession:
     # Dispatch
     # ------------------------------------------------------------------ #
 
-    async def handle(self, message: dict) -> dict:
+    def handle(self, message: dict) -> dict:
         """Process one request message and return its reply message.
 
         Engine and protocol failures never escape: they come back as
@@ -105,15 +107,13 @@ class ClientSession:
         if handler is None:
             return error_reply("protocol", f"unknown message type {kind!r}")
         try:
-            return await handler(message)
-        except ReproError as exc:
-            return error_for_exception(exc)
-        except Exception as exc:  # bug shield: reply, don't disconnect
+            return handler(message)
+        except Exception as exc:  # typed, or a bug: reply, don't disconnect
             return error_for_exception(exc)
 
     def batchable(self, message) -> bool:
         """True when a pipelined run may fold this message into one
-        gateway trip: plain statements, outside any transaction (a
+        engine trip: plain statements, outside any transaction (a
         transaction needs per-statement classification and buffering,
         so it falls back to the one-at-a-time path)."""
         return (
@@ -123,36 +123,24 @@ class ClientSession:
             and message.get("type") in ("query", "execute")
         )
 
-    async def handle_many(self, messages: list) -> list[dict]:
-        """Process a run of batchable messages with ONE gateway trip.
+    def engine_bound(self, message) -> bool:
+        """True when answering ``message`` calls into the engine."""
+        return isinstance(message, dict) and message.get("type") in ENGINE_REQUESTS
 
-        Pipelined clients send many small statements back to back;
-        dispatching each one individually pays the per-trip cost (on
-        the worker, an event-loop → worker-thread handoff) per
-        statement, which dominates once the engine itself answers in
-        microseconds.  This path validates every message up front,
-        executes the whole run sequentially in one gateway call, and
-        maps each outcome back to its own typed reply — one trip
-        amortised over the run.  A lone statement takes the same two
-        steps as a run of one.
+    def handle_many(self, messages: list) -> list[dict]:
+        """Answer a run of requests, in order, one reply each.
+
+        The server hands a pipelined run of batchable statements over
+        as one call, so the run costs one gateway trip (under a
+        statement timeout, one loop → worker-thread handoff) instead of
+        one per statement, which would dominate once the engine answers
+        in microseconds.
         """
-        thunks: list = []
-        slots: list[int] = []
-        replies: list = [None] * len(messages)
-        for index, message in enumerate(messages):
-            try:
-                thunks.append(self._statement_thunk(message))
-                slots.append(index)
-            except Exception as exc:
-                replies[index] = error_for_exception(exc)
-        if thunks:
-            for index, reply in zip(slots, await self._run_thunks(thunks)):
-                replies[index] = reply
-        return replies
+        return [self.handle(message) for message in messages]
 
-    def _statement_thunk(self, message: dict) -> tuple:
+    def _engine_call(self, message: dict) -> tuple:
         """Validate one ``query``/``execute`` message into the engine
-        call ``(fn, argument)`` that answers it."""
+        call ``(fn, argument)`` that answers it, and count it."""
         if message.get("type") == "query":
             fn, argument = self.database.execute, self._sql_of(message)
         else:
@@ -170,34 +158,6 @@ class ClientSession:
         self.statements += 1
         return fn, argument
 
-    async def _run_thunks(self, thunks: list) -> list[dict]:
-        """One gateway trip for a run of thunks; one reply per thunk.
-
-        Per-statement engine failures stay per-statement; a
-        gateway-level refusal (overload, timeout) is reported on every
-        statement of the run, because the run is admitted and timed as
-        one unit.
-        """
-        def run_batch():
-            outcomes = []
-            for fn, argument in thunks:
-                try:
-                    outcomes.append(fn(argument))
-                except Exception as exc:
-                    outcomes.append(exc)
-            return outcomes
-
-        try:
-            outcomes = await self.gateway.run(run_batch)
-        except ReproError as exc:
-            return [error_for_exception(exc)] * len(thunks)
-        return [
-            error_for_exception(outcome)
-            if isinstance(outcome, BaseException)
-            else self._result_reply(outcome)
-            for outcome in outcomes
-        ]
-
     @staticmethod
     def _sql_of(message: dict) -> str:
         sql = message.get("sql")
@@ -210,11 +170,9 @@ class ClientSession:
         """The reply for a completed statement.
 
         A bulk result carries the raw :class:`QueryResult` under the
-        private ``"_result"`` key: the server's writer encodes its
-        column arrays into binary frames (chunked when large), so a
-        columnar answer reaches the socket without becoming tuples.  Tiny
-        results (``SMALL_RESULT_ROWS`` and under — the count(*) replies
-        a pipelined workload is made of) go out as JSON: the columnar
+        private ``"_result"`` key, which the server encodes into binary
+        column frames without building tuples.  Tiny results
+        (``SMALL_RESULT_ROWS`` and under) go out as JSON: the columnar
         codec only pays for itself in bulk.
         """
         if result.row_count > SMALL_RESULT_ROWS:
@@ -225,7 +183,7 @@ class ClientSession:
     # Handshake / lifecycle
     # ------------------------------------------------------------------ #
 
-    async def _on_hello(self, message: dict) -> dict:
+    def _on_hello(self, message: dict) -> dict:
         offered = hello_versions(message)
         if PROTOCOL_VERSION not in offered:
             return error_reply(
@@ -247,7 +205,7 @@ class ClientSession:
             "persistent": self.database.persistent,
         }
 
-    async def _on_close(self, message: dict) -> dict:
+    def _on_close(self, message: dict) -> dict:
         self.closing = True
         return {"type": "goodbye", "reason": "client close"}
 
@@ -255,13 +213,10 @@ class ClientSession:
     # Statements
     # ------------------------------------------------------------------ #
 
-    async def _on_query(self, message: dict) -> dict:
-        thunk = self._statement_thunk(message)
+    def _on_query(self, message: dict) -> dict:
+        execute, sql = self._engine_call(message)
         if self._txn is not None:
-            # Classification must compile, and compiling goes through the
-            # gateway like any other engine work.
-            _, sql = thunk
-            stmt = await self.gateway.run(self.database.compile, sql)
+            stmt = self.database.compile(sql)
             if stmt.mutates:
                 self._txn.append(sql)
                 return {"type": "queued", "queued": len(self._txn)}
@@ -270,11 +225,11 @@ class ClientSession:
                     f"statement kind {stmt.kind!r} is not allowed "
                     "inside a transaction"
                 )
-        return (await self._run_thunks([thunk]))[0]
+        return self._result_reply(execute(sql))
 
-    async def _on_prepare(self, message: dict) -> dict:
+    def _on_prepare(self, message: dict) -> dict:
         sql = self._sql_of(message)
-        prepared = await self.gateway.run(self.database.prepare, sql)
+        prepared = self.database.prepare(sql)
         handle = f"s{self._next_handle}"
         self._next_handle += 1
         self._prepared[handle] = prepared
@@ -291,10 +246,11 @@ class ClientSession:
             raise ProtocolError(f"unknown prepared-statement handle {handle!r}")
         return handle, prepared
 
-    async def _on_execute(self, message: dict) -> dict:
-        return (await self._run_thunks([self._statement_thunk(message)]))[0]
+    def _on_execute(self, message: dict) -> dict:
+        execute, params = self._engine_call(message)
+        return self._result_reply(execute(params))
 
-    async def _on_deallocate(self, message: dict) -> dict:
+    def _on_deallocate(self, message: dict) -> dict:
         handle, _ = self._prepared_of(message)
         del self._prepared[handle]
         return {"type": "closed", "handle": handle}
@@ -303,7 +259,7 @@ class ClientSession:
     # Transactions
     # ------------------------------------------------------------------ #
 
-    async def _on_begin(self, message: dict) -> dict:
+    def _on_begin(self, message: dict) -> dict:
         if self._txn is not None:
             raise TransactionError(
                 "already in a transaction (no nesting); COMMIT or ABORT first"
@@ -311,30 +267,24 @@ class ClientSession:
         self._txn = []
         return {"type": "begun"}
 
-    async def _on_commit(self, message: dict) -> dict:
+    def _on_commit(self, message: dict) -> dict:
         if self._txn is None:
             raise TransactionError("COMMIT outside a transaction")
         buffered, self._txn = self._txn, None
         if not buffered:
             return {"type": "committed", "statements": 0, "affected": []}
         # A failed batch rolled back entirely (Database.execute_transaction
-        # is all-or-nothing), so the transaction is over either way —
-        # except admission rejection, which happens before anything ran:
-        # keep the buffer so the client can retry COMMIT after backoff.
-        try:
-            results = await self.gateway.run(
-                self.database.execute_transaction, buffered
-            )
-        except OverloadedError:
-            self._txn = buffered
-            raise
+        # is all-or-nothing), so the transaction is over either way.  An
+        # admission refusal never gets here: the gateway refuses before
+        # the session runs, so the buffer survives a retried COMMIT.
+        results = self.database.execute_transaction(buffered)
         return {
             "type": "committed",
             "statements": len(results),
             "affected": [int(result.affected) for result in results],
         }
 
-    async def _on_abort(self, message: dict) -> dict:
+    def _on_abort(self, message: dict) -> dict:
         if self._txn is None:
             raise TransactionError("ABORT outside a transaction")
         discarded, self._txn = len(self._txn), None
@@ -344,18 +294,9 @@ class ClientSession:
     # Introspection
     # ------------------------------------------------------------------ #
 
-    async def _on_stats(self, message: dict) -> dict:
-        """The full introspection payload.
-
-        Engine state comes from :meth:`Database.stats` (one nested dict:
-        tables, crackers + per-column detail, plan cache, persistence,
-        and the metrics registry snapshot with per-statement-kind
-        latency histograms); the session, gateway and server layers
-        each merge their own counters on top.
-        """
-        database = self.database
-        # Engine introspection is engine work: through the gateway (the
-        # catalog lock and per-column cracker locks are taken inside).
+    def _on_stats(self, message: dict) -> dict:
+        """The full introspection payload: :meth:`Database.stats`, with
+        the session, gateway and server counters merged on top."""
         payload = {
             "session": {
                 "id": self.session_id,
@@ -366,14 +307,22 @@ class ClientSession:
                 "prepared": len(self._prepared),
                 "in_transaction": self._txn is not None,
             },
-            "gateway": self.gateway.stats(),
-            **(await self.gateway.run(database.stats)),
+            "gateway": self._gateway_stats(),
+            **self.database.stats(),
         }
         if self.server_stats is not None:
             payload["server"] = self.server_stats()
         return {"type": "stats", "payload": payload}
 
-    async def _on_timeseries(self, message: dict) -> dict:
+    def _gateway_stats(self) -> dict:
+        """The gateway's counters as this request found them: the server
+        admitted the request before the session saw it, so it does not
+        count itself as pending."""
+        stats = self.gateway.stats()
+        stats["pending"] = max(0, stats["pending"] - 1)
+        return stats
+
+    def _on_timeseries(self, message: dict) -> dict:
         """The server's metrics ring (the ``repro top`` feed).
 
         ``last`` optionally trims the reply to the most recent that many
@@ -390,17 +339,16 @@ class ClientSession:
             payload = self.timeseries(last=last)
         return {"type": "timeseries", "payload": payload}
 
-    async def _on_metrics(self, message: dict) -> dict:
+    def _on_metrics(self, message: dict) -> dict:
         """Prometheus-style text exposition of every metric layer.
 
         The engine registry renders itself; gateway, server and
         session-local counters join as extra gauge samples so one
         scrape shows the whole process.
         """
-        database = self.database
         extra = [
             (f"repro_gateway_{key}", None, value)
-            for key, value in self.gateway.stats().items()
+            for key, value in self._gateway_stats().items()
         ]
         if self.server_stats is not None:
             extra.extend(
@@ -411,5 +359,5 @@ class ClientSession:
             ("repro_session_statements",
              {"session": str(self.session_id)}, self.statements)
         )
-        text = await self.gateway.run(database.metrics.render, extra=extra)
+        text = self.database.metrics.render(extra=extra)
         return {"type": "metrics", "exposition": text}

@@ -8,8 +8,6 @@ ring behind ``repro top``, and the ``# HELP`` exposition satellite.
 
 from __future__ import annotations
 
-import asyncio
-
 import numpy as np
 import pytest
 
@@ -322,50 +320,38 @@ class TestTimeSeries:
 
 
 class TestTimeseriesWire:
-    async def _session(self, timeseries=None):
+    def _session(self, timeseries=None):
         from repro.server.gateway import ExecutionGateway
         from repro.server.protocol import PROTOCOL_VERSION
         from repro.server.session import ClientSession
 
         db = Database(cracking=True)
-        gateway = ExecutionGateway()
-        session = ClientSession(db, gateway, 1, timeseries=timeseries)
-        hello = await session.handle(
-            {"type": "hello", "protocol": PROTOCOL_VERSION}
-        )
+        session = ClientSession(db, ExecutionGateway(), 1, timeseries=timeseries)
+        hello = session.handle({"type": "hello", "protocol": PROTOCOL_VERSION})
         assert hello["type"] == "hello"
-        return session, gateway
+        return session
 
     def test_empty_ring_without_a_server(self):
-        async def scenario():
-            session, gateway = await self._session()
-            reply = await session.handle({"type": "timeseries"})
-            assert reply["type"] == "timeseries"
-            assert reply["payload"] == {
-                "interval": 0.0, "capacity": 0, "taken": 0, "samples": [],
-            }
-            gateway.shutdown(wait=False)
-
-        asyncio.run(scenario())
+        session = self._session()
+        reply = session.handle({"type": "timeseries"})
+        assert reply["type"] == "timeseries"
+        assert reply["payload"] == {
+            "interval": 0.0, "capacity": 0, "taken": 0, "samples": [],
+        }
 
     def test_snapshot_passthrough_and_last_validation(self):
         ring = TimeSeries()
         ring.record({"statements": 7}, at=1.0)
         ring.record({"statements": 9}, at=3.0)
-
-        async def scenario():
-            session, gateway = await self._session(timeseries=ring.snapshot)
-            reply = await session.handle({"type": "timeseries", "last": 1})
-            assert reply["type"] == "timeseries"
-            assert len(reply["payload"]["samples"]) == 1
-            assert reply["payload"]["taken"] == 2
-            for bad in ("2", True, 1.5):
-                error = await session.handle({"type": "timeseries", "last": bad})
-                assert error["type"] == "error", bad
-                assert error["code"] == "protocol", bad
-            gateway.shutdown(wait=False)
-
-        asyncio.run(scenario())
+        session = self._session(timeseries=ring.snapshot)
+        reply = session.handle({"type": "timeseries", "last": 1})
+        assert reply["type"] == "timeseries"
+        assert len(reply["payload"]["samples"]) == 1
+        assert reply["payload"]["taken"] == 2
+        for bad in ("2", True, 1.5):
+            error = session.handle({"type": "timeseries", "last": bad})
+            assert error["type"] == "error", bad
+            assert error["code"] == "protocol", bad
 
 
 # ---------------------------------------------------------------------- #

@@ -19,7 +19,7 @@ import re
 import pytest
 
 from repro.__main__ import main
-from repro.client import _ClientCore
+from repro.client import Client
 from repro.obs.introspect import ColumnIntrospection
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeries
@@ -37,7 +37,7 @@ SHIPPED, DEPLOYMENT, FEATURE = "shipped caller", "deployment setting", "feature 
 
 SURFACES = [
     Database, ReproServer, ExecutionGateway, ClientSession, encode_result_frames,
-    _ClientCore, TimeSeries, ColumnIntrospection, MetricsRegistry, VecScan,
+    Client, TimeSeries, ColumnIntrospection, MetricsRegistry, VecScan,
     PersistentStore, CrackerProvider, PlanCache,
 ]
 
@@ -65,10 +65,10 @@ PARAMETERS = {
     "ClientSession.server_stats": (SHIPPED, "ReproServer passes its counters"),
     "ClientSession.timeseries": (SHIPPED, "ReproServer passes its metrics ring"),
     "encode_result_frames.compression": (SHIPPED, "the server passes the negotiated codec"),
-    "_ClientCore.reconnect": (SHIPPED, "the ledger's client passes reconnect=False"),
-    "_ClientCore.max_retries": (DEPLOYMENT, "retry policy"),
-    "_ClientCore.retry_delay": (DEPLOYMENT, "retry policy"),
-    "_ClientCore.compression": (FEATURE, "offer zlib frame compression"),
+    "Client.reconnect": (SHIPPED, "the ledger's client passes reconnect=False"),
+    "Client.max_retries": (DEPLOYMENT, "retry policy"),
+    "Client.retry_delay": (DEPLOYMENT, "retry policy"),
+    "Client.compression": (FEATURE, "offer zlib frame compression"),
     "ColumnIntrospection.domain_low": (SHIPPED, "CrackerProvider passes the column's span"),
     "ColumnIntrospection.domain_high": (SHIPPED, "CrackerProvider passes the column's span"),
     "VecScan.alias": (SHIPPED, "the planner passes the table binding"),

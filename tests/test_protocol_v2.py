@@ -80,11 +80,25 @@ class TappedClient(Client):
 
     received = b""
 
-    def _io(self, op, arg):
-        outcome = super()._io(op, arg)
-        if op == "recv":
-            self.received += outcome
-        return outcome
+    def connect(self):
+        super().connect()
+        self._sock = _Tap(self._sock, self)
+
+
+class _Tap:
+    """A socket that appends what ``recv`` returns to its client's
+    ``received``."""
+
+    def __init__(self, sock, client) -> None:
+        self._sock, self._client = sock, client
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+    def recv(self, size: int) -> bytes:
+        data = self._sock.recv(size)
+        self._client.received += data
+        return data
 
 
 @pytest.fixture

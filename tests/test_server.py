@@ -8,25 +8,30 @@ admission control (connection limit, overload, statement timeout),
 protocol robustness, backpressure, reconnect, and graceful
 checkpointing shutdown.
 
-The server runs engine calls inline on the event-loop thread unless a
+The server runs engine calls inline on its loop thread unless a
 statement timeout is set, which moves them onto the gateway's one
 worker thread.  Tests run against the default; the ``...Threaded``
 subclasses re-run the differential, concurrency and transaction classes
 with ``statement_timeout=60`` through the :func:`threaded` fixture.
 """
 
-import asyncio
+import gc
 import json
+import os
 import socket
 import threading
+import subprocess
+import sys
 import time
+import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracle import assert_sorted_rows_equal, load_standard, random_range_queries, standard_query_suite
-from repro.client import AsyncClient, Client, _statement_mutates
+from repro.client import Client, _statement_mutates
 from repro.errors import (
     AmbiguousResultError,
     OverloadedError,
@@ -266,26 +271,45 @@ class TestAdmissionControl:
                 assert info.value.code == "timeout"
 
     def test_gateway_overload_and_timeout(self):
-        async def scenario():
-            import time
+        gateway = ExecutionGateway(max_pending=1, statement_timeout=0.5)
+        release, woken = threading.Event(), threading.Event()
+        first = gateway.submit(release.wait, 5, wake=woken.set)
+        with pytest.raises(OverloadedError):  # the only slot is taken
+            gateway.submit(lambda: None, wake=woken.set)
+        release.set()
+        assert woken.wait(5)
+        assert gateway.collect(first, time.monotonic(), time.monotonic()) is True
+        started = time.monotonic()
+        slow = gateway.submit(time.sleep, 1.5, wake=lambda: None)
+        assert gateway.collect(slow, started, started + 0.4) is None  # running
+        with pytest.raises(StatementTimeoutError):
+            gateway.collect(slow, started, started + 0.5)
+        with pytest.raises(OverloadedError):  # the given-up call holds it
+            gateway.submit(lambda: None, wake=lambda: None)
+        stats = gateway.stats()
+        assert stats["rejected"] == 2
+        assert stats["timeouts"] == 1
+        assert stats["executed"] == 1
+        assert stats["pending"] == 1 and not slow.done()
+        gateway.shutdown(wait=False)
 
-            gateway = ExecutionGateway(max_pending=1, statement_timeout=0.5)
-            release = threading.Event()
-            first = asyncio.ensure_future(gateway.run(release.wait, 5))
-            await asyncio.sleep(0.05)  # let it occupy the only slot
-            with pytest.raises(OverloadedError):
-                await gateway.run(lambda: None)
-            release.set()
-            await first
-            with pytest.raises(StatementTimeoutError):
-                await gateway.run(time.sleep, 1.5)
-            stats = gateway.stats()
-            assert stats["rejected"] == 1
-            assert stats["timeouts"] == 1
-            assert stats["executed"] == 1
-            gateway.shutdown(wait=False)
-
-        asyncio.run(scenario())
+    def test_refused_handshake_closes_the_socket(self):
+        with served(max_connections=1) as (_, host, port, _thread):
+            with Client(host, port):
+                gc.collect()  # earlier tests' garbage warns outside the block
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", ResourceWarning)
+                    try:
+                        Client(host, port)
+                    except RemoteError as exc:
+                        code = exc.code
+                    gc.collect()
+        assert code == "overloaded"
+        leaked = [
+            w for w in caught
+            if issubclass(w.category, ResourceWarning) and "socket" in str(w.message)
+        ]
+        assert not leaked, [str(w.message) for w in leaked]
 
 
 class TestProtocolRobustness:
@@ -341,7 +365,7 @@ class TestProtocolRobustness:
                     {"type": "execute", "handle": "s999"},
                     {"no_type": True},
                 ):
-                    reply = client._run(client._request(message))
+                    reply = client._request(message)
                     assert reply["type"] == "error"
                     assert reply["code"] == "protocol", message
 
@@ -384,39 +408,21 @@ class TestTransactions:
         # Overload happens *before* anything executed, so the typed
         # "retry later" must actually be retryable: the transaction
         # buffer survives and the next COMMIT applies it.
-        async def scenario():
-            from repro.errors import OverloadedError
-
-            db = Database(cracking=True)
-            db.execute("CREATE TABLE r (k integer)")
-            gateway = ExecutionGateway()
-            session = ClientSession(db, gateway, 1)
-            await session.handle({"type": "hello", "protocol": PROTOCOL_VERSION})
-            await session.handle({"type": "begin"})
-            queued = await session.handle(
-                {"type": "query", "sql": "INSERT INTO r VALUES (1)"}
-            )
-            assert queued["type"] == "queued"
-            real_run = gateway.run
-            rejected = {"n": 0}
-
-            async def flaky(fn, *args, **kwargs):
-                if fn == db.execute_transaction and not rejected["n"]:
-                    rejected["n"] += 1
-                    raise OverloadedError("busy")
-                return await real_run(fn, *args, **kwargs)
-
-            gateway.run = flaky
-            error = await session.handle({"type": "commit"})
-            assert error["type"] == "error"
-            assert error["code"] == "overloaded"
-            retried = await session.handle({"type": "commit"})
-            assert retried["type"] == "committed"
-            assert retried["statements"] == 1
-            assert db.execute("SELECT count(*) FROM r").scalar() == 1
-            gateway.shutdown(wait=False)
-
-        asyncio.run(scenario())
+        db = Database(cracking=True)
+        db.execute("CREATE TABLE r (k integer)")
+        gateway = ExecutionGateway(max_pending=1)
+        session = ClientSession(db, gateway, 1)
+        session.handle({"type": "hello", "protocol": PROTOCOL_VERSION})
+        session.handle({"type": "begin"})
+        queued = session.handle({"type": "query", "sql": "INSERT INTO r VALUES (1)"})
+        assert queued["type"] == "queued"
+        commit = {"type": "commit"}
+        with pytest.raises(OverloadedError):  # the outer call holds the slot
+            gateway.run(gateway.run, session.handle, commit)
+        retried = gateway.run(session.handle, commit)
+        assert retried["type"] == "committed"
+        assert retried["statements"] == 1
+        assert db.execute("SELECT count(*) FROM r").scalar() == 1
 
     def test_failed_commit_rolls_back_everything(self):
         with served() as (database, host, port, _thread):
@@ -485,31 +491,37 @@ class TestReconnect:
     def test_commit_overloaded_keeps_client_txn_state(self):
         # The server keeps the buffer on admission rejection; the client
         # must mirror that, so COMMIT is retryable and begin() still
-        # refuses nesting.
-        from repro.errors import OverloadedError
-
+        # refuses nesting.  The overload is real: a timed-out SELECT
+        # runs on and holds the only admission slot.
         database = Database(cracking=True)
-        real = database.execute_transaction
-        state = {"rejected": False}
+        real_execute = database.execute
 
-        def flaky(statements):
-            if not state["rejected"]:
-                state["rejected"] = True
-                raise OverloadedError("busy")
-            return real(statements)
+        def execute(sql):
+            if "k > 0" in sql:
+                time.sleep(0.5)
+            return real_execute(sql)
 
-        database.execute_transaction = flaky
-        with served(database) as (_, host, port, _thread):
+        database.execute = execute
+        with served(database, statement_timeout=0.1, max_pending=1) as (
+            _, host, port, thread,
+        ):
             with Client(host, port) as client:
                 client.execute("CREATE TABLE r (k integer)")
                 client.begin()
                 client.execute("INSERT INTO r VALUES (1)")
+                with pytest.raises(RemoteError) as info:
+                    client.execute("SELECT count(*) FROM r WHERE k > 0")
+                assert info.value.code == "timeout"
                 with pytest.raises(RemoteError) as info:
                     client.commit()
                 assert info.value.code == "overloaded"
                 assert client.in_transaction
                 with pytest.raises(RemoteError):  # still in the txn
                     client.begin()
+                deadline = time.monotonic() + 10
+                while thread.server.gateway.stats()["pending"]:
+                    assert time.monotonic() < deadline, "the slot never freed"
+                    time.sleep(0.05)
                 reply = client.commit()
                 assert reply["statements"] == 1
                 assert client.execute("SELECT count(*) FROM r").scalar() == 1
@@ -685,15 +697,10 @@ class TestObservabilitySurface:
                         continue
                     name, _, value = line.rpartition(" ")
                     assert name and value not in ("", "None"), line
-            async_text = asyncio.run(self._async_metrics(host, port))
-            assert "repro_gateway_executed" in async_text
-
-    @staticmethod
-    async def _async_metrics(host, port) -> str:
-        # reconnect=False: entering the context must itself connect (it
-        # used to rely on the reconnect path rescuing the first call).
-        async with AsyncClient(host, port, reconnect=False) as client:
-            return await client.metrics()
+            # reconnect=False: constructing the client must itself
+            # connect (no reconnect path rescues the first call).
+            with Client(host, port, reconnect=False) as client:
+                assert "repro_gateway_executed" in client.metrics()
 
     def test_repro_stats_cli(self, capsys):
         from repro.__main__ import main as cli_main
@@ -888,7 +895,7 @@ class TestBackpressure:
                 # One socket read's worth of decoded requests, at most.
                 bound = _READ_BYTES // len(frames[0]) + 1
                 assert thread.server.stats()["queue_depth"] <= bound
-                assert conn.writer.transport.get_write_buffer_size() < 1 << 20
+                assert len(conn.out) < 1 << 20  # unsent bytes
                 assert self._rss_mb() - before < 16  # not the 48 MiB of replies
                 # Now read: every reply arrives, in request order.
                 received: list[int] = []
@@ -927,3 +934,109 @@ class TestBackpressure:
         ]
         assert [reply["rows"] for reply in replies[1:4]] == [[[1]], [[2]], [[3]]]
         assert replies[4]["code"] == "protocol"
+
+
+class TestWritePath:
+    """Replies leave by non-blocking send: a frame cut by a full socket
+    buffer resumes where it stopped, and a chunked result encodes its
+    next chunk only after the previous one has left."""
+
+    def test_partial_writes_mid_frame_equal_embedded(self, monkeypatch):
+        import repro.server.protocol as protocol
+
+        monkeypatch.setattr(protocol, "CHUNK_BYTES", 4096)
+        watched = []
+        real_watch = server_module.ReproServer._watch
+
+        def watch(server, conn, events):
+            watched.append(events)
+            real_watch(server, conn, events)
+
+        monkeypatch.setattr(server_module.ReproServer, "_watch", watch)
+        embedded = Database(cracking=True)
+        load_standard(embedded, seed=SEED)
+        with served() as (database, host, port, thread):
+            load_standard(database, seed=SEED)
+            # Accepted sockets inherit the listener's send buffer.
+            thread.server._listener.setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            bulk = [
+                "SELECT r.k, r.a, r.tag FROM r WHERE a BETWEEN 0 AND 900",
+                "SELECT * FROM r",  # past CHUNK_BYTES: a chunk stream
+                "SELECT s.k, s.g FROM s WHERE k < 700",
+            ]
+            window = [
+                f"SELECT r.k, r.a FROM r WHERE a BETWEEN {i * 10} AND {i * 10 + 400}"
+                for i in range(64)
+            ]
+            with Client(host, port) as client:
+                for statement in bulk:
+                    expected = embedded.execute(statement)
+                    actual = client.execute(statement)
+                    assert actual.columns == list(expected.columns), statement
+                    assert wire_json(actual.rows) == wire_json(expected.rows), statement
+                results = client.execute_many(window, window=64)
+                for statement, actual in zip(window, results, strict=True):
+                    expected = embedded.execute(statement)
+                    assert wire_json(actual.rows) == wire_json(expected.rows), statement
+        assert server_module._WRITE in watched, "no send was ever cut short"
+
+
+class TestOneLoop:
+    """One thread serves every connection, with no asyncio on either end."""
+
+    @pytest.mark.parametrize("timeout", [None, 60], ids=["inline", "timeout"])
+    def test_many_clients_on_a_short_switch_interval(self, timeout):
+        """More client threads than cores, thread switches every
+        microsecond: every answer right and in order, no wake-up lost
+        (a lost one hangs a client past the join), and the gateway's
+        books balance."""
+        database = Database(cracking=True)
+        database.execute("CREATE TABLE r (k integer, a integer)")
+        values = ", ".join(f"({i}, {(i * 37) % 1000})" for i in range(2000))
+        database.execute(f"INSERT INTO r VALUES {values}")
+        queries = [f"SELECT count(*) FROM r WHERE a < {v}" for v in range(0, 1000, 25)]
+        expected = [database.execute(q).scalar() for q in queries]
+        failures: list = []
+
+        def client(offset: int) -> None:
+            try:
+                with Client(host, port) as c:
+                    for i in range(len(queries)):
+                        j = (i + offset) % len(queries)
+                        assert c.execute(queries[j]).scalar() == expected[j]
+                    window = c.execute_many(queries, window=8)
+                    assert [r.scalar() for r in window] == expected
+            except Exception as exc:  # pragma: no cover - failure path
+                failures.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with served(database, statement_timeout=timeout) as (_, host, port, thread):
+                threads = [threading.Thread(target=client, args=(i,)) for i in range(6)]
+                for t in threads:
+                    t.start()
+                deadline = time.monotonic() + 30
+                for t in threads:
+                    t.join(timeout=max(0.0, deadline - time.monotonic()))
+                assert not any(t.is_alive() for t in threads), "a client hung"
+                gateway = thread.server.gateway.stats()
+        finally:
+            sys.setswitchinterval(old)
+        assert not failures, failures
+        assert gateway["pending"] == 0
+        assert gateway["rejected"] == gateway["timeouts"] == 0
+        assert 1 <= gateway["peak_pending"] <= 6
+
+    def test_importing_client_and_server_leaves_asyncio_out(self):
+        code = (
+            "import sys, repro.client, repro.server; "
+            "sys.exit('asyncio' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        )
+        assert done.returncode == 0, "importing repro.client or repro.server pulled in asyncio"

@@ -8,8 +8,8 @@ the frame cap:
 * ``FrameDecoder.feed`` → ``ResultAssembler.feed`` (the client's
   decode path), fuzzed with random bytes, truncations and single-field
   mutations of valid ``encode_result_frames`` output;
-* the sans-IO client core, driven here by a *script* instead of a
-  socket, where the same bytes are the outcomes of its ``recv`` steps;
+* the client, on a *scripted* socket whose ``recv`` calls return the
+  same bytes;
 * a live server, which reads JSON requests only and refuses a binary
   frame without decoding it.
 """
@@ -25,12 +25,13 @@ import sys
 import tracemalloc
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.client import _ClientCore
+from repro.client import Client
 from repro.errors import ProtocolError, RemoteError, ServerUnavailableError
 from repro.server.protocol import (
     _BIN_HEAD as _HEAD,
@@ -307,60 +308,99 @@ def _peak_rss_mib(pid: int) -> float:
 
 
 # ---------------------------------------------------------------------- #
-# The client core, scripted
+# The client, scripted
 # ---------------------------------------------------------------------- #
 
 HELLO_REPLY = encode_frame({"type": "hello", "protocol": 2, "session": 1})
+UNDECODABLE = len(b"nope").to_bytes(4, "big") + b"nope"
 
 
-def drive(operation, received: list[bytes]):
-    """Run one core generator with ``received`` as the outcomes of its
-    ``recv`` steps (then EOF); every other step succeeds silently."""
-    chunks = iter(received)
-    try:
-        step = next(operation)
-        while True:
-            outcome = next(chunks, b"") if step[0] == "recv" else None
-            step = operation.send(outcome)
-    except StopIteration as done:
-        return done.value
+def count_reply(n: int) -> bytes:
+    return encode_frame({"type": "result", "columns": ["n"], "rows": [[n]]})
 
 
-def connected_core(reconnect: bool) -> _ClientCore:
-    core = _ClientCore("scripted", 0, reconnect=reconnect, retry_delay=0)
-    drive(core._connect(), [HELLO_REPLY])
-    return core
+class ScriptedSocket:
+    """Stands in for every socket the client opens: each ``recv``
+    returns the next scripted chunk, then EOF; every send succeeds.
+    ``fail`` makes the next ``sendall`` raise instead."""
+
+    def __init__(self, received=()) -> None:
+        self.received = list(received)
+        self.fail: OSError | None = None
+
+    def recv(self, size: int) -> bytes:
+        return self.received.pop(0) if self.received else b""
+
+    def sendall(self, data: bytes) -> None:
+        if self.fail is not None:
+            raise self.fail
+
+    def setsockopt(self, *args) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+@pytest.fixture
+def scripted():
+    """``connect(reconnect)``: a client on a scripted socket (HELLO
+    answered), and the script; every reconnect gets the same script."""
+    script = ScriptedSocket()
+    with mock.patch("socket.create_connection", return_value=script):
+
+        def connect(reconnect: bool):
+            script.received = [HELLO_REPLY]
+            return Client("scripted", 0, reconnect=reconnect, retry_delay=0), script
+
+        yield connect
 
 
 class TestClientCoreScripted:
-    def test_valid_frames_become_results_without_a_socket(self):
-        core = connected_core(reconnect=False)
-        assert core.server_info["session"] == 1
-        stream = [f for f in CORPUS[1:] if f[4] == 0][:4]  # 3 CHUNKs + END
-        result = drive(core._execute("SELECT ..."), stream)
+    def test_valid_frames_become_results_without_a_socket(self, scripted):
+        client, script = scripted(reconnect=False)
+        assert client.server_info["session"] == 1
+        script.received = [f for f in CORPUS[1:] if f[4] == 0][:4]  # 3 CHUNKs + END
+        result = client.execute("SELECT ...")
         assert len(result.rows) == 40 and result.columns == ["k", "w", "tag", "n"]
-        assert drive(core._execute("SELECT 1"), [CORPUS[-1]]).scalar() == 3
+        script.received = [CORPUS[-1]]
+        assert client.execute("SELECT 1").scalar() == 3
 
-    def test_transport_error_is_thrown_in_and_typed(self):
-        core = connected_core(reconnect=False)
-        operation = core._execute("SELECT 1")
-        assert next(operation)[0] == "send"
+    def test_transport_error_is_thrown_in_and_typed(self, scripted):
+        client, script = scripted(reconnect=False)
+        script.fail = ConnectionResetError("scripted")
         with pytest.raises(ServerUnavailableError, match="connection lost"):
-            operation.throw(ConnectionResetError("scripted"))
+            client.execute("SELECT 1")
 
     @settings(max_examples=300, deadline=None)
     @given(hostile_bytes, st.integers(1, 64), st.booleans(), st.booleans())
     def test_hostile_replies_raise_only_typed_errors(
         self, data, piece, reconnect, pipelined
     ):
-        core = connected_core(reconnect)
-        received = [data[i:i + piece] for i in range(0, len(data), piece)]
-        operation = (
-            core._execute_many(["SELECT 1", "SELECT 2"], 2, False)
-            if pipelined
-            else core._execute("SELECT 1")
-        )
-        try:
-            drive(operation, received)
-        except (ProtocolError, RemoteError, ServerUnavailableError):
-            pass
+        script = ScriptedSocket()
+        with mock.patch("socket.create_connection", return_value=script):
+            script.received = [HELLO_REPLY]
+            client = Client("scripted", 0, reconnect=reconnect, retry_delay=0)
+            script.received = [data[i:i + piece] for i in range(0, len(data), piece)]
+            try:
+                if pipelined:
+                    client.execute_many(["SELECT 1", "SELECT 2"], 2, False)
+                else:
+                    client.execute("SELECT 1")
+            except (ProtocolError, RemoteError, ServerUnavailableError):
+                pass
+
+    @pytest.mark.parametrize("reconnect", [True, False])
+    def test_a_bad_frame_drops_the_stream_behind_it(self, scripted, reconnect):
+        """The frames after an undecodable one answer nothing: the next
+        call must not be handed the reply that followed it."""
+        client, script = scripted(reconnect)
+        script.received = [UNDECODABLE + count_reply(111)]
+        with pytest.raises(ProtocolError):
+            client.execute("SELECT count(*) FROM r")
+        script.received = [HELLO_REPLY, count_reply(222)]
+        if reconnect:
+            assert client.execute("SELECT count(*) FROM r").rows == [(222,)]
+        else:
+            with pytest.raises(ServerUnavailableError):
+                client.execute("SELECT count(*) FROM r")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import asyncio
 import os
 import signal
 import subprocess
@@ -179,22 +178,6 @@ def _repro(*args) -> None:
     subprocess.run([sys.executable, "-m", "repro", *args], check=True)
 
 
-async def _drive_async(host: str, port: int) -> None:
-    from repro.client import AsyncClient
-
-    client = await AsyncClient.connect(host, port)
-    await client.execute("SELECT count(*) FROM r WHERE a < 77")
-    await client.execute_many(STATEMENTS[1:5])
-    prepared = await client.prepare(PREPARED)
-    await prepared.execute((2, 80)), await prepared.close()
-    for end in (client.commit, client.abort):
-        await client.begin(), await client.execute("INSERT INTO s VALUES (3, 3)"), await end()
-    await client.stats(), await client.metrics(), await client.timeseries(last=3)
-    await client.close()
-    async with AsyncClient(host, port, compression=True) as again:
-        await again.execute("SELECT k, tag FROM r")
-
-
 def _drive_served(work: Path) -> None:
     from repro.client import Client
     from repro.errors import ReproError
@@ -220,7 +203,6 @@ def _drive_served(work: Path) -> None:
             for _ in range(5):
                 client.execute("INSERT INTO big SELECT k, a FROM big")
             client.execute("SELECT k, a FROM big").row_count
-        asyncio.run(_drive_async(host, port))
         _repro("stats", f"{host}:{port}")
         _repro("stats", f"{host}:{port}", "--raw")
         _repro("top", f"{host}:{port}", "--once")

@@ -109,6 +109,8 @@ def _contains(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
 
 def _last_per_oid(oids: np.ndarray, *columns: np.ndarray) -> tuple:
     """Distinct ``oids`` ascending, each with its last-given ``columns``."""
+    if np.all(oids[1:] > oids[:-1]):  # already so: the SQL layer's oids
+        return (oids, *columns)
     order = np.argsort(oids, kind="stable")
     oids = oids[order]
     last = np.ones(len(oids), dtype=bool)

@@ -347,9 +347,10 @@ class CrackerProvider:
                 column.check_invariants()
 
     def propagate_insert(
-        self, table: str, relation: Relation, first_oid: int, rows: list[tuple]
+        self, table: str, relation: Relation, first_oid: int, columns: list
     ) -> int:
-        """Feed freshly inserted tuples to the table's crackers.
+        """Feed freshly inserted tuples, given column by column in
+        schema order, to the table's crackers.
 
         The §7 "updates" extension: instead of dropping the cracker index
         on insert, the new values join the pending area of every cracked
@@ -362,13 +363,12 @@ class CrackerProvider:
         """
         updated = 0
         names = relation.schema.names()
-        oids = list(range(first_oid, first_oid + len(rows)))
+        oids = np.arange(first_oid, first_oid + len(columns[0]), dtype=np.int64)
         for (table_name, attr), column in self.columns().items():
             if table_name != table:
                 continue
-            index = names.index(attr)
             with self.lock_for(table_name, attr).write_locked():
-                column.append([row[index] for row in rows], oids=oids)
+                column.append(columns[names.index(attr)], oids=oids)
             updated += 1
         return updated
 

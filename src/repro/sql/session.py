@@ -681,8 +681,9 @@ class Database:
     def check_invariants(self) -> None:
         """Validate every relation and every cracked column.
 
-        Raises :class:`~repro.errors.BATAlignmentError` for a relation
-        whose column BATs differ in length (a torn insert), else
+        Raises :class:`~repro.errors.BATAlignmentError` for a relation whose
+        column BATs differ in length (a torn insert), :class:`StorageError`
+        for a BAT flagged ascending whose tail is not, else
         :class:`~repro.errors.CrackError` (or a subclass) on the first
         cracker piece/coverage violation; used by the concurrency stress
         tests to prove interleaved statements left every table and index
@@ -693,6 +694,8 @@ class Database:
         for relation in relations:
             with relation.write_lock:
                 lengths = {name: len(bat) for name, bat in relation.bats.items()}
+                for bat in relation.bats.values():
+                    bat.check_invariants()
             if len(set(lengths.values())) > 1:
                 raise BATAlignmentError(
                     f"table {relation.name!r} has columns of unequal length: {lengths}"

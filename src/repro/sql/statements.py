@@ -232,7 +232,8 @@ def _insert(db, relation: Relation, rows: list) -> QueryResult:
     wrong width or a value the column cannot store raises
     :class:`SQLAnalysisError` with every BAT unchanged.  A template hit
     is checked too (``'x'`` and ``5`` key alike), so the check lives
-    here rather than in the parser.
+    here rather than in the parser.  The arrays the check builds are
+    what the BATs and the crackers receive, column by column.
     """
     width = len(relation.schema)
     for row in rows:
@@ -241,36 +242,32 @@ def _insert(db, relation: Relation, rows: list) -> QueryResult:
                 f"table {relation.name!r} has {width} columns; "
                 f"a row has {len(row)} values"
             )
-    columns, coerced = [], False
+    columns = []
     for index, column in enumerate(relation.schema):
         values = [row[index] for row in rows]
         if not set(map(type, values)) <= _PLAIN_TYPES[column.col_type]:
-            values = [
+            values = [  # 3.0 reaches the BATs and crackers as 3
                 stored_value(column.name, column.col_type, value)
                 for value in values
             ]
-            coerced = True
+        if column.col_type != "str":
+            try:  # the numbers fit the tail dtype
+                values = np.asarray(values, dtype=TAIL_DTYPES[column.col_type])
+            except OverflowError as exc:
+                raise SQLAnalysisError(
+                    f"column {column.name!r} is {column.col_type}: {exc}"
+                ) from None
         columns.append(values)
-        if column.col_type == "str":
-            continue
-        try:  # the numbers fit the tail dtype
-            np.asarray(values, dtype=TAIL_DTYPES[column.col_type])
-        except OverflowError as exc:
-            raise SQLAnalysisError(
-                f"column {column.name!r} is {column.col_type}: {exc}"
-            ) from None
-    if coerced:  # 3.0 reaches the BATs and crackers as 3
-        rows = list(zip(*columns))
     # Atomic oid claim + append + cracker propagation: a cracker created
     # concurrently would otherwise snapshot the base rows *and* receive
     # them again as pending updates.
     with relation.write_lock:
         first_oid = len(relation)
-        inserted = relation.insert_many(rows)
+        inserted = relation.insert_many(columns)
         if db._cracker is not None:
             # Merge-on-query (§7's updates): the crackers queue the new
             # values instead of being dropped.
-            db._cracker.propagate_insert(relation.name, relation, first_oid, rows)
+            db._cracker.propagate_insert(relation.name, relation, first_oid, columns)
     db._plan_cache.invalidate_table(relation.name)
     return QueryResult(columns=[], rows=[], affected=inserted)
 
@@ -333,21 +330,38 @@ class InsertSelectStmt(_Mutation):
 # ---------------------------------------------------------------------- #
 
 
-def _column_values(relation: Relation, attr: str, total: int):
-    return relation.column(attr).decoded_array()[0][:total]
+def _column_values(relation: Relation, attr: str, start: int, stop: int):
+    return relation.column(attr).decoded_array(slice(start, stop))[0]
 
 
 def _match_positions(relation: Relation, plan: AnalyzedDML) -> np.ndarray:
-    """Storage positions of live rows satisfying a DML WHERE clause.
+    """Storage positions of live rows satisfying a DML WHERE clause,
+    ascending.
 
     Evaluated vectorised over the base column arrays — never through
     the cracker (the matcher must see updated values immediately, and a
-    DML statement should not crack as a side effect).
+    DML statement should not crack as a side effect) — inside one storage
+    window: the intersection of the :meth:`~repro.storage.bat.BAT.window`
+    of every predicate on an ascending column, else the whole table.  The
+    window's tombstones, the other predicates and the ``<>`` residuals
+    are evaluated on the window's slice of each column.
     """
-    total = len(relation)
-    keep = relation.live_mask(total)
+    start, stop = 0, len(relation)
+    scanned = []
     for predicate in plan.selections:
-        values = _column_values(relation, predicate.attr, total)
+        window = relation.column(predicate.attr).window(
+            predicate.low, predicate.high,
+            predicate.low_inclusive, predicate.high_inclusive,
+        )
+        if window is None:
+            scanned.append(predicate)
+        else:
+            start, stop = max(start, window[0]), min(stop, window[1])
+    if start >= stop:
+        return np.empty(0, dtype=np.int64)
+    keep = relation.live_mask(start, stop)
+    for predicate in scanned:
+        values = _column_values(relation, predicate.attr, start, stop)
         if predicate.low is not None:
             keep &= (
                 values >= predicate.low
@@ -361,9 +375,9 @@ def _match_positions(relation: Relation, plan: AnalyzedDML) -> np.ndarray:
                 else values < predicate.high
             )
     for residual in plan.residuals:
-        values = _column_values(relation, residual.attr, total)
+        values = _column_values(relation, residual.attr, start, stop)
         keep &= values != residual.value
-    return np.flatnonzero(keep)
+    return start + np.flatnonzero(keep)
 
 
 @dataclass

@@ -18,6 +18,7 @@ Tails are numpy arrays of int64/float64, or int64 offsets into an
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +51,11 @@ def _as_tail_array(values: Sequence, tail_type: str, heap: AtomHeap | None) -> n
     return array
 
 
+def _ascending(tail: np.ndarray) -> bool:
+    """True when ``tail`` never descends (one vectorised compare)."""
+    return bool(np.all(tail[1:] >= tail[:-1]))
+
+
 class BAT:
     """A Binary Association Table with a (possibly void) oid head.
 
@@ -62,6 +68,10 @@ class BAT:
     The active region of the BUN heap is ``[0, count)``; appends grow the
     tail array geometrically.  A BAT has no delete: a relation's deletes
     are tombstones (:meth:`~repro.storage.table.Relation.deleted_positions`).
+
+    ``_sorted`` says a numeric tail ascends: derived at construction and
+    load, kept by appends that continue the order, re-checked around the
+    positions :meth:`set_many` writes; :meth:`window` binary-searches it.
     """
 
     def __init__(
@@ -81,7 +91,7 @@ class BAT:
         self._head: np.ndarray | None = None  # None = void (dense) head
         self._seq_base = 0
         self._count = 0
-        self._sorted = False
+        self._sorted = tail_type != "str"  # an empty tail is ascending
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -102,6 +112,7 @@ class BAT:
         bat._tail[: len(tail)] = tail
         bat._count = len(tail)
         bat._seq_base = seq_base
+        bat._sorted = tail_type != "str" and _ascending(tail)
         return bat
 
     # ------------------------------------------------------------------ #
@@ -152,13 +163,13 @@ class BAT:
         return self._active_tail().copy()
 
     def decoded_array(
-        self, positions: np.ndarray | None = None
+        self, positions: np.ndarray | slice | None = None
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
         """Batch accessor: the decoded tail values as one numpy array,
         and a str tail's heap codes; returns ``(values, coded)``.
 
-        Numeric tails return the active region *zero-copy* (or a single
-        bulk gather when ``positions`` is given) and ``coded`` None.  Str
+        Numeric tails return the active region (or a slice of it) *zero-copy*,
+        or a single bulk gather at index ``positions``, and ``coded`` None.  Str
         tails gather each offset's atom id through the heap's offset
         table (:meth:`AtomHeap.codes`) and return ``(atoms[codes],
         (codes, atoms))``: an object array of the atoms, with the codes
@@ -189,6 +200,8 @@ class BAT:
             self._tail[self._count] = self.heap.put(value)
         else:
             self._tail[self._count] = value
+            if self._count and self._sorted:
+                self._sorted = bool(self._tail[self._count] >= self._tail[self._count - 1])
         assigned = self._next_oid() if oid is None else oid
         if self._head is None and assigned != self._seq_base + self._count:
             self._materialise_head()
@@ -199,7 +212,6 @@ class BAT:
                 self._head = grown
             self._head[self._count] = assigned
         self._count += 1
-        self._sorted = False
         return assigned
 
     def append_many(self, values: Sequence) -> np.ndarray:
@@ -207,12 +219,15 @@ class BAT:
         tail = _as_tail_array(values, self.tail_type, self.heap)
         self._ensure_capacity(self._count + len(tail))
         self._tail[self._count : self._count + len(tail)] = tail
+        if self._sorted:  # the new values continue the order
+            self._sorted = _ascending(
+                self._tail[max(self._count - 1, 0) : self._count + len(tail)]
+            )
         first = self._next_oid()
         oids = np.arange(first, first + len(tail), dtype=np.int64)
         if self._head is not None:
             self._head = np.concatenate([self._head[: self._count], oids])
         self._count += len(tail)
-        self._sorted = False
         return oids
 
     def set_many(self, positions: np.ndarray, values: Sequence) -> None:
@@ -233,7 +248,9 @@ class BAT:
                 f"set_many position out of range 0..{self._count - 1}"
             )
         self._tail[positions] = tail
-        self._sorted = False
+        if self._sorted and positions.size:  # each write between its neighbours
+            near = np.clip(positions + np.array([[-1], [0], [1]]), 0, self._count - 1)
+            self._sorted = _ascending(self._tail[near])
 
     # ------------------------------------------------------------------ #
     # Query primitives
@@ -253,6 +270,28 @@ class BAT:
         self._head[: self._count] = self._head[: self._count][order]
         self._sorted = self.tail_type != "str"
         return order
+
+    def window(
+        self, low, high, low_inclusive: bool, high_inclusive: bool
+    ) -> tuple[int, int] | None:
+        """The storage window ``[start, stop)`` holding exactly the tail
+        values in the range, by two binary searches; None when the tail
+        is not known ascending or a bound is not a number."""
+        bounds = [bound for bound in (low, high) if bound is not None]
+        if not self._sorted or not all(isinstance(bound, Real) for bound in bounds):
+            return None
+        tail = self._active_tail()
+        start, stop = 0, len(tail)
+        if low is not None:
+            start = tail.searchsorted(low, "left" if low_inclusive else "right")
+        if high is not None:
+            stop = tail.searchsorted(high, "right" if high_inclusive else "left")
+        return int(start), int(max(start, stop))
+
+    def check_invariants(self) -> None:
+        """Raise :class:`StorageError` if the order flag claims an order the tail lacks."""
+        if self._sorted and not _ascending(self._active_tail()):
+            raise StorageError(f"BAT {self.name!r} is flagged ascending but is not")
 
     # ------------------------------------------------------------------ #
     # Persistence
@@ -315,7 +354,8 @@ class BAT:
         head = state.get("head")
         if head is not None:
             bat._head = np.asarray(head, dtype=np.int64).copy()
-        bat._sorted = bool(state.get("sorted", False)) and tail_type != "str"
+        # Derived: the state's "sorted" is not trusted.
+        bat._sorted = tail_type != "str" and _ascending(bat._active_tail())
         return bat
 
     # ------------------------------------------------------------------ #

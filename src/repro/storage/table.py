@@ -163,15 +163,13 @@ class Relation:
                 self.bats[column.name].append(value)
         return oid
 
-    def insert_many(self, rows: Iterable[Sequence]) -> int:
-        """Append many tuples; returns the count inserted."""
-        rows = list(rows)
-        if not rows:
-            return 0
+    def insert_many(self, columns: Sequence[Sequence]) -> int:
+        """Append many tuples given as one equal-length value sequence
+        per column, in schema order; returns the count inserted."""
         with self.write_lock:
-            for i, column in enumerate(self.schema):
-                self.bats[column.name].append_many([row[i] for row in rows])
-        return len(rows)
+            for values, column in zip(columns, self.schema):
+                self.bats[column.name].append_many(values)
+        return len(columns[0]) if columns else 0
 
     def delete_positions(self, positions: np.ndarray) -> int:
         """Tombstone the rows at ``positions``; returns how many were live.
@@ -232,19 +230,19 @@ class Relation:
         with self.write_lock:
             self._deleted = np.unique(np.asarray(positions, dtype=np.int64))
 
-    def live_mask(self, total: int | None = None) -> np.ndarray:
-        """Boolean visibility mask over positions ``[0, total)``."""
-        if total is None:
-            total = len(self)
-        mask = np.ones(total, dtype=bool)
+    def live_mask(self, start: int, stop: int | None = None) -> np.ndarray:
+        """Boolean visibility mask over positions ``[start, stop)``; the
+        window's tombstones are found by binary search."""
+        stop = len(self) if stop is None else stop
+        mask = np.ones(stop - start, dtype=bool)
         deleted = self._deleted
-        if deleted.size:
-            mask[deleted[deleted < total]] = False
+        first, last = deleted.searchsorted((start, stop))
+        mask[deleted[first:last] - start] = False
         return mask
 
     def live_positions(self, total: int | None = None) -> np.ndarray:
         """Storage positions of the visible rows, ascending."""
-        return np.flatnonzero(self.live_mask(total))
+        return np.flatnonzero(self.live_mask(0, total))
 
     # ------------------------------------------------------------------ #
     # Tuple access

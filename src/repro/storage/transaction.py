@@ -26,6 +26,7 @@ class _PreImage:
     tail: np.ndarray
     head: np.ndarray | None
     count: int
+    sorted: bool
 
 
 class Transaction:
@@ -51,6 +52,7 @@ class Transaction:
                 tail=bat.tail_array().copy(),
                 head=None if head is None else head[: len(bat)].copy(),
                 count=len(bat),
+                sorted=bat._sorted,
             ),
         )
 
@@ -73,6 +75,6 @@ class Transaction:
                 bat._head = None
             else:
                 bat._head = image.head.copy()
-            bat._sorted = False
+            bat._sorted = image.sorted
         self._pre_images.clear()
         self.state = "aborted"

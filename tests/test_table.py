@@ -87,12 +87,14 @@ class TestUpdates:
             mixed_relation.insert((1, 2.0))
 
     def test_insert_many(self, mixed_relation):
-        count = mixed_relation.insert_many([(7, 1.0, "gus"), (8, 2.0, "hal")])
+        count = mixed_relation.insert_many([[7, 8], [1.0, 2.0], ["gus", "hal"]])
         assert count == 2
         assert len(mixed_relation) == 7
+        assert mixed_relation.row_at(6) == (8, 2.0, "hal")
 
     def test_insert_many_empty(self, mixed_relation):
-        assert mixed_relation.insert_many([]) == 0
+        assert mixed_relation.insert_many([[], [], []]) == 0
+        assert len(mixed_relation) == 5
 
 
 class TestFragmentation:

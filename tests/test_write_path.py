@@ -6,7 +6,9 @@ whole-column numpy set operations they replace stay here as the
 reference: ``np.isin(oids, column.oids)`` for the flags and
 ``np.setdiff1d``/``np.union1d`` for the tombstone set.  Partial merges,
 sorted pieces that stay sorted, snapshots held across a merge and counts
-that merge nothing are checked against a model of the live rows.
+that merge nothing are checked against a model of the live rows.  A
+key-range UPDATE or DELETE allocates for the rows in its key window,
+not for the table.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core import cracked_column
 from repro.core.cracked_column import DEFAULT_CRACK_THRESHOLD, CrackedColumn
 from repro.errors import CrackError, StorageError
+from repro.sql import Database
 from repro.storage.table import Column, Relation, Schema
 
 
@@ -498,3 +501,65 @@ def test_write_path_runs_no_whole_column_set_operation(monkeypatch):
     assert max(sorted_sizes) <= 60
     assert peak < 6 * pending * data.itemsize < n * data.itemsize
     column.check_invariants()
+
+
+# ---------------------------------------------------------------------- #
+# Structural guard: key-range DML matches inside its key window
+# ---------------------------------------------------------------------- #
+
+KEY_RANGE_DML = [
+    ("UPDATE r SET a = -7 WHERE k BETWEEN 1000 AND 1049", 50),
+    ("DELETE FROM r WHERE k >= 5000 AND k < 5010", 10),
+]
+
+
+def keyed_database(keys: np.ndarray, a: np.ndarray) -> Database:
+    """``r(k, a)`` with ``a`` cracked and its pending buffers empty."""
+    db = Database()
+    db.catalog.create_table(Relation.from_columns(
+        "r", Schema([Column("k", "int"), Column("a", "int")]), {"k": keys, "a": a},
+    ))
+    db.execute(f"SELECT count(*) FROM r WHERE a BETWEEN 10 AND {len(keys) // 3}")
+    return db
+
+
+def test_key_range_dml_allocates_what_it_touches(monkeypatch):
+    n = 200_000
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, n, n)
+    windows: list[tuple[int, int]] = []
+    live_mask = Relation.live_mask
+
+    def recording(self, start, stop=None):
+        windows.append((start, len(self) if stop is None else stop))
+        return live_mask(self, start, stop)
+
+    monkeypatch.setattr(Relation, "live_mask", recording)
+    shuffled = rng.permutation(n)
+    for keys in (np.arange(n), shuffled):
+        db = keyed_database(keys, a)
+        db.execute("UPDATE r SET a = -1 WHERE k BETWEEN 90 AND 139")  # compiles
+        db.execute("DELETE FROM r WHERE k >= 190 AND k < 200")  # both templates
+        windows.clear()
+        for sql, affected in KEY_RANGE_DML:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assert db.execute(sql).affected == affected
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            if keys is not shuffled:
+                assert peak < n // 2
+        widths = [stop - start for start, stop in windows]
+        # The ascending key's window holds the statement's rows; a
+        # shuffled key falls back to the whole table, and answers alike.
+        assert widths == ([50, 10] if keys is not shuffled else [n, n])
+        expected_a = a.copy()
+        expected_a[(keys >= 90) & (keys <= 139)] = -1
+        expected_a[(keys >= 1000) & (keys <= 1049)] = -7
+        live = ~(((keys >= 190) & (keys < 200)) | ((keys >= 5000) & (keys < 5010)))
+        rows = db.execute("SELECT r.k, r.a FROM r WHERE k BETWEEN 0 AND 6000").rows
+        near = live & (keys <= 6000)
+        assert sorted(rows) == sorted(zip(keys[near].tolist(), expected_a[near].tolist()))
+        db.check_invariants()

@@ -4,12 +4,15 @@
 optimization, i.e. the translation of an SQL statement into a relational
 algebra expression" of the form π γ σ (R1 ⋈ ... ⋈ Rm) (Eq. 1).
 
-:func:`analyze` resolves names against the catalog, folds comparison
-conjunctions into range predicates, classifies join predicates, and keeps
-what the *cracker advice* needs — the list of Ξ/Ψ/^/Ω operations the
-query suggests, which :func:`extract_crackers` formats on first read.
-The advice is what the paper's architecture inserts "between the semantic
-analyzer and the query optimizer" (§3).
+:func:`analyze` is two steps.  *Resolve* (:func:`resolve_query`,
+:func:`resolve_dml`) reads no literal: it resolves names against the
+catalog, classifies join predicates and notes the column each condition
+bounds.  *Fold* folds a literal tuple into range predicates, so
+statements that differ only in literals share one resolution.  The
+analysed query keeps what the *cracker advice* needs — the Ξ/Ψ/^/Ω
+operations the query suggests, formatted on first read by
+:func:`extract_crackers`, which the paper's architecture inserts
+"between the semantic analyzer and the query optimizer" (§3).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from repro.sql.ast_nodes import (
     Between,
     ColRef,
     Comparison,
-    Const,
     Star,
     TableRef,
 )
@@ -98,7 +100,15 @@ class CrackerAdvice:
 
 @dataclass
 class AnalyzedQuery:
-    """The resolved π-γ-σ-⋈ normal form of one SELECT."""
+    """The resolved π-γ-σ-⋈ normal form of one SELECT.
+
+    :func:`resolve_query` gives it with no literal folded in (no
+    selections or residuals, no LIMIT) and with ``slots``: one
+    ``(binding, table, attr, op)`` per condition that takes literals, in
+    clause order (a BETWEEN takes two).  :meth:`fold` gives a copy with
+    a literal tuple folded in, so statements that differ only in their
+    literals share one resolution.
+    """
 
     tables: list[TableRef]
     projections: list[str] | None  # qualified names; None = SELECT *
@@ -112,15 +122,33 @@ class AnalyzedQuery:
     order_by: list[tuple[str, bool]] = field(default_factory=list)  # (qualified, desc)
     # Column counts of the projected bindings' tables, as analyzed (Ψ).
     widths: dict[str, int] = field(default_factory=dict)
+    slots: list[tuple] = field(default_factory=list)
+    limited: bool = False  # the last literal is the LIMIT count
 
     @cached_property
     def advice(self) -> list[CrackerAdvice]:
         """The cracker advice, formatted on first read (few ever read it)."""
         return extract_crackers(self)
 
+    def fold(self, literals: tuple) -> "AnalyzedQuery":
+        """This resolution with ``literals`` (the statement's, in source
+        order) in its slots and its LIMIT."""
+        query = object.__new__(AnalyzedQuery)  # a shallow copy, built fast
+        query.__dict__.update(self.__dict__)
+        values = iter(literals)
+        query.selections, query.residuals = _fold(self.slots, values)
+        if self.limited:
+            query.limit = int(next(values))
+        return query
+
 
 def analyze(stmt: SelectStmt, catalog: Catalog) -> AnalyzedQuery:
-    """Resolve and normalise ``stmt`` against ``catalog``."""
+    """Resolve ``stmt`` against ``catalog`` and fold its literals."""
+    return resolve_query(stmt, catalog).fold(stmt.literals())
+
+
+def resolve_query(stmt: SelectStmt, catalog: Catalog) -> AnalyzedQuery:
+    """The resolve step of a SELECT against ``catalog``."""
     if not stmt.tables:
         raise SQLAnalysisError("query references no tables")
     bindings: dict[str, TableRef] = {}
@@ -156,12 +184,7 @@ def analyze(stmt: SelectStmt, catalog: Catalog) -> AnalyzedQuery:
             )
         return owners[0], col.column
 
-    selections: dict[tuple[str, str], RangePredicate] = {}
-    joins: list[JoinPredicate] = []
-    residuals: list[ResidualPredicate] = []
-    for condition in stmt.where:
-        _fold_condition(condition, resolve, bindings, selections, joins, residuals)
-
+    slots, joins = _resolve_where(stmt.where, resolve, bindings)
     projections, aggregates = _resolve_items(stmt, resolve)
     group_by = [f"{b}.{a}" for b, a in (resolve(col) for col in stmt.group_by)]
     if aggregates and projections:
@@ -190,13 +213,15 @@ def analyze(stmt: SelectStmt, catalog: Catalog) -> AnalyzedQuery:
         projections=projections if projections else None,
         aggregates=aggregates,
         group_by=group_by,
-        selections=list(selections.values()),
+        selections=[],
         joins=joins,
-        residuals=residuals,
+        residuals=[],
         into=stmt.into,
-        limit=stmt.limit,
+        limit=None,
         order_by=order_by,
         widths=widths,
+        slots=slots,
+        limited=stmt.limit is not None,
     )
 
 
@@ -228,20 +253,38 @@ def stored_value(column: str, col_type: str, value):
 
 @dataclass
 class AnalyzedDML:
-    """The resolved form of one UPDATE or DELETE (single-table σ)."""
+    """The resolved form of one UPDATE or DELETE (single-table σ).
+
+    :func:`resolve_dml` gives it unfolded, with each SET column's type in
+    ``columns`` and the WHERE ``slots`` (see :class:`AnalyzedQuery`).
+    """
 
     table: str
     assignments: list[tuple[str, object]]  # (column, new value); empty = DELETE
     selections: list[RangePredicate]
     residuals: list[ResidualPredicate]
+    columns: list[tuple[str, str]] = field(default_factory=list)  # (SET column, type)
+    slots: list[tuple] = field(default_factory=list)
+
+    def fold(self, literals: tuple) -> "AnalyzedDML":
+        """This resolution with ``literals``: the SET values first, each
+        checked by :func:`stored_value`, then the WHERE literals."""
+        values = iter(literals)
+        assignments = [
+            (column, stored_value(column, col_type, next(values)))
+            for column, col_type in self.columns
+        ]
+        return AnalyzedDML(
+            self.table, assignments, *_fold(self.slots, values), self.columns, self.slots
+        )
 
 
-def analyze_dml(stmt: UpdateStmt | DeleteStmt, catalog: Catalog) -> AnalyzedDML:
-    """Resolve an UPDATE/DELETE against ``catalog``.
+def resolve_dml(stmt: UpdateStmt | DeleteStmt, catalog: Catalog) -> AnalyzedDML:
+    """The resolve step of an UPDATE/DELETE.
 
-    DML targets exactly one table, so the WHERE clause folds through the
-    same range/residual machinery as SELECT but with a single binding and
-    no join predicates.
+    DML targets exactly one table, so the WHERE clause resolves through
+    the same slots as SELECT but with a single binding and no join
+    predicates.
     """
     if not catalog.has_table(stmt.table):
         raise SQLAnalysisError(f"unknown table {stmt.table!r}")
@@ -260,95 +303,99 @@ def analyze_dml(stmt: UpdateStmt | DeleteStmt, catalog: Catalog) -> AnalyzedDML:
             )
         return stmt.table, col.column
 
-    selections: dict[tuple[str, str], RangePredicate] = {}
-    joins: list[JoinPredicate] = []
-    residuals: list[ResidualPredicate] = []
-    for condition in stmt.where:
-        _fold_condition(condition, resolve, bindings, selections, joins, residuals)
+    slots, joins = _resolve_where(stmt.where, resolve, bindings)
     if joins:
         raise SQLAnalysisError(
             "DML WHERE cannot compare columns (joins are not allowed)"
         )
-
-    assignments: list[tuple[str, object]] = []
+    columns = []
     for assignment in getattr(stmt, "assignments", ()):
         if assignment.column not in schema:
             raise SQLAnalysisError(
                 f"table {stmt.table!r} has no column {assignment.column!r}"
             )
-        col_type = schema.column(assignment.column).col_type
-        value = stored_value(assignment.column, col_type, assignment.value.value)
-        assignments.append((assignment.column, value))
-
-    return AnalyzedDML(
-        table=stmt.table,
-        assignments=assignments,
-        selections=list(selections.values()),
-        residuals=residuals,
-    )
+        columns.append((assignment.column, schema.column(assignment.column).col_type))
+    return AnalyzedDML(stmt.table, [], [], [], columns, slots)
 
 
-def _fold_condition(condition, resolve, bindings, selections, joins, residuals) -> None:
-    if isinstance(condition, Between):
-        binding, attr = resolve(condition.col)
-        _merge_range(
-            selections, bindings, binding, attr,
-            low=condition.low.value, high=condition.high.value,
-            low_inclusive=True, high_inclusive=True,
-        )
-        return
-    if not isinstance(condition, Comparison):  # pragma: no cover - defensive
-        raise SQLAnalysisError(f"unsupported condition {condition!r}")
-    if isinstance(condition.right, ColRef):
-        left_binding, left_attr = resolve(condition.left)
-        right_binding, right_attr = resolve(condition.right)
-        if condition.op != "=":
-            raise SQLAnalysisError(
-                f"only equi-joins are supported, got {condition.op!r}"
+#: A comparison's bounds: (sets low, sets high, inclusive).
+_BOUNDS = {
+    "=": (True, True, True),
+    "<": (False, True, False),
+    "<=": (False, True, True),
+    ">": (True, False, False),
+    ">=": (True, False, True),
+}
+
+
+def _resolve_where(where, resolve, bindings) -> tuple[list, list]:
+    """The slots and the join predicates of a WHERE conjunction."""
+    slots: list[tuple] = []
+    joins: list[JoinPredicate] = []
+    for condition in where:
+        if isinstance(condition, Between):
+            binding, attr = resolve(condition.col)
+            slots.append((binding, bindings[binding].name, attr, "between"))
+            continue
+        if not isinstance(condition, Comparison):  # pragma: no cover - defensive
+            raise SQLAnalysisError(f"unsupported condition {condition!r}")
+        op = condition.op
+        if isinstance(condition.right, ColRef):
+            left_binding, left_attr = resolve(condition.left)
+            right_binding, right_attr = resolve(condition.right)
+            if op != "=":
+                raise SQLAnalysisError(
+                    f"only equi-joins are supported, got {op!r}"
+                )
+            if left_binding == right_binding:
+                raise SQLAnalysisError(
+                    "column-to-column comparison within one table is not supported"
+                )
+            joins.append(
+                JoinPredicate(left_binding, left_attr, right_binding, right_attr)
             )
-        if left_binding == right_binding:
-            raise SQLAnalysisError(
-                "column-to-column comparison within one table is not supported"
+            continue
+        binding, attr = resolve(condition.left)
+        if op == "<>":
+            op = "!="
+        elif op != "!=" and op not in _BOUNDS:  # pragma: no cover - parser restricts ops
+            raise SQLAnalysisError(f"unsupported operator {op!r}")
+        slots.append((binding, bindings[binding].name, attr, op))
+    return slots, joins
+
+
+def _fold(slots: list, values) -> tuple[list, list]:
+    """The range and residual predicates of ``slots``, each taking its
+    literals from the iterator ``values`` in clause order."""
+    selections: dict[tuple[str, str], RangePredicate] = {}
+    residuals: list[ResidualPredicate] = []
+    for binding, table, attr, op in slots:
+        if op == "between":
+            _merge_range(selections, binding, table, attr, next(values), next(values))
+        elif op == "!=":
+            residuals.append(ResidualPredicate(binding, attr, "!=", next(values)))
+        else:
+            value = next(values)
+            sets_low, sets_high, inclusive = _BOUNDS[op]
+            _merge_range(
+                selections, binding, table, attr,
+                value if sets_low else None, value if sets_high else None,
+                inclusive, inclusive,
             )
-        joins.append(
-            JoinPredicate(left_binding, left_attr, right_binding, right_attr)
-        )
-        return
-    binding, attr = resolve(condition.left)
-    value = condition.right.value
-    op = condition.op
-    if op == "=":
-        _merge_range(selections, bindings, binding, attr, low=value, high=value,
-                     low_inclusive=True, high_inclusive=True)
-    elif op == "<":
-        _merge_range(selections, bindings, binding, attr, high=value,
-                     high_inclusive=False)
-    elif op == "<=":
-        _merge_range(selections, bindings, binding, attr, high=value,
-                     high_inclusive=True)
-    elif op == ">":
-        _merge_range(selections, bindings, binding, attr, low=value,
-                     low_inclusive=False)
-    elif op == ">=":
-        _merge_range(selections, bindings, binding, attr, low=value,
-                     low_inclusive=True)
-    elif op in ("<>", "!="):
-        residuals.append(ResidualPredicate(binding, attr, "!=", value))
-    else:  # pragma: no cover - parser restricts ops
-        raise SQLAnalysisError(f"unsupported operator {op!r}")
+    return list(selections.values()), residuals
 
 
 def _merge_range(
-    selections, bindings, binding, attr,
+    selections, binding, table, attr,
     low=None, high=None, low_inclusive=True, high_inclusive=True,
 ) -> None:
+    """Narrow ``binding.attr``'s range by one bound pair.  A contradictory
+    conjunction stays as it is: it selects nothing, and the planner
+    gives the empty answer."""
     key = (binding, attr)
     predicate = selections.get(key)
     if predicate is None:
-        predicate = RangePredicate(
-            binding=binding, table=bindings[binding].name, attr=attr
-        )
-        selections[key] = predicate
+        predicate = selections[key] = RangePredicate(binding, table, attr)
     if low is not None:
         if predicate.low is None or low > predicate.low or (
             low == predicate.low and not low_inclusive
@@ -361,14 +408,6 @@ def _merge_range(
         ):
             predicate.high = high
             predicate.high_inclusive = high_inclusive
-    if (
-        predicate.low is not None
-        and predicate.high is not None
-        and predicate.low > predicate.high
-    ):
-        # Contradictory conjunction: keep it (it selects nothing) — the
-        # planner will produce an empty result, which is correct.
-        pass
 
 
 def _resolve_items(stmt: SelectStmt, resolve):

@@ -51,12 +51,6 @@ class Comparison:
     def literals(self) -> tuple:
         return (self.right.value,) if isinstance(self.right, Const) else ()
 
-    def bind(self, values) -> "Comparison":
-        """This condition with its literal, if any, taken from ``values``."""
-        if isinstance(self.right, Const):
-            return Comparison(self.left, self.op, Const(next(values)))
-        return self
-
 
 @dataclass(frozen=True)
 class Between:
@@ -68,9 +62,6 @@ class Between:
 
     def literals(self) -> tuple:
         return (self.low.value, self.high.value)
-
-    def bind(self, values) -> "Between":
-        return Between(self.col, Const(next(values)), Const(next(values)))
 
 
 @dataclass(frozen=True)

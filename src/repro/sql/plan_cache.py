@@ -1,12 +1,12 @@
-"""Statement/plan cache: parse and analyze once, rebind constants on hit.
+"""Statement/plan cache: parse and resolve once, fold constants on hit.
 
 §3.2 of the paper motivates the cracker catalog with exactly this: the
 self-organising store must avoid "recompilation of cached queries".  In
 this reproduction the per-statement compilation pipeline is
 lex → parse → analyze → plan, and on a converged (sustained-phase)
 workload it dominates the query lifecycle — the cracked answer itself is
-an index lookup plus a copy of one span.  This module caches the two
-expensive, reusable stages:
+an index lookup plus a copy of one span.  This module caches the
+reusable stages:
 
 * **exact level** — a key maps straight to a compiled SELECT
   (:mod:`repro.sql.statements`) carrying its
@@ -19,29 +19,27 @@ expensive, reusable stages:
 * **template level** — one regex split of the SQL text
   (:func:`template_key`) replaces its literals by placeholders, and that
   key maps to a parsed statement, the *template*.  A statement that
-  differs only in constants skips the lexer and the parser: the template
-  binds its constants into a fresh statement, which is analysed anew —
-  folding range conjunctions can depend on the literal values, so
-  analysis is never reused across different constants.  SELECT, INSERT
-  … VALUES, UPDATE and DELETE have templates; DML never enters the exact
-  level.  Keys are textual: a variant in keyword case or whitespace is a
-  template of its own.  A template is stored only when the parser's
-  literals equal the key's, in source order (:func:`make_template`), so
-  a key never stands for a statement it would rebind wrongly.
+  differs only in constants skips the lexer, the parser and the
+  analyzer's resolve step: the template binds its constants without
+  building a WHERE clause, and they are folded (by value) into the
+  resolution cached with the template (see :mod:`repro.sql.analyzer`).
+  SELECT, INSERT … VALUES, UPDATE and DELETE have templates; DML never
+  enters the exact level.  Keys are textual: a variant in keyword case
+  or whitespace is a template of its own.  A template is stored only
+  when the parser's literals equal the key's, in source order
+  (:func:`make_template`), so a key never stands for a statement it
+  would rebind wrongly.
 
-``hits`` counts exact hits and ``misses`` the SELECTs analysed afresh
-(prepared executions included); ``template_hits`` counts SELECT
-template hits, ``dml_template_hits`` the rest.
+``hits`` counts exact hits and ``misses`` the other SELECTs (prepared
+executions included); ``template_hits`` counts SELECT template hits,
+``dml_template_hits`` the rest.
 
-Invalidation is per table: every entry records an epoch per referenced
-table, and the :class:`Database` bumps a table's epoch on *every*
-mutating statement — DDL (CREATE, DROP, materialise-replace via SELECT
-INTO) and all DML (INSERT, UPDATE, DELETE).  Schema changes make cached
-name resolution stale; DML changes cardinalities and visible rows that
-the (re-run) join planner and executors read from the live catalog, so
-DML invalidation is conservative — correctness never depends on it, but
-it keeps every cached artifact observably in sync with the data.
-Templates are pure syntax and never go stale.
+Invalidation is per table and by DDL only: exact entries and cached
+resolutions record an epoch per referenced table, bumped by CREATE,
+SELECT … INTO's replace, INSERT … SELECT's create, a rolled-back batch
+and recovery.  INSERT, UPDATE and DELETE bump nothing, as no analysed
+artifact reads data: the physical plan is rebuilt from the live catalog
+every execution.  Templates are pure syntax and never go stale.
 
 The template level is a bounded LRU map.  The exact level is a
 *segmented* LRU, so a stream of one-shot statements cannot flush the
@@ -50,8 +48,9 @@ segment and promoted to the protected segment on its first hit.
 One-shots age out of probation without ever touching protected entries;
 a protected entry squeezed out by a promotion drops back to probation
 (most-recent end) and gets a second chance.  Both levels are guarded by
-one lock; statements are immutable after publication, so hits are safe
-when one ``Database`` is shared by many threads.
+one lock; statements are immutable after publication (a template's
+cached resolution is replaced whole), so hits are safe when one
+``Database`` is shared by many threads.
 """
 
 from __future__ import annotations
@@ -108,12 +107,12 @@ def make_template(stmt, literals: tuple):
 
     A statement stands for its key when its own literals, in source
     order, are exactly the key's: rebinding the key's literals then
-    reproduces it.  A statement no template stands for (CREATE, INSERT
-    … SELECT, SELECT … INTO, EXPLAIN INDEX) has no literals, and a
-    construct whose literals travel elsewhere fails the comparison, so
-    it simply stays uncached.
+    reproduces it.  A statement kind no template stands for (CREATE,
+    INSERT … SELECT, SELECT … INTO, EXPLAIN INDEX) is not ``templated``,
+    and a construct whose literals travel elsewhere fails the
+    comparison, so it simply stays uncached.
     """
-    return stmt if stmt.literals() == literals else None
+    return stmt if stmt.templated and stmt.literals() == literals else None
 
 
 class PlanCache:
@@ -150,12 +149,21 @@ class PlanCache:
                 (name, self._epochs.get(name, 0)) for name in sorted(set(tables))
             )
 
+    def current(self, table_epochs: tuple) -> bool:
+        """True while no table of ``table_epochs`` (from :meth:`epochs_for`)
+        has had its epoch bumped.  Reads without the lock: a dict read is
+        atomic, and a bump racing it is as if it came just after."""
+        epochs = self._epochs
+        return all(epochs.get(name, 0) == epoch for name, epoch in table_epochs)
+
     def invalidate_table(self, name: str) -> None:
         """Bump ``name``'s epoch: every entry referencing it goes stale.
 
-        Called on every mutation touching the table: DDL, INSERT,
-        UPDATE and DELETE.  Stale exact entries are dropped lazily on
-        their next lookup; templates (pure syntax) survive.
+        Called on DDL touching the table: CREATE, SELECT … INTO's
+        replace, INSERT … SELECT's create and a rollback's restore.
+        Stale exact entries are dropped lazily on their next lookup, a
+        stale resolution is redone on its next use; templates (pure
+        syntax) survive.
         """
         with self._lock:
             self._epochs[name] = self._epochs.get(name, 0) + 1
@@ -183,8 +191,7 @@ class PlanCache:
     def lookup_exact(self, key):
         """The statement stored under ``key`` while current, or None.
 
-        The one place recorded epochs are compared with current ones: a
-        stale entry is dropped here.  Does not count misses: the caller
+        A stale entry is dropped here.  Does not count misses: the caller
         probes before it knows the statement kind, and an INSERT/CREATE
         probe is not a cache miss; :meth:`count_miss` records real
         (SELECT) misses.
@@ -200,11 +207,9 @@ class PlanCache:
                 entry = segment.get(key)
                 if entry is None:
                     return None
-            current = self._epochs
-            for name, epoch in entry[1]:
-                if current.get(name, 0) != epoch:
-                    del segment[key]
-                    return None
+            if not self.current(entry[1]):
+                del segment[key]
+                return None
             if segment is protected:
                 protected.move_to_end(key)
             else:
@@ -234,7 +239,7 @@ class PlanCache:
         """Publish an analysed statement under pre-analysis table epochs.
 
         ``table_epochs`` must be captured (:meth:`epochs_for`) *before*
-        the analysis ran: if DDL or DML lands while the statement
+        the resolve step ran: if DDL lands while the statement
         is being compiled, the entry is then already stale on arrival and
         the next lookup recompiles — capturing after analysis would stamp
         a pre-DDL artifact as current forever.
@@ -255,7 +260,8 @@ class PlanCache:
 
     def lookup_template(self, key: str):
         """The template stored under ``key``, or None.  A SELECT hit also
-        counts as an exact-level miss: the statement is analysed afresh."""
+        counts as an exact-level miss: the statement's literals are
+        folded afresh."""
         if not self.enabled:
             return None
         with self._lock:

@@ -87,10 +87,14 @@ class Database:
     (:meth:`compile`): an exact repeat of a SELECT skips lexing, parsing
     and analysis; a SELECT, INSERT … VALUES, UPDATE or DELETE that
     differs only in literal constants skips lexing and parsing (one
-    regex split of the text yields its template key and constants).
-    Keys are the text as written: a case or whitespace variant is its
-    own entry.  Entries invalidate per table on every mutation (DDL,
-    INSERT, UPDATE, DELETE).  :meth:`prepare` exposes the parameterised
+    regex split of the text yields its template key and constants), and
+    a SELECT, UPDATE or DELETE also skips the analyzer's resolve step:
+    its constants are folded into the resolution cached with the
+    template.  Keys are the text as written: a case or whitespace
+    variant is its own entry.  Analyses go stale per table on DDL only
+    (CREATE, SELECT … INTO, a rolled-back batch, recovery); INSERT,
+    UPDATE and DELETE leave them current, since every execution plans
+    against the live data.  :meth:`prepare` exposes the parameterised
     form directly.  ``plan_cache=False`` caches nothing: every statement
     is lexed, parsed and analysed, and a prepared statement analyses on
     every execution (it still never lexes or parses).
@@ -267,7 +271,9 @@ class Database:
         INSERT … VALUES, UPDATE or DELETE stores its template (see
         :mod:`repro.sql.plan_cache`).  ``EXPLAIN ANALYZE`` is recognised
         after the exact probe, so an exact hit never pays for it.  A
-        SELECT is analysed, and enters the exact level, when it runs.
+        SELECT is analysed, and enters the exact level, when it runs:
+        resolved once per template (the ``analyze`` span), then its
+        literals folded in.
         """
         cache = self._plan_cache
         if cache.enabled:
@@ -297,8 +303,9 @@ class Database:
             if stmt.kind == "select":
                 cache.count_miss()
             if make_template(stmt, literals) is not None:
-                # A template is only ever bound, never run: running a
-                # SELECT stores its analysis on it.
+                # A template is only ever bound, never run: a run stores
+                # its analysis on the bound statement, and the template
+                # keeps only the resolution its bound statements share.
                 cache.store_template(key, stmt)
                 stmt = stmt.bind(literals)
                 stmt.key = sql
@@ -815,12 +822,12 @@ class PreparedStatement:
     serves as the template its executions bind, and its literals as
     written.  An execution never lexes or parses.  It looks its analysis
     up in the plan cache's exact level under ``(template key,
-    parameters)``, where a mutation of a referenced table invalidates it
-    like any cached SELECT, and on a miss binds the parameters and
-    analyses (storing the result).  Each execution counts as one SELECT
-    in ``stats()["plan_cache"]``: a ``hits`` or a ``misses``.  With the
-    plan cache off every execution analyses.  Safe to share across
-    threads.
+    parameters)``, where DDL on a referenced table invalidates it like
+    any cached SELECT, and on a miss binds the parameters and folds them
+    into the template's cached resolution (storing the result).  Each
+    execution counts as one SELECT in ``stats()["plan_cache"]``: a
+    ``hits`` or a ``misses``.  With the plan cache off every execution
+    analyses.  Safe to share across threads.
     """
 
     database: Database

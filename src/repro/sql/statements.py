@@ -13,8 +13,10 @@ import numpy as np
 
 from repro.errors import SQLAnalysisError
 from repro.obs import trace as obs_trace
-from repro.sql.analyzer import AnalyzedDML, analyze, analyze_dml, stored_value
-from repro.sql.ast_nodes import Assignment, ColRef, Const, OrderItem, TableRef
+from repro.sql.analyzer import AnalyzedDML, resolve_dml, resolve_query, stored_value
+from repro.sql.ast_nodes import (
+    Assignment, Between, ColRef, Comparison, Const, OrderItem, TableRef,
+)
 from repro.sql.planner import build_plan
 from repro.sql.result import QueryResult
 from repro.storage.bat import TAIL_DTYPES
@@ -35,21 +37,20 @@ class Statement:
     and which table, for the transaction barrier, the durability guard
     and the WAL.  ``literals()`` gives its constants in source order and
     ``bind(literals)`` a copy with others in their place: the template
-    contract of the plan cache; ``literals()`` is None for a statement
-    no template stands for.  ``run(db)`` executes it.  Statements are
-    never mutated once the plan cache has published them.
+    contract of the plan cache, for the kinds that are ``templated``.
+    ``run(db)`` executes it.  Statements are never mutated once the
+    plan cache has published them, but for a template's cached
+    resolution (:class:`_Templated`), which is replaced whole.
     """
 
     kind = "other"
     mutates = False
     target = None
+    templated = False
     #: Where a SELECT publishes its analysis in the plan cache's exact
     #: level: its text, or ``(template key, literals)`` for a prepared
     #: execution.  None publishes nothing.
     key = None
-
-    def literals(self) -> tuple | None:
-        return None
 
     def fits(self, literals: tuple) -> bool:
         """True when ``literals`` (of the same template key) can bind."""
@@ -66,13 +67,104 @@ class _Mutation(Statement):
         return self.table
 
 
+def _bound(template: "_Templated", literals: tuple, **fields) -> "_Templated":
+    """A statement of ``template``'s kind with ``literals`` and ``fields``,
+    built without its literal-holding fields (see :class:`_Templated`)."""
+    stmt = object.__new__(type(template))
+    stmt.__dict__.update(fields, template=template, params=literals)
+    return stmt
+
+
+class _Templated(Statement):
+    """A SELECT, UPDATE or DELETE: analysed as *resolve* plus *fold*.
+
+    ``bind(literals)`` gives a statement that shares its template's
+    fields and keeps ``literals`` as ``params``; ``where`` and UPDATE's
+    ``assignments`` are built from them only when something reads them.
+    Analysis never does: it folds ``params`` into :meth:`resolution`,
+    the template's resolve step, cached on the template (plan cache on)
+    while no DDL has bumped its tables' epochs.
+    """
+
+    templated = True
+    #: The parsed statement this one was bound from; None when parsed.
+    template = None
+    #: A bound statement's literals, in source order.
+    params = None
+    #: On a template: ``(resolution, table epochs)``, or None.
+    resolved = None
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: on a bound
+        # statement, a literal-holding field not read before.
+        template = self.__dict__.get("template")
+        if template is None:
+            raise AttributeError(name)
+        fields = template._literal_fields(iter(self.params))
+        if name not in fields:
+            raise AttributeError(name)
+        self.__dict__.update(fields)
+        return fields[name]
+
+    def literals(self) -> tuple:
+        """UPDATE's SET values, the WHERE literals in clause order, then
+        SELECT's LIMIT count."""
+        if self.params is not None:
+            return self.params
+        fields = self.__dict__
+        literals = [assignment.value.value for assignment in fields.get("assignments", ())]
+        literals += _where_literals(self.where)
+        if fields.get("limit") is not None:
+            literals.append(self.limit)
+        return tuple(literals)
+
+    def _literal_fields(self, values) -> dict:
+        """This template's literal-holding fields with ``values`` in them,
+        in source order: UPDATE's SET values, then the WHERE clause."""
+        fields = {}
+        assignments = self.__dict__.get("assignments")
+        if assignments is not None:
+            fields["assignments"] = [
+                Assignment(column=assignment.column, value=Const(next(values)))
+                for assignment in assignments
+            ]
+        fields["where"] = where = []
+        for condition in self.where:
+            if isinstance(condition, Between):
+                condition = Between(condition.col, Const(next(values)), Const(next(values)))
+            elif isinstance(condition.right, Const):
+                condition = Comparison(condition.left, condition.op, Const(next(values)))
+            where.append(condition)
+        return fields
+
+    def resolution(self, db) -> tuple:
+        """``(resolution, table epochs)`` of this statement's template:
+        cached while current, else resolved now (the ``analyze`` span).
+
+        The epochs are captured before the resolve step runs: a DDL
+        racing it leaves the resolution already stale, instead of
+        stamping a pre-DDL resolution as current.  Threads racing here
+        may each resolve; whichever pair is stored last is correct.
+        """
+        template = self if self.template is None else self.template
+        cache = db._plan_cache
+        resolved = template.resolved
+        if resolved is None or not cache.current(resolved[1]):
+            epochs = cache.epochs_for(template.table_names()) if cache.enabled else ()
+            with obs_trace.span("analyze"):
+                resolved = (template.resolve(db.catalog), epochs)
+            if cache.enabled:
+                template.resolved = resolved
+        return resolved
+
+
 # ---------------------------------------------------------------------- #
 # SELECT
 # ---------------------------------------------------------------------- #
 
 
 @dataclass
-class SelectStmt(Statement):
+class SelectStmt(_Templated):
     """A SELECT query in the paper's normal form π-γ-σ-⋈ (Eq. 1)."""
 
     items: list  # list of Star | ColRef | AggCall
@@ -87,46 +179,39 @@ class SelectStmt(Statement):
     #: The analysed form, once this statement has run.
     query = None
 
-    def literals(self) -> tuple:
-        """WHERE conditions in clause order, then the LIMIT count."""
-        literals = _where_literals(self.where)
-        if self.limit is not None:
-            literals.append(self.limit)
-        return tuple(literals)
-
     def fits(self, literals: tuple) -> bool:
         """A LIMIT (the last literal) takes only an integer."""
         return self.limit is None or isinstance(literals[-1], Integral)
 
     def bind(self, literals: tuple) -> "SelectStmt":
-        """A fresh statement; name-only structure is shared, which is
-        safe because statements are never mutated once published."""
-        values = iter(literals)
-        return SelectStmt(
-            items=self.items,
-            tables=self.tables,
-            where=[condition.bind(values) for condition in self.where],
-            group_by=self.group_by,
-            order_by=self.order_by,
-            limit=None if self.limit is None else int(next(values)),
+        """This statement with ``literals``; name-only structure is
+        shared, which is safe because statements are never mutated once
+        published."""
+        template = self if self.template is None else self.template
+        return _bound(
+            template, literals,
+            items=template.items,
+            tables=template.tables,
+            group_by=template.group_by,
+            order_by=template.order_by,
+            limit=None if template.limit is None else int(literals[-1]),
         )
 
-    def analyze(self, db):
-        """Analyse against ``db``'s catalog; publish under :attr:`key`.
+    def table_names(self) -> list[str]:
+        return [ref.name for ref in self.tables]
 
-        The table epochs are captured before the analysis runs: a DDL or
-        DML racing the compile then leaves the entry already stale,
-        instead of stamping a pre-DDL analysis as current.
-        """
-        cache = db._plan_cache
-        key = self.key
-        if key is not None:
-            epochs = cache.epochs_for(ref.name for ref in self.tables)
-        with obs_trace.span("analyze"):
-            query = analyze(self, db.catalog)
-        if key is not None:
+    def resolve(self, catalog):
+        return resolve_query(self, catalog)
+
+    def analyze(self, db):
+        """Analyse against ``db``'s catalog, folding this statement's
+        literals into its template's resolution; publish under
+        :attr:`key` with the epochs that resolution was made under."""
+        resolution, epochs = self.resolution(db)
+        query = resolution.fold(self.literals())
+        if self.key is not None:
             self.query = query
-            cache.store_exact(key, self, epochs)
+            db._plan_cache.store_exact(self.key, self, epochs)
         return query
 
     def run(self, db) -> QueryResult:
@@ -140,7 +225,7 @@ class SelectStmt(Statement):
         elif db._in_transaction:
             # A transaction batch compiles before it runs: the analysis
             # may predate a schema change made earlier in the batch.
-            query = analyze(self, db.catalog)
+            query = self.resolution(db)[0].fold(self.literals())
         with obs_trace.span("plan"):
             plan = build_plan(
                 query, db.catalog, cracker=db._cracker, tracker=db.tracker
@@ -174,13 +259,11 @@ class SelectInto(SelectStmt):
     replacing any table of that name.  DDL, so never templated."""
 
     mutates = True
+    templated = False
 
     @property
     def target(self) -> str:
         return self.into
-
-    def literals(self) -> None:
-        return None
 
     def _materialise(self, db, plan, query) -> QueryResult:
         relation = plan.run()
@@ -268,7 +351,6 @@ def _insert(db, relation: Relation, rows: list) -> QueryResult:
             # Merge-on-query (§7's updates): the crackers queue the new
             # values instead of being dropped.
             db._cracker.propagate_insert(relation.name, relation, first_oid, columns)
-    db._plan_cache.invalidate_table(relation.name)
     return QueryResult(columns=[], rows=[], affected=inserted)
 
 
@@ -280,6 +362,7 @@ class InsertValuesStmt(_Mutation):
     rows: list[tuple]
 
     kind = "insert"
+    templated = True
 
     def literals(self) -> tuple:
         """Every row's values, row by row."""
@@ -322,6 +405,8 @@ class InsertSelectStmt(_Mutation):
             if not exists:
                 db.catalog.create_table(Relation(self.table, schema))
             relation = db.catalog.table(self.table)
+        if not exists:
+            db._plan_cache.invalidate_table(self.table)
         return _insert(db, relation, result.rows)
 
 
@@ -380,8 +465,27 @@ def _match_positions(relation: Relation, plan: AnalyzedDML) -> np.ndarray:
     return start + np.flatnonzero(keep)
 
 
+class _Write(_Templated, _Mutation):
+    """An UPDATE or DELETE of one table.  Its analysis is an
+    :class:`~repro.sql.analyzer.AnalyzedDML`, redone every execution:
+    a fold into the template's resolution on a template hit."""
+
+    def bind(self, literals: tuple) -> "_Write":
+        template = self if self.template is None else self.template
+        return _bound(template, literals, table=template.table)
+
+    def table_names(self) -> list[str]:
+        return [self.table]
+
+    def resolve(self, catalog):
+        return resolve_dml(self, catalog)
+
+    def analysis(self, db) -> AnalyzedDML:
+        return self.resolution(db)[0].fold(self.literals())
+
+
 @dataclass
-class UpdateStmt(_Mutation):
+class UpdateStmt(_Write):
     """UPDATE name SET col = literal, ... [WHERE conjunction]."""
 
     table: str
@@ -390,27 +494,8 @@ class UpdateStmt(_Mutation):
 
     kind = "update"
 
-    def literals(self) -> tuple:
-        """The SET values, then the WHERE literals."""
-        return tuple(
-            [assignment.value.value for assignment in self.assignments]
-            + _where_literals(self.where)
-        )
-
-    def bind(self, literals: tuple) -> "UpdateStmt":
-        values = iter(literals)
-        assignments = [
-            Assignment(column=assignment.column, value=Const(next(values)))
-            for assignment in self.assignments
-        ]
-        return UpdateStmt(
-            table=self.table,
-            assignments=assignments,
-            where=[condition.bind(values) for condition in self.where],
-        )
-
     def run(self, db) -> QueryResult:
-        plan = analyze_dml(self, db.catalog)
+        plan = self.analysis(db)
         relation = db.catalog.table(plan.table)
         # Atomic match + in-place rewrite + cracker propagation, mirroring
         # the insert path: a cracker created concurrently snapshots either
@@ -436,12 +521,11 @@ class UpdateStmt(_Mutation):
                         plan.table, positions, dict(plan.assignments),
                         old_values,
                     )
-        db._plan_cache.invalidate_table(plan.table)
         return QueryResult(columns=[], rows=[], affected=int(positions.size))
 
 
 @dataclass
-class DeleteStmt(_Mutation):
+class DeleteStmt(_Write):
     """DELETE FROM name [WHERE conjunction]."""
 
     table: str
@@ -449,24 +533,14 @@ class DeleteStmt(_Mutation):
 
     kind = "delete"
 
-    def literals(self) -> tuple:
-        return tuple(_where_literals(self.where))
-
-    def bind(self, literals: tuple) -> "DeleteStmt":
-        values = iter(literals)
-        return DeleteStmt(
-            table=self.table, where=[condition.bind(values) for condition in self.where]
-        )
-
     def run(self, db) -> QueryResult:
-        plan = analyze_dml(self, db.catalog)
+        plan = self.analysis(db)
         relation = db.catalog.table(plan.table)
         with relation.write_lock:
             positions = _match_positions(relation, plan)
             affected = relation.delete_positions(positions)
             if affected and db._cracker is not None:
                 db._cracker.propagate_delete(plan.table, relation, positions)
-        db._plan_cache.invalidate_table(plan.table)
         return QueryResult(columns=[], rows=[], affected=affected)
 
 

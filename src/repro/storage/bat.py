@@ -158,8 +158,7 @@ class BAT:
     def tail_values(self) -> np.ndarray | list:
         """The decoded tail values (strings decoded through the heap)."""
         if self.tail_type == "str":
-            assert self.heap is not None
-            return self.heap.get_many(self._active_tail())
+            return self.decoded_array()[0].tolist()
         return self._active_tail().copy()
 
     def decoded_array(

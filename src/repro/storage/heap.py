@@ -111,15 +111,6 @@ class AtomHeap:
             map(offsets.__getitem__, atoms), dtype=np.int64, count=len(atoms)
         )
 
-    def get_many(self, offsets) -> list[str]:
-        """Decode a sequence of offsets into their atoms."""
-        return self.get_array(offsets).tolist()
-
-    def get_array(self, offsets) -> np.ndarray:
-        """Decode offsets into an object array: ``atoms[codes(offsets)]``."""
-        codes = self.codes(offsets)
-        return self.atoms[codes]
-
     def export_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """The atoms in offset order, as a private copy: the heap's bytes
         (uint8) and each atom's encoded length (int64).

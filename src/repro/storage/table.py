@@ -252,15 +252,10 @@ class Relation:
         """Reconstruct the tuple at storage ``position``."""
         if not 0 <= position < len(self):
             raise StorageError(f"row position {position} out of range 0..{len(self) - 1}")
-        values = []
-        for column in self.schema:
-            bat = self.bats[column.name]
-            if column.col_type == "str":
-                assert bat.heap is not None
-                values.append(bat.heap.get_many([bat.tail_array()[position]])[0])
-            else:
-                values.append(bat.tail_array()[position])
-        return tuple(values)
+        return tuple(
+            self.bats[column.name].decoded_array([position])[0][0]
+            for column in self.schema
+        )
 
     def iter_rows(self) -> Iterator[tuple]:
         """Tuple-at-a-time iteration over the *visible* rows."""
@@ -314,13 +309,7 @@ class Relation:
         fragment = Relation(target, self.schema)
         positions = np.asarray(positions, dtype=np.int64)
         for column in self.schema:
-            source = self.bats[column.name]
-            raw = source.tail_array()[positions]
-            values = (
-                source.heap.get_many(raw)
-                if column.col_type == "str" and source.heap is not None
-                else raw
-            )
+            values = self.bats[column.name].decoded_array(positions)[0]
             fragment.bats[column.name] = BAT.from_values(
                 f"{target}.{column.name}", values, tail_type=column.col_type
             )

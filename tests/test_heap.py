@@ -7,6 +7,11 @@ from repro.errors import HeapError
 from repro.storage.heap import AtomHeap
 
 
+def decode(heap: AtomHeap, offsets) -> list[str]:
+    """The shipped decode: one gather through the offset table."""
+    return heap.atoms[heap.codes(offsets)].tolist()
+
+
 def decode_by_hand(heap: AtomHeap, offsets) -> list[str]:
     """The reference decode: each atom cut out of the exported bytes by
     its length.  Shares nothing with the heap's offset table."""
@@ -22,18 +27,18 @@ class TestPutGet:
     def test_roundtrip_single_atom(self):
         heap = AtomHeap()
         offset = heap.put("hello")
-        assert heap.get_many([offset]) == ["hello"] == decode_by_hand(heap, [offset])
+        assert decode(heap, [offset]) == ["hello"] == decode_by_hand(heap, [offset])
 
     def test_roundtrip_many_atoms(self):
         heap = AtomHeap()
         atoms = [f"atom-{i}" for i in range(100)]
         offsets = [heap.put(atom) for atom in atoms]
-        assert heap.get_many(offsets) == atoms == decode_by_hand(heap, offsets)
+        assert decode(heap, offsets) == atoms == decode_by_hand(heap, offsets)
 
     def test_empty_string_is_storable(self):
         heap = AtomHeap()
         offset = heap.put("")
-        assert heap.get_many([offset]) == [""] == decode_by_hand(heap, [offset])
+        assert decode(heap, [offset]) == [""] == decode_by_hand(heap, [offset])
 
     def test_empty_string_keeps_its_own_offset(self):
         # Regression: a zero-length atom appended no bytes, so the next
@@ -41,24 +46,24 @@ class TestPutGet:
         heap = AtomHeap()
         offsets = [heap.put(atom) for atom in ("x", "", "abc", "")]
         assert len(set(offsets)) == 3 and offsets[1] == offsets[3]
-        assert heap.get_many(offsets) == ["x", "", "abc", ""]
+        assert decode(heap, offsets) == ["x", "", "abc", ""]
 
     def test_unicode_atoms(self):
         heap = AtomHeap()
         offset = heap.put("héllo wörld ☃")
-        assert heap.get_many([offset]) == ["héllo wörld ☃"]
+        assert decode(heap, [offset]) == ["héllo wörld ☃"]
 
     def test_get_at_non_atom_offset_raises(self):
         heap = AtomHeap()
         heap.put("abcdef")
         with pytest.raises(HeapError):
-            heap.get_many([3])
+            decode(heap, [3])
 
     def test_get_beyond_buffer_raises(self):
         heap = AtomHeap()
         heap.put("x")
         with pytest.raises(HeapError):
-            heap.get_many([999])
+            decode(heap, [999])
 
     def test_put_non_string_raises(self):
         heap = AtomHeap()
@@ -89,15 +94,15 @@ class TestDeduplication:
 
 
 class TestLookupHelpers:
-    def test_get_many_decodes_in_order(self):
+    def test_codes_gather_decodes_in_order(self):
         heap = AtomHeap()
         offsets = [heap.put(s) for s in ["x", "y", "z"]]
-        assert heap.get_many(offsets) == ["x", "y", "z"]
+        assert decode(heap, offsets) == ["x", "y", "z"]
 
 class TestBulkPaths:
-    """``put_many`` works per distinct atom and ``get_many`` /
-    ``get_array`` / ``codes`` per gather; the per-row ``put`` loop and
-    :func:`decode_by_hand` are the references."""
+    """``put_many`` works per distinct atom and ``codes`` per gather;
+    the per-row ``put`` loop and :func:`decode_by_hand` are the
+    references."""
 
     ATOMS = ["", "a", "héllo", "a", "tag07", "", "tag07", "z" * 40]
 
@@ -112,21 +117,19 @@ class TestBulkPaths:
         assert len(bulk.export_atoms()[1]) == len(loop.export_atoms()[1]) == distinct
 
     @pytest.mark.parametrize("repeat", [1, 96])
-    def test_get_many_and_get_array_equal_the_get_loop(self, repeat):
+    def test_codes_gather_equals_the_reference_decode(self, repeat):
         heap = AtomHeap()
         offsets = heap.put_many(self.ATOMS * repeat)
         expected = decode_by_hand(heap, offsets)
-        assert heap.get_many(offsets) == expected == self.ATOMS * repeat
-        array = heap.get_array(offsets)
-        assert array.dtype == object and array.tolist() == expected
+        assert decode(heap, offsets) == expected == self.ATOMS * repeat
         codes = heap.codes(offsets)
-        assert codes.dtype == np.int32 and heap.atoms[codes].tolist() == expected
+        assert codes.dtype == np.int32 and heap.atoms.dtype == object
 
     def test_empty_inputs(self):
         heap = AtomHeap()
         assert heap.put_many([]).tolist() == []
-        assert heap.get_many(np.empty(0, dtype=np.int64)) == []
-        assert heap.get_array(np.empty(0, dtype=np.int64)).shape == (0,)
+        assert decode(heap, np.empty(0, dtype=np.int64)) == []
+        assert heap.atoms[heap.codes(np.empty(0, dtype=np.int64))].shape == (0,)
 
     def test_bad_inputs_raise_on_the_bulk_paths_too(self):
         heap = AtomHeap()
@@ -134,7 +137,7 @@ class TestBulkPaths:
             heap.put_many(["ok", 42])
         offsets = heap.put_many(["abcdef"] * 96)
         with pytest.raises(HeapError):
-            heap.get_many(offsets + 3)  # inside the atom, not its start
+            decode(heap, offsets + 3)  # inside the atom, not its start
 
     @pytest.mark.parametrize(
         "offset", [-1, -7, 3, 7, 10**6], ids=["-1", "-7", "inside", "end", "past"]
@@ -146,4 +149,4 @@ class TestBulkPaths:
         with pytest.raises(HeapError):
             heap.codes(np.append(offsets, offset))
         with pytest.raises(HeapError):
-            heap.get_many([offset])
+            decode(heap, [offset])

@@ -250,7 +250,7 @@ def rewrite_varchar_to_legacy(store_dir) -> int:
                 continue
             with np.load(directory / atoms_file) as atoms:
                 heap = AtomHeap.from_atoms(atoms["bytes"], atoms["lengths"])
-            decoded = heap.get_many(np.load(directory / entry["file"]))
+            decoded = heap.atoms[heap.codes(np.load(directory / entry["file"]))].tolist()
             np.save(
                 directory / entry["file"],
                 np.asarray(decoded, dtype="<U1" if not decoded else None),

@@ -101,15 +101,15 @@ class TestCacheBehaviour:
         db.execute("INSERT INTO r VALUES (999, 50, 'tz')")
         assert db.execute(q).scalar() == before + 1
         stats = db.stats()["plan_cache"]
-        # the post-insert execution may not reuse the stale entry
-        assert stats["hits"] == hits_before
-        assert stats["invalidations"] >= 3  # create + load + insert
+        # DML bumps no epoch: the post-insert execution is an exact hit,
+        # and its plan, rebuilt from the live catalog, counts the new row
+        assert stats["hits"] == hits_before + 1
+        assert stats["invalidations"] == 1  # the CREATE only
 
     def test_delete_invalidates(self):
-        # The satellite regression: a cached COUNT(*) must not serve the
-        # pre-DELETE cardinality — by exact text, template or prepared
-        # statement.  The epoch bump routes through invalidate_table
-        # exactly like INSERT.
+        # A cached COUNT(*) must not serve the pre-DELETE cardinality —
+        # by exact text, template or prepared statement.  No epoch is
+        # bumped: every route re-plans against the live table.
         db = small_db()
         q = "SELECT count(*) FROM r WHERE a BETWEEN 0 AND 99"
         before = db.execute(q).scalar()

@@ -157,6 +157,10 @@ class _Templated(Statement):
                 template.resolved = resolved
         return resolved
 
+    def analysis(self, db):
+        """This statement's literals folded into :meth:`resolution`."""
+        return self.resolution(db)[0].fold(self.literals())
+
 
 # ---------------------------------------------------------------------- #
 # SELECT
@@ -225,7 +229,7 @@ class SelectStmt(_Templated):
         elif db._in_transaction:
             # A transaction batch compiles before it runs: the analysis
             # may predate a schema change made earlier in the batch.
-            query = self.resolution(db)[0].fold(self.literals())
+            query = self.analysis(db)
         with obs_trace.span("plan"):
             plan = build_plan(
                 query, db.catalog, cracker=db._cracker, tracker=db.tracker
@@ -479,9 +483,6 @@ class _Write(_Templated, _Mutation):
 
     def resolve(self, catalog):
         return resolve_dml(self, catalog)
-
-    def analysis(self, db) -> AnalyzedDML:
-        return self.resolution(db)[0].fold(self.literals())
 
 
 @dataclass

@@ -16,7 +16,6 @@ from repro.core.cracked_column import (
     SelectionResult,
 )
 from repro.core.cracker_index import Boundary, CrackerIndex, Piece
-from repro.core.rwlock import ReadWriteLock
 from repro.core.crackers import (
     CrackResult,
     omega_crack,
@@ -55,7 +54,6 @@ __all__ = [
     "OP_XI",
     "Piece",
     "QueryStats",
-    "ReadWriteLock",
     "SelectionResult",
     "crack_in_three",
     "crack_in_three_via_two",

@@ -247,7 +247,7 @@ class CrackedColumn:
         # asked about instead of O(n) in the column or O(p) in the
         # buffers.  A stored row with a pending delete stays _STORED
         # until the merge.  Derived state, never persisted; mutated only
-        # beside storage and the buffers, under the same lock.
+        # beside storage and the buffers, in the same call.
         self._state = np.zeros(self._next_oid, dtype=np.uint8)
         self._state[self.oids] = _STORED
         # ``(start, stop)`` of pieces known to be sorted, so a bound in
@@ -285,7 +285,8 @@ class CrackedColumn:
         ``Database.stats()`` and the metrics registry's collectors):
         piece count and size distribution, cumulative crack work, query
         counters and the depths of the three pending buffers.  Caller
-        holds whatever lock guards this column.
+        holds whatever lock guards this column (in the SQL layer, the
+        database's statement lock).
         """
         sizes = self.index.piece_sizes()
         updates = self.pending_update_count
@@ -776,9 +777,8 @@ class CrackedColumn:
         Array members are private copies, so the export stays valid while
         the live column keeps cracking.  An update travels as it always
         has: ``pending_update_oids``/``values``, not as its delete and
-        insert halves.  Callers are responsible for the column's lock
-        (the persistence layer holds the same write side the query path
-        takes).
+        insert halves.  Callers keep the column still while it runs (the
+        persistence layer captures under the database's statement lock).
         """
         updated = self._is_stored(self._ins_oids)
         update_oids = self._ins_oids[updated]

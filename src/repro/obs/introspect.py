@@ -28,8 +28,8 @@ The profiler is *off* by default.  ``column.introspect`` is ``None``
 unless ``Database(profile=True)`` attached an object, so every hook site
 on the query path costs exactly one attribute read and one branch when
 disabled — the same discipline :mod:`repro.obs.trace` follows.  When
-enabled, all mutation of the introspection state happens under the same
-per-column lock that already guards the cracker, plus a small internal
+enabled, all mutation of the introspection state happens inside a
+statement, under the database's statement lock, plus a small internal
 lock so readers on other threads never see a half-recorded event.
 """
 
@@ -153,7 +153,7 @@ class ColumnIntrospection:
         self._scan_cost_total = 0.0
 
     # ------------------------------------------------------------------ #
-    # Recorders (called under the column lock; cheap, allocation-light)
+    # Recorders (called inside a statement; cheap, allocation-light)
     # ------------------------------------------------------------------ #
 
     def record_crack(self, bounds, piece_sizes, moved: int, op: str = OP_XI) -> None:

@@ -157,42 +157,36 @@ def unpack_cracker(meta: dict, arrays) -> CrackedColumn:
 def capture_snapshot(database) -> dict:
     """Private copies of everything a snapshot holds; no file I/O.
 
-    The copies are taken under the database's own locks (catalog lock,
-    per-relation write locks, per-cracker write locks), so a concurrent
-    reader never yields a half-updated image; the caller is responsible
-    for excluding the execute→WAL-append window (see
-    :class:`~repro.persist.store.PersistentStore`).  The image stays
-    valid while the database keeps running, so :func:`write_image` may
-    run on another thread.
+    Taken under the database's statement lock, by the statement that
+    triggered the checkpoint (or by :meth:`Database.checkpoint`), so no
+    other statement runs between the copies and the WAL switch.  The
+    image stays valid while the database keeps running, so
+    :func:`write_image` may run on another thread.
     """
     tables = []
-    with database._catalog_lock:
-        names = database.catalog.table_names()
-    for name in names:
+    for name in database.catalog.table_names():
         relation = database.catalog.table(name)
-        with relation.write_lock:
-            tables.append(
-                {
-                    "name": name,
-                    "rows": len(relation),
-                    "columns": [[c.name, c.col_type] for c in relation.schema],
-                    "bats": [
-                        (column.name, relation.bats[column.name].export_state())
-                        for column in relation.schema
-                    ],
-                    "deleted": (
-                        relation.deleted_positions()
-                        if relation.deleted_count
-                        else None
-                    ),
-                }
-            )
+        tables.append(
+            {
+                "name": name,
+                "rows": len(relation),
+                "columns": [[c.name, c.col_type] for c in relation.schema],
+                "bats": [
+                    (column.name, relation.bats[column.name].export_state())
+                    for column in relation.schema
+                ],
+                "deleted": (
+                    relation.deleted_positions()
+                    if relation.deleted_count
+                    else None
+                ),
+            }
+        )
     crackers = []
     provider = database._cracker
     if provider is not None:
         for (table, attr), column in sorted(provider.columns().items()):
-            with provider.lock_for(table, attr).write_locked():
-                arrays, meta = pack_cracker(column)
+            arrays, meta = pack_cracker(column)
             crackers.append((table, attr, arrays, meta))
     return {"tables": tables, "crackers": crackers}
 

@@ -12,11 +12,12 @@ Invariant: the durable image is *snapshot K, then wal-K, wal-(K+1), …
 in order*, where K is what ``CURRENT`` names; only the last WAL of that
 chain may have a torn tail.  A checkpoint is split in two:
 
-* **capture** — on the triggering statement, under the execute+append
-  barrier: fsync and close wal-N, take private copies of every BAT and
-  cracker (:func:`~repro.persist.snapshot.capture_snapshot`), and switch
-  appends to a fresh, fsynced wal-(N+1).  Nothing is written but that
-  empty file, so the statement pays only for the copies.
+* **capture** — on the triggering statement, under the database's
+  statement lock: fsync and close wal-N, take private copies of every
+  BAT and cracker (:func:`~repro.persist.snapshot.capture_snapshot`),
+  and switch appends to a fresh, fsynced wal-(N+1).  Nothing is
+  written but that empty file, so the statement pays only for the
+  copies.
 * **write** — on a writer thread: write snapshot N+1 from the copies,
   fsync its files and directory, flip ``CURRENT`` atomically, sweep the
   snapshots other than N+1 and the WALs before it.
@@ -34,8 +35,8 @@ Write visibility: a statement becomes durable when its WAL frame is
 complete on disk.  ``fsync_every`` batches the fsync, so a machine crash
 may lose the last < ``fsync_every`` statements; a killed process loses
 at most the frame being written (the OS page cache survives the
-process).  Mutating statements hold the store's barrier across
-execute + append, and a capture takes it too, so a snapshot can never
+process).  A mutating statement's execute and append, and a capture,
+each run under the database's statement lock, so a snapshot can never
 capture an executed-but-unlogged statement — the window that would
 otherwise double-apply it on replay.
 """
@@ -119,14 +120,7 @@ class PersistentStore:
         self._wal: StatementWAL | None = None
         # Serialises checkpoints: captures, inline writes, writer joins.
         self._lock = threading.RLock()
-        self._counter_lock = threading.Lock()
         self._checkpoint_due = False
-        # Serialises the execute→append window: mutating statements hold
-        # it across both, so (a) WAL order always equals execution order
-        # — replay of CREATE-then-INSERT races cannot invert — and (b) a
-        # checkpoint (which also takes it) can never snapshot an
-        # executed-but-unlogged statement.  SELECTs never touch it.
-        self._barrier = threading.RLock()
         self.recovery: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -243,21 +237,14 @@ class PersistentStore:
     # Logging
     # ------------------------------------------------------------------ #
 
-    def mutation_guard(self):
-        """Context manager the session holds across execute + append.
-
-        Exclusive: persistent mutations serialise on it, which is what
-        makes the WAL a faithful serialisation — the append order *is*
-        the execution order.  Reads (SELECTs) are unaffected.  Refuses a
-        closed store before the statement runs: applying it and then
-        failing the WAL append would leave memory diverged from the
-        durable image.
-        """
+    def check_open(self) -> None:
+        """Refuse a mutation on a closed store before it runs: applying
+        it and then failing the WAL append would leave memory diverged
+        from the durable image."""
         if self.closed:
             raise PersistError(
                 "database is closed; reopen Database(persist_dir=...) to mutate"
             )
-        return self._barrier
 
     @property
     def closed(self) -> bool:
@@ -267,21 +254,21 @@ class PersistentStore:
     def log_statement(self, sql: str) -> None:
         """Append one executed statement; flags a checkpoint when due.
 
-        Must be called under :meth:`mutation_guard`.  The checkpoint
-        itself is deferred to :meth:`maybe_checkpoint` (called after the
-        guard is released), whose capture takes the barrier itself.
+        Called under the database's statement lock, in execution order,
+        so the append order *is* the execution order.  The checkpoint
+        itself is left to :meth:`maybe_checkpoint`, which the session
+        calls next.
         """
         wal = self._wal
         if wal is None:
             raise PersistError("store is not open (recover_into was never run)")
         wal.append(sql)
-        with self._counter_lock:
-            self.statements_logged += 1
-            self._since_checkpoint += 1
-            due = (
-                self.checkpoint_statements is not None
-                and self._since_checkpoint >= self.checkpoint_statements
-            )
+        self.statements_logged += 1
+        self._since_checkpoint += 1
+        due = (
+            self.checkpoint_statements is not None
+            and self._since_checkpoint >= self.checkpoint_statements
+        )
         if not due and self.checkpoint_wal_bytes is not None:
             due = wal.size_bytes >= self.checkpoint_wal_bytes
         if due:
@@ -342,10 +329,10 @@ class PersistentStore:
     def _capture(self, database) -> dict:
         """Switch appends to a fresh WAL and copy the state (lock held).
 
-        Under the barrier, so the copies hold exactly the statements
-        logged before the switch.  The old WAL is fsynced and closed
-        before the new one takes appends, which is what lets recovery
-        treat a torn non-last WAL as corruption.
+        Under the statement lock, so the copies hold exactly the
+        statements logged before the switch.  The old WAL is fsynced and
+        closed before the new one takes appends, which is what lets
+        recovery treat a torn non-last WAL as corruption.
         """
         self._join_writer()
         if self.closed:
@@ -360,28 +347,27 @@ class PersistentStore:
                 "cracker index(es) the snapshot holds but this session did "
                 "not restore; reopen with cracking enabled to checkpoint"
             )
-        with self._barrier:
-            image = capture_snapshot(database)
-            generation = self.generation + 1
-            new_wal = self.wal_path(generation)
-            with open(new_wal, "wb") as handle:
-                handle.flush()
-                os.fsync(handle.fileno())
-            _fsync_directory(self.directory)
-            self._wal.close()
-            self._wal = StatementWAL(new_wal, fsync_every=self.fsync_every)
-            job = {
-                "image": image,
-                "generation": generation,
-                "previous_generation": self.generation,
-                "statements_logged": self.statements_logged,
-                # WAL statements this checkpoint folds into the snapshot
-                # (not the store's cumulative lifetime count).
-                "statements_compacted": self._since_checkpoint,
-            }
-            self.generation = generation
-            self._since_checkpoint = 0
-            self._checkpoint_due = False
+        image = capture_snapshot(database)
+        generation = self.generation + 1
+        new_wal = self.wal_path(generation)
+        with open(new_wal, "wb") as handle:
+            handle.flush()
+            os.fsync(handle.fileno())
+        _fsync_directory(self.directory)
+        self._wal.close()
+        self._wal = StatementWAL(new_wal, fsync_every=self.fsync_every)
+        job = {
+            "image": image,
+            "generation": generation,
+            "previous_generation": self.generation,
+            "statements_logged": self.statements_logged,
+            # WAL statements this checkpoint folds into the snapshot
+            # (not the store's cumulative lifetime count).
+            "statements_compacted": self._since_checkpoint,
+        }
+        self.generation = generation
+        self._since_checkpoint = 0
+        self._checkpoint_due = False
         return job
 
     def _write(self, job: dict) -> dict:

@@ -87,8 +87,8 @@ class StatementWAL:
     Thread-safe: appends serialise on an internal lock, so concurrent
     callers always log whole frames.  Replay correctness additionally
     needs append order to equal execution order; the SQL layer
-    guarantees that by holding the store's mutation barrier across
-    execute + append (see :class:`~repro.persist.store.PersistentStore`).
+    guarantees that by running execute + append under its statement
+    lock (see :class:`~repro.persist.store.PersistentStore`).
     """
 
     def __init__(self, path: Path | str, fsync_every: int = 64) -> None:

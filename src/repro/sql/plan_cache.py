@@ -47,16 +47,13 @@ statements that do repeat: a new entry is admitted to a probation
 segment and promoted to the protected segment on its first hit.
 One-shots age out of probation without ever touching protected entries;
 a protected entry squeezed out by a promotion drops back to probation
-(most-recent end) and gets a second chance.  Both levels are guarded by
-one lock; statements are immutable after publication (a template's
-cached resolution is replaced whole), so hits are safe when one
-``Database`` is shared by many threads.
+(most-recent end) and gets a second chance.  The cache takes no lock of
+its own: its ``Database`` reaches it only under the statement lock.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from collections import OrderedDict
 
 from repro.sql.lexer import NUMBER, STRING
@@ -124,7 +121,6 @@ class PlanCache:
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._lock = threading.Lock()
         self._epochs: dict[str, int] = {}
         # Segmented LRU of the exact level: key -> (statement, epochs);
         # entries enter ``_probation`` and move to ``_protected`` on
@@ -144,15 +140,13 @@ class PlanCache:
 
     def epochs_for(self, tables) -> tuple:
         """Current ``(name, epoch)`` pairs for the given table names."""
-        with self._lock:
-            return tuple(
-                (name, self._epochs.get(name, 0)) for name in sorted(set(tables))
-            )
+        return tuple(
+            (name, self._epochs.get(name, 0)) for name in sorted(set(tables))
+        )
 
     def current(self, table_epochs: tuple) -> bool:
         """True while no table of ``table_epochs`` (from :meth:`epochs_for`)
-        has had its epoch bumped.  Reads without the lock: a dict read is
-        atomic, and a bump racing it is as if it came just after."""
+        has had its epoch bumped."""
         epochs = self._epochs
         return all(epochs.get(name, 0) == epoch for name, epoch in table_epochs)
 
@@ -165,9 +159,8 @@ class PlanCache:
         stale resolution is redone on its next use; templates (pure
         syntax) survive.
         """
-        with self._lock:
-            self._epochs[name] = self._epochs.get(name, 0) + 1
-            self.invalidations += 1
+        self._epochs[name] = self._epochs.get(name, 0) + 1
+        self.invalidations += 1
 
     def invalidate_all(self, tables) -> None:
         """Bump every given table's epoch and drop all exact entries.
@@ -177,12 +170,11 @@ class PlanCache:
         statement's executions included — must be analysed again.
         Templates survive (pure syntax, never stale).
         """
-        with self._lock:
-            for name in tables:
-                self._epochs[name] = self._epochs.get(name, 0) + 1
-                self.invalidations += 1
-            self._probation.clear()
-            self._protected.clear()
+        for name in tables:
+            self._epochs[name] = self._epochs.get(name, 0) + 1
+            self.invalidations += 1
+        self._probation.clear()
+        self._protected.clear()
 
     # ------------------------------------------------------------------ #
     # Exact level
@@ -198,32 +190,31 @@ class PlanCache:
         """
         if not self.enabled:
             return None
-        with self._lock:
-            protected = self._protected
-            segment = protected
-            entry = protected.get(key)
+        protected = self._protected
+        segment = protected
+        entry = protected.get(key)
+        if entry is None:
+            segment = self._probation
+            entry = segment.get(key)
             if entry is None:
-                segment = self._probation
-                entry = segment.get(key)
-                if entry is None:
-                    return None
-            if not self.current(entry[1]):
-                del segment[key]
                 return None
-            if segment is protected:
-                protected.move_to_end(key)
-            else:
-                # First hit: promote; the protected LRU entry it displaces
-                # drops back to probation for a second chance.
-                del segment[key]
-                protected[key] = entry
-                if len(protected) > EXACT_CAPACITY:
-                    self._admit(*protected.popitem(last=False))
-            self.hits += 1
-            return entry[0]
+        if not self.current(entry[1]):
+            del segment[key]
+            return None
+        if segment is protected:
+            protected.move_to_end(key)
+        else:
+            # First hit: promote; the protected LRU entry it displaces
+            # drops back to probation for a second chance.
+            del segment[key]
+            protected[key] = entry
+            if len(protected) > EXACT_CAPACITY:
+                self._admit(*protected.popitem(last=False))
+        self.hits += 1
+        return entry[0]
 
     def _admit(self, key, entry: tuple) -> None:
-        """Put ``entry`` at the recent end of probation (lock held)."""
+        """Put ``entry`` at the recent end of probation."""
         probation = self._probation
         probation[key] = entry
         probation.move_to_end(key)
@@ -232,27 +223,19 @@ class PlanCache:
 
     def count_miss(self) -> None:
         """Record one SELECT analysed afresh."""
-        with self._lock:
-            self.misses += 1
+        self.misses += 1
 
     def store_exact(self, key, stmt, table_epochs: tuple) -> None:
-        """Publish an analysed statement under pre-analysis table epochs.
-
-        ``table_epochs`` must be captured (:meth:`epochs_for`) *before*
-        the resolve step ran: if DDL lands while the statement
-        is being compiled, the entry is then already stale on arrival and
-        the next lookup recompiles — capturing after analysis would stamp
-        a pre-DDL artifact as current forever.
-        """
+        """Publish an analysed statement under the table epochs
+        (:meth:`epochs_for`) its resolution was made under."""
         if not self.enabled:
             return
         entry = (stmt, table_epochs)
-        with self._lock:
-            if key in self._protected:
-                self._protected[key] = entry
-                self._protected.move_to_end(key)
-            else:
-                self._admit(key, entry)
+        if key in self._protected:
+            self._protected[key] = entry
+            self._protected.move_to_end(key)
+        else:
+            self._admit(key, entry)
 
     # ------------------------------------------------------------------ #
     # Template level
@@ -264,25 +247,23 @@ class PlanCache:
         folded afresh."""
         if not self.enabled:
             return None
-        with self._lock:
-            template = self._templates.get(key)
-            if template is not None:
-                self._templates.move_to_end(key)
-                if template.kind == "select":
-                    self.template_hits += 1
-                    self.misses += 1
-                else:
-                    self.dml_template_hits += 1
-            return template
+        template = self._templates.get(key)
+        if template is not None:
+            self._templates.move_to_end(key)
+            if template.kind == "select":
+                self.template_hits += 1
+                self.misses += 1
+            else:
+                self.dml_template_hits += 1
+        return template
 
     def store_template(self, key: str, template) -> None:
         if not self.enabled:
             return
-        with self._lock:
-            self._templates[key] = template
-            self._templates.move_to_end(key)
-            while len(self._templates) > TEMPLATE_CAPACITY:
-                self._templates.popitem(last=False)
+        self._templates[key] = template
+        self._templates.move_to_end(key)
+        while len(self._templates) > TEMPLATE_CAPACITY:
+            self._templates.popitem(last=False)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -290,17 +271,16 @@ class PlanCache:
 
     def stats(self) -> dict:
         """Counter snapshot (for tests, monitors and the benchmark)."""
-        with self._lock:
-            dml_entries = sum(
-                template.kind != "select" for template in self._templates.values()
-            )
-            return {
-                "hits": self.hits,
-                "template_hits": self.template_hits,
-                "dml_template_hits": self.dml_template_hits,
-                "misses": self.misses,
-                "invalidations": self.invalidations,
-                "exact_entries": len(self._probation) + len(self._protected),
-                "template_entries": len(self._templates) - dml_entries,
-                "dml_template_entries": dml_entries,
-            }
+        dml_entries = sum(
+            template.kind != "select" for template in self._templates.values()
+        )
+        return {
+            "hits": self.hits,
+            "template_hits": self.template_hits,
+            "dml_template_hits": self.dml_template_hits,
+            "misses": self.misses,
+            "invalidations": self.invalidations,
+            "exact_entries": len(self._probation) + len(self._protected),
+            "template_entries": len(self._templates) - dml_entries,
+            "dml_template_entries": dml_entries,
+        }

@@ -13,13 +13,11 @@ kernel.  The paper's tuple-at-a-time baseline is
 
 from __future__ import annotations
 
-import threading
 from typing import Iterator
 
 import numpy as np
 
 from repro.core.cracked_column import DEFAULT_CRACK_THRESHOLD, CrackedColumn
-from repro.core.rwlock import ReadWriteLock
 from repro.obs import introspect as obs_introspect
 from repro.obs import trace as obs_trace
 from repro.errors import PlanError
@@ -106,13 +104,12 @@ def _cracked_count_plan(
 class CrackerProvider:
     """Per-database registry of cracked columns, keyed by (table, attr).
 
-    The registry is the concurrency boundary of the SQL layer: every
-    cracked column gets a :class:`ReadWriteLock`, and all crack/merge/
-    append traffic goes through :meth:`range_select`/:meth:`propagate_insert`
-    which take the *write* side — a range query physically reorganises
-    the cracker column, so in cracking terms reads are writes.  The read
-    side serves introspection (:meth:`piece_count`) that may observe a
-    column while queries reorganise it.
+    All crack/merge/append traffic goes through :meth:`range_select` and
+    the ``propagate_*`` methods.  The provider takes no lock: its
+    :class:`~repro.sql.session.Database` calls it only under the
+    statement lock, one statement at a time, so a range query — which
+    physically reorganises the cracker column — never meets another
+    query or an introspection read of the same column.
 
     Args:
         crack_threshold: sort-below-T cut-off of every cracked column,
@@ -138,14 +135,12 @@ class CrackerProvider:
         self.crack_threshold = crack_threshold
         self.profile = profile
         self._columns: dict[tuple[str, str], CrackedColumn] = {}
-        self._locks: dict[tuple[str, str], ReadWriteLock] = {}
         self._introspections: dict[
             tuple[str, str], obs_introspect.ColumnIntrospection
         ] = {}
-        self._registry_lock = threading.Lock()
 
     def _attach_introspection(self, key: tuple[str, str], column) -> None:
-        """Build and attach one introspection object (registry lock held)."""
+        """Build and attach one introspection object."""
         table, attr = key
         introspection = obs_introspect.ColumnIntrospection(
             f"{table}.{attr}", *obs_introspect.value_domain(column)
@@ -155,51 +150,28 @@ class CrackerProvider:
 
     def column_for(self, relation: Relation, attr: str) -> CrackedColumn:
         key = (relation.name, attr)
-        with self._registry_lock:
-            column = self._columns.get(key)
+        column = self._columns.get(key)
         if column is not None:
             return column
-        # First touch copies the base BAT into the cracker column.  The
-        # copy must not interleave with an insert+propagate pair on the
-        # same table, or rows already in the snapshot would be appended
-        # again as pending updates (duplicate oids).  The relation write
-        # lock is taken *before* the registry lock everywhere, so lock
-        # ordering stays relation -> registry -> column.
-        with relation.write_lock:
-            with self._registry_lock:
-                column = self._columns.get(key)
-                if column is None:
-                    bat = relation.column(attr)
-                    if relation.deleted_count:
-                        # Tombstone-aware first touch: copy only the live
-                        # rows, keyed by their storage positions, so the
-                        # cracker never administers dead tuples (and an
-                        # abort-triggered rebuild starts clean).
-                        live = relation.live_positions(len(bat))
-                        column = CrackedColumn.from_arrays(
-                            bat.tail_array()[live],
-                            oids=live,
-                            crack_threshold=self.crack_threshold,
-                        )
-                    else:
-                        column = CrackedColumn(
-                            bat, crack_threshold=self.crack_threshold
-                        )
-                    self._columns[key] = column
-                    self._locks[key] = ReadWriteLock()
-                    if self.profile:
-                        self._attach_introspection(key, column)
+        # First touch copies the base BAT into the cracker column.
+        bat = relation.column(attr)
+        if relation.deleted_count:
+            # Tombstone-aware first touch: copy only the live rows, keyed
+            # by their storage positions, so the cracker never
+            # administers dead tuples (and an abort-triggered rebuild
+            # starts clean).
+            live = relation.live_positions(len(bat))
+            column = CrackedColumn.from_arrays(
+                bat.tail_array()[live],
+                oids=live,
+                crack_threshold=self.crack_threshold,
+            )
+        else:
+            column = CrackedColumn(bat, crack_threshold=self.crack_threshold)
+        self._columns[key] = column
+        if self.profile:
+            self._attach_introspection(key, column)
         return column
-
-    def lock_for(self, table: str, attr: str) -> ReadWriteLock:
-        """The reader–writer lock guarding ``table.attr``'s cracker."""
-        key = (table, attr)
-        with self._registry_lock:
-            lock = self._locks.get(key)
-            if lock is None:
-                lock = ReadWriteLock()
-                self._locks[key] = lock
-        return lock
 
     def range_select(
         self,
@@ -211,12 +183,12 @@ class CrackerProvider:
         high_inclusive: bool = False,
         count: bool = False,
     ):
-        """Crack ``relation.attr`` for a range, under the column's lock.
+        """Crack ``relation.attr`` for a range.
 
-        Takes the column's write side (cracking mutates storage and
-        merges the pending update area); the answer is copied under it,
-        so no later crack can shuffle it under the caller.  With
-        ``count`` the answer is the number of qualifying rows
+        Cracking mutates storage and merges the pending update area; the
+        answer is a copy of its span, so no later crack can shuffle it
+        under the caller.  With ``count`` the answer is the number of
+        qualifying rows
         (:meth:`~repro.core.cracked_column.CrackedColumn.count_range`,
         which merges nothing).
 
@@ -227,67 +199,49 @@ class CrackerProvider:
         """
         column = self.column_for(relation, attr)
         if not obs_trace.tracing():
-            return self._locked_select(
-                column, relation.name, attr, low, high,
-                low_inclusive, high_inclusive, count,
+            return self._select(
+                column, low, high, low_inclusive, high_inclusive, count
             )
         with obs_trace.span("crack") as crack_span:
             crack_span.meta["column"] = f"{relation.name}.{attr}"
             stats = column.crack_stats
             cracks_before, sorts_before = stats.cracks, stats.sorts
-            result = self._locked_select(
-                column, relation.name, attr, low, high,
-                low_inclusive, high_inclusive, count,
+            result = self._select(
+                column, low, high, low_inclusive, high_inclusive, count
             )
-            # Read without the column lock: trace meta is advisory, an
-            # exact-at-an-instant count is not worth re-serialising on.
             crack_span.meta["cracks"] = stats.cracks - cracks_before
             crack_span.meta["sorts"] = stats.sorts - sorts_before
             crack_span.meta["pieces"] = column.piece_count
         return result
 
-    def _locked_select(
-        self, column, table: str, attr: str, low, high,
-        low_inclusive: bool, high_inclusive: bool, count: bool,
+    @staticmethod
+    def _select(
+        column, low, high, low_inclusive: bool, high_inclusive: bool, count: bool,
     ):
-        """The locking core of :meth:`range_select`."""
+        """The core of :meth:`range_select`: one select or count, with
+        the profiler's record when one is attached."""
         introspect = column.introspect
         select = column.count_range if count else column.range_select
-        lock = self.lock_for(table, attr)
-        # Direct acquire/release: the contextmanager-based write_locked()
-        # costs a generator frame per query, measurable on the sustained
-        # hot path.
-        lock.acquire_write()
-        try:
-            if introspect is None:
-                result = select(
-                    low,
-                    high,
-                    low_inclusive=low_inclusive,
-                    high_inclusive=high_inclusive,
-                )
-            else:
-                # CrackStats is mutated in place by the kernels, so one
-                # binding suffices for before/after deltas.
-                stats = column.crack_stats
-                touched_before = stats.tuples_touched
-                moved_before = stats.tuples_moved
-                result = select(
-                    low,
-                    high,
-                    low_inclusive=low_inclusive,
-                    high_inclusive=high_inclusive,
-                )
-                introspect.record_query(
-                    low,
-                    high,
-                    result if count else result.count,
-                    stats.tuples_touched - touched_before,
-                    stats.tuples_moved - moved_before,
-                    len(column),
-                )
-        finally:
-            lock.release_write()
+        if introspect is None:
+            return select(
+                low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive
+            )
+        # CrackStats is mutated in place by the kernels, so one binding
+        # suffices for before/after deltas.
+        stats = column.crack_stats
+        touched_before = stats.tuples_touched
+        moved_before = stats.tuples_moved
+        result = select(
+            low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive
+        )
+        introspect.record_query(
+            low,
+            high,
+            result if count else result.count,
+            stats.tuples_touched - touched_before,
+            stats.tuples_moved - moved_before,
+            len(column),
+        )
         return result
 
     def attach_column(self, table: str, attr: str, column: CrackedColumn) -> None:
@@ -301,50 +255,39 @@ class CrackerProvider:
         The column takes the cut-off given at open.
         """
         key = (table, attr)
-        with self._registry_lock:
-            if key in self._columns:
-                raise PlanError(
-                    f"cracker for {table}.{attr} already attached; "
-                    "warm restore must target a fresh database"
-                )
-            column.crack_threshold = self.crack_threshold
-            self._columns[key] = column
-            self._locks.setdefault(key, ReadWriteLock())
-            if self.profile:
-                self._attach_introspection(key, column)
+        if key in self._columns:
+            raise PlanError(
+                f"cracker for {table}.{attr} already attached; "
+                "warm restore must target a fresh database"
+            )
+        column.crack_threshold = self.crack_threshold
+        self._columns[key] = column
+        if self.profile:
+            self._attach_introspection(key, column)
 
     def piece_count(self, table: str, attr: str) -> int:
-        with self._registry_lock:
-            column = self._columns.get((table, attr))
-        if column is None:
-            return 1
-        with self.lock_for(table, attr).read_locked():
-            return column.piece_count
+        column = self._columns.get((table, attr))
+        return 1 if column is None else column.piece_count
 
     def columns(self) -> dict[tuple[str, str], CrackedColumn]:
         """Snapshot of the registry (for monitoring and test validation)."""
-        with self._registry_lock:
-            return dict(self._columns)
+        return dict(self._columns)
 
     def observability(self) -> dict[str, dict]:
-        """Per-column crack/pending/piece-size accounting, read-locked.
+        """Per-column crack/pending/piece-size accounting.
 
         Keys are ``table.attr``; values come from each column's
         :meth:`~repro.core.cracked_column.CrackedColumn.observability`.
-        Taken under each column's read lock, so a concurrent query may
-        proceed on other columns while one is being read.
         """
-        out: dict[str, dict] = {}
-        for (table, attr), column in self.columns().items():
-            with self.lock_for(table, attr).read_locked():
-                out[f"{table}.{attr}"] = column.observability()
-        return out
+        return {
+            f"{table}.{attr}": column.observability()
+            for (table, attr), column in self._columns.items()
+        }
 
     def check_invariants(self) -> None:
         """Validate every cracked column (cheap; used by tests/monitors)."""
-        for key, column in self.columns().items():
-            with self.lock_for(*key).write_locked():
-                column.check_invariants()
+        for column in self._columns.values():
+            column.check_invariants()
 
     def propagate_insert(
         self, table: str, relation: Relation, first_oid: int, columns: list
@@ -355,8 +298,6 @@ class CrackerProvider:
         The §7 "updates" extension: instead of dropping the cracker index
         on insert, the new values join the pending area of every cracked
         column of the table and are merged piece-wise on the next query.
-        Each cracker's append happens under its write lock, so an
-        interleaved query merges either all of these tuples or none.
 
         Returns:
             the number of cracked columns updated.
@@ -364,11 +305,10 @@ class CrackerProvider:
         updated = 0
         names = relation.schema.names()
         oids = np.arange(first_oid, first_oid + len(columns[0]), dtype=np.int64)
-        for (table_name, attr), column in self.columns().items():
+        for (table_name, attr), column in self._columns.items():
             if table_name != table:
                 continue
-            with self.lock_for(table_name, attr).write_locked():
-                column.append(columns[names.index(attr)], oids=oids)
+            column.append(columns[names.index(attr)], oids=oids)
             updated += 1
         return updated
 
@@ -386,12 +326,10 @@ class CrackerProvider:
         """
         updated = 0
         positions = np.asarray(positions, dtype=np.int64)
-        for (table_name, attr), column in self.columns().items():
+        for (table_name, attr), column in self._columns.items():
             if table_name != table:
                 continue
-            old_values = relation.column(attr).tail_array()[positions]
-            with self.lock_for(table_name, attr).write_locked():
-                column.delete(positions, old_values)
+            column.delete(positions, relation.column(attr).tail_array()[positions])
             updated += 1
         return updated
 
@@ -410,38 +348,30 @@ class CrackerProvider:
         """
         updated = 0
         positions = np.asarray(positions, dtype=np.int64)
-        for (table_name, attr), column in self.columns().items():
+        for (table_name, attr), column in self._columns.items():
             if table_name != table or attr not in assignments:
                 continue
             values = np.full(
                 len(positions), assignments[attr], dtype=column.values.dtype
             )
-            with self.lock_for(table_name, attr).write_locked():
-                column.update(positions, values, old_values[attr])
+            column.update(positions, values, old_values[attr])
             updated += 1
         return updated
 
     def drop_table(self, table: str) -> None:
         """Forget all crackers of a dropped/replaced table."""
-        with self._registry_lock:
-            stale = [key for key in self._columns if key[0] == table]
-            for key in stale:
-                del self._columns[key]
-                self._locks.pop(key, None)
-                self._introspections.pop(key, None)
+        for key in [key for key in self._columns if key[0] == table]:
+            del self._columns[key]
+            self._introspections.pop(key, None)
 
     def introspection_for(self, table: str, attr: str):
         """The column's introspection object, or None (profiler off /
         column never touched)."""
-        with self._registry_lock:
-            return self._introspections.get((table, attr))
+        return self._introspections.get((table, attr))
 
     def introspections(self) -> dict[tuple[str, str], object]:
         """Snapshot of every attached introspection object."""
-        with self._registry_lock:
-            return dict(self._introspections)
-
-
+        return dict(self._introspections)
 
 
 def build_plan(

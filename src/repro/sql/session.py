@@ -21,7 +21,6 @@ import re
 import threading
 import time
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,11 +76,14 @@ class Database:
     now safe to share).  The perf ledger still passes both; a
     ``[benchmark]`` change to the ledger drops the keywords.
 
-    Concurrency: any database may be shared across threads.  DDL,
-    inserts and all cracker traffic are locked (catalog lock,
-    per-relation write locks, per-column reader–writer locks), and a
-    range answer is copied out of cracker storage under its column
-    lock, so a crack by one thread never reaches another's result.
+    Concurrency: any database may be shared across threads, and one
+    rule holds: statements on one ``Database`` are serializable in lock
+    order, and a held answer owns its data.  Every public entry point
+    holds one reentrant lock for its whole call, so statements run one
+    at a time (under the GIL, parallel statements would gain nothing),
+    and a transaction batch is one step in that order.  A result is
+    copied out of storage before its statement returns, so a later
+    crack or UPDATE never reaches an answer already delivered.
 
     ``plan_cache`` (default on) caches compiled statements
     (:meth:`compile`): an exact repeat of a SELECT skips lexing, parsing
@@ -180,14 +182,10 @@ class Database:
         self._statement_counter = itertools.count(1)
         # Always constructed: with caching off it still counts.
         self._plan_cache = PlanCache(enabled=plan_cache)
-        # Guards catalog mutation (CREATE / DROP / materialise-replace).
-        self._catalog_lock = threading.RLock()
-        # Serialises mutating statements against multi-statement
-        # transactions: execute_transaction holds it for its whole batch,
-        # so no foreign mutation can land between a pre-image snapshot
-        # and a potential rollback.  Reentrant, so the transaction's own
-        # statements pass through.
-        self._txn_barrier = threading.RLock()
+        # The statement lock: every public entry point holds it for the
+        # whole call.  Reentrant, so recovery's replay, EXPLAIN ANALYZE
+        # and a transaction batch's own statements pass through.
+        self._lock = threading.RLock()
         # > 0 while execute_transaction is applying its batch: WAL
         # logging and checkpoints are deferred until the batch commits.
         self._in_transaction = 0
@@ -215,7 +213,6 @@ class Database:
         self._slow_query_ms = slow_query_ms
         self._stmt_hists: dict[str, object] = {}
         self._slow_log: deque = deque(maxlen=self.SLOW_LOG_CAPACITY)
-        self._slow_lock = threading.Lock()
         self._last_trace = None
         # Durability: set up last, so recovery replays through a fully
         # initialised session.  _replaying suppresses re-logging while
@@ -231,7 +228,8 @@ class Database:
                 checkpoint_statements=checkpoint_statements,
                 checkpoint_wal_bytes=checkpoint_wal_bytes,
             )
-            self._persist.recover_into(self)
+            with self._lock:  # taken before the store's, as everywhere
+                self._persist.recover_into(self)
 
     # ------------------------------------------------------------------ #
     # Statement execution
@@ -244,22 +242,23 @@ class Database:
         under a span trace and returns the trace as the result rows —
         see :class:`ExplainAnalyze`.
         """
-        started = time.perf_counter()
-        # With the profiler on, tag this context so lineage events can
-        # name the statement that triggered each reorganisation.  The
-        # tag is set-only (no reset): every profiled execute overwrites
-        # it, and a stale id after an exception is harmless, so the
-        # disabled path stays a single branch and the enabled path
-        # skips a ContextVar reset per statement.
-        if self._profile:
-            obs_introspect.set_statement_id(next(self._statement_counter))
-        if self._trace_statements or self._slow_query_ms is not None:
-            stmt, result = self._execute_traced(sql)
-        else:
-            stmt = self.compile(sql)
-            result = self._run(stmt, sql)
-        self._record_statement(stmt.kind, time.perf_counter() - started)
-        return result
+        with self._lock:
+            started = time.perf_counter()
+            # With the profiler on, tag this context so lineage events
+            # can name the statement that triggered each reorganisation.
+            # The tag is set-only (no reset): every profiled execute
+            # overwrites it, and a stale id after an exception is
+            # harmless, so the disabled path stays a single branch and
+            # the enabled path skips a ContextVar reset per statement.
+            if self._profile:
+                obs_introspect.set_statement_id(next(self._statement_counter))
+            if self._trace_statements or self._slow_query_ms is not None:
+                stmt, result = self._execute_traced(sql)
+            else:
+                stmt = self._compile(sql)
+                result = self._run(stmt, sql)
+            self._record_statement(stmt.kind, time.perf_counter() - started)
+            return result
 
     def compile(self, sql: str) -> Statement:
         """The compiled statement for ``sql``: fetched, rebound or parsed.
@@ -275,6 +274,11 @@ class Database:
         resolved once per template (the ``analyze`` span), then its
         literals folded in.
         """
+        with self._lock:
+            return self._compile(sql)
+
+    def _compile(self, sql: str) -> Statement:
+        """:meth:`compile` with the statement lock held."""
         cache = self._plan_cache
         if cache.enabled:
             stmt = cache.lookup_exact(sql)
@@ -314,11 +318,9 @@ class Database:
     def _run(self, stmt: Statement, sql: str) -> QueryResult:
         """Execute a compiled statement; ``sql`` is what the WAL logs.
 
-        A mutation runs under the transaction barrier and holds the
-        durability guard (exclusive) across execute + WAL append.  That
-        serialises persistent mutations against each other — WAL order
-        is execution order, so replay cannot invert a CREATE/INSERT race
-        — and against checkpoints, which therefore never snapshot an
+        Runs under the statement lock, so a mutation's execute, WAL
+        append and any checkpoint capture it triggers are one step: WAL
+        order is execution order, and a capture never holds an
         executed-but-unlogged statement (replay would double-apply it).
         A transaction batch logs and checkpoints once, at its end.
         """
@@ -326,12 +328,11 @@ class Database:
             return stmt.run(self)
         persist = self._persist
         durable = persist is not None and not self._replaying
-        with self._txn_barrier, persist.mutation_guard() if durable else nullcontext():
-            result = stmt.run(self)
-            if durable and not self._in_transaction:
-                persist.log_statement(sql)
+        if durable:
+            persist.check_open()
+        result = stmt.run(self)
         if durable and not self._in_transaction:
-            # The capture retakes the barrier; a writer thread writes.
+            persist.log_statement(sql)
             persist.maybe_checkpoint(self)
         return result
 
@@ -342,7 +343,7 @@ class Database:
         stmt = result = None
         try:
             with root:
-                stmt = self.compile(sql)
+                stmt = self._compile(sql)
                 root.meta["kind"] = stmt.kind
                 result = self._run(stmt, sql)
         finally:
@@ -381,8 +382,7 @@ class Database:
             ],
             "wall_time": time.time(),
         }
-        with self._slow_lock:
-            self._slow_log.append(record)
+        self._slow_log.append(record)
         self.metrics.counter(
             "repro_slow_statements_total",
             description="Statements slower than the slow-query threshold",
@@ -400,15 +400,16 @@ class Database:
             stmt.execute()          # BETWEEN 0 AND 10
             stmt.execute((5, 25))   # BETWEEN 5 AND 25
         """
-        stmt = self.compile(sql)
-        if stmt.kind != "select":
-            raise SQLAnalysisError("only SELECT statements can be prepared")
-        key, literals = template_key(sql)
-        if make_template(stmt, literals) is None:  # SELECT ... INTO, too
-            raise SQLAnalysisError("statement cannot be parameterised")
-        if stmt.query is None:
-            stmt.analyze(self)  # validate names now, not at first execute
-        return PreparedStatement(self, sql, stmt, key, literals)
+        with self._lock:
+            stmt = self._compile(sql)
+            if stmt.kind != "select":
+                raise SQLAnalysisError("only SELECT statements can be prepared")
+            key, literals = template_key(sql)
+            if make_template(stmt, literals) is None:  # SELECT ... INTO, too
+                raise SQLAnalysisError("statement cannot be parameterised")
+            if stmt.query is None:
+                stmt.analyze(self)  # validate names now, not at first execute
+            return PreparedStatement(self, sql, stmt, key, literals)
 
     def execute_prepared(
         self, prepared: "PreparedStatement", params=None
@@ -429,14 +430,14 @@ class Database:
 
         Every statement is compiled up front (a syntax error aborts before
         any state is touched), then the batch executes under the
-        transaction barrier — no foreign mutation can interleave — with
-        WAL logging deferred.  If any statement fails, the mutated
-        tables are restored to their byte-for-byte pre-image (base BATs
-        via :class:`~repro.storage.transaction.Transaction`, catalog
-        entries re-attached, crackers of mutated tables dropped so they
-        rebuild from the restored base) and nothing reaches the WAL.  On
-        success the mutating statements are logged in execution order
-        and the usual checkpoint policy runs.
+        statement lock, held for the whole batch, with WAL logging
+        deferred.  If any statement fails, the mutated tables are
+        restored to their byte-for-byte pre-image (base BATs via
+        :class:`~repro.storage.transaction.Transaction`, catalog entries
+        re-attached, crackers of mutated tables dropped so they rebuild
+        from the restored base) and nothing reaches the WAL.  On success
+        the mutating statements are logged in execution order and the
+        usual checkpoint policy runs.
 
         This is the commit path of the network server's BEGIN/COMMIT
         protocol; it is equally usable embedded::
@@ -450,50 +451,46 @@ class Database:
         *rollback* only (correctness over warmth: they re-crack from the
         restored base storage); a committed transaction keeps all state.
 
-        Atomicity here is about durable state, not read isolation:
-        concurrent SELECTs (which never take the transaction barrier)
-        can observe the batch mid-application — and, if it then fails,
-        data that was rolled back.  Serialising readers against commits
-        would need a global read-write lock this engine deliberately
-        does not have (the paper leaves updates as future work, §7).
+        The batch is one step in the statement order: a statement on
+        another thread sees the state before the batch or after it,
+        never part of a batch, and never rows a rollback took back.
         """
-        batch = [(sql, self.compile(sql)) for sql in statements]
-        targets = list(dict.fromkeys(stmt.target for _, stmt in batch if stmt.mutates))
-        persist = self._persist
-        durable = bool(targets) and persist is not None and not self._replaying
-        with self._txn_barrier:
-            with persist.mutation_guard() if durable else nullcontext():
-                undo = Transaction(0)
-                pre_relations: dict[str, Relation] = {}
-                pre_deleted: dict[str, "np.ndarray"] = {}
-                with self._catalog_lock:
-                    for name in targets:
-                        if self.catalog.has_table(name):
-                            relation = self.catalog.table(name)
-                            pre_relations[name] = relation
-                            # Tombstones live beside the BATs, so the BAT
-                            # pre-images alone cannot unwind a DELETE.
-                            pre_deleted[name] = relation.deleted_positions()
-                            for bat in relation.bats.values():
-                                undo.protect(bat)
-                results: list[QueryResult] = []
-                self._in_transaction += 1
-                try:
-                    for sql, stmt in batch:
-                        results.append(self._run(stmt, sql))
-                except BaseException:
-                    self._rollback_batch(undo, targets, pre_relations, pre_deleted)
-                    raise
-                finally:
-                    self._in_transaction -= 1
-                undo.commit()
-                if durable:
-                    for sql, stmt in batch:
-                        if stmt.mutates:
-                            persist.log_statement(sql)
-        if durable:
-            persist.maybe_checkpoint(self)
-        return results
+        with self._lock:
+            batch = [(sql, self._compile(sql)) for sql in statements]
+            targets = list(dict.fromkeys(stmt.target for _, stmt in batch if stmt.mutates))
+            persist = self._persist
+            durable = bool(targets) and persist is not None and not self._replaying
+            if durable:
+                persist.check_open()
+            undo = Transaction(0)
+            pre_relations: dict[str, Relation] = {}
+            pre_deleted: dict[str, "np.ndarray"] = {}
+            for name in targets:
+                if self.catalog.has_table(name):
+                    relation = self.catalog.table(name)
+                    pre_relations[name] = relation
+                    # Tombstones live beside the BATs, so the BAT
+                    # pre-images alone cannot unwind a DELETE.
+                    pre_deleted[name] = relation.deleted_positions()
+                    for bat in relation.bats.values():
+                        undo.protect(bat)
+            results: list[QueryResult] = []
+            self._in_transaction += 1
+            try:
+                for sql, stmt in batch:
+                    results.append(self._run(stmt, sql))
+            except BaseException:
+                self._rollback_batch(undo, targets, pre_relations, pre_deleted)
+                raise
+            finally:
+                self._in_transaction -= 1
+            undo.commit()
+            if durable:
+                for sql, stmt in batch:
+                    if stmt.mutates:
+                        persist.log_statement(sql)
+                persist.maybe_checkpoint(self)
+            return results
 
     def _rollback_batch(
         self,
@@ -502,62 +499,44 @@ class Database:
         pre_relations: dict[str, Relation],
         pre_deleted: dict[str, "np.ndarray"],
     ) -> None:
-        """Undo a failed transaction batch (memory only; nothing was logged).
-
-        The pre-image restore rewrites BAT storage in place, so it runs
-        under every affected relation's write lock: a cracker being
-        built from the base column (``column_for`` takes the same lock)
-        can never snapshot half-restored data.  Lock-free scans racing
-        the abort may transiently see aborted rows — the same window
-        they already have against in-flight inserts.
-        """
-        held = []
-        try:
-            for name in sorted(pre_relations):  # stable order: no deadlocks
-                lock = pre_relations[name].write_lock
-                lock.acquire()
-                held.append(lock)
-            undo.rollback()
-            for name, relation in pre_relations.items():
-                # Restore the tombstone set alongside the BAT pre-images
-                # (a DELETE inside the aborted batch only added entries).
-                relation.set_deleted_positions(pre_deleted.get(name, ()))
-        finally:
-            for lock in reversed(held):
-                lock.release()
-        with self._catalog_lock:
-            for name in targets:
-                pre = pre_relations.get(name)
-                current = (
-                    self.catalog.table(name)
-                    if self.catalog.has_table(name)
-                    else None
-                )
-                if pre is None:
-                    # Created inside the aborted transaction.
-                    if current is not None:
-                        self.catalog.drop_table(name)
-                elif current is not pre:
-                    # SELECT INTO replaced the relation object mid-batch;
-                    # re-attach the pre-image object (its BATs were just
-                    # restored by undo.rollback()).
-                    if current is not None:
-                        self.catalog.drop_table(name)
-                    self.catalog.create_table(pre)
-                if self._cracker is not None:
-                    # Cracker columns are private copies: restoring the
-                    # base BATs does not unwind their pending merges, so
-                    # drop them — they rebuild from the restored base.
-                    self._cracker.drop_table(name)
+        """Undo a failed transaction batch (memory only; nothing was logged)."""
+        undo.rollback()
+        for name, relation in pre_relations.items():
+            # Restore the tombstone set alongside the BAT pre-images
+            # (a DELETE inside the aborted batch only added entries).
+            relation.set_deleted_positions(pre_deleted.get(name, ()))
         for name in targets:
+            pre = pre_relations.get(name)
+            current = (
+                self.catalog.table(name)
+                if self.catalog.has_table(name)
+                else None
+            )
+            if pre is None:
+                # Created inside the aborted transaction.
+                if current is not None:
+                    self.catalog.drop_table(name)
+            elif current is not pre:
+                # SELECT INTO replaced the relation object mid-batch;
+                # re-attach the pre-image object (its BATs were just
+                # restored by undo.rollback()).
+                if current is not None:
+                    self.catalog.drop_table(name)
+                self.catalog.create_table(pre)
+            if self._cracker is not None:
+                # Cracker columns are private copies: restoring the
+                # base BATs does not unwind their pending merges, so
+                # drop them — they rebuild from the restored base.
+                self._cracker.drop_table(name)
             self._plan_cache.invalidate_table(name)
 
     def explain(self, sql: str) -> str:
         """The analyzed normal form and cracker advice for a SELECT."""
-        stmt = self.compile(sql)
-        if stmt.kind != "select":
-            raise SQLAnalysisError("EXPLAIN supports SELECT statements only")
-        query = analyze(stmt, self.catalog)
+        with self._lock:
+            stmt = self._compile(sql)
+            if stmt.kind != "select":
+                raise SQLAnalysisError("EXPLAIN supports SELECT statements only")
+            query = analyze(stmt, self.catalog)
         lines = [
             "tables: " + ", ".join(ref.binding for ref in query.tables),
             "selections: " + (
@@ -586,7 +565,7 @@ class Database:
         record carries the SQL, elapsed ms, statement kind, row counts
         and the per-span timing breakdown.
         """
-        with self._slow_lock:
+        with self._lock:
             return list(self._slow_log)
 
     # ------------------------------------------------------------------ #
@@ -597,13 +576,15 @@ class Database:
         """Pieces administered for ``table.attr`` (1 when uncracked)."""
         if self._cracker is None:
             return 1
-        return self._cracker.piece_count(table, attr)
+        with self._lock:
+            return self._cracker.piece_count(table, attr)
 
     def cracked_columns(self) -> dict:
         """Snapshot of all cracked columns, keyed by ``(table, attr)``."""
         if self._cracker is None:
             return {}
-        return self._cracker.columns()
+        with self._lock:
+            return self._cracker.columns()
 
     def stats(self) -> dict:
         """One nested dict unifying every stats surface of the engine.
@@ -624,35 +605,35 @@ class Database:
         ``workload``/``lineage``/``convergence`` (``table.attr`` →
         introspection readout; empty dicts unless ``profile=True``).
         """
-        with self._catalog_lock:
+        with self._lock:
             tables = {
                 name: len(self.catalog.table(name))
                 for name in self.catalog.table_names()
             }
-        cracker_detail = (
-            self._cracker.observability() if self._cracker is not None else {}
-        )
-        workload: dict = {}
-        lineage: dict = {}
-        convergence: dict = {}
-        if self._profile and self._cracker is not None:
-            for introspection in self._cracker.introspections().values():
-                workload[introspection.name] = introspection.workload()
-                lineage[introspection.name] = introspection.lineage()
-                convergence[introspection.name] = introspection.convergence()
-        return {
-            "tables": tables,
-            "crackers": {
-                name: info["pieces"] for name, info in cracker_detail.items()
-            },
-            "cracker_detail": cracker_detail,
-            "plan_cache": self._plan_cache.stats(),
-            "persistence": self.persistence_stats(),
-            "metrics": self.metrics.snapshot(),
-            "workload": workload,
-            "lineage": lineage,
-            "convergence": convergence,
-        }
+            cracker_detail = (
+                self._cracker.observability() if self._cracker is not None else {}
+            )
+            workload: dict = {}
+            lineage: dict = {}
+            convergence: dict = {}
+            if self._profile and self._cracker is not None:
+                for introspection in self._cracker.introspections().values():
+                    workload[introspection.name] = introspection.workload()
+                    lineage[introspection.name] = introspection.lineage()
+                    convergence[introspection.name] = introspection.convergence()
+            return {
+                "tables": tables,
+                "crackers": {
+                    name: info["pieces"] for name, info in cracker_detail.items()
+                },
+                "cracker_detail": cracker_detail,
+                "plan_cache": self._plan_cache.stats(),
+                "persistence": self.persistence_stats(),
+                "metrics": self.metrics.snapshot(),
+                "workload": workload,
+                "lineage": lineage,
+                "convergence": convergence,
+            }
 
     def _collect_engine_samples(self) -> list[tuple]:
         """Registry collector: engine state read on demand at scrape time.
@@ -662,28 +643,29 @@ class Database:
         per-column cracker gauges (pieces, cracks, pending buffer
         depths).
         """
-        samples: list[tuple] = []
-        for key, value in self._plan_cache.stats().items():
-            samples.append((f"repro_plan_cache_{key}", None, value))
-        if self._persist is not None:
-            store = self._persist.stats()
-            for key in ("generation", "durable_generation", "durable_statements",
-                        "statements_since_checkpoint", "wal_bytes",
-                        "checkpoint_in_flight", "checkpoint_failures"):
-                samples.append((f"repro_{key}", None, int(store[key])))
-        if self._cracker is not None:
-            for name, info in self._cracker.observability().items():
-                labels = {"column": name}
-                samples.extend(
-                    (f"repro_cracker_{key}", labels, info[key])
-                    for key in (
-                        "pieces", "tuples", "cracks", "pivot_cracks",
-                        "tuples_touched", "tuples_moved", "queries", "merged_updates",
-                        "pending_inserts", "pending_deletes",
-                        "pending_updates",
+        with self._lock:
+            samples: list[tuple] = []
+            for key, value in self._plan_cache.stats().items():
+                samples.append((f"repro_plan_cache_{key}", None, value))
+            if self._persist is not None:
+                store = self._persist.stats()
+                for key in ("generation", "durable_generation", "durable_statements",
+                            "statements_since_checkpoint", "wal_bytes",
+                            "checkpoint_in_flight", "checkpoint_failures"):
+                    samples.append((f"repro_{key}", None, int(store[key])))
+            if self._cracker is not None:
+                for name, info in self._cracker.observability().items():
+                    labels = {"column": name}
+                    samples.extend(
+                        (f"repro_cracker_{key}", labels, info[key])
+                        for key in (
+                            "pieces", "tuples", "cracks", "pivot_cracks",
+                            "tuples_touched", "tuples_moved", "queries", "merged_updates",
+                            "pending_inserts", "pending_deletes",
+                            "pending_updates",
+                        )
                     )
-                )
-        return samples
+            return samples
 
     def check_invariants(self) -> None:
         """Validate every relation and every cracked column.
@@ -696,19 +678,18 @@ class Database:
         tests to prove interleaved statements left every table and index
         consistent.
         """
-        with self._catalog_lock:
-            relations = [self.catalog.table(name) for name in self.catalog.table_names()]
-        for relation in relations:
-            with relation.write_lock:
+        with self._lock:
+            for name in self.catalog.table_names():
+                relation = self.catalog.table(name)
                 lengths = {name: len(bat) for name, bat in relation.bats.items()}
                 for bat in relation.bats.values():
                     bat.check_invariants()
-            if len(set(lengths.values())) > 1:
-                raise BATAlignmentError(
-                    f"table {relation.name!r} has columns of unequal length: {lengths}"
-                )
-        if self._cracker is not None:
-            self._cracker.check_invariants()
+                if len(set(lengths.values())) > 1:
+                    raise BATAlignmentError(
+                        f"table {relation.name!r} has columns of unequal length: {lengths}"
+                    )
+            if self._cracker is not None:
+                self._cracker.check_invariants()
 
     # ------------------------------------------------------------------ #
     # Durability
@@ -735,7 +716,8 @@ class Database:
                 "checkpoint() requires a persistent database "
                 "(Database(persist_dir=...))"
             )
-        return self._persist.checkpoint(self)
+        with self._lock:
+            return self._persist.checkpoint(self)
 
     def persistence_stats(self) -> dict:
         """Durability counters (generations, checkpoint writer, WAL size,
@@ -751,11 +733,12 @@ class Database:
         Idempotent: server shutdown paths and ``with`` blocks may both
         close the same database; every call after the first is a no-op.
         """
-        if self._closed:
-            return
-        self._closed = True
-        if self._persist is not None:
-            self._persist.close()
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            if self._persist is not None:
+                self._persist.close()
 
     def __enter__(self) -> "Database":
         return self
@@ -845,17 +828,18 @@ class PreparedStatement:
         literals = self.defaults if params is None else tuple(params)
         database = self.database
         cache = database._plan_cache
-        stmt = cache.lookup_exact((self.key, literals))
-        if stmt is None:
-            if len(literals) != len(self.defaults):
-                raise SQLAnalysisError(
-                    f"statement takes {len(self.defaults)} parameter(s), "
-                    f"got {len(literals)}"
-                )
-            if not self.template.fits(literals):
-                raise SQLAnalysisError(f"LIMIT takes an integer, got {literals[-1]!r}")
-            stmt = self.template.bind(literals)
-            if cache.enabled:
-                cache.count_miss()
-                stmt.key = (self.key, literals)
-        return database._run(stmt, self.sql)
+        with database._lock:
+            stmt = cache.lookup_exact((self.key, literals))
+            if stmt is None:
+                if len(literals) != len(self.defaults):
+                    raise SQLAnalysisError(
+                        f"statement takes {len(self.defaults)} parameter(s), "
+                        f"got {len(literals)}"
+                    )
+                if not self.template.fits(literals):
+                    raise SQLAnalysisError(f"LIMIT takes an integer, got {literals[-1]!r}")
+                stmt = self.template.bind(literals)
+                if cache.enabled:
+                    cache.count_miss()
+                    stmt.key = (self.key, literals)
+            return database._run(stmt, self.sql)

@@ -34,8 +34,8 @@ class Statement:
 
     ``kind`` is the per-kind metrics label (SELECT … INTO counts as a
     select).  ``mutates`` and ``target`` say whether it changes state,
-    and which table, for the transaction barrier, the durability guard
-    and the WAL.  ``literals()`` gives its constants in source order and
+    and which table, for a transaction's undo and the WAL.
+    ``literals()`` gives its constants in source order and
     ``bind(literals)`` a copy with others in their place: the template
     contract of the plan cache, for the kinds that are ``templated``.
     ``run(db)`` executes it.  Statements are never mutated once the
@@ -139,13 +139,7 @@ class _Templated(Statement):
 
     def resolution(self, db) -> tuple:
         """``(resolution, table epochs)`` of this statement's template:
-        cached while current, else resolved now (the ``analyze`` span).
-
-        The epochs are captured before the resolve step runs: a DDL
-        racing it leaves the resolution already stale, instead of
-        stamping a pre-DDL resolution as current.  Threads racing here
-        may each resolve; whichever pair is stored last is correct.
-        """
+        cached while current, else resolved now (the ``analyze`` span)."""
         template = self if self.template is None else self.template
         cache = db._plan_cache
         resolved = template.resolved
@@ -242,7 +236,7 @@ class SelectStmt(_Templated):
                 return QueryResult(columns, list(plan), query=query)
             batch = concat_batches(plan)
             # The result owns its data.  The cracked answer already does
-            # (it left the column lock as a copy); what can still view
+            # (it left the cracker as a copy); what can still view
             # storage is a full-scan slice of a BAT, which UPDATE writes
             # in place, so that is copied once here.
             if batch is None:  # the empty result, which is row-native
@@ -271,13 +265,12 @@ class SelectInto(SelectStmt):
 
     def _materialise(self, db, plan, query) -> QueryResult:
         relation = plan.run()
-        with db._catalog_lock:
-            if db.catalog.has_table(relation.name):
-                db.catalog.drop_table(relation.name)
-                if db._cracker is not None:
-                    # Crackers of the replaced table index dead storage.
-                    db._cracker.drop_table(relation.name)
-            db.catalog.create_table(relation)
+        if db.catalog.has_table(relation.name):
+            db.catalog.drop_table(relation.name)
+            if db._cracker is not None:
+                # Crackers of the replaced table index dead storage.
+                db._cracker.drop_table(relation.name)
+        db.catalog.create_table(relation)
         db._plan_cache.invalidate_table(relation.name)
         return QueryResult(
             columns=plan.columns, rows=[], affected=len(relation), query=query
@@ -300,8 +293,7 @@ class CreateTableStmt(_Mutation):
 
     def run(self, db) -> QueryResult:
         schema = Schema([Column(name, col_type) for name, col_type in self.columns])
-        with db._catalog_lock:
-            db.catalog.create_table(Relation(self.table, schema))
+        db.catalog.create_table(Relation(self.table, schema))
         db._plan_cache.invalidate_table(self.table)
         return QueryResult(columns=[], rows=[], affected=0)
 
@@ -345,16 +337,12 @@ def _insert(db, relation: Relation, rows: list) -> QueryResult:
                     f"column {column.name!r} is {column.col_type}: {exc}"
                 ) from None
         columns.append(values)
-    # Atomic oid claim + append + cracker propagation: a cracker created
-    # concurrently would otherwise snapshot the base rows *and* receive
-    # them again as pending updates.
-    with relation.write_lock:
-        first_oid = len(relation)
-        inserted = relation.insert_many(columns)
-        if db._cracker is not None:
-            # Merge-on-query (§7's updates): the crackers queue the new
-            # values instead of being dropped.
-            db._cracker.propagate_insert(relation.name, relation, first_oid, columns)
+    first_oid = len(relation)
+    inserted = relation.insert_many(columns)
+    if db._cracker is not None:
+        # Merge-on-query (§7's updates): the crackers queue the new
+        # values instead of being dropped.
+        db._cracker.propagate_insert(relation.name, relation, first_oid, columns)
     return QueryResult(columns=[], rows=[], affected=inserted)
 
 
@@ -394,23 +382,21 @@ class InsertSelectStmt(_Mutation):
 
     def run(self, db) -> QueryResult:
         result = self.select.run(db)
-        with db._catalog_lock:
-            # Paper's benchmark form: INSERT INTO newR SELECT * FROM R ...
-            # creates the target on the fly with the source schema.
-            exists = db.catalog.has_table(self.table)
-            schema = db.catalog.table(
-                self.table if exists else self.select.tables[0].name
-            ).schema
-            if len(schema) != len(result.columns):
-                raise SQLAnalysisError(
-                    f"table {self.table!r} has {len(schema)} columns; the "
-                    f"SELECT gives {len(result.columns)}"
-                )
-            if not exists:
-                db.catalog.create_table(Relation(self.table, schema))
-            relation = db.catalog.table(self.table)
+        # Paper's benchmark form: INSERT INTO newR SELECT * FROM R ...
+        # creates the target on the fly with the source schema.
+        exists = db.catalog.has_table(self.table)
+        schema = db.catalog.table(
+            self.table if exists else self.select.tables[0].name
+        ).schema
+        if len(schema) != len(result.columns):
+            raise SQLAnalysisError(
+                f"table {self.table!r} has {len(schema)} columns; the "
+                f"SELECT gives {len(result.columns)}"
+            )
         if not exists:
+            db.catalog.create_table(Relation(self.table, schema))
             db._plan_cache.invalidate_table(self.table)
+        relation = db.catalog.table(self.table)
         return _insert(db, relation, result.rows)
 
 
@@ -498,30 +484,26 @@ class UpdateStmt(_Write):
     def run(self, db) -> QueryResult:
         plan = self.analysis(db)
         relation = db.catalog.table(plan.table)
-        # Atomic match + in-place rewrite + cracker propagation, mirroring
-        # the insert path: a cracker created concurrently snapshots either
-        # the old or the new values, never a half-applied mix.
-        with relation.write_lock:
-            positions = _match_positions(relation, plan)
-            if positions.size:
-                # Crackers find a changed row by its value, so read the
-                # old ones before the rewrite.
-                old_values = {
-                    column: relation.column(column).tail_array()[positions]
-                    for column, _ in plan.assignments
-                }
-                relation.update_positions(
-                    positions,
-                    {
-                        column: [value] * len(positions)
-                        for column, value in plan.assignments
-                    },
+        positions = _match_positions(relation, plan)
+        if positions.size:
+            # Crackers find a changed row by its value, so read the old
+            # ones before the rewrite.
+            old_values = {
+                column: relation.column(column).tail_array()[positions]
+                for column, _ in plan.assignments
+            }
+            relation.update_positions(
+                positions,
+                {
+                    column: [value] * len(positions)
+                    for column, value in plan.assignments
+                },
+            )
+            if db._cracker is not None:
+                db._cracker.propagate_update(
+                    plan.table, positions, dict(plan.assignments),
+                    old_values,
                 )
-                if db._cracker is not None:
-                    db._cracker.propagate_update(
-                        plan.table, positions, dict(plan.assignments),
-                        old_values,
-                    )
         return QueryResult(columns=[], rows=[], affected=int(positions.size))
 
 
@@ -537,11 +519,10 @@ class DeleteStmt(_Write):
     def run(self, db) -> QueryResult:
         plan = self.analysis(db)
         relation = db.catalog.table(plan.table)
-        with relation.write_lock:
-            positions = _match_positions(relation, plan)
-            affected = relation.delete_positions(positions)
-            if affected and db._cracker is not None:
-                db._cracker.propagate_delete(plan.table, relation, positions)
+        positions = _match_positions(relation, plan)
+        affected = relation.delete_positions(positions)
+        if affected and db._cracker is not None:
+            db._cracker.propagate_delete(plan.table, relation, positions)
         return QueryResult(columns=[], rows=[], affected=affected)
 
 
@@ -578,12 +559,11 @@ class ExplainIndexStmt(Statement):
         probe any configuration with the same statement.  Unknown tables
         and columns still raise, like any other statement.
         """
-        with db._catalog_lock:
-            relation = db.catalog.table(self.table)
-            if self.column not in relation.schema.names():
-                raise SQLAnalysisError(
-                    f"table {self.table!r} has no column {self.column!r}"
-                )
+        relation = db.catalog.table(self.table)
+        if self.column not in relation.schema.names():
+            raise SQLAnalysisError(
+                f"table {self.table!r} has no column {self.column!r}"
+            )
         if db._cracker is None:
             yield ("index", "status", "cracking off: no cracker index")
             return
@@ -594,8 +574,7 @@ class ExplainIndexStmt(Statement):
                 "not cracked yet: no range predicate has touched this column",
             )
             return
-        with db._cracker.lock_for(self.table, self.column).read_locked():
-            info = column.observability()
+        info = column.observability()
         yield ("index", "status", "cracked")
         for key in sorted(info):
             value = info[key]

@@ -8,7 +8,6 @@ engines, the SQL front-end and the crackers operate on.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -71,7 +70,9 @@ class Relation:
 
     The oids are dense (void heads), so reconstructing a tuple is a
     positional lookup across the column BATs — the 1:1 surrogate join the
-    paper's Ψ-cracker relies on.
+    paper's Ψ-cracker relies on.  A relation takes no lock: the
+    :class:`~repro.sql.session.Database` that owns it runs one statement
+    at a time.
     """
 
     def __init__(self, name: str, schema: Schema) -> None:
@@ -81,11 +82,6 @@ class Relation:
             column.name: BAT(f"{name}.{column.name}", tail_type=column.col_type)
             for column in schema
         }
-        # Serialises writers (reentrant, so callers can bundle "read the
-        # row count, then insert" into one atomic section).  Readers are
-        # lock-free: BAT appends publish the new count last, so a
-        # concurrent scan sees either the pre- or post-insert snapshot.
-        self.write_lock = threading.RLock()
         # DELETE tombstones: sorted storage positions that are logically
         # gone.  Oids are dense void heads referenced by the crackers, so
         # storage is never compacted and oids are never reused — a deleted
@@ -157,18 +153,16 @@ class Relation:
             raise BATAlignmentError(
                 f"row has {len(row)} values, schema has {len(self.schema)} columns"
             )
-        with self.write_lock:
-            oid = len(self)
-            for value, column in zip(row, self.schema):
-                self.bats[column.name].append(value)
+        oid = len(self)
+        for value, column in zip(row, self.schema):
+            self.bats[column.name].append(value)
         return oid
 
     def insert_many(self, columns: Sequence[Sequence]) -> int:
         """Append many tuples given as one equal-length value sequence
         per column, in schema order; returns the count inserted."""
-        with self.write_lock:
-            for values, column in zip(columns, self.schema):
-                self.bats[column.name].append_many(values)
+        for values, column in zip(columns, self.schema):
+            self.bats[column.name].append_many(values)
         return len(columns[0]) if columns else 0
 
     def delete_positions(self, positions: np.ndarray) -> int:
@@ -180,23 +174,20 @@ class Relation:
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size == 0:
             return 0
-        with self.write_lock:
-            if positions.size and (
-                positions.min() < 0 or positions.max() >= len(self)
-            ):
-                raise StorageError(
-                    f"delete position out of range 0..{len(self) - 1}"
-                )
-            # ``_deleted`` stays sorted and unique: two binary searches
-            # find the positions not yet in it, one insert places them.
-            positions = np.sort(positions)
-            deleted = self._deleted
-            at = deleted.searchsorted(positions)
-            fresh = at == deleted.searchsorted(positions, "right")
-            fresh[1:] &= positions[1:] != positions[:-1]
-            if fresh.any():
-                self._deleted = np.insert(deleted, at[fresh], positions[fresh])
-            return int(np.count_nonzero(fresh))
+        if positions.min() < 0 or positions.max() >= len(self):
+            raise StorageError(
+                f"delete position out of range 0..{len(self) - 1}"
+            )
+        # ``_deleted`` stays sorted and unique: two binary searches find
+        # the positions not yet in it, one insert places them.
+        positions = np.sort(positions)
+        deleted = self._deleted
+        at = deleted.searchsorted(positions)
+        fresh = at == deleted.searchsorted(positions, "right")
+        fresh[1:] &= positions[1:] != positions[:-1]
+        if fresh.any():
+            self._deleted = np.insert(deleted, at[fresh], positions[fresh])
+        return int(np.count_nonzero(fresh))
 
     def update_positions(self, positions: np.ndarray, assignments: dict) -> int:
         """Overwrite columns in place at ``positions`` (UPDATE path).
@@ -207,9 +198,8 @@ class Relation:
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size == 0:
             return 0
-        with self.write_lock:
-            for name, values in assignments.items():
-                self.column(name).set_many(positions, values)
+        for name, values in assignments.items():
+            self.column(name).set_many(positions, values)
         return int(positions.size)
 
     @property
@@ -227,8 +217,7 @@ class Relation:
 
     def set_deleted_positions(self, positions: np.ndarray) -> None:
         """Replace the tombstone set (recovery and transaction rollback)."""
-        with self.write_lock:
-            self._deleted = np.unique(np.asarray(positions, dtype=np.int64))
+        self._deleted = np.unique(np.asarray(positions, dtype=np.int64))
 
     def live_mask(self, start: int, stop: int | None = None) -> np.ndarray:
         """Boolean visibility mask over positions ``[start, stop)``; the
@@ -281,21 +270,9 @@ class Relation:
         Numeric columns alias BAT storage when ``positions`` is None (the
         zero-copy scan path of the vectorized executor); with positions the
         gather is one fancy-index per column.
-
-        Full scans are clamped to the shortest column: a concurrent
-        INSERT publishes the column BATs one after another, so a scan
-        racing it could otherwise pair a column that already holds the
-        new rows with one that does not.  Clamping yields only fully
-        published rows — the pre-insert snapshot for the in-flight ones
-        — and drops the clamped columns' codes.
         """
         chosen = self.schema.names() if names is None else list(names)
-        columns = [self.column(name).decoded_array(positions) for name in chosen]
-        if positions is None and len(columns) > 1:
-            shortest = min(len(values) for values, _ in columns)
-            if any(len(values) != shortest for values, _ in columns):
-                columns = [(values[:shortest], None) for values, _ in columns]
-        return columns
+        return [self.column(name).decoded_array(positions) for name in chosen]
 
     # ------------------------------------------------------------------ #
     # Fragmentation primitives (substrate for the crackers)

@@ -2,7 +2,7 @@
 
 N worker threads fire mixed range selects and INSERTs at a shared
 cracking database while a monitor thread polls the cracker
-index through the read side of the column locks.  The interleaving is
+index between their statements.  The interleaving is
 nondeterministic, so per-query assertions are bound checks only; the
 strong assertions come afterwards, when the final state *is*
 deterministic (inserts commute):
@@ -19,6 +19,7 @@ instead of hanging the runner (CI additionally wraps the file in a hard
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 
 from oracle import assert_sorted_rows_equal
+from repro.errors import CatalogError
 from repro.sql import Database
 
 N_THREADS = 8
@@ -106,7 +108,7 @@ def test_stress_mixed_selects_and_inserts(config):
     monitor_error: list[BaseException] = []
 
     def monitor() -> None:
-        # Exercises the read side of the column locks while writers crack.
+        # Reads the cracker index between the writers' statements.
         try:
             while not stop_monitor.is_set():
                 pieces = db.piece_count("r", "a")
@@ -142,32 +144,6 @@ def test_stress_mixed_selects_and_inserts(config):
     total = db.execute("SELECT count(*) FROM r WHERE a >= 0").scalar()
     assert total == len(expected_rows)
     db.check_invariants()
-
-
-def test_torn_insert_snapshot_clamped():
-    """A scan racing a multi-column insert sees only fully published rows.
-
-    Simulates the mid-insert state deterministically: one column BAT has
-    received the new rows, the next has not yet.  The batch accessors
-    must clamp to the shortest column (the pre-insert snapshot) instead
-    of pairing a long column with a short one.
-    """
-    from repro.storage.table import Column, Relation, Schema
-    from repro.volcano.vectorized import VecScan
-
-    relation = Relation.from_columns(
-        "r",
-        Schema([Column("k", "int"), Column("a", "int")]),
-        {"k": [0, 1, 2], "a": [10, 11, 12]},
-    )
-    relation.bats["k"].append_many([3, 4])  # insert half-way published
-    columns = relation.column_arrays()
-    assert [len(values) for values, _ in columns] == [3, 3]
-    batches = list(VecScan(relation).batches())
-    assert sum(len(batch) for batch in batches) == 3
-    # Completing the insert makes the rows visible.
-    relation.bats["a"].append_many([13, 14])
-    assert [len(values) for values, _ in relation.column_arrays()] == [5, 5]
 
 
 def test_check_invariants_concurrent_with_queries():
@@ -213,8 +189,8 @@ def test_check_invariants_concurrent_with_queries():
     while any(t.is_alive() for t in threads) and time.monotonic() < deadline:
         db.check_invariants()  # must never see a torn column
         checks += 1
-        # The column lock is not fair: a tight re-acquire loop here would
-        # barge past the waiting clients for the whole deadline.
+        # The statement lock is not fair: a tight re-acquire loop here
+        # would barge past the waiting clients for the whole deadline.
         time.sleep(0.001)
     for thread in threads:
         thread.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -259,4 +235,65 @@ def test_concurrent_readers_on_converged_column():
         thread.join(timeout=DEADLINE_S)
     assert not any(thread.is_alive() for thread in threads), "reader deadlock"
     assert not errors, errors
+    db.check_invariants()
+
+
+def test_readers_see_transaction_batches_whole():
+    """A reader sees a transaction batch whole, or not at all.
+
+    The main thread runs ``execute_transaction`` batches on a shared
+    ``Database()``: every other batch commits three INSERTs, the rest
+    insert three rows with ``a = -1`` and then fail on a missing table,
+    so they roll back.  A reader thread loops ``SELECT count(*)``
+    meanwhile, with a one-microsecond switch interval to force
+    interleavings.  Every total it sees must be the row count between
+    two batches (one more than a multiple of three, never going down),
+    and it must never count a rolled-back row.
+    """
+    db = Database()
+    db.execute("CREATE TABLE t (k integer, a integer)")
+    db.execute("INSERT INTO t VALUES (0, 0)")
+    db.execute("SELECT count(*) FROM t WHERE a < 0")  # crack t.a
+    stop = threading.Event()
+    seen: list[tuple[int, int]] = []
+    errors: list[BaseException] = []
+
+    def reader() -> None:
+        try:
+            while not stop.is_set():
+                total = db.execute("SELECT count(*) FROM t").scalar()
+                doomed = db.execute("SELECT count(*) FROM t WHERE a < 0").scalar()
+                seen.append((total, doomed))
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=reader, daemon=True)
+    try:
+        thread.start()
+        for batch in range(60):
+            k = 1 + 3 * batch
+            if batch % 2 == 0:
+                db.execute_transaction(
+                    [f"INSERT INTO t VALUES ({k + i}, {k + i})" for i in range(3)]
+                )
+            else:
+                with pytest.raises(CatalogError):
+                    db.execute_transaction(
+                        [f"INSERT INTO t VALUES ({k + i}, -1)" for i in range(3)]
+                        + ["INSERT INTO missing VALUES (1)"]
+                    )
+    finally:
+        stop.set()
+        thread.join(timeout=DEADLINE_S)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive(), "reader deadlock"
+    assert not errors, errors
+    assert seen
+    totals = [total for total, _ in seen]
+    assert all(total % 3 == 1 for total in totals), sorted(set(totals))
+    assert totals == sorted(totals)
+    assert {doomed for _, doomed in seen} == {0}
+    assert db.execute("SELECT count(*) FROM t").scalar() == 1 + 3 * 30
     db.check_invariants()

@@ -52,7 +52,7 @@ from repro.core.crack import (
     crack_in_three,
     crack_in_two,
 )
-from repro.core.cracker_index import CrackerIndex
+from repro.core.cracker_index import CrackerIndex, Piece
 from repro.errors import CrackError
 from repro.obs import trace as obs_trace
 from repro.storage.bat import BAT
@@ -71,8 +71,9 @@ PIVOT_FACTOR = 8
 
 #: A count merges nothing (:meth:`CrackedColumn.count_range`) until the
 #: pending buffers hold more than this share of the column; then it
-#: merges them all, so they stay bounded and drain in one pass.  Chosen
-#: from the ``mixed_dml`` sweep in README "Partial merges".
+#: merges them all, so they stay bounded and drain in one pass (a write
+#: does the same past twice this share).  Chosen from the ``mixed_dml``
+#: sweep in README "Partial merges".
 PENDING_SHARE = 1 / 16
 
 #: Flags of ``CrackedColumn._state``, one byte per oid: physically in
@@ -109,7 +110,7 @@ def _contains(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
 
 def _last_per_oid(oids: np.ndarray, *columns: np.ndarray) -> tuple:
     """Distinct ``oids`` ascending, each with its last-given ``columns``."""
-    if np.all(oids[1:] > oids[:-1]):  # already so: the SQL layer's oids
+    if (oids[1:] > oids[:-1]).all():  # already so: the SQL layer's oids
         return (oids, *columns)
     order = np.argsort(oids, kind="stable")
     oids = oids[order]
@@ -123,11 +124,18 @@ def _sorted_insert(keys, payload, new_keys, new_payload) -> tuple:
 
     Sorts only the new keys and finds their slots by binary search: one
     copy of the buffer but no sort of it.  (``np.insert`` does the same
-    placement at twice the fixed cost per call.)
+    placement at twice the fixed cost per call.)  New keys that share
+    one slot — an UPDATE's one new value — go in as one block.
     """
     order = np.argsort(new_keys, kind="stable")
     new_keys = new_keys[order]
     at = keys.searchsorted(new_keys, "right")
+    if at[0] == at[-1]:
+        cut = at[0]
+        return tuple(
+            np.concatenate((column[:cut], new, column[cut:]))
+            for column, new in ((keys, new_keys), (payload, new_payload[order]))
+        )
     at += np.arange(len(at))
     old = np.ones(len(keys) + len(at), dtype=bool)
     old[at] = False
@@ -353,17 +361,16 @@ class CrackedColumn:
         value of a tuple that is in storage, so in the span exactly when
         it is in range.  Two binary searches per buffer.  Only when the
         buffers hold more than :data:`PENDING_SHARE` of the column does
-        a count merge them, all at once, to keep them bounded.
+        a count merge them, all at once, to keep them bounded (a write
+        does the same past twice that share, so a stream with no read
+        stays bounded too).
         """
         self.query_stats.queries += 1
         if _empty_by_construction(low, high, low_inclusive, high_inclusive):
             return 0
-        pending = len(self._ins_oids) + len(self._del_oids)
-        if pending > PENDING_SHARE * len(self.values):
-            self._merge_pending()
-            pending = 0
+        self._bound_pending(PENDING_SHARE)
         start, stop = self._span(low, high, low_inclusive, high_inclusive)
-        if not pending:
+        if not (self._ins_oids.size or self._del_oids.size):
             return stop - start
         sides = ("left" if low_inclusive else "right", "right" if high_inclusive else "left")
         return (
@@ -416,8 +423,8 @@ class CrackedColumn:
             self._ins_values, self._ins_oids = _sorted_insert(
                 self._ins_values, self._ins_oids, values, oids
             )
-            self._flag(oids, _QUEUED)
-            self._next_oid = max(self._next_oid, int(oids.max()) + 1)
+            self._next_oid = max(self._next_oid, self._flag(oids, _QUEUED))
+            self._bound_pending(2 * PENDING_SHARE)
         return oids
 
     def delete(self, oids, old_values) -> int:
@@ -436,7 +443,9 @@ class CrackedColumn:
         if oids.size == 0:
             return 0
         oids, old_values = _last_per_oid(oids, old_values)
-        return int(np.count_nonzero(self._unlink(oids, old_values)))
+        live = len(oids[self._unlink(oids, old_values)])
+        self._bound_pending(2 * PENDING_SHARE)
+        return live
 
     def update(self, oids, values, old_values) -> int:
         """Rewrite live rows by oid (last write wins per oid); returns how
@@ -456,13 +465,14 @@ class CrackedColumn:
         if oids.size == 0:
             return 0
         oids, values, old_values = _last_per_oid(oids, values, old_values)
-        live = self._unlink(oids, old_values)
-        if live.any():
+        live = self._unlink(oids, old_values, _QUEUED)
+        oids, values = oids[live], values[live]
+        if oids.size:
             self._ins_values, self._ins_oids = _sorted_insert(
-                self._ins_values, self._ins_oids, values[live], oids[live]
+                self._ins_values, self._ins_oids, values, oids
             )
-            self._flag(oids[live], _QUEUED)
-        return int(np.count_nonzero(live))
+        self._bound_pending(2 * PENDING_SHARE)
+        return len(oids)
 
     def _aligned(self, oids: np.ndarray, old_values) -> np.ndarray:
         """``old_values`` as a column-dtype array aligned with ``oids``."""
@@ -471,17 +481,27 @@ class CrackedColumn:
             raise CrackError(f"got {len(oids)} oids but {len(old_values)} old values")
         return old_values
 
-    def _unlink(self, oids: np.ndarray, old_values: np.ndarray) -> np.ndarray:
+    def _unlink(self, oids: np.ndarray, old_values: np.ndarray, queue: int = 0):
         """Take the live rows among ``oids`` (ascending, distinct) out of
-        the column's view; returns the live mask.
+        the column's view and set ``queue`` on them; returns what picks
+        the live ones out of ``oids``: a mask, or ``slice(None)`` for all.
 
         A row in the insert buffer leaves it.  A stored row without a
         pending delete gets one, keyed by its stored value — which is
         its current value, because every change of a stored row goes
         through a delete of its stored copy.  Membership is read from
         ``_state``; only rows leaving the insert buffer search it, and
-        nothing scans storage.
+        nothing scans storage.  When one gather of ``_state`` shows
+        every row stored with nothing pending (a key-range DML's rows,
+        as a rule), their deletes queue whole and one write flags them.
         """
+        state = self._state
+        if oids[0] >= 0 and oids[-1] < len(state) and (state[oids] == _STORED).all():
+            self._del_values, self._del_oids = _sorted_insert(
+                self._del_values, self._del_oids, old_values, oids
+            )
+            state[oids] = _STORED | _DOOMED | queue
+            return slice(None)
         flags = self._flags(oids)
         queued = (flags & _QUEUED) != 0
         stored = (flags & (_STORED | _DOOMED)) == _STORED
@@ -489,14 +509,17 @@ class CrackedColumn:
             leaving = _contains(oids[queued], self._ins_oids)
             self._ins_values = self._ins_values[~leaving]
             self._ins_oids = self._ins_oids[~leaving]
-            self._state[oids[queued]] &= ~np.uint8(_QUEUED)
+            state[oids[queued]] &= ~np.uint8(_QUEUED)
         if stored.any():
             gone = oids[stored]
             self._del_values, self._del_oids = _sorted_insert(
                 self._del_values, self._del_oids, old_values[stored], gone
             )
-            self._state[gone] |= _DOOMED
-        return queued | stored
+            state[gone] |= _DOOMED
+        live = queued | stored
+        if queue:
+            state[oids[live]] |= queue
+        return live
 
     def _stored_values(self, oids: np.ndarray) -> np.ndarray:
         """The stored value of each of ``oids``: one O(n) pass, for
@@ -524,14 +547,23 @@ class CrackedColumn:
         """``np.isin(oids, self.oids)``, from the flags."""
         return (self._flags(oids) & _STORED) != 0
 
-    def _flag(self, oids: np.ndarray, flag: int) -> None:
-        """Set ``flag`` on ``oids``, growing ``_state`` by doubling."""
+    def _flag(self, oids: np.ndarray, flag: int) -> int:
+        """Set ``flag`` on ``oids``, growing ``_state`` by doubling;
+        returns the largest oid plus one."""
         top = int(oids.max()) + 1
         if top > len(self._state):
             grown = np.zeros(max(top, 2 * len(self._state)), dtype=np.uint8)
             grown[: len(self._state)] = self._state
             self._state = grown
         self._state[oids] |= flag
+        return top
+
+    def _bound_pending(self, share: float) -> None:
+        """Merge every pending change once the buffers hold more than
+        ``share`` of the column: reads use :data:`PENDING_SHARE`, writes
+        twice that, so a read-mixed stream drains at its reads."""
+        if len(self._ins_oids) + len(self._del_oids) > share * len(self.values):
+            self._merge_pending()
 
     def _merge_pending(self, low=None, high=None) -> None:
         """Merge the pending changes a query over ``[low, high]`` can see.
@@ -617,11 +649,17 @@ class CrackedColumn:
                 np.bincount(first, minlength=count + 1)
                 - np.bincount(last + 1, minlength=count + 1)
             )[:count] > 0
-            for piece in set(ins_pieces[in_span[ins_pieces]].tolist()):
-                lo, hi = ins_pieces.searchsorted([piece, piece + 1])
-                at[lo:hi] += values[starts[piece] : starts[piece + 1]].searchsorted(
-                    ins_values[lo:hi], "right"
-                )
+            # Pieces are value-ordered, so the sorted pieces receiving
+            # tuples ascend laid end to end: one binary search there
+            # places each tuple, less its piece's offset.
+            sorted_ins = in_span[ins_pieces]
+            pieces, which = np.unique(ins_pieces[sorted_ins], return_inverse=True)
+            receiving = np.zeros(count, dtype=bool)
+            receiving[pieces] = True
+            sizes = starts[pieces + 1] - starts[pieces]
+            at[sorted_ins] += values[np.repeat(receiving, np.diff(starts))].searchsorted(
+                ins_values[sorted_ins], "right"
+            ) - (np.cumsum(sizes) - sizes)[which]
             values = np.insert(values, at, ins_values)
             oids = np.insert(oids, at, ins_oids)
             self._state[ins_oids] = _STORED
@@ -866,9 +904,10 @@ class CrackedColumn:
         if np.count_nonzero(stored) != len(self.oids) or not stored[self.oids].all():
             raise CrackError("stored-oid bitmap disagrees with storage")
         self._check_pending()
-        edges = {0, len(self.values), *self.index.positions().tolist()}
+        edges = self._edges()
+        whole = set(edges.tolist())
         for start, stop in self._sorted_spans:
-            if start not in edges or stop not in edges:
+            if start not in whole or stop not in whole:
                 raise CrackError(
                     f"sorted span [{start}, {stop}) is not a union of whole pieces"
                 )
@@ -877,20 +916,29 @@ class CrackedColumn:
                 raise CrackError(
                     f"span [{start}, {stop}) is remembered as sorted but is not"
                 )
-        for piece in self.index.pieces():
-            window = self.values[piece.start : piece.stop]
-            if len(window) == 0:
-                continue
-            if piece.lower is not None:
-                if piece.lower.kind == KIND_LT and window.min() < piece.lower.value:
-                    raise CrackError(f"piece {piece.describes()} violates lower bound")
-                if piece.lower.kind == KIND_LE and window.min() <= piece.lower.value:
-                    raise CrackError(f"piece {piece.describes()} violates lower bound")
-            if piece.upper is not None:
-                if piece.upper.kind == KIND_LT and window.max() >= piece.upper.value:
-                    raise CrackError(f"piece {piece.describes()} violates upper bound")
-                if piece.upper.kind == KIND_LE and window.max() > piece.upper.value:
-                    raise CrackError(f"piece {piece.describes()} violates upper bound")
+        full = np.flatnonzero(edges[1:] > edges[:-1])  # non-empty pieces
+        keys, ranks = self.index.keys()
+        if full.size and keys.size:
+            # Each piece's min and max against the boundaries on its two
+            # sides, all pieces at once (none left of the first piece or
+            # right of the last).
+            left, right = full - 1, np.minimum(full, keys.size - 1)
+            lows = np.minimum.reduceat(self.values, edges[full])
+            highs = np.maximum.reduceat(self.values, edges[full])
+            lower = (full > 0) & (
+                (lows < keys[left]) | ((ranks[left] == 1) & (lows == keys[left])))
+            upper = (full < keys.size) & (
+                (highs > keys[right]) | ((ranks[right] == 0) & (highs == keys[right])))
+            bad = np.flatnonzero(lower | upper)
+            if bad.size:
+                at = int(full[bad[0]])
+                piece = Piece(
+                    int(edges[at]), int(edges[at + 1]),
+                    self.index.boundary_at(at - 1) if at else None,
+                    self.index.boundary_at(at) if at < keys.size else None,
+                )
+                side = "lower" if lower[bad[0]] else "upper"
+                raise CrackError(f"piece {piece.describes()} violates {side} bound")
 
     def _check_pending(self) -> None:
         """The buffers are value-sorted and consistent with storage."""

@@ -22,10 +22,10 @@ the interval-tree navigation of the paper becomes one ``np.searchsorted``
 per probe and bulk operations (position shifts, merge bookkeeping,
 invariant checks, pending-update piece assignment) are single vectorised
 passes instead of Python loops over boundary objects.  :class:`Boundary`
-and :class:`Piece` remain the on-demand object views handed to callers
-that inspect the index; the query path navigates with
-:meth:`CrackerIndex.probe`, which returns plain positions and builds
-neither.
+(:meth:`CrackerIndex.boundary_at`) is the object view handed to callers
+that inspect the index, and :class:`Piece` names a piece in invariant
+errors; the query path navigates with :meth:`CrackerIndex.probe`, which
+returns plain positions and builds neither.
 """
 
 from __future__ import annotations
@@ -129,6 +129,11 @@ class CrackerIndex:
         """Boundary storage positions in boundary order (a private copy)."""
         return self._positions[: self._count].copy()
 
+    def keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact boundary values and kind ranks (0 'lt', 1 'le'), in
+        boundary order, for vectorised checks."""
+        return np.asarray(self._exact), self._ranks[: self._count]
+
     def boundary_at(self, index: int) -> Boundary:
         """The ``index``-th boundary in sorted order."""
         if not 0 <= index < self._count:
@@ -140,25 +145,6 @@ class CrackerIndex:
             kind=_RANK_KIND[self._ranks[index]],
             position=int(self._positions[index]),
         )
-
-    def piece_at(self, index: int) -> Piece:
-        """The ``index``-th piece (0-based, left to right)."""
-        if not 0 <= index <= self._count:
-            raise CrackerIndexError(
-                f"piece index {index} out of range 0..{self._count}"
-            )
-        lower = self.boundary_at(index - 1) if index > 0 else None
-        upper = self.boundary_at(index) if index < self._count else None
-        return Piece(
-            start=0 if lower is None else lower.position,
-            stop=self.column_size if upper is None else upper.position,
-            lower=lower,
-            upper=upper,
-        )
-
-    def pieces(self) -> list[Piece]:
-        """All pieces, left to right."""
-        return [self.piece_at(i) for i in range(self._count + 1)]
 
     def piece_sizes(self) -> list[int]:
         """Sizes of all pieces, left to right (one vectorised diff)."""
@@ -294,7 +280,7 @@ class CrackerIndex:
         self._exact.insert(index, value)
         self._count = n + 1
         self._active_values = self._values[: self._count]
-        return Boundary(value=value, kind=kind, position=position)
+        return self.boundary_at(index)
 
     def merge_shift(self, per_piece_counts: np.ndarray, new_column_size: int) -> None:
         """Shift boundaries for a piece-wise merge of pending tuples.

@@ -299,17 +299,18 @@ def _parse_insert(cursor: _Cursor):
         select = _parse_select(cursor)
         return InsertSelectStmt(table=table, select=select)
     cursor.expect("keyword", "values")
-    rows = []
+    values, widths = [], []
     while True:
         cursor.expect("symbol", "(")
-        row = [_parse_const(cursor).value]
+        start = len(values)
+        values.append(_parse_const(cursor).value)
         while cursor.accept("symbol", ","):
-            row.append(_parse_const(cursor).value)
+            values.append(_parse_const(cursor).value)
         cursor.expect("symbol", ")")
-        rows.append(tuple(row))
+        widths.append(len(values) - start)
         if not cursor.accept("symbol", ","):
             break
-    return InsertValuesStmt(table=table, rows=rows)
+    return InsertValuesStmt(table=table, values=tuple(values), widths=tuple(widths))
 
 
 # ---------------------------------------------------------------------- #

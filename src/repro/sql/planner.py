@@ -339,7 +339,9 @@ class CrackerProvider:
     ) -> int:
         """Feed in-place value rewrites to the crackers of assigned columns.
 
-        Only crackers over attributes named in ``assignments`` are
+        ``assignments`` maps each assigned attribute to the rows' new
+        values, aligned with ``positions`` (the arrays the base columns
+        were written with).  Only crackers over those attributes are
         touched — an update leaves every other column's values (and all
         oids) unchanged, so those cracker indexes stay exactly valid.
         ``old_values`` maps each assigned attribute to the rows' values
@@ -351,10 +353,7 @@ class CrackerProvider:
         for (table_name, attr), column in self._columns.items():
             if table_name != table or attr not in assignments:
                 continue
-            values = np.full(
-                len(positions), assignments[attr], dtype=column.values.dtype
-            )
-            column.update(positions, values, old_values[attr])
+            column.update(positions, assignments[attr], old_values[attr])
             updated += 1
         return updated
 

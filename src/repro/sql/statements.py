@@ -303,27 +303,20 @@ class CreateTableStmt(_Mutation):
 _PLAIN_TYPES = {"str": {str}, "int": {int}, "float": {int, float}}
 
 
-def _insert(db, relation: Relation, rows: list) -> QueryResult:
-    """Append ``rows`` to ``relation`` and its crackers, all or nothing.
+def _insert(db, relation: Relation, columns: list) -> QueryResult:
+    """Append ``columns`` (one value sequence per column, in schema
+    order) to ``relation`` and its crackers, all or nothing.
 
-    Every value of every row is checked against the schema before the
-    first append, by UPDATE's rule (:func:`stored_value`): a row of the
-    wrong width or a value the column cannot store raises
-    :class:`SQLAnalysisError` with every BAT unchanged.  A template hit
-    is checked too (``'x'`` and ``5`` key alike), so the check lives
-    here rather than in the parser.  The arrays the check builds are
-    what the BATs and the crackers receive, column by column.
+    Every value is checked against the schema before the first append,
+    by UPDATE's rule (:func:`stored_value`): a value the column cannot
+    store raises :class:`SQLAnalysisError` with every BAT unchanged.  A
+    template hit is checked too (``'x'`` and ``5`` key alike), so the
+    check lives here rather than in the parser.  The arrays the check
+    builds are what the BATs and the crackers receive, column by column.
     """
-    width = len(relation.schema)
-    for row in rows:
-        if len(row) != width:
-            raise SQLAnalysisError(
-                f"table {relation.name!r} has {width} columns; "
-                f"a row has {len(row)} values"
-            )
-    columns = []
+    columns = list(columns)
     for index, column in enumerate(relation.schema):
-        values = [row[index] for row in rows]
+        values = columns[index]
         if not set(map(type, values)) <= _PLAIN_TYPES[column.col_type]:
             values = [  # 3.0 reaches the BATs and crackers as 3
                 stored_value(column.name, column.col_type, value)
@@ -336,7 +329,7 @@ def _insert(db, relation: Relation, rows: list) -> QueryResult:
                 raise SQLAnalysisError(
                     f"column {column.name!r} is {column.col_type}: {exc}"
                 ) from None
-        columns.append(values)
+        columns[index] = values
     first_oid = len(relation)
     inserted = relation.insert_many(columns)
     if db._cracker is not None:
@@ -348,27 +341,34 @@ def _insert(db, relation: Relation, rows: list) -> QueryResult:
 
 @dataclass
 class InsertValuesStmt(_Mutation):
-    """INSERT INTO name VALUES (...), (...)."""
+    """INSERT INTO name VALUES (...), (...): the values in source order
+    and each row's width, so a template hit binds its literal tuple
+    whole and each column is one stride of it."""
 
     table: str
-    rows: list[tuple]
+    values: tuple
+    widths: tuple
 
     kind = "insert"
     templated = True
 
     def literals(self) -> tuple:
         """Every row's values, row by row."""
-        return tuple(value for row in self.rows for value in row)
+        return self.values
 
     def bind(self, literals: tuple) -> "InsertValuesStmt":
-        values = iter(literals)
-        return InsertValuesStmt(
-            table=self.table,
-            rows=[tuple(next(values) for _ in row) for row in self.rows],
-        )
+        return InsertValuesStmt(self.table, literals, self.widths)
 
     def run(self, db) -> QueryResult:
-        return _insert(db, db.catalog.table(self.table), self.rows)
+        relation = db.catalog.table(self.table)
+        width = len(relation.schema)
+        for count in self.widths:  # checked before the first append
+            if count != width:
+                raise SQLAnalysisError(
+                    f"table {relation.name!r} has {width} columns; "
+                    f"a row has {count} values"
+                )
+        return _insert(db, relation, [self.values[i::width] for i in range(width)])
 
 
 @dataclass
@@ -396,8 +396,11 @@ class InsertSelectStmt(_Mutation):
         if not exists:
             db.catalog.create_table(Relation(self.table, schema))
             db._plan_cache.invalidate_table(self.table)
-        relation = db.catalog.table(self.table)
-        return _insert(db, relation, result.rows)
+        rows = result.rows
+        return _insert(
+            db, db.catalog.table(self.table),
+            [[row[index] for row in rows] for index in range(len(schema))],
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -487,23 +490,19 @@ class UpdateStmt(_Write):
         positions = _match_positions(relation, plan)
         if positions.size:
             # Crackers find a changed row by its value, so read the old
-            # ones before the rewrite.
-            old_values = {
-                column: relation.column(column).tail_array()[positions]
-                for column, _ in plan.assignments
-            }
-            relation.update_positions(
-                positions,
-                {
-                    column: [value] * len(positions)
-                    for column, value in plan.assignments
-                },
-            )
-            if db._cracker is not None:
-                db._cracker.propagate_update(
-                    plan.table, positions, dict(plan.assignments),
-                    old_values,
+            # ones before the rewrite.  Each column's new values are
+            # built once, for its BAT and its cracker.
+            old_values, values = {}, {}
+            for column, value in plan.assignments:
+                bat = relation.column(column)
+                old_values[column] = bat.tail_array()[positions]
+                values[column] = (
+                    [value] * len(positions) if bat.tail_type == "str"
+                    else np.full(len(positions), value, dtype=TAIL_DTYPES[bat.tail_type])
                 )
+            relation.update_positions(positions, values)
+            if db._cracker is not None:
+                db._cracker.propagate_update(plan.table, positions, values, old_values)
         return QueryResult(columns=[], rows=[], affected=int(positions.size))
 
 

@@ -230,7 +230,8 @@ class BAT:
         return oids
 
     def set_many(self, positions: np.ndarray, values: Sequence) -> None:
-        """Overwrite the tail at ``positions`` with ``values`` (UPDATE path).
+        """Overwrite the tail at ascending ``positions`` with ``values``
+        (UPDATE path: the DML matcher's positions).
 
         String values put new atoms into the heap; the old offsets stay
         valid (the heap is put-only), so a transaction pre-image of the
@@ -242,7 +243,7 @@ class BAT:
             raise BATAlignmentError(
                 f"set_many got {len(positions)} positions but {len(tail)} values"
             )
-        if positions.size and (positions.min() < 0 or positions.max() >= self._count):
+        if positions.size and (positions[0] < 0 or positions[-1] >= self._count):
             raise StorageError(
                 f"set_many position out of range 0..{self._count - 1}"
             )

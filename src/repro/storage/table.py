@@ -166,31 +166,28 @@ class Relation:
         return len(columns[0]) if columns else 0
 
     def delete_positions(self, positions: np.ndarray) -> int:
-        """Tombstone the rows at ``positions``; returns how many were live.
+        """Tombstone the rows at ``positions``; returns how many.
 
-        Idempotent per position: re-deleting a tombstoned row is a no-op
-        (and not counted).  Storage is untouched — visibility changes only.
+        ``positions`` ascend, are distinct and name live rows, as the
+        DML matcher gives them
+        (:func:`~repro.sql.statements._match_positions`): one binary
+        search places them in the sorted tombstone set, one insert adds
+        them.  Storage is untouched — visibility changes only.
         """
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size == 0:
             return 0
-        if positions.min() < 0 or positions.max() >= len(self):
+        if positions[0] < 0 or positions[-1] >= len(self):
             raise StorageError(
                 f"delete position out of range 0..{len(self) - 1}"
             )
-        # ``_deleted`` stays sorted and unique: two binary searches find
-        # the positions not yet in it, one insert places them.
-        positions = np.sort(positions)
         deleted = self._deleted
-        at = deleted.searchsorted(positions)
-        fresh = at == deleted.searchsorted(positions, "right")
-        fresh[1:] &= positions[1:] != positions[:-1]
-        if fresh.any():
-            self._deleted = np.insert(deleted, at[fresh], positions[fresh])
-        return int(np.count_nonzero(fresh))
+        self._deleted = np.insert(deleted, deleted.searchsorted(positions), positions)
+        return int(positions.size)
 
     def update_positions(self, positions: np.ndarray, assignments: dict) -> int:
-        """Overwrite columns in place at ``positions`` (UPDATE path).
+        """Overwrite columns in place at ascending ``positions`` (UPDATE
+        path: the DML matcher's positions).
 
         ``assignments`` maps column name -> per-row value array (aligned
         with ``positions``).  Returns the row count touched.

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.crack import KIND_LE, KIND_LT
 from repro.core.cracked_column import CrackedColumn
+from repro.core.cracker_index import Piece
 from repro.errors import CrackError
 from repro.storage.bat import BAT
 
@@ -126,7 +128,8 @@ class TestUpdates:
             column.append([1, 2], oids=[5])
 
     def test_pending_count_until_merge(self):
-        column = make_column([1, 2, 3])
+        # 16 rows: a write merges by itself only past 1/8 of the column.
+        column = make_column(range(16))
         column.append([4])
         assert column.observability()["pending_inserts"] == 1
         column.range_select(0, 10)
@@ -167,6 +170,74 @@ class TestStatsAndIntrospection:
 
     def test_len(self):
         assert len(make_column([1, 2, 3])) == 3
+
+
+class TestPieceBoundChecks:
+    """``check_invariants`` names the first piece whose values cross a
+    boundary, for each side and boundary kind: a boundary ``(v, lt)``
+    keeps ``< v`` on its left and ``>= v`` on its right, ``(v, le)``
+    keeps ``<= v`` and ``> v``."""
+
+    @pytest.mark.parametrize(
+        "inclusive,edge,across,message",
+        [
+            ((True, False), 5, 4, r"piece \(>=5, <10\) violates lower bound"),
+            ((False, True), 6, 5, r"piece \(>5, <=10\) violates lower bound"),
+            ((True, False), 9, 10, r"piece \(>=5, <10\) violates upper bound"),
+            ((False, True), 10, 11, r"piece \(>5, <=10\) violates upper bound"),
+        ],
+        ids=["lower-lt", "lower-le", "upper-lt", "upper-le"],
+    )
+    def test_a_value_across_a_boundary_is_caught(
+        self, rng, inclusive, edge, across, message
+    ):
+        column = make_column(rng.permutation(20))
+        middle = column.range_select(
+            5, 10, low_inclusive=inclusive[0], high_inclusive=inclusive[1]
+        )
+        column.values[middle.start] = edge  # on the boundary's own side
+        column.check_invariants()
+        column.values[middle.start] = across
+        with pytest.raises(CrackError, match=message):
+            column.check_invariants()
+
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), value=st.integers(-5, 105))
+    def test_matches_the_per_piece_loop(self, seed, value):
+        """The vectorised check against the per-piece loop it replaced,
+        after one stored value is overwritten with ``value``."""
+        rng = np.random.default_rng(seed)
+        column = make_column(rng.integers(0, 100, 200))
+        for low, inclusive in zip(rng.integers(0, 100, 6), rng.integers(0, 2, (6, 2))):
+            column.range_select(int(low), int(low) + 10, *inclusive.astype(bool).tolist())
+        column.values[rng.integers(0, 200)] = value
+        index = column.index
+        edges = [0, *index.positions().tolist(), len(column)]
+        expected = None
+        for at in range(len(edges) - 1):
+            window = column.values[edges[at] : edges[at + 1]]
+            lower = index.boundary_at(at - 1) if at else None
+            upper = index.boundary_at(at) if at < len(index) else None
+            if not len(window) or expected is not None:
+                continue
+            piece = Piece(edges[at], edges[at + 1], lower, upper).describes()
+            if lower is not None and (
+                window.min() < lower.value
+                or (lower.kind == KIND_LE and window.min() == lower.value)
+            ):
+                expected = f"piece {piece} violates lower bound"
+            elif upper is not None and (
+                window.max() > upper.value
+                or (upper.kind == KIND_LT and window.max() == upper.value)
+            ):
+                expected = f"piece {piece} violates upper bound"
+        if expected is None:
+            column.check_invariants()
+        else:
+            with pytest.raises(CrackError) as info:
+                column.check_invariants()
+            assert str(info.value) == expected
 
 
 # ---------------------------------------------------------------------- #

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.crack import KIND_LE, KIND_LT
-from repro.core.cracker_index import CrackerIndex
+from repro.core.cracker_index import CrackerIndex, Piece
 from repro.errors import CrackerIndexError
 
 
@@ -75,17 +75,14 @@ class TestNavigation:
         index = CrackerIndex(100)
         for value, position in [(10, 5), (20, 30), (80, 77)]:
             index.add(value, KIND_LT, position)
-        pieces = index.pieces()
-        assert pieces[0].start == 0
-        assert pieces[-1].stop == 100
-        for left, right in zip(pieces, pieces[1:]):
-            assert left.stop == right.start
+        assert index.piece_sizes() == [5, 25, 47, 23]
+        assert sum(index.piece_sizes()) == index.column_size == 100
 
     def test_piece_describes(self):
         index = CrackerIndex(100)
         index.add(10, KIND_LT, 5)
         index.add(20, KIND_LE, 30)
-        middle = index.pieces()[1]
+        middle = Piece(5, 30, index.boundary_at(0), index.boundary_at(1))
         assert middle.describes() == "(>=10, <=20)"
 
 

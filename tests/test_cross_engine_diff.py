@@ -91,7 +91,7 @@ def test_held_result_owns_its_data(cracking):
     """A held bulk result never changes and never aliases engine storage.
 
     Bulk results are handed over as column arrays.  A cracked answer is
-    copied out of cracker storage under its column lock; a full-scan
+    copied out of cracker storage under the statement lock; a full-scan
     slice views BAT storage, which UPDATE writes in place, and is copied
     once at delivery.  Without those copies the next in-place crack (or
     the merge an UPDATE/DELETE queues) would shuffle a held ``arrays``

@@ -38,7 +38,18 @@ class TestCommon:
 class TestFig1:
     @pytest.fixture(scope="class")
     def panels(self):
-        return fig1.run(n_rows=20_000, selectivities=(1, 10, 50, 100))
+        # Per-point minimum of three runs: the orderings below compare
+        # single wall-clock timings, and one run can lose its CPU.
+        runs = [fig1.run(n_rows=20_000, selectivities=(1, 10, 50, 100)) for _ in range(3)]
+        for delivery, panel in runs[0].items():
+            for series in panel.series:
+                series.y = [
+                    min(times)
+                    for times in zip(*(
+                        run[delivery].series_by_label(series.label).y for run in runs
+                    ))
+                ]
+        return runs[0]
 
     def test_three_panels(self, panels):
         assert set(panels) == {"materialise", "print", "count"}

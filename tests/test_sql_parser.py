@@ -116,11 +116,11 @@ class TestCreateInsert:
     def test_insert_values_single(self):
         stmt = parse("INSERT INTO r VALUES (1, 2)")
         assert isinstance(stmt, InsertValuesStmt)
-        assert stmt.rows == [(1, 2)]
+        assert (stmt.values, stmt.widths) == ((1, 2), (2,))
 
     def test_insert_values_multi(self):
         stmt = parse("INSERT INTO r VALUES (1, 'x'), (2, 'y')")
-        assert stmt.rows == [(1, "x"), (2, "y")]
+        assert (stmt.values, stmt.widths) == ((1, "x", 2, "y"), (2, 2))
 
     def test_insert_select(self):
         stmt = parse("INSERT INTO newR SELECT * FROM R WHERE R.a >= 3 AND R.a <= 9")

@@ -220,7 +220,9 @@ def test_invariants_catch_a_reused_oid_and_a_stale_bitmap():
 
 def test_restored_column_rebuilds_the_bitmap_and_merges_buffered_dml():
     rng = np.random.default_rng(3)
-    data = rng.permutation(400)
+    # 4 000 rows: the DML below stays under the write-side backstop
+    # (1/8 of the column), so it is still buffered at the export.
+    data = rng.permutation(4000)
     column = CrackedColumn.from_arrays(data)
     for low in range(0, 400, 50):
         column.range_select(low, low + 25)
@@ -245,6 +247,107 @@ def test_restored_column_rebuilds_the_bitmap_and_merges_buffered_dml():
     assert sorted(left.oids.tolist()) == sorted(right.oids.tolist())
     assert sorted(left.values.tolist()) == sorted(right.values.tolist())
     assert_bitmap_matches_storage(clone)
+
+
+# ---------------------------------------------------------------------- #
+# The early exit: rows all stored and unchanged skip the general path
+# ---------------------------------------------------------------------- #
+
+#: 400 stored rows.  Oids 0-11 are the hot set that updates and deletes
+#: keep doomed or queued; 400-405 are never seen until appends hand
+#: them out; 700 lies inside the grown flag array, 9999 past it.
+HOT_OIDS = [-3, -1, *range(12), *range(400, 406), 700, 9999]
+EARLY_OIDS = st.one_of(
+    st.lists(st.sampled_from(HOT_OIDS), max_size=8),
+    # A key-range DML's rows: a run of stored oids, clean unless an
+    # earlier statement touched them.
+    st.builds(lambda low, count: list(range(low, low + count)),
+              st.integers(0, 390), st.integers(1, 10)),
+)
+EARLY_VALUES = st.integers(min_value=0, max_value=100)
+EARLY_OPS = st.one_of(
+    st.tuples(st.just("append"), st.lists(EARLY_VALUES, min_size=1, max_size=5)),
+    st.tuples(st.just("delete"), EARLY_OIDS),
+    st.tuples(st.just("update"), EARLY_OIDS, EARLY_VALUES),
+    st.tuples(st.just("count"), EARLY_VALUES, EARLY_VALUES, st.booleans()),
+    st.tuples(st.just("select"), EARLY_VALUES, EARLY_VALUES),
+)
+
+
+@pytest.mark.parametrize("threshold", [0, 512])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ops=st.lists(EARLY_OPS, max_size=30))
+def test_early_exit_matches_the_model(threshold, ops):
+    initial = np.random.default_rng(1).integers(0, 100, 400)
+    column = CrackedColumn.from_arrays(initial, crack_threshold=threshold)
+    model = Model(initial.tolist())
+    for op in ops:
+        kind = op[0]
+        if kind == "append":
+            oids = column.append(op[1])
+            model.live.update(zip(oids.tolist(), op[1]))
+        elif kind == "delete":
+            assert column.delete(op[1], model.old_values(op[1])) == model.delete(op[1])
+        elif kind == "update":
+            # Distinct new values: their buffer slots differ, unless one row.
+            oids, values = op[1], [op[2] + i for i in range(len(op[1]))]
+            old = model.old_values(oids)
+            assert column.update(oids, values, old) == model.update(oids, values)
+        elif kind == "count":
+            (low, high), inclusive = sorted(op[1:3]), op[3]
+            expected = sum(
+                low <= v and (v <= high if inclusive else v < high)
+                for v in model.live.values()
+            )
+            assert column.count_range(low, high, high_inclusive=inclusive) == expected
+        else:
+            low, high = sorted(op[1:])
+            result = column.range_select(low, high, high_inclusive=True)
+            got = sorted(zip(result.oids.tolist(), result.values.tolist()))
+            assert got == model.rows(low, high)
+        assert_bitmap_matches_storage(column)
+    result = column.range_select()
+    assert sorted(zip(result.oids.tolist(), result.values.tolist())) == model.rows()
+
+
+# ---------------------------------------------------------------------- #
+# A write-only stream stays bounded
+# ---------------------------------------------------------------------- #
+
+
+def test_writes_without_reads_keep_the_buffers_bounded():
+    """With no read in between, a write merges the buffers once they
+    pass twice a read's share (1/8 of the column), so an UPDATE never
+    pays for every earlier one."""
+    n = 20_000
+    rng = np.random.default_rng(5)
+    values = rng.permutation(n)
+    column = CrackedColumn.from_arrays(values, crack_threshold=DEFAULT_CRACK_THRESHOLD)
+    for low in rng.integers(0, n, 300):
+        column.range_select(int(low), int(low) + 500)
+    live = np.ones(n, dtype=bool)
+    merges = 0
+    for statement in range(2000):
+        rows = 50 if statement % 2 else 10
+        oids = np.arange(*sorted(rng.integers(0, n - rows, 1) + [0, rows]))
+        before = column.query_stats.merged_updates
+        if rows == 50:
+            new = rng.integers(0, n, 1).repeat(rows)
+            assert column.update(oids, new, values[oids]) == np.count_nonzero(live[oids])
+            values[oids[live[oids]]] = new[0]
+        else:
+            assert column.delete(oids, values[oids]) == np.count_nonzero(live[oids])
+            live[oids] = False
+        merges += column.query_stats.merged_updates != before
+        pending = len(column._ins_oids) + len(column._del_oids)
+        assert pending <= len(column) / 8 + 2 * rows
+        column.check_invariants()
+    assert merges >= 10  # the backstop ran: 2 000 writes far exceed n / 8
+    result = column.range_select()
+    assert sorted(zip(result.oids.tolist(), result.values.tolist())) == sorted(
+        zip(np.flatnonzero(live).tolist(), values[live].tolist())
+    )
+    column.check_invariants()
 
 
 # ---------------------------------------------------------------------- #
@@ -321,6 +424,32 @@ def test_snapshot_held_across_a_merge_keeps_its_contents():
     column.check_invariants()
 
 
+def test_merge_places_inserts_where_a_per_piece_search_does():
+    """A tuple merged into a remembered sorted piece lands where searching
+    that piece alone puts it: the per-piece loop the one binary search
+    over the receiving pieces replaced."""
+    rng = np.random.default_rng(7)
+    column = CrackedColumn.from_arrays(rng.permutation(5000), crack_threshold=64)
+    for low in rng.integers(0, 5000, 400):
+        column.count_range(int(low), int(low) + 40)
+    column.append(rng.integers(0, 5000, 300))  # under both drain shares
+    values, oids = column.values.copy(), column.oids.copy()
+    edges = np.concatenate(([0], column.index.positions(), [len(values)]))
+    spans = [(start, stop) for start, stop in column._sorted_spans if start < stop]
+    assert spans
+    ins_values, ins_oids = column._ins_values.copy(), column._ins_oids.copy()
+    pieces = column.index.piece_assignment(ins_values)
+    at = edges[pieces].copy()
+    for i, (value, piece) in enumerate(zip(ins_values.tolist(), pieces.tolist())):
+        start, stop = int(edges[piece]), int(edges[piece + 1])
+        if any(low <= start and stop <= high for low, high in spans):
+            at[i] = start + values[start:stop].searchsorted(value, "right")
+    column.range_select()  # merges everything
+    assert np.array_equal(column.values, np.insert(values, at, ins_values))
+    assert np.array_equal(column.oids, np.insert(oids, at, ins_oids))
+    column.check_invariants()
+
+
 # ---------------------------------------------------------------------- #
 # Counts merge nothing
 # ---------------------------------------------------------------------- #
@@ -375,8 +504,13 @@ def test_counts_match_the_model_and_merge_nothing(threshold, initial, ops, inclu
 
 
 # ---------------------------------------------------------------------- #
-# Relation.delete_positions against setdiff1d / union1d
+# DELETE's tombstones against setdiff1d / union1d
 # ---------------------------------------------------------------------- #
+#
+# ``Relation.delete_positions`` takes what the DML matcher gives —
+# ascending, distinct, live positions — and only places them.  Repeats,
+# rows already tombstoned and an unsorted key are the matcher's to
+# absorb, so these cases run as DELETE statements.
 
 
 def reference_delete(deleted: np.ndarray, positions) -> tuple[np.ndarray, int]:
@@ -390,33 +524,57 @@ def make_relation(rows: int) -> Relation:
     return Relation.from_columns("t", schema, {"a": list(range(rows))})
 
 
+def tombstone_table(shuffled: bool) -> tuple[Database, np.ndarray]:
+    """``t(a)`` of 50 rows: ``a`` ascending, so a DELETE matches in its
+    key window, or shuffled, so it scans the whole table."""
+    keys = np.arange(50)
+    if shuffled:
+        keys = np.random.default_rng(0).permutation(50)
+    db = Database()
+    db.catalog.create_table(
+        Relation.from_columns("t", Schema([Column("a", "int")]), {"a": keys})
+    )
+    return db, keys
+
+
+def delete_range(db, keys, expected, low: int, high: int) -> np.ndarray:
+    """DELETE ``low <= a <= high``, checked against the reference."""
+    expected, fresh = reference_delete(
+        expected, np.flatnonzero((keys >= low) & (keys <= high))
+    )
+    assert db.execute(f"DELETE FROM t WHERE a BETWEEN {low} AND {high}").affected == fresh
+    assert np.array_equal(db.catalog.table("t").deleted_positions(), expected)
+    return expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     batches=st.lists(
-        st.lists(st.integers(min_value=0, max_value=49), max_size=12), max_size=8
-    )
+        st.tuples(st.integers(0, 49), st.integers(0, 12)), max_size=8
+    ),
+    shuffled=st.booleans(),
 )
-def test_delete_positions_matches_setdiff_union(batches):
-    relation = make_relation(50)
+def test_delete_positions_matches_setdiff_union(batches, shuffled):
+    db, keys = tombstone_table(shuffled)
     expected = np.empty(0, dtype=np.int64)
-    for batch in batches:
-        expected, fresh = reference_delete(expected, batch)
-        assert relation.delete_positions(np.asarray(batch, dtype=np.int64)) == fresh
-        assert np.array_equal(relation.deleted_positions(), expected)
+    for low, width in batches:
+        expected = delete_range(db, keys, expected, low, low + width)
 
 
 @pytest.mark.parametrize(
-    "batch",
-    [[], [9, 2, 9, 2], [2, 5], [49, 0, 25, 0, 49]],
+    "ranges,shuffled",
+    [([(9, 2)], False), ([(3, 9), (3, 9)], False), ([(0, 6)], False),
+     ([(10, 40), (0, 49)], True)],
     ids=["empty", "duplicates", "already-tombstoned", "unsorted"],
 )
-def test_delete_positions_edge_cases(batch):
-    relation = make_relation(50)
-    relation.delete_positions(np.array([2, 5, 30]))
-    expected, fresh = reference_delete(relation.deleted_positions(), batch)
-    assert relation.delete_positions(np.asarray(batch, dtype=np.int64)) == fresh
-    assert np.array_equal(relation.deleted_positions(), expected)
-    assert relation.deleted_positions().dtype == np.int64
+def test_delete_positions_edge_cases(ranges, shuffled):
+    db, keys = tombstone_table(shuffled)
+    expected = np.empty(0, dtype=np.int64)
+    for key in (2, 5, 30):
+        expected = delete_range(db, keys, expected, key, key)
+    for low, high in ranges:
+        expected = delete_range(db, keys, expected, low, high)
+    assert db.catalog.table("t").deleted_positions().dtype == np.int64
 
 
 @pytest.mark.parametrize("bad", [[-1], [3, 50]])
@@ -466,7 +624,8 @@ def test_write_path_runs_no_whole_column_set_operation(monkeypatch):
     rng = np.random.default_rng(0)
     column, data = full_buffers(n)
     relation = make_relation(n)
-    relation.delete_positions(rng.choice(n, n // 2, replace=False))
+    relation.delete_positions(np.sort(rng.choice(n, n // 2, replace=False)))
+    doomed = np.sort(rng.choice(relation.live_positions(), 60, replace=False))
 
     sizes: list[int] = []
     sorted_sizes: list[int] = []
@@ -493,7 +652,7 @@ def test_write_path_runs_no_whole_column_set_operation(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    relation.delete_positions(rng.integers(0, n, 60))
+    relation.delete_positions(doomed)
     monkeypatch.undo()
     assert max(sizes, default=0) < n // 2
     # Queueing sorts what the statement changes, never the buffer: each

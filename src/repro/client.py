@@ -12,13 +12,15 @@
         stmt = client.prepare("SELECT count(*) FROM r WHERE a BETWEEN 0 AND 10")
         stmt.execute((5, 25)).scalar()    # rebinds the literals
 
-Bulk results arrive as binary columnar frames (raw numpy column
-buffers, chunk-streamed when large) and stay columnar:
-``result.arrays`` holds the decoded columns and ``result.rows`` builds
-tuples only when first read.  Small results arrive as JSON.  Frames
-cross the wire raw unless the client asks: ``compression=True`` offers
-zlib in HELLO, which pays only on a link slower than ~50 MB/s (zlib-1
-runs at ~105 MB/s; on loopback it doubled a bulk reply's round trip).
+A call sends its requests with one ``sendall`` and reads each reply a
+frame at a time (``recv`` into one buffer, :meth:`FrameDecoder.take`);
+a ``result`` frame becomes the :class:`QueryResult` at once, small ones
+from JSON, bulk ones from binary columnar frames that stay columnar
+(``result.rows`` builds tuples only when first read).  A CHUNK stream
+is assembled only once its first chunk arrives.  Frames cross the wire
+raw unless the client asks: ``compression=True`` offers zlib in HELLO,
+which pays only on a link slower than ~50 MB/s (zlib-1 runs at ~105
+MB/s; on loopback it doubled a bulk reply's round trip).
 ``execute_many`` pipelines a batch of statements: a window of requests
 goes out before any reply is read, amortising network round-trips and
 letting the server fold the run into one engine trip.
@@ -45,16 +47,16 @@ Server-side failures arrive as typed replies and raise
 :class:`~repro.errors.RemoteError` with the wire ``code``
 (``"syntax"``, ``"catalog"``, ``"timeout"``, ``"overloaded"``...);
 transport failures raise :class:`~repro.errors.ServerUnavailableError`.
-A reply stream that does not decode drops the connection (the frames
-after a bad one cannot be trusted to answer the next call), so the next
-call reconnects.
+A reply that does not decode — a bad frame, a torn chunk stream, a
+malformed result — drops the connection (the frames after it cannot be
+trusted to answer the next call), so the next call reconnects.
 """
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import time
-from collections import deque
 
 from repro.errors import (
     AmbiguousResultError,
@@ -120,14 +122,15 @@ def _remote_error(reply: dict) -> RemoteError:
     return RemoteError(reply.get("code", "internal"), reply.get("message", ""))
 
 
-def _check_reply(reply: dict, expected: str) -> dict:
-    if reply.get("type") == "error":
+def _expect(reply, *expected: str):
+    """``reply`` when it is of an ``expected`` type (a :class:`QueryResult`
+    is a ``"result"``); else the typed error it stands for."""
+    kind = "result" if isinstance(reply, QueryResult) else reply.get("type")
+    if kind in expected:
+        return reply
+    if kind == "error":
         raise _remote_error(reply)
-    if reply.get("type") != expected:
-        raise ProtocolError(
-            f"expected a {expected!r} reply, got {reply.get('type')!r}"
-        )
-    return reply
+    raise ProtocolError(f"expected a {' or '.join(expected)} reply, got {kind!r}")
 
 
 class Prepared:
@@ -145,22 +148,16 @@ class Prepared:
         self.closed = False
 
     def execute(self, params=None) -> QueryResult:
-        reply = self._client._call(
-            {
-                "type": "execute",
-                "handle": self.handle,
-                "params": None if params is None else list(params),
-            },
-            "result",
-            self,
-        )
-        return _result_from_reply(reply)
+        params = None if params is None else list(params)
+        message = {"type": "execute", "handle": self.handle, "params": params}
+        return self._client._call(message, "result", prepared=self)
 
     def close(self) -> None:
         """Deallocate server-side (idempotent)."""
         if self.closed:
             return
-        self._client._call({"type": "deallocate", "handle": self.handle}, "closed", self)
+        message = {"type": "deallocate", "handle": self.handle}
+        self._client._call(message, "closed", prepared=self)
         self.closed = True
         # Drop it so long-lived clients stay bounded.
         self._client._prepared.remove(self)
@@ -193,7 +190,6 @@ class Client:
         self._prepared: list[Prepared] = []
         self._sock: socket.socket | None = None
         self._decoder = FrameDecoder()
-        self._inbox: deque = deque()  # decoded but not yet consumed
         self.connect()
 
     def connect(self) -> None:
@@ -217,8 +213,7 @@ class Client:
         # ping-pong.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
-        self._decoder = FrameDecoder()
-        self._inbox.clear()  # stale frames died with the old connection
+        self._decoder = FrameDecoder()  # stale bytes died with the old connection
         hello = {
             "type": "hello",
             "protocol": PROTOCOL_VERSION,
@@ -230,7 +225,7 @@ class Client:
         }
         try:
             (reply,) = self._exchange([hello])
-            self.server_info = _check_reply(reply, "hello")
+            self.server_info = _expect(reply, "hello")
         except ReproError:
             self._disconnect()  # a refused handshake keeps no socket
             raise
@@ -238,23 +233,19 @@ class Client:
         self.compression = reply.get("compression")
         for prepared in self._prepared:
             (fresh,) = self._exchange([{"type": "prepare", "sql": prepared.sql}])
-            prepared.handle = _check_reply(fresh, "prepared")["handle"]
+            prepared.handle = _expect(fresh, "prepared")["handle"]
 
     def _disconnect(self) -> None:
         sock, self._sock = self._sock, None
         if sock is not None:
-            try:
+            with contextlib.suppress(OSError):
                 sock.close()
-            except OSError:
-                pass
 
     def close(self) -> None:
         """Polite goodbye, then drop the connection (idempotent)."""
         if self._sock is not None:
-            try:
+            with contextlib.suppress(ServerUnavailableError, ProtocolError):
                 self._exchange([{"type": "close"}])
-            except (ServerUnavailableError, ProtocolError):
-                pass
             self._disconnect()
 
     def __enter__(self) -> "Client":
@@ -268,44 +259,53 @@ class Client:
     # Exchange
     # -------------------------------------------------------------- #
 
-    def _exchange(self, messages: list[dict]) -> list[dict]:
-        """Send a window of requests, then read one *logical* reply for
-        each (chunk streams are reassembled), in order, on the current
-        connection — no retry.  A failure while reading replies drops
-        the connection: what is left of the stream answers nothing."""
+    def _exchange(self, messages: list[dict]) -> list:
+        """Send a window of requests, then read the reply to each, in
+        order, on the current connection — no retry.  A failure while
+        reading replies drops the connection: what is left of the stream
+        answers nothing."""
         if self._sock is None:
             raise ServerUnavailableError("client is not connected")
-        payload = b"".join(map(encode_frame, messages))
-        replies = []
-        inbox, assembler = self._inbox, ResultAssembler()
         try:
-            self._sock.sendall(payload)
-            for message in messages:
-                reply = None
-                while reply is None:
-                    while not inbox:
-                        data = self._sock.recv(_RECV_BYTES)
-                        if not data:
-                            raise ServerUnavailableError(
-                                "server closed the connection"
-                            )
-                        inbox.extend(self._decoder.feed(data))
-                    reply = assembler.feed(inbox.popleft())
-                # A goodbye we didn't ask for is the server shutting down
-                # under us; surface it as unavailability so the reconnect
-                # path engages.
-                if reply.get("type") == "goodbye" and message.get("type") != "close":
-                    raise ServerUnavailableError("server shut down (goodbye received)")
-                replies.append(reply)
+            self._sock.sendall(b"".join(map(encode_frame, messages)))
+            return list(map(self._reply, messages))
         except OSError as exc:
             self._disconnect()
             raise ServerUnavailableError(f"connection lost: {exc}") from exc
         except (ServerUnavailableError, ProtocolError):
             self._disconnect()
             raise
-        return replies
 
-    def _request(self, message: dict, prepared: "Prepared | None" = None) -> dict:
+    def _reply(self, request: dict):
+        """The reply to ``request`` — a :class:`QueryResult` for a result,
+        else the message — from one frame, or from a chunk stream."""
+        message = self._frame()
+        if message.get("type") in ("result_chunk", "result_end"):
+            assembler = ResultAssembler()
+            while (whole := assembler.feed(message)) is None:
+                message = self._frame()
+            message = whole
+        kind = message.get("type")
+        if kind == "result":
+            return _result_from_reply(message)
+        # An unasked goodbye is the server shutting down: raised as
+        # unavailability, so the reconnect path engages.
+        if kind == "goodbye" and request.get("type") != "close":
+            raise ServerUnavailableError("server shut down (goodbye received)")
+        return message
+
+    def _frame(self) -> dict:
+        """The next frame's message, read off the socket until it is whole."""
+        take = self._decoder.take
+        message = take()
+        while message is None:
+            data = self._sock.recv(_RECV_BYTES)
+            if not data:
+                raise ServerUnavailableError("server closed the connection")
+            message = take(data)
+        return message
+
+    def _request(self, message: dict, prepared: "Prepared | None" = None):
         """Exchange with reconnect-and-retry-once on transport failure
         (idempotent requests only: see "Retry discipline" in the module
         docstring; after an ambiguous mutation the client still
@@ -343,9 +343,9 @@ class Client:
                 message = {**message, "handle": prepared.handle}
             return self._exchange([message])[0]
 
-    def _call(self, message: dict, expected: str, prepared=None) -> dict:
-        """A :meth:`_request` whose reply must be of type ``expected``."""
-        return _check_reply(self._request(message, prepared), expected)
+    def _call(self, message: dict, *expected: str, prepared=None):
+        """A :meth:`_request` whose reply must be of an ``expected`` type."""
+        return _expect(self._request(message, prepared), *expected)
 
     # -------------------------------------------------------------- #
     # Operations
@@ -357,10 +357,7 @@ class Client:
         Inside a transaction a mutating statement is queued server-side
         (returns the ``queued`` reply dict instead of a result).
         """
-        reply = self._request({"type": "query", "sql": sql})
-        if reply.get("type") == "queued":
-            return reply
-        return _result_from_reply(_check_reply(reply, "result"))
+        return self._call({"type": "query", "sql": sql}, "result", "queued")
 
     def execute_many(
         self,
@@ -386,20 +383,12 @@ class Client:
         out: list = []
         first_error: RemoteError | None = None
         for start in range(0, len(statements), window):
-            replies = self._exchange(
-                [
-                    {"type": "query", "sql": sql}
-                    for sql in statements[start:start + window]
-                ]
-            )
-            for reply in replies:
-                kind = reply.get("type")
-                if kind == "result":
-                    reply = _result_from_reply(reply)
-                elif kind == "error":
+            batch = statements[start:start + window]
+            for reply in self._exchange([{"type": "query", "sql": sql} for sql in batch]):
+                if isinstance(reply, dict) and reply.get("type") == "error":
                     first_error = first_error or _remote_error(reply)
-                elif kind != "queued":
-                    raise ProtocolError(f"unexpected pipelined reply {kind!r}")
+                else:
+                    _expect(reply, "result", "queued")
                 out.append(reply)
             if first_error is not None and raise_on_error:
                 raise first_error

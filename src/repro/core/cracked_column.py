@@ -419,6 +419,11 @@ class CrackedColumn:
                 )
             if oids.size and oids.min() < 0:
                 raise CrackError("append got a negative oid")
+            if (self._flags(oids) & (_STORED | _QUEUED)).any():
+                raise CrackError("append got an oid the column already holds")
+            ordered = np.sort(oids)
+            if (ordered[1:] == ordered[:-1]).any():
+                raise CrackError("append got the same oid twice")
         if len(values):
             self._ins_values, self._ins_oids = _sorted_insert(
                 self._ins_values, self._ins_oids, values, oids

@@ -14,21 +14,13 @@ The serving pipeline, bottom up:
   checkpointing shutdown (plus :class:`ServerThread` for in-process
   embedding).
 
-The matching client library is :mod:`repro.client`.
+The matching client library is :mod:`repro.client`; the rest of the
+codec (result frames, reassembly, typed errors) is imported from
+:mod:`repro.server.protocol`.
 """
 
 from repro.server.gateway import ExecutionGateway
-from repro.server.protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    FrameDecoder,
-    ResultAssembler,
-    encode_frame,
-    encode_result_frames,
-    error_for_exception,
-    error_reply,
-    result_reply,
-)
+from repro.server.protocol import FrameDecoder, encode_frame
 from repro.server.server import ReproServer, ServerThread
 from repro.server.session import ClientSession
 
@@ -36,14 +28,7 @@ __all__ = [
     "ClientSession",
     "ExecutionGateway",
     "FrameDecoder",
-    "MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
     "ReproServer",
-    "ResultAssembler",
     "ServerThread",
     "encode_frame",
-    "encode_result_frames",
-    "error_for_exception",
-    "error_reply",
-    "result_reply",
 ]

@@ -40,7 +40,7 @@ Binary columnar results
     a 4-byte header length + a small JSON header (column names, per
     column encoding/dtype/byte-size, row count, varchar dictionaries;
     space-padded to a multiple of 8 bytes so the body starts aligned)
-    + the concatenated raw column bodies (``ndarray.tobytes()``,
+    + the concatenated raw column bodies (array buffers, joined once;
     decoded zero-copy with ``np.frombuffer`` on the far side).  A
     result within :data:`CHUNK_BYTES` is a single ``FULL`` frame; larger
     results *stream* as bounded ``CHUNK`` frames closed by an ``END``
@@ -67,6 +67,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -112,6 +113,24 @@ COMPRESS_MIN_BYTES = 4096
 SMALL_RESULT_ROWS = 16
 
 _LENGTH = struct.Struct("!I")
+
+
+def _compact_encoder():
+    """The one compact JSON encoder every frame goes through, built once:
+    ``json.dumps`` (and ``JSONEncoder.encode``) builds one per call, half
+    the cost of a small reply.  Same bytes; it skips only the
+    circular-reference check, which messages of plain values never need."""
+    encoder = json.JSONEncoder(separators=(",", ":"))
+    if c_make_encoder is None:  # an interpreter without the C accelerator
+        return encoder.encode
+    encode = c_make_encoder(
+        None, encoder.default, encode_basestring_ascii, None, ":", ",", False, False, True
+    )
+    return lambda value: "".join(encode(value, 0))
+
+
+_ENCODE = _compact_encoder()
+_SCAN = json.JSONDecoder().scan_once  # decode() without its two regex passes
 
 #: First payload byte of a binary frame.  JSON payloads always start
 #: with ``{`` (0x7b), so one byte disambiguates the two shapes.
@@ -227,34 +246,36 @@ def error_for_exception(exc: BaseException) -> dict:
 
 def _plan_column(array: np.ndarray, coded=None) -> tuple:
     """One result column readied for framing, as ``(enc, data, lookup,
-    row_bytes)``.  Three encodings, chosen by content:
+    total, cost)``.  Three encodings, chosen by content:
 
-    * ``ndarray`` — numeric/bool columns ship as raw ``tobytes()`` with
+    * ``ndarray`` — numeric/bool columns ship as their raw buffer with
       their dtype string; the receiver maps them back zero-copy.
     * ``dict`` — varchar columns (str and NULL) ship their distinct
       values once in the header plus int32 codes in the body (NULL is
       code -1), which makes wide repetitive varchar columns cheap.  A
       column that arrives with its heap codes (``coded``, from
       :attr:`QueryResult.codes`) is renumbered to the atoms it uses by
-      one ``bincount``, with no loop over rows; any other column — a
-      join, sort or aggregate output, or one holding NULLs — is coded
-      row by row.
+      one ``bincount`` (no gather if it uses every atom up to its
+      largest code), with no loop over rows; any other column — a join,
+      sort or aggregate output, or one holding NULLs — is coded row by
+      row.
     * ``json`` — anything else (mixed types, e.g. numerics with NULLs)
       falls back to one JSON text per cell.
 
-    ``row_bytes`` is a row's real cost on the wire: an int when uniform,
-    else one byte count per row (a dictionary atom is charged to every
-    row using it, so the sum bounds any chunk from above).
+    ``total`` is the column's cost on the wire in bytes; ``cost`` prices
+    a row: an int when uniform, one count per row for ``json``, one per
+    code for ``dict`` (NULL's -1 picks the trailing 0; an atom is charged
+    to every row using it, so a sum bounds any chunk from above).
     """
     if array.dtype.kind in "biuf":
-        return "ndarray", array, None, array.itemsize
+        return "ndarray", np.ascontiguousarray(array), None, array.nbytes, array.itemsize
     if coded is not None:
         codes, atoms = coded
         counts = np.bincount(codes)
         used = np.flatnonzero(counts)
-        renumber = np.empty(len(counts), dtype=np.int32)
-        renumber[used] = np.arange(used.size, dtype=np.int32)
-        codes, lookup = renumber[codes], atoms[used].tolist()
+        if used.size < counts.size:  # each used code -> its rank among them
+            codes, counts = (np.cumsum(counts > 0, dtype=np.int32) - 1)[codes], counts[used]
+        codes, lookup = np.ascontiguousarray(codes, np.int32), atoms[used].tolist()
     else:
         values = array.tolist()
         atoms: dict = {None: -1}
@@ -263,40 +284,49 @@ def _plan_column(array: np.ndarray, coded=None) -> tuple:
         del atoms[None]
         if not all(isinstance(atom, str) for atom in atoms):
             texts = [json.dumps(value) for value in values]
-            sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-            return "json", texts, None, sizes + 1
+            sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)) + 1
+            return "json", texts, None, int(sizes.sum()), sizes
         lookup = [str(atom) for atom in atoms]  # np.str_ -> str for the header
-    sizes = [len(json.dumps(atom)) + 1 for atom in lookup] + [0]
-    return "dict", codes, lookup, 4 + np.array(sizes, dtype=np.int64)[codes]
+        counts = np.bincount(codes + 1, minlength=len(lookup) + 1)[1:]
+    cost = np.array([len(json.dumps(atom)) + 1 for atom in lookup] + [0], dtype=np.int64)
+    total = 4 * codes.size + int(counts @ cost[:-1])
+    return "dict", codes, lookup, total, cost
 
 
-def _column_part(plan: tuple, start: int, stop: int) -> tuple[dict, bytes]:
-    """Rows ``[start, stop)`` of a planned column as ``(descriptor, body)``.
-    Bodies are concatenated unpadded behind the 8-aligned header, so an
-    odd-length int32 ``dict`` column ahead of an int64 column still
-    misaligns the latter."""
-    enc, data, lookup, _ = plan
+def _column_part(plan: tuple, start: int, stop: int) -> tuple[dict, object]:
+    """Rows ``[start, stop)`` of a planned column as ``(descriptor,
+    body)``, the body a contiguous buffer.  Bodies are concatenated
+    unpadded behind the 8-aligned header, so an odd-length int32 ``dict``
+    column ahead of an int64 column still misaligns the latter."""
+    enc, data, lookup, _, _ = plan
     part = data[start:stop]
     if enc == "ndarray":
-        descriptor = {"enc": enc, "dtype": part.dtype.str, "size": part.nbytes}
-        return descriptor, part.tobytes()
+        return {"enc": enc, "dtype": part.dtype.str, "size": part.nbytes}, part
     if enc == "dict":
         if len(part) < len(data):  # a chunk names only the atoms it uses
             used, part = np.unique(part, return_inverse=True)
             nulls = int(used.size > 0 and used[0] < 0)
             lookup = [lookup[code] for code in used[nulls:].tolist()]
             part = (part - nulls).astype(np.int32)
-        return {"enc": enc, "values": lookup, "size": part.nbytes}, part.tobytes()
+        return {"enc": enc, "values": lookup, "size": part.nbytes}, part
     payload = ("[" + ",".join(part) + "]").encode("utf-8")
     return {"enc": enc, "size": len(payload)}, payload
 
 
 def _loads(data, what: str):
-    """``json.loads`` with every failure typed (deep nesting included)."""
+    """The JSON value that ``data`` holds from its first byte, as every
+    encoder here writes it, to its end or its trailing whitespace (a
+    binary header's padding); every failure typed (deep nesting too)."""
     try:
-        return json.loads(bytes(data).decode("utf-8"))
+        text = str(data, "utf-8")
+        value, end = _SCAN(text, 0)
+    except StopIteration:
+        raise ProtocolError(f"undecodable {what}: expecting a value") from None
     except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"undecodable {what}: {exc}") from None
+    if end != len(text) and text[end:].strip(" \t\n\r"):
+        raise ProtocolError(f"undecodable {what}: extra data at {end}")
+    return value
 
 
 def _field(mapping, key: str, kind: type):
@@ -340,30 +370,27 @@ def _decode_column(descriptor, body, offset: int) -> np.ndarray:
     raise ProtocolError(f"unknown column encoding {enc!r}")
 
 
-def _pack_binary(kind: int, header: dict, body: bytes, compression) -> bytes:
-    """One complete binary frame (length prefix included); the cap
-    applies to the *uncompressed* frame, because the decoder refuses to
-    inflate a body past it."""
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+def _pack_binary(kind: int, header: dict, bodies: list, size: int, compression) -> bytes:
+    """One complete binary frame (length prefix included) around the
+    ``size`` bytes of ``bodies``, joined once; the cap applies to the
+    *uncompressed* frame, because the decoder refuses to inflate a body
+    past it."""
+    header_bytes = _ENCODE(header).encode("utf-8")
     # JSON whitespace up to a multiple of 8: a raw body starts aligned.
     header_bytes += b" " * (-len(header_bytes) % 8)
     head = _BIN_HEAD.size + len(header_bytes)
-    if head + len(body) > MAX_FRAME_BYTES:
+    if head + size > MAX_FRAME_BYTES:
         raise ProtocolError(
-            f"binary frame of {head + len(body)} bytes exceeds the "
+            f"binary frame of {head + size} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte limit; lower the chunk size"
         )
     flags = 0
-    if compression == "zlib" and len(body) >= COMPRESS_MIN_BYTES:
-        squeezed = zlib.compress(body, 1)
-        if len(squeezed) < len(body):  # incompressible bodies stay raw
-            body, flags = squeezed, _FLAG_COMPRESSED
-    return (
-        _LENGTH.pack(head + len(body))
-        + _BIN_HEAD.pack(_BINARY_MARKER, kind, flags, len(header_bytes))
-        + header_bytes
-        + body
-    )
+    if compression == "zlib" and size >= COMPRESS_MIN_BYTES:
+        squeezed = zlib.compress(b"".join(bodies), 1)
+        if len(squeezed) < size:  # incompressible bodies stay raw
+            bodies, size, flags = [squeezed], len(squeezed), _FLAG_COMPRESSED
+    marker = _BIN_HEAD.pack(_BINARY_MARKER, kind, flags, len(header_bytes))
+    return b"".join([_LENGTH.pack(head + size), marker, header_bytes, *bodies])
 
 
 def _result_frame(
@@ -373,16 +400,19 @@ def _result_frame(
     parts = [_column_part(plan, start, stop) for plan in plans]
     descriptors = [descriptor for descriptor, _ in parts]
     header = {"columns": columns, "cols": descriptors, "rows": stop - start, **extra}
-    body = b"".join(payload for _, payload in parts)
-    return _pack_binary(kind, header, body, compression)
+    size = sum(descriptor["size"] for descriptor in descriptors)
+    return _pack_binary(kind, header, [body for _, body in parts], size, compression)
 
 
 def _chunk_stops(plans, n_rows: int) -> list[int]:
-    """The row offset ending each chunk.  A chunk takes as many rows as
-    fit :data:`CHUNK_BYTES` by the columns' real per-row byte counts
-    (always at least one), so values that grow along the result cannot
-    push a chunk past the cap."""
-    row_bytes = sum(plan[3] for plan in plans)
+    """The row offset ending each chunk.  Within :data:`CHUNK_BYTES` by
+    column totals, one; past it, a chunk takes as many rows as fit by the
+    columns' real per-row byte counts (always at least one), so values
+    that grow along the result cannot push a chunk past the cap."""
+    if sum(plan[3] for plan in plans) <= CHUNK_BYTES:
+        return [n_rows]
+    row_bytes = sum(4 + cost[data] if enc == "dict" else cost
+                    for enc, data, _, _, cost in plans)
     if np.ndim(row_bytes):
         spent = np.cumsum(row_bytes)
         stops, stop = [], 0
@@ -424,7 +454,7 @@ def encode_result_frames(result, *, compression: str | None = None):
         )
         start = stop
     totals = {"affected": affected, "rows": n_rows, "chunks": len(stops)}
-    yield _pack_binary(_KIND_END, {"columns": columns, **totals}, b"", None)
+    yield _pack_binary(_KIND_END, {"columns": columns, **totals}, [], 0, None)
 
 
 def _inflate(body) -> bytes:
@@ -569,7 +599,7 @@ class ResultAssembler:
 
 def encode_frame(message: dict) -> bytes:
     """Serialise one message into its length-prefixed frame."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    payload = _ENCODE(message).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the "
@@ -578,7 +608,7 @@ def encode_frame(message: dict) -> bytes:
     return _LENGTH.pack(len(payload)) + payload
 
 
-def decode_payload(payload: bytes) -> dict:
+def decode_payload(payload) -> dict:
     """Parse one frame's payload (JSON or binary) into a message dict.
 
     Binary result frames (first byte :data:`_BINARY_MARKER`) decode via
@@ -600,25 +630,13 @@ def decode_payload(payload: bytes) -> dict:
     return message
 
 
-def _frame_length(prefix) -> int:
-    (length,) = _LENGTH.unpack_from(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"incoming frame of {length} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
-    return length
-
-
 class FrameDecoder:
     """Incremental frame decoder for stream transports (both peers).
 
-    Feed it byte chunks as they arrive; it yields complete messages and
-    buffers partial frames across calls::
-
-        decoder = FrameDecoder()
-        for message in decoder.feed(sock.recv(65536)):
-            ...
+    Feed it byte chunks as they arrive; it hands out complete messages
+    one at a time (:meth:`take`, the client's reply reader) or as a run
+    (:meth:`messages`, the server's request reader), and buffers partial
+    frames across calls.
 
     ``requests=True`` is the server's end: requests are always JSON, so
     a binary frame is refused undecoded — a client cannot make the
@@ -636,16 +654,29 @@ class FrameDecoder:
         """Buffer ``data`` and yield every complete message, lazily: a
         malformed frame raises only after the good ones before it have
         been handed over."""
+        message = self.take(data)
+        while message is not None:
+            yield message
+            message = self.take()
+
+    def take(self, data: bytes = b"") -> dict | None:
+        """Buffer ``data``; the next complete message, or None while its
+        frame is still partial."""
         buffer = self._buffer
         buffer += data
-        while len(buffer) >= _LENGTH.size:
-            end = _LENGTH.size + _frame_length(buffer)
-            if len(buffer) < end:
-                return
-            # One copy; a bytearray with a live view would refuse the del.
-            with memoryview(buffer) as view, view[_LENGTH.size:end] as body:
-                payload = bytes(body)
-            del buffer[:end]
-            if self._requests and payload and payload[0] == _BINARY_MARKER:
-                raise ProtocolError("requests must be JSON frames, got a binary frame")
-            yield decode_payload(payload)
+        if len(buffer) < _LENGTH.size:
+            return None
+        (length,) = _LENGTH.unpack_from(buffer)
+        if length > MAX_FRAME_BYTES:
+            raise ProtocolError(
+                f"incoming frame of {length} bytes exceeds the "
+                f"{MAX_FRAME_BYTES}-byte limit"
+            )
+        end = _LENGTH.size + length
+        if len(buffer) < end:
+            return None
+        payload = buffer[_LENGTH.size:end]  # one copy, which the message owns
+        del buffer[:end]
+        if self._requests and payload and payload[0] == _BINARY_MARKER:
+            raise ProtocolError("requests must be JSON frames, got a binary frame")
+        return decode_payload(payload)

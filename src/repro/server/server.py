@@ -6,10 +6,12 @@ One :class:`ReproServer` serves one shared
 wake-up socketpair.  A readable connection is read **once** (at most
 64 KiB); its requests (JSON only — a binary frame is refused undecoded)
 are answered in order, consecutive plain statements folded into one
-engine trip.  Replies leave by non-blocking ``send``, and a connection
-with unsent bytes, or with a chunked result whose next chunk is encoded
-only once the previous one has left, is not read again until they
-drain — TCP backpressure without a queue, nothing dropped or reordered.
+engine trip.  A run's small replies are encoded straight into the
+connection's outgoing bytes; a bulk result streams, its next chunk
+encoded only once the previous one has left.  Replies leave by
+non-blocking ``send``, and a connection with bytes or chunks still owed
+is not read again until they drain — TCP backpressure without a queue,
+nothing dropped or reordered.
 Engine calls go through the :class:`~repro.server.gateway.ExecutionGateway`:
 inline on the loop thread by default, or, under a ``statement_timeout``,
 on one worker thread while the loop parks the connection until the
@@ -63,6 +65,14 @@ PIPELINE_BATCH = 128
 DRAIN_TIMEOUT_S = 10.0
 
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+
+
+def _encoded(reply: dict) -> bytes:
+    """A small reply's frame; past the frame cap, a (small) typed error's."""
+    try:
+        return encode_frame(reply)
+    except ProtocolError as exc:
+        return encode_frame(error_for_exception(exc))
 
 
 class _Connection:
@@ -249,9 +259,10 @@ class ReproServer:
 
     def _select_timeout(self) -> float | None:
         """Until the nearest statement or drain deadline; None = none."""
-        limit = self.gateway.statement_timeout
-        deadlines = [c.call[1] + limit for c in self._connections.values() if c.call]
-        deadlines += [self._drain_deadline] if self._draining else []
+        deadlines = [self._drain_deadline] if self._draining else []
+        if not self.gateway.inline:  # only worker calls have deadlines
+            limit = self.gateway.statement_timeout
+            deadlines += [c.call[1] + limit for c in self._connections.values() if c.call]
         return max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
 
     def _begin_drain(self) -> None:
@@ -312,34 +323,29 @@ class ReproServer:
             self._watch(conn, _READ)
 
     def _step(self, conn: _Connection, mask: int) -> None:
-        """Serve one connection's event; a failure drops that connection
-        and the loop goes on."""
+        """Serve one connection's event: read once if it is readable (not
+        a hang-up while writing), then pump.  A failure drops that
+        connection and the loop goes on."""
         try:
-            if mask & conn.events & _READ:  # not a hang-up while writing
-                self._read(conn)
-            else:
-                self._pump(conn)
+            if mask & conn.events & _READ:
+                data = conn.sock.recv(_READ_BYTES)
+                if not data:  # the client went away
+                    self._close(conn)
+                    return
+                try:
+                    conn.backlog.extend(conn.decoder.messages(data))
+                except ProtocolError as exc:
+                    # Framing is unrecoverable mid-stream: answer what
+                    # decoded before it, report, hang up.
+                    conn.fatal = exc
+            self._pump(conn)
+        except BlockingIOError:
+            pass  # a spurious wake-up
         except OSError:
             self._close(conn)  # the client vanished mid-reply
         except Exception:
             traceback.print_exc()
             self._close(conn)
-
-    def _read(self, conn: _Connection) -> None:
-        try:
-            data = conn.sock.recv(_READ_BYTES)
-        except BlockingIOError:
-            return  # a spurious wake-up
-        if not data:  # the client went away
-            self._close(conn)
-            return
-        try:
-            conn.backlog.extend(conn.decoder.messages(data))
-        except ProtocolError as exc:
-            # Framing is unrecoverable mid-stream: answer what decoded
-            # before it, report, hang up.
-            conn.fatal = exc
-        self._pump(conn)
 
     def _pump(self, conn: _Connection) -> None:
         """Move the connection on as far as it goes without blocking,
@@ -355,14 +361,15 @@ class ReproServer:
                     self._watch(conn, _WRITE)
                     return
                 conn.out = b""
-            elif conn.frames is not None:
+            if conn.frames is not None:
                 conn.out = next(conn.frames, b"")
-                if not conn.out:
-                    conn.frames = None
-            elif conn.call is not None:
+                if conn.out:
+                    continue
+                conn.frames = None
+            if conn.call is not None:
                 self._watch(conn, 0)  # parked until the worker is done
                 return
-            elif conn.backlog and not conn.session.closing:
+            if conn.backlog and not conn.session.closing:
                 self._take_run(conn)
             elif conn.fatal is not None:
                 conn.out = encode_frame(error_for_exception(conn.fatal))
@@ -377,32 +384,6 @@ class ReproServer:
                 self._watch(conn, _READ)
                 return
 
-    @staticmethod
-    def _frames(replies: list, compression):
-        """The frames of a run's replies, encoded as they are asked for:
-        a bulk reply's raw :class:`QueryResult` (under ``"_result"``)
-        streams as chunks under TCP backpressure instead of ballooning in
-        memory, and the small replies between them leave together.
-        """
-        small = []
-        for reply in replies:
-            result = reply.pop("_result", None)
-            try:
-                if result is None:
-                    small.append(encode_frame(reply))
-                    continue
-                if small:
-                    yield b"".join(small)
-                    small = []
-                yield from encode_result_frames(result, compression=compression)
-            except ProtocolError as exc:
-                # The reply overflowed the frame cap: the error frame is
-                # small, so the client gets a typed reply per statement
-                # and the connection lives.
-                small.append(encode_frame(error_for_exception(exc)))
-        if small:
-            yield b"".join(small)
-
     def _take_run(self, conn: _Connection) -> None:
         """Answer the next run of the backlog, or start it on the worker:
         the plain statements at its head fold into one engine trip; any
@@ -411,26 +392,55 @@ class ReproServer:
         backlog, session, gateway = conn.backlog, conn.session, self.gateway
         batch = [backlog.popleft()]
         if session.batchable(batch[0]):
-            while (
-                backlog
-                and len(batch) < PIPELINE_BATCH
-                and session.batchable(backlog[0])
-            ):
+            while backlog and len(batch) < PIPELINE_BATCH and session.batchable(backlog[0]):
                 batch.append(backlog.popleft())
         if not session.engine_bound(batch[0]):
             self._reply(conn, [session.handle(batch[0])])
             return
+        # One gateway trip (or loop -> worker handoff) answers the whole
+        # run: one per statement would dominate a microsecond engine.
+        answers = map(session.handle, batch)
         try:
             if gateway.inline:
-                self._reply(conn, gateway.run(session.handle_many, batch))
+                self._reply(conn, gateway.run(list, answers))
             else:
-                future = gateway.submit(session.handle_many, batch, wake=self._wake)
+                future = gateway.submit(list, answers, wake=self._wake)
                 conn.call = (future, time.monotonic(), len(batch))
         except OverloadedError as exc:
             self._reply(conn, [error_for_exception(exc)] * len(batch))
 
     def _reply(self, conn: _Connection, replies: list) -> None:
-        conn.frames = self._frames(replies, conn.session.compression)
+        """Queue a run's replies on an idle connection: small ones straight
+        into ``conn.out``; from the first bulk one on, :meth:`_frames`."""
+        out = []
+        for index, reply in enumerate(replies):
+            if "_result" in reply:
+                conn.frames = self._frames(replies[index:], conn.session.compression)
+                break
+            out.append(_encoded(reply))
+        conn.out = b"".join(out)
+
+    @staticmethod
+    def _frames(replies: list, compression):
+        """The frames of a run's replies from its first bulk one on, encoded
+        as asked for: a bulk reply's raw :class:`QueryResult` (``"_result"``)
+        streams as chunks under TCP backpressure instead of ballooning in
+        memory; the small replies between them leave together."""
+        small = []
+        for reply in replies:
+            result = reply.pop("_result", None)
+            if result is None:
+                small.append(_encoded(reply))
+                continue
+            if small:
+                yield b"".join(small)
+                small = []
+            try:
+                yield from encode_result_frames(result, compression=compression)
+            except ProtocolError as exc:  # a chunk overflowed the frame cap
+                small.append(_encoded(error_for_exception(exc)))
+        if small:
+            yield b"".join(small)
 
     def _poll_calls(self) -> None:
         """Resume every parked connection whose call finished or whose

@@ -21,8 +21,8 @@ pieces of connection-scoped state on the shared
   (the paper leaves updates as future work, §7).
 
 The session never touches sockets or threads: the server hands it
-decoded requests and writes back the reply dicts :meth:`handle` and
-:meth:`handle_many` return, so the request vocabulary is unit-testable
+decoded requests and writes back the reply dicts :meth:`handle`
+returns, so the request vocabulary is unit-testable
 with plain calls.  A request whose type is in :data:`ENGINE_REQUESTS`
 calls the engine, so the server answers it through the
 :class:`~repro.server.gateway.ExecutionGateway`.
@@ -41,8 +41,9 @@ from repro.server.protocol import (
     result_reply,
 )
 
-#: Request types whose answer calls into the engine.
-ENGINE_REQUESTS = frozenset({"query", "execute", "prepare", "commit", "stats", "metrics"})
+#: Request types whose answer calls into the engine (a tuple: a hostile
+#: unhashable ``"type"`` compares unequal instead of raising).
+ENGINE_REQUESTS = ("query", "execute", "prepare", "commit", "stats", "metrics")
 
 
 class ClientSession:
@@ -112,31 +113,15 @@ class ClientSession:
             return error_for_exception(exc)
 
     def batchable(self, message) -> bool:
-        """True when a pipelined run may fold this message into one
-        engine trip: plain statements, outside any transaction (a
-        transaction needs per-statement classification and buffering,
-        so it falls back to the one-at-a-time path)."""
-        return (
-            self.greeted
-            and self._txn is None
-            and isinstance(message, dict)
-            and message.get("type") in ("query", "execute")
-        )
+        """True when a pipelined run may fold this message into one engine
+        trip: a plain statement outside a transaction (which classifies
+        and buffers statement by statement)."""
+        kind = message.get("type")
+        return self.greeted and self._txn is None and kind in ("query", "execute")
 
     def engine_bound(self, message) -> bool:
         """True when answering ``message`` calls into the engine."""
-        return isinstance(message, dict) and message.get("type") in ENGINE_REQUESTS
-
-    def handle_many(self, messages: list) -> list[dict]:
-        """Answer a run of requests, in order, one reply each.
-
-        The server hands a pipelined run of batchable statements over
-        as one call, so the run costs one gateway trip (under a
-        statement timeout, one loop → worker-thread handoff) instead of
-        one per statement, which would dominate once the engine answers
-        in microseconds.
-        """
-        return [self.handle(message) for message in messages]
+        return message.get("type") in ENGINE_REQUESTS
 
     def _engine_call(self, message: dict) -> tuple:
         """Validate one ``query``/``execute`` message into the engine
@@ -167,14 +152,11 @@ class ClientSession:
 
     @staticmethod
     def _result_reply(result) -> dict:
-        """The reply for a completed statement.
-
-        A bulk result carries the raw :class:`QueryResult` under the
-        private ``"_result"`` key, which the server encodes into binary
-        column frames without building tuples.  Tiny results
-        (``SMALL_RESULT_ROWS`` and under) go out as JSON: the columnar
-        codec only pays for itself in bulk.
-        """
+        """The reply for a completed statement: a bulk result carries the
+        raw :class:`QueryResult` under the private ``"_result"`` key, for
+        the server to encode as binary column frames without building
+        tuples; ``SMALL_RESULT_ROWS`` and under go out as JSON, since the
+        columnar codec only pays for itself in bulk."""
         if result.row_count > SMALL_RESULT_ROWS:
             return {"type": "result", "_result": result}
         return result_reply(result)

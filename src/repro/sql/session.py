@@ -672,7 +672,8 @@ class Database:
 
         Raises :class:`~repro.errors.BATAlignmentError` for a relation whose
         column BATs differ in length (a torn insert), :class:`StorageError`
-        for a BAT flagged ascending whose tail is not, else
+        for a BAT flagged ascending whose tail is not or for tombstones
+        that are not ascending, distinct stored positions, else
         :class:`~repro.errors.CrackError` (or a subclass) on the first
         cracker piece/coverage violation; used by the concurrency stress
         tests to prove interleaved statements left every table and index
@@ -688,6 +689,7 @@ class Database:
                     raise BATAlignmentError(
                         f"table {relation.name!r} has columns of unequal length: {lengths}"
                     )
+                relation.check_invariants()
             if self._cracker is not None:
                 self._cracker.check_invariants()
 

@@ -171,8 +171,9 @@ class Relation:
         ``positions`` ascend, are distinct and name live rows, as the
         DML matcher gives them
         (:func:`~repro.sql.statements._match_positions`): one binary
-        search places them in the sorted tombstone set, one insert adds
-        them.  Storage is untouched — visibility changes only.
+        search finds their slots in the sorted tombstone set, and one copy
+        places them (``np.insert`` costs twice as much per call).
+        Storage is untouched — visibility changes only.
         """
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size == 0:
@@ -182,7 +183,18 @@ class Relation:
                 f"delete position out of range 0..{len(self) - 1}"
             )
         deleted = self._deleted
-        self._deleted = np.insert(deleted, deleted.searchsorted(positions), positions)
+        at = deleted.searchsorted(positions)
+        if at[0] == at[-1]:  # one gap takes them all (a key range, as a rule)
+            cut = at[0]
+            self._deleted = np.concatenate((deleted[:cut], positions, deleted[cut:]))
+            return int(positions.size)
+        at += np.arange(positions.size)
+        merged = np.empty(deleted.size + positions.size, dtype=np.int64)
+        old = np.ones(merged.size, dtype=bool)
+        old[at] = False
+        merged[at] = positions
+        merged[old] = deleted
+        self._deleted = merged
         return int(positions.size)
 
     def update_positions(self, positions: np.ndarray, assignments: dict) -> int:
@@ -215,6 +227,18 @@ class Relation:
     def set_deleted_positions(self, positions: np.ndarray) -> None:
         """Replace the tombstone set (recovery and transaction rollback)."""
         self._deleted = np.unique(np.asarray(positions, dtype=np.int64))
+
+    def check_invariants(self) -> None:
+        """Raise :class:`StorageError` unless the tombstones are distinct
+        positions of stored rows, ascending."""
+        deleted = self._deleted
+        if deleted.size and (
+            deleted[0] < 0 or deleted[-1] >= len(self) or (deleted[1:] <= deleted[:-1]).any()
+        ):
+            raise StorageError(
+                f"table {self.name!r} tombstones are not ascending, distinct "
+                f"positions in 0..{len(self) - 1}"
+            )
 
     def live_mask(self, start: int, stop: int | None = None) -> np.ndarray:
         """Boolean visibility mask over positions ``[start, stop)``; the

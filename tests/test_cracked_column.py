@@ -290,3 +290,31 @@ def test_property_updates_preserve_multiset(data, appends):
     result = column.range_select(None, None)
     assert sorted(result.values.tolist()) == sorted(expected)
     column.check_invariants()
+
+
+class TestAppendOids:
+    """``append`` refuses an oid the column already holds, stored or
+    queued, and one named twice in a call: either would leave two rows
+    under one oid."""
+
+    def test_an_oid_in_storage_is_refused(self):
+        column = make_column(range(10))  # stores oids 0..9
+        with pytest.raises(CrackError, match="already holds"):
+            column.append([5], oids=[3])
+        column.check_invariants()
+        assert column.range_select(None, None).count == 10
+
+    def test_a_queued_oid_is_refused(self):
+        column = make_column(range(10))
+        column.append([5], oids=[200])
+        with pytest.raises(CrackError, match="already holds"):
+            column.append([6], oids=[200])
+        column.check_invariants()
+        assert column.range_select(None, None).count == 11
+
+    def test_an_oid_twice_in_one_call_is_refused(self):
+        column = make_column(range(100))
+        with pytest.raises(CrackError, match="twice"):
+            column.append([5, 6], oids=[200, 200])
+        column.check_invariants()
+        assert column.range_select(None, None).count == 100

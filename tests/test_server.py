@@ -1040,3 +1040,14 @@ class TestOneLoop:
             env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
         )
         assert done.returncode == 0, "importing repro.client or repro.server pulled in asyncio"
+
+
+def test_an_unhashable_message_type_is_a_typed_error():
+    """A request whose ``"type"`` is not a string gets a ``protocol``
+    error and the connection lives (it used to fail to hash and drop the
+    connection)."""
+    with served() as (_, host, port, _thread):
+        with Client(host, port) as client:
+            reply = client._request({"type": [1]})
+            assert (reply["type"], reply["code"]) == ("error", "protocol")
+            assert client.stats()["session"]["statements"] == 0

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import BATAlignmentError, CatalogError, StorageError
+from repro.sql import Database
 from repro.storage.table import Column, Relation, Schema
 
 
@@ -114,3 +117,42 @@ class TestFragmentation:
         before = small_relation.nbytes
         small_relation.insert((0, 0))
         assert small_relation.nbytes > before
+
+
+class TestTombstones:
+    """``delete_positions`` places each batch into the sorted tombstone
+    set; ``check_invariants`` holds it to ascending, distinct, in range."""
+
+    @given(st.lists(st.lists(st.integers(0, 199), max_size=12), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_batches_land_sorted_and_distinct(self, batches):
+        relation = Relation.from_columns(
+            "r", Schema([Column("k", "int")]), {"k": np.arange(200)}
+        )
+        gone: set = set()
+        for batch in batches:
+            fresh = np.array(sorted(set(batch) - gone), dtype=np.int64)
+            assert relation.delete_positions(fresh) == fresh.size
+            gone.update(fresh.tolist())
+            assert relation.deleted_positions().tolist() == sorted(gone)
+            relation.check_invariants()
+        assert relation.live_count == 200 - len(gone)
+
+    @pytest.mark.parametrize("tombstones", [[3, 3], [4, 2], [-1], [5]])
+    def test_invariants_refuse_a_bad_tombstone_set(self, tombstones):
+        relation = Relation.from_columns(
+            "r", Schema([Column("k", "int")]), {"k": np.arange(5)}
+        )
+        relation._deleted = np.array(tombstones, dtype=np.int64)
+        with pytest.raises(StorageError, match="tombstones"):
+            relation.check_invariants()
+
+    def test_database_invariants_read_the_tombstones(self):
+        database = Database()
+        database.execute("CREATE TABLE r (k integer)")
+        database.execute("INSERT INTO r VALUES (1), (2), (3)")
+        database.execute("DELETE FROM r WHERE k = 2")
+        database.check_invariants()
+        database.catalog.table("r")._deleted = np.array([1, 1], dtype=np.int64)
+        with pytest.raises(StorageError, match="tombstones"):
+            database.check_invariants()

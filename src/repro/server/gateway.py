@@ -62,8 +62,6 @@ class ExecutionGateway:
 
     @property
     def pending(self) -> int:
-        if not self._calls:  # inline serving never has any
-            return self._running_inline
         return self._running_inline + sum(not call.done() for call in self._calls)
 
     def _admit(self) -> None:

@@ -183,12 +183,7 @@ class Relation:
                 f"delete position out of range 0..{len(self) - 1}"
             )
         deleted = self._deleted
-        at = deleted.searchsorted(positions)
-        if at[0] == at[-1]:  # one gap takes them all (a key range, as a rule)
-            cut = at[0]
-            self._deleted = np.concatenate((deleted[:cut], positions, deleted[cut:]))
-            return int(positions.size)
-        at += np.arange(positions.size)
+        at = deleted.searchsorted(positions) + np.arange(positions.size)
         merged = np.empty(deleted.size + positions.size, dtype=np.int64)
         old = np.ones(merged.size, dtype=bool)
         old[at] = False

@@ -233,20 +233,19 @@ def _render_stats(stats: dict) -> list[str]:
     lines: list[str] = []
     server = stats.get("server", {})
     gateway = stats.get("gateway", {})
+    stall = server.get("loop_stall_max_ms")
     lines.append(
         f"server: {server.get('connections', '?')} connection(s) "
         f"(accepted {server.get('accepted', '?')}, "
         f"refused {server.get('refused', '?')}, "
-        f"queue depth {server.get('queue_depth', '?')})"
+        f"queue depth {server.get('queue_depth', '?')}), "
+        f"loop stall max {'?' if stall is None else f'{stall:.1f}'} ms"
     )
-    worker = f"1 worker thread (timeout {gateway.get('statement_timeout')}s)"
+    timeout = gateway.get("statement_timeout")
     lines.append(
-        f"gateway: {'inline' if gateway.get('inline') else worker}, "
-        f"{gateway.get('executed', '?')} executed, "
-        f"{gateway.get('pending', '?')} pending "
-        f"(peak {gateway.get('peak_pending', '?')}), "
-        f"{gateway.get('rejected', '?')} rejected, "
-        f"{gateway.get('timeouts', '?')} timed out"
+        f"gateway: {gateway.get('executed', '?')} executed, "
+        f"{gateway.get('timeouts', '?')} timed out "
+        f"(statement timeout {'none' if timeout is None else f'{timeout}s'})"
     )
     for name, rows in sorted(stats.get("tables", {}).items()):
         lines.append(f"  table {name}: {rows} rows")
@@ -481,7 +480,7 @@ def _pool_size(text: str) -> int:
     if text != "1":
         raise argparse.ArgumentTypeError(
             f"{text!r}: the worker pool was removed, 1 is the only value "
-            "(use --statement-timeout to run statements off the server's loop)"
+            "(engine calls run inline on the server's loop)"
         )
     return 1
 
@@ -551,18 +550,12 @@ def run_serve(argv: list[str]) -> int:
         "--pool-size", type=_pool_size, default=1,
         help="accepted for compatibility; 1 is the only value (the worker "
         "pool was removed: engine calls run inline on the server's loop "
-        "thread, or on one worker thread under --statement-timeout)",
-    )
-    parser.add_argument(
-        "--max-pending", type=int, default=64,
-        help="global bound on admitted-but-unfinished statements, 0 = "
-        "unbounded (only bites under --statement-timeout; inline "
-        "statements never queue)",
+        "thread)",
     )
     parser.add_argument(
         "--statement-timeout", type=float, default=None,
-        help="seconds before a statement gets a typed timeout reply "
-        "(runs engine calls on one worker thread instead of inline)",
+        help="seconds a statement may run: past them the engine stops it "
+        "with no effect and the client gets a typed timeout reply",
     )
     parser.add_argument(
         "--init", default=None, metavar="SCRIPT",
@@ -594,7 +587,6 @@ def run_serve(argv: list[str]) -> int:
             args.host,
             args.port,
             max_connections=args.max_connections,
-            max_pending=args.max_pending,
             statement_timeout=args.statement_timeout,
         )
     except SettingError as exc:

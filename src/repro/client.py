@@ -34,11 +34,10 @@ prepare/execute of prepared SELECTs, stats) are retried.  A mutation
 mid-request raises :class:`~repro.errors.AmbiguousResultError` instead
 — the server may or may not have applied it before dying, and a blind
 retry would double-apply; the client reconnects first, so the caller
-can inspect server state and decide.  Relatedly, a ``timeout`` error
-reply means the *caller* gave up, not that the engine did — the server
-cannot kill a thread mid-crack, so the timed-out mutation (or COMMIT
-batch) may still complete and be WAL-logged in the background; blind
-resubmission after a timeout can equally double-apply.  An open
+can inspect server state and decide.  A ``timeout`` error reply, by
+contrast, means the engine stopped the statement (or COMMIT batch)
+before it had any effect: nothing reached the store or the WAL, so it
+can be resubmitted as it is.  An open
 transaction does not survive a reconnect: its server-side buffer died
 with the connection, so the client raises instead of silently
 committing half a transaction.
@@ -407,21 +406,13 @@ class Client:
     def commit(self) -> dict:
         """Atomically apply the transaction; returns the committed reply.
 
-        An ``overloaded`` error keeps the transaction open on *both*
-        sides — the server refused before running anything, so COMMIT
-        can be retried after backoff.  Every other failure ends it.
+        Any failure ends the transaction, on both sides: the server
+        rolled the batch back.
         """
         try:
-            reply = self._call({"type": "commit"}, "committed")
-        except RemoteError as exc:
-            if exc.code != "overloaded":
-                self.in_transaction = False
-            raise
-        except Exception:
+            return self._call({"type": "commit"}, "committed")
+        finally:
             self.in_transaction = False
-            raise
-        self.in_transaction = False
-        return reply
 
     def abort(self) -> dict:
         try:

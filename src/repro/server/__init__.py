@@ -5,8 +5,8 @@ The serving pipeline, bottom up:
 * :mod:`repro.server.protocol` — length-prefixed frames (JSON
   messages, binary columnar bulk results) and typed error replies;
 * :mod:`repro.server.gateway` — where the server's loop calls the
-  engine (one statement at a time): inline on the loop thread, or on
-  one worker thread when a statement timeout is set;
+  engine, inline and one statement at a time; it holds the statement
+  timeout, a deadline the engine checks at its own boundaries;
 * :mod:`repro.server.session` — per-connection prepared-statement
   handles and deferred BEGIN/COMMIT/ABORT transactions;
 * :mod:`repro.server.server` — the TCP server, one ``selectors`` loop

@@ -12,18 +12,20 @@ encoded only once the previous one has left.  Replies leave by
 non-blocking ``send``, and a connection with bytes or chunks still owed
 is not read again until they drain — TCP backpressure without a queue,
 nothing dropped or reordered.
-Engine calls go through the :class:`~repro.server.gateway.ExecutionGateway`:
-inline on the loop thread by default, or, under a ``statement_timeout``,
-on one worker thread while the loop parks the connection until the
-worker writes to the wake-up socket or the deadline (the select
-timeout) turns the call into a typed ``timeout`` reply.  Connections
-past ``max_connections`` get a typed ``overloaded`` error frame.
+Engine calls go through the :class:`~repro.server.gateway.ExecutionGateway`,
+inline on the loop thread.  Under a ``statement_timeout`` each statement
+runs to a deadline the engine checks at its own boundaries
+(:mod:`repro.governor`): past it, the statement stops with no effect and
+gets a typed ``timeout`` reply.  While one statement runs, every other
+connection waits; ``loop_stall_max_ms`` in :meth:`ReproServer.stats`
+reports the longest such wait.  Connections past ``max_connections``
+get a typed ``overloaded`` error frame.
 
 Graceful shutdown (:meth:`ReproServer.stop`, which SIGTERM calls in
 ``repro serve``) stops accepting, lets every connection answer what it
-has already received, sends ``goodbye``, waits for in-flight engine
-calls, then checkpoints the persistent store, so a restart recovers the
-served state with an empty WAL tail.  Chunk size, pipelined fold
+has already received, sends ``goodbye``, then checkpoints the
+persistent store, so a restart recovers the served state with an empty
+WAL tail.  Chunk size, pipelined fold
 (:data:`PIPELINE_BATCH`), sampling period and drain wait are module
 constants, not settings.
 """
@@ -39,12 +41,7 @@ import time
 import traceback
 from collections import deque
 
-from repro.errors import (
-    OverloadedError,
-    ProtocolError,
-    SettingError,
-    StatementTimeoutError,
-)
+from repro.errors import ProtocolError, SettingError
 from repro.obs import timeseries
 from repro.server.gateway import ExecutionGateway
 from repro.server.protocol import (
@@ -86,7 +83,6 @@ class _Connection:
         self.backlog: deque = deque()  # decoded requests, not yet taken up
         self.frames = None  # the rest of the current run's reply frames
         self.out = b""  # encoded, not yet sent
-        self.call = None  # (future, start time, run length) on the worker
         self.fatal: ProtocolError | None = None  # report, then hang up
         self.hangup = False  # close once everything owed is sent
         self.events = 0  # what the selector watches for
@@ -100,10 +96,8 @@ class ReproServer:
         host/port: bind address; port 0 picks a free port (see
             :attr:`address` after :meth:`start`).
         max_connections: admission bound on simultaneous connections.
-        max_pending: gateway admission bound across all connections
-            (only calls on the worker can pile up against it).
-        statement_timeout: seconds per statement (None = unbounded, and
-            engine calls run inline on the loop thread).
+        statement_timeout: seconds a statement may run before the engine
+            stops it, with no effect (None = unbounded).
 
     A value that would make the server refuse all work raises
     :class:`~repro.errors.SettingError`.  :meth:`start` binds, then
@@ -118,7 +112,6 @@ class ReproServer:
         port: int = 0,
         *,
         max_connections: int = 64,
-        max_pending: int = 64,
         statement_timeout: float | None = None,
     ) -> None:
         if not 0 <= port <= 65535:
@@ -129,9 +122,7 @@ class ReproServer:
         self.host = host
         self.port = port
         self.max_connections = max_connections
-        self.gateway = ExecutionGateway(
-            max_pending=max_pending, statement_timeout=statement_timeout
-        )
+        self.gateway = ExecutionGateway(statement_timeout=statement_timeout)
         self.timeseries = timeseries.TimeSeries()
         self._selector = self._listener = self._wake_r = self._wake_w = None
         self._sampler = threading.Thread(
@@ -146,6 +137,7 @@ class ReproServer:
         self._drained = 0
         self.accepted = 0
         self.refused = 0
+        self.loop_stall_max = 0.0  # seconds, the longest pass between selects
 
     def start(self) -> None:
         """Bind, and start the once-a-second sampler."""
@@ -217,9 +209,6 @@ class ReproServer:
         from any thread and from a signal handler: it only sets a flag
         and writes to the wake-up socket."""
         self._stop_requested = True
-        self._wake()
-
-    def _wake(self) -> None:
         try:
             self._wake_w.send(b"\0")
         except OSError:
@@ -232,17 +221,17 @@ class ReproServer:
         while not self._draining or (
             self._connections and time.monotonic() < self._drain_deadline
         ):
-            for key, mask in self._selector.select(self._select_timeout()):
+            events = self._selector.select(self._select_timeout())
+            began = time.perf_counter()
+            for key, mask in events:
                 key.data(mask)
-            if not self.gateway.inline:
-                self._poll_calls()
             if self._stop_requested and not self._draining:
                 self._begin_drain()
+            self.loop_stall_max = max(self.loop_stall_max, time.perf_counter() - began)
         for conn in list(self._connections.values()):
             self._close(conn)
         self._sampler_stop.set()
         self._sampler.join()
-        self.gateway.shutdown()
         self._selector.close()
         self._wake_r.close()
         self._wake_w.close()
@@ -258,12 +247,10 @@ class ReproServer:
         }
 
     def _select_timeout(self) -> float | None:
-        """Until the nearest statement or drain deadline; None = none."""
-        deadlines = [self._drain_deadline] if self._draining else []
-        if not self.gateway.inline:  # only worker calls have deadlines
-            limit = self.gateway.statement_timeout
-            deadlines += [c.call[1] + limit for c in self._connections.values() if c.call]
-        return max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+        """Until the drain deadline while draining; None = none."""
+        if not self._draining:
+            return None
+        return max(0.0, self._drain_deadline - time.monotonic())
 
     def _begin_drain(self) -> None:
         self._draining = True
@@ -279,7 +266,9 @@ class ReproServer:
 
         ``queue_depth`` counts requests decoded but not yet taken up, over
         all connections: the live backpressure gauge, bounded per
-        connection by what one socket read can hold.
+        connection by what one socket read can hold.  ``loop_stall_max_ms``
+        is the longest the loop spent away from ``select()``: how long one
+        statement (or one read's run) kept every other connection waiting.
         """
         return {
             "connections": len(self._connections),
@@ -290,6 +279,7 @@ class ReproServer:
             "queue_depth": sum(
                 len(conn.backlog) for conn in list(self._connections.values())
             ),
+            "loop_stall_max_ms": self.loop_stall_max * 1000.0,
         }
 
     def _accept(self) -> None:
@@ -366,9 +356,6 @@ class ReproServer:
                 if conn.out:
                     continue
                 conn.frames = None
-            if conn.call is not None:
-                self._watch(conn, 0)  # parked until the worker is done
-                return
             if conn.backlog and not conn.session.closing:
                 self._take_run(conn)
             elif conn.fatal is not None:
@@ -385,11 +372,11 @@ class ReproServer:
                 return
 
     def _take_run(self, conn: _Connection) -> None:
-        """Answer the next run of the backlog, or start it on the worker:
-        the plain statements at its head fold into one engine trip; any
-        other request (txn control, stats, hello) is a run of its own.
+        """Answer the next run of the backlog: the plain statements at its
+        head fold into one engine trip; any other request (txn control,
+        stats, hello) is a run of its own.
         """
-        backlog, session, gateway = conn.backlog, conn.session, self.gateway
+        backlog, session = conn.backlog, conn.session
         batch = [backlog.popleft()]
         if session.batchable(batch[0]):
             while backlog and len(batch) < PIPELINE_BATCH and session.batchable(backlog[0]):
@@ -397,17 +384,10 @@ class ReproServer:
         if not session.engine_bound(batch[0]):
             self._reply(conn, [session.handle(batch[0])])
             return
-        # One gateway trip (or loop -> worker handoff) answers the whole
-        # run: one per statement would dominate a microsecond engine.
-        answers = map(session.handle, batch)
-        try:
-            if gateway.inline:
-                self._reply(conn, gateway.run(list, answers))
-            else:
-                future = gateway.submit(list, answers, wake=self._wake)
-                conn.call = (future, time.monotonic(), len(batch))
-        except OverloadedError as exc:
-            self._reply(conn, [error_for_exception(exc)] * len(batch))
+        # One gateway trip answers the whole run: one per statement would
+        # dominate a microsecond engine.  Each statement keeps its own
+        # deadline (the session sets it).
+        self._reply(conn, self.gateway.run(list, map(session.handle, batch)))
 
     def _reply(self, conn: _Connection, replies: list) -> None:
         """Queue a run's replies on an idle connection: small ones straight
@@ -441,23 +421,6 @@ class ReproServer:
                 small.append(_encoded(error_for_exception(exc)))
         if small:
             yield b"".join(small)
-
-    def _poll_calls(self) -> None:
-        """Resume every parked connection whose call finished or whose
-        deadline passed (a timed-out call runs on; its reply is a typed
-        ``timeout``)."""
-        now = time.monotonic()
-        for conn in [conn for conn in self._connections.values() if conn.call]:
-            future, started, size = conn.call
-            try:
-                replies = self.gateway.collect(future, started, now)
-            except StatementTimeoutError as exc:
-                replies = [error_for_exception(exc)] * size
-            if replies is None:
-                continue
-            conn.call = None
-            self._reply(conn, replies)
-            self._step(conn, 0)
 
     def _watch(self, conn: _Connection, events: int) -> None:
         if events == conn.events:

@@ -25,12 +25,16 @@ decoded requests and writes back the reply dicts :meth:`handle`
 returns, so the request vocabulary is unit-testable
 with plain calls.  A request whose type is in :data:`ENGINE_REQUESTS`
 calls the engine, so the server answers it through the
-:class:`~repro.server.gateway.ExecutionGateway`.
+:class:`~repro.server.gateway.ExecutionGateway`.  Under the gateway's
+statement timeout, each query, execute and COMMIT runs to its own
+deadline (:func:`repro.governor.deadline`): past it the engine stops the
+statement with no effect, and the reply is a typed ``timeout``.
 """
 
 from __future__ import annotations
 
-from repro.errors import ProtocolError, TransactionError
+from repro import governor
+from repro.errors import ProtocolError, StatementTimeoutError, TransactionError
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     SMALL_RESULT_ROWS,
@@ -51,8 +55,8 @@ class ClientSession:
 
     Args:
         database: the shared engine.
-        gateway: the execution gateway whose counters STATS and METRICS
-            report.
+        gateway: the execution gateway: its statement timeout bounds
+            each statement, and STATS and METRICS report its counters.
         session_id: server-assigned id, echoed in HELLO and STATS.
         server_stats: zero-argument callable returning the server's
             counter dict, merged into STATS replies (None embeds only
@@ -143,6 +147,18 @@ class ClientSession:
         self.statements += 1
         return fn, argument
 
+    def _governed(self, call, argument):
+        """``call(argument)`` under the statement timeout, if one is set."""
+        timeout = self.gateway.statement_timeout
+        if timeout is None:
+            return call(argument)
+        try:
+            with governor.deadline(timeout):
+                return call(argument)
+        except StatementTimeoutError:
+            self.gateway.timeouts += 1
+            raise
+
     @staticmethod
     def _sql_of(message: dict) -> str:
         sql = message.get("sql")
@@ -207,7 +223,7 @@ class ClientSession:
                     f"statement kind {stmt.kind!r} is not allowed "
                     "inside a transaction"
                 )
-        return self._result_reply(execute(sql))
+        return self._result_reply(self._governed(execute, sql))
 
     def _on_prepare(self, message: dict) -> dict:
         sql = self._sql_of(message)
@@ -230,7 +246,7 @@ class ClientSession:
 
     def _on_execute(self, message: dict) -> dict:
         execute, params = self._engine_call(message)
-        return self._result_reply(execute(params))
+        return self._result_reply(self._governed(execute, params))
 
     def _on_deallocate(self, message: dict) -> dict:
         handle, _ = self._prepared_of(message)
@@ -255,11 +271,10 @@ class ClientSession:
         buffered, self._txn = self._txn, None
         if not buffered:
             return {"type": "committed", "statements": 0, "affected": []}
-        # A failed batch rolled back entirely (Database.execute_transaction
-        # is all-or-nothing), so the transaction is over either way.  An
-        # admission refusal never gets here: the gateway refuses before
-        # the session runs, so the buffer survives a retried COMMIT.
-        results = self.database.execute_transaction(buffered)
+        # A failed batch, a timed-out one included, rolled back entirely
+        # (Database.execute_transaction is all-or-nothing), so the
+        # transaction is over either way.
+        results = self._governed(self.database.execute_transaction, buffered)
         return {
             "type": "committed",
             "statements": len(results),
@@ -289,20 +304,12 @@ class ClientSession:
                 "prepared": len(self._prepared),
                 "in_transaction": self._txn is not None,
             },
-            "gateway": self._gateway_stats(),
+            "gateway": self.gateway.stats(),
             **self.database.stats(),
         }
         if self.server_stats is not None:
             payload["server"] = self.server_stats()
         return {"type": "stats", "payload": payload}
-
-    def _gateway_stats(self) -> dict:
-        """The gateway's counters as this request found them: the server
-        admitted the request before the session saw it, so it does not
-        count itself as pending."""
-        stats = self.gateway.stats()
-        stats["pending"] = max(0, stats["pending"] - 1)
-        return stats
 
     def _on_timeseries(self, message: dict) -> dict:
         """The server's metrics ring (the ``repro top`` feed).
@@ -330,7 +337,7 @@ class ClientSession:
         """
         extra = [
             (f"repro_gateway_{key}", None, value)
-            for key, value in self._gateway_stats().items()
+            for key, value in self.gateway.stats().items()
         ]
         if self.server_stats is not None:
             extra.extend(

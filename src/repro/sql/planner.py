@@ -17,6 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro import governor
 from repro.core.cracked_column import DEFAULT_CRACK_THRESHOLD, CrackedColumn
 from repro.obs import introspect as obs_introspect
 from repro.obs import trace as obs_trace
@@ -89,6 +90,7 @@ def _cracked_count_plan(
     relation = catalog.table(query.tables[0].name)
     if relation.column(predicate.attr).tail_type == "str":
         return None
+    governor.check()
     count = cracker.range_select(
         relation,
         predicate.attr,
@@ -392,6 +394,7 @@ def build_plan(
         selections_by_binding.setdefault(predicate.binding, []).append(predicate)
 
     for ref in query.tables:
+        governor.check()  # each crack leaves its column valid: stop here
         relation = catalog.table(ref.name)
         binding = ref.binding
         predicates = selections_by_binding.get(binding, [])

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import governor
 from repro.core.cracked_column import DEFAULT_CRACK_THRESHOLD
 from repro.errors import BATAlignmentError, PersistError, SQLAnalysisError
 from repro.obs import introspect as obs_introspect
@@ -322,8 +323,11 @@ class Database:
         append and any checkpoint capture it triggers are one step: WAL
         order is execution order, and a capture never holds an
         executed-but-unlogged statement (replay would double-apply it).
-        A transaction batch logs and checkpoints once, at its end.
+        A transaction batch logs and checkpoints once, at its end.  A
+        statement past its deadline (:mod:`repro.governor`) stops here or
+        at a later boundary, always before its first write.
         """
+        governor.check()
         if not stmt.mutates:
             return stmt.run(self)
         persist = self._persist

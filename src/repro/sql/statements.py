@@ -11,6 +11,7 @@ from numbers import Integral
 
 import numpy as np
 
+from repro import governor
 from repro.errors import SQLAnalysisError
 from repro.obs import trace as obs_trace
 from repro.sql.analyzer import AnalyzedDML, resolve_dml, resolve_query, stored_value
@@ -265,6 +266,7 @@ class SelectInto(SelectStmt):
 
     def _materialise(self, db, plan, query) -> QueryResult:
         relation = plan.run()
+        governor.check()  # the answer is built; the catalog is untouched
         if db.catalog.has_table(relation.name):
             db.catalog.drop_table(relation.name)
             if db._cracker is not None:
@@ -303,19 +305,18 @@ class CreateTableStmt(_Mutation):
 _PLAIN_TYPES = {"str": {str}, "int": {int}, "float": {int, float}}
 
 
-def _insert(db, relation: Relation, columns: list) -> QueryResult:
-    """Append ``columns`` (one value sequence per column, in schema
-    order) to ``relation`` and its crackers, all or nothing.
+def _stored_columns(schema: Schema, columns: list) -> list:
+    """``columns`` (one value sequence per column, in schema order) as
+    the BATs store them, checked before anything is written.
 
-    Every value is checked against the schema before the first append,
-    by UPDATE's rule (:func:`stored_value`): a value the column cannot
-    store raises :class:`SQLAnalysisError` with every BAT unchanged.  A
+    Every value is checked by UPDATE's rule (:func:`stored_value`): a
+    value the column cannot store raises :class:`SQLAnalysisError`.  A
     template hit is checked too (``'x'`` and ``5`` key alike), so the
     check lives here rather than in the parser.  The arrays the check
     builds are what the BATs and the crackers receive, column by column.
     """
     columns = list(columns)
-    for index, column in enumerate(relation.schema):
+    for index, column in enumerate(schema):
         values = columns[index]
         if not set(map(type, values)) <= _PLAIN_TYPES[column.col_type]:
             values = [  # 3.0 reaches the BATs and crackers as 3
@@ -330,6 +331,12 @@ def _insert(db, relation: Relation, columns: list) -> QueryResult:
                     f"column {column.name!r} is {column.col_type}: {exc}"
                 ) from None
         columns[index] = values
+    return columns
+
+
+def _insert(db, relation: Relation, columns: list) -> QueryResult:
+    """Append stored ``columns`` (see :func:`_stored_columns`) to
+    ``relation`` and its crackers."""
     first_oid = len(relation)
     inserted = relation.insert_many(columns)
     if db._cracker is not None:
@@ -368,7 +375,8 @@ class InsertValuesStmt(_Mutation):
                     f"table {relation.name!r} has {width} columns; "
                     f"a row has {count} values"
                 )
-        return _insert(db, relation, [self.values[i::width] for i in range(width)])
+        columns = [self.values[i::width] for i in range(width)]
+        return _insert(db, relation, _stored_columns(relation.schema, columns))
 
 
 @dataclass
@@ -382,6 +390,7 @@ class InsertSelectStmt(_Mutation):
 
     def run(self, db) -> QueryResult:
         result = self.select.run(db)
+        governor.check()  # the SELECT is done; nothing is written yet
         # Paper's benchmark form: INSERT INTO newR SELECT * FROM R ...
         # creates the target on the fly with the source schema.
         exists = db.catalog.has_table(self.table)
@@ -393,14 +402,15 @@ class InsertSelectStmt(_Mutation):
                 f"table {self.table!r} has {len(schema)} columns; the "
                 f"SELECT gives {len(result.columns)}"
             )
+        rows = result.rows
+        columns = _stored_columns(
+            schema, [[row[index] for row in rows] for index in range(len(schema))]
+        )
+        governor.check()  # the rows are converted; nothing is written yet
         if not exists:
             db.catalog.create_table(Relation(self.table, schema))
             db._plan_cache.invalidate_table(self.table)
-        rows = result.rows
-        return _insert(
-            db, db.catalog.table(self.table),
-            [[row[index] for row in rows] for index in range(len(schema))],
-        )
+        return _insert(db, db.catalog.table(self.table), columns)
 
 
 # ---------------------------------------------------------------------- #
@@ -488,6 +498,7 @@ class UpdateStmt(_Write):
         plan = self.analysis(db)
         relation = db.catalog.table(plan.table)
         positions = _match_positions(relation, plan)
+        governor.check()  # matched; nothing is written yet
         if positions.size:
             # Crackers find a changed row by its value, so read the old
             # ones before the rewrite.  Each column's new values are
@@ -519,6 +530,7 @@ class DeleteStmt(_Write):
         plan = self.analysis(db)
         relation = db.catalog.table(plan.table)
         positions = _match_positions(relation, plan)
+        governor.check()  # matched; nothing is written yet
         affected = relation.delete_positions(positions)
         if affected and db._cracker is not None:
             db._cracker.propagate_delete(plan.table, relation, positions)

@@ -21,6 +21,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro import governor
 from repro.errors import ExecutionError
 from repro.storage.table import Column, Relation, Schema
 from repro.volcano.operators import resolve_column
@@ -315,6 +316,7 @@ class VecHashJoin(VecOperator):
         if right_batch is None:
             return
         # Build once: sort the right keys a single time, probe per batch.
+        governor.check()
         right_keys = right_batch.arrays[self._right_idx]
         order = np.argsort(right_keys, kind="stable")
         sorted_right = right_keys[order]
@@ -322,6 +324,7 @@ class VecHashJoin(VecOperator):
             batch = batch.compact()
             if len(batch) == 0:
                 continue
+            governor.check()
             left_idx, right_idx = join_probe(
                 batch.arrays[self._left_idx], sorted_right, order
             )

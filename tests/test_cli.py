@@ -166,7 +166,6 @@ class TestServeSettings:
             ("--port", "-1"),
             ("--port", "65536"),
             ("--max-connections", "0"),
-            ("--max-pending", "-1"),
             ("--statement-timeout", "0"),
             ("--statement-timeout", "-2.5"),
         ],
@@ -182,7 +181,6 @@ class TestServeSettings:
         [
             ("port", -1),
             ("max_connections", 0),
-            ("max_pending", -1),
             ("statement_timeout", 0),
             ("statement_timeout", -1.0),
         ],
@@ -195,14 +193,23 @@ class TestServeSettings:
             ReproServer(Database(), **{setting: value})
         assert info.value.setting == setting
 
-    @pytest.mark.parametrize(
-        "setting, value", [("max_pending", -1), ("statement_timeout", 0)]
-    )
+    @pytest.mark.parametrize("setting, value", [("statement_timeout", 0)])
     def test_a_gateway_refuses_them_when_built(self, setting, value):
         from repro.server import ExecutionGateway
 
         with pytest.raises(errors.SettingError):
             ExecutionGateway(**{setting: value})
+
+    def test_max_pending_is_gone(self, capsys):
+        from repro.server import ReproServer
+        from repro.sql import Database
+
+        with pytest.raises(TypeError):
+            ReproServer(Database(), max_pending=1)
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--max-pending", "4"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --max-pending" in capsys.readouterr().err
 
     def test_pool_size_accepts_only_one(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,9 +1,10 @@
-"""One scenario table, the client against both execution modes.
+"""One scenario table, the client against a server with and without a
+statement timeout.
 
-Every scenario runs :class:`Client` against one shared
-:class:`ServerThread` per execution mode (engine calls inline on the
-loop thread, and on the gateway's worker) and is checked against
-embedded execution of the same statements.
+Every scenario runs :class:`Client` against two shared
+:class:`ServerThread` s (no statement timeout, and a 60 s one no
+statement reaches) and is checked against embedded execution of the
+same statements: a deadline that does not pass changes no answer.
 """
 
 import itertools
@@ -28,9 +29,8 @@ def server():
 
 
 @pytest.fixture(scope="module")
-def threaded_server():
-    """The same server with engine calls on the gateway's one worker
-    thread (a statement timeout puts them there)."""
+def deadline_server():
+    """The same server with each statement under a 60 s deadline."""
     with served(statement_timeout=60) as (_, host, port, _thread):
         yield host, port
 
@@ -210,8 +210,8 @@ sync_driver = pytest.mark.parametrize("driver", ["sync"])
 
 @sync_driver
 @every_scenario
-def test_scenario_threaded(threaded_server, scenario, driver):
-    test_scenario(threaded_server, scenario, driver)
+def test_scenario_threaded(deadline_server, scenario, driver):
+    test_scenario(deadline_server, scenario, driver)
 
 
 @sync_driver

@@ -58,9 +58,7 @@ PARAMETERS = {
     "ReproServer.host": (DEPLOYMENT, "bind address (--host)"),
     "ReproServer.port": (DEPLOYMENT, "bind port (--port)"),
     "ReproServer.max_connections": (DEPLOYMENT, "resource bound (--max-connections)"),
-    "ReproServer.max_pending": (DEPLOYMENT, "resource bound (--max-pending)"),
     "ReproServer.statement_timeout": (DEPLOYMENT, "timeout (--statement-timeout)"),
-    "ExecutionGateway.max_pending": (SHIPPED, "ReproServer passes its bound"),
     "ExecutionGateway.statement_timeout": (SHIPPED, "ReproServer passes its timeout"),
     "ClientSession.server_stats": (SHIPPED, "ReproServer passes its counters"),
     "ClientSession.timeseries": (SHIPPED, "ReproServer passes its metrics ring"),
@@ -95,7 +93,6 @@ SERVE_FLAGS = {
     "--checkpoint-wal-bytes": (DEPLOYMENT, "checkpoint policy"),
     "--max-connections": (DEPLOYMENT, "resource bound"),
     "--pool-size": (SHIPPED, "the ledger's server passes --pool-size 1, the only value"),
-    "--max-pending": (DEPLOYMENT, "resource bound"),
     "--statement-timeout": (DEPLOYMENT, "timeout"),
     "--init": (DEPLOYMENT, "SQL to run before accepting clients"),
     "--profile": (FEATURE, "per-column workload profiler"),

@@ -4,15 +4,17 @@ The headline is the differential acceptance test: the full cross-engine
 oracle workload — including prepared statements and an aborted
 transaction — executed embedded and over the wire must produce
 *byte-equal* JSON result payloads.  Around it: multi-client concurrency,
-admission control (connection limit, overload, statement timeout),
-protocol robustness, backpressure, reconnect, and graceful
-checkpointing shutdown.
+admission control (connection limit, statement timeout), protocol
+robustness, backpressure, reconnect, and graceful checkpointing
+shutdown.
 
-The server runs engine calls inline on its loop thread unless a
-statement timeout is set, which moves them onto the gateway's one
-worker thread.  Tests run against the default; the ``...Threaded``
-subclasses re-run the differential, concurrency and transaction classes
-with ``statement_timeout=60`` through the :func:`threaded` fixture.
+The server runs every engine call inline on its loop thread; a
+statement timeout is a per-statement deadline the engine checks.  Tests
+run without one; the ``...Threaded`` subclasses (named before the
+deadline replaced the worker thread) re-run the differential,
+concurrency and transaction classes with ``statement_timeout=60``
+through the :func:`generous_deadline` fixture, to show that a deadline
+no statement reaches changes no answer.
 """
 
 import gc
@@ -34,14 +36,11 @@ from oracle import assert_sorted_rows_equal, load_standard, random_range_queries
 from repro.client import Client, _statement_mutates
 from repro.errors import (
     AmbiguousResultError,
-    OverloadedError,
     RemoteError,
     ServerUnavailableError,
-    StatementTimeoutError,
     TransactionError,
 )
 from repro.server import ClientSession, FrameDecoder, ServerThread, encode_frame
-from repro.server.gateway import ExecutionGateway
 from repro.server.protocol import PROTOCOL_VERSION
 from repro.server import server as server_module
 from repro.server.server import _READ_BYTES
@@ -54,9 +53,9 @@ SERVED_DEFAULTS: dict = {}
 
 
 @pytest.fixture
-def threaded(monkeypatch):
-    """Every ``served()`` of the test runs engine calls on the gateway's
-    worker thread."""
+def generous_deadline(monkeypatch):
+    """Every ``served()`` of the test bounds each statement by a deadline
+    none of them reaches."""
     monkeypatch.setitem(SERVED_DEFAULTS, "statement_timeout", 60)
 
 
@@ -270,29 +269,6 @@ class TestAdmissionControl:
                     client.execute("CREATE TABLE r (k integer)")
                 assert info.value.code == "timeout"
 
-    def test_gateway_overload_and_timeout(self):
-        gateway = ExecutionGateway(max_pending=1, statement_timeout=0.5)
-        release, woken = threading.Event(), threading.Event()
-        first = gateway.submit(release.wait, 5, wake=woken.set)
-        with pytest.raises(OverloadedError):  # the only slot is taken
-            gateway.submit(lambda: None, wake=woken.set)
-        release.set()
-        assert woken.wait(5)
-        assert gateway.collect(first, time.monotonic(), time.monotonic()) is True
-        started = time.monotonic()
-        slow = gateway.submit(time.sleep, 1.5, wake=lambda: None)
-        assert gateway.collect(slow, started, started + 0.4) is None  # running
-        with pytest.raises(StatementTimeoutError):
-            gateway.collect(slow, started, started + 0.5)
-        with pytest.raises(OverloadedError):  # the given-up call holds it
-            gateway.submit(lambda: None, wake=lambda: None)
-        stats = gateway.stats()
-        assert stats["rejected"] == 2
-        assert stats["timeouts"] == 1
-        assert stats["executed"] == 1
-        assert stats["pending"] == 1 and not slow.done()
-        gateway.shutdown(wait=False)
-
     def test_refused_handshake_closes_the_socket(self):
         with served(max_connections=1) as (_, host, port, _thread):
             with Client(host, port):
@@ -404,26 +380,6 @@ class TestTransactions:
                     client.begin()
                 assert client.commit()["statements"] == 0
 
-    def test_commit_rejected_by_admission_keeps_the_buffer(self):
-        # Overload happens *before* anything executed, so the typed
-        # "retry later" must actually be retryable: the transaction
-        # buffer survives and the next COMMIT applies it.
-        db = Database(cracking=True)
-        db.execute("CREATE TABLE r (k integer)")
-        gateway = ExecutionGateway(max_pending=1)
-        session = ClientSession(db, gateway, 1)
-        session.handle({"type": "hello", "protocol": PROTOCOL_VERSION})
-        session.handle({"type": "begin"})
-        queued = session.handle({"type": "query", "sql": "INSERT INTO r VALUES (1)"})
-        assert queued["type"] == "queued"
-        commit = {"type": "commit"}
-        with pytest.raises(OverloadedError):  # the outer call holds the slot
-            gateway.run(gateway.run, session.handle, commit)
-        retried = gateway.run(session.handle, commit)
-        assert retried["type"] == "committed"
-        assert retried["statements"] == 1
-        assert db.execute("SELECT count(*) FROM r").scalar() == 1
-
     def test_failed_commit_rolls_back_everything(self):
         with served() as (database, host, port, _thread):
             with Client(host, port) as client:
@@ -487,45 +443,6 @@ class TestReconnect:
         finally:
             client.close()
             thread2.stop()
-
-    def test_commit_overloaded_keeps_client_txn_state(self):
-        # The server keeps the buffer on admission rejection; the client
-        # must mirror that, so COMMIT is retryable and begin() still
-        # refuses nesting.  The overload is real: a timed-out SELECT
-        # runs on and holds the only admission slot.
-        database = Database(cracking=True)
-        real_execute = database.execute
-
-        def execute(sql):
-            if "k > 0" in sql:
-                time.sleep(0.5)
-            return real_execute(sql)
-
-        database.execute = execute
-        with served(database, statement_timeout=0.1, max_pending=1) as (
-            _, host, port, thread,
-        ):
-            with Client(host, port) as client:
-                client.execute("CREATE TABLE r (k integer)")
-                client.begin()
-                client.execute("INSERT INTO r VALUES (1)")
-                with pytest.raises(RemoteError) as info:
-                    client.execute("SELECT count(*) FROM r WHERE k > 0")
-                assert info.value.code == "timeout"
-                with pytest.raises(RemoteError) as info:
-                    client.commit()
-                assert info.value.code == "overloaded"
-                assert client.in_transaction
-                with pytest.raises(RemoteError):  # still in the txn
-                    client.begin()
-                deadline = time.monotonic() + 10
-                while thread.server.gateway.stats()["pending"]:
-                    assert time.monotonic() < deadline, "the slot never freed"
-                    time.sleep(0.05)
-                reply = client.commit()
-                assert reply["statements"] == 1
-                assert client.execute("SELECT count(*) FROM r").scalar() == 1
-                assert not client.in_transaction
 
     def test_transaction_does_not_survive_reconnect(self):
         database = Database(cracking=True)
@@ -726,23 +643,24 @@ class TestObservabilitySurface:
 
 
 # ---------------------------------------------------------------------- #
-# Both execution modes
+# Under a deadline no statement reaches
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.usefixtures("threaded")
+@pytest.mark.usefixtures("generous_deadline")
 class TestDifferentialOracleThreaded(TestDifferentialOracle):
-    """The same byte-equality, engine calls on the worker thread."""
+    """The same byte-equality, each statement under a 60 s deadline."""
 
 
-@pytest.mark.usefixtures("threaded")
+@pytest.mark.usefixtures("generous_deadline")
 class TestConcurrentClientsThreaded(TestConcurrentClients):
-    """Four clients, one worker thread: statements take turns on it."""
+    """Four clients, each statement under a 60 s deadline."""
 
 
-@pytest.mark.usefixtures("threaded")
+@pytest.mark.usefixtures("generous_deadline")
 class TestTransactionsThreaded(TestTransactions):
-    """Deferred transactions, engine calls on the worker thread."""
+    """Deferred transactions, each statement and COMMIT under a 60 s
+    deadline."""
 
 
 def slow_database(seconds: float) -> Database:
@@ -772,51 +690,57 @@ def read_to_eof(sock, decoder) -> list[dict]:
 
 
 class TestExecutionModes:
+    """One execution path: every engine call inline on the loop thread;
+    a statement timeout is a deadline the engine checks."""
+
     def test_mode_is_derived_and_reported(self, capsys):
         from repro.__main__ import main as cli_main
 
-        for kwargs, inline, shown in (
-            ({}, True, "gateway: inline,"),
-            ({"statement_timeout": 5.0}, False,
-             "gateway: 1 worker thread (timeout 5.0s),"),
+        for kwargs, timeout, shown in (
+            ({}, None, "(statement timeout none)"),
+            ({"statement_timeout": 5.0}, 5.0, "(statement timeout 5.0s)"),
         ):
             with served(**kwargs) as (_, host, port, _thread):
                 with Client(host, port) as client:
-                    assert client.stats()["gateway"]["inline"] is inline, kwargs
+                    stats = client.stats()
+                assert stats["gateway"]["statement_timeout"] == timeout, kwargs
+                assert stats["server"]["loop_stall_max_ms"] > 0
                 assert cli_main(["stats", f"{host}:{port}"]) == 0
-                assert shown in capsys.readouterr().out
+                out = capsys.readouterr().out
+                assert shown in out
+                assert "ms\n" in out.split("loop stall max ", 1)[1], out
 
     def test_inline_keeps_the_books_and_never_rejects(self):
-        # max_pending=1 would refuse a second admitted statement; inline
-        # calls finish before the next is admitted, so none ever is.
-        with served(max_pending=1) as (_, host, port, thread):
+        with served() as (_, host, port, _thread):
             with Client(host, port) as client:
                 client.execute("CREATE TABLE r (k integer)")
                 client.execute("INSERT INTO r VALUES (1), (2), (3)")
                 counts = client.execute_many(["SELECT count(*) FROM r"] * 40)
                 assert [result.scalar() for result in counts] == [3] * 40
                 gateway = client.stats()["gateway"]
-            assert gateway["inline"] is True
             assert gateway["executed"] >= 3  # 2 statements + >=1 folded run
             assert gateway["peak_pending"] == 1
-            assert gateway["pending"] == 0
-            assert gateway["rejected"] == 0
-            assert thread.server.gateway._worker is None  # no thread was made
+            assert gateway["rejected"] == gateway["timeouts"] == 0
 
-    def test_statement_timeout_with_one_worker_takes_the_thread_pool(self):
-        # A timeout needs a second thread: the caller must be able to
-        # give up on a call that is still running.
-        database = slow_database(0.3)
-        with served(database, statement_timeout=0.05) as (
-            _, host, port, thread,
-        ):
+    def test_timed_out_insert_select_has_no_effect(self):
+        # A 3-way self-join feeding an INSERT runs ~2 s; its deadline
+        # stops it before it writes, and a retry would not double it.
+        database = Database()
+        load_standard(database, seed=11, n_rows=2000)
+        with served(database, statement_timeout=0.05) as (_, host, port, thread):
             with Client(host, port) as client:
                 with pytest.raises(RemoteError) as info:
-                    client.execute("CREATE TABLE r (k integer)")
+                    client.execute(
+                        "INSERT INTO s SELECT x1.k, x1.g FROM s x0, s x1, s x2 "
+                        "WHERE x1.g = x0.g AND x2.g = x0.g AND x0.k < 400"
+                    )
                 assert info.value.code == "timeout"
-            gateway = thread.server.gateway.stats()
-            assert gateway["inline"] is False
-            assert gateway["timeouts"] == 1
+                assert client.execute("SELECT count(*) FROM s").scalar() == 1000
+                stats = client.stats()
+            assert stats["gateway"]["timeouts"] == 1
+            # The statement held the loop until its deadline, at least.
+            assert stats["server"]["loop_stall_max_ms"] >= 50
+            database.check_invariants()
 
     @pytest.mark.parametrize("timeout", [None, 60], ids=["inline", "timeout"])
     def test_stop_answers_what_was_received_then_says_goodbye(
@@ -989,9 +913,9 @@ class TestOneLoop:
     @pytest.mark.parametrize("timeout", [None, 60], ids=["inline", "timeout"])
     def test_many_clients_on_a_short_switch_interval(self, timeout):
         """More client threads than cores, thread switches every
-        microsecond: every answer right and in order, no wake-up lost
-        (a lost one hangs a client past the join), and the gateway's
-        books balance."""
+        microsecond: every answer right and in order, none lost (a lost
+        one hangs a client past the join), and the gateway's books
+        balance."""
         database = Database(cracking=True)
         database.execute("CREATE TABLE r (k integer, a integer)")
         values = ", ".join(f"({i}, {(i * 37) % 1000})" for i in range(2000))
@@ -1026,9 +950,8 @@ class TestOneLoop:
         finally:
             sys.setswitchinterval(old)
         assert not failures, failures
-        assert gateway["pending"] == 0
         assert gateway["rejected"] == gateway["timeouts"] == 0
-        assert 1 <= gateway["peak_pending"] <= 6
+        assert gateway["peak_pending"] == 1  # no call ever waited behind another
 
     def test_importing_client_and_server_leaves_asyncio_out(self):
         code = (

@@ -210,7 +210,7 @@ def _drive_served(work: Path) -> None:
     _repro("restore", str(store), "-e", "SELECT count(*) FROM r")
     with suppress(subprocess.CalledProcessError):  # refused before it listens
         _repro("serve", "--max-connections", "0")
-    # The gateway's worker thread, an --init script, and a refused connection.
+    # A statement timeout, an --init script, and a refused connection.
     init = work / "init.sql"
     init.write_text(";\n".join(TABLES))
     # --pool-size 1 as the ledger's served child passes it; that child is

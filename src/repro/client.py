@@ -23,7 +23,8 @@ which pays only on a link slower than ~50 MB/s (zlib-1 runs at ~105
 MB/s; on loopback it doubled a bulk reply's round trip).
 ``execute_many`` pipelines a batch of statements: a window of requests
 goes out before any reply is read, amortising network round-trips and
-letting the server fold the run into one engine trip.
+letting the server answer the run in one pass and send its replies
+together.
 
 It reconnects: a dropped connection is re-established (with retries
 and backoff), the HELLO handshake is replayed and every live prepared
@@ -368,7 +369,7 @@ class Client:
 
         Requests go out ``window`` at a time before any reply is read,
         so N statements cost ~N/window network round-trips instead of
-        N, and the server may fold each run into a single engine trip.
+        N, and the server answers each run in one pass.
         Every reply of a window is always drained (the stream stays in
         sync even when a statement fails); with ``raise_on_error`` the
         first failure then raises :class:`RemoteError`, otherwise the

@@ -274,7 +274,7 @@ class MetricsRegistry:
 
         ``extra`` optionally adds ``(name, labels, value)`` gauge
         samples from outside the registry (the server merges its own
-        connection/gateway counters this way).
+        connection and statement counters this way).
         """
         with self._lock:
             metrics = list(self._metrics.values())
@@ -358,7 +358,7 @@ def render_exposition(samples, descriptions: dict | None = None) -> list[str]:
     """Render ``(name, labels, value)`` samples as gauge lines.
 
     Standalone so server-side state that lives outside any registry
-    (gateway counters, per-connection queue depths) renders through
+    (statement counters, per-connection queue depths) renders through
     the exact same formatting as registry metrics.  ``descriptions``
     optionally maps names to ``# HELP`` texts.
     """

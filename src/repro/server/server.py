@@ -5,27 +5,26 @@ One :class:`ReproServer` serves one shared
 ``selectors`` loop over the listening socket, the connections and a
 wake-up socketpair.  A readable connection is read **once** (at most
 64 KiB); its requests (JSON only — a binary frame is refused undecoded)
-are answered in order, consecutive plain statements folded into one
-engine trip.  A run's small replies are encoded straight into the
-connection's outgoing bytes; a bulk result streams, its next chunk
-encoded only once the previous one has left.  Replies leave by
-non-blocking ``send``, and a connection with bytes or chunks still owed
-is not read again until they drain — TCP backpressure without a queue,
-nothing dropped or reordered.
-Engine calls go through the :class:`~repro.server.gateway.ExecutionGateway`,
-inline on the loop thread.  Under a ``statement_timeout`` each statement
-runs to a deadline the engine checks at its own boundaries
-(:mod:`repro.governor`): past it, the statement stops with no effect and
-gets a typed ``timeout`` reply.  While one statement runs, every other
-connection waits; ``loop_stall_max_ms`` in :meth:`ReproServer.stats`
-reports the longest such wait.  Connections past ``max_connections``
-get a typed ``overloaded`` error frame.
+are answered in order, up to :data:`PIPELINE_BATCH` of them per run,
+each session calling the engine itself, inline on the loop thread.  A
+run's small replies are encoded straight into the connection's outgoing
+bytes; a bulk result streams, its next chunk encoded only once the
+previous one has left.  Replies leave by non-blocking ``send``, and a
+connection with bytes or chunks still owed is not read again until they
+drain — TCP backpressure without a queue, nothing dropped or reordered.
+Under a ``statement_timeout`` each statement runs to a deadline the
+engine checks at its own boundaries (:mod:`repro.governor`): past it,
+the statement stops with no effect and gets a typed ``timeout`` reply.
+While one statement runs, every other connection waits;
+``loop_stall_max_ms`` in :meth:`ReproServer.stats` reports the longest
+such wait.  Connections past ``max_connections`` get a typed
+``overloaded`` error frame.
 
 Graceful shutdown (:meth:`ReproServer.stop`, which SIGTERM calls in
 ``repro serve``) stops accepting, lets every connection answer what it
 has already received, sends ``goodbye``, then checkpoints the
 persistent store, so a restart recovers the served state with an empty
-WAL tail.  Chunk size, pipelined fold
+WAL tail.  Chunk size, pipelined run length
 (:data:`PIPELINE_BATCH`), sampling period and drain wait are module
 constants, not settings.
 """
@@ -43,7 +42,6 @@ from collections import deque
 
 from repro.errors import ProtocolError, SettingError
 from repro.obs import timeseries
-from repro.server.gateway import ExecutionGateway
 from repro.server.protocol import (
     FrameDecoder,
     encode_frame,
@@ -55,7 +53,7 @@ from repro.server.session import ClientSession
 
 _READ_BYTES = 1 << 16  # one socket read; bounds a decoded run
 
-#: Most pipelined statements folded into one engine trip per connection.
+#: Most pipelined requests answered in one run per connection.
 PIPELINE_BATCH = 128
 
 #: Seconds a graceful shutdown lets connections finish their runs.
@@ -118,11 +116,17 @@ class ReproServer:
             raise SettingError("port", "in 0..65535", port)
         if max_connections < 1:
             raise SettingError("max_connections", ">= 1", max_connections)
+        if statement_timeout is not None and not statement_timeout > 0:
+            raise SettingError(
+                "statement_timeout", "> 0 seconds or None", statement_timeout
+            )
         self.database = database
         self.host = host
         self.port = port
         self.max_connections = max_connections
-        self.gateway = ExecutionGateway(statement_timeout=statement_timeout)
+        self.statement_timeout = statement_timeout
+        self.executed = 0  # statements run, counted by the sessions
+        self.timeouts = 0  # of them, stopped at their deadline
         self.timeseries = timeseries.TimeSeries()
         self._selector = self._listener = self._wake_r = self._wake_w = None
         self._sampler = threading.Thread(
@@ -282,6 +286,20 @@ class ReproServer:
             "loop_stall_max_ms": self.loop_stall_max * 1000.0,
         }
 
+    def gateway_stats(self) -> dict:
+        """STATS' ``gateway`` section: the statement timeout and the
+        statement counters.  ``peak_pending`` and ``rejected`` keep the
+        keys monitors read: with every statement inline, nothing waits
+        behind another and nothing is refused, so they read 1 (once a
+        statement ran) and 0."""
+        return {
+            "statement_timeout": self.statement_timeout,
+            "peak_pending": min(self.executed, 1),
+            "executed": self.executed,
+            "timeouts": self.timeouts,
+            "rejected": 0,
+        }
+
     def _accept(self) -> None:
         while True:
             try:
@@ -300,14 +318,7 @@ class ReproServer:
             self.accepted += 1
             session_id = self._next_session
             self._next_session += 1
-            session = ClientSession(
-                self.database,
-                self.gateway,
-                session_id,
-                server_stats=self.stats,
-                timeseries=self.timeseries.snapshot,
-            )
-            conn = _Connection(sock, session)
+            conn = _Connection(sock, ClientSession(self, session_id))
             conn.ready = functools.partial(self._step, conn)
             self._connections[session_id] = conn
             self._watch(conn, _READ)
@@ -372,22 +383,14 @@ class ReproServer:
                 return
 
     def _take_run(self, conn: _Connection) -> None:
-        """Answer the next run of the backlog: the plain statements at its
-        head fold into one engine trip; any other request (txn control,
-        stats, hello) is a run of its own.
-        """
+        """Answer the next run of the backlog: up to :data:`PIPELINE_BATCH`
+        requests in order, stopping after one that closes the session;
+        their replies leave together."""
         backlog, session = conn.backlog, conn.session
-        batch = [backlog.popleft()]
-        if session.batchable(batch[0]):
-            while backlog and len(batch) < PIPELINE_BATCH and session.batchable(backlog[0]):
-                batch.append(backlog.popleft())
-        if not session.engine_bound(batch[0]):
-            self._reply(conn, [session.handle(batch[0])])
-            return
-        # One gateway trip answers the whole run: one per statement would
-        # dominate a microsecond engine.  Each statement keeps its own
-        # deadline (the session sets it).
-        self._reply(conn, self.gateway.run(list, map(session.handle, batch)))
+        replies = []
+        while backlog and len(replies) < PIPELINE_BATCH and not session.closing:
+            replies.append(session.handle(backlog.popleft()))
+        self._reply(conn, replies)
 
     def _reply(self, conn: _Connection, replies: list) -> None:
         """Queue a run's replies on an idle connection: small ones straight

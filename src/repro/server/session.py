@@ -23,12 +23,10 @@ pieces of connection-scoped state on the shared
 The session never touches sockets or threads: the server hands it
 decoded requests and writes back the reply dicts :meth:`handle`
 returns, so the request vocabulary is unit-testable
-with plain calls.  A request whose type is in :data:`ENGINE_REQUESTS`
-calls the engine, so the server answers it through the
-:class:`~repro.server.gateway.ExecutionGateway`.  Under the gateway's
-statement timeout, each query, execute and COMMIT runs to its own
-deadline (:func:`repro.governor.deadline`): past it the engine stops the
-statement with no effect, and the reply is a typed ``timeout``.
+with plain calls.  The session calls the engine itself.  Under the
+server's statement timeout, each query, execute and COMMIT runs to its
+own deadline (:func:`repro.governor.deadline`): past it the engine stops
+the statement with no effect, and the reply is a typed ``timeout``.
 """
 
 from __future__ import annotations
@@ -45,40 +43,22 @@ from repro.server.protocol import (
     result_reply,
 )
 
-#: Request types whose answer calls into the engine (a tuple: a hostile
-#: unhashable ``"type"`` compares unequal instead of raising).
-ENGINE_REQUESTS = ("query", "execute", "prepare", "commit", "stats", "metrics")
-
 
 class ClientSession:
     """Protocol state machine for one connection.
 
     Args:
-        database: the shared engine.
-        gateway: the execution gateway: its statement timeout bounds
-            each statement, and STATS and METRICS report its counters.
+        server: the :class:`~repro.server.server.ReproServer` serving the
+            connection: its database answers the statements, its
+            statement timeout bounds each one, and STATS, METRICS and
+            TIMESERIES report its counters and metrics ring.
         session_id: server-assigned id, echoed in HELLO and STATS.
-        server_stats: zero-argument callable returning the server's
-            counter dict, merged into STATS replies (None embeds only
-            engine/gateway/session counters).
-        timeseries: callable returning the server's metrics-ring
-            snapshot (accepts ``last=``); None answers TIMESERIES
-            requests with an empty ring (embedded/test sessions).
     """
 
-    def __init__(
-        self,
-        database,
-        gateway,
-        session_id: int,
-        server_stats=None,
-        timeseries=None,
-    ) -> None:
-        self.database = database
-        self.gateway = gateway
+    def __init__(self, server, session_id: int) -> None:
+        self.server = server
+        self.database = server.database
         self.session_id = session_id
-        self.server_stats = server_stats
-        self.timeseries = timeseries
         self.client_name = "?"
         self.greeted = False
         self.closing = False
@@ -116,17 +96,6 @@ class ClientSession:
         except Exception as exc:  # typed, or a bug: reply, don't disconnect
             return error_for_exception(exc)
 
-    def batchable(self, message) -> bool:
-        """True when a pipelined run may fold this message into one engine
-        trip: a plain statement outside a transaction (which classifies
-        and buffers statement by statement)."""
-        kind = message.get("type")
-        return self.greeted and self._txn is None and kind in ("query", "execute")
-
-    def engine_bound(self, message) -> bool:
-        """True when answering ``message`` calls into the engine."""
-        return message.get("type") in ENGINE_REQUESTS
-
     def _engine_call(self, message: dict) -> tuple:
         """Validate one ``query``/``execute`` message into the engine
         call ``(fn, argument)`` that answers it, and count it."""
@@ -148,15 +117,17 @@ class ClientSession:
         return fn, argument
 
     def _governed(self, call, argument):
-        """``call(argument)`` under the statement timeout, if one is set."""
-        timeout = self.gateway.statement_timeout
-        if timeout is None:
+        """``call(argument)`` under the statement timeout, if one is set,
+        counted as one statement run."""
+        server = self.server
+        server.executed += 1
+        if server.statement_timeout is None:
             return call(argument)
         try:
-            with governor.deadline(timeout):
+            with governor.deadline(server.statement_timeout):
                 return call(argument)
         except StatementTimeoutError:
-            self.gateway.timeouts += 1
+            server.timeouts += 1
             raise
 
     @staticmethod
@@ -293,7 +264,7 @@ class ClientSession:
 
     def _on_stats(self, message: dict) -> dict:
         """The full introspection payload: :meth:`Database.stats`, with
-        the session, gateway and server counters merged on top."""
+        the session and server counters merged on top."""
         payload = {
             "session": {
                 "id": self.session_id,
@@ -304,46 +275,39 @@ class ClientSession:
                 "prepared": len(self._prepared),
                 "in_transaction": self._txn is not None,
             },
-            "gateway": self.gateway.stats(),
+            "gateway": self.server.gateway_stats(),
             **self.database.stats(),
+            "server": self.server.stats(),
         }
-        if self.server_stats is not None:
-            payload["server"] = self.server_stats()
         return {"type": "stats", "payload": payload}
 
     def _on_timeseries(self, message: dict) -> dict:
         """The server's metrics ring (the ``repro top`` feed).
 
         ``last`` optionally trims the reply to the most recent that many
-        samples.  Sessions without a ring (embedded/unit-test use)
-        answer with an empty one rather than an error, so monitors can
-        probe any endpoint.
+        samples.
         """
         last = message.get("last")
         if last is not None and (isinstance(last, bool) or not isinstance(last, int)):
             raise ProtocolError("'last' must be an integer when present")
-        if self.timeseries is None:
-            payload = {"interval": 0.0, "capacity": 0, "taken": 0, "samples": []}
-        else:
-            payload = self.timeseries(last=last)
+        payload = self.server.timeseries.snapshot(last=last)
         return {"type": "timeseries", "payload": payload}
 
     def _on_metrics(self, message: dict) -> dict:
         """Prometheus-style text exposition of every metric layer.
 
-        The engine registry renders itself; gateway, server and
-        session-local counters join as extra gauge samples so one
-        scrape shows the whole process.
+        The engine registry renders itself; the server's and the
+        session's counters join as extra gauge samples so one scrape
+        shows the whole process.
         """
         extra = [
-            (f"repro_gateway_{key}", None, value)
-            for key, value in self.gateway.stats().items()
-        ]
-        if self.server_stats is not None:
-            extra.extend(
-                (f"repro_server_{key}", None, value)
-                for key, value in self.server_stats().items()
+            (f"repro_{section}_{key}", None, value)
+            for section, stats in (
+                ("gateway", self.server.gateway_stats()),
+                ("server", self.server.stats()),
             )
+            for key, value in stats.items()
+        ]
         extra.append(
             ("repro_session_statements",
              {"session": str(self.session_id)}, self.statements)

@@ -304,12 +304,16 @@ class CreateTableStmt(_Mutation):
 #: through :func:`~repro.sql.analyzer.stored_value`.
 _PLAIN_TYPES = {"str": {str}, "int": {int}, "float": {int, float}}
 
+#: Array dtype kinds a column takes with one ``astype``.
+_PLAIN_KINDS = {"str": "", "int": "i", "float": "if"}
+
 
 def _stored_columns(schema: Schema, columns: list) -> list:
     """``columns`` (one value sequence per column, in schema order) as
     the BATs store them, checked before anything is written.
 
-    Every value is checked by UPDATE's rule (:func:`stored_value`): a
+    A numeric array whose dtype the column takes is cast whole.  Every
+    other value is checked by UPDATE's rule (:func:`stored_value`): a
     value the column cannot store raises :class:`SQLAnalysisError`.  A
     template hit is checked too (``'x'`` and ``5`` key alike), so the
     check lives here rather than in the parser.  The arrays the check
@@ -318,6 +322,11 @@ def _stored_columns(schema: Schema, columns: list) -> list:
     columns = list(columns)
     for index, column in enumerate(schema):
         values = columns[index]
+        if isinstance(values, np.ndarray):
+            if values.dtype.kind in _PLAIN_KINDS[column.col_type]:
+                columns[index] = values.astype(TAIL_DTYPES[column.col_type])
+                continue
+            values = values.tolist()  # plain values, checked one by one
         if not set(map(type, values)) <= _PLAIN_TYPES[column.col_type]:
             values = [  # 3.0 reaches the BATs and crackers as 3
                 stored_value(column.name, column.col_type, value)
@@ -402,10 +411,8 @@ class InsertSelectStmt(_Mutation):
                 f"table {self.table!r} has {len(schema)} columns; the "
                 f"SELECT gives {len(result.columns)}"
             )
-        rows = result.rows
-        columns = _stored_columns(
-            schema, [[row[index] for row in rows] for index in range(len(schema))]
-        )
+        arrays = result.arrays
+        columns = _stored_columns(schema, [arrays[name] for name in result.columns])
         governor.check()  # the rows are converted; nothing is written yet
         if not exists:
             db.catalog.create_table(Relation(self.table, schema))

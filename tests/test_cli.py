@@ -193,13 +193,6 @@ class TestServeSettings:
             ReproServer(Database(), **{setting: value})
         assert info.value.setting == setting
 
-    @pytest.mark.parametrize("setting, value", [("statement_timeout", 0)])
-    def test_a_gateway_refuses_them_when_built(self, setting, value):
-        from repro.server import ExecutionGateway
-
-        with pytest.raises(errors.SettingError):
-            ExecutionGateway(**{setting: value})
-
     def test_max_pending_is_gone(self, capsys):
         from repro.server import ReproServer
         from repro.sql import Database

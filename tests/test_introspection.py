@@ -320,30 +320,30 @@ class TestTimeSeries:
 
 
 class TestTimeseriesWire:
-    def _session(self, timeseries=None):
-        from repro.server.gateway import ExecutionGateway
+    def _session(self):
+        """A session on a server that was built but never started, so
+        its sampler never ran."""
+        from repro.server import ReproServer
         from repro.server.protocol import PROTOCOL_VERSION
         from repro.server.session import ClientSession
 
-        db = Database(cracking=True)
-        session = ClientSession(db, ExecutionGateway(), 1, timeseries=timeseries)
+        session = ClientSession(ReproServer(Database(cracking=True)), 1)
         hello = session.handle({"type": "hello", "protocol": PROTOCOL_VERSION})
         assert hello["type"] == "hello"
         return session
 
-    def test_empty_ring_without_a_server(self):
+    def test_an_unsampled_servers_ring_is_empty(self):
         session = self._session()
         reply = session.handle({"type": "timeseries"})
         assert reply["type"] == "timeseries"
-        assert reply["payload"] == {
-            "interval": 0.0, "capacity": 0, "taken": 0, "samples": [],
-        }
+        assert reply["payload"]["taken"] == 0
+        assert reply["payload"]["samples"] == []
 
     def test_snapshot_passthrough_and_last_validation(self):
-        ring = TimeSeries()
+        session = self._session()
+        ring = session.server.timeseries
         ring.record({"statements": 7}, at=1.0)
         ring.record({"statements": 9}, at=3.0)
-        session = self._session(timeseries=ring.snapshot)
         reply = session.handle({"type": "timeseries", "last": 1})
         assert reply["type"] == "timeseries"
         assert len(reply["payload"]["samples"]) == 1

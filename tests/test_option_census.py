@@ -24,7 +24,6 @@ from repro.obs.introspect import ColumnIntrospection
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeries
 from repro.persist.store import PersistentStore
-from repro.server.gateway import ExecutionGateway
 from repro.server.protocol import encode_result_frames
 from repro.server.server import ReproServer
 from repro.server.session import ClientSession
@@ -36,7 +35,7 @@ from repro.volcano.vectorized import VecScan
 SHIPPED, DEPLOYMENT, FEATURE = "shipped caller", "deployment setting", "feature switch"
 
 SURFACES = [
-    Database, ReproServer, ExecutionGateway, ClientSession, encode_result_frames,
+    Database, ReproServer, ClientSession, encode_result_frames,
     Client, TimeSeries, ColumnIntrospection, MetricsRegistry, VecScan,
     PersistentStore, CrackerProvider, PlanCache,
 ]
@@ -59,9 +58,6 @@ PARAMETERS = {
     "ReproServer.port": (DEPLOYMENT, "bind port (--port)"),
     "ReproServer.max_connections": (DEPLOYMENT, "resource bound (--max-connections)"),
     "ReproServer.statement_timeout": (DEPLOYMENT, "timeout (--statement-timeout)"),
-    "ExecutionGateway.statement_timeout": (SHIPPED, "ReproServer passes its timeout"),
-    "ClientSession.server_stats": (SHIPPED, "ReproServer passes its counters"),
-    "ClientSession.timeseries": (SHIPPED, "ReproServer passes its metrics ring"),
     "encode_result_frames.compression": (SHIPPED, "the server passes the negotiated codec"),
     "Client.reconnect": (SHIPPED, "the ledger's client passes reconnect=False"),
     "Client.max_retries": (DEPLOYMENT, "retry policy"),

@@ -718,7 +718,7 @@ class TestExecutionModes:
                 counts = client.execute_many(["SELECT count(*) FROM r"] * 40)
                 assert [result.scalar() for result in counts] == [3] * 40
                 gateway = client.stats()["gateway"]
-            assert gateway["executed"] >= 3  # 2 statements + >=1 folded run
+            assert gateway["executed"] == 42  # 2 statements + 40 pipelined
             assert gateway["peak_pending"] == 1
             assert gateway["rejected"] == gateway["timeouts"] == 0
 
@@ -749,8 +749,8 @@ class TestExecutionModes:
         database = slow_database(0.02)
         database.execute("CREATE TABLE r (k integer)")
         database.execute("INSERT INTO r VALUES (1), (2), (3)")
-        # One statement per engine trip: five trips, so the stop request
-        # lands while most of the run is still waiting in the backlog.
+        # One request per run: five runs, so the stop request lands
+        # while most of them are still waiting in the backlog.
         monkeypatch.setattr(server_module, "PIPELINE_BATCH", 1)
         thread = ServerThread(database, statement_timeout=timeout)
         host, port = thread.start()
@@ -769,6 +769,35 @@ class TestExecutionModes:
             sock.close()
         assert [reply["type"] for reply in replies] == ["result"] * 5 + ["goodbye"]
         assert [reply["rows"] for reply in replies[:5]] == [[[0]], [[0]], [[1]], [[2]], [[3]]]
+
+    def test_a_mixed_pipelined_run_answers_in_order_up_to_close(self):
+        database = Database(cracking=True)
+        database.execute("CREATE TABLE r (k integer)")
+        database.execute("INSERT INTO r VALUES (1), (2), (3)")
+        with served(database) as (_, host, port, thread):
+            sock = socket.create_connection((host, port))
+            try:
+                decoder = FrameDecoder()
+                hello(sock, decoder)
+                sock.sendall(b"".join(encode_frame(message) for message in (
+                    {"type": "begin"},
+                    {"type": "query", "sql": "INSERT INTO r VALUES (4)"},
+                    {"type": "query", "sql": "SELECT count(*) FROM r"},
+                    {"type": "commit"},
+                    {"type": "close"},
+                    {"type": "query", "sql": "INSERT INTO r VALUES (5)"},
+                )))
+                replies = read_to_eof(sock, decoder)
+            finally:
+                sock.close()
+            assert [reply["type"] for reply in replies] == [
+                "begun", "queued", "result", "committed", "goodbye",
+            ]
+            assert replies[2]["rows"] == [[3]]  # the buffered INSERT unseen
+            assert replies[3]["affected"] == [1]
+            # The SELECT and the COMMIT ran; the query after close never did.
+            assert thread.server.gateway_stats()["executed"] == 2
+            assert database.execute("SELECT count(*) FROM r").scalar() == 4
 
 
 class TestBackpressure:
@@ -946,7 +975,7 @@ class TestOneLoop:
                 for t in threads:
                     t.join(timeout=max(0.0, deadline - time.monotonic()))
                 assert not any(t.is_alive() for t in threads), "a client hung"
-                gateway = thread.server.gateway.stats()
+                gateway = thread.server.gateway_stats()
         finally:
             sys.setswitchinterval(old)
         assert not failures, failures

@@ -22,7 +22,7 @@ from oracle import (
     random_mixed_dml,
     standard_query_suite,
 )
-from repro.errors import ReproError
+from repro.errors import ReproError, SQLAnalysisError
 from repro.sql import Database, QueryResult
 
 #: Seeds of the main differential, per configuration.
@@ -162,6 +162,70 @@ def test_insert_select_and_select_into(name):
             ]
             assert [c.col_type for c in db.catalog.table(target).schema] == types
             assert_matches_sqlite(both, reference, [f"SELECT * FROM {target}"])
+
+
+def _inserted_from_select(name: str, statements: list[str]):
+    """``statements`` (CREATE TABLEs and INSERT … SELECTs) on a loaded
+    configuration and on sqlite; the pair, for further checks."""
+    db, reference = _loaded(ENGINE_CONFIGS[name], seed=5)
+    assert_matches_sqlite({name: db}, reference, statements)
+    return db, reference
+
+
+@pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
+def test_insert_select_stores_an_int_answer_in_a_float_column(name):
+    db, reference = _inserted_from_select(name, [
+        "CREATE TABLE fl (k integer, x float)",
+        "INSERT INTO fl SELECT r.k, r.a FROM r WHERE a < 400",
+        "INSERT INTO fl SELECT s.k, s.g FROM s WHERE g > 6",
+    ])
+    assert_matches_sqlite({name: db}, reference, [
+        "SELECT * FROM fl", "SELECT count(*), sum(fl.x) FROM fl WHERE x > 200",
+    ])
+    assert {type(row[1]) for row in db.execute("SELECT * FROM fl").rows} == {float}
+    db.check_invariants()
+
+
+@pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
+def test_insert_select_refuses_a_fractional_float_in_an_int_column(name):
+    """sqlite keeps 2.5 in an INTEGER column; the engine refuses the
+    whole statement (the ``stored_value`` rule) and stores nothing, but
+    stores an integral float as its int, as sqlite does."""
+    db, reference = _inserted_from_select(name, [
+        "CREATE TABLE whole (k integer, a integer)",
+        "CREATE TABLE fl (k integer, x float)",
+        "INSERT INTO fl SELECT r.k, r.a FROM r WHERE a < 300",
+    ])
+    for sql, message in (
+        ("INSERT INTO whole SELECT r.k, r.w FROM r WHERE w > 1", "is integer; got"),
+        ("INSERT INTO whole SELECT r.k, r.tag FROM r", "is numeric; got"),
+    ):
+        with pytest.raises(SQLAnalysisError, match=f"column 'a' {message}"):
+            db.execute(sql)
+    assert_matches_sqlite({name: db}, reference, [
+        "SELECT * FROM whole",
+        "INSERT INTO whole SELECT * FROM fl",
+        "SELECT * FROM whole",
+    ])
+    assert {type(row[1]) for row in db.execute("SELECT * FROM whole").rows} == {int}
+    db.check_invariants()
+
+
+@pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
+def test_insert_select_stores_a_varchar_column(name):
+    db, reference = _inserted_from_select(name, [
+        "CREATE TABLE labels (k integer, tag varchar)",
+        "INSERT INTO labels SELECT r.k, r.tag FROM r WHERE tag <> 't1'",
+        "INSERT INTO labels SELECT s.g, t.label FROM s, t WHERE s.g = t.g AND s.k < 200",
+    ])
+    with pytest.raises(SQLAnalysisError, match="column 'tag' is text; got"):
+        db.execute("INSERT INTO labels SELECT r.k, r.a FROM r")
+    assert_matches_sqlite({name: db}, reference, [
+        "SELECT * FROM labels",
+        "SELECT count(*) FROM labels WHERE tag = 'g3'",
+        "SELECT labels.tag, count(*) FROM labels GROUP BY labels.tag",
+    ])
+    db.check_invariants()
 
 
 #: ``(SQL with literals, the same with ? markers, parameter tuples)``.

@@ -82,11 +82,15 @@ _STORED, _DOOMED, _QUEUED = 1, 2, 4
 
 
 def _empty_by_construction(low, high, low_inclusive: bool, high_inclusive: bool) -> bool:
-    """An inverted range, or a point range that excludes its point.
+    """An inverted range, a point range that excludes its point, or a
+    NaN bound (no value compares true with NaN, one-sided or not).
 
     Answered without reorganising: cracking would also invert the
-    boundary ordering (the high boundary would sort before the low one).
+    boundary ordering (the high boundary would sort before the low one),
+    and NaN has no place among the boundaries at all.
     """
+    if low != low or high != high:
+        return True
     if low is None or high is None:
         return False
     return high < low or (high == low and not (low_inclusive and high_inclusive))

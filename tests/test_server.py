@@ -92,6 +92,16 @@ def wire_json(rows) -> str:
 class TestDifferentialOracle:
     """Protocol-level results byte-equal embedded execution."""
 
+    def test_a_nan_parameter_qualifies_no_row(self):
+        """JSON carries NaN; a NaN bound answers 0, as embedded does."""
+        with served() as (_, host, port, _thread):
+            with Client(host, port) as client:
+                load_standard(client, seed=SEED)
+                stmt = client.prepare("SELECT count(*) FROM r WHERE w BETWEEN 1.5 AND 8.5")
+                assert stmt.execute().scalar() > 0
+                for params in ((float("nan"), 8.5), (1.5, float("nan"))):
+                    assert stmt.execute(params).rows == [(0,)], params
+
     def test_oracle_workload_prepared_and_aborted_txn(self):
         embedded = Database(cracking=True)
         with served() as (_, host, port, _thread):

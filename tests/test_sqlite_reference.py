@@ -7,7 +7,9 @@ even when every configuration shares it.  Answers may differ only as
 below that fails if the difference disappears or changes.
 """
 
+import re
 import sqlite3
+from math import nan as NAN
 
 import numpy as np
 import pytest
@@ -28,6 +30,9 @@ from repro.sql import Database, QueryResult
 #: Seeds of the main differential, per configuration.
 SEEDS = range(50)
 
+#: A numeric literal of a template (the prepared parameters, in order).
+_LITERAL = re.compile(r"\b\d+(?:\.\d+)?\b")
+
 
 def _loaded(config: dict, seed: int) -> tuple[Database, SqliteReference]:
     db, reference = Database(**config), SqliteReference()
@@ -45,6 +50,34 @@ def test_configs_match_sqlite(name):
         statements = standard_query_suite(rng) + random_mixed_dml(rng, 80)
         assert_matches_sqlite({name: db}, reference, statements, (seed,))
         db.check_invariants()
+
+
+#: Prepared range templates and NaN parameter tuples: either bound of a
+#: BETWEEN, and each side of a one-sided bound, on a float and an int column.
+_NAN_BOUNDS = (
+    ("SELECT count(*) FROM r WHERE w BETWEEN 2.5 AND 7.5", ((NAN, 7.5), (2.5, NAN))),
+    ("SELECT count(*) FROM r WHERE a BETWEEN 100 AND 700", ((NAN, 700), (100, NAN))),
+    ("SELECT count(*) FROM r WHERE w < 5.5", ((NAN,),)),
+    ("SELECT r.k, r.w FROM r WHERE w >= 5.5", ((NAN,),)),
+    ("SELECT r.k FROM r WHERE a > 300", ((NAN,),)),
+)
+
+
+@pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
+def test_a_nan_bound_qualifies_no_row(name):
+    """No value compares true with NaN, so a NaN parameter answers
+    nothing, as sqlite does; a cracked column adds no boundary for it."""
+    db, reference = _loaded(ENGINE_CONFIGS[name], seed=3)
+    db.execute("SELECT count(*) FROM r WHERE w BETWEEN 1.5 AND 8.5")
+    db.execute("SELECT count(*) FROM r WHERE a BETWEEN 200 AND 800")
+    for template, cases in _NAN_BOUNDS:
+        prepared = db.prepare(template)
+        for params in cases:
+            result = prepared.execute(params)
+            template_sql = _LITERAL.sub("?", template)
+            reference.answer(template_sql, params).check(result, (name, params))
+            assert result.rows in ([], [(0,)]), (template, params)
+    db.check_invariants()
 
 
 # ---------------------------------------------------------------------- #

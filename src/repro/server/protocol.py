@@ -287,7 +287,11 @@ def _plan_column(array: np.ndarray, coded=None) -> tuple:
             return "json", texts, None, int(sizes.sum()), sizes
         lookup = [str(atom) for atom in atoms]  # np.str_ -> str for the header
         counts = np.bincount(codes + 1, minlength=len(lookup) + 1)[1:]
-    cost = np.array([len(json.dumps(atom)) + 1 for atom in lookup] + [0], dtype=np.int64)
+    # An atom's header text: what json.dumps returns for a str, priced
+    # without json.dumps's per-call dispatch.
+    cost = np.array(
+        [len(encode_basestring_ascii(atom)) + 1 for atom in lookup] + [0], dtype=np.int64
+    )
     total = 4 * codes.size + int(counts @ cost[:-1])
     return "dict", codes, lookup, total, cost
 

@@ -17,6 +17,7 @@ optimisation:
 """
 
 import functools
+import json
 import socket
 import struct
 import threading
@@ -228,6 +229,27 @@ class TestBinaryCodec:
                 assert message["arrays"][name].dtype == array.dtype
                 assert np.array_equal(message["arrays"][name], array)
         assert residues == set(range(8))  # every unpadded length mod 8
+
+    def test_dict_atoms_are_priced_as_their_json_text(self, monkeypatch):
+        """Atoms that JSON escapes are charged their escaped length, so a
+        small chunk budget cuts where json.dumps pricing cut, byte for byte."""
+        atoms = ['say "hi"', "back\\slash", "bell\x07tab\t", "naïve ☃ 🙂", "", "plain"]
+        tags = [atoms[i % len(atoms)] + ("" if i % 7 else str(i)) for i in range(600)]
+        result = QueryResult(columns=["k", "tag"], rows=list(enumerate(tags)))
+        monkeypatch.setattr(protocol, "CHUNK_BYTES", 512)
+        plan = protocol._plan_column(result.arrays["tag"])
+        assert plan[0] == "dict"
+        assert plan[4].tolist() == [len(json.dumps(atom)) + 1 for atom in plan[2]] + [0]
+        frames = list(encode_result_frames(result))
+        plans = [protocol._plan_column(result.arrays[name]) for name in result.columns]
+        stops = protocol._chunk_stops(plans, len(tags))
+        assert len(stops) > 10
+        # The same stops and bytes when each atom is priced by json.dumps.
+        monkeypatch.setattr(protocol, "encode_basestring_ascii", json.dumps)
+        plans = [protocol._plan_column(result.arrays[name]) for name in result.columns]
+        assert protocol._chunk_stops(plans, len(tags)) == stops
+        assert list(encode_result_frames(result)) == frames
+        assert assemble(frames)["rows"] == result.rows
 
     def test_oversized_single_frame_rejected(self, monkeypatch):
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1024)

@@ -16,12 +16,13 @@ Consecutive boundaries delimit *pieces*; each piece knows its value range
 and its location ``[start, stop)`` inside the cracker column — exactly the
 (min,max)/size/location triple of the paper.
 
-Storage is a structure-of-arrays: three parallel numpy arrays (boundary
-value, kind rank, storage position) kept sorted by ``(value, rank)``, so
-the interval-tree navigation of the paper becomes one ``np.searchsorted``
-per probe and bulk operations (position shifts, merge bookkeeping,
-invariant checks, pending-update piece assignment) are single vectorised
-passes instead of Python loops over boundary objects.  :class:`Boundary`
+Storage is three parallel Python lists (boundary value as given, kind
+rank, storage position) kept sorted by ``(value, rank)``, so the
+interval-tree navigation of the paper becomes one ``bisect`` per probe
+and a new boundary three ``list.insert`` calls.  The bulk operations
+(position shifts, merge bookkeeping, invariant checks, pending-update
+piece assignment, snapshots) build the numpy arrays they need once per
+call — per merge or checkpoint, not per bound.  :class:`Boundary`
 (:meth:`CrackerIndex.boundary_at`) is the object view handed to callers
 that inspect the index, and :class:`Piece` names a piece in invariant
 errors; the query path navigates with :meth:`CrackerIndex.probe`, which
@@ -30,6 +31,7 @@ returns plain positions and builds neither.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +43,6 @@ from repro.errors import CrackerIndexError
 #: because the region < v is a prefix of the region <= v.
 _KIND_RANK = {KIND_LT: 0, KIND_LE: 1}
 _RANK_KIND = (KIND_LT, KIND_LE)
-
-#: Initial boundary-array capacity (grown by doubling).
-_MIN_CAPACITY = 16
 
 
 @dataclass(frozen=True)
@@ -85,33 +84,28 @@ class Piece:
 class CrackerIndex:
     """Sorted boundary set over a cracker column of ``column_size`` tuples.
 
-    Internally three parallel arrays sorted by ``(value, kind-rank)``:
-    ``_values`` (float64 navigation keys), ``_ranks`` (0 for 'lt', 1 for
-    'le') and ``_positions`` (int64 storage positions).  ``_exact`` keeps
-    the boundary values as originally supplied (int vs float), so
-    reconstructed :class:`Boundary` objects and piece descriptions show
-    what the caller cracked on, not a float coercion, and equality
-    decisions (probe hits, re-add detection) compare the exact values.
+    Internally three parallel lists sorted by ``(value, kind-rank)``:
+    ``_exact`` (the boundary values as supplied, int or float, so
+    :class:`Boundary` objects and piece descriptions show what the
+    caller cracked on), ``_ranks`` (0 for 'lt', 1 for 'le') and
+    ``_positions`` (storage positions).  Python compares int and float
+    exactly, so navigation and equality decisions (probe hits, re-add
+    detection) need no coercion.
 
-    Boundary values must be exactly representable as float64 navigation
-    keys; :meth:`add` rejects integers beyond 2**53 instead of silently
-    mis-sorting them (float columns and the int domains the paper's
-    workloads use are always representable).
+    Boundary values must be exactly representable as float64, the form
+    snapshots and the vectorised passes hold them in; :meth:`add`
+    rejects integers beyond 2**53 (and NaN) instead of silently
+    mis-sorting them later (float columns and the int domains the
+    paper's workloads use are always representable).
     """
 
     def __init__(self, column_size: int) -> None:
         if column_size < 0:
             raise CrackerIndexError(f"column_size must be >= 0, got {column_size}")
         self.column_size = column_size
-        self._count = 0
-        self._values = np.empty(_MIN_CAPACITY, dtype=np.float64)
-        self._ranks = np.empty(_MIN_CAPACITY, dtype=np.int8)
-        self._positions = np.empty(_MIN_CAPACITY, dtype=np.int64)
         self._exact: list = []
-        # The [:count] view of _values, refreshed on add: probes
-        # call its searchsorted method directly instead of re-slicing —
-        # the probe is the innermost operation of every converged query.
-        self._active_values = self._values[:0]
+        self._ranks: list[int] = []
+        self._positions: list[int] = []
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -119,60 +113,55 @@ class CrackerIndex:
 
     def __len__(self) -> int:
         """Number of boundaries (pieces - 1 for a non-empty column)."""
-        return self._count
+        return len(self._positions)
 
     @property
     def piece_count(self) -> int:
-        return self._count + 1
+        return len(self._positions) + 1
 
     def positions(self) -> np.ndarray:
-        """Boundary storage positions in boundary order (a private copy)."""
-        return self._positions[: self._count].copy()
+        """Boundary storage positions in boundary order (a fresh array)."""
+        return np.array(self._positions, dtype=np.int64)
 
     def keys(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact boundary values and kind ranks (0 'lt', 1 'le'), in
         boundary order, for vectorised checks."""
-        return np.asarray(self._exact), self._ranks[: self._count]
+        return np.asarray(self._exact), np.array(self._ranks, dtype=np.int8)
 
     def boundary_at(self, index: int) -> Boundary:
         """The ``index``-th boundary in sorted order."""
-        if not 0 <= index < self._count:
+        if not 0 <= index < len(self):
             raise CrackerIndexError(
-                f"boundary index {index} out of range 0..{self._count - 1}"
+                f"boundary index {index} out of range 0..{len(self) - 1}"
             )
         return Boundary(
             value=self._exact[index],
             kind=_RANK_KIND[self._ranks[index]],
-            position=int(self._positions[index]),
+            position=self._positions[index],
         )
 
     def piece_sizes(self) -> list[int]:
-        """Sizes of all pieces, left to right (one vectorised diff)."""
-        edges = np.empty(self._count + 2, dtype=np.int64)
-        edges[0] = 0
-        edges[1 : self._count + 1] = self._positions[: self._count]
-        edges[self._count + 1] = self.column_size
-        return np.diff(edges).tolist()
+        """Sizes of all pieces, left to right."""
+        edges = [0, *self._positions, self.column_size]
+        return [stop - start for start, stop in zip(edges, edges[1:])]
 
     # ------------------------------------------------------------------ #
     # Navigation
     # ------------------------------------------------------------------ #
 
-    def _rank_of(self, kind: str) -> int:
-        rank = _KIND_RANK.get(kind, -1)
-        if rank < 0:
+    def _locate(self, value, kind: str) -> tuple[int, int]:
+        """bisect_left over the composite ``(value, rank)`` keys, and the
+        kind's rank."""
+        rank = _KIND_RANK.get(kind)
+        if rank is None:
             raise CrackerIndexError(f"unknown boundary kind {kind!r}")
-        return rank
-
-    def _locate(self, value, rank: int) -> int:
-        """bisect_left over the composite ``(value, rank)`` keys."""
-        n = self._count
-        index = int(self._active_values.searchsorted(value, side="left"))
+        exact, ranks = self._exact, self._ranks
+        index = bisect_left(exact, value)
         # At most two boundaries share a value (lt and le), so this walk
         # over the equal-value run is O(1).
-        while index < n and self._values[index] == value and self._ranks[index] < rank:
+        if index < len(ranks) and ranks[index] < rank and exact[index] == value:
             index += 1
-        return index
+        return index, rank
 
     def probe(self, value, kind: str) -> tuple[int | None, int, int]:
         """One navigation step: ``(position | None, start, stop)``.
@@ -181,17 +170,16 @@ class CrackerIndex:
         when the index does not hold it; ``[start, stop)`` is the piece
         the boundary would split — when it exists, the piece left of it,
         so ``stop == position`` (empty if the boundary coincides with
-        its left neighbour).  One ``searchsorted`` and no
+        its left neighbour).  One ``bisect`` and no
         :class:`Piece`/:class:`Boundary` objects — this is the call the
         query path makes for every bound.
         """
-        rank = self._rank_of(kind)
-        index = self._locate(value, rank)
+        index, rank = self._locate(value, kind)
         positions = self._positions
-        start = int(positions[index - 1]) if index else 0
-        if index == self._count:
+        start = positions[index - 1] if index else 0
+        if index == len(positions):
             return None, start, self.column_size
-        stop = int(positions[index])
+        stop = positions[index]
         if self._ranks[index] == rank and self._exact[index] == value:
             return stop, start, stop
         return None, start, stop
@@ -206,29 +194,21 @@ class CrackerIndex:
         merge-on-query update path to scatter pending tuples into their
         pieces without materialising any :class:`Piece` objects.
         """
-        n = self._count
+        n = len(self)
         if n == 0:
             return np.zeros(len(values), dtype=np.int64)
-        keys = self._values[:n]
+        keys = np.array(self._exact, dtype=np.float64)
         c_left = np.searchsorted(keys, values, side="left")
         c_right = np.searchsorted(keys, values, side="right")
         le_cum = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self._ranks[:n] == 1, out=le_cum[1:])
+        np.cumsum(np.equal(self._ranks, 1), out=le_cum[1:])
         return (c_right - (le_cum[c_right] - le_cum[c_left])).astype(np.int64)
 
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
 
-    def _grow(self) -> None:
-        capacity = max(_MIN_CAPACITY, 2 * len(self._values))
-        for name in ("_values", "_ranks", "_positions"):
-            old = getattr(self, name)
-            fresh = np.empty(capacity, dtype=old.dtype)
-            fresh[: self._count] = old[: self._count]
-            setattr(self, name, fresh)
-
-    def add(self, value, kind: str, position: int) -> Boundary:
+    def add(self, value, kind: str, position: int) -> None:
         """Insert boundary ``(value, kind)`` at storage ``position``.
 
         Enforces the structural invariant that boundary positions are
@@ -241,46 +221,35 @@ class CrackerIndex:
         if isinstance(value, np.generic):
             value = value.item()
         if float(value) != value:
-            # A lossy float64 key would mis-sort this boundary against
-            # its neighbours and corrupt every later probe; refuse loudly.
+            # A value with no exact float64 form cannot be snapshotted or
+            # compared in the vectorised passes; refuse loudly.
             raise CrackerIndexError(
                 f"boundary value {value!r} is not exactly representable as a "
                 f"float64 navigation key (integers beyond 2**53)"
             )
-        rank = self._rank_of(kind)
-        index = self._locate(value, rank)
-        n = self._count
-        if index < n and self._ranks[index] == rank and self._exact[index] == value:
-            existing_position = int(self._positions[index])
-            if existing_position != position:
+        index, rank = self._locate(value, kind)
+        exact, ranks, positions = self._exact, self._ranks, self._positions
+        n = len(positions)
+        if index < n and ranks[index] == rank and exact[index] == value:
+            if positions[index] != position:
                 raise CrackerIndexError(
                     f"boundary ({value!r}, {kind!r}) re-added at position {position}, "
-                    f"but exists at {existing_position}"
+                    f"but exists at {positions[index]}"
                 )
-            return self.boundary_at(index)
-        if index > 0 and self._positions[index - 1] > position:
+            return
+        if index > 0 and positions[index - 1] > position:
             raise CrackerIndexError(
                 f"boundary ({value!r}, {kind!r}) at {position} would precede "
-                f"its left neighbour at {int(self._positions[index - 1])}"
+                f"its left neighbour at {positions[index - 1]}"
             )
-        if index < n and self._positions[index] < position:
+        if index < n and positions[index] < position:
             raise CrackerIndexError(
                 f"boundary ({value!r}, {kind!r}) at {position} would follow "
-                f"its right neighbour at {int(self._positions[index])}"
+                f"its right neighbour at {positions[index]}"
             )
-        if n == len(self._values):
-            self._grow()
-        for array, item in (
-            (self._values, value),
-            (self._ranks, rank),
-            (self._positions, position),
-        ):
-            array[index + 1 : n + 1] = array[index:n]
-            array[index] = item
-        self._exact.insert(index, value)
-        self._count = n + 1
-        self._active_values = self._values[: self._count]
-        return self.boundary_at(index)
+        exact.insert(index, value)
+        ranks.insert(index, rank)
+        positions.insert(index, int(position))
 
     def merge_shift(self, per_piece_counts: np.ndarray, new_column_size: int) -> None:
         """Shift boundaries for a piece-wise merge of pending tuples.
@@ -290,12 +259,12 @@ class CrackerIndex:
         ``0..b`` on its left) moves by the prefix sum ``counts[0..b]``.
         """
         counts = np.asarray(per_piece_counts, dtype=np.int64)
-        if len(counts) != self._count + 1:
+        if len(counts) != self.piece_count:
             raise CrackerIndexError(
                 f"merge_shift got {len(counts)} piece counts for "
-                f"{self._count + 1} pieces"
+                f"{self.piece_count} pieces"
             )
-        self._positions[: self._count] += np.cumsum(counts[:-1])
+        self._positions = (self.positions() + np.cumsum(counts[:-1])).tolist()
         self.column_size = new_column_size
 
     # ------------------------------------------------------------------ #
@@ -303,23 +272,22 @@ class CrackerIndex:
     # ------------------------------------------------------------------ #
 
     def export_state(self) -> dict:
-        """A serialisable snapshot of the boundary arrays.
+        """A serialisable snapshot of the boundaries, as arrays.
 
-        Every array is a private copy of the active region.  The exact
-        boundary values (which preserve int vs float identity) travel as
-        a float64 array plus an is-int flag vector — :meth:`add` already
-        guarantees each exact value is float64-representable.
+        The exact boundary values (which preserve int vs float identity)
+        travel as a float64 array plus an is-int flag vector — :meth:`add`
+        already guarantees each exact value is float64-representable.
+        ``values`` repeats them as the float64 keys older builds
+        navigated by.
         """
-        n = self._count
+        values = np.array(self._exact, dtype=np.float64)
         return {
             "column_size": int(self.column_size),
-            "values": self._values[:n].copy(),
-            "ranks": self._ranks[:n].copy(),
-            "positions": self._positions[:n].copy(),
-            "exact_values": np.asarray(
-                [float(v) for v in self._exact], dtype=np.float64
-            ),
-            "exact_is_int": np.asarray(
+            "values": values,
+            "ranks": np.array(self._ranks, dtype=np.int8),
+            "positions": self.positions(),
+            "exact_values": values.copy(),
+            "exact_is_int": np.array(
                 [isinstance(v, int) for v in self._exact], dtype=np.bool_
             ),
         }
@@ -328,29 +296,21 @@ class CrackerIndex:
     def from_state(cls, state: dict) -> "CrackerIndex":
         """Rebuild an index from :meth:`export_state` output.
 
-        The boundary arrays are installed wholesale (no per-boundary
+        The boundary lists are installed wholesale (no per-boundary
         re-add), then validated, so a corrupted snapshot fails loudly
-        instead of mis-navigating later probes.
+        instead of mis-navigating later probes.  ``values`` is the
+        float64 form of ``exact_values`` and is not read.
         """
-        values = np.asarray(state["values"], dtype=np.float64)
-        n = len(values)
         index = cls(int(state["column_size"]))
-        capacity = max(_MIN_CAPACITY, n)
-        index._values = np.empty(capacity, dtype=np.float64)
-        index._values[:n] = values
-        index._ranks = np.empty(capacity, dtype=np.int8)
-        index._ranks[:n] = np.asarray(state["ranks"], dtype=np.int8)
-        index._positions = np.empty(capacity, dtype=np.int64)
-        index._positions[:n] = np.asarray(state["positions"], dtype=np.int64)
         index._exact = [
-            int(value) if is_int else float(value)
+            int(value) if is_int else value
             for value, is_int in zip(
                 np.asarray(state["exact_values"], dtype=np.float64).tolist(),
                 np.asarray(state["exact_is_int"], dtype=np.bool_).tolist(),
             )
         ]
-        index._count = n
-        index._active_values = index._values[:n]
+        index._ranks = np.asarray(state["ranks"], dtype=np.int8).tolist()
+        index._positions = np.asarray(state["positions"], dtype=np.int64).tolist()
         index.check_invariants()
         return index
 
@@ -360,16 +320,17 @@ class CrackerIndex:
 
     def check_invariants(self) -> None:
         """Raise :class:`CrackerIndexError` if structural invariants fail."""
-        n = self._count
+        n = len(self._positions)
+        if not len(self._exact) == len(self._ranks) == n:
+            raise CrackerIndexError(
+                f"boundary lists disagree: {len(self._exact)} values, "
+                f"{len(self._ranks)} ranks, {n} positions"
+            )
         if n == 0:
             return
-        values = self._values[:n]
-        ranks = self._ranks[:n]
-        positions = self._positions[:n]
-        if len(self._exact) != n:
-            raise CrackerIndexError(
-                f"exact-value list holds {len(self._exact)} entries for {n} boundaries"
-            )
+        values = np.array(self._exact, dtype=np.float64)
+        ranks = np.array(self._ranks, dtype=np.int8)
+        positions = self.positions()
         same_value = values[:-1] == values[1:]
         out_of_order = (values[:-1] > values[1:]) | (
             same_value & (ranks[:-1] >= ranks[1:])

@@ -14,8 +14,8 @@ One snapshot directory is a self-contained, immutable image of a
   them.  Older snapshots have no atoms file and a tail of decoded
   unicode atoms, one per row; they still load;
 * ``cracker-<j>.npz`` — the full cracker state of one column: the
-  physically reorganised value/oid storage, the cracker-index
-  structure-of-arrays (boundary values, kind ranks, positions, exact
+  physically reorganised value/oid storage, the cracker index's
+  boundary arrays (boundary values, kind ranks, positions, exact
   values), and the pending-update buffers.
 
 Writing is split in two so a checkpoint can leave the statement that

@@ -1,11 +1,12 @@
-"""Property-based equivalence: numpy CrackerIndex vs the bisect reference.
+"""Property-based equivalence: CrackerIndex vs the bisect reference.
 
-The cracker index was rewritten from a Python list of Boundary objects
-navigated with ``bisect`` (the seed implementation) to parallel numpy
-arrays navigated with ``np.searchsorted``.  This suite replays random
-``add`` / ``lookup`` / ``probe`` sequences against both implementations
-and asserts identical observable behaviour, including which operations
-raise.
+The seed implementation kept a Python list of Boundary objects navigated
+with ``bisect`` over ``(value, rank)`` tuples; :class:`CrackerIndex`
+keeps three parallel lists (values, kind ranks, positions) navigated with
+one ``bisect`` on the values, and builds numpy arrays only for its bulk
+passes and snapshots.  This suite replays random ``add`` / ``lookup`` /
+``probe`` sequences against both implementations and asserts identical
+observable behaviour, including which operations raise.
 
 Follows the repo's dual harness pattern: `hypothesis` drives the
 sequences when installed, a seeded-random fallback otherwise.
@@ -118,7 +119,7 @@ def check_sequence(column_size: int, ops: list) -> None:
         ]
         assert boundaries == oracle.snapshot(), op
         numpy_index.check_invariants()
-    # Structural cross-checks of the numpy layout.
+    # Structural cross-checks of the index layout.
     sizes = numpy_index.piece_sizes()
     assert sum(sizes) == numpy_index.column_size
     assert len(sizes) == numpy_index.piece_count
@@ -242,3 +243,114 @@ def test_piece_assignment_matches_scalar_semantics():
     index.add(50, KIND_LT, 60)
     values = np.array([5, 10, 11, 49, 50, 99])
     assert index.piece_assignment(values).tolist() == [0, 1, 2, 2, 3, 3]
+
+
+def boundaries_of(index) -> list[tuple]:
+    return [(b.value, b.kind, b.position) for b in map(index.boundary_at, range(len(index)))]
+
+
+@pytest.mark.parametrize("low_kind", KINDS)
+def test_int_and_float_bounds_at_equal_values(low_kind):
+    """5 and 5.0 are one boundary value, as in the oracle's tuple keys:
+    a re-add under the other type is a no-op that keeps the first one."""
+    ops = [
+        ("add", 5, low_kind, 40),
+        ("add", 5.0, low_kind, 40),
+        ("add", 5.0, low_kind, 41),  # same boundary, other position: raises
+        ("probe", 5.0, KIND_LT),
+        ("probe", 5.0, KIND_LE),
+        ("add", 5.0, KIND_LE, 60),
+        ("add", 5, KIND_LT, 30),
+        ("add", 5, KIND_LE, 60),
+        ("add", 4.5, KIND_LE, 30),
+        ("add", 5.5, KIND_LT, 60),
+    ] + [("probe", v, kind) for v in (4, 4.5, 5, 5.0, 5.5, 6) for kind in KINDS]
+    check_sequence(100, ops)
+    index = CrackerIndex(100)
+    index.add(5, KIND_LT, 40)
+    index.add(5.0, KIND_LT, 40)
+    index.add(5.0, KIND_LE, 60)
+    assert [type(b[0]) for b in boundaries_of(index)] == [int, float]
+    assert index.probe(5, KIND_LE) == (60, 40, 60)
+
+
+def test_numpy_scalar_values():
+    """np.int64 and np.float64 bounds navigate like the Python values."""
+    ops = []
+    for value, kind, position in ((10, KIND_LT, 20), (30.5, KIND_LE, 50), (70, KIND_LE, 90)):
+        ops.append(("add", np.int64(value) if isinstance(value, int) else np.float64(value),
+                    kind, position))
+    for value in (0, 10, 29, 30.5, 31, 70, 99):
+        for kind in KINDS:
+            ops.append(("probe", np.int64(value) if isinstance(value, int) else np.float64(value), kind))
+            ops.append(("probe", np.float64(value), kind))
+    check_sequence(100, ops)
+    index = CrackerIndex(100)
+    index.add(np.int64(10), KIND_LT, 20)
+    index.add(np.float64(30.5), KIND_LE, 50)
+    assert [type(b[0]) for b in boundaries_of(index)] == [int, float]
+    for value in (np.int64(10), np.float64(10.0), np.float64(30.5), np.int64(99)):
+        assert all(type(p) in (int, type(None)) for p in index.probe(value, KIND_LT))
+
+
+def test_infinite_bounds():
+    """-inf and +inf are ordinary (representable) boundary values."""
+    inf = float("inf")
+    ops = [
+        ("add", -inf, KIND_LT, 0),
+        ("add", -inf, KIND_LE, 0),
+        ("add", inf, KIND_LE, 100),
+        ("add", inf, KIND_LT, 95),
+        ("add", 10, KIND_LT, 30),
+        ("add", -inf, KIND_LT, 5),  # re-added elsewhere: raises
+        ("add", inf, KIND_LE, 99),  # re-added elsewhere: raises
+    ] + [("probe", v, kind) for v in (-inf, -1e308, 0, 10, 1e308, inf) for kind in KINDS]
+    check_sequence(100, ops)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_export_state_round_trip_mid_sequence(seed):
+    """A snapshot taken half-way comes back with the same boundaries
+    (int vs float identity included) and keeps agreeing with the oracle."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for _ in range(80):
+        value = int(rng.integers(0, 500))
+        number = value + 0.5 if rng.integers(0, 2) else value
+        ops.append(("add", number, KINDS[int(rng.integers(0, 2))], value * 2))
+        ops.append(("probe", int(rng.integers(0, 500)) + 0.25, KINDS[int(rng.integers(0, 2))]))
+    index, oracle = CrackerIndex(1000), BisectIndex(1000)
+    for step, op in enumerate(ops):
+        if step == len(ops) // 2:
+            state = index.export_state()
+            index = CrackerIndex.from_state(state)
+            assert boundaries_of(index) == oracle.snapshot()
+            assert [type(b[0]) for b in boundaries_of(index)] == [
+                type(entry[0]) for entry in oracle.snapshot()
+            ]
+            for key, array in index.export_state().items():
+                assert np.array_equal(array, state[key]), key
+        assert apply_op(index, op) == apply_op(oracle, op), op
+    assert boundaries_of(index) == oracle.snapshot()
+    index.check_invariants()
+
+
+def test_twenty_thousand_boundaries():
+    """The size unbounded cracking (``crack_threshold=0``) reaches."""
+    rng = np.random.default_rng(20_000)
+    column_size = 200_000
+    values = rng.permutation(100_000)[:20_000]
+    index, oracle = CrackerIndex(column_size), BisectIndex(column_size)
+    for value in values.tolist():
+        kind = KINDS[value % 2]
+        # Consistent positions: 2 per value unit, +1 past an 'le'.
+        op = ("add", value, kind, 2 * value + (kind == KIND_LE))
+        assert apply_op(index, op) == apply_op(oracle, op) == ("ok", None)
+    for value in rng.integers(-10, 100_010, 5_000).tolist():
+        for kind in KINDS:
+            assert index.probe(value, kind) == oracle.probe(value, kind), value
+    assert len(index) == 20_000
+    assert boundaries_of(index) == oracle.snapshot()
+    index.check_invariants()
+    sizes = index.piece_sizes()
+    assert sum(sizes) == column_size and len(sizes) == 20_001

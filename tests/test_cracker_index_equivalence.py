@@ -276,13 +276,14 @@ def test_int_and_float_bounds_at_equal_values(low_kind):
 
 def test_numpy_scalar_values():
     """np.int64 and np.float64 bounds navigate like the Python values."""
-    ops = []
-    for value, kind, position in ((10, KIND_LT, 20), (30.5, KIND_LE, 50), (70, KIND_LE, 90)):
-        ops.append(("add", np.int64(value) if isinstance(value, int) else np.float64(value),
-                    kind, position))
+    numpy_scalar = lambda value: (np.int64 if isinstance(value, int) else np.float64)(value)
+    ops = [
+        ("add", numpy_scalar(value), kind, position)
+        for value, kind, position in ((10, KIND_LT, 20), (30.5, KIND_LE, 50), (70, KIND_LE, 90))
+    ]
     for value in (0, 10, 29, 30.5, 31, 70, 99):
         for kind in KINDS:
-            ops.append(("probe", np.int64(value) if isinstance(value, int) else np.float64(value), kind))
+            ops.append(("probe", numpy_scalar(value), kind))
             ops.append(("probe", np.float64(value), kind))
     check_sequence(100, ops)
     index = CrackerIndex(100)

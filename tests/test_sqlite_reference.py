@@ -66,7 +66,7 @@ _NAN_BOUNDS = (
 @pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
 def test_a_nan_bound_qualifies_no_row(name):
     """No value compares true with NaN, so a NaN parameter answers
-    nothing, as sqlite does; a cracked column adds no boundary for it."""
+    nothing, as sqlite does, on a column already cracked or sorted."""
     db, reference = _loaded(ENGINE_CONFIGS[name], seed=3)
     db.execute("SELECT count(*) FROM r WHERE w BETWEEN 1.5 AND 8.5")
     db.execute("SELECT count(*) FROM r WHERE a BETWEEN 200 AND 800")

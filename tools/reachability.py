@@ -28,6 +28,7 @@ ALLOWLIST: dict[str, str] = {
     "repro.core.crack.crack_in_two_swaps": "reference kernel (test_crack_kernels.py)",
     "repro.core.crack.crack_in_two_swaps.<locals>.goes_left": "inside crack_in_two_swaps",
     "repro.core.crack.crack_in_three_via_two": "reference kernel (test_crack_kernels.py)",
+    "repro.core.cracker_index.CrackerIndex.boundary_at": "invariant error text, index inspection (test_cracker_index.py)",
     "repro.core.cracker_index.Piece.describes": "invariant error text (test_cracker_index.py)",
     "repro.storage.catalog.Catalog.unregister_fragment": "re-crack a fragment (test_engines.py)",
 }

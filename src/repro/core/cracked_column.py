@@ -60,14 +60,13 @@ from repro.storage.bat import BAT
 #: The cut-off the SQL layer ships (``Database``, ``CrackerProvider``,
 #: ``repro serve``).  ``CrackedColumn`` itself defaults to 0, the paper's
 #: unbounded prototype, and ``DatabaseEngine`` opens its ``Database``
-#: with 0, so ``experiments/fig*`` reproduce that prototype.  Chosen
-#: from the ledger sweep in README "Crack threshold tuning".
-DEFAULT_CRACK_THRESHOLD = 512
+#: with 0, so ``experiments/fig*`` reproduce that prototype.  Chosen,
+#: with ``PIVOT_FACTOR``, from the sweep in README "Crack threshold tuning".
+DEFAULT_CRACK_THRESHOLD = 4096
 
 #: Pieces above this many times T are halved at pivots before a bound
-#: cracks them (:meth:`CrackedColumn._halve`); README "Crack threshold
-#: tuning" has the sweep.
-PIVOT_FACTOR = 8
+#: cracks them (:meth:`CrackedColumn._halve`); README "Pivots above 2 × T".
+PIVOT_FACTOR = 2
 
 #: A count merges nothing (:meth:`CrackedColumn.count_range`) until the
 #: pending buffers hold more than this share of the column; then it
@@ -337,13 +336,16 @@ class CrackedColumn:
     ) -> SelectionResult:
         """Answer ``low θ attr θ high`` adaptively.
 
-        ``None`` bounds make the predicate one-sided.  Pending changes
+        ``None`` bounds make the predicate one-sided (a lower bound alone
+        on a float column stops at +inf: NaN passes no bound).  Pending changes
         whose value the range can see are merged first.  Each bound the
         index does not hold yet cracks its piece — or, at or below
         ``crack_threshold``, sorts it once — and the answer is a copy of
         the span between the two positions.
         """
         self.query_stats.queries += 1
+        if high is None and low is not None and self.values.dtype.kind == "f":
+            high, high_inclusive = np.inf, True  # NaN sorts above +inf
         if _empty_by_construction(low, high, low_inclusive, high_inclusive):
             return self._span_result(0, 0)
         if self._ins_oids.size or self._del_oids.size:
@@ -370,6 +372,8 @@ class CrackedColumn:
         stays bounded too).
         """
         self.query_stats.queries += 1
+        if high is None and low is not None and self.values.dtype.kind == "f":
+            high, high_inclusive = np.inf, True
         if _empty_by_construction(low, high, low_inclusive, high_inclusive):
             return 0
         self._bound_pending(PENDING_SHARE)
@@ -754,7 +758,7 @@ class CrackedColumn:
         window = self.values[start:stop]
         if (window[:-1] <= window[1:]).all():
             return
-        order = window.argsort(kind="stable")
+        order = window.argsort()
         window[:] = window[order]
         oid_window = self.oids[start:stop]
         oid_window[:] = oid_window[order]

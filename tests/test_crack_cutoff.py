@@ -259,6 +259,63 @@ def test_cracking_remembered_sorted_spans_leaves_them_sorted():
     assert column._sorted_spans  # still remembered, still verified sorted
 
 
+def tie_heavy_ints(rng):
+    return rng.integers(0, 8, 10_000)
+
+
+def tie_heavy_floats_with_nans(rng):
+    values = rng.integers(0, 8, 10_000).astype(np.float64)
+    values[rng.random(len(values)) < 0.05] = np.nan
+    return values
+
+
+@pytest.mark.parametrize("threshold", [DEFAULT_CRACK_THRESHOLD, 10**6])
+@pytest.mark.parametrize("make", [tie_heavy_ints, tie_heavy_floats_with_nans])
+def test_unstable_piece_sort_keeps_tie_heavy_columns_exact(make, threshold):
+    """The cut-off sort may put tied values (and NaNs) in any order: a
+    tuple keeps its oid, a sorted span stays sorted and no answer moves."""
+    rng = np.random.default_rng(12)
+    values = make(rng)
+    column = CrackedColumn.from_arrays(values, crack_threshold=threshold)
+    oracle = Oracle(values)
+    bounds = list(range(-1, 9)) + [None]
+    if values.dtype.kind == "f":
+        bounds += [3.5, np.nan]
+    for step in range(150):
+        low, high = (bounds[i] for i in rng.integers(0, len(bounds), 2))
+        low_inclusive, high_inclusive = step % 2 == 0, step % 3 != 0
+        result = column.range_select(low, high, low_inclusive, high_inclusive)
+        order = np.argsort(result.oids)
+        expected_oids, expected_values = oracle.select(
+            low, high, low_inclusive, high_inclusive
+        )
+        assert np.array_equal(result.oids[order], expected_oids)
+        assert np.array_equal(result.values[order], expected_values, equal_nan=True)
+        by_oid = np.argsort(column.oids)
+        assert np.array_equal(column.oids[by_oid], oracle.oids)
+        assert np.array_equal(column.values[by_oid], values, equal_nan=True)
+        for start, stop in column._sorted_spans:
+            span = column.values[start:stop]
+            assert np.array_equal(span, np.sort(span), equal_nan=True)
+        column.check_invariants()
+    assert column.crack_stats.sorts
+
+
+@pytest.mark.parametrize("cracking", [False, True])
+def test_a_lower_bound_alone_leaves_stored_nans_out(cracking):
+    """NaN sorts last and lands right of every boundary, so a one-sided
+    ``a > x`` must stop at +inf to count what a scan (and sqlite) counts."""
+    db = Database(cracking=cracking)
+    schema = Schema([Column("k", "int"), Column("w", "float")])
+    w = np.array([1.0, np.nan, 5.0, 3.0, np.nan, 7.0])
+    db.catalog.create_table(
+        Relation.from_columns("r", schema, {"k": np.arange(len(w)), "w": w})
+    )
+    for predicate, count in [("w > 3", 2), ("w >= 0", 4), ("w < 4", 2), ("w > 9", 0)]:
+        assert db.execute(f"SELECT count(*) FROM r WHERE {predicate}").scalar() == count
+        assert len(db.execute(f"SELECT k FROM r WHERE {predicate}").rows) == count
+
+
 # ---------------------------------------------------------------------- #
 # Pivots above PIVOT_FACTOR * T
 # ---------------------------------------------------------------------- #
@@ -316,6 +373,18 @@ def test_uniform_ranges_pay_little_for_pivots(monkeypatch):
     with_pivots = touched()
     without_pivots(monkeypatch)
     assert with_pivots <= 1.1 * touched()
+
+
+def test_uniform_ranges_converge_to_few_sorted_pieces():
+    """At the shipped cut-off, the ledger's uniform stream leaves the
+    column in ~100 pieces (754 at T = 512): the burn-in ends by sorting
+    a few thousand tuples, not by cracking them."""
+    rng = np.random.default_rng(11)
+    lows = rng.integers(0, ROWS, 1024)
+    highs = lows + rng.integers(1, ROWS // 4, 1024)
+    column = replay(zip(lows.tolist(), highs.tolist()))
+    assert column.piece_count <= 150
+    assert column.crack_stats.sorts
 
 
 def test_without_a_threshold_every_boundary_is_a_query_bound():

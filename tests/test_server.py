@@ -899,6 +899,20 @@ class TestBackpressure:
         assert replies[4]["code"] == "protocol"
 
 
+class _ReadsAfter:
+    """A client socket whose reads wait until ``event`` is set."""
+
+    def __init__(self, sock, event):
+        self._sock, self._event = sock, event
+
+    def recv(self, size):
+        self._event.wait(30)
+        return self._sock.recv(size)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
 class TestWritePath:
     """Replies leave by non-blocking send: a frame cut by a full socket
     buffer resumes where it stopped, and a chunked result encodes its
@@ -909,10 +923,13 @@ class TestWritePath:
 
         monkeypatch.setattr(protocol, "CHUNK_BYTES", 4096)
         watched = []
+        cut_short = threading.Event()
         real_watch = server_module.ReproServer._watch
 
         def watch(server, conn, events):
             watched.append(events)
+            if events & server_module._WRITE:
+                cut_short.set()
             real_watch(server, conn, events)
 
         monkeypatch.setattr(server_module.ReproServer, "_watch", watch)
@@ -939,6 +956,11 @@ class TestWritePath:
                     actual = client.execute(statement)
                     assert actual.columns == list(expected.columns), statement
                     assert wire_json(actual.rows) == wire_json(expected.rows), statement
+                # The window's replies (~250 KiB) outgrow both socket
+                # buffers while the client reads nothing, so a send is cut
+                # short however fast the client would have drained them.
+                client._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                client._sock = _ReadsAfter(client._sock, cut_short)
                 results = client.execute_many(window, window=64)
                 for statement, actual in zip(window, results, strict=True):
                     expected = embedded.execute(statement)

@@ -22,6 +22,8 @@ from functools import cached_property
 from numbers import Integral, Real
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.errors import SQLAnalysisError
 from repro.sql.ast_nodes import (
     AggCall,
@@ -63,6 +65,15 @@ class RangePredicate:
         )
         return f"{left}{self.binding}.{self.attr}{right}"
 
+    def mask(self, values: np.ndarray) -> np.ndarray:
+        """Which ``values`` lie in the range (NaN lies in none)."""
+        keep = np.ones(len(values), dtype=bool)
+        if self.low is not None:
+            keep &= values >= self.low if self.low_inclusive else values > self.low
+        if self.high is not None:
+            keep &= values <= self.high if self.high_inclusive else values < self.high
+        return keep
+
 
 @dataclass(frozen=True)
 class JoinPredicate:
@@ -82,12 +93,17 @@ class JoinPredicate:
 
 @dataclass(frozen=True)
 class ResidualPredicate:
-    """A non-crackable condition, evaluated after the scans (e.g. <>)."""
+    """A non-crackable condition (``<>``), evaluated at its binding's scan."""
 
     binding: str
     attr: str
     op: str
     value: object
+
+    def mask(self, values: np.ndarray) -> np.ndarray:
+        """Which ``values`` differ from the literal.  NaN is SQL's NULL
+        (sqlite stores it so): a NaN on either side qualifies no row."""
+        return (values != self.value) & (values == values) & (self.value == self.value)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from repro.core.cracked_column import DEFAULT_CRACK_THRESHOLD, CrackedColumn
 from repro.obs import introspect as obs_introspect
 from repro.obs import trace as obs_trace
 from repro.errors import PlanError
-from repro.sql.analyzer import AnalyzedQuery, JoinPredicate, RangePredicate
+from repro.sql.analyzer import AnalyzedQuery, RangePredicate
 from repro.storage.catalog import Catalog
 from repro.storage.table import Relation
 from repro.volcano.joinopt import (
@@ -70,12 +70,11 @@ def _cracked_count_plan(
     query: AnalyzedQuery, catalog: Catalog, cracker: "CrackerProvider | None"
 ) -> CrackedCountScan | None:
     """The COUNT(*) pushdown, when the whole query is one cracked range."""
-    if cracker is None or len(query.tables) != 1:
-        return None
-    if query.aggregates != [("count", None)] or len(query.selections) != 1:
+    if len(query.tables) != 1 or len(query.selections) != 1:
         return None
     if (
-        query.group_by
+        query.aggregates != [("count", None)]
+        or query.group_by
         or query.joins
         or query.residuals
         or query.order_by
@@ -84,11 +83,9 @@ def _cracked_count_plan(
         or query.limit is not None
     ):
         return None
-    predicate = query.selections[0]
-    if predicate.low is None and predicate.high is None:
-        return None
     relation = catalog.table(query.tables[0].name)
-    if relation.column(predicate.attr).tail_type == "str":
+    predicate = _pick_crackable(query.selections, relation, cracker)
+    if predicate is None:
         return None
     governor.check()
     count = cracker.range_select(
@@ -388,19 +385,16 @@ def build_plan(
         return fast_count
     needed = _needed_columns(query)
     base_ops: dict[str, VecOperator] = {}
-    remaining_selections: list[RangePredicate] = []
-    selections_by_binding: dict[str, list[RangePredicate]] = {}
-    for predicate in query.selections:
-        selections_by_binding.setdefault(predicate.binding, []).append(predicate)
-
     for ref in query.tables:
         governor.check()  # each crack leaves its column valid: stop here
         relation = catalog.table(ref.name)
         binding = ref.binding
-        predicates = selections_by_binding.get(binding, [])
+        ranges = [p for p in query.selections if p.binding == binding]
         columns = None if needed is None else needed.get(binding, ())
-        crackable = _pick_crackable(predicates, relation, cracker)
-        if crackable is not None and cracker is not None:
+        crackable = _pick_crackable(ranges, relation, cracker)
+        if crackable is None:
+            scan = VecScan(relation, alias=binding, needed=columns)
+        else:
             result = cracker.range_select(
                 relation,
                 crackable.attr,
@@ -410,28 +404,18 @@ def build_plan(
                 high_inclusive=crackable.high_inclusive,
             )
             # The cracked answer is the pipeline's first batch.
-            base_ops[binding] = VecCrackedScan(
+            scan = VecCrackedScan(
                 relation, crackable.attr, result, alias=binding, needed=columns,
             )
-            remaining_selections.extend(p for p in predicates if p is not crackable)
-        else:
-            base_ops[binding] = VecScan(relation, alias=binding, needed=columns)
-            remaining_selections.extend(predicates)
+        # The binding's other ranges and its <> residuals: one filter
+        # right above its scan, so no join sees a row they remove.
+        base_ops[binding] = _filtered(scan, [
+            ((f"{binding}.{predicate.attr}",), predicate.mask)
+            for predicate in (*ranges, *query.residuals)
+            if predicate is not crackable and predicate.binding == binding
+        ])
 
     tree = _join_tree(query, base_ops, catalog)
-    for predicate in remaining_selections:
-        tree = VecSelect(
-            tree,
-            f"{predicate.binding}.{predicate.attr}",
-            _range_mask(predicate),
-        )
-    for residual in query.residuals:
-        value = residual.value
-        tree = VecSelect(
-            tree,
-            f"{residual.binding}.{residual.attr}",
-            lambda values, v=value: values != v,
-        )
     # ORDER BY: with aggregates the sort keys are group columns and must
     # apply to the γ output; otherwise sorting happens before projection
     # so non-projected columns remain orderable.  Reversed stacking of
@@ -492,8 +476,7 @@ def _needed_columns(query: AnalyzedQuery) -> dict[str, set[str]] | None:
     names += query.group_by
     names += [name for name, _ in query.order_by]
     pairs = [tuple(name.split(".", 1)) for name in names]
-    pairs += [(p.binding, p.attr) for p in query.selections]
-    pairs += [(r.binding, r.attr) for r in query.residuals]
+    pairs += [(p.binding, p.attr) for p in (*query.selections, *query.residuals)]
     for join in query.joins:
         pairs.append((join.left_binding, join.left_attr))
         pairs.append((join.right_binding, join.right_attr))
@@ -503,24 +486,9 @@ def _needed_columns(query: AnalyzedQuery) -> dict[str, set[str]] | None:
     return needed
 
 
-def _range_mask(predicate: RangePredicate):
-    """A vectorized mask function evaluating one range predicate."""
-    low, high = predicate.low, predicate.high
-    low_inc, high_inc = predicate.low_inclusive, predicate.high_inclusive
-
-    def mask(values: np.ndarray) -> np.ndarray:
-        keep = np.ones(len(values), dtype=bool)
-        if low is not None:
-            keep &= np.asarray(
-                values >= low if low_inc else values > low, dtype=bool
-            )
-        if high is not None:
-            keep &= np.asarray(
-                values <= high if high_inc else values < high, dtype=bool
-            )
-        return keep
-
-    return mask
+def _filtered(child: VecOperator, conjunction: list) -> VecOperator:
+    """``child`` under one :class:`VecSelect` of ``conjunction``, if any."""
+    return VecSelect(child, conjunction) if conjunction else child
 
 
 def _pick_crackable(
@@ -565,12 +533,25 @@ def _join_tree(
         plan = optimize_join_order(graph)
     except OptimizerBudgetExceeded:
         plan = fallback
+    # An edge no step joins by is a two-column equality, applied right
+    # above the step that first holds both of its relations.
+    position = {step.relation: i for i, step in enumerate(plan.steps)}
+    used = {id(step.edge) for step in plan.steps}
+    closing: dict[int, list] = {}
+    for edge in edges:
+        if id(edge) not in used:
+            at = max(position[edge.left_rel], position[edge.right_rel])
+            closing.setdefault(at, []).append(
+                ((edge.left_col, edge.right_col), np.equal)
+            )
     tree = base_ops[bindings[plan.steps[0].relation]]
-    for step in plan.steps[1:]:
+    for at, step in enumerate(plan.steps[1:], 1):
         right = base_ops[bindings[step.relation]]
         left_col, right_col = step.edge.keys_toward(step.relation)
         # Always the sort-merge kernel, whatever ``step.method`` says: the
         # nested-loop collapse of Figure 9 is a tuple-engine cost profile
         # (RowStoreEngine's) the batch discipline does not exhibit.
-        tree = VecHashJoin(tree, right, left_col, right_col)
+        tree = _filtered(
+            VecHashJoin(tree, right, left_col, right_col), closing.get(at, [])
+        )
     return tree

@@ -22,7 +22,7 @@ from repro.sql.planner import build_plan
 from repro.sql.result import QueryResult
 from repro.storage.bat import TAIL_DTYPES
 from repro.storage.table import Column, Relation, Schema
-from repro.volcano.vectorized import VecOperator, concat_batches
+from repro.volcano.vectorized import VecOperator, concat_batches, conjunction_mask
 
 
 def _where_literals(where: list) -> list:
@@ -425,10 +425,6 @@ class InsertSelectStmt(_Mutation):
 # ---------------------------------------------------------------------- #
 
 
-def _column_values(relation: Relation, attr: str, start: int, stop: int):
-    return relation.column(attr).decoded_array(slice(start, stop))[0]
-
-
 def _match_positions(relation: Relation, plan: AnalyzedDML) -> np.ndarray:
     """Storage positions of live rows satisfying a DML WHERE clause,
     ascending.
@@ -439,7 +435,8 @@ def _match_positions(relation: Relation, plan: AnalyzedDML) -> np.ndarray:
     window: the intersection of the :meth:`~repro.storage.bat.BAT.window`
     of every predicate on an ascending column, else the whole table.  The
     window's tombstones, the other predicates and the ``<>`` residuals
-    are evaluated on the window's slice of each column.
+    are evaluated on the window's slice of each column, by the evaluator
+    a SELECT's filters use (:func:`~repro.volcano.vectorized.conjunction_mask`).
     """
     start, stop = 0, len(relation)
     scanned = []
@@ -454,24 +451,11 @@ def _match_positions(relation: Relation, plan: AnalyzedDML) -> np.ndarray:
             start, stop = max(start, window[0]), min(stop, window[1])
     if start >= stop:
         return np.empty(0, dtype=np.int64)
-    keep = relation.live_mask(start, stop)
-    for predicate in scanned:
-        values = _column_values(relation, predicate.attr, start, stop)
-        if predicate.low is not None:
-            keep &= (
-                values >= predicate.low
-                if predicate.low_inclusive
-                else values > predicate.low
-            )
-        if predicate.high is not None:
-            keep &= (
-                values <= predicate.high
-                if predicate.high_inclusive
-                else values < predicate.high
-            )
-    for residual in plan.residuals:
-        values = _column_values(relation, residual.attr, start, stop)
-        keep &= values != residual.value
+    keep = conjunction_mask(
+        [((p.attr,), p.mask) for p in (*scanned, *plan.residuals)],
+        lambda attr: relation.column(attr).decoded_array(slice(start, stop))[0],
+        relation.live_mask(start, stop),
+    )
     return start + np.flatnonzero(keep)
 
 

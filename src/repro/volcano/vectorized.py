@@ -247,25 +247,36 @@ class VecCrackedScan(VecOperator):
         yield ColumnBatch(self.columns, arrays, coded=coded)
 
 
+def conjunction_mask(conjunction, column, keep: np.ndarray) -> np.ndarray:
+    """``keep`` ANDed in place with each ``(keys, condition)`` entry's
+    ``condition(column(key), ...)``: the one evaluator of a WHERE
+    conjunction, per batch in :class:`VecSelect` and in the DML matcher."""
+    for keys, condition in conjunction:
+        keep &= condition(*[column(key) for key in keys])
+    return keep
+
+
 class VecSelect(VecOperator):
-    """Filter composing selection vectors — no gathering, no row loop."""
+    """Filter by a conjunction of ``(column names, condition)`` pairs
+    (:func:`conjunction_mask`) in one operator, composing selection
+    vectors — no gathering, no row loop."""
 
     def __init__(
         self,
         child: VecOperator,
-        name: str,
-        mask_fn: Callable[[np.ndarray], np.ndarray],
+        conjunction: Sequence[tuple[Sequence[str], Callable[..., np.ndarray]]],
     ) -> None:
         self.child = child
-        self._index = child.column_index(name)
-        self.mask_fn = mask_fn
+        self._conjunction = [
+            ([child.column_index(name) for name in names], condition)
+            for names, condition in conjunction
+        ]
         self.columns = list(child.columns)
 
     def batches(self) -> Iterator[ColumnBatch]:
         for batch in self.child.batches():
-            values = batch.column(self._index)
-            mask = np.asarray(self.mask_fn(values), dtype=bool)
-            hits = np.flatnonzero(mask)
+            keep = np.ones(len(batch), dtype=bool)
+            hits = np.flatnonzero(conjunction_mask(self._conjunction, batch.column, keep))
             if len(hits) == 0:
                 continue
             sel = hits if batch.sel is None else batch.sel[hits]

@@ -24,8 +24,11 @@ from oracle import (
     random_mixed_dml,
     standard_query_suite,
 )
+from repro.client import Client
 from repro.errors import ReproError, SQLAnalysisError
+from repro.server import ServerThread
 from repro.sql import Database, QueryResult
+from repro.storage.table import Column, Relation, Schema
 
 #: Seeds of the main differential, per configuration.
 SEEDS = range(50)
@@ -78,6 +81,120 @@ def test_a_nan_bound_qualifies_no_row(name):
             reference.answer(template_sql, params).check(result, (name, params))
             assert result.rows in ([], [(0,)]), (template, params)
     db.check_invariants()
+
+
+@pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
+def test_a_nan_leaves_a_not_equal_filter(name):
+    """``<>`` qualifies no row where either side is NaN (sqlite's NULL):
+    neither a stored NaN nor a NaN parameter, in a SELECT or a DELETE."""
+    values = [1.0, NAN, 3.0, NAN, 5.0, 3.0]
+    for sql in ("SELECT count(*) FROM n WHERE a <> 3", "DELETE FROM n WHERE a <> 3"):
+        db, reference = Database(**ENGINE_CONFIGS[name]), SqliteReference()
+        schema = Schema([Column("k", "int"), Column("a", "float")])
+        db.catalog.create_table(
+            Relation.from_columns("n", schema, {"k": range(6), "a": values})
+        )
+        reference.execute("CREATE TABLE n (k integer, a float)")
+        for row in enumerate(values):
+            reference.execute("INSERT INTO n VALUES (?, ?)", row)
+        reference.answer(sql).check(db.execute(sql), (name,))
+        assert_matches_sqlite({name: db}, reference, ["SELECT count(*), sum(n.k) FROM n"])
+    db, reference = _loaded(ENGINE_CONFIGS[name], seed=3)
+    template = "SELECT count(*) FROM r WHERE w <> 5.0"
+    result = db.prepare(template).execute((NAN,))
+    reference.answer(_LITERAL.sub("?", template), (NAN,)).check(result, (name,))
+    assert result.rows == [(0,)]
+
+
+#: ``r(k, a)`` with rows ``(i % 5, i % 3)``: joins with an edge that no
+#: join step uses (a parallel edge, a cycle), and sqlite's counts.
+_EXTRA_EDGES = [
+    ("SELECT count(*) FROM r x, r y WHERE x.k = y.k AND x.a = y.a", 60),
+    ("SELECT count(*) FROM r x, r y, r z WHERE x.k = y.k AND y.a = z.a AND z.k = x.a",
+     360),
+]
+
+
+@pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
+def test_a_join_edge_off_the_join_tree_filters(name):
+    db = Database(**ENGINE_CONFIGS[name])
+    db.execute("CREATE TABLE r (k integer, a integer)")
+    db.execute("INSERT INTO r VALUES " + ", ".join(f"({i % 5}, {i % 3})" for i in range(30)))
+    for sql, count in _EXTRA_EDGES:
+        assert db.execute(sql).rows == [(count,)], sql
+
+
+#: The integer columns of the standard tables and their literal domains.
+_JOIN_COLUMNS = {"r": ("k", "a"), "s": ("k", "g"), "t": ("g",)}
+_DOMAINS = {"k": 120, "a": 1000, "g": 9}
+
+
+def _random_join(rng) -> str:
+    """A ``count(*)`` over 1–4 of ``r``/``s``/``t`` joined by a random
+    spanning tree of integer equi-join edges, with 0–2 extra edges and
+    0–2 range, point or ``<>`` predicates, in shuffled order."""
+    n = int(rng.integers(1, 5))
+    tables = [str(rng.choice(list(_JOIN_COLUMNS))) for _ in range(n)]
+
+    def column(i: int) -> tuple[str, str]:
+        attr = str(rng.choice(_JOIN_COLUMNS[tables[i]]))
+        return f"x{i}.{attr}", attr
+
+    edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+    if n > 1:
+        edges += [
+            tuple(int(i) for i in rng.choice(n, 2, replace=False))
+            for _ in range(int(rng.integers(0, 3)))
+        ]
+    conditions = [f"{column(i)[0]} = {column(j)[0]}" for i, j in edges]
+    for _ in range(int(rng.integers(0, 3))):
+        name, attr = column(int(rng.integers(0, n)))
+        value = int(rng.integers(0, _DOMAINS[attr]))
+        conditions.append(str(rng.choice([
+            f"{name} < {value}", f"{name} >= {value}", f"{name} = {value}",
+            f"{name} <> {value}", f"{name} BETWEEN {value} AND {value + _DOMAINS[attr] // 4}",
+        ])))
+    where = " AND ".join(conditions[i] for i in rng.permutation(len(conditions)))
+    relations = ", ".join(f"{table} x{i}" for i, table in enumerate(tables))
+    return f"SELECT count(*) FROM {relations}" + (f" WHERE {where}" if where else "")
+
+
+def test_random_joins_count_like_sqlite():
+    """Random joins, extra edges and filters, on every configuration."""
+    for seed in range(8):
+        databases, reference = make_databases(), SqliteReference()
+        for target in (*databases.values(), reference):
+            load_standard(target, seed, n_rows=120)
+        rng = np.random.default_rng(seed + 5000)
+        statements = [_random_join(rng) for _ in range(100)]
+        assert_matches_sqlite(databases, reference, statements, (seed,))
+
+
+def _balanced(conjuncts: list[str]) -> str:
+    """The conjunction of ``conjuncts`` as a balanced tree of parentheses
+    (sqlite refuses an expression tree deeper than 1 000)."""
+    if len(conjuncts) == 1:
+        return conjuncts[0]
+    half = len(conjuncts) // 2
+    return f"({_balanced(conjuncts[:half])} AND {_balanced(conjuncts[half:])})"
+
+
+def test_five_thousand_conjuncts_answer_like_sqlite():
+    """One filter holds them all, on every configuration and served."""
+    conjuncts = ["a < 900"] + [f"k <> {2 * i}" for i in range(2500)]
+    conjuncts += [f"a <> {i}" for i in range(0, 5000, 2)]
+    head = "SELECT count(*), sum(r.a) FROM r WHERE "
+    sql = head + " AND ".join(conjuncts)
+    for name, config in ENGINE_CONFIGS.items():
+        db, reference = _loaded(config, seed=4)
+        answer = reference.answer(head + _balanced(conjuncts))
+        answer.check(db.execute(sql), (name,))
+    thread = ServerThread(db)
+    try:
+        with Client(*thread.start()) as client:
+            answer.check(client.execute(sql))  # a RemoteError fails the test
+    finally:
+        thread.stop()
 
 
 # ---------------------------------------------------------------------- #

@@ -98,8 +98,8 @@ class TestVecSelect:
     def test_composes_selection_vectors_without_gather(self, r_rel, batch_rows):
         batch_rows(128)
         scan = VecScan(r_rel, alias="R")
-        first = VecSelect(scan, "R.a", lambda v: v >= 20)
-        second = VecSelect(first, "R.a", lambda v: v < 60)
+        first = VecSelect(scan, [(["R.a"], lambda v: v >= 20)])
+        second = VecSelect(first, [(["R.a"], lambda v: v < 60)])
         a = r_rel.column("a").tail_array()
         expected = a[(a >= 20) & (a < 60)]
         got = np.concatenate([b.column(1) for b in second.batches()])
@@ -108,6 +108,17 @@ class TestVecSelect:
             # the filter stacked sel vectors; arrays still alias the scan
             assert batch.sel is not None
             assert np.shares_memory(batch.arrays[1], a)
+
+    def test_one_operator_ands_its_conjunction(self, r_rel):
+        """Single- and two-column conditions in one filter."""
+        select = VecSelect(VecScan(r_rel, alias="R"), [
+            (["R.a"], lambda v: v >= 20),
+            (["R.a"], lambda v: v < 60),
+            (["R.k", "R.a"], lambda k, a: k % 2 == a % 2),
+        ])
+        k, a = r_rel.column("k").tail_array(), r_rel.column("a").tail_array()
+        expected = k[(a >= 20) & (a < 60) & (k % 2 == a % 2)]
+        assert [row[0] for row in _rows(select)] == expected.tolist()
 
 
 class TestVecHashJoin:
@@ -440,5 +451,42 @@ class TestConcatBatches:
         scan = VecScan(r_rel)
         batch = concat_batches(scan)
         assert len(batch) == 500
-        empty = VecSelect(VecScan(r_rel), "a", lambda v: v > 10**9)
+        empty = VecSelect(VecScan(r_rel), [(["a"], lambda v: v > 10**9)])
         assert concat_batches(empty) is None
+
+
+class TestPlanShape:
+    """Each binding's conjunction is one filter on its scan; an extra
+    join edge is one filter on the join that first holds both sides."""
+
+    @pytest.fixture
+    def db(self):
+        db = Database(cracking=False)
+        db.execute("CREATE TABLE s (k integer, g integer)")
+        db.execute(
+            "INSERT INTO s VALUES " + ", ".join(f"({i}, {i % 9})" for i in range(300))
+        )
+        return db
+
+    def _plan(self, db, sql):
+        return build_plan(analyze(parse(sql), db.catalog), db.catalog)
+
+    def test_single_relation_predicates_sit_on_their_scans(self, db):
+        plan = self._plan(db, (
+            "SELECT count(*) FROM s x, s y WHERE x.g = y.g AND x.k < 100 "
+            "AND y.k < 100 AND x.g <> 1 AND y.g > 2"
+        ))
+        assert isinstance(plan, VecAggregate)
+        join = plan.child
+        assert isinstance(join, VecHashJoin)  # no filter above the join
+        for side in (join.left, join.right):
+            assert isinstance(side, VecSelect)
+            assert isinstance(side.child, VecScan)
+
+    def test_an_extra_edge_sits_on_its_join(self, db):
+        plan = self._plan(db, "SELECT count(*) FROM s x, s y WHERE x.k = y.k AND x.g = y.g")
+        edge = plan.child
+        assert isinstance(edge, VecSelect)
+        assert isinstance(edge.child, VecHashJoin)
+        assert isinstance(edge.child.left, VecScan)
+        assert isinstance(edge.child.right, VecScan)

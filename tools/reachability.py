@@ -114,6 +114,7 @@ STATEMENTS = [
     "INSERT INTO t SELECT k, a FROM r WHERE a < 50",
     "SELECT k, b INTO u FROM s WHERE b BETWEEN 3 AND 9",
     "SELECT count(*) FROM r, s, t WHERE r.k = s.k AND s.k = t.k",
+    "SELECT count(*) FROM r x, r y WHERE x.k = y.k AND x.a = y.a AND x.tag <> 'tag1'",
     "UPDATE r SET a = 5, tag = 'new' WHERE k < 20",
     "DELETE FROM r WHERE a > 900",
     "INSERT INTO r VALUES (-1, -2, -0.5, 'neg')",

@@ -41,10 +41,12 @@ range to the span and subtracts the pending deletes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.bounds import EMPTY, INT64_MAX, INT64_MIN, typed_bound
 from repro.core.crack import (
     KIND_LE,
     KIND_LT,
@@ -78,21 +80,6 @@ PENDING_SHARE = 1 / 16
 #: Flags of ``CrackedColumn._state``, one byte per oid: physically in
 #: storage; that stored copy has a pending delete; a pending insert.
 _STORED, _DOOMED, _QUEUED = 1, 2, 4
-
-
-def _empty_by_construction(low, high, low_inclusive: bool, high_inclusive: bool) -> bool:
-    """An inverted range, a point range that excludes its point, or a
-    NaN bound (no value compares true with NaN, one-sided or not).
-
-    Answered without reorganising: cracking would also invert the
-    boundary ordering (the high boundary would sort before the low one),
-    and NaN has no place among the boundaries at all.
-    """
-    if low != low or high != high:
-        return True
-    if low is None or high is None:
-        return False
-    return high < low or (high == low and not (low_inclusive and high_inclusive))
 
 
 def _count_in(values: np.ndarray, low, high, low_side: str, high_side: str) -> int:
@@ -242,7 +229,7 @@ class CrackedColumn:
         self.crack_threshold = crack_threshold
         self.values = values
         self.oids = oids
-        self.index = CrackerIndex(len(self.values))
+        self.index = CrackerIndex(len(self.values), values.dtype)
         self.crack_stats = CrackStats()
         self.query_stats = QueryStats()
         # Pending changes, one value-sorted (values, oids) pair per kind.
@@ -336,21 +323,20 @@ class CrackedColumn:
     ) -> SelectionResult:
         """Answer ``low θ attr θ high`` adaptively.
 
-        ``None`` bounds make the predicate one-sided (a lower bound alone
-        on a float column stops at +inf: NaN passes no bound).  Pending changes
-        whose value the range can see are merged first.  Each bound the
-        index does not hold yet cracks its piece — or, at or below
-        ``crack_threshold``, sorts it once — and the answer is a copy of
-        the span between the two positions.
+        ``None`` bounds make the predicate one-sided.  Each bound is
+        first folded into the column's type (:meth:`_typed_range`).
+        Pending changes whose value the range can see are merged first.
+        Each bound the index does not hold yet cracks its piece — or, at
+        or below ``crack_threshold``, sorts it once — and the answer is a
+        copy of the span between the two positions.
         """
         self.query_stats.queries += 1
-        if high is None and low is not None and self.values.dtype.kind == "f":
-            high, high_inclusive = np.inf, True  # NaN sorts above +inf
-        if _empty_by_construction(low, high, low_inclusive, high_inclusive):
+        bounds = self._typed_range(low, high, low_inclusive, high_inclusive)
+        if bounds is None:
             return self._span_result(0, 0)
         if self._ins_oids.size or self._del_oids.size:
-            self._merge_pending(low, high)
-        return self._span_result(*self._span(low, high, low_inclusive, high_inclusive))
+            self._merge_pending(bounds[0], bounds[1])
+        return self._span_result(*self._span(*bounds))
 
     def count_range(
         self,
@@ -372,12 +358,12 @@ class CrackedColumn:
         stays bounded too).
         """
         self.query_stats.queries += 1
-        if high is None and low is not None and self.values.dtype.kind == "f":
-            high, high_inclusive = np.inf, True
-        if _empty_by_construction(low, high, low_inclusive, high_inclusive):
+        bounds = self._typed_range(low, high, low_inclusive, high_inclusive)
+        if bounds is None:
             return 0
+        low, high, low_inclusive, high_inclusive = bounds
         self._bound_pending(PENDING_SHARE)
-        start, stop = self._span(low, high, low_inclusive, high_inclusive)
+        start, stop = self._span(*bounds)
         if not (self._ins_oids.size or self._del_oids.size):
             return stop - start
         sides = ("left" if low_inclusive else "right", "right" if high_inclusive else "left")
@@ -386,6 +372,38 @@ class CrackedColumn:
             + _count_in(self._ins_values, low, high, *sides)
             - _count_in(self._del_values, low, high, *sides)
         )
+
+    def _typed_range(self, low, high, low_inclusive: bool, high_inclusive: bool):
+        """``(low, high, low_inclusive, high_inclusive)`` with each bound in
+        the column's type (:func:`~repro.core.bounds.typed_bound`; None for
+        an open side), or None when no value qualifies: an empty side, an
+        inverted range or a point range that excludes its point.
+
+        A lower bound alone on a float column stops at +inf: NaN passes no
+        bound, and sorts above +inf.  An empty range is answered without
+        reorganising: cracking it would invert the boundary ordering.
+        """
+        integer = self.values.dtype.kind != "f"
+        if not (  # the common case: two int64 ints on an int column
+            integer and type(low) is type(high) is int and INT64_MIN <= low and high <= INT64_MAX
+        ):
+            if low is not None:
+                low = typed_bound(low, "low", low_inclusive, integer)
+                if low is EMPTY:
+                    return None
+                low, low_inclusive = low or (None, low_inclusive)
+            if high is not None:
+                high = typed_bound(high, "high", high_inclusive, integer)
+                if high is EMPTY:
+                    return None
+                high, high_inclusive = high or (None, high_inclusive)
+            if high is None and low is not None and not integer:
+                high, high_inclusive = math.inf, True
+        if low is not None and high is not None and (
+            high < low or (high == low and not (low_inclusive and high_inclusive))
+        ):
+            return None
+        return low, high, low_inclusive, high_inclusive
 
     def _span(self, low, high, low_inclusive: bool, high_inclusive: bool) -> tuple[int, int]:
         """The storage span of ``low θ attr θ high``, cracking or sorting
@@ -732,14 +750,14 @@ class CrackedColumn:
     def _halve(self, value, kind: str, start: int, stop: int) -> tuple:
         """Crack the bound's piece at the median of its values at 1/4, 1/2
         and 3/4 until it holds at most ``PIVOT_FACTOR * T`` tuples; returns
-        the bound's :meth:`CrackerIndex.probe`.  Never quadratic: stops at a
-        pivot with no float64 key, an empty split, or one leaving the bound
-        over 7/8 of the piece."""
+        the bound's :meth:`CrackerIndex.probe`.  Never quadratic: stops at
+        a NaN pivot (no boundary can hold NaN), an empty split, or one
+        leaving the bound over 7/8 of the piece."""
         while stop - start > PIVOT_FACTOR * self.crack_threshold:
             size = stop - start
             probes = self.values[start + np.array([size // 4, size // 2, 3 * size // 4])]
             pivot = sorted(probes.tolist())[1]
-            if float(pivot) != pivot or self._crack(pivot, KIND_LT, start, stop) == start:
+            if pivot != pivot or self._crack(pivot, KIND_LT, start, stop) == start:
                 break
             self.crack_stats.pivot_cracks += 1
             position, start, stop = self.index.probe(value, kind)

@@ -16,17 +16,18 @@ Consecutive boundaries delimit *pieces*; each piece knows its value range
 and its location ``[start, stop)`` inside the cracker column — exactly the
 (min,max)/size/location triple of the paper.
 
-Storage is three parallel Python lists (boundary value as given, kind
-rank, storage position) kept sorted by ``(value, rank)``, so the
-interval-tree navigation of the paper becomes one ``bisect`` per probe
-and a new boundary three ``list.insert`` calls.  The bulk operations
-(position shifts, merge bookkeeping, invariant checks, pending-update
-piece assignment, snapshots) build the numpy arrays they need once per
-call — per merge or checkpoint, not per bound.  :class:`Boundary`
-(:meth:`CrackerIndex.boundary_at`) is the object view handed to callers
-that inspect the index, and :class:`Piece` names a piece in invariant
-errors; the query path navigates with :meth:`CrackerIndex.probe`, which
-returns plain positions and builds neither.
+Storage is three parallel Python lists (boundary value, kind rank,
+storage position) kept sorted by ``(value, rank)``, so the interval-tree
+navigation of the paper becomes one ``bisect`` per probe and a new
+boundary three ``list.insert`` calls.  The bulk operations (position
+shifts, merge bookkeeping, invariant checks, pending-update piece
+assignment, snapshots) build the numpy arrays they need once per call —
+per merge or checkpoint, not per bound — in the column's own dtype.
+:class:`Boundary` (:meth:`CrackerIndex.boundary_at`) is the object view
+handed to callers that inspect the index, and :class:`Piece` names a
+piece in invariant errors; the query path navigates with
+:meth:`CrackerIndex.probe`, which returns plain positions and builds
+neither.
 """
 
 from __future__ import annotations
@@ -85,24 +86,24 @@ class CrackerIndex:
     """Sorted boundary set over a cracker column of ``column_size`` tuples.
 
     Internally three parallel lists sorted by ``(value, kind-rank)``:
-    ``_exact`` (the boundary values as supplied, int or float, so
-    :class:`Boundary` objects and piece descriptions show what the
-    caller cracked on), ``_ranks`` (0 for 'lt', 1 for 'le') and
-    ``_positions`` (storage positions).  Python compares int and float
-    exactly, so navigation and equality decisions (probe hits, re-add
-    detection) need no coercion.
+    ``_exact`` (the boundary values as supplied), ``_ranks`` (0 for
+    'lt', 1 for 'le') and ``_positions`` (storage positions).
 
-    Boundary values must be exactly representable as float64, the form
-    snapshots and the vectorised passes hold them in; :meth:`add`
-    rejects integers beyond 2**53 (and NaN) instead of silently
-    mis-sorting them later (float columns and the int domains the
-    paper's workloads use are always representable).
+    Boundary values are values of the column's ``dtype``, the paper's
+    "(min,max) bounds of the (range) attributes": Python ints for an
+    int64 column, floats for a float64 one, so navigation compares them
+    exactly and the bulk passes hold them as an array of that dtype.
+    The cracked column folds every bound into its type before it gets
+    here (:func:`repro.core.bounds.typed_bound`).  An index built with
+    no column (``dtype`` object) holds any Python numbers and compares
+    them as Python does, 5 equal to 5.0.
     """
 
-    def __init__(self, column_size: int) -> None:
+    def __init__(self, column_size: int, dtype=object) -> None:
         if column_size < 0:
             raise CrackerIndexError(f"column_size must be >= 0, got {column_size}")
         self.column_size = column_size
+        self.dtype = np.dtype(dtype)
         self._exact: list = []
         self._ranks: list[int] = []
         self._positions: list[int] = []
@@ -126,7 +127,7 @@ class CrackerIndex:
     def keys(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact boundary values and kind ranks (0 'lt', 1 'le'), in
         boundary order, for vectorised checks."""
-        return np.asarray(self._exact), np.array(self._ranks, dtype=np.int8)
+        return np.array(self._exact, dtype=self.dtype), np.array(self._ranks, dtype=np.int8)
 
     def boundary_at(self, index: int) -> Boundary:
         """The ``index``-th boundary in sorted order."""
@@ -197,11 +198,11 @@ class CrackerIndex:
         n = len(self)
         if n == 0:
             return np.zeros(len(values), dtype=np.int64)
-        keys = np.array(self._exact, dtype=np.float64)
+        keys, ranks = self.keys()
         c_left = np.searchsorted(keys, values, side="left")
         c_right = np.searchsorted(keys, values, side="right")
         le_cum = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.equal(self._ranks, 1), out=le_cum[1:])
+        np.cumsum(ranks == 1, out=le_cum[1:])
         return (c_right - (le_cum[c_right] - le_cum[c_left])).astype(np.int64)
 
     # ------------------------------------------------------------------ #
@@ -220,13 +221,6 @@ class CrackerIndex:
             )
         if isinstance(value, np.generic):
             value = value.item()
-        if float(value) != value:
-            # A value with no exact float64 form cannot be snapshotted or
-            # compared in the vectorised passes; refuse loudly.
-            raise CrackerIndexError(
-                f"boundary value {value!r} is not exactly representable as a "
-                f"float64 navigation key (integers beyond 2**53)"
-            )
         index, rank = self._locate(value, kind)
         exact, ranks, positions = self._exact, self._ranks, self._positions
         n = len(positions)
@@ -272,24 +266,14 @@ class CrackerIndex:
     # ------------------------------------------------------------------ #
 
     def export_state(self) -> dict:
-        """A serialisable snapshot of the boundaries, as arrays.
-
-        The exact boundary values (which preserve int vs float identity)
-        travel as a float64 array plus an is-int flag vector — :meth:`add`
-        already guarantees each exact value is float64-representable.
-        ``values`` repeats them as the float64 keys older builds
-        navigated by.
-        """
-        values = np.array(self._exact, dtype=np.float64)
+        """A serialisable snapshot of the boundaries, as arrays; the
+        values in the index's dtype."""
+        values, ranks = self.keys()
         return {
             "column_size": int(self.column_size),
-            "values": values,
-            "ranks": np.array(self._ranks, dtype=np.int8),
+            "exact_values": values,
+            "ranks": ranks,
             "positions": self.positions(),
-            "exact_values": values.copy(),
-            "exact_is_int": np.array(
-                [isinstance(v, int) for v in self._exact], dtype=np.bool_
-            ),
         }
 
     @classmethod
@@ -298,17 +282,11 @@ class CrackerIndex:
 
         The boundary lists are installed wholesale (no per-boundary
         re-add), then validated, so a corrupted snapshot fails loudly
-        instead of mis-navigating later probes.  ``values`` is the
-        float64 form of ``exact_values`` and is not read.
+        instead of mis-navigating later probes.
         """
-        index = cls(int(state["column_size"]))
-        index._exact = [
-            int(value) if is_int else value
-            for value, is_int in zip(
-                np.asarray(state["exact_values"], dtype=np.float64).tolist(),
-                np.asarray(state["exact_is_int"], dtype=np.bool_).tolist(),
-            )
-        ]
+        values = np.asarray(state["exact_values"])
+        index = cls(int(state["column_size"]), values.dtype)
+        index._exact = values.tolist()
         index._ranks = np.asarray(state["ranks"], dtype=np.int8).tolist()
         index._positions = np.asarray(state["positions"], dtype=np.int64).tolist()
         index.check_invariants()
@@ -328,8 +306,7 @@ class CrackerIndex:
             )
         if n == 0:
             return
-        values = np.array(self._exact, dtype=np.float64)
-        ranks = np.array(self._ranks, dtype=np.int8)
+        values, ranks = self.keys()
         positions = self.positions()
         same_value = values[:-1] == values[1:]
         out_of_order = (values[:-1] > values[1:]) | (

@@ -15,8 +15,11 @@ One snapshot directory is a self-contained, immutable image of a
   unicode atoms, one per row; they still load;
 * ``cracker-<j>.npz`` — the full cracker state of one column: the
   physically reorganised value/oid storage, the cracker index's
-  boundary arrays (boundary values, kind ranks, positions, exact
-  values), and the pending-update buffers.
+  boundary arrays (``idx_exact_values`` in the column's own dtype,
+  ``idx_ranks``, ``idx_positions``), and the pending-update buffers.
+  Format 1 held the boundary values as float64 plus an is-int flag
+  vector; it still loads, keeping the boundaries the column's dtype
+  holds exactly.
 
 Writing is split in two so a checkpoint can leave the statement that
 triggers it: :func:`capture_snapshot` takes private copies of all of it
@@ -42,7 +45,10 @@ from repro.storage.bat import BAT
 from repro.storage.table import Column, Relation, Schema
 
 #: Manifest format version; bump on incompatible layout changes.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: Formats :func:`read_manifest` accepts.
+READABLE_FORMATS = (1, FORMAT_VERSION)
 
 MANIFEST_NAME = "manifest.json"
 
@@ -80,48 +86,34 @@ def _fsync_directory(directory: Path) -> None:
 # ---------------------------------------------------------------------- #
 
 
-def _pack_index(state: dict, arrays: dict) -> dict:
-    arrays["idx_values"] = state["values"]
-    arrays["idx_ranks"] = state["ranks"]
-    arrays["idx_positions"] = state["positions"]
-    arrays["idx_exact_values"] = state["exact_values"]
-    arrays["idx_exact_is_int"] = state["exact_is_int"]
-    return {"column_size": int(state["column_size"])}
-
-
-def _unpack_index(meta: dict, arrays) -> dict:
-    return {
-        "column_size": int(meta["column_size"]),
-        "values": arrays["idx_values"],
-        "ranks": arrays["idx_ranks"],
-        "positions": arrays["idx_positions"],
-        "exact_values": arrays["idx_exact_values"],
-        "exact_is_int": arrays["idx_exact_is_int"],
-    }
+#: A cracker archive's storage and pending-buffer arrays, under their
+#: ``export_state`` names (pre-DML archives lack the last three, which
+#: ``from_state`` defaults to empty), and its index arrays.
+_CRACKER_ARRAYS = (
+    "values", "oids", "pending_values", "pending_oids",
+    "pending_delete_oids", "pending_update_oids", "pending_update_values",
+)
+_INDEX_ARRAYS = {"exact_values": "idx_exact_values", "ranks": "idx_ranks",
+                 "positions": "idx_positions"}
 
 
 def pack_cracker(column: CrackedColumn) -> tuple[dict, dict]:
     """(npz arrays, manifest meta) for one cracked column."""
     state = column.export_state()
-    arrays = {
-        "values": state["values"],
-        "oids": state["oids"],
-        "pending_values": state["pending_values"],
-        "pending_oids": state["pending_oids"],
-        "pending_delete_oids": state["pending_delete_oids"],
-        "pending_update_oids": state["pending_update_oids"],
-        "pending_update_values": state["pending_update_values"],
-    }
+    index = state["index"]
+    arrays = {key: state[key] for key in _CRACKER_ARRAYS}
+    arrays.update({name: index[key] for key, name in _INDEX_ARRAYS.items()})
     meta = {
         "kind": "single",
         "next_oid": int(state["next_oid"]),
-        "index": _pack_index(state["index"], arrays),
+        "index": {"column_size": int(index["column_size"])},
     }
     return arrays, meta
 
 
-def unpack_cracker(meta: dict, arrays) -> CrackedColumn:
-    """Rebuild a cracked column from :func:`pack_cracker` output.
+def unpack_cracker(meta: dict, arrays, version: int) -> CrackedColumn:
+    """Rebuild a cracked column from :func:`pack_cracker` output, written
+    in manifest format ``version``.
 
     Older manifests also name a kernel, a crack-in-three toggle and a
     ``crack_threshold``; nothing reads them (the cut-off is the opener's).
@@ -129,23 +121,26 @@ def unpack_cracker(meta: dict, arrays) -> CrackedColumn:
     kind = meta.get("kind")
     if kind != "single":
         raise PersistError(f"unknown cracker kind {kind!r} in snapshot manifest")
-    state = {
-        "values": arrays["values"],
-        "oids": arrays["oids"],
-        "pending_values": arrays["pending_values"],
-        "pending_oids": arrays["pending_oids"],
-        "next_oid": int(meta["next_oid"]),
-        "index": _unpack_index(meta["index"], arrays),
-    }
-    # Pre-DML archives have no delete/update buffers; from_state defaults
-    # the missing keys to empty.
-    for key in (
-        "pending_delete_oids",
-        "pending_update_oids",
-        "pending_update_values",
-    ):
-        if key in getattr(arrays, "files", arrays):
-            state[key] = arrays[key]
+    index = {key: arrays[name] for key, name in _INDEX_ARRAYS.items()}
+    index["column_size"] = int(meta["index"]["column_size"])
+    if version == 1:
+        # Format 1 held every boundary value as a float64 (exact: the
+        # index admitted no other) plus an is-int flag.  The column's
+        # dtype decides: a boundary an int column cannot hold (5.5,
+        # +inf) is dropped, which merges the two pieces beside it.
+        values = index["exact_values"].astype(np.float64)
+        dtype = arrays["values"].dtype
+        keep = np.ones(len(values), dtype=bool)
+        if dtype.kind != "f":
+            keep = (np.floor(values) == values) & (values >= -(2.0**63)) & (values < 2.0**63)
+        index.update(
+            exact_values=values[keep].astype(dtype),
+            ranks=index["ranks"][keep],
+            positions=index["positions"][keep],
+        )
+    names = getattr(arrays, "files", arrays)
+    state = {key: arrays[key] for key in _CRACKER_ARRAYS if key in names}
+    state.update(next_oid=int(meta["next_oid"]), index=index)
     return CrackedColumn.from_state(state)
 
 
@@ -291,9 +286,9 @@ def read_manifest(directory: Path | str) -> dict:
         raise PersistError(f"snapshot {directory} has no {MANIFEST_NAME}")
     manifest = json.loads(path.read_text(encoding="utf-8"))
     version = manifest.get("format")
-    if version != FORMAT_VERSION:
+    if version not in READABLE_FORMATS:
         raise PersistError(
-            f"snapshot format {version!r} unsupported (expected {FORMAT_VERSION})"
+            f"snapshot format {version!r} unsupported (expected one of {READABLE_FORMATS})"
         )
     return manifest
 
@@ -377,6 +372,6 @@ def load_snapshot(database, directory: Path | str) -> dict:
     if provider is not None:
         for entry in manifest["crackers"]:
             with np.load(directory / entry["file"], allow_pickle=False) as arrays:
-                column = unpack_cracker(entry["meta"], arrays)
+                column = unpack_cracker(entry["meta"], arrays, manifest["format"])
             provider.attach_column(entry["table"], entry["attr"], column)
     return manifest

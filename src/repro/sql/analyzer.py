@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.bounds import EMPTY, INT64_MAX, INT64_MIN, typed_bound
 from repro.errors import SQLAnalysisError
 from repro.sql.ast_nodes import (
     AggCall,
@@ -45,7 +46,10 @@ class RangePredicate:
 
     ``low``/``high`` of None mean an open side; a point selection is
     ``low == high`` with both sides inclusive (the paper treats
-    point-selections as double-sided ranges with low = high).
+    point-selections as double-sided ranges with low = high).  Bounds
+    are in the column's type (:func:`_fold` takes them from
+    :func:`~repro.core.bounds.typed_bound`), so the scan's mask, a DML
+    window and the cracker all compare like with like.
     """
 
     binding: str
@@ -102,7 +106,10 @@ class ResidualPredicate:
 
     def mask(self, values: np.ndarray) -> np.ndarray:
         """Which ``values`` differ from the literal.  NaN is SQL's NULL
-        (sqlite stores it so): a NaN on either side qualifies no row."""
+        (sqlite stores it so): a NaN on either side qualifies no row.  A
+        ``value`` of None is a literal no value of the column equals."""
+        if self.value is None:
+            return values == values
         return (values != self.value) & (values == values) & (self.value == self.value)
 
 
@@ -120,10 +127,10 @@ class AnalyzedQuery:
 
     :func:`resolve_query` gives it with no literal folded in (no
     selections or residuals, no LIMIT) and with ``slots``: one
-    ``(binding, table, attr, op)`` per condition that takes literals, in
-    clause order (a BETWEEN takes two).  :meth:`fold` gives a copy with
-    a literal tuple folded in, so statements that differ only in their
-    literals share one resolution.
+    ``(binding, table, attr, op, column type)`` per condition that takes
+    literals, in clause order (a BETWEEN takes two).  :meth:`fold` gives a
+    copy with a literal tuple folded in, so statements that differ only in
+    their literals share one resolution.
     """
 
     tables: list[TableRef]
@@ -200,8 +207,11 @@ def resolve_query(stmt: SelectStmt, catalog: Catalog) -> AnalyzedQuery:
             )
         return owners[0], col.column
 
-    slots, joins = _resolve_where(stmt.where, resolve, bindings)
-    projections, aggregates = _resolve_items(stmt, resolve)
+    def col_type(binding: str, attr: str) -> str:
+        return catalog.table(bindings[binding].name).schema.column(attr).col_type
+
+    slots, joins = _resolve_where(stmt.where, resolve, bindings, col_type)
+    projections, aggregates = _resolve_items(stmt, resolve, col_type)
     group_by = [f"{b}.{a}" for b, a in (resolve(col) for col in stmt.group_by)]
     if aggregates and projections:
         non_grouped = [name for name in projections if name not in group_by]
@@ -252,12 +262,9 @@ def stored_value(column: str, col_type: str, value):
     Raises:
         SQLAnalysisError: if the column cannot store ``value``.
     """
+    value = _operand(column, col_type, value)
     if col_type == "str":
-        if not isinstance(value, str):
-            raise SQLAnalysisError(f"column {column!r} is text; got {value!r}")
         return value
-    if not isinstance(value, Real):
-        raise SQLAnalysisError(f"column {column!r} is numeric; got {value!r}")
     if col_type == "float":
         return float(value)
     if isinstance(value, Integral):
@@ -319,7 +326,9 @@ def resolve_dml(stmt: UpdateStmt | DeleteStmt, catalog: Catalog) -> AnalyzedDML:
             )
         return stmt.table, col.column
 
-    slots, joins = _resolve_where(stmt.where, resolve, bindings)
+    slots, joins = _resolve_where(
+        stmt.where, resolve, bindings, lambda binding, attr: schema.column(attr).col_type
+    )
     if joins:
         raise SQLAnalysisError(
             "DML WHERE cannot compare columns (joins are not allowed)"
@@ -334,8 +343,9 @@ def resolve_dml(stmt: UpdateStmt | DeleteStmt, catalog: Catalog) -> AnalyzedDML:
     return AnalyzedDML(stmt.table, [], [], [], columns, slots)
 
 
-#: A comparison's bounds: (sets low, sets high, inclusive).
+#: A condition's bounds: (sets low, sets high, inclusive).
 _BOUNDS = {
+    "between": (True, True, True),
     "=": (True, True, True),
     "<": (False, True, False),
     "<=": (False, True, True),
@@ -344,14 +354,16 @@ _BOUNDS = {
 }
 
 
-def _resolve_where(where, resolve, bindings) -> tuple[list, list]:
+def _resolve_where(where, resolve, bindings, col_type) -> tuple[list, list]:
     """The slots and the join predicates of a WHERE conjunction."""
     slots: list[tuple] = []
     joins: list[JoinPredicate] = []
     for condition in where:
         if isinstance(condition, Between):
             binding, attr = resolve(condition.col)
-            slots.append((binding, bindings[binding].name, attr, "between"))
+            slots.append(
+                (binding, bindings[binding].name, attr, "between", col_type(binding, attr))
+            )
             continue
         if not isinstance(condition, Comparison):  # pragma: no cover - defensive
             raise SQLAnalysisError(f"unsupported condition {condition!r}")
@@ -376,57 +388,100 @@ def _resolve_where(where, resolve, bindings) -> tuple[list, list]:
             op = "!="
         elif op != "!=" and op not in _BOUNDS:  # pragma: no cover - parser restricts ops
             raise SQLAnalysisError(f"unsupported operator {op!r}")
-        slots.append((binding, bindings[binding].name, attr, op))
+        slots.append((binding, bindings[binding].name, attr, op, col_type(binding, attr)))
     return slots, joins
 
 
 def _fold(slots: list, values) -> tuple[list, list]:
     """The range and residual predicates of ``slots``, each taking its
-    literals from the iterator ``values`` in clause order."""
+    literals from the iterator ``values`` in clause order, each literal
+    checked against and typed in its column's type."""
     selections: dict[tuple[str, str], RangePredicate] = {}
     residuals: list[ResidualPredicate] = []
-    for binding, table, attr, op in slots:
-        if op == "between":
-            _merge_range(selections, binding, table, attr, next(values), next(values))
-        elif op == "!=":
-            residuals.append(ResidualPredicate(binding, attr, "!=", next(values)))
-        else:
-            value = next(values)
-            sets_low, sets_high, inclusive = _BOUNDS[op]
-            _merge_range(
-                selections, binding, table, attr,
-                value if sets_low else None, value if sets_high else None,
-                inclusive, inclusive,
-            )
+    for binding, table, attr, op, col_type in slots:
+        value = next(values)
+        if op == "!=":
+            residuals.append(ResidualPredicate(binding, attr, "!=", _point(attr, col_type, value)))
+            continue
+        sets_low, sets_high, inclusive = _BOUNDS[op]
+        high = next(values) if op == "between" else value
+        _merge_range(
+            selections, binding, table, attr,
+            _bound(attr, col_type, value, "low", inclusive) if sets_low else None,
+            _bound(attr, col_type, high, "high", inclusive) if sets_high else None,
+        )
     return list(selections.values()), residuals
 
 
-def _merge_range(
-    selections, binding, table, attr,
-    low=None, high=None, low_inclusive=True, high_inclusive=True,
-) -> None:
-    """Narrow ``binding.attr``'s range by one bound pair.  A contradictory
-    conjunction stays as it is: it selects nothing, and the planner
-    gives the empty answer."""
+def _merge_range(selections, binding, table, attr, low, high) -> None:
+    """Narrow ``binding.attr``'s range by one pair of typed bounds, each
+    ``(value, inclusive)``, None (open) or ``EMPTY``.
+
+    An empty side makes the range ``0 < attr <= 0``, which no value
+    passes and no later bound widens (0 compares exactly with either
+    numeric type).  A contradictory conjunction stays as it is: it
+    selects nothing, and the planner gives the empty answer.
+    """
     key = (binding, attr)
     predicate = selections.get(key)
     if predicate is None:
         predicate = selections[key] = RangePredicate(binding, table, attr)
+    if low is EMPTY or high is EMPTY:
+        predicate.low, predicate.low_inclusive, predicate.high, predicate.high_inclusive = (
+            0, False, 0, True
+        )
+        return
     if low is not None:
-        if predicate.low is None or low > predicate.low or (
-            low == predicate.low and not low_inclusive
+        value, inclusive = low
+        if predicate.low is None or value > predicate.low or (
+            value == predicate.low and not inclusive
         ):
-            predicate.low = low
-            predicate.low_inclusive = low_inclusive
+            predicate.low, predicate.low_inclusive = low
     if high is not None:
-        if predicate.high is None or high < predicate.high or (
-            high == predicate.high and not high_inclusive
+        value, inclusive = high
+        if predicate.high is None or value < predicate.high or (
+            value == predicate.high and not inclusive
         ):
-            predicate.high = high
-            predicate.high_inclusive = high_inclusive
+            predicate.high, predicate.high_inclusive = high
 
 
-def _resolve_items(stmt: SelectStmt, resolve):
+def _operand(column: str, col_type: str, value):
+    """``value``, if column ``column`` of ``col_type`` can store or
+    compare with it: text for a varchar column, a number for a numeric
+    one."""
+    if col_type == "str":
+        if isinstance(value, str):
+            return value
+        raise SQLAnalysisError(f"column {column!r} is text; got {value!r}")
+    if type(value) is int or isinstance(value, Real):
+        return value
+    raise SQLAnalysisError(f"column {column!r} is numeric; got {value!r}")
+
+
+def _bound(attr: str, col_type: str, value, side: str, inclusive: bool):
+    """``attr θ value`` as the ``side`` bound in the column's type
+    (:func:`~repro.core.bounds.typed_bound`; a varchar's as it is),
+    once :func:`_operand` accepts ``value``."""
+    if type(value) is int and col_type == "int" and INT64_MIN <= value <= INT64_MAX:
+        return value, inclusive  # the common case, unchanged
+    value = _operand(attr, col_type, value)
+    if col_type == "str":
+        return value, inclusive
+    return typed_bound(value, side, inclusive, col_type == "int")
+
+
+def _point(attr: str, col_type: str, value):
+    """The value of the column's type equal to ``value``: ``value``
+    itself for varchar and NaN, None when the column holds no value
+    equal to it (``5.5`` on an int column)."""
+    value = _operand(attr, col_type, value)
+    if col_type == "str" or value != value:
+        return value
+    point = _bound(attr, col_type, value, "low", True)
+    return point[0] if point == _bound(attr, col_type, value, "high", True) else None
+
+
+def _resolve_items(stmt: SelectStmt, resolve, col_type):
     projections: list[str] = []
     aggregates: list[tuple[str, str | None]] = []
     saw_star = False
@@ -435,9 +490,15 @@ def _resolve_items(stmt: SelectStmt, resolve):
             saw_star = True
         elif isinstance(item, AggCall):
             if isinstance(item.arg, Star):
+                if item.fn != "count":
+                    raise SQLAnalysisError(f"{item.fn}(*) is not supported; only count(*)")
                 aggregates.append((item.fn, None))
             else:
                 binding, attr = resolve(item.arg)
+                if item.fn in ("sum", "avg") and col_type(binding, attr) == "str":
+                    raise SQLAnalysisError(
+                        f"{item.fn}({attr}) needs a numeric column; {attr!r} is text"
+                    )
                 aggregates.append((item.fn, f"{binding}.{attr}"))
         elif isinstance(item, ColRef):
             binding, attr = resolve(item)

@@ -5,8 +5,8 @@ DELETE FROM, SELECT with projections, aggregates, WHERE conjunctions of
 range/join predicates, BETWEEN, GROUP BY, INTO and LIMIT.
 
 One compiled alternation scans the text.  The plan cache's literal
-splitter shares :data:`NUMBER` and :data:`STRING`, the script splitter
-:data:`STRING`.
+splitter shares :data:`NUMBER`, :func:`number` and :data:`STRING`, the
+script splitter :data:`STRING`.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ KEYWORDS = {
     "explain", "index",
 }
 
-#: At most one '.': ``1.2.3`` lexes as ``1.2`` ``.`` ``3``, which no rule parses.
-NUMBER = r"\d+(?:\.\d*)?"
+#: At most one '.': ``1.2.3`` lexes as ``1.2`` ``.`` ``3``, which no rule
+#: parses.  An exponent makes a float (``1e300``, ``-2.5E-3``), as
+#: ``repr(float)`` writes them.
+NUMBER = r"\d+(?:\.\d*)?(?:[eE][-+]?\d+)?"
 STRING = r"'[^']*'"  # no escapes: 'it''s' is two literals
 
 _TOKEN = re.compile(
@@ -37,6 +39,12 @@ _TOKEN = re.compile(
     r"|(?P<bad>.)",
     re.DOTALL,
 )
+
+
+def number(text: str) -> int | float:
+    """The value of a :data:`NUMBER` literal: an int unless it has a
+    '.' or an exponent."""
+    return int(text) if text.lstrip("-").isdecimal() else float(text)
 
 
 class Token(NamedTuple):

@@ -14,7 +14,7 @@ from repro.sql.ast_nodes import (
     Star,
     TableRef,
 )
-from repro.sql.lexer import Token, tokenize
+from repro.sql.lexer import Token, number, tokenize
 from repro.sql.statements import (
     CreateTableStmt,
     DeleteStmt,
@@ -149,9 +149,9 @@ def _parse_select(cursor: _Cursor) -> SelectStmt:
     limit = None
     if cursor.accept("keyword", "limit"):
         count = cursor.expect("number").value
-        if "." in count:
+        limit = number(count)
+        if not isinstance(limit, int):
             raise SQLSyntaxError(f"LIMIT needs an integer, got {count!r}")
-        limit = int(count)
     return (SelectStmt if into is None else SelectInto)(
         items=items, tables=tables, where=where, group_by=group_by,
         order_by=order_by, into=into, limit=limit,
@@ -255,8 +255,7 @@ def _parse_condition(cursor: _Cursor):
 def _parse_const(cursor: _Cursor) -> Const:
     token = cursor.next()
     if token.kind == "number":
-        text = token.value
-        return Const(float(text) if "." in text else int(text))
+        return Const(number(token.value))
     if token.kind == "string":
         return Const(token.value)
     raise SQLSyntaxError(f"expected a literal, got {token.value!r}")

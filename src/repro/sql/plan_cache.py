@@ -56,7 +56,7 @@ from __future__ import annotations
 import re
 from collections import OrderedDict
 
-from repro.sql.lexer import NUMBER, STRING
+from repro.sql.lexer import NUMBER, STRING, number
 
 #: Cache capacities (entries); oldest-used entries are evicted first.
 #: The exact level holds up to this many entries in *each* segment.
@@ -94,7 +94,7 @@ def template_key(sql: str) -> tuple[str, tuple]:
         texts = parts[1::2]
         key = "?".join(parts[::2])
     return key, tuple([
-        text[1:-1] if text[0] == "'" else float(text) if "." in text else int(text)
+        text[1:-1] if text[0] == "'" else number(text)
         for text in texts
     ])
 

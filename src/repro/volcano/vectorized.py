@@ -331,6 +331,9 @@ class VecHashJoin(VecOperator):
         right_keys = right_batch.arrays[self._right_idx]
         order = np.argsort(right_keys, kind="stable")
         sorted_right = right_keys[order]
+        if sorted_right.dtype.kind == "f":
+            # NaN is SQL's NULL and equals nothing; it sorts last.
+            sorted_right = sorted_right[: sorted_right.searchsorted(np.nan)]
         for batch in self.left.batches():
             batch = batch.compact()
             if len(batch) == 0:

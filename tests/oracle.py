@@ -488,6 +488,11 @@ DIALECT: dict[str, str] = {
         "reductions): floats compare to 1e-9 relative."
     ),
     "empty_sum": "sum over no rows is 0 here; SQL and sqlite say NULL.",
+    "mistyped": (
+        "A varchar compared with a number, and sum or avg of a varchar "
+        "column, are SQLAnalysisErrors here; sqlite answers them by its type "
+        "affinity rules (every number sorts before every text, a text sums as 0)."
+    ),
 }
 
 _LIMIT = re.compile(r"\s+limit\s+(\d+)\s*;?\s*$", re.IGNORECASE)

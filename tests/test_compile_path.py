@@ -399,13 +399,14 @@ def test_explain_output_is_unchanged():
     db.execute("CREATE TABLE s (k integer, b integer)")
     db.execute("INSERT INTO r VALUES (1, 10, 'x'), (2, 20, 'y')")
     db.execute("INSERT INTO s VALUES (1, 5), (2, 6)")
+    # s.b is an integer column, so its bound shows folded: b > 2.5 is b >= 3.
     assert db.explain(
         "SELECT r.k, r.tag FROM r, s WHERE r.k = s.k AND a BETWEEN 5 AND 15 "
         "AND b > 2.5 GROUP BY r.k, r.tag"
     ) == (
-        "tables: r, s\nselections: 5 <= r.a <= 15; 2.5 < s.b\njoins: r.k = s.k\n"
+        "tables: r, s\nselections: 5 <= r.a <= 15; 3 <= s.b\njoins: r.k = s.k\n"
         "group by: r.k, r.tag\ncracker advice:\n  Ξ  5 <= r.a <= 15\n"
-        "  Ξ  2.5 < s.b\n  ^  r.k = s.k\n  Ω  group by r.k, r.tag\n  Ψ  π[k, tag](r)"
+        "  Ξ  3 <= s.b\n  ^  r.k = s.k\n  Ω  group by r.k, r.tag\n  Ψ  π[k, tag](r)"
     )
     assert db.explain("SELECT count(*) FROM r") == (
         "tables: r\nselections: (none)\njoins: (none)\ngroup by: (none)\n"

@@ -427,15 +427,30 @@ def test_degenerate_columns_terminate_in_bounded_work(name):
     column.check_invariants()
 
 
-def test_pivot_without_an_exact_float64_key_is_skipped():
-    """Odd values above 2**53 have no float64 navigation key, so they
-    cannot be boundaries: the rule stops and the bound cracks as usual."""
+def test_pivot_above_two_to_the_53_is_taken():
+    """Odd values above 2**53 have no float64 form, and the index keys
+    an int column by its ints: the rule halves at them as anywhere."""
     values = 2**60 + 1 + 256 * np.arange(10_000, dtype=np.int64)
     column = CrackedColumn.from_arrays(
         np.random.default_rng(0).permutation(values), crack_threshold=16
     )
-    low = 2**60 + 256 * 5000  # a multiple of 2**8: exactly representable
+    low = 2**60 + 256 * 5000
     assert column.range_select(low).count == 5000
+    assert column.crack_stats.pivot_cracks > 0
+    keys, _ = column.index.keys()
+    assert keys.dtype == np.int64 and (keys % 2 == 1).any()
+    column.check_invariants()
+
+
+def test_a_nan_pivot_is_skipped():
+    """A float column mostly NaN: the median probe is NaN, which no
+    boundary can hold, so the rule stops and the bound cracks as usual."""
+    values = np.full(1000, np.nan)
+    values[:10] = np.arange(10)
+    column = CrackedColumn.from_arrays(
+        np.random.default_rng(0).permutation(values), crack_threshold=16
+    )
+    assert column.range_select(3.0).count == 7
     assert column.crack_stats.pivot_cracks == 0
     column.check_invariants()
 

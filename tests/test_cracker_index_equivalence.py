@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.crack import KIND_LE, KIND_LT
+from repro.core.cracked_column import CrackedColumn
 from repro.core.cracker_index import CrackerIndex
 from repro.errors import CrackerIndexError
 
@@ -199,28 +200,40 @@ def test_probe_agrees_with_lookup_and_piece_bounds():
     assert index.probe(99, KIND_LT) == (None, 70, 100)
 
 
-def test_float_and_int_values_mix():
-    index = CrackerIndex(100)
-    index.add(10, KIND_LT, 20)
-    index.add(10.5, KIND_LT, 25)
-    assert index.probe(10.0, KIND_LT)[0] == 20  # 10 == 10.0, like tuple keys
-    assert index.probe(10.5, KIND_LT)[0] == 25
-    assert index.probe(10.2, KIND_LT) == (None, 20, 25)
-    assert index.piece_sizes() == [20, 5, 75]
+def test_an_index_holds_one_key_type():
+    """A cracked column's index holds keys of the column's dtype: a float
+    bound on an int column, and an int one on a float column, arrive
+    typed (``a < 20.5`` is ``a <= 20``)."""
+    ints = CrackedColumn.from_arrays(np.random.default_rng(0).permutation(100))
+    assert ints.range_select(10.0, 20.5).count == 11
+    assert ints.range_select(5.5).count == 94
+    floats = CrackedColumn.from_arrays(np.arange(100, dtype=np.float64))
+    assert floats.range_select(10, 2**53 + 1).count == 90
+    for column, dtype, key_type in ((ints, np.int64, int), (floats, np.float64, float)):
+        keys, _ = column.index.keys()
+        assert keys.dtype == dtype
+        assert {type(b[0]) for b in boundaries_of(column.index)} == {key_type}
+        column.check_invariants()
+    assert [b[:2] for b in boundaries_of(ints.index)] == [
+        (6, KIND_LT), (10, KIND_LT), (20, KIND_LE),
+    ]
 
 
-def test_values_beyond_float64_precision_rejected():
-    """Ints beyond 2**53 cannot be faithful float64 keys: loud error,
-    never a silently mis-sorted boundary (the bisect oracle kept exact
-    tuples, so this is the one documented divergence)."""
-    index = CrackerIndex(100)
-    index.add(2**53, KIND_LT, 10)  # exactly representable
-    with pytest.raises(CrackerIndexError, match="not exactly representable"):
-        index.add(2**53 + 1, KIND_LT, 20)
-    # a colliding probe is not a false lookup hit
+def test_values_beyond_float64_precision_are_held():
+    """An int64 index keeps 2**53 and 2**53 + 1 apart: its keys are the
+    column's ints, with no float64 form to collide in."""
+    index = CrackerIndex(100, np.int64)
+    index.add(2**53, KIND_LT, 10)
+    index.add(2**53 + 1, KIND_LT, 20)
     assert index.probe(2**53, KIND_LT)[0] == 10
-    assert index.probe(2**53 + 1, KIND_LT)[0] is None
-    assert index.probe(float(2**53), KIND_LT)[0] == 10  # 2.0**53 == 2**53
+    assert index.probe(2**53 + 1, KIND_LT)[0] == 20
+    assert index.probe(2**53 + 2, KIND_LT) == (None, 20, 100)
+    values = np.array([2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2])
+    assert index.piece_assignment(values).tolist() == [0, 1, 2, 2]
+    index.check_invariants()
+    clone = CrackerIndex.from_state(index.export_state())
+    assert boundaries_of(clone) == boundaries_of(index)
+    assert clone.keys()[0].dtype == np.int64
 
 
 def test_merge_shift_matches_manual_rebuild():

@@ -106,6 +106,27 @@ def test_a_nan_leaves_a_not_equal_filter(name):
     assert result.rows == [(0,)]
 
 
+@pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
+def test_nan_join_keys_match_nothing(name):
+    """NaN is sqlite's NULL, and NULL equals nothing, itself included."""
+    values = [1.0, 2.0, NAN, NAN]
+    db, reference = Database(**ENGINE_CONFIGS[name]), SqliteReference()
+    db.catalog.create_table(Relation.from_columns(
+        "n", Schema([Column("k", "int"), Column("a", "float")]),
+        {"k": range(4), "a": values},
+    ))
+    reference.execute("CREATE TABLE n (k integer, a float)")
+    for row in enumerate(values):
+        reference.execute("INSERT INTO n VALUES (?, ?)", row)
+    statements = [
+        "SELECT count(*) FROM n x, n y WHERE x.a = y.a",
+        "SELECT count(*) FROM n x, n y WHERE x.a = y.a AND x.k < 3",
+        "SELECT x.k, y.k FROM n x, n y WHERE x.a = y.a",
+    ]
+    assert_matches_sqlite({name: db}, reference, statements)
+    assert db.execute(statements[0]).rows == [(2,)]
+
+
 #: ``r(k, a)`` with rows ``(i % 5, i % 3)``: joins with an edge that no
 #: join step uses (a parallel edge, a cycle), and sqlite's counts.
 _EXTRA_EDGES = [
@@ -209,8 +230,10 @@ def _cracked_pair() -> tuple[Database, SqliteReference]:
     return db, reference
 
 
-def test_dialect_table_lists_four_differences():
-    assert sorted(DIALECT) == ["empty_sum", "float_digits", "limit_ties", "unordered"]
+def test_dialect_table_lists_five_differences():
+    assert sorted(DIALECT) == [
+        "empty_sum", "float_digits", "limit_ties", "mistyped", "unordered",
+    ]
 
 
 def test_dialect_unordered():
@@ -251,6 +274,18 @@ def test_dialect_empty_sum():
     assert db.execute(sql).rows == [(0, 0, 0, None, None)]
     assert reference.execute(sql).fetchall() == [(None, None, 0, None, None)]
     reference.answer(sql).check(db.execute(sql))
+
+
+def test_dialect_mistyped():
+    db, reference = _cracked_pair()
+    for sql in (
+        "SELECT count(*) FROM r WHERE a < 'x'",
+        "SELECT count(*) FROM r WHERE tag BETWEEN 1 AND 5",
+        "SELECT sum(r.tag), avg(r.tag) FROM r",
+    ):
+        assert reference.execute(sql).fetchall(), sql  # sqlite answers
+        with pytest.raises(SQLAnalysisError):
+            db.execute(sql)
 
 
 def test_a_difference_outside_the_table_is_caught():

@@ -110,6 +110,8 @@ STATEMENTS = [
     "SELECT tag, count(*), sum(a), min(x), max(k), avg(a) FROM r WHERE a > 0 GROUP BY tag",
     "SELECT r.k, s.b FROM r, s WHERE r.k = s.k AND s.b < 5 AND r.a > 100 ORDER BY r.k",
     "SELECT count(*) FROM r, s WHERE r.k = s.k AND r.a BETWEEN 0 AND 300",
+    "SELECT count(*) FROM r WHERE a > 99.5 AND a <= 400.0",  # float bounds, int column
+    "SELECT k, x FROM r WHERE x < 1.5e1 AND k < 1e300",  # exponent literals
     "CREATE TABLE t (k integer, a integer)",
     "INSERT INTO t SELECT k, a FROM r WHERE a < 50",
     "SELECT k, b INTO u FROM s WHERE b BETWEEN 3 AND 9",

@@ -1,25 +1,24 @@
-"""Snapshot format: per-BAT ``.npy`` payloads + a versioned JSON manifest.
+"""Snapshot format: one ``payload.bin`` + a versioned JSON manifest.
 
 One snapshot directory is a self-contained, immutable image of a
 :class:`~repro.sql.session.Database`:
 
+* ``payload.bin`` — every array of the image, raw and back to back:
+  each column BAT's tail (for varchar, the int64 heap offsets), optional
+  head and varchar heap ``atoms`` (bytes and atom lengths, in offset
+  order); each relation's tombstones; and each cracked column's
+  reorganised value/oid storage, index boundaries (``idx_exact_values``
+  in the column's dtype, ``idx_ranks``, ``idx_positions``) and pending
+  buffers;
 * ``manifest.json`` — format version, generation, cumulative statement
-  count, the catalog (tables, schemas), and the scalar metadata of every
-  cracked column;
-* ``bat-<i>.npy`` (+ optional ``bat-<i>.head.npy``) — one payload per
-  column BAT: its raw tail, which for varchar is the int64 heap offsets;
-* ``bat-<i>.atoms.npz`` — a varchar BAT's heap: its bytes and each
-  atom's length, in offset order.  Loading re-puts the atoms, which
-  hands each its saved offset, and checks every tail offset against
-  them.  Older snapshots have no atoms file and a tail of decoded
-  unicode atoms, one per row; they still load;
-* ``cracker-<j>.npz`` — the full cracker state of one column: the
-  physically reorganised value/oid storage, the cracker index's
-  boundary arrays (``idx_exact_values`` in the column's own dtype,
-  ``idx_ranks``, ``idx_positions``), and the pending-update buffers.
-  Format 1 held the boundary values as float64 plus an is-int flag
-  vector; it still loads, keeping the boundaries the column's dtype
-  holds exactly.
+  count, the catalog, each cracker's scalar metadata, and per array a
+  reference ``[offset, dtype, length, crc32]`` into the payload, which
+  loading checks.
+
+Formats 1 and 2 named one ``.npy``/``.npz`` file per array or group
+where format 3 has a reference; they still load, unchecked.  Format 1
+held boundary values as float64 (the column's dtype keeps those it holds
+exactly); older stores have no ``atoms`` and decoded varchar tails.
 
 Writing is split in two so a checkpoint can leave the statement that
 triggers it: :func:`capture_snapshot` takes private copies of all of it
@@ -35,6 +34,8 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -45,28 +46,13 @@ from repro.storage.bat import BAT
 from repro.storage.table import Column, Relation, Schema
 
 #: Manifest format version; bump on incompatible layout changes.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Formats :func:`read_manifest` accepts.
-READABLE_FORMATS = (1, FORMAT_VERSION)
+READABLE_FORMATS = (1, 2, FORMAT_VERSION)
 
 MANIFEST_NAME = "manifest.json"
-
-
-def _save_array(path: Path, array: np.ndarray) -> None:
-    """np.save with an explicit flush + fsync (snapshots must be durable)."""
-    with open(path, "wb") as handle:
-        np.save(handle, array, allow_pickle=False)
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
-def _save_archive(path: Path, arrays: dict) -> None:
-    """np.savez with an explicit flush + fsync."""
-    with open(path, "wb") as handle:
-        np.savez(handle, **arrays)
-        handle.flush()
-        os.fsync(handle.fileno())
+PAYLOAD_NAME = "payload.bin"
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -82,12 +68,12 @@ def _fsync_directory(directory: Path) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# Cracker codec: export_state dict <-> (npz arrays, manifest meta)
+# Cracker codec: export_state dict <-> (named arrays, manifest meta)
 # ---------------------------------------------------------------------- #
 
 
-#: A cracker archive's storage and pending-buffer arrays, under their
-#: ``export_state`` names (pre-DML archives lack the last three, which
+#: A cracker's storage and pending-buffer arrays, under their
+#: ``export_state`` names (pre-DML snapshots lack the last three, which
 #: ``from_state`` defaults to empty), and its index arrays.
 _CRACKER_ARRAYS = (
     "values", "oids", "pending_values", "pending_oids",
@@ -98,7 +84,7 @@ _INDEX_ARRAYS = {"exact_values": "idx_exact_values", "ranks": "idx_ranks",
 
 
 def pack_cracker(column: CrackedColumn) -> tuple[dict, dict]:
-    """(npz arrays, manifest meta) for one cracked column."""
+    """(named arrays, manifest meta) for one cracked column."""
     state = column.export_state()
     index = state["index"]
     arrays = {key: state[key] for key in _CRACKER_ARRAYS}
@@ -138,8 +124,7 @@ def unpack_cracker(meta: dict, arrays, version: int) -> CrackedColumn:
             ranks=index["ranks"][keep],
             positions=index["positions"][keep],
         )
-    names = getattr(arrays, "files", arrays)
-    state = {key: arrays[key] for key in _CRACKER_ARRAYS if key in names}
+    state = {key: arrays[key] for key in _CRACKER_ARRAYS if key in arrays}
     state.update(next_oid=int(meta["next_oid"]), index=index)
     return CrackedColumn.from_state(state)
 
@@ -200,58 +185,47 @@ def write_image(
 ) -> dict:
     """Write a :func:`capture_snapshot` image into ``directory``.
 
-    Every payload file is fsynced; the manifest is written last, so a
-    directory with a readable manifest is complete by construction.  A
-    varchar BAT is saved as its raw heap offsets (``bat-<i>.npy``) plus
-    the heap's atoms in offset order (``bat-<i>.atoms.npz``).
+    Every array goes into ``payload.bin`` straight from its own buffer,
+    and the file is fsynced once; the manifest, holding each array's
+    reference, is written last, so a directory with a readable manifest
+    is complete by construction.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    with open(directory / PAYLOAD_NAME, "wb") as payload:
 
-    tables = []
-    bat_counter = 0
-    for table in image["tables"]:
-        bats = []
-        for column_name, state in table["bats"]:
-            payload = f"bat-{bat_counter}.npy"
-            _save_array(directory / payload, state["tail"])
-            entry = {
-                "column": column_name,
-                "file": payload,
-                "head": None,
-                "seq_base": state["seq_base"],
-                "sorted": state["sorted"],
-            }
-            if state["head"] is not None:
-                entry["head"] = f"bat-{bat_counter}.head.npy"
-                _save_array(directory / entry["head"], state["head"])
-            if "atoms" in state:
-                entry["atoms"] = f"bat-{bat_counter}.atoms.npz"
-                data, lengths = state["atoms"]
-                _save_archive(
-                    directory / entry["atoms"], {"bytes": data, "lengths": lengths}
-                )
-            bats.append(entry)
-            bat_counter += 1
-        deleted_file = None
-        if table["deleted"] is not None:
-            deleted_file = f"del-{len(tables)}.npy"
-            _save_array(directory / deleted_file, table["deleted"])
-        tables.append(
-            {
-                "name": table["name"],
-                "rows": table["rows"],
-                "columns": table["columns"],
-                "bats": bats,
-                "deleted": deleted_file,
-            }
-        )
+        def put(array: np.ndarray) -> list:
+            """Append one array; its reference."""
+            raw, offset = array.view(np.uint8), payload.tell()
+            payload.write(raw)
+            return [offset, array.dtype.str, array.size, zlib.crc32(raw)]
 
-    crackers = []
-    for j, (table, attr, arrays, meta) in enumerate(image["crackers"]):
-        payload = f"cracker-{j}.npz"
-        _save_archive(directory / payload, arrays)
-        crackers.append({"table": table, "attr": attr, "file": payload, "meta": meta})
+        tables = []
+        for table in image["tables"]:
+            bats = []
+            for column_name, state in table["bats"]:
+                entry = {
+                    "column": column_name,
+                    "file": put(state["tail"]),
+                    "head": None if state["head"] is None else put(state["head"]),
+                    "seq_base": state["seq_base"],
+                    "sorted": state["sorted"],
+                }
+                if "atoms" in state:
+                    data, lengths = state["atoms"]
+                    entry["atoms"] = {"bytes": put(data), "lengths": put(lengths)}
+                bats.append(entry)
+            deleted = table["deleted"]
+            tables.append(
+                {**table, "bats": bats, "deleted": None if deleted is None else put(deleted)}
+            )
+        crackers = [
+            {"table": table, "attr": attr, "meta": meta,
+             "file": {name: put(array) for name, array in arrays.items()}}
+            for table, attr, arrays, meta in image["crackers"]
+        ]
+        payload.flush()
+        os.fsync(payload.fileno())
 
     manifest = {
         "format": FORMAT_VERSION,
@@ -261,9 +235,9 @@ def write_image(
         "crackers": crackers,
     }
     _write_manifest(directory, manifest)
-    # The payload *files* are durable; their directory entries must be
-    # too, or a machine crash after the CURRENT flip could leave the
-    # current generation pointing at names that never reached disk.
+    # The files are durable; their directory entries must be too, or a
+    # machine crash after the CURRENT flip could leave the current
+    # generation pointing at names that never reached disk.
     _fsync_directory(directory)
     return manifest
 
@@ -284,13 +258,43 @@ def read_manifest(directory: Path | str) -> dict:
     path = Path(directory) / MANIFEST_NAME
     if not path.is_file():
         raise PersistError(f"snapshot {directory} has no {MANIFEST_NAME}")
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise PersistError(f"snapshot {directory}: {MANIFEST_NAME} is corrupt: {exc}") from None
     version = manifest.get("format")
     if version not in READABLE_FORMATS:
         raise PersistError(
             f"snapshot format {version!r} unsupported (expected one of {READABLE_FORMATS})"
         )
     return manifest
+
+
+def _load(directory: Path, ref, what: str):
+    """The array a manifest reference names, or a dict for a group: format
+    3's ``[offset, dtype, length, crc32]`` (or a dict of them), or the
+    ``.npy``/``.npz`` file of formats 1-2.  A :class:`PersistError` names
+    ``what`` if it is unreadable or damaged."""
+    if isinstance(ref, dict):
+        return {name: _load(directory, part, f"{what} {name}") for name, part in ref.items()}
+    try:
+        if isinstance(ref, str):
+            loaded = np.load(directory / ref, allow_pickle=False)
+            if isinstance(loaded, np.ndarray):
+                return loaded
+            with loaded:
+                return {name: loaded[name] for name in loaded.files}
+        offset, dtype, length, crc = ref
+        array = np.empty(length, dtype=dtype)
+        raw = array.view(np.uint8)
+        with open(directory / PAYLOAD_NAME, "rb") as payload:
+            payload.seek(offset)
+            complete = payload.readinto(raw) == raw.size
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise PersistError(f"snapshot {directory}: cannot read {what}: {exc}") from exc
+    if not complete or zlib.crc32(raw) != crc:
+        raise PersistError(f"snapshot {directory}: {what} fails its length or CRC check")
+    return array
 
 
 def load_snapshot(database, directory: Path | str) -> dict:
@@ -327,24 +331,22 @@ def load_snapshot(database, directory: Path | str) -> dict:
         relation = Relation(name, schema)
         lengths = set()
         for bat_entry in entry["bats"]:
-            tail = np.load(directory / bat_entry["file"], allow_pickle=False)
-            head = None
-            if bat_entry["head"] is not None:
-                head = np.load(directory / bat_entry["head"], allow_pickle=False)
             column_name = bat_entry["column"]
+            qualified = f"{name}.{column_name}"
+            head = bat_entry["head"]
             state = {
-                "name": f"{name}.{column_name}",
+                "name": qualified,
                 "tail_type": schema.column(column_name).col_type,
-                "tail": tail,
-                "head": head,
+                "tail": _load(directory, bat_entry["file"], f"{qualified} tail"),
+                "head": None if head is None else _load(directory, head, f"{qualified} head"),
                 "seq_base": bat_entry["seq_base"],
                 "sorted": bat_entry["sorted"],
             }
             # Older snapshots carry no atoms: their varchar tail is the
             # decoded unicode array, which from_state still reads.
             if bat_entry.get("atoms") is not None:
-                with np.load(directory / bat_entry["atoms"]) as atoms:
-                    state["atoms"] = (atoms["bytes"], atoms["lengths"])
+                atoms = _load(directory, bat_entry["atoms"], f"{qualified} atoms")
+                state["atoms"] = (atoms["bytes"], atoms["lengths"])
             try:
                 bat = BAT.from_state(state)
             except StorageError as exc:
@@ -361,17 +363,17 @@ def load_snapshot(database, directory: Path | str) -> dict:
                 f"payloads hold {lengths.pop()}"
             )
         # Pre-DML snapshots carry no tombstone payload.
-        deleted_file = entry.get("deleted")
-        if deleted_file is not None:
+        deleted = entry.get("deleted")
+        if deleted is not None:
             relation.set_deleted_positions(
-                np.load(directory / deleted_file, allow_pickle=False)
+                _load(directory, deleted, f"{name} tombstones")
             )
         database.catalog.create_table(relation)
 
     provider = database._cracker
     if provider is not None:
         for entry in manifest["crackers"]:
-            with np.load(directory / entry["file"], allow_pickle=False) as arrays:
-                column = unpack_cracker(entry["meta"], arrays, manifest["format"])
+            arrays = _load(directory, entry["file"], f"cracker {entry['table']}.{entry['attr']}")
+            column = unpack_cracker(entry["meta"], arrays, manifest["format"])
             provider.attach_column(entry["table"], entry["attr"], column)
     return manifest

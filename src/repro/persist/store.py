@@ -4,7 +4,7 @@ Directory layout (one store per database)::
 
     persist_dir/
         CURRENT              # text file naming the durable generation K
-        snapshot-00000K/     # manifest.json + .npy/.npz payloads
+        snapshot-00000K/     # manifest.json + payload.bin
         wal-00000K.log       # statements logged since snapshot K ...
         wal-0000(K+1).log    # ... and since each capture after it
 
@@ -19,8 +19,8 @@ chain may have a torn tail.  A checkpoint is split in two:
   written but that empty file, so the statement pays only for the
   copies.
 * **write** — on a writer thread: write snapshot N+1 from the copies,
-  fsync its files and directory, flip ``CURRENT`` atomically, sweep the
-  snapshots other than N+1 and the WALs before it.
+  fsync its payload, manifest and directory, flip ``CURRENT``
+  atomically, sweep the snapshots other than N+1 and the WALs before it.
 
 A crash anywhere before the flip recovers snapshot K and replays the
 whole chain, so nothing is lost; after it, snapshot N+1 and wal-(N+1).
@@ -373,7 +373,7 @@ class PersistentStore:
     def _write(self, job: dict) -> dict:
         """Write a captured generation, flip ``CURRENT``, sweep.
 
-        Each step is durable before the next: payloads and manifest
+        Each step is durable before the next: payload and manifest
         (fsynced, manifest last), then the atomic ``CURRENT`` flip, then
         the sweep — recovery never looks at a generation ``CURRENT``
         does not name, so the sweep is pure housekeeping.

@@ -257,7 +257,7 @@ def stored_value(column: str, col_type: str, value):
     The one rule INSERT (both forms) and UPDATE share: a text column
     takes only text, a numeric column only numbers, and an integer
     column stores an integral float (``3.0``) as its int and rejects
-    any other float.
+    any other float and any number outside the int64 range.
 
     Raises:
         SQLAnalysisError: if the column cannot store ``value``.
@@ -266,11 +266,14 @@ def stored_value(column: str, col_type: str, value):
     if col_type == "str":
         return value
     if col_type == "float":
-        return float(value)
-    if isinstance(value, Integral):
-        return int(value)
-    if not float(value).is_integer():
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float64 range
+            raise SQLAnalysisError(f"column {column!r} is float; got {value!r}") from None
+    if not isinstance(value, Integral) and not float(value).is_integer():
         raise SQLAnalysisError(f"column {column!r} is integer; got {value!r}")
+    if not INT64_MIN <= int(value) <= INT64_MAX:
+        raise SQLAnalysisError(f"column {column!r} is integer; {value!r} is outside int64")
     return int(value)
 
 

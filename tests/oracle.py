@@ -491,7 +491,9 @@ DIALECT: dict[str, str] = {
     "mistyped": (
         "A varchar compared with a number, and sum or avg of a varchar "
         "column, are SQLAnalysisErrors here; sqlite answers them by its type "
-        "affinity rules (every number sorts before every text, a text sums as 0)."
+        "affinity rules (every number sorts before every text, a text sums as 0). "
+        "So is an INSERT or UPDATE of a number past the int64 range into an "
+        "integer column; sqlite stores such a value as REAL."
     ),
 }
 

@@ -5,7 +5,9 @@ the first BAT append, so a row of the wrong width or a value of the
 wrong type is an ``analysis`` error that leaves every column as it was,
 embedded, inside a transaction and served alike.  Two of the statements
 are template hits of a well-formed INSERT (``'x'`` and ``5`` key alike),
-so the check cannot live in the parser alone.
+so the check cannot live in the parser alone.  An UPDATE that would
+store a number past the int64 range in an integer column, or past the
+float64 range in a float one, is refused by the same rule and code.
 """
 
 from __future__ import annotations
@@ -29,6 +31,13 @@ MALFORMED = [
     # integer column is refused, never truncated
     "INSERT INTO r VALUES (3, 2.7, 'c')",
     "INSERT INTO r VALUES (4, -2.5, 'd')",
+]
+
+#: UPDATEs whose value an integer column cannot hold.
+PAST_INT64 = [
+    "UPDATE r SET k = 1e19",
+    "UPDATE r SET a = 99999999999999999999",
+    "UPDATE r SET k = -1e19 WHERE a > 0",
 ]
 
 ROWS = [(1, 10, "a"), (2, 20, "b")]
@@ -63,7 +72,7 @@ def assert_unchanged(db: Database, before: dict, answer) -> None:
     assert answer("SELECT count(*) FROM w") == [(1,)]
 
 
-@pytest.mark.parametrize("sql", MALFORMED)
+@pytest.mark.parametrize("sql", MALFORMED + PAST_INT64)
 def test_embedded(sql):
     db = loaded()
     before = lengths(db)
@@ -89,7 +98,7 @@ def test_served():
     host, port = thread.start()
     try:
         with Client(host, port) as client:
-            for sql in MALFORMED:
+            for sql in MALFORMED + PAST_INT64:
                 with pytest.raises(RemoteError) as info:
                     client.execute(sql)
                 assert info.value.code == "analysis", sql
@@ -102,6 +111,17 @@ def test_served():
             assert_unchanged(db, before, lambda text: client.execute(text).rows)
     finally:
         thread.stop()
+
+
+def test_a_float_column_refuses_an_int_past_float64():
+    db = Database()
+    db.execute("CREATE TABLE f (k integer, x float)")
+    db.execute("INSERT INTO f VALUES (1, 2.5)")
+    for sql in (f"UPDATE f SET x = {10**400}", f"INSERT INTO f VALUES (2, {10**400})"):
+        with pytest.raises(SQLAnalysisError, match="column 'x' is float"):
+            db.execute(sql)
+    assert db.execute("SELECT * FROM f").rows == [(1, 2.5)]
+    db.check_invariants()
 
 
 def _wal(directory) -> dict:

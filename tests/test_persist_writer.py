@@ -5,8 +5,11 @@ writer thread writes the generation.  Every step of that window is a
 crash point: a copy of the store taken there must reopen equal to an
 engine-free numpy model at its acknowledged statement prefix.  A write
 that fails leaves ``CURRENT`` where it was; the next explicit checkpoint
-raises it.  Varchar BATs are saved as raw heap offsets beside the heap's
-atoms, and a store holding the older decoded payload still opens.
+raises it.  A generation is one payload file, written with three fsyncs,
+and a payload that is torn or has a flipped bit refuses to open, as does
+an unreadable file of an older format.  Varchar BATs are saved as raw
+heap offsets beside the heap's atoms, and a store holding the older
+decoded payload still opens.
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ import os
 import shutil
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracle import MIXED_TAGS, TableModel, mixed_dml_stream
+from repro.__main__ import main
 from repro.errors import PersistError, StorageError
 from repro.persist import snapshot as snapshot_module
 from repro.persist.store import PersistentStore
@@ -232,13 +237,134 @@ def test_a_torn_wal_that_another_follows_refuses_to_open(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------- #
+# One payload file per generation, every array checksummed
+# ---------------------------------------------------------------------- #
+
+
+def checkpointed_store(directory) -> dict:
+    """A store whose snapshot 1 holds int and varchar BATs, tombstones and
+    a cracker; returns its manifest."""
+    with open_store(directory) as db:
+        for sql, _ in mixed_dml_stream(np.random.default_rng(17), 80):
+            db.execute(sql)
+        db.checkpoint()
+    manifest = json.loads((directory / "snapshot-000001" / "manifest.json").read_text())
+    assert manifest["tables"][0]["deleted"] is not None and manifest["crackers"]
+    return manifest
+
+
+def test_a_generation_is_one_payload_file_and_three_fsyncs(tmp_path, monkeypatch):
+    checkpointed_store(tmp_path / "store")
+    with open_store(tmp_path / "store") as db:
+        image = snapshot_module.capture_snapshot(db)
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
+    snapshot_module.write_image(image, tmp_path / "image", 2, 0)
+    monkeypatch.undo()
+    assert len(fsyncs) == 3  # payload, manifest, directory
+    for directory in (tmp_path / "image", tmp_path / "store" / "snapshot-000001"):
+        assert sorted(p.name for p in directory.iterdir()) == ["manifest.json", "payload.bin"]
+
+
+def flip_bit(path, offset: int) -> None:
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)[0]
+        handle.seek(offset)
+        handle.write(bytes([byte ^ 0x10]))
+
+
+#: Each damage: (what it does to a checkpointed store, the error it gets).
+DAMAGES = {
+    "truncated payload": (
+        lambda snap, manifest: os.truncate(
+            snap / "payload.bin", (snap / "payload.bin").stat().st_size // 2
+        ),
+        "fails its length or CRC check",
+    ),
+    "BAT tail": (
+        lambda snap, manifest: flip_bit(
+            snap / "payload.bin", manifest["tables"][0]["bats"][0]["file"][0] + 1
+        ),
+        "r.k tail fails",
+    ),
+    "varchar heap": (
+        lambda snap, manifest: flip_bit(
+            snap / "payload.bin", manifest["tables"][0]["bats"][2]["atoms"]["bytes"][0]
+        ),
+        "r.tag atoms bytes fails",
+    ),
+    "cracker array": (
+        lambda snap, manifest: flip_bit(
+            snap / "payload.bin", manifest["crackers"][0]["file"]["values"][0] + 2
+        ),
+        "cracker r.a values fails",
+    ),
+    "manifest": (
+        lambda snap, manifest: flip_bit(snap / "manifest.json", 0),
+        "manifest.json is corrupt",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGES))
+def test_a_damaged_payload_refuses_to_open(tmp_path, capsys, damage):
+    store = tmp_path / "store"
+    manifest = checkpointed_store(store)
+    apply, message = DAMAGES[damage]
+    apply(store / "snapshot-000001", manifest)
+
+    with pytest.raises(PersistError, match=message):
+        open_store(store)
+    assert main(["restore", str(store), "-e", "SELECT count(*) FROM r"]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("damage", ["truncated bat-0.npy", "damaged cracker-0.npz"])
+def test_a_damaged_file_of_an_older_format_is_a_persist_error(tmp_path, damage):
+    """Formats 1 and 2 have no checksum, but a payload numpy cannot read
+    is still a typed error rather than numpy's or zipfile's own."""
+    store = fixture_copy(tmp_path)
+    snap = store / "snapshot-000001"
+    if damage == "truncated bat-0.npy":
+        os.truncate(snap / "bat-0.npy", (snap / "bat-0.npy").stat().st_size // 2)
+        message = "cannot read r.k tail"
+    else:
+        flip_bit(snap / "cracker-0.npz", (snap / "cracker-0.npz").stat().st_size // 3)
+        message = "cannot read cracker r."
+    with pytest.raises(PersistError, match=message):
+        Database(cracking=True, persist_dir=store)
+
+
+# ---------------------------------------------------------------------- #
 # Varchar payloads: raw offsets beside the heap's atoms
 # ---------------------------------------------------------------------- #
 
 
+FIXTURE = Path(__file__).parent / "data" / "store_47a14e5"
+
+
+def fixture_copy(tmp_path) -> Path:
+    """A private copy of the committed format-1 store (recovery rewrites it)."""
+    store = tmp_path / "store"
+    shutil.copytree(FIXTURE, store)
+    return store
+
+
+def fixture_answers(db: Database) -> dict:
+    return {
+        sql: [list(row) for row in db.execute(sql).rows]
+        for sql in json.loads(FIXTURE.with_suffix(".json").read_text())
+    }
+
+
 def rewrite_varchar_to_legacy(store_dir) -> int:
-    """Give every varchar BAT of snapshot 1 the older payload: decoded
-    atoms, one per row, and no ``atoms`` entry.  Returns how many."""
+    """Give every varchar BAT of snapshot 1 the payload stores had before
+    the heap's atoms were saved: decoded atoms, one per row, and no
+    ``atoms`` entry.  Returns how many."""
     directory = store_dir / "snapshot-000001"
     path = directory / "manifest.json"
     manifest = json.loads(path.read_text())
@@ -250,11 +376,8 @@ def rewrite_varchar_to_legacy(store_dir) -> int:
                 continue
             with np.load(directory / atoms_file) as atoms:
                 heap = AtomHeap.from_atoms(atoms["bytes"], atoms["lengths"])
-            decoded = heap.atoms[heap.codes(np.load(directory / entry["file"]))].tolist()
-            np.save(
-                directory / entry["file"],
-                np.asarray(decoded, dtype="<U1" if not decoded else None),
-            )
+            decoded = heap.atoms[heap.codes(np.load(directory / entry["file"]))]
+            np.save(directory / entry["file"], decoded.astype(str))
             (directory / atoms_file).unlink()
             rewritten += 1
     path.write_text(json.dumps(manifest))
@@ -262,32 +385,20 @@ def rewrite_varchar_to_legacy(store_dir) -> int:
 
 
 def test_store_with_legacy_varchar_payload_reopens_unchanged(tmp_path):
-    stream = mixed_dml_stream(np.random.default_rng(11), 60)
-    db = open_store(tmp_path)
-    for sql, _ in stream:
-        db.execute(sql)
-    db.checkpoint()
-    expected = stored_rows(db)
-    counts = [db.execute(sql).scalar() for sql, op in stream if op[0] == "count"]
-    db.close()
-    assert rewrite_varchar_to_legacy(tmp_path) == 1
+    store = fixture_copy(tmp_path)
+    expected = json.loads(FIXTURE.with_suffix(".json").read_text())
+    assert rewrite_varchar_to_legacy(store) == 2
 
-    reopened = open_store(tmp_path)
-    assert stored_rows(reopened) == expected
-    assert [
-        reopened.execute(sql).scalar() for sql, op in stream if op[0] == "count"
-    ] == counts
-    assert reopened.execute("SELECT count(*) FROM r WHERE tag = ''").scalar() == sum(
-        tag == "" for _, _, tag in expected
-    )
+    reopened = Database(cracking=True, persist_dir=store, crack_threshold=0)
+    assert fixture_answers(reopened) == expected
     reopened.checkpoint()  # the next checkpoint writes the new form
     reopened.close()
-    manifest = json.loads((tmp_path / "snapshot-000002" / "manifest.json").read_text())
+    manifest = json.loads((store / "snapshot-000002" / "manifest.json").read_text())
     (tag_entry,) = [e for e in manifest["tables"][0]["bats"] if e["column"] == "tag"]
-    assert tag_entry["atoms"] == f"{tag_entry['file'][:-4]}.atoms.npz"
-    assert np.load(tmp_path / "snapshot-000002" / tag_entry["file"]).dtype == np.int64
-    with open_store(tmp_path) as again:
-        assert stored_rows(again) == expected
+    assert tag_entry["file"][1] == np.dtype(np.int64).str
+    assert set(tag_entry["atoms"]) == {"bytes", "lengths"}
+    with Database(cracking=True, persist_dir=store, crack_threshold=0) as again:
+        assert fixture_answers(again) == expected
 
 
 def test_varchar_state_keeps_heap_offsets():

@@ -286,6 +286,13 @@ def test_dialect_mistyped():
         assert reference.execute(sql).fetchall(), sql  # sqlite answers
         with pytest.raises(SQLAnalysisError):
             db.execute(sql)
+    sql = "UPDATE r SET k = 1e19 WHERE k < 5"
+    reference.execute(sql)
+    assert set(reference.execute("SELECT typeof(k) FROM r WHERE k > 1e18").fetchall()) == {
+        ("real",)
+    }
+    with pytest.raises(SQLAnalysisError, match="outside int64"):
+        db.execute(sql)
 
 
 def test_a_difference_outside_the_table_is_caught():

@@ -12,6 +12,12 @@ run with literals no earlier statement had, at three levels:
 * ``uncached`` — ``Database(plan_cache=False)``: lexed, parsed and
   analysed every time.
 
+A last row, ``count floor``, times the bare
+:meth:`~repro.core.cracked_column.CrackedColumn.count_range` call for
+the bounds of the ``count`` row's statements at each level: what a
+count costs in the cracker, so the row above it less this one is the
+overhead of everything else.
+
 Time the cases with pytest-benchmark, or print a p50 table::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_template_hit.py --benchmark-only
@@ -20,6 +26,7 @@ Time the cases with pytest-benchmark, or print a p50 table::
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 
@@ -63,18 +70,36 @@ def converged(plan_cache: bool) -> Database:
     return db
 
 
-def statements(kind: str, level: str, db: Database, seed: int):
-    """An endless stream of ``kind`` statements at ``level`` on ``db``."""
+def draws(level: str, seed: int):
+    """The endless literal stream behind :func:`statements`: fresh draws,
+    or at the exact level a pool of them, cycled."""
     rng = np.random.default_rng(seed)
-    draws = itertools.chain.from_iterable(
+    fresh = itertools.chain.from_iterable(
         rng.integers(0, ROWS - 5000, 1024).tolist() for _ in itertools.count()
     )
     if level != "exact":
-        return (KINDS[kind](x) for x in draws)
-    pool = [KINDS[kind](next(draws)) for _ in range(POOL)]
-    for sql in pool * 2:  # analysed, then promoted to the protected segment
-        db.execute(sql)
-    return itertools.cycle(pool)
+        return fresh
+    return itertools.cycle([next(fresh) for _ in range(POOL)])
+
+
+def statements(kind: str, level: str, db: Database, seed: int):
+    """An endless stream of ``kind`` statements at ``level`` on ``db``."""
+    stream = (KINDS[kind](x) for x in draws(level, seed))
+    if level == "exact":
+        pool = list(itertools.islice(stream, POOL))
+        for sql in pool * 2:  # analysed, then promoted to the protected segment
+            db.execute(sql)
+    return stream
+
+
+def count_floor(level: str, db: Database, seed: int):
+    """An endless stream of the bare cracker calls under the ``count``
+    statements of ``statements("count", level, db, seed)``."""
+    column = db.cracked_columns()[("r", "a")]
+    return (
+        functools.partial(column.count_range, x, x + 5000, True, True)
+        for x in draws(level, seed)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -99,28 +124,50 @@ def test_statement_by_cache_level(benchmark, databases, kind, level):
     db.check_invariants()
 
 
+@pytest.mark.parametrize("level", ["template", "exact"])
+def test_count_floor(benchmark, databases, level):
+    db = databases[True]
+    floor = count_floor(level, db, seed=len(benchmark.name))
+    benchmark.pedantic(lambda: next(floor)(), rounds=400, iterations=1)
+    # Untimed: the bare call answers what the statement does.
+    for x in itertools.islice(draws(level, seed=len(benchmark.name)), 8):
+        bare = db.cracked_columns()[("r", "a")].count_range(x, x + 5000, True, True)
+        assert bare == db.execute(KINDS["count"](x)).scalar()
+
+
+def p50_us(calls, count: int) -> float:
+    """The median µs of the next ``count`` of the zero-argument ``calls``."""
+    times = []
+    for call in itertools.islice(calls, count):
+        started = time.perf_counter_ns()
+        call()
+        times.append(time.perf_counter_ns() - started)
+    return float(np.median(times)) / 1e3
+
+
 def main(count: int = 2000) -> None:
-    """Print p50 µs per statement kind and level."""
+    """Print p50 µs per statement kind and level, and the count's floor."""
     databases = {True: converged(True), False: converged(False)}
+    levels = ("template", "exact", "uncached")
     print(f"p50 us per statement, {ROWS} rows, converged ({count} statements each)")
-    print(f"{'kind':<12}" + "".join(f"{level:>10}" for level in ("template", "exact", "uncached")))
+    print(f"{'kind':<12}" + "".join(f"{level:>10}" for level in levels))
     for kind in KINDS:
         cells = []
-        for level in ("template", "exact", "uncached"):
+        for level in levels:
             if (kind, level) not in CASES:
                 cells.append(f"{'-':>10}")
                 continue
             db = databases[level != "uncached"]
             stream = statements(kind, level, db, seed=1)
             db.execute(next(stream))
-            times = []
-            for _ in range(count):
-                sql = next(stream)
-                started = time.perf_counter_ns()
-                db.execute(sql)
-                times.append(time.perf_counter_ns() - started)
-            cells.append(f"{np.median(times) / 1e3:>10.1f}")
+            calls = (functools.partial(db.execute, sql) for sql in stream)
+            cells.append(f"{p50_us(calls, count):>10.1f}")
         print(f"{kind:<12}" + "".join(cells))
+    cells = [
+        p50_us(count_floor(level, databases[level != "uncached"], seed=1), count)
+        for level in levels
+    ]
+    print(f"{'count floor':<12}" + "".join(f"{cell:>10.1f}" for cell in cells))
 
 
 if __name__ == "__main__":

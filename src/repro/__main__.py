@@ -48,11 +48,12 @@ EXPERIMENTS = {
 
 
 def _print_result(result) -> None:
-    """Print one statement result in the shell's pipe-separated form."""
+    """Print one statement result in the shell's pipe-separated form,
+    a NULL cell as ``NULL``."""
     if result.columns:
         print("|".join(result.columns))
         for row in result.rows:
-            print("|".join(str(value) for value in row))
+            print("|".join("NULL" if value is None else str(value) for value in row))
     else:
         print(f"ok ({result.affected} rows affected)")
 

@@ -876,15 +876,17 @@ class CrackedColumn:
         over storage.  Invariants are validated before the column is
         handed out.
 
-        The column comes back with ``crack_threshold`` 0; whoever opens
-        it sets the cut-off (``CrackerProvider.attach_column``).  Older
+        The column cracks the state's ``values`` and ``oids`` in place:
+        a caller that goes on using them passes copies (``export_state``'s).
+        It comes back with ``crack_threshold`` 0; whoever opens it sets
+        the cut-off (``CrackerProvider.attach_column``).  Older
         exports also name a kernel, a crack-in-three toggle and a
         ``crack_threshold``; they are ignored.
         """
         column = cls.__new__(cls)
         column._setup(
-            np.asarray(state["values"]).copy(),
-            np.asarray(state["oids"], dtype=np.int64).copy(),
+            np.asarray(state["values"]),
+            np.asarray(state["oids"], dtype=np.int64),
             crack_threshold=0,
         )
         column.index = CrackerIndex.from_state(state["index"])

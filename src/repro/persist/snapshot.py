@@ -13,12 +13,13 @@ One snapshot directory is a self-contained, immutable image of a
 * ``manifest.json`` — format version, generation, cumulative statement
   count, the catalog, each cracker's scalar metadata, and per array a
   reference ``[offset, dtype, length, crc32]`` into the payload, which
-  loading checks.
+  loading checks; its own ``crc32`` covers all the rest of it.
 
-Formats 1 and 2 named one ``.npy``/``.npz`` file per array or group
-where format 3 has a reference; they still load, unchecked.  Format 1
-held boundary values as float64 (the column's dtype keeps those it holds
-exactly); older stores have no ``atoms`` and decoded varchar tails.
+Format 3 is format 4 without the manifest's CRC.  Formats 1 and 2
+named one ``.npy``/``.npz`` file per array or group where later formats
+have a reference; they still load, unchecked.  Format 1 held boundary
+values as float64 (the column's dtype keeps those it holds exactly);
+older stores have no ``atoms`` and decoded varchar tails.
 
 Writing is split in two so a checkpoint can leave the statement that
 triggers it: :func:`capture_snapshot` takes private copies of all of it
@@ -46,10 +47,10 @@ from repro.storage.bat import BAT
 from repro.storage.table import Column, Relation, Schema
 
 #: Manifest format version; bump on incompatible layout changes.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Formats :func:`read_manifest` accepts.
-READABLE_FORMATS = (1, 2, FORMAT_VERSION)
+READABLE_FORMATS = (1, 2, 3, FORMAT_VERSION)
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.bin"
@@ -171,10 +172,16 @@ def capture_snapshot(database) -> dict:
     return {"tables": tables, "crackers": crackers}
 
 
+def _manifest_crc(body: dict) -> int:
+    """The CRC-32 of a manifest body's canonical JSON (not its layout)."""
+    return zlib.crc32(json.dumps(body, sort_keys=True, separators=(",", ":")).encode())
+
+
 def _write_manifest(directory: Path, manifest: dict) -> None:
-    """Write ``manifest.json`` (fsynced): the last file of a snapshot."""
+    """Write ``manifest.json`` (fsynced) with its CRC: a snapshot's last file."""
+    body = {key: value for key, value in manifest.items() if key != "crc32"}
     with open(directory / MANIFEST_NAME, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
+        json.dump({**body, "crc32": _manifest_crc(body)}, handle, indent=2)
         handle.write("\n")
         handle.flush()
         os.fsync(handle.fileno())
@@ -254,7 +261,7 @@ def snapshot_bytes(directory: Path | str) -> int:
 
 
 def read_manifest(directory: Path | str) -> dict:
-    """Parse and version-check a snapshot manifest."""
+    """Parse, version- and (format 4) CRC-check a manifest, less its ``crc32``."""
     path = Path(directory) / MANIFEST_NAME
     if not path.is_file():
         raise PersistError(f"snapshot {directory} has no {MANIFEST_NAME}")
@@ -262,11 +269,13 @@ def read_manifest(directory: Path | str) -> dict:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
         raise PersistError(f"snapshot {directory}: {MANIFEST_NAME} is corrupt: {exc}") from None
-    version = manifest.get("format")
+    version = manifest.get("format") if isinstance(manifest, dict) else None
     if version not in READABLE_FORMATS:
         raise PersistError(
             f"snapshot format {version!r} unsupported (expected one of {READABLE_FORMATS})"
         )
+    if version >= 4 and manifest.pop("crc32", None) != _manifest_crc(manifest):
+        raise PersistError(f"snapshot {directory}: {MANIFEST_NAME} fails its CRC check")
     return manifest
 
 

@@ -147,6 +147,9 @@ class AnalyzedQuery:
     widths: dict[str, int] = field(default_factory=dict)
     slots: list[tuple] = field(default_factory=list)
     limited: bool = False  # the last literal is the LIMIT count
+    #: ``(table, attr)`` for the COUNT(*) pushdown's shape: ``count(*)``
+    #: alone over one table, every slot a range on this numeric column.
+    counted: tuple[str, str] | None = None
 
     @cached_property
     def advice(self) -> list[CrackerAdvice]:
@@ -163,6 +166,27 @@ class AnalyzedQuery:
         if self.limited:
             query.limit = int(next(values))
         return query
+
+
+class RangeCount:
+    """A ``counted`` resolution with ``literals`` folded into its one
+    range: ``bounds`` = ``[low, high, low_inclusive, high_inclusive]``.
+    ``advice`` folds the whole query only when read."""
+
+    __slots__ = ("resolution", "literals", "bounds")
+
+    def __init__(self, resolution: AnalyzedQuery, literals: tuple) -> None:
+        self.resolution = resolution
+        self.literals = literals
+        bounds = [None, None, True, True]
+        values = iter(literals)
+        for _, _, attr, op, col_type in resolution.slots:
+            _narrow(bounds, attr, col_type, op, next(values), values)
+        self.bounds = bounds
+
+    @property
+    def advice(self) -> list[CrackerAdvice]:
+        return self.resolution.fold(self.literals).advice
 
 
 def analyze(stmt: SelectStmt, catalog: Catalog) -> AnalyzedQuery:
@@ -234,6 +258,13 @@ def resolve_query(stmt: SelectStmt, catalog: Catalog) -> AnalyzedQuery:
         binding: len(catalog.table(bindings[binding].name).schema)
         for binding in {name.split(".", 1)[0] for name in projections}
     }
+    counted = None
+    if slots and aggregates == [("count", None)] and len(stmt.tables) == 1 and not (
+        projections or group_by or order_by or stmt.into or stmt.limit is not None
+    ):
+        _, table, attr, _, attr_type = slots[0]
+        if attr_type != "str" and all(slot[2] == attr and slot[3] != "!=" for slot in slots):
+            counted = (table, attr)
     return AnalyzedQuery(
         tables=stmt.tables,
         projections=projections if projections else None,
@@ -248,6 +279,7 @@ def resolve_query(stmt: SelectStmt, catalog: Catalog) -> AnalyzedQuery:
         widths=widths,
         slots=slots,
         limited=stmt.limit is not None,
+        counted=counted,
     )
 
 
@@ -399,53 +431,45 @@ def _fold(slots: list, values) -> tuple[list, list]:
     """The range and residual predicates of ``slots``, each taking its
     literals from the iterator ``values`` in clause order, each literal
     checked against and typed in its column's type."""
-    selections: dict[tuple[str, str], RangePredicate] = {}
+    ranges: dict[tuple, list] = {}
     residuals: list[ResidualPredicate] = []
     for binding, table, attr, op, col_type in slots:
         value = next(values)
         if op == "!=":
             residuals.append(ResidualPredicate(binding, attr, "!=", _point(attr, col_type, value)))
             continue
-        sets_low, sets_high, inclusive = _BOUNDS[op]
-        high = next(values) if op == "between" else value
-        _merge_range(
-            selections, binding, table, attr,
-            _bound(attr, col_type, value, "low", inclusive) if sets_low else None,
-            _bound(attr, col_type, high, "high", inclusive) if sets_high else None,
-        )
-    return list(selections.values()), residuals
+        bounds = ranges.get((binding, table, attr))
+        if bounds is None:
+            bounds = ranges[binding, table, attr] = [None, None, True, True]
+        _narrow(bounds, attr, col_type, op, value, values)
+    return [RangePredicate(*key, *bounds) for key, bounds in ranges.items()], residuals
 
 
-def _merge_range(selections, binding, table, attr, low, high) -> None:
-    """Narrow ``binding.attr``'s range by one pair of typed bounds, each
-    ``(value, inclusive)``, None (open) or ``EMPTY``.
+def _narrow(bounds: list, attr: str, col_type: str, op: str, value, values) -> None:
+    """Narrow ``bounds`` (``[low, high, low_inclusive, high_inclusive]``)
+    by ``attr op value``, typed by :func:`_bound` (a BETWEEN's high is
+    the next of ``values``).
 
     An empty side makes the range ``0 < attr <= 0``, which no value
     passes and no later bound widens (0 compares exactly with either
     numeric type).  A contradictory conjunction stays as it is: it
     selects nothing, and the planner gives the empty answer.
     """
-    key = (binding, attr)
-    predicate = selections.get(key)
-    if predicate is None:
-        predicate = selections[key] = RangePredicate(binding, table, attr)
+    sets_low, sets_high, inclusive = _BOUNDS[op]
+    high = next(values) if op == "between" else value
+    low = _bound(attr, col_type, value, "low", inclusive) if sets_low else None
+    high = _bound(attr, col_type, high, "high", inclusive) if sets_high else None
     if low is EMPTY or high is EMPTY:
-        predicate.low, predicate.low_inclusive, predicate.high, predicate.high_inclusive = (
-            0, False, 0, True
-        )
+        bounds[:] = 0, 0, False, True
         return
     if low is not None:
         value, inclusive = low
-        if predicate.low is None or value > predicate.low or (
-            value == predicate.low and not inclusive
-        ):
-            predicate.low, predicate.low_inclusive = low
+        if bounds[0] is None or value > bounds[0] or (value == bounds[0] and not inclusive):
+            bounds[0], bounds[2] = low
     if high is not None:
         value, inclusive = high
-        if predicate.high is None or value < predicate.high or (
-            value == predicate.high and not inclusive
-        ):
-            predicate.high, predicate.high_inclusive = high
+        if bounds[1] is None or value < bounds[1] or (value == bounds[1] and not inclusive):
+            bounds[1], bounds[3] = high
 
 
 def _operand(column: str, col_type: str, value):

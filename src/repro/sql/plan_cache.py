@@ -15,7 +15,8 @@ reusable stages:
   literals)`` for a prepared execution; a str never equals a tuple.  A
   hit skips the lexer, the parser *and* the analyzer; only the
   physical plan (which embeds the per-execution cracked answer) is
-  rebuilt.
+  rebuilt, every execution, but for the COUNT(*) pushdown: its entry
+  keeps the folded bounds, and a hit is one call into the cracker.
 * **template level** — one regex split of the SQL text
   (:func:`template_key`) replaces its literals by placeholders, and that
   key maps to a parsed statement, the *template*.  A statement that
@@ -148,7 +149,10 @@ class PlanCache:
         """True while no table of ``table_epochs`` (from :meth:`epochs_for`)
         has had its epoch bumped."""
         epochs = self._epochs
-        return all(epochs.get(name, 0) == epoch for name, epoch in table_epochs)
+        for name, epoch in table_epochs:
+            if epochs.get(name, 0) != epoch:
+                return False
+        return True
 
     def invalidate_table(self, name: str) -> None:
         """Bump ``name``'s epoch: every entry referencing it goes stale.

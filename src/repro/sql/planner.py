@@ -9,11 +9,13 @@ grouping, projection) is built conventionally, every operator an array
 kernel.  The paper's tuple-at-a-time baseline is
 :class:`~repro.engines.rowstore.RowStoreEngine`, which drives
 :mod:`repro.volcano.operators` directly.
+
+A plan is rebuilt on every execution: it embeds that execution's cracked
+answer.  A COUNT(*) of one numeric range (``AnalyzedQuery.counted``) has
+none: its statement asks :meth:`CrackerProvider.range_select` to count.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -32,7 +34,6 @@ from repro.volcano.joinopt import (
     default_plan,
     optimize_join_order,
 )
-from repro.volcano.operators import Operator
 from repro.volcano.vectorized import (
     VecAggregate,
     VecCrackedScan,
@@ -45,59 +46,6 @@ from repro.volcano.vectorized import (
     VecSelect,
     VecSort,
 )
-
-class CrackedCountScan(Operator):
-    """Degenerate plan: COUNT(*) answered from the cracker's span bounds.
-
-    §3.2's cracker index keeps each piece's size and location, so a
-    fully-cracked range predicate yields its cardinality as a positional
-    subtraction — no scan, no aggregate operator, no batch pipeline.
-    The planner emits this whenever a single-table COUNT(*) query's only
-    predicate was answered by the cracker; it is the sustained-phase fast
-    path of the ledger's ``point_count`` workload.
-    """
-
-    columns = ["count(*)"]
-
-    def __init__(self, count: int) -> None:
-        self._count = int(count)
-
-    def __iter__(self) -> Iterator[tuple]:
-        yield (self._count,)
-
-
-def _cracked_count_plan(
-    query: AnalyzedQuery, catalog: Catalog, cracker: "CrackerProvider | None"
-) -> CrackedCountScan | None:
-    """The COUNT(*) pushdown, when the whole query is one cracked range."""
-    if len(query.tables) != 1 or len(query.selections) != 1:
-        return None
-    if (
-        query.aggregates != [("count", None)]
-        or query.group_by
-        or query.joins
-        or query.residuals
-        or query.order_by
-        or query.projections
-        or query.into is not None
-        or query.limit is not None
-    ):
-        return None
-    relation = catalog.table(query.tables[0].name)
-    predicate = _pick_crackable(query.selections, relation, cracker)
-    if predicate is None:
-        return None
-    governor.check()
-    count = cracker.range_select(
-        relation,
-        predicate.attr,
-        predicate.low,
-        predicate.high,
-        low_inclusive=predicate.low_inclusive,
-        high_inclusive=predicate.high_inclusive,
-        count=True,
-    )
-    return CrackedCountScan(count)
 
 
 class CrackerProvider:
@@ -377,12 +325,9 @@ def build_plan(
     catalog: Catalog,
     cracker: CrackerProvider | None = None,
     tracker=None,
-) -> CrackedCountScan | VecOperator:
-    """Assemble the physical plan for an analyzed query: the COUNT(*)
-    pushdown when it applies, else the batch tree."""
-    fast_count = _cracked_count_plan(query, catalog, cracker)
-    if fast_count is not None:
-        return fast_count
+) -> VecOperator:
+    """Assemble the batch tree for an analyzed query (a COUNT(*) of one
+    range counts in the cracker instead: ``SelectStmt._count``)."""
     needed = _needed_columns(query)
     base_ops: dict[str, VecOperator] = {}
     for ref in query.tables:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SQLAnalysisError
-from repro.sql.analyzer import AnalyzedQuery
+from repro.sql.analyzer import AnalyzedQuery, RangeCount
 
 
 def _column_array(values) -> np.ndarray:
@@ -53,7 +53,7 @@ class QueryResult:
         columns: list[str],
         rows: list[tuple] | None = None,
         affected: int = 0,
-        query: AnalyzedQuery | None = None,
+        query: AnalyzedQuery | RangeCount | None = None,
         arrays: dict[str, np.ndarray] | None = None,
         codes: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
     ) -> None:

@@ -270,7 +270,7 @@ class Database:
         times the key); anything else is lexed and parsed, and a SELECT,
         INSERT … VALUES, UPDATE or DELETE stores its template (see
         :mod:`repro.sql.plan_cache`).  ``EXPLAIN ANALYZE`` is recognised
-        after the exact probe, so an exact hit never pays for it.  A
+        after both probes, so a cache hit never pays for it.  A
         SELECT is analysed, and enters the exact level, when it runs:
         resolved once per template (the ``analyze`` span), then its
         literals folded in.
@@ -281,16 +281,12 @@ class Database:
     def _compile(self, sql: str) -> Statement:
         """:meth:`compile` with the statement lock held."""
         cache = self._plan_cache
+        key = None
         if cache.enabled:
             stmt = cache.lookup_exact(sql)
             if stmt is not None:
                 obs_trace.annotate(plan_cache="exact-hit")
                 return stmt
-        match = _EXPLAIN_ANALYZE.match(sql)
-        if match is not None:
-            return ExplainAnalyze(sql[match.end():])
-        key = None
-        if cache.enabled:
             with obs_trace.span("lex"):
                 key, literals = template_key(sql)
             template = cache.lookup_template(key)
@@ -299,6 +295,10 @@ class Database:
                 stmt = template.bind(literals)
                 stmt.key = sql
                 return stmt
+        match = _EXPLAIN_ANALYZE.match(sql)
+        if match is not None:
+            return ExplainAnalyze(sql[match.end():])
+        if key is not None:
             obs_trace.annotate(plan_cache="miss")
         with obs_trace.span("lex"):
             tokens = tokenize(sql)

@@ -1,7 +1,10 @@
 """Compiled statements: one class per statement kind.
 
 The parser builds them and the plan cache keeps them;
-``Database.compile`` returns one and ``Database._run`` executes it.
+``Database.compile`` returns one and ``Database._run`` executes it.  A
+SELECT rebuilds its physical plan on every execution, cached or not,
+except the COUNT(*) pushdown, which counts in the cracker with no plan
+(:meth:`SelectStmt._count`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import numpy as np
 from repro import governor
 from repro.errors import SQLAnalysisError
 from repro.obs import trace as obs_trace
-from repro.sql.analyzer import AnalyzedDML, resolve_dml, resolve_query, stored_value
+from repro.sql.analyzer import (
+    AnalyzedDML, RangeCount, resolve_dml, resolve_query, stored_value,
+)
 from repro.sql.ast_nodes import (
     Assignment, Between, ColRef, Comparison, Const, OrderItem, TableRef,
 )
@@ -22,7 +27,7 @@ from repro.sql.planner import build_plan
 from repro.sql.result import QueryResult
 from repro.storage.bat import TAIL_DTYPES
 from repro.storage.table import Column, Relation, Schema
-from repro.volcano.vectorized import VecOperator, concat_batches, conjunction_mask
+from repro.volcano.vectorized import concat_batches, conjunction_mask
 
 
 def _where_literals(where: list) -> list:
@@ -68,20 +73,13 @@ class _Mutation(Statement):
         return self.table
 
 
-def _bound(template: "_Templated", literals: tuple, **fields) -> "_Templated":
-    """A statement of ``template``'s kind with ``literals`` and ``fields``,
-    built without its literal-holding fields (see :class:`_Templated`)."""
-    stmt = object.__new__(type(template))
-    stmt.__dict__.update(fields, template=template, params=literals)
-    return stmt
-
-
 class _Templated(Statement):
     """A SELECT, UPDATE or DELETE: analysed as *resolve* plus *fold*.
 
-    ``bind(literals)`` gives a statement that shares its template's
-    fields and keeps ``literals`` as ``params``; ``where`` and UPDATE's
-    ``assignments`` are built from them only when something reads them.
+    ``bind(literals)`` gives a statement that keeps ``literals`` as
+    ``params`` and reads every other field from its template; ``where``
+    and UPDATE's ``assignments`` are built from them only when something
+    reads them.
     Analysis never does: it folds ``params`` into :meth:`resolution`,
     the template's resolve step, cached on the template (plan cache on)
     while no DDL has bumped its tables' epochs.
@@ -95,12 +93,24 @@ class _Templated(Statement):
     #: On a template: ``(resolution, table epochs)``, or None.
     resolved = None
 
+    def bind(self, literals: tuple) -> "_Templated":
+        """This statement with ``literals``, built with none of its
+        fields: sharing the template's is safe, as statements are never
+        mutated once published."""
+        template = self if self.template is None else self.template
+        stmt = object.__new__(type(template))
+        stmt.__dict__.update(template=template, params=literals)
+        return stmt
+
     def __getattr__(self, name: str):
         # Reached only for an attribute the instance lacks: on a bound
-        # statement, a literal-holding field not read before.
+        # statement, a field of its template's, or a literal-holding
+        # field not read before.
         template = self.__dict__.get("template")
         if template is None:
             raise AttributeError(name)
+        if name not in ("where", "assignments"):
+            return getattr(template, name)
         fields = template._literal_fields(iter(self.params))
         if name not in fields:
             raise AttributeError(name)
@@ -152,10 +162,6 @@ class _Templated(Statement):
                 template.resolved = resolved
         return resolved
 
-    def analysis(self, db):
-        """This statement's literals folded into :meth:`resolution`."""
-        return self.resolution(db)[0].fold(self.literals())
-
 
 # ---------------------------------------------------------------------- #
 # SELECT
@@ -175,7 +181,9 @@ class SelectStmt(_Templated):
     limit: int | None = None
 
     kind = "select"
-    #: The analysed form, once this statement has run.
+    #: The analysed form, once this statement has run: an
+    #: :class:`~repro.sql.analyzer.AnalyzedQuery`, or the COUNT(*)
+    #: pushdown's :class:`~repro.sql.analyzer.RangeCount`.
     query = None
 
     def fits(self, literals: tuple) -> bool:
@@ -183,18 +191,10 @@ class SelectStmt(_Templated):
         return self.limit is None or isinstance(literals[-1], Integral)
 
     def bind(self, literals: tuple) -> "SelectStmt":
-        """This statement with ``literals``; name-only structure is
-        shared, which is safe because statements are never mutated once
-        published."""
-        template = self if self.template is None else self.template
-        return _bound(
-            template, literals,
-            items=template.items,
-            tables=template.tables,
-            group_by=template.group_by,
-            order_by=template.order_by,
-            limit=None if template.limit is None else int(literals[-1]),
-        )
+        stmt = super().bind(literals)
+        if stmt.template.limit is not None:  # a class default hides the template's
+            stmt.limit = int(literals[-1])
+        return stmt
 
     def table_names(self) -> list[str]:
         return [ref.name for ref in self.tables]
@@ -203,12 +203,17 @@ class SelectStmt(_Templated):
         return resolve_query(self, catalog)
 
     def analyze(self, db):
-        """Analyse against ``db``'s catalog, folding this statement's
-        literals into its template's resolution; publish under
+        """Fold this statement's literals into its template's resolution:
+        into the COUNT(*) pushdown's one range (a :class:`RangeCount`)
+        when the resolution has that shape and ``db`` cracks, else into
+        the whole query.  The first analysis is published under
         :attr:`key` with the epochs that resolution was made under."""
         resolution, epochs = self.resolution(db)
-        query = resolution.fold(self.literals())
-        if self.key is not None:
+        if resolution.counted is not None and db._cracker is not None:
+            query = RangeCount(resolution, self.literals())
+        else:
+            query = resolution.fold(self.literals())
+        if self.key is not None and self.query is None:
             self.query = query
             db._plan_cache.store_exact(self.key, self, epochs)
         return query
@@ -217,14 +222,15 @@ class SelectStmt(_Templated):
         """Plan and gather.  The physical plan is rebuilt every time,
         even on a cache hit: the cracked range answer it embeds is
         per-execution state, and the join planner reads live
-        cardinalities from the catalog."""
+        cardinalities from the catalog.  The exception is the COUNT(*)
+        pushdown, which has no plan (:meth:`_count`)."""
         query = self.query
-        if query is None:
-            query = self.analyze(db)
-        elif db._in_transaction:
+        if query is None or db._in_transaction:
             # A transaction batch compiles before it runs: the analysis
             # may predate a schema change made earlier in the batch.
-            query = self.analysis(db)
+            query = self.analyze(db)
+        if type(query) is RangeCount:
+            return self._count(db, query)
         with obs_trace.span("plan"):
             plan = build_plan(
                 query, db.catalog, cracker=db._cracker, tracker=db.tracker
@@ -233,8 +239,6 @@ class SelectStmt(_Templated):
             return self._materialise(db, plan, query)
         columns = list(plan.columns)
         with obs_trace.span("gather"):
-            if not isinstance(plan, VecOperator):
-                return QueryResult(columns, list(plan), query=query)
             batch = concat_batches(plan)
             # The result owns its data.  The cracked answer already does
             # (it left the cracker as a copy); what can still view
@@ -251,6 +255,19 @@ class SelectStmt(_Templated):
                 for index, (ids, atoms) in batch.coded.items()
             }
         return QueryResult(columns, arrays=arrays, query=query, codes=codes)
+
+    @staticmethod
+    def _count(db, query: RangeCount) -> QueryResult:
+        """The COUNT(*) pushdown: one call into the cracker, whose index
+        keeps each piece's size and location (§3.2)."""
+        table, attr = query.resolution.counted
+        with obs_trace.span("plan"):
+            governor.check()  # the crack leaves its column valid: stop here
+            count = db._cracker.range_select(
+                db.catalog.table(table), attr, *query.bounds, count=True
+            )
+        with obs_trace.span("gather"):
+            return QueryResult(["count(*)"], [(int(count),)], query=query)
 
 
 class SelectInto(SelectStmt):
@@ -464,9 +481,9 @@ class _Write(_Templated, _Mutation):
     :class:`~repro.sql.analyzer.AnalyzedDML`, redone every execution:
     a fold into the template's resolution on a template hit."""
 
-    def bind(self, literals: tuple) -> "_Write":
-        template = self if self.template is None else self.template
-        return _bound(template, literals, table=template.table)
+    def analysis(self, db) -> AnalyzedDML:
+        """This statement's literals folded into :meth:`resolution`."""
+        return self.resolution(db)[0].fold(self.literals())
 
     def table_names(self) -> list[str]:
         return [self.table]

@@ -327,6 +327,9 @@ class BAT:
         of them (:meth:`AtomHeap.codes` checks).  A string state without
         ``atoms`` is the older form: its tail holds the decoded atoms,
         which are put row by row.
+
+        The tail and head arrays become the BAT's storage as they are: a
+        caller that goes on using them passes copies (``export_state``'s).
         """
         tail_type = str(state["tail_type"])
         tail = state["tail"]
@@ -344,16 +347,13 @@ class BAT:
             else:
                 heap = AtomHeap()
                 tail = heap.put_many(np.asarray(tail, dtype=str).tolist())
-        bat = cls(
-            str(state["name"]), tail_type=tail_type,
-            capacity=max(len(tail), _MIN_CAPACITY), heap=heap,
-        )
-        bat._tail[: len(tail)] = tail
+        bat = cls(str(state["name"]), tail_type=tail_type, capacity=0, heap=heap)
+        bat._tail = np.asarray(tail, dtype=TAIL_DTYPES[tail_type])
         bat._count = len(tail)
         bat._seq_base = int(state.get("seq_base", 0))
         head = state.get("head")
         if head is not None:
-            bat._head = np.asarray(head, dtype=np.int64).copy()
+            bat._head = np.asarray(head, dtype=np.int64)
         # Derived: the state's "sorted" is not trusted.
         bat._sorted = tail_type != "str" and _ascending(bat._active_tail())
         return bat

@@ -406,10 +406,6 @@ class VecLimit(VecOperator):
 #: Aggregate functions supported by :class:`VecAggregate`.
 VEC_AGGREGATES = ("count", "sum", "min", "max", "avg")
 
-#: Final value of each aggregate over an empty input.  ``sum`` gives 0
-#: where SQL (and sqlite) give NULL: a listed ``DIALECT`` difference.
-_EMPTY_FINAL = {"count": 0, "sum": 0, "min": None, "max": None, "avg": None}
-
 
 def _segment_reduce(
     fn: str, values: np.ndarray, starts: np.ndarray, stops: np.ndarray
@@ -448,8 +444,8 @@ class VecAggregate(VecOperator):
     Rows are clustered by a stable multi-key sort of the group columns
     (the Ω discipline of §3.4.2), then every aggregate is one segmented
     ``reduceat``.  Output rows come out in ascending group-key order;
-    over an empty input without GROUP BY the one row holds
-    :data:`_EMPTY_FINAL`.
+    over an empty input without GROUP BY the one row holds SQL's answer
+    to it: ``count`` 0 and every other aggregate NULL (None).
     """
 
     def __init__(
@@ -482,7 +478,7 @@ class VecAggregate(VecOperator):
             yield ColumnBatch(
                 self.columns,
                 [
-                    np.array([_EMPTY_FINAL[fn]], dtype=object)
+                    np.array([0 if fn == "count" else None], dtype=object)
                     for fn, _ in self._agg_specs
                 ],
             )

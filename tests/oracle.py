@@ -487,7 +487,6 @@ DIALECT: dict[str, str] = {
         "Float aggregates accumulate in another order (crack order, numpy "
         "reductions): floats compare to 1e-9 relative."
     ),
-    "empty_sum": "sum over no rows is 0 here; SQL and sqlite say NULL.",
     "mistyped": (
         "A varchar compared with a number, and sum or avg of a varchar "
         "column, are SQLAnalysisErrors here; sqlite answers them by its type "
@@ -531,17 +530,6 @@ class Answer:
             return
         assert len(result.columns) == len(self.names), (context, result.columns)
         groups = self.groups
-        sums = {
-            i for i, name in enumerate(self.names) if name.lower().startswith("sum(")
-        }
-        if sums:  # DIALECT["empty_sum"]
-            groups = [
-                [
-                    tuple(0 if v is None and i in sums else v for i, v in enumerate(row))
-                    for row in group
-                ]
-                for group in groups
-            ]
         rows = result.rows
         total = sum(map(len, groups))
         expected = total if self.limit is None else min(self.limit, total)

@@ -68,6 +68,15 @@ class TestSQLSubcommand:
         assert main(["sql", str(script)]) == 0
         assert capsys.readouterr().out.rstrip().endswith("3")
 
+    def test_a_null_cell_prints_as_null(self, capsys):
+        assert main([
+            "sql", "-e", "CREATE TABLE r (a integer, b integer); INSERT INTO r VALUES (1, 2); "
+                         "SELECT sum(a), count(*), max(b) FROM r WHERE a > 10",
+        ]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "sum(r.a)|count(*)|max(r.b)", "NULL|0|NULL",
+        ]
+
     def test_no_sql_given_errors(self, capsys):
         with pytest.raises(SystemExit):
             main(["sql"])

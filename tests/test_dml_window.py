@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from oracle import ENGINE_CONFIGS, SqliteReference, assert_matches_sqlite
 from repro.errors import SQLAnalysisError, StorageError
+from repro.persist import snapshot as snapshot_module
 from repro.sql import Database
 
 ROWS = 120
@@ -197,7 +198,7 @@ def test_a_snapshot_claiming_order_over_a_shuffled_tail_is_not_trusted(tmp_path)
         for table in data["tables"]:
             for bat in table["bats"]:
                 bat["sorted"] = True
-        manifest.write_text(json.dumps(data))
+        snapshot_module._write_manifest(manifest.parent, data)  # sealed again
     reference = SqliteReference()
     for sql in statements:
         reference.execute(sql)

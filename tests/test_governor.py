@@ -97,7 +97,7 @@ BOUNDARIES = [
     ("run_start_insert", "INSERT INTO r VALUES (9001, 3, 0.5, 't2')", None, "_run"),
     ("run_start_create", "CREATE TABLE fresh (k integer)", None, "_run"),
     ("count_before_its_crack", "SELECT count(*) FROM r WHERE a < 300",
-     (statements.SelectStmt, "analyze"), "_cracked_count_plan"),
+     (statements.SelectStmt, "analyze"), "_count"),
     ("join_before_build_sort",
      "SELECT count(*), sum(s.g) FROM r, s WHERE r.k = s.k AND r.a < 700",
      (vectorized, "concat_batches"), "batches"),

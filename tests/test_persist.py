@@ -23,6 +23,7 @@ from oracle import (
 from repro.core.cracked_column import DEFAULT_CRACK_THRESHOLD, CrackedColumn
 from repro.errors import PersistError
 from repro.persist import scan_wal
+from repro.persist import snapshot as snapshot_module
 from repro.persist.wal import StatementWAL, frame_record
 from repro.sql import Database
 from repro.storage.bat import BAT
@@ -74,12 +75,13 @@ def assert_databases_agree(expected: Database, actual: Database) -> None:
 
 def rewrite_cracker_meta(store_dir, rewrite) -> int:
     """Apply ``rewrite(meta) -> meta`` to every cracker entry of the first
-    snapshot generation's manifest; returns how many entries it holds."""
+    snapshot generation's manifest, sealed again with its CRC; returns
+    how many entries it holds."""
     path = store_dir / "snapshot-000001" / "manifest.json"
     manifest = json.loads(path.read_text())
     for entry in manifest["crackers"]:
         entry["meta"] = rewrite(entry["meta"])
-    path.write_text(json.dumps(manifest))
+    snapshot_module._write_manifest(path.parent, manifest)
     return len(manifest["crackers"])
 
 

@@ -20,6 +20,7 @@ import os
 import shutil
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.persist.store import PersistentStore
 from repro.sql import Database
 from repro.storage.bat import BAT
 from repro.storage.heap import AtomHeap
+from repro.storage.table import Column, Relation, Schema
 
 CHECKPOINT_EVERY = 12
 
@@ -305,7 +307,19 @@ DAMAGES = {
         lambda snap, manifest: flip_bit(snap / "manifest.json", 0),
         "manifest.json is corrupt",
     ),
+    "manifest value": (
+        lambda snap, manifest: edit_manifest(snap, statements_logged=7),
+        "manifest.json fails its CRC check",
+    ),
 }
+
+
+def edit_manifest(snap, **values) -> None:
+    """Set ``values`` in a snapshot's manifest, which stays valid JSON."""
+    path = snap / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert all(manifest[key] != value for key, value in values.items())
+    path.write_text(json.dumps({**manifest, **values}, indent=2))
 
 
 @pytest.mark.parametrize("damage", list(DAMAGES))
@@ -337,6 +351,54 @@ def test_a_damaged_file_of_an_older_format_is_a_persist_error(tmp_path, damage):
         message = "cannot read cracker r."
     with pytest.raises(PersistError, match=message):
         Database(cracking=True, persist_dir=store)
+
+
+def test_manifests_of_older_formats_open_without_a_crc(tmp_path):
+    """Formats 1-3 carry no manifest CRC: the format-1 fixture opens, and
+    so does a format-4 manifest rewritten as format 3 without its CRC."""
+    with Database(cracking=True, persist_dir=fixture_copy(tmp_path)) as db:
+        assert fixture_answers(db) == json.loads(FIXTURE.with_suffix(".json").read_text())
+    store = tmp_path / "fresh"
+    checkpointed_store(store)
+    with open_store(store) as db:
+        expected = stored_rows(db)
+    path = store / "snapshot-000001" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest.pop("crc32") is not None and manifest["format"] == 4
+    path.write_text(json.dumps({**manifest, "format": 3}))
+    with open_store(store) as db:
+        assert stored_rows(db) == expected
+    manifest["statements_logged"] += 7  # format 4 is checked
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(PersistError, match="manifest.json fails its CRC check"):
+        open_store(store)
+
+
+def test_opening_a_store_holds_one_copy_of_each_array(tmp_path):
+    """The loader hands each array to its BAT or cracked column, which
+    keep it: the open's peak stays near what the open keeps."""
+    rows = 1_000_000
+    rng = np.random.default_rng(3)
+    with open_store(tmp_path) as db:
+        db.catalog.create_table(Relation.from_columns(
+            "r", Schema([Column("k", "int"), Column("a", "int")]),
+            {"k": np.arange(rows), "a": rng.integers(0, rows, rows)},
+        ))
+        for low in range(0, rows, rows // 8):
+            db.execute(f"SELECT count(*) FROM r WHERE a BETWEEN {low} AND {low + 999}")
+        db.checkpoint()
+    tracemalloc.start()
+    try:
+        db = open_store(tmp_path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    try:
+        assert db.piece_count("r", "a") > 1  # the cracker came back warm
+        assert kept >= 4 * rows * 8  # two BATs, a cracker's values and oids
+        assert peak <= 1.25 * kept, (peak / 2**20, kept / 2**20)
+    finally:
+        db.close()
 
 
 # ---------------------------------------------------------------------- #

@@ -250,7 +250,7 @@ class TestVecAggregate:
             [],
             [("count", None), ("sum", "v"), ("min", "v"), ("avg", "v")],
         )
-        assert _rows(agg) == [(0, 0, None, None)]
+        assert _rows(agg) == [(0, None, None, None)]  # SQL: sum of nothing is NULL
         # empty input with GROUP BY yields no rows
         grouped = VecAggregate(VecScan(empty), ["v"], [("count", None)])
         assert _rows(grouped) == []

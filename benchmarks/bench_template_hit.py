@@ -18,7 +18,12 @@ the bounds of the ``count`` row's statements at each level: what a
 count costs in the cracker, so the row above it less this one is the
 overhead of everything else.
 
-Time the cases with pytest-benchmark, or print a p50 table::
+Beside each p50 the table prints that p50 divided by the same run's
+``count floor`` p50 at the level, a ratio that holds across runs on a
+machine whose speed moves between them, and the Python opcodes the
+statement executes (``sys.settrace``), which do not move at all.
+
+Time the cases with pytest-benchmark, or print the table::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_template_hit.py --benchmark-only
     PYTHONPATH=src python benchmarks/bench_template_hit.py
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 import time
 
 import numpy as np
@@ -145,29 +151,65 @@ def p50_us(calls, count: int) -> float:
     return float(np.median(times)) / 1e3
 
 
+def opcodes(calls, count: int) -> float:
+    """Python opcodes (``sys.settrace`` opcode events) per call, over the
+    next ``count`` of the zero-argument ``calls``: a measure of the work
+    that does not move with the machine's speed."""
+    batch = list(itertools.islice(calls, count))
+    executed = 0
+
+    def trace(frame, event, arg):
+        nonlocal executed
+        frame.f_trace_opcodes = True
+        executed += event == "opcode"
+        return trace
+
+    sys.settrace(trace)
+    try:
+        for call in batch:
+            call()
+    finally:
+        sys.settrace(None)
+    return executed / count
+
+
 def main(count: int = 2000) -> None:
-    """Print p50 µs per statement kind and level, and the count's floor."""
+    """Print, per statement kind and level and for the count's floor: the
+    p50 µs, that p50 divided by the same run's floor p50 at that level
+    (a ratio within one run, so runs on a noisy machine compare), and
+    Python opcodes per statement."""
     databases = {True: converged(True), False: converged(False)}
     levels = ("template", "exact", "uncached")
-    print(f"p50 us per statement, {ROWS} rows, converged ({count} statements each)")
-    print(f"{'kind':<12}" + "".join(f"{level:>10}" for level in levels))
+
+    def cell(calls) -> tuple[float, float]:
+        return p50_us(calls, count), opcodes(calls, count // 10)
+
+    floor = {
+        level: cell(count_floor(level, databases[level != "uncached"], seed=1))
+        for level in levels
+    }
+    rows = []
     for kind in KINDS:
         cells = []
         for level in levels:
             if (kind, level) not in CASES:
-                cells.append(f"{'-':>10}")
+                cells.append(None)
                 continue
             db = databases[level != "uncached"]
             stream = statements(kind, level, db, seed=1)
             db.execute(next(stream))
-            calls = (functools.partial(db.execute, sql) for sql in stream)
-            cells.append(f"{p50_us(calls, count):>10.1f}")
-        print(f"{kind:<12}" + "".join(cells))
-    cells = [
-        p50_us(count_floor(level, databases[level != "uncached"], seed=1), count)
-        for level in levels
-    ]
-    print(f"{'count floor':<12}" + "".join(f"{cell:>10.1f}" for cell in cells))
+            cells.append(cell(functools.partial(db.execute, sql) for sql in stream))
+        rows.append((kind, cells))
+    rows.append(("count floor", [floor[level] for level in levels]))
+    print(f"per statement, {ROWS} rows, converged ({count} statements each): "
+          "p50 us, / the level's count floor p50, Python opcodes")
+    print(f"{'kind':<12}" + "".join(f"{level:>24}" for level in levels))
+    for kind, cells in rows:
+        print(f"{kind:<12}" + "".join(
+            f"{'-':>24}" if cell is None else
+            f"{cell[0]:>10.1f}{cell[0] / floor[level][0]:>7.2f}x{cell[1]:>6.0f}"
+            for level, cell in zip(levels, cells)
+        ))
 
 
 if __name__ == "__main__":

@@ -228,6 +228,7 @@ class CrackedColumn:
             )
         self.crack_threshold = crack_threshold
         self.values = values
+        self._integer = values.dtype.kind != "f"  # merges keep the dtype
         self.oids = oids
         self.index = CrackerIndex(len(self.values), values.dtype)
         self.crack_stats = CrackStats()
@@ -248,12 +249,9 @@ class CrackedColumn:
         # beside storage and the buffers, in the same call.
         self._state = np.zeros(self._next_oid, dtype=np.uint8)
         self._state[self.oids] = _STORED
-        # ``(start, stop)`` of pieces known to be sorted, so a bound in
-        # one skips the O(piece) sortedness test.  Cracks only add
-        # boundaries, so a remembered span is always a union of whole
-        # pieces, and it stays sorted: it holds no tuple on the wrong
-        # side of any pivot, so a kernel cracking it (after
-        # ``crack_threshold`` was lowered) reorders nothing.  A merge
+        # ``(start, stop)`` of pieces known to be sorted: a bound in one
+        # is a binary search, whatever ``crack_threshold`` is now, so no
+        # kernel cracks it and it stays one whole piece.  A merge
         # puts each new tuple of a span at its ``searchsorted`` position
         # and shifts the span with its pieces' edges; it never clears
         # the set.  Never persisted: a miss costs one comparison pass,
@@ -358,13 +356,20 @@ class CrackedColumn:
         stays bounded too).
         """
         self.query_stats.queries += 1
-        bounds = self._typed_range(low, high, low_inclusive, high_inclusive)
-        if bounds is None:
-            return 0
-        low, high, low_inclusive, high_inclusive = bounds
-        self._bound_pending(PENDING_SHARE)
-        start, stop = self._span(*bounds)
-        if not (self._ins_oids.size or self._del_oids.size):
+        if not (  # the common case: two int64 ints, in order, on an int column
+            type(low) is type(high) is int and INT64_MIN <= low < high <= INT64_MAX
+            and self._integer
+        ):
+            bounds = self._typed_range(low, high, low_inclusive, high_inclusive)
+            if bounds is None:
+                return 0
+            low, high, low_inclusive, high_inclusive = bounds
+        pending = self._ins_oids.size + self._del_oids.size
+        if pending and pending > PENDING_SHARE * len(self.values):
+            self._merge_pending()
+            pending = 0
+        start, stop = self._span(low, high, low_inclusive, high_inclusive)
+        if not pending:
             return stop - start
         sides = ("left" if low_inclusive else "right", "right" if high_inclusive else "left")
         return (
@@ -383,22 +388,19 @@ class CrackedColumn:
         bound, and sorts above +inf.  An empty range is answered without
         reorganising: cracking it would invert the boundary ordering.
         """
-        integer = self.values.dtype.kind != "f"
-        if not (  # the common case: two int64 ints on an int column
-            integer and type(low) is type(high) is int and INT64_MIN <= low and high <= INT64_MAX
-        ):
-            if low is not None:
-                low = typed_bound(low, "low", low_inclusive, integer)
-                if low is EMPTY:
-                    return None
-                low, low_inclusive = low or (None, low_inclusive)
-            if high is not None:
-                high = typed_bound(high, "high", high_inclusive, integer)
-                if high is EMPTY:
-                    return None
-                high, high_inclusive = high or (None, high_inclusive)
-            if high is None and low is not None and not integer:
-                high, high_inclusive = math.inf, True
+        integer = self._integer
+        if low is not None:
+            low = typed_bound(low, "low", low_inclusive, integer)
+            if low is EMPTY:
+                return None
+            low, low_inclusive = low or (None, low_inclusive)
+        if high is not None:
+            high = typed_bound(high, "high", high_inclusive, integer)
+            if high is EMPTY:
+                return None
+            high, high_inclusive = high or (None, high_inclusive)
+        if high is None and low is not None and not integer:
+            high, high_inclusive = math.inf, True
         if low is not None and high is not None and (
             high < low or (high == low and not (low_inclusive and high_inclusive))
         ):
@@ -406,17 +408,44 @@ class CrackedColumn:
         return low, high, low_inclusive, high_inclusive
 
     def _span(self, low, high, low_inclusive: bool, high_inclusive: bool) -> tuple[int, int]:
-        """The storage span of ``low θ attr θ high``, cracking or sorting
-        the pieces of bounds the index does not hold yet."""
+        """The storage span of ``low θ attr θ high``.  A bound the index
+        holds is its position, and one in a remembered sorted piece one
+        binary search of it: all a converged column does.  Bounds left in
+        one piece of up to ``PIVOT_FACTOR * T`` tuples crack it in three,
+        any other is settled alone (:meth:`_settle`)."""
+        probe, values, spans = self.index.probe, self.values, self._sorted_spans
         low_kind = KIND_LT if low_inclusive else KIND_LE
         high_kind = KIND_LE if high_inclusive else KIND_LT
-        if low is not None and high is not None:
-            return self._crack_both(low, high, low_kind, high_kind)
-        if low is not None:
-            return self._ensure_boundary(low, low_kind), len(self.values)
-        if high is not None:
-            return 0, self._ensure_boundary(high, high_kind)
-        return 0, len(self.values)
+        if low is None:
+            start = 0
+        else:
+            start, low_start, low_stop = probe(low, low_kind)
+            if start is None and (low_start, low_stop) in spans:
+                start = low_start + int(values[low_start:low_stop].searchsorted(
+                    low, "left" if low_inclusive else "right"
+                ))
+        if high is None:
+            stop = len(values)
+        else:
+            stop, high_start, high_stop = probe(high, high_kind)
+            if stop is None and (high_start, high_stop) in spans:
+                stop = high_start + int(values[high_start:high_stop].searchsorted(
+                    high, "right" if high_inclusive else "left"
+                ))
+        if start is None:
+            threshold = self.crack_threshold
+            if stop is None and (low_start, low_stop) == (high_start, high_stop) and (
+                threshold < low_stop - low_start <= (PIVOT_FACTOR * threshold or len(values))
+            ):
+                return self._crack_three(low, high, low_kind, high_kind, low_start, low_stop)
+            boundaries = len(self.index)
+            start = self._settle(low, low_kind, low_start, low_stop)
+            if stop is None and len(self.index) != boundaries:
+                # The low bound's crack may have split the high bound's piece.
+                stop, high_start, high_stop = probe(high, high_kind)
+        if stop is None:
+            stop = self._settle(high, high_kind, high_start, high_stop)
+        return start, stop
 
     def _span_result(self, start: int, stop: int) -> SelectionResult:
         """The answer ``[start, stop)``, copied out of storage."""
@@ -712,18 +741,14 @@ class CrackedColumn:
         """Piece edges: 0, every boundary position, the column size."""
         return np.concatenate(([0], self.index.positions(), [len(self.values)]))
 
-    def _ensure_boundary(self, value, kind: str) -> int:
-        """Position separating left/right of ``(value, kind)``; cracks or
-        sorts the bound's piece when the index does not hold it yet."""
-        return self._settle(value, kind, *self.index.probe(value, kind))
-
-    def _settle(self, value, kind: str, position, start: int, stop: int) -> int:
-        """Turn one :meth:`CrackerIndex.probe` answer into a position."""
+    def _settle(self, value, kind: str, start: int, stop: int) -> int:
+        """The position of a bound the index does not hold, in piece
+        ``[start, stop)``: halved first above ``PIVOT_FACTOR * T``."""
         threshold = self.crack_threshold
-        if position is None and threshold and stop - start > PIVOT_FACTOR * threshold:
+        if threshold and stop - start > PIVOT_FACTOR * threshold:
             position, start, stop = self._halve(value, kind, start, stop)
-        if position is not None:
-            return position
+            if position is not None:
+                return position
         if threshold and stop - start <= threshold:
             if (start, stop) not in self._sorted_spans:
                 self._sort_piece(start, stop)
@@ -786,55 +811,23 @@ class CrackedColumn:
         if self.introspect is not None:
             self.introspect.record_merge("sort", stop - start)
 
-    def _crack_both(self, low, high, low_kind: str, high_kind: str) -> tuple[int, int]:
-        """Establish both range boundaries, preferring crack-in-three up to
-        ``PIVOT_FACTOR * T`` tuples (:meth:`_settle` halves larger pieces)."""
-        probe = self.index.probe
-        low_pos, low_start, low_stop = probe(low, low_kind)
-        high_pos, high_start, high_stop = probe(high, high_kind)
-        if low_pos is not None and high_pos is not None:
-            return low_pos, max(low_pos, high_pos)
-        limit = PIVOT_FACTOR * self.crack_threshold or len(self.values)
-        if (
-            low_pos is None
-            and high_pos is None
-            and low_start == high_start
-            and low_stop == high_stop
-            and self.crack_threshold < low_stop - low_start <= limit
-        ):
-            self.query_stats.pieces_inspected += 1
-            moved_before = self.crack_stats.tuples_moved
-            split_low, split_high = crack_in_three(
-                self.values,
-                self.oids,
-                low_start,
-                low_stop,
-                low,
-                high,
-                low_kind=low_kind,
-                high_kind=high_kind,
-                stats=self.crack_stats,
+    def _crack_three(self, low, high, low_kind: str, high_kind: str, start: int, stop: int):
+        """Crack piece ``[start, stop)`` at both range bounds in one pass."""
+        self.query_stats.pieces_inspected += 1
+        moved_before = self.crack_stats.tuples_moved
+        split_low, split_high = crack_in_three(
+            self.values, self.oids, start, stop, low, high,
+            low_kind=low_kind, high_kind=high_kind, stats=self.crack_stats,
+        )
+        self.index.add(low, low_kind, split_low)
+        self.index.add(high, high_kind, split_high)
+        if self.introspect is not None:
+            self.introspect.record_crack(
+                bounds=(low, high),
+                piece_sizes=(split_low - start, split_high - split_low, stop - split_high),
+                moved=self.crack_stats.tuples_moved - moved_before,
             )
-            self.index.add(low, low_kind, split_low)
-            self.index.add(high, high_kind, split_high)
-            if self.introspect is not None:
-                self.introspect.record_crack(
-                    bounds=(low, high),
-                    piece_sizes=(
-                        split_low - low_start,
-                        split_high - split_low,
-                        low_stop - split_high,
-                    ),
-                    moved=self.crack_stats.tuples_moved - moved_before,
-                )
-            return split_low, split_high
-        boundaries = len(self.index)
-        start = self._settle(low, low_kind, low_pos, low_start, low_stop)
-        if len(self.index) != boundaries:
-            # The low-bound crack may have split the high bound's piece.
-            high_pos, high_start, high_stop = probe(high, high_kind)
-        stop = self._settle(high, high_kind, high_pos, high_start, high_stop)
-        return start, max(start, stop)
+        return split_low, split_high
 
     # ------------------------------------------------------------------ #
     # Persistence

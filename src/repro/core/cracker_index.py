@@ -175,15 +175,28 @@ class CrackerIndex:
         :class:`Piece`/:class:`Boundary` objects — this is the call the
         query path makes for every bound.
         """
-        index, rank = self._locate(value, kind)
-        positions = self._positions
+        try:
+            rank = _KIND_RANK[kind]
+        except KeyError:
+            raise CrackerIndexError(f"unknown boundary kind {kind!r}") from None
+        exact, positions = self._exact, self._positions
+        index = bisect_left(exact, value)
         start = positions[index - 1] if index else 0
         if index == len(positions):
             return None, start, self.column_size
         stop = positions[index]
-        if self._ranks[index] == rank and self._exact[index] == value:
-            return stop, start, stop
-        return None, start, stop
+        if exact[index] != value:
+            return None, start, stop
+        ranks = self._ranks
+        if ranks[index] < rank:  # (value, 'lt') first: the piece right of it
+            index += 1
+            start = stop
+            if index == len(positions):
+                return None, start, self.column_size
+            stop = positions[index]
+            if exact[index] != value:
+                return None, start, stop
+        return stop if ranks[index] == rank else None, start, stop
 
     def piece_assignment(self, values: np.ndarray) -> np.ndarray:
         """Piece index each of ``values`` belongs to (boundary semantics).

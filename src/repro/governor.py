@@ -4,7 +4,8 @@ A cracker leaves its column valid after every crack (paper §3), and a
 mutation writes nothing before its matcher has run, so a statement can
 stop at any of the engine's own boundaries with nothing to undo:
 
-* the start of a statement's run (``Database._run``);
+* the start of a mutation's run (``Database._run``);
+* before a count's crack (``SelectStmt._count``);
 * before each binding's cracked or plain scan (``build_plan``);
 * before a join's build sort and before each ``join_probe``;
 * after a DML statement's matcher, a SELECT … INTO's plan, and an
@@ -33,6 +34,10 @@ from repro.errors import StatementTimeoutError
 _DEADLINE: ContextVar["tuple[float, float] | None"] = ContextVar(
     "repro_deadline", default=None
 )
+
+
+#: This thread's deadline, or None: a C call, so a hot path skips :func:`check`.
+armed = _DEADLINE.get
 
 
 def check() -> None:

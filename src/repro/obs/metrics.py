@@ -78,8 +78,7 @@ class Histogram:
     upper bound of the bucket holding that rank.
     """
 
-    __slots__ = ("name", "labels", "_counts", "_sum", "_count", "_min",
-                 "_max", "_lock")
+    __slots__ = ("name", "labels", "_counts", "_sum", "_min", "_max", "_lock")
 
     def __init__(self, name: str, labels: dict | None = None) -> None:
         self.name = name
@@ -87,7 +86,6 @@ class Histogram:
         # One slot per boundary plus the overflow bucket.
         self._counts = [0] * (len(BUCKET_BOUNDS) + 1)
         self._sum = 0.0
-        self._count = 0
         self._min = math.inf
         self._max = 0.0
         self._lock = threading.Lock()
@@ -100,7 +98,6 @@ class Histogram:
         with self._lock:
             self._counts[index] += 1
             self._sum += seconds
-            self._count += 1
             if seconds < self._min:
                 self._min = seconds
             if seconds > self._max:
@@ -108,7 +105,7 @@ class Histogram:
 
     @property
     def count(self) -> int:
-        return self._count
+        return sum(self._counts)
 
     @property
     def sum(self) -> float:
@@ -124,7 +121,7 @@ class Histogram:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         with self._lock:
-            total = self._count
+            total = sum(self._counts)
             if total == 0:
                 return 0.0
             rank = max(1, math.ceil(q * total))
@@ -151,7 +148,7 @@ class Histogram:
         """
         with self._lock:
             counts = list(self._counts)
-            total, total_sum = self._count, self._sum
+            total, total_sum = sum(counts), self._sum
             minimum, maximum = self._min, self._max
         buckets = [
             [BUCKET_BOUNDS[i] if i < len(BUCKET_BOUNDS) else None, c]

@@ -178,11 +178,7 @@ class RangeCount:
     def __init__(self, resolution: AnalyzedQuery, literals: tuple) -> None:
         self.resolution = resolution
         self.literals = literals
-        bounds = [None, None, True, True]
-        values = iter(literals)
-        for _, _, attr, op, col_type in resolution.slots:
-            _narrow(bounds, attr, col_type, op, next(values), values)
-        self.bounds = bounds
+        self.bounds = _narrow([None, None, True, True], resolution.slots, iter(literals))
 
     @property
     def advice(self) -> list[CrackerAdvice]:
@@ -378,14 +374,14 @@ def resolve_dml(stmt: UpdateStmt | DeleteStmt, catalog: Catalog) -> AnalyzedDML:
     return AnalyzedDML(stmt.table, [], [], [], columns, slots)
 
 
-#: A condition's bounds: (sets low, sets high, inclusive).
+#: A condition's bounds: (sets low, sets high, inclusive, takes two literals).
 _BOUNDS = {
-    "between": (True, True, True),
-    "=": (True, True, True),
-    "<": (False, True, False),
-    "<=": (False, True, True),
-    ">": (True, False, False),
-    ">=": (True, False, True),
+    "between": (True, True, True, True),
+    "=": (True, True, True, False),
+    "<": (False, True, False, False),
+    "<=": (False, True, True, False),
+    ">": (True, False, False, False),
+    ">=": (True, False, True, False),
 }
 
 
@@ -433,43 +429,54 @@ def _fold(slots: list, values) -> tuple[list, list]:
     checked against and typed in its column's type."""
     ranges: dict[tuple, list] = {}
     residuals: list[ResidualPredicate] = []
-    for binding, table, attr, op, col_type in slots:
-        value = next(values)
+    for slot in slots:
+        binding, table, attr, op, col_type = slot
         if op == "!=":
-            residuals.append(ResidualPredicate(binding, attr, "!=", _point(attr, col_type, value)))
+            point = _point(attr, col_type, next(values))
+            residuals.append(ResidualPredicate(binding, attr, "!=", point))
             continue
         bounds = ranges.get((binding, table, attr))
         if bounds is None:
             bounds = ranges[binding, table, attr] = [None, None, True, True]
-        _narrow(bounds, attr, col_type, op, value, values)
+        _narrow(bounds, (slot,), values)
     return [RangePredicate(*key, *bounds) for key, bounds in ranges.items()], residuals
 
 
-def _narrow(bounds: list, attr: str, col_type: str, op: str, value, values) -> None:
+def _narrow(bounds: list, slots, values) -> list:
     """Narrow ``bounds`` (``[low, high, low_inclusive, high_inclusive]``)
-    by ``attr op value``, typed by :func:`_bound` (a BETWEEN's high is
-    the next of ``values``).
+    by each of ``slots``, range conditions on one column, and return it.
+    Each takes its literals from ``values`` in clause order (a BETWEEN
+    two), typed by :func:`_bound`.
 
     An empty side makes the range ``0 < attr <= 0``, which no value
     passes and no later bound widens (0 compares exactly with either
     numeric type).  A contradictory conjunction stays as it is: it
     selects nothing, and the planner gives the empty answer.
     """
-    sets_low, sets_high, inclusive = _BOUNDS[op]
-    high = next(values) if op == "between" else value
-    low = _bound(attr, col_type, value, "low", inclusive) if sets_low else None
-    high = _bound(attr, col_type, high, "high", inclusive) if sets_high else None
-    if low is EMPTY or high is EMPTY:
-        bounds[:] = 0, 0, False, True
-        return
-    if low is not None:
-        value, inclusive = low
-        if bounds[0] is None or value > bounds[0] or (value == bounds[0] and not inclusive):
-            bounds[0], bounds[2] = low
-    if high is not None:
-        value, inclusive = high
-        if bounds[1] is None or value < bounds[1] or (value == bounds[1] and not inclusive):
-            bounds[1], bounds[3] = high
+    for _, _, attr, op, col_type in slots:
+        sets_low, sets_high, inclusive, pair = _BOUNDS[op]
+        value = next(values)
+        high = next(values) if pair else value
+        low_inclusive = high_inclusive = inclusive
+        if not (col_type == "int" and type(value) is type(high) is int and (
+            INT64_MIN <= value <= high <= INT64_MAX
+        )):  # int64 ints, in order, on an int column are their own bounds
+            low = _bound(attr, col_type, value, "low", inclusive) if sets_low else None
+            high = _bound(attr, col_type, high, "high", inclusive) if sets_high else None
+            if low is EMPTY or high is EMPTY:
+                bounds[:] = 0, 0, False, True
+                continue
+            value, low_inclusive = low or (None, True)
+            high, high_inclusive = high or (None, True)
+        if sets_low and value is not None and (
+            bounds[0] is None or value > bounds[0] or (value == bounds[0] and not low_inclusive)
+        ):
+            bounds[0], bounds[2] = value, low_inclusive
+        if sets_high and high is not None and (
+            bounds[1] is None or high < bounds[1] or (high == bounds[1] and not high_inclusive)
+        ):
+            bounds[1], bounds[3] = high, high_inclusive
+    return bounds
 
 
 def _operand(column: str, col_type: str, value):
@@ -489,8 +496,6 @@ def _bound(attr: str, col_type: str, value, side: str, inclusive: bool):
     """``attr θ value`` as the ``side`` bound in the column's type
     (:func:`~repro.core.bounds.typed_bound`; a varchar's as it is),
     once :func:`_operand` accepts ``value``."""
-    if type(value) is int and col_type == "int" and INT64_MIN <= value <= INT64_MAX:
-        return value, inclusive  # the common case, unchanged
     value = _operand(attr, col_type, value)
     if col_type == "str":
         return value, inclusive

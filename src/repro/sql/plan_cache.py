@@ -94,6 +94,10 @@ def template_key(sql: str) -> tuple[str, tuple]:
     else:
         texts = parts[1::2]
         key = "?".join(parts[::2])
+    try:  # integers only, as a rule
+        return key, tuple(map(int, texts))
+    except ValueError:
+        pass
     return key, tuple([
         text[1:-1] if text[0] == "'" else number(text)
         for text in texts
@@ -116,8 +120,8 @@ def make_template(stmt, literals: tuple):
 class PlanCache:
     """Per-database statement cache with per-table epoch invalidation.
 
-    ``enabled=False`` caches nothing: every lookup misses and every
-    store is dropped.  The epoch bookkeeping runs either way.
+    ``enabled=False`` caches nothing: every store is dropped, so every
+    lookup misses.  The epoch bookkeeping runs either way.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -132,7 +136,7 @@ class PlanCache:
         self.hits = 0
         self.template_hits = 0
         self.dml_template_hits = 0
-        self.misses = 0
+        self.misses = 0  # SELECTs compiled afresh; stats() adds the template hits
         self.invalidations = 0
 
     # ------------------------------------------------------------------ #
@@ -147,7 +151,7 @@ class PlanCache:
 
     def current(self, table_epochs: tuple) -> bool:
         """True while no table of ``table_epochs`` (from :meth:`epochs_for`)
-        has had its epoch bumped."""
+        has had its epoch bumped; sure while ``invalidations`` has not moved."""
         epochs = self._epochs
         for name, epoch in table_epochs:
             if epochs.get(name, 0) != epoch:
@@ -175,8 +179,7 @@ class PlanCache:
         Templates survive (pure syntax, never stale).
         """
         for name in tables:
-            self._epochs[name] = self._epochs.get(name, 0) + 1
-            self.invalidations += 1
+            self.invalidate_table(name)
         self._probation.clear()
         self._protected.clear()
 
@@ -192,8 +195,6 @@ class PlanCache:
         probe is not a cache miss; :meth:`count_miss` records real
         (SELECT) misses.
         """
-        if not self.enabled:
-            return None
         protected = self._protected
         segment = protected
         entry = protected.get(key)
@@ -202,7 +203,7 @@ class PlanCache:
             entry = segment.get(key)
             if entry is None:
                 return None
-        if not self.current(entry[1]):
+        if entry[2] != self.invalidations and not self.current(entry[1]):
             del segment[key]
             return None
         if segment is protected:
@@ -212,18 +213,11 @@ class PlanCache:
             # drops back to probation for a second chance.
             del segment[key]
             protected[key] = entry
-            if len(protected) > EXACT_CAPACITY:
-                self._admit(*protected.popitem(last=False))
+            if len(protected) > EXACT_CAPACITY:  # one left probation for it
+                demoted, displaced = protected.popitem(last=False)
+                self._probation[demoted] = displaced
         self.hits += 1
         return entry[0]
-
-    def _admit(self, key, entry: tuple) -> None:
-        """Put ``entry`` at the recent end of probation."""
-        probation = self._probation
-        probation[key] = entry
-        probation.move_to_end(key)
-        while len(probation) > EXACT_CAPACITY:
-            probation.popitem(last=False)
 
     def count_miss(self) -> None:
         """Record one SELECT analysed afresh."""
@@ -231,15 +225,15 @@ class PlanCache:
 
     def store_exact(self, key, stmt, table_epochs: tuple) -> None:
         """Publish an analysed statement under the table epochs
-        (:meth:`epochs_for`) its resolution was made under."""
+        (:meth:`epochs_for`) its resolution was made under: in place when
+        protected, else at the recent end of probation."""
         if not self.enabled:
             return
-        entry = (stmt, table_epochs)
-        if key in self._protected:
-            self._protected[key] = entry
-            self._protected.move_to_end(key)
-        else:
-            self._admit(key, entry)
+        segment = self._protected if key in self._protected else self._probation
+        segment[key] = (stmt, table_epochs, self.invalidations)
+        segment.move_to_end(key)
+        if len(self._probation) > EXACT_CAPACITY:
+            self._probation.popitem(last=False)
 
     # ------------------------------------------------------------------ #
     # Template level
@@ -249,14 +243,12 @@ class PlanCache:
         """The template stored under ``key``, or None.  A SELECT hit also
         counts as an exact-level miss: the statement's literals are
         folded afresh."""
-        if not self.enabled:
-            return None
-        template = self._templates.get(key)
+        templates = self._templates
+        template = templates.get(key)
         if template is not None:
-            self._templates.move_to_end(key)
+            templates.move_to_end(key)
             if template.kind == "select":
                 self.template_hits += 1
-                self.misses += 1
             else:
                 self.dml_template_hits += 1
         return template
@@ -282,7 +274,7 @@ class PlanCache:
             "hits": self.hits,
             "template_hits": self.template_hits,
             "dml_template_hits": self.dml_template_hits,
-            "misses": self.misses,
+            "misses": self.misses + self.template_hits,
             "invalidations": self.invalidations,
             "exact_entries": len(self._probation) + len(self._protected),
             "template_entries": len(self._templates) - dml_entries,

@@ -139,56 +139,42 @@ class CrackerProvider:
         (:meth:`~repro.core.cracked_column.CrackedColumn.count_range`,
         which merges nothing).
 
-        Under an active trace the whole call is wrapped in a ``crack``
-        span whose meta records the column, the piece count after the
-        query and the cracks and cut-off sorts this query performed;
-        with tracing off the cost is one ContextVar read.
+        Under an active trace the call is a ``crack`` span whose meta
+        records the column, the piece count after the query and the
+        cracks and cut-off sorts this query performed, and an attached
+        profiler records the query; with neither, the cost is one
+        ContextVar read.
         """
-        column = self.column_for(relation, attr)
-        if not obs_trace.tracing():
-            return self._select(
-                column, low, high, low_inclusive, high_inclusive, count
-            )
-        with obs_trace.span("crack") as crack_span:
-            crack_span.meta["column"] = f"{relation.name}.{attr}"
-            stats = column.crack_stats
-            cracks_before, sorts_before = stats.cracks, stats.sorts
-            result = self._select(
-                column, low, high, low_inclusive, high_inclusive, count
-            )
-            crack_span.meta["cracks"] = stats.cracks - cracks_before
-            crack_span.meta["sorts"] = stats.sorts - sorts_before
-            crack_span.meta["pieces"] = column.piece_count
-        return result
-
-    @staticmethod
-    def _select(
-        column, low, high, low_inclusive: bool, high_inclusive: bool, count: bool,
-    ):
-        """The core of :meth:`range_select`: one select or count, with
-        the profiler's record when one is attached."""
-        introspect = column.introspect
+        column = self._columns.get((relation.name, attr))
+        if column is None:
+            column = self.column_for(relation, attr)
         select = column.count_range if count else column.range_select
-        if introspect is None:
-            return select(
-                low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive
-            )
+        introspect = column.introspect
+        if introspect is None and not obs_trace.tracing():
+            return select(low, high, low_inclusive, high_inclusive)
         # CrackStats is mutated in place by the kernels, so one binding
         # suffices for before/after deltas.
         stats = column.crack_stats
-        touched_before = stats.tuples_touched
-        moved_before = stats.tuples_moved
-        result = select(
-            low, high, low_inclusive=low_inclusive, high_inclusive=high_inclusive
-        )
-        introspect.record_query(
-            low,
-            high,
-            result if count else result.count,
-            stats.tuples_touched - touched_before,
-            stats.tuples_moved - moved_before,
-            len(column),
-        )
+        cracks, sorts = stats.cracks, stats.sorts
+        touched, moved = stats.tuples_touched, stats.tuples_moved
+        with obs_trace.span("crack") as crack_span:
+            result = select(low, high, low_inclusive, high_inclusive)
+            if crack_span is not None:
+                crack_span.meta.update(
+                    column=f"{relation.name}.{attr}",
+                    cracks=stats.cracks - cracks,
+                    sorts=stats.sorts - sorts,
+                    pieces=column.piece_count,
+                )
+        if introspect is not None:
+            introspect.record_query(
+                low,
+                high,
+                result if count else result.count,
+                stats.tuples_touched - touched,
+                stats.tuples_moved - moved,
+                len(column),
+            )
         return result
 
     def attach_column(self, table: str, attr: str, column: CrackedColumn) -> None:

@@ -210,7 +210,7 @@ class Database:
             ("repro_wal_bytes", "Write-ahead log size in bytes"),
         ):
             self.metrics.describe(metric_name, help_text)
-        self._trace_statements = trace
+        self._traced = trace or slow_query_ms is not None  # every statement
         self._slow_query_ms = slow_query_ms
         self._stmt_hists: dict[str, object] = {}
         self._slow_log: deque = deque(maxlen=self.SLOW_LOG_CAPACITY)
@@ -253,12 +253,18 @@ class Database:
             # the enabled path skips a ContextVar reset per statement.
             if self._profile:
                 obs_introspect.set_statement_id(next(self._statement_counter))
-            if self._trace_statements or self._slow_query_ms is not None:
+            if self._traced:
                 stmt, result = self._execute_traced(sql)
             else:
                 stmt = self._compile(sql)
                 result = self._run(stmt, sql)
-            self._record_statement(stmt.kind, time.perf_counter() - started)
+            hist = self._stmt_hists.get(stmt.kind)
+            if hist is None:
+                hist = self._stmt_hists[stmt.kind] = self.metrics.histogram(
+                    "repro_statement_seconds", {"kind": stmt.kind},
+                    description="Statement latency in seconds by statement kind",
+                )
+            hist.observe(time.perf_counter() - started)
             return result
 
     def compile(self, sql: str) -> Statement:
@@ -283,15 +289,21 @@ class Database:
         cache = self._plan_cache
         key = None
         if cache.enabled:
+            trace = obs_trace.tracing()  # the innermost open span, or None
             stmt = cache.lookup_exact(sql)
             if stmt is not None:
-                obs_trace.annotate(plan_cache="exact-hit")
+                if trace:
+                    trace.meta["plan_cache"] = "exact-hit"
                 return stmt
-            with obs_trace.span("lex"):
+            if trace:
+                with obs_trace.span("lex"):
+                    key, literals = template_key(sql)
+            else:
                 key, literals = template_key(sql)
             template = cache.lookup_template(key)
             if template is not None and template.fits(literals):
-                obs_trace.annotate(plan_cache="template-hit")
+                if trace:
+                    trace.meta["plan_cache"] = "template-hit"
                 stmt = template.bind(literals)
                 stmt.key = sql
                 return stmt
@@ -324,12 +336,13 @@ class Database:
         order is execution order, and a capture never holds an
         executed-but-unlogged statement (replay would double-apply it).
         A transaction batch logs and checkpoints once, at its end.  A
-        statement past its deadline (:mod:`repro.governor`) stops here or
-        at a later boundary, always before its first write.
+        mutation past its deadline (:mod:`repro.governor`) stops here or
+        at a later boundary, always before its first write; a SELECT at
+        its first crack or scan.
         """
-        governor.check()
         if not stmt.mutates:
             return stmt.run(self)
+        governor.check()
         persist = self._persist
         durable = persist is not None and not self._replaying
         if durable:
@@ -357,17 +370,6 @@ class Database:
             if elapsed_ms >= self._slow_query_ms:
                 self._record_slow_query(sql, stmt.kind, elapsed_ms, root, result)
         return stmt, result
-
-    def _record_statement(self, kind: str, elapsed: float) -> None:
-        """Observe one completed statement in the per-kind histogram."""
-        hist = self._stmt_hists.get(kind)
-        if hist is None:
-            hist = self.metrics.histogram(
-                "repro_statement_seconds", {"kind": kind},
-                description="Statement latency in seconds by statement kind",
-            )
-            self._stmt_hists[kind] = hist
-        hist.observe(elapsed)
 
     def _record_slow_query(
         self, sql: str, kind: str, elapsed_ms: float, root, result: QueryResult

@@ -90,16 +90,21 @@ class _Templated(Statement):
     template = None
     #: A bound statement's literals, in source order.
     params = None
-    #: On a template: ``(resolution, table epochs)``, or None.
+    #: On a template: :meth:`resolution`'s answer once made, or None.
     resolved = None
+    #: SELECT's LIMIT count; UPDATE and DELETE have none.
+    limit = None
 
     def bind(self, literals: tuple) -> "_Templated":
         """This statement with ``literals``, built with none of its
         fields: sharing the template's is safe, as statements are never
-        mutated once published."""
-        template = self if self.template is None else self.template
+        mutated once published.  A LIMIT (the last literal) is the one
+        field set, as a class default would hide the template's."""
+        template = self.template or self
         stmt = object.__new__(type(template))
-        stmt.__dict__.update(template=template, params=literals)
+        stmt.__dict__ = {"template": template, "params": literals}
+        if template.limit is not None:
+            stmt.limit = int(literals[-1])
         return stmt
 
     def __getattr__(self, name: str):
@@ -149,15 +154,18 @@ class _Templated(Statement):
         return fields
 
     def resolution(self, db) -> tuple:
-        """``(resolution, table epochs)`` of this statement's template:
-        cached while current, else resolved now (the ``analyze`` span)."""
-        template = self if self.template is None else self.template
+        """``(resolution, table epochs, plan-cache invalidations)`` of this
+        statement's template: cached while current, else resolved now
+        (the ``analyze`` span)."""
+        template = self.template or self
         cache = db._plan_cache
         resolved = template.resolved
-        if resolved is None or not cache.current(resolved[1]):
+        if resolved is None or (
+            resolved[2] != cache.invalidations and not cache.current(resolved[1])
+        ):
             epochs = cache.epochs_for(template.table_names()) if cache.enabled else ()
             with obs_trace.span("analyze"):
-                resolved = (template.resolve(db.catalog), epochs)
+                resolved = (template.resolve(db.catalog), epochs, cache.invalidations)
             if cache.enabled:
                 template.resolved = resolved
         return resolved
@@ -190,12 +198,6 @@ class SelectStmt(_Templated):
         """A LIMIT (the last literal) takes only an integer."""
         return self.limit is None or isinstance(literals[-1], Integral)
 
-    def bind(self, literals: tuple) -> "SelectStmt":
-        stmt = super().bind(literals)
-        if stmt.template.limit is not None:  # a class default hides the template's
-            stmt.limit = int(literals[-1])
-        return stmt
-
     def table_names(self) -> list[str]:
         return [ref.name for ref in self.tables]
 
@@ -208,11 +210,12 @@ class SelectStmt(_Templated):
         when the resolution has that shape and ``db`` cracks, else into
         the whole query.  The first analysis is published under
         :attr:`key` with the epochs that resolution was made under."""
-        resolution, epochs = self.resolution(db)
+        resolution, epochs, _ = self.resolution(db)
+        literals = self.params or self.literals()
         if resolution.counted is not None and db._cracker is not None:
-            query = RangeCount(resolution, self.literals())
+            query = RangeCount(resolution, literals)
         else:
-            query = resolution.fold(self.literals())
+            query = resolution.fold(literals)
         if self.key is not None and self.query is None:
             self.query = query
             db._plan_cache.store_exact(self.key, self, epochs)
@@ -259,15 +262,19 @@ class SelectStmt(_Templated):
     @staticmethod
     def _count(db, query: RangeCount) -> QueryResult:
         """The COUNT(*) pushdown: one call into the cracker, whose index
-        keeps each piece's size and location (§3.2)."""
+        keeps each piece's size and location (§3.2).  Under a trace the
+        call is the ``plan`` span and the answer the ``gather`` span."""
         table, attr = query.resolution.counted
+        if governor.armed():  # the crack leaves its column valid: stop here
+            governor.check()
+        cracker, relation = db._cracker, db.catalog.table(table)
+        if not obs_trace.tracing():
+            count = cracker.range_select(relation, attr, *query.bounds, count=True)
+            return QueryResult(["count(*)"], [(count,)], query=query)
         with obs_trace.span("plan"):
-            governor.check()  # the crack leaves its column valid: stop here
-            count = db._cracker.range_select(
-                db.catalog.table(table), attr, *query.bounds, count=True
-            )
+            count = cracker.range_select(relation, attr, *query.bounds, count=True)
         with obs_trace.span("gather"):
-            return QueryResult(["count(*)"], [(int(count),)], query=query)
+            return QueryResult(["count(*)"], [(count,)], query=query)
 
 
 class SelectInto(SelectStmt):
@@ -282,7 +289,7 @@ class SelectInto(SelectStmt):
         return self.into
 
     def _materialise(self, db, plan, query) -> QueryResult:
-        relation = plan.run()
+        relation = plan.run(_into_columns)
         governor.check()  # the answer is built; the catalog is untouched
         if db.catalog.has_table(relation.name):
             db.catalog.drop_table(relation.name)
@@ -358,6 +365,16 @@ def _stored_columns(schema: Schema, columns: list) -> list:
                 ) from None
         columns[index] = values
     return columns
+
+
+def _into_columns(schema: Schema, columns: list) -> list:
+    """SELECT … INTO's answer as stored: a NULL (an aggregate over no rows)
+    is INSERT's error in an integer column, and NaN in a float one."""
+    return [
+        [stored_value(column.name, "int", value) for value in values]
+        if column.col_type == "int" and values.dtype == object else values
+        for column, values in zip(schema, columns)
+    ]
 
 
 def _insert(db, relation: Relation, columns: list) -> QueryResult:

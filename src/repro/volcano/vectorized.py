@@ -533,8 +533,10 @@ class VecMaterialize(VecOperator):
         self._col_types = col_types
         self.result: Relation | None = None
 
-    def run(self) -> Relation:
-        """Drain the child into a fresh relation and return it."""
+    def run(self, stored=None) -> Relation:
+        """Drain the child into a fresh relation and return it, its
+        columns as ``stored(schema, columns)`` checks and returns them
+        when given."""
         batch = concat_batches(self.child)
         arrays = (
             batch.arrays
@@ -547,6 +549,8 @@ class VecMaterialize(VecOperator):
                 for name, col_type in zip(self.columns, self._col_types)
             ]
         )
+        if stored is not None:
+            arrays = stored(schema, arrays)
         column_data = {
             column.name: array for column, array in zip(schema, arrays)
         }

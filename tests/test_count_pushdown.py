@@ -12,6 +12,7 @@ EXPLAIN and its advice.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from oracle import ENGINE_CONFIGS, SqliteReference, load_standard, pushdown_query_suite
@@ -19,7 +20,8 @@ from repro.client import Client
 from repro.server import ServerThread
 from repro.sql import Database, statements
 from repro.sql.plan_cache import template_key
-from test_typed_bounds import BOUNDS, _literal
+from repro.storage.table import Column, Relation, Schema
+from test_typed_bounds import BOUNDS, _columns, _literal
 
 SEED = 3
 
@@ -197,3 +199,100 @@ def test_a_pushed_count_keeps_its_advice_explain_and_spans(name):
         "statement", "  lex", "  parse", "  plan_cache", "  analyze", "  plan",
         *crack, "  gather",
     ]
+
+
+# ---------------------------------------------------------------------- #
+# A converged column: every bound lands in a sorted piece or on a boundary
+# ---------------------------------------------------------------------- #
+
+#: Rows and cut-off of the converged case: pieces of at most T tuples,
+#: each sorted, after the warm-up below.
+CONVERGED_ROWS, CONVERGED_T = 2_000, 64
+
+
+def _converge(db: Database, column: str, values: np.ndarray) -> None:
+    """Cut ``column`` at every T/2-th value in order, then land a bound in
+    each piece, so each is sorted."""
+    ordered = np.sort(values[values == values])
+    step = CONVERGED_T // 2
+    for offset in (0, step // 2):
+        for low in range(offset, len(ordered) - step, step):
+            db.execute(
+                f"SELECT count(*) FROM r WHERE {column} >= {_literal(ordered[low].item())} "
+                f"AND {column} < {_literal(ordered[low + step].item())}"
+            )
+
+
+def _landing_values(column, integer: bool) -> list:
+    """Where a converged column's bounds land: a sorted piece's first and
+    last value and one inside it, a boundary value and one below and one
+    above it, then the bound list."""
+    values = column.values.tolist()
+    picks = []
+    for start, stop in sorted(column._sorted_spans)[::13]:
+        if stop - start > 2:
+            picks += [values[start], values[(start + stop) // 2], values[stop - 1]]
+    step = 1 if integer else 0.5
+    picks += [key + delta for key in column.index.keys()[0][::11].tolist()
+              for delta in (-step, 0, step)]
+    picks = [value for value in picks if value == value and abs(value) < 2**62]
+    return picks + [value for value in BOUNDS if value == value]
+
+
+def _ranges(picks: list) -> list:
+    """Pairs of landing values: inside one sorted piece (neighbours in
+    ``picks``), across pieces, and one-sided."""
+    pairs = [(low, high) for low, high in zip(picks, picks[1:])]
+    pairs += [(low, high) for low, high in zip(picks[::3], picks[4::3])]
+    pairs += [(value, None) for value in picks[::9]]
+    return pairs + [(None, value) for value in picks[4::9]]
+
+
+def _pending_dml(round_: int) -> list[str]:
+    """A few inserts, updates and deletes: the crackers queue them, and a
+    count merges nothing."""
+    k = 10 * round_
+    return [
+        f"INSERT INTO r VALUES ({100_000 + k}, {k - 500}, {k / 4 - 7.5}, 0)",
+        f"INSERT INTO r VALUES ({100_001 + k}, 5, 5.5, 0)",
+        f"UPDATE r SET a = {7 * k - 300}, x = {k / 8} WHERE k BETWEEN {k} AND {k + 2}",
+        f"DELETE FROM r WHERE k BETWEEN {k + 5} AND {k + 6}",
+    ]
+
+
+def test_a_converged_column_answers_like_sqlite_and_a_scan():
+    columns = _columns(CONVERGED_ROWS)
+    schema = Schema([Column(name, "float" if name == "x" else "int") for name in "kaxz"])
+    reference = SqliteReference()
+    reference.execute("CREATE TABLE r (k integer, a integer, x float, z integer)")
+    reference.connection.executemany(
+        "INSERT INTO r VALUES (?, ?, ?, ?)", zip(*(columns[name].tolist() for name in "kaxz"))
+    )
+    db = Database(crack_threshold=CONVERGED_T)
+    scan = Database(cracking=False)
+    for database in (db, scan):
+        database.catalog.create_table(Relation.from_columns("r", schema, columns))
+    statements = 0
+    for attr, integer in (("a", True), ("x", False)):
+        _converge(db, attr, columns[attr])
+        column = db.cracked_columns()[("r", attr)]
+        assert column._sorted_spans and column.crack_stats.sorts
+        assert max(column.index.piece_sizes()) <= CONVERGED_T
+        for low, high in _ranges(_landing_values(column, integer)):
+            if statements % 16 == 0:
+                for sql in _pending_dml(statements // 16):
+                    reference.answer(sql).check(db.execute(sql), ("dml",))
+                    scan.execute(sql)
+                assert column._ins_oids.size and column._del_oids.size
+            statements += 1
+            for low_op, high_op in ((">=", "<="), (">", "<"), (">=", "<"), (">", "<=")):
+                where = " AND ".join(
+                    f"{attr} {op} {_literal(value)}"
+                    for op, value in ((low_op, low), (high_op, high)) if value is not None
+                )
+                for head in ("SELECT count(*)", "SELECT r.k"):
+                    sql = f"{head} FROM r WHERE {where}"
+                    answer = reference.answer(sql)
+                    answer.check(db.execute(sql), ("converged",))
+                    answer.check(scan.execute(sql), ("scan",))
+                    db.check_invariants()

@@ -238,9 +238,9 @@ def test_sorts_are_visible_in_stats_lineage_and_trace():
 
 
 def test_cracking_remembered_sorted_spans_leaves_them_sorted():
-    """Lowering ``crack_threshold`` mid-stream lets kernels run over spans
-    that are remembered as sorted: a span sorted as a whole piece holds no
-    tuple on the wrong side of any pivot, so it stays sorted."""
+    """Lowering ``crack_threshold`` mid-stream: the pieces not sorted yet
+    crack at every bound, and a span remembered as sorted is still
+    binary-searched, so it stays sorted and remembered."""
     rng = np.random.default_rng(4)
     values = rng.integers(0, 2000, 4000)
     column = CrackedColumn.from_arrays(values, crack_threshold=150)
@@ -254,7 +254,7 @@ def test_cracking_remembered_sorted_spans_leaves_them_sorted():
         if step == 100:
             assert column.crack_stats.sorts and column._sorted_spans
             cracks_at_cutoff = column.crack_stats.cracks
-            column.crack_threshold = 0  # remembered spans now get cracked
+            column.crack_threshold = 0  # unsorted pieces now get cracked
     assert column.crack_stats.cracks > cracks_at_cutoff
     assert column._sorted_spans  # still remembered, still verified sorted
 

@@ -1,13 +1,20 @@
-"""Hot-path features: the sort-below-T crack cut-off and answers that own their data."""
+"""Hot-path features: the sort-below-T crack cut-off, answers that own
+their data, and how few Python calls a converged count makes."""
 
 from __future__ import annotations
+
+import os
+import sys
 
 import numpy as np
 import pytest
 
-from repro.core.cracked_column import CrackedColumn
+import repro
+from repro.core.cracked_column import DEFAULT_CRACK_THRESHOLD, CrackedColumn
 from repro.errors import CrackError
+from repro.sql import Database
 from repro.storage.bat import BAT
+from repro.storage.table import Column, Relation, Schema
 
 
 def _bat(values, name="col"):
@@ -154,3 +161,54 @@ class TestCopyOnDemandSnapshots:
         assert np.array_equal(answer.values, frozen)
         assert not np.shares_memory(answer.values, column.values)
         column.check_invariants()
+
+
+#: Python calls under ``src/repro`` per count on a converged column, as
+#: measured on Python 3.11 (3.12 inlines comprehensions, so it may read
+#: fewer): a template hit, an exact hit and the bare ``count_range``.
+TEMPLATE_HIT_CALLS, EXACT_HIT_CALLS, COUNT_RANGE_CALLS = 23, 14, 4
+
+
+def _calls(call) -> int:
+    """Python functions under ``src/repro`` that ``call()`` enters."""
+    root = os.path.dirname(repro.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_converged_count_makes_few_python_calls():
+    rows, rng = 20_000, np.random.default_rng(0)
+    db = Database()
+    db.catalog.create_table(Relation.from_columns(
+        "r", Schema([Column("k", "int"), Column("a", "int")]),
+        {"k": np.arange(rows), "a": rng.integers(0, rows, rows)},
+    ))
+    step = DEFAULT_CRACK_THRESHOLD // 2
+    for offset in (0, step // 2):  # cut every piece, then sort each one
+        for low in range(offset, rows, step):
+            db.execute(f"SELECT count(*) FROM r WHERE a BETWEEN {low} AND {low + step - 1}")
+    lows = range(7, rows, 997)
+    for x in lows:  # and sort the pieces the measured bounds land in
+        db.execute(f"SELECT count(*) FROM r WHERE a >= {x} AND a <= {x + 500}")
+    column = db.cracked_columns()[("r", "a")]
+    work = (column.crack_stats.cracks, column.crack_stats.sorts)
+    texts = [f"SELECT count(*) FROM r WHERE a BETWEEN {x} AND {x + 500}" for x in lows]
+    assert max(_calls(lambda: db.execute(sql)) for sql in texts) <= TEMPLATE_HIT_CALLS
+    assert max(_calls(lambda: db.execute(sql)) for sql in texts) <= EXACT_HIT_CALLS
+    assert max(
+        _calls(lambda: column.count_range(x, x + 500, True, True)) for x in lows
+    ) <= COUNT_RANGE_CALLS
+    cache = db.stats()["plan_cache"]
+    assert cache["template_hits"] >= len(texts) and cache["hits"] >= len(texts)
+    assert (column.crack_stats.cracks, column.crack_stats.sorts) == work  # converged

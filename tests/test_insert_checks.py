@@ -7,13 +7,16 @@ embedded, inside a transaction and served alike.  Two of the statements
 are template hits of a well-formed INSERT (``'x'`` and ``5`` key alike),
 so the check cannot live in the parser alone.  An UPDATE that would
 store a number past the int64 range in an integer column, or past the
-float64 range in a float one, is refused by the same rule and code.
+float64 range in a float one, is refused by the same rule and code, and
+so is a ``SELECT … INTO`` that would store a NULL (an aggregate over no
+rows) in an integer column: it creates no table.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from oracle import ENGINE_CONFIGS
 from repro.client import Client
 from repro.errors import BATAlignmentError, RemoteError, SQLAnalysisError
 from repro.server import ServerThread
@@ -39,6 +42,9 @@ PAST_INT64 = [
     "UPDATE r SET a = 99999999999999999999",
     "UPDATE r SET k = -1e19 WHERE a > 0",
 ]
+
+#: Integer aggregates over no rows: NULL, which ``INTO``'s int column cannot hold.
+EMPTY_INTO = [f"SELECT {fn}(a) INTO t2 FROM e WHERE a > 10" for fn in ("sum", "min", "max")]
 
 ROWS = [(1, 10, "a"), (2, 20, "b")]
 
@@ -171,3 +177,41 @@ def test_check_invariants_catches_a_torn_relation():
     db.catalog.table("r").bats["k"].append_many([9])
     with pytest.raises(BATAlignmentError, match="unequal length"):
         db.check_invariants()
+
+
+def one_row(config: dict) -> Database:
+    db = Database(**config)
+    db.execute("CREATE TABLE e (a integer, w float)")
+    db.execute("INSERT INTO e VALUES (1, 2.0)")
+    return db
+
+
+@pytest.mark.parametrize("name", list(ENGINE_CONFIGS))
+def test_into_an_integer_column_refuses_a_null(name):
+    db = one_row(ENGINE_CONFIGS[name])
+    for sql in EMPTY_INTO:
+        with pytest.raises(SQLAnalysisError, match="is numeric; got None") as info:
+            db.execute(sql)
+        assert error_for_exception(info.value)["code"] == "analysis"
+        assert not db.catalog.has_table("t2")
+    # avg stores NaN and count(*) stores 0, as they did.
+    db.execute("SELECT avg(a), count(*) INTO t2 FROM e WHERE a > 10")
+    [(average, count)] = db.execute("SELECT * FROM t2").rows
+    assert average != average and count == 0
+    db.check_invariants()
+
+
+def test_into_an_integer_column_refuses_a_null_served():
+    db = one_row({})
+    thread = ServerThread(db)
+    host, port = thread.start()
+    try:
+        with Client(host, port) as client:
+            for sql in EMPTY_INTO:
+                with pytest.raises(RemoteError) as info:
+                    client.execute(sql)
+                assert info.value.code == "analysis", sql
+            assert client.execute("SELECT count(*) FROM e").rows == [(1,)]
+    finally:
+        thread.stop()
+    assert not db.catalog.has_table("t2")

@@ -1,9 +1,12 @@
 """What a statement costs by plan-cache level, on a converged column.
 
-``r(k, a)`` holds 200k rows: ``k`` ascending, ``a`` uniform, and a
-warm-up has cracked ``a`` to pieces of at most the cut-off and sorted
-them, so a range answer is two binary searches.  Four statement kinds
-run with literals no earlier statement had, at three levels:
+``r(k, a, tag)`` holds 200k rows: ``k`` ascending, ``a`` uniform,
+``tag`` one of 16 strings, and a warm-up has cracked ``a`` to pieces of
+at most the cut-off and sorted them, so a range answer is two binary
+searches.  Five statement kinds — a count, a projection, and the three
+DML kinds of the ledger's ``mixed_dml`` (a 50-key UPDATE, a 10-key
+DELETE, a 10-row INSERT of integers and strings) — run with literals no
+earlier statement had, at three levels:
 
 * ``template`` — a template hit: no lexer, parser or resolve step; the
   literals are folded into the resolution cached with the template;
@@ -52,6 +55,10 @@ KINDS = {
     "projection": lambda x: f"SELECT r.k FROM r WHERE a BETWEEN {x} AND {x + 20}",
     "update": lambda x: f"UPDATE r SET a = {x} WHERE k BETWEEN {x} AND {x + 49}",
     "delete": lambda x: f"DELETE FROM r WHERE k BETWEEN {x} AND {x + 9}",
+    "insert": lambda x: "INSERT INTO r VALUES " + ", ".join(
+        f"({ROWS + x + i}, {(x * 7 + i * 4099) % ROWS}, 'tag{(x + i) % 16:02d}')"
+        for i in range(10)
+    ),
 }
 CASES = [
     (kind, level)
@@ -65,9 +72,11 @@ def converged(plan_cache: bool) -> Database:
     """The 200k-row table, its ``a`` column cracked and sorted piecewise."""
     rng = np.random.default_rng(0)
     db = Database(plan_cache=plan_cache)
+    tags = np.array([f"tag{i:02d}" for i in range(16)], dtype=object)
     db.catalog.create_table(Relation.from_columns(
-        "r", Schema([Column("k", "int"), Column("a", "int")]),
-        {"k": np.arange(ROWS), "a": rng.integers(0, ROWS, ROWS)},
+        "r", Schema([Column("k", "int"), Column("a", "int"), Column("tag", "str")]),
+        {"k": np.arange(ROWS), "a": rng.integers(0, ROWS, ROWS),
+         "tag": tags[rng.integers(0, 16, ROWS)]},
     ))
     step = DEFAULT_CRACK_THRESHOLD // 2
     for offset in (0, step // 2):  # cut every piece, then sort each one

@@ -150,6 +150,10 @@ class AnalyzedQuery:
     #: ``(table, attr)`` for the COUNT(*) pushdown's shape: ``count(*)``
     #: alone over one table, every slot a range on this numeric column.
     counted: tuple[str, str] | None = None
+    #: SELECT … INTO only: each aggregate's answer column name -> the
+    #: aggregate as written (``avg(e.a)`` -> ``avg(a)``), the name
+    #: sqlite's ``CREATE TABLE … AS SELECT`` gives its column.
+    labels: dict[str, str] = field(default_factory=dict)
 
     @cached_property
     def advice(self) -> list[CrackerAdvice]:
@@ -232,6 +236,15 @@ def resolve_query(stmt: SelectStmt, catalog: Catalog) -> AnalyzedQuery:
 
     slots, joins = _resolve_where(stmt.where, resolve, bindings, col_type)
     projections, aggregates = _resolve_items(stmt, resolve, col_type)
+    labels = {}
+    if stmt.into is not None:
+        calls = [item for item in stmt.items if isinstance(item, AggCall)]
+        for call, (fn, name) in zip(calls, aggregates):
+            arg = call.arg
+            written = "*" if isinstance(arg, Star) else (
+                arg.column if arg.table is None else f"{arg.table}.{arg.column}"
+            )
+            labels[f"{fn}({'*' if name is None else name})"] = f"{fn}({written})"
     group_by = [f"{b}.{a}" for b, a in (resolve(col) for col in stmt.group_by)]
     if aggregates and projections:
         non_grouped = [name for name in projections if name not in group_by]
@@ -276,6 +289,7 @@ def resolve_query(stmt: SelectStmt, catalog: Catalog) -> AnalyzedQuery:
         slots=slots,
         limited=stmt.limit is not None,
         counted=counted,
+        labels=labels,
     )
 
 
@@ -290,6 +304,8 @@ def stored_value(column: str, col_type: str, value):
     Raises:
         SQLAnalysisError: if the column cannot store ``value``.
     """
+    if type(value) is int and col_type == "int" and INT64_MIN <= value <= INT64_MAX:
+        return value  # the common case: an int64 int into an integer column
     value = _operand(column, col_type, value)
     if col_type == "str":
         return value

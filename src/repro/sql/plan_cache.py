@@ -54,6 +54,9 @@ its own: its ``Database`` reaches it only under the statement lock.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import json
 import re
 from collections import OrderedDict
 
@@ -72,14 +75,34 @@ TEMPLATE_CAPACITY = 256
 #: the scan skip in C.
 _LITERALS = re.compile(rf"(?=[-'\d])({STRING}|--[^\n]*|-?(?<!\w){NUMBER})")
 
+#: One group: the inside of a parenthesised row of *plain* literals,
+#: ``, ``-separated — integers, and strings with no ``,``, ``"`` or ``\``
+#: — which JSON reads, as SQL does, once the quotes are doubled: an
+#: INSERT's VALUES as the SQL layer and the ledger render them.
+_ROW = re.compile(r"\(((?:-?\d+|'[^',\"\\]*')(?:, (?:-?\d+|'[^',\"\\]*'))*)\)")
+_AS_JSON = str.maketrans("'", '"')
+_JSON = json.JSONDecoder(strict=False)
+
+
+@functools.lru_cache(maxsize=64)
+def _row_key(commas: int) -> str:
+    """A row's placeholders: ``(?, ?)`` for one comma."""
+    return "(" + "?, " * commas + "?)"
+
 
 def template_key(sql: str) -> tuple[str, tuple]:
     """``sql`` with each literal replaced by ``?``, and those literals.
 
     All other text, comments included, is kept verbatim, so a case or
     whitespace variant is a different key.  The split alternates text
-    and matches, so without a comment the key is one join.
+    and matches, so without a comment the key is one join.  A text with
+    a string and no comment first tries :func:`_rows_key`, which reads
+    an INSERT's rows a row, not a literal, at a time.
     """
+    if "'" in sql and "--" not in sql:
+        rows = _rows_key(sql)
+        if rows is not None:
+            return rows
     parts = _LITERALS.split(sql)
     if "--" in sql:
         pieces, texts = [parts[0]], []
@@ -102,6 +125,31 @@ def template_key(sql: str) -> tuple[str, tuple]:
         text[1:-1] if text[0] == "'" else number(text)
         for text in texts
     ])
+
+
+def _rows_key(sql: str):
+    """:func:`template_key` of a comment-free ``sql`` whose every literal
+    sits in a :data:`_ROW`, or None.
+
+    Outside the rows, no quote and no :data:`_LITERALS` match may be
+    left (a ``\0`` joins the pieces, as non-word a neighbour as the
+    ``(`` and ``)`` it stands for).  Then the general split would find
+    exactly the rows' literals: inside a row it meets each at the same
+    place, and a string there holds no quote.  JSON reads them in one C
+    pass; a text it refuses (``007``, a digit outside ASCII) takes the
+    general path.
+    """
+    parts = _ROW.split(sql)
+    rest = "\0".join(parts[::2])
+    if "'" in rest or _LITERALS.search(rest):
+        return None
+    rows = parts[1::2]
+    try:
+        values = _JSON.decode("[" + ", ".join(rows).translate(_AS_JSON) + "]")
+    except ValueError:
+        return None
+    parts[1::2] = map(_row_key, map(str.count, rows, itertools.repeat(", ")))
+    return "".join(parts), tuple(values)
 
 
 def make_template(stmt, literals: tuple):

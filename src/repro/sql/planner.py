@@ -237,7 +237,8 @@ class CrackerProvider:
         """
         updated = 0
         names = relation.schema.names()
-        oids = np.arange(first_oid, first_oid + len(columns[0]), dtype=np.int64)
+        # Fresh, dense and ascending: a cracker takes the run unchecked.
+        oids = range(first_oid, first_oid + len(columns[0]))
         for (table_name, attr), column in self._columns.items():
             if table_name != table:
                 continue
@@ -366,6 +367,7 @@ def build_plan(
         tree = VecMaterialize(
             tree, query.into, tracker=tracker,
             col_types=_output_types(query, catalog, tree.columns),
+            labels=query.labels,
         )
     return tree
 

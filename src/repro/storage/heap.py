@@ -102,8 +102,13 @@ class AtomHeap:
     def put_many(self, atoms) -> np.ndarray:
         """Store a sequence of atoms; returns their offsets as int64.
 
-        One :meth:`put` per *distinct* atom, a dict lookup per row.
+        One dict lookup per row when every atom is stored already (an
+        INSERT's tags, as a rule), else one :meth:`put` per *distinct*
+        atom.
         """
+        known = list(map(self._offsets_by_atom.get, atoms))
+        if None not in known:
+            return np.array(known, dtype=np.int64)
         offsets = dict.fromkeys(atoms)
         for atom in offsets:
             offsets[atom] = self.put(atom)

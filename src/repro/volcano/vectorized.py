@@ -525,12 +525,22 @@ class VecMaterialize(VecOperator):
         name: str,
         col_types: list[str],
         tracker=None,
+        labels: dict[str, str] | None = None,
     ) -> None:
         self.child = child
         self.name = name
         self.tracker = tracker
         self.columns = list(child.columns)
         self._col_types = col_types
+        # Stored names: a plain ``alias.column`` loses its qualifier, an
+        # aggregate takes its label (as written), else keeps its name.
+        labels = labels or {}
+        self._names = [
+            labels.get(column) or (
+                column if "(" in column else column.rpartition(".")[2]
+            )
+            for column in self.columns
+        ]
         self.result: Relation | None = None
 
     def run(self, stored=None) -> Relation:
@@ -544,10 +554,7 @@ class VecMaterialize(VecOperator):
             else [np.empty(0, dtype=np.int64) for _ in self.columns]
         )
         schema = Schema(
-            [
-                Column(name.split(".")[-1], col_type)
-                for name, col_type in zip(self.columns, self._col_types)
-            ]
+            [Column(name, col_type) for name, col_type in zip(self._names, self._col_types)]
         )
         if stored is not None:
             arrays = stored(schema, arrays)

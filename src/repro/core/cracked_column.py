@@ -100,18 +100,13 @@ def _contains(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
 
 def _last_per_oid(oids: np.ndarray, *columns: np.ndarray) -> tuple:
     """Distinct ``oids`` ascending, each with its last-given ``columns``."""
-    if _ascending(oids):  # already so: the SQL layer's oids
+    if (oids[1:] > oids[:-1]).all():  # already so: the SQL layer's oids
         return (oids, *columns)
     order = np.argsort(oids, kind="stable")
     oids = oids[order]
     last = np.ones(len(oids), dtype=bool)
     last[:-1] = oids[:-1] != oids[1:]
     return (oids[last], *(column[order][last] for column in columns))
-
-
-def _ascending(oids: np.ndarray) -> bool:
-    """True when ``oids`` strictly ascend (so are distinct)."""
-    return not np.count_nonzero(oids[1:] <= oids[:-1])
 
 
 def _sorted_insert(keys, payload, new_keys, new_payload) -> tuple:
@@ -123,20 +118,19 @@ def _sorted_insert(keys, payload, new_keys, new_payload) -> tuple:
     one slot — an UPDATE's one new value — go in as one block.
     """
     order = np.argsort(new_keys, kind="stable")
-    new_keys, new_payload = new_keys[order], new_payload[order]
+    new_keys = new_keys[order]
     at = keys.searchsorted(new_keys, "right")
     if at[0] == at[-1]:
         cut = at[0]
-        return (
-            np.concatenate((keys[:cut], new_keys, keys[cut:])),
-            np.concatenate((payload[:cut], new_payload, payload[cut:])),
+        return tuple(
+            np.concatenate((column[:cut], new, column[cut:]))
+            for column, new in ((keys, new_keys), (payload, new_payload[order]))
         )
     at += np.arange(len(at))
-    old = np.empty(len(keys) + len(at), dtype=bool)
-    old.fill(True)
+    old = np.ones(len(keys) + len(at), dtype=bool)
     old[at] = False
     merged = []
-    for column, new in ((keys, new_keys), (payload, new_payload)):
+    for column, new in ((keys, new_keys), (payload, new_payload[order])):
         out = np.empty(len(old), dtype=column.dtype)
         out[at] = new
         out[old] = column
@@ -470,40 +464,34 @@ class CrackedColumn:
         """Queue new tuples; each joins storage with the first query that
         ranges over its value.  Returns their oids.
 
-        ``oids`` defaults to the next fresh ones.  A ``range`` of step 1
-        starting at or past every oid the column has seen (the SQL
-        layer's INSERT) is fresh, dense and ascending by construction, so
-        it is taken unchecked; any other oids are checked: no negative
-        one, none the column holds, none twice.
+        ``oids`` default to the next fresh ones.  Given oids that start
+        at or past every oid the column has seen and strictly ascend (the
+        SQL layer's INSERT) are non-negative, distinct and not held, so
+        that one check admits them; any others are checked rule by rule.
         """
         values = np.asarray(values, dtype=self.values.dtype)
         if oids is None:
-            oids = range(self._next_oid, self._next_oid + len(values))
-        fresh = type(oids) is range and oids.step == 1 and oids.start >= self._next_oid
-        if fresh:
-            top = oids.stop
-            oids = np.arange(oids.start, top, dtype=np.int64)
+            oids = np.arange(self._next_oid, self._next_oid + len(values), dtype=np.int64)
         else:
             oids = np.asarray(oids, dtype=np.int64)
-        if len(oids) != len(values):
-            raise CrackError(f"append got {len(values)} values but {len(oids)} oids")
-        if not len(values):
-            return oids
-        if not fresh:
-            if oids.min() < 0:
-                raise CrackError("append got a negative oid")
-            if (self._flags(oids) & (_STORED | _QUEUED)).any():
-                raise CrackError("append got an oid the column already holds")
-            ordered = np.sort(oids)
-            if (ordered[1:] == ordered[:-1]).any():
-                raise CrackError("append got the same oid twice")
-            top = int(oids.max()) + 1
-        self._ins_values, self._ins_oids = _sorted_insert(
-            self._ins_values, self._ins_oids, values, oids
-        )
-        self._flag(oids, _QUEUED, top)
-        self._next_oid = max(self._next_oid, top)
-        self._bound_pending(2 * PENDING_SHARE)
+            if len(oids) != len(values):
+                raise CrackError(
+                    f"append got {len(values)} values but {len(oids)} oids"
+                )
+            if oids.size and not (oids[0] >= self._next_oid and (oids[1:] > oids[:-1]).all()):
+                if oids.min() < 0:
+                    raise CrackError("append got a negative oid")
+                if (self._flags(oids) & (_STORED | _QUEUED)).any():
+                    raise CrackError("append got an oid the column already holds")
+                ordered = np.sort(oids)
+                if (ordered[1:] == ordered[:-1]).any():
+                    raise CrackError("append got the same oid twice")
+        if len(values):
+            self._ins_values, self._ins_oids = _sorted_insert(
+                self._ins_values, self._ins_oids, values, oids
+            )
+            self._next_oid = max(self._next_oid, self._flag(oids, _QUEUED))
+            self._bound_pending(2 * PENDING_SHARE)
         return oids
 
     def delete(self, oids, old_values) -> int:
@@ -517,10 +505,12 @@ class CrackedColumn:
         a pending delete, merged out by the first query that ranges over
         its value.  Oids of rows that are not live are ignored.
         """
-        oids, old_values = self._aligned(oids, old_values)
+        oids = np.asarray(oids, dtype=np.int64)
+        old_values = self._aligned(oids, old_values)
         if oids.size == 0:
             return 0
-        live = self._unlink(oids, old_values)
+        oids, old_values = _last_per_oid(oids, old_values)
+        live = len(oids[self._unlink(oids, old_values)])
         self._bound_pending(2 * PENDING_SHARE)
         return live
 
@@ -532,80 +522,71 @@ class CrackedColumn:
         oid carrying the new value — the translation SIGMOD'07 uses.
         ``old_values`` are as for :meth:`delete`.
         """
+        oids = np.asarray(oids, dtype=np.int64)
         values = np.asarray(values, dtype=self.values.dtype)
         if len(oids) != len(values):
-            raise CrackError(f"update got {len(oids)} oids but {len(values)} values")
-        oids, old_values = self._aligned(oids, old_values)
+            raise CrackError(
+                f"update got {len(oids)} oids but {len(values)} values"
+            )
+        old_values = self._aligned(oids, old_values)
         if oids.size == 0:
             return 0
-        live = self._unlink(oids, old_values, values)
+        oids, values, old_values = _last_per_oid(oids, values, old_values)
+        live = self._unlink(oids, old_values, _QUEUED)
+        oids, values = oids[live], values[live]
+        if oids.size:
+            self._ins_values, self._ins_oids = _sorted_insert(
+                self._ins_values, self._ins_oids, values, oids
+            )
         self._bound_pending(2 * PENDING_SHARE)
-        return live
+        return len(oids)
 
-    def _aligned(self, oids, old_values) -> tuple[np.ndarray, np.ndarray]:
-        """``oids`` as int64 and ``old_values`` as a column-dtype array
-        aligned with them."""
-        oids = np.asarray(oids, dtype=np.int64)
+    def _aligned(self, oids: np.ndarray, old_values) -> np.ndarray:
+        """``old_values`` as a column-dtype array aligned with ``oids``."""
         old_values = np.asarray(old_values, dtype=self.values.dtype)
         if len(old_values) != len(oids):
             raise CrackError(f"got {len(oids)} oids but {len(old_values)} old values")
-        return oids, old_values
+        return old_values
 
-    def _unlink(self, oids: np.ndarray, old_values: np.ndarray, values=None) -> int:
-        """Take the live rows among ``oids`` out of the column's view
-        (last given wins per oid) and, with ``values`` aligned with
-        them, queue those rows anew with those values; returns how many
-        were live.
+    def _unlink(self, oids: np.ndarray, old_values: np.ndarray, queue: int = 0):
+        """Take the live rows among ``oids`` (ascending, distinct) out of
+        the column's view and set ``queue`` on them; returns what picks
+        the live ones out of ``oids``: a mask, or ``slice(None)`` for all.
 
         A row in the insert buffer leaves it.  A stored row without a
         pending delete gets one, keyed by its stored value — which is
         its current value, because every change of a stored row goes
         through a delete of its stored copy.  Membership is read from
         ``_state``; only rows leaving the insert buffer search it, and
-        nothing scans storage.  When ``oids`` ascend and one gather of
-        ``_state`` shows every row stored with nothing pending (a
-        key-range DML's rows, as a rule), their deletes queue whole and
-        one write flags them.
+        nothing scans storage.  When one gather of ``_state`` shows
+        every row stored with nothing pending (a key-range DML's rows,
+        as a rule), their deletes queue whole and one write flags them.
         """
         state = self._state
-        queue = 0 if values is None else _QUEUED
-        if (
-            0 <= oids[0] and oids[-1] < len(state) and _ascending(oids)
-            and np.count_nonzero(state[oids] == _STORED) == len(oids)
-        ):
-            live = slice(None)
+        if oids[0] >= 0 and oids[-1] < len(state) and (state[oids] == _STORED).all():
             self._del_values, self._del_oids = _sorted_insert(
                 self._del_values, self._del_oids, old_values, oids
             )
             state[oids] = _STORED | _DOOMED | queue
-        else:
-            if values is None:
-                oids, old_values = _last_per_oid(oids, old_values)
-            else:
-                oids, old_values, values = _last_per_oid(oids, old_values, values)
-            flags = self._flags(oids)
-            queued = (flags & _QUEUED) != 0
-            stored = (flags & (_STORED | _DOOMED)) == _STORED
-            if queued.any():
-                leaving = _contains(oids[queued], self._ins_oids)
-                self._ins_values = self._ins_values[~leaving]
-                self._ins_oids = self._ins_oids[~leaving]
-                state[oids[queued]] &= ~np.uint8(_QUEUED)
-            if stored.any():
-                gone = oids[stored]
-                self._del_values, self._del_oids = _sorted_insert(
-                    self._del_values, self._del_oids, old_values[stored], gone
-                )
-                state[gone] |= _DOOMED
-            live = queued | stored
-            if queue:
-                state[oids[live]] |= queue
-        oids = oids[live]
-        if queue and oids.size:
-            self._ins_values, self._ins_oids = _sorted_insert(
-                self._ins_values, self._ins_oids, values[live], oids
+            return slice(None)
+        flags = self._flags(oids)
+        queued = (flags & _QUEUED) != 0
+        stored = (flags & (_STORED | _DOOMED)) == _STORED
+        if queued.any():
+            leaving = _contains(oids[queued], self._ins_oids)
+            self._ins_values = self._ins_values[~leaving]
+            self._ins_oids = self._ins_oids[~leaving]
+            state[oids[queued]] &= ~np.uint8(_QUEUED)
+        if stored.any():
+            gone = oids[stored]
+            self._del_values, self._del_oids = _sorted_insert(
+                self._del_values, self._del_oids, old_values[stored], gone
             )
-        return len(oids)
+            state[gone] |= _DOOMED
+        live = queued | stored
+        if queue:
+            state[oids[live]] |= queue
+        return live
 
     def _stored_values(self, oids: np.ndarray) -> np.ndarray:
         """The stored value of each of ``oids``: one O(n) pass, for
@@ -633,14 +614,16 @@ class CrackedColumn:
         """``np.isin(oids, self.oids)``, from the flags."""
         return (self._flags(oids) & _STORED) != 0
 
-    def _flag(self, oids: np.ndarray, flag: int, top: int) -> None:
-        """Set ``flag`` on ``oids``, all below ``top``, growing ``_state``
-        by doubling."""
+    def _flag(self, oids: np.ndarray, flag: int) -> int:
+        """Set ``flag`` on ``oids``, growing ``_state`` by doubling;
+        returns the largest oid plus one."""
+        top = int(oids.max()) + 1
         if top > len(self._state):
             grown = np.zeros(max(top, 2 * len(self._state)), dtype=np.uint8)
             grown[: len(self._state)] = self._state
             self._state = grown
         self._state[oids] |= flag
+        return top
 
     def _bound_pending(self, share: float) -> None:
         """Merge every pending change once the buffers hold more than
@@ -924,7 +907,7 @@ class CrackedColumn:
                 np.concatenate((array("pending_values", dtype), update_values)),
                 inserts,
             )
-            column._flag(inserts, _QUEUED, int(inserts.max()) + 1)
+            column._flag(inserts, _QUEUED)
         gone = _last_per_oid(
             np.concatenate((array("pending_delete_oids"), update_oids))
         )[0]
@@ -933,7 +916,7 @@ class CrackedColumn:
                 column._del_values, column._del_oids,
                 column._stored_values(gone), gone,
             )
-            column._flag(gone, _DOOMED, int(gone.max()) + 1)
+            column._flag(gone, _DOOMED)
         column._next_oid = int(state["next_oid"])
         column.check_invariants()
         return column

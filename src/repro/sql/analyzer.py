@@ -304,8 +304,6 @@ def stored_value(column: str, col_type: str, value):
     Raises:
         SQLAnalysisError: if the column cannot store ``value``.
     """
-    if type(value) is int and col_type == "int" and INT64_MIN <= value <= INT64_MAX:
-        return value  # the common case: an int64 int into an integer column
     value = _operand(column, col_type, value)
     if col_type == "str":
         return value

@@ -237,8 +237,7 @@ class CrackerProvider:
         """
         updated = 0
         names = relation.schema.names()
-        # Fresh, dense and ascending: a cracker takes the run unchecked.
-        oids = range(first_oid, first_oid + len(columns[0]))
+        oids = np.arange(first_oid, first_oid + len(columns[0]), dtype=np.int64)
         for (table_name, attr), column in self._columns.items():
             if table_name != table:
                 continue

@@ -475,7 +475,7 @@ def _match_positions(relation: Relation, plan: AnalyzedDML) -> np.ndarray:
     start, stop = 0, len(relation)
     scanned = []
     for predicate in plan.selections:
-        window = relation.bats[predicate.attr].window(
+        window = relation.column(predicate.attr).window(
             predicate.low, predicate.high,
             predicate.low_inclusive, predicate.high_inclusive,
         )
@@ -485,16 +485,12 @@ def _match_positions(relation: Relation, plan: AnalyzedDML) -> np.ndarray:
             start, stop = max(start, window[0]), min(stop, window[1])
     if start >= stop:
         return np.empty(0, dtype=np.int64)
-    keep = relation.live_mask(start, stop)
-    if scanned or plan.residuals:
-        keep = conjunction_mask(
-            [((p.attr,), p.mask) for p in (*scanned, *plan.residuals)],
-            lambda attr: relation.bats[attr].decoded_array(slice(start, stop))[0],
-            keep,
-        )
-    positions = keep.nonzero()[0]
-    positions += start
-    return positions
+    keep = conjunction_mask(
+        [((p.attr,), p.mask) for p in (*scanned, *plan.residuals)],
+        lambda attr: relation.column(attr).decoded_array(slice(start, stop))[0],
+        relation.live_mask(start, stop),
+    )
+    return start + np.flatnonzero(keep)
 
 
 class _Write(_Templated, _Mutation):
@@ -534,13 +530,12 @@ class UpdateStmt(_Write):
             # built once, for its BAT and its cracker.
             old_values, values = {}, {}
             for column, value in plan.assignments:
-                bat = relation.bats[column]
+                bat = relation.column(column)
                 old_values[column] = bat.tail_array()[positions]
-                if bat.tail_type == "str":
-                    values[column] = [value] * len(positions)
-                else:
-                    values[column] = new = np.empty(len(positions), TAIL_DTYPES[bat.tail_type])
-                    new.fill(value)
+                values[column] = (
+                    [value] * len(positions) if bat.tail_type == "str"
+                    else np.full(len(positions), value, dtype=TAIL_DTYPES[bat.tail_type])
+                )
             relation.update_positions(positions, values)
             if db._cracker is not None:
                 db._cracker.propagate_update(plan.table, positions, values, old_values)

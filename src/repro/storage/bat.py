@@ -52,10 +52,8 @@ def _as_tail_array(values: Sequence, tail_type: str, heap: AtomHeap | None) -> n
 
 
 def _ascending(tail: np.ndarray) -> bool:
-    """True when ``tail`` never descends along its first axis (one
-    vectorised compare; NaN breaks the order)."""
-    steps = tail[1:] >= tail[:-1]
-    return np.count_nonzero(steps) == steps.size
+    """True when ``tail`` never descends (one vectorised compare)."""
+    return bool(np.all(tail[1:] >= tail[:-1]))
 
 
 class BAT:
@@ -217,24 +215,19 @@ class BAT:
 
     def append_many(self, values: Sequence) -> np.ndarray:
         """Bulk append; returns the oids assigned (dense continuation)."""
-        first = self._next_oid()
-        return np.arange(first, first + self._extend(values), dtype=np.int64)
-
-    def _extend(self, values: Sequence) -> int:
-        """Append ``values`` after the active region; returns their count."""
         tail = _as_tail_array(values, self.tail_type, self.heap)
-        count, end = self._count, self._count + len(tail)
-        if self._head is not None:
-            first = self._next_oid()
-            oids = np.arange(first, first + len(tail), dtype=np.int64)
-            self._head = np.concatenate([self._head[:count], oids])
-        if end > len(self._tail):
-            self._ensure_capacity(end)
-        self._tail[count:end] = tail
+        self._ensure_capacity(self._count + len(tail))
+        self._tail[self._count : self._count + len(tail)] = tail
         if self._sorted:  # the new values continue the order
-            self._sorted = _ascending(self._tail[max(count - 1, 0) : end])
-        self._count = end
-        return len(tail)
+            self._sorted = _ascending(
+                self._tail[max(self._count - 1, 0) : self._count + len(tail)]
+            )
+        first = self._next_oid()
+        oids = np.arange(first, first + len(tail), dtype=np.int64)
+        if self._head is not None:
+            self._head = np.concatenate([self._head[: self._count], oids])
+        self._count += len(tail)
+        return oids
 
     def set_many(self, positions: np.ndarray, values: Sequence) -> None:
         """Overwrite the tail at ascending ``positions`` with ``values``
@@ -284,19 +277,16 @@ class BAT:
         """The storage window ``[start, stop)`` holding exactly the tail
         values in the range, by two binary searches; None when the tail
         is not known ascending or a bound is not a number."""
-        if not self._sorted:
+        bounds = [bound for bound in (low, high) if bound is not None]
+        if not self._sorted or not all(isinstance(bound, Real) for bound in bounds):
             return None
         tail = self._active_tail()
         start, stop = 0, len(tail)
         if low is not None:
-            if type(low) is not int and not isinstance(low, Real):
-                return None
-            start = int(tail.searchsorted(low, "left" if low_inclusive else "right"))
+            start = tail.searchsorted(low, "left" if low_inclusive else "right")
         if high is not None:
-            if type(high) is not int and not isinstance(high, Real):
-                return None
-            stop = int(tail.searchsorted(high, "right" if high_inclusive else "left"))
-        return start, max(start, stop)
+            stop = tail.searchsorted(high, "right" if high_inclusive else "left")
+        return int(start), int(max(start, stop))
 
     def check_invariants(self) -> None:
         """Raise :class:`StorageError` if the order flag claims an order the tail lacks."""

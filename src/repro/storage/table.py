@@ -161,10 +161,9 @@ class Relation:
     def insert_many(self, columns: Sequence[Sequence]) -> int:
         """Append many tuples given as one equal-length value sequence
         per column, in schema order; returns the count inserted."""
-        count = 0
         for values, column in zip(columns, self.schema):
-            count = self.bats[column.name]._extend(values)
-        return count
+            self.bats[column.name].append_many(values)
+        return len(columns[0]) if columns else 0
 
     def delete_positions(self, positions: np.ndarray) -> int:
         """Tombstone the rows at ``positions``; returns how many.
@@ -173,8 +172,7 @@ class Relation:
         DML matcher gives them
         (:func:`~repro.sql.statements._match_positions`): one binary
         search finds their slots in the sorted tombstone set, and one copy
-        places them (``np.insert`` costs twice as much per call) — as one
-        block when they share a slot, as a key range's rows do.
+        places them (``np.insert`` costs twice as much per call).
         Storage is untouched — visibility changes only.
         """
         positions = np.asarray(positions, dtype=np.int64)
@@ -185,19 +183,14 @@ class Relation:
                 f"delete position out of range 0..{len(self) - 1}"
             )
         deleted = self._deleted
-        at = deleted.searchsorted(positions)
-        if at[0] == at[-1]:
-            cut = at[0]
-            self._deleted = np.concatenate((deleted[:cut], positions, deleted[cut:]))
-            return len(positions)
-        at += np.arange(positions.size)
+        at = deleted.searchsorted(positions) + np.arange(positions.size)
         merged = np.empty(deleted.size + positions.size, dtype=np.int64)
         old = np.ones(merged.size, dtype=bool)
         old[at] = False
         merged[at] = positions
         merged[old] = deleted
         self._deleted = merged
-        return len(positions)
+        return int(positions.size)
 
     def update_positions(self, positions: np.ndarray, assignments: dict) -> int:
         """Overwrite columns in place at ascending ``positions`` (UPDATE
@@ -246,11 +239,10 @@ class Relation:
         """Boolean visibility mask over positions ``[start, stop)``; the
         window's tombstones are found by binary search."""
         stop = len(self) if stop is None else stop
-        mask = np.empty(stop - start, dtype=bool)
-        mask.fill(True)
+        mask = np.ones(stop - start, dtype=bool)
         deleted = self._deleted
-        first, last = deleted.searchsorted((start, stop)).tolist()
-        if first < last:
+        first, last = deleted.searchsorted((start, stop))
+        if first < last:  # a key window holds none, as a rule
             mask[deleted[first:last] - start] = False
         return mask
 

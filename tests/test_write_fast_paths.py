@@ -1,9 +1,9 @@
 """The write path's common cases take a straight path; nothing else does.
 
 An INSERT's text with string literals is keyed a row at a time
-(``plan_cache._rows_key``); a cracker takes a ``range`` of fresh oids
-unchecked, and UPDATE/DELETE oids that ascend and name stored rows with
-nothing pending queue whole.  Each shortcut must answer exactly as the
+(``plan_cache._rows_key``); a cracker admits oids that start at its next
+fresh oid and strictly ascend with one check, and UPDATE/DELETE oids
+that ascend and name stored rows with nothing pending queue whole.  Each shortcut must answer exactly as the
 general path: the key's literals are the tokenizer's, and every oid the
 general path refuses is still refused.  ``SELECT … INTO`` names its
 columns as sqlite's ``CREATE TABLE … AS SELECT`` does.
@@ -109,12 +109,13 @@ def _column() -> CrackedColumn:
 
 @pytest.mark.parametrize("oids", [
     [-1, 0],
-    range(-1, 1),
+    [-2, -1],
     [103, 103],
+    [104, 103, 103],
     [50],              # stored
     [101],             # queued
-    range(99, 102),    # a dense ascending run that starts below the next oid
-    range(102, 104),
+    [99, 100, 101],    # a dense ascending run that starts below the next oid
+    [102, 103],
 ])
 def test_append_refuses_what_the_column_holds(oids):
     column = _column()
@@ -128,14 +129,14 @@ def test_append_refuses_what_the_column_holds(oids):
 
 def test_append_takes_a_fresh_run_and_checks_any_other():
     column = _column()
-    assert column.append([4, 5], range(103, 105)).tolist() == [103, 104]
-    assert column.append([6], range(200, 201)).tolist() == [200]  # past the next oid
-    assert column.append([3], [150]).tolist() == [150]
+    assert column.append([4, 5], np.arange(103, 105)).tolist() == [103, 104]
+    assert column.append([6], [200]).tolist() == [200]  # past the next oid
+    assert column.append([3, 3], [160, 150]).tolist() == [160, 150]  # fresh, not ascending
     assert column.append([2]).tolist() == [201]
     with pytest.raises(CrackError):
-        column.append([1, 2], range(300, 301))
+        column.append([1, 2], [300])
     column.check_invariants()
-    assert column.count_range(0, 10) == 9 + 8  # 1..9 stored, eight queued
+    assert column.count_range(0, 10) == 9 + 9  # 1..9 stored, nine queued
 
 
 @pytest.mark.parametrize("oids", [

@@ -18,13 +18,10 @@ a ``result`` frame becomes the :class:`QueryResult` at once, small ones
 from JSON, bulk ones from binary columnar frames that stay columnar
 (``result.rows`` builds tuples only when first read).  A CHUNK stream
 is assembled only once its first chunk arrives.  Frames cross the wire
-raw unless the client asks: ``compression=True`` offers zlib in HELLO,
-which pays only on a link slower than ~50 MB/s (zlib-1 runs at ~105
-MB/s; on loopback it doubled a bulk reply's round trip).
-``execute_many`` pipelines a batch of statements: a window of requests
-goes out before any reply is read, amortising network round-trips and
-letting the server answer the run in one pass and send its replies
-together.
+raw.  ``execute_many`` pipelines a batch of statements: a window of
+requests goes out before any reply is read, amortising network
+round-trips and letting the server answer the run in one pass and send
+its replies together.
 
 It reconnects: a dropped connection is re-established (with retries
 and backoff), the HELLO handshake is replayed and every live prepared
@@ -68,7 +65,6 @@ from repro.errors import (
 )
 from repro.server.protocol import (
     PROTOCOL_VERSION,
-    SUPPORTED_COMPRESSIONS,
     FrameDecoder,
     ResultAssembler,
     encode_frame,
@@ -166,6 +162,9 @@ class Prepared:
 class Client:
     """Blocking client over one TCP socket (see module docstring)."""
 
+    #: Always None (frames are raw): the ledger reads it until item 1(f).
+    compression = None
+
     def __init__(
         self,
         host: str,
@@ -174,17 +173,12 @@ class Client:
         reconnect: bool = True,
         max_retries: int = 3,
         retry_delay: float = 0.05,
-        compression: bool = False,
     ) -> None:
         self.host = host
         self.port = port
         self.reconnect = reconnect
         self.max_retries = max_retries
         self.retry_delay = retry_delay
-        self.offer_compression = compression
-        #: Learned per connection from the HELLO reply.
-        self.protocol_version = PROTOCOL_VERSION
-        self.compression: str | None = None
         self.server_info: dict = {}
         self.in_transaction = False
         self._prepared: list[Prepared] = []
@@ -218,9 +212,6 @@ class Client:
             "type": "hello",
             "protocol": PROTOCOL_VERSION,
             "versions": [PROTOCOL_VERSION],
-            "compression": (
-                list(SUPPORTED_COMPRESSIONS) if self.offer_compression else []
-            ),
             "client": "repro-client",
         }
         try:
@@ -229,8 +220,6 @@ class Client:
         except ReproError:
             self._disconnect()  # a refused handshake keeps no socket
             raise
-        self.protocol_version = reply.get("protocol", PROTOCOL_VERSION)
-        self.compression = reply.get("compression")
         for prepared in self._prepared:
             (fresh,) = self._exchange([{"type": "prepare", "sql": prepared.sql}])
             prepared.handle = _expect(fresh, "prepared")["handle"]

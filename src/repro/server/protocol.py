@@ -7,9 +7,8 @@ Framing
     (every request, and every reply except bulk results); a payload
     starting with the :data:`_BINARY_MARKER` byte is a binary columnar
     result frame (below).  Frames larger than :data:`MAX_FRAME_BYTES`
-    are rejected on both sides, and a compressed body may not inflate
-    past the same bound, so neither peer can force more than that onto
-    the other.
+    are rejected on both sides, so neither peer can force more than
+    that onto the other.
 
 Messages
     Objects carry a ``"type"`` discriminator.  Requests:
@@ -36,9 +35,9 @@ Version negotiation
 Binary columnar results
     A query result past :data:`SMALL_RESULT_ROWS` ships as numpy column
     buffers instead of per-row JSON.  Each binary frame is
-    ``marker, kind, flags, pad`` +
-    a 4-byte header length + a small JSON header (column names, per
-    column encoding/dtype/byte-size, row count, varchar dictionaries;
+    ``marker, kind, flags, pad`` (the flags byte is reserved and must
+    be 0) + a 4-byte header length + a small JSON header (column names,
+    per column encoding/dtype/byte-size, row count, varchar dictionaries;
     space-padded to a multiple of 8 bytes so the body starts aligned)
     + the concatenated raw column bodies (array buffers, joined once;
     decoded zero-copy with ``np.frombuffer`` on the far side).  A
@@ -47,13 +46,8 @@ Binary columnar results
     trailer carrying the totals, so arbitrarily large SELECTs cross
     the wire without a giant allocation on either peer
     (:func:`encode_result_frames` / :class:`ResultAssembler`).  Bodies
-    cross the wire raw unless HELLO negotiated a codec — our clients
-    offer one only with ``compression=True``, since zlib-1 (~105 MB/s)
-    loses to any link past ~50 MB/s; the server accepts any offer of a
-    codec it supports — and then those past :data:`COMPRESS_MIN_BYTES`
-    are zlib-compressed per frame.
-    Every header and descriptor field of an incoming frame is
-    type- and range-checked: a malformed frame is a
+    cross the wire raw.  Every header and descriptor field of an
+    incoming frame is type- and range-checked: a malformed frame is a
     :class:`ProtocolError`, never a ``KeyError`` or a wild allocation.
 
 Wire safety
@@ -66,7 +60,6 @@ from __future__ import annotations
 
 import json
 import struct
-import zlib
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
@@ -86,24 +79,16 @@ from repro.errors import (
 )
 
 #: The one protocol this build speaks: JSON messages, binary columnar
-#: bulk results, chunked streaming, negotiated compression.
+#: bulk results, chunked streaming.
 PROTOCOL_VERSION = 2
 
-#: Compression codecs this build can apply to binary result-frame bodies.
-SUPPORTED_COMPRESSIONS = ("zlib",)
-
-#: Upper bound on one frame (requests and replies alike) and on the
-#: inflated body of a compressed one.
+#: Upper bound on one frame (requests and replies alike).
 MAX_FRAME_BYTES = 32 * 1024 * 1024
 
 #: Target payload size for one result chunk (bounds peak memory per
 #: frame on both peers; well under MAX_FRAME_BYTES).  Read at encode
 #: time, so a test can lower it to reach the chunked path cheaply.
 CHUNK_BYTES = 1 << 20
-
-#: Binary frame bodies below this stay raw even when compression was
-#: negotiated — zlib on tiny payloads costs more than it saves.
-COMPRESS_MIN_BYTES = 4096
 
 #: Results at or below this many rows go over the wire as plain
 #: JSON: numpy columnarisation only amortises on
@@ -139,9 +124,8 @@ _KIND_FULL = 1   # a complete result in one frame
 _KIND_CHUNK = 2  # one column-batch of a streamed result
 _KIND_END = 3    # trailer closing a chunk stream (totals, no body)
 
-_FLAG_COMPRESSED = 0x01
-
 #: marker, kind, flags, pad, header-length — prefix of a binary payload.
+#: The flags byte is reserved: a peer writes 0 and refuses anything else.
 _BIN_HEAD = struct.Struct("!BBBxI")
 
 #: The typed error vocabulary.  Servers only ever send these codes, so
@@ -193,19 +177,6 @@ def hello_versions(message: dict) -> list[int]:
     if not isinstance(versions, (list, tuple)):
         raise ProtocolError("'versions' must be an array when present")
     return [v for v in versions if isinstance(v, int)]
-
-
-def negotiate_compression(
-    message: dict, supported=SUPPORTED_COMPRESSIONS
-) -> str | None:
-    """First mutually supported codec from HELLO's ``"compression"`` list."""
-    offered = message.get("compression")
-    if not isinstance(offered, (list, tuple)):
-        return None
-    for codec in offered:
-        if codec in supported:
-            return codec
-    return None
 
 
 # ---------------------------------------------------------------------- #
@@ -373,11 +344,9 @@ def _decode_column(descriptor, body, offset: int) -> np.ndarray:
     raise ProtocolError(f"unknown column encoding {enc!r}")
 
 
-def _pack_binary(kind: int, header: dict, bodies: list, size: int, compression) -> bytes:
+def _pack_binary(kind: int, header: dict, bodies: list, size: int) -> bytes:
     """One complete binary frame (length prefix included) around the
-    ``size`` bytes of ``bodies``, joined once; the cap applies to the
-    *uncompressed* frame, because the decoder refuses to inflate a body
-    past it."""
+    ``size`` bytes of ``bodies``, joined once."""
     header_bytes = _ENCODE(header).encode("utf-8")
     # JSON whitespace up to a multiple of 8: a raw body starts aligned.
     header_bytes += b" " * (-len(header_bytes) % 8)
@@ -387,24 +356,17 @@ def _pack_binary(kind: int, header: dict, bodies: list, size: int, compression) 
             f"binary frame of {head + size} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte limit; lower the chunk size"
         )
-    flags = 0
-    if compression == "zlib" and size >= COMPRESS_MIN_BYTES:
-        squeezed = zlib.compress(b"".join(bodies), 1)
-        if len(squeezed) < size:  # incompressible bodies stay raw
-            bodies, size, flags = [squeezed], len(squeezed), _FLAG_COMPRESSED
-    marker = _BIN_HEAD.pack(_BINARY_MARKER, kind, flags, len(header_bytes))
+    marker = _BIN_HEAD.pack(_BINARY_MARKER, kind, 0, len(header_bytes))
     return b"".join([_LENGTH.pack(head + size), marker, header_bytes, *bodies])
 
 
-def _result_frame(
-    kind: int, columns, plans, start: int, stop: int, extra: dict, compression
-) -> bytes:
+def _result_frame(kind: int, columns, plans, start: int, stop: int, extra: dict) -> bytes:
     """Encode rows ``[start, stop)`` (FULL or CHUNK) into one binary frame."""
     parts = [_column_part(plan, start, stop) for plan in plans]
     descriptors = [descriptor for descriptor, _ in parts]
     header = {"columns": columns, "cols": descriptors, "rows": stop - start, **extra}
     size = sum(descriptor["size"] for descriptor in descriptors)
-    return _pack_binary(kind, header, [body for _, body in parts], size, compression)
+    return _pack_binary(kind, header, [body for _, body in parts], size)
 
 
 def _chunk_stops(plans, n_rows: int) -> list[int]:
@@ -428,7 +390,7 @@ def _chunk_stops(plans, n_rows: int) -> list[int]:
     return [*range(chunk_rows, n_rows, chunk_rows), n_rows]
 
 
-def encode_result_frames(result, *, compression: str | None = None):
+def encode_result_frames(result, *, compression: None = None):
     """Yield the binary frame(s) carrying one bulk query result.
 
     Encoded from ``result.arrays``: a columnar result is sliced, never
@@ -438,6 +400,8 @@ def encode_result_frames(result, *, compression: str | None = None):
     the whole result, which is how SELECTs far past
     :data:`MAX_FRAME_BYTES` cross the wire.
     """
+    if compression is not None:  # the ledger's codec replay passes None; item 1(f)
+        raise ValueError(f"no frame codec {compression!r}: frames are raw")
     columns = list(result.columns)
     plans = [
         _plan_column(result.arrays[name], result.codes.get(name))
@@ -448,31 +412,14 @@ def encode_result_frames(result, *, compression: str | None = None):
     stops = _chunk_stops(plans, n_rows)
     if len(stops) <= 1:
         extra = {"affected": affected}
-        yield _result_frame(_KIND_FULL, columns, plans, 0, n_rows, extra, compression)
+        yield _result_frame(_KIND_FULL, columns, plans, 0, n_rows, extra)
         return
     start = 0
     for seq, stop in enumerate(stops, 1):
-        yield _result_frame(
-            _KIND_CHUNK, columns, plans, start, stop, {"seq": seq}, compression
-        )
+        yield _result_frame(_KIND_CHUNK, columns, plans, start, stop, {"seq": seq})
         start = stop
     totals = {"affected": affected, "rows": n_rows, "chunks": len(stops)}
-    yield _pack_binary(_KIND_END, {"columns": columns, **totals}, [], 0, None)
-
-
-def _inflate(body) -> bytes:
-    """Bounded zlib inflate: at most :data:`MAX_FRAME_BYTES` come out."""
-    inflater = zlib.decompressobj()
-    try:
-        data = inflater.decompress(body, MAX_FRAME_BYTES)
-    except zlib.error as exc:
-        raise ProtocolError(f"corrupt compressed frame body: {exc}") from None
-    if not inflater.eof:
-        raise ProtocolError(
-            f"compressed frame body is truncated or inflates past the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
-    return data
+    yield _pack_binary(_KIND_END, {"columns": columns, **totals}, [], 0)
 
 
 def _decode_binary(payload: bytes) -> dict:
@@ -480,6 +427,8 @@ def _decode_binary(payload: bytes) -> dict:
     if len(payload) < _BIN_HEAD.size:
         raise ProtocolError("binary frame payload is truncated")
     _, kind, flags, header_len = _BIN_HEAD.unpack_from(payload)
+    if flags:
+        raise ProtocolError(f"binary frame flags {flags:#04x} are reserved and must be 0")
     header_end = _BIN_HEAD.size + header_len
     header = _loads(payload[_BIN_HEAD.size:header_end], "binary frame header")
     columns = _field(header, "columns", list)
@@ -499,8 +448,6 @@ def _decode_binary(payload: bytes) -> dict:
         )
     n_rows = _field(header, "rows", int)
     body = memoryview(payload)[header_end:]  # np.frombuffer sees it zero-copy
-    if flags & _FLAG_COMPRESSED:
-        body = memoryview(_inflate(body))
     cols = []
     offset = 0
     for descriptor in descriptors:
@@ -642,8 +589,7 @@ class FrameDecoder:
     frames across calls.
 
     ``requests=True`` is the server's end: requests are always JSON, so
-    a binary frame is refused undecoded — a client cannot make the
-    server inflate anything.
+    a binary frame is refused undecoded.
     """
 
     def __init__(self, requests: bool = False) -> None:

@@ -398,17 +398,17 @@ class ReproServer:
         out = []
         for index, reply in enumerate(replies):
             if "_result" in reply:
-                conn.frames = self._frames(replies[index:], conn.session.compression)
+                conn.frames = self._frames(replies[index:])
                 break
             out.append(_encoded(reply))
         conn.out = b"".join(out)
 
     @staticmethod
-    def _frames(replies: list, compression):
-        """The frames of a run's replies from its first bulk one on, encoded
-        as asked for: a bulk reply's raw :class:`QueryResult` (``"_result"``)
-        streams as chunks under TCP backpressure instead of ballooning in
-        memory; the small replies between them leave together."""
+    def _frames(replies: list):
+        """The frames of a run's replies from its first bulk one on: a bulk
+        reply's raw :class:`QueryResult` (``"_result"``) streams as chunks
+        under TCP backpressure instead of ballooning in memory; the small
+        replies between them leave together."""
         small = []
         for reply in replies:
             result = reply.pop("_result", None)
@@ -419,7 +419,7 @@ class ReproServer:
                 yield b"".join(small)
                 small = []
             try:
-                yield from encode_result_frames(result, compression=compression)
+                yield from encode_result_frames(result)
             except ProtocolError as exc:  # a chunk overflowed the frame cap
                 small.append(_encoded(error_for_exception(exc)))
         if small:

@@ -39,7 +39,6 @@ from repro.server.protocol import (
     error_for_exception,
     error_reply,
     hello_versions,
-    negotiate_compression,
     result_reply,
 )
 
@@ -63,9 +62,6 @@ class ClientSession:
         self.greeted = False
         self.closing = False
         self.statements = 0
-        #: Negotiated in HELLO (None until then, and when the client
-        #: offers no codec).
-        self.compression: str | None = None
         self._prepared: dict[str, object] = {}
         self._next_handle = 1
         self._txn: list[str] | None = None
@@ -109,10 +105,6 @@ class ClientSession:
                     raise ProtocolError("'params' must be an array when present")
                 params = tuple(params)
             fn, argument = prepared.execute, params
-        if message.get("mode") not in (None, "vector"):
-            # Clients from before the tuple executor was removed send a
-            # mode; only the one that still exists (or none) is served.
-            raise ProtocolError("'mode' must be \"vector\" or null when present")
         self.statements += 1
         return fn, argument
 
@@ -160,14 +152,12 @@ class ClientSession:
                 f"no common protocol version: server speaks "
                 f"{[PROTOCOL_VERSION]}, client offered {offered}",
             )
-        self.compression = negotiate_compression(message)
         self.greeted = True
         self.client_name = str(message.get("client", "?"))
         return {
             "type": "hello",
             "protocol": PROTOCOL_VERSION,
             "versions": [PROTOCOL_VERSION],
-            "compression": self.compression,
             "server": "repro",
             "session": self.session_id,
             "cracking": self.database.cracking,
@@ -270,7 +260,6 @@ class ClientSession:
                 "id": self.session_id,
                 "client": self.client_name,
                 "protocol": PROTOCOL_VERSION,
-                "compression": self.compression,
                 "statements": self.statements,
                 "prepared": len(self._prepared),
                 "in_transaction": self._txn is not None,

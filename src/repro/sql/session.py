@@ -417,12 +417,6 @@ class Database:
                 stmt.analyze(self)  # validate names now, not at first execute
             return PreparedStatement(self, sql, stmt, key, literals)
 
-    def execute_prepared(
-        self, prepared: "PreparedStatement", params=None
-    ) -> QueryResult:
-        """Run a prepared statement (``params`` override its literals)."""
-        return prepared.execute(params)
-
     def execute_script(self, script: str) -> int:
         """Run a semicolon-separated script; returns statements executed."""
         executed = 0

@@ -13,8 +13,7 @@ import pytest
 
 from repro.client import Client
 from repro.errors import AmbiguousResultError, RemoteError
-from repro.server import protocol
-from repro.server.protocol import COMPRESS_MIN_BYTES, SMALL_RESULT_ROWS
+from repro.server.protocol import SMALL_RESULT_ROWS
 from repro.sql import Database
 
 from test_server import served, wire_json
@@ -215,31 +214,8 @@ def test_scenario_threaded(deadline_server, scenario, driver):
 
 
 @sync_driver
-def test_opted_in_compression(server, driver, monkeypatch):
-    """The client does not offer zlib by default, so the inflate path
-    gets one opted-in run over a real socket: a body past
-    ``COMPRESS_MIN_BYTES`` arrives deflated and equals embedded."""
-    inflated = []
-    real = protocol._inflate
-
-    def recording(body):
-        inflated.append(real(body))
-        return inflated[-1]
-
-    monkeypatch.setattr(protocol, "_inflate", recording)
-
-    def compressed_bulk(client, embedded, t):
-        assert client.compression == "zlib"
-        load(client, embedded, t, rows=600)
-        assert_same(client, embedded, f"SELECT {t}.k, {t}.a, {t}.tag FROM {t}")
-        assert [len(body) > COMPRESS_MIN_BYTES for body in inflated] == [True]
-
-    test_scenario(server, compressed_bulk, driver, compression=True)
-
-
-@sync_driver
 @every_scenario
-def test_scenario(server, scenario, driver, **client_kwargs):
+def test_scenario(server, scenario, driver):
     embedded = Database(cracking=True)
-    with Client(*server, **client_kwargs) as client:
+    with Client(*server) as client:
         scenario(client, embedded, f"t{next(_table_ids)}")

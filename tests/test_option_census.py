@@ -58,11 +58,12 @@ PARAMETERS = {
     "ReproServer.port": (DEPLOYMENT, "bind port (--port)"),
     "ReproServer.max_connections": (DEPLOYMENT, "resource bound (--max-connections)"),
     "ReproServer.statement_timeout": (DEPLOYMENT, "timeout (--statement-timeout)"),
-    "encode_result_frames.compression": (SHIPPED, "the server passes the negotiated codec"),
+    "encode_result_frames.compression": (
+        SHIPPED, "the ledger's codec replay passes None, the only value; item 1(f)"
+    ),
     "Client.reconnect": (SHIPPED, "the ledger's client passes reconnect=False"),
     "Client.max_retries": (DEPLOYMENT, "retry policy"),
     "Client.retry_delay": (DEPLOYMENT, "retry policy"),
-    "Client.compression": (FEATURE, "offer zlib frame compression"),
     "ColumnIntrospection.domain_low": (SHIPPED, "CrackerProvider passes the column's span"),
     "ColumnIntrospection.domain_high": (SHIPPED, "CrackerProvider passes the column's span"),
     "VecScan.alias": (SHIPPED, "the planner passes the table binding"),

@@ -278,12 +278,6 @@ class TestPreparedStatements:
         with pytest.raises(SQLAnalysisError):
             db.prepare("SELECT * FROM ghost WHERE v > 1")
 
-    def test_execute_prepared_entry_point(self):
-        db = small_db()
-        stmt = db.prepare("SELECT r.k FROM r WHERE a = 0")
-        direct = db.execute_prepared(stmt, (37,))
-        assert direct.rows == db.execute("SELECT r.k FROM r WHERE a = 37").rows
-
     def test_prepared_works_with_cache_disabled(self):
         db = small_db(plan_cache=False)
         stmt = db.prepare("SELECT count(*) FROM r WHERE a BETWEEN 0 AND 99")

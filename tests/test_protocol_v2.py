@@ -4,10 +4,11 @@ Four layers of proof that the binary codec is a pure transport
 optimisation:
 
 * codec unit tests — every column encoding (ndarray / dict / json)
-  roundtrips value-exactly, compressed or not, chunked or whole;
+  roundtrips value-exactly, chunked or whole;
 * negotiation — a HELLO offering this build's version (as a list or
   the legacy scalar) is accepted, and an offer without it is a typed
-  error, not a hang;
+  error, not a hang; an older client's codec offer and ``mode`` field
+  are ignored, and its bulk replies arrive raw;
 * differential — the same oracle workload over the wire and embedded
   produces identical results (the wire format must not change the
   answers);
@@ -16,7 +17,6 @@ optimisation:
   never as silent truncation.
 """
 
-import functools
 import json
 import socket
 import struct
@@ -39,7 +39,6 @@ from repro.server.protocol import (
     encode_frame,
     encode_result_frames,
     hello_versions,
-    negotiate_compression,
 )
 from repro.sql import Database, QueryResult
 from repro.storage.table import Column, Relation, Schema
@@ -102,26 +101,21 @@ class _Tap:
         return data
 
 
-@pytest.fixture
-def opted_in(monkeypatch):
-    """Every ``Client(...)`` of the test offers zlib: the default client
-    no longer does, and inflate must still cross a real socket."""
-    monkeypatch.setattr(
-        f"{__name__}.Client", functools.partial(Client, compression=True)
-    )
-
-
 class TestVersionNegotiation:
     def test_hello_versions_list_and_legacy_scalar(self):
         assert hello_versions({"versions": [1, 2], "protocol": 1}) == [1, 2]
         # A legacy client sends only the scalar field: that IS its list.
         assert hello_versions({"protocol": 1}) == [1]
 
-    def test_negotiate_compression(self):
-        assert negotiate_compression({"compression": ["zlib"]}, ("zlib",)) == "zlib"
-        assert negotiate_compression({"compression": []}, ("zlib",)) is None
-        assert negotiate_compression({}, ("zlib",)) is None
-        assert negotiate_compression({"compression": ["lz9"]}, ("zlib",)) is None
+    def test_no_codec_can_be_asked_for(self):
+        with pytest.raises(TypeError):
+            Client("127.0.0.1", 0, compression=True)
+        assert Client.compression is None
+        result = QueryResult(columns=["x"], rows=[(7,)] * 100)
+        raw = list(encode_result_frames(result))
+        assert list(encode_result_frames(result, compression=None)) == raw
+        with pytest.raises(ValueError):
+            list(encode_result_frames(result, compression="zlib"))
 
 
 class TestBinaryCodec:
@@ -178,35 +172,12 @@ class TestBinaryCodec:
         assert message["rows"] == rows
         assert np.array_equal(message["arrays"]["k"], np.arange(1000))
 
-    def test_compression_shrinks_repetitive_bodies(self):
-        rows = [(7,) for _ in range(10_000)]
-        result = QueryResult(columns=["x"], rows=rows)
-        raw = b"".join(encode_result_frames(result, compression=None))
-        squeezed = b"".join(encode_result_frames(result, compression="zlib"))
-        assert len(squeezed) < len(raw) / 10
-        assert assemble([squeezed])["rows"] == rows
-
-    def test_incompressible_bodies_stay_raw(self):
-        rng = np.random.default_rng(SEED)
-        bound = np.iinfo(np.int64)
-        rows = [
-            (int(v),)
-            for v in rng.integers(bound.min, bound.max, 10_000, dtype=np.int64)
-        ]
-        result = QueryResult(columns=["x"], rows=rows)
-        frames = list(encode_result_frames(result, compression="zlib"))
-        # Frame layout: length(4) marker(1) kind(1) flags(1) — all eight
-        # bytes of a full-range int64 are random, zlib cannot shrink
-        # them, so the compressed flag stays clear and the body ships raw.
-        assert all(frame[6] == 0 for frame in frames)
-        assert assemble(frames)["rows"] == rows
-
     @pytest.mark.parametrize("chunk_rows", [None, 16], ids=["full", "chunk"])
     def test_numeric_columns_decode_aligned(self, chunk_rows):
         """Regression: a raw body began ``8 + len(header)`` bytes into
         the payload, so ``np.frombuffer`` handed out unaligned arrays
-        for seven header lengths in eight (zlib hid it: an inflated
-        body is a fresh buffer).  The header is now space-padded."""
+        for seven header lengths in eight.  The header is now
+        space-padded."""
         k = np.arange(100, dtype=np.int64)
         residues = set()
         for width in range(1, 9):
@@ -299,7 +270,7 @@ class TestServedNegotiation:
 
     def _bulk_reply_flags(self, client) -> int:
         """The flags byte of the frame answering a 600-row ``k, a``
-        SELECT — 9 600 body bytes, past ``COMPRESS_MIN_BYTES``."""
+        SELECT (9 600 body bytes)."""
         load_standard(client, seed=SEED)
         client.received = b""
         assert client.execute("SELECT r.k, r.a FROM r").row_count == 600
@@ -310,19 +281,46 @@ class TestServedNegotiation:
     def test_default_client_gets_raw_frames(self):
         with served() as (_, host, port, _thread):
             with TappedClient(host, port) as client:
-                assert client.protocol_version == PROTOCOL_VERSION
-                assert client.compression is None
-                session = client.stats()["session"]
-                assert session["protocol"] == PROTOCOL_VERSION
-                assert session["compression"] is None
+                assert client.server_info["protocol"] == PROTOCOL_VERSION
+                assert client.stats()["session"]["protocol"] == PROTOCOL_VERSION
                 assert self._bulk_reply_flags(client) == 0
 
-    def test_opted_in_client_negotiates_zlib(self):
+    def test_an_older_client_is_answered_raw(self):
+        """What a client from before frames went raw-only sends: a HELLO
+        offering ``"compression": ["zlib"]`` and queries that may carry a
+        ``"mode"``.  The HELLO reply and STATS name no codec (that client
+        reads a missing one as none), and its bulk reply, to a SELECT
+        naming the removed ``"tuple"`` mode, has flags byte 0 (which it
+        decodes as raw).  ``test_server`` shows a ``mode`` of any value
+        is ignored."""
+        rows = [(k, (k * 37) % 1009) for k in range(600)]
         with served() as (_, host, port, _thread):
-            with TappedClient(host, port, compression=True) as client:
-                assert client.compression == "zlib"
-                assert client.stats()["session"]["compression"] == "zlib"
-                assert self._bulk_reply_flags(client) == 1
+            with socket.create_connection((host, port)) as sock:
+                decoder = FrameDecoder()
+
+                def ask(message):
+                    sock.sendall(encode_frame(message))
+                    return _read_one(sock, decoder)
+
+                reply = ask({"type": "hello", "protocol": 2, "versions": [2],
+                             "compression": ["zlib"], "client": "repro-client"})
+                assert reply["type"] == "hello" and "compression" not in reply
+                assert "compression" not in ask({"type": "stats"})["payload"]["session"]
+                values = ", ".join(f"({k}, {a})" for k, a in rows)
+                for sql in ("CREATE TABLE t (k integer, a integer)",
+                            f"INSERT INTO t VALUES {values}"):
+                    assert ask({"type": "query", "sql": sql})["type"] == "result"
+                sock.sendall(encode_frame(
+                    {"type": "query", "sql": "SELECT k, a FROM t", "mode": "tuple"}
+                ))
+                frame = b""
+                while len(frame) < 4 or len(frame) < 4 + int.from_bytes(frame[:4], "big"):
+                    data = sock.recv(1 << 16)
+                    assert data, "connection closed mid-frame"
+                    frame += data
+                # length(4) marker(1) kind(1) flags(1): one raw FULL frame.
+                assert frame[4:7] == bytes([0, 1, 0])
+                assert decode_frames([frame])[0]["rows"] == rows
 
     @pytest.mark.parametrize(
         "hello",
@@ -478,11 +476,6 @@ class TestDifferentialEmbeddedThreaded(TestDifferentialEmbedded):
     under a 60 s deadline, which none reaches: it changes no answer."""
 
 
-@pytest.mark.usefixtures("opted_in")
-class TestDifferentialEmbeddedCompressed(TestDifferentialEmbedded):
-    """The same differential and pipelining checks through zlib."""
-
-
 @pytest.fixture(scope="module")
 def big_database():
     """2.2M rows of int64: a full scan is ~35 MiB of column payload,
@@ -540,11 +533,6 @@ class TestStreamingPastFrameCap:
         with served(database) as (_, host, port, _thread):
             with Client(host, port) as client:
                 assert client.execute("SELECT v.k, v.tag FROM v").rows == rows
-
-
-@pytest.mark.usefixtures("opted_in")
-class TestStreamingPastFrameCapCompressed(TestStreamingPastFrameCap):
-    """The same streams with their bodies deflated and inflated."""
 
 
 class TestTornStreamDisconnect:

@@ -144,7 +144,7 @@ def _drive_engine(work: Path) -> None:
             db.execute(sql).rows
         prepared = db.prepare(PREPARED)
         for params in [None, (1, 90), (1, 90), (-3, 700)]:
-            db.execute_prepared(prepared, params).scalar()
+            prepared.execute(params).scalar()
         db.execute_transaction(["INSERT INTO s VALUES (1, 1)", "UPDATE s SET b = 2 WHERE k = 1",
                                 "SELECT k, b INTO u FROM s WHERE b > 90"])
         with suppress(ReproError):  # fails on its last statement: rolled back
@@ -199,7 +199,6 @@ def _drive_served(work: Path) -> None:
             client.stats(), client.metrics(), client.timeseries(last=5)
             with suppress(ReproError):
                 client.execute("SELECT y FROM r")
-        with Client(host, port, compression=True) as client:
             client.execute("SELECT k, a, x, tag FROM r").rows
             # 96 000 rows of two integers, past CHUNK_BYTES: a chunked stream.
             client.execute("CREATE TABLE big (k integer, a integer)")
